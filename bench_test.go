@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -522,6 +523,47 @@ func BenchmarkAddRowsWAL(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkIngestWire measures the networked ingest path end to end: rows
+// held by a tailer -> wire.Client (transpose into one batch frame) ->
+// loopback server -> WAL leaf (the frame's bytes logged and fsynced, decoded
+// once, column vectors appended), in 1000-row batches. Gated in CI so a
+// reflective codec cannot creep back between the tailer and the builder.
+func BenchmarkIngestWire(b *testing.B) {
+	e := newBenchEnv(b)
+	cfg := e.config(0, scuba.FormatRow)
+	cfg.WALDir = filepath.Join(e.dir, "wal")
+	cfg.WALSyncInterval = 0
+	l, err := scuba.NewLeaf(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := l.Start(); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := scuba.NewServer(l, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	c := scuba.DialLeaf(srv.Addr())
+	defer c.Close()
+	const batchRows = 1000
+	batch := scuba.ServiceLogs(42, 1700000000).NextBatch(batchRows)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.AddRows("service_logs", batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	rows := float64(b.N * batchRows)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
 }
 
 // BenchmarkAggregatorFanOut measures a grouped query fanned out over a

@@ -351,10 +351,12 @@ func runE7() error {
 
 func sealFullBlock(gen *workload.Generator) (*rowblock.RowBlock, error) {
 	builder := rowblock.NewBuilder(1700000000)
-	for _, r := range gen.NextBatch(rowblock.MaxRows) {
-		if err := builder.AddRow(r); err != nil {
-			return nil, err
-		}
+	bt, err := rowblock.FromRows(gen.NextBatch(rowblock.MaxRows))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := builder.AppendBatch(bt); err != nil {
+		return nil, err
 	}
 	return builder.Seal()
 }

@@ -453,8 +453,8 @@ func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // decodeRowFormat translates a row-format file back into a column block:
-// every row is re-ingested through a rowblock.Builder, rebuilding
-// dictionaries and re-compressing every column. This is the CPU-intensive
+// the rows are transposed into one batch and re-ingested through a
+// rowblock.Builder, rebuilding dictionaries and re-compressing every column. This is the CPU-intensive
 // translation the paper describes (§1, §6).
 func decodeRowFormat(data []byte) (*rowblock.RowBlock, error) {
 	if len(data) < 4+4+8+8+2+4 {
@@ -515,10 +515,31 @@ func decodeRowFormat(data []byte) (*rowblock.RowBlock, error) {
 		return s, nil
 	}
 
-	builder := rowblock.NewBuilder(created)
+	// The file's schema is fixed, so its rows decode straight into the column
+	// vectors of one batch, which the builder appends whole.
+	if t := schema[0].Type; t != layout.TypeInt64 && t != layout.TypeTime {
+		return nil, fmt.Errorf("%w: time column has type %v", ErrCorruptFile, t)
+	}
+	bt := &rowblock.Batch{Cols: make([]rowblock.BatchColumn, ncols-1)}
+	seen := make(map[string]bool, ncols)
+	for i, f := range schema {
+		if seen[f.Name] {
+			return nil, fmt.Errorf("%w: duplicate column %q", ErrCorruptFile, f.Name)
+		}
+		seen[f.Name] = true
+		if i > 0 {
+			bt.Cols[i-1] = rowblock.BatchColumn{Name: f.Name, Type: f.Type}
+			if f.Type == layout.TypeTime {
+				bt.Cols[i-1].Type = layout.TypeInt64
+			}
+		}
+	}
 	for r := 0; r < n; r++ {
-		row := rowblock.Row{Cols: make(map[string]rowblock.Value, ncols-1)}
 		for i, f := range schema {
+			var c *rowblock.BatchColumn
+			if i > 0 {
+				c = &bt.Cols[i-1]
+			}
 			switch f.Type {
 			case layout.TypeInt64, layout.TypeTime:
 				u, err := readUvarint()
@@ -526,22 +547,22 @@ func decodeRowFormat(data []byte) (*rowblock.RowBlock, error) {
 					return nil, err
 				}
 				if i == 0 {
-					row.Time = unzigzag(u)
+					bt.Times = append(bt.Times, unzigzag(u))
 				} else {
-					row.Cols[f.Name] = rowblock.Int64Value(unzigzag(u))
+					c.Ints = append(c.Ints, unzigzag(u))
 				}
 			case layout.TypeFloat64:
 				if pos+8 > len(body) {
 					return nil, fmt.Errorf("%w: float overruns file", ErrCorruptFile)
 				}
-				row.Cols[f.Name] = rowblock.Float64Value(math.Float64frombits(binary.LittleEndian.Uint64(body[pos:])))
+				c.Floats = append(c.Floats, math.Float64frombits(binary.LittleEndian.Uint64(body[pos:])))
 				pos += 8
 			case layout.TypeString:
 				s, err := readString()
 				if err != nil {
 					return nil, err
 				}
-				row.Cols[f.Name] = rowblock.StringValue(s)
+				c.Strs = append(c.Strs, s)
 			case layout.TypeStringSet:
 				count, err := readUvarint()
 				if err != nil {
@@ -555,14 +576,18 @@ func decodeRowFormat(data []byte) (*rowblock.RowBlock, error) {
 					}
 					set = append(set, s)
 				}
-				row.Cols[f.Name] = rowblock.SetValue(set...)
+				c.Sets = append(c.Sets, set)
 			default:
 				return nil, fmt.Errorf("%w: column type %v", ErrCorruptFile, f.Type)
 			}
 		}
-		if err := builder.AddRow(row); err != nil {
-			return nil, fmt.Errorf("disk: translating row %d: %w", r, err)
+	}
+	builder := rowblock.NewBuilder(created)
+	if took, err := builder.AppendBatch(bt); err != nil || took < n {
+		if err == nil {
+			err = rowblock.ErrFull
 		}
+		return nil, fmt.Errorf("disk: translating %d rows: %w", n, err)
 	}
 	if pos != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptFile, len(body)-pos)

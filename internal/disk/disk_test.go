@@ -1,8 +1,10 @@
 package disk
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"scuba/internal/column"
+	"scuba/internal/layout"
 	"scuba/internal/rowblock"
 )
 
@@ -317,6 +320,37 @@ func TestRowFormatCorruption(t *testing.T) {
 	}
 	if err := s.LoadTable("t", func(*rowblock.RowBlock) error { return nil }); err == nil {
 		t.Error("truncated file accepted")
+	}
+}
+
+// TestRowFormatRejectsBadSchema covers checksum-valid files whose schema no
+// block can hold: a time column that is not an integer, a column named twice.
+func TestRowFormatRejectsBadSchema(t *testing.T) {
+	build := func(rows []byte, fields ...rowblock.Field) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, rowMagic)
+		b = binary.LittleEndian.AppendUint32(b, rowVersion)
+		b = binary.LittleEndian.AppendUint64(b, 1) // one row
+		b = binary.LittleEndian.AppendUint64(b, 7) // created
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(fields)))
+		for _, f := range fields {
+			b = binary.LittleEndian.AppendUint16(b, uint16(len(f.Name)))
+			b = append(append(b, f.Name...), byte(f.Type))
+		}
+		b = append(b, rows...)
+		return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+	}
+	tm := rowblock.Field{Name: rowblock.TimeColumn, Type: layout.TypeTime}
+	a := rowblock.Field{Name: "a", Type: layout.TypeInt64}
+	if _, err := decodeRowFormat(build([]byte{2, 4}, tm, a)); err != nil {
+		t.Fatalf("well-formed file: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"float time":       build(make([]byte, 8), rowblock.Field{Name: rowblock.TimeColumn, Type: layout.TypeFloat64}),
+		"duplicate column": build([]byte{2, 4, 6}, tm, a, a),
+	} {
+		if _, err := decodeRowFormat(data); !errors.Is(err, ErrCorruptFile) {
+			t.Errorf("%s: %v, want ErrCorruptFile", name, err)
+		}
 	}
 }
 

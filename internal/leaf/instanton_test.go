@@ -12,7 +12,6 @@ import (
 	"scuba/internal/metrics"
 	"scuba/internal/obs"
 	"scuba/internal/query"
-	"scuba/internal/rowblock"
 	"scuba/internal/shm"
 	"scuba/internal/table"
 )
@@ -274,7 +273,7 @@ func TestInstantOnScanPinsViewAcrossExpiry(t *testing.T) {
 	release := make(chan struct{})
 	scanDone := make(chan error, 1)
 	go func() {
-		scanDone <- tbl.ScanBlocks(0, 1<<40, func([]*rowblock.RowBlock) error {
+		scanDone <- tbl.ScanView(0, 1<<40, func(table.View) error {
 			close(scanning)
 			<-release
 			return nil

@@ -807,8 +807,34 @@ func (l *Leaf) acceptingAdds() bool {
 	return l.state == StateAlive || l.state == StateDiskRecovery
 }
 
-// AddRows ingests a batch into a table, creating the table on first use.
+// AddRows ingests rows held in process — the facade, the self-telemetry
+// sink, a not-yet-upgraded tailer's KindAddRows — by transposing them into a
+// batch and taking the same path as AddBatch. Rows that disagree among
+// themselves on a column's type are rejected whole with
+// rowblock.ErrTypeConflict before anything is logged or applied.
 func (l *Leaf) AddRows(tableName string, rows []rowblock.Row) error {
+	b, err := rowblock.FromRows(rows)
+	if err != nil {
+		return err
+	}
+	return l.addBatch(tableName, b, nil)
+}
+
+// AddBatch ingests one batch frame as it arrived over the wire, creating
+// the table on first use, and returns the number of rows it held. The frame
+// is decoded once; with the WAL on, the same bytes become the log record.
+func (l *Leaf) AddBatch(tableName string, frame []byte) (int, error) {
+	b, err := rowblock.DecodeFrame(frame)
+	if err != nil {
+		return 0, err
+	}
+	return b.Rows(), l.addBatch(tableName, b, frame)
+}
+
+// addBatch is the single ingest entry point: b is the decoded batch, frame
+// its encoding (nil when the caller held rows, not bytes; encoded here only
+// if the WAL needs it).
+func (l *Leaf) addBatch(tableName string, b *rowblock.Batch, frame []byte) error {
 	l.mu.Lock()
 	if !l.acceptingAdds() {
 		st := l.state
@@ -833,7 +859,10 @@ func (l *Leaf) AddRows(tableName string, rows []rowblock.Row) error {
 		l.attachCache(tableName, tbl)
 	}
 	if !useWAL {
-		return tbl.AddRows(rows, l.cfg.Clock())
+		return tbl.AddBatch(b, l.cfg.Clock())
+	}
+	if frame == nil {
+		frame = b.AppendFrame(nil)
 	}
 	// Log before apply, under the table's ingest lock: the lock makes WAL
 	// record order equal table apply order (concurrent batches to one table
@@ -842,19 +871,19 @@ func (l *Leaf) AddRows(tableName string, rows []rowblock.Row) error {
 	// wait happens after the lock drops, so concurrent appenders still
 	// share group-commit fsyncs.
 	ing.Lock()
-	commit, err := l.wal.Begin(tableName, rows)
+	commit, err := l.wal.Begin(tableName, frame, b.Rows())
 	if err != nil {
 		ing.Unlock()
 		return err
 	}
-	err = tbl.AddRows(rows, l.cfg.Clock())
+	err = tbl.AddBatch(b, l.cfg.Clock())
 	ing.Unlock()
 	if err != nil {
-		// The table rejected the batch mid-apply: the log's row indexes no
-		// longer mirror the table. Quarantine it, degrading that one table's
-		// crash recovery to the disk translate until the next restart resets
-		// its log. If even the quarantine marker cannot be persisted, the
-		// WAL keeps nacking the table — surface that too.
+		// The table rejected a batch the log already holds: the log's row
+		// indexes no longer mirror the table. Quarantine it, degrading that
+		// one table's crash recovery to the disk translate until the next
+		// restart resets its log. If even the quarantine marker cannot be
+		// persisted, the WAL keeps nacking the table — surface that too.
 		if qerr := l.wal.Quarantine(tableName); qerr != nil {
 			return errors.Join(err, qerr)
 		}

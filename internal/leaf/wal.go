@@ -11,7 +11,7 @@ package leaf
 // that one table to the old disk translate; the rest still recover fast.
 //
 // Invariant: while a table is unquarantined, its WAL cursor equals its
-// cumulative accepted-row count (sealed + unsealed), because AddRows appends
+// cumulative accepted-row count (sealed + unsealed), because addBatch appends
 // to the WAL before applying to the table and a rejected batch quarantines
 // the table. Record row indexes are therefore exact, which is what lets
 // replay slice records that straddle the snapshot watermark.
@@ -178,9 +178,10 @@ func (l *Leaf) recoverTableCrash(name string, hasWAL bool) walTableResult {
 }
 
 // recoverTableFromWAL loads a table's snapshot images, replays the log tail
-// through the normal ingest path, and reconciles the log cursor and the
-// (now stale) disk backup. The table serves queries with partial results
-// while it loads, exactly like the disk path.
+// through the function live ingest applies batches with (Table.AddBatch),
+// and reconciles the log cursor and the (now stale) disk backup. The table
+// serves queries with partial results while it loads, exactly like the disk
+// path.
 func (l *Leaf) recoverTableFromWAL(name string, info *RecoveryInfo) (TableCopyStat, error) {
 	st := TableCopyStat{Table: name}
 	begin := time.Now()
@@ -215,8 +216,8 @@ func (l *Leaf) recoverTableFromWAL(name string, info *RecoveryInfo) (TableCopySt
 	info.Blocks += snapBlocks
 	info.BytesRestored += st.Bytes
 
-	recs, rows, pos, err := l.wal.ReplayFrom(name, w, func(batch []rowblock.Row) error {
-		return tbl.AddRows(batch, l.cfg.Clock())
+	recs, rows, pos, err := l.wal.ReplayFrom(name, w, func(b *rowblock.Batch) error {
+		return tbl.AddBatch(b, l.cfg.Clock())
 	})
 	if err != nil {
 		return st, fmt.Errorf("replay: %w", err)

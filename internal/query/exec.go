@@ -51,31 +51,31 @@ func ExecuteTable(tbl *table.Table, q *Query) (*Result, error) {
 // over a bounded worker pool, each worker folding into a private Result that
 // is merged at the end (the cross-leaf merge is associative and commutative,
 // so block order doesn't matter). Unsealed rows are scanned in-line through
-// a snapshot so data is queryable the moment it arrives.
+// a snapshot taken together with the sealed-block list, so every row applied
+// before the query is in exactly one of the two.
 func ExecuteTableOpts(tbl *table.Table, q *Query, opts ExecOptions) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	res := NewResult()
-	// The whole sealed scan runs inside the table's query gate: shutdown
-	// waits for in-flight queries before releasing block columns, so workers
-	// must not outlive the gate.
-	err := tbl.ScanBlocks(q.From, q.To, func(blocks []*rowblock.RowBlock) error {
-		return scanSealed(blocks, q, res, opts)
+	// The whole scan runs inside the table's query gate: shutdown waits for
+	// in-flight queries before releasing block columns, so workers must not
+	// outlive the gate.
+	err := tbl.ScanView(q.From, q.To, func(v table.View) error {
+		if err := scanSealed(v.Blocks, q, res, opts); err != nil {
+			return err
+		}
+		res.BlocksSkipped = int64(v.NumBlocks) - res.BlocksScanned - res.BlocksPruned
+		if v.Active != nil && v.Active.Overlaps(q.From, q.To) {
+			if err := scanBlock(v.Active, q, res, nil); err != nil {
+				return err
+			}
+			res.BlocksScanned-- // the unsealed tail is not a sealed block
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	res.BlocksSkipped = int64(tbl.Stats().NumBlocks) - res.BlocksScanned - res.BlocksPruned
-	view, err := tbl.ActiveSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	if view != nil && view.Overlaps(q.From, q.To) {
-		res.BlocksScanned-- // the unsealed tail is not a sealed block
-		if err := scanBlock(view, q, res, nil); err != nil {
-			return nil, err
-		}
 	}
 	return res, nil
 }

@@ -1,0 +1,358 @@
+package rowblock
+
+// The batch frame: the columnar encoding of one ingest batch, and Batch, its
+// decoded form. A tailer's client transposes its rows into a frame once; the
+// same bytes travel the wire, become the WAL record payload, and are decoded
+// once into column vectors that the block builder appends whole. Pinned by
+// testdata/frame-v1.golden.
+//
+//	u32     magic "SBF1"
+//	u8      version (1)
+//	uvarint nrows
+//	uvarint ncols
+//	per column, names strictly ascending: uvarint name length, name bytes, u8 type
+//	time vector: nrows zigzag varints
+//	per column, one value vector of nrows cells (an absent cell is the type's
+//	zero value, which is what the builder stores for it anyway):
+//	    int64/time  nrows zigzag varints
+//	    float64     nrows x 8 bytes LE
+//	    string      nrows uvarint lengths, then the bytes back to back
+//	    string set  nrows uvarint counts, then one uvarint length per element,
+//	                then the element bytes back to back
+//	u32     CRC-32C over everything above
+//
+// Lengths ahead of bytes lets the decoder turn a whole column's text into one
+// string and hand out substrings: allocations per batch are O(columns), not
+// O(cells).
+
+import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"slices"
+
+	"scuba/internal/layout"
+)
+
+const (
+	frameMagic   uint32 = 0x31464253 // "SBF1"
+	frameVersion byte   = 1
+	// frameOverhead is magic + version + CRC.
+	frameOverhead = 4 + 1 + 4
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Batch is a decoded ingest batch: a time vector and one dense value vector
+// per column, every vector Rows() long.
+type Batch struct {
+	Times []int64
+	// Cols is sorted by name, names unique and never TimeColumn.
+	Cols []BatchColumn
+}
+
+// BatchColumn is one column of a batch. Exactly the vector matching Type is
+// populated: Ints for int64/time, Floats, Strs, or Sets.
+type BatchColumn struct {
+	Name   string
+	Type   layout.ValueType
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+	Sets   [][]string
+}
+
+// Rows returns the number of rows in the batch.
+func (b *Batch) Rows() int { return len(b.Times) }
+
+// Slice returns rows [i, j) as a batch sharing b's vectors.
+func (b *Batch) Slice(i, j int) *Batch {
+	out := &Batch{Times: b.Times[i:j], Cols: make([]BatchColumn, len(b.Cols))}
+	for k := range b.Cols {
+		out.Cols[k] = b.Cols[k].slice(i, j)
+	}
+	return out
+}
+
+// slice returns cells [i, j) of the column, sharing c's vector but with the
+// capacity clipped, so an append to the result never writes into c.
+func (c *BatchColumn) slice(i, j int) BatchColumn {
+	out := BatchColumn{Name: c.Name, Type: c.Type}
+	switch c.Type {
+	case layout.TypeInt64, layout.TypeTime:
+		out.Ints = c.Ints[i:j:j]
+	case layout.TypeFloat64:
+		out.Floats = c.Floats[i:j:j]
+	case layout.TypeString:
+		out.Strs = c.Strs[i:j:j]
+	case layout.TypeStringSet:
+		out.Sets = c.Sets[i:j:j]
+	}
+	return out
+}
+
+// FromRows transposes rows into a batch. A row naming the reserved time
+// column fails with ErrReservedName; rows that disagree on a column's type
+// fail with ErrTypeConflict — the batch is rejected whole.
+func FromRows(rows []Row) (*Batch, error) {
+	n := len(rows)
+	b := &Batch{Times: make([]int64, n)}
+	index := make(map[string]int)
+	for i, r := range rows {
+		b.Times[i] = r.Time
+		for name, v := range r.Cols {
+			k, ok := index[name]
+			if !ok {
+				if name == TimeColumn {
+					return nil, ErrReservedName
+				}
+				k = len(b.Cols)
+				index[name] = k
+				if !storable(v.Type) {
+					return nil, fmt.Errorf("rowblock: column %q has no storable type (%v)", name, v.Type)
+				}
+				c := BatchColumn{Name: name, Type: v.Type}
+				c.backfill(n)
+				b.Cols = append(b.Cols, c)
+			}
+			c := &b.Cols[k]
+			if c.Type != v.Type {
+				return nil, fmt.Errorf("%w: column %q is %v, row %d has %v", ErrTypeConflict, name, c.Type, i, v.Type)
+			}
+			switch c.Type {
+			case layout.TypeInt64, layout.TypeTime:
+				c.Ints[i] = v.Int
+			case layout.TypeFloat64:
+				c.Floats[i] = v.Float
+			case layout.TypeString:
+				c.Strs[i] = v.Str
+			case layout.TypeStringSet:
+				c.Sets[i] = v.Set
+			}
+		}
+	}
+	slices.SortFunc(b.Cols, func(x, y BatchColumn) int { return cmp.Compare(x.Name, y.Name) })
+	return b, nil
+}
+
+// AppendFrame appends the batch's frame to dst.
+func (b *Batch) AppendFrame(dst []byte) []byte {
+	base := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	dst = append(dst, frameVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(b.Times)))
+	dst = binary.AppendUvarint(dst, uint64(len(b.Cols)))
+	for _, c := range b.Cols {
+		dst = binary.AppendUvarint(dst, uint64(len(c.Name)))
+		dst = append(dst, c.Name...)
+		dst = append(dst, byte(c.Type))
+	}
+	for _, t := range b.Times {
+		dst = binary.AppendUvarint(dst, zigzag(t))
+	}
+	for _, c := range b.Cols {
+		switch c.Type {
+		case layout.TypeInt64, layout.TypeTime:
+			for _, v := range c.Ints {
+				dst = binary.AppendUvarint(dst, zigzag(v))
+			}
+		case layout.TypeFloat64:
+			for _, v := range c.Floats {
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+			}
+		case layout.TypeString:
+			for _, s := range c.Strs {
+				dst = binary.AppendUvarint(dst, uint64(len(s)))
+			}
+			for _, s := range c.Strs {
+				dst = append(dst, s...)
+			}
+		case layout.TypeStringSet:
+			for _, set := range c.Sets {
+				dst = binary.AppendUvarint(dst, uint64(len(set)))
+			}
+			for _, set := range c.Sets {
+				for _, s := range set {
+					dst = binary.AppendUvarint(dst, uint64(len(s)))
+				}
+			}
+			for _, set := range c.Sets {
+				for _, s := range set {
+					dst = append(dst, s...)
+				}
+			}
+		}
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[base:], castagnoli))
+}
+
+// DecodeFrame parses one whole frame. The input is untrusted (it arrives
+// over the wire and from disk): a bad magic, version or checksum, a count
+// the buffer cannot hold, unsorted or duplicate column names, or trailing
+// bytes all fail with ErrBatchCorrupt; a column named "time" fails with
+// ErrReservedName. The batch does not alias frame.
+func DecodeFrame(frame []byte) (*Batch, error) {
+	if len(frame) < frameOverhead {
+		return nil, fmt.Errorf("%w: %d-byte frame", ErrBatchCorrupt, len(frame))
+	}
+	if m := binary.LittleEndian.Uint32(frame); m != frameMagic {
+		return nil, fmt.Errorf("%w: frame magic %08x", ErrBatchCorrupt, m)
+	}
+	if frame[4] != frameVersion {
+		return nil, fmt.Errorf("%w: frame version %d", ErrBatchCorrupt, frame[4])
+	}
+	body := frame[:len(frame)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(frame[len(body):]) {
+		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrBatchCorrupt)
+	}
+	r := reader{b: body, pos: 5}
+	nrows, err := r.count()
+	if err != nil {
+		return nil, err
+	}
+	ncols, err := r.count()
+	if err != nil {
+		return nil, err
+	}
+	b := &Batch{Cols: make([]BatchColumn, ncols)}
+	for k := range b.Cols {
+		c := &b.Cols[k]
+		if c.Name, err = r.str(); err != nil {
+			return nil, err
+		}
+		if c.Type, err = r.valueType(); err != nil {
+			return nil, err
+		}
+		if c.Name == TimeColumn {
+			return nil, ErrReservedName
+		}
+		if k > 0 && b.Cols[k-1].Name >= c.Name {
+			return nil, fmt.Errorf("%w: column %q out of order", ErrBatchCorrupt, c.Name)
+		}
+	}
+	if b.Times, err = r.ints(nrows); err != nil {
+		return nil, err
+	}
+	for k := range b.Cols {
+		c := &b.Cols[k]
+		switch c.Type {
+		case layout.TypeInt64, layout.TypeTime:
+			c.Ints, err = r.ints(nrows)
+		case layout.TypeFloat64:
+			c.Floats, err = r.floats(nrows)
+		case layout.TypeString:
+			c.Strs, err = r.strs(nrows)
+		case layout.TypeStringSet:
+			c.Sets, err = r.sets(nrows)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("column %q: %w", c.Name, err)
+		}
+	}
+	if r.left() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing frame bytes", ErrBatchCorrupt, r.left())
+	}
+	return b, nil
+}
+
+// The vector readers below size their allocations by n only after checking
+// the buffer still holds at least one byte per announced cell.
+
+func (r *reader) ints(n int) ([]int64, error) {
+	if n > r.left() {
+		return nil, fmt.Errorf("%w: %d varints in %d bytes", ErrBatchCorrupt, n, r.left())
+	}
+	out := make([]int64, n)
+	for i := range out {
+		u, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = unzigzag(u)
+	}
+	return out, nil
+}
+
+func (r *reader) floats(n int) ([]float64, error) {
+	raw, err := r.bytes(8 * n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return out, nil
+}
+
+// lengths reads n uvarint lengths and returns them with their sum, refusing
+// a sum the rest of the buffer cannot hold.
+func (r *reader) lengths(n int) ([]int, int, error) {
+	if n > r.left() {
+		return nil, 0, fmt.Errorf("%w: %d lengths in %d bytes", ErrBatchCorrupt, n, r.left())
+	}
+	lens := make([]int, n)
+	total := 0
+	for i := range lens {
+		l, err := r.count()
+		if err != nil {
+			return nil, 0, err
+		}
+		lens[i] = l
+		total += l
+		if total > r.left() {
+			return nil, 0, fmt.Errorf("%w: lengths sum past the frame", ErrBatchCorrupt)
+		}
+	}
+	return lens, total, nil
+}
+
+// cut reads total bytes as one string and slices it by lens.
+func (r *reader) cut(lens []int, total int) ([]string, error) {
+	raw, err := r.bytes(total)
+	if err != nil {
+		return nil, err
+	}
+	text := string(raw)
+	out := make([]string, len(lens))
+	off := 0
+	for i, l := range lens {
+		out[i] = text[off : off+l]
+		off += l
+	}
+	return out, nil
+}
+
+func (r *reader) strs(n int) ([]string, error) {
+	lens, total, err := r.lengths(n)
+	if err != nil {
+		return nil, err
+	}
+	return r.cut(lens, total)
+}
+
+func (r *reader) sets(n int) ([][]string, error) {
+	counts, elems, err := r.lengths(n)
+	if err != nil {
+		return nil, err
+	}
+	lens, total, err := r.lengths(elems)
+	if err != nil {
+		return nil, err
+	}
+	all, err := r.cut(lens, total)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]string, n)
+	off := 0
+	for i, c := range counts {
+		// Full slice expression: appending to one row's set must not write
+		// into its neighbour's elements.
+		out[i] = all[off : off+c : off+c]
+		off += c
+	}
+	return out, nil
+}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"scuba/internal/column"
 	"scuba/internal/layout"
@@ -214,23 +215,14 @@ type Builder struct {
 	created  int64
 	times    []int64
 	names    []string // column order of first appearance
-	builders map[string]*colBuilder
+	builders map[string]*BatchColumn
 	rawBytes int64 // pre-compression size estimate, for the 1 GB cap
 	byteCap  int64 // defaults to MaxBytes; tests lower it
 }
 
-type colBuilder struct {
-	typ     layout.ValueType
-	ints    []int64
-	floats  []float64
-	strs    []string
-	sets    [][]string
-	rowsLen int // number of rows appended so far (for backfill)
-}
-
 // NewBuilder returns a builder; created is the block creation timestamp.
 func NewBuilder(created int64) *Builder {
-	return &Builder{created: created, builders: make(map[string]*colBuilder), byteCap: MaxBytes}
+	return &Builder{created: created, builders: make(map[string]*BatchColumn), byteCap: MaxBytes}
 }
 
 // Rows returns the number of rows added so far.
@@ -247,77 +239,142 @@ func (b *Builder) Full() bool {
 	return len(b.times) >= MaxRows || b.rawBytes >= b.byteCap
 }
 
-// Errors returned by AddRow.
+// Errors returned by AddRow and AppendBatch.
 var (
 	ErrFull         = errors.New("rowblock: block is full")
 	ErrTypeConflict = errors.New("rowblock: column type conflict")
 	ErrReservedName = errors.New("rowblock: 'time' is a reserved column name")
 )
 
-// AddRow appends one row. A column seen for the first time is backfilled
-// with zero values for earlier rows; a row missing a known column gets the
-// zero value.
+// AddRow appends one row as a one-row batch, so there is a single apply and
+// accounting path. It is a convenience for tests and tools: each call pays
+// O(columns) allocations, and bulk callers use FromRows with AppendBatch.
 func (b *Builder) AddRow(r Row) error {
-	if b.Full() {
-		return ErrFull
+	bt, err := FromRows([]Row{r})
+	if err != nil {
+		return err
 	}
-	if _, ok := r.Cols[TimeColumn]; ok {
-		return ErrReservedName
-	}
-	for name, v := range r.Cols {
-		cb, ok := b.builders[name]
-		if !ok {
-			cb = &colBuilder{typ: v.Type}
-			cb.backfill(len(b.times))
-			b.builders[name] = cb
-			b.names = append(b.names, name)
-		}
-		if cb.typ != v.Type {
-			return fmt.Errorf("%w: column %q is %v, row has %v", ErrTypeConflict, name, cb.typ, v.Type)
-		}
-	}
-	// Commit only after validation so a failed row leaves no partial state.
-	b.times = append(b.times, r.Time)
-	b.rawBytes += 8
-	for name, cb := range b.builders {
-		v, ok := r.Cols[name]
-		if !ok {
-			v = Value{Type: cb.typ}
-		}
-		b.rawBytes += cb.append(v)
-	}
-	return nil
+	_, err = b.AppendBatch(bt)
+	return err
 }
 
-func (cb *colBuilder) backfill(rows int) {
-	for i := 0; i < rows; i++ {
-		cb.append(Value{Type: cb.typ})
-	}
-}
-
-// append stores one value and returns its pre-compression byte size.
-func (cb *colBuilder) append(v Value) int64 {
-	cb.rowsLen++
-	switch cb.typ {
+// backfill pads the column with zero values up to rows cells.
+func (cb *BatchColumn) backfill(rows int) {
+	switch cb.Type {
 	case layout.TypeInt64, layout.TypeTime:
-		cb.ints = append(cb.ints, v.Int)
-		return 8
+		cb.Ints = append(cb.Ints, make([]int64, rows-len(cb.Ints))...)
 	case layout.TypeFloat64:
-		cb.floats = append(cb.floats, v.Float)
-		return 8
+		cb.Floats = append(cb.Floats, make([]float64, rows-len(cb.Floats))...)
 	case layout.TypeString:
-		cb.strs = append(cb.strs, v.Str)
-		return int64(len(v.Str)) + 1
+		cb.Strs = append(cb.Strs, make([]string, rows-len(cb.Strs))...)
 	case layout.TypeStringSet:
-		cb.sets = append(cb.sets, v.Set)
-		n := int64(1)
-		for _, s := range v.Set {
-			n += int64(len(s)) + 1
-		}
-		return n
-	default:
-		panic(fmt.Sprintf("rowblock: bad column type %v", cb.typ))
+		cb.Sets = append(cb.Sets, make([][]string, rows-len(cb.Sets))...)
 	}
+}
+
+// zeroCellBytes is the pre-compression size of a zero value.
+func zeroCellBytes(vt layout.ValueType) int64 {
+	if vt == layout.TypeString || vt == layout.TypeStringSet {
+		return 1
+	}
+	return 8
+}
+
+// rawBytes is the pre-compression size of the column's first n cells: 8 per
+// number, length+1 per string, 1 plus length+1 per element for a set.
+func (c *BatchColumn) rawBytes(n int) int64 {
+	switch c.Type {
+	case layout.TypeString:
+		sz := int64(n)
+		for _, s := range c.Strs[:n] {
+			sz += int64(len(s))
+		}
+		return sz
+	case layout.TypeStringSet:
+		sz := int64(n)
+		for _, set := range c.Sets[:n] {
+			for _, s := range set {
+				sz += int64(len(s)) + 1
+			}
+		}
+		return sz
+	default:
+		return 8 * int64(n)
+	}
+}
+
+// AppendBatch appends the leading rows of bt — all of them unless the row or
+// byte cap cuts the batch short — as whole column vectors and returns how
+// many it took; the caller seals a Full builder and feeds the rest to a
+// fresh one. A builder column the batch lacks gets zero values, a column the
+// batch introduces is backfilled with zero values for the rows already held,
+// and rawBytes counts every cell the builder holds, backfilled ones included.
+// A column whose type differs from the builder's fails with ErrTypeConflict
+// before anything is appended.
+func (b *Builder) AppendBatch(bt *Batch) (int, error) {
+	if b.Full() {
+		return 0, ErrFull
+	}
+	prev := len(b.times)
+	// perRow starts as the size of a row with every known column absent; each
+	// column the batch does carry is then counted by its actual cells. fixed
+	// is the backfill of the columns the batch introduces.
+	perRow, fixed := int64(8), int64(0)
+	for _, cb := range b.builders {
+		perRow += zeroCellBytes(cb.Type)
+	}
+	for i := range bt.Cols {
+		c := &bt.Cols[i]
+		if c.Name == TimeColumn {
+			return 0, ErrReservedName
+		}
+		cb, ok := b.builders[c.Name]
+		if !ok {
+			fixed += int64(prev) * zeroCellBytes(c.Type)
+			continue
+		}
+		if cb.Type != c.Type {
+			return 0, fmt.Errorf("%w: column %q is %v, batch has %v", ErrTypeConflict, c.Name, cb.Type, c.Type)
+		}
+		perRow -= zeroCellBytes(cb.Type)
+	}
+	size := func(n int) int64 {
+		sz := fixed + perRow*int64(n)
+		for i := range bt.Cols {
+			sz += bt.Cols[i].rawBytes(n)
+		}
+		return sz
+	}
+	n := min(bt.Rows(), MaxRows-len(b.times))
+	sz := size(n)
+	if room := b.byteCap - b.rawBytes; sz > room {
+		// Take rows up to and including the one that reaches the cap.
+		n = 1 + sort.Search(n, func(k int) bool { return size(k+1) >= room })
+		sz = size(n)
+	}
+
+	b.times = append(b.times, bt.Times[:n]...)
+	b.rawBytes += sz
+	for i := range bt.Cols {
+		c := &bt.Cols[i]
+		cb, ok := b.builders[c.Name]
+		if !ok {
+			cb = &BatchColumn{Name: c.Name, Type: c.Type}
+			cb.backfill(prev)
+			b.builders[c.Name] = cb
+			b.names = append(b.names, c.Name)
+		}
+		// Only the vector matching the type is non-empty.
+		src := c.slice(0, n)
+		cb.Ints = append(cb.Ints, src.Ints...)
+		cb.Floats = append(cb.Floats, src.Floats...)
+		cb.Strs = append(cb.Strs, src.Strs...)
+		cb.Sets = append(cb.Sets, src.Sets...)
+	}
+	for _, cb := range b.builders {
+		cb.backfill(len(b.times))
+	}
+	return n, nil
 }
 
 // Seal compresses all columns and returns the immutable block. The builder
@@ -340,19 +397,19 @@ func (b *Builder) Seal() (*RowBlock, error) {
 		cb := b.builders[name]
 		var blob []byte
 		var vt layout.ValueType
-		switch cb.typ {
+		switch cb.Type {
 		case layout.TypeInt64, layout.TypeTime:
 			vt = layout.TypeInt64
-			blob = column.EncodeInt64(layout.TypeInt64, cb.ints)
+			blob = column.EncodeInt64(layout.TypeInt64, cb.Ints)
 		case layout.TypeFloat64:
 			vt = layout.TypeFloat64
-			blob = column.EncodeFloat64(cb.floats)
+			blob = column.EncodeFloat64(cb.Floats)
 		case layout.TypeString:
 			vt = layout.TypeString
-			blob = column.EncodeString(cb.strs)
+			blob = column.EncodeString(cb.Strs)
 		case layout.TypeStringSet:
 			vt = layout.TypeStringSet
-			blob = column.EncodeStringSet(cb.sets)
+			blob = column.EncodeStringSet(cb.Sets)
 		}
 		schema = append(schema, Field{Name: name, Type: vt})
 		blobs = append(blobs, blob)

@@ -41,19 +41,19 @@ func (b *Builder) Snapshot() *UnsealedView {
 		cb := b.builders[name]
 		var col column.Column
 		var vt layout.ValueType
-		switch cb.typ {
+		switch cb.Type {
 		case layout.TypeInt64, layout.TypeTime:
 			vt = layout.TypeInt64
-			col = column.NewInt64(layout.TypeInt64, append([]int64(nil), cb.ints...))
+			col = column.NewInt64(layout.TypeInt64, append([]int64(nil), cb.Ints...))
 		case layout.TypeFloat64:
 			vt = layout.TypeFloat64
-			col = &column.Float64Column{Values: append([]float64(nil), cb.floats...)}
+			col = &column.Float64Column{Values: append([]float64(nil), cb.Floats...)}
 		case layout.TypeString:
 			vt = layout.TypeString
-			col = column.NewStringFromValues(cb.strs)
+			col = column.NewStringFromValues(cb.Strs)
 		case layout.TypeStringSet:
 			vt = layout.TypeStringSet
-			col = column.NewStringSetFromValues(cb.sets)
+			col = column.NewStringSetFromValues(cb.Sets)
 		}
 		v.schema = append(v.schema, Field{Name: name, Type: vt})
 		v.cols[name] = col

@@ -207,16 +207,16 @@ func (b *RowBlock) ColumnZone(name string) *ZoneMap {
 func (b *RowBlock) ZoneMaps() []ZoneMap { return b.zones }
 
 // sealZoneMap builds the summary for one column builder.
-func (cb *colBuilder) sealZoneMap() ZoneMap {
-	switch cb.typ {
+func (cb *BatchColumn) sealZoneMap() ZoneMap {
+	switch cb.Type {
 	case layout.TypeInt64, layout.TypeTime:
-		return zoneOfInts(cb.ints)
+		return zoneOfInts(cb.Ints)
 	case layout.TypeFloat64:
-		return zoneOfFloats(cb.floats)
+		return zoneOfFloats(cb.Floats)
 	case layout.TypeString:
-		return zoneOfStrings(cb.strs)
+		return zoneOfStrings(cb.Strs)
 	case layout.TypeStringSet:
-		return zoneOfStringSets(cb.sets)
+		return zoneOfStringSets(cb.Sets)
 	default:
 		return ZoneMap{Kind: ZoneNone}
 	}

@@ -41,7 +41,6 @@ type Table struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
 	state       State
-	inflightAdd int
 	inflightQry int
 	inflightDel int
 	killDeletes bool
@@ -128,40 +127,33 @@ func (t *Table) acceptingQueries() bool {
 	return t.state == StateAlive || t.state == StateDiskRecovery
 }
 
-// AddRows ingests a batch of rows, sealing row blocks as they fill.
+// AddRows transposes rows into a batch and ingests it with AddBatch.
 func (t *Table) AddRows(rows []rowblock.Row, now int64) error {
-	t.mu.Lock()
-	if !t.acceptingAdds() {
-		st := t.state
-		t.mu.Unlock()
-		return fmt.Errorf("%w: %v", ErrNotAccepting, st)
+	b, err := rowblock.FromRows(rows)
+	if err != nil {
+		return err
 	}
-	t.inflightAdd++
-	t.mu.Unlock()
-	defer func() {
-		t.mu.Lock()
-		t.inflightAdd--
-		t.cond.Broadcast()
-		t.mu.Unlock()
-	}()
+	return t.AddBatch(b, now)
+}
 
+// AddBatch ingests a batch, appending whole column vectors to the
+// in-progress block and sealing at each block-full boundary. It is the one
+// function that applies rows to a table: live ingest and WAL replay both end
+// here. A batch whose column types conflict with the in-progress block is
+// rejected whole — a conflict can only involve the block that was open when
+// the call began, so nothing has been applied when it is reported.
+func (t *Table) AddBatch(b *rowblock.Batch, now int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, r := range rows {
+	if !t.acceptingAdds() {
+		return fmt.Errorf("%w: %v", ErrNotAccepting, t.state)
+	}
+	for b.Rows() > 0 {
 		if t.active == nil {
 			t.active = rowblock.NewBuilder(now)
 		}
-		if err := t.active.AddRow(r); err != nil {
-			if errors.Is(err, rowblock.ErrFull) {
-				if err := t.sealActiveLocked(); err != nil {
-					return err
-				}
-				t.active = rowblock.NewBuilder(now)
-				if err := t.active.AddRow(r); err != nil {
-					return err
-				}
-				continue
-			}
+		n, err := t.active.AppendBatch(b)
+		if err != nil {
 			return err
 		}
 		if t.active.Full() {
@@ -169,6 +161,10 @@ func (t *Table) AddRows(rows []rowblock.Row, now int64) error {
 				return err
 			}
 		}
+		if n == b.Rows() {
+			break
+		}
+		b = b.Slice(n, b.Rows())
 	}
 	return nil
 }
@@ -232,8 +228,8 @@ func (t *Table) notifyEvict(blocks []*rowblock.RowBlock) {
 // Scan calls fn for every sealed block overlapping [from, to], under query
 // gating. Blocks are pruned by their min/max time header fields (§2.1).
 func (t *Table) Scan(from, to int64, fn func(*rowblock.RowBlock) error) error {
-	return t.ScanBlocks(from, to, func(blocks []*rowblock.RowBlock) error {
-		for _, rb := range blocks {
+	return t.ScanView(from, to, func(v View) error {
+		for _, rb := range v.Blocks {
 			if err := fn(rb); err != nil {
 				return err
 			}
@@ -242,13 +238,27 @@ func (t *Table) Scan(from, to int64, fn func(*rowblock.RowBlock) error) error {
 	})
 }
 
-// ScanBlocks calls fn once with the full snapshot of sealed blocks
-// overlapping [from, to] (time-header prune, §2.1), under query gating: the
-// in-flight query count is held for fn's whole duration, so shutdown —
-// which waits for queries before releasing block columns — cannot begin
-// while fn still reads the blocks. The parallel executor fans the snapshot
-// across its worker pool inside fn.
-func (t *Table) ScanBlocks(from, to int64, fn func([]*rowblock.RowBlock) error) error {
+// View is one consistent picture of a table for a query: every row applied
+// before it was taken is in exactly one of Blocks and Active.
+type View struct {
+	// Blocks are the sealed blocks overlapping the query's time range.
+	Blocks []*rowblock.RowBlock
+	// Active is a snapshot of the unsealed in-progress rows (nil when there
+	// are none), so data is queryable the moment it arrives.
+	Active *rowblock.UnsealedView
+	// NumBlocks counts all sealed blocks, overlapping or not.
+	NumBlocks int
+}
+
+// ScanView calls fn once with a view of the table taken in one critical
+// section — sealed blocks overlapping [from, to] (time-header prune, §2.1)
+// and the unsealed tail together, so a block sealing under a concurrent
+// query cannot fall between the two — under query gating: the in-flight
+// query count is held for fn's whole duration, so shutdown — which waits for
+// queries before releasing block columns — cannot begin while fn still reads
+// the blocks. The parallel executor fans the blocks across its worker pool
+// inside fn.
+func (t *Table) ScanView(from, to int64, fn func(View) error) error {
 	t.mu.Lock()
 	if !t.acceptingQueries() {
 		st := t.state
@@ -256,7 +266,7 @@ func (t *Table) ScanBlocks(from, to int64, fn func([]*rowblock.RowBlock) error) 
 		return fmt.Errorf("%w: %v", ErrNotAccepting, st)
 	}
 	t.inflightQry++
-	snapshot := make([]*rowblock.RowBlock, 0, len(t.blocks))
+	view := View{Blocks: make([]*rowblock.RowBlock, 0, len(t.blocks)), NumBlocks: len(t.blocks)}
 	// pinned collects the foreign-memory sources (mmap'd shm views) of
 	// snapshotted blocks, each retained here UNDER the table lock. A remover
 	// (expiry, promotion, shutdown) can only release a block's residency
@@ -277,7 +287,10 @@ func (t *Table) ScanBlocks(from, to int64, fn func([]*rowblock.RowBlock) error) 
 			}
 			pinned = append(pinned, src)
 		}
-		snapshot = append(snapshot, rb)
+		view.Blocks = append(view.Blocks, rb)
+	}
+	if t.active != nil {
+		view.Active = t.active.Snapshot()
 	}
 	t.mu.Unlock()
 	defer func() {
@@ -290,7 +303,7 @@ func (t *Table) ScanBlocks(from, to int64, fn func([]*rowblock.RowBlock) error) 
 		t.mu.Unlock()
 	}()
 
-	return fn(snapshot)
+	return fn(view)
 }
 
 // SwapBlock replaces old with new in the block vector — the background
@@ -318,21 +331,6 @@ func (t *Table) SwapBlock(old, new *rowblock.RowBlock) bool {
 	}
 	t.mu.Unlock()
 	return false
-}
-
-// ActiveSnapshot returns a queryable view of the unsealed in-progress rows
-// (nil when there are none), gated like Scan. Queries see data the moment it
-// arrives, before its block seals.
-func (t *Table) ActiveSnapshot() (*rowblock.UnsealedView, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.acceptingQueries() {
-		return nil, fmt.Errorf("%w: %v", ErrNotAccepting, t.state)
-	}
-	if t.active == nil {
-		return nil, nil
-	}
-	return t.active.Snapshot(), nil
 }
 
 // ForeignBlocks counts sealed blocks whose columns still alias foreign
@@ -406,9 +404,10 @@ func (t *Table) Expire(now int64) (int, error) {
 }
 
 // Prepare runs the PREPARE phase of Figure 5(c): transition to PREPARE
-// (rejecting new requests), signal in-flight deletes to die, wait for adds
-// and queries in flight to complete, and seal pending rows so the flush to
-// disk sees everything. The caller then flushes to disk and transitions to
+// (rejecting new requests), signal in-flight deletes to die, wait for
+// queries in flight to complete (an add holds the table lock for its whole
+// apply, so none can be in flight here), and seal pending rows so the flush
+// to disk sees everything. The caller then flushes to disk and transitions to
 // COPY_TO_SHM.
 func (t *Table) Prepare() error {
 	t.mu.Lock()
@@ -418,7 +417,7 @@ func (t *Table) Prepare() error {
 	}
 	t.killDeletes = true
 	t.cond.Broadcast()
-	for t.inflightAdd > 0 || t.inflightQry > 0 || t.inflightDel > 0 {
+	for t.inflightQry > 0 || t.inflightDel > 0 {
 		t.cond.Wait()
 	}
 	err := t.sealActiveLocked()

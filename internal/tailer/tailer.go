@@ -10,8 +10,6 @@
 package tailer
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -32,19 +30,23 @@ type Target interface {
 	AddRows(table string, rows []rowblock.Row) error
 }
 
-// EncodeRow serializes a row for a Scribe payload.
+// EncodeRow serializes a row for a Scribe payload: one row payload
+// (rowblock.AppendRowPayload). Producers and tailers must share a build.
 func EncodeRow(r rowblock.Row) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
+	b, err := rowblock.AppendRowPayload(nil, r)
+	if err != nil {
 		return nil, fmt.Errorf("tailer: encode row: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // DecodeRow parses a Scribe payload back into a row.
 func DecodeRow(b []byte) (rowblock.Row, error) {
-	var r rowblock.Row
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
+	r, n, err := rowblock.DecodeRowPayload(b)
+	if err == nil && n != len(b) {
+		err = fmt.Errorf("%w: %d trailing bytes", rowblock.ErrBatchCorrupt, len(b)-n)
+	}
+	if err != nil {
 		return rowblock.Row{}, fmt.Errorf("tailer: decode row: %w", err)
 	}
 	return r, nil

@@ -64,6 +64,13 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeRow([]byte("garbage")); err == nil {
 		t.Error("garbage decoded")
 	}
+	// A Scribe message is exactly one row payload.
+	if _, err := DecodeRow(append(b, 0)); err == nil {
+		t.Error("payload with a trailing byte decoded")
+	}
+	if _, err := EncodeRow(rowblock.Row{Cols: map[string]rowblock.Value{"x": {}}}); err == nil {
+		t.Error("typeless value encoded")
+	}
 }
 
 func TestPlacerPrefersMoreFreeMemory(t *testing.T) {

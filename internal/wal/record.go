@@ -1,25 +1,20 @@
-// WAL record framing and the row payload codec.
+// WAL record framing.
 //
 // Each record frames one ingested batch:
 //
-//	u32 magic "WAL1"
+//	u32 magic "WAL2" ("WAL1" for records written before the batch frame)
 //	u64 start     global row index of the batch's first row
 //	u32 count     rows in the batch
 //	u32 length    payload bytes
-//	payload       encoded rows
+//	payload       the batch
 //	u32 CRC-32C   over everything above
 //
-// The payload is row-oriented — the log is value logging, replayed through
-// the normal ingest path — with each row self-describing so batches with
-// heterogeneous schemas frame without a segment-level schema:
-//
-//	zigzag varint time
-//	uvarint ncols
-//	per column: uvarint name length, name bytes, u8 type, value
-//	    int64/time  zigzag varint
-//	    float64     8 bytes LE
-//	    string      uvarint length + bytes
-//	    string set  uvarint count + (uvarint length + bytes)*
+// The log is value logging, replayed through the normal ingest path. A WAL2
+// payload is the batch frame (rowblock.DecodeFrame) exactly as it arrived
+// over the wire: the leaf logs the bytes it was sent and replay decodes them
+// into the same column vectors live ingest applied. A WAL1 payload is count
+// row payloads (rowblock.DecodeRowPayload) back to back; a log can outlive
+// the binary that wrote it, so they stay readable, but are never written.
 //
 // A record that runs past the end of the segment, or fails its CRC as the
 // segment's final record, is torn: the fsync it was waiting on never
@@ -33,14 +28,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
-	"sort"
 
-	"scuba/internal/layout"
 	"scuba/internal/rowblock"
 )
 
-const recordMagic uint32 = 0x314C4157 // "WAL1"
+const (
+	recordMagicV1 uint32 = 0x314C4157 // "WAL1"
+	recordMagic   uint32 = 0x324C4157 // "WAL2"
+)
 
 // recordOverhead is the framing cost outside the payload.
 const recordOverhead = 4 + 8 + 4 + 4 + 4
@@ -59,194 +54,93 @@ var (
 	errTorn = errors.New("wal: torn tail record")
 )
 
-// appendRecord frames one batch onto dst.
-func appendRecord(dst []byte, start int64, rows []rowblock.Row) []byte {
+// appendRecord frames one batch frame of count rows onto dst.
+func appendRecord(dst []byte, start int64, count int, frame []byte) []byte {
 	base := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, recordMagic)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(start))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rows)))
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // payload length, patched below
-	payloadAt := len(dst)
-	for _, r := range rows {
-		dst = appendRow(dst, r)
-	}
-	binary.LittleEndian.PutUint32(dst[base+16:], uint32(len(dst)-payloadAt))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(frame)))
+	dst = append(dst, frame...)
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[base:], crcTable))
 }
 
-func appendRow(dst []byte, r rowblock.Row) []byte {
-	dst = binary.AppendUvarint(dst, zigzag(r.Time))
-	dst = binary.AppendUvarint(dst, uint64(len(r.Cols)))
-	// Sort column names so a batch encodes identically run to run; map
-	// iteration order must not leak into CRCs or golden tests.
-	names := make([]string, 0, len(r.Cols))
-	for name := range r.Cols {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := r.Cols[name]
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-		dst = append(dst, byte(v.Type))
-		switch v.Type {
-		case layout.TypeInt64, layout.TypeTime:
-			dst = binary.AppendUvarint(dst, zigzag(v.Int))
-		case layout.TypeFloat64:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float))
-		case layout.TypeString:
-			dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
-			dst = append(dst, v.Str...)
-		case layout.TypeStringSet:
-			dst = binary.AppendUvarint(dst, uint64(len(v.Set)))
-			for _, s := range v.Set {
-				dst = binary.AppendUvarint(dst, uint64(len(s)))
-				dst = append(dst, s...)
-			}
-		default:
-			// An unknown type encodes as an empty string so the record stays
-			// well-formed; the table would have rejected the row anyway.
-			dst[len(dst)-1] = byte(layout.TypeString)
-			dst = binary.AppendUvarint(dst, 0)
-		}
-	}
-	return dst
+// record is one framed batch, its payload still encoded.
+type record struct {
+	magic   uint32
+	start   int64
+	count   int
+	payload []byte // aliases the segment buffer
 }
 
-// decodeRecord parses the record at the head of b, returning its start
-// index, rows, and total encoded size. errTorn means b ends mid-record or
-// the CRC fails — the caller decides whether that is a legal tail.
-func decodeRecord(b []byte) (start int64, rows []rowblock.Row, used int, err error) {
+// decodeRecord parses the framing of the record at the head of b and returns
+// it with its total encoded size. errTorn means b ends mid-record or the CRC
+// fails — the caller decides whether that is a legal tail.
+func decodeRecord(b []byte) (rec record, used int, err error) {
 	if len(b) < recordOverhead {
-		return 0, nil, 0, errTorn
+		return record{}, 0, errTorn
 	}
-	if binary.LittleEndian.Uint32(b) != recordMagic {
-		return 0, nil, 0, fmt.Errorf("%w: magic %08x", ErrCorrupt, binary.LittleEndian.Uint32(b))
+	rec.magic = binary.LittleEndian.Uint32(b)
+	if rec.magic != recordMagic && rec.magic != recordMagicV1 {
+		return record{}, 0, fmt.Errorf("%w: magic %08x", ErrCorrupt, rec.magic)
 	}
-	start = int64(binary.LittleEndian.Uint64(b[4:]))
-	count := int(binary.LittleEndian.Uint32(b[12:]))
+	rec.start = int64(binary.LittleEndian.Uint64(b[4:]))
+	rec.count = int(binary.LittleEndian.Uint32(b[12:]))
 	plen := int(binary.LittleEndian.Uint32(b[16:]))
 	used = recordOverhead + plen
 	if plen < 0 || used < 0 || used > len(b) {
 		// Incomplete extent: the write never finished. used stays 0 so the
 		// caller sees the record has no known end.
-		return 0, nil, 0, errTorn
+		return record{}, 0, errTorn
 	}
 	body := b[:20+plen]
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(b[20+plen:]) {
 		// The extent is known even though the CRC failed: the caller uses it
 		// to tell a torn final record from mid-log corruption.
-		return 0, nil, used, errTorn
+		return record{}, used, errTorn
 	}
-	rows, err = decodeRows(body[20:], count)
+	rec.payload = body[20:]
+	return rec, used, nil
+}
+
+// batch decodes the record's payload. The record CRC already passed, so a
+// payload that does not decode to count rows is an encoder bug or a forged
+// file, not a torn write: ErrCorrupt.
+func (rec record) batch() (*rowblock.Batch, error) {
+	var b *rowblock.Batch
+	var err error
+	if rec.magic == recordMagic {
+		b, err = rowblock.DecodeFrame(rec.payload)
+	} else {
+		b, err = decodeRowsV1(rec.payload, rec.count)
+	}
 	if err != nil {
-		// The CRC passed, so this is an encoder bug or a forged file, not a
-		// torn write: treat as corruption.
-		return 0, nil, 0, err
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return start, rows, used, nil
+	if b.Rows() != rec.count {
+		return nil, fmt.Errorf("%w: record says %d rows, payload holds %d", ErrCorrupt, rec.count, b.Rows())
+	}
+	return b, nil
 }
 
-func decodeRows(b []byte, count int) ([]rowblock.Row, error) {
-	// A row costs at least 2 bytes encoded; reject counts the payload
-	// cannot hold before allocating (untrusted input must not size allocs).
-	if count < 0 || count > len(b)/2+1 {
-		return nil, fmt.Errorf("%w: %d rows in %d payload bytes", ErrCorrupt, count, len(b))
+// decodeRowsV1 reads a WAL1 payload: count row payloads back to back.
+func decodeRowsV1(p []byte, count int) (*rowblock.Batch, error) {
+	// A row costs at least 2 bytes encoded; reject counts the payload cannot
+	// hold before allocating (untrusted input must not size allocs).
+	if count > len(p)/2+1 {
+		return nil, fmt.Errorf("%d rows in %d payload bytes", count, len(p))
 	}
-	pos := 0
-	uvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(b[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad varint at %d", ErrCorrupt, pos)
-		}
-		pos += n
-		return v, nil
-	}
-	str := func() (string, error) {
-		l, err := uvarint()
-		if err != nil {
-			return "", err
-		}
-		if uint64(len(b)-pos) < l {
-			return "", fmt.Errorf("%w: string overruns payload", ErrCorrupt)
-		}
-		s := string(b[pos : pos+int(l)])
-		pos += int(l)
-		return s, nil
-	}
-	rows := make([]rowblock.Row, 0, count)
-	for i := 0; i < count; i++ {
-		tu, err := uvarint()
+	rows := make([]rowblock.Row, count)
+	for i := range rows {
+		row, n, err := rowblock.DecodeRowPayload(p)
 		if err != nil {
 			return nil, err
 		}
-		ncols, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if ncols > uint64(len(b)-pos) {
-			return nil, fmt.Errorf("%w: %d columns overrun payload", ErrCorrupt, ncols)
-		}
-		row := rowblock.Row{Time: unzigzag(tu), Cols: make(map[string]rowblock.Value, ncols)}
-		for c := uint64(0); c < ncols; c++ {
-			name, err := str()
-			if err != nil {
-				return nil, err
-			}
-			if pos >= len(b) {
-				return nil, fmt.Errorf("%w: truncated column type", ErrCorrupt)
-			}
-			vt := layout.ValueType(b[pos])
-			pos++
-			var v rowblock.Value
-			switch vt {
-			case layout.TypeInt64, layout.TypeTime:
-				u, err := uvarint()
-				if err != nil {
-					return nil, err
-				}
-				v = rowblock.Value{Type: vt, Int: unzigzag(u)}
-			case layout.TypeFloat64:
-				if pos+8 > len(b) {
-					return nil, fmt.Errorf("%w: float overruns payload", ErrCorrupt)
-				}
-				v = rowblock.Float64Value(math.Float64frombits(binary.LittleEndian.Uint64(b[pos:])))
-				pos += 8
-			case layout.TypeString:
-				s, err := str()
-				if err != nil {
-					return nil, err
-				}
-				v = rowblock.StringValue(s)
-			case layout.TypeStringSet:
-				n, err := uvarint()
-				if err != nil {
-					return nil, err
-				}
-				if n > uint64(len(b)-pos) {
-					return nil, fmt.Errorf("%w: set overruns payload", ErrCorrupt)
-				}
-				set := make([]string, 0, n)
-				for j := uint64(0); j < n; j++ {
-					s, err := str()
-					if err != nil {
-						return nil, err
-					}
-					set = append(set, s)
-				}
-				v = rowblock.SetValue(set...)
-			default:
-				return nil, fmt.Errorf("%w: column type %d", ErrCorrupt, vt)
-			}
-			row.Cols[name] = v
-		}
-		rows = append(rows, row)
+		rows[i] = row
+		p = p[n:]
 	}
-	if pos != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(b)-pos)
+	if len(p) != 0 {
+		return nil, fmt.Errorf("%d trailing payload bytes", len(p))
 	}
-	return rows, nil
+	return rowblock.FromRows(rows)
 }
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

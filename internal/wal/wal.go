@@ -103,6 +103,7 @@ type tableLog struct {
 	size int64    // bytes written to the active segment
 	seq  int      // active segment sequence number
 	next int64    // global row index the next append starts at
+	rec  []byte   // record scratch, reused across appends under mu
 
 	appendSeq   int64 // records written
 	syncedSeq   int64 // records durably fsynced
@@ -265,11 +266,11 @@ func scanSegmentEnd(path string, start int64) (int64, error) {
 	}
 	end := start
 	for off := 0; off < len(data); {
-		s, rows, used, err := decodeRecord(data[off:])
+		rec, used, err := decodeRecord(data[off:])
 		if err != nil {
 			break // torn or corrupt tail: appends continue after the last good record
 		}
-		end = s + int64(len(rows))
+		end = rec.start + int64(rec.count)
 		off += used
 	}
 	return end, nil
@@ -284,19 +285,10 @@ type Commit struct {
 	seq int64
 }
 
-// Append logs one batch and returns once the record is durable — Begin plus
-// Wait, for callers with no apply step to order in between.
-func (l *Log) Append(table string, rows []rowblock.Row) error {
-	c, err := l.Begin(table, rows)
-	if err != nil || c == nil {
-		return err
-	}
-	return c.Wait()
-}
-
-// Begin writes one batch's record into the table's active segment at the
-// log cursor — which mirrors the table's cumulative accepted-row count —
-// and returns a Commit to Wait on for durability. The caller must apply the
+// Begin writes one batch's record — frame is the batch frame exactly as it
+// arrived, rows its row count — into the table's active segment at the log
+// cursor, which mirrors the table's cumulative accepted-row count, and
+// returns a Commit to Wait on for durability. The caller must apply the
 // batch to the table in the same order it calls Begin (hold a per-table
 // lock across both), or record row indexes stop matching the table's row
 // order and crash replay splices batches wrongly around the snapshot
@@ -304,8 +296,8 @@ func (l *Log) Append(table string, rows []rowblock.Row) error {
 // empty, or the table is quarantined (its log already stopped mirroring
 // memory; crash recovery takes the disk path, so there is nothing to wait
 // for).
-func (l *Log) Begin(table string, rows []rowblock.Row) (*Commit, error) {
-	if len(rows) == 0 {
+func (l *Log) Begin(table string, frame []byte, rows int) (*Commit, error) {
+	if rows == 0 {
 		return nil, nil
 	}
 	if err := fault.Inject(fault.SiteWALAppend); err != nil {
@@ -315,21 +307,21 @@ func (l *Log) Begin(table string, rows []rowblock.Row) (*Commit, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq, err := tl.begin(rows, l.opts)
+	seq, err := tl.begin(frame, rows, l.opts)
 	if err != nil {
 		return nil, fmt.Errorf("wal: append %s: %w", table, err)
 	}
 	if seq == 0 {
 		return nil, nil // quarantined: dropped, caller acks under degraded durability
 	}
-	addCount(l.counter("wal.append_rows"), int64(len(rows)))
+	addCount(l.counter("wal.append_rows"), int64(rows))
 	addCount(l.counter("wal.append_records"), 1)
 	return &Commit{log: l, tl: tl, seq: seq}, nil
 }
 
 // begin reserves and writes one record, returning its commit sequence (0
 // when the quarantined table dropped it).
-func (tl *tableLog) begin(rows []rowblock.Row, opts Options) (int64, error) {
+func (tl *tableLog) begin(frame []byte, rows int, opts Options) (int64, error) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	if tl.closed {
@@ -346,7 +338,8 @@ func (tl *tableLog) begin(rows []rowblock.Row, opts Options) (int64, error) {
 			return 0, err
 		}
 	}
-	rec := appendRecord(nil, tl.next, rows)
+	tl.rec = appendRecord(tl.rec[:0], tl.next, rows, frame)
+	rec := tl.rec
 	// Chaos runs corrupt the framed record in flight; replay must refuse it.
 	fault.CorruptBytes(fault.SiteWALAppend, rec)
 	if _, err := tl.f.Write(rec); err != nil {
@@ -359,7 +352,7 @@ func (tl *tableLog) begin(rows []rowblock.Row, opts Options) (int64, error) {
 		return 0, err
 	}
 	tl.size += int64(len(rec))
-	tl.next += int64(len(rows))
+	tl.next += int64(rows)
 	tl.appendSeq++
 	tl.dirty = true
 	return tl.appendSeq, nil
@@ -736,12 +729,13 @@ func (l *Log) Close() error {
 // ---- Replay ----
 
 // ReplayFrom streams the log tail of one table, in order, starting at row
-// index from (records straddling it are sliced). fn receives each batch;
-// returning an error aborts the replay. A torn record at a segment's tail
+// index from (records straddling it are sliced). fn receives each batch,
+// decoded into the column vectors live ingest applied; returning an error
+// aborts the replay. A torn record at a segment's tail
 // is discarded (it was never acked); bad records anywhere else return
 // ErrCorrupt. A log whose tail starts after from returns ErrGap.
 // Returns (records applied, rows applied, next row index).
-func (l *Log) ReplayFrom(table string, from int64, fn func([]rowblock.Row) error) (int, int64, int64, error) {
+func (l *Log) ReplayFrom(table string, from int64, fn func(*rowblock.Batch) error) (int, int64, int64, error) {
 	dir := l.tableDir(table)
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -763,7 +757,7 @@ func (l *Log) ReplayFrom(table string, from int64, fn func([]rowblock.Row) error
 			return records, rowsApplied, pos, err
 		}
 		for off := 0; off < len(data); {
-			start, rows, used, derr := decodeRecord(data[off:])
+			rec, used, derr := decodeRecord(data[off:])
 			if derr != nil {
 				// A record that runs past EOF (used == 0) or CRC-fails as the
 				// file's final record is a torn tail: its fsync never
@@ -777,22 +771,26 @@ func (l *Log) ReplayFrom(table string, from int64, fn func([]rowblock.Row) error
 				return records, rowsApplied, pos, fmt.Errorf("wal: %s %s at offset %d: %w", table, sg.name, off, ErrCorrupt)
 			}
 			off += used
-			end := start + int64(len(rows))
+			end := rec.start + int64(rec.count)
 			if end <= pos {
 				continue
 			}
-			if start > pos {
-				return records, rowsApplied, pos, fmt.Errorf("%w: %s needs row %d, log resumes at %d", ErrGap, table, pos, start)
+			if rec.start > pos {
+				return records, rowsApplied, pos, fmt.Errorf("%w: %s needs row %d, log resumes at %d", ErrGap, table, pos, rec.start)
 			}
-			if start < pos {
-				rows = rows[pos-start:]
+			b, err := rec.batch()
+			if err != nil {
+				return records, rowsApplied, pos, fmt.Errorf("wal: %s %s at offset %d: %w", table, sg.name, off-used, err)
 			}
-			if err := fn(rows); err != nil {
+			if rec.start < pos {
+				b = b.Slice(int(pos-rec.start), b.Rows())
+			}
+			if err := fn(b); err != nil {
 				return records, rowsApplied, pos, err
 			}
 			pos = end
 			records++
-			rowsApplied += int64(len(rows))
+			rowsApplied += int64(b.Rows())
 		}
 	}
 	addCount(l.counter("wal.replay_rows"), rowsApplied)

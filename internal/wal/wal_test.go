@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"scuba/internal/fault"
+	"scuba/internal/layout"
 	"scuba/internal/metrics"
 	"scuba/internal/rowblock"
 )
@@ -31,6 +34,15 @@ func testRows(start, n int) []rowblock.Row {
 	return rows
 }
 
+func testFrame(t testing.TB, rows []rowblock.Row) []byte {
+	t.Helper()
+	b, err := rowblock.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.AppendFrame(nil)
+}
+
 func openTest(t *testing.T, opts Options) *Log {
 	t.Helper()
 	l, err := Open(t.TempDir(), opts)
@@ -41,11 +53,48 @@ func openTest(t *testing.T, opts Options) *Log {
 	return l
 }
 
+// appendRows logs rows as one batch frame and waits for durability.
+func appendRows(l *Log, table string, rows []rowblock.Row) error {
+	b, err := rowblock.FromRows(rows)
+	if err != nil {
+		return err
+	}
+	c, err := l.Begin(table, b.AppendFrame(nil), b.Rows())
+	if err != nil || c == nil {
+		return err
+	}
+	return c.Wait()
+}
+
+// batchRows turns a batch back into rows, every cell present — lossless for
+// testRows, whose rows all carry every column.
+func batchRows(b *rowblock.Batch) []rowblock.Row {
+	rows := make([]rowblock.Row, b.Rows())
+	for i := range rows {
+		rows[i] = rowblock.Row{Time: b.Times[i], Cols: make(map[string]rowblock.Value, len(b.Cols))}
+		for _, c := range b.Cols {
+			v := rowblock.Value{Type: c.Type}
+			switch c.Type {
+			case layout.TypeInt64, layout.TypeTime:
+				v.Int = c.Ints[i]
+			case layout.TypeFloat64:
+				v.Float = c.Floats[i]
+			case layout.TypeString:
+				v.Str = c.Strs[i]
+			case layout.TypeStringSet:
+				v.Set = c.Sets[i]
+			}
+			rows[i].Cols[c.Name] = v
+		}
+	}
+	return rows
+}
+
 func collectReplay(t *testing.T, l *Log, table string, from int64) ([]rowblock.Row, int64) {
 	t.Helper()
 	var got []rowblock.Row
-	_, _, next, err := l.ReplayFrom(table, from, func(rows []rowblock.Row) error {
-		got = append(got, rows...)
+	_, _, next, err := l.ReplayFrom(table, from, func(b *rowblock.Batch) error {
+		got = append(got, batchRows(b)...)
 		return nil
 	})
 	if err != nil {
@@ -56,15 +105,19 @@ func collectReplay(t *testing.T, l *Log, table string, from int64) ([]rowblock.R
 
 func TestRecordRoundTrip(t *testing.T) {
 	rows := testRows(0, 17)
-	rec := appendRecord(nil, 42, rows)
-	start, got, used, err := decodeRecord(rec)
+	raw := appendRecord(nil, 42, len(rows), testFrame(t, rows))
+	rec, used, err := decodeRecord(raw)
 	if err != nil {
 		t.Fatalf("decodeRecord: %v", err)
 	}
-	if start != 42 || used != len(rec) {
-		t.Fatalf("start=%d used=%d want 42, %d", start, used, len(rec))
+	if rec.start != 42 || rec.count != 17 || used != len(raw) {
+		t.Fatalf("start=%d count=%d used=%d want 42, 17, %d", rec.start, rec.count, used, len(raw))
 	}
-	if !reflect.DeepEqual(rows, got) {
+	b, err := rec.batch()
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	if !reflect.DeepEqual(rows, batchRows(b)) {
 		t.Fatalf("rows differ after round trip")
 	}
 }
@@ -72,7 +125,7 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestAppendReplayRoundTrip(t *testing.T) {
 	l := openTest(t, Options{}) // SyncInterval 0: fsync inline
 	for i := 0; i < 5; i++ {
-		if err := l.Append("events", testRows(i*10, 10)); err != nil {
+		if err := appendRows(l, "events", testRows(i*10, 10)); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -102,7 +155,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if err := l.Append("events", testRows(0, 3)); err != nil {
+				if err := appendRows(l, "events", testRows(0, 3)); err != nil {
 					errs[g] = err
 					return
 				}
@@ -133,10 +186,10 @@ func TestTornTailDiscardedWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append("events", testRows(0, 10)); err != nil {
+	if err := appendRows(l, "events", testRows(0, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append("events", testRows(10, 10)); err != nil {
+	if err := appendRows(l, "events", testRows(10, 10)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -147,7 +200,7 @@ func TestTornTailDiscardedWhole(t *testing.T) {
 	}
 	path := filepath.Join(dir, "events", segs[0].name)
 	data, _ := os.ReadFile(path)
-	_, _, rec1, err := decodeRecord(data)
+	_, rec1, err := decodeRecord(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +222,7 @@ func TestTornTailDiscardedWhole(t *testing.T) {
 			t.Fatalf("cut %d: next=%d want 10", cut, next)
 		}
 		// New appends continue after the last intact record.
-		if err := l2.Append("events", testRows(10, 4)); err != nil {
+		if err := appendRows(l2, "events", testRows(10, 4)); err != nil {
 			t.Fatal(err)
 		}
 		if got, _ := collectReplay(t, l2, "events", 0); len(got) != 14 {
@@ -196,7 +249,7 @@ func TestMidLogCorruptionAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.Append("events", testRows(i*10, 10)); err != nil {
+		if err := appendRows(l, "events", testRows(i*10, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +266,7 @@ func TestMidLogCorruptionAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	_, _, _, err = l2.ReplayFrom("events", 0, func([]rowblock.Row) error { return nil })
+	_, _, _, err = l2.ReplayFrom("events", 0, func(*rowblock.Batch) error { return nil })
 	if err == nil {
 		t.Fatal("mid-log corruption not detected")
 	}
@@ -222,7 +275,7 @@ func TestMidLogCorruptionAborts(t *testing.T) {
 func TestRotationAndTruncate(t *testing.T) {
 	l := openTest(t, Options{SegmentBytes: 1024, Metrics: metrics.NewRegistry()})
 	for i := 0; i < 20; i++ {
-		if err := l.Append("events", testRows(i*10, 10)); err != nil {
+		if err := appendRows(l, "events", testRows(i*10, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,7 +311,7 @@ func TestRotationAndTruncate(t *testing.T) {
 		t.Fatal("active segment deleted")
 	}
 	// Replay below the truncated tail now reports a gap.
-	_, _, _, err = l.ReplayFrom("events", 0, func([]rowblock.Row) error { return nil })
+	_, _, _, err = l.ReplayFrom("events", 0, func(*rowblock.Batch) error { return nil })
 	if !errors.Is(err, ErrGap) {
 		t.Fatalf("want ErrGap, got %v", err)
 	}
@@ -349,14 +402,14 @@ func TestQuarantineSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append("events", testRows(0, 5)); err != nil {
+	if err := appendRows(l, "events", testRows(0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Quarantine("events"); err != nil {
 		t.Fatal(err)
 	}
 	// Further appends are dropped silently.
-	if err := l.Append("events", testRows(5, 5)); err != nil {
+	if err := appendRows(l, "events", testRows(5, 5)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -383,7 +436,7 @@ func TestCursorContinuesAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append("events", testRows(0, 25)); err != nil {
+	if err := appendRows(l, "events", testRows(0, 25)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -395,7 +448,7 @@ func TestCursorContinuesAcrossReopen(t *testing.T) {
 	if c := l2.Cursor("events"); c != 0 {
 		t.Fatalf("cursor before first touch = %d", c)
 	}
-	if err := l2.Append("events", testRows(25, 5)); err != nil {
+	if err := appendRows(l2, "events", testRows(25, 5)); err != nil {
 		t.Fatal(err)
 	}
 	got, next := collectReplay(t, l2, "events", 0)
@@ -424,13 +477,13 @@ func TestSyncFailureQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append("events", testRows(0, 5)); err != nil {
+	if err := appendRows(l, "events", testRows(0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := fault.ArmSpec("wal.sync=error;count=1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append("events", testRows(5, 5)); err != nil {
+	if err := appendRows(l, "events", testRows(5, 5)); err != nil {
 		t.Fatalf("append nacked on sync failure: %v", err)
 	}
 	fault.Reset()
@@ -464,7 +517,7 @@ func TestQuarantineMarkerFailureNacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append("events", testRows(0, 5)); err != nil {
+	if err := appendRows(l, "events", testRows(0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	// Destroy the table directory so the marker cannot be created.
@@ -474,33 +527,154 @@ func TestQuarantineMarkerFailureNacks(t *testing.T) {
 	if err := l.Quarantine("events"); err == nil {
 		t.Fatal("Quarantine reported success with the marker unpersisted")
 	}
-	if err := l.Append("events", testRows(5, 5)); err == nil {
+	if err := appendRows(l, "events", testRows(5, 5)); err == nil {
 		t.Fatal("append acked after the quarantine marker failed to persist")
 	}
 }
 
+// FuzzRecordDecode feeds arbitrary bytes to the record parser and, when the
+// framing holds, to the payload decoders of both record versions: garbage is
+// an error, never a panic, and a record that decodes survives a re-encode.
 func FuzzRecordDecode(f *testing.F) {
-	f.Add(appendRecord(nil, 0, testRows(0, 3)))
-	f.Add(appendRecord(nil, 1<<40, nil))
+	f.Add(appendRecord(nil, 0, 3, testFrame(f, testRows(0, 3))))
+	f.Add(appendRecord(nil, 1<<40, 0, nil))
+	f.Add(wal1Record(f, 7, testRows(0, 3)))
 	f.Add([]byte("WAL1garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		start, rows, used, err := decodeRecord(data)
+		rec, used, err := decodeRecord(data)
 		if err != nil {
 			return
 		}
 		if used > len(data) || used < recordOverhead {
 			t.Fatalf("used=%d len=%d", used, len(data))
 		}
+		b, err := rec.batch()
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("payload error is not ErrCorrupt: %v", err)
+			}
+			return
+		}
 		// Whatever decodes must survive a re-encode/decode cycle losslessly
 		// (byte-identity is too strong: a forged payload may use non-minimal
 		// varints that canonicalize on re-encode).
-		re := appendRecord(nil, start, rows)
-		start2, rows2, used2, err := decodeRecord(re)
-		if err != nil || start2 != start || used2 != len(re) {
+		re := appendRecord(nil, rec.start, b.Rows(), b.AppendFrame(nil))
+		rec2, used2, err := decodeRecord(re)
+		if err != nil || rec2.start != rec.start || used2 != len(re) {
 			t.Fatalf("re-encoded record fails decode: %v", err)
 		}
-		if !reflect.DeepEqual(rows, rows2) {
-			t.Fatalf("rows differ after re-encode cycle")
+		b2, err := rec2.batch()
+		if err != nil || !reflect.DeepEqual(b, b2) {
+			t.Fatalf("batch differs after re-encode cycle: %v", err)
 		}
 	})
+}
+
+// wal1Record frames rows the way binaries before the batch frame did: magic
+// "WAL1" over back-to-back row payloads.
+func wal1Record(t testing.TB, start int64, rows []rowblock.Row) []byte {
+	t.Helper()
+	var payload []byte
+	for _, r := range rows {
+		var err error
+		if payload, err = rowblock.AppendRowPayload(payload, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := appendRecord(nil, start, len(rows), payload)
+	binary.LittleEndian.PutUint32(rec, recordMagicV1)
+	binary.LittleEndian.PutUint32(rec[len(rec)-4:], crc32.Checksum(rec[:len(rec)-4], crcTable))
+	return rec
+}
+
+// wal1FixtureBatches is what testdata/wal1-segment.log holds: three records
+// appended by the last commit whose encoder wrote WAL1 (row payloads back to
+// back), over a drifting schema with missing cells and an empty row.
+func wal1FixtureBatches() [][]rowblock.Row {
+	return [][]rowblock.Row{
+		{
+			{Time: 1700000000, Cols: map[string]rowblock.Value{"service": rowblock.StringValue("web"), "latency_ms": rowblock.Int64Value(12), "ratio": rowblock.Float64Value(0.5), "tags": rowblock.SetValue("prod", "tier1")}},
+			{Time: 1700000001, Cols: map[string]rowblock.Value{"service": rowblock.StringValue("api"), "latency_ms": rowblock.Int64Value(-3), "tags": rowblock.SetValue()}},
+			{Time: 1700000001, Cols: map[string]rowblock.Value{"service": rowblock.StringValue(""), "ratio": rowblock.Float64Value(-2.25)}},
+		},
+		{
+			{Time: 1699999999, Cols: map[string]rowblock.Value{"service": rowblock.StringValue("web"), "region": rowblock.StringValue("prn")}},
+		},
+		{
+			{Time: 1700000002, Cols: map[string]rowblock.Value{"latency_ms": rowblock.Int64Value(1 << 40), "region": rowblock.StringValue("ash"), "tags": rowblock.SetValue("x")}},
+			{Time: 1700000003, Cols: map[string]rowblock.Value{}},
+			{Time: 1700000004, Cols: map[string]rowblock.Value{"service": rowblock.StringValue("db"), "latency_ms": rowblock.Int64Value(7), "ratio": rowblock.Float64Value(1), "region": rowblock.StringValue("prn"), "tags": rowblock.SetValue("prod", "tier3", "canary")}},
+			{Time: 1700000004, Cols: map[string]rowblock.Value{"service": rowblock.StringValue("db")}},
+		},
+	}
+}
+
+// TestWAL1SegmentStillReplays: a log can outlive the binary that wrote it.
+// The checked-in segment was written by the WAL1 encoder (never regenerate
+// it); it must replay to the rows it was given, whole and from mid-record,
+// and new appends must continue after it as WAL2 records.
+func TestWAL1SegmentStillReplays(t *testing.T) {
+	seg, err := os.ReadFile(filepath.Join("testdata", "wal1-segment.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if magic := binary.LittleEndian.Uint32(seg); magic != recordMagicV1 {
+		t.Fatalf("fixture magic %08x is not WAL1", magic)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "events"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "events", "wal-00000001-0.log"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := func() *Log {
+		l, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}()
+
+	var want []*rowblock.Batch
+	for _, rows := range wal1FixtureBatches() {
+		b, err := rowblock.FromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b)
+	}
+	var got []*rowblock.Batch
+	collect := func(b *rowblock.Batch) error { got = append(got, b); return nil }
+	recs, rows, next, err := l.ReplayFrom("events", 0, collect)
+	if err != nil || recs != 3 || rows != 8 || next != 8 {
+		t.Fatalf("replay: recs=%d rows=%d next=%d err=%v", recs, rows, next, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed batches differ from what the WAL1 encoder was given:\n got %+v\nwant %+v", got, want)
+	}
+	// From row 5 the third record (rows 4..7) is sliced past the watermark.
+	got = nil
+	if _, rows, _, err = l.ReplayFrom("events", 5, collect); err != nil || rows != 3 {
+		t.Fatalf("mid-record replay: rows=%d err=%v", rows, err)
+	}
+	if !reflect.DeepEqual(got, []*rowblock.Batch{want[2].Slice(1, 4)}) {
+		t.Fatalf("mid-record replay differs: %+v", got)
+	}
+
+	if err := appendRows(l, "events", testRows(8, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if all, next := collectReplay(t, l, "events", 0); len(all) != 10 || next != 10 {
+		t.Fatalf("after appending to a WAL1 log: %d rows, next=%d", len(all), next)
+	}
+	segs, _ := listSegments(filepath.Join(dir, "events"))
+	data, err := os.ReadFile(filepath.Join(dir, "events", segs[len(segs)-1].name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if magic := binary.LittleEndian.Uint32(data); magic != recordMagic {
+		t.Fatalf("new record magic %08x is not WAL2", magic)
+	}
 }

@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scuba/internal/query"
+	"scuba/internal/rowblock"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata")
@@ -218,6 +220,77 @@ func TestOldClientAgainstNewServer(t *testing.T) {
 	}
 }
 
+// v2AddRequest is the ingest request a protocol-2 tailer sends: rows under
+// KindAddRows, gob-encoded, no Batch field.
+type v2AddRequest struct {
+	Kind    Kind
+	Table   string
+	Rows    []rowblock.Row
+	Version uint8
+}
+
+// TestOldTailerAgainstNewServer: leaves upgrade before tailers, so a new
+// server must keep ingesting a v2 client's gob KindAddRows — and count its
+// rows — while current clients send batch frames.
+func TestOldTailerAgainstNewServer(t *testing.T) {
+	s, c, _ := newServer(t, 0)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := gob.NewEncoder(conn).Encode(&v2AddRequest{Kind: KindAddRows, Table: "events", Rows: mkRows(40, 1000), Version: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var resp v1Response
+	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err != "" {
+		t.Fatalf("new server rejected a v2 AddRows: %s", resp.Err)
+	}
+	if err := c.AddRows("events", mkRows(60, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	q := &query.Query{Table: "events", From: 0, To: 1 << 40, Aggregations: []query.Aggregation{{Op: query.AggCount}}}
+	res, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := res.Rows(q); len(rows) != 1 || rows[0].Values[0] != 100 {
+		t.Fatalf("count = %v, want 100 (40 by rows + 60 by frame)", rows)
+	}
+	if got := s.Metrics().Counter("rows.added").Value(); got != 100 {
+		t.Fatalf("rows.added = %d, want 100", got)
+	}
+	if a, b := s.Metrics().Counter("rpc.add").Value(), s.Metrics().Counter("rpc.addbatch").Value(); a != 1 || b != 1 {
+		t.Fatalf("rpc.add = %d, rpc.addbatch = %d, want 1 and 1", a, b)
+	}
+}
+
+// TestAddBatchIsAKindOfItsOwn pins why v3 ingest did not reuse KindAddRows:
+// under a pre-v3 server's Request shape a frame-carrying request decodes
+// with no rows at all, and only its unknown Kind stops that server from
+// acking a batch it never saw (every server answers a kind it does not
+// handle with an explicit error).
+func TestAddBatchIsAKindOfItsOwn(t *testing.T) {
+	if KindAddBatch != 10 {
+		t.Fatalf("KindAddBatch = %d; request kinds are wire constants and 10 is taken by v3 ingest", KindAddBatch)
+	}
+	req := &Request{Kind: KindAddBatch, Table: "events", Batch: []byte("frame"), Version: ProtocolVersion}
+	var old v2AddRequest
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, req))).Decode(&old); err != nil {
+		t.Fatalf("v2 shape rejecting a v3 ingest request: %v", err)
+	}
+	if old.Kind == KindAddRows || len(old.Rows) != 0 {
+		t.Fatalf("v3 ingest request reads as a v2 AddRows: %+v", old)
+	}
+	_, c, _ := newServer(t, 0)
+	if _, err := c.Call(&Request{Kind: KindAddBatch + 1}); err == nil || !strings.Contains(err.Error(), "unknown request kind") {
+		t.Fatalf("unknown kind: %v, want an explicit rejection", err)
+	}
+}
+
 // FuzzEnvelopeDecode throws arbitrary bytes at the request decoder — the
 // server's first contact with the network — expecting errors, never panics.
 func FuzzEnvelopeDecode(f *testing.F) {
@@ -230,6 +303,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add(gobBytesF(f, &Request{Kind: KindQuery, Query: v1QueryRequest().Query,
 		Version: ProtocolVersion, Shards: []int{0, 1}}))
 	f.Add(gobBytesF(f, &Request{Kind: KindLeafStatus, LeafName: "l", LeafStatus: 2, Version: ProtocolVersion}))
+	f.Add(gobBytesF(f, &Request{Kind: KindAddBatch, Table: "events", Batch: []byte("SBF1"), Version: ProtocolVersion}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {

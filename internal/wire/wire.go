@@ -32,8 +32,11 @@ import (
 // version number is informational rather than a gate: a v2 server answers a
 // v1 client (trace fields decode as zero — the query runs untraced) and a
 // v1 server ignores a v2 client's trace fields. Golden-frame tests pin both
-// directions.
-const ProtocolVersion = 2
+// directions. Version 3 moved ingest off gob: rows travel as one batch
+// frame (rowblock.DecodeFrame) under KindAddBatch, a kind a v2 server
+// rejects by name — so leaves upgrade before tailers. A v3 server still
+// ingests a v2 client's KindAddRows.
+const ProtocolVersion = 3
 
 // Kind tags a request.
 type Kind uint8
@@ -58,6 +61,8 @@ func (k Kind) String() string {
 		return "flush"
 	case KindMetrics:
 		return "metrics"
+	case KindAddBatch:
+		return "addbatch"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -85,13 +90,23 @@ const (
 	// scraper, which turns every ACTIVE leaf's snapshot into
 	// __system.leaf_metrics rows (v2-additive).
 	KindMetrics
+	// KindAddBatch ingests Request.Batch, one batch frame, into Table (v3).
+	// It is a kind of its own rather than a field on KindAddRows so that a
+	// pre-v3 server answers "unknown request kind" instead of decoding a
+	// request with no Rows and acking a batch it never saw.
+	KindAddBatch
 )
 
 // Request is one RPC request.
 type Request struct {
 	Kind  Kind
 	Table string
-	Rows  []rowblock.Row
+	// Rows is the KindAddRows payload: what pre-v3 clients send. Current
+	// clients send Batch.
+	Rows []rowblock.Row
+	// Batch is the KindAddBatch payload: one batch frame, logged and applied
+	// by the leaf as the bytes it is.
+	Batch []byte
 	Query *query.Query
 	// UseShm selects the shared memory shutdown path (vs disk-only).
 	UseShm bool
@@ -144,6 +159,9 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	closed   bool
 	shutdown chan leaf.ShutdownInfo
+	// replies counts shutdown replies signalled to the owner but not yet
+	// written to their caller.
+	replies sync.WaitGroup
 }
 
 // NewServer starts serving the leaf on addr (use "127.0.0.1:0" to pick a
@@ -219,17 +237,34 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		resp := s.handle(&req)
-		if err := enc.Encode(resp); err != nil {
+		signalled := req.Kind == KindShutdown && resp.Err == "" && s.signalShutdown(*resp.Shutdown)
+		err := enc.Encode(resp)
+		if signalled {
+			s.replies.Done()
+		}
+		if err != nil {
 			return
 		}
-		if req.Kind == KindShutdown && resp.Err == "" {
-			// Tell the owner the leaf is drained; it will exit.
-			select {
-			case s.shutdown <- *resp.Shutdown:
-			default:
-			}
-		}
 	}
+}
+
+// signalShutdown tells the owner the leaf is drained. It runs before the
+// reply is written, so a client holding its reply finds the signal already
+// raised; the owner reacts by calling Close, which in turn waits on replies
+// so that reply is not cut off. Reports whether the caller owes a
+// replies.Done.
+func (s *Server) signalShutdown(info leaf.ShutdownInfo) bool {
+	s.mu.Lock()
+	counted := !s.closed
+	if counted {
+		s.replies.Add(1) // under mu and before closed is set, so before Close's Wait
+	}
+	s.mu.Unlock()
+	select {
+	case s.shutdown <- info:
+	default:
+	}
+	return counted
 }
 
 func (s *Server) handle(req *Request) *Response {
@@ -238,12 +273,9 @@ func (s *Server) handle(req *Request) *Response {
 	case KindPing:
 		return &Response{}
 	case KindAddRows:
-		if err := s.leaf.AddRows(req.Table, req.Rows); err != nil {
-			s.reg.Counter("rpc.errors").Add(1)
-			return &Response{Err: err.Error()}
-		}
-		s.reg.Counter("rows.added").Add(int64(len(req.Rows)))
-		return &Response{}
+		return s.added(len(req.Rows), s.leaf.AddRows(req.Table, req.Rows))
+	case KindAddBatch:
+		return s.added(s.leaf.AddBatch(req.Table, req.Batch))
 	case KindQuery:
 		start := time.Now()
 		var res *query.Result
@@ -300,10 +332,24 @@ func (s *Server) handle(req *Request) *Response {
 	}
 }
 
-// Close stops accepting and closes all connections.
+// added answers an ingest request of either kind and counts its rows.
+func (s *Server) added(rows int, err error) *Response {
+	if err != nil {
+		s.reg.Counter("rpc.errors").Add(1)
+		return &Response{Err: err.Error()}
+	}
+	s.reg.Counter("rows.added").Add(int64(rows))
+	return &Response{}
+}
+
+// Close stops accepting and closes all connections, after letting a
+// shutdown RPC's reply (if one is being written) reach its caller.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
+	s.mu.Unlock()
+	s.replies.Wait()
+	s.mu.Lock()
 	for c := range s.conns {
 		c.Close()
 	}
@@ -547,9 +593,14 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// AddRows implements tailer.Target.
+// AddRows implements tailer.Target: the rows are transposed into one batch
+// frame here and stay those bytes through the leaf's WAL.
 func (c *Client) AddRows(table string, rows []rowblock.Row) error {
-	_, err := c.Call(&Request{Kind: KindAddRows, Table: table, Rows: rows})
+	b, err := rowblock.FromRows(rows)
+	if err != nil {
+		return err
+	}
+	_, err = c.Call(&Request{Kind: KindAddBatch, Table: table, Batch: b.AppendFrame(nil)})
 	return err
 }
 
