@@ -59,19 +59,18 @@ func newBenchEnv(b *testing.B) benchEnv {
 	return benchEnv{dir: dir}
 }
 
-func (e benchEnv) config(id int, format scuba.DiskFormat) scuba.LeafConfig {
+func (e benchEnv) config(id int) scuba.LeafConfig {
 	return scuba.LeafConfig{
 		ID:           id,
 		Shm:          scuba.ShmOptions{Dir: e.dir, Namespace: "bench"},
 		DiskRoot:     filepath.Join(e.dir, "disk"),
-		DiskFormat:   format,
 		MemoryBudget: 8 << 30,
 	}
 }
 
-func (e benchEnv) startLoaded(b *testing.B, id int, format scuba.DiskFormat, rows int) (*scuba.Leaf, int64) {
+func (e benchEnv) startLoaded(b *testing.B, id int, rows int) (*scuba.Leaf, int64) {
 	b.Helper()
-	l, err := scuba.NewLeaf(e.config(id, format))
+	l, err := scuba.NewLeaf(e.config(id))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func BenchmarkShutdownToShm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e := newBenchEnv(b)
-		l, bytes := e.startLoaded(b, 0, scuba.FormatRow, benchRows)
+		l, bytes := e.startLoaded(b, 0, benchRows)
 		if _, err := l.SyncToDisk(); err != nil {
 			b.Fatal(err)
 		}
@@ -116,11 +115,11 @@ func BenchmarkRestartFromShm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e := newBenchEnv(b)
-		l, bytes := e.startLoaded(b, 0, scuba.FormatRow, benchRows)
+		l, bytes := e.startLoaded(b, 0, benchRows)
 		if _, err := l.Shutdown(); err != nil {
 			b.Fatal(err)
 		}
-		nu, err := scuba.NewLeaf(e.config(0, scuba.FormatRow))
+		nu, err := scuba.NewLeaf(e.config(0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,11 +147,11 @@ func BenchmarkRestartFirstQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e := newBenchEnv(b)
-		l, bytes := e.startLoaded(b, 0, scuba.FormatRow, benchRows)
+		l, bytes := e.startLoaded(b, 0, benchRows)
 		if _, err := l.Shutdown(); err != nil {
 			b.Fatal(err)
 		}
-		cfg := e.config(0, scuba.FormatRow)
+		cfg := e.config(0)
 		cfg.InstantOn = true
 		nu, err := scuba.NewLeaf(cfg)
 		if err != nil {
@@ -177,39 +176,20 @@ func BenchmarkRestartFirstQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkRestartFromDisk measures the baseline: read the row-format
-// backup and translate it to the memory format (the paper's 2.5-3 h path).
+// BenchmarkRestartFromDisk measures a restart from the store: load the
+// block images a disk-only shutdown left (E8, the paper's §6 future work —
+// the shm block format as the disk format). The paper's row-format translate
+// (its 2.5-3 h path) is timed by scuba-bench E1/E8/E21 with the bench-only
+// codec.
 func BenchmarkRestartFromDisk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e := newBenchEnv(b)
-		l, bytes := e.startLoaded(b, 0, scuba.FormatRow, benchRows)
+		l, bytes := e.startLoaded(b, 0, benchRows)
 		if _, err := l.ShutdownToDisk(); err != nil {
 			b.Fatal(err)
 		}
-		nu, err := scuba.NewLeaf(e.config(0, scuba.FormatRow))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(bytes)
-		b.StartTimer()
-		if err := nu.Start(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRestartFromDiskColumnar measures E8, the §6 future work: the shm
-// block format used as the disk format, removing the translate cost.
-func BenchmarkRestartFromDiskColumnar(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := newBenchEnv(b)
-		l, bytes := e.startLoaded(b, 0, scuba.FormatColumnar, benchRows)
-		if _, err := l.ShutdownToDisk(); err != nil {
-			b.Fatal(err)
-		}
-		nu, err := scuba.NewLeaf(e.config(0, scuba.FormatColumnar))
+		nu, err := scuba.NewLeaf(e.config(0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -293,7 +273,7 @@ func BenchmarkParallelRestart(b *testing.B) {
 				b.StopTimer()
 				e := newBenchEnv(b)
 				for id := 0; id < k; id++ {
-					l, _ := e.startLoaded(b, id, scuba.FormatRow, benchRows/4)
+					l, _ := e.startLoaded(b, id, benchRows/4)
 					if _, err := l.Shutdown(); err != nil {
 						b.Fatal(err)
 					}
@@ -304,7 +284,7 @@ func BenchmarkParallelRestart(b *testing.B) {
 					wg.Add(1)
 					go func(id int) {
 						defer wg.Done()
-						l, err := scuba.NewLeaf(e.config(id, scuba.FormatRow))
+						l, err := scuba.NewLeaf(e.config(id))
 						if err != nil {
 							panic(err)
 						}
@@ -332,7 +312,7 @@ func BenchmarkShutdownRestoreWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				e := newBenchEnv(b)
-				cfg := e.config(0, scuba.FormatRow)
+				cfg := e.config(0)
 				cfg.CopyWorkers = workers
 				l, err := scuba.NewLeaf(cfg)
 				if err != nil {
@@ -386,7 +366,7 @@ func BenchmarkCompressionRatio(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := benchEnv{dir: b.TempDir()}
-		l, err := scuba.NewLeaf(e.config(0, scuba.FormatRow))
+		l, err := scuba.NewLeaf(e.config(0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -412,7 +392,7 @@ func BenchmarkTailerPlacement(b *testing.B) {
 	const nLeaves = 8
 	targets := make([]tailer.Target, nLeaves)
 	for i := range targets {
-		l, _ := e.startLoaded(b, i, scuba.FormatRow, 0)
+		l, _ := e.startLoaded(b, i, 0)
 		targets[i] = benchTarget{l}
 	}
 	placer := scuba.NewPlacer(targets, 99)
@@ -471,7 +451,7 @@ func BenchmarkQueryTimePruned(b *testing.B) {
 
 func benchmarkQuery(b *testing.B, q *scuba.Query) {
 	e := newBenchEnv(b)
-	l, bytes := e.startLoaded(b, 0, scuba.FormatRow, benchRows*2)
+	l, bytes := e.startLoaded(b, 0, benchRows*2)
 	b.SetBytes(bytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -485,7 +465,7 @@ func benchmarkQuery(b *testing.B, q *scuba.Query) {
 
 func BenchmarkIngest(b *testing.B) {
 	e := newBenchEnv(b)
-	l, _ := e.startLoaded(b, 0, scuba.FormatRow, 0)
+	l, _ := e.startLoaded(b, 0, 0)
 	gen := scuba.ServiceLogs(42, 1700000000)
 	batch := gen.NextBatch(1000)
 	b.SetBytes(1000)
@@ -504,7 +484,7 @@ func BenchmarkIngest(b *testing.B) {
 // regressions in CI: the WAL must stay a bounded tax on AddRows.
 func BenchmarkAddRowsWAL(b *testing.B) {
 	e := newBenchEnv(b)
-	cfg := e.config(0, scuba.FormatRow)
+	cfg := e.config(0)
 	cfg.WALDir = filepath.Join(e.dir, "wal")
 	cfg.WALSyncInterval = 0
 	l, err := scuba.NewLeaf(cfg)
@@ -532,7 +512,7 @@ func BenchmarkAddRowsWAL(b *testing.B) {
 // reflective codec cannot creep back between the tailer and the builder.
 func BenchmarkIngestWire(b *testing.B) {
 	e := newBenchEnv(b)
-	cfg := e.config(0, scuba.FormatRow)
+	cfg := e.config(0)
 	cfg.WALDir = filepath.Join(e.dir, "wal")
 	cfg.WALSyncInterval = 0
 	l, err := scuba.NewLeaf(cfg)
@@ -628,7 +608,7 @@ func scanBenchLeaf(b *testing.B, workers int, cacheBytes int64) *scuba.Leaf {
 func scanBenchLeafReg(b *testing.B, workers int, cacheBytes int64, reg *scuba.MetricsRegistry) *scuba.Leaf {
 	b.Helper()
 	e := newBenchEnv(b)
-	cfg := e.config(0, scuba.FormatRow)
+	cfg := e.config(0)
 	cfg.ScanWorkers = workers
 	cfg.DecodeCacheBytes = cacheBytes
 	cfg.Metrics = reg

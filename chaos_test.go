@@ -128,8 +128,9 @@ func TestDaemonCrashDuringShutdownRecoversFromDisk(t *testing.T) {
 // TestDaemonCrashDuringIngestWAL is the tentpole's durability drill: a
 // WAL-enabled daemon is killed at every stage of the write-ahead path —
 // kill -9 mid-AddRows burst, injected crashes inside WAL append, WAL fsync,
-// snapshot write, WAL truncation, and WAL replay itself — and in every case
-// the replacement must serve every acked row with no half-applied batch.
+// the store's image write, WAL truncation, and WAL replay itself — and in
+// every case the replacement must serve every acked row with no half-applied
+// batch.
 // The per-batch latency sums pin content, not just counts: the recovered
 // prefix must be byte-for-byte the batches the client sent.
 func TestDaemonCrashDuringIngestWAL(t *testing.T) {
@@ -171,10 +172,9 @@ func TestDaemonCrashDuringIngestWAL(t *testing.T) {
 					"-shm-dir", workDir,
 					"-namespace", "chaos-wal-" + sc.name,
 					"-disk-root", filepath.Join(workDir, "disk"),
-					"-sync-interval", "100ms",
+					"-sync-interval", "100ms", // the persist pass: images, watermark, truncate
 					"-wal-dir", filepath.Join(workDir, "wal"),
 					"-wal-sync", "0", // fsync inline: every ack is durable
-					"-snapshot-interval", "100ms",
 				}
 				if faultSpec != "" {
 					args = append(args, "-fault", faultSpec)
@@ -226,7 +226,7 @@ func TestDaemonCrashDuringIngestWAL(t *testing.T) {
 			switch {
 			case sc.fault != "":
 				// Ingest until the armed fault kills the process mid-call
-				// (append/sync sites), or until the background snapshot pass
+				// (append/sync sites), or until the background persist pass
 				// kills it (snap/truncate sites) and sends start failing.
 				deadline := time.Now().Add(15 * time.Second)
 				for time.Now().Before(deadline) {
@@ -446,7 +446,7 @@ func TestRolloverKillNineMidBatch(t *testing.T) {
 			t.Errorf("quarantined leaves: %v", rep.Quarantined)
 		}
 		// Crash-path parity: the kill -9 victim's replacement comes back via
-		// snapshot images + WAL replay, not the slow disk translate.
+		// block images + WAL replay, every acked row served.
 		if rep.WALRecoveries != 1 || rep.MemoryRecoveries != len(pc.Leaves())-1 {
 			t.Errorf("recoveries = %d memory / %d wal / %d disk, want %d / 1 / 0",
 				rep.MemoryRecoveries, rep.WALRecoveries, rep.DiskRecoveries, len(pc.Leaves())-1)

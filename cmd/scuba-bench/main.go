@@ -52,7 +52,7 @@ func main() {
 		{"e17", "in-leaf query latency: ScanWorkers x decode cache x selectivity (BENCH_e17.json)", runE17},
 		{"e18", "tracing overhead on the hot query path (BENCH_e18.json)", runE18},
 		{"e20", "self-telemetry sink overhead on the scan path (BENCH_e20.json)", runE20},
-		{"e21", "crash recovery: snapshots + WAL replay vs disk translate (BENCH_e21.json)", runE21},
+		{"e21", "crash recovery: block images + WAL replay vs disk translate (BENCH_e21.json)", runE21},
 		{"e22", "instant-on restart: availability gap + query health during promotion (BENCH_e22.json)", runE22},
 		{"e23", "continuous profiler overhead on the scan path (BENCH_e23.json)", runE23},
 	}

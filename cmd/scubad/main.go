@@ -1,8 +1,9 @@
 // Command scubad runs one Scuba leaf server as a daemon: it recovers its
-// data (from shared memory after a clean upgrade, from disk otherwise),
-// serves add/query/stats RPCs over TCP, runs background disk sync and
-// expiration, and exits when it receives a shutdown RPC or SIGTERM — after
-// copying its tables to shared memory so its replacement restarts fast.
+// data (from shared memory after a clean upgrade, from its block images and
+// write-ahead log otherwise), serves add/query/stats RPCs over TCP, runs
+// background disk sync and expiration, and exits when it receives a shutdown
+// RPC or SIGTERM — after copying its tables to shared memory so its
+// replacement restarts fast.
 //
 // A software upgrade is simply:
 //
@@ -32,8 +33,7 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8001", "listen address")
 		shmDir     = flag.String("shm-dir", "/dev/shm", "shared memory directory (tmpfs)")
 		namespace  = flag.String("namespace", "scuba", "shared memory namespace")
-		diskRoot   = flag.String("disk-root", "./scuba-data", "disk backup root ('' disables)")
-		columnar   = flag.Bool("columnar", false, "use the columnar disk format (§6 future work)")
+		diskRoot   = flag.String("disk-root", "./scuba-data", "block image store root ('' disables)")
 		noShm      = flag.Bool("no-memory-recovery", false, "always recover from disk")
 		budget     = flag.Int64("memory-budget", 8<<30, "data budget in bytes, reported to tailers")
 		maxAge     = flag.Int64("max-age", 0, "expire rows older than this many seconds (0 = keep)")
@@ -43,11 +43,10 @@ func main() {
 		promoteWk  = flag.Int("promote-workers", 0, "background promotion pool size for -instant-on (0 = NumCPU)")
 		scanWork   = flag.Int("scan-workers", 0, "per-query sealed-block scan pool size (0 = GOMAXPROCS, 1 = serial)")
 		decCache   = flag.Int64("decode-cache-bytes", 64<<20, "per-table decoded-column cache budget in bytes (0 disables)")
-		syncEvery  = flag.Duration("sync-interval", 5*time.Second, "disk write-behind interval")
+		syncEvery  = flag.Duration("sync-interval", 5*time.Second, "persist pass interval: block images written, WAL truncated behind them")
 		expireEach = flag.Duration("expire-interval", time.Minute, "expiration sweep interval")
-		walDir     = flag.String("wal-dir", "", "write-ahead log root for crash-path parity ('' disables the WAL)")
+		walDir     = flag.String("wal-dir", "", "write-ahead log root for crash-path parity; needs -disk-root ('' disables the WAL)")
 		walSync    = flag.Duration("wal-sync", 2*time.Millisecond, "WAL group-commit fsync interval (0 = fsync inline on every append)")
-		snapEvery  = flag.Duration("snapshot-interval", 5*time.Second, "incremental snapshot + WAL truncation interval")
 		httpAddr   = flag.String("http", "", "observability listen address serving /metrics, /debug/recovery and /debug/pprof ('' disables)")
 		telemetry  = flag.Duration("telemetry-interval", 0, "self-telemetry period: snapshot this leaf's metrics into __system tables (0 disables)")
 		profEvery  = flag.Duration("profile-interval", time.Minute, "continuous profiler steady cadence: capture a CPU window + heap delta into __system.profiles this often (0 disables the profiler)")
@@ -89,10 +88,6 @@ func main() {
 	ob := scuba.NewObserver(reg, fr)
 	ob.Event(scuba.FlightNote, "process.start", fmt.Sprintf("scubad leaf %d", *id))
 
-	format := scuba.FormatRow
-	if *columnar {
-		format = scuba.FormatColumnar
-	}
 	// The profiler variable is captured by the leaf's restart hook before
 	// the profiler exists: Start() fires the hook, and a slow recovery
 	// should profile itself. ObserveRestartPhase is nil-safe, so a restart
@@ -102,7 +97,6 @@ func main() {
 		ID:                    *id,
 		Shm:                   scuba.ShmOptions{Dir: *shmDir, Namespace: *namespace},
 		DiskRoot:              *diskRoot,
-		DiskFormat:            format,
 		MemoryBudget:          *budget,
 		Table:                 scuba.TableOptions{MaxAgeSeconds: *maxAge, MaxBytes: *maxBytes},
 		DisableMemoryRecovery: *noShm,
@@ -202,10 +196,9 @@ func main() {
 
 	// Background maintenance: asynchronous disk sync (§4.1) + expiration.
 	maint := l.StartMaintenance(scuba.MaintenanceConfig{
-		SyncInterval:     *syncEvery,
-		ExpireInterval:   *expireEach,
-		SnapshotInterval: *snapEvery,
-		OnError:          func(err error) { log.Printf("maintenance: %v", err) },
+		SyncInterval:   *syncEvery,
+		ExpireInterval: *expireEach,
+		OnError:        func(err error) { log.Printf("maintenance: %v", err) },
 	})
 
 	sigs := make(chan os.Signal, 1)

@@ -37,7 +37,6 @@ func main() {
 		ID:           0,
 		Shm:          scuba.ShmOptions{Dir: workDir, Namespace: "quickstart"},
 		DiskRoot:     filepath.Join(workDir, "disk"),
-		DiskFormat:   scuba.FormatRow,
 		MemoryBudget: 4 << 30,
 	}
 

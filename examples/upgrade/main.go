@@ -38,7 +38,6 @@ func config(workDir string) scuba.LeafConfig {
 		ID:           0,
 		Shm:          scuba.ShmOptions{Dir: workDir, Namespace: "upgrade"},
 		DiskRoot:     workDir + "/disk",
-		DiskFormat:   scuba.FormatRow,
 		MemoryBudget: 4 << 30,
 		CopyWorkers:  *workers,
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -225,5 +226,27 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 	if res2.Coverage() != 1 {
 		t.Errorf("coverage = %v", res2.Coverage())
+	}
+}
+
+// TestDaemonRejectsWALWithoutDiskRoot: a WAL with no image store to be
+// truncated behind cannot work, so scubad exits with the leaf's named error
+// instead of starting.
+func TestDaemonRejectsWALWithoutDiskRoot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping subprocess integration test")
+	}
+	bin, err := scuba.BuildScubad(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	workDir := t.TempDir()
+	out, err := exec.Command(bin, "-id", "0", "-addr", "127.0.0.1:0", "-shm-dir", workDir,
+		"-namespace", "itest-nodisk", "-disk-root", "", "-wal-dir", filepath.Join(workDir, "wal")).CombinedOutput()
+	if err == nil {
+		t.Fatalf("scubad started with -wal-dir and no -disk-root:\n%s", out)
+	}
+	if !strings.Contains(string(out), "WALDir needs DiskRoot") {
+		t.Errorf("exit message does not name the config error:\n%s", out)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"scuba/internal/disk"
 	"scuba/internal/leaf"
 	"scuba/internal/metrics"
 	"scuba/internal/query"
@@ -17,10 +16,9 @@ import (
 func newLeaf(t *testing.T, id int) *leaf.Leaf {
 	t.Helper()
 	l, err := leaf.New(leaf.Config{
-		ID:         id,
-		Shm:        shm.Options{Dir: t.TempDir(), Namespace: "test"},
-		DiskRoot:   t.TempDir(),
-		DiskFormat: disk.FormatRow,
+		ID:       id,
+		Shm:      shm.Options{Dir: t.TempDir(), Namespace: "test"},
+		DiskRoot: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"scuba/internal/aggregator"
-	"scuba/internal/disk"
 	"scuba/internal/leaf"
 	"scuba/internal/obs"
 	"scuba/internal/query"
@@ -36,7 +35,6 @@ type Config struct {
 	ShmDir    string
 	DiskRoot  string
 	Namespace string
-	Format    disk.Format
 	Table     table.Options
 	// MemoryBudgetPerLeaf feeds tailer placement.
 	MemoryBudgetPerLeaf int64
@@ -117,7 +115,6 @@ func (n *Node) leafConfig() leaf.Config {
 		ID:             n.GlobalID,
 		Shm:            shm.Options{Dir: n.cfg.ShmDir, Namespace: n.cfg.Namespace},
 		DiskRoot:       n.cfg.DiskRoot,
-		DiskFormat:     n.cfg.Format,
 		Table:          n.cfg.Table,
 		MemoryBudget:   n.cfg.MemoryBudgetPerLeaf,
 		Clock:          n.cfg.Clock,

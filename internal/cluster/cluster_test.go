@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"scuba/internal/disk"
 	"scuba/internal/leaf"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
@@ -20,7 +19,6 @@ func newCluster(t *testing.T, machines, leavesPerMachine int) *Cluster {
 		ShmDir:              t.TempDir(),
 		DiskRoot:            t.TempDir(),
 		Namespace:           "test",
-		Format:              disk.FormatRow,
 		MemoryBudgetPerLeaf: 1 << 30,
 	})
 	if err != nil {

@@ -79,17 +79,14 @@ type ProcConfig struct {
 	// ReadyTimeout bounds how long a starting leaf may take to answer Ping
 	// (default 30s; covers disk recovery of test-sized datasets).
 	ReadyTimeout time.Duration
-	// SyncInterval is each leaf's disk write-behind interval (default
-	// 200ms, fast so a crashed leaf's disk backup is near-current).
+	// SyncInterval is each leaf's persist-pass interval — block images
+	// written, WAL truncated behind them (default 200ms, fast so a crashed
+	// leaf's store is near-current and its log tail short).
 	SyncInterval time.Duration
 	// DisableWAL turns off the per-leaf write-ahead log. By default every
 	// leaf runs with -wal-dir under WorkDir, so a crashed (kill -9) leaf's
-	// replacement recovers via snapshot images + WAL replay instead of the
-	// full disk translate.
+	// replacement recovers every acked row: block images + WAL replay.
 	DisableWAL bool
-	// SnapshotInterval is each leaf's incremental-snapshot + WAL-truncation
-	// period (default 200ms, matching SyncInterval's test-speed default).
-	SnapshotInterval time.Duration
 	// ScrapeInterval, when positive, runs an aggregator-side cluster
 	// scraper that pulls every leaf's metrics snapshot into
 	// __system.leaf_metrics on this period.
@@ -267,9 +264,6 @@ func StartProcCluster(cfg ProcConfig) (*ProcCluster, error) {
 	if cfg.SyncInterval <= 0 {
 		cfg.SyncInterval = 200 * time.Millisecond
 	}
-	if cfg.SnapshotInterval <= 0 {
-		cfg.SnapshotInterval = 200 * time.Millisecond
-	}
 	pc := &ProcCluster{cfg: cfg}
 	n := cfg.Machines * cfg.LeavesPerMachine
 	ports, err := freeLoopbackAddrs(2 * n)
@@ -345,10 +339,7 @@ func (pc *ProcCluster) startLeaf(l *ProcLeaf) error {
 		"-sync-interval", pc.cfg.SyncInterval.String(),
 	}
 	if !pc.cfg.DisableWAL {
-		args = append(args,
-			"-wal-dir", pc.cfg.WorkDir+"/wal",
-			"-snapshot-interval", pc.cfg.SnapshotInterval.String(),
-		)
+		args = append(args, "-wal-dir", pc.cfg.WorkDir+"/wal")
 	}
 	if pc.cfg.TelemetryInterval > 0 {
 		args = append(args, "-telemetry-interval", pc.cfg.TelemetryInterval.String())

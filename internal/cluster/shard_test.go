@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"scuba/internal/disk"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
 	"scuba/internal/shard"
@@ -21,7 +20,6 @@ func newShardedCluster(t *testing.T, machines, leavesPerMachine, replication, nu
 		ShmDir:              t.TempDir(),
 		DiskRoot:            t.TempDir(),
 		Namespace:           "test",
-		Format:              disk.FormatRow,
 		MemoryBudgetPerLeaf: 1 << 30,
 		Replication:         replication,
 		NumShards:           numShards,

@@ -1,110 +1,60 @@
-// Package disk implements Scuba's on-disk backup (§4.1). Every leaf stores
-// backups of all incoming data on local disk, so recovery is always possible
-// even after a software or hardware crash. During normal operation writes
-// are asynchronous; shutdown flushes whatever changed since the last
-// synchronization point.
+// Package disk is the only persistent home of a leaf's sealed row blocks
+// (§4.1). Every sealed block is written once, as the same RBK2 image the
+// shared memory segments hold — the paper's §6 end state, "use the shared
+// memory format … as the disk format" — in a file named by the block's
+// global row range, so recovery loads images instead of translating rows.
 //
-// Two formats are supported:
+// Layout, per table, under <root>/leaf<ID>/<enc(table)>/:
 //
-//   - FormatRow (default): a row-oriented format deliberately different from
-//     the in-memory layout. Recovering from it must translate every row back
-//     into column blocks — rebuild dictionaries, re-encode, re-compress.
-//     This is the translation overhead the paper measures: reading 120 GB
-//     takes 20-25 minutes, but reading plus translating takes 2.5-3 hours
-//     (§1), so translation dominates disk recovery.
+//	block-<start>-<rows>-<maxtime>.rbk   one image; <start> is the global row
+//	                                     index of the block's first row
+//	watermark                            W: every row below W is in an image
+//	                                     or expired by retention; the leaf's
+//	                                     write-ahead log replays from W
 //
-//   - FormatColumnar: the shared memory block-image format written straight
-//     to disk. This is the paper's §6 future work ("we are planning to use
-//     the shared memory format described in this paper as the disk format")
-//     and removes nearly all of the translate cost (experiment E8).
+// Sealed blocks are immutable, so an image is never rewritten and a persist
+// pass needs no copy-on-write: it writes the images of the blocks sealed
+// since the last pass and then moves the watermark.
 package disk
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
-	"scuba/internal/column"
 	"scuba/internal/fault"
-	"scuba/internal/layout"
 	"scuba/internal/rowblock"
 )
 
-// Format selects the on-disk block encoding.
-type Format uint8
-
-// Backup formats.
-const (
-	FormatRow      Format = iota // row-oriented; recovery pays the translate cost
-	FormatColumnar               // shm block images on disk (§6 future work)
-)
-
-func (f Format) String() string {
-	if f == FormatColumnar {
-		return "columnar"
-	}
-	return "row"
-}
-
-func (f Format) ext() string {
-	if f == FormatColumnar {
-		return ".col"
-	}
-	return ".row"
-}
-
-// Errors returned by the store.
-var (
-	ErrCorruptFile = errors.New("disk: corrupt backup file")
-	ErrNoTable     = errors.New("disk: no such table backup")
-)
-
-// Store is one leaf's backup directory.
+// Store is one leaf's block image directory.
 type Store struct {
-	root   string
-	leafID int
-	format Format
-
-	mu   sync.Mutex
-	seqs map[string]int // next sequence number per table
+	root string
 }
 
-// NewStore creates (if necessary) and opens the leaf's backup directory.
-func NewStore(root string, leafID int, format Format) (*Store, error) {
+// NewStore creates (if necessary) and opens the leaf's image directory.
+func NewStore(root string, leafID int) (*Store, error) {
 	dir := filepath.Join(root, fmt.Sprintf("leaf%d", leafID))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("disk: create store: %w", err)
 	}
-	return &Store{root: dir, leafID: leafID, format: format, seqs: make(map[string]int)}, nil
+	return &Store{root: dir}, nil
 }
-
-// Format returns the store's block format.
-func (s *Store) Format() Format { return s.format }
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.root }
 
 func (s *Store) tableDir(table string) string {
-	return filepath.Join(s.root, encodeTableName(table))
+	return filepath.Join(s.root, EncodeTableName(table))
 }
 
 // EncodeTableName makes a table name filesystem-safe and reversible. It is
 // shared with the WAL, whose per-table directories use the same scheme.
-func EncodeTableName(table string) string { return encodeTableName(table) }
-
-// DecodeTableName reverses EncodeTableName.
-func DecodeTableName(enc string) string { return decodeTableName(enc) }
-
-// encodeTableName makes a table name filesystem-safe and reversible.
-func encodeTableName(table string) string {
+func EncodeTableName(table string) string {
 	var b strings.Builder
 	for _, r := range table {
 		switch {
@@ -117,7 +67,8 @@ func encodeTableName(table string) string {
 	return b.String()
 }
 
-func decodeTableName(enc string) string {
+// DecodeTableName reverses EncodeTableName.
+func DecodeTableName(enc string) string {
 	var b strings.Builder
 	for i := 0; i < len(enc); {
 		if enc[i] == '%' && i+5 <= len(enc) {
@@ -133,186 +84,259 @@ func decodeTableName(enc string) string {
 	return b.String()
 }
 
-// blockFile describes one backup file, parsed from its name:
-// block-<seq>-<maxtime><ext>.
-type blockFile struct {
-	seq     int
-	maxTime int64
-	name    string
-}
+// Tables lists tables with a directory in the store, sorted.
+func (s *Store) Tables() ([]string, error) { return TableDirs(s.root) }
 
-func parseBlockFile(name, ext string) (blockFile, bool) {
-	if !strings.HasPrefix(name, "block-") || !strings.HasSuffix(name, ext) {
-		return blockFile{}, false
-	}
-	core := strings.TrimSuffix(strings.TrimPrefix(name, "block-"), ext)
-	parts := strings.SplitN(core, "-", 2)
-	if len(parts) != 2 {
-		return blockFile{}, false
-	}
-	seq, err1 := strconv.Atoi(parts[0])
-	maxT, err2 := strconv.ParseInt(parts[1], 10, 64)
-	if err1 != nil || err2 != nil {
-		return blockFile{}, false
-	}
-	return blockFile{seq: seq, maxTime: maxT, name: name}, true
-}
-
-func (s *Store) listBlocks(table string) ([]blockFile, error) {
-	entries, err := os.ReadDir(s.tableDir(table))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []blockFile
-	for _, e := range entries {
-		if bf, ok := parseBlockFile(e.Name(), s.format.ext()); ok {
-			out = append(out, bf)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out, nil
-}
-
-// nextSeq returns a monotonically increasing sequence number for a table.
-func (s *Store) nextSeq(table string) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq, ok := s.seqs[table]; ok {
-		s.seqs[table] = seq + 1
-		return seq, nil
-	}
-	blocks, err := s.listBlocks(table)
-	if err != nil {
-		return 0, err
-	}
-	seq := 0
-	if n := len(blocks); n > 0 {
-		seq = blocks[n-1].seq + 1
-	}
-	s.seqs[table] = seq + 1
-	return seq, nil
-}
-
-// WriteBlock persists one sealed row block. The write goes to a temp file
-// and is renamed into place, so a crash never leaves a torn backup.
-func (s *Store) WriteBlock(table string, rb *rowblock.RowBlock) error {
-	if err := os.MkdirAll(s.tableDir(table), 0o755); err != nil {
-		return fmt.Errorf("disk: table dir: %w", err)
-	}
-	seq, err := s.nextSeq(table)
-	if err != nil {
-		return err
-	}
-	var data []byte
-	switch s.format {
-	case FormatColumnar:
-		data = rb.AppendImage(nil)
-	default:
-		data, err = encodeRowFormat(rb)
-		if err != nil {
-			return err
-		}
-	}
-	name := fmt.Sprintf("block-%08d-%d%s", seq, rb.Header().MaxTime, s.format.ext())
-	path := filepath.Join(s.tableDir(table), name)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("disk: write block: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("disk: install block: %w", err)
-	}
-	return nil
-}
-
-// Tables lists tables with at least one backup block.
-func (s *Store) Tables() ([]string, error) {
-	entries, err := os.ReadDir(s.root)
+// TableDirs lists the tables that have a directory (named by
+// EncodeTableName) under root, sorted. The WAL lists its tables with it too.
+func TableDirs(root string) ([]string, error) {
+	entries, err := os.ReadDir(root)
 	if err != nil {
 		return nil, err
 	}
 	var out []string
 	for _, e := range entries {
 		if e.IsDir() {
-			out = append(out, decodeTableName(e.Name()))
+			out = append(out, DecodeTableName(e.Name()))
 		}
 	}
 	sort.Strings(out)
 	return out, nil
 }
 
-// LoadTable reads every backup block of a table in sequence order, decoding
-// (and for FormatRow, translating) each into an in-memory row block. The
-// per-block callback lets recovery interleave with other work.
-func (s *Store) LoadTable(table string, fn func(*rowblock.RowBlock) error) error {
-	if err := fault.Inject(fault.SiteDiskRead); err != nil {
-		return fmt.Errorf("disk: load %s: %w", table, err)
+// Image names one block image file: global rows [Start, End()).
+type Image struct {
+	Start   int64
+	Rows    int
+	MaxTime int64
+	Name    string
+}
+
+// End is the global row index one past the image's last row.
+func (im Image) End() int64 { return im.Start + int64(im.Rows) }
+
+func parseImage(name string) (Image, bool) {
+	if !strings.HasPrefix(name, "block-") || !strings.HasSuffix(name, ".rbk") {
+		return Image{}, false
 	}
-	blocks, err := s.listBlocks(table)
+	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, "block-"), ".rbk"), "-")
+	if len(parts) != 3 {
+		return Image{}, false
+	}
+	start, err1 := strconv.ParseInt(parts[0], 10, 64)
+	rows, err2 := strconv.Atoi(parts[1])
+	maxTime, err3 := strconv.ParseInt(parts[2], 10, 64)
+	if err1 != nil || err2 != nil || err3 != nil {
+		return Image{}, false
+	}
+	return Image{Start: start, Rows: rows, MaxTime: maxTime, Name: name}, true
+}
+
+// Images lists a table's image files in row order with its watermark. A
+// table the store has never seen lists as empty with watermark 0.
+func (s *Store) Images(table string) ([]Image, int64, error) {
+	dir := s.tableDir(table)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, 0, nil
+		}
+		return nil, 0, err
+	}
+	var out []Image
+	for _, e := range entries {
+		if im, ok := parseImage(e.Name()); ok {
+			out = append(out, im)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	w, err := loadWatermark(dir)
+	return out, w, err
+}
+
+// writeAtomic writes data to dir/name through an fsynced temp file and a
+// rename, so a crash leaves either no file or a complete one. The rename is
+// durable only after the caller's SyncDir.
+func writeAtomic(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
-	if blocks == nil {
-		return fmt.Errorf("%w: %s", ErrNoTable, table)
+	defer os.Remove(tmp.Name()) //nolint:errcheck // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
 	}
-	for _, bf := range blocks {
-		data, err := os.ReadFile(filepath.Join(s.tableDir(table), bf.name))
-		if err != nil {
-			return fmt.Errorf("disk: read %s: %w", bf.name, err)
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), filepath.Join(dir, name))
+}
+
+// SyncDir fsyncs a directory so renames and newly created files in it are
+// durable, not just their contents.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Persist writes blocks[i] as the image of global rows starting at
+// starts[i], then durably advances the table's watermark to the end of the
+// last one; it returns the number of images written. The watermark's
+// directory sync is what makes the image renames durable, so the watermark
+// never covers an image a crash could lose, and a crash before it leaves
+// complete images above the old watermark, which Load still finds.
+func (s *Store) Persist(table string, blocks []*rowblock.RowBlock, starts []int64) (int, error) {
+	if len(blocks) == 0 {
+		return 0, nil
+	}
+	dir := s.tableDir(table)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, fmt.Errorf("disk: table dir: %w", err)
+	}
+	var img []byte
+	for i, rb := range blocks {
+		if err := fault.Inject(fault.SiteSnapWrite); err != nil {
+			return i, fmt.Errorf("disk: image of %s: %w", table, err)
 		}
-		var rb *rowblock.RowBlock
-		switch s.format {
-		case FormatColumnar:
-			rb, _, err = rowblock.DecodeImage(data, false)
-		default:
-			rb, err = decodeRowFormat(data)
+		img = rb.AppendImage(img[:0])
+		// Chaos runs corrupt the image in flight; recovery must lose only it.
+		fault.CorruptBytes(fault.SiteSnapWrite, img)
+		name := fmt.Sprintf("block-%016d-%d-%d.rbk", starts[i], rb.Rows(), rb.Header().MaxTime)
+		if err := writeAtomic(dir, name, img); err != nil {
+			return i, fmt.Errorf("disk: image of %s: %w", table, err)
 		}
-		if err != nil {
-			return fmt.Errorf("disk: decode %s: %w", bf.name, err)
-		}
-		if err := fn(rb); err != nil {
+	}
+	last := len(blocks) - 1
+	return len(blocks), saveWatermark(dir, starts[last]+int64(blocks[last].Rows()))
+}
+
+const watermarkFile = "watermark"
+
+const watermarkMagic uint32 = 0x314B4D57 // "WMK1"
+
+// saveWatermark durably records that every row below w is in an image (or
+// expired). Monotone: a w at or below the file's is only a directory sync,
+// so an old in-flight pass can never roll coverage back.
+func saveWatermark(dir string, w int64) error {
+	cur, err := loadWatermark(dir)
+	if err != nil {
+		return err
+	}
+	if w > cur {
+		buf := binary.LittleEndian.AppendUint32(nil, watermarkMagic)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+		if err := writeAtomic(dir, watermarkFile, buf); err != nil {
 			return err
 		}
 	}
-	return nil
+	return SyncDir(dir)
 }
 
-// ExpireTable removes backup blocks whose newest row is older than cutoff.
-// Deletions deferred during shutdown are applied here after recovery.
-func (s *Store) ExpireTable(table string, cutoff int64) (int, error) {
-	blocks, err := s.listBlocks(table)
+// loadWatermark reads the persisted watermark; missing or damaged files
+// load as 0 (the rename is atomic, so damage is not a torn write, and 0 is
+// always safe — Load raises it to the last image's end, and a log that no
+// longer reaches back that far is reported as a gap).
+func loadWatermark(dir string) (int64, error) {
+	data, err := os.ReadFile(filepath.Join(dir, watermarkFile))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return 0, nil
+		}
+		return 0, err
+	}
+	if len(data) != 16 || binary.LittleEndian.Uint32(data) != watermarkMagic {
+		return 0, nil
+	}
+	if crc32.Checksum(data[:12], crcTable) != binary.LittleEndian.Uint32(data[12:]) {
+		return 0, nil
+	}
+	return int64(binary.LittleEndian.Uint64(data[4:])), nil
+}
+
+// Load streams a table's images in row order and returns the watermark the
+// log replays from. fn receives each image with its decoded block, or with
+// the error that cost that block — an unreadable or damaged image, or rows
+// missing before it — and recovery goes on with the next image: one bad file
+// loses one block, not the table. An expired prefix is not a hole: retention
+// deleted those images along with the heap blocks.
+func (s *Store) Load(table string, fn func(im Image, rb *rowblock.RowBlock, err error) error) (int64, error) {
+	if err := fault.Inject(fault.SiteDiskRead); err != nil {
+		return 0, fmt.Errorf("disk: load %s: %w", table, err)
+	}
+	images, w, err := s.Images(table)
+	if err != nil {
+		return 0, fmt.Errorf("disk: load %s: %w", table, err)
+	}
+	pos := int64(-1)
+	for _, im := range images {
+		if pos >= 0 && im.Start != pos {
+			if err := fn(im, nil, fmt.Errorf("disk: %s: rows %d-%d are in no image", table, pos, im.Start)); err != nil {
+				return 0, err
+			}
+		}
+		pos = im.End()
+		rb, err := s.loadImage(table, im)
+		if err := fn(im, rb, err); err != nil {
+			return 0, err
+		}
+	}
+	if pos > w {
+		// Images past the persisted watermark: the crash hit between the
+		// image writes and the watermark. The images are complete.
+		w = pos
+	} else if pos >= 0 && pos < w {
+		if err := fn(Image{}, nil, fmt.Errorf("disk: %s: watermark %d is past the last image row %d", table, w, pos)); err != nil {
+			return 0, err
+		}
+	}
+	// With zero images, a positive W means retention expired them all: the
+	// rows below W are legitimately gone, and the log replays from W.
+	return w, nil
+}
+
+func (s *Store) loadImage(table string, im Image) (*rowblock.RowBlock, error) {
+	data, err := os.ReadFile(filepath.Join(s.tableDir(table), im.Name))
+	if err != nil {
+		return nil, fmt.Errorf("disk: %s: %w", table, err)
+	}
+	// A fresh ReadFile slice is never reused: the block may alias it.
+	rb, _, err := rowblock.DecodeImage(data, false)
+	if err != nil {
+		return nil, fmt.Errorf("disk: %s image %s: %w", table, im.Name, err)
+	}
+	if rb.Rows() != im.Rows {
+		return nil, fmt.Errorf("disk: %s image %s: %d rows, name says %d", table, im.Name, rb.Rows(), im.Rows)
+	}
+	return rb, nil
+}
+
+// DropBelow deletes the images whose every row is below row — the one
+// retention rule: after Table.Expire, row is the table's first retained row,
+// whether age or size dropped the prefix. Returns the number deleted.
+func (s *Store) DropBelow(table string, row int64) (int, error) {
+	images, _, err := s.Images(table)
 	if err != nil {
 		return 0, err
 	}
 	removed := 0
-	for _, bf := range blocks {
-		if bf.maxTime >= cutoff {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.tableDir(table), bf.name)); err != nil {
-			return removed, err
-		}
-		removed++
-	}
-	return removed, nil
-}
-
-// DropOldest removes the n oldest backup blocks of a table (size-based
-// trimming mirrors in-memory size limits).
-func (s *Store) DropOldest(table string, n int) (int, error) {
-	blocks, err := s.listBlocks(table)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, bf := range blocks {
-		if removed >= n {
+	for _, im := range images {
+		if im.End() > row {
 			break
 		}
-		if err := os.Remove(filepath.Join(s.tableDir(table), bf.name)); err != nil {
+		if err := os.Remove(filepath.Join(s.tableDir(table), im.Name)); err != nil {
 			return removed, err
 		}
 		removed++
@@ -320,277 +344,9 @@ func (s *Store) DropOldest(table string, n int) (int, error) {
 	return removed, nil
 }
 
-// RemoveAll deletes the entire leaf backup directory tree.
-func (s *Store) RemoveAll() error { return os.RemoveAll(s.root) }
-
-// RemoveTable deletes one table's backup and resets its sequence counter.
-// WAL recovery calls this after a table replays successfully: the stale
-// backup (missing recently sealed blocks) would otherwise duplicate rows
-// when the next maintenance sync appended fresh blocks after it.
-func (s *Store) RemoveTable(table string) error {
-	s.mu.Lock()
-	delete(s.seqs, table)
-	s.mu.Unlock()
+// DropTable deletes one table's images and watermark. A shm restore whose
+// blocks the images do not tile calls it, so the next persist pass rewrites
+// the table from row 0 of its new numbering.
+func (s *Store) DropTable(table string) error {
 	return os.RemoveAll(s.tableDir(table))
-}
-
-// Syncable is the slice of a table the write-behind sync needs.
-type Syncable interface {
-	Name() string
-	UnsyncedBlocks() []*rowblock.RowBlock
-	MarkSynced(n int)
-}
-
-// SyncTable writes a table's unsynced blocks and advances its watermark,
-// returning the number of blocks written. Only sections changed since the
-// last synchronization point are written (§4.1).
-func (s *Store) SyncTable(t Syncable) (int, error) {
-	blocks := t.UnsyncedBlocks()
-	for i, rb := range blocks {
-		if err := s.WriteBlock(t.Name(), rb); err != nil {
-			t.MarkSynced(i)
-			return i, err
-		}
-	}
-	t.MarkSynced(len(blocks))
-	return len(blocks), nil
-}
-
-// ---- Row format ----
-//
-//	u32 magic "DRW1"; u32 version
-//	u64 row count; i64 created
-//	u16 ncols; per column: u16 name len, name, u8 type  (time first)
-//	rows: per row, each column's value in schema order:
-//	    int64/time   zigzag varint
-//	    float64      8 bytes LE
-//	    string       varint len + bytes
-//	    string set   varint count + (varint len + bytes)*
-//	u32 CRC-32C over everything before it
-
-const rowMagic uint32 = 0x31575244 // "DRW1"
-const rowVersion uint32 = 1
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-type decodedColumns struct {
-	ints   [][]int64
-	floats [][]float64
-	strs   []*column.StringColumn
-	sets   []*column.StringSetColumn
-}
-
-// encodeRowFormat decodes every column of the block (paying decompression)
-// and re-serializes row by row.
-func encodeRowFormat(rb *rowblock.RowBlock) ([]byte, error) {
-	schema := rb.Schema()
-	n := rb.Rows()
-	hdr := rb.Header()
-
-	cols := decodedColumns{
-		ints:   make([][]int64, len(schema)),
-		floats: make([][]float64, len(schema)),
-		strs:   make([]*column.StringColumn, len(schema)),
-		sets:   make([]*column.StringSetColumn, len(schema)),
-	}
-	for i, f := range schema {
-		col, err := rb.DecodeColumn(f.Name)
-		if err != nil {
-			return nil, err
-		}
-		switch c := col.(type) {
-		case *column.Int64Column:
-			cols.ints[i] = c.Values
-		case *column.Float64Column:
-			cols.floats[i] = c.Values
-		case *column.StringColumn:
-			cols.strs[i] = c
-		case *column.StringSetColumn:
-			cols.sets[i] = c
-		default:
-			return nil, fmt.Errorf("disk: unsupported column %T", col)
-		}
-	}
-
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, rowMagic)
-	b = binary.LittleEndian.AppendUint32(b, rowVersion)
-	b = binary.LittleEndian.AppendUint64(b, uint64(n))
-	b = binary.LittleEndian.AppendUint64(b, uint64(hdr.Created))
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(schema)))
-	for _, f := range schema {
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(f.Name)))
-		b = append(b, f.Name...)
-		b = append(b, byte(f.Type))
-	}
-	for r := 0; r < n; r++ {
-		for i, f := range schema {
-			switch f.Type {
-			case layout.TypeInt64, layout.TypeTime:
-				b = binary.AppendUvarint(b, zigzag(cols.ints[i][r]))
-			case layout.TypeFloat64:
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cols.floats[i][r]))
-			case layout.TypeString:
-				s := cols.strs[i].Value(r)
-				b = binary.AppendUvarint(b, uint64(len(s)))
-				b = append(b, s...)
-			case layout.TypeStringSet:
-				set := cols.sets[i].Value(r)
-				b = binary.AppendUvarint(b, uint64(len(set)))
-				for _, s := range set {
-					b = binary.AppendUvarint(b, uint64(len(s)))
-					b = append(b, s...)
-				}
-			default:
-				return nil, fmt.Errorf("disk: cannot serialize column type %v", f.Type)
-			}
-		}
-	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable)), nil
-}
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// decodeRowFormat translates a row-format file back into a column block:
-// the rows are transposed into one batch and re-ingested through a
-// rowblock.Builder, rebuilding dictionaries and re-compressing every column. This is the CPU-intensive
-// translation the paper describes (§1, §6).
-func decodeRowFormat(data []byte) (*rowblock.RowBlock, error) {
-	if len(data) < 4+4+8+8+2+4 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptFile, len(data))
-	}
-	body, want := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != want {
-		return nil, fmt.Errorf("%w: checksum", ErrCorruptFile)
-	}
-	if binary.LittleEndian.Uint32(body) != rowMagic {
-		return nil, fmt.Errorf("%w: magic", ErrCorruptFile)
-	}
-	if v := binary.LittleEndian.Uint32(body[4:]); v != rowVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrCorruptFile, v)
-	}
-	n := int(binary.LittleEndian.Uint64(body[8:]))
-	created := int64(binary.LittleEndian.Uint64(body[16:]))
-	ncols := int(binary.LittleEndian.Uint16(body[24:]))
-	pos := 26
-	schema := make(rowblock.Schema, 0, ncols)
-	for i := 0; i < ncols; i++ {
-		if pos+2 > len(body) {
-			return nil, fmt.Errorf("%w: truncated schema", ErrCorruptFile)
-		}
-		l := int(binary.LittleEndian.Uint16(body[pos:]))
-		pos += 2
-		if pos+l+1 > len(body) {
-			return nil, fmt.Errorf("%w: truncated schema entry", ErrCorruptFile)
-		}
-		schema = append(schema, rowblock.Field{
-			Name: string(body[pos : pos+l]),
-			Type: layout.ValueType(body[pos+l]),
-		})
-		pos += l + 1
-	}
-	if len(schema) == 0 || schema[0].Name != rowblock.TimeColumn {
-		return nil, fmt.Errorf("%w: first column is not time", ErrCorruptFile)
-	}
-
-	readUvarint := func() (uint64, error) {
-		v, used := binary.Uvarint(body[pos:])
-		if used <= 0 {
-			return 0, fmt.Errorf("%w: bad varint at %d", ErrCorruptFile, pos)
-		}
-		pos += used
-		return v, nil
-	}
-	readString := func() (string, error) {
-		l, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if uint64(len(body)-pos) < l {
-			return "", fmt.Errorf("%w: string overruns file", ErrCorruptFile)
-		}
-		s := string(body[pos : pos+int(l)])
-		pos += int(l)
-		return s, nil
-	}
-
-	// The file's schema is fixed, so its rows decode straight into the column
-	// vectors of one batch, which the builder appends whole.
-	if t := schema[0].Type; t != layout.TypeInt64 && t != layout.TypeTime {
-		return nil, fmt.Errorf("%w: time column has type %v", ErrCorruptFile, t)
-	}
-	bt := &rowblock.Batch{Cols: make([]rowblock.BatchColumn, ncols-1)}
-	seen := make(map[string]bool, ncols)
-	for i, f := range schema {
-		if seen[f.Name] {
-			return nil, fmt.Errorf("%w: duplicate column %q", ErrCorruptFile, f.Name)
-		}
-		seen[f.Name] = true
-		if i > 0 {
-			bt.Cols[i-1] = rowblock.BatchColumn{Name: f.Name, Type: f.Type}
-			if f.Type == layout.TypeTime {
-				bt.Cols[i-1].Type = layout.TypeInt64
-			}
-		}
-	}
-	for r := 0; r < n; r++ {
-		for i, f := range schema {
-			var c *rowblock.BatchColumn
-			if i > 0 {
-				c = &bt.Cols[i-1]
-			}
-			switch f.Type {
-			case layout.TypeInt64, layout.TypeTime:
-				u, err := readUvarint()
-				if err != nil {
-					return nil, err
-				}
-				if i == 0 {
-					bt.Times = append(bt.Times, unzigzag(u))
-				} else {
-					c.Ints = append(c.Ints, unzigzag(u))
-				}
-			case layout.TypeFloat64:
-				if pos+8 > len(body) {
-					return nil, fmt.Errorf("%w: float overruns file", ErrCorruptFile)
-				}
-				c.Floats = append(c.Floats, math.Float64frombits(binary.LittleEndian.Uint64(body[pos:])))
-				pos += 8
-			case layout.TypeString:
-				s, err := readString()
-				if err != nil {
-					return nil, err
-				}
-				c.Strs = append(c.Strs, s)
-			case layout.TypeStringSet:
-				count, err := readUvarint()
-				if err != nil {
-					return nil, err
-				}
-				set := make([]string, 0, count)
-				for j := uint64(0); j < count; j++ {
-					s, err := readString()
-					if err != nil {
-						return nil, err
-					}
-					set = append(set, s)
-				}
-				c.Sets = append(c.Sets, set)
-			default:
-				return nil, fmt.Errorf("%w: column type %v", ErrCorruptFile, f.Type)
-			}
-		}
-	}
-	builder := rowblock.NewBuilder(created)
-	if took, err := builder.AppendBatch(bt); err != nil || took < n {
-		if err == nil {
-			err = rowblock.ErrFull
-		}
-		return nil, fmt.Errorf("disk: translating %d rows: %w", n, err)
-	}
-	if pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptFile, len(body)-pos)
-	}
-	return builder.Seal()
 }

@@ -46,11 +46,11 @@ func TestRowFormatProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		data, err := encodeRowFormat(orig)
+		data, err := EncodeRowFormat(orig)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeRowFormat(data)
+		got, err := DecodeRowFormat(data)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

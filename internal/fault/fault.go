@@ -84,7 +84,7 @@ const (
 	// SitePromoteCopy is the per-block background promotion copy that moves
 	// a shm-resident block heap-side while queries keep running.
 	SitePromoteCopy = "promote.copy"
-	// SiteDiskRead is the disk backup read that recovery falls back to.
+	// SiteDiskRead is the block store's per-table image load.
 	SiteDiskRead = "disk.read"
 	// SiteWireDial is the client-side TCP dial to a leaf or aggregator.
 	SiteWireDial = "wire.dial"
@@ -103,12 +103,12 @@ const (
 	SiteWALAppend = "wal.append"
 	// SiteWALSync is the group-commit fsync acked appends wait on.
 	SiteWALSync = "wal.sync"
-	// SiteWALTruncate is the post-snapshot deletion of covered WAL segments.
+	// SiteWALTruncate is the persist pass's deletion of covered WAL segments.
 	SiteWALTruncate = "wal.truncate"
 	// SiteWALReplay is the per-segment read during crash recovery.
 	SiteWALReplay = "wal.replay"
-	// SiteSnapWrite is the incremental snapshot of a newly sealed block
-	// (also a CorruptBytes hook over the block image).
+	// SiteSnapWrite is the block store's write of a newly sealed block's
+	// image (also a CorruptBytes hook over the image).
 	SiteSnapWrite = "snap.write"
 )
 

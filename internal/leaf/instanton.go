@@ -11,13 +11,8 @@ package leaf
 // the heat signal), each block swapped for its heap clone without disturbing
 // in-flight scans. Failures degrade per table: a view that won't validate
 // falls back to the eager copy-in, and that failing too quarantines the
-// table to disk recovery, exactly like the barrier path.
-//
-// Sealed blocks only: a clean shutdown seals every table's unsealed tail
-// before copy-out (Figure 5c PREPARE), so by construction a segment never
-// carries unsealed rows — the "unsealed tail copies in eagerly" rule is
-// vacuously satisfied and new ingest starts fresh builders on the restored
-// tables.
+// table to the store, exactly like the barrier path (recover.go's
+// takeFromShm). This file is the promotion that follows.
 
 import (
 	"fmt"
@@ -29,181 +24,8 @@ import (
 	"scuba/internal/fault"
 	"scuba/internal/obs"
 	"scuba/internal/rowblock"
-	"scuba/internal/shm"
 	"scuba/internal/table"
 )
-
-// viewTableResult is one table's instant-on restore outcome.
-type viewTableResult struct {
-	tbl  *table.Table
-	view *shm.MappedView
-	st   TableCopyStat
-	path RecoveryPath // shm-view, or memory when degraded to eager copy-in
-	err  error        // non-nil quarantines the table to disk recovery
-}
-
-// viewRestore is the instant-on variant of the post-valid-bit half of
-// restoreFromShm: map views instead of copying, install tables that serve
-// zero-copy from the mappings, degrade failures, and leave live segments on
-// tmpfs until their last reader drains. The metadata is removed (not the
-// segments): a crash mid-promotion must revert to WAL/disk recovery, never
-// to a half-consumed backup.
-func (l *Leaf) viewRestore(md *shm.Metadata, info *RecoveryInfo) error {
-	vs := l.cfg.Obs.Start(obs.PhaseView)
-	workers := l.copyWorkers(len(md.Segments))
-	info.Workers = workers
-	results := make([]viewTableResult, len(md.Segments))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for idx := range jobs {
-				si := md.Segments[idx]
-				l.cfg.Obs.Event(obs.EventBegin, obs.PerTablePhase("view", si.Table),
-					fmt.Sprintf("worker %d", worker))
-				results[idx] = l.viewTableIn(si)
-				results[idx].st.Worker = worker
-				l.recordTableCopy("view", results[idx].st, results[idx].err)
-			}
-		}(w)
-	}
-	for i := range md.Segments {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	vs.End(nil)
-
-	l.mu.Lock()
-	for i, si := range md.Segments {
-		if results[i].err == nil {
-			l.tables[si.Table] = results[i].tbl
-		}
-	}
-	l.mu.Unlock()
-	viewed := 0
-	var liveSegments []string
-	for i, si := range md.Segments {
-		r := results[i]
-		if r.err != nil {
-			continue
-		}
-		l.attachCache(si.Table, r.tbl)
-		info.Tables++
-		info.Blocks += r.st.Blocks
-		info.BytesRestored += r.st.Bytes
-		info.PerTable = append(info.PerTable, r.st)
-		info.PerTablePath = append(info.PerTablePath, TableRecovery{Table: si.Table, Path: r.path})
-		if r.path == RecoveryShmView {
-			viewed++
-			info.ServedFromShm += int64(r.st.Blocks)
-			liveSegments = append(liveSegments, r.view.SegmentName())
-		}
-	}
-	sort.Slice(info.PerTable, func(i, j int) bool { return info.PerTable[i].Table < info.PerTable[j].Table })
-	for i, si := range md.Segments {
-		if results[i].err == nil {
-			continue
-		}
-		info.Quarantined++
-		l.cfg.Obs.Event(obs.EventFail, "restart.quarantine",
-			fmt.Sprintf("table %q quarantined to disk: %v", si.Table, results[i].err))
-		tr := TableRecovery{Table: si.Table, Path: RecoveryDisk, Reason: results[i].err.Error()}
-		sp := l.cfg.Obs.Start(obs.PhaseDiskRecovery)
-		derr := l.recoverTableFromDisk(si.Table, info)
-		sp.End(derr)
-		if derr != nil {
-			tr.Path = RecoveryNone
-			tr.Reason += "; disk reload failed: " + derr.Error()
-			l.cfg.Obs.Event(obs.EventFail, "restart.quarantine",
-				fmt.Sprintf("table %q lost: disk reload failed: %v", si.Table, derr))
-		} else {
-			info.Tables++
-		}
-		info.PerTablePath = append(info.PerTablePath, tr)
-	}
-	sort.Slice(info.PerTablePath, func(i, j int) bool { return info.PerTablePath[i].Table < info.PerTablePath[j].Table })
-	switch {
-	case info.Quarantined == len(md.Segments) && len(md.Segments) > 0:
-		info.Path = RecoveryDisk
-	case info.Quarantined > 0:
-		info.Path = RecoveryMixed
-	case viewed > 0:
-		info.Path = RecoveryShmView
-	default:
-		info.Path = RecoveryMemory
-	}
-	// The backup is consumed: drop the metadata so no future start can trust
-	// it, and sweep every segment file except the live views' (eager and
-	// empty tables already removed theirs; quarantined tables' files and any
-	// previous generation's orphans go here). The live views delete their own
-	// files when the last reference drains.
-	if err := l.shm.RemoveMetadata(); err != nil {
-		return err
-	}
-	l.shm.RemoveOtherSegments(liveSegments) //nolint:errcheck // best-effort sweep
-	return nil
-}
-
-// viewTableIn opens one segment as a zero-copy view and builds its table.
-// On any view failure (map error, CRC, name mismatch) the table degrades to
-// the eager copy-in; both failing quarantines it to disk recovery.
-func (l *Leaf) viewTableIn(si shm.SegmentInfo) viewTableResult {
-	start := time.Now()
-	res := viewTableResult{st: TableCopyStat{Table: si.Table}, path: RecoveryShmView}
-	v, verr := shm.OpenTableSegmentView(l.shm, si.Segment)
-	if verr == nil && v != nil && v.TableName() != si.Table {
-		// The name bytes sit outside the payload CRC; a mismatch against the
-		// (CRC-guarded) metadata means the header rotted.
-		verr = fmt.Errorf("%w: segment names table %q, metadata says %q",
-			shm.ErrSegCorrupt, v.TableName(), si.Table)
-		v.Discard() //nolint:errcheck
-		v = nil
-	}
-	if verr != nil {
-		l.cfg.Obs.Event(obs.EventFail, obs.PerTablePhase("view", si.Table),
-			"degrading to eager copy-in: "+verr.Error())
-		tbl, st, cerr := l.copyTableIn(si)
-		if cerr != nil {
-			res.err = fmt.Errorf("view: %v; eager copy-in: %w", verr, cerr)
-			return res
-		}
-		res.tbl, res.st, res.path = tbl, st, RecoveryMemory
-		return res
-	}
-	tbl := table.NewRecovering(si.Table, l.cfg.Table)
-	if err := tbl.Transition(table.StateMemoryRecovery); err != nil {
-		if v != nil {
-			v.Discard() //nolint:errcheck
-		}
-		res.err = err
-		return res
-	}
-	if v == nil {
-		// Zero-block segment: an empty table. Nothing to serve from shm, so
-		// the file can go now.
-		l.shm.RemoveSegment(si.Segment) //nolint:errcheck
-		res.tbl, res.path = tbl, RecoveryMemory
-		res.st.Duration = time.Since(start)
-		return res
-	}
-	for _, rb := range v.Blocks() {
-		if err := tbl.RestoreBlock(rb); err != nil {
-			// Unreachable (the table is in MEMORY_RECOVERY); release every
-			// residency reference so the mapping drains, and quarantine.
-			rowblock.ReleaseSources(v.Blocks())
-			res.err = err
-			return res
-		}
-		res.st.Blocks++
-		res.st.Bytes += rb.Header().Size
-	}
-	res.tbl, res.view = tbl, v
-	res.st.Duration = time.Since(start)
-	return res
-}
 
 // ---- Background promotion ----
 

@@ -8,7 +8,8 @@
 //     valid bit and exit.
 //   - Restart (Figure 7): if the valid bit is set, clear it and copy the
 //     data back to the heap, truncating and deleting segments as they
-//     drain; otherwise recover from the disk backup.
+//     drain; otherwise load the block images in the disk store and replay
+//     the write-ahead log's tail (recover.go).
 //
 // Crashes never recover from shared memory — the crash may have been caused
 // by memory corruption — so the valid bit is only ever set by a completed
@@ -42,16 +43,14 @@ type Config struct {
 	ID int
 	// Shm configures the shared memory manager (directory, namespace).
 	Shm shm.Options
-	// DiskRoot is the backup directory root; empty disables disk backup
-	// (useful in unit tests of the pure shm path).
+	// DiskRoot is the root of the block image store, the one persistent
+	// home of sealed blocks; empty disables it (useful in unit tests of the
+	// pure shm path).
 	DiskRoot string
-	// DiskFormat selects the backup encoding (row by default; columnar is
-	// the §6 future-work variant).
-	DiskFormat disk.Format
-	// WALDir enables the per-table write-ahead log + incremental snapshot
-	// store rooted there (a leaf<ID> subdirectory is created). Empty
-	// disables the WAL: crashes pay the full disk translate, the pre-WAL
-	// behavior.
+	// WALDir enables the per-table write-ahead log rooted there (a leaf<ID>
+	// subdirectory is created); it needs DiskRoot, where the images the log
+	// is truncated behind live. Empty disables the WAL: a crash loses the
+	// rows acked since the last persist pass, the paper's durability model.
 	WALDir string
 	// WALSyncInterval is the group-commit cadence: ingest batches block
 	// until the next WAL fsync at most this far away. <=0 fsyncs on every
@@ -94,14 +93,14 @@ type Config struct {
 	// restore equivalents).
 	Metrics *metrics.Registry
 	// Obs, when non-nil, receives phase spans for the restart lifecycle
-	// (restart.copy_out / .commit / .map / .copy_in / .disk_recovery timers
+	// (restart.copy_out / .commit / .map / .copy_in / .view / .disk_recovery timers
 	// in its registry) and per-table begin/end/fail events in its flight
 	// recorder. Point its registry at Metrics so /metrics shows both. A nil
 	// Obs disables instrumentation at zero cost.
 	Obs *obs.Observer
 	// OnRestartPhase, when non-nil, observes each completed restart phase:
 	// the recovery itself (phase "copy_in" for shm paths, "wal_replay" for
-	// crash replay, "disk" for the backup translate) as Start returns, and
+	// images plus log replay, "disk" for images alone) as Start returns, and
 	// "promotion" when an instant-on promotion pool drains. The continuous
 	// profiler hooks here to capture a tagged profile when a phase blows
 	// its budget. Called from the restart path and the promoter's
@@ -119,14 +118,14 @@ type RecoveryPath string
 const (
 	RecoveryNone   RecoveryPath = "none"   // nothing to recover
 	RecoveryMemory RecoveryPath = "memory" // restored from shared memory
-	RecoveryDisk   RecoveryPath = "disk"   // restored from disk backup
-	// RecoveryMixed means most tables restored from shared memory while the
-	// ones whose segments failed validation were quarantined to the disk
-	// path — only the damaged tables pay the translate cost.
+	RecoveryDisk   RecoveryPath = "disk"   // restored from the store's images alone
+	// RecoveryMixed means the tables took different paths: most often shared
+	// memory for all but the ones whose segments failed validation, which
+	// were quarantined to the store.
 	RecoveryMixed RecoveryPath = "mixed"
-	// RecoveryWAL means the leaf came back from a crash via snapshot images
-	// plus write-ahead-log replay — crash-path parity with the fast clean
-	// restart, instead of the full disk translate.
+	// RecoveryWAL means the leaf came back from a crash via the store's
+	// images plus write-ahead-log replay — crash-path parity with the fast
+	// clean restart: no acked row lost.
 	RecoveryWAL RecoveryPath = "wal"
 	// RecoveryShmView means an instant-on restore: the leaf went ALIVE
 	// serving queries zero-copy from mmap'd shm views after only metadata +
@@ -134,12 +133,13 @@ const (
 	RecoveryShmView RecoveryPath = "shm-view"
 )
 
-// TableRecovery reports how one table came back during a mixed recovery.
+// TableRecovery reports how one table came back.
 type TableRecovery struct {
 	Table string
 	Path  RecoveryPath
-	// Reason, for quarantined tables, says why the shm restore of this
-	// table was rejected.
+	// Reason says what the table's recovery had to work around: why its shm
+	// segment was rejected, which image file was damaged, why its log tail
+	// was not replayed.
 	Reason string `json:",omitempty"`
 }
 
@@ -150,23 +150,24 @@ type RecoveryInfo struct {
 	Blocks        int
 	BytesRestored int64
 	Duration      time.Duration
-	// FellBack is set when memory recovery was attempted but an exception
-	// sent the leaf to disk recovery (Figure 5b).
+	// FellBack is set when memory recovery was attempted but the metadata
+	// could not be read, sending every table to the store (Figure 5b).
 	FellBack bool
-	// Workers is the copy pool size memory recovery ran with (0 when the
-	// leaf recovered from disk or had nothing to restore).
+	// Workers is the recovery pool size (0 when there was nothing to
+	// restore).
 	Workers int
 	// PerTable breaks the restore down by table, sorted by table name.
 	PerTable []TableCopyStat
 	// PerTablePath says which path each table took (all "memory" on a clean
-	// shm restore; a mix after quarantines), sorted by table name.
+	// shm restore; a mix after quarantines), sorted by table name. Path is
+	// derived from it.
 	PerTablePath []TableRecovery `json:",omitempty"`
 	// Quarantined counts tables whose shm segments failed validation and
-	// were re-read from disk instead.
+	// were re-read from the store instead.
 	Quarantined int `json:",omitempty"`
-	// WALRecords / WALRowsReplayed / SnapshotBlocks break a WAL recovery
-	// down: how many log records and rows replayed, and how many columnar
-	// snapshot images loaded ahead of the replay.
+	// WALRecords / WALRowsReplayed / SnapshotBlocks break a store recovery
+	// down: how many log records and rows replayed, and how many block
+	// images loaded ahead of the replay.
 	WALRecords      int   `json:",omitempty"`
 	WALRowsReplayed int64 `json:",omitempty"`
 	SnapshotBlocks  int   `json:",omitempty"`
@@ -203,11 +204,11 @@ var ErrNotAlive = errors.New("leaf: not accepting requests in current state")
 type Leaf struct {
 	cfg   Config
 	shm   *shm.Manager
-	store *disk.Store // nil when disk backup is disabled
+	store *disk.Store // nil when the image store is disabled
 	wal   *wal.Log    // nil when the WAL is disabled
-	// walReady gates ingest-path WAL appends until Start has reconciled the
-	// log cursors with whatever recovery restored; appends before that would
-	// land at stale row indexes.
+	// walReady gates ingest-path WAL appends until Start has set every log's
+	// cursor to what recovery restored; appends before that would land at
+	// stale row indexes.
 	walReady atomic.Bool
 
 	mu     sync.Mutex
@@ -215,7 +216,7 @@ type Leaf struct {
 	tables map[string]*table.Table
 	// ingest holds one lock per table, spanning WAL record reservation and
 	// the table apply in AddRows: WAL record order must equal table row
-	// order or crash replay splices batches wrongly around the snapshot
+	// order or crash replay splices batches wrongly around the image
 	// watermark. The fsync wait happens outside the lock, so group commit
 	// still batches concurrent appenders.
 	ingest map[string]*sync.Mutex
@@ -244,8 +245,16 @@ type Leaf struct {
 	restoreBlockHook func(table string, block int) error
 }
 
+// ErrWALNeedsDiskRoot rejects a Config with WALDir set and DiskRoot empty:
+// the log is truncated behind the store's block images, and there is nowhere
+// to put them.
+var ErrWALNeedsDiskRoot = errors.New("leaf: WALDir needs DiskRoot: the write-ahead log is truncated behind the block images stored there")
+
 // New creates a leaf in INIT. Call Start to run recovery and go ALIVE.
 func New(cfg Config) (*Leaf, error) {
+	if cfg.WALDir != "" && cfg.DiskRoot == "" {
+		return nil, ErrWALNeedsDiskRoot
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return time.Now().Unix() }
 	}
@@ -258,7 +267,7 @@ func New(cfg Config) (*Leaf, error) {
 		caches: make(map[string]*query.DecodeCache),
 	}
 	if cfg.DiskRoot != "" {
-		store, err := disk.NewStore(cfg.DiskRoot, cfg.ID, cfg.DiskFormat)
+		store, err := disk.NewStore(cfg.DiskRoot, cfg.ID)
 		if err != nil {
 			return nil, err
 		}
@@ -339,295 +348,6 @@ func restartPhaseName(p RecoveryPath) string {
 	}
 }
 
-// ---- Restore path (Figure 7) ----
-
-// Start runs recovery and brings the leaf ALIVE. It implements the restore
-// state machine of Figure 5(b) and the pseudocode of Figure 7.
-func (l *Leaf) Start() error {
-	begin := time.Now()
-	l.restartBegin = begin
-	l.firstQueryOpen.Store(true)
-	info := RecoveryInfo{Path: RecoveryNone}
-
-	tryMemory := !l.cfg.DisableMemoryRecovery
-	if tryMemory {
-		if err := l.transition(StateMemoryRecovery); err != nil {
-			return err
-		}
-		ok, err := l.restoreFromShm(&info)
-		if err != nil {
-			// Exception during memory recovery: fall back to disk
-			// (Figure 5b). Anything half-restored is discarded.
-			l.cfg.Obs.Event(obs.EventNote, "restart.disk_fallback",
-				"memory recovery failed, falling back to disk: "+err.Error())
-			l.dropAllTables()
-			l.shm.RemoveAll() //nolint:errcheck // best effort cleanup
-			info = RecoveryInfo{Path: RecoveryNone, FellBack: true}
-			if terr := l.transition(StateDiskRecovery); terr != nil {
-				return terr
-			}
-			sp := l.cfg.Obs.Start(obs.PhaseDiskRecovery)
-			if derr := l.recoverCrash(&info); derr != nil {
-				sp.End(derr)
-				return fmt.Errorf("leaf: crash recovery after shm failure (%v): %w", err, derr)
-			}
-			sp.End(nil)
-			if info.Path == RecoveryNone {
-				info.Path = RecoveryDisk
-			}
-		} else if ok {
-			// Path was set by restoreFromShm: memory on a clean restore,
-			// mixed/disk when tables were quarantined.
-		} else {
-			// Valid bit unset — a crash, or a consumed backup. Free any
-			// shared memory in use, then recover from the WAL (snapshot
-			// images + log replay) when it has state, the disk backup
-			// otherwise (Figure 7).
-			l.shm.RemoveAll() //nolint:errcheck
-			if terr := l.transition(StateDiskRecovery); terr != nil {
-				return terr
-			}
-			sp := l.cfg.Obs.Start(obs.PhaseDiskRecovery)
-			if derr := l.recoverCrash(&info); derr != nil {
-				sp.End(derr)
-				return derr
-			}
-			sp.End(nil)
-		}
-	} else {
-		if err := l.transition(StateDiskRecovery); err != nil {
-			return err
-		}
-		l.cfg.Obs.Event(obs.EventNote, "restart.disk_fallback", "memory recovery disabled by config")
-		l.shm.RemoveAll() //nolint:errcheck
-		sp := l.cfg.Obs.Start(obs.PhaseDiskRecovery)
-		if err := l.recoverFromDisk(&info); err != nil {
-			sp.End(err)
-			return err
-		}
-		sp.End(nil)
-		if info.Blocks > 0 {
-			info.Path = RecoveryDisk
-		}
-	}
-
-	if l.wal != nil {
-		if err := l.reconcileWAL(&info); err != nil {
-			return err
-		}
-	}
-	info.Duration = time.Since(begin)
-	if l.cfg.OnRestartPhase != nil {
-		l.cfg.OnRestartPhase(restartPhaseName(info.Path), info.Path, info.Duration)
-	}
-	l.cfg.Obs.Event(obs.EventNote, "restart.recovered",
-		fmt.Sprintf("path=%s tables=%d blocks=%d bytes=%d in %v",
-			info.Path, info.Tables, info.Blocks, info.BytesRestored, info.Duration))
-	l.mu.Lock()
-	l.recovery = info
-	for _, t := range l.tables {
-		if t.State() != table.StateAlive {
-			if err := t.Transition(table.StateAlive); err != nil {
-				l.mu.Unlock()
-				return err
-			}
-		}
-	}
-	err := l.transitionLocked(StateAlive)
-	l.mu.Unlock()
-	if err == nil && info.ServedFromShm > 0 {
-		// Promotion starts only after the leaf is ALIVE: queries are already
-		// being answered from the views, and the copy the paper blocked
-		// availability on happens here, in the background.
-		l.startPromoter()
-	}
-	return err
-}
-
-// restoreFromShm implements the happy path of Figure 7. It returns false
-// when the valid bit is unset (caller reverts to disk recovery) and an error
-// on metadata-level exceptions (caller falls back to full disk recovery).
-// Per-table segment failures do NOT fail the restore: the damaged tables are
-// quarantined to the disk path and info.Path reports mixed. On success it
-// sets info.Path itself.
-func (l *Leaf) restoreFromShm(info *RecoveryInfo) (bool, error) {
-	ms := l.cfg.Obs.Start(obs.PhaseMap)
-	md, err := l.shm.ReadMetadata()
-	if errors.Is(err, shm.ErrNoMetadata) {
-		ms.End(nil)
-		l.cfg.Obs.Event(obs.EventNote, obs.PhaseMap, "no shm metadata: taking the disk path")
-		return false, nil
-	}
-	if err != nil {
-		ms.End(err)
-		return false, err
-	}
-	if !md.Valid {
-		ms.End(nil)
-		l.cfg.Obs.Event(obs.EventNote, obs.PhaseMap,
-			"valid bit unset (crash or consumed backup): taking the disk path")
-		return false, nil
-	}
-	if md.Version != shm.LayoutVersion {
-		// The shared memory layout changed between releases; the data is
-		// unreadable by this binary. Disk recovery handles it (§4.2).
-		ms.End(nil)
-		l.cfg.Obs.Event(obs.EventNote, obs.PhaseMap,
-			fmt.Sprintf("layout version skew (segment %d, binary %d): taking the disk path",
-				md.Version, shm.LayoutVersion))
-		return false, nil
-	}
-	// Set the valid bit to false first: if this code path is interrupted,
-	// the next restart goes to disk recovery (Figure 7).
-	md.Valid = false
-	if err := l.shm.WriteMetadata(md); err != nil {
-		ms.End(err)
-		return false, err
-	}
-	ms.End(nil)
-	if l.cfg.InstantOn {
-		// Instant-on: map the segments read-only and serve zero-copy views
-		// instead of blocking availability on the full copy-in; the copy
-		// happens in the background after Start returns (startPromoter).
-		if err := l.viewRestore(md, info); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	ci := l.cfg.Obs.Start(obs.PhaseCopyIn)
-	restored, stats, errs, workers := l.copyInAll(md.Segments)
-	info.Workers = workers
-	ci.End(nil)
-	// Install every table that restored cleanly; a corrupt or unreadable
-	// segment quarantines only its own table to the disk path instead of
-	// throwing away the whole shm restore.
-	l.mu.Lock()
-	for i, si := range md.Segments {
-		if errs[i] == nil {
-			l.tables[si.Table] = restored[i]
-		}
-	}
-	l.mu.Unlock()
-	for i, si := range md.Segments {
-		if errs[i] == nil {
-			l.attachCache(si.Table, restored[i])
-		}
-	}
-	for i, st := range stats {
-		if errs[i] != nil {
-			continue
-		}
-		info.Tables++
-		info.Blocks += st.Blocks
-		info.BytesRestored += st.Bytes
-		info.PerTable = append(info.PerTable, st)
-		info.PerTablePath = append(info.PerTablePath, TableRecovery{Table: st.Table, Path: RecoveryMemory})
-	}
-	sort.Slice(info.PerTable, func(i, j int) bool { return info.PerTable[i].Table < info.PerTable[j].Table })
-	for i, si := range md.Segments {
-		if errs[i] == nil {
-			continue
-		}
-		info.Quarantined++
-		l.cfg.Obs.Event(obs.EventFail, "restart.quarantine",
-			fmt.Sprintf("table %q quarantined to disk: %v", si.Table, errs[i]))
-		tr := TableRecovery{Table: si.Table, Path: RecoveryDisk, Reason: errs[i].Error()}
-		sp := l.cfg.Obs.Start(obs.PhaseDiskRecovery)
-		derr := l.recoverTableFromDisk(si.Table, info)
-		sp.End(derr)
-		if derr != nil {
-			// Best effort: the table is lost, but the leaf still serves
-			// every other table (partial results, §1).
-			tr.Path = RecoveryNone
-			tr.Reason += "; disk reload failed: " + derr.Error()
-			l.cfg.Obs.Event(obs.EventFail, "restart.quarantine",
-				fmt.Sprintf("table %q lost: disk reload failed: %v", si.Table, derr))
-		} else {
-			info.Tables++
-		}
-		info.PerTablePath = append(info.PerTablePath, tr)
-	}
-	sort.Slice(info.PerTablePath, func(i, j int) bool { return info.PerTablePath[i].Table < info.PerTablePath[j].Table })
-	switch {
-	case info.Quarantined == 0:
-		info.Path = RecoveryMemory
-	case info.Quarantined < len(md.Segments):
-		info.Path = RecoveryMixed
-	default:
-		info.Path = RecoveryDisk
-	}
-	// Figure 7: delete the metadata shared memory segment (and the segments
-	// of quarantined tables along with it).
-	if err := l.shm.RemoveAll(); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// recoverTableFromDisk reloads a single quarantined table from the disk
-// backup. Shutdown synced every sealed block before its shm copy began, so
-// the backup is complete for any table that reached a finished segment.
-func (l *Leaf) recoverTableFromDisk(name string, info *RecoveryInfo) error {
-	if l.store == nil {
-		return errors.New("leaf: no disk backup configured")
-	}
-	tbl := table.NewRecovering(name, l.cfg.Table)
-	if err := tbl.Transition(table.StateDiskRecovery); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	l.tables[name] = tbl
-	l.mu.Unlock()
-	l.attachCache(name, tbl)
-	err := l.store.LoadTable(name, func(rb *rowblock.RowBlock) error {
-		info.Blocks++
-		info.BytesRestored += rb.Header().Size
-		return tbl.RestoreBlock(rb)
-	})
-	if err != nil {
-		// Drop the placeholder: an absent table answers queries with empty
-		// partial results, the same as a leaf that never held it.
-		l.mu.Lock()
-		delete(l.tables, name)
-		l.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// recoverFromDisk reads every table backup and translates it into memory.
-func (l *Leaf) recoverFromDisk(info *RecoveryInfo) error {
-	if l.store == nil {
-		return nil
-	}
-	tables, err := l.store.Tables()
-	if err != nil {
-		return err
-	}
-	for _, name := range tables {
-		tbl := table.NewRecovering(name, l.cfg.Table)
-		if err := tbl.Transition(table.StateDiskRecovery); err != nil {
-			return err
-		}
-		// Queries see the table (with gradually increasing partial
-		// results) while it loads (§4.1).
-		l.mu.Lock()
-		l.tables[name] = tbl
-		l.mu.Unlock()
-		l.attachCache(name, tbl)
-		err := l.store.LoadTable(name, func(rb *rowblock.RowBlock) error {
-			info.Blocks++
-			info.BytesRestored += rb.Header().Size
-			return tbl.RestoreBlock(rb)
-		})
-		if err != nil {
-			return fmt.Errorf("leaf: disk recovery of %q: %w", name, err)
-		}
-		info.Tables++
-	}
-	return nil
-}
-
 // attachCache creates (or reuses) the table's decoded-column cache and wires
 // the table's evict hook to it, so blocks leaving the table (expiration,
 // shutdown copy-out) drop their cached columns. No-op when the cache is
@@ -687,8 +407,8 @@ func (l *Leaf) Shutdown() (ShutdownInfo, error) {
 	md := &shm.Metadata{Valid: false, Version: shm.LayoutVersion, Created: l.cfg.Clock()}
 	if err := l.shm.WriteMetadata(md); err != nil {
 		co.End(err)
-		// The next start disk-recovers; make sure sealed-but-unsynced
-		// blocks reach the backup and no stale shm survives.
+		// The next start recovers from the store; make sure sealed-but-
+		// unpersisted blocks reach it and no stale shm survives.
 		l.flushBestEffort(l.tablesSorted())
 		l.shm.RemoveAll() //nolint:errcheck
 		return info, err
@@ -757,7 +477,7 @@ func (l *Leaf) ShutdownToDisk() (ShutdownInfo, error) {
 			return info, err
 		}
 		if l.store != nil {
-			n, err := l.store.SyncTable(tbl)
+			n, err := l.persistTable(tbl)
 			if err != nil {
 				return info, err
 			}
@@ -867,7 +587,7 @@ func (l *Leaf) addBatch(tableName string, b *rowblock.Batch, frame []byte) error
 	// Log before apply, under the table's ingest lock: the lock makes WAL
 	// record order equal table apply order (concurrent batches to one table
 	// otherwise interleave the two differently, and crash replay would
-	// splice them wrongly around the snapshot watermark). The durability
+	// splice them wrongly around the image watermark). The durability
 	// wait happens after the lock drops, so concurrent appenders still
 	// share group-commit fsyncs.
 	ing.Lock()
@@ -881,7 +601,7 @@ func (l *Leaf) addBatch(tableName string, b *rowblock.Batch, frame []byte) error
 	if err != nil {
 		// The table rejected a batch the log already holds: the log's row
 		// indexes no longer mirror the table. Quarantine it, degrading that
-		// one table's crash recovery to the disk translate until the next
+		// one table's crash recovery to its images alone until the next
 		// restart resets its log. If even the quarantine marker cannot be
 		// persisted, the WAL keeps nacking the table — surface that too.
 		if qerr := l.wal.Quarantine(tableName); qerr != nil {
@@ -1019,15 +739,20 @@ func (l *Leaf) SealAll() error {
 	return nil
 }
 
-// SyncToDisk writes unsynced blocks of all tables to the disk backup
-// (asynchronous write-behind during normal operation, §4.1).
+// SyncToDisk is the one persist pass — the asynchronous write-behind of
+// §4.1 ("only the sections of data that have changed since the last
+// synchronization point need to be updated"): for every table, write the
+// images of the blocks sealed since the last pass, move the store's
+// watermark past them, and truncate the log behind it. It returns the number
+// of images written. The maintenance loop calls it on SyncInterval; shutdown
+// runs the same pass per table before copying it out.
 func (l *Leaf) SyncToDisk() (int, error) {
 	if l.store == nil {
 		return 0, nil
 	}
 	total := 0
 	for _, tbl := range l.tablesSorted() {
-		n, err := l.store.SyncTable(tbl)
+		n, err := l.persistTable(tbl)
 		total += n
 		if err != nil {
 			return total, err
@@ -1036,7 +761,33 @@ func (l *Leaf) SyncToDisk() (int, error) {
 	return total, nil
 }
 
-// ExpireAll applies retention to every table and the disk backup. Deletes
+// SnapshotPass is SyncToDisk under the name it had when images and the disk
+// backup were two stores; the frozen benchmark still calls it.
+func (l *Leaf) SnapshotPass() (int, error) { return l.SyncToDisk() }
+
+// persistTable runs the persist pass for one table. A failed pass marks
+// nothing: the next one rewrites the same files.
+func (l *Leaf) persistTable(tbl *table.Table) (int, error) {
+	blocks, starts := tbl.UnpersistedBlocks()
+	n, err := l.store.Persist(tbl.Name(), blocks, starts)
+	if err != nil || n == 0 {
+		return n, err
+	}
+	w := starts[n-1] + int64(blocks[n-1].Rows())
+	tbl.MarkPersistedThrough(w)
+	if l.wal != nil {
+		_, err = l.wal.Truncate(tbl.Name(), w)
+	}
+	return n, err
+}
+
+// WAL returns the leaf's write-ahead log (nil when disabled); tests and the
+// bench harness reach through for assertions.
+func (l *Leaf) WAL() *wal.Log { return l.wal }
+
+// ExpireAll applies retention to every table and then to the store: images
+// wholly below a table's first retained row go, whether age or size dropped
+// the blocks, so a crash never resurrects what retention dropped. Deletes
 // killed by a concurrent shutdown are not errors (§ Figure 5c).
 func (l *Leaf) ExpireAll(now int64) (int, error) {
 	dropped := 0
@@ -1049,13 +800,8 @@ func (l *Leaf) ExpireAll(now int64) (int, error) {
 			}
 			return dropped, err
 		}
-		if l.store != nil && l.cfg.Table.MaxAgeSeconds > 0 {
-			if _, err := l.store.ExpireTable(tbl.Name(), now-l.cfg.Table.MaxAgeSeconds); err != nil {
-				return dropped, err
-			}
-		}
-		if l.wal != nil && l.cfg.Table.MaxAgeSeconds > 0 {
-			if _, err := l.wal.ExpireSnapshots(tbl.Name(), now-l.cfg.Table.MaxAgeSeconds); err != nil {
+		if l.store != nil {
+			if _, err := l.store.DropBelow(tbl.Name(), tbl.FirstRow()); err != nil {
 				return dropped, err
 			}
 		}

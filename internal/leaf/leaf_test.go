@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"scuba/internal/disk"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
 	"scuba/internal/shm"
@@ -32,7 +31,6 @@ func (e env) config(id int) Config {
 		ID:           id,
 		Shm:          shm.Options{Dir: e.shmDir, Namespace: "test"},
 		DiskRoot:     e.diskDir,
-		DiskFormat:   disk.FormatRow,
 		MemoryBudget: 1 << 30,
 	}
 }
@@ -473,25 +471,6 @@ func TestDiskOnlyShutdownPath(t *testing.T) {
 		t.Fatalf("recovery = %v", nu.Recovery().Path)
 	}
 	if got := countRows(t, nu, "events"); got != 250 {
-		t.Errorf("count = %v", got)
-	}
-}
-
-func TestColumnarDiskFormatRecovery(t *testing.T) {
-	// E8: the §6 future-work path — columnar disk format.
-	e := newEnv(t)
-	cfg := e.config(0)
-	cfg.DiskFormat = disk.FormatColumnar
-	l := startLeaf(t, cfg)
-	ingest(t, l, "events", 600, 1000)
-	if _, err := l.ShutdownToDisk(); err != nil {
-		t.Fatal(err)
-	}
-	nu := startLeaf(t, cfg)
-	if nu.Recovery().Path != RecoveryDisk {
-		t.Fatalf("recovery = %v", nu.Recovery().Path)
-	}
-	if got := countRows(t, nu, "events"); got != 600 {
 		t.Errorf("count = %v", got)
 	}
 }

@@ -9,15 +9,12 @@ import (
 // asynchronous") and expiration of aged data (§2: leaves "delete data as it
 // expires due to either age or size limits").
 type MaintenanceConfig struct {
-	// SyncInterval is how often unsynced sealed blocks are flushed to the
-	// disk backup (default 5s).
+	// SyncInterval is how often the persist pass runs: newly sealed blocks
+	// written to the store as images and the WAL truncated behind them
+	// (default 5s).
 	SyncInterval time.Duration
 	// ExpireInterval is how often retention runs (default 1m).
 	ExpireInterval time.Duration
-	// SnapshotInterval is how often newly sealed blocks are written as
-	// incremental snapshot images and the WAL truncated behind them
-	// (default 5s). Ignored when the leaf has no WAL.
-	SnapshotInterval time.Duration
 	// OnError receives background errors (nil = dropped). Shutdown killing
 	// an in-flight delete is not an error.
 	OnError func(error)
@@ -41,9 +38,6 @@ func (l *Leaf) StartMaintenance(cfg MaintenanceConfig) *Maintainer {
 	if cfg.ExpireInterval <= 0 {
 		cfg.ExpireInterval = time.Minute
 	}
-	if cfg.SnapshotInterval <= 0 {
-		cfg.SnapshotInterval = 5 * time.Second
-	}
 	m := &Maintainer{leaf: l, cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
 	go m.run()
 	return m
@@ -53,10 +47,8 @@ func (m *Maintainer) run() {
 	defer close(m.done)
 	syncT := time.NewTicker(m.cfg.SyncInterval)
 	expT := time.NewTicker(m.cfg.ExpireInterval)
-	snapT := time.NewTicker(m.cfg.SnapshotInterval)
 	defer syncT.Stop()
 	defer expT.Stop()
-	defer snapT.Stop()
 	for {
 		select {
 		case <-m.stop:
@@ -66,13 +58,6 @@ func (m *Maintainer) run() {
 				continue
 			}
 			if _, err := m.leaf.SyncToDisk(); err != nil {
-				m.report(err)
-			}
-		case <-snapT.C:
-			if m.leaf.State() != StateAlive {
-				continue
-			}
-			if _, err := m.leaf.SnapshotPass(); err != nil {
 				m.report(err)
 			}
 		case <-expT.C:

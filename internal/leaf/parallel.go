@@ -7,22 +7,20 @@ package leaf
 // and the only cross-worker state — segment registration in the leaf
 // metadata — is serialized under a mutex. The valid bit is still written
 // exactly once, by the caller, after every worker has succeeded, so the
-// commit point of Figure 6 is unchanged. On the copy-out side any worker
-// error cancels the rest through a context and a failed shutdown removes
-// every segment it created (no orphans). The copy-in side degrades per
-// table instead: each table restores or fails on its own, and the caller
-// quarantines the failures to disk recovery while installing the rest.
+// commit point of Figure 6 is unchanged. Any worker error cancels the rest
+// through a context and a failed shutdown removes every segment it created
+// (no orphans). The way back in is recover.go's per-table loop.
 
 import (
 	"context"
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"scuba/internal/obs"
-	"scuba/internal/rowblock"
 	"scuba/internal/shm"
 	"scuba/internal/table"
 )
@@ -70,8 +68,9 @@ func (l *Leaf) recordCopyWorker(phase string, worker int, bytes int64, busy time
 // recordTableCopy publishes one table's copy to the observer: a begin/end (or
 // fail) event pair in the flight recorder — so a crash mid-copy pins down the
 // table and block it died in — and the table's duration in a per-phase
-// histogram (restart.copy_out.table_us / restart.copy_in.table_us) whose
-// p50/p95/p99 show the per-table spread behind the whole-leaf span.
+// histogram (restart.copy_out.table_us, restart.copy_in.table_us, …) whose
+// p50/p95/p99 show the per-table spread behind the whole-leaf span. half is
+// "copy-out", "copy-in", "view" or "disk".
 func (l *Leaf) recordTableCopy(half string, st TableCopyStat, err error) {
 	o := l.cfg.Obs
 	phase := obs.PerTablePhase(half, st.Table)
@@ -83,14 +82,8 @@ func (l *Leaf) recordTableCopy(half string, st TableCopyStat, err error) {
 	o.Event(obs.EventEnd, phase,
 		fmt.Sprintf("worker %d, %d blocks, %d bytes in %v", st.Worker, st.Blocks, st.Bytes, st.Duration))
 	if reg := o.Registry(); reg != nil {
-		name := "restart.copy_out.table_us"
-		switch half {
-		case "copy-in":
-			name = "restart.copy_in.table_us"
-		case "view":
-			name = "restart.view.table_us"
-		}
-		reg.Histogram(name).ObserveDuration(st.Duration)
+		// restart.copy_out / .copy_in / .view / .disk .table_us
+		reg.Histogram("restart." + strings.ReplaceAll(half, "-", "_") + ".table_us").ObserveDuration(st.Duration)
 	}
 }
 
@@ -195,9 +188,11 @@ func (l *Leaf) copyTableOut(ctx context.Context, tbl *table.Table, md *shm.Metad
 	if err := tbl.Prepare(); err != nil {
 		return st, err
 	}
-	// Finish pending synchronization with the data on disk (§4.1).
+	// Finish pending synchronization with the data on disk (§4.1): after
+	// this the store's images tile the table, which is what lets the next
+	// process adopt them instead of rewriting them.
 	if l.store != nil {
-		if _, err := l.store.SyncTable(tbl); err != nil {
+		if _, err := l.persistTable(tbl); err != nil {
 			return st, err
 		}
 	}
@@ -265,9 +260,9 @@ func (l *Leaf) copyTableOut(ctx context.Context, tbl *table.Table, md *shm.Metad
 	return st, nil
 }
 
-// flushBestEffort writes whatever blocks are still unsynced to the disk
-// backup after a failed shutdown, ignoring errors: the valid bit was never
-// set, so the next start disk-recovers, and every block that reaches disk
+// flushBestEffort writes whatever blocks are still unpersisted to the store
+// after a failed shutdown, ignoring errors: the valid bit was never set, so
+// the next start recovers from the store, and every block that reaches it
 // here is a block not lost. Prepare seals the unsealed tail of tables the
 // pool never reached (a no-op or error on tables already past PREPARE,
 // which is fine — those synced before their copy began).
@@ -276,114 +271,7 @@ func (l *Leaf) flushBestEffort(tables []*table.Table) {
 		return
 	}
 	for _, tbl := range tables {
-		tbl.Prepare()          //nolint:errcheck
-		l.store.SyncTable(tbl) //nolint:errcheck
+		tbl.Prepare()       //nolint:errcheck
+		l.persistTable(tbl) //nolint:errcheck
 	}
-}
-
-// copyInAll restores every segment named by the leaf metadata concurrently,
-// symmetric to copyOutAll — except that one table's failure no longer
-// cancels the rest. Each table restores (or fails) independently; the
-// returned slices are index-aligned with segments, with errs[i] non-nil for
-// tables the caller must quarantine to disk recovery. Restored tables are
-// NOT installed in the leaf here: the caller decides table by table.
-func (l *Leaf) copyInAll(segments []shm.SegmentInfo) (restored []*table.Table, stats []TableCopyStat, errs []error, workers int) {
-	workers = l.copyWorkers(len(segments))
-	if len(segments) == 0 {
-		return nil, nil, nil, workers
-	}
-	restored = make([]*table.Table, len(segments))
-	stats = make([]TableCopyStat, len(segments))
-	errs = make([]error, len(segments))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			busy := time.Now()
-			var bytes int64
-			for idx := range jobs {
-				si := segments[idx]
-				l.cfg.Obs.Event(obs.EventBegin, obs.PerTablePhase("copy-in", si.Table),
-					fmt.Sprintf("worker %d", worker))
-				tbl, st, err := l.copyTableIn(si)
-				st.Worker = worker
-				stats[idx] = st // disjoint indices: no mutex needed
-				l.recordTableCopy("copy-in", st, err)
-				if err != nil {
-					errs[idx] = err
-					continue
-				}
-				restored[idx] = tbl
-				bytes += st.Bytes
-			}
-			l.recordCopyWorker("restore", worker, bytes, time.Since(busy))
-		}(w)
-	}
-	for i := range segments {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return restored, stats, errs, workers
-}
-
-// copyTableIn restores one table from its segment (Figure 7's per-table
-// steps): open (which validates the payload CRC), drain blocks in reverse
-// (truncating the segment as pages release), rebuild the block vector in
-// original order, delete the segment. On failure the segment is left in
-// place; the caller's final RemoveAll sweeps it with everything else.
-func (l *Leaf) copyTableIn(si shm.SegmentInfo) (*table.Table, TableCopyStat, error) {
-	st := TableCopyStat{Table: si.Table}
-	start := time.Now()
-	r, err := shm.OpenTableSegment(l.shm, si.Segment)
-	if err != nil {
-		return nil, st, fmt.Errorf("open segment: %w", err)
-	}
-	if r.TableName() != si.Table {
-		// The name bytes sit outside the payload CRC; a mismatch against
-		// the (CRC-guarded) metadata means the header rotted.
-		r.Close(false) //nolint:errcheck
-		return nil, st, fmt.Errorf("%w: segment names table %q, metadata says %q",
-			shm.ErrSegCorrupt, r.TableName(), si.Table)
-	}
-	tbl := table.NewRecovering(si.Table, l.cfg.Table)
-	if err := tbl.Transition(table.StateMemoryRecovery); err != nil {
-		r.Close(false) //nolint:errcheck
-		return nil, st, err
-	}
-	blocks := make([]*rowblock.RowBlock, 0, r.NumBlocks())
-	for {
-		if h := l.restoreBlockHook; h != nil {
-			if err := h(si.Table, len(blocks)); err != nil {
-				r.Close(false) //nolint:errcheck
-				return nil, st, err
-			}
-		}
-		rb, err := r.ReadBlock()
-		if err != nil {
-			r.Close(false) //nolint:errcheck
-			return nil, st, err
-		}
-		if rb == nil {
-			break
-		}
-		blocks = append(blocks, rb)
-	}
-	// ReadBlock drains in reverse; restore original order.
-	for i := len(blocks) - 1; i >= 0; i-- {
-		if err := tbl.RestoreBlock(blocks[i]); err != nil {
-			r.Close(false) //nolint:errcheck
-			return nil, st, err
-		}
-		st.Blocks++
-		st.Bytes += blocks[i].Header().Size
-	}
-	// Figure 7: delete the table shared memory segment.
-	if err := r.Close(true); err != nil {
-		return nil, st, err
-	}
-	st.Duration = time.Since(start)
-	return tbl, st, nil
 }

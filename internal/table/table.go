@@ -47,22 +47,19 @@ type Table struct {
 
 	blocks []*rowblock.RowBlock
 	active *rowblock.Builder
-	// synced is the number of leading blocks already persisted to disk;
-	// only data changed since the last synchronization point is written
-	// again (§4.1). Expiration rebases it.
-	synced int
 	// starts[i] is the global row index of blocks[i]'s first row, and
 	// sealedEnd the index one past the last sealed row. Global indexes are
 	// cumulative over the table's whole life — expiration drops entries but
-	// never renumbers — so they key WAL records and snapshot images stably
+	// never renumbers — so they key WAL records and block images stably
 	// across restarts.
 	starts    []int64
 	sealedEnd int64
-	// snapped is the global row index below which sealed rows are covered by
-	// snapshot images (or expired by retention). Tracked as an index, not a
-	// block count, so concurrent expiry of leading blocks can never shift
-	// coverage onto a block that was never imaged.
-	snapped int64
+	// persisted is the global row index below which sealed rows are in the
+	// store's block images (or expired by retention); only blocks sealed
+	// since the last synchronization point are written again (§4.1). Tracked
+	// as an index, not a block count, so concurrent expiry of leading blocks
+	// can never shift coverage onto a block that was never imaged.
+	persisted int64
 
 	rowsTotal  int64
 	bytesTotal int64
@@ -395,9 +392,6 @@ func (t *Table) Expire(now int64) (int, error) {
 		t.starts = t.starts[1:]
 		t.rowsTotal -= int64(oldest.Rows())
 		t.bytesTotal -= oldest.Header().Size
-		if t.synced > 0 {
-			t.synced--
-		}
 		droppedBlocks = append(droppedBlocks, oldest)
 		t.mu.Unlock()
 	}
@@ -425,37 +419,17 @@ func (t *Table) Prepare() error {
 	return err
 }
 
-// UnsyncedBlocks returns sealed blocks not yet persisted, for incremental
-// disk sync: "only the sections of data that have changed since the last
-// synchronization point need to be updated" (§4.1).
-func (t *Table) UnsyncedBlocks() []*rowblock.RowBlock {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*rowblock.RowBlock, len(t.blocks)-t.synced)
-	copy(out, t.blocks[t.synced:])
-	return out
-}
-
-// MarkSynced advances the disk-sync watermark by n blocks.
-func (t *Table) MarkSynced(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.synced += n
-	if t.synced > len(t.blocks) {
-		t.synced = len(t.blocks)
-	}
-}
-
-// UnsnappedBlocks returns sealed blocks not yet written as snapshot images,
-// with their global row indexes — the incremental-snapshot analogue of
-// UnsyncedBlocks. A block counts as snapshotted when its whole row range is
-// below the index-based cursor, so a leading block expired mid-pass never
-// makes a later block look covered.
-func (t *Table) UnsnappedBlocks() ([]*rowblock.RowBlock, []int64) {
+// UnpersistedBlocks returns sealed blocks not yet written as images, with
+// their global row indexes: "only the sections of data that have changed
+// since the last synchronization point need to be updated" (§4.1). A block
+// counts as persisted when its whole row range is below the index-based
+// cursor, so a leading block expired mid-pass never makes a later block look
+// covered.
+func (t *Table) UnpersistedBlocks() ([]*rowblock.RowBlock, []int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	i := 0
-	for i < len(t.blocks) && t.starts[i]+int64(t.blocks[i].Rows()) <= t.snapped {
+	for i < len(t.blocks) && t.starts[i]+int64(t.blocks[i].Rows()) <= t.persisted {
 		i++
 	}
 	blocks := make([]*rowblock.RowBlock, len(t.blocks)-i)
@@ -465,62 +439,55 @@ func (t *Table) UnsnappedBlocks() ([]*rowblock.RowBlock, []int64) {
 	return blocks, starts
 }
 
-// MarkSnapshottedThrough records that every sealed row below end is covered
-// by a snapshot image. Monotone, like the persisted watermark: an older
-// in-flight pass can never roll coverage back.
-func (t *Table) MarkSnapshottedThrough(end int64) {
+// MarkPersistedThrough records that every sealed row below end is in an
+// image. Monotone, like the store's watermark: an older in-flight pass can
+// never roll coverage back.
+func (t *Table) MarkPersistedThrough(end int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if end > t.snapped {
-		t.snapped = end
+	if end > t.persisted {
+		t.persisted = end
 	}
 }
 
-// SealedEnd returns the global row index one past the last sealed row —
-// equivalently, the number of rows ever sealed (expired rows included).
-// With an empty active builder this equals the table's WAL cursor.
-func (t *Table) SealedEnd() int64 {
+// FirstRow returns the global index of the first row the table still holds
+// sealed (the sealed end when it holds none): every image wholly below it
+// was dropped by retention and can leave the store.
+func (t *Table) FirstRow() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if len(t.starts) > 0 {
+		return t.starts[0]
+	}
 	return t.sealedEnd
 }
 
-// RestoreBlock appends a recovered block during MEMORY_RECOVERY or
-// DISK_RECOVERY. Restored blocks count as already synced to disk: the
-// shutdown path flushed them before copying to shared memory, and the disk
-// path read them from disk in the first place. Calls are serialized by the
-// table mutex, so concurrent restore workers (one table each, but also
-// multiple callers on one table) only race over insertion order.
-func (t *Table) RestoreBlock(rb *rowblock.RowBlock) error {
+// NextRow returns the global index the next ingested row takes: the rows
+// ever sealed (expired ones included) plus the unsealed tail. While a
+// table's log mirrors it, this is the log's cursor.
+func (t *Table) NextRow() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.active == nil {
+		return t.sealedEnd
+	}
+	return t.sealedEnd + int64(t.active.Rows())
+}
+
+// RestoreBlock appends a recovered block at its global row index during
+// MEMORY_RECOVERY or DISK_RECOVERY (an expired prefix or a lost image may
+// leave start past the sealed end, never before it). Whether the block
+// counts as persisted is the caller's to say, with MarkPersistedThrough,
+// once it knows which images cover the table. Calls are serialized by the
+// table mutex, so concurrent restore workers only race over insertion order.
+func (t *Table) RestoreBlock(rb *rowblock.RowBlock, start int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.state != StateMemoryRecovery && t.state != StateDiskRecovery && t.state != StateInit {
 		return fmt.Errorf("%w: RestoreBlock in %v", ErrNotAccepting, t.state)
 	}
-	t.blocks = append(t.blocks, rb)
-	t.starts = append(t.starts, t.sealedEnd)
-	t.sealedEnd += int64(rb.Rows())
-	t.rowsTotal += int64(rb.Rows())
-	t.bytesTotal += rb.Header().Size
-	t.synced = len(t.blocks)
-	return nil
-}
-
-// RestoreBlockAt appends a block recovered from a snapshot image at a known
-// global row index (an expired prefix may leave start past sealedEnd, never
-// before it). Unlike RestoreBlock, the block does NOT count as synced: after
-// a crash the disk backup may be missing recently sealed blocks, so the leaf
-// wipes it and lets the next sync pass rewrite everything from here. The
-// caller advances the snapshot cursor with MarkSnapshottedThrough once the
-// table's images are all loaded.
-func (t *Table) RestoreBlockAt(rb *rowblock.RowBlock, start int64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.state != StateMemoryRecovery && t.state != StateDiskRecovery && t.state != StateInit {
-		return fmt.Errorf("%w: RestoreBlockAt in %v", ErrNotAccepting, t.state)
-	}
 	if start < t.sealedEnd {
-		return fmt.Errorf("table %s: snapshot block at row %d overlaps sealed rows (end %d)", t.name, start, t.sealedEnd)
+		return fmt.Errorf("table %s: restored block at row %d overlaps sealed rows (end %d)", t.name, start, t.sealedEnd)
 	}
 	t.blocks = append(t.blocks, rb)
 	t.starts = append(t.starts, start)
@@ -531,12 +498,12 @@ func (t *Table) RestoreBlockAt(rb *rowblock.RowBlock, start int64) error {
 }
 
 // AlignSealedEnd advances an empty recovering table's global row base to
-// start. When retention expired every snapshot image below the watermark,
-// WAL replay begins at the watermark with no block to carry the index —
-// without this, replayed rows would seal starting at 0 and the table's row
-// numbering would disagree with its log and watermark forever. No-op once
-// any block is restored (the block carries the index) or if start is not
-// ahead of the current end.
+// start. When retention expired every image below the watermark, log replay
+// begins at the watermark with no block to carry the index — without this,
+// replayed rows would seal starting at 0 and the table's row numbering would
+// disagree with its log and watermark forever. No-op once any block is
+// restored (the block carries the index) or if start is not ahead of the
+// current end.
 func (t *Table) AlignSealedEnd(start int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -598,9 +565,7 @@ func (t *Table) Rows() int64 {
 // block from the heap as it is copied). Only legal in COPY_TO_SHM. Safe
 // under concurrent callers (the parallel shutdown runs one worker per table,
 // but nothing here assumes that): each call atomically claims a disjoint
-// prefix. The disk-sync watermark is rebased as blocks leave the vector so a
-// best-effort SyncTable after a failed shutdown sees a consistent view
-// instead of a watermark past the end of the vector.
+// prefix.
 func (t *Table) DropBlocksForShutdown(n int) ([]*rowblock.RowBlock, error) {
 	t.mu.Lock()
 	if t.state != StateCopyToShm {
@@ -613,10 +578,6 @@ func (t *Table) DropBlocksForShutdown(n int) ([]*rowblock.RowBlock, error) {
 	out := t.blocks[:n]
 	t.blocks = t.blocks[n:]
 	t.starts = t.starts[n:]
-	t.synced -= n
-	if t.synced < 0 {
-		t.synced = 0
-	}
 	t.mu.Unlock()
 	t.notifyEvict(out)
 	return out, nil

@@ -168,20 +168,27 @@ func TestExpireUpdatesSyncWatermark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(tbl.UnsyncedBlocks()); got != 2 {
-		t.Fatalf("unsynced = %d", got)
+	unpersisted := func() int {
+		blocks, _ := tbl.UnpersistedBlocks()
+		return len(blocks)
 	}
-	tbl.MarkSynced(2)
-	if got := len(tbl.UnsyncedBlocks()); got != 0 {
-		t.Fatalf("unsynced after mark = %d", got)
+	if got := unpersisted(); got != 2 {
+		t.Fatalf("unpersisted = %d", got)
 	}
-	// Expire the first block; watermark must shift so the remaining block
-	// still counts as synced.
-	if _, err := tbl.Expire(2000); err != nil {
+	tbl.MarkPersistedThrough(20)
+	if got := unpersisted(); got != 0 {
+		t.Fatalf("unpersisted after mark = %d", got)
+	}
+	// Expire the first block; the remaining block still counts as persisted
+	// and the table's first retained row moves past the dropped one.
+	if _, err := tbl.Expire(1005); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tbl.UnsyncedBlocks()); got != 0 {
-		t.Errorf("unsynced after expire = %d", got)
+	if got := unpersisted(); got != 0 {
+		t.Errorf("unpersisted after expire = %d", got)
+	}
+	if got := tbl.FirstRow(); got != 10 {
+		t.Errorf("first retained row = %d, want 10", got)
 	}
 }
 
@@ -299,18 +306,29 @@ func TestRestoreBlockStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	rb := src.Blocks()[0]
-	if err := tbl.RestoreBlock(rb); err != nil {
+	// An expired prefix leaves the first block past row 0.
+	if err := tbl.RestoreBlock(rb, 40); err != nil {
 		t.Fatal(err)
+	}
+	if err := tbl.RestoreBlock(rb, 45); err == nil {
+		t.Error("block overlapping restored rows accepted")
+	}
+	if tbl.FirstRow() != 40 || tbl.NextRow() != 50 {
+		t.Errorf("rows [%d, %d), want [40, 50)", tbl.FirstRow(), tbl.NextRow())
 	}
 	if err := tbl.Transition(StateAlive); err != nil {
 		t.Fatal(err)
 	}
-	// Restored blocks are considered synced.
-	if got := len(tbl.UnsyncedBlocks()); got != 0 {
-		t.Errorf("unsynced = %d", got)
+	// Whether a restored block is already in an image is the caller's to say.
+	if blocks, starts := tbl.UnpersistedBlocks(); len(blocks) != 1 || starts[0] != 40 {
+		t.Errorf("unpersisted = %d blocks at %v", len(blocks), starts)
+	}
+	tbl.MarkPersistedThrough(50)
+	if blocks, _ := tbl.UnpersistedBlocks(); len(blocks) != 0 {
+		t.Errorf("unpersisted after mark = %d", len(blocks))
 	}
 	// RestoreBlock after ALIVE is illegal.
-	if err := tbl.RestoreBlock(rb); !errors.Is(err, ErrNotAccepting) {
+	if err := tbl.RestoreBlock(rb, 50); !errors.Is(err, ErrNotAccepting) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -403,10 +421,10 @@ func TestConcurrentAddsAndScans(t *testing.T) {
 	}
 }
 
-func TestDropBlocksForShutdownRebasesSyncWatermark(t *testing.T) {
+func TestDropBlocksForShutdownKeepsPersistedCursor(t *testing.T) {
 	// A failed shutdown flushes whatever is left to disk best-effort; the
-	// sync watermark must follow the shrinking block vector or UnsyncedBlocks
-	// would compute a negative-length slice after a partial drain.
+	// blocks still in the vector after a partial drain were persisted before
+	// the copy began and must not look dirty again.
 	tbl := New("events", Options{})
 	for b := 0; b < 4; b++ {
 		if err := tbl.AddRows(mkRows(50, int64(b*100)), 1); err != nil {
@@ -416,7 +434,7 @@ func TestDropBlocksForShutdownRebasesSyncWatermark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tbl.MarkSynced(4) // all synced, as after the pre-copy flush
+	tbl.MarkPersistedThrough(200) // all persisted, as after the pre-copy flush
 	if err := tbl.Transition(StatePrepare); err != nil {
 		t.Fatal(err)
 	}
@@ -426,9 +444,8 @@ func TestDropBlocksForShutdownRebasesSyncWatermark(t *testing.T) {
 	if _, err := tbl.DropBlocksForShutdown(3); err != nil {
 		t.Fatal(err)
 	}
-	got := tbl.UnsyncedBlocks() // must not panic, and nothing is newly dirty
-	if len(got) != 0 {
-		t.Errorf("unsynced after drain = %d blocks", len(got))
+	if got, _ := tbl.UnpersistedBlocks(); len(got) != 0 {
+		t.Errorf("unpersisted after drain = %d blocks", len(got))
 	}
 }
 
@@ -518,7 +535,7 @@ func TestConcurrentRestoreBlockAcrossTables(t *testing.T) {
 		go func(tbl *Table) {
 			defer wg.Done()
 			for b := 0; b < nBlocks; b++ {
-				if err := tbl.RestoreBlock(block); err != nil {
+				if err := tbl.RestoreBlock(block, int64(b*100)); err != nil {
 					t.Errorf("restore: %v", err)
 					return
 				}
@@ -534,7 +551,7 @@ func TestConcurrentRestoreBlockAcrossTables(t *testing.T) {
 	}
 }
 
-func TestSnapshotCursorSurvivesExpiry(t *testing.T) {
+func TestPersistedCursorSurvivesExpiry(t *testing.T) {
 	tbl := New("events", Options{MaxAgeSeconds: 500})
 	// Two sealed blocks: [0,100) at times ~100..199, [100,200) at ~1000..1099.
 	if err := tbl.AddRows(mkRows(100, 100), 1); err != nil {
@@ -549,21 +566,21 @@ func TestSnapshotCursorSurvivesExpiry(t *testing.T) {
 	if err := tbl.SealActive(); err != nil {
 		t.Fatal(err)
 	}
-	blocks, starts := tbl.UnsnappedBlocks()
+	blocks, starts := tbl.UnpersistedBlocks()
 	if len(blocks) != 2 {
-		t.Fatalf("unsnapped = %d blocks, want 2", len(blocks))
+		t.Fatalf("unpersisted = %d blocks, want 2", len(blocks))
 	}
-	// Retention drops the first block between the snapshot pass listing it
+	// Retention drops the first block between the persist pass listing it
 	// and marking it imaged (cutoff 1400-500=900 catches only block 0).
 	if dropped, err := tbl.Expire(1400); err != nil || dropped != 1 {
 		t.Fatalf("expire dropped %d (%v), want 1", dropped, err)
 	}
-	tbl.MarkSnapshottedThrough(starts[0] + int64(blocks[0].Rows()))
+	tbl.MarkPersistedThrough(starts[0] + int64(blocks[0].Rows()))
 	// Coverage is tracked by global row index, so the expiry cannot shift it
 	// onto the never-imaged second block.
-	after, afterStarts := tbl.UnsnappedBlocks()
+	after, afterStarts := tbl.UnpersistedBlocks()
 	if len(after) != 1 || afterStarts[0] != starts[1] {
-		t.Fatalf("unsnapped after expiry = %d blocks at %v, want the never-imaged block at %d",
+		t.Fatalf("unpersisted after expiry = %d blocks at %v, want the never-imaged block at %d",
 			len(after), afterStarts, starts[1])
 	}
 }

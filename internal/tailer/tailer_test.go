@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"scuba/internal/disk"
 	"scuba/internal/leaf"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
@@ -27,7 +26,6 @@ func newLeaf(t *testing.T, id int, budget int64) *leaf.Leaf {
 		ID:           id,
 		Shm:          shm.Options{Dir: t.TempDir(), Namespace: "test"},
 		DiskRoot:     t.TempDir(),
-		DiskFormat:   disk.FormatRow,
 		MemoryBudget: budget,
 	})
 	if err != nil {

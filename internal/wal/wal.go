@@ -1,8 +1,8 @@
 // Package wal gives a leaf crash-path parity with its clean-restart path: a
-// per-table write-ahead log on the ingest path plus incremental columnar
-// snapshots of sealed blocks, so crash recovery is "load snapshots + replay
-// the log tail" instead of the full row-format disk translate the paper
-// reports costing hours (§1).
+// per-table write-ahead log on the ingest path, so crash recovery is "load
+// the store's block images + replay the log tail past their watermark"
+// (internal/disk holds the images and the watermark; this package holds only
+// the log).
 //
 // Layout, per table, under the log root:
 //
@@ -10,16 +10,11 @@
 //	                                      row index of the segment's first
 //	                                      record, so truncation and replay
 //	                                      never parse a segment to place it
-//	<enc(table)>/snap-<start>-<count>-<maxtime>.col
-//	                                      RBK2 block images of sealed blocks
-//	<enc(table)>/watermark                monotone snapshot watermark W: every
-//	                                      row below W is in a snapshot image
-//	                                      or expired by retention
 //	<enc(table)>/quarantined              marker: this table's log stopped
 //	                                      mirroring memory (a batch was
 //	                                      rejected mid-apply); crash recovery
-//	                                      takes the disk path until the next
-//	                                      restart resets the log
+//	                                      keeps the images and skips the log
+//	                                      until the next restart resets it
 //
 // Appends are group-committed in two stages so the caller can order the log
 // and its in-memory apply under one lock without serializing on fsyncs:
@@ -67,20 +62,19 @@ type Options struct {
 	// space sooner at the cost of more files.
 	SegmentBytes int64
 	// Metrics, when non-nil, receives wal.* counters (append rows, fsyncs,
-	// truncated segments, snapshot blocks, replayed rows).
+	// truncated segments, replayed rows).
 	Metrics *metrics.Registry
 }
 
 // ErrClosed is returned for operations on a closed Log.
 var ErrClosed = errors.New("wal: log closed")
 
-// ErrGap means the log tail does not reach back to the snapshot watermark:
-// rows in between are in neither a snapshot image nor the log (the window
-// between a non-WAL restore and the first snapshot pass). Recovery falls
-// back to the disk translate.
-var ErrGap = errors.New("wal: gap between snapshot watermark and log tail")
+// ErrGap means the log tail does not reach back to the store's watermark:
+// rows in between are in neither an image nor the log. Recovery keeps the
+// images and drops the tail.
+var ErrGap = errors.New("wal: gap between image watermark and log tail")
 
-// Log is one leaf's write-ahead log and snapshot store.
+// Log is one leaf's write-ahead log.
 type Log struct {
 	dir  string
 	opts Options
@@ -160,7 +154,7 @@ func addCount(c *metrics.Counter, n int64) {
 	}
 }
 
-// ---- Segment and snapshot file naming ----
+// ---- Segment file naming ----
 
 type segFile struct {
 	seq   int
@@ -201,20 +195,6 @@ func listSegments(dir string) ([]segFile, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out, nil
-}
-
-// syncDir fsyncs a directory so renames and newly created files in it are
-// durable, not just their contents.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // ---- Append path ----
@@ -291,7 +271,7 @@ type Commit struct {
 // returns a Commit to Wait on for durability. The caller must apply the
 // batch to the table in the same order it calls Begin (hold a per-table
 // lock across both), or record row indexes stop matching the table's row
-// order and crash replay splices batches wrongly around the snapshot
+// order and crash replay splices batches wrongly around the image
 // watermark. A nil Commit with nil error means the batch is not covered:
 // empty, or the table is quarantined (its log already stopped mirroring
 // memory; crash recovery takes the disk path, so there is nothing to wait
@@ -452,7 +432,7 @@ func (tl *tableLog) rotateLocked() error {
 	}
 	tl.f = f
 	tl.size = 0
-	return syncDir(tl.dir)
+	return disk.SyncDir(tl.dir)
 }
 
 // flushLoop is the group-commit flusher: every SyncInterval it fsyncs each
@@ -494,7 +474,7 @@ func (l *Log) flushAll() {
 
 // ---- Truncation ----
 
-// Truncate deletes closed segments whose every record is below the snapshot
+// Truncate deletes closed segments whose every record is below the store's
 // watermark w: a segment is disposable once its successor's first row index
 // is <= w. The active (newest) segment is never deleted. Returns the number
 // of segments removed.
@@ -585,7 +565,7 @@ func persistQuarantine(dir string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return disk.SyncDir(dir)
 }
 
 // Quarantined reports whether the table's log is quarantined.
@@ -602,57 +582,14 @@ func (l *Log) Quarantined(table string) bool {
 	return err == nil
 }
 
-// Tables lists tables with any log state, sorted.
-func (l *Log) Tables() ([]string, error) {
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if st, err := l.hasTableState(filepath.Join(l.dir, e.Name())); err != nil {
-			return nil, err
-		} else if st {
-			out = append(out, disk.DecodeTableName(e.Name()))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
+// Tables lists the tables with a log directory, sorted. A directory without
+// segments is a log that was reset and has taken no append since: it covers
+// its table trivially.
+func (l *Log) Tables() ([]string, error) { return disk.TableDirs(l.dir) }
 
-func (l *Log) hasTableState(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false, err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if _, ok := parseSegFile(name); ok {
-			return true, nil
-		}
-		if _, ok := parseSnapFile(name); ok {
-			return true, nil
-		}
-		if name == watermarkFile || name == quarantineMarker {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// HasState reports whether any table has log or snapshot state — the signal
-// Start uses to pick WAL recovery over the disk translate.
-func (l *Log) HasState() bool {
-	tables, err := l.Tables()
-	return err == nil && len(tables) > 0
-}
-
-// ResetTable discards one table's log and snapshot state (the table was
-// restored by a non-WAL path, so the old log no longer matches memory) and
-// re-creates it with the cursor at next.
+// ResetTable discards one table's log (the table was restored without it,
+// so the old log no longer matches memory) and re-creates it empty with the
+// cursor at next.
 func (l *Log) ResetTable(table string, next int64) error {
 	l.mu.Lock()
 	if tl, ok := l.tables[table]; ok {
@@ -664,27 +601,6 @@ func (l *Log) ResetTable(table string, next int64) error {
 		return err
 	}
 	return l.SetCursor(table, next)
-}
-
-// Reset discards all log and snapshot state. Callers re-seed cursors with
-// SetCursor afterwards.
-func (l *Log) Reset() error {
-	l.mu.Lock()
-	for name, tl := range l.tables {
-		tl.closeFile()
-		delete(l.tables, name)
-	}
-	l.mu.Unlock()
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := os.RemoveAll(filepath.Join(l.dir, e.Name())); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (tl *tableLog) closeFile() {

@@ -317,85 +317,6 @@ func TestRotationAndTruncate(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTripAndWatermark(t *testing.T) {
-	l := openTest(t, Options{})
-	b := rowblock.NewBuilder(1)
-	for _, r := range testRows(0, 100) {
-		if err := b.AddRow(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rb, err := b.Seal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.WriteSnapshot("events", rb, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.SaveWatermark("events", 100); err != nil {
-		t.Fatal(err)
-	}
-	var loaded []*rowblock.RowBlock
-	w, err := l.LoadSnapshots("events", func(rb *rowblock.RowBlock, start int64) error {
-		if start != 0 {
-			t.Fatalf("start=%d", start)
-		}
-		loaded = append(loaded, rb)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != 100 || len(loaded) != 1 || loaded[0].Rows() != 100 {
-		t.Fatalf("w=%d blocks=%d", w, len(loaded))
-	}
-	// Watermark is monotone: an older pass saving less is a no-op.
-	if err := l.SaveWatermark("events", 40); err != nil {
-		t.Fatal(err)
-	}
-	if w, _ := l.loadWatermark("events"); w != 100 {
-		t.Fatalf("watermark regressed to %d", w)
-	}
-	// Expiring every snapshot keeps W: those rows are legitimately gone.
-	if n, err := l.ExpireSnapshots("events", 1<<40); err != nil || n != 1 {
-		t.Fatalf("expire: n=%d err=%v", n, err)
-	}
-	w, err = l.LoadSnapshots("events", func(*rowblock.RowBlock, int64) error {
-		t.Fatal("no images should remain")
-		return nil
-	})
-	if err != nil || w != 100 {
-		t.Fatalf("w=%d err=%v", w, err)
-	}
-}
-
-func TestLoadSnapshotsRejectsHoles(t *testing.T) {
-	l := openTest(t, Options{})
-	mkBlock := func(n int, at int) *rowblock.RowBlock {
-		b := rowblock.NewBuilder(1)
-		for _, r := range testRows(at, n) {
-			if err := b.AddRow(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rb, err := b.Seal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rb
-	}
-	if err := l.WriteSnapshot("events", mkBlock(50, 0), 0); err != nil {
-		t.Fatal(err)
-	}
-	// Rows [50,70) never snapshotted before the next image.
-	if err := l.WriteSnapshot("events", mkBlock(30, 70), 70); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.LoadSnapshots("events", func(*rowblock.RowBlock, int64) error { return nil }); err == nil {
-		t.Fatal("hole between images not detected")
-	}
-}
-
 func TestQuarantineSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -459,8 +380,13 @@ func TestCursorContinuesAcrossReopen(t *testing.T) {
 	if err != nil || len(tables) != 1 || tables[0] != "events" {
 		t.Fatalf("Tables=%v err=%v", tables, err)
 	}
-	if !l2.HasState() {
-		t.Fatal("HasState false with segments on disk")
+	// A reset log still lists its table: the empty directory is a log that
+	// covers the table trivially.
+	if err := l2.ResetTable("events", 30); err != nil {
+		t.Fatal(err)
+	}
+	if tables, err := l2.Tables(); err != nil || len(tables) != 1 {
+		t.Fatalf("Tables after reset=%v err=%v", tables, err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"scuba/internal/aggregator"
-	"scuba/internal/disk"
 	"scuba/internal/leaf"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
@@ -20,7 +19,6 @@ func newServer(t *testing.T, id int) (*Server, *Client, *leaf.Leaf) {
 		ID:           id,
 		Shm:          shm.Options{Dir: t.TempDir(), Namespace: "test"},
 		DiskRoot:     t.TempDir(),
-		DiskFormat:   disk.FormatRow,
 		MemoryBudget: 1 << 30,
 	})
 	if err != nil {

@@ -40,7 +40,6 @@ package scuba
 import (
 	"scuba/internal/aggregator"
 	"scuba/internal/cluster"
-	"scuba/internal/disk"
 	"scuba/internal/fault"
 	"scuba/internal/leaf"
 	"scuba/internal/metrics"
@@ -102,22 +101,10 @@ type (
 	ShmOptions = shm.Options
 	// TableOptions sets per-table retention.
 	TableOptions = table.Options
-	// DiskFormat selects the backup encoding.
-	DiskFormat = disk.Format
 )
 
 // NewLeaf creates a leaf server in INIT; call Start to recover and serve.
 func NewLeaf(cfg LeafConfig) (*Leaf, error) { return leaf.New(cfg) }
-
-// Disk formats.
-const (
-	// FormatRow is the default row-oriented backup; recovery pays the
-	// paper's translate cost (hours at production scale).
-	FormatRow = disk.FormatRow
-	// FormatColumnar stores the shared-memory block format on disk — the
-	// paper's §6 future work; recovery is nearly translate-free.
-	FormatColumnar = disk.FormatColumnar
-)
 
 // Recovery paths.
 const (
@@ -131,7 +118,7 @@ const (
 	// read-only shm mappings while background promotion copies blocks
 	// heap-side.
 	RecoveryShmView = leaf.RecoveryShmView
-	// RecoveryWAL: crash recovery via incremental columnar snapshots plus
+	// RecoveryWAL: crash recovery via the store's block images plus
 	// write-ahead-log tail replay — crash-path parity with the shm restart.
 	RecoveryWAL = leaf.RecoveryWAL
 )

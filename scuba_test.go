@@ -14,7 +14,6 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 		ID:           0,
 		Shm:          scuba.ShmOptions{Dir: t.TempDir(), Namespace: "api-test"},
 		DiskRoot:     t.TempDir(),
-		DiskFormat:   scuba.FormatRow,
 		MemoryBudget: 1 << 30,
 	}
 	l, err := scuba.NewLeaf(cfg)
