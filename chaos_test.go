@@ -399,17 +399,30 @@ func TestRolloverKillNineMidBatch(t *testing.T) {
 		}
 		return pc, q, baseline.Rows(q)
 	}
-	killDraining := func(t *testing.T, pc *scuba.ProcCluster, addr string) {
+	leafAt := func(t *testing.T, pc *scuba.ProcCluster, addr string) *scuba.ProcLeaf {
 		t.Helper()
 		for _, l := range pc.Leaves() {
 			if l.Addr == addr {
-				if err := l.Kill(); err != nil {
-					t.Errorf("kill -9 %s: %v", addr, err)
-				}
-				return
+				return l
 			}
 		}
-		t.Errorf("no leaf at %s", addr)
+		t.Fatalf("no leaf at %s", addr)
+		return nil
+	}
+	killDraining := func(t *testing.T, pc *scuba.ProcCluster, addr string) {
+		t.Helper()
+		if err := leafAt(t, pc, addr).Kill(); err != nil {
+			t.Errorf("kill -9 %s: %v", addr, err)
+		}
+	}
+	holdsRows := func(t *testing.T, pc *scuba.ProcCluster, addr string) bool {
+		t.Helper()
+		st, err := leafAt(t, pc, addr).Client().Stats()
+		if err != nil {
+			t.Errorf("stats of %s: %v", addr, err)
+			return false
+		}
+		return st.Rows > 0
 	}
 
 	t.Run("completes", func(t *testing.T) {
@@ -430,9 +443,13 @@ func TestRolloverKillNineMidBatch(t *testing.T) {
 			KillTimeout:   time.Minute,
 			Tables:        []string{"service_logs"},
 			OnBatch: func(b int, draining []string) {
-				// kill -9 the second batch's leaf right after its DRAINING
-				// flip: the shutdown RPC finds a corpse.
-				if b == 1 {
+				// kill -9 a leaf of a later batch right after its DRAINING
+				// flip: the shutdown RPC finds a corpse. The victim must hold
+				// rows — a leaf that owns no non-empty shard has no log to
+				// come back through and would recover by "none", not "wal" —
+				// and with R=2 at least two leaves do, so one of them drains
+				// after the first batch.
+				if b >= 1 && victim == "" && holdsRows(t, pc, draining[0]) {
 					victim = draining[0]
 					killDraining(t, pc, victim)
 				}

@@ -865,8 +865,8 @@ func runE14() error {
 		fmt.Printf("%8d | %12v %12v | %12v %12s | %7.2fx | %v / %v\n",
 			workers, sinfo.Duration.Round(time.Millisecond), rec.Duration.Round(time.Millisecond),
 			cycle.Round(time.Millisecond), mb(bytes), base.Seconds()/cycle.Seconds(),
-			slowestTable(sinfo.PerTable).Round(time.Millisecond),
-			slowestTable(rec.PerTable).Round(time.Millisecond))
+			scuba.SlowestTable(sinfo.PerTable).Duration.Round(time.Millisecond),
+			scuba.SlowestTable(rec.PerTable).Duration.Round(time.Millisecond))
 		cleanup()
 	}
 	fmt.Printf("note: GOMAXPROCS=%d; true parallel speedup needs multiple cores — on one core the pool only overlaps blocking I/O\n",
@@ -874,87 +874,7 @@ func runE14() error {
 	return nil
 }
 
-func slowestTable(stats []scuba.TableCopyStat) time.Duration {
-	var worst time.Duration
-	for _, st := range stats {
-		if st.Duration > worst {
-			worst = st.Duration
-		}
-	}
-	return worst
-}
-
 func mb(b int64) string { return fmt.Sprintf("%.1f MB", float64(b)/(1<<20)) }
-
-// runE15 breaks one shared-memory restart cycle into its Figure 6/7 phases
-// using the phase-span observer: copy-out and the valid-bit commit on the
-// way down, metadata map and copy-in on the way back up. The per-table
-// histograms show the spread that the slowest table turns into wall time.
-func runE15() error {
-	const tables = 8
-	rowsPerTable := *rowsFlag / tables
-	b, cleanup := newBench()
-	defer cleanup()
-	if err := os.MkdirAll(filepath.Join(b.dir, "shm"), 0o755); err != nil {
-		return err
-	}
-	reg := scuba.NewMetricsRegistry()
-	cfg := b.leafConfig(0)
-	cfg.Obs = scuba.NewObserver(reg, nil)
-	l, err := scuba.NewLeaf(cfg)
-	if err != nil {
-		return err
-	}
-	if err := l.Start(); err != nil {
-		return err
-	}
-	bytes, err := loadLeafTables(l, tables, rowsPerTable)
-	if err != nil {
-		return err
-	}
-	if _, err := l.SyncToDisk(); err != nil {
-		return err
-	}
-	sinfo, err := l.Shutdown()
-	if err != nil {
-		return err
-	}
-	nu, err := scuba.NewLeaf(cfg)
-	if err != nil {
-		return err
-	}
-	if err := nu.Start(); err != nil {
-		return err
-	}
-	rec := nu.Recovery()
-	if rec.Path != scuba.RecoveryMemory {
-		return fmt.Errorf("e15: recovery = %v", rec.Path)
-	}
-	cycle := sinfo.Duration + rec.Duration
-	fmt.Printf("%d tables, %s, cycle %v (shutdown %v + restore %v)\n",
-		tables, mb(bytes), cycle.Round(time.Millisecond),
-		sinfo.Duration.Round(time.Millisecond), rec.Duration.Round(time.Millisecond))
-	snap := reg.Snapshot()
-	fmt.Printf("%-20s %12s %8s\n", "phase", "duration", "share")
-	for _, phase := range []string{"restart.copy_out", "restart.commit", "restart.map", "restart.copy_in"} {
-		st, ok := snap.Timers[phase]
-		if !ok {
-			return fmt.Errorf("e15: phase %q never observed", phase)
-		}
-		fmt.Printf("%-20s %12v %7.1f%%\n", phase,
-			st.Total.Round(10*time.Microsecond), 100*st.Total.Seconds()/cycle.Seconds())
-	}
-	for _, h := range []string{"restart.copy_out.table_us", "restart.copy_in.table_us"} {
-		hs, ok := snap.Histograms[h]
-		if !ok {
-			return fmt.Errorf("e15: histogram %q never observed", h)
-		}
-		fmt.Printf("%-26s n=%d p50=%v p95=%v p99=%v max=%v\n", h, hs.Count,
-			time.Duration(hs.P50)*time.Microsecond, time.Duration(hs.P95)*time.Microsecond,
-			time.Duration(hs.P99)*time.Microsecond, time.Duration(hs.Max)*time.Microsecond)
-	}
-	return nil
-}
 
 // ---- E16: query p99 during a hung-leaf brownout ----
 

@@ -12,6 +12,7 @@
 //	scuba-cli health -agg :9001 -watch 2s  # live cluster health from __system tables
 //	scuba-cli profile -agg :9001 -top 15   # hottest functions from __system.profiles
 //	scuba-cli trace -http :9091            # per-leaf waterfall of the latest query trace
+//	scuba-cli trace -http :8081 -restart   # a scubad's restart, span by span
 //	scuba-cli -addrs :8001 shutdown [-disk]
 package main
 

@@ -16,9 +16,12 @@ import (
 // query's end-to-end duration, annotated with the leaf's dominant execution
 // phase, recovery source, and work counters, with the slowest leaf called
 // out at the bottom — the "why was this query slow" answer in one screen.
+// With -restart it draws a scubad's restart ledger the same way: "where did
+// the restart go".
 func runTrace(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	httpAddr := fs.String("http", "127.0.0.1:9091", "scuba-aggd observability (-http) address")
+	httpAddr := fs.String("http", "127.0.0.1:9091", "scuba-aggd observability (-http) address; with -restart, a scubad's")
+	restart := fs.Bool("restart", false, "draw the restart trace from a scubad's /debug/recovery instead of a query trace")
 	id := fs.Uint64("id", 0, "show the trace with this ID (0 = the most recent)")
 	slow := fs.Bool("slow", false, "read the slow-query ring instead of recent traces")
 	list := fs.Bool("list", false, "one line per retained trace instead of a waterfall")
@@ -27,6 +30,18 @@ func runTrace(args []string) {
 	base := *httpAddr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
+	}
+	if *restart {
+		body, err := httpGet(base + "/debug/recovery")
+		if err != nil {
+			log.Fatal(err)
+		}
+		var dump scuba.RecoveryDump
+		if err := json.Unmarshal([]byte(body), &dump); err != nil {
+			log.Fatalf("bad /debug/recovery JSON from %s: %v", base, err)
+		}
+		printRestart(dump.Restart)
+		return
 	}
 	url := base + "/debug/traces"
 	if *slow {
@@ -83,7 +98,7 @@ func printWaterfall(tr scuba.Trace) {
 	}
 	const barWidth = 32
 	for _, sp := range tr.Spans {
-		bar := renderBar(sp.RTTNanos, tr.DurationNanos, barWidth)
+		bar := renderBar(0, sp.RTTNanos, tr.DurationNanos, barWidth)
 		line := fmt.Sprintf("  %-*s [%s] %9v",
 			width, sp.Leaf, bar, time.Duration(sp.RTTNanos).Round(time.Microsecond))
 		switch {
@@ -134,16 +149,69 @@ func execSummary(e *scuba.ExecStats) string {
 	return strings.Join(parts, " · ")
 }
 
-func renderBar(rtt, total int64, width int) string {
+// printRestart renders a restart trace as one waterfall per half (the two
+// run in different processes; the exec between them is on nobody's clock):
+// whole-leaf phases flush left, each table's steps indented under the phase
+// they ran in, every bar placed at the span's offset into its half.
+func printRestart(trace scuba.RestartTrace) {
+	if len(trace) == 0 {
+		fmt.Println("no restart spans (has this daemon started a leaf?)")
+		return
+	}
+	fmt.Printf("restart trace %d\n", trace[len(trace)-1].TraceID)
+	const barWidth = 32
+	for _, half := range []string{"shutdown", "start"} {
+		spans := trace.Half(half)
+		if len(spans) == 0 {
+			continue
+		}
+		gap := spans.TopLevel()
+		fmt.Printf("  %s half: %v wall, %d spans, %d tables\n", half,
+			gap.Elapsed().Round(time.Microsecond), len(spans), len(spans.Tables()))
+		total := spans.Elapsed().Nanoseconds()
+		base := spans[0].Start
+		for _, sp := range spans {
+			label := sp.Phase
+			if sp.Table != "" {
+				label = fmt.Sprintf("  %s %s w%d", strings.TrimPrefix(sp.Phase, "restart.table."), sp.Table, sp.Worker)
+			}
+			line := fmt.Sprintf("  %-44s [%s] %10v", label,
+				renderBar(sp.Start.Sub(base).Nanoseconds(), sp.Duration.Nanoseconds(), total, barWidth),
+				sp.Duration.Round(time.Microsecond))
+			var notes []string
+			if sp.Source != "" {
+				notes = append(notes, sp.Source)
+			}
+			if sp.Bytes > 0 {
+				notes = append(notes, fmt.Sprintf("%d blocks %.1f MB", sp.Blocks, float64(sp.Bytes)/(1<<20)))
+			} else if sp.Blocks > 0 {
+				notes = append(notes, fmt.Sprintf("%d blocks", sp.Blocks))
+			}
+			if sp.Open {
+				notes = append(notes, "NEVER ENDED (the process died here)")
+			}
+			if sp.Err != "" {
+				notes = append(notes, "FAILED: "+sp.Err)
+			}
+			if len(notes) > 0 {
+				line += "  " + strings.Join(notes, " · ")
+			}
+			fmt.Println(line)
+		}
+		if slow := scuba.SlowestTable(spans.Tables()); slow.Table != "" {
+			fmt.Printf("  slowest table: %s (%v on worker %d)\n", slow.Table,
+				slow.Duration.Round(time.Microsecond), slow.Worker)
+		}
+	}
+}
+
+// renderBar draws a span of dur starting at off on a line of width cells that
+// stands for total.
+func renderBar(off, dur, total int64, width int) string {
 	if total <= 0 {
 		total = 1
 	}
-	n := int(rtt * int64(width) / total)
-	if n > width {
-		n = width
-	}
-	if n < 1 {
-		n = 1
-	}
-	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
+	lead := min(max(int(off*int64(width)/total), 0), width-1)
+	n := max(min(int(dur*int64(width)/total), width-lead), 1)
+	return strings.Repeat(".", lead) + strings.Repeat("#", n) + strings.Repeat(".", width-lead-n)
 }

@@ -88,11 +88,6 @@ func main() {
 	ob := scuba.NewObserver(reg, fr)
 	ob.Event(scuba.FlightNote, "process.start", fmt.Sprintf("scubad leaf %d", *id))
 
-	// The profiler variable is captured by the leaf's restart hook before
-	// the profiler exists: Start() fires the hook, and a slow recovery
-	// should profile itself. ObserveRestartPhase is nil-safe, so a restart
-	// finishing before (or without) a profiler just skips the capture.
-	var prof *scuba.ContinuousProfiler
 	cfg := scuba.LeafConfig{
 		ID:                    *id,
 		Shm:                   scuba.ShmOptions{Dir: *shmDir, Namespace: *namespace},
@@ -109,9 +104,6 @@ func main() {
 		WALSyncInterval:       *walSync,
 		Metrics:               reg,
 		Obs:                   ob,
-		OnRestartPhase: func(phase string, path scuba.RecoveryPath, d time.Duration) {
-			prof.ObserveRestartPhase(phase, string(path), d, *profBudget)
-		},
 	}
 	l, err := scuba.NewLeaf(cfg)
 	if err != nil {
@@ -124,10 +116,11 @@ func main() {
 	// queryable through any aggregator and preserved across restarts by
 	// the shared-memory path. A crashed predecessor's recovered recorder
 	// events land in __system.recorder instead of only in the boot log.
-	// The sink exists before Start so restart-anomaly profiles have a
-	// delivery path; rows enqueued mid-recovery drain once the leaf is
-	// ALIVE. With -telemetry-interval 0 but the profiler on, the sink runs
-	// delivery-only (no metric snapshots).
+	// The sink exists before Start so the restart ledger (with
+	// -telemetry-interval set, its spans become __system.traces rows once the
+	// leaf is ALIVE) and restart-anomaly profiles have a delivery path. With
+	// -telemetry-interval 0 but the profiler on, the sink runs delivery-only
+	// (no metric snapshots, no span rows).
 	var sink *scuba.TelemetrySink
 	if *telemetry > 0 || *profEvery > 0 {
 		interval := *telemetry
@@ -142,16 +135,20 @@ func main() {
 			OnError:         func(err error) { log.Printf("telemetry: %v", err) },
 		})
 		defer sink.Close()
+		if *telemetry > 0 {
+			ob.SetSink(sink)
+		}
 	}
 	if *profEvery > 0 {
-		prof = scuba.NewProfiler(scuba.ProfilerConfig{
-			Sink:          sink,
-			Source:        *addr,
-			Registry:      reg,
-			Interval:      *profEvery,
-			RestartBudget: *profBudget,
+		prof := scuba.NewProfiler(scuba.ProfilerConfig{
+			Sink:     sink,
+			Source:   *addr,
+			Registry: reg,
+			Interval: *profEvery,
 		})
 		defer prof.Close()
+		// A restart span over budget profiles the restart that produced it.
+		ob.SetBudget(*profBudget, prof.OnRestartSpan)
 		log.Printf("continuous profiler on: %v cadence into %s", *profEvery, scuba.SystemProfilesTable)
 	}
 
@@ -164,7 +161,6 @@ func main() {
 		*id, time.Since(start).Round(time.Millisecond), rec.Path, rec.Blocks,
 		float64(rec.BytesRestored)/(1<<20), rec.Workers)
 	logPerTable("restored", rec.PerTable)
-	logSlowest("restored", rec.PerTable)
 
 	srv, err := scuba.NewServerOn(l, *addr, reg)
 	if err != nil {
@@ -186,6 +182,7 @@ func main() {
 			Registry: reg,
 			Recorder: fr,
 			Recovery: func() any { return l.Recovery() },
+			Restart:  l.RestartTrace,
 		}))
 		if err != nil {
 			log.Fatal(err)
@@ -232,37 +229,26 @@ func main() {
 }
 
 // logShutdown prints a ShutdownInfo symmetrically to the recovery log line
-// at startup: totals, workers, the per-table breakdown, and the slowest
-// table (the one that bounds the restart, §4.2).
+// at startup: totals, workers, and the per-table breakdown.
 func logShutdown(how string, info scuba.ShutdownInfo) {
 	log.Printf("%s: %d tables, %d blocks, %.1f MB in %v (shm=%v, %d copy workers); exiting",
 		how, info.Tables, info.Blocks, float64(info.BytesCopied)/(1<<20),
 		info.Duration.Round(time.Millisecond), info.ToShm, info.Workers)
 	logPerTable("copied", info.PerTable)
-	logSlowest("copied", info.PerTable)
 }
 
-// logPerTable prints the per-table copy breakdown of a restart-path half.
+// logPerTable prints one half's per-table roll-up of the restart spans, then
+// names the table whose steps took longest — the one that bounds the pool's
+// wall time (§4.2).
 func logPerTable(verb string, stats []scuba.TableCopyStat) {
 	for _, st := range stats {
 		log.Printf("  %s %q: worker %d, %d blocks, %.1f MB in %v",
 			verb, st.Table, st.Worker, st.Blocks, float64(st.Bytes)/(1<<20),
 			st.Duration.Round(time.Millisecond))
 	}
-}
-
-// logSlowest names the table whose copy took longest.
-func logSlowest(verb string, stats []scuba.TableCopyStat) {
-	if len(stats) == 0 {
-		return
+	if slow := scuba.SlowestTable(stats); slow.Table != "" {
+		log.Printf("  slowest %s table: %q (%v, %.1f MB on worker %d)",
+			verb, slow.Table, slow.Duration.Round(time.Millisecond),
+			float64(slow.Bytes)/(1<<20), slow.Worker)
 	}
-	slow := stats[0]
-	for _, st := range stats[1:] {
-		if st.Duration > slow.Duration {
-			slow = st
-		}
-	}
-	log.Printf("  slowest %s table: %q (%v, %.1f MB on worker %d)",
-		verb, slow.Table, slow.Duration.Round(time.Millisecond),
-		float64(slow.Bytes)/(1<<20), slow.Worker)
 }

@@ -3,17 +3,20 @@ package scuba_test
 // The instant-on availability gate: a rolling restart with -instant-on must
 // bring every scubad replacement back serving correct results in a small
 // fraction of the copy-in barrier's time. CI's instant-on-smoke job runs
-// this on every PR under -race; it is the enforcement half of experiment
-// E22's availability-gap measurement.
+// this on every PR under -race; it is the enforcement half of the
+// restart_shm workload's instant-on gap (bench/, EXPERIMENTS.md E22).
 
 import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"scuba"
+	"scuba/internal/obs"
 )
 
 // instantOnSmokeRows is sized so the copy-in restore is long enough
@@ -59,9 +62,8 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 		Tables:        []string{"service_logs"},
 	}
 
-	// Rollover 1: the copy-in barrier (E15's restart path). Each leaf's
-	// recovery duration is the time Start spent restoring before the
-	// process could serve — the denominator of the availability ratio.
+	// Rollover 1: the copy-in barrier, the paper's restart path — the
+	// denominator of the availability ratio.
 	rep1, err := pc.ProcRollover(roll)
 	if err != nil {
 		t.Fatalf("copy-in rollover: %v", err)
@@ -70,35 +72,17 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 		t.Fatalf("copy-in rollover: memory recoveries = %d, want %d (report: %+v)",
 			rep1.MemoryRecoveries, n, rep1)
 	}
-	// The copy-in time is the restore's data-proportional part (the table
-	// copy), not whole-Start: fixed leaf-boot costs (WAL open, disk store)
-	// are identical on both paths and independent of data size, so at
-	// production scale they vanish — at smoke scale they'd drown the signal.
-	// Minimum over the leaves (every leaf holds all rows at R=2): restarts
-	// happen one batch at a time, so each leaf measures the same restore and
-	// noise (scheduler preemption, GC, the previous batch's background work
-	// on a starved runner) can only inflate a sample. The min is the
-	// standard noise-robust estimator of the intrinsic time on both sides
-	// of the ratio.
-	var copyIn time.Duration
-	for _, l := range pc.Leaves() {
-		rec, err := l.Recovery()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := rec.RestoreDuration()
-		t.Logf("leaf %d copy-in restore %v", l.ID, d)
-		if d <= 0 {
-			t.Fatalf("leaf %d reported no copy-in restore duration", l.ID)
-		}
-		if copyIn == 0 || d < copyIn {
-			copyIn = d
-		}
-	}
+	// The restore cost of a table is read off its restart spans: on this
+	// rollover the segment's CRC pass plus the copy to the heap. That is the
+	// restore's data-proportional part, not whole-Start: fixed leaf-boot
+	// costs (WAL open, disk store) are identical on both paths and
+	// independent of data size, so at production scale they vanish — at
+	// smoke scale they'd drown the signal.
+	copyIn := restoreCosts(t, pc, obs.PhaseTableCRC, obs.PhaseTableCopyIn)
 
 	// Rollover 2: instant-on over the same data, unprobed — the ratio
-	// measurement. Like the E22 harness, the gap rollover and the probed
-	// rollover are separate: a probe's race-instrumented scans timeslice
+	// measurement. The gap rollover and the probed rollover are separate: a
+	// probe's race-instrumented scans timeslice
 	// against a restoring leaf's validation on a small box and would turn a
 	// ~250µs validation into scheduler noise.
 	pc.SetInstantOn(true)
@@ -113,11 +97,6 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 	}
 	waitPromotionDrained(t, pc)
 
-	// Same statistic as copyIn: the fastest clean measurement of the
-	// validation gap. (The later batch's validation can timeslice against
-	// the earlier batch's background promotion on a starved runner — by
-	// design promotion is backgrounded, but it pollutes that sample.)
-	var gap time.Duration
 	for _, l := range pc.Leaves() {
 		rec, err := l.Recovery()
 		if err != nil {
@@ -129,30 +108,48 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 		if rec.PromotedBlocks == 0 {
 			t.Errorf("leaf %d promoted no blocks", l.ID)
 		}
-		d := rec.RestoreDuration()
-		t.Logf("leaf %d instant-on restore %v", l.ID, d)
-		if d <= 0 {
-			t.Fatalf("leaf %d reported no instant-on restore duration", l.ID)
-		}
-		if gap == 0 || d < gap {
-			gap = d
-		}
 	}
+	// On this rollover a table's restore is its view span: map read-only,
+	// CRC, decode the block directories in place.
+	view := restoreCosts(t, pc, obs.PhaseTableView)
 
-	// The gate's ratio half: the instant-on restore (validation only) under
-	// 10% of the copy-in restore. The 10% contract assumes the validation
-	// CRC can spread across ≥2 cores (checksumParallel) while the copy-in
-	// decode stays serial per table — true on CI runners. A single-core box
-	// runs the CRC serially, where the intrinsic asm-CRC-to-race-decode
-	// ratio is already ~9%, so the gate falls back to 20% there rather than
-	// asserting on scheduler noise.
-	barDiv := time.Duration(10)
-	if runtime.NumCPU() == 1 {
-		barDiv = 5
+	// The gate's ratio half. The statistic: for every (leaf, table) pair,
+	// the table's instant-on restore over the same table's copy-in restore
+	// on the same leaf — the same segment bytes on both sides — then, per
+	// leaf, the median of those ratios over its tables, then the median over
+	// leaves (with two leaves, their mean). Medians, because noise only ever
+	// inflates a restart timing (scheduler preemption, GC, the previous
+	// batch's background promotion on a starved runner) and it inflates a few
+	// samples at a time; pairing per table, because the ratio of two sums is
+	// steered by whichever table the noise landed on.
+	//
+	// The 10% contract assumes the validation CRC can spread across ≥2 cores
+	// (checksumParallel) while the copy-in decode stays serial per table —
+	// true on CI runners. A single-core box runs the CRC serially, where the
+	// intrinsic asm-CRC-to-race-decode ratio is already ~9%, so the gate
+	// falls back to 20% there rather than asserting on scheduler noise.
+	var perLeaf []float64
+	for leaf, tables := range view {
+		var ratios []float64
+		for table, d := range tables {
+			if base := copyIn[leaf][table]; base > 0 {
+				ratios = append(ratios, float64(d)/float64(base))
+			}
+		}
+		if len(ratios) == 0 || len(ratios) != len(copyIn[leaf]) {
+			t.Fatalf("leaf %d: %d tables restored instant-on, %d by copy-in", leaf, len(tables), len(copyIn[leaf]))
+		}
+		perLeaf = append(perLeaf, median(ratios))
+		t.Logf("leaf %d: instant-on / copy-in restore per table, median %.1f%% of %d tables", leaf, 100*median(ratios), len(ratios))
 	}
-	if gap*barDiv >= copyIn {
-		t.Errorf("instant-on restore %v is not <1/%d of the copy-in restore %v",
-			gap, barDiv, copyIn)
+	ratio := median(perLeaf)
+	bar := 0.10
+	if runtime.NumCPU() == 1 {
+		bar = 0.20
+	}
+	if ratio >= bar {
+		t.Errorf("instant-on restore is %.1f%% of the copy-in restore (median over leaves of the per-table median), want < %.0f%%",
+			100*ratio, 100*bar)
 	}
 
 	// Rollover 3: instant-on again, under a continuous byte-identical query
@@ -196,8 +193,42 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 	if !reflect.DeepEqual(after.Rows(q), baseRows) {
 		t.Error("post-promotion result differs from baseline")
 	}
-	t.Logf("copy-in restore %v vs instant-on gap %v (%.1f%%); %d probe queries, %d wrong; max boot-to-ping gap %v",
-		copyIn, gap, 100*float64(gap)/float64(copyIn), avail.Queries, avail.Wrong, rep3.MaxGap)
+	t.Logf("instant-on restore %.1f%% of the copy-in restore; %d probe queries, %d wrong; max boot-to-ping gap %v",
+		100*ratio, avail.Queries, avail.Wrong, rep3.MaxGap)
+}
+
+// restoreCosts reads every leaf's restart ledger and returns, per leaf and
+// table of the loaded data (the shards of service_logs; a leaf's own
+// __system tables are a few rows), the time of the table's start-half spans
+// of the given phases.
+func restoreCosts(t *testing.T, pc *scuba.ProcCluster, phases ...string) map[int]map[string]time.Duration {
+	t.Helper()
+	out := make(map[int]map[string]time.Duration)
+	for _, l := range pc.Leaves() {
+		rec, err := l.Recovery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[l.ID] = make(map[string]time.Duration)
+		for _, st := range rec.Restart.Half(obs.HalfStart).Phases(phases...).Tables() {
+			if strings.HasPrefix(st.Table, "service_logs") {
+				out[l.ID][st.Table] = st.Duration
+			}
+		}
+		if len(out[l.ID]) == 0 {
+			t.Fatalf("leaf %d: no %v spans in its restart ledger: %+v", l.ID, phases, rec.Restart)
+		}
+	}
+	return out
+}
+
+func median(v []float64) float64 {
+	sort.Float64s(v)
+	if n := len(v); n%2 == 1 {
+		return v[n/2]
+	} else {
+		return (v[n/2-1] + v[n/2]) / 2
+	}
 }
 
 // waitPromotionDrained polls /debug/recovery until no leaf still serves any

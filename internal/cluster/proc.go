@@ -164,58 +164,23 @@ func (l *ProcLeaf) waitExit(timeout time.Duration) error {
 	}
 }
 
-// recoveryPath asks the replacement process which recovery path it took
-// ("memory", "mixed", "wal", "disk") via /debug/recovery — the same endpoint
-// the production rollover script polls.
-func (l *ProcLeaf) recoveryPath() string {
-	resp, err := http.Get("http://" + l.HTTPAddr + "/debug/recovery")
-	if err != nil {
-		return ""
-	}
-	defer resp.Body.Close()
-	var dump struct {
-		Recovery struct {
-			Path string
-		} `json:"recovery"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		return ""
-	}
-	return dump.Recovery.Path
-}
-
-// ProcRecovery is the slice of a leaf's /debug/recovery answer that restart
-// tooling acts on.
+// ProcRecovery is a leaf's /debug/recovery answer as restart tooling reads
+// it — the endpoint the production rollover script polls: the path the last
+// restart took ("memory", "mixed", "wal", "disk", "shm-view"), the live
+// promotion counts, and the restart ledger everything about time is read
+// from.
 type ProcRecovery struct {
-	Path     string
-	Duration time.Duration
-	// PerTable breaks the restore down by table; on an instant-on restart a
-	// table's Duration is its view validation (metadata + CRC) time, on a
-	// copy-in restart the full shm-to-heap copy.
-	PerTable []struct {
-		Table    string
-		Duration time.Duration
-	}
+	Path           string
 	ServedFromShm  int64 `json:"served_from_shm"`
 	PromotedBlocks int64 `json:"promoted_blocks"`
-}
-
-// RestoreDuration returns the longest single-table restore within the
-// recovery — the data-proportional part of the availability gap, net of
-// fixed leaf-boot costs that both restart paths pay identically.
-func (r ProcRecovery) RestoreDuration() time.Duration {
-	var d time.Duration
-	for _, t := range r.PerTable {
-		if t.Duration > d {
-			d = t.Duration
-		}
-	}
-	return d
+	// Restart is the leaf's restart trace: the previous process's shutdown
+	// half and this process's start half, per phase, table and worker.
+	Restart obs.RestartTrace `json:"-"`
 }
 
 // Recovery fetches the leaf's live /debug/recovery state: which path the
-// last restart took, how long recovery ran before the leaf could serve, and
-// — during an instant-on restart — how many blocks are still shm-resident.
+// last restart took, its span ledger, and — during an instant-on restart —
+// how many blocks are still shm-resident.
 func (l *ProcLeaf) Recovery() (ProcRecovery, error) {
 	resp, err := http.Get("http://" + l.HTTPAddr + "/debug/recovery")
 	if err != nil {
@@ -223,11 +188,13 @@ func (l *ProcLeaf) Recovery() (ProcRecovery, error) {
 	}
 	defer resp.Body.Close()
 	var dump struct {
-		Recovery ProcRecovery `json:"recovery"`
+		Recovery ProcRecovery     `json:"recovery"`
+		Restart  obs.RestartTrace `json:"restart"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
 		return ProcRecovery{}, err
 	}
+	dump.Recovery.Restart = dump.Restart
 	return dump.Recovery, nil
 }
 
@@ -702,7 +669,9 @@ func (pc *ProcCluster) restartLeaf(l *ProcLeaf, cfg ProcRolloverConfig) ProcRest
 		return quarantine(err)
 	}
 	rep.Gap = time.Since(bootBegin)
-	rep.RecoveryPath = l.recoveryPath()
+	if rec, err := l.Recovery(); err == nil {
+		rep.RecoveryPath = rec.Path
+	}
 	if err := pc.aggCli.SetLeafStatus(l.Addr, shard.StatusActive); err != nil {
 		return quarantine(err)
 	}

@@ -141,10 +141,20 @@ func appendLenExt(dst []byte, rest int) []byte {
 	return append(dst, byte(rest))
 }
 
+// maxExpansion bounds how much an LZ4 block can grow: the densest sequence is
+// a match whose length runs on in 0xFF extension bytes, 255 output bytes for
+// each byte of input.
+const maxExpansion = 255
+
 // Decompress decodes an LZ4 block into a buffer of exactly decompressedSize
-// bytes. The size comes from the enclosing container (the RBC header stores
-// the uncompressed length).
+// bytes. The size comes from the enclosing container (the RBC footer stores
+// the uncompressed length), which a checksum vouches was written, not that it
+// is sane: a size no block of len(src) bytes can decode to is ErrCorrupt
+// before anything is allocated for it.
 func Decompress(src []byte, decompressedSize int) ([]byte, error) {
+	if decompressedSize < 0 || decompressedSize/maxExpansion > len(src) {
+		return nil, fmt.Errorf("%w: %d bytes cannot decode to %d", ErrCorrupt, len(src), decompressedSize)
+	}
 	dst := make([]byte, decompressedSize)
 	n, err := DecompressInto(dst, src)
 	if err != nil {

@@ -2,7 +2,9 @@ package lz4
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -226,6 +228,34 @@ func BenchmarkDecompressLogData(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Decompress(comp, len(src)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecompressRejectsImpossibleSize: the decompressed size arrives in a
+// container field that a resealed checksum can make say anything. A size no
+// block this long can decode to must be refused before the output buffer is
+// allocated: the first query over a crafted column must not make a terabyte,
+// or panic on a negative length.
+func TestDecompressRejectsImpossibleSize(t *testing.T) {
+	zeros := make([]byte, 1<<20)
+	comp, err := Compress(nil, zeros)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Decompress(comp, len(zeros)); err != nil || !bytes.Equal(got, zeros) {
+		t.Fatalf("the densest honest block (%d bytes for %d) no longer decodes: %v", len(comp), len(zeros), err)
+	}
+	for _, size := range []int{-1, maxExpansion*(len(comp)+1) + 1, 1 << 40, int(^uint(0) >> 1)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decompress(comp, size)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Decompress(%d bytes, size %d) = %v, want ErrCorrupt", len(comp), size, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("Decompress(%d bytes, size %d) allocated %d bytes before refusing", len(comp), size, grew)
 		}
 	}
 }

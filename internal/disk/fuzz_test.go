@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"scuba/internal/codec"
+	"scuba/internal/column"
 	"scuba/internal/rowblock"
 )
 
@@ -53,8 +55,10 @@ func FuzzDecodeRowFormat(f *testing.F) {
 // image's layout recomputed, so that mutations inside a column get past the
 // CRC to the structure checks behind it. Load must cost the table at most
 // that block and never panic, and a block it accepts must hold the rows its
-// file name says. (Decoding a resealed column is the column decoders' fuzz
-// target, not this one: Load never decodes.)
+// file name says. Load never decodes a column — the first query does — so
+// every accepted block's columns are decoded here too: a resealed column may
+// fail to decode, but not panic or size a buffer from a field the checksum
+// merely vouches was written.
 func FuzzImageLoad(f *testing.F) {
 	b := rowblock.NewBuilder(7)
 	for i := 0; i < 50; i++ {
@@ -90,6 +94,14 @@ func FuzzImageLoad(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(nil))
+	// A column whose footer claims a terabyte behind the LZ4 compressor: with
+	// its CRC resealed, only the decompressor's own bound stands between the
+	// first query and that allocation.
+	bomb := append([]byte(nil), valid...)
+	col := blobs[0]
+	bomb[col[0]+6] = byte(codec.NewCode(codec.Code(bomb[col[0]+6]).Transform(), codec.MethodLZ4))
+	binary.LittleEndian.PutUint64(bomb[col[1]-12:], 1<<40)
+	f.Add(bomb)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, img := range [][]byte{data, reseal(data)} {
 			s, err := NewStore(t.TempDir(), 0)
@@ -109,6 +121,9 @@ func FuzzImageLoad(f *testing.F) {
 				}
 				if rb.Rows() != 50 {
 					t.Fatalf("accepted a block of %d rows under a 50-row name", rb.Rows())
+				}
+				for i := range rb.Schema() {
+					column.Decode(rb.Column(i)) //nolint:errcheck // only panics and giant allocations matter
 				}
 				return nil
 			})

@@ -19,7 +19,7 @@ import (
 	"testing"
 	"time"
 
-	"scuba/internal/metrics"
+	"scuba/internal/obs"
 	"scuba/internal/rowblock"
 	"scuba/internal/shm"
 	"scuba/internal/table"
@@ -354,35 +354,39 @@ func TestCopyWorkerDefaultsAndClamp(t *testing.T) {
 	}
 }
 
-// TestShutdownPublishesWorkerMetrics checks the per-worker gauges appear in
-// the configured registry for both halves of the cycle.
-func TestShutdownPublishesWorkerMetrics(t *testing.T) {
+// TestTableSpansNameTheirWorker: which pool worker carried which table, and
+// how much, is in the restart spans of both halves of the cycle.
+func TestTableSpansNameTheirWorker(t *testing.T) {
 	e := newEnv(t)
 	cfg := e.config(0)
 	cfg.CopyWorkers = 2
-	cfg.Metrics = metrics.NewRegistry()
+	cfg.Obs, _ = newObserver(t, e, 0) // the ring hands the shutdown half over
 	l := startLeaf(t, cfg)
 	ingest(t, l, "a", 100, 0)
 	ingest(t, l, "b", 100, 0)
 	if _, err := l.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	out := cfg.Metrics.String()
-	for _, want := range []string{"leaf0_shutdown_worker0_bytes", "leaf0_shutdown_worker1_bytes"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing gauge %s in:\n%s", want, out)
+	nu := startLeaf(t, cfg)
+	for _, half := range []string{obs.HalfShutdown, obs.HalfStart} {
+		worker := map[string]int{}
+		var bytes int64
+		for _, sp := range nu.RestartTrace().Half(half) {
+			if sp.Table == "" {
+				continue
+			}
+			if sp.Worker < 0 || sp.Worker >= cfg.CopyWorkers {
+				t.Errorf("%s %s of %q ran on worker %d of a pool of %d", half, sp.Phase, sp.Table, sp.Worker, cfg.CopyWorkers)
+			}
+			if w, seen := worker[sp.Table]; seen && w != sp.Worker {
+				t.Errorf("%s: table %q moved from worker %d to %d mid-restart", half, sp.Table, w, sp.Worker)
+			}
+			worker[sp.Table] = sp.Worker
+			bytes += sp.Bytes
 		}
-	}
-	nu, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nu.Start(); err != nil {
-		t.Fatal(err)
-	}
-	out = cfg.Metrics.String()
-	if !strings.Contains(out, "leaf0_restore_worker0_bytes") {
-		t.Errorf("missing restore gauges in:\n%s", out)
+		if len(worker) != 2 || bytes == 0 {
+			t.Errorf("%s half: spans name %d tables and %d bytes, want 2 tables and their bytes", half, len(worker), bytes)
+		}
 	}
 }
 

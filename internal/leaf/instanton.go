@@ -15,13 +15,12 @@ package leaf
 // takeFromShm). This file is the promotion that follows.
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"scuba/internal/fault"
+	"scuba/internal/metrics"
 	"scuba/internal/obs"
 	"scuba/internal/rowblock"
 	"scuba/internal/table"
@@ -38,6 +37,7 @@ type promoter struct {
 	l    *Leaf
 	stop chan struct{}
 	wg   sync.WaitGroup
+	done chan struct{} // closed once the workers are gone and the drain's span has ended
 
 	mu sync.Mutex
 	// claimed guards against two workers copying one block; failed parks
@@ -45,6 +45,11 @@ type promoter struct {
 	// do not spin on them — the table just keeps serving those from shm.
 	claimed map[*rowblock.RowBlock]bool
 	failed  map[*rowblock.RowBlock]bool
+
+	// copyTime is restart.promote.block_us. Promotion is one span for the
+	// whole drain, not one per block: the blocks are Leaf.promoted and this
+	// histogram of their heap copies.
+	copyTime *metrics.Histogram
 }
 
 // promoteWorkerCount resolves Config.PromoteWorkers like CopyWorkers.
@@ -57,32 +62,36 @@ func (l *Leaf) promoteWorkerCount() int {
 }
 
 // startPromoter launches the background promotion pool. Called once per
-// Start, after the leaf transitions ALIVE.
+// Start, after the leaf transitions ALIVE. The drain is the start ledger's
+// restart.promote span, ended by whichever comes first: the last block
+// promoted, or stopPromoter.
 func (l *Leaf) startPromoter() {
 	p := &promoter{
-		l:       l,
-		stop:    make(chan struct{}),
-		claimed: make(map[*rowblock.RowBlock]bool),
-		failed:  make(map[*rowblock.RowBlock]bool),
+		l:        l,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
+		claimed:  make(map[*rowblock.RowBlock]bool),
+		failed:   make(map[*rowblock.RowBlock]bool),
+		copyTime: new(metrics.Histogram),
+	}
+	if reg := l.cfg.Obs.Registry(); reg != nil {
+		p.copyTime = reg.Histogram("restart.promote.block_us")
 	}
 	l.mu.Lock()
 	l.promo = p
 	l.mu.Unlock()
 	n := l.promoteWorkerCount()
-	sp := l.cfg.Obs.Start(obs.PhasePromote)
-	promoteBegin := time.Now()
+	sp := l.restart.Begin(obs.PhasePromote, "", -1)
+	sp.Source = string(RecoveryShmView)
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go p.run()
 	}
 	go func() {
 		p.wg.Wait()
+		sp.Blocks = int(l.promoted.Load())
 		sp.End(nil)
-		if l.cfg.OnRestartPhase != nil {
-			l.cfg.OnRestartPhase("promotion", RecoveryShmView, time.Since(promoteBegin))
-		}
-		l.cfg.Obs.Event(obs.EventNote, obs.PhasePromote,
-			fmt.Sprintf("promotion drained: %d blocks heap-side", l.promoted.Load()))
+		close(p.done)
 	}()
 }
 
@@ -96,7 +105,7 @@ func (l *Leaf) stopPromoter() {
 	l.mu.Unlock()
 	if p != nil {
 		close(p.stop)
-		p.wg.Wait()
+		<-p.done
 	}
 }
 
@@ -112,7 +121,7 @@ func (p *promoter) run() {
 		if rb == nil {
 			return
 		}
-		if !p.l.promoteBlock(tbl, rb) {
+		if !p.promoteBlock(tbl, rb) {
 			p.mu.Lock()
 			p.failed[rb] = true
 			p.mu.Unlock()
@@ -163,7 +172,7 @@ func (p *promoter) next() (*table.Table, *rowblock.RowBlock) {
 // be draining under concurrent expiry), clone, swap, release the table's
 // residency reference. Returns false when the block could not be promoted —
 // the table keeps serving it from shm, which is always safe.
-func (l *Leaf) promoteBlock(tbl *table.Table, rb *rowblock.RowBlock) bool {
+func (p *promoter) promoteBlock(tbl *table.Table, rb *rowblock.RowBlock) bool {
 	src := rb.Source()
 	if src == nil {
 		return true // already heap-owned (promoted by someone else)
@@ -175,16 +184,13 @@ func (l *Leaf) promoteBlock(tbl *table.Table, rb *rowblock.RowBlock) bool {
 		return false
 	}
 	defer src.Release()
-	begin := time.Now()
-	if err := fault.Inject(fault.SitePromoteCopy); err != nil {
-		l.cfg.Obs.Event(obs.EventFail, obs.PhasePromote,
-			fmt.Sprintf("table %q: promotion failed, block stays shm-resident: %v", tbl.Name(), err))
-		return false
+	err := fault.Inject(fault.SitePromoteCopy)
+	var clone *rowblock.RowBlock
+	if err == nil {
+		p.copyTime.Time(func() { clone, err = rb.CloneToHeap() })
 	}
-	clone, err := rb.CloneToHeap()
 	if err != nil {
-		l.cfg.Obs.Event(obs.EventFail, obs.PhasePromote,
-			fmt.Sprintf("table %q: promotion failed, block stays shm-resident: %v", tbl.Name(), err))
+		p.l.cfg.Obs.Event(obs.EventFail, obs.PhasePromote, tbl.Name()+": block stays shm-resident: "+err.Error())
 		return false
 	}
 	if !tbl.SwapBlock(rb, clone) {
@@ -196,10 +202,6 @@ func (l *Leaf) promoteBlock(tbl *table.Table, rb *rowblock.RowBlock) bool {
 	// The swap took the old block out of circulation; release its residency
 	// reference (scans that snapshotted it still hold their own pins).
 	rowblock.ReleaseSources([]*rowblock.RowBlock{rb})
-	l.promoted.Add(1)
-	if reg := l.cfg.Obs.Registry(); reg != nil {
-		reg.Counter("restart.promoted_blocks").Add(1)
-		reg.Histogram("restart.promote.block_us").ObserveDuration(time.Since(begin))
-	}
+	p.l.promoted.Add(1)
 	return true
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scuba/internal/fault"
-	"scuba/internal/metrics"
 	"scuba/internal/obs"
 	"scuba/internal/query"
 	"scuba/internal/shm"
@@ -352,24 +351,25 @@ func TestInstantOnCrashMidPromotionRecovers(t *testing.T) {
 }
 
 // TestInstantOnEmptyLeaf exercises a restore with zero tables and checks the
-// first-query availability-gap timer fires exactly once.
+// restart's last gap span, first_answer, ends exactly once.
 func TestInstantOnEmptyLeaf(t *testing.T) {
 	e := newEnv(t)
 	old := startLeaf(t, e.config(0))
 	if _, err := old.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := e.instantConfig(0)
-	cfg.Metrics = metrics.NewRegistry()
-	nu := startLeaf(t, cfg)
-	if got := countRows(t, nu, "missing"); got != 0 {
-		t.Errorf("count = %v", got)
+	nu := startLeaf(t, e.instantConfig(0))
+	if n := len(nu.RestartTrace().Phases(obs.PhaseFirstAnswer)); n != 0 {
+		t.Errorf("%d first_answer spans before any query", n)
 	}
 	if got := countRows(t, nu, "missing"); got != 0 {
 		t.Errorf("count = %v", got)
 	}
-	if n := cfg.Metrics.Timer(obs.TimerFirstQueryGap).Stats().Count; n != 1 {
-		t.Errorf("first_query_gap observations = %d, want exactly 1", n)
+	if got := countRows(t, nu, "missing"); got != 0 {
+		t.Errorf("count = %v", got)
+	}
+	if n := len(nu.RestartTrace().Phases(obs.PhaseFirstAnswer)); n != 1 {
+		t.Errorf("first_answer spans = %d, want exactly 1", n)
 	}
 }
 

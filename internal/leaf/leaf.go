@@ -88,24 +88,17 @@ type Config struct {
 	// lets repeated queries (dashboards) skip LZ4/dictionary decode. 0
 	// disables the cache.
 	DecodeCacheBytes int64
-	// Metrics, when non-nil, receives per-worker copy gauges from Shutdown
-	// and Start (leaf<ID>.shutdown.worker<k>.bytes / .busy_us and the
-	// restore equivalents).
+	// Metrics, when non-nil, receives the query-path and WAL metrics; without
+	// it the query path's land in Obs's registry.
 	Metrics *metrics.Registry
-	// Obs, when non-nil, receives phase spans for the restart lifecycle
-	// (restart.copy_out / .commit / .map / .copy_in / .view / .disk_recovery timers
-	// in its registry) and per-table begin/end/fail events in its flight
-	// recorder. Point its registry at Metrics so /metrics shows both. A nil
-	// Obs disables instrumentation at zero cost.
+	// Obs, when non-nil, receives the restart ledger's spans — every phase of
+	// Shutdown and Start, per table and worker — as registry timers named
+	// after the phase (restart.copy_out, restart.table.copy_out, ...),
+	// begin/end/fail events in its flight recorder, __system.traces rows and
+	// the profiler's over-budget trigger (obs.Span.End). Point its registry at
+	// Metrics so /metrics shows both. With a nil Obs the ledger still backs
+	// RecoveryInfo and ShutdownInfo and feeds nothing else.
 	Obs *obs.Observer
-	// OnRestartPhase, when non-nil, observes each completed restart phase:
-	// the recovery itself (phase "copy_in" for shm paths, "wal_replay" for
-	// images plus log replay, "disk" for images alone) as Start returns, and
-	// "promotion" when an instant-on promotion pool drains. The continuous
-	// profiler hooks here to capture a tagged profile when a phase blows
-	// its budget. Called from the restart path and the promoter's
-	// completion goroutine — must not block.
-	OnRestartPhase func(phase string, path RecoveryPath, d time.Duration)
 	// Clock supplies unix seconds; nil means time.Now. Tests and the
 	// cluster simulator inject virtual clocks.
 	Clock func() int64
@@ -143,13 +136,17 @@ type TableRecovery struct {
 	Reason string `json:",omitempty"`
 }
 
-// RecoveryInfo reports what Start did, for dashboards and benchmarks.
+// RecoveryInfo reports what Start did, for dashboards and benchmarks. What it
+// says about time and volume — Tables, Blocks, BytesRestored, Duration,
+// PerTable, SnapshotBlocks — is read off the restart ledger's spans
+// (fromSpans); the rest is what recovery decided.
 type RecoveryInfo struct {
 	Path          RecoveryPath
 	Tables        int
 	Blocks        int
 	BytesRestored int64
-	Duration      time.Duration
+	// Duration runs from Start's first instruction to ALIVE.
+	Duration time.Duration
 	// FellBack is set when memory recovery was attempted but the metadata
 	// could not be read, sending every table to the store (Figure 5b).
 	FellBack bool
@@ -180,7 +177,9 @@ type RecoveryInfo struct {
 	PromotedBlocks int64 `json:"promoted_blocks"`
 }
 
-// ShutdownInfo reports what a clean shutdown did.
+// ShutdownInfo reports what a clean shutdown did, read off the restart
+// ledger's spans (fromSpans). Tables, Blocks and BytesCopied count what went
+// to shared memory: zero on the disk-only path.
 type ShutdownInfo struct {
 	Tables      int
 	Blocks      int
@@ -232,9 +231,11 @@ type Leaf struct {
 	// (nil otherwise); promoted counts blocks it has moved heap-side.
 	promo    *promoter
 	promoted atomic.Int64
-	// restartBegin anchors the first-query availability-gap timer; the flag
-	// arms it so exactly the first successful post-Start query observes it.
-	restartBegin   time.Time
+	// restart is the ledger of the last Start (nil before it). firstAnswer is
+	// its last gap span, open from ALIVE until the first successful query
+	// ends it; the flag makes that happen exactly once.
+	restart        *obs.Restart
+	firstAnswer    *obs.Span
 	firstQueryOpen atomic.Bool
 
 	// copyBlockHook / restoreBlockHook are test-only fault-injection
@@ -319,6 +320,16 @@ func (l *Leaf) Recovery() RecoveryInfo {
 	return info
 }
 
+// RestartTrace returns the restart ledger as this process holds it, in start
+// order: the shutdown half its Start adopted from the predecessor's flight
+// recorder, then its own start half so far. Nil before Start.
+func (l *Leaf) RestartTrace() obs.RestartTrace {
+	l.mu.Lock()
+	r := l.restart
+	l.mu.Unlock()
+	return r.Spans()
+}
+
 func (l *Leaf) transition(to State) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -331,21 +342,6 @@ func (l *Leaf) transitionLocked(to State) error {
 	}
 	l.state = to
 	return nil
-}
-
-// restartPhaseName maps a recovery path to the restart phase it spent its
-// time in, for the OnRestartPhase hook.
-func restartPhaseName(p RecoveryPath) string {
-	switch p {
-	case RecoveryMemory, RecoveryMixed, RecoveryShmView:
-		return "copy_in"
-	case RecoveryWAL:
-		return "wal_replay"
-	case RecoveryDisk:
-		return "disk"
-	default:
-		return "start"
-	}
 }
 
 // attachCache creates (or reuses) the table's decoded-column cache and wires
@@ -390,22 +386,21 @@ func (l *Leaf) dropAllTables() {
 // as it goes) with a pool of Config.CopyWorkers workers, set the valid bit,
 // and move the leaf to EXIT. After Shutdown returns the process can exec
 // its replacement. On failure no shared memory survives — the next start
-// recovers from disk.
-func (l *Leaf) Shutdown() (ShutdownInfo, error) {
-	begin := time.Now()
-	info := ShutdownInfo{ToShm: true}
-	// Stop background promotion before touching any table: a promotion
-	// mid-copy must not race the copy-out's block drain.
-	l.stopPromoter()
-	if err := l.transition(StateCopyToShm); err != nil {
+// recovers from disk. Every step is a span of a new restart ledger, which the
+// next process's Start continues.
+func (l *Leaf) Shutdown() (info ShutdownInfo, err error) {
+	r := l.cfg.Obs.Restart(obs.HalfShutdown)
+	info.ToShm = true
+	defer func() { info.fromSpans(r.Spans()) }()
+	if err = l.quiesce(r); err != nil {
 		return info, err
 	}
 
 	// Figure 6: create the leaf metadata with the valid bit false. It only
 	// becomes true after every table is safely in shared memory.
-	co := l.cfg.Obs.Start(obs.PhaseCopyOut)
+	co := r.Begin(obs.PhaseCopyOut, "", -1)
 	md := &shm.Metadata{Valid: false, Version: shm.LayoutVersion, Created: l.cfg.Clock()}
-	if err := l.shm.WriteMetadata(md); err != nil {
+	if err = l.shm.WriteMetadata(md); err != nil {
 		co.End(err)
 		// The next start recovers from the store; make sure sealed-but-
 		// unpersisted blocks reach it and no stale shm survives.
@@ -413,27 +408,19 @@ func (l *Leaf) Shutdown() (ShutdownInfo, error) {
 		l.shm.RemoveAll() //nolint:errcheck
 		return info, err
 	}
-
-	stats, workers, err := l.copyOutAll(l.tablesSorted(), md)
-	info.Workers = workers
-	info.PerTable = stats
-	for _, st := range stats {
-		info.Tables++
-		info.Blocks += st.Blocks
-		info.BytesCopied += st.Bytes
-	}
+	info.Workers, err = l.copyOutAll(r, l.tablesSorted(), md)
+	co.End(err)
 	if err != nil {
-		co.End(err)
 		return info, err
 	}
-	co.End(nil)
 
 	// Figure 6: set valid bit to true — the commit point, written exactly
 	// once, after every worker has finished.
-	cm := l.cfg.Obs.Start(obs.PhaseCommit)
+	cm := r.Begin(obs.PhaseCommit, "", -1)
 	md.Valid = true
-	if err := l.shm.WriteMetadata(md); err != nil {
-		cm.End(err)
+	err = l.shm.WriteMetadata(md)
+	cm.End(err)
+	if err != nil {
 		// The valid bit never landed, so the segments are unreachable by
 		// the next start: free them and flush any disk stragglers (the
 		// per-table copies already synced, so this is belt and braces).
@@ -441,14 +428,42 @@ func (l *Leaf) Shutdown() (ShutdownInfo, error) {
 		l.shm.RemoveAll() //nolint:errcheck
 		return info, err
 	}
-	cm.End(nil)
+	ex := r.Begin(obs.PhaseExit, "", -1)
 	l.dropAllTables()
 	l.closeWAL()
-	if err := l.transition(StateExit); err != nil {
-		return info, err
+	err = l.transition(StateExit)
+	ex.End(err)
+	return info, err
+}
+
+// quiesce opens both shutdown paths: stop background promotion before
+// touching any table — a promotion mid-copy must not race the copy-out's
+// block drain — and stop accepting requests.
+func (l *Leaf) quiesce(r *obs.Restart) error {
+	sp := r.Begin(obs.PhaseQuiesce, "", -1)
+	l.stopPromoter()
+	err := l.transition(StateCopyToShm)
+	sp.End(err)
+	return err
+}
+
+// sealAndPersist takes one table through what both shutdown paths do before
+// its blocks leave the heap. PREPARE: reject new requests, kill deletes, wait
+// for in-flight adds and queries, seal pending rows (Figure 5c). Then finish
+// pending synchronization with the data on disk (§4.1): after this the
+// store's images tile the table, which is what lets the next process adopt
+// them instead of rewriting them.
+func (l *Leaf) sealAndPersist(r *obs.Restart, tbl *table.Table, worker int) error {
+	sp := r.Begin(obs.PhaseTableSeal, tbl.Name(), worker)
+	err := tbl.Prepare()
+	sp.End(err)
+	if err != nil || l.store == nil {
+		return err
 	}
-	info.Duration = time.Since(begin)
-	return info, nil
+	sp = r.Begin(obs.PhaseTablePersist, tbl.Name(), worker)
+	_, err = l.persistTable(tbl)
+	sp.End(err)
+	return err
 }
 
 // closeWAL flushes and closes the write-ahead log on the clean shutdown
@@ -465,43 +480,32 @@ func (l *Leaf) closeWAL() {
 // ShutdownToDisk performs a clean shutdown without shared memory: flush all
 // tables to disk and exit. The next start recovers from disk. This is the
 // pre-paper upgrade path and the baseline in every restart experiment.
-func (l *Leaf) ShutdownToDisk() (ShutdownInfo, error) {
-	begin := time.Now()
-	info := ShutdownInfo{ToShm: false}
-	l.stopPromoter()
-	if err := l.transition(StateCopyToShm); err != nil {
+func (l *Leaf) ShutdownToDisk() (info ShutdownInfo, err error) {
+	r := l.cfg.Obs.Restart(obs.HalfShutdown)
+	defer func() { info.fromSpans(r.Spans()) }()
+	if err = l.quiesce(r); err != nil {
 		return info, err
 	}
 	for _, tbl := range l.tablesSorted() {
-		if err := tbl.Prepare(); err != nil {
+		if err = l.sealAndPersist(r, tbl, 0); err != nil {
 			return info, err
 		}
-		if l.store != nil {
-			n, err := l.persistTable(tbl)
-			if err != nil {
-				return info, err
-			}
-			info.Blocks += n
-		}
-		if err := tbl.Transition(table.StateCopyToShm); err != nil {
+		if err = tbl.Transition(table.StateCopyToShm); err != nil {
 			return info, err
 		}
-		if err := tbl.Transition(table.StateDone); err != nil {
+		if err = tbl.Transition(table.StateDone); err != nil {
 			return info, err
 		}
-		info.Tables++
 	}
+	ex := r.Begin(obs.PhaseExit, "", -1)
 	// No shm data: make sure stale segments from older runs cannot be used.
-	if err := l.shm.RemoveAll(); err != nil {
-		return info, err
+	if err = l.shm.RemoveAll(); err == nil {
+		l.dropAllTables()
+		l.closeWAL()
+		err = l.transition(StateExit)
 	}
-	l.dropAllTables()
-	l.closeWAL()
-	if err := l.transition(StateExit); err != nil {
-		return info, err
-	}
-	info.Duration = time.Since(begin)
-	return info, nil
+	ex.End(err)
+	return info, err
 }
 
 func (l *Leaf) tablesSorted() []*table.Table {
@@ -653,19 +657,14 @@ func (l *Leaf) Query(q *query.Query) (*query.Result, error) {
 	return res, err
 }
 
-// observeFirstQuery records restart.first_query_gap exactly once per Start:
-// the time from the restart's first instruction to the first successfully
-// answered query. This is the availability gap the paper's restarts pay in
-// full copy-in time and the instant-on path collapses to the view-open cost.
+// observeFirstQuery ends the restart's last gap span exactly once per Start,
+// at the first successfully answered query: the availability gap the paper's
+// restarts pay in full copy-in time and the instant-on path collapses to the
+// view-open cost is the sum of the ledger's top-level spans up to here.
 func (l *Leaf) observeFirstQuery() {
-	if !l.firstQueryOpen.CompareAndSwap(true, false) {
-		return
+	if l.firstQueryOpen.CompareAndSwap(true, false) {
+		l.firstAnswer.End(nil)
 	}
-	gap := time.Since(l.restartBegin)
-	if reg := l.queryRegistry(); reg != nil {
-		reg.Timer(obs.TimerFirstQueryGap).Observe(gap)
-	}
-	l.cfg.Obs.Event(obs.EventNote, obs.TimerFirstQueryGap, gap.String())
 }
 
 // RecoveryQuarantined is the recovery source QueryTraced reports for a

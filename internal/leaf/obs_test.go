@@ -1,9 +1,9 @@
 package leaf
 
-// Observability of the restart path: phase spans must land as registry
-// timers, per-table copies as flight-recorder events, and — the scenario the
-// recorder exists for — a crash during copy-out must be diagnosable by the
-// next process from the surviving ring.
+// Observability of the restart path: every span of the restart ledger must
+// land as a registry timer named after its phase and as flight-recorder
+// events, and — the scenario the recorder exists for — a crash during
+// copy-out must be diagnosable by the next process from the surviving ring.
 
 import (
 	"errors"
@@ -43,8 +43,10 @@ func TestRestartPhaseSpans(t *testing.T) {
 			t.Errorf("timer %s count = %d, want 1", name, st.Count)
 		}
 	}
-	if st := oldReg.Histogram("restart.copy_out.table_us").Stats(); st.Count != 2 {
-		t.Errorf("copy-out table histogram count = %d, want 2", st.Count)
+	for _, name := range []string{obs.PhaseTableSeal, obs.PhaseTablePersist, obs.PhaseTableCopyOut} {
+		if st := oldReg.Timer(name).Stats(); st.Count != 2 {
+			t.Errorf("timer %s count = %d, want one per table", name, st.Count)
+		}
 	}
 	cfg.Obs.Recorder().Close()
 
@@ -63,12 +65,14 @@ func TestRestartPhaseSpans(t *testing.T) {
 	if st := newReg.Timer(obs.PhaseDiskRecovery).Stats(); st.Count != 0 {
 		t.Errorf("disk recovery ran on the memory path: %+v", st)
 	}
-	if st := newReg.Histogram("restart.copy_in.table_us").Stats(); st.Count != 2 {
-		t.Errorf("copy-in table histogram count = %d, want 2", st.Count)
+	for _, name := range []string{obs.PhaseTableCRC, obs.PhaseTableCopyIn, obs.PhaseTableAdopt} {
+		if st := newReg.Timer(name).Stats(); st.Count != 2 {
+			t.Errorf("timer %s count = %d, want one per table", name, st.Count)
+		}
 	}
 	// The whole lifecycle shows up in the registry text exposition.
 	text := newReg.String()
-	for _, want := range []string{"timer restart_map", "timer restart_copy_in", "histogram restart_copy_in_table_us"} {
+	for _, want := range []string{"timer restart_map", "timer restart_copy_in", "timer restart_table_copy_in", "timer restart_alive"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("registry text missing %q:\n%s", want, text)
 		}
@@ -77,12 +81,18 @@ func TestRestartPhaseSpans(t *testing.T) {
 	events := cfg2.Obs.Recorder().Events()
 	var sawTable bool
 	for _, ev := range events {
-		if ev.Phase == obs.PerTablePhase("copy-in", "events") && ev.Kind == obs.EventEnd {
+		if ev.Phase == obs.PhaseTableCopyIn+":events" && ev.Kind == obs.EventEnd {
 			sawTable = true
 		}
 	}
 	if !sawTable {
-		t.Errorf("no copy-in:events end event in %+v", events)
+		t.Errorf("no %s:events end event in %+v", obs.PhaseTableCopyIn, events)
+	}
+	// The new process holds both halves under the old process's trace ID.
+	trace := nu.RestartTrace()
+	down, up := trace.Half(obs.HalfShutdown), trace.Half(obs.HalfStart)
+	if len(down) == 0 || len(up) == 0 || down[0].TraceID != up[0].TraceID {
+		t.Errorf("halves not joined: %d shutdown spans, %d start spans, trace %+v", len(down), len(up), trace)
 	}
 }
 
@@ -130,19 +140,32 @@ func TestCrashDuringCopyOutDiagnosis(t *testing.T) {
 	if !sum.Failed {
 		t.Fatalf("previous run not marked failed: %+v", sum)
 	}
-	if want := obs.PerTablePhase("copy-out", "t2"); sum.FailurePhase != want &&
+	if want := obs.PhaseTableCopyOut + ":t2"; sum.FailurePhase != want &&
 		sum.FailurePhase != obs.PhaseCopyOut {
 		t.Errorf("failure phase = %q, want %q (or the whole-leaf span)", sum.FailurePhase, want)
 	}
 	var tableFail bool
 	for _, ev := range prev {
-		if ev.Phase == obs.PerTablePhase("copy-out", "t2") && ev.Kind == obs.EventFail &&
+		if ev.Phase == obs.PhaseTableCopyOut+":t2" && ev.Kind == obs.EventFail &&
 			strings.Contains(ev.Detail, "injected mid-block fault") {
 			tableFail = true
 		}
 	}
 	if !tableFail {
-		t.Errorf("no copy-out:t2 fail event with the fault reason in %+v", prev)
+		t.Errorf("no %s:t2 fail event with the fault reason in %+v", obs.PhaseTableCopyOut, prev)
+	}
+	// The begin reached the ring before the work it covered: every span that
+	// failed or finished had begun, and the begins come first.
+	began := map[string]bool{}
+	for _, ev := range prev {
+		switch ev.Kind {
+		case obs.EventBegin:
+			began[ev.Phase] = true
+		case obs.EventEnd, obs.EventFail:
+			if !began[ev.Phase] {
+				t.Errorf("%s of %s is in the ring without a begin before it", ev.KindName, ev.Phase)
+			}
+		}
 	}
 
 	// The next process disk-recovers and records why.
@@ -155,6 +178,15 @@ func TestCrashDuringCopyOutDiagnosis(t *testing.T) {
 	}
 	if st := reg2.Timer(obs.PhaseDiskRecovery).Stats(); st.Count != 1 {
 		t.Errorf("disk recovery timer count = %d, want 1", st.Count)
+	}
+	// The failed shutdown and the disk recovery it caused are one trace.
+	var failedOut, loaded bool
+	for _, sp := range nu.RestartTrace() {
+		failedOut = failedOut || (sp.Half == obs.HalfShutdown && sp.Phase == obs.PhaseTableCopyOut && sp.Table == "t2" && sp.Err != "")
+		loaded = loaded || (sp.Half == obs.HalfStart && sp.Phase == obs.PhaseTableLoad)
+	}
+	if !failedOut || !loaded {
+		t.Errorf("trace does not join the failed copy-out (%v) to the store load (%v): %+v", failedOut, loaded, nu.RestartTrace())
 	}
 	var sawReason bool
 	for _, ev := range rec2.Events() {

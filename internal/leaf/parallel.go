@@ -15,8 +15,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,15 +23,19 @@ import (
 	"scuba/internal/table"
 )
 
-// TableCopyStat is one table's share of a shutdown copy-out or a restore
-// copy-in: which worker carried it and how much moved. ShutdownInfo and
-// RecoveryInfo report one entry per table, sorted by table name.
-type TableCopyStat struct {
-	Table    string
-	Worker   int
-	Blocks   int
-	Bytes    int64
-	Duration time.Duration
+// TableCopyStat is one table's share of a shutdown copy-out or a restore:
+// which worker carried it, how much moved, and the time of all its steps — a
+// roll-up of the table's restart spans. ShutdownInfo and RecoveryInfo report
+// one entry per table, sorted by table name.
+type TableCopyStat = obs.TableShare
+
+// fromSpans fills in what a shutdown's restart spans say about it.
+func (info *ShutdownInfo) fromSpans(trace obs.RestartTrace) {
+	down := trace.Half(obs.HalfShutdown)
+	info.PerTable = down.Tables()
+	info.Tables = len(info.PerTable)
+	info.Blocks, info.BytesCopied = down.Moved()
+	info.Duration = down.Elapsed()
 }
 
 // copyWorkers resolves Config.CopyWorkers for a pool over the given number
@@ -53,40 +55,6 @@ func (l *Leaf) copyWorkers(jobs int) int {
 	return w
 }
 
-// recordCopyWorker publishes one worker's copy volume and busy time as
-// gauges (leaf<ID>.<phase>.worker<k>.bytes / .busy_us).
-func (l *Leaf) recordCopyWorker(phase string, worker int, bytes int64, busy time.Duration) {
-	r := l.cfg.Metrics
-	if r == nil {
-		return
-	}
-	prefix := fmt.Sprintf("leaf%d.%s.worker%d.", l.cfg.ID, phase, worker)
-	r.Gauge(prefix + "bytes").Set(bytes)
-	r.Gauge(prefix + "busy_us").SetDuration(busy)
-}
-
-// recordTableCopy publishes one table's copy to the observer: a begin/end (or
-// fail) event pair in the flight recorder — so a crash mid-copy pins down the
-// table and block it died in — and the table's duration in a per-phase
-// histogram (restart.copy_out.table_us, restart.copy_in.table_us, …) whose
-// p50/p95/p99 show the per-table spread behind the whole-leaf span. half is
-// "copy-out", "copy-in", "view" or "disk".
-func (l *Leaf) recordTableCopy(half string, st TableCopyStat, err error) {
-	o := l.cfg.Obs
-	phase := obs.PerTablePhase(half, st.Table)
-	if err != nil {
-		o.Event(obs.EventFail, phase,
-			fmt.Sprintf("worker %d, after %d blocks (%d bytes): %v", st.Worker, st.Blocks, st.Bytes, err))
-		return
-	}
-	o.Event(obs.EventEnd, phase,
-		fmt.Sprintf("worker %d, %d blocks, %d bytes in %v", st.Worker, st.Blocks, st.Bytes, st.Duration))
-	if reg := o.Registry(); reg != nil {
-		// restart.copy_out / .copy_in / .view / .disk .table_us
-		reg.Histogram("restart." + strings.ReplaceAll(half, "-", "_") + ".table_us").ObserveDuration(st.Duration)
-	}
-}
-
 // copyOutAll fans the tables of a clean shutdown out to the copy worker
 // pool — Figure 6's per-table loop, run concurrently. On any failure the
 // context cancels the remaining workers, every segment writer created so
@@ -94,18 +62,16 @@ func (l *Leaf) recordTableCopy(half string, st TableCopyStat, err error) {
 // leaf's shared memory is removed so a failed shutdown never leaves
 // orphaned segments, and still-unsynced sealed blocks are flushed to disk
 // best-effort so the next process's disk recovery misses nothing sealed.
-// Returns per-table stats (sorted by name) and the worker count used.
-func (l *Leaf) copyOutAll(tables []*table.Table, md *shm.Metadata) ([]TableCopyStat, int, error) {
+// Returns the worker count used.
+func (l *Leaf) copyOutAll(r *obs.Restart, tables []*table.Table, md *shm.Metadata) (int, error) {
 	workers := l.copyWorkers(len(tables))
 	if len(tables) == 0 {
-		return nil, workers, nil
+		return workers, nil
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var (
 		mdMu      sync.Mutex // serializes md.Segments append + metadata write
-		statsMu   sync.Mutex
-		stats     []TableCopyStat
 		writersMu sync.Mutex
 		writers   []*shm.TableSegmentWriter
 		errMu     sync.Mutex
@@ -137,27 +103,14 @@ func (l *Leaf) copyOutAll(tables []*table.Table, md *shm.Metadata) ([]TableCopyS
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			busy := time.Now()
-			var bytes int64
 			for tbl := range jobs {
 				if ctx.Err() != nil {
 					continue // cancelled: drain the channel without copying
 				}
-				l.cfg.Obs.Event(obs.EventBegin, obs.PerTablePhase("copy-out", tbl.Name()),
-					fmt.Sprintf("worker %d", worker))
-				st, err := l.copyTableOut(ctx, tbl, md, &mdMu, track, gen)
-				st.Worker = worker
-				l.recordTableCopy("copy-out", st, err)
-				if err != nil {
+				if err := l.copyTableOut(ctx, r, worker, tbl, md, &mdMu, track, gen); err != nil {
 					fail(fmt.Errorf("leaf: shutdown copy of %q: %w", tbl.Name(), err))
-					continue
 				}
-				bytes += st.Bytes
-				statsMu.Lock()
-				stats = append(stats, st)
-				statsMu.Unlock()
 			}
-			l.recordCopyWorker("shutdown", worker, bytes, time.Since(busy))
 		}(w)
 	}
 	for _, tbl := range tables {
@@ -165,45 +118,35 @@ func (l *Leaf) copyOutAll(tables []*table.Table, md *shm.Metadata) ([]TableCopyS
 	}
 	close(jobs)
 	wg.Wait()
-	sort.Slice(stats, func(i, j int) bool { return stats[i].Table < stats[j].Table })
 	if firstErr != nil {
 		for _, w := range writers {
 			w.Abort() //nolint:errcheck // idempotent; finished writers no-op
 		}
 		l.shm.RemoveAll() //nolint:errcheck // valid bit never set; best effort
 		l.flushBestEffort(tables)
-		return stats, workers, firstErr
 	}
-	return stats, workers, nil
+	return workers, firstErr
 }
 
-// copyTableOut runs one table through the Figure 6 backup steps: PREPARE,
-// disk sync, COPY_TO_SHM, segment create + registration, block-at-a-time
-// copy (releasing heap as it goes), Finish, DONE.
-func (l *Leaf) copyTableOut(ctx context.Context, tbl *table.Table, md *shm.Metadata, mdMu *sync.Mutex, track func(*shm.TableSegmentWriter), gen int64) (TableCopyStat, error) {
-	st := TableCopyStat{Table: tbl.Name()}
-	start := time.Now()
-	// PREPARE: reject new requests, kill deletes, wait for in-flight
-	// adds/queries, seal pending rows (Figure 5c).
-	if err := tbl.Prepare(); err != nil {
-		return st, err
+// copyTableOut runs one table through the Figure 6 backup steps on one pool
+// worker: PREPARE and disk sync (sealAndPersist), then — its copy-out span,
+// which counts the blocks and bytes it moves — COPY_TO_SHM, segment create +
+// registration, block-at-a-time copy (releasing heap as it goes), Finish,
+// DONE.
+func (l *Leaf) copyTableOut(ctx context.Context, r *obs.Restart, worker int, tbl *table.Table, md *shm.Metadata, mdMu *sync.Mutex, track func(*shm.TableSegmentWriter), gen int64) (err error) {
+	if err := l.sealAndPersist(r, tbl, worker); err != nil {
+		return err
 	}
-	// Finish pending synchronization with the data on disk (§4.1): after
-	// this the store's images tile the table, which is what lets the next
-	// process adopt them instead of rewriting them.
-	if l.store != nil {
-		if _, err := l.persistTable(tbl); err != nil {
-			return st, err
-		}
-	}
+	sp := r.Begin(obs.PhaseTableCopyOut, tbl.Name(), worker)
+	defer func() { sp.End(err) }()
 	if err := tbl.Transition(table.StateCopyToShm); err != nil {
-		return st, err
+		return err
 	}
 	segName := shm.SegmentNameForTableGen(tbl.Name(), gen)
 	// Figure 6: estimate size of table, create table segment.
 	w, err := shm.CreateTableSegment(l.shm, segName, tbl.Name(), tbl.Bytes()+4096)
 	if err != nil {
-		return st, err
+		return err
 	}
 	track(w)
 	// Figure 6: add the table segment to the leaf metadata — the one
@@ -214,24 +157,24 @@ func (l *Leaf) copyTableOut(ctx context.Context, tbl *table.Table, md *shm.Metad
 	mdMu.Unlock()
 	if err != nil {
 		w.Abort() //nolint:errcheck
-		return st, err
+		return err
 	}
 	// Copy row blocks, deleting each from the heap as it lands.
 	for {
 		if err := ctx.Err(); err != nil { // another worker failed
 			w.Abort() //nolint:errcheck
-			return st, err
+			return err
 		}
 		if h := l.copyBlockHook; h != nil {
-			if err := h(tbl.Name(), st.Blocks); err != nil {
+			if err := h(tbl.Name(), sp.Blocks); err != nil {
 				w.Abort() //nolint:errcheck
-				return st, err
+				return err
 			}
 		}
 		blocks, err := tbl.DropBlocksForShutdown(1)
 		if err != nil {
 			w.Abort() //nolint:errcheck
-			return st, err
+			return err
 		}
 		if len(blocks) == 0 {
 			break
@@ -245,19 +188,15 @@ func (l *Leaf) copyTableOut(ctx context.Context, tbl *table.Table, md *shm.Metad
 		}
 		if werr != nil {
 			w.Abort() //nolint:errcheck
-			return st, werr
+			return werr
 		}
-		st.Blocks++
+		sp.Blocks++
 	}
-	st.Bytes = w.BytesCopied
+	sp.Bytes = w.BytesCopied
 	if err := w.Finish(); err != nil {
-		return st, err
+		return err
 	}
-	if err := tbl.Transition(table.StateDone); err != nil {
-		return st, err
-	}
-	st.Duration = time.Since(start)
-	return st, nil
+	return tbl.Transition(table.StateDone)
 }
 
 // flushBestEffort writes whatever blocks are still unpersisted to the store

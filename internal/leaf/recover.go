@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"scuba/internal/disk"
 	"scuba/internal/obs"
@@ -34,17 +33,15 @@ import (
 	"scuba/internal/table"
 )
 
-// tableOutcome is what recoverTable did for one table.
+// tableOutcome is what recoverTable decided for one table; what it cost is in
+// the table's spans.
 type tableOutcome struct {
-	stat TableCopyStat
 	path TableRecovery // Path is RecoveryNone when the table was lost
 	// quarantined: the table's shm segment failed and the store took over.
 	quarantined bool
 	// view is the live mapping an instant-on table serves from.
 	view *shm.MappedView
-	// images counts blocks loaded from the store; walRecords/walRows what the
-	// log replayed on top of them.
-	images     int
+	// walRecords/walRows is what the log replayed on top of the images.
 	walRecords int
 	walRows    int64
 	// err fails Start: the table's log could not be made to match it.
@@ -58,36 +55,56 @@ func (o *tableOutcome) addReason(why string) {
 	o.path.Reason += why
 }
 
+// fromSpans fills in what a start's restart spans say about it.
+func (info *RecoveryInfo) fromSpans(trace obs.RestartTrace) {
+	up := trace.Half(obs.HalfStart)
+	info.PerTable = up.Tables()
+	info.Tables = len(info.PerTable)
+	info.Blocks, info.BytesRestored = up.Moved()
+	info.SnapshotBlocks, _ = up.Phases(obs.PhaseTableLoad).Moved()
+	served, _ := up.Phases(obs.PhaseTableView).Moved()
+	info.ServedFromShm = int64(served)
+	info.Duration = up.Phases(obs.PhaseMap, obs.PhaseCopyIn, obs.PhaseView, obs.PhaseDiskRecovery, obs.PhaseAlive).Elapsed()
+}
+
 // Start runs recovery and brings the leaf ALIVE. It implements the restore
 // state machine of Figure 5(b) and the pseudocode of Figure 7, generalized
-// from "shm or disk" to the loop above.
+// from "shm or disk" to the loop above. Its top-level spans — map, then one
+// of copy_in / view / disk_recovery, then alive, then first_answer — follow
+// one another from its first instruction to the first answered query: the
+// availability gap is their sum.
 func (l *Leaf) Start() error {
-	begin := time.Now()
-	l.restartBegin = begin
-	l.firstQueryOpen.Store(true)
+	r := l.cfg.Obs.Restart(obs.HalfStart)
+	l.mu.Lock()
+	l.restart = r
+	l.mu.Unlock()
 	info := RecoveryInfo{Path: RecoveryNone}
 
+	ms := r.Begin(obs.PhaseMap, "", -1)
 	segs, err := l.claimShm(&info)
-	if err != nil {
-		return err
+	var names []string
+	var logged map[string]bool
+	if err == nil {
+		if segs == nil {
+			// A crash, a consumed backup, or no shm at all: free any shared
+			// memory still in use (Figure 7).
+			l.shm.RemoveAll() //nolint:errcheck // best effort cleanup
+		}
+		names, logged, err = l.recoverableTables(segs)
 	}
-	phase := obs.PhaseDiskRecovery
-	switch {
-	case segs == nil:
-		// A crash, a consumed backup, or no shm at all: free any shared
-		// memory still in use (Figure 7).
-		l.shm.RemoveAll() //nolint:errcheck // best effort cleanup
-	case l.cfg.InstantOn:
-		phase = obs.PhaseView
-	default:
-		phase = obs.PhaseCopyIn
-	}
-	names, logged, err := l.recoverableTables(segs)
+	ms.End(err)
 	if err != nil {
 		return err
 	}
 
-	sp := l.cfg.Obs.Start(phase)
+	phase := obs.PhaseDiskRecovery
+	switch {
+	case segs != nil && l.cfg.InstantOn:
+		phase = obs.PhaseView
+	case segs != nil:
+		phase = obs.PhaseCopyIn
+	}
+	sp := r.Begin(phase, "", -1)
 	outcomes := make([]tableOutcome, len(names))
 	if len(names) > 0 {
 		info.Workers = l.copyWorkers(len(names))
@@ -98,17 +115,13 @@ func (l *Leaf) Start() error {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			busy := time.Now()
-			var bytes int64
 			for idx := range jobs { // disjoint indices: no mutex needed
 				var seg *shm.SegmentInfo
 				if si, ok := segs[names[idx]]; ok {
 					seg = &si
 				}
-				outcomes[idx] = l.recoverTable(names[idx], seg, logged[names[idx]], worker)
-				bytes += outcomes[idx].stat.Bytes
+				outcomes[idx] = l.recoverTable(r, worker, names[idx], seg, logged[names[idx]])
 			}
-			l.recordCopyWorker("restore", worker, bytes, time.Since(busy))
 		}(w)
 	}
 	for i := range names {
@@ -116,31 +129,25 @@ func (l *Leaf) Start() error {
 	}
 	close(jobs)
 	wg.Wait()
-	sp.End(nil)
 
 	var live []string
 	for _, o := range outcomes {
-		if o.err != nil {
-			return o.err
+		if err = o.err; err != nil {
+			break
 		}
 		info.PerTablePath = append(info.PerTablePath, o.path)
 		if o.quarantined {
 			info.Quarantined++
 		}
-		if o.path.Path == RecoveryNone {
-			continue
-		}
-		info.Tables++
-		info.Blocks += o.stat.Blocks
-		info.BytesRestored += o.stat.Bytes
-		info.PerTable = append(info.PerTable, o.stat)
-		info.SnapshotBlocks += o.images
 		info.WALRecords += o.walRecords
 		info.WALRowsReplayed += o.walRows
 		if o.view != nil {
-			info.ServedFromShm += int64(o.stat.Blocks)
 			live = append(live, o.view.SegmentName())
 		}
+	}
+	sp.End(err)
+	if err != nil {
+		return err
 	}
 	// With no table to read a path off, the leaf took the path its source
 	// decided: a valid (empty) shm backup, or the exception edge to disk.
@@ -152,6 +159,8 @@ func (l *Leaf) Start() error {
 	case info.FellBack:
 		info.Path = RecoveryDisk
 	}
+
+	al := r.Begin(obs.PhaseAlive, "", -1)
 	if segs != nil {
 		// The backup is consumed (Figure 7: delete the metadata and the
 		// segments): no future start may trust it, so a crash from here on
@@ -160,87 +169,81 @@ func (l *Leaf) Start() error {
 		// tables' segments and a previous generation's orphans included.
 		// The valid bit is already false, so what cannot be removed is
 		// garbage, not a hazard.
-		if err := l.shm.RemoveMetadata(); err != nil {
-			l.cfg.Obs.Event(obs.EventNote, obs.PhaseMap, "consumed metadata not removed: "+err.Error())
-		}
+		l.shm.RemoveMetadata()          //nolint:errcheck // best-effort sweep
 		l.shm.RemoveOtherSegments(live) //nolint:errcheck // best-effort sweep
 	}
 	l.walReady.Store(true)
-
-	info.Duration = time.Since(begin)
-	if l.cfg.OnRestartPhase != nil {
-		l.cfg.OnRestartPhase(restartPhaseName(info.Path), info.Path, info.Duration)
-	}
-	l.cfg.Obs.Event(obs.EventNote, "restart.recovered",
-		fmt.Sprintf("path=%s tables=%d blocks=%d bytes=%d in %v",
-			info.Path, info.Tables, info.Blocks, info.BytesRestored, info.Duration))
 	l.mu.Lock()
 	l.recovery = info
 	for _, t := range l.tables {
-		if t.State() != table.StateAlive {
-			if err := t.Transition(table.StateAlive); err != nil {
-				l.mu.Unlock()
-				return err
-			}
+		if err == nil && t.State() != table.StateAlive {
+			err = t.Transition(table.StateAlive)
 		}
 	}
-	err = l.transitionLocked(StateAlive)
+	if err == nil {
+		err = l.transitionLocked(StateAlive)
+	}
 	l.mu.Unlock()
-	if err == nil && info.ServedFromShm > 0 {
+	// Ended only now: from its end on the ledger hands spans to the telemetry
+	// sink, and the sink's rows go through AddRows on an ALIVE leaf.
+	al.End(err)
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.recovery.fromSpans(r.Spans())
+	served := l.recovery.ServedFromShm
+	l.mu.Unlock()
+	l.firstAnswer = r.Begin(obs.PhaseFirstAnswer, "", -1)
+	l.firstQueryOpen.Store(true)
+	if served > 0 {
 		// Promotion starts only after the leaf is ALIVE: queries are already
 		// being answered from the views, and the copy the paper blocked
 		// availability on happens here, in the background.
 		l.startPromoter()
 	}
-	return err
+	return nil
 }
 
 // claimShm is Figure 7's opening: if this start may take blocks from shared
 // memory it clears the valid bit first — so an interrupted restore reverts to
 // the store on the next start — and returns the table segments by table. It
-// returns nil, with the leaf in DISK_RECOVERY, when shm is off by config,
-// absent, invalid (a crash or a consumed backup), from another layout
-// version, or unreadable (Figure 5b's exception edge, reported as FellBack).
+// returns nil, with the leaf in DISK_RECOVERY and the reason noted in the
+// flight recorder, when shm is off by config, absent, invalid (a crash or a
+// consumed backup), from another layout version, or unreadable (Figure 5b's
+// exception edge, reported as FellBack).
 func (l *Leaf) claimShm(info *RecoveryInfo) (map[string]shm.SegmentInfo, error) {
-	if l.cfg.DisableMemoryRecovery {
-		l.cfg.Obs.Event(obs.EventNote, "restart.disk_fallback", "memory recovery disabled by config")
-		return nil, l.transition(StateDiskRecovery)
-	}
-	if err := l.transition(StateMemoryRecovery); err != nil {
-		return nil, err
-	}
-	ms := l.cfg.Obs.Start(obs.PhaseMap)
-	md, err := l.shm.ReadMetadata()
-	why := ""
-	switch {
-	case errors.Is(err, shm.ErrNoMetadata):
-		err, why = nil, "no shm metadata"
-	case err != nil:
-	case !md.Valid:
-		why = "valid bit unset (crash or consumed backup)"
-	case md.Version != shm.LayoutVersion:
-		// The shared memory layout changed between releases; the data is
-		// unreadable by this binary (§4.2).
-		why = fmt.Sprintf("layout version skew (segment %d, binary %d)", md.Version, shm.LayoutVersion)
-	default:
-		md.Valid = false
-		err = l.shm.WriteMetadata(md)
-	}
-	ms.End(err)
-	switch {
-	case err != nil:
-		info.FellBack = true
-		l.cfg.Obs.Event(obs.EventNote, "restart.disk_fallback",
-			"memory recovery failed, falling back to disk: "+err.Error())
-	case why != "":
-		l.cfg.Obs.Event(obs.EventNote, obs.PhaseMap, why+": taking the disk path")
-	default:
-		segs := make(map[string]shm.SegmentInfo, len(md.Segments))
-		for _, si := range md.Segments {
-			segs[si.Table] = si
+	why := "memory recovery disabled by config"
+	if !l.cfg.DisableMemoryRecovery {
+		if err := l.transition(StateMemoryRecovery); err != nil {
+			return nil, err
 		}
-		return segs, nil
+		md, err := l.shm.ReadMetadata()
+		if err == nil && md.Valid && md.Version == shm.LayoutVersion {
+			md.Valid = false
+			if err = l.shm.WriteMetadata(md); err == nil {
+				segs := make(map[string]shm.SegmentInfo, len(md.Segments))
+				for _, si := range md.Segments {
+					segs[si.Table] = si
+				}
+				return segs, nil
+			}
+		}
+		switch {
+		case errors.Is(err, shm.ErrNoMetadata):
+			why = "no shm metadata"
+		case err != nil:
+			info.FellBack = true
+			why = "memory recovery failed: " + err.Error()
+		case !md.Valid:
+			why = "valid bit unset (crash or consumed backup)"
+		default:
+			// The shared memory layout changed between releases; the data is
+			// unreadable by this binary (§4.2).
+			why = fmt.Sprintf("layout version skew (segment %d, binary %d)", md.Version, shm.LayoutVersion)
+		}
 	}
+	l.cfg.Obs.Event(obs.EventNote, obs.PhaseMap, why+": taking the disk path")
 	return nil, l.transition(StateDiskRecovery)
 }
 
@@ -303,39 +306,26 @@ func leafPath(tables []TableRecovery) RecoveryPath {
 }
 
 // recoverTable brings one table back from the best source that validates,
-// installs it, and leaves its log matching it. seg is the table's shm
-// segment when this start may use shm; logged says the table has a log. The
-// outcome's stat times the source that produced the table — the part of the
-// restart that grows with its data — not the log reset after it.
-func (l *Leaf) recoverTable(name string, seg *shm.SegmentInfo, logged bool, worker int) tableOutcome {
-	o := tableOutcome{stat: TableCopyStat{Table: name, Worker: worker}, path: TableRecovery{Table: name}}
+// installs it, and leaves its log matching it, each step a span on this
+// pool worker. seg is the table's shm segment when this start may use shm;
+// logged says the table has a log.
+func (l *Leaf) recoverTable(r *obs.Restart, worker int, name string, seg *shm.SegmentInfo, logged bool) tableOutcome {
+	o := tableOutcome{path: TableRecovery{Table: name}}
 	tbl := table.NewRecovering(name, l.cfg.Table)
 	var err error
 	if seg != nil {
-		half := "copy-in"
-		if l.cfg.InstantOn {
-			half = "view"
-		}
-		l.cfg.Obs.Event(obs.EventBegin, obs.PerTablePhase(half, name), fmt.Sprintf("worker %d", worker))
-		if err = l.takeFromShm(tbl, *seg, &o); err == nil {
+		if err = l.takeFromShm(r, worker, tbl, *seg, &o); err == nil {
 			l.install(name, tbl)
+		} else {
+			// A corrupt or unreadable segment quarantines only its own table to
+			// the store instead of throwing away the whole shm restore.
+			o.quarantined = true
+			o.addReason(err.Error())
+			tbl = table.NewRecovering(name, l.cfg.Table)
 		}
-		l.recordTableCopy(half, o.stat, err)
 	}
-	if err != nil {
-		// A corrupt or unreadable segment quarantines only its own table to
-		// the store instead of throwing away the whole shm restore.
-		o.quarantined = true
-		o.addReason(err.Error())
-		l.cfg.Obs.Event(obs.EventFail, "restart.quarantine",
-			fmt.Sprintf("table %q quarantined to disk: %v", name, err))
-		o.stat = TableCopyStat{Table: name, Worker: worker}
-		tbl = table.NewRecovering(name, l.cfg.Table)
-		sp := l.cfg.Obs.Start(obs.PhaseDiskRecovery)
-		err = l.loadFromStore(tbl, logged, &o)
-		sp.End(err)
-	} else if seg == nil {
-		err = l.loadFromStore(tbl, logged, &o)
+	if seg == nil || err != nil {
+		err = l.loadFromStore(r, worker, tbl, logged, &o)
 	}
 	if err != nil {
 		// Best effort: the table is lost, but the leaf still serves every
@@ -346,17 +336,19 @@ func (l *Leaf) recoverTable(name string, seg *shm.SegmentInfo, logged bool, work
 		l.mu.Unlock()
 		o.path.Path = RecoveryNone
 		o.addReason("disk reload failed: " + err.Error())
-		l.cfg.Obs.Event(obs.EventFail, "restart.quarantine", fmt.Sprintf("table %q lost: %v", name, err))
 	}
 	if l.wal != nil && o.path.Path != RecoveryWAL {
 		// The table did not come back through its log, so the old log no
 		// longer matches memory: start it over at the table's next row (0
 		// for a lost table). A replayed log already had its cursor set.
+		sp := r.Begin(obs.PhaseTableLogReset, name, worker)
+		sp.Source = string(o.path.Path)
 		var next int64
 		if err == nil {
 			next = tbl.NextRow()
 		}
 		o.err = l.wal.ResetTable(name, next)
+		sp.End(o.err)
 	}
 	return o
 }
@@ -369,47 +361,52 @@ func (l *Leaf) install(name string, tbl *table.Table) {
 	l.attachCache(name, tbl)
 }
 
+// sizeOf sums the blocks' sizes as their headers state them — the volume a
+// restart reports as restored.
+func sizeOf(blocks []*rowblock.RowBlock) (n int64) {
+	for _, rb := range blocks {
+		n += rb.Header().Size
+	}
+	return n
+}
+
 // takeFromShm fills tbl with the sealed blocks in its shm segment: zero-copy
 // views of the mapping when InstantOn — any view failure (map error, CRC,
 // name mismatch) degrades the table to the copy — else Figure 7's copy-in.
 // A clean shutdown seals every table's unsealed tail before copy-out
 // (Figure 5c PREPARE), so a segment never carries unsealed rows.
-func (l *Leaf) takeFromShm(tbl *table.Table, si shm.SegmentInfo, o *tableOutcome) error {
-	begin := time.Now()
+func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.SegmentInfo, o *tableOutcome) error {
 	var blocks []*rowblock.RowBlock
 	var verr error
 	o.path.Path = RecoveryMemory
 	if l.cfg.InstantOn {
+		sp := r.Begin(obs.PhaseTableView, si.Table, worker)
+		sp.Source = string(RecoveryShmView)
 		var v *shm.MappedView
-		if v, verr = l.openView(si); verr != nil {
-			l.cfg.Obs.Event(obs.EventFail, obs.PerTablePhase("view", si.Table),
-				"degrading to eager copy-in: "+verr.Error())
-		} else if v == nil {
+		if v, verr = l.openView(si); v != nil {
+			blocks, o.view, o.path.Path = v.Blocks(), v, RecoveryShmView
+			sp.Blocks, sp.Bytes = len(blocks), sizeOf(blocks)
+		}
+		sp.End(verr)
+		if v == nil && verr == nil {
 			// Zero-block segment: an empty table. Nothing to serve from shm,
 			// so the file can go now.
 			l.shm.RemoveSegment(si.Segment) //nolint:errcheck
-		} else {
-			blocks, o.view, o.path.Path = v.Blocks(), v, RecoveryShmView
 		}
 	}
 	if !l.cfg.InstantOn || verr != nil {
 		var err error
-		if blocks, err = l.copyBlocksIn(si); err != nil {
+		if blocks, err = l.copyBlocksIn(r, worker, si); err != nil {
 			if verr != nil {
 				err = fmt.Errorf("view: %v; eager copy-in: %w", verr, err)
 			}
 			return err
 		}
 	}
-	// The validation or the copy is the table's share of the restart gap;
-	// what follows is bookkeeping that does not grow with its bytes.
-	o.stat.Duration = time.Since(begin)
-	starts, through := l.adoptImages(si.Table, blocks)
+	starts, through := l.adoptImages(r, worker, si.Table, string(o.path.Path), blocks)
 	err := tbl.Transition(table.StateMemoryRecovery)
 	for i := 0; err == nil && i < len(blocks); i++ {
 		err = tbl.RestoreBlock(blocks[i], starts[i])
-		o.stat.Blocks++
-		o.stat.Bytes += blocks[i].Header().Size
 	}
 	if err != nil {
 		// Unreachable (a fresh table takes any ascending starts); release the
@@ -439,31 +436,43 @@ func (l *Leaf) openView(si shm.SegmentInfo) (*shm.MappedView, error) {
 }
 
 // copyBlocksIn copies one table's blocks out of its segment (Figure 7's
-// per-table steps): open (which validates the payload CRC), drain blocks in
-// reverse (truncating the segment as pages release), restore original order,
-// delete the segment. On failure the segment is left in place; Start's final
-// sweep removes it with everything else.
-func (l *Leaf) copyBlocksIn(si shm.SegmentInfo) ([]*rowblock.RowBlock, error) {
-	r, err := shm.OpenTableSegment(l.shm, si.Segment)
+// per-table steps) in two spans. crc: open the segment, which validates the
+// payload CRC. copy_in: drain blocks in reverse (truncating the segment as
+// pages release), restore original order, delete the segment. On failure the
+// segment is left in place; Start's final sweep removes it with everything
+// else.
+func (l *Leaf) copyBlocksIn(r *obs.Restart, worker int, si shm.SegmentInfo) (blocks []*rowblock.RowBlock, err error) {
+	sp := r.Begin(obs.PhaseTableCRC, si.Table, worker)
+	sp.Source = string(RecoveryMemory)
+	rd, err := shm.OpenTableSegment(l.shm, si.Segment)
 	if err != nil {
-		return nil, fmt.Errorf("open segment: %w", err)
+		err = fmt.Errorf("open segment: %w", err)
+	} else if rd.TableName() != si.Table {
+		rd.Close(false) //nolint:errcheck
+		err = fmt.Errorf("%w: segment names table %q, metadata says %q",
+			shm.ErrSegCorrupt, rd.TableName(), si.Table)
 	}
-	if r.TableName() != si.Table {
-		r.Close(false) //nolint:errcheck
-		return nil, fmt.Errorf("%w: segment names table %q, metadata says %q",
-			shm.ErrSegCorrupt, r.TableName(), si.Table)
+	sp.End(err)
+	if err != nil {
+		return nil, err
 	}
-	blocks := make([]*rowblock.RowBlock, 0, r.NumBlocks())
+
+	sp = r.Begin(obs.PhaseTableCopyIn, si.Table, worker)
+	sp.Source = string(RecoveryMemory)
+	defer func() {
+		sp.Blocks, sp.Bytes = len(blocks), sizeOf(blocks)
+		sp.End(err)
+	}()
 	for {
 		if h := l.restoreBlockHook; h != nil {
 			if err := h(si.Table, len(blocks)); err != nil {
-				r.Close(false) //nolint:errcheck
+				rd.Close(false) //nolint:errcheck
 				return nil, err
 			}
 		}
-		rb, err := r.ReadBlock()
+		rb, err := rd.ReadBlock()
 		if err != nil {
-			r.Close(false) //nolint:errcheck
+			rd.Close(false) //nolint:errcheck
 			return nil, err
 		}
 		if rb == nil {
@@ -475,7 +484,7 @@ func (l *Leaf) copyBlocksIn(si shm.SegmentInfo) ([]*rowblock.RowBlock, error) {
 		blocks[i], blocks[j] = blocks[j], blocks[i]
 	}
 	// Figure 7: delete the table shared memory segment.
-	return blocks, r.Close(true)
+	return blocks, rd.Close(true)
 }
 
 // adoptImages gives blocks restored from shm their global row indexes and
@@ -484,11 +493,14 @@ func (l *Leaf) copyBlocksIn(si shm.SegmentInfo) ([]*rowblock.RowBlock, error) {
 // so the store's images tile the blocks exactly and their names hold the
 // indexes: the images are adopted as they are and nothing is rewritten. When
 // they do not tile (no store, an image lost, one left behind by a killed
-// expiry) the table's images are dropped, its numbering restarts at 0 and
-// the next persist pass writes them again.
-func (l *Leaf) adoptImages(name string, blocks []*rowblock.RowBlock) ([]int64, int64) {
+// expiry) the table's images are dropped — the adopt span fails if they
+// cannot be — its numbering restarts at 0 and the next persist pass writes
+// them again.
+func (l *Leaf) adoptImages(r *obs.Restart, worker int, name, source string, blocks []*rowblock.RowBlock) ([]int64, int64) {
 	starts := make([]int64, len(blocks))
 	if l.store != nil {
+		sp := r.Begin(obs.PhaseTableAdopt, name, worker)
+		sp.Source = source
 		images, w, err := l.store.Images(name)
 		tile := err == nil && len(images) == len(blocks)
 		for i := 0; tile && i < len(images); i++ {
@@ -502,11 +514,10 @@ func (l *Leaf) adoptImages(name string, blocks []*rowblock.RowBlock) ([]int64, i
 			w = images[n-1].End()
 		}
 		if tile {
+			sp.End(nil)
 			return starts, w
 		}
-		if err := l.store.DropTable(name); err != nil {
-			l.cfg.Obs.Event(obs.EventFail, "restart.adopt", fmt.Sprintf("table %q: stale images not dropped: %v", name, err))
-		}
+		sp.End(l.store.DropTable(name))
 	}
 	var next int64
 	for i, rb := range blocks {
@@ -516,14 +527,14 @@ func (l *Leaf) adoptImages(name string, blocks []*rowblock.RowBlock) ([]int64, i
 	return starts, 0
 }
 
-// loadFromStore fills tbl from the store's images and, when the table has a
-// usable log, replays the log tail past their watermark through the function
-// live ingest applies batches with (Table.AddBatch). The table serves
-// queries with gradually increasing partial results while it loads (§4.1).
-// A damaged image costs its block and an unusable log the tail behind the
-// damage; both are named in the table's Reason. An error means the table
-// could not be read at all.
-func (l *Leaf) loadFromStore(tbl *table.Table, logged bool, o *tableOutcome) (err error) {
+// loadFromStore fills tbl from the store's images (the load span) and, when
+// the table has a usable log, replays the log tail past their watermark
+// through the function live ingest applies batches with, Table.AddBatch (the
+// replay span). The table serves queries with gradually increasing partial
+// results while it loads (§4.1). A damaged image costs its block and an
+// unusable log the tail behind the damage; both are named in the table's
+// Reason. An error means the table could not be read at all.
+func (l *Leaf) loadFromStore(r *obs.Restart, worker int, tbl *table.Table, logged bool, o *tableOutcome) error {
 	name := tbl.Name()
 	if l.store == nil {
 		return errors.New("leaf: no disk store configured")
@@ -533,23 +544,18 @@ func (l *Leaf) loadFromStore(tbl *table.Table, logged bool, o *tableOutcome) (er
 	}
 	l.install(name, tbl)
 	o.path.Path = RecoveryDisk
-	begin := time.Now()
-	l.cfg.Obs.Event(obs.EventBegin, obs.PerTablePhase("disk", name), fmt.Sprintf("worker %d", o.stat.Worker))
-	defer func() {
-		o.stat.Duration = time.Since(begin)
-		l.recordTableCopy("disk", o.stat, err)
-	}()
+	sp := r.Begin(obs.PhaseTableLoad, name, worker)
+	sp.Source = string(RecoveryDisk)
 	w, err := l.store.Load(name, func(im disk.Image, rb *rowblock.RowBlock, err error) error {
 		if err != nil {
 			o.addReason(err.Error())
-			l.cfg.Obs.Event(obs.EventFail, obs.PerTablePhase("disk", name), err.Error())
 			return nil
 		}
-		o.images++
-		o.stat.Blocks++
-		o.stat.Bytes += rb.Header().Size
+		sp.Blocks++
+		sp.Bytes += rb.Header().Size
 		return tbl.RestoreBlock(rb, im.Start)
 	})
+	sp.End(err)
 	if err != nil {
 		return err
 	}
@@ -565,15 +571,16 @@ func (l *Leaf) loadFromStore(tbl *table.Table, logged bool, o *tableOutcome) (er
 		o.addReason("wal quarantined")
 		return nil
 	}
+	sp = r.Begin(obs.PhaseTableReplay, name, worker)
+	sp.Source = string(RecoveryWAL)
 	recs, rows, pos, err := l.wal.ReplayFrom(name, w, func(b *rowblock.Batch) error {
 		return tbl.AddBatch(b, l.cfg.Clock())
 	})
+	sp.End(err)
 	o.walRecords, o.walRows = recs, rows
 	if err != nil {
 		// The records before the damage were acked in this order and stay.
 		o.addReason("replay: " + err.Error())
-		l.cfg.Obs.Event(obs.EventFail, "restart.wal_fallback",
-			fmt.Sprintf("table %q: log tail dropped after %d rows: %v", name, rows, err))
 		return nil
 	}
 	o.path.Path = RecoveryWAL

@@ -70,79 +70,84 @@ func dirBytes(t *testing.T, root string) int64 {
 	return n
 }
 
-// TestRecoverySourceEquivalence runs one acked history — a drifting schema, a
-// block boundary in the middle of a batch, a prefix expired by retention, an
-// unsealed tail — and brings it back from each source the recovery loop can
-// take a table from. Whatever the source, the leaf must answer queries
-// byte-identically, hold the same sealed images and Stats, and leave the same
-// image directory after its next persist pass.
-func TestRecoverySourceEquivalence(t *testing.T) {
+// sourceHistory is the acked history the recovery-source tests bring back: a
+// drifting schema, a block boundary in the middle of a batch, a prefix
+// expired by retention, an unsealed tail. It leaves rows [65536, 110100) of
+// 110100 acked: block 0 expired, block 1 sealed and persisted, the rest acked
+// after the last pass. The config needs sourceClock and sourceRetention.
+func sourceHistory(t *testing.T, cfg Config) *Leaf {
 	const now = 1700002400 // cutoff now-1000 falls between block 0's and block 1's newest row
-	clock := func() int64 { return 1700009999 }
-	// history leaves rows [65536, 110100) of 110100 acked: block 0 expired,
-	// block 1 sealed and persisted, the rest acked after the last pass.
-	history := func(t *testing.T, cfg Config) *Leaf {
-		l := startLeaf(t, cfg)
-		rng := rand.New(rand.NewSource(11))
-		at := int64(0)
-		add := func(n int) {
-			if err := l.AddRows("events", driftRows(rng, n, at)); err != nil {
-				t.Fatal(err)
-			}
-			at += int64(n)
-		}
-		add(40000)
-		add(40000) // crosses the 65536-row block boundary mid-batch
-		if err := l.SealAll(); err != nil {
+	l := startLeaf(t, cfg)
+	rng := rand.New(rand.NewSource(11))
+	at := int64(0)
+	add := func(n int) {
+		if err := l.AddRows("events", driftRows(rng, n, at)); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := l.SyncToDisk(); err != nil || n != 2 {
-			t.Fatalf("SyncToDisk = %d, %v", n, err)
-		}
-		if n, err := l.ExpireAll(now); err != nil || n != 1 {
-			t.Fatalf("ExpireAll dropped %d blocks (%v), want the first", n, err)
-		}
-		add(30000) // the "late" column shows up past row 70000
-		add(100)
-		return l
+		at += int64(n)
 	}
-
-	sources := []struct {
-		name string
-		wal  bool
-		// handOver ends the old process (nil = crash) and tunes the new one.
-		handOver func(t *testing.T, old *Leaf, cfg *Config)
-		wantPath RecoveryPath
-		// adopted: the shutdown persisted everything and the restart must not
-		// write one image byte.
-		adopted bool
-	}{
-		{name: "shm copy", wal: true, wantPath: RecoveryMemory, adopted: true,
-			handOver: func(t *testing.T, old *Leaf, cfg *Config) {
-				if _, err := old.Shutdown(); err != nil {
-					t.Fatal(err)
-				}
-			}},
-		{name: "shm view", wal: true, wantPath: RecoveryShmView, adopted: true,
-			handOver: func(t *testing.T, old *Leaf, cfg *Config) {
-				if _, err := old.Shutdown(); err != nil {
-					t.Fatal(err)
-				}
-				cfg.InstantOn = true
-			}},
-		{name: "images + log tail", wal: true, wantPath: RecoveryWAL},
-		{name: "images only", wantPath: RecoveryDisk, adopted: true,
-			handOver: func(t *testing.T, old *Leaf, cfg *Config) {
-				// No log: what a crash keeps is what the last pass persisted.
-				if err := old.SealAll(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := old.SyncToDisk(); err != nil {
-					t.Fatal(err)
-				}
-			}},
+	add(40000)
+	add(40000) // crosses the 65536-row block boundary mid-batch
+	if err := l.SealAll(); err != nil {
+		t.Fatal(err)
 	}
+	if n, err := l.SyncToDisk(); err != nil || n != 2 {
+		t.Fatalf("SyncToDisk = %d, %v", n, err)
+	}
+	if n, err := l.ExpireAll(now); err != nil || n != 1 {
+		t.Fatalf("ExpireAll dropped %d blocks (%v), want the first", n, err)
+	}
+	add(30000) // the "late" column shows up past row 70000
+	add(100)
+	return l
+}
 
+func sourceClock() int64 { return 1700009999 } // block images carry the creation time
+
+var sourceRetention = table.Options{MaxAgeSeconds: 1000}
+
+// recoverySources are the sources the recovery loop can take a table from.
+var recoverySources = []struct {
+	name string
+	wal  bool
+	// handOver ends the old process (nil = crash) and tunes the new one.
+	handOver func(t *testing.T, old *Leaf, cfg *Config)
+	wantPath RecoveryPath
+	// adopted: the shutdown persisted everything and the restart must not
+	// write one image byte.
+	adopted bool
+}{
+	{name: "shm copy", wal: true, wantPath: RecoveryMemory, adopted: true,
+		handOver: func(t *testing.T, old *Leaf, cfg *Config) {
+			if _, err := old.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	{name: "shm view", wal: true, wantPath: RecoveryShmView, adopted: true,
+		handOver: func(t *testing.T, old *Leaf, cfg *Config) {
+			if _, err := old.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			cfg.InstantOn = true
+		}},
+	{name: "images + log tail", wal: true, wantPath: RecoveryWAL},
+	{name: "images only", wantPath: RecoveryDisk, adopted: true,
+		handOver: func(t *testing.T, old *Leaf, cfg *Config) {
+			// No log: what a crash keeps is what the last pass persisted.
+			if err := old.SealAll(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := old.SyncToDisk(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+}
+
+// TestRecoverySourceEquivalence runs sourceHistory and brings it back from
+// each source the recovery loop can take a table from. Whatever the source,
+// the leaf must answer queries byte-identically, hold the same sealed images
+// and Stats, and leave the same image directory after its next persist pass.
+func TestRecoverySourceEquivalence(t *testing.T) {
 	type picture struct {
 		answers string
 		images  [][]byte
@@ -150,16 +155,15 @@ func TestRecoverySourceEquivalence(t *testing.T) {
 		store   map[string][]byte
 	}
 	var first *picture
-	for _, src := range sources {
+	for _, src := range recoverySources {
 		t.Run(src.name, func(t *testing.T) {
 			e := newWALEnv(t)
 			cfg := e.env.config(0)
 			if src.wal {
 				cfg = e.config(0)
 			}
-			cfg.Clock = clock // block images carry the creation time
-			cfg.Table = table.Options{MaxAgeSeconds: 1000}
-			old := history(t, cfg)
+			cfg.Clock, cfg.Table = sourceClock, sourceRetention
+			old := sourceHistory(t, cfg)
 			if src.handOver != nil {
 				src.handOver(t, old, &cfg)
 			}

@@ -4,17 +4,17 @@ import "testing"
 
 func TestCanonicalName(t *testing.T) {
 	cases := map[string]string{
-		"query.latency_hist":           "query_latency_hist",
-		"query.decode_cache.hits":      "query_decode_cache_hits",
-		"leaf0.shutdown.worker0.bytes": "leaf0_shutdown_worker0_bytes",
-		"Already_Snake":                "already_snake",
-		"a..b":                         "a_b",
-		"a-b c/d":                      "a_b_c_d",
-		".leading":                     "leading",
-		"trailing.":                    "trailing",
-		"":                             "_",
-		"___":                          "_",
-		"x":                            "x",
+		"query.latency_hist":      "query_latency_hist",
+		"query.decode_cache.hits": "query_decode_cache_hits",
+		"restart.table.copy_out":  "restart_table_copy_out",
+		"Already_Snake":           "already_snake",
+		"a..b":                    "a_b",
+		"a-b c/d":                 "a_b_c_d",
+		".leading":                "leading",
+		"trailing.":               "trailing",
+		"":                        "_",
+		"___":                     "_",
+		"x":                       "x",
 	}
 	for in, want := range cases {
 		if got := CanonicalName(in); got != want {
@@ -58,14 +58,31 @@ func TestCanonicalNames(t *testing.T) {
 		"rpc.ping":   "rpc_ping",
 		"rpc.query":  "rpc_query",
 		"rows.added": "rows_added",
-		// restart phases
-		"restart.map":               "restart_map",
-		"restart.copy_out":          "restart_copy_out",
-		"restart.copy_out.table_us": "restart_copy_out_table_us",
-		"restart.commit":            "restart_commit",
-		"restart.copy_in":           "restart_copy_in",
-		"restart.copy_in.table_us":  "restart_copy_in_table_us",
-		"restart.disk":              "restart_disk",
+		// restart ledger: one timer per span phase (internal/obs/restart.go),
+		// whole-leaf phases first, then a table's steps; promotion's blocks
+		// are a histogram, not spans
+		"restart.quiesce":          "restart_quiesce",
+		"restart.copy_out":         "restart_copy_out",
+		"restart.commit":           "restart_commit",
+		"restart.exit":             "restart_exit",
+		"restart.map":              "restart_map",
+		"restart.copy_in":          "restart_copy_in",
+		"restart.view":             "restart_view",
+		"restart.disk_recovery":    "restart_disk_recovery",
+		"restart.alive":            "restart_alive",
+		"restart.first_answer":     "restart_first_answer",
+		"restart.promote":          "restart_promote",
+		"restart.promote.block_us": "restart_promote_block_us",
+		"restart.table.seal":       "restart_table_seal",
+		"restart.table.persist":    "restart_table_persist",
+		"restart.table.copy_out":   "restart_table_copy_out",
+		"restart.table.crc":        "restart_table_crc",
+		"restart.table.copy_in":    "restart_table_copy_in",
+		"restart.table.view":       "restart_table_view",
+		"restart.table.adopt":      "restart_table_adopt",
+		"restart.table.load":       "restart_table_load",
+		"restart.table.replay":     "restart_table_replay",
+		"restart.table.log_reset":  "restart_table_log_reset",
 		// rollover driver
 		"rollover.batch":               "rollover_batch",
 		"rollover.restarts":            "rollover_restarts",

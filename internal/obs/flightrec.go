@@ -1,15 +1,14 @@
-// Package obs is the cross-cutting observability layer: phase spans over
-// the restart lifecycle and query path, a crash-surviving flight recorder,
-// and the HTTP exposition every daemon serves.
+// Package obs is the cross-cutting observability layer: the restart ledger
+// (restart.go), per-query traces, a crash-surviving flight recorder, and the
+// HTTP exposition every daemon serves.
 //
 // The paper's evaluation is a breakdown of where restart time goes (§4),
 // and its operational story depends on knowing *why* a leaf took the disk
-// path instead of shared memory. The span API feeds per-phase timers into a
-// metrics.Registry; the flight recorder persists the most recent span and
-// lifecycle events in a small shared memory segment of its own, so after a
-// crash or failed restore the *next* process can read the previous run's
-// last recorded phase and report, e.g., "fell back to disk because copy-out
-// of table X failed mid-block".
+// path instead of shared memory. The flight recorder persists the most
+// recent restart-span and lifecycle events in a small shared memory segment
+// of its own, so after a crash or failed restore the *next* process can read
+// the previous run's last recorded phase and report, e.g., "fell back to
+// disk because copy-out of table X failed mid-block".
 //
 // The recorder deliberately mirrors the paper's trust rule for data
 // segments — the next process treats the previous contents as evidence, not
@@ -75,7 +74,7 @@ const (
 	slotDetailMax  = 160
 	slotFixedSize  = 4 + 1 + 1 + 2 + 8 + 8
 	recSlotSize    = slotFixedSize + slotPhaseMax + slotDetailMax // 256
-	defaultSlots   = 256
+	defaultSlots   = 1024                                         // a shutdown half of ~170 tables, six span events each
 	maxRecordSlots = 1 << 16
 )
 
@@ -148,7 +147,7 @@ type RecorderOptions struct {
 	// Namespace is the cluster namespace; the recorder appends "-obs" so
 	// its segment survives the data manager's RemoveAll sweeps.
 	Namespace string
-	// Capacity is the ring size in events (0 = 256).
+	// Capacity is the ring size in events (0 = 1024).
 	Capacity int
 	// DisableMmap forces the heap-backed segment fallback.
 	DisableMmap bool

@@ -15,6 +15,10 @@ type RecoveryDump struct {
 	// Recovery is daemon-specific recovery state (leaf.RecoveryInfo for
 	// scubad; nil for daemons without a recovery notion).
 	Recovery any `json:"recovery,omitempty"`
+	// Restart is the restart ledger: the previous process's shutdown half as
+	// read back from its flight-recorder ring, then this process's start
+	// half — one trace ID when one handed over to the other.
+	Restart RestartTrace `json:"restart,omitempty"`
 	// PreviousRun summarizes the flight-recorder events left by the
 	// previous process — the answer to "why did the restore fail".
 	PreviousRun *RunSummary `json:"previous_run,omitempty"`
@@ -36,6 +40,8 @@ type HandlerConfig struct {
 	// Recovery supplies the daemon-specific half of /debug/recovery (nil
 	// omits it). Called per request, so it can return live state.
 	Recovery func() any
+	// Restart supplies the restart ledger for /debug/recovery (nil omits it).
+	Restart func() RestartTrace
 	// Tracer backs /debug/traces and /debug/slow (nil omits both — only the
 	// aggregator daemon assembles traces).
 	Tracer *Tracer
@@ -79,6 +85,9 @@ func Handler(cfg HandlerConfig) http.Handler {
 		dump := RecoveryDump{}
 		if cfg.Recovery != nil {
 			dump.Recovery = cfg.Recovery()
+		}
+		if cfg.Restart != nil {
+			dump.Restart = cfg.Restart()
 		}
 		if cfg.Recorder != nil {
 			prev := cfg.Recorder.Previous()

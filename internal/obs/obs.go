@@ -6,19 +6,36 @@ import (
 	"scuba/internal/metrics"
 )
 
-// Observer ties the two observability sinks together: phase timers in a
-// metrics registry (for /metrics and dashboards) and events in the flight
-// recorder (for post-mortems of the run that never got to serve /metrics).
-// Either sink may be nil, and a nil *Observer is a valid no-op — callers
+// Observer is where a daemon's observability sinks meet: a metrics registry
+// (for /metrics and dashboards), the flight recorder (for post-mortems of the
+// run that never got to serve /metrics), and — wired by the daemon once they
+// exist — the self-telemetry sink and the profiler's over-budget capture.
+// Any of them may be absent, and a nil *Observer is a valid no-op — callers
 // instrument unconditionally and configuration decides what sticks.
 type Observer struct {
-	reg *metrics.Registry
-	rec *Recorder
+	reg  *metrics.Registry
+	rec  *Recorder
+	sink *Sink
+	// budget and overBudget are the profiler's restart trigger: a finished
+	// restart span longer than budget is handed to overBudget.
+	budget     time.Duration
+	overBudget func(RestartSpan)
 }
 
 // New creates an observer over a registry and recorder (either may be nil).
 func New(reg *metrics.Registry, rec *Recorder) *Observer {
 	return &Observer{reg: reg, rec: rec}
+}
+
+// SetSink makes finished restart spans rows of __system.traces through sink.
+// Call it before the leaf's Start; not safe concurrently with ending spans.
+func (o *Observer) SetSink(sink *Sink) { o.sink = sink }
+
+// SetBudget hands every finished restart span longer than budget to capture
+// (the continuous profiler's anomaly trigger). Call it before the leaf's
+// Start; capture must not block.
+func (o *Observer) SetBudget(budget time.Duration, capture func(RestartSpan)) {
+	o.budget, o.overBudget = budget, capture
 }
 
 // Registry returns the observer's metrics registry (nil when absent).
@@ -44,77 +61,3 @@ func (o *Observer) Event(kind EventKind, phase, detail string) {
 	}
 	o.rec.Record(kind, phase, detail)
 }
-
-// Span is one timed phase. The phase name doubles as the registry timer
-// name, so "restart.copy_out" shows up both as a timer on /metrics and as
-// begin/end events in the flight recorder.
-type Span struct {
-	o     *Observer
-	phase string
-	begin time.Time
-	done  bool
-}
-
-// Start begins a phase span: a begin event lands in the flight recorder
-// immediately (it may be the last thing this process ever records), and the
-// duration lands in the registry timer at End.
-func (o *Observer) Start(phase string) *Span {
-	if o == nil {
-		return nil
-	}
-	o.rec.Record(EventBegin, phase, "")
-	return &Span{o: o, phase: phase, begin: time.Now()}
-}
-
-// End completes the span: err == nil records success, otherwise the failure
-// and its reason. The phase duration is observed either way — failed phases
-// count toward the timers too, since a 20-minute failed copy is exactly the
-// kind of thing the breakdown must show. End is idempotent.
-func (s *Span) End(err error) {
-	if s == nil || s.done {
-		return
-	}
-	s.done = true
-	d := time.Since(s.begin)
-	if reg := s.o.Registry(); reg != nil {
-		reg.Timer(s.phase).Observe(d)
-	}
-	if err != nil {
-		s.o.rec.Record(EventFail, s.phase, err.Error())
-		return
-	}
-	s.o.rec.Record(EventEnd, s.phase, d.String())
-}
-
-// Phase names used across the restart lifecycle. The leaf emits these; the
-// acceptance checks and dashboards grep for them, so they are constants
-// rather than ad-hoc strings.
-const (
-	// PhaseCopyOut is Figure 6's heap-to-shm copy (whole-leaf span; each
-	// table also records copy-out:<table> events).
-	PhaseCopyOut = "restart.copy_out"
-	// PhaseCommit is the valid-bit write — Figure 6's commit point.
-	PhaseCommit = "restart.commit"
-	// PhaseMap is Figure 7's metadata read + segment-map validation.
-	PhaseMap = "restart.map"
-	// PhaseCopyIn is Figure 7's shm-to-heap copy (whole-leaf span; each
-	// table also records copy-in:<table> events).
-	PhaseCopyIn = "restart.copy_in"
-	// PhaseDiskRecovery is the fallback path: read the disk backup and
-	// translate it into memory.
-	PhaseDiskRecovery = "restart.disk_recovery"
-	// PhaseView is the instant-on mapped-view open: metadata + CRC validation
-	// after which the leaf serves queries zero-copy from the mapping.
-	PhaseView = "restart.view"
-	// PhasePromote is the background promotion of shm-resident blocks to the
-	// heap (whole-leaf span; each block lands in restart.promote.block_us).
-	PhasePromote = "restart.promote"
-	// TimerFirstQueryGap is the registry timer observing the time from Start
-	// begin to the first successful query after a restart — the paper's
-	// headline availability-gap metric, collapsed by instant-on.
-	TimerFirstQueryGap = "restart.first_query_gap"
-)
-
-// PerTablePhase names the flight-recorder phase for one table's share of a
-// copy half ("copy-out:<table>" / "copy-in:<table>").
-func PerTablePhase(half, table string) string { return half + ":" + table }

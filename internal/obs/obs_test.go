@@ -2,7 +2,6 @@ package obs
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"scuba/internal/metrics"
@@ -15,9 +14,12 @@ func TestSpanFeedsTimerAndRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	o := New(reg, rec)
+	r := New(reg, rec).Restart(HalfShutdown)
 
-	sp := o.Start(PhaseCopyOut)
+	sp := r.Begin(PhaseCopyOut, "", -1)
+	if events := rec.Events(); len(events) != 1 || events[0].Kind != EventBegin {
+		t.Fatalf("the begin event must be in the ring before the work it covers: %+v", events)
+	}
 	sp.End(nil)
 	sp.End(nil) // idempotent
 
@@ -31,6 +33,9 @@ func TestSpanFeedsTimerAndRecorder(t *testing.T) {
 	if events[0].Phase != PhaseCopyOut {
 		t.Errorf("phase = %q", events[0].Phase)
 	}
+	if got := r.Spans(); len(got) != 1 || got[0].Phase != PhaseCopyOut || got[0].TraceID != r.TraceID() {
+		t.Errorf("ledger = %+v", got)
+	}
 }
 
 func TestSpanFailure(t *testing.T) {
@@ -40,47 +45,49 @@ func TestSpanFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	o := New(reg, rec)
+	r := New(reg, rec).Restart(HalfStart)
 
-	sp := o.Start(PhaseCopyIn)
-	sp.End(errors.New("segment gone"))
+	r.Begin(PhaseTableCopyIn, "events", 1).End(errors.New("segment gone"))
 
 	// Failed phases still count toward the timer.
-	if st := reg.Timer(PhaseCopyIn).Stats(); st.Count != 1 {
+	if st := reg.Timer(PhaseTableCopyIn).Stats(); st.Count != 1 {
 		t.Errorf("timer count = %d", st.Count)
 	}
 	sum := Summarize(rec.Events())
-	if !sum.Failed || sum.FailurePhase != PhaseCopyIn || sum.FailureDetail != "segment gone" {
+	if !sum.Failed || sum.FailurePhase != PhaseTableCopyIn+":events" {
 		t.Errorf("summary = %+v", sum)
+	}
+	if got := r.Spans(); len(got) != 1 || got[0].Err != "segment gone" {
+		t.Errorf("ledger = %+v", got)
 	}
 }
 
-func TestNilObserverSafe(t *testing.T) {
+// A nil observer still keeps the ledger: the leaf reads RecoveryInfo off it
+// whether or not anyone listens.
+func TestNilObserverKeepsTheLedger(t *testing.T) {
 	var o *Observer
 	o.Event(EventNote, "x", "")
-	sp := o.Start("phase")
+	r := o.Restart(HalfStart)
+	sp := r.Begin(PhaseTableView, "t", 0)
+	sp.Blocks, sp.Bytes = 3, 300
 	sp.End(nil)
 	sp.End(errors.New("still fine"))
 	if o.Registry() != nil || o.Recorder() != nil {
 		t.Error("nil observer leaked sinks")
 	}
+	if b, n := r.Spans().Moved(); b != 3 || n != 300 {
+		t.Errorf("moved = %d blocks, %d bytes", b, n)
+	}
+	var none *Restart
+	if none.Spans() != nil {
+		t.Error("a nil ledger has spans")
+	}
 }
 
 func TestObserverWithoutRecorder(t *testing.T) {
 	reg := metrics.NewRegistry()
-	o := New(reg, nil)
-	sp := o.Start("phase.only_timer")
-	sp.End(nil)
+	New(reg, nil).Restart(HalfStart).Begin("phase.only_timer", "", -1).End(nil)
 	if st := reg.Timer("phase.only_timer").Stats(); st.Count != 1 {
 		t.Errorf("timer count = %d", st.Count)
-	}
-}
-
-func TestPerTablePhase(t *testing.T) {
-	if got := PerTablePhase("copy-out", "service_logs"); got != "copy-out:service_logs" {
-		t.Errorf("phase = %q", got)
-	}
-	if !strings.HasPrefix(PerTablePhase("copy-in", "t"), "copy-in:") {
-		t.Error("prefix wrong")
 	}
 }

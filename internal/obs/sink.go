@@ -37,7 +37,8 @@ const (
 	// SystemMetricsTable holds per-daemon metric-registry snapshots (one
 	// row per metric per flush).
 	SystemMetricsTable = "__system.metrics"
-	// SystemTracesTable holds completed distributed-trace summaries.
+	// SystemTracesTable holds completed distributed-trace summaries (one row
+	// per query) and restart traces (one row per span).
 	SystemTracesTable = "__system.traces"
 	// SystemRecorderTable holds flight-recorder events — including the
 	// previous run's events recovered after a crash, so crash forensics
@@ -289,10 +290,6 @@ func (s *Sink) RecordTrace(tr Trace) {
 			return
 		}
 	}
-	slow := int64(0)
-	if tr.Slow {
-		slow = 1
-	}
 	row := rowblock.Row{
 		Time: s.cfg.Clock().Unix(),
 		Cols: map[string]rowblock.Value{
@@ -305,11 +302,51 @@ func (s *Sink) RecordTrace(tr Trace) {
 			"leaves_answered": rowblock.Int64Value(int64(tr.LeavesAnswered)),
 			"shards_total":    rowblock.Int64Value(int64(tr.ShardsTotal)),
 			"shards_answered": rowblock.Int64Value(int64(tr.ShardsAnswered)),
-			"slow":            rowblock.Int64Value(slow),
+			"slow":            boolValue(tr.Slow),
 			"spans":           rowblock.Int64Value(int64(len(tr.Spans))),
 		},
 	}
 	s.put(SystemTracesTable, []rowblock.Row{row})
+}
+
+// boolValue is a flag column: 1 or 0.
+func boolValue(b bool) rowblock.Value {
+	if b {
+		return rowblock.Int64Value(1)
+	}
+	return rowblock.Int64Value(0)
+}
+
+// RecordRestartSpans converts restart spans into __system.traces rows, one
+// per span, beside the query traces and keyed by the same trace_id column:
+// "where did the restart go" is a group-by over phase and table. Row time is
+// the span's start; t_us keeps it exact.
+func (s *Sink) RecordRestartSpans(spans []RestartSpan) {
+	if s == nil || len(spans) == 0 {
+		return
+	}
+	rows := make([]rowblock.Row, 0, len(spans))
+	for _, sp := range spans {
+		rows = append(rows, rowblock.Row{
+			Time: sp.Start.Unix(),
+			Cols: map[string]rowblock.Value{
+				"source":      rowblock.StringValue(s.cfg.Source),
+				"trace_id":    rowblock.Int64Value(int64(sp.TraceID)),
+				"half":        rowblock.StringValue(sp.Half),
+				"phase":       rowblock.StringValue(sp.Phase),
+				"table":       rowblock.StringValue(sp.Table),
+				"worker":      rowblock.Int64Value(int64(sp.Worker)),
+				"recovery":    rowblock.StringValue(sp.Source),
+				"blocks":      rowblock.Int64Value(int64(sp.Blocks)),
+				"bytes":       rowblock.Int64Value(sp.Bytes),
+				"t_us":        rowblock.Int64Value(sp.Start.UnixMicro()),
+				"duration_us": rowblock.Int64Value(sp.Duration.Microseconds()),
+				"err":         rowblock.StringValue(sp.Err),
+				"open":        boolValue(sp.Open),
+			},
+		})
+	}
+	s.put(SystemTracesTable, rows)
 }
 
 // RecordRecorderEvents converts flight-recorder events into

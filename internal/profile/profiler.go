@@ -22,7 +22,6 @@ const (
 	DefaultTopN            = 20
 	DefaultAnomalyCooldown = 15 * time.Second
 	DefaultGCPauseBudget   = 50 * time.Millisecond
-	DefaultRestartBudget   = 1 * time.Second
 )
 
 // Capture triggers, written into the __system.profiles "trigger" column.
@@ -63,9 +62,6 @@ type Config struct {
 	// GCPauseBudget: a runtime.gc_pause_hist p99 above this (with new GCs
 	// since the last check) triggers a gc_pause capture (default 50ms).
 	GCPauseBudget time.Duration
-	// RestartBudget is the per-phase budget for ObserveRestartPhase
-	// callers that pass no budget of their own (default 1s).
-	RestartBudget time.Duration
 	// Clock overrides time.Now for tests. Only stamps rows and cooldowns;
 	// capture windows always run on real timers.
 	Clock func() time.Time
@@ -135,9 +131,6 @@ func New(cfg Config) *Profiler {
 	if cfg.GCPauseBudget <= 0 {
 		cfg.GCPauseBudget = DefaultGCPauseBudget
 	}
-	if cfg.RestartBudget <= 0 {
-		cfg.RestartBudget = DefaultRestartBudget
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -182,22 +175,19 @@ func (p *Profiler) OnTrace(tr obs.Trace) {
 	p.TriggerCapture(TriggerSlowQuery, q, tr.TraceID)
 }
 
-// ObserveRestartPhase is the leaf restart hook: a phase (copy_in,
-// wal_replay, promotion, ...) that ran longer than budget triggers a capture
-// tagged with the phase and the recovery path that produced it. budget <= 0
-// uses Config.RestartBudget. Safe on nil.
-func (p *Profiler) ObserveRestartPhase(phase, path string, d, budget time.Duration) {
-	if p == nil {
-		return
+// OnRestartSpan is the restart ledger's over-budget hook
+// (obs.Observer.SetBudget): a span that ran longer than the budget triggers a
+// capture tagged with the restart's trace ID, so the functions that were hot
+// join the waterfall that shows where the time went. Safe on nil.
+func (p *Profiler) OnRestartSpan(sp obs.RestartSpan) {
+	detail := "phase=" + sp.Phase + " took=" + sp.Duration.String()
+	if sp.Table != "" {
+		detail += " table=" + sp.Table
 	}
-	if budget <= 0 {
-		budget = p.cfg.RestartBudget
+	if sp.Source != "" {
+		detail += " source=" + sp.Source
 	}
-	if d <= budget {
-		return
-	}
-	detail := "phase=" + phase + " path=" + path + " took=" + d.String() + " budget=" + budget.String()
-	p.TriggerCapture(TriggerRestart, detail, 0)
+	p.TriggerCapture(TriggerRestart, detail, sp.TraceID)
 }
 
 // TriggerCapture requests an anomaly capture. It never blocks: within the

@@ -154,20 +154,28 @@ func TestAnomalyCooldown(t *testing.T) {
 	}
 }
 
-func TestObserveRestartPhase(t *testing.T) {
+// The budget check lives in the restart ledger's Span.End; the profiler only
+// turns the span it is handed into a capture tagged with the restart's trace.
+func TestRestartSpanOverBudgetCaptures(t *testing.T) {
 	trap := &rowTrap{}
-	p := newTestProfiler(t, trap, func(c *Config) {
-		c.RestartBudget = 100 * time.Millisecond
-		c.AnomalyCooldown = time.Nanosecond
-	})
-	p.ObserveRestartPhase("copy_in", "shm-view", 50*time.Millisecond, 0) // under budget
-	p.ObserveRestartPhase("wal_replay", "wal", 2*time.Second, 0)         // over budget
+	p := newTestProfiler(t, trap, func(c *Config) { c.AnomalyCooldown = time.Nanosecond })
+	ob := obs.New(nil, nil)
+	ob.SetBudget(20*time.Millisecond, p.OnRestartSpan)
+	r := ob.Restart(obs.HalfStart)
+	r.Begin(obs.PhaseMap, "", -1).End(nil) // under budget
+	sp := r.Begin(obs.PhaseTableReplay, "events", 0)
+	sp.Source = "wal"
+	time.Sleep(30 * time.Millisecond) // over budget
+	sp.End(nil)
 
 	waitRows(t, func() bool { return len(trap.byTrigger(TriggerRestart)) > 0 })
-	for _, r := range trap.byTrigger(TriggerRestart) {
-		d := r.Cols["detail"].Str
-		if !strings.Contains(d, "phase=wal_replay") || !strings.Contains(d, "path=wal") {
+	for _, r2 := range trap.byTrigger(TriggerRestart) {
+		d := r2.Cols["detail"].Str
+		if !strings.Contains(d, "phase="+obs.PhaseTableReplay) || !strings.Contains(d, "table=events") || !strings.Contains(d, "source=wal") {
 			t.Fatalf("detail = %q (under-budget phase must not capture)", d)
+		}
+		if got := uint64(r2.Cols["trace_id"].Int); got != r.TraceID() {
+			t.Fatalf("capture tagged with trace %d, want the restart's %d", got, r.TraceID())
 		}
 	}
 }
@@ -235,7 +243,7 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
 	p.Close()
 	p.OnTrace(obs.Trace{Slow: true})
-	p.ObserveRestartPhase("copy_in", "memory", time.Hour, 0)
+	p.OnRestartSpan(obs.RestartSpan{Phase: obs.PhaseCopyIn, Duration: time.Hour})
 	if p.TriggerCapture("x", "", 0) || p.CaptureNow("x", "", 0) {
 		t.Fatal("nil profiler captured")
 	}

@@ -138,7 +138,8 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"timer restart_map count=1",
 		"timer restart_copy_in count=1",
-		"histogram restart_copy_in_table_us count=1",
+		"timer restart_table_copy_in count=1",
+		"timer restart_alive count=1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("post-restart /metrics missing %q:\n%s", want, body)
@@ -172,6 +173,25 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 	}
 	if !sawCopyOut || !sawCommit {
 		t.Errorf("previous events missing copy-out/commit spans: %+v", dump.PreviousEvents)
+	}
+	// And the restart as one trace: the old process's shutdown half, carried
+	// over in the flight-recorder ring, and this process's start half.
+	halves := map[string]uint64{}
+	for _, sp := range dump.Restart {
+		if id, seen := halves[sp.Half]; seen && id != sp.TraceID {
+			t.Errorf("%s half spans carry trace IDs %d and %d", sp.Half, id, sp.TraceID)
+		}
+		halves[sp.Half] = sp.TraceID
+	}
+	if len(halves) != 2 || halves["shutdown"] != halves["start"] || halves["start"] == 0 {
+		t.Errorf("restart ledger halves → trace IDs = %v, want both halves under one ID: %+v", halves, dump.Restart)
+	}
+	var sawLogs bool
+	for _, st := range dump.Restart.Half("start").Tables() {
+		sawLogs = sawLogs || (st.Table == "service_logs" && st.Blocks > 0)
+	}
+	if !sawLogs {
+		t.Errorf("restart ledger's start half does not carry service_logs: %+v", dump.Restart)
 	}
 	// Data really is back (the restart the metrics describe happened).
 	res, err := client2.Query(q)

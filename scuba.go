@@ -93,7 +93,8 @@ type (
 	RecoveryPath = leaf.RecoveryPath
 	// ShutdownInfo reports what a clean shutdown did.
 	ShutdownInfo = leaf.ShutdownInfo
-	// TableCopyStat is one table's share of a restart-path copy.
+	// TableCopyStat is one table's share of a restart half: a roll-up of
+	// its restart spans.
 	TableCopyStat = leaf.TableCopyStat
 	// TableRecovery is one table's recovery path within a mixed restore.
 	TableRecovery = leaf.TableRecovery
@@ -415,17 +416,26 @@ var DefaultSimParams = sim.DefaultParams
 // a week with 100% of data available (the paper's 93% vs 99.5%).
 var WeeklyFullAvailability = sim.WeeklyFullAvailability
 
-// Observability: phase-span timers on /metrics plus a crash-surviving
-// flight recorder in shared memory (its own segment, namespace "<ns>-obs",
-// so the leaf's segment sweep never deletes it). Every daemon takes an
-// -http flag and serves /metrics, /debug/recovery and /debug/pprof through
-// ObsHandler; a nil Observer or FlightRecorder is a valid no-op.
+// Observability: the restart ledger (one span per restart phase, table and
+// worker, feeding the phase timers on /metrics, the flight recorder,
+// /debug/recovery and __system.traces) plus a crash-surviving flight recorder
+// in shared memory (its own segment, namespace "<ns>-obs", so the leaf's
+// segment sweep never deletes it). Every daemon takes an -http flag and
+// serves /metrics, /debug/recovery and /debug/pprof through ObsHandler; a nil
+// Observer or FlightRecorder is a valid no-op.
 type (
+	// RestartSpan is one step of a restart: phase, table, worker, recovery
+	// source, blocks, bytes, start, duration, error.
+	RestartSpan = obs.RestartSpan
+	// RestartTrace is a restart's spans, with the views tools read it
+	// through (Half, Phases, TopLevel, Tables, Elapsed).
+	RestartTrace = obs.RestartTrace
 	// MetricsRegistry is a named counter/gauge/timer/histogram registry.
 	MetricsRegistry = metrics.Registry
 	// MetricsSnapshot is a point-in-time copy of a whole registry.
 	MetricsSnapshot = metrics.Snapshot
-	// Observer ties phase spans to a registry and a flight recorder.
+	// Observer is where the restart ledger's sinks meet: registry, flight
+	// recorder, telemetry sink, profiler budget.
 	Observer = obs.Observer
 	// FlightRecorder is the crash-surviving event ring in shared memory.
 	FlightRecorder = obs.Recorder
@@ -499,6 +509,8 @@ var (
 	OpenFlightRecorder = obs.OpenFlightRecorder
 	// SummarizeFlightEvents condenses an event dump into a RunSummary.
 	SummarizeFlightEvents = obs.Summarize
+	// SlowestTable picks the table share with the longest duration.
+	SlowestTable = obs.Slowest
 	// ObsHandler builds the /metrics + /debug/recovery + pprof mux.
 	ObsHandler = obs.Handler
 	// StartObsHTTP serves a handler on addr in the background.
