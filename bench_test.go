@@ -243,8 +243,8 @@ func benchmarkRollover(b *testing.B, useShm bool) {
 		}
 		b.StopTimer()
 		version++
-		if rep.MinAvailability < 0.8 {
-			b.Fatalf("availability dropped to %v", rep.MinAvailability)
+		if got := rep.MinAvailability(); got < 0.8 {
+			b.Fatalf("availability dropped to %v", got)
 		}
 		b.StartTimer()
 	}

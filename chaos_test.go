@@ -437,12 +437,12 @@ func TestRolloverKillNineMidBatch(t *testing.T) {
 				return nil
 			},
 		})
-		rep, err := pc.ProcRollover(scuba.ProcRolloverConfig{
+		rep, err := pc.Rollover(scuba.RolloverConfig{
 			BatchFraction: 0.25,
 			UseShm:        true,
 			KillTimeout:   time.Minute,
 			Tables:        []string{"service_logs"},
-			OnBatch: func(b int, draining []string) {
+			OnBatch: func(b int, draining []string, _ scuba.ClusterSnapshot) {
 				// kill -9 a leaf of a later batch right after its DRAINING
 				// flip: the shutdown RPC finds a corpse. The victim must hold
 				// rows — a leaf that owns no non-empty shard has no log to
@@ -464,18 +464,17 @@ func TestRolloverKillNineMidBatch(t *testing.T) {
 		}
 		// Crash-path parity: the kill -9 victim's replacement comes back via
 		// block images + WAL replay, every acked row served.
-		if rep.WALRecoveries != 1 || rep.MemoryRecoveries != len(pc.Leaves())-1 {
-			t.Errorf("recoveries = %d memory / %d wal / %d disk, want %d / 1 / 0",
-				rep.MemoryRecoveries, rep.WALRecoveries, rep.DiskRecoveries, len(pc.Leaves())-1)
+		if rep.Recoveries[scuba.RecoveryWAL] != 1 || rep.Recoveries[scuba.RecoveryMemory] != len(pc.Leaves())-1 {
+			t.Errorf("recoveries = %v, want %d memory / 1 wal / 0 disk", rep.Recoveries, len(pc.Leaves())-1)
 		}
 		foundVictim := false
 		for _, r := range rep.Restarts {
-			if r.Addr == victim {
+			if r.Name == victim {
 				foundVictim = true
-				if !r.Crashed || r.RecoveryPath != "wal" {
+				if !r.Crashed || r.Recovery != scuba.RecoveryWAL {
 					t.Errorf("victim restart = %+v, want Crashed via wal", r)
 				}
-			} else if r.Crashed || r.RecoveryPath != "memory" {
+			} else if r.Crashed || r.Recovery != scuba.RecoveryMemory {
 				t.Errorf("bystander restart = %+v, want clean shm recovery", r)
 			}
 		}
@@ -503,7 +502,7 @@ func TestRolloverKillNineMidBatch(t *testing.T) {
 		// WAL off: the canary guard exists for the pre-WAL world where a
 		// crashed leaf's only road back is the disk translate.
 		pc, q, baseRows := start(t, true)
-		rep, err := pc.ProcRollover(scuba.ProcRolloverConfig{
+		rep, err := pc.Rollover(scuba.RolloverConfig{
 			BatchFraction: 0.25,
 			UseShm:        true,
 			KillTimeout:   time.Minute,
@@ -511,7 +510,7 @@ func TestRolloverKillNineMidBatch(t *testing.T) {
 			// the canary guard immediately.
 			MaxDiskFallback: 0.1,
 			Tables:          []string{"service_logs"},
-			OnBatch: func(b int, draining []string) {
+			OnBatch: func(b int, draining []string, _ scuba.ClusterSnapshot) {
 				if b == 0 {
 					killDraining(t, pc, draining[0])
 				}
@@ -520,7 +519,7 @@ func TestRolloverKillNineMidBatch(t *testing.T) {
 		if !errors.Is(err, scuba.ErrRolloverAborted) {
 			t.Fatalf("err = %v, want ErrRolloverAborted", err)
 		}
-		if !rep.Aborted || rep.Batches != 1 || rep.DiskRecoveries != 1 {
+		if !rep.Aborted || rep.Batches != 1 || rep.Recoveries[scuba.RecoveryDisk] != 1 {
 			t.Errorf("report = %+v, want aborted after 1 batch with 1 disk recovery", rep)
 		}
 		// The aborted rollover is still a healthy cluster: the victim came

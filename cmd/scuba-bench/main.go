@@ -32,7 +32,7 @@ type experiment struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e14, e16..e18, e20, e21, e23) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (e1..e14, e16, e18, e20, e23) or 'all'")
 	flag.Parse()
 
 	experiments := []experiment{
@@ -51,10 +51,8 @@ func main() {
 		{"e13", "batch-fraction tradeoff: why restart 2% at a time", runE13},
 		{"e14", "parallel copy-out/copy-in: restart-path worker sweep", runE14},
 		{"e16", "query p99 during a 5%-hung-leaf brownout (per-leaf deadline)", runE16},
-		{"e17", "in-leaf query latency: ScanWorkers x decode cache x selectivity (BENCH_e17.json)", runE17},
 		{"e18", "tracing overhead on the hot query path (BENCH_e18.json)", runE18},
 		{"e20", "self-telemetry sink overhead on the scan path (BENCH_e20.json)", runE20},
-		{"e21", "crash recovery: block images + WAL replay vs disk translate (BENCH_e21.json)", runE21},
 		{"e23", "continuous profiler overhead on the scan path (BENCH_e23.json)", runE23},
 	}
 

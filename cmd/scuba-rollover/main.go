@@ -155,25 +155,20 @@ func runReal(cfg realConfig) {
 	if !cfg.useShm {
 		which = "disk"
 	}
-	fmt.Printf("--- %s rollover, %d%% per batch, MaxPerMachine=1 ---\n", which, int(cfg.batch*100))
-	rep, err := pc.ProcRollover(scuba.ProcRolloverConfig{
+	fmt.Printf("--- %s rollover, %d%% per batch ---\n", which, int(cfg.batch*100))
+	rep, err := pc.Rollover(scuba.RolloverConfig{
 		BatchFraction:   cfg.batch,
-		MaxPerMachine:   1,
 		UseShm:          cfg.useShm,
 		KillTimeout:     cfg.killTimeout,
 		MaxDiskFallback: cfg.maxDiskFallback,
 		Tables:          []string{"service_logs"},
-		OnBatch: func(b int, draining []string) {
-			fmt.Printf("  batch %2d: draining %s\n", b, strings.Join(draining, " "))
-		},
+		OnBatch:         printBatch,
 	})
 	avail := probe.Stop()
 	if err != nil {
 		fmt.Printf("rollover stopped: %v\n", err)
 	}
-	fmt.Printf("\nrollover: %v, %d batches, %d memory / %d mixed / %d disk recoveries, %d quarantined\n",
-		rep.Duration.Round(time.Millisecond), rep.Batches,
-		rep.MemoryRecoveries, rep.MixedRecoveries, rep.DiskRecoveries, len(rep.Quarantined))
+	fmt.Printf("%s rollover: %s\n", which, rep)
 
 	fmt.Printf("\navailability during rollover (%d queries, %d errors, %d wrong):\n",
 		avail.Queries, avail.Errors, avail.Wrong)
@@ -232,25 +227,37 @@ func runCanary(machines, leaves, rows int) {
 	}
 	fmt.Printf("cluster of %d leaves, %.0f rows; canarying leaves 0 and 1\n", c.Size(), count())
 
-	start := time.Now()
 	can, err := c.StartCanary(scuba.CanaryConfig{Nodes: []int{0, 1}, Version: 99})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("experimental v99 on 2 leaves in %v (recoveries: %s, %s); rows still %.0f\n",
-		time.Since(start).Round(time.Millisecond),
-		can.Deploy[0].Recovery.Path, can.Deploy[1].Recovery.Path, count())
+	fmt.Printf("experimental v99 on 2 leaves:\n%s  rows still %.0f\n", restartLines(can.Deploy), count())
 
-	start = time.Now()
-	if _, err := can.Revert(); err != nil {
+	reverts, err := can.Revert()
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reverted to v1 in %v; rows still %.0f\n",
-		time.Since(start).Round(time.Millisecond), count())
+	fmt.Printf("reverted to v1:\n%s  rows still %.0f\n", restartLines(reverts), count())
 	fmt.Println("(§6: \"we can add more logging, test bug fixes, and try new software designs — and then revert\")")
 }
 
 func wantPath(path, which string) bool { return path == which || path == "both" }
+
+// printBatch is the Figure 8 dashboard, one line per batch; every mode that
+// restarts real leaves prints through it.
+func printBatch(b int, draining []string, s scuba.ClusterSnapshot) {
+	fmt.Printf("  batch %3d  %s  draining %s\n", b, s, strings.Join(draining, " "))
+}
+
+// restartLines renders single-leaf restarts the way a report's are recorded.
+func restartLines(restarts []scuba.Restart) string {
+	var b strings.Builder
+	for _, rs := range restarts {
+		fmt.Fprintf(&b, "  %s: recovery %s, gap %v, total %v\n", rs.Name, rs.Recovery,
+			rs.Gap.Round(time.Microsecond), rs.Duration.Round(time.Microsecond))
+	}
+	return b.String()
+}
 
 func runLive(machines, leaves, rows int, batch float64, path string) {
 	workDir, err := os.MkdirTemp("", "scuba-rollover-")
@@ -293,17 +300,13 @@ func runLive(machines, leaves, rows int, batch float64, path string) {
 			BatchFraction: batch,
 			UseShm:        p.useShm,
 			TargetVersion: version,
-			OnBatch: func(b int, s scuba.ClusterSnapshot) {
-				fmt.Printf("  batch %3d  %s\n", b, s)
-			},
+			OnBatch:       printBatch,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		durations[p.name] = rep.Duration
-		fmt.Printf("%s rollover: %v, %d batches, min availability %.1f%%, %d memory / %d disk recoveries\n\n",
-			p.name, rep.Duration.Round(time.Millisecond), rep.Batches,
-			100*rep.MinAvailability, rep.MemoryRecoveries, rep.DiskRecoveries)
+		fmt.Printf("%s rollover: %s\n\n", p.name, rep)
 		version++
 	}
 	if d1, ok1 := durations["shm"]; ok1 {

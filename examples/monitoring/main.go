@@ -96,12 +96,12 @@ func main() {
 	fmt.Printf("  severe errors by product/error (coverage %.0f%%): %v\n\n", cov*100, base)
 
 	fmt.Println("restarting one leaf through shared memory mid-stream...")
-	rep, err := c.Node(0).Restart(scuba.RestartOptions{UseShm: true, NewVersion: 2})
-	if err != nil {
-		log.Fatal(err)
+	rs := c.Node(0).Restart(scuba.RolloverConfig{UseShm: true, TargetVersion: 2})
+	if rs.Err != "" {
+		log.Fatal(rs.Err)
 	}
 	fmt.Printf("  leaf 0 restarted via %s in %v\n",
-		rep.Recovery.Path, rep.Total.Round(time.Millisecond))
+		rs.Recovery, rs.Duration.Round(time.Millisecond))
 	produce(5000, false)
 	_, covDuring := errorRate()
 	fmt.Printf("  monitoring kept working (coverage %.0f%% during/after the restart)\n\n", covDuring*100)

@@ -70,7 +70,7 @@ func main() {
 			BatchFraction: *batch,
 			UseShm:        useShm,
 			TargetVersion: version,
-			OnBatch: func(b int, s scuba.ClusterSnapshot) {
+			OnBatch: func(b int, _ []string, s scuba.ClusterSnapshot) {
 				// The Figure 8 dashboard, one line per batch.
 				total := s.OldVersion + s.RollingOver + s.NewVersion
 				bar := func(n int, ch string) string {
@@ -88,11 +88,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("done in %v (%d batches, min availability %.1f%%); "+
-			"recoveries: %d memory / %d disk; rows visible: %.0f\n\n",
-			rep.Duration.Round(time.Millisecond), rep.Batches,
-			100*rep.MinAvailability, rep.MemoryRecoveries, rep.DiskRecoveries,
-			res.Rows(countQ)[0].Values[0])
+		fmt.Printf("done: %s; rows visible: %.0f\n\n", rep, res.Rows(countQ)[0].Values[0])
 		return rep
 	}
 

@@ -49,7 +49,7 @@ func TestExamplesRun(t *testing.T) {
 			args: []string{"run", "./examples/rollover", "-machines", "2", "-leaves", "4", "-rows", "20000"},
 			want: []string{
 				"rollover via shared memory",
-				"recoveries: 8 memory / 0 disk",
+				"recoveries: 8 memory, 0 quarantined",
 				"rows visible: 20000",
 				"weekly full availability",
 			},

@@ -54,7 +54,7 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 		t.Fatal("baseline returned no rows")
 	}
 
-	roll := scuba.ProcRolloverConfig{
+	roll := scuba.RolloverConfig{
 		BatchFraction: 0.5,
 		MaxPerMachine: 1,
 		UseShm:        true,
@@ -64,13 +64,12 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 
 	// Rollover 1: the copy-in barrier, the paper's restart path — the
 	// denominator of the availability ratio.
-	rep1, err := pc.ProcRollover(roll)
+	rep1, err := pc.Rollover(roll)
 	if err != nil {
 		t.Fatalf("copy-in rollover: %v", err)
 	}
-	if rep1.MemoryRecoveries != n {
-		t.Fatalf("copy-in rollover: memory recoveries = %d, want %d (report: %+v)",
-			rep1.MemoryRecoveries, n, rep1)
+	if got := rep1.Recoveries[scuba.RecoveryMemory]; got != n {
+		t.Fatalf("copy-in rollover: memory recoveries = %d, want %d (report: %+v)", got, n, rep1)
 	}
 	// The restore cost of a table is read off its restart spans: on this
 	// rollover the segment's CRC pass plus the copy to the heap. That is the
@@ -87,13 +86,12 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 	// ~250µs validation into scheduler noise.
 	pc.SetInstantOn(true)
 	roll.MaxAvailabilityGap = 30 * time.Second // sanity bound, not the gate
-	rep2, err := pc.ProcRollover(roll)
+	rep2, err := pc.Rollover(roll)
 	if err != nil {
 		t.Fatalf("instant-on rollover: %v", err)
 	}
-	if rep2.ShmViewRecoveries != n {
-		t.Fatalf("instant-on rollover: shm-view recoveries = %d, want %d (report: %+v)",
-			rep2.ShmViewRecoveries, n, rep2)
+	if got := rep2.Recoveries[scuba.RecoveryShmView]; got != n {
+		t.Fatalf("instant-on rollover: shm-view recoveries = %d, want %d (report: %+v)", got, n, rep2)
 	}
 	waitPromotionDrained(t, pc)
 
@@ -165,14 +163,13 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 			return nil
 		},
 	})
-	rep3, err := pc.ProcRollover(roll)
+	rep3, err := pc.Rollover(roll)
 	if err != nil {
 		probe.Stop()
 		t.Fatalf("probed instant-on rollover: %v", err)
 	}
-	if rep3.ShmViewRecoveries != n {
-		t.Fatalf("probed instant-on rollover: shm-view recoveries = %d, want %d (report: %+v)",
-			rep3.ShmViewRecoveries, n, rep3)
+	if got := rep3.Recoveries[scuba.RecoveryShmView]; got != n {
+		t.Fatalf("probed instant-on rollover: shm-view recoveries = %d, want %d (report: %+v)", got, n, rep3)
 	}
 	waitPromotionDrained(t, pc)
 	avail := probe.Stop()

@@ -208,8 +208,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DiskRecoveries != 0 {
-		t.Errorf("unexpected disk recoveries: %d", rep.DiskRecoveries)
+	if got := rep.Recoveries[scuba.RecoveryDisk]; got != 0 {
+		t.Errorf("unexpected disk recoveries: %d", got)
 	}
 	produce(5000)
 

@@ -33,7 +33,7 @@ type Canary struct {
 	cluster     *Cluster
 	cfg         CanaryConfig
 	baseVersion int
-	Deploy      []RestartReport
+	Deploy      []Restart
 	reverted    bool
 }
 
@@ -54,18 +54,29 @@ func (c *Cluster) StartCanary(cfg CanaryConfig) (*Canary, error) {
 		cfg.Version = c.maxVersion() + 1
 	}
 	can := &Canary{cluster: c, cfg: cfg, baseVersion: c.nodes[cfg.Nodes[0]].Version()}
-	for _, id := range cfg.Nodes {
-		rep, err := c.nodes[id].Restart(RestartOptions{
-			UseShm:      true,
-			NewVersion:  cfg.Version,
-			KillTimeout: cfg.KillTimeout,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: canary deploy on node %d: %w", id, err)
-		}
-		can.Deploy = append(can.Deploy, rep)
+	var err error
+	if can.Deploy, err = can.restartAll(cfg.Version); err != nil {
+		return nil, fmt.Errorf("cluster: canary deploy: %w", err)
 	}
 	return can, nil
+}
+
+// restartAll moves the canaried leaves to version, one at a time, through
+// shared memory.
+func (can *Canary) restartAll(version int) ([]Restart, error) {
+	var restarts []Restart
+	for _, id := range can.cfg.Nodes {
+		rs := can.cluster.nodes[id].Restart(RolloverConfig{
+			UseShm:        true,
+			TargetVersion: version,
+			KillTimeout:   can.cfg.KillTimeout,
+		})
+		restarts = append(restarts, rs)
+		if rs.Err != "" {
+			return restarts, fmt.Errorf("node %d: %s", id, rs.Err)
+		}
+	}
+	return restarts, nil
 }
 
 // Nodes returns the canaried node IDs.
@@ -76,24 +87,16 @@ func (can *Canary) Version() int { return can.cfg.Version }
 
 // Revert restarts the canaried leaves back onto the base version, again
 // through shared memory: no data is lost in either direction.
-func (can *Canary) Revert() ([]RestartReport, error) {
+func (can *Canary) Revert() ([]Restart, error) {
 	if can.reverted {
 		return nil, errors.New("cluster: canary already reverted")
 	}
-	var reports []RestartReport
-	for _, id := range can.cfg.Nodes {
-		rep, err := can.cluster.nodes[id].Restart(RestartOptions{
-			UseShm:      true,
-			NewVersion:  can.baseVersion,
-			KillTimeout: can.cfg.KillTimeout,
-		})
-		if err != nil {
-			return reports, fmt.Errorf("cluster: canary revert on node %d: %w", id, err)
-		}
-		reports = append(reports, rep)
+	restarts, err := can.restartAll(can.baseVersion)
+	if err != nil {
+		return restarts, fmt.Errorf("cluster: canary revert: %w", err)
 	}
 	can.reverted = true
-	return reports, nil
+	return restarts, nil
 }
 
 // Promote rolls the experimental version out to the rest of the cluster

@@ -16,9 +16,9 @@ func TestCanaryDeployAndRevert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range can.Deploy {
-		if rep.Recovery.Path != leaf.RecoveryMemory {
-			t.Errorf("node %d deployed via %v", rep.Node, rep.Recovery.Path)
+	for _, rs := range can.Deploy {
+		if rs.Recovery != leaf.RecoveryMemory {
+			t.Errorf("node %d deployed via %v", rs.Leaf, rs.Recovery)
 		}
 	}
 	if c.Node(1).Version() != 42 || c.Node(5).Version() != 42 {
@@ -39,9 +39,9 @@ func TestCanaryDeployAndRevert(t *testing.T) {
 	if len(reverts) != 2 {
 		t.Fatalf("reverted %d nodes", len(reverts))
 	}
-	for _, rep := range reverts {
-		if rep.Recovery.Path != leaf.RecoveryMemory {
-			t.Errorf("node %d reverted via %v", rep.Node, rep.Recovery.Path)
+	for _, rs := range reverts {
+		if rs.Recovery != leaf.RecoveryMemory {
+			t.Errorf("node %d reverted via %v", rs.Leaf, rs.Recovery)
 		}
 	}
 	if c.Node(1).Version() != 1 || c.Node(5).Version() != 1 {
@@ -71,12 +71,11 @@ func TestCanaryPromote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DiskRecoveries != 0 {
-		t.Errorf("disk recoveries during promote: %d", rep.DiskRecoveries)
+	if got := rep.Recoveries[leaf.RecoveryDisk]; got != 0 {
+		t.Errorf("disk recoveries during promote: %d", got)
 	}
-	snap := c.Snapshot(2)
-	if snap.NewVersion != 4 {
-		t.Errorf("snapshot after promote = %+v", snap)
+	if got := aliveOn(c, 2); got != 4 {
+		t.Errorf("%d of 4 nodes on version 2 after promote", got)
 	}
 	// Promote after revert is rejected.
 	can2, err := c.StartCanary(CanaryConfig{Nodes: []int{1}})

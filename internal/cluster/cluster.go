@@ -62,7 +62,8 @@ type Node struct {
 	Slot     int
 	GlobalID int
 
-	cfg Config
+	cfg    Config
+	router *shard.Router // the cluster's, nil outside shard mode
 
 	mu      sync.Mutex
 	leaf    *leaf.Leaf
@@ -103,6 +104,9 @@ func New(cfg Config) (*Cluster, error) {
 			leaves[i] = shard.Leaf{Name: n.Name(), Machine: n.Machine}
 		}
 		c.router = shard.NewRouter(shard.NewMap(leaves, cfg.Replication, cfg.NumShards))
+		for _, n := range c.nodes {
+			n.router = c.router
+		}
 	}
 	return c, nil
 }
@@ -188,99 +192,101 @@ func (n *Node) QueryShards(q *query.Query, shards []int, tc obs.TraceContext) (*
 	return l.QueryShards(q, shards, tc)
 }
 
-// RestartReport records one node's restart.
-type RestartReport struct {
-	Node     int
-	Shutdown leaf.ShutdownInfo
-	Recovery leaf.RecoveryInfo
-	Killed   bool
-	Total    time.Duration
+// ident, setStatus and restart make a Node a member of the rollover driver's
+// fleet: its status goes straight to the cluster's router, and its process is
+// a goroutine-owned leaf.Leaf.
+func (n *Node) ident() (id, machine int, name string) { return n.GlobalID, n.Machine, n.Name() }
+
+func (n *Node) setStatus(st shard.Status) error {
+	if n.router == nil {
+		return nil
+	}
+	return n.router.SetStatusByName(n.Name(), st)
 }
 
-// RestartOptions control one node restart.
-type RestartOptions struct {
-	// UseShm selects the fast path; false forces the disk-only baseline.
-	UseShm bool
-	// NewVersion stamps the replacement process's software version.
-	NewVersion int
-	// KillTimeout bounds the shutdown. The rollover script waits in a loop
-	// for the leaf process to die and kills it after 3 minutes (§4.3); a
-	// killed leaf's shared memory backup is discarded and the new process
-	// restarts from disk. Zero disables the guard.
-	KillTimeout time.Duration
-	// ForceKill simulates a leaf that missed the deadline (tests and the
-	// kill-path experiments).
-	ForceKill bool
-}
-
-// Restart performs shutdown + replacement start on this node, implementing
-// the per-leaf step of the system-wide rollover (§4.5).
-func (n *Node) Restart(opts RestartOptions) (RestartReport, error) {
-	begin := time.Now()
-	rep := RestartReport{Node: n.GlobalID}
+func (n *Node) restart(cfg RolloverConfig, rs *Restart) error {
 	l := n.current()
 	if l == nil {
-		return rep, errors.New("cluster: node has no live process")
+		return errors.New("cluster: node has no live process")
 	}
-
-	type shutdownResult struct {
-		info leaf.ShutdownInfo
-		err  error
-	}
-	done := make(chan shutdownResult, 1)
+	done := make(chan error, 1)
 	go func() {
-		var info leaf.ShutdownInfo
 		var err error
-		if opts.UseShm {
-			info, err = l.Shutdown()
+		if cfg.UseShm {
+			_, err = l.Shutdown()
 		} else {
-			info, err = l.ShutdownToDisk()
+			_, err = l.ShutdownToDisk()
 		}
-		done <- shutdownResult{info, err}
+		done <- err
 	}()
-
-	killed := opts.ForceKill
-	var sres shutdownResult
-	if opts.KillTimeout > 0 {
-		select {
-		case sres = <-done:
-		case <-time.After(opts.KillTimeout):
-			killed = true
-			sres = <-done // the old process is reaped either way
-		}
-	} else {
-		sres = <-done
+	kill := time.NewTimer(cfg.KillTimeout)
+	defer kill.Stop()
+	var err error
+	select {
+	case err = <-done:
+	case <-kill.C:
+		// A goroutine cannot be SIGKILLed: the leaf is marked killed and
+		// reaped when its shutdown returns.
+		rs.Killed = true
+		err = <-done
 	}
-	if sres.err != nil {
-		return rep, sres.err
+	if err != nil {
+		return err
 	}
-	rep.Shutdown = sres.info
-	rep.Killed = killed
-
 	n.mu.Lock()
 	n.leaf = nil
 	n.mu.Unlock()
 
-	if killed && opts.UseShm {
+	if rs.Killed && cfg.UseShm {
 		// A killed leaf cannot be trusted to have completed its backup;
 		// discard it so the new process restarts from disk (§4.3).
 		m := shm.NewManager(n.GlobalID, shm.Options{Dir: n.cfg.ShmDir, Namespace: n.cfg.Namespace})
 		if err := m.Invalidate(); err != nil {
-			return rep, err
+			return err
 		}
 	}
 
+	boot := time.Now()
 	if err := n.start(); err != nil {
-		return rep, err
+		return err
 	}
+	rs.Gap = time.Since(boot)
 	n.mu.Lock()
-	if opts.NewVersion > 0 {
-		n.version = opts.NewVersion
+	if cfg.TargetVersion > 0 {
+		n.version = cfg.TargetVersion
 	}
-	rep.Recovery = n.leaf.Recovery()
+	l = n.leaf
 	n.mu.Unlock()
-	rep.Total = time.Since(begin)
-	return rep, nil
+	rs.Recovery, rs.Trace = l.Recovery().Path, l.RestartTrace()
+	return nil
+}
+
+// Restart performs shutdown + replacement start on this node — the per-leaf
+// step of the system-wide rollover (§4.5), by the rollover's own code: in
+// shard mode the node is DRAINING while its process is gone and DOWN if the
+// replacement does not come up (Restart.Err).
+func (n *Node) Restart(cfg RolloverConfig) Restart { return restartOne(n, cfg) }
+
+// Rollover upgrades every node, cfg.BatchFraction at a time.
+func (c *Cluster) Rollover(cfg RolloverConfig) (*RolloverReport, error) {
+	if cfg.TargetVersion == 0 {
+		cfg.TargetVersion = c.maxVersion() + 1
+	}
+	fleet := make([]member, len(c.nodes))
+	for i, n := range c.nodes {
+		fleet[i] = n
+	}
+	return rollover(fleet, c.router, cfg)
+}
+
+func (c *Cluster) maxVersion() int {
+	v := 0
+	for _, n := range c.nodes {
+		if nv := n.Version(); nv > v {
+			v = nv
+		}
+	}
+	return v
 }
 
 // Nodes returns all nodes.
@@ -327,47 +333,4 @@ func (c *Cluster) NewShardedPlacer() *tailer.ShardedPlacer {
 		return nil
 	}
 	return tailer.NewShardedPlacer(c.Targets(), c.router)
-}
-
-// Snapshot counts nodes by dashboard category (Figure 8).
-type Snapshot struct {
-	OldVersion  int
-	RollingOver int
-	NewVersion  int
-	// AvailableFraction is the share of leaves answering queries; with data
-	// spread evenly it is the share of data available (98% during a 2%
-	// rollover).
-	AvailableFraction float64
-}
-
-// Snapshot classifies every node against targetVersion.
-func (c *Cluster) Snapshot(targetVersion int) Snapshot {
-	var s Snapshot
-	alive := 0
-	for _, n := range c.nodes {
-		st, _ := n.Stats()
-		switch {
-		case st.State == leaf.StateAlive && n.Version() >= targetVersion:
-			s.NewVersion++
-			alive++
-		case st.State == leaf.StateAlive:
-			s.OldVersion++
-			alive++
-		default:
-			s.RollingOver++
-			if st.State == leaf.StateDiskRecovery {
-				alive++ // serving partial results while recovering
-			}
-		}
-	}
-	if len(c.nodes) > 0 {
-		s.AvailableFraction = float64(alive) / float64(len(c.nodes))
-	}
-	return s
-}
-
-// String renders a snapshot as one dashboard line.
-func (s Snapshot) String() string {
-	return fmt.Sprintf("old=%d rolling=%d new=%d available=%.1f%%",
-		s.OldVersion, s.RollingOver, s.NewVersion, 100*s.AvailableFraction)
 }

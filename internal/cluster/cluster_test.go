@@ -60,6 +60,17 @@ func totalCount(t *testing.T, c *Cluster) (float64, *query.Result) {
 	return rows[0].Values[0], res
 }
 
+// aliveOn counts the nodes serving on software version v.
+func aliveOn(c *Cluster, v int) int {
+	n := 0
+	for _, node := range c.Nodes() {
+		if st, _ := node.Stats(); st.State == leaf.StateAlive && node.Version() == v {
+			n++
+		}
+	}
+	return n
+}
+
 func TestClusterBasics(t *testing.T) {
 	c := newCluster(t, 2, 4)
 	if c.Size() != 8 {
@@ -73,9 +84,8 @@ func TestClusterBasics(t *testing.T) {
 	if res.Coverage() != 1 {
 		t.Errorf("coverage = %v", res.Coverage())
 	}
-	snap := c.Snapshot(2)
-	if snap.OldVersion != 8 || snap.NewVersion != 0 || snap.RollingOver != 0 {
-		t.Errorf("snapshot = %+v", snap)
+	if got := aliveOn(c, 1); got != 8 {
+		t.Errorf("%d of 8 nodes alive on version 1", got)
 	}
 }
 
@@ -84,12 +94,12 @@ func TestSingleNodeRestartShm(t *testing.T) {
 	loadCluster(t, c, 1000)
 	before, _ := totalCount(t, c)
 
-	rep, err := c.Node(0).Restart(RestartOptions{UseShm: true, NewVersion: 2})
-	if err != nil {
-		t.Fatal(err)
+	rs := c.Node(0).Restart(RolloverConfig{UseShm: true, TargetVersion: 2})
+	if rs.Err != "" {
+		t.Fatal(rs.Err)
 	}
-	if rep.Recovery.Path != leaf.RecoveryMemory {
-		t.Errorf("recovery = %v", rep.Recovery.Path)
+	if rs.Recovery != leaf.RecoveryMemory || rs.Killed || rs.Gap <= 0 || rs.Duration < rs.Gap {
+		t.Errorf("restart = %+v", rs)
 	}
 	if c.Node(0).Version() != 2 {
 		t.Errorf("version = %d", c.Node(0).Version())
@@ -104,36 +114,16 @@ func TestSingleNodeRestartDisk(t *testing.T) {
 	c := newCluster(t, 1, 2)
 	loadCluster(t, c, 500)
 	before, _ := totalCount(t, c)
-	rep, err := c.Node(0).Restart(RestartOptions{UseShm: false, NewVersion: 2})
-	if err != nil {
-		t.Fatal(err)
+	rs := c.Node(0).Restart(RolloverConfig{TargetVersion: 2})
+	if rs.Err != "" {
+		t.Fatal(rs.Err)
 	}
-	if rep.Recovery.Path != leaf.RecoveryDisk && rep.Recovery.Path != leaf.RecoveryNone {
-		t.Errorf("recovery = %v", rep.Recovery.Path)
+	if rs.Recovery != leaf.RecoveryDisk && rs.Recovery != leaf.RecoveryNone {
+		t.Errorf("recovery = %v", rs.Recovery)
 	}
 	after, _ := totalCount(t, c)
 	if after != before {
 		t.Errorf("count %v -> %v across restart", before, after)
-	}
-}
-
-func TestKilledLeafRestartsFromDisk(t *testing.T) {
-	c := newCluster(t, 1, 2)
-	loadCluster(t, c, 500)
-	before, _ := totalCount(t, c)
-	rep, err := c.Node(0).Restart(RestartOptions{UseShm: true, NewVersion: 2, ForceKill: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Killed {
-		t.Error("not marked killed")
-	}
-	if rep.Recovery.Path == leaf.RecoveryMemory {
-		t.Error("killed leaf recovered from shared memory")
-	}
-	after, _ := totalCount(t, c)
-	if after != before {
-		t.Errorf("count %v -> %v", before, after)
 	}
 }
 
@@ -156,114 +146,8 @@ func TestQueriesDuringRestartArePartial(t *testing.T) {
 	if got >= 1000 {
 		t.Errorf("count = %v, expected partial", got)
 	}
-	snap := c.Snapshot(1)
-	if snap.RollingOver != 1 {
-		t.Errorf("snapshot = %+v", snap)
-	}
-}
-
-func TestRolloverShm(t *testing.T) {
-	c := newCluster(t, 4, 4) // 16 leaves
-	loadCluster(t, c, 4000)
-	before, _ := totalCount(t, c)
-
-	var minAvail = 1.0
-	rep, err := c.Rollover(RolloverConfig{
-		BatchFraction: 0.125, // 2 leaves per batch
-		UseShm:        true,
-		TargetVersion: 2,
-		OnBatch: func(_ int, s Snapshot) {
-			if s.AvailableFraction < minAvail {
-				minAvail = s.AvailableFraction
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Batches != 8 {
-		t.Errorf("batches = %d", rep.Batches)
-	}
-	if rep.MemoryRecoveries+rep.DiskRecoveries != 16 {
-		t.Errorf("recoveries = %d + %d", rep.MemoryRecoveries, rep.DiskRecoveries)
-	}
-	if rep.DiskRecoveries > 0 {
-		t.Errorf("disk recoveries during shm rollover: %d", rep.DiskRecoveries)
-	}
-	// Everything upgraded and alive.
-	snap := c.Snapshot(2)
-	if snap.NewVersion != 16 || snap.RollingOver != 0 || snap.OldVersion != 0 {
-		t.Errorf("final snapshot = %+v", snap)
-	}
-	after, _ := totalCount(t, c)
-	if after != before {
-		t.Errorf("count %v -> %v across rollover", before, after)
-	}
-	if len(rep.Timeline) != 8 {
-		t.Errorf("timeline = %d points", len(rep.Timeline))
-	}
-	if rep.MinAvailability < 0.8 {
-		t.Errorf("min availability = %v", rep.MinAvailability)
-	}
-}
-
-func TestRolloverDiskBaseline(t *testing.T) {
-	c := newCluster(t, 2, 4)
-	loadCluster(t, c, 2000)
-	before, _ := totalCount(t, c)
-	rep, err := c.Rollover(RolloverConfig{
-		BatchFraction: 0.25,
-		UseShm:        false,
-		TargetVersion: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MemoryRecoveries != 0 {
-		t.Errorf("memory recoveries in disk rollover: %d", rep.MemoryRecoveries)
-	}
-	after, _ := totalCount(t, c)
-	if after != before {
-		t.Errorf("count %v -> %v", before, after)
-	}
-}
-
-func TestRolloverOneLeafPerMachinePerBatch(t *testing.T) {
-	// §2: restart leaves on distinct machines so each gets full bandwidth.
-	c := newCluster(t, 4, 4)
-	// Batch of 4 = 25%: must be one per machine, not 4 on machine 0.
-	pending := make([]*Node, len(c.nodes))
-	copy(pending, c.nodes)
-	batch, rest := pickBatch(pending, 4, 1, func(n *Node) int { return n.Machine }, nil)
-	if len(batch) != 4 {
-		t.Fatalf("batch size = %d", len(batch))
-	}
-	machines := map[int]bool{}
-	for _, n := range batch {
-		if machines[n.Machine] {
-			t.Errorf("two leaves of machine %d in one batch", n.Machine)
-		}
-		machines[n.Machine] = true
-	}
-	if len(rest) != 12 {
-		t.Errorf("rest = %d", len(rest))
-	}
-}
-
-func TestRolloverDefaultsTwoPercent(t *testing.T) {
-	c := newCluster(t, 2, 2)
-	loadCluster(t, c, 100)
-	rep, err := c.Rollover(RolloverConfig{UseShm: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ceil(0.02*4) = 1 per batch -> 4 batches.
-	if rep.Batches != 4 {
-		t.Errorf("batches = %d", rep.Batches)
-	}
-	// Default target version bumps 1 -> 2.
-	if got := c.Snapshot(2); got.NewVersion != 4 {
-		t.Errorf("snapshot = %+v", got)
+	if got := aliveOn(c, 1); got != 3 {
+		t.Errorf("%d of 4 nodes alive with one shut down", got)
 	}
 }
 
@@ -309,5 +193,18 @@ func TestSnapshotString(t *testing.T) {
 	s := Snapshot{OldVersion: 3, RollingOver: 1, NewVersion: 4, AvailableFraction: 0.875}
 	if got := s.String(); got != "old=3 rolling=1 new=4 available=87.5%" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+func addNodeRows(t *testing.T, n *Node, tableName string, count int) {
+	t.Helper()
+	rows := make([]rowblock.Row, count)
+	for i := range rows {
+		rows[i] = rowblock.Row{Time: int64(1000 + i), Cols: map[string]rowblock.Value{
+			"service": rowblock.StringValue("svc"),
+		}}
+	}
+	if err := n.AddRows(tableName, rows); err != nil {
+		t.Fatal(err)
 	}
 }

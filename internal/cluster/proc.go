@@ -15,16 +15,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os/exec"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"scuba/internal/aggregator"
+	"scuba/internal/leaf"
 	"scuba/internal/obs"
 	"scuba/internal/shard"
 	"scuba/internal/shm"
@@ -117,22 +116,22 @@ type ProcLeaf struct {
 	Addr     string // RPC address; also the leaf's name in the shard map
 	HTTPAddr string // observability mux (/debug/recovery)
 
-	mu          sync.Mutex
-	cmd         *exec.Cmd
-	exited      chan error
-	client      *wire.Client
-	quarantined bool
+	pc *ProcCluster
+
+	mu     sync.Mutex
+	cmd    *exec.Cmd
+	exited chan struct{} // closed when cmd has exited
+	client *wire.Client
 }
 
 // Client returns the leaf's RPC client (persistent across restarts: stale
 // pooled connections fail fast and redial the replacement process).
 func (l *ProcLeaf) Client() *wire.Client { return l.client }
 
-// Quarantined reports whether a rollover gave up on this leaf.
+// Quarantined reports whether a rollover gave up on this leaf: it is DOWN in
+// the shard map.
 func (l *ProcLeaf) Quarantined() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.quarantined
+	return l.pc.router.Status()[l.ID] == shard.StatusDown
 }
 
 // Kill sends SIGKILL to the leaf's current process (chaos drills: the
@@ -147,8 +146,7 @@ func (l *ProcLeaf) Kill() error {
 	return cmd.Process.Kill()
 }
 
-// waitExit blocks until the current process exits (any exit status counts:
-// the process only needs to be gone).
+// waitExit blocks until the current process has exited.
 func (l *ProcLeaf) waitExit(timeout time.Duration) error {
 	l.mu.Lock()
 	exited := l.exited
@@ -239,7 +237,7 @@ func StartProcCluster(cfg ProcConfig) (*ProcCluster, error) {
 	}
 	for id := 0; id < n; id++ {
 		l := &ProcLeaf{ID: id, Machine: id / cfg.LeavesPerMachine,
-			Addr: ports[2*id], HTTPAddr: ports[2*id+1]}
+			Addr: ports[2*id], HTTPAddr: ports[2*id+1], pc: pc}
 		l.client = wire.Dial(l.Addr)
 		if err := pc.startLeaf(l); err != nil {
 			pc.Close()
@@ -328,8 +326,11 @@ func (pc *ProcCluster) startLeaf(l *ProcLeaf) error {
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("cluster: starting leaf %d: %w", l.ID, err)
 	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
+	exited := make(chan struct{})
+	go func() {
+		cmd.Wait() //nolint:errcheck // any exit status counts: the process only needs to be gone
+		close(exited)
+	}()
 	l.mu.Lock()
 	l.cmd = cmd
 	l.exited = exited
@@ -420,263 +421,79 @@ func (pc *ProcCluster) Close() {
 	}
 }
 
-// ProcRolloverConfig drives a subprocess rollover. The zero value restarts
-// 2% of leaves per batch through shared memory.
-type ProcRolloverConfig struct {
-	// BatchFraction is the share of leaves restarted at once (default 0.02).
-	BatchFraction float64
-	// MaxPerMachine bounds concurrent restarts on one machine (default 1,
-	// §4.2: each restarting leaf gets its machine's full bandwidth).
-	MaxPerMachine int
-	// UseShm selects the fast path; false is the disk-recovery baseline.
-	UseShm bool
-	// KillTimeout bounds each leaf's drain; a leaf still alive after it is
-	// SIGKILLed and its shm backup discarded, so the replacement recovers
-	// from disk (§4.3; default 3 minutes, the paper's script timeout).
-	KillTimeout time.Duration
-	// MaxDiskFallback aborts when more than this fraction of restarted
-	// leaves disk-recover (0 disables) — the §4.5 canary guard.
-	MaxDiskFallback float64
-	// Tables lists tables whose shard coverage batches must preserve: the
-	// picker never drains every owner of any of their shards at once.
-	Tables []string
-	// OnBatch, if set, is called with the batch's leaf addresses after they
-	// are flipped to DRAINING and before any shutdown RPC — the hook chaos
-	// drills use to kill a leaf mid-batch.
-	OnBatch func(batch int, draining []string)
-	// MaxAvailabilityGap, when positive, aborts the rollover if any restarted
-	// leaf takes longer than this from replacement exec to first successful
-	// Ping (scubad only listens once recovery completes, so a Ping answer
-	// means queries are being served). This is the instant-on gate: a leaf
-	// that blocks availability on its full copy-in blows the budget.
-	MaxAvailabilityGap time.Duration
-}
-
-// ProcRestart records one subprocess restart.
-type ProcRestart struct {
-	Leaf int
-	Addr string
-	// Killed: the drain missed KillTimeout and the process was SIGKILLed.
-	Killed bool
-	// Crashed: the shutdown RPC failed because the process was already dead
-	// (or died mid-drain) — the replacement recovers from disk.
-	Crashed bool
-	// RecoveryPath is the replacement's /debug/recovery answer.
-	RecoveryPath string
-	// Gap is the availability gap: replacement exec to first successful Ping.
-	Gap time.Duration
-	// Err is set when the slot was quarantined (replacement never ready).
-	Err      string
-	Duration time.Duration
-}
-
-// ProcRolloverReport summarizes a subprocess rollover.
-type ProcRolloverReport struct {
-	Duration time.Duration
-	Batches  int
-	Restarts []ProcRestart
-	// Recovery paths taken by successful restarts. WALRecoveries counts
-	// replacements that came back via snapshot images + WAL replay (crashed
-	// or killed leaves whose log survived).
-	MemoryRecoveries int
-	MixedRecoveries  int
-	DiskRecoveries   int
-	WALRecoveries    int
-	// ShmViewRecoveries counts replacements that came up instant-on, serving
-	// zero-copy from the shm backup while promotion ran in the background.
-	ShmViewRecoveries int
-	// MaxGap is the largest availability gap any successful restart paid.
-	MaxGap time.Duration
-	// Quarantined leaves were left DOWN: their replacement process never
-	// became ready, so their shards keep serving from replicas.
-	Quarantined []int
-	// Aborted is set when the MaxDiskFallback guard stopped the rollover.
-	Aborted bool
-}
-
-// ProcRollover upgrades every live leaf, BatchFraction at a time: flip the
-// batch to DRAINING in the shard map (queries move to replicas), drain each
-// leaf to shared memory over RPC, restart its process, confirm recovery,
-// and flip it back to ACTIVE. A leaf whose replacement never answers is
-// quarantined DOWN rather than hanging the rollover.
-func (pc *ProcCluster) ProcRollover(cfg ProcRolloverConfig) (*ProcRolloverReport, error) {
-	if cfg.BatchFraction <= 0 {
-		cfg.BatchFraction = 0.02
-	}
-	if cfg.MaxPerMachine <= 0 {
-		cfg.MaxPerMachine = 1
-	}
-	if cfg.KillTimeout <= 0 {
-		cfg.KillTimeout = 3 * time.Minute
-	}
-	var pending []*ProcLeaf
+// Rollover upgrades every live leaf, cfg.BatchFraction at a time, through
+// public admin surfaces only: the aggregator's SetLeafStatus RPC, each leaf's
+// shutdown RPC and /debug/recovery. Leaves a previous rollover quarantined
+// stay out of it.
+func (pc *ProcCluster) Rollover(cfg RolloverConfig) (*RolloverReport, error) {
+	var fleet []member
 	for _, l := range pc.leaves {
 		if !l.Quarantined() {
-			pending = append(pending, l)
+			fleet = append(fleet, l)
 		}
 	}
-	batchSize := int(math.Ceil(cfg.BatchFraction * float64(len(pending))))
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	var veto func(chosen []*ProcLeaf, l *ProcLeaf) bool
-	if len(cfg.Tables) > 0 {
-		veto = shardConflictVeto(pc.router, cfg.Tables, func(l *ProcLeaf) string { return l.Addr })
-	}
-
-	begin := time.Now()
-	report := &ProcRolloverReport{}
-	restarted := 0
-	for batchNum := 0; len(pending) > 0; batchNum++ {
-		var batch []*ProcLeaf
-		batch, pending = pickBatch(pending, batchSize, cfg.MaxPerMachine,
-			func(l *ProcLeaf) int { return l.Machine }, veto)
-
-		// Drain the whole batch in the shard map first, through the same
-		// admin RPC an external orchestrator would use, so no new query
-		// routes to a leaf about to exit.
-		draining := make([]string, len(batch))
-		for i, l := range batch {
-			draining[i] = l.Addr
-			if err := pc.aggCli.SetLeafStatus(l.Addr, shard.StatusDraining); err != nil {
-				return report, fmt.Errorf("cluster: draining %s: %w", l.Addr, err)
-			}
-		}
-		if cfg.OnBatch != nil {
-			cfg.OnBatch(batchNum, draining)
-		}
-
-		reps := make([]ProcRestart, len(batch))
-		var wg sync.WaitGroup
-		for i, l := range batch {
-			wg.Add(1)
-			go func(i int, l *ProcLeaf) {
-				defer wg.Done()
-				reps[i] = pc.restartLeaf(l, cfg)
-			}(i, l)
-		}
-		wg.Wait()
-
-		for _, rep := range reps {
-			report.Restarts = append(report.Restarts, rep)
-			if rep.Err != "" {
-				report.Quarantined = append(report.Quarantined, rep.Leaf)
-				continue
-			}
-			restarted++
-			switch rep.RecoveryPath {
-			case "memory":
-				report.MemoryRecoveries++
-			case "mixed":
-				report.MixedRecoveries++
-			case "disk":
-				report.DiskRecoveries++
-			case "wal":
-				report.WALRecoveries++
-			case "shm-view":
-				report.ShmViewRecoveries++
-			}
-			if rep.Gap > report.MaxGap {
-				report.MaxGap = rep.Gap
-			}
-			if cfg.MaxAvailabilityGap > 0 && rep.Gap > cfg.MaxAvailabilityGap {
-				report.Aborted = true
-				report.Duration = time.Since(begin)
-				sortRestarts(report.Restarts)
-				return report, fmt.Errorf("%w: leaf %d availability gap %v exceeds budget %v",
-					ErrRolloverAborted, rep.Leaf, rep.Gap, cfg.MaxAvailabilityGap)
-			}
-		}
-		report.Batches++
-
-		// The canary guard (§4.5): a wave of disk fallbacks means the new
-		// binary cannot read the old shm segments — stop before the rest of
-		// the cluster pays disk-recovery time.
-		if cfg.MaxDiskFallback > 0 && restarted > 0 {
-			frac := float64(report.DiskRecoveries) / float64(restarted)
-			if frac > cfg.MaxDiskFallback {
-				report.Aborted = true
-				report.Duration = time.Since(begin)
-				sortRestarts(report.Restarts)
-				return report, fmt.Errorf("%w: %d of %d restarted leaves (%.0f%%) fell back to disk recovery, limit %.0f%%: stopping after batch %d with %d leaves pending",
-					ErrRolloverAborted, report.DiskRecoveries, restarted, frac*100,
-					cfg.MaxDiskFallback*100, batchNum, len(pending))
-			}
-		}
-	}
-	report.Duration = time.Since(begin)
-	sortRestarts(report.Restarts)
-	return report, nil
+	return rollover(fleet, pc.router, cfg)
 }
 
-func sortRestarts(rs []ProcRestart) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Leaf < rs[j].Leaf })
+// ident, setStatus and restart make a ProcLeaf a member of the rollover
+// driver's fleet.
+func (l *ProcLeaf) ident() (id, machine int, name string) { return l.ID, l.Machine, l.Addr }
+
+// setStatus goes through the same admin RPC an external orchestrator would
+// use.
+func (l *ProcLeaf) setStatus(st shard.Status) error {
+	return l.pc.aggCli.SetLeafStatus(l.Addr, st)
 }
 
-// restartLeaf is the per-leaf step the production script runs: shutdown RPC
+// restart is the per-leaf step the production script runs: shutdown RPC
 // (drain to shm), wait for the process to die (SIGKILL past the timeout),
-// start the replacement on the same identity, wait for it to serve, read
-// its recovery path, and put it back in the shard map. A failure leaves the
-// slot quarantined DOWN.
-func (pc *ProcCluster) restartLeaf(l *ProcLeaf, cfg ProcRolloverConfig) ProcRestart {
-	rep := ProcRestart{Leaf: l.ID, Addr: l.Addr}
-	start := time.Now()
-
+// start the replacement on the same identity, wait for it to serve, and read
+// how it recovered.
+func (l *ProcLeaf) restart(cfg RolloverConfig, rs *Restart) error {
 	drained := make(chan error, 1)
 	go func() {
 		_, err := l.client.Shutdown(cfg.UseShm)
 		drained <- err
 	}()
+	kill := time.NewTimer(cfg.KillTimeout)
+	defer kill.Stop()
 	select {
 	case err := <-drained:
-		if err != nil {
-			// The process crashed before (or during) the drain: make sure
-			// it is gone and restart from whatever the disk backup holds.
-			rep.Crashed = true
-			l.Kill() //nolint:errcheck
-		}
-	case <-time.After(cfg.KillTimeout):
-		rep.Killed = true
-		l.Kill() //nolint:errcheck
+		// A failed drain means the process crashed before or during it: the
+		// replacement restarts from whatever the disk backup holds.
+		rs.Crashed = err != nil
+	case <-kill.C:
+		rs.Killed = true
+	}
+	if rs.Crashed || rs.Killed {
+		l.Kill() //nolint:errcheck // it may have exited on its own since
 	}
 	if err := l.waitExit(10 * time.Second); err != nil {
 		l.Kill()                     //nolint:errcheck
 		l.waitExit(10 * time.Second) //nolint:errcheck
 	}
-	if rep.Killed && cfg.UseShm {
+	if rs.Killed && cfg.UseShm {
 		// A killed leaf cannot be trusted to have completed its backup;
-		// discard it so the replacement restarts from disk (§4.3).
-		m := shm.NewManager(l.ID, shm.Options{Dir: pc.cfg.WorkDir, Namespace: pc.cfg.Namespace})
+		// discard it so the replacement restarts from disk (§4.3) — and
+		// start none over a backup that cannot be discarded.
+		m := shm.NewManager(l.ID, shm.Options{Dir: l.pc.cfg.WorkDir, Namespace: l.pc.cfg.Namespace})
 		if err := m.Invalidate(); err != nil {
-			rep.Err = err.Error()
+			return err
 		}
 	}
 
-	quarantine := func(err error) ProcRestart {
-		rep.Err = err.Error()
-		rep.Duration = time.Since(start)
-		l.mu.Lock()
-		l.quarantined = true
-		l.mu.Unlock()
-		pc.aggCli.SetLeafStatus(l.Addr, shard.StatusDown) //nolint:errcheck
-		return rep
+	boot := time.Now()
+	if err := l.pc.startLeaf(l); err != nil {
+		return err
 	}
-	bootBegin := time.Now()
-	if err := pc.startLeaf(l); err != nil {
-		return quarantine(err)
+	if err := l.pc.waitReady(l); err != nil {
+		return err
 	}
-	if err := pc.waitReady(l); err != nil {
-		return quarantine(err)
-	}
-	rep.Gap = time.Since(bootBegin)
+	rs.Gap = time.Since(boot)
 	if rec, err := l.Recovery(); err == nil {
-		rep.RecoveryPath = rec.Path
+		rs.Recovery, rs.Trace = leaf.RecoveryPath(rec.Path), rec.Restart
 	}
-	if err := pc.aggCli.SetLeafStatus(l.Addr, shard.StatusActive); err != nil {
-		return quarantine(err)
-	}
-	rep.Duration = time.Since(start)
-	return rep
+	return nil
 }
 
 // freeLoopbackAddrs reserves n distinct loopback ports by holding all n

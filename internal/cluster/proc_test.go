@@ -1,9 +1,9 @@
 package cluster
 
-// Quarantine-path unit test for the subprocess orchestrator: when a
-// replacement process cannot start, the rollover must not hang or abort —
-// the slot is marked DOWN in the shard map, listed in the report, and its
-// shards keep serving from replicas. Package-internal because sabotaging
+// Quarantine-path tests for the subprocess fleet: when a replacement process
+// cannot start — or must not be started — the rollover must not hang or
+// abort: the slot is marked DOWN in the shard map, listed in the report, and
+// its shards keep serving from replicas. Package-internal because sabotaging
 // the binary path mid-rollover reaches into ProcCluster's config.
 
 import (
@@ -15,13 +15,18 @@ import (
 	"testing"
 	"time"
 
+	"scuba/internal/fault"
+	"scuba/internal/leaf"
 	"scuba/internal/obs"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
 	"scuba/internal/shard"
 )
 
-func TestProcRolloverQuarantinesUnstartableReplacement(t *testing.T) {
+// startQuarantineCluster boots two scubad leaves on two machines under R=2,
+// loads 500 rows of "events" and returns the query and its baseline answer.
+func startQuarantineCluster(t *testing.T) (*ProcCluster, *query.Query, []query.Row) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("short mode: skipping subprocess quarantine drill")
 	}
@@ -63,47 +68,17 @@ func TestProcRolloverQuarantinesUnstartableReplacement(t *testing.T) {
 	if baseline.ShardCoverage() != 1 {
 		t.Fatalf("baseline coverage %d/%d", baseline.ShardsAnswered, baseline.ShardsTotal)
 	}
-	baseRows := baseline.Rows(q)
+	return pc, q, baseline.Rows(q)
+}
 
-	// Sabotage the first batch's replacement: exec fails instantly, so the
-	// quarantine path triggers without waiting out the ready timeout. Later
-	// batches get the real binary back and must restart cleanly.
-	good := pc.cfg.BinPath
-	rep, err := pc.ProcRollover(ProcRolloverConfig{
-		BatchFraction: 0.5,
-		MaxPerMachine: 1,
-		UseShm:        true,
-		KillTimeout:   time.Minute,
-		Tables:        []string{"events"},
-		OnBatch: func(batch int, _ []string) {
-			if batch == 0 {
-				pc.cfg.BinPath = filepath.Join(t.TempDir(), "no-such-scubad")
-			} else {
-				pc.cfg.BinPath = good
-			}
-		},
-	})
-	if err != nil {
-		t.Fatalf("a quarantine must not fail the rollover: %v", err)
-	}
-	if len(rep.Quarantined) != 1 {
-		t.Fatalf("quarantined = %v, want exactly one leaf", rep.Quarantined)
-	}
-	victim := rep.Quarantined[0]
+// wantServedByReplicas: the victim is DOWN in the shard map and quarantined
+// on its slot; with R=2 over two machines the surviving leaf owns every
+// shard, so coverage and results hold.
+func wantServedByReplicas(t *testing.T, pc *ProcCluster, victim int, q *query.Query, baseRows []query.Row) {
+	t.Helper()
 	if !pc.Leaf(victim).Quarantined() {
 		t.Errorf("leaf %d not marked quarantined on its slot", victim)
 	}
-	if rep.MemoryRecoveries != 1 {
-		t.Errorf("memory recoveries = %d, want 1 (the healthy batch)", rep.MemoryRecoveries)
-	}
-	for _, r := range rep.Restarts {
-		if r.Leaf == victim && r.Err == "" {
-			t.Errorf("victim restart %+v carries no error", r)
-		}
-	}
-
-	// The dead slot is DOWN in the shard map; with R=2 over two machines the
-	// surviving leaf owns every shard, so coverage and results hold.
 	_, statuses, _, err := pc.AggClient().ShardMap()
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +97,86 @@ func TestProcRolloverQuarantinesUnstartableReplacement(t *testing.T) {
 	if !reflect.DeepEqual(after.Rows(q), baseRows) {
 		t.Error("post-quarantine result differs from baseline")
 	}
+}
+
+func TestSubprocessRolloverQuarantinesUnstartableReplacement(t *testing.T) {
+	pc, q, baseRows := startQuarantineCluster(t)
+
+	// Sabotage the first batch's replacement: exec fails instantly, so the
+	// quarantine path triggers without waiting out the ready timeout. Later
+	// batches get the real binary back and must restart cleanly.
+	good := pc.cfg.BinPath
+	rep, err := pc.Rollover(RolloverConfig{
+		BatchFraction: 0.5,
+		MaxPerMachine: 1,
+		UseShm:        true,
+		KillTimeout:   time.Minute,
+		Tables:        []string{"events"},
+		OnBatch: func(batch int, _ []string, _ Snapshot) {
+			if batch == 0 {
+				pc.cfg.BinPath = filepath.Join(t.TempDir(), "no-such-scubad")
+			} else {
+				pc.cfg.BinPath = good
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("a quarantine must not fail the rollover: %v", err)
+	}
+	if len(rep.Quarantined) != 1 {
+		t.Fatalf("quarantined = %v, want exactly one leaf", rep.Quarantined)
+	}
+	victim := rep.Quarantined[0]
+	if got := rep.Recoveries[leaf.RecoveryMemory]; got != 1 {
+		t.Errorf("memory recoveries = %d, want 1 (the healthy batch)", got)
+	}
+	for _, r := range rep.Restarts {
+		if r.Leaf == victim && r.Err == "" {
+			t.Errorf("victim restart %+v carries no error", r)
+		}
+	}
+	wantServedByReplicas(t, pc, victim, q, baseRows)
+}
+
+// TestSubprocessRolloverKeepsUndiscardableBackupDown: a leaf killed past
+// KillTimeout may have left half a backup behind its valid bit; when that
+// backup cannot be invalidated the replacement must not be started over it
+// (§4.3) — the slot stays DOWN and out of the recovery tally.
+func TestSubprocessRolloverKeepsUndiscardableBackupDown(t *testing.T) {
+	pc, q, baseRows := startQuarantineCluster(t)
+	t.Cleanup(fault.Reset)
+	fault.Reset()
+	// The orchestrator's first metadata read — the first killed leaf's
+	// Invalidate — fails; the leaves are other processes and see no fault.
+	if err := fault.ArmSpec("shm.map=error;count=1"); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := pc.Rollover(RolloverConfig{
+		BatchFraction: 0.5,
+		UseShm:        true,
+		KillTimeout:   time.Nanosecond, // no drain is that fast: both leaves are SIGKILLed
+	})
+	fault.Reset()
+	if err != nil {
+		t.Fatalf("a quarantine must not fail the rollover: %v", err)
+	}
+	if !reflect.DeepEqual(rep.Quarantined, []int{0}) {
+		t.Fatalf("quarantined = %v, want the first leaf only (report: %+v)", rep.Quarantined, rep)
+	}
+	victim, other := rep.Restarts[0], rep.Restarts[1]
+	if !victim.Killed || victim.Err == "" || victim.Recovery != "" || victim.Gap != 0 {
+		t.Errorf("victim restart = %+v, want killed, failed, never started", victim)
+	}
+	if pc.Leaf(0).Client().Ping() == nil {
+		t.Error("a replacement is running over the backup that could not be discarded")
+	}
+	if !other.Killed || other.Err != "" || other.Recovery == leaf.RecoveryMemory || other.Recovery == leaf.RecoveryShmView {
+		t.Errorf("second restart = %+v, want killed and recovered without shared memory", other)
+	}
+	if want := (map[leaf.RecoveryPath]int{other.Recovery: 1}); !reflect.DeepEqual(rep.Recoveries, want) {
+		t.Errorf("recoveries = %v, want %v", rep.Recoveries, want)
+	}
+	wantServedByReplicas(t, pc, 0, q, baseRows)
 }
 
 // TestProcRecoveryIsTheSpanLedger: what restart tooling knows about a

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"scuba/internal/leaf"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
 	"scuba/internal/shard"
@@ -100,8 +101,8 @@ func TestShardedClusterRolloverKeepsFullCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MemoryRecoveries != c.Size() {
-		t.Fatalf("memory recoveries = %d, want %d", rep.MemoryRecoveries, c.Size())
+	if got := rep.Recoveries[leaf.RecoveryMemory]; got != c.Size() {
+		t.Fatalf("memory recoveries = %d, want %d", got, c.Size())
 	}
 	if queries.Load() == 0 {
 		t.Fatal("no queries completed during the rollover")
@@ -117,34 +118,5 @@ func TestShardedClusterRolloverKeepsFullCoverage(t *testing.T) {
 		if st != shard.StatusActive {
 			t.Fatalf("leaf %d ended the rollover %v", i, st)
 		}
-	}
-}
-
-// TestShardedRolloverMarksFailedNodeDown: a node whose restart fails is left
-// DOWN in the router so queries don't route to its corpse.
-func TestShardedRolloverMarksFailedNodeDown(t *testing.T) {
-	c := newShardedCluster(t, 2, 1, 2, 4)
-	// Sabotage node 1: kill its process outside the rollover, so Restart
-	// errors ("no live process").
-	n := c.Node(1)
-	n.mu.Lock()
-	n.leaf = nil
-	n.mu.Unlock()
-	_, err := c.Rollover(RolloverConfig{BatchFraction: 1, MaxPerMachine: 1, UseShm: true})
-	if err == nil {
-		t.Fatal("rollover of a dead node should error")
-	}
-	sts := c.Router().Status()
-	if sts[c.Node(1).GlobalID] != shard.StatusDown {
-		t.Fatalf("failed node status = %v, want DOWN", sts[1])
-	}
-	// Queries still answer from the live replica at full coverage.
-	res, qerr := c.NewAggregator().Query(&query.Query{Table: "events", From: 0, To: 1 << 40,
-		Aggregations: []query.Aggregation{{Op: query.AggCount}}})
-	if qerr != nil {
-		t.Fatal(qerr)
-	}
-	if res.ShardCoverage() < 1 {
-		t.Fatalf("coverage %v with one DOWN node under R=2", res.ShardCoverage())
 	}
 }

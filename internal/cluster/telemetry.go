@@ -12,6 +12,7 @@ import (
 	"errors"
 	"time"
 
+	"scuba/internal/metrics"
 	"scuba/internal/obs"
 	"scuba/internal/rowblock"
 )
@@ -58,8 +59,9 @@ func (r *AvailabilityReport) Rows(source string, start time.Time) []rowblock.Row
 
 // Rows converts a rollover report into __system.rollover rows: one
 // event="restart" row per leaf restart plus a closing
-// event="rollover_summary" row. start is when the rollover began.
-func (r *ProcRolloverReport) Rows(source string, start time.Time) []rowblock.Row {
+// event="rollover_summary" row carrying one <path>_recoveries column per
+// recovery path. start is when the rollover began.
+func (r *RolloverReport) Rows(source string, start time.Time) []rowblock.Row {
 	rows := make([]rowblock.Row, 0, len(r.Restarts)+1)
 	elapsed := time.Duration(0)
 	for _, rs := range r.Restarts {
@@ -67,69 +69,43 @@ func (r *ProcRolloverReport) Rows(source string, start time.Time) []rowblock.Row
 		// with the running sum keeps timestamps inside the drill window
 		// without claiming per-restart ordering the report doesn't record.
 		elapsed += rs.Duration
-		killed, crashed := int64(0), int64(0)
-		if rs.Killed {
-			killed = 1
-		}
-		if rs.Crashed {
-			crashed = 1
-		}
 		rows = append(rows, rowblock.Row{
 			Time: start.Add(elapsed).Unix(),
 			Cols: map[string]rowblock.Value{
 				"source":      rowblock.StringValue(source),
 				"event":       rowblock.StringValue("restart"),
 				"leaf":        rowblock.Int64Value(int64(rs.Leaf)),
-				"addr":        rowblock.StringValue(rs.Addr),
-				"recovery":    rowblock.StringValue(rs.RecoveryPath),
-				"killed":      rowblock.Int64Value(killed),
-				"crashed":     rowblock.Int64Value(crashed),
+				"addr":        rowblock.StringValue(rs.Name),
+				"recovery":    rowblock.StringValue(string(rs.Recovery)),
+				"killed":      obs.BoolValue(rs.Killed),
+				"crashed":     obs.BoolValue(rs.Crashed),
 				"error":       rowblock.StringValue(rs.Err),
+				"gap_us":      rowblock.Int64Value(rs.Gap.Microseconds()),
 				"duration_us": rowblock.Int64Value(rs.Duration.Microseconds()),
 			},
 		})
 	}
-	aborted := int64(0)
-	if r.Aborted {
-		aborted = 1
+	summary := map[string]rowblock.Value{
+		"source":      rowblock.StringValue(source),
+		"event":       rowblock.StringValue("rollover_summary"),
+		"batches":     rowblock.Int64Value(int64(r.Batches)),
+		"restarts":    rowblock.Int64Value(int64(len(r.Restarts))),
+		"quarantined": rowblock.Int64Value(int64(len(r.Quarantined))),
+		"aborted":     obs.BoolValue(r.Aborted),
+		"max_gap_us":  rowblock.Int64Value(r.MaxGap.Microseconds()),
+		"duration_us": rowblock.Int64Value(r.Duration.Microseconds()),
 	}
-	rows = append(rows, rowblock.Row{
-		Time: start.Add(r.Duration).Unix(),
-		Cols: map[string]rowblock.Value{
-			"source":            rowblock.StringValue(source),
-			"event":             rowblock.StringValue("rollover_summary"),
-			"batches":           rowblock.Int64Value(int64(r.Batches)),
-			"restarts":          rowblock.Int64Value(int64(len(r.Restarts))),
-			"memory_recoveries": rowblock.Int64Value(int64(r.MemoryRecoveries)),
-			"mixed_recoveries":  rowblock.Int64Value(int64(r.MixedRecoveries)),
-			"disk_recoveries":   rowblock.Int64Value(int64(r.DiskRecoveries)),
-			"wal_recoveries":    rowblock.Int64Value(int64(r.WALRecoveries)),
-			"quarantined":       rowblock.Int64Value(int64(len(r.Quarantined))),
-			"aborted":           rowblock.Int64Value(aborted),
-			"duration_us":       rowblock.Int64Value(r.Duration.Microseconds()),
-		},
-	})
-	return rows
+	for _, p := range recoveryPaths {
+		summary[metrics.CanonicalName(string(p))+"_recoveries"] = rowblock.Int64Value(int64(r.Recoveries[p]))
+	}
+	return append(rows, rowblock.Row{Time: start.Add(r.Duration).Unix(), Cols: summary})
 }
 
-// PersistRollover writes a rollover report's timeline into
-// __system.rollover via the first live leaf. The rows land in a plain
+// Persist writes report rows (RolloverReport.Rows, AvailabilityReport.Rows)
+// into __system.rollover via the first live leaf. The rows land in a plain
 // leaf-local table, so every aggregator query for __system.rollover finds
 // them regardless of shard routing.
-func (pc *ProcCluster) PersistRollover(rep *ProcRolloverReport, source string, start time.Time) error {
-	return pc.persistSystemRows(rep.Rows(source, start))
-}
-
-// PersistAvailability writes a probe report's coverage timeline into
-// __system.rollover alongside the restart events it was measuring.
-func (pc *ProcCluster) PersistAvailability(rep *AvailabilityReport, source string, start time.Time) error {
-	return pc.persistSystemRows(rep.Rows(source, start))
-}
-
-func (pc *ProcCluster) persistSystemRows(rows []rowblock.Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
+func (pc *ProcCluster) Persist(rows []rowblock.Row) error {
 	return pc.emitSystemRows(obs.SystemRolloverTable, rows)
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"scuba/internal/leaf"
 	"scuba/internal/rowblock"
 )
 
@@ -49,19 +50,18 @@ func TestAvailabilityReportRows(t *testing.T) {
 	}
 }
 
-func TestProcRolloverReportRows(t *testing.T) {
+func TestRolloverReportRows(t *testing.T) {
 	start := time.Unix(1_700_000_100, 0)
-	rep := &ProcRolloverReport{
+	rep := &RolloverReport{
 		Duration: 4 * time.Second,
 		Batches:  2,
-		Restarts: []ProcRestart{
-			{Leaf: 0, Addr: "a:1", RecoveryPath: "memory", Duration: time.Second},
-			{Leaf: 1, Addr: "a:2", RecoveryPath: "disk", Killed: true, Duration: 2 * time.Second},
-			{Leaf: 2, Addr: "a:3", Err: "never ready", Duration: time.Second},
+		Restarts: []Restart{
+			{Leaf: 0, Name: "a:1", Recovery: leaf.RecoveryMemory, Duration: time.Second},
+			{Leaf: 1, Name: "a:2", Recovery: leaf.RecoveryDisk, Killed: true, Duration: 2 * time.Second},
+			{Leaf: 2, Name: "a:3", Err: "never ready", Duration: time.Second},
 		},
-		MemoryRecoveries: 1,
-		DiskRecoveries:   1,
-		Quarantined:      []int{2},
+		Recoveries:  map[leaf.RecoveryPath]int{leaf.RecoveryMemory: 1, leaf.RecoveryDisk: 1},
+		Quarantined: []int{2},
 	}
 	rows := rep.Rows("drill", start)
 	if len(rows) != 4 {
@@ -85,7 +85,8 @@ func TestProcRolloverReportRows(t *testing.T) {
 		t.Fatalf("summary event = %q", sum.Cols["event"].Str)
 	}
 	if sum.Cols["batches"].Int != 2 || sum.Cols["restarts"].Int != 3 ||
-		sum.Cols["disk_recoveries"].Int != 1 || sum.Cols["quarantined"].Int != 1 {
+		sum.Cols["disk_recoveries"].Int != 1 || sum.Cols["memory_recoveries"].Int != 1 ||
+		sum.Cols["shm_view_recoveries"].Int != 0 || sum.Cols["quarantined"].Int != 1 {
 		t.Errorf("summary = %+v", sum.Cols)
 	}
 	if sum.Time != start.Unix()+4 {

@@ -83,13 +83,17 @@ func TestCanonicalNames(t *testing.T) {
 		"restart.table.load":       "restart_table_load",
 		"restart.table.replay":     "restart_table_replay",
 		"restart.table.log_reset":  "restart_table_log_reset",
-		// rollover driver
+		// rollover driver: one recovery counter per leaf.RecoveryPath
+		// (cluster.TestRolloverCountsEveryRecoveryPath emits all six)
 		"rollover.batch":               "rollover_batch",
 		"rollover.restarts":            "rollover_restarts",
 		"rollover.aborts":              "rollover_aborts",
 		"rollover.min_availability_bp": "rollover_min_availability_bp",
+		"rollover.recovery.none":       "rollover_recovery_none",
 		"rollover.recovery.memory":     "rollover_recovery_memory",
+		"rollover.recovery.shm_view":   "rollover_recovery_shm_view",
 		"rollover.recovery.mixed":      "rollover_recovery_mixed",
+		"rollover.recovery.wal":        "rollover_recovery_wal",
 		"rollover.recovery.disk":       "rollover_recovery_disk",
 		// tailer
 		"tailer.drain":       "tailer_drain",

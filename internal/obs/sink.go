@@ -302,15 +302,15 @@ func (s *Sink) RecordTrace(tr Trace) {
 			"leaves_answered": rowblock.Int64Value(int64(tr.LeavesAnswered)),
 			"shards_total":    rowblock.Int64Value(int64(tr.ShardsTotal)),
 			"shards_answered": rowblock.Int64Value(int64(tr.ShardsAnswered)),
-			"slow":            boolValue(tr.Slow),
+			"slow":            BoolValue(tr.Slow),
 			"spans":           rowblock.Int64Value(int64(len(tr.Spans))),
 		},
 	}
 	s.put(SystemTracesTable, []rowblock.Row{row})
 }
 
-// boolValue is a flag column: 1 or 0.
-func boolValue(b bool) rowblock.Value {
+// BoolValue is a flag column of a __system row: 1 or 0.
+func BoolValue(b bool) rowblock.Value {
 	if b {
 		return rowblock.Int64Value(1)
 	}
@@ -342,7 +342,7 @@ func (s *Sink) RecordRestartSpans(spans []RestartSpan) {
 				"t_us":        rowblock.Int64Value(sp.Start.UnixMicro()),
 				"duration_us": rowblock.Int64Value(sp.Duration.Microseconds()),
 				"err":         rowblock.StringValue(sp.Err),
-				"open":        boolValue(sp.Open),
+				"open":        BoolValue(sp.Open),
 			},
 		})
 	}

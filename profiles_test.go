@@ -189,7 +189,7 @@ func TestProfilesAcrossRollover(t *testing.T) {
 		t.Fatalf("no tagged anomaly rows before the rollover cutoff")
 	}
 
-	if _, err := pc.ProcRollover(scuba.ProcRolloverConfig{
+	if _, err := pc.Rollover(scuba.RolloverConfig{
 		BatchFraction: 0.5,
 		MaxPerMachine: 1,
 		UseShm:        true,

@@ -95,7 +95,7 @@ func runRolloverAvailability(t *testing.T, machines, leavesPer int, batchFractio
 			return nil
 		},
 	})
-	rep, err := pc.ProcRollover(scuba.ProcRolloverConfig{
+	rep, err := pc.Rollover(scuba.RolloverConfig{
 		BatchFraction: batchFraction,
 		MaxPerMachine: 1,
 		UseShm:        true,
@@ -108,8 +108,8 @@ func runRolloverAvailability(t *testing.T, machines, leavesPer int, batchFractio
 	}
 
 	// Every process restarted through shared memory; none were left behind.
-	if rep.MemoryRecoveries != n {
-		t.Errorf("memory recoveries = %d, want %d (report: %+v)", rep.MemoryRecoveries, n, rep)
+	if got := rep.Recoveries[scuba.RecoveryMemory]; got != n {
+		t.Errorf("memory recoveries = %d, want %d (report: %+v)", got, n, rep)
 	}
 	if len(rep.Quarantined) != 0 {
 		t.Errorf("quarantined leaves: %v", rep.Quarantined)
@@ -210,7 +210,7 @@ func TestRolloverDiskPathAvailability(t *testing.T) {
 			return nil
 		},
 	})
-	rep, err := pc.ProcRollover(scuba.ProcRolloverConfig{
+	rep, err := pc.Rollover(scuba.RolloverConfig{
 		BatchFraction: 0.25,
 		UseShm:        false,
 		KillTimeout:   time.Minute,
@@ -220,8 +220,8 @@ func TestRolloverDiskPathAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rollover: %v", err)
 	}
-	if rep.DiskRecoveries != len(pc.Leaves()) {
-		t.Errorf("disk recoveries = %d, want %d", rep.DiskRecoveries, len(pc.Leaves()))
+	if got := rep.Recoveries[scuba.RecoveryDisk]; got != len(pc.Leaves()) {
+		t.Errorf("disk recoveries = %d, want %d", got, len(pc.Leaves()))
 	}
 	if avail.Wrong != 0 {
 		t.Errorf("%d queries returned non-baseline results on the disk path", avail.Wrong)

@@ -10,8 +10,10 @@
 //   - Leaf servers (ingest, query, expire, restart): NewLeaf / Leaf.
 //   - Shared memory restart: Leaf.Shutdown + a fresh Leaf.Start recover the
 //     full dataset at memory speed; crashes fall back to the disk backup.
-//   - Clusters (machines x 8 leaves) with tailer placement, aggregator
-//     fan-out and 2%-at-a-time rollovers: NewCluster / Cluster.Rollover.
+//   - Clusters (machines x 8 leaves) with tailer placement and aggregator
+//     fan-out, in process (NewCluster) or as scubad subprocesses
+//     (StartProcCluster); both run the one 2%-at-a-time rollover driver:
+//     Cluster.Rollover / ProcCluster.Rollover, RolloverConfig, RolloverReport.
 //   - The query model: Query, Filter, Aggregation, Result.
 //   - A discrete-event simulator calibrated to the paper's production
 //     numbers: SimParams / DefaultSimParams.
@@ -176,12 +178,14 @@ type (
 	ClusterConfig = cluster.Config
 	// ClusterNode is one leaf slot.
 	ClusterNode = cluster.Node
-	// RolloverConfig drives a system-wide upgrade.
+	// RolloverConfig drives an upgrade of either kind of cluster, and a
+	// single leaf's restart.
 	RolloverConfig = cluster.RolloverConfig
-	// RolloverReport summarizes a completed rollover.
+	// RolloverReport summarizes one: restarts, recoveries by path,
+	// quarantined leaves, the Figure 8 timeline.
 	RolloverReport = cluster.RolloverReport
-	// RestartOptions control one node restart.
-	RestartOptions = cluster.RestartOptions
+	// Restart records one leaf's restart.
+	Restart = cluster.Restart
 	// ClusterSnapshot is one Figure 8 dashboard sample.
 	ClusterSnapshot = cluster.Snapshot
 	// Canary is an experimental deployment on a handful of leaves (§6),
@@ -194,8 +198,9 @@ type (
 // NewCluster creates and starts a cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
-// ErrRolloverAborted is returned (wrapped) when RolloverConfig.MaxDiskFallback
-// stops a rollover because too many restarted leaves fell back to disk.
+// ErrRolloverAborted is returned (wrapped) when a RolloverConfig guard stops
+// a rollover: too many restarted leaves fell back to disk (MaxDiskFallback),
+// or one took too long to serve again (MaxAvailabilityGap).
 var ErrRolloverAborted = cluster.ErrRolloverAborted
 
 // Sharding: a rendezvous-hashed shard map (R owners per shard, replicas on
@@ -240,10 +245,11 @@ var (
 	ShardRouting = wire.ShardRouting
 )
 
-// Subprocess clusters: real scubad OS processes orchestrated the way the
+// Subprocess clusters: real scubad OS processes restarted the way the
 // production rollover script works — shutdown-to-shm RPC, process-exit
 // waits with kill -9 timeouts, /debug/recovery polling, and shard-map flips
-// through the aggregator's admin RPCs — plus a live availability probe.
+// through the aggregator's admin RPCs — by the same rollover driver as the
+// in-process Cluster (ProcCluster.Rollover), plus a live availability probe.
 type (
 	// ProcCluster is a cluster of scubad subprocesses with one
 	// shard-routing aggregator server over them.
@@ -253,12 +259,6 @@ type (
 	// ProcLeaf is one subprocess leaf slot (the identity outlives the
 	// process).
 	ProcLeaf = cluster.ProcLeaf
-	// ProcRolloverConfig drives a subprocess rollover.
-	ProcRolloverConfig = cluster.ProcRolloverConfig
-	// ProcRolloverReport summarizes one, including quarantined leaves.
-	ProcRolloverReport = cluster.ProcRolloverReport
-	// ProcRestart records one subprocess restart.
-	ProcRestart = cluster.ProcRestart
 	// AvailabilityProbe measures live coverage and latency during a
 	// rollover.
 	AvailabilityProbe = cluster.AvailabilityProbe

@@ -104,8 +104,8 @@ func TestPublicClusterAndSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MemoryRecoveries != 4 {
-		t.Errorf("memory recoveries = %d", rep.MemoryRecoveries)
+	if got := rep.Recoveries[scuba.RecoveryMemory]; got != 4 {
+		t.Errorf("memory recoveries = %d", got)
 	}
 	q := &scuba.Query{Table: "error_events", From: 0, To: 1 << 40,
 		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}}}

@@ -138,7 +138,7 @@ func TestSelfTelemetryAcrossRollover(t *testing.T) {
 		},
 	})
 	drillStart := time.Now()
-	rep, err := pc.ProcRollover(scuba.ProcRolloverConfig{
+	rep, err := pc.Rollover(scuba.RolloverConfig{
 		BatchFraction: 0.25,
 		MaxPerMachine: 1,
 		UseShm:        true,
@@ -149,10 +149,10 @@ func TestSelfTelemetryAcrossRollover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rollover: %v", err)
 	}
-	if err := pc.PersistRollover(rep, "drill", drillStart); err != nil {
+	if err := pc.Persist(rep.Rows("drill", drillStart)); err != nil {
 		t.Fatalf("persisting rollover report: %v", err)
 	}
-	if err := pc.PersistAvailability(&avail, "drill", drillStart); err != nil {
+	if err := pc.Persist(avail.Rows("drill", drillStart)); err != nil {
 		t.Fatalf("persisting probe report: %v", err)
 	}
 
@@ -195,7 +195,7 @@ func TestSelfTelemetryAcrossRollover(t *testing.T) {
 	// Phase 4: restart every leaf again. The telemetry written before these
 	// restarts must still be served afterwards — __system tables ride the
 	// shared-memory path like any other table.
-	if _, err := pc.ProcRollover(scuba.ProcRolloverConfig{
+	if _, err := pc.Rollover(scuba.RolloverConfig{
 		BatchFraction: 0.25,
 		MaxPerMachine: 1,
 		UseShm:        true,
