@@ -209,27 +209,16 @@ func (n *Node) restart(cfg RolloverConfig, rs *Restart) error {
 	if l == nil {
 		return errors.New("cluster: node has no live process")
 	}
-	done := make(chan error, 1)
-	go func() {
-		var err error
-		if cfg.UseShm {
-			_, err = l.Shutdown()
-		} else {
-			_, err = l.ShutdownToDisk()
-		}
-		done <- err
-	}()
-	kill := time.NewTimer(cfg.KillTimeout)
-	defer kill.Stop()
+	begin := time.Now()
 	var err error
-	select {
-	case err = <-done:
-	case <-kill.C:
-		// A goroutine cannot be SIGKILLed: the leaf is marked killed and
-		// reaped when its shutdown returns.
-		rs.Killed = true
-		err = <-done
+	if cfg.UseShm {
+		_, err = l.Shutdown()
+	} else {
+		_, err = l.ShutdownToDisk()
 	}
+	// A goroutine cannot be SIGKILLed: a shutdown that outlives KillTimeout
+	// is reaped when it returns and counts as killed.
+	rs.Killed = time.Since(begin) > cfg.KillTimeout
 	if err != nil {
 		return err
 	}
@@ -240,8 +229,7 @@ func (n *Node) restart(cfg RolloverConfig, rs *Restart) error {
 	if rs.Killed && cfg.UseShm {
 		// A killed leaf cannot be trusted to have completed its backup;
 		// discard it so the new process restarts from disk (§4.3).
-		m := shm.NewManager(n.GlobalID, shm.Options{Dir: n.cfg.ShmDir, Namespace: n.cfg.Namespace})
-		if err := m.Invalidate(); err != nil {
+		if err := shm.NewManager(n.GlobalID, n.leafConfig().Shm).Invalidate(); err != nil {
 			return err
 		}
 	}

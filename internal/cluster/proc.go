@@ -421,16 +421,13 @@ func (pc *ProcCluster) Close() {
 	}
 }
 
-// Rollover upgrades every live leaf, cfg.BatchFraction at a time, through
-// public admin surfaces only: the aggregator's SetLeafStatus RPC, each leaf's
-// shutdown RPC and /debug/recovery. Leaves a previous rollover quarantined
-// stay out of it.
+// Rollover upgrades every leaf, cfg.BatchFraction at a time, through public
+// admin surfaces only: the aggregator's SetLeafStatus RPC, each leaf's
+// shutdown RPC and /debug/recovery.
 func (pc *ProcCluster) Rollover(cfg RolloverConfig) (*RolloverReport, error) {
-	var fleet []member
-	for _, l := range pc.leaves {
-		if !l.Quarantined() {
-			fleet = append(fleet, l)
-		}
+	fleet := make([]member, len(pc.leaves))
+	for i, l := range pc.leaves {
+		fleet[i] = l
 	}
 	return rollover(fleet, pc.router, cfg)
 }
@@ -465,19 +462,17 @@ func (l *ProcLeaf) restart(cfg RolloverConfig, rs *Restart) error {
 	case <-kill.C:
 		rs.Killed = true
 	}
-	if rs.Crashed || rs.Killed {
+	// A leaf that drained exits on its own; any other is killed.
+	if rs.Crashed || rs.Killed || l.waitExit(10*time.Second) != nil {
 		l.Kill() //nolint:errcheck // it may have exited on its own since
 	}
-	if err := l.waitExit(10 * time.Second); err != nil {
-		l.Kill()                     //nolint:errcheck
-		l.waitExit(10 * time.Second) //nolint:errcheck
-	}
+	l.waitExit(10 * time.Second) //nolint:errcheck
 	if rs.Killed && cfg.UseShm {
 		// A killed leaf cannot be trusted to have completed its backup;
 		// discard it so the replacement restarts from disk (§4.3) — and
 		// start none over a backup that cannot be discarded.
-		m := shm.NewManager(l.ID, shm.Options{Dir: l.pc.cfg.WorkDir, Namespace: l.pc.cfg.Namespace})
-		if err := m.Invalidate(); err != nil {
+		opts := shm.Options{Dir: l.pc.cfg.WorkDir, Namespace: l.pc.cfg.Namespace}
+		if err := shm.NewManager(l.ID, opts).Invalidate(); err != nil {
 			return err
 		}
 	}
@@ -490,10 +485,11 @@ func (l *ProcLeaf) restart(cfg RolloverConfig, rs *Restart) error {
 		return err
 	}
 	rs.Gap = time.Since(boot)
-	if rec, err := l.Recovery(); err == nil {
-		rs.Recovery, rs.Trace = leaf.RecoveryPath(rec.Path), rec.Restart
-	}
-	return nil
+	// A replacement that cannot say how it recovered is one the guards cannot
+	// judge: quarantined like one that never served.
+	rec, err := l.Recovery()
+	rs.Recovery, rs.Trace = leaf.RecoveryPath(rec.Path), rec.Restart
+	return err
 }
 
 // freeLoopbackAddrs reserves n distinct loopback ports by holding all n

@@ -179,6 +179,27 @@ func TestSubprocessRolloverKeepsUndiscardableBackupDown(t *testing.T) {
 	wantServedByReplicas(t, pc, 0, q, baseRows)
 }
 
+// TestSubprocessRolloverQuarantinesUnreadableRecovery: a replacement that
+// serves but cannot say how it recovered is one the guards cannot judge — it
+// is quarantined, not tallied under an empty path.
+func TestSubprocessRolloverQuarantinesUnreadableRecovery(t *testing.T) {
+	pc, q, baseRows := startQuarantineCluster(t)
+	// Leaf 0's replacement is started with -http '' (observability off), so
+	// it answers Ping and has no /debug/recovery.
+	pc.Leaf(0).HTTPAddr = ""
+	rep, err := pc.Rollover(RolloverConfig{BatchFraction: 0.5, UseShm: true, KillTimeout: time.Minute})
+	if err != nil {
+		t.Fatalf("a quarantine must not fail the rollover: %v", err)
+	}
+	if !reflect.DeepEqual(rep.Quarantined, []int{0}) || rep.Restarts[0].Err == "" {
+		t.Errorf("quarantined = %v, leaf 0's restart = %+v", rep.Quarantined, rep.Restarts[0])
+	}
+	if want := (map[leaf.RecoveryPath]int{leaf.RecoveryMemory: 1}); !reflect.DeepEqual(rep.Recoveries, want) {
+		t.Errorf("recoveries = %v, want %v", rep.Recoveries, want)
+	}
+	wantServedByReplicas(t, pc, 0, q, baseRows)
+}
+
 // TestProcRecoveryIsTheSpanLedger: what restart tooling knows about a
 // restart's time and volume is the span list /debug/recovery serves — change a
 // span and ProcRecovery changes with it, with no arithmetic of its own.

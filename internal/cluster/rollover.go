@@ -98,7 +98,7 @@ type member interface {
 	// restart shuts the slot's process down (killing it past
 	// cfg.KillTimeout), starts the replacement and returns once that serves,
 	// noting in rs what happened on the way. An error means the slot has no
-	// serving process.
+	// process the rollover can vouch for.
 	restart(cfg RolloverConfig, rs *Restart) error
 }
 
@@ -128,10 +128,8 @@ type Restart struct {
 
 // Snapshot is one dashboard sample (Figure 8): the fleet while a batch is in
 // flight, as the driver's own bookkeeping has it — leaves still pending are
-// old, the batch and any quarantined leaf are rolling over, the rest are done.
+// old, the batch and any leaf DOWN are rolling over, the rest are done.
 type Snapshot struct {
-	// Elapsed is when the batch went in flight, from the rollover's start.
-	Elapsed     time.Duration
 	OldVersion  int
 	RollingOver int
 	NewVersion  int
@@ -210,9 +208,7 @@ func (r *RolloverReport) tally(batch []Restart, reg *metrics.Registry) {
 			continue
 		}
 		r.Recoveries[rs.Recovery]++
-		if reg != nil {
-			reg.Counter("rollover.recovery." + metrics.CanonicalName(string(rs.Recovery))).Add(1)
-		}
+		reg.Counter("rollover.recovery." + metrics.CanonicalName(string(rs.Recovery))).Add(1)
 		if rs.Gap > r.MaxGap {
 			r.MaxGap = rs.Gap
 		}
@@ -257,15 +253,26 @@ func rollover(fleet []member, router *shard.Router, cfg RolloverConfig) (*Rollov
 		batchSize = 1
 	}
 	reg := cfg.Obs.Registry()
+	if reg == nil {
+		reg = metrics.NewRegistry() // nobody reads it; the code below needs no nil checks
+	}
 
 	begin := time.Now()
 	report := &RolloverReport{Recoveries: make(map[leaf.RecoveryPath]int)}
-	finish := func(err error) (*RolloverReport, error) {
+	defer func() {
 		report.Duration = time.Since(begin)
 		sort.Slice(report.Restarts, func(i, j int) bool { return report.Restarts[i].Leaf < report.Restarts[j].Leaf })
-		return report, err
+	}()
+	// A member already DOWN in the shard map (an earlier rollover quarantined
+	// it) has missed every write since: restarted ACTIVE it would serve stale
+	// data, so it stays out of every batch and counts as down throughout.
+	var pending []member
+	for _, m := range fleet {
+		if !isDown(router, m) {
+			pending = append(pending, m)
+		}
 	}
-	pending := append([]member(nil), fleet...)
+	lost := len(fleet) - len(pending)
 	for batchNum := 0; len(pending) > 0; batchNum++ {
 		batchStart := time.Now()
 		var batch []member
@@ -277,12 +284,11 @@ func rollover(fleet []member, router *shard.Router, cfg RolloverConfig) (*Rollov
 		for i, m := range batch {
 			_, _, draining[i] = m.ident()
 			if err := m.setStatus(shard.StatusDraining); err != nil {
-				return finish(fmt.Errorf("cluster: draining %s: %w", draining[i], err))
+				return report, fmt.Errorf("cluster: draining %s: %w", draining[i], err)
 			}
 		}
-		down := len(batch) + len(report.Quarantined)
+		down := len(batch) + len(report.Quarantined) + lost
 		snap := Snapshot{
-			Elapsed:           time.Since(begin),
 			OldVersion:        len(pending),
 			RollingOver:       down,
 			NewVersion:        len(fleet) - len(pending) - down,
@@ -305,22 +311,28 @@ func rollover(fleet []member, router *shard.Router, cfg RolloverConfig) (*Rollov
 		wg.Wait()
 
 		report.tally(restarts, reg)
-		if reg != nil {
-			reg.Timer("rollover.batch").Observe(time.Since(batchStart))
-			reg.Counter("rollover.restarts").Add(int64(len(batch)))
-			reg.Gauge("rollover.min_availability_bp").Set(int64(report.MinAvailability() * 10000))
-		}
+		reg.Timer("rollover.batch").Observe(time.Since(batchStart))
+		reg.Counter("rollover.restarts").Add(int64(len(batch)))
+		reg.Gauge("rollover.min_availability_bp").Set(int64(report.MinAvailability() * 10000))
 		if why := cfg.breached(report, restarts); why != "" {
 			report.Aborted = true
 			msg := fmt.Sprintf("%s: stopping after batch %d with %d leaves pending", why, batchNum, len(pending))
 			cfg.Obs.Event(obs.EventFail, "rollover.abort", msg)
-			if reg != nil {
-				reg.Counter("rollover.aborts").Add(1)
-			}
-			return finish(fmt.Errorf("%w: %s", ErrRolloverAborted, msg))
+			reg.Counter("rollover.aborts").Add(1)
+			return report, fmt.Errorf("%w: %s", ErrRolloverAborted, msg)
 		}
 	}
-	return finish(nil)
+	return report, nil
+}
+
+// isDown says whether the shard map (nil = none) has m's slot DOWN.
+func isDown(r *shard.Router, m member) bool {
+	if r == nil {
+		return false
+	}
+	_, _, name := m.ident()
+	i := r.Map().LeafIndex(name)
+	return i >= 0 && r.Status()[i] == shard.StatusDown
 }
 
 // restartDrained replaces the process of a member already DRAINING and puts

@@ -407,6 +407,42 @@ var rolloverCases = []rolloverCase{
 		},
 	},
 	{
+		// A slot an earlier rollover quarantined has missed writes since: it
+		// is left DOWN, out of every batch, and the dashboard counts it as down
+		// from the first batch on.
+		name: "a member already DOWN stays out", machines: 3, perMachine: 1, replication: 2, shards: 6,
+		cfg: RolloverConfig{BatchFraction: 0.3, UseShm: true},
+		sabotage: func(t *testing.T, f *suiteFleet) {
+			if err := f.router.SetStatus(1, shard.StatusDown); err != nil {
+				t.Fatal(err)
+			}
+			if f.cluster != nil {
+				n := f.cluster.Node(1)
+				n.mu.Lock()
+				n.leaf = nil
+				n.mu.Unlock()
+			}
+		},
+		check: func(t *testing.T, f *suiteFleet, rep *RolloverReport, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Batches != 2 || len(rep.Restarts) != 2 || rep.Restarts[0].Leaf != 0 || rep.Restarts[1].Leaf != 2 ||
+				len(rep.Quarantined) != 0 || !reflect.DeepEqual(rep.Recoveries, recoveries(leaf.RecoveryMemory, 2)) {
+				t.Errorf("report = %+v", rep)
+			}
+			for b, snap := range rep.Timeline {
+				if snap.RollingOver != 2 || snap.AvailableFraction > 0.34 {
+					t.Errorf("batch %d dashboard = %+v, want the DOWN leaf and the batch's one both down", b, snap)
+				}
+			}
+			want := []shard.Status{shard.StatusActive, shard.StatusDown, shard.StatusActive}
+			if got := f.router.Status(); !reflect.DeepEqual(got, want) {
+				t.Errorf("statuses = %v, want %v", got, want)
+			}
+		},
+	},
+	{
 		// Both members of the batch restarted, so both are in the report and
 		// the tally when the first one's gap stops the rollover.
 		name: "gap budget: the whole batch is tallied", machines: 2, perMachine: 1,

@@ -80,7 +80,6 @@ func (r *RolloverReport) Rows(source string, start time.Time) []rowblock.Row {
 				"killed":      obs.BoolValue(rs.Killed),
 				"crashed":     obs.BoolValue(rs.Crashed),
 				"error":       rowblock.StringValue(rs.Err),
-				"gap_us":      rowblock.Int64Value(rs.Gap.Microseconds()),
 				"duration_us": rowblock.Int64Value(rs.Duration.Microseconds()),
 			},
 		})
@@ -92,7 +91,6 @@ func (r *RolloverReport) Rows(source string, start time.Time) []rowblock.Row {
 		"restarts":    rowblock.Int64Value(int64(len(r.Restarts))),
 		"quarantined": rowblock.Int64Value(int64(len(r.Quarantined))),
 		"aborted":     obs.BoolValue(r.Aborted),
-		"max_gap_us":  rowblock.Int64Value(r.MaxGap.Microseconds()),
 		"duration_us": rowblock.Int64Value(r.Duration.Microseconds()),
 	}
 	for _, p := range recoveryPaths {
