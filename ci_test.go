@@ -32,3 +32,32 @@ func TestWorkflowNamesParse(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkflowsFuzzThroughTheDriver: the workflows once named 14 fuzz targets
+// in 14 copied steps and the nightly one had silently fallen to 8 of them.
+// ci/fuzz.sh discovers the targets instead; a literal -fuzz=Fuzz… in a
+// workflow is the hand-kept list growing back.
+func TestWorkflowsFuzzThroughTheDriver(t *testing.T) {
+	files, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no workflow files (%v)", err)
+	}
+	drivers := 0
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.Contains(line, "-fuzz=Fuzz") {
+				t.Errorf("%s:%d: names a fuzz target; run ci/fuzz.sh <fuzztime> instead", f, i+1)
+			}
+			if strings.Contains(line, "run: bash ci/fuzz.sh ") {
+				drivers++
+			}
+		}
+	}
+	if drivers < 2 {
+		t.Errorf("%d workflow steps run ci/fuzz.sh, want the push and the nightly one", drivers)
+	}
+}

@@ -52,7 +52,7 @@ func main() {
 		profEvery  = flag.Duration("profile-interval", time.Minute, "continuous profiler steady cadence: capture a CPU window + heap delta into __system.profiles this often (0 disables the profiler)")
 		profBudget = flag.Duration("profile-restart-budget", time.Second, "restart phase duration that triggers an anomaly profile capture")
 		profMutex  = flag.Bool("profile-contention", false, "enable mutex/block profiling so /debug/pprof/mutex and /debug/pprof/block return real data")
-		faultSpec  = flag.String("fault", "", "arm fault-injection points for chaos testing, e.g. 'shm.copy_in=corrupt;count=1,disk.read=delay:50ms' (see internal/fault)")
+		faultSpec  = flag.String("fault", "", "arm fault-injection points for chaos testing, e.g. 'shm.copy_in=corrupt;count=1,disk.read=delay:50ms'; shm.map is every segment open and shm.copy_in every shm-to-heap block clone, before ALIVE or (-instant-on) in the promoter (see internal/fault)")
 	)
 	flag.Parse()
 	if *faultSpec != "" {

@@ -280,7 +280,7 @@ func DecodeString(r *layout.RBC) (*StringColumn, error) {
 	}
 	ids := make([]uint32, len(packed))
 	for i, v := range packed {
-		if v >= uint64(len(dict)) && len(dict) > 0 || v > 0 && len(dict) == 0 {
+		if v >= uint64(len(dict)) {
 			return nil, fmt.Errorf("column: id %d out of dictionary range %d", v, len(dict))
 		}
 		ids[i] = uint32(v)

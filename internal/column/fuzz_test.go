@@ -1,0 +1,92 @@
+package column
+
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+
+	"scuba/internal/codec"
+	"scuba/internal/layout"
+)
+
+// FuzzColumnDecode feeds arbitrary bytes, through the structure-only parse the
+// shm view uses, to Decode and to the four typed decoders. Both restart modes
+// decode columns only a segment-wide CRC has vouched for, so whatever gets
+// this far must come back as an error or as a column as long as its header
+// says, every row of it readable — never a panic, and never an allocation
+// sized by a count the bytes present cannot back (the decoders check the
+// header's counts against the data first; lz4.Decompress and the bit-pack cap
+// do the same a layer down). A hostile count that slips through shows up here
+// as the out-of-memory crash of a fuzz worker.
+func FuzzColumnDecode(f *testing.F) {
+	ints := make([]int64, 200)
+	floats := make([]float64, 200)
+	strs := make([]string, 200)
+	sets := make([][]string, 200)
+	for i := range ints {
+		ints[i] = int64(i*i) - 5000
+		floats[i] = float64(i) * 0.25
+		strs[i] = fmt.Sprintf("svc-%d", i%7)
+		sets[i] = []string{fmt.Sprintf("t%d", i%5), "all"}
+	}
+	valid := [][]byte{
+		EncodeInt64(layout.TypeInt64, ints),
+		EncodeInt64(layout.TypeTime, ints[:3]),
+		EncodeInt64(layout.TypeInt64, make([]int64, 100)), // zero-width bit packing
+		EncodeFloat64(floats),
+		EncodeString(strs),
+		EncodeString(nil),
+		EncodeStringSet(sets),
+	}
+	for _, blob := range valid {
+		f.Add(blob)
+		f.Add(blob[:len(blob)-1])
+		// The header and footer claim far more than the data holds.
+		for _, off := range []int{16, 24, len(blob) - layout.FooterSize} {
+			hostile := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint64(hostile[off:], 1<<40)
+			f.Add(hostile)
+		}
+	}
+	// Row ids into a dictionary with no entries.
+	f.Add(layout.Build(layout.TypeString, codec.NewCode(codec.MethodDict, codec.MethodRaw),
+		2, 0, codec.EncodeDict(nil, nil), codec.EncodeBitPackU64(nil, []uint64{0, 0}), 3))
+	f.Add([]byte(nil))
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		r, err := layout.ParseTrusted(blob)
+		if err != nil {
+			return
+		}
+		col, err := Decode(r)
+		if err == nil {
+			if col.Len() != r.NumItems() || col.Type() != r.Type() {
+				t.Fatalf("decoded %d rows of %v, header says %d of %v", col.Len(), col.Type(), r.NumItems(), r.Type())
+			}
+			for i := 0; i < col.Len(); i++ {
+				switch c := col.(type) {
+				case *StringColumn:
+					_ = c.Value(i)
+				case *StringSetColumn:
+					_ = c.Value(i)
+					_ = c.Contains(i, "all")
+				}
+			}
+		}
+		// The typed decoders refuse a column of another type and otherwise
+		// agree with Decode on whether the blob is one.
+		_, ierr := DecodeInt64(r)
+		_, ferr := DecodeFloat64(r)
+		_, serr := DecodeString(r)
+		_, xerr := DecodeStringSet(r)
+		ok := 0
+		for _, e := range []error{ierr, ferr, serr, xerr} {
+			if e == nil {
+				ok++
+			}
+		}
+		if want := map[bool]int{true: 1, false: 0}[err == nil]; ok != want {
+			t.Fatalf("Decode says %v; typed decoders: int %v, float %v, string %v, set %v", err, ierr, ferr, serr, xerr)
+		}
+	})
+}

@@ -313,7 +313,7 @@ func (s *Store) loadImage(table string, im Image) (*rowblock.RowBlock, error) {
 		return nil, fmt.Errorf("disk: %s: %w", table, err)
 	}
 	// A fresh ReadFile slice is never reused: the block may alias it.
-	rb, _, err := rowblock.DecodeImage(data, false)
+	rb, _, err := rowblock.DecodeImage(data)
 	if err != nil {
 		return nil, fmt.Errorf("disk: %s image %s: %w", table, im.Name, err)
 	}

@@ -68,22 +68,19 @@ var ErrInjected = errors.New("fault: injected failure")
 // Fault sites. Every site marks a place the paper names as a failure point;
 // DESIGN.md §8 maps each to its expected recovery behavior.
 const (
-	// SiteShmMap is the shared memory metadata read plus segment open —
-	// Figure 7's "map the shared memory segments".
+	// SiteShmMap is the shared memory metadata read plus every table segment
+	// open, eager or instant-on — Figure 7's "map the shared memory segments".
 	SiteShmMap = "shm.map"
 	// SiteShmCommit is every leaf-metadata write, including the valid-bit
 	// commit of Figure 6 (target the commit itself with After).
 	SiteShmCommit = "shm.commit"
 	// SiteShmCopyOut is the per-block heap-to-shm copy of Figure 6.
 	SiteShmCopyOut = "shm.copy_out"
-	// SiteShmCopyIn is the per-block shm-to-heap copy of Figure 7.
+	// SiteShmCopyIn is the per-block shm-to-heap clone of Figure 7, before
+	// ALIVE on an eager start and in the background promoter on an instant-on
+	// one (also a CorruptBytes hook over each column's heap copy, before its
+	// checksum is verified).
 	SiteShmCopyIn = "shm.copy_in"
-	// SiteShmView is the instant-on mapped-view open: metadata + CRC
-	// validation before the leaf starts serving zero-copy from the mapping.
-	SiteShmView = "shm.view"
-	// SitePromoteCopy is the per-block background promotion copy that moves
-	// a shm-resident block heap-side while queries keep running.
-	SitePromoteCopy = "promote.copy"
 	// SiteDiskRead is the block store's per-table image load.
 	SiteDiskRead = "disk.read"
 	// SiteWireDial is the client-side TCP dial to a leaf or aggregator.
@@ -116,7 +113,6 @@ const (
 func Sites() []string {
 	s := []string{
 		SiteShmMap, SiteShmCommit, SiteShmCopyOut, SiteShmCopyIn,
-		SiteShmView, SitePromoteCopy,
 		SiteDiskRead, SiteWireDial, SiteWireWrite, SiteWireRead,
 		SiteLeafQuery,
 		SiteWALAppend, SiteWALSync, SiteWALTruncate, SiteWALReplay,

@@ -132,6 +132,8 @@ func TestArmSpecRejectsBadInput(t *testing.T) {
 	Reset()
 	for _, spec := range []string{
 		"nope.site=error",
+		"shm.view=error",     // one segment open since the view became the only reader: shm.map
+		"promote.copy=error", // one shm → heap clone: shm.copy_in
 		"leaf.query",
 		"leaf.query=explode",
 		"leaf.query=delay",

@@ -231,7 +231,7 @@ func TestWorkerFailureDuringRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	nu.restoreBlockHook = func(tbl string, block int) error {
+	nu.restoreBlockHook = func(tbl string) error {
 		if tbl == "t2" {
 			return boom
 		}

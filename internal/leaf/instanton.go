@@ -1,25 +1,22 @@
 package leaf
 
-// Instant-on restarts (ROADMAP "Instant-on restart"). The paper gates
-// post-restart availability on the full copy-in of Figure 7 because a shm
-// heap allocator was judged too invasive (§3); but the segment layout is
-// one-memcpy-relocatable, so this path maps each table segment read-only,
-// decodes every block image in place (zero-copy views), and flips the leaf
-// ALIVE the moment metadata + CRC validation pass. The copy the paper
-// blocked availability on still happens — as background promotion on a
-// bounded worker pool, hottest tables first (per-table decode-cache hits as
-// the heat signal), each block swapped for its heap clone without disturbing
-// in-flight scans. Failures degrade per table: a view that won't validate
-// falls back to the eager copy-in, and that failing too quarantines the
-// table to the store, exactly like the barrier path (recover.go's
-// takeFromShm). This file is the promotion that follows.
+// Instant-on restarts (DESIGN.md §14). The paper gates post-restart
+// availability on the full copy-in of Figure 7 because a shm heap allocator
+// was judged too invasive (§3); but the segment layout is
+// one-memcpy-relocatable, so recover.go's takeFromShm maps each table segment
+// read-only and decodes every block image in place, and with InstantOn it
+// flips the leaf ALIVE the moment metadata + CRC validation pass instead of
+// cloning the blocks first. The copy the paper blocked availability on still
+// happens — as background promotion on a bounded worker pool, hottest tables
+// first (per-table decode-cache hits as the heat signal), each block swapped
+// for its heap clone (Leaf.cloneBlock, the eager drain's own step) without
+// disturbing in-flight scans. This file is that promotion.
 
 import (
 	"runtime"
 	"sort"
 	"sync"
 
-	"scuba/internal/fault"
 	"scuba/internal/metrics"
 	"scuba/internal/obs"
 	"scuba/internal/rowblock"
@@ -41,7 +38,7 @@ type promoter struct {
 
 	mu sync.Mutex
 	// claimed guards against two workers copying one block; failed parks
-	// blocks whose promotion failed (injected fault, clone error) so workers
+	// blocks whose promotion failed (injected fault, bad checksum) so workers
 	// do not spin on them — the table just keeps serving those from shm.
 	claimed map[*rowblock.RowBlock]bool
 	failed  map[*rowblock.RowBlock]bool
@@ -168,27 +165,13 @@ func (p *promoter) next() (*table.Table, *rowblock.RowBlock) {
 	return nil, nil
 }
 
-// promoteBlock moves one shm-resident block heap-side: pin the view (it may
-// be draining under concurrent expiry), clone, swap, release the table's
-// residency reference. Returns false when the block could not be promoted —
-// the table keeps serving it from shm, which is always safe.
+// promoteBlock moves one shm-resident block heap-side: clone, swap, release
+// the table's residency reference. Returns false when the block could not be
+// promoted — the table keeps serving it from shm, which is always safe.
 func (p *promoter) promoteBlock(tbl *table.Table, rb *rowblock.RowBlock) bool {
-	src := rb.Source()
-	if src == nil {
-		return true // already heap-owned (promoted by someone else)
-	}
-	// Pin the mapping across the clone: expiry may pop the block and release
-	// its residency reference at any moment, and the clone must never read
-	// unmapped memory.
-	if !src.Retain() {
-		return false
-	}
-	defer src.Release()
-	err := fault.Inject(fault.SitePromoteCopy)
 	var clone *rowblock.RowBlock
-	if err == nil {
-		p.copyTime.Time(func() { clone, err = rb.CloneToHeap() })
-	}
+	var err error
+	p.copyTime.Time(func() { clone, err = p.l.cloneBlock(tbl.Name(), rb) })
 	if err != nil {
 		p.l.cfg.Obs.Event(obs.EventFail, obs.PhasePromote, tbl.Name()+": block stays shm-resident: "+err.Error())
 		return false

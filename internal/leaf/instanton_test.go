@@ -165,10 +165,11 @@ func TestInstantOnIngestAfterRestore(t *testing.T) {
 	}
 }
 
-// TestInstantOnViewFaultDegradesToEagerCopy arms the shm.view fault site:
-// every view open fails, so each table degrades to the eager copy-in and the
-// leaf reports the plain memory path — same data, no instant-on.
-func TestInstantOnViewFaultDegradesToEagerCopy(t *testing.T) {
+// TestInstantOnMapFaultQuarantinesToStore arms shm.map past the metadata
+// read: every segment open fails, and with one reader there is no second way
+// into a segment, so each table is quarantined to the store — same data, no
+// instant-on.
+func TestInstantOnMapFaultQuarantinesToStore(t *testing.T) {
 	e := newEnv(t)
 	old := startLeaf(t, e.config(0))
 	ingest(t, old, "events", 500, 1000)
@@ -178,25 +179,28 @@ func TestInstantOnViewFaultDegradesToEagerCopy(t *testing.T) {
 	}
 
 	t.Cleanup(fault.Reset)
-	if err := fault.ArmSpec(fault.SiteShmView + "=error"); err != nil {
+	if err := fault.ArmSpec(fault.SiteShmMap + "=error;after=1"); err != nil {
 		t.Fatal(err)
 	}
 	nu := startLeaf(t, e.instantConfig(0))
 	fault.Reset()
 	rec := nu.Recovery()
-	if rec.Path != RecoveryMemory {
-		t.Fatalf("recovery path = %v, want %v (degraded eager copy): %+v", rec.Path, RecoveryMemory, rec)
+	if rec.Path != RecoveryDisk || rec.Quarantined != 1 || rec.FellBack {
+		t.Fatalf("recovery = %+v, want one table quarantined to %v", rec, RecoveryDisk)
 	}
 	if rec.ServedFromShm != 0 {
-		t.Errorf("served_from_shm = %d after degradation", rec.ServedFromShm)
+		t.Errorf("served_from_shm = %d after quarantine", rec.ServedFromShm)
 	}
 	if got := queryFingerprint(t, nu, "events"); got != want {
-		t.Errorf("degraded restore:\ngot  %s\nwant %s", got, want)
+		t.Errorf("quarantined restore:\ngot  %s\nwant %s", got, want)
+	}
+	if files := segmentFiles(t, e.shmDir); len(files) != 0 {
+		t.Errorf("segment files left behind: %v", files)
 	}
 }
 
-// TestInstantOnPromotionFaultKeepsServingFromShm arms promote.copy: every
-// promotion attempt fails, blocks stay shm-resident, and queries keep
+// TestInstantOnPromotionFaultKeepsServingFromShm arms shm.copy_in, which an
+// instant-on start reaches only in the promoter: every promotion attempt fails, blocks stay shm-resident, and queries keep
 // answering correctly from the mapping.
 func TestInstantOnPromotionFaultKeepsServingFromShm(t *testing.T) {
 	e := newEnv(t)
@@ -208,7 +212,7 @@ func TestInstantOnPromotionFaultKeepsServingFromShm(t *testing.T) {
 	}
 
 	t.Cleanup(fault.Reset)
-	if err := fault.ArmSpec(fault.SitePromoteCopy + "=error"); err != nil {
+	if err := fault.ArmSpec(fault.SiteShmCopyIn + "=error"); err != nil {
 		t.Fatal(err)
 	}
 	nu := startLeaf(t, e.instantConfig(0))
@@ -221,10 +225,54 @@ func TestInstantOnPromotionFaultKeepsServingFromShm(t *testing.T) {
 	// blocks are all still shm-resident and still correct.
 	time.Sleep(50 * time.Millisecond)
 	if rec := nu.Recovery(); rec.ServedFromShm == 0 || rec.PromotedBlocks != 0 {
-		t.Errorf("blocks moved despite armed promote.copy: %+v", rec)
+		t.Errorf("blocks moved despite armed shm.copy_in: %+v", rec)
 	}
 	if got := queryFingerprint(t, nu, "events"); got != want {
 		t.Errorf("shm-resident serve:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestInstantOnPromotionCatchesDamagedClone damages one block's heap copy
+// behind the open-time CRC (shm.copy_in=corrupt;count=1). The promoter's
+// per-column check must refuse it: that block is parked shm-resident with a
+// fail event, every other block is promoted, and answers never change.
+func TestInstantOnPromotionCatchesDamagedClone(t *testing.T) {
+	e := newEnv(t)
+	old := startLeaf(t, e.config(0))
+	for i := 0; i < 3; i++ {
+		ingest(t, old, "events", 400, int64(1000+400*i))
+		if err := old.SealAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := queryFingerprint(t, old, "events")
+	if _, err := old.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Cleanup(fault.Reset)
+	if err := fault.ArmSpec(fault.SiteShmCopyIn + "=corrupt;count=1"); err != nil {
+		t.Fatal(err)
+	}
+	cfg := e.instantConfig(0)
+	cfg.Obs, _ = newObserver(t, e, 0)
+	nu := startLeaf(t, cfg)
+	defer nu.stopPromoter()
+	<-nu.promo.done // the workers leave once only parked blocks remain
+	if rec := nu.Recovery(); rec.ServedFromShm != 1 || rec.PromotedBlocks != 2 {
+		t.Errorf("recovery = %+v, want 1 block parked in shm and 2 promoted", rec)
+	}
+	fails := 0
+	for _, ev := range cfg.Obs.Recorder().Events() {
+		if ev.Kind == obs.EventFail && ev.Phase == obs.PhasePromote && strings.Contains(ev.Detail, "checksum") {
+			fails++
+		}
+	}
+	if fails != 1 {
+		t.Errorf("%d promote fail events naming a checksum, want 1", fails)
+	}
+	if got := queryFingerprint(t, nu, "events"); got != want {
+		t.Errorf("after the parked block:\ngot  %s\nwant %s", got, want)
 	}
 }
 
@@ -250,7 +298,7 @@ func TestInstantOnScanPinsViewAcrossExpiry(t *testing.T) {
 	// Park promotion so the block under test stays shm-resident until expiry
 	// gets to it.
 	t.Cleanup(fault.Reset)
-	if err := fault.ArmSpec(fault.SitePromoteCopy + "=error"); err != nil {
+	if err := fault.ArmSpec(fault.SiteShmCopyIn + "=error"); err != nil {
 		t.Fatal(err)
 	}
 	nu := startLeaf(t, nucfg)
@@ -327,7 +375,7 @@ func TestInstantOnCrashMidPromotionRecovers(t *testing.T) {
 	}
 
 	t.Cleanup(fault.Reset)
-	if err := fault.ArmSpec(fault.SitePromoteCopy + "=error"); err != nil {
+	if err := fault.ArmSpec(fault.SiteShmCopyIn + "=error"); err != nil {
 		t.Fatal(err)
 	}
 	crashCfg := cfg

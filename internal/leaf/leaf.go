@@ -74,11 +74,12 @@ type Config struct {
 	// sealed blocks out during execution. 0 means runtime.GOMAXPROCS, 1
 	// preserves the serial block-at-a-time scan.
 	ScanWorkers int
-	// InstantOn turns the shm restore from a barrier into serve-from-shm:
-	// segments are mapped read-only, tables serve queries zero-copy from the
-	// mappings the moment metadata + CRC validation pass, and blocks move
-	// heap-side in the background in query-heat order. Off, the restore is
-	// the paper's eager copy-in.
+	// InstantOn turns the shm restore from a barrier into serve-from-shm.
+	// Either way segments are mapped read-only and validated (metadata + CRC);
+	// on, tables serve queries zero-copy from the mappings the moment that
+	// passes and blocks are cloned heap-side in the background in query-heat
+	// order; off, the same clone runs before ALIVE — the paper's eager
+	// copy-in.
 	InstantOn bool
 	// PromoteWorkers bounds the background promotion pool that copies
 	// shm-resident blocks heap-side after an instant-on restore. 0 resolves
@@ -239,11 +240,12 @@ type Leaf struct {
 	firstQueryOpen atomic.Bool
 
 	// copyBlockHook / restoreBlockHook are test-only fault-injection
-	// points, called before each block copy with the table name and block
-	// index; a non-nil return fails that worker's table mid-copy. Set them
-	// before Shutdown/Start — workers read them without synchronization.
+	// points, called before each block copy with the table name (and, on the
+	// way out, the block index); a non-nil return fails that worker's table
+	// mid-copy. Set them before Shutdown/Start — workers read them without
+	// synchronization.
 	copyBlockHook    func(table string, block int) error
-	restoreBlockHook func(table string, block int) error
+	restoreBlockHook func(table string) error
 }
 
 // ErrWALNeedsDiskRoot rejects a Config with WALDir set and DiskRoot empty:

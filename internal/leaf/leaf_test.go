@@ -253,49 +253,120 @@ func TestMemoryRecoveryDisabled(t *testing.T) {
 	}
 }
 
+// tableSegmentFile returns the one shm segment file a shutdown left for table
+// (its name carries a generation suffix).
+func tableSegmentFile(t *testing.T, e env, table string) string {
+	t.Helper()
+	segs, _ := filepath.Glob(filepath.Join(e.shmDir, "*-"+shm.SegmentNameForTable(table)+"*"))
+	if len(segs) != 1 {
+		t.Fatalf("segment files of %s: %v", table, segs)
+	}
+	return segs[0]
+}
+
+// TestCorruptSegmentFallsBackToDisk flips one byte in one table's segment
+// after the shutdown finished it. Eager or instant-on, the open-time CRC must
+// quarantine exactly that table to the store — the metadata was fine, so there
+// is no whole-restore fallback — and the other table still comes from shm.
 func TestCorruptSegmentFallsBackToDisk(t *testing.T) {
+	for _, instantOn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("instant-on=%v", instantOn), func(t *testing.T) {
+			e := newEnv(t)
+			old := startLeaf(t, e.config(0))
+			ingest(t, old, "events", 400, 1000)
+			ingest(t, old, "errors", 300, 1000)
+			if _, err := old.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			segFile := tableSegmentFile(t, e, "events")
+			raw, err := os.ReadFile(segFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0xff
+			if err := os.WriteFile(segFile, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg := e.config(0)
+			cfg.InstantOn = instantOn
+			nu := startLeaf(t, cfg)
+			defer nu.stopPromoter()
+			rec := nu.Recovery()
+			if rec.Path != RecoveryMixed || rec.Quarantined != 1 || rec.FellBack {
+				t.Fatalf("recovery = %+v, want mixed with 1 quarantined table", rec)
+			}
+			fromShm := RecoveryMemory
+			if instantOn {
+				fromShm = RecoveryShmView
+			}
+			for _, tr := range rec.PerTablePath {
+				switch {
+				case tr.Table == "events" && (tr.Path != RecoveryDisk || !strings.Contains(tr.Reason, "checksum")):
+					t.Errorf("damaged table: %+v, want disk for a checksum", tr)
+				case tr.Table == "errors" && tr.Path != fromShm:
+					t.Errorf("intact table: %+v, want %v", tr, fromShm)
+				}
+			}
+			if got := countRows(t, nu, "events"); got != 400 {
+				t.Errorf("events count = %v", got)
+			}
+			if got := countRows(t, nu, "errors"); got != 300 {
+				t.Errorf("errors count = %v", got)
+			}
+		})
+	}
+}
+
+// TestEagerDrainShrinksSegment is §4.4 at the leaf: an eager start clones a
+// table's blocks newest first through the mapped view, and the segment file is
+// strictly smaller each time the next clone begins and gone once the table is
+// in.
+func TestEagerDrainShrinksSegment(t *testing.T) {
 	e := newEnv(t)
 	old := startLeaf(t, e.config(0))
-	ingest(t, old, "events", 400, 1000)
+	for i := 0; i < 4; i++ {
+		ingest(t, old, "events", 500, int64(1000+500*i))
+		if err := old.SealAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := queryFingerprint(t, old, "events")
 	if _, err := old.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a byte inside the table segment payload.
-	var segFile string
-	entries, err := os.ReadDir(e.shmDir)
+	segFile := tableSegmentFile(t, e, "events")
+	nu, err := New(e.config(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, en := range entries {
-		if strings.Contains(en.Name(), "tbl-") {
-			segFile = filepath.Join(e.shmDir, en.Name())
+	var sizes []int64
+	nu.restoreBlockHook = func(string) error {
+		fi, err := os.Stat(segFile)
+		if err == nil {
+			sizes = append(sizes, fi.Size())
+		}
+		return err
+	}
+	if err := nu.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := nu.Recovery(); rec.Path != RecoveryMemory || rec.Blocks != 4 {
+		t.Fatalf("recovery = %+v, want 4 blocks from memory", rec)
+	}
+	if len(sizes) != 4 {
+		t.Errorf("segment size before each clone = %v, want 4 of them", sizes)
+	}
+	for i := 1; i < len(sizes); i++ {
+		if sizes[i] >= sizes[i-1] {
+			t.Errorf("segment did not shrink behind block %d: %v", i, sizes)
 		}
 	}
-	if segFile == "" {
-		t.Fatal("no segment file found")
+	if _, err := os.Stat(segFile); !os.IsNotExist(err) {
+		t.Errorf("segment file survived its drain: %v", err)
 	}
-	raw, err := os.ReadFile(segFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(segFile, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	nu := startLeaf(t, e.config(0))
-	rec := nu.Recovery()
-	// The single table is the corrupt one, so the whole recovery is a
-	// quarantine: path disk, one quarantined table, no whole-restore
-	// fallback (the metadata itself was fine).
-	if rec.Path != RecoveryDisk || rec.Quarantined != 1 || rec.FellBack {
-		t.Fatalf("recovery = %+v, want disk with 1 quarantined table", rec)
-	}
-	if len(rec.PerTablePath) != 1 || rec.PerTablePath[0].Path != RecoveryDisk || rec.PerTablePath[0].Reason == "" {
-		t.Fatalf("per-table paths = %+v", rec.PerTablePath)
-	}
-	if got := countRows(t, nu, "events"); got != 400 {
-		t.Errorf("count = %v", got)
+	if got := queryFingerprint(t, nu, "events"); got != want {
+		t.Errorf("after the drain:\ngot  %s\nwant %s", got, want)
 	}
 }
 

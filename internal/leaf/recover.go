@@ -4,8 +4,8 @@ package leaf
 // same function for every table on one bounded worker pool:
 //
 //	for each table in (shm segments ∪ store tables ∪ log tables):
-//	    take its blocks from shm (copy, or view when InstantOn) if the valid
-//	        bit and the segment's CRC allow,
+//	    take its blocks from shm (a mapped view, cloned to the heap before
+//	        ALIVE unless InstantOn) if the valid bit and the segment's CRC allow,
 //	    else load its images from the store and replay the log tail past
 //	        their watermark if a usable log covers it;
 //	    go ALIVE
@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"scuba/internal/disk"
+	"scuba/internal/fault"
 	"scuba/internal/obs"
 	"scuba/internal/rowblock"
 	"scuba/internal/shm"
@@ -282,8 +283,8 @@ func (l *Leaf) recoverableTables(segs map[string]shm.SegmentInfo) ([]string, map
 }
 
 // leafPath reads the leaf's recovery path off its tables': the one path they
-// all took, shm-view when views and their eager-copy degradations mix, mixed
-// otherwise. A lost table counts for the store path it was lost on.
+// all took, shm-view when views and empty tables (memory: nothing to view)
+// mix, mixed otherwise. A lost table counts for the store path it was lost on.
 func leafPath(tables []TableRecovery) RecoveryPath {
 	took := make(map[RecoveryPath]bool)
 	for _, tr := range tables {
@@ -370,41 +371,41 @@ func sizeOf(blocks []*rowblock.RowBlock) (n int64) {
 	return n
 }
 
-// takeFromShm fills tbl with the sealed blocks in its shm segment: zero-copy
-// views of the mapping when InstantOn — any view failure (map error, CRC,
-// name mismatch) degrades the table to the copy — else Figure 7's copy-in.
-// A clean shutdown seals every table's unsealed tail before copy-out
-// (Figure 5c PREPARE), so a segment never carries unsealed rows.
+// takeFromShm fills tbl with the sealed blocks in its shm segment. The
+// segment is always opened and validated as a mapped view; InstantOn only
+// selects when the blocks are cloned to the heap: here, before ALIVE
+// (Figure 7's copy-in), or behind it by the promoter, with queries served
+// zero-copy from the view meanwhile. A segment that will not open or validate
+// sends the table to the store in either mode. A clean shutdown seals every
+// table's unsealed tail before copy-out (Figure 5c PREPARE), so a segment
+// never carries unsealed rows.
 func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.SegmentInfo, o *tableOutcome) error {
-	var blocks []*rowblock.RowBlock
-	var verr error
-	o.path.Path = RecoveryMemory
+	phase, path := obs.PhaseTableCRC, RecoveryMemory
 	if l.cfg.InstantOn {
-		sp := r.Begin(obs.PhaseTableView, si.Table, worker)
-		sp.Source = string(RecoveryShmView)
-		var v *shm.MappedView
-		if v, verr = l.openView(si); v != nil {
-			blocks, o.view, o.path.Path = v.Blocks(), v, RecoveryShmView
-			sp.Blocks, sp.Bytes = len(blocks), sizeOf(blocks)
-		}
-		sp.End(verr)
-		if v == nil && verr == nil {
-			// Zero-block segment: an empty table. Nothing to serve from shm,
-			// so the file can go now.
-			l.shm.RemoveSegment(si.Segment) //nolint:errcheck
-		}
+		phase, path = obs.PhaseTableView, RecoveryShmView
 	}
-	if !l.cfg.InstantOn || verr != nil {
-		var err error
-		if blocks, err = l.copyBlocksIn(r, worker, si); err != nil {
-			if verr != nil {
-				err = fmt.Errorf("view: %v; eager copy-in: %w", verr, err)
-			}
+	sp := r.Begin(phase, si.Table, worker)
+	sp.Source = string(path)
+	v, err := shm.OpenTableSegmentView(l.shm, si)
+	if err != nil {
+		sp.End(err)
+		return fmt.Errorf("open segment: %w", err)
+	}
+	blocks := v.Blocks()
+	if l.cfg.InstantOn {
+		sp.Blocks, sp.Bytes = len(blocks), sizeOf(blocks)
+	}
+	sp.End(nil)
+	o.path.Path = RecoveryMemory
+	if !l.cfg.InstantOn {
+		if blocks, err = l.drainView(r, worker, si.Table, v); err != nil {
 			return err
 		}
+	} else if len(blocks) > 0 { // an empty segment leaves nothing to view: memory
+		o.view, o.path.Path = v, RecoveryShmView
 	}
 	starts, through := l.adoptImages(r, worker, si.Table, string(o.path.Path), blocks)
-	err := tbl.Transition(table.StateMemoryRecovery)
+	err = tbl.Transition(table.StateMemoryRecovery)
 	for i := 0; err == nil && i < len(blocks); i++ {
 		err = tbl.RestoreBlock(blocks[i], starts[i])
 	}
@@ -420,71 +421,40 @@ func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.
 	return nil
 }
 
-// openView maps one segment read-only as zero-copy blocks (nil for a
-// zero-block segment).
-func (l *Leaf) openView(si shm.SegmentInfo) (*shm.MappedView, error) {
-	v, err := shm.OpenTableSegmentView(l.shm, si.Segment)
-	if err == nil && v != nil && v.TableName() != si.Table {
-		// The name bytes sit outside the payload CRC; a mismatch against the
-		// (CRC-guarded) metadata means the header rotted.
-		err = fmt.Errorf("%w: segment names table %q, metadata says %q",
-			shm.ErrSegCorrupt, v.TableName(), si.Table)
-		v.Discard() //nolint:errcheck
-		v = nil
-	}
-	return v, err
+// drainView is Figure 7's copy-in, the table's copy_in span: v's blocks are
+// cloned to the heap newest first while the segment shrinks behind them
+// (MappedView.Drain), and the segment is gone when the span ends, drained or
+// failed.
+func (l *Leaf) drainView(r *obs.Restart, worker int, name string, v *shm.MappedView) ([]*rowblock.RowBlock, error) {
+	sp := r.Begin(obs.PhaseTableCopyIn, name, worker)
+	sp.Source = string(RecoveryMemory)
+	blocks, err := v.Drain(func(rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
+		return l.cloneBlock(name, rb)
+	})
+	sp.Blocks, sp.Bytes = len(blocks), sizeOf(blocks)
+	sp.End(err)
+	return blocks, err
 }
 
-// copyBlocksIn copies one table's blocks out of its segment (Figure 7's
-// per-table steps) in two spans. crc: open the segment, which validates the
-// payload CRC. copy_in: drain blocks in reverse (truncating the segment as
-// pages release), restore original order, delete the segment. On failure the
-// segment is left in place; Start's final sweep removes it with everything
-// else.
-func (l *Leaf) copyBlocksIn(r *obs.Restart, worker int, si shm.SegmentInfo) (blocks []*rowblock.RowBlock, err error) {
-	sp := r.Begin(obs.PhaseTableCRC, si.Table, worker)
-	sp.Source = string(RecoveryMemory)
-	rd, err := shm.OpenTableSegment(l.shm, si.Segment)
-	if err != nil {
-		err = fmt.Errorf("open segment: %w", err)
-	} else if rd.TableName() != si.Table {
-		rd.Close(false) //nolint:errcheck
-		err = fmt.Errorf("%w: segment names table %q, metadata says %q",
-			shm.ErrSegCorrupt, rd.TableName(), si.Table)
+// cloneBlock is the one shm → heap step, run by the eager drain before ALIVE
+// and by the promoter behind it: pin the view (expiry may release the block's
+// residency reference at any moment, and the clone must never read unmapped
+// memory), fire shm.copy_in, copy the blobs, verify the copies' checksums.
+func (l *Leaf) cloneBlock(name string, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
+	src := rb.Source()
+	if !src.Retain() {
+		return nil, fmt.Errorf("leaf: %s: segment view already drained", name)
 	}
-	sp.End(err)
-	if err != nil {
-		return nil, err
-	}
-
-	sp = r.Begin(obs.PhaseTableCopyIn, si.Table, worker)
-	sp.Source = string(RecoveryMemory)
-	defer func() {
-		sp.Blocks, sp.Bytes = len(blocks), sizeOf(blocks)
-		sp.End(err)
-	}()
-	for {
-		if h := l.restoreBlockHook; h != nil {
-			if err := h(si.Table, len(blocks)); err != nil {
-				rd.Close(false) //nolint:errcheck
-				return nil, err
-			}
-		}
-		rb, err := rd.ReadBlock()
-		if err != nil {
-			rd.Close(false) //nolint:errcheck
+	defer src.Release()
+	if h := l.restoreBlockHook; h != nil {
+		if err := h(name); err != nil {
 			return nil, err
 		}
-		if rb == nil {
-			break
-		}
-		blocks = append(blocks, rb)
 	}
-	for i, j := 0, len(blocks)-1; i < j; i, j = i+1, j-1 {
-		blocks[i], blocks[j] = blocks[j], blocks[i]
+	if err := fault.Inject(fault.SiteShmCopyIn); err != nil {
+		return nil, fmt.Errorf("leaf: %s: copy in: %w", name, err)
 	}
-	// Figure 7: delete the table shared memory segment.
-	return blocks, rd.Close(true)
+	return rb.CloneToHeap()
 }
 
 // adoptImages gives blocks restored from shm their global row indexes and

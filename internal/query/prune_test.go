@@ -303,7 +303,7 @@ func TestBlocksSkippedAccounting(t *testing.T) {
 // with zones): format version must not change results.
 func TestV1ImageQueriesIdentically(t *testing.T) {
 	img := readGoldenV1(t)
-	v1, _, err := rowblock.DecodeImage(img, true)
+	v1, _, err := rowblock.DecodeImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func FuzzDecodeImage(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{0x52, 0x42, 0x4b, 0x31}) // bare magic
 	f.Fuzz(func(t *testing.T, img []byte) {
-		rb, _, err := DecodeImage(img, true)
+		rb, _, err := DecodeImage(img)
 		if err == nil && rb == nil {
 			t.Fatal("nil block without error")
 		}

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"scuba/internal/column"
+	"scuba/internal/fault"
 	"scuba/internal/layout"
 )
 
@@ -125,16 +126,20 @@ func (b *RowBlock) Source() Source { return b.src }
 
 // CloneToHeap deep-copies the block's RBC blobs into fresh heap memory and
 // returns a source-free block with the same header, schema, and zone maps.
-// The promotion path uses it to move a shm-resident block heap-side; the
-// blobs were CRC-verified when the view decoded them, so the re-parse is
-// trusted.
+// It is how a shm-resident block moves heap-side, before ALIVE or behind it.
+// Each copy's checksum is verified: only a segment-wide CRC at open time has
+// vouched for the source, and the copy is what the leaf keeps. An armed
+// shm.copy_in corruption damages the copy, past its header, before that
+// check — the mapping it came from is read-only.
 func (b *RowBlock) CloneToHeap() (*RowBlock, error) {
 	cols := make([]*layout.RBC, len(b.cols))
 	for i, c := range b.cols {
 		if c == nil {
 			return nil, fmt.Errorf("rowblock: cloning released column %d", i)
 		}
-		rbc, err := layout.ParseTrusted(append([]byte(nil), c.Blob()...))
+		blob := append([]byte(nil), c.Blob()...)
+		fault.CorruptBytes(fault.SiteShmCopyIn, blob[layout.HeaderSize:])
+		rbc, err := layout.Parse(blob)
 		if err != nil {
 			return nil, fmt.Errorf("rowblock: clone column %q: %w", b.schema[i].Name, err)
 		}
@@ -593,24 +598,22 @@ func (w *ImageWriter) CopyColumn() int {
 // Done reports whether every column has been copied.
 func (w *ImageWriter) Done() bool { return w.next >= len(w.block.cols) }
 
-// DecodeImage parses a block image. When copyBlobs is true the RBC bytes are
-// copied into fresh heap allocations (the restore path: shared memory will
-// be unmapped); when false the RBCs alias img (zero-copy reads). Column
-// checksums are verified — images come from shm or disk.
-func DecodeImage(img []byte, copyBlobs bool) (*RowBlock, int, error) {
-	return decodeImage(img, copyBlobs, true)
+// DecodeImage parses a block image zero-copy — the RBCs alias img — and
+// verifies every column's checksum: images come from shm or disk.
+func DecodeImage(img []byte) (*RowBlock, int, error) {
+	return decodeImage(img, layout.Parse)
 }
 
-// DecodeImageVerified parses a block image zero-copy, skipping the
-// per-column checksum pass. Only for callers that have already verified a
-// covering checksum over every image byte — the instant-on view, whose
-// segment-wide payload CRC includes all column blobs. Skipping the second
-// pass roughly halves the bytes touched before a restarted leaf can serve.
+// DecodeImageVerified is DecodeImage without the per-column checksum pass.
+// Only for callers that have already verified a covering checksum over every
+// image byte — the shm view, whose segment-wide payload CRC includes all
+// column blobs. Skipping the second pass roughly halves the bytes touched
+// before a restarted leaf can serve.
 func DecodeImageVerified(img []byte) (*RowBlock, int, error) {
-	return decodeImage(img, false, false)
+	return decodeImage(img, layout.ParseTrusted)
 }
 
-func decodeImage(img []byte, copyBlobs, verifyCols bool) (*RowBlock, int, error) {
+func decodeImage(img []byte, parse func([]byte) (*layout.RBC, error)) (*RowBlock, int, error) {
 	if len(img) < 48 {
 		return nil, 0, fmt.Errorf("%w: %d bytes", ErrImageCorrupt, len(img))
 	}
@@ -683,15 +686,7 @@ func decodeImage(img []byte, copyBlobs, verifyCols bool) (*RowBlock, int, error)
 		if off > end || end > size || off < uint64(pos) {
 			return nil, 0, fmt.Errorf("%w: column %d offsets [%d,%d)", ErrImageCorrupt, i, off, end)
 		}
-		blob := img[off:end]
-		if copyBlobs {
-			blob = append([]byte(nil), blob...)
-		}
-		parse := layout.Parse
-		if !verifyCols {
-			parse = layout.ParseTrusted
-		}
-		rbc, err := parse(blob)
+		rbc, err := parse(img[off:end])
 		if err != nil {
 			return nil, 0, fmt.Errorf("rowblock: column %d (%s): %w", i, schema[i].Name, err)
 		}

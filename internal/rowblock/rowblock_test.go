@@ -1,6 +1,7 @@
 package rowblock
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -198,7 +199,7 @@ func TestImageRoundTrip(t *testing.T) {
 	if len(img) != rb.ImageSize() {
 		t.Fatalf("image is %d bytes, ImageSize says %d", len(img), rb.ImageSize())
 	}
-	got, consumed, err := DecodeImage(img, true)
+	got, consumed, err := DecodeImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestImageRoundTrip(t *testing.T) {
 func TestImageZeroCopy(t *testing.T) {
 	rb := buildBlock(t, 50)
 	img := rb.AppendImage(nil)
-	got, _, err := DecodeImage(img, false)
+	got, _, err := DecodeImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +240,36 @@ func TestImageZeroCopy(t *testing.T) {
 	}
 	if !found {
 		t.Error("zero-copy decode did not alias image buffer")
+	}
+}
+
+// TestCloneToHeapVerifiesItsCopy: a clone owns fresh memory, and damage the
+// source picked up after its covering checksum was verified — the case of a
+// mapped shm block — is caught by the clone's per-column check.
+func TestCloneToHeapVerifiesItsCopy(t *testing.T) {
+	rb := buildBlock(t, 300)
+	img := rb.AppendImage(nil)
+	mapped, _, err := DecodeImageVerified(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := mapped.CloneToHeap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clone.Header() != rb.Header() || clone.Source() != nil {
+		t.Errorf("clone header %+v source %v", clone.Header(), clone.Source())
+	}
+	for i := 0; i < clone.NumColumns(); i++ {
+		got, src := clone.Column(i).Blob(), mapped.Column(i).Blob()
+		if !bytes.Equal(got, src) || &got[0] == &src[0] {
+			t.Errorf("column %d: clone differs from or aliases its source", i)
+		}
+	}
+	data := mapped.Column(1).Data()
+	data[len(data)/2] ^= 0x10
+	if _, err := mapped.CloneToHeap(); !errors.Is(err, layout.ErrChecksum) {
+		t.Fatalf("clone of a damaged block = %v, want %v", err, layout.ErrChecksum)
 	}
 }
 
@@ -269,7 +300,7 @@ func TestImageWriterIncremental(t *testing.T) {
 		t.Error("CopyColumn after Done returned bytes")
 	}
 	// The streamed image must decode identically to AppendImage.
-	got, _, err := DecodeImage(dst, true)
+	got, _, err := DecodeImage(dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,18 +320,18 @@ func TestDecodeImageCorrupt(t *testing.T) {
 	rb := buildBlock(t, 100)
 	img := rb.AppendImage(nil)
 
-	if _, _, err := DecodeImage(img[:20], true); err == nil {
+	if _, _, err := DecodeImage(img[:20]); err == nil {
 		t.Error("truncated image decoded")
 	}
 	bad := append([]byte(nil), img...)
 	bad[0] ^= 0xff
-	if _, _, err := DecodeImage(bad, true); err == nil {
+	if _, _, err := DecodeImage(bad); err == nil {
 		t.Error("bad magic decoded")
 	}
 	// Corrupt a byte inside a column blob: the RBC checksum must catch it.
 	bad2 := append([]byte(nil), img...)
 	bad2[len(bad2)-20] ^= 0xff
-	if _, _, err := DecodeImage(bad2, true); err == nil {
+	if _, _, err := DecodeImage(bad2); err == nil {
 		t.Error("corrupt column decoded")
 	}
 }
@@ -311,7 +342,7 @@ func TestDecodeImageTrailingData(t *testing.T) {
 	rb := buildBlock(t, 30)
 	img := rb.AppendImage(nil)
 	padded := append(append([]byte(nil), img...), 0xde, 0xad, 0xbe, 0xef)
-	got, consumed, err := DecodeImage(padded, true)
+	got, consumed, err := DecodeImage(padded)
 	if err != nil {
 		t.Fatal(err)
 	}

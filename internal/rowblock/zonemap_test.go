@@ -123,7 +123,7 @@ func TestZoneMapParseCorrupt(t *testing.T) {
 func TestImageV2RoundTripZones(t *testing.T) {
 	rb := buildBlock(t, 64)
 	img := rb.AppendImage(nil)
-	back, _, err := DecodeImage(img, true)
+	back, _, err := DecodeImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestGoldenV1Image(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, _, err := DecodeImage(img, true)
+	rb, _, err := DecodeImage(img)
 	if err != nil {
 		t.Fatalf("decode v1 golden: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestGoldenV1Image(t *testing.T) {
 	if bytes.Equal(img, img2) {
 		t.Fatalf("re-encoded image is still v1")
 	}
-	rb2, _, err := DecodeImage(img2, true)
+	rb2, _, err := DecodeImage(img2)
 	if err != nil {
 		t.Fatalf("re-decode: %v", err)
 	}

@@ -46,29 +46,19 @@ func TestConcurrentTableSegmentCreation(t *testing.T) {
 			}
 		}
 		for i := 0; i < nSegments; i++ {
-			r, err := OpenTableSegment(m, fmt.Sprintf("tbl-seg%02d", i))
+			restored, err := drainView(openView(t, m, fmt.Sprintf("tbl-seg%02d", i), fmt.Sprintf("seg%02d", i)))
 			if err != nil {
 				t.Fatalf("segment %d: %v", i, err)
 			}
-			if r.NumBlocks() != nBlocks {
-				t.Errorf("segment %d: %d blocks", i, r.NumBlocks())
+			if len(restored) != nBlocks {
+				t.Errorf("segment %d: %d blocks", i, len(restored))
 			}
 			rows := 0
-			for {
-				rb, err := r.ReadBlock()
-				if err != nil {
-					t.Fatalf("segment %d: %v", i, err)
-				}
-				if rb == nil {
-					break
-				}
+			for _, rb := range restored {
 				rows += rb.Rows()
 			}
 			if want := nBlocks * (50 + i); rows != want {
 				t.Errorf("segment %d: %d rows, want %d", i, rows, want)
-			}
-			if err := r.Close(true); err != nil {
-				t.Fatal(err)
 			}
 		}
 	})

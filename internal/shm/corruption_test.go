@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scuba/internal/fault"
+	"scuba/internal/layout"
 	"scuba/internal/rowblock"
 )
 
@@ -49,12 +50,12 @@ func TestPayloadCRCCatchesFlippedBytes(t *testing.T) {
 		if err := seg.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := OpenTableSegment(m, "tbl-crc")
+		v, err := OpenTableSegmentView(m, SegmentInfo{Table: "crc", Segment: "tbl-crc"})
 		if err != nil {
 			return err
 		}
-		r.Close(false)
-		return nil
+		// Unmap without deleting the file the next flip reopens.
+		return v.seg.Close()
 	}
 
 	// Sample positions across the whole payload + footer region, including
@@ -80,7 +81,7 @@ func TestPayloadCRCCatchesFlippedBytes(t *testing.T) {
 
 // FuzzSegmentCorruption checks that an arbitrary single-byte mutation
 // anywhere in the segment file never yields silently wrong block data: the
-// open either fails, a read fails, or every restored block is identical to
+// open either fails, a clone fails, or every restored block is identical to
 // the original.
 func FuzzSegmentCorruption(f *testing.F) {
 	f.Add(uint32(0), byte(0xff))   // magic
@@ -105,31 +106,20 @@ func FuzzSegmentCorruption(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		r, err := OpenTableSegment(m, "tbl-fz")
+		v, err := OpenTableSegmentView(m, SegmentInfo{Table: "fz", Segment: "tbl-fz"})
 		if err != nil {
-			return // detected at open — fine
+			return // detected at open (CRC, structure, or the name check) — fine
 		}
-		defer r.Close(false)
-		if r.TableName() != "fz" {
-			return // name bytes are outside the CRC; the leaf checks this
-		}
-		var restored []*rowblock.RowBlock
-		for {
-			rb, err := r.ReadBlock()
-			if err != nil {
-				return // detected at read — fine
-			}
-			if rb == nil {
-				break
-			}
-			restored = append(restored, rb)
+		restored, err := drainView(v)
+		if err != nil {
+			return // detected by a clone's column checksums — fine
 		}
 		// Survived every check: the data must be exactly the original.
 		if len(restored) != len(blocks) {
 			t.Fatalf("mutation (%d, %#x) silently dropped blocks: %d of %d", pos, x, len(restored), len(blocks))
 		}
 		for i, rb := range restored {
-			orig := blocks[len(blocks)-1-i]
+			orig := blocks[i]
 			gotTimes, err := rb.Times()
 			if err != nil {
 				t.Fatal(err)
@@ -166,43 +156,33 @@ func TestFaultSiteCopyOut(t *testing.T) {
 	fault.Arm(fault.Point{Site: fault.SiteShmCopyOut, Action: fault.ActCorrupt})
 	writeSegment(t, m, "tbl-f2", "f2", blocks)
 	fault.Reset()
-	if _, err := OpenTableSegment(m, "tbl-f2"); !errors.Is(err, ErrSegCorrupt) {
+	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "f2", Segment: "tbl-f2"}); !errors.Is(err, ErrSegCorrupt) {
 		t.Fatalf("open corrupted segment = %v, want ErrSegCorrupt", err)
 	}
 }
 
+// TestFaultSiteCopyIn: the open-time CRC passed, so a block damaged on its
+// way to the heap is the per-column checksums' to catch — and only the armed
+// hit's block fails. (The site's error action is the leaf's: its clone step
+// calls Inject.)
 func TestFaultSiteCopyIn(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	fault.Reset()
 	m := newTestManager(t, 1, false)
 	blocks := buildBlocks(t, 2, 20)
-	writeSegment(t, m, "tbl-f3", "f3", blocks)
-
-	fault.Arm(fault.Point{Site: fault.SiteShmCopyIn, Action: fault.ActError, After: 1})
-	r, err := OpenTableSegment(m, "tbl-f3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadBlock(); err != nil {
-		t.Fatalf("first ReadBlock = %v", err)
-	}
-	if _, err := r.ReadBlock(); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("second ReadBlock = %v, want ErrInjected", err)
-	}
-	r.Close(false)
-	fault.Reset()
-
-	// Corrupt action: open-time CRC passed, so the block's own column
-	// checksums must catch the in-flight damage.
-	fault.Arm(fault.Point{Site: fault.SiteShmCopyIn, Action: fault.ActCorrupt})
 	writeSegment(t, m, "tbl-f4", "f4", blocks)
-	r, err = OpenTableSegment(m, "tbl-f4")
-	if err != nil {
-		t.Fatal(err)
+	v := openView(t, m, "tbl-f4", "f4")
+
+	fault.Arm(fault.Point{Site: fault.SiteShmCopyIn, Action: fault.ActCorrupt, Count: 1})
+	if _, err := v.Blocks()[1].CloneToHeap(); !errors.Is(err, layout.ErrChecksum) {
+		t.Fatalf("corrupted copy-in clone = %v, want %v", err, layout.ErrChecksum)
 	}
-	defer r.Close(false)
-	if _, err := r.ReadBlock(); err == nil {
-		t.Fatal("corrupted copy-in block decoded cleanly")
+	if fault.Hits(fault.SiteShmCopyIn) == 0 {
+		t.Fatal("shm.copy_in never evaluated")
+	}
+	// The mapping itself is untouched: the same block clones cleanly now.
+	if restored, err := drainView(v); err != nil || len(restored) != 2 {
+		t.Fatalf("drain after the fault fired = %d blocks, %v", len(restored), err)
 	}
 }
 

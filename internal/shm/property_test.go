@@ -64,29 +64,18 @@ func TestTableSegmentProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			r, err := OpenTableSegment(m, "tbl-p")
+			restored, err := drainView(openView(t, m, "tbl-p", "p"))
 			if err != nil {
-				t.Fatal(err)
-			}
-			var restored []*rowblock.RowBlock
-			for {
-				rb, err := r.ReadBlock()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rb == nil {
-					break
-				}
-				restored = append(restored, rb)
-			}
-			if err := r.Close(true); err != nil {
 				t.Fatal(err)
 			}
 			if len(restored) != nblocks {
 				t.Fatalf("trial %d: %d blocks back, want %d", trial, len(restored), nblocks)
 			}
+			if m.SegmentExists("tbl-p") {
+				t.Fatalf("trial %d: segment survived its drain", trial)
+			}
 			for i := range restored {
-				orig := blocks[nblocks-1-i] // reverse drain order
+				orig := blocks[i]
 				got := restored[i]
 				if got.Header() != orig.Header() {
 					t.Fatalf("trial %d block %d: header %+v != %+v", trial, i, got.Header(), orig.Header())

@@ -370,39 +370,18 @@ func (m *Manager) CreateSegment(name string, size int64) (*Segment, error) {
 }
 
 // OpenSegment maps an existing segment read-write.
-func (m *Manager) OpenSegment(name string) (*Segment, error) {
-	path := m.segmentPath(name)
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ErrSegmentGone
-		}
-		return nil, fmt.Errorf("shm: open segment %s: %w", name, err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if fi.Size() == 0 {
-		f.Close()
-		return nil, fmt.Errorf("%w: segment %s is empty", ErrSegmentSize, name)
-	}
-	s := &Segment{name: name, path: path, f: f, size: fi.Size(), useMmap: !m.noMmap}
-	if err := s.mapIn(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
-}
+func (m *Manager) OpenSegment(name string) (*Segment, error) { return m.open(name, false) }
 
-// OpenSegmentRO maps an existing segment read-only. Writes through the
-// returned mapping fault; Grow/Truncate/Sync are rejected by the read-only
-// flag at the mapping layer. Instant-on views use it so a stray store can
-// never damage the backup other readers depend on.
-func (m *Manager) OpenSegmentRO(name string) (*Segment, error) {
+// open maps an existing segment. Read-only, writes through the mapping fault
+// and Grow and Sync are rejected: table segments are read through a view that
+// a stray store can never damage.
+func (m *Manager) open(name string, ro bool) (*Segment, error) {
 	path := m.segmentPath(name)
-	f, err := os.Open(path)
+	flag := os.O_RDWR
+	if ro {
+		flag = os.O_RDONLY
+	}
+	f, err := os.OpenFile(path, flag, 0)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, ErrSegmentGone
@@ -418,7 +397,7 @@ func (m *Manager) OpenSegmentRO(name string) (*Segment, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: segment %s is empty", ErrSegmentSize, name)
 	}
-	s := &Segment{name: name, path: path, f: f, size: fi.Size(), useMmap: !m.noMmap, ro: true}
+	s := &Segment{name: name, path: path, f: f, size: fi.Size(), useMmap: !m.noMmap, ro: ro}
 	if err := s.mapIn(); err != nil {
 		f.Close()
 		return nil, err
@@ -479,19 +458,25 @@ func (s *Segment) Grow(newSize int64) error {
 
 // Truncate shrinks the segment (Figure 7: "truncate the table shared memory
 // segment if needed", which releases physical pages back as the restore
-// drains the segment).
+// drains the segment). A read-only segment shrinks its file on the path and
+// keeps its mapping — no munmap and mmap per drained block — so the caller
+// must not read Bytes() past newSize again: under mmap those pages are gone.
 func (s *Segment) Truncate(newSize int64) error {
 	if s.closed {
 		return ErrClosed
-	}
-	if s.ro {
-		return fmt.Errorf("shm: truncate %s: segment is read-only", s.name)
 	}
 	if newSize >= s.size {
 		return nil
 	}
 	if newSize <= 0 {
 		newSize = 1 // keep the mapping valid; Remove deletes the file
+	}
+	if s.ro {
+		if err := os.Truncate(s.path, newSize); err != nil {
+			return fmt.Errorf("shm: truncate %s: %w", s.name, err)
+		}
+		s.size = newSize
+		return nil
 	}
 	if err := s.mapOut(); err != nil {
 		return err

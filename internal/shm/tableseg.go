@@ -25,9 +25,10 @@ import (
 //	...  row block images, contiguous (see rowblock.AppendImage)
 //	footer: u64 per block — offset of each block image
 //
-// The footer lets the restore path drain the segment in reverse, truncating
-// the tail after each block so tmpfs pages are released as the data moves
-// back to the heap, keeping the total footprint flat (§4.4, Figure 7).
+// The footer lets an eager restore drain the segment in reverse, truncating
+// the tail after each block (MappedView.Drain) so tmpfs pages are
+// released as the data moves back to the heap, keeping the total footprint
+// flat (§4.4, Figure 7).
 //
 // The payload CRC covers every block image and the footer. Row blocks carry
 // their own per-column checksums, but those are only verified as each block
@@ -189,49 +190,10 @@ func (w *TableSegmentWriter) stateName() string {
 	return "finished"
 }
 
-// TableSegmentReader drains a table segment back to the heap, last block
-// first, truncating the segment as it goes (Figure 7).
-type TableSegmentReader struct {
-	m         *Manager
-	seg       *Segment
-	tableName string
-	offsets   []int64
-	remaining int
-}
-
-// OpenTableSegment validates a segment's header, footer, and payload CRC
-// for restore. A CRC mismatch means block data rotted while the segment sat
-// in shared memory; the caller quarantines the table to disk recovery.
-func OpenTableSegment(m *Manager, segName string) (*TableSegmentReader, error) {
-	if err := fault.Inject(fault.SiteShmMap); err != nil {
-		return nil, fmt.Errorf("shm: map segment %s: %w", segName, err)
-	}
-	seg, err := m.OpenSegment(segName)
-	if err != nil {
-		return nil, err
-	}
-	r := &TableSegmentReader{m: m, seg: seg}
-	if err := r.parseHeader(); err != nil {
-		seg.Close()
-		return nil, err
-	}
-	return r, nil
-}
-
-func (r *TableSegmentReader) parseHeader() error {
-	tableName, offsets, err := parseTableSegment(r.seg.Bytes())
-	if err != nil {
-		return err
-	}
-	r.tableName = tableName
-	r.offsets = offsets
-	r.remaining = len(offsets)
-	return nil
-}
-
 // parseTableSegment validates a table segment's header, footer, and
-// whole-payload CRC, returning the table name and the block image offsets.
-// Shared by the draining reader (copy-in) and the mapped view (instant-on).
+// whole-payload CRC, returning the table name and the block image offsets. A
+// CRC mismatch means block data rotted while the segment sat in shared
+// memory; the caller quarantines the table to the store.
 func parseTableSegment(b []byte) (string, []int64, error) {
 	if len(b) < segHeaderFixed {
 		return "", nil, fmt.Errorf("%w: %d bytes", ErrSegCorrupt, len(b))
@@ -269,55 +231,4 @@ func parseTableSegment(b []byte) (string, []int64, error) {
 		prev = off
 	}
 	return tableName, offsets, nil
-}
-
-// TableName returns the table this segment belongs to.
-func (r *TableSegmentReader) TableName() string { return r.tableName }
-
-// NumBlocks returns the total number of row blocks in the segment.
-func (r *TableSegmentReader) NumBlocks() int { return len(r.offsets) }
-
-// Remaining returns how many blocks have not been read yet.
-func (r *TableSegmentReader) Remaining() int { return r.remaining }
-
-// ReadBlock copies the next block (in reverse order) to fresh heap memory,
-// verifies its checksums, truncates the segment to release the pages, and
-// returns the block. Returns nil when the segment is drained.
-func (r *TableSegmentReader) ReadBlock() (*rowblock.RowBlock, error) {
-	if r.remaining == 0 {
-		return nil, nil
-	}
-	if err := fault.Inject(fault.SiteShmCopyIn); err != nil {
-		return nil, fmt.Errorf("shm: copy in from %s: %w", r.seg.Name(), err)
-	}
-	idx := r.remaining - 1
-	off := r.offsets[idx]
-	// An armed copy_in corruption damages the mapped image after the
-	// open-time CRC check passed; the row block's own per-column checksums
-	// are the last line of defense.
-	fault.CorruptBytes(fault.SiteShmCopyIn, r.seg.Bytes()[off:])
-	rb, _, err := rowblock.DecodeImage(r.seg.Bytes()[off:], true)
-	if err != nil {
-		return nil, fmt.Errorf("shm: block %d of %s: %w", idx, r.tableName, err)
-	}
-	r.remaining--
-	// Figure 7: "truncate the table shared memory segment if needed" —
-	// drop the consumed tail so physical pages are released while the heap
-	// side grows, keeping total footprint flat.
-	if err := r.seg.Truncate(off); err != nil {
-		return nil, err
-	}
-	return rb, nil
-}
-
-// Close closes and deletes the segment (Figure 7 deletes each table segment
-// after restoring it).
-func (r *TableSegmentReader) Close(remove bool) error {
-	err := r.seg.Close()
-	if remove {
-		if rerr := r.m.RemoveSegment(r.seg.Name()); rerr != nil && err == nil {
-			err = rerr
-		}
-	}
-	return err
 }

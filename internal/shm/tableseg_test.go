@@ -3,6 +3,7 @@ package shm
 import (
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -35,6 +36,22 @@ func buildBlocks(t *testing.T, nblocks, rowsPerBlock int) []*rowblock.RowBlock {
 	return out
 }
 
+// openView opens the named segment of table through the one reader.
+func openView(t testing.TB, m *Manager, seg, table string) *MappedView {
+	t.Helper()
+	v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// drainView drains v the way an eager restore does, cloning with nothing
+// around the clone.
+func drainView(v *MappedView) ([]*rowblock.RowBlock, error) {
+	return v.Drain((*rowblock.RowBlock).CloneToHeap)
+}
+
 func TestTableSegmentRoundTrip(t *testing.T) {
 	runBothModes(t, func(t *testing.T, noMmap bool) {
 		m := newTestManager(t, 1, noMmap)
@@ -57,38 +74,18 @@ func TestTableSegmentRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		r, err := OpenTableSegment(m, "tbl-events")
+		v := openView(t, m, "tbl-events", "events")
+		if len(v.Blocks()) != 4 {
+			t.Errorf("blocks = %d", len(v.Blocks()))
+		}
+		restored, err := drainView(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.TableName() != "events" {
-			t.Errorf("TableName = %q", r.TableName())
-		}
-		if r.NumBlocks() != 4 {
-			t.Errorf("NumBlocks = %d", r.NumBlocks())
-		}
-		// Blocks come back in reverse order.
-		var restored []*rowblock.RowBlock
-		for {
-			rb, err := r.ReadBlock()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rb == nil {
-				break
-			}
-			restored = append(restored, rb)
-		}
-		if err := r.Close(true); err != nil {
-			t.Fatal(err)
-		}
-		if len(restored) != 4 {
-			t.Fatalf("restored %d blocks", len(restored))
-		}
 		for i, rb := range restored {
-			orig := blocks[len(blocks)-1-i]
-			if rb.Header() != orig.Header() {
-				t.Errorf("block %d header mismatch", i)
+			orig := blocks[i]
+			if rb.Header() != orig.Header() || rb.Source() != nil {
+				t.Errorf("block %d header mismatch or still shm-resident", i)
 			}
 			gotTimes, err := rb.Times()
 			if err != nil {
@@ -100,7 +97,7 @@ func TestTableSegmentRoundTrip(t *testing.T) {
 			}
 		}
 		if m.SegmentExists("tbl-events") {
-			t.Error("segment not removed after Close(true)")
+			t.Error("segment not removed by the last release")
 		}
 	})
 }
@@ -122,24 +119,12 @@ func TestTableSegmentGrowsFromSmallEstimate(t *testing.T) {
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenTableSegment(m, "tbl-g")
+	restored, err := drainView(openView(t, m, "tbl-g", "g"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close(true)
-	count := 0
-	for {
-		rb, err := r.ReadBlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rb == nil {
-			break
-		}
-		count++
-	}
-	if count != 6 {
-		t.Errorf("restored %d blocks", count)
+	if len(restored) != 6 {
+		t.Errorf("restored %d blocks", len(restored))
 	}
 }
 
@@ -160,58 +145,56 @@ func TestWriteBlockReleasesHeapColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Released blocks still restore correctly from the segment.
-	r, err := OpenTableSegment(m, "tbl-r")
+	restored, err := drainView(openView(t, m, "tbl-r", "r"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close(true)
-	rb, err := r.ReadBlock()
-	if err != nil || rb == nil {
-		t.Fatalf("read: %v", err)
-	}
-	if rb.Rows() != 100 {
-		t.Errorf("rows = %d", rb.Rows())
+	if len(restored) != 1 || restored[0].Rows() != 100 {
+		t.Errorf("restored = %v", restored)
 	}
 }
 
+// TestReaderTruncatesAsItDrains is the §4.4 flat footprint: the segment file
+// gets strictly smaller behind every block the eager drain clones — the blocks
+// still to come stay readable below the cut — and the last release deletes it.
 func TestReaderTruncatesAsItDrains(t *testing.T) {
-	m := newTestManager(t, 1, false)
-	blocks := buildBlocks(t, 3, 1000)
-	var total int64
-	for _, rb := range blocks {
-		total += int64(rb.ImageSize())
-	}
-	w, err := CreateTableSegment(m, "tbl-t", "t", total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rb := range blocks {
-		if err := w.WriteBlock(rb, false); err != nil {
-			t.Fatal(err)
+	runBothModes(t, func(t *testing.T, noMmap bool) {
+		m := newTestManager(t, 1, noMmap)
+		blocks := buildBlocks(t, 3, 1000)
+		writeSegment(t, m, "tbl-t", "t", blocks)
+		v := openView(t, m, "tbl-t", "t")
+		path := m.segmentPath("tbl-t")
+		fileSize := func() int64 {
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fi.Size()
 		}
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenTableSegment(m, "tbl-t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close(true)
-	prev := r.seg.Size()
-	for {
-		rb, err := r.ReadBlock()
-		if err != nil {
-			t.Fatal(err)
+		// The file's size as each clone begins, newest block first.
+		var sizes []int64
+		restored, err := v.Drain(func(rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
+			sizes = append(sizes, fileSize())
+			return rb.CloneToHeap()
+		})
+		if err != nil || len(restored) != 3 {
+			t.Fatalf("drain = %d blocks, %v", len(restored), err)
 		}
-		if rb == nil {
-			break
+		for i := 1; i < len(sizes); i++ {
+			if sizes[i] >= sizes[i-1] {
+				t.Errorf("segment did not shrink behind block %d: %v", len(sizes)-i, sizes)
+			}
 		}
-		if r.seg.Size() >= prev {
-			t.Errorf("segment did not shrink: %d -> %d", prev, r.seg.Size())
+		for i, rb := range restored {
+			got, err := rb.Times()
+			if want, _ := blocks[i].Times(); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("block %d differs after the drain (%v)", i, err)
+			}
 		}
-		prev = r.seg.Size()
-	}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("segment file survived the drain: %v", err)
+		}
+	})
 }
 
 func TestOpenTableSegmentRejectsCorruption(t *testing.T) {
@@ -237,21 +220,11 @@ func TestOpenTableSegmentRejectsCorruption(t *testing.T) {
 		}
 		mut(seg.Bytes())
 		seg.Close()
-		r, err := OpenTableSegment(m, "tbl-c")
+		v, err := OpenTableSegmentView(m, SegmentInfo{Table: "c", Segment: "tbl-c"})
 		if err != nil {
 			return err
 		}
-		for {
-			rb, rerr := r.ReadBlock()
-			if rerr != nil {
-				r.Close(false)
-				return rerr
-			}
-			if rb == nil {
-				break
-			}
-		}
-		r.Close(false)
+		rowblock.ReleaseSources(v.Blocks()) // the last one deletes the file
 		return nil
 	}
 
@@ -262,9 +235,17 @@ func TestOpenTableSegmentRejectsCorruption(t *testing.T) {
 	if err := corrupt(func(b []byte) { b[0] ^= 0xff; b[4] ^= 0xff }); !errors.Is(err, ErrVersionSkew) {
 		t.Errorf("version skew: %v", err)
 	}
-	// Fix version, corrupt a payload byte: the RBC checksum must catch it.
-	if err := corrupt(func(b []byte) { b[4] ^= 0xff; b[200] ^= 0x01 }); err == nil {
-		t.Error("payload corruption accepted")
+	// Fix version, corrupt a payload byte: the payload CRC must catch it.
+	if err := corrupt(func(b []byte) { b[4] ^= 0xff; b[200] ^= 0x01 }); !errors.Is(err, ErrSegCorrupt) {
+		t.Errorf("payload corruption: %v", err)
+	}
+	// Undo that, damage the table name: it sits outside the payload CRC and
+	// is checked against the metadata's.
+	if err := corrupt(func(b []byte) { b[200] ^= 0x01; b[segHeaderFixed] ^= 0x01 }); !errors.Is(err, ErrSegCorrupt) {
+		t.Errorf("table name mismatch: %v", err)
+	}
+	if err := corrupt(func(b []byte) { b[segHeaderFixed] ^= 0x01 }); err != nil {
+		t.Errorf("repaired segment: %v", err)
 	}
 }
 

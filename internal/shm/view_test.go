@@ -32,12 +32,9 @@ func TestMappedViewServesAndDrains(t *testing.T) {
 		m := newTestManager(t, 1, noMmap)
 		writeViewSegment(t, m, "tbl-events.g7", "events", 3)
 
-		v, err := OpenTableSegmentView(m, "tbl-events.g7")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.TableName() != "events" || v.SegmentName() != "tbl-events.g7" {
-			t.Fatalf("view identity = %q %q", v.TableName(), v.SegmentName())
+		v := openView(t, m, "tbl-events.g7", "events")
+		if v.SegmentName() != "tbl-events.g7" {
+			t.Fatalf("view segment = %q", v.SegmentName())
 		}
 		if len(v.Blocks()) != 3 {
 			t.Fatalf("blocks = %d", len(v.Blocks()))
@@ -84,26 +81,6 @@ func TestMappedViewServesAndDrains(t *testing.T) {
 	})
 }
 
-func TestMappedViewDiscardKeepsFile(t *testing.T) {
-	runBothModes(t, func(t *testing.T, noMmap bool) {
-		m := newTestManager(t, 1, noMmap)
-		writeViewSegment(t, m, "tbl-a", "a", 1)
-		v, err := OpenTableSegmentView(m, "tbl-a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := v.Discard(); err != nil {
-			t.Fatal(err)
-		}
-		// The file survives for a fallback reader.
-		r, err := OpenTableSegment(m, "tbl-a")
-		if err != nil {
-			t.Fatalf("eager open after Discard: %v", err)
-		}
-		r.Close(true) //nolint:errcheck
-	})
-}
-
 func TestMappedViewValidation(t *testing.T) {
 	m := newTestManager(t, 1, false)
 
@@ -118,22 +95,32 @@ func TestMappedViewValidation(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenTableSegmentView(m, "tbl-c"); !errors.Is(err, ErrSegCorrupt) {
+	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "c", Segment: "tbl-c"}); !errors.Is(err, ErrSegCorrupt) {
 		t.Fatalf("corrupt view open = %v, want ErrSegCorrupt", err)
+	}
+	// A failed open leaves the file where it was.
+	if !m.SegmentExists("tbl-c") {
+		t.Fatal("failed open removed the segment file")
 	}
 
 	// Missing segment.
-	if _, err := OpenTableSegmentView(m, "tbl-missing"); !errors.Is(err, ErrSegmentGone) {
+	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "missing", Segment: "tbl-missing"}); !errors.Is(err, ErrSegmentGone) {
 		t.Fatalf("missing view open = %v, want ErrSegmentGone", err)
 	}
 
-	// Zero-block segment: (nil, nil), file left in place.
-	writeViewSegment(t, m, "tbl-empty", "empty", 0)
-	v, err := OpenTableSegmentView(m, "tbl-empty")
-	if err != nil || v != nil {
-		t.Fatalf("empty view = %v, %v; want nil, nil", v, err)
+	// The metadata names another table than the segment does.
+	writeViewSegment(t, m, "tbl-n", "n", 1)
+	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "other", Segment: "tbl-n"}); !errors.Is(err, ErrSegCorrupt) {
+		t.Fatalf("misnamed view open = %v, want ErrSegCorrupt", err)
 	}
-	if _, err := os.Stat(m.segmentPath("tbl-empty")); err != nil {
-		t.Fatalf("empty segment file removed: %v", err)
+
+	// Zero-block segment: nothing to serve, so the open deletes it.
+	writeViewSegment(t, m, "tbl-empty", "empty", 0)
+	v := openView(t, m, "tbl-empty", "empty")
+	if len(v.Blocks()) != 0 || v.Refs() != 0 || v.Retain() {
+		t.Fatalf("empty view: %d blocks, %d refs", len(v.Blocks()), v.Refs())
+	}
+	if m.SegmentExists("tbl-empty") {
+		t.Fatal("empty segment file left behind")
 	}
 }
