@@ -7,7 +7,7 @@ threshold. Benchmarks missing from the base (i.e. added by the PR) are
 skipped: a new benchmark has no baseline to regress against.
 
 Usage:
-    benchgate.py BASE.txt HEAD.txt [--threshold 15] [--filter PREFIX]
+    benchgate.py BASE.txt HEAD.txt [--threshold 15] [--filter PREFIX]...
     benchgate.py --self-test
 
 The self-test feeds the comparator synthetic outputs with a known 20%
@@ -41,7 +41,8 @@ def compare(base_text, head_text, threshold_pct, name_filter):
     """Return (failures, report_lines, compared).
 
     A failure is a >threshold regression; compared counts head benchmarks
-    that actually had a baseline to regress against.
+    that actually had a baseline to regress against. name_filter is one name
+    prefix or a tuple of them.
     """
     base = medians(parse(base_text))
     head = medians(parse(head_text))
@@ -108,7 +109,8 @@ def main():
     ap.add_argument("base", nargs="?", help="bench output at the merge-base")
     ap.add_argument("head", nargs="?", help="bench output at the PR head")
     ap.add_argument("--threshold", type=float, default=15.0, help="max allowed median regression, percent")
-    ap.add_argument("--filter", default="BenchmarkScan", help="only gate benchmarks with this prefix")
+    ap.add_argument("--filter", action="append",
+                    help="only gate benchmarks with this prefix; repeat to gate several (default BenchmarkScan)")
     ap.add_argument("--self-test", action="store_true", help="verify the gate catches a synthetic regression")
     args = ap.parse_args()
 
@@ -129,15 +131,16 @@ def main():
         print(f"benchgate: base file {args.base!r} unreadable, treating as empty baseline")
     with open(args.head) as f:
         head_text = f.read()
-    failures, lines, compared = compare(base_text, head_text, args.threshold, args.filter)
-    print(f"benchgate: comparing medians, threshold {args.threshold:.0f}%, filter {args.filter!r}")
+    filters = tuple(args.filter or ["BenchmarkScan"])
+    failures, lines, compared = compare(base_text, head_text, args.threshold, filters)
+    print(f"benchgate: comparing medians, threshold {args.threshold:.0f}%, filter {', '.join(filters)}")
     print("\n".join(lines))
     if failures:
         print(f"benchgate: FAIL — {len(failures)} benchmark(s) regressed: {', '.join(failures)}")
         sys.exit(1)
     if compared == 0:
         print("benchgate: NEUTRAL — no baseline benchmark found at the merge-base "
-              "for this filter (benchmark added by this PR); nothing to gate")
+              "for these filters (benchmark added by this PR); nothing to gate")
         sys.exit(0)
     print("benchgate: PASS")
 

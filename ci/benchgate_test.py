@@ -84,6 +84,19 @@ class CLITest(unittest.TestCase):
         self.assertEqual(res.returncode, 0, res.stdout + res.stderr)
         self.assertIn("no baseline benchmark found", res.stdout)
 
+    def test_repeated_filter_gates_each_prefix(self):
+        base = self.write("base.txt", bench_output(
+            {"BenchmarkScanA": 1000, "BenchmarkAddRowsWAL": 1000, "BenchmarkUngated": 1000}))
+        head = self.write("head.txt", bench_output(
+            {"BenchmarkScanA": 1000, "BenchmarkAddRowsWAL": 1300, "BenchmarkUngated": 9000}))
+        res = run_gate(base, head, "--filter", "BenchmarkScan", "--filter", "BenchmarkAddRowsWAL")
+        self.assertEqual(res.returncode, 1, res.stdout + res.stderr)
+        self.assertIn("BenchmarkAddRowsWAL", res.stdout)
+        self.assertNotIn("BenchmarkUngated", res.stdout)
+        res = run_gate(base, head, "--filter", "BenchmarkScan", "--filter", "BenchmarkNoSuch")
+        self.assertEqual(res.returncode, 0, res.stdout + res.stderr)
+        self.assertIn("PASS", res.stdout)
+
     def test_regression_still_fails_the_gate(self):
         base = self.write("base.txt", bench_output({"BenchmarkScanA": 1000}))
         head = self.write("head.txt", bench_output({"BenchmarkScanA": 1300}))

@@ -61,3 +61,44 @@ func TestWorkflowsFuzzThroughTheDriver(t *testing.T) {
 		t.Errorf("%d workflow steps run ci/fuzz.sh, want the push and the nightly one", drivers)
 	}
 }
+
+// TestBenchedBenchmarksAreGated: the "Bench PR head" step runs the benchmark
+// families CI pays for on every PR, and the regression gate names the
+// families it fails a PR on; the two lists live in different steps and once
+// disagreed (BenchmarkShutdownRestore ran six times a PR and gated nothing).
+// Every family the head step names must be covered by a --filter prefix of a
+// step that gates bench-base.txt against bench-head.txt.
+func TestBenchedBenchmarksAreGated(t *testing.T) {
+	data, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var benched, filters []string
+	for _, step := range strings.Split(string(data), "\n      - ")[1:] {
+		if strings.HasPrefix(step, "name: Bench PR head\n") {
+			_, rest, _ := strings.Cut(step, "-bench '")
+			pattern, _, _ := strings.Cut(rest, "'")
+			benched = strings.Split(pattern, "|")
+		}
+		if strings.Contains(step, "benchgate.py bench-base.txt bench-head.txt") {
+			fields := strings.Fields(step)
+			for i, f := range fields[:len(fields)-1] {
+				if f == "--filter" {
+					filters = append(filters, fields[i+1])
+				}
+			}
+		}
+	}
+	if len(benched) < 2 || len(filters) == 0 {
+		t.Fatalf("could not read the workflow: benched %q, gate filters %q", benched, filters)
+	}
+	for _, name := range benched {
+		gated := false
+		for _, f := range filters {
+			gated = gated || strings.HasPrefix(name, f)
+		}
+		if !strings.HasPrefix(name, "Benchmark") || !gated {
+			t.Errorf("the head bench step runs %q but no gate --filter covers it (filters %q)", name, filters)
+		}
+	}
+}

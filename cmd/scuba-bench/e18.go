@@ -98,21 +98,14 @@ func runE18() error {
 			durs := make([]time.Duration, 0, trials)
 			for t := 0; t < trials; t++ {
 				start := time.Now()
-				res, err := query.ExecuteTableOpts(tbl, qc.q, opts)
+				res, err := query.Execute(tbl, qc.q, opts)
 				if err != nil {
 					return err
 				}
 				if traced {
 					tc := obs.TraceContext{TraceID: tracer.NewTraceID(), SpanID: obs.RandomID()}
 					d := time.Since(start)
-					exec := &obs.ExecStats{
-						SpanID: tc.SpanID, Table: qc.q.Table, Recovery: "none",
-						LatencyNanos: d.Nanoseconds(),
-						DecodeNanos:  res.Phases.DecodeNanos, PruneNanos: res.Phases.PruneNanos,
-						ScanNanos: res.Phases.ScanNanos, MergeNanos: res.Phases.MergeNanos,
-						RowsScanned: res.RowsScanned, BlocksScanned: res.BlocksScanned,
-						BlocksPruned: res.BlocksPruned,
-					}
+					exec := res.ExecStats(tc.SpanID, qc.q.Table, "none", d, 0)
 					tracer.Record(obs.Trace{
 						TraceID: tc.TraceID, Query: "bench", Start: start,
 						DurationNanos: d.Nanoseconds(), LeavesTotal: 1, LeavesAnswered: 1,

@@ -39,25 +39,13 @@ type leafAnswer struct {
 	failedOver bool
 }
 
-// LeafTarget is a leaf as seen by the aggregator. In-process clusters adapt
-// *leaf.Leaf; distributed deployments adapt a wire client.
+// LeafTarget is a leaf as seen by the aggregator: *leaf.Leaf and cluster
+// nodes in process, a wire client across processes. QueryShards answers q
+// over the named shards of its table (stored leaf-side as physical tables,
+// shard.PhysicalTable), or over the whole logical table when shards is
+// empty, and reports how the answer was computed; the report's span ID
+// echoes tc's.
 type LeafTarget interface {
-	Query(q *query.Query) (*query.Result, error)
-}
-
-// TracedTarget is a LeafTarget that accepts trace context and reports
-// structured execution stats. *leaf.Leaf and *wire.Client both implement it;
-// targets that don't are queried untraced and appear in the trace as a span
-// without an exec report.
-type TracedTarget interface {
-	QueryTraced(q *query.Query, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error)
-}
-
-// ShardTarget is a LeafTarget that can serve a shard-scoped query: only the
-// named shards of the logical table, stored leaf-side as physical tables
-// (shard.PhysicalTable). *leaf.Leaf, cluster nodes, and wire clients all
-// implement it; shard routing requires it.
-type ShardTarget interface {
 	QueryShards(q *query.Query, shards []int, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error)
 }
 
@@ -74,9 +62,9 @@ type Aggregator struct {
 	LeafTimeout time.Duration
 	// Router, when non-nil, turns on shard routing: each query fans out
 	// only to the leaves the router assigns for its table (replicas
-	// covering drained primaries), every target must implement
-	// ShardTarget, and results carry per-shard coverage. The router's map
-	// must list leaves in the same order as the aggregator's targets.
+	// covering drained primaries) and results carry per-shard coverage. The
+	// router's map must list leaves in the same order as the aggregator's
+	// targets.
 	Router *shard.Router
 	// Metrics, when non-nil, receives per-query instrumentation: the
 	// query.latency timer and query.latency_hist histogram (end-to-end
@@ -89,8 +77,8 @@ type Aggregator struct {
 	// query.slow counter tracks slow-log admissions.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, turns on per-query tracing: every query is
-	// stamped with a trace ID and per-leaf span IDs, targets that implement
-	// TracedTarget return ExecStats, and the assembled cross-leaf trace
+	// stamped with a trace ID and per-leaf span IDs, and the assembled
+	// cross-leaf trace, each answered span carrying its target's ExecStats,
 	// lands in the tracer's rings (/debug/traces, /debug/slow).
 	Tracer *obs.Tracer
 	// Labels names each leaf in traces (index-parallel to the targets);
@@ -105,10 +93,6 @@ func New(leaves []LeafTarget) *Aggregator {
 
 // ErrNoLeaves is returned when the aggregator has no leaves at all.
 var ErrNoLeaves = errors.New("aggregator: no leaves configured")
-
-// errNotShardCapable marks a target that cannot serve shard-scoped queries
-// while the aggregator routes by shard.
-var errNotShardCapable = errors.New("aggregator: target does not support shard-scoped queries")
 
 // fanTarget is one slot of a query's fan-out plan: a target plus the shards
 // it serves for this query (nil = the whole table, the unsharded topology).
@@ -211,7 +195,7 @@ func (a *Aggregator) QueryTraced(q *query.Query, parent obs.TraceContext) (*quer
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			t0 := time.Now()
-			res, exec, err := a.queryTarget(ft, q, ctxs[i])
+			res, exec, err := a.leaves[ft.idx].QueryShards(q, ft.shards, ctxs[i])
 			ans := leafAnswer{i: i, res: res, exec: exec, err: err, rtt: time.Since(t0)}
 			if err == nil {
 				ans.shardsOK = len(ft.shards)
@@ -360,25 +344,6 @@ collect:
 	return merged, nil
 }
 
-// queryTarget invokes one planned target: shard-scoped when the plan says
-// so, through the traced interface when the query is traced and the target
-// supports it.
-func (a *Aggregator) queryTarget(ft fanTarget, q *query.Query, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error) {
-	l := a.leaves[ft.idx]
-	if len(ft.shards) > 0 {
-		st, ok := l.(ShardTarget)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: %s", errNotShardCapable, a.leafLabel(ft.idx))
-		}
-		return st.QueryShards(q, ft.shards, tc)
-	}
-	if tt, ok := l.(TracedTarget); ok && tc.TraceID != 0 {
-		return tt.QueryTraced(q, tc)
-	}
-	res, err := l.Query(q)
-	return res, nil, err
-}
-
 // failoverPasses bounds how many times failover re-plans still-uncovered
 // shards against a fresh shard-map status. One pass handles the common case
 // (a draining owner's replica answers); the later passes handle a slow query
@@ -436,12 +401,7 @@ func (a *Aggregator) failover(q *query.Query, ft fanTarget) (*query.Result, int)
 				failed = append(failed, perLeaf[o]...)
 				continue
 			}
-			st, ok := a.leaves[o].(ShardTarget)
-			if !ok {
-				failed = append(failed, perLeaf[o]...)
-				continue
-			}
-			res, _, err := st.QueryShards(q, perLeaf[o], obs.TraceContext{})
+			res, _, err := a.leaves[o].QueryShards(q, perLeaf[o], obs.TraceContext{})
 			if err != nil {
 				failed = append(failed, perLeaf[o]...)
 				continue

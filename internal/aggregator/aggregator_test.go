@@ -8,6 +8,7 @@ import (
 
 	"scuba/internal/leaf"
 	"scuba/internal/metrics"
+	"scuba/internal/obs"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
 	"scuba/internal/shm"
@@ -150,7 +151,7 @@ func TestHierarchicalAggregation(t *testing.T) {
 	}
 	lower1 := New([]LeafTarget{l0, l1})
 	lower2 := New([]LeafTarget{l2})
-	root := New([]LeafTarget{aggTarget{lower1}, aggTarget{lower2}})
+	root := New([]LeafTarget{plain{aggTarget{lower1}}, plain{aggTarget{lower2}}})
 
 	q := countQuery()
 	res, err := root.Query(q)
@@ -169,6 +170,20 @@ func TestHierarchicalAggregation(t *testing.T) {
 type aggTarget struct{ a *Aggregator }
 
 func (t aggTarget) Query(q *query.Query) (*query.Result, error) { return t.a.Query(q) }
+
+// querier is what the Query-only fakes of this package implement; plain
+// adapts one to LeafTarget: it answers its whole table whatever shards and
+// trace it is handed, and reports nothing.
+type querier interface {
+	Query(q *query.Query) (*query.Result, error)
+}
+
+type plain struct{ querier }
+
+func (p plain) QueryShards(q *query.Query, _ []int, _ obs.TraceContext) (*query.Result, *obs.ExecStats, error) {
+	res, err := p.Query(q)
+	return res, nil, err
+}
 
 func TestBoundedParallelism(t *testing.T) {
 	leaves := make([]LeafTarget, 16)

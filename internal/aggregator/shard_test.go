@@ -24,15 +24,13 @@ type shardFake struct {
 	err   error
 }
 
-func (f *shardFake) Query(q *query.Query) (*query.Result, error) {
-	f.mu.Lock()
-	f.full++
-	f.mu.Unlock()
-	return query.NewResult(), nil
-}
-
 func (f *shardFake) QueryShards(q *query.Query, shards []int, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error) {
 	f.mu.Lock()
+	if len(shards) == 0 {
+		f.full++
+		f.mu.Unlock()
+		return query.NewResult(), nil, nil
+	}
 	f.calls = append(f.calls, append([]int(nil), shards...))
 	f.mu.Unlock()
 	if f.delay > 0 {
@@ -284,25 +282,6 @@ func TestShardSpansCarryShardLists(t *testing.T) {
 	}
 }
 
-// TestShardRoutingNeedsShardTargets: routing to a target that cannot serve
-// shard-scoped queries fails that leaf (erroring its span) rather than
-// silently widening to a whole-table query.
-func TestShardRoutingNeedsShardTargets(t *testing.T) {
-	plain := &fakeLeafPlain{}
-	a := New([]LeafTarget{plain})
-	a.Router = shard.NewRouter(shard.NewMap([]shard.Leaf{{Name: "p", Machine: 0}}, 1, 4))
-	res, err := a.Query(countQ("events"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ShardsAnswered != 0 || res.LeavesAnswered != 0 {
-		t.Fatalf("non-shard target answered: %d/%d shards", res.ShardsAnswered, res.ShardsTotal)
-	}
-	if plain.calls != 0 {
-		t.Fatal("plain target received a whole-table query under shard routing")
-	}
-}
-
 // TestShardQueryFailoverOnDeadLeaf covers the routing race a rolling restart
 // creates: a query planned before the drain flip hits a dead primary. The
 // aggregator must re-fetch that slot's shards from replicas — shard coverage
@@ -351,13 +330,6 @@ func TestShardQueryFailoverOnDeadLeaf(t *testing.T) {
 	if !found {
 		t.Fatal("no span records the failover")
 	}
-}
-
-type fakeLeafPlain struct{ calls int }
-
-func (f *fakeLeafPlain) Query(q *query.Query) (*query.Result, error) {
-	f.calls++
-	return query.NewResult(), nil
 }
 
 // hookShard lets a test fail specific QueryShards calls (by inspecting the

@@ -11,7 +11,7 @@ import (
 
 // slowTarget answers after a delay — a SIGSTOP'd or browned-out leaf.
 type slowTarget struct {
-	inner LeafTarget
+	inner querier
 	delay time.Duration
 }
 
@@ -28,7 +28,7 @@ func TestLeafTimeoutAbandonsStragglers(t *testing.T) {
 	ingest(t, hung, 100, 10000)
 
 	reg := metrics.NewRegistry()
-	a := New([]LeafTarget{fast0, fast1, slowTarget{inner: hung, delay: 2 * time.Second}})
+	a := New([]LeafTarget{fast0, fast1, plain{slowTarget{inner: hung, delay: 2 * time.Second}}})
 	a.LeafTimeout = 150 * time.Millisecond
 	a.Metrics = reg
 
@@ -68,7 +68,7 @@ func TestLeafTimeoutAbandonsStragglers(t *testing.T) {
 func TestZeroLeafTimeoutWaitsForever(t *testing.T) {
 	l := newLeaf(t, 0)
 	ingest(t, l, 50, 0)
-	a := New([]LeafTarget{slowTarget{inner: l, delay: 100 * time.Millisecond}})
+	a := New([]LeafTarget{plain{slowTarget{inner: l, delay: 100 * time.Millisecond}}})
 	res, err := a.Query(countQuery())
 	if err != nil {
 		t.Fatal(err)

@@ -111,7 +111,7 @@ func TestParentTraceIDAdopted(t *testing.T) {
 func TestErrorSpanRecorded(t *testing.T) {
 	good := newLeaf(t, 9)
 	ingest(t, good, 20, 0)
-	bad := erroring{}
+	bad := plain{erroring{}}
 	a := New([]LeafTarget{good, bad})
 	a.Tracer = obs.NewTracer(obs.TracerOptions{})
 

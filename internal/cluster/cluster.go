@@ -173,17 +173,8 @@ func (n *Node) AddRows(tableName string, rows []rowblock.Row) error {
 	return l.AddRows(tableName, rows)
 }
 
-// Query implements aggregator.LeafTarget.
-func (n *Node) Query(q *query.Query) (*query.Result, error) {
-	l := n.current()
-	if l == nil {
-		return nil, leaf.ErrNotAlive
-	}
-	return l.Query(q)
-}
-
-// QueryShards implements aggregator.ShardTarget: the node serves the named
-// shards of the table from its per-shard physical tables.
+// QueryShards implements aggregator.LeafTarget by forwarding to the node's
+// live leaf.
 func (n *Node) QueryShards(q *query.Query, shards []int, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error) {
 	l := n.current()
 	if l == nil {

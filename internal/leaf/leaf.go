@@ -31,6 +31,7 @@ import (
 	"scuba/internal/obs"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
+	"scuba/internal/shard"
 	"scuba/internal/shm"
 	"scuba/internal/table"
 	"scuba/internal/wal"
@@ -623,10 +624,65 @@ func (l *Leaf) addBatch(tableName string, b *rowblock.Batch, frame []byte) error
 	return commit.Wait()
 }
 
-// Query executes a query against this leaf's fraction of the table. A leaf
-// without the table returns an empty (not error) result, matching partial
-// result semantics.
+// Query answers q over this leaf's whole copy of the logical table, without
+// the execution report.
 func (l *Leaf) Query(q *query.Query) (*query.Result, error) {
+	res, _, err := l.QueryShards(q, nil, obs.TraceContext{})
+	return res, err
+}
+
+// QueryTraced is Query with the execution report, its span ID echoed from tc.
+func (l *Leaf) QueryTraced(q *query.Query, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error) {
+	return l.QueryShards(q, nil, tc)
+}
+
+// QueryShards is the leaf's one query entry. With no shards it runs q
+// against the logical table; with shards it runs q against each named shard,
+// stored leaf-side as a physical table (shard.PhysicalTable), and merges the
+// per-shard partials. A table this leaf has never ingested contributes an
+// empty partial, not an error — partial-result semantics — so a replica that
+// owns a shard but hasn't received data for it answers cleanly.
+//
+// The execution report is what the wire protocol ships back for the trace's
+// leaf span: phase times and work counters summed across the tables queried,
+// Table the logical name, the span ID echoed from tc so the aggregator can
+// slot the report into its trace, ShardsServed the fan-in, and Recovery
+// "mixed" when the shards recovered from different sources.
+func (l *Leaf) QueryShards(q *query.Query, shards []int, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error) {
+	start := time.Now()
+	tables := []string{q.Table}
+	if len(shards) > 0 {
+		tables = make([]string, len(shards))
+		for i, s := range shards {
+			tables[i] = shard.PhysicalTable(q.Table, s)
+		}
+	}
+	var merged *query.Result
+	recovery := ""
+	for _, name := range tables {
+		tq := *q
+		tq.Table = name
+		res, err := l.queryTable(&tq)
+		if err != nil {
+			return nil, nil, err
+		}
+		if merged == nil {
+			merged = res
+		} else {
+			merged.Merge(res)
+		}
+		switch src := l.tableRecoverySource(name); {
+		case recovery == "":
+			recovery = src
+		case recovery != src:
+			recovery = "mixed"
+		}
+	}
+	return merged, merged.ExecStats(tc.SpanID, q.Table, recovery, time.Since(start), len(shards)), nil
+}
+
+// queryTable executes q against one physical table.
+func (l *Leaf) queryTable(q *query.Query) (*query.Result, error) {
 	if fault.Enabled() {
 		if err := fault.Inject(fault.SiteLeafQuery); err != nil {
 			return nil, err
@@ -651,8 +707,7 @@ func (l *Leaf) Query(q *query.Query) (*query.Result, error) {
 		l.observeFirstQuery()
 		return query.NewResult(), nil
 	}
-	opts := query.ExecOptions{Workers: l.cfg.ScanWorkers, Cache: dc}
-	res, err := query.ExecuteTableObservedOpts(tbl, q, l.queryRegistry(), opts)
+	res, err := query.Execute(tbl, q, query.ExecOptions{Workers: l.cfg.ScanWorkers, Cache: dc, Metrics: l.queryRegistry()})
 	if err == nil {
 		l.observeFirstQuery()
 	}
@@ -669,38 +724,9 @@ func (l *Leaf) observeFirstQuery() {
 	}
 }
 
-// RecoveryQuarantined is the recovery source QueryTraced reports for a
+// RecoveryQuarantined is the recovery source the execution report names for a
 // table whose shm segment failed validation and was re-read from disk.
 const RecoveryQuarantined = "quarantined"
-
-// QueryTraced executes a query and additionally builds the structured
-// execution report (per-phase timings, work accounting, recovery source)
-// that the wire protocol ships back for the trace's leaf span. The span ID
-// in tc is echoed so the aggregator can slot the report into its trace.
-func (l *Leaf) QueryTraced(q *query.Query, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error) {
-	start := time.Now()
-	res, err := l.Query(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats := &obs.ExecStats{
-		SpanID:        tc.SpanID,
-		Table:         q.Table,
-		Recovery:      l.tableRecoverySource(q.Table),
-		LatencyNanos:  time.Since(start).Nanoseconds(),
-		DecodeNanos:   res.Phases.DecodeNanos,
-		PruneNanos:    res.Phases.PruneNanos,
-		ScanNanos:     res.Phases.ScanNanos,
-		MergeNanos:    res.Phases.MergeNanos,
-		RowsScanned:   res.RowsScanned,
-		BlocksScanned: res.BlocksScanned,
-		BlocksPruned:  res.BlocksPruned,
-		BlocksSkipped: res.BlocksSkipped,
-		CacheHits:     res.CacheHits,
-		CacheMisses:   res.CacheMisses,
-	}
-	return res, stats, nil
-}
 
 // tableRecoverySource reports where a table's data came from on the last
 // Start: the per-table path when a mixed recovery recorded one (with

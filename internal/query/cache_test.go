@@ -24,7 +24,7 @@ func TestDecodeCacheHitsOnRepeat(t *testing.T) {
 		GroupBy:      []string{"service"},
 		Aggregations: []Aggregation{{Op: AggAvg, Column: "latency"}},
 	}
-	cold, err := ExecuteTableOpts(tbl, q, ExecOptions{Workers: 1, Cache: dc})
+	cold, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestDecodeCacheHitsOnRepeat(t *testing.T) {
 		t.Errorf("cold misses = %d, want 6", misses)
 	}
 
-	warm, err := ExecuteTableOpts(tbl, q, ExecOptions{Workers: 1, Cache: dc})
+	warm, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestDecodeCacheEviction(t *testing.T) {
 		GroupBy:      []string{"service"},
 		Aggregations: []Aggregation{{Op: AggAvg, Column: "latency"}},
 	}
-	if _, err := ExecuteTableOpts(tbl, q, ExecOptions{Workers: 1, Cache: dc}); err != nil {
+	if _, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc}); err != nil {
 		t.Fatal(err)
 	}
 	_, bytes := dc.Stats()
@@ -88,7 +88,7 @@ func TestDecodeCacheSkipsUnsealed(t *testing.T) {
 	dc := NewDecodeCache(64<<20, nil)
 	q := &Query{Table: "events", From: 0, To: 1 << 40,
 		GroupBy: []string{"service"}, Aggregations: []Aggregation{{Op: AggCount}}}
-	if _, err := ExecuteTableOpts(tbl, q, ExecOptions{Workers: 1, Cache: dc}); err != nil {
+	if _, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc}); err != nil {
 		t.Fatal(err)
 	}
 	if entries, _ := dc.Stats(); entries != 0 {
@@ -115,7 +115,7 @@ func TestDecodeCacheInvalidateOnExpire(t *testing.T) {
 	}
 	q := &Query{Table: "events", From: 0, To: 1 << 40,
 		GroupBy: []string{"service"}, Aggregations: []Aggregation{{Op: AggCount}}}
-	if _, err := ExecuteTableOpts(tbl, q, ExecOptions{Workers: 1, Cache: dc}); err != nil {
+	if _, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc}); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := dc.Stats()
@@ -136,7 +136,7 @@ func TestDecodeCacheInvalidateOnExpire(t *testing.T) {
 		t.Errorf("expire did not invalidate cache: %d -> %d entries", before, after)
 	}
 	// The survivor's entries are still valid and queryable.
-	res, err := ExecuteTableOpts(tbl, q, ExecOptions{Workers: 1, Cache: dc})
+	res, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}

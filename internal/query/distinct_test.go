@@ -14,7 +14,7 @@ func TestCountDistinct(t *testing.T) {
 			{Op: AggCountDistinct, Column: "service"},
 			{Op: AggCountDistinct, Column: "latency"},
 		}}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestCountDistinctPerGroup(t *testing.T) {
 		GroupBy:      []string{"service"},
 		Aggregations: []Aggregation{{Op: AggCount}, {Op: AggCountDistinct, Column: "latency"}},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestCountDistinctMergeAcrossPartials(t *testing.T) {
 	b := mk([]string{"h2", "h3", "h4", "h5"}, 100)
 	q := &Query{Table: "events", From: 0, To: 1 << 40,
 		Aggregations: []Aggregation{{Op: AggCountDistinct, Column: "host"}}}
-	ra, err := ExecuteTable(a, q)
+	ra, err := Execute(a, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := ExecuteTable(b, q)
+	rb, err := Execute(b, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCountDistinctSurvivesWire(t *testing.T) {
 	tbl := fixtureTable(t)
 	q := &Query{Table: "events", From: 0, To: 1 << 40,
 		Aggregations: []Aggregation{{Op: AggCountDistinct, Column: "service"}}}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCountDistinctOnMissingColumn(t *testing.T) {
 	tbl := fixtureTable(t)
 	q := &Query{Table: "events", From: 0, To: 1 << 40,
 		Aggregations: []Aggregation{{Op: AggCountDistinct, Column: "ghost"}}}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestCountDistinctOnSetColumnRejected(t *testing.T) {
 	tbl := fixtureTable(t)
 	q := &Query{Table: "events", From: 0, To: 1 << 40,
 		Aggregations: []Aggregation{{Op: AggCountDistinct, Column: "tags"}}}
-	if _, err := ExecuteTable(tbl, q); err == nil {
+	if _, err := Execute(tbl, q, ExecOptions{}); err == nil {
 		t.Error("count_distinct over a set column accepted")
 	}
 }

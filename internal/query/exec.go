@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"scuba/internal/column"
+	"scuba/internal/metrics"
 	"scuba/internal/rowblock"
 	"scuba/internal/table"
 )
@@ -27,8 +28,8 @@ var (
 	_ Block = (*rowblock.UnsealedView)(nil)
 )
 
-// ExecOptions tune one execution. The zero value scans serially with no
-// cross-query cache — the pre-parallelism behavior.
+// ExecOptions tune one execution. The zero value sizes the scan pool to
+// GOMAXPROCS with no cross-query cache and no metrics.
 type ExecOptions struct {
 	// Workers bounds the sealed-block scan pool. 0 or negative means
 	// GOMAXPROCS; 1 scans serially on the calling goroutine.
@@ -36,24 +37,43 @@ type ExecOptions struct {
 	// Cache, when non-nil, holds decoded columns across queries (shared by
 	// every query against the same table; safe for concurrent use).
 	Cache *DecodeCache
+	// Metrics, when non-nil, receives the per-query execution latency — the
+	// query.exec.latency timer and query.exec.latency_hist histogram — plus
+	// the query.exec.count, query.exec.errors and query.blocks_pruned
+	// counters. The names carry the "exec." infix so a daemon sharing one
+	// registry between its wire server (which times whole RPCs as
+	// query.latency) and its leaf never double-counts.
+	Metrics *metrics.Registry
 }
 
-// ExecuteTable runs a query over one leaf's copy of a table with default
-// options (worker pool sized to GOMAXPROCS, no cross-query cache).
-func ExecuteTable(tbl *table.Table, q *Query) (*Result, error) {
-	return ExecuteTableOpts(tbl, q, ExecOptions{})
+// Execute runs a query over one leaf's copy of a table, producing a partial
+// result: the one entry every table execution takes. Sealed blocks outside
+// the time range are skipped via their min/max headers without decoding
+// anything (§2.1), blocks whose zone maps exclude a filter are pruned without
+// decode, and the survivors are fanned over a bounded worker pool, each
+// worker folding into a private Result that is merged at the end (the
+// cross-leaf merge is associative and commutative, so block order doesn't
+// matter). Unsealed rows are scanned in-line through a snapshot taken
+// together with the sealed-block list, so every row applied before the query
+// is in exactly one of the two.
+func Execute(tbl *table.Table, q *Query, opts ExecOptions) (*Result, error) {
+	start := time.Now()
+	res, err := execute(tbl, q, opts)
+	if reg := opts.Metrics; reg != nil {
+		reg.Counter("query.exec.count").Add(1)
+		if err != nil {
+			reg.Counter("query.exec.errors").Add(1)
+		} else {
+			d := time.Since(start)
+			reg.Timer("query.exec.latency").Observe(d)
+			reg.Histogram("query.exec.latency_hist").ObserveDuration(d)
+			reg.Counter("query.blocks_pruned").Add(res.BlocksPruned)
+		}
+	}
+	return res, err
 }
 
-// ExecuteTableOpts runs a query over one leaf's copy of a table, producing a
-// partial result. Sealed blocks outside the time range are skipped via their
-// min/max headers without decoding anything (§2.1), blocks whose zone maps
-// exclude a filter are pruned without decode, and the survivors are fanned
-// over a bounded worker pool, each worker folding into a private Result that
-// is merged at the end (the cross-leaf merge is associative and commutative,
-// so block order doesn't matter). Unsealed rows are scanned in-line through
-// a snapshot taken together with the sealed-block list, so every row applied
-// before the query is in exactly one of the two.
-func ExecuteTableOpts(tbl *table.Table, q *Query, opts ExecOptions) (*Result, error) {
+func execute(tbl *table.Table, q *Query, opts ExecOptions) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,12 +157,6 @@ func scanSealed(blocks []*rowblock.RowBlock, q *Query, res *Result, opts ExecOpt
 	}
 	res.Phases.MergeNanos += time.Since(mergeStart).Nanoseconds()
 	return nil
-}
-
-// ScanBlock folds one block into a result (serial, uncached). Kept as the
-// single-block entry point for tests and tools.
-func ScanBlock(rb Block, q *Query, res *Result) error {
-	return scanBlock(rb, q, res, nil)
 }
 
 // scanBlock folds one block into a result, consulting zone maps to skip the

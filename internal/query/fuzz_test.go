@@ -7,11 +7,13 @@ import (
 	"scuba/internal/rowblock"
 )
 
-// FuzzZoneMapPrune is the zone-map correctness oracle: for a block built
-// from fuzz-chosen values and a fuzz-chosen filter, executing with zone maps
-// live must agree exactly — rows, groups, error — with a forced full scan of
-// the same block. A divergence means a prune rule claimed "no row can match"
-// while a row did (or hid an error a scan would have surfaced).
+// FuzzZoneMapPrune checks zone-map pruning, and the block scan under it,
+// against the reference executor: for a block built from fuzz-chosen values
+// and a fuzz-chosen filter, executing with zone maps live must agree exactly
+// — rows, groups, error — with Reference over the rows the block was built
+// from. A divergence means a prune rule claimed "no row can match" while a
+// row did (or hid an error a scan would have surfaced), or the scan itself
+// disagrees with the row-at-a-time answer.
 func FuzzZoneMapPrune(f *testing.F) {
 	f.Add(int64(0), int64(100), uint8(0), uint8(0), int64(50), 1.5, "svc-1")
 	f.Add(int64(-10), int64(10), uint8(1), uint8(2), int64(-100), -0.5, "")
@@ -66,26 +68,21 @@ func FuzzZoneMapPrune(f *testing.F) {
 		}
 
 		pruned := NewResult()
-		prunedErr := ScanBlock(rb, q, pruned)
-		scanned := NewResult()
-		scannedErr := ScanBlock(noZonesF{rb}, q, scanned)
+		prunedErr := scanBlock(rb, q, pruned, nil)
+		want, wantErr := Reference(rows, q)
 
-		if (prunedErr == nil) != (scannedErr == nil) {
-			t.Fatalf("error parity broken: pruned=%v scanned=%v (filter %+v)", prunedErr, scannedErr, filter)
+		if (prunedErr == nil) != (wantErr == nil) {
+			t.Fatalf("error parity broken: pruned=%v reference=%v (filter %+v)", prunedErr, wantErr, filter)
 		}
 		if prunedErr != nil {
 			return
 		}
-		if !reflect.DeepEqual(pruned.Rows(q), scanned.Rows(q)) {
-			t.Fatalf("pruned result %+v != scanned result %+v (filter %+v, zone %+v)",
-				pruned.Rows(q), scanned.Rows(q), filter, rb.ColumnZone(filter.Column))
+		if !reflect.DeepEqual(pruned.Rows(q), want.Rows(q)) {
+			t.Fatalf("pruned result %+v != reference result %+v (filter %+v, zone %+v)",
+				pruned.Rows(q), want.Rows(q), filter, rb.ColumnZone(filter.Column))
 		}
-		if pruned.BlocksPruned == 1 && scanned.RowsScanned > 0 && len(scanned.Rows(q)) > 0 {
-			t.Fatalf("block pruned but the scan found matching rows (filter %+v)", filter)
+		if pruned.BlocksPruned == 1 && len(want.Rows(q)) > 0 {
+			t.Fatalf("block pruned but the reference found matching rows (filter %+v)", filter)
 		}
 	})
 }
-
-// noZonesF mirrors prune_test's noZones wrapper without depending on
-// *testing.T helpers (fuzz workers run it in a separate process).
-type noZonesF struct{ Block }

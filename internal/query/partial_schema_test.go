@@ -158,7 +158,7 @@ func TestPartiallyAbsentColumn(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
-				res, err := ExecuteTableOpts(tbl, tc.q, ExecOptions{Workers: workers})
+				res, err := Execute(tbl, tc.q, ExecOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

@@ -10,7 +10,7 @@ import "scuba/internal/rowblock"
 //
 // Pruning must be invisible apart from speed: a pruned block and a scanned
 // block must contribute identically (nothing) to the result, including error
-// behavior. ScanBlock stops applying filters the moment the live-row count
+// behavior. scanBlockRows stops applying filters the moment the live-row count
 // hits zero, so a type error in filter k is only ever surfaced when filters
 // 1..k-1 left rows alive. blockPruned mirrors that exactly: it walks filters
 // in order and prunes on the first zone exclusion, but gives up (scans) as

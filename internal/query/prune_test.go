@@ -21,7 +21,7 @@ func forceScan(t *testing.T, blocks []*rowblock.RowBlock, q *Query) (*Result, er
 		if !rb.Overlaps(q.From, q.To) {
 			continue
 		}
-		if err := ScanBlock(noZones{rb}, q, res); err != nil {
+		if err := scanBlock(noZones{rb}, q, res, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -64,7 +64,7 @@ func TestZonePruneInt(t *testing.T) {
 		Filters:      []Filter{{Column: "status", Op: OpEq, Int: 150}},
 		Aggregations: []Aggregation{{Op: AggCount}},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestZonePruneInt(t *testing.T) {
 
 	// Range filters prune too: status > 350 excludes blocks 0-2.
 	q.Filters = []Filter{{Column: "status", Op: OpGt, Int: 350}}
-	res, err = ExecuteTable(tbl, q)
+	res, err = Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestZonePruneInt(t *testing.T) {
 	}
 
 	q.Filters = []Filter{{Column: "status", Op: OpLt, Int: 100}}
-	res, err = ExecuteTable(tbl, q)
+	res, err = Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestZonePruneFloat(t *testing.T) {
 		Filters:      []Filter{{Column: "latency", Op: OpGe, Float: 3000}},
 		Aggregations: []Aggregation{{Op: AggCount}},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestZonePruneString(t *testing.T) {
 		Filters:      []Filter{{Column: "service", Op: OpEq, Str: "svc-2"}},
 		Aggregations: []Aggregation{{Op: AggCount}},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestZonePruneString(t *testing.T) {
 	}
 
 	q.Filters = []Filter{{Column: "tags", Op: OpContains, Str: "t3"}}
-	res, err = ExecuteTable(tbl, q)
+	res, err = Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestZonePruneAgreesWithScan(t *testing.T) {
 			Aggregations: []Aggregation{{Op: AggCount}}},
 	}
 	for qi, q := range queries {
-		pruned, err := ExecuteTable(tbl, q)
+		pruned, err := Execute(tbl, q, ExecOptions{})
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
@@ -205,7 +205,7 @@ func TestZonePruneNeverHidesTypeErrors(t *testing.T) {
 		},
 		Aggregations: []Aggregation{{Op: AggCount}},
 	}
-	if _, err := ExecuteTable(tbl, q); err == nil {
+	if _, err := Execute(tbl, q, ExecOptions{}); err == nil {
 		t.Fatalf("type error hidden by zone pruning")
 	}
 
@@ -216,7 +216,7 @@ func TestZonePruneNeverHidesTypeErrors(t *testing.T) {
 		{Column: "status", Op: OpEq, Int: -1},
 		{Column: "status", Op: OpContains, Str: "x"},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatalf("prunable-first query errored: %v", err)
 	}
@@ -242,12 +242,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 			Aggregations: []Aggregation{{Op: AggMax, Column: "status"}}},
 	}
 	for qi, q := range queries {
-		serial, err := ExecuteTableOpts(tbl, q, ExecOptions{Workers: 1})
+		serial, err := Execute(tbl, q, ExecOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("query %d serial: %v", qi, err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			par, err := ExecuteTableOpts(tbl, q, ExecOptions{Workers: workers})
+			par, err := Execute(tbl, q, ExecOptions{Workers: workers})
 			if err != nil {
 				t.Fatalf("query %d workers=%d: %v", qi, workers, err)
 			}
@@ -274,7 +274,7 @@ func TestParallelErrorPropagates(t *testing.T) {
 		Filters:      []Filter{{Column: "status", Op: OpContains, Str: "x"}},
 		Aggregations: []Aggregation{{Op: AggCount}},
 	}
-	if _, err := ExecuteTableOpts(tbl, q, ExecOptions{Workers: 4}); err == nil {
+	if _, err := Execute(tbl, q, ExecOptions{Workers: 4}); err == nil {
 		t.Fatalf("worker error swallowed")
 	}
 }
@@ -288,7 +288,7 @@ func TestBlocksSkippedAccounting(t *testing.T) {
 		Filters:      []Filter{{Column: "status", Op: OpLt, Int: 200}},
 		Aggregations: []Aggregation{{Op: AggCount}},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,10 +320,10 @@ func TestV1ImageQueriesIdentically(t *testing.T) {
 	}
 	for qi, q := range queries {
 		rv1, rv2 := NewResult(), NewResult()
-		if err := ScanBlock(v1, q, rv1); err != nil {
+		if err := scanBlock(v1, q, rv1, nil); err != nil {
 			t.Fatalf("query %d on v1 block: %v", qi, err)
 		}
-		if err := ScanBlock(fresh, q, rv2); err != nil {
+		if err := scanBlock(fresh, q, rv2, nil); err != nil {
 			t.Fatalf("query %d on fresh block: %v", qi, err)
 		}
 		if !reflect.DeepEqual(rv1.Rows(q), rv2.Rows(q)) {

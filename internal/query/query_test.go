@@ -64,7 +64,7 @@ func TestValidate(t *testing.T) {
 func TestCountAll(t *testing.T) {
 	tbl := fixtureTable(t)
 	q := &Query{Table: "events", From: 0, To: 1 << 40, Aggregations: []Aggregation{{Op: AggCount}}}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestTimePruning(t *testing.T) {
 	tbl := fixtureTable(t)
 	// Only the middle block [1100, 1199] overlaps.
 	q := &Query{Table: "events", From: 1150, To: 1160, Aggregations: []Aggregation{{Op: AggCount}}}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestGroupByString(t *testing.T) {
 		Aggregations: []Aggregation{{Op: AggCount}, {Op: AggAvg, Column: "latency"}},
 		GroupBy:      []string{"service"},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFilters(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			q := &Query{Table: "events", From: 0, To: 1 << 40,
 				Filters: []Filter{c.filter}, Aggregations: []Aggregation{{Op: AggCount}}}
-			res, err := ExecuteTable(tbl, q)
+			res, err := Execute(tbl, q, ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestFilterConjunction(t *testing.T) {
 		},
 		Aggregations: []Aggregation{{Op: AggCount}},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestAggregators(t *testing.T) {
 			{Op: AggMax, Column: "latency"},
 			{Op: AggAvg, Column: "cpu"},
 		}}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestPercentiles(t *testing.T) {
 	}
 	q := &Query{Table: "lat", From: 0, To: 1 << 40,
 		Aggregations: []Aggregation{{Op: AggP50, Column: "ms"}, {Op: AggP99, Column: "ms"}}}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +252,14 @@ func TestMergePartialResults(t *testing.T) {
 		GroupBy:      []string{"service"}}
 
 	// Whole-table result versus merging three per-block partials.
-	want, err := ExecuteTable(tbl, full)
+	want, err := Execute(tbl, full, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	merged := NewResult()
 	for _, rb := range tbl.Blocks() {
 		part := NewResult()
-		if err := ScanBlock(rb, full, part); err != nil {
+		if err := scanBlock(rb, full, part, nil); err != nil {
 			t.Fatal(err)
 		}
 		merged.Merge(part)
@@ -289,7 +289,7 @@ func TestMissingColumnSemantics(t *testing.T) {
 	q := &Query{Table: "events", From: 0, To: 1 << 40,
 		Filters:      []Filter{{Column: "ghost", Op: OpEq, Str: "x"}},
 		Aggregations: []Aggregation{{Op: AggCount}}}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestMissingColumnSemantics(t *testing.T) {
 	}
 	// ghost != x matches everything ("" != "x").
 	q.Filters[0].Op = OpNe
-	res, err = ExecuteTable(tbl, q)
+	res, err = Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestMissingColumnSemantics(t *testing.T) {
 	// Group by a missing column: single empty-string group.
 	q2 := &Query{Table: "events", From: 0, To: 1 << 40,
 		Aggregations: []Aggregation{{Op: AggCount}}, GroupBy: []string{"ghost"}}
-	res, err = ExecuteTable(tbl, q2)
+	res, err = Execute(tbl, q2, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestGroupByIntAndLimit(t *testing.T) {
 		GroupBy:      []string{"latency"},
 		Limit:        5,
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestTypeErrors(t *testing.T) {
 			Aggregations: []Aggregation{{Op: AggCount}}, GroupBy: []string{"tags"}},
 	}
 	for i, q := range bad {
-		if _, err := ExecuteTable(tbl, q); err == nil {
+		if _, err := Execute(tbl, q, ExecOptions{}); err == nil {
 			t.Errorf("bad query %d succeeded", i)
 		}
 	}

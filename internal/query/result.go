@@ -6,6 +6,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
+
+	"scuba/internal/obs"
 )
 
 // AggState is the mergeable accumulator behind one aggregation output.
@@ -241,6 +244,30 @@ func (r *Result) Merge(o *Result) {
 	r.Phases.Add(o.Phases)
 	r.CacheHits += o.CacheHits
 	r.CacheMisses += o.CacheMisses
+}
+
+// ExecStats builds the execution report for r, one leaf's partial or a
+// subtree's merge of them: the one place a result's phase times and work
+// counters become the report a traced response carries. shards is how many
+// shards of the table the answer covers (0 = the whole logical table).
+func (r *Result) ExecStats(spanID uint64, table, recovery string, latency time.Duration, shards int) *obs.ExecStats {
+	return &obs.ExecStats{
+		SpanID:        spanID,
+		Table:         table,
+		Recovery:      recovery,
+		LatencyNanos:  latency.Nanoseconds(),
+		DecodeNanos:   r.Phases.DecodeNanos,
+		PruneNanos:    r.Phases.PruneNanos,
+		ScanNanos:     r.Phases.ScanNanos,
+		MergeNanos:    r.Phases.MergeNanos,
+		RowsScanned:   r.RowsScanned,
+		BlocksScanned: r.BlocksScanned,
+		BlocksPruned:  r.BlocksPruned,
+		BlocksSkipped: r.BlocksSkipped,
+		CacheHits:     r.CacheHits,
+		CacheMisses:   r.CacheMisses,
+		ShardsServed:  shards,
+	}
 }
 
 // Coverage returns the fraction of leaves that answered (1.0 when the

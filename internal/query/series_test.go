@@ -15,7 +15,7 @@ func TestTimeBucketSeries(t *testing.T) {
 		TimeBucketSeconds: 100,
 		Aggregations:      []Aggregation{{Op: AggCount}},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestTimeBucketWithGroupBy(t *testing.T) {
 		GroupBy:           []string{"service"},
 		Aggregations:      []Aggregation{{Op: AggCount}},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTimeBucketMergesAcrossBlocks(t *testing.T) {
 		TimeBucketSeconds: 100,
 		Aggregations:      []Aggregation{{Op: AggCount}},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestOrderByAggregation(t *testing.T) {
 		Aggregations: []Aggregation{{Op: AggCount}, {Op: AggSum, Column: "latency"}},
 		OrderBy:      &Order{Agg: 1, Asc: true},
 	}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSeriesSurvivesWireRoundTrip(t *testing.T) {
 	q := &Query{Table: "events", From: 0, To: 1 << 40,
 		TimeBucketSeconds: 100,
 		Aggregations:      []Aggregation{{Op: AggCount}}}
-	res, err := ExecuteTable(tbl, q)
+	res, err := Execute(tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,19 +222,6 @@ func (t *Table) notifyEvict(blocks []*rowblock.RowBlock) {
 	}
 }
 
-// Scan calls fn for every sealed block overlapping [from, to], under query
-// gating. Blocks are pruned by their min/max time header fields (§2.1).
-func (t *Table) Scan(from, to int64, fn func(*rowblock.RowBlock) error) error {
-	return t.ScanView(from, to, func(v View) error {
-		for _, rb := range v.Blocks {
-			if err := fn(rb); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // View is one consistent picture of a table for a query: every row applied
 // before it was taken is in exactly one of Blocks and Active.
 type View struct {

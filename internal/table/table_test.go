@@ -74,8 +74,8 @@ func TestScanPrunesByTime(t *testing.T) {
 		}
 	}
 	visited := 0
-	err := tbl.Scan(100, 199, func(rb *rowblock.RowBlock) error {
-		visited++
+	err := tbl.ScanView(100, 199, func(v View) error {
+		visited = len(v.Blocks)
 		return nil
 	})
 	if err != nil {
@@ -85,7 +85,7 @@ func TestScanPrunesByTime(t *testing.T) {
 		t.Errorf("visited %d blocks, want 1", visited)
 	}
 	visited = 0
-	if err := tbl.Scan(0, 300, func(*rowblock.RowBlock) error { visited++; return nil }); err != nil {
+	if err := tbl.ScanView(0, 300, func(v View) error { visited = len(v.Blocks); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if visited != 3 {
@@ -102,7 +102,7 @@ func TestScanPropagatesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("boom")
-	if err := tbl.Scan(0, 100, func(*rowblock.RowBlock) error { return sentinel }); !errors.Is(err, sentinel) {
+	if err := tbl.ScanView(0, 100, func(View) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -211,7 +211,7 @@ func TestPrepareGatesRequests(t *testing.T) {
 	if err := tbl.AddRows(mkRows(1, 0), 1); !errors.Is(err, ErrNotAccepting) {
 		t.Errorf("add err = %v", err)
 	}
-	if err := tbl.Scan(0, 10, func(*rowblock.RowBlock) error { return nil }); !errors.Is(err, ErrNotAccepting) {
+	if err := tbl.ScanView(0, 10, func(View) error { return nil }); !errors.Is(err, ErrNotAccepting) {
 		t.Errorf("scan err = %v", err)
 	}
 	if _, err := tbl.Expire(100); !errors.Is(err, ErrNotAccepting) {
@@ -234,7 +234,7 @@ func TestPrepareWaitsForInflightQueries(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tbl.Scan(0, 100, func(*rowblock.RowBlock) error { //nolint:errcheck
+		tbl.ScanView(0, 100, func(View) error { //nolint:errcheck
 			close(queryEntered)
 			<-releaseQuery
 			return nil
@@ -371,7 +371,7 @@ func TestAddDuringDiskRecovery(t *testing.T) {
 	if err := tbl.AddRows(mkRows(5, 0), 1); err != nil {
 		t.Errorf("add during disk recovery: %v", err)
 	}
-	if err := tbl.Scan(0, 10, func(*rowblock.RowBlock) error { return nil }); err != nil {
+	if err := tbl.ScanView(0, 10, func(View) error { return nil }); err != nil {
 		t.Errorf("scan during disk recovery: %v", err)
 	}
 }
@@ -385,7 +385,7 @@ func TestAddDuringMemoryRecoveryRejected(t *testing.T) {
 	if err := tbl.AddRows(mkRows(1, 0), 1); !errors.Is(err, ErrNotAccepting) {
 		t.Errorf("add err = %v", err)
 	}
-	if err := tbl.Scan(0, 10, func(*rowblock.RowBlock) error { return nil }); !errors.Is(err, ErrNotAccepting) {
+	if err := tbl.ScanView(0, 10, func(View) error { return nil }); !errors.Is(err, ErrNotAccepting) {
 		t.Errorf("scan err = %v", err)
 	}
 }
@@ -408,7 +408,7 @@ func TestConcurrentAddsAndScans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				tbl.Scan(0, 1<<40, func(*rowblock.RowBlock) error { return nil }) //nolint:errcheck
+				tbl.ScanView(0, 1<<40, func(View) error { return nil }) //nolint:errcheck
 			}
 		}()
 	}

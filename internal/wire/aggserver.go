@@ -1,14 +1,11 @@
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
-	"net"
-	"sync"
+	"time"
 
 	"scuba/internal/aggregator"
 	"scuba/internal/metrics"
-	"scuba/internal/obs"
 	"scuba/internal/query"
 	"scuba/internal/shard"
 )
@@ -18,12 +15,8 @@ import (
 // send ordinary query requests; the aggregator distributes them to every
 // leaf and merges the partial results.
 type AggServer struct {
+	rpcServer
 	agg *aggregator.Aggregator
-	ln  net.Listener
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
 }
 
 // NewAggServer starts an aggregator server over the given leaf addresses.
@@ -50,119 +43,58 @@ func NewAggServerOn(leafAddrs []string, addr string, reg *metrics.Registry) (*Ag
 // NewAggServerOver serves an existing aggregator (tests inject in-process
 // leaves this way).
 func NewAggServerOver(agg *aggregator.Aggregator, addr string) (*AggServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: aggregator listen: %w", err)
+	s := &AggServer{agg: agg}
+	if err := s.listen(addr, s.handle); err != nil {
+		return nil, err
 	}
-	s := &AggServer{agg: agg, ln: ln, conns: make(map[net.Conn]struct{})}
-	go s.acceptLoop()
 	return s, nil
 }
-
-// Addr returns the server's listen address.
-func (s *AggServer) Addr() string { return s.ln.Addr().String() }
 
 // Aggregator returns the underlying aggregator so callers can tune fan-out
 // behavior (e.g. LeafTimeout) before traffic arrives.
 func (s *AggServer) Aggregator() *aggregator.Aggregator { return s.agg }
 
-func (s *AggServer) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
+func (s *AggServer) handle(req *Request) (*Response, func()) {
+	var resp Response
+	switch req.Kind {
+	case KindPing:
+	case KindQuery:
+		start := time.Now()
+		res, err := s.agg.QueryTraced(req.Query, req.Trace)
 		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
-}
-
-func (s *AggServer) serveConn(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		var resp Response
-		switch req.Kind {
-		case KindPing:
-		case KindQuery:
-			res, err := s.agg.QueryTraced(req.Query, req.Trace)
-			if err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.Result = res.Export()
-				if req.Trace.TraceID != 0 {
-					// In an aggregator tree the upstream's span for this
-					// server covers the whole subtree: report the summed
-					// phases of every leaf below (no single recovery source).
-					resp.Exec = &obs.ExecStats{
-						SpanID:        req.Trace.SpanID,
-						Table:         req.Query.Table,
-						DecodeNanos:   res.Phases.DecodeNanos,
-						PruneNanos:    res.Phases.PruneNanos,
-						ScanNanos:     res.Phases.ScanNanos,
-						MergeNanos:    res.Phases.MergeNanos,
-						RowsScanned:   res.RowsScanned,
-						BlocksScanned: res.BlocksScanned,
-						BlocksPruned:  res.BlocksPruned,
-						BlocksSkipped: res.BlocksSkipped,
-						CacheHits:     res.CacheHits,
-						CacheMisses:   res.CacheMisses,
-					}
-				}
+			resp.Err = err.Error()
+		} else {
+			resp.Result = res.Export()
+			if req.Trace.TraceID != 0 {
+				// In an aggregator tree the upstream's span for this server
+				// covers the whole subtree: report the summed phases of every
+				// leaf below (no single recovery source) and the subtree's
+				// wall time.
+				resp.Exec = res.ExecStats(req.Trace.SpanID, req.Query.Table, "", time.Since(start), 0)
 			}
-		case KindLeafStatus:
-			if s.agg.Router == nil {
-				resp.Err = "wire: aggregator is not shard-routing"
-			} else if err := s.agg.Router.SetStatusByName(req.LeafName, shard.Status(req.LeafStatus)); err != nil {
-				resp.Err = err.Error()
-			}
-		case KindShardMap:
-			if s.agg.Router == nil {
-				resp.Err = "wire: aggregator is not shard-routing"
-			} else if b, err := s.agg.Router.Map().Encode(); err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.ShardMap = b
-				for _, st := range s.agg.Router.Status() {
-					resp.LeafStatuses = append(resp.LeafStatuses, uint8(st))
-				}
-				resp.MapVersion = s.agg.Router.Version()
-			}
-		default:
-			resp.Err = fmt.Sprintf("wire: aggregator does not handle request kind %d", req.Kind)
 		}
-		if err := enc.Encode(&resp); err != nil {
-			return
+	case KindLeafStatus:
+		if s.agg.Router == nil {
+			resp.Err = "wire: aggregator is not shard-routing"
+		} else if err := s.agg.Router.SetStatusByName(req.LeafName, shard.Status(req.LeafStatus)); err != nil {
+			resp.Err = err.Error()
 		}
+	case KindShardMap:
+		if s.agg.Router == nil {
+			resp.Err = "wire: aggregator is not shard-routing"
+		} else if b, err := s.agg.Router.Map().Encode(); err != nil {
+			resp.Err = err.Error()
+		} else {
+			resp.ShardMap = b
+			for _, st := range s.agg.Router.Status() {
+				resp.LeafStatuses = append(resp.LeafStatuses, uint8(st))
+			}
+			resp.MapVersion = s.agg.Router.Version()
+		}
+	default:
+		resp.Err = fmt.Sprintf("wire: aggregator does not handle request kind %d", req.Kind)
 	}
-}
-
-// Close stops the server.
-func (s *AggServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	return s.ln.Close()
+	return &resp, nil
 }
 
 // QueryVia sends one query to a remote aggregator and returns the merged

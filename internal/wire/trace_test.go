@@ -157,4 +157,19 @@ func TestAggServerPropagatesTrace(t *testing.T) {
 	if exec.RowsScanned != 100 {
 		t.Fatalf("subtree rows = %d, want 100", exec.RowsScanned)
 	}
+
+	// The upstream aggregator's span for the subtree: its latency is the
+	// subtree's wall time, so RTT - latency is the hop, not the whole query.
+	root := aggregator.New([]aggregator.LeafTarget{up})
+	root.Tracer = obs.NewTracer(obs.TracerOptions{})
+	if _, err := root.Query(countQuery()); err != nil {
+		t.Fatal(err)
+	}
+	sp := root.Tracer.Recent()[0].Spans[0]
+	if !sp.Answered || sp.Exec == nil {
+		t.Fatalf("upstream span unanswered: %+v", sp)
+	}
+	if sp.Exec.LatencyNanos <= 0 || sp.Exec.LatencyNanos > sp.RTTNanos {
+		t.Fatalf("subtree latency %dns outside (0, RTT %dns]", sp.Exec.LatencyNanos, sp.RTTNanos)
+	}
 }

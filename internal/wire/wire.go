@@ -149,62 +149,37 @@ type Response struct {
 	Recovery *leaf.RecoveryInfo
 }
 
-// Server exposes one leaf over TCP.
-type Server struct {
-	leaf *leaf.Leaf
-	ln   net.Listener
-	reg  *metrics.Registry
+// rpcServer is the one accept / track / decode / handle / encode / close
+// loop; the leaf server and the aggregator server are handlers on it.
+type rpcServer struct {
+	ln net.Listener
+	// handle answers one request. A non-nil sent runs once the reply has been
+	// written to the caller (or the write failed).
+	handle func(*Request) (resp *Response, sent func())
 
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	closed   bool
-	shutdown chan leaf.ShutdownInfo
-	// replies counts shutdown replies signalled to the owner but not yet
-	// written to their caller.
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+	// replies counts replies Close must let reach their caller before it
+	// closes their connections.
 	replies sync.WaitGroup
 }
 
-// NewServer starts serving the leaf on addr (use "127.0.0.1:0" to pick a
-// free port) with a private metrics registry. The returned server must be
-// Closed.
-func NewServer(l *leaf.Leaf, addr string) (*Server, error) {
-	return NewServerOn(l, addr, nil)
-}
-
-// NewServerOn is NewServer with a caller-owned registry (nil creates a
-// private one), so a daemon's /metrics endpoint shows the RPC counters and
-// query latency histograms alongside its restart-phase timers.
-func NewServerOn(l *leaf.Leaf, addr string, reg *metrics.Registry) (*Server, error) {
+// listen binds addr and starts serving handle on it.
+func (s *rpcServer) listen(addr string, handle func(*Request) (*Response, func())) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("wire: listen: %w", err)
+		return fmt.Errorf("wire: listen: %w", err)
 	}
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	s := &Server{
-		leaf:     l,
-		ln:       ln,
-		reg:      reg,
-		conns:    make(map[net.Conn]struct{}),
-		shutdown: make(chan leaf.ShutdownInfo, 1),
-	}
+	s.ln, s.handle, s.conns = ln, handle, make(map[net.Conn]struct{})
 	go s.acceptLoop()
-	return s, nil
+	return nil
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *rpcServer) Addr() string { return s.ln.Addr().String() }
 
-// Metrics exposes the server's request counters and timers: rpc.<kind>
-// counters, rpc.errors, rows.added, and the query.latency timer.
-func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
-// ShutdownRequested delivers the shutdown info once a shutdown RPC has
-// completed; the owning process exits after receiving it.
-func (s *Server) ShutdownRequested() <-chan leaf.ShutdownInfo { return s.shutdown }
-
-func (s *Server) acceptLoop() {
+func (s *rpcServer) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
@@ -222,7 +197,7 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+func (s *rpcServer) serveConn(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -236,17 +211,75 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := dec.Decode(&req); err != nil {
 			return
 		}
-		resp := s.handle(&req)
-		signalled := req.Kind == KindShutdown && resp.Err == "" && s.signalShutdown(*resp.Shutdown)
+		resp, sent := s.handle(&req)
 		err := enc.Encode(resp)
-		if signalled {
-			s.replies.Done()
+		if sent != nil {
+			sent()
 		}
 		if err != nil {
 			return
 		}
 	}
 }
+
+// Close stops accepting and closes all connections, after letting the
+// replies it was asked to wait for reach their callers.
+func (s *rpcServer) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.replies.Wait()
+	s.mu.Lock()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.mu.Unlock()
+	return s.ln.Close()
+}
+
+// Server exposes one leaf over TCP.
+type Server struct {
+	rpcServer
+	leaf     *leaf.Leaf
+	reg      *metrics.Registry
+	shutdown chan leaf.ShutdownInfo
+}
+
+// NewServer starts serving the leaf on addr (use "127.0.0.1:0" to pick a
+// free port) with a private metrics registry. The returned server must be
+// Closed.
+func NewServer(l *leaf.Leaf, addr string) (*Server, error) {
+	return NewServerOn(l, addr, nil)
+}
+
+// NewServerOn is NewServer with a caller-owned registry (nil creates a
+// private one), so a daemon's /metrics endpoint shows the RPC counters and
+// query latency histograms alongside its restart-phase timers.
+func NewServerOn(l *leaf.Leaf, addr string, reg *metrics.Registry) (*Server, error) {
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	s := &Server{leaf: l, reg: reg, shutdown: make(chan leaf.ShutdownInfo, 1)}
+	err := s.listen(addr, func(req *Request) (*Response, func()) {
+		resp := s.handle(req)
+		if req.Kind == KindShutdown && resp.Err == "" && s.signalShutdown(*resp.Shutdown) {
+			return resp, s.replies.Done
+		}
+		return resp, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Metrics exposes the server's request counters and timers: rpc.<kind>
+// counters, rpc.errors, rows.added, and the query.latency timer.
+func (s *Server) Metrics() *metrics.Registry { return s.reg }
+
+// ShutdownRequested delivers the shutdown info once a shutdown RPC has
+// completed; the owning process exits after receiving it.
+func (s *Server) ShutdownRequested() <-chan leaf.ShutdownInfo { return s.shutdown }
 
 // signalShutdown tells the owner the leaf is drained. It runs before the
 // reply is written, so a client holding its reply finds the signal already
@@ -278,17 +311,7 @@ func (s *Server) handle(req *Request) *Response {
 		return s.added(s.leaf.AddBatch(req.Table, req.Batch))
 	case KindQuery:
 		start := time.Now()
-		var res *query.Result
-		var exec *obs.ExecStats
-		var err error
-		switch {
-		case len(req.Shards) > 0:
-			res, exec, err = s.leaf.QueryShards(req.Query, req.Shards, req.Trace)
-		case req.Trace.TraceID != 0:
-			res, exec, err = s.leaf.QueryTraced(req.Query, req.Trace)
-		default:
-			res, err = s.leaf.Query(req.Query)
-		}
+		res, exec, err := s.leaf.QueryShards(req.Query, req.Shards, req.Trace)
 		if err != nil {
 			s.reg.Counter("rpc.errors").Add(1)
 			return &Response{Err: err.Error()}
@@ -296,6 +319,9 @@ func (s *Server) handle(req *Request) *Response {
 		d := time.Since(start)
 		s.reg.Timer("query.latency").Observe(d)
 		s.reg.Histogram("query.latency_hist").ObserveDurationExemplar(d, req.Trace.TraceID)
+		if req.Trace.TraceID == 0 {
+			exec = nil // the report travels only on a traced request
+		}
 		return &Response{Result: res.Export(), Exec: exec}
 	case KindStats:
 		st := s.leaf.Stats()
@@ -340,21 +366,6 @@ func (s *Server) added(rows int, err error) *Response {
 	}
 	s.reg.Counter("rows.added").Add(int64(rows))
 	return &Response{}
-}
-
-// Close stops accepting and closes all connections, after letting a
-// shutdown RPC's reply (if one is being written) reach its caller.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.replies.Wait()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	return s.ln.Close()
 }
 
 // Options bound how long a client waits on the network. The zero value
@@ -613,30 +624,22 @@ func (c *Client) Stats() (leaf.Stats, error) {
 	return *resp.Stats, nil
 }
 
-// Query implements aggregator.LeafTarget.
+// Query is QueryShards over the whole table, untraced.
 func (c *Client) Query(q *query.Query) (*query.Result, error) {
-	resp, err := c.Call(&Request{Kind: KindQuery, Query: q})
-	if err != nil {
-		return nil, err
-	}
-	return query.Import(resp.Result), nil
+	res, _, err := c.QueryShards(q, nil, obs.TraceContext{})
+	return res, err
 }
 
-// QueryTraced implements aggregator.TracedTarget: the trace context rides
-// the request envelope and the leaf's ExecStats ride the response. The span
-// ID was stamped by the aggregator before the first attempt, so a retried
-// RPC re-sends the same context and the trace never grows duplicate spans.
+// QueryTraced is QueryShards over the whole table.
 func (c *Client) QueryTraced(q *query.Query, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error) {
-	resp, err := c.Call(&Request{Kind: KindQuery, Query: q, Trace: tc})
-	if err != nil {
-		return nil, nil, err
-	}
-	return query.Import(resp.Result), resp.Exec, nil
+	return c.QueryShards(q, nil, tc)
 }
 
-// QueryShards implements aggregator.ShardTarget: the shard list rides the
-// request envelope and the leaf merges its per-shard physical tables into
-// one partial result. Retries reuse the same span ID, like QueryTraced.
+// QueryShards implements aggregator.LeafTarget: the shard list and the trace
+// context ride the request envelope (gob omits both when empty), the leaf's
+// ExecStats ride a traced request's response. The span ID was stamped by the
+// aggregator before the first attempt, so a retried RPC re-sends the same
+// context and the trace never grows duplicate spans.
 func (c *Client) QueryShards(q *query.Query, shards []int, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error) {
 	resp, err := c.Call(&Request{Kind: KindQuery, Query: q, Shards: shards, Trace: tc})
 	if err != nil {

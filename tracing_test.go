@@ -311,3 +311,67 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 		t.Errorf("aggregator query.slow = %d, want 3", got)
 	}
 }
+
+// TestInProcessClusterSpansCarryExec pins what the one target interface
+// gives an in-process cluster: with a tracer on its aggregator, every
+// answered leaf span carries the leaf's execution report under the span's
+// own ID — sharded and unsharded alike.
+func TestInProcessClusterSpansCarryExec(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		replication int
+	}{{"unsharded", 0}, {"sharded", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := scuba.NewCluster(scuba.ClusterConfig{
+				Machines: 2, LeavesPerMachine: 2,
+				ShmDir: t.TempDir(), DiskRoot: t.TempDir(), Namespace: "trace-" + tc.name,
+				MemoryBudgetPerLeaf: 1 << 30,
+				Replication:         tc.replication,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			place := scuba.NewPlacer(c.Targets(), 1).Place
+			if tc.replication > 0 {
+				place = c.NewShardedPlacer().Place
+			}
+			gen := scuba.ErrorEvents(3, 1000)
+			for i := 0; i < 8; i++ {
+				if _, err := place("error_events", gen.NextBatch(100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			agg := c.NewAggregator()
+			agg.Tracer = scuba.NewTracer(scuba.TracerOptions{})
+			q := &scuba.Query{Table: "error_events", From: 0, To: 1 << 40,
+				Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}}}
+			res, err := agg.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows := res.Rows(q); rows[0].Values[0] != 800 {
+				t.Fatalf("count = %v, want 800", rows[0].Values[0])
+			}
+			traces := agg.Tracer.Recent()
+			if len(traces) != 1 || len(traces[0].Spans) == 0 {
+				t.Fatalf("traces = %+v, want one with spans", traces)
+			}
+			var rows int64
+			for _, sp := range traces[0].Spans {
+				if !sp.Answered || sp.Exec == nil || sp.SpanID == 0 || sp.Exec.SpanID != sp.SpanID {
+					t.Fatalf("span not answered with its own exec report: %+v", sp)
+				}
+				if sp.Exec.LatencyNanos <= 0 || sp.RTTNanos < sp.Exec.LatencyNanos {
+					t.Errorf("leaf %s latency %dns outside (0, RTT %dns]", sp.Leaf, sp.Exec.LatencyNanos, sp.RTTNanos)
+				}
+				if sp.Exec.ShardsServed != len(sp.Shards) {
+					t.Errorf("leaf %s served %d shards, asked for %v", sp.Leaf, sp.Exec.ShardsServed, sp.Shards)
+				}
+				rows += sp.Exec.RowsScanned
+			}
+			if rows != 800 {
+				t.Errorf("per-span rows sum = %d, want 800", rows)
+			}
+		})
+	}
+}
