@@ -42,7 +42,7 @@ func main() {
 		numShards   = flag.Int("num-shards", 0, "shards per table under -replication (0 = 2x leaf count)")
 		machineSpec = flag.String("machines", "", "comma-separated machine index per leaf (parallel to -leaves) so shard replicas land on distinct machines; '' = every leaf its own machine")
 		scrapeEach  = flag.Duration("scrape-interval", 0, "cluster scrape period: pull every leaf's metrics snapshot into __system.leaf_metrics (0 disables)")
-		telemetry   = flag.Duration("telemetry-interval", 0, "self-telemetry period: snapshot this aggregator's own metrics and sampled query traces into __system tables (0 disables)")
+		telemetry   = flag.Duration("telemetry-interval", 0, "self-telemetry period: snapshot this aggregator's own metrics and query spans into __system tables (0 disables)")
 		profEvery   = flag.Duration("profile-interval", time.Minute, "continuous profiler steady cadence: capture a CPU window + heap delta into __system.profiles (0 disables; slow queries also trigger tagged captures)")
 		profMutex   = flag.Bool("profile-contention", false, "enable mutex/block profiling so /debug/pprof/mutex and /debug/pprof/block return real data")
 	)
@@ -72,11 +72,12 @@ func main() {
 	}
 
 	// Self-telemetry (Scuba-on-Scuba): the aggregator's own metric
-	// snapshots and sampled trace summaries — plus the cluster scrape rows
-	// below — are delivered into __system tables through the first leaf
-	// that will take them, and served back out over the ordinary query
-	// path. The sink refuses __system-table traces, so telemetry queries
+	// snapshots and query spans — plus the cluster scrape rows below — are
+	// delivered into __system tables through the first leaf that will take
+	// them, and served back out over the ordinary query path. The sink
+	// refuses the spans of __system-table queries, so telemetry queries
 	// never generate telemetry.
+	ob := obs.New(reg, nil)
 	var sink *obs.Sink
 	if *scrapeEach > 0 || *telemetry > 0 || *profEvery > 0 {
 		emit := func(table string, rows []rowblock.Row) error {
@@ -102,36 +103,25 @@ func main() {
 			OnError:         func(err error) { log.Printf("telemetry: %v", err) },
 		})
 		defer sink.Close()
+		if *telemetry > 0 {
+			ob.OnSpans(sink.RecordSpans)
+		}
 	}
 	// Continuous profiler: steady captures plus anomaly captures when a
 	// slow query hits the trace ring, each tagged with the trace ID so
 	// scuba-cli profile links back to the waterfall.
-	var prof *profile.Profiler
 	if *profEvery > 0 {
-		prof = profile.New(profile.Config{
+		prof := profile.New(profile.Config{
 			Sink:     sink,
 			Source:   *addr,
 			Registry: reg,
 			Interval: *profEvery,
 		})
 		defer prof.Close()
+		ob.OnSpans(prof.OnSpans)
 		log.Printf("continuous profiler on: %v cadence into %s", *profEvery, obs.SystemProfilesTable)
 	}
-	tracerOpts := obs.TracerOptions{
-		Capacity:      *traceRing,
-		SlowThreshold: *slowQuery,
-		Metrics:       reg,
-	}
-	recordTrace := sink != nil && *telemetry > 0
-	if recordTrace || prof != nil {
-		tracerOpts.OnRecord = func(tr obs.Trace) {
-			if recordTrace {
-				sink.RecordTrace(tr)
-			}
-			prof.OnTrace(tr)
-		}
-	}
-	tracer := obs.NewTracer(tracerOpts)
+	tracer := ob.Tracer(obs.TracerOptions{Capacity: *traceRing, SlowThreshold: *slowQuery})
 	targets := make([]aggregator.LeafTarget, len(addrs))
 	for i := range clients {
 		targets[i] = clients[i]

@@ -865,8 +865,8 @@ func runE14() error {
 		fmt.Printf("%8d | %12v %12v | %12v %12s | %7.2fx | %v / %v\n",
 			workers, sinfo.Duration.Round(time.Millisecond), rec.Duration.Round(time.Millisecond),
 			cycle.Round(time.Millisecond), mb(bytes), base.Seconds()/cycle.Seconds(),
-			scuba.SlowestTable(sinfo.PerTable).Duration.Round(time.Millisecond),
-			scuba.SlowestTable(rec.PerTable).Duration.Round(time.Millisecond))
+			sinfo.PerTable.Slowest().Duration.Round(time.Millisecond),
+			rec.PerTable.Slowest().Duration.Round(time.Millisecond))
 		cleanup()
 	}
 	fmt.Printf("note: GOMAXPROCS=%d; true parallel speedup needs multiple cores — on one core the pool only overlaps blocking I/O\n",

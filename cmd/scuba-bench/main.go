@@ -6,7 +6,8 @@
 // calibrated simulator. EXPERIMENTS.md records paper-vs-measured. (E15, the
 // restart-phase breakdown, and E22, the instant-on availability gap, are
 // retired: `scuba-cli trace -restart` draws the former from the restart
-// ledger and bench/'s restart_shm workload measures the latter.)
+// ledger and bench/'s restart_shm workload measures the latter. E18, E20 and
+// E23 — tracing, sink and profiler overhead — are one experiment, "overhead".)
 //
 // Usage:
 //
@@ -32,7 +33,7 @@ type experiment struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e14, e16, e18, e20, e23) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (e1..e14, e16, overhead) or 'all'")
 	flag.Parse()
 
 	experiments := []experiment{
@@ -51,9 +52,7 @@ func main() {
 		{"e13", "batch-fraction tradeoff: why restart 2% at a time", runE13},
 		{"e14", "parallel copy-out/copy-in: restart-path worker sweep", runE14},
 		{"e16", "query p99 during a 5%-hung-leaf brownout (per-leaf deadline)", runE16},
-		{"e18", "tracing overhead on the hot query path (BENCH_e18.json)", runE18},
-		{"e20", "self-telemetry sink overhead on the scan path (BENCH_e20.json)", runE20},
-		{"e23", "continuous profiler overhead on the scan path (BENCH_e23.json)", runE23},
+		{"overhead", "tracing, self-telemetry sink and profiler overhead on the scan path (BENCH_overhead.json)", runOverhead},
 	}
 
 	ran := 0

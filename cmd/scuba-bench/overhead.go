@@ -1,0 +1,195 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"time"
+
+	"scuba"
+	"scuba/internal/aggregator"
+	"scuba/internal/obs"
+)
+
+// ---- overhead: what each always-on observability surface costs a scan ----
+
+// overheadCell is one surface's measurement in BENCH_overhead.json.
+type overheadCell struct {
+	Surface     string  `json:"surface"` // off | tracing | sink | profiler
+	P50Micros   float64 `json:"p50_us"`
+	P95Micros   float64 `json:"p95_us"`
+	OverheadPct float64 `json:"overhead_p50_pct"`
+	BarPct      float64 `json:"bar_pct,omitempty"`
+	Pass        bool    `json:"pass"`
+	// SpanRows counts the __system.traces rows the sink cell's queries left
+	// (1 + leaves per traced query); Captures the profiler cell's captures.
+	SpanRows int64 `json:"span_rows,omitempty"`
+	Captures int64 `json:"captures,omitempty"`
+}
+
+type overheadReport struct {
+	Rows   int            `json:"rows"`
+	Trials int            `json:"trials"`
+	Rounds int            `json:"rounds"`
+	Cells  []overheadCell `json:"cells"`
+}
+
+// runOverhead measures what the three always-on surfaces cost the query they
+// watch: one loaded leaf behind an in-process aggregator, one full-scan
+// group-by, its p50 with nothing on and with exactly one surface on —
+//
+//	tracing   the aggregator has a tracer: span contexts, the leaf's
+//	          ExecStats, the root + leaf spans, the ring insert (bar ~2 %:
+//	          it must be cheap enough to leave on for every query);
+//	sink      that tracer also feeds a self-telemetry sink, so every query
+//	          becomes 1 + leaves __system.traces rows ingested by the leaf it
+//	          scans, beside metric snapshots every 5 ms — three orders of
+//	          magnitude more often than the 15 s default (bar 15 %);
+//	profiler  the continuous profiler at its production duty cycle (a 5 s
+//	          window every 60 s, ~8 %), scaled down 100x so captures land
+//	          inside the measurement (bar 15 %).
+//
+// The cells take turns in short rounds, a different one first each round, so
+// drift in the host lands on all of them alike.
+func runOverhead() error {
+	const trials, rounds = 200, 5
+	const profInterval = 600 * time.Millisecond
+	b, cleanup := newBench()
+	defer cleanup()
+	if err := os.MkdirAll(filepath.Join(b.dir, "shm"), 0o755); err != nil {
+		return err
+	}
+	reg := scuba.NewMetricsRegistry()
+	cfg := b.leafConfig(0)
+	cfg.Metrics = reg
+	l, err := scuba.NewLeaf(cfg)
+	if err != nil {
+		return err
+	}
+	if err := l.Start(); err != nil {
+		return err
+	}
+	if _, err := loadLeaf(l, *rowsFlag); err != nil {
+		return err
+	}
+	q := &scuba.Query{Table: "service_logs", From: 0, To: 1 << 40,
+		GroupBy:      []string{"service"},
+		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}, {Op: scuba.AggAvg, Column: "latency_ms"}}}
+
+	// count reads a __system table back out of the leaf that is being
+	// measured — the surfaces' rows land in the store they observe: its rows,
+	// or with a group-by its groups.
+	count := func(table string, groupBy ...string) (int64, error) {
+		cq := &scuba.Query{Table: table, From: 0, To: 1 << 40, GroupBy: groupBy, Limit: 100000,
+			Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}}}
+		res, err := l.Query(cq)
+		if err != nil {
+			return 0, err
+		}
+		rows := res.Rows(cq)
+		if len(groupBy) == 0 && len(rows) == 1 {
+			return int64(rows[0].Values[0]), nil
+		}
+		return int64(len(rows)), nil
+	}
+
+	// Each surface returns the aggregator to query through and what turns it
+	// off again.
+	sinkOn := func(interval time.Duration) *scuba.TelemetrySink {
+		return scuba.NewTelemetrySink(scuba.TelemetrySinkConfig{
+			Emit: l.AddRows, Source: "bench", Registry: reg, MetricsInterval: interval})
+	}
+	surfaces := []struct {
+		name string
+		bar  float64
+		on   func(agg *aggregator.Aggregator) (off func())
+	}{
+		{"off", 0, func(*aggregator.Aggregator) func() { return func() {} }},
+		{"tracing", 2, func(agg *aggregator.Aggregator) func() {
+			agg.Tracer = obs.NewTracer(obs.TracerOptions{})
+			return func() {}
+		}},
+		{"sink", 15, func(agg *aggregator.Aggregator) func() {
+			sink, ob := sinkOn(5*time.Millisecond), obs.New(nil, nil)
+			ob.OnSpans(sink.RecordSpans)
+			agg.Tracer = ob.Tracer(obs.TracerOptions{})
+			return sink.Close
+		}},
+		{"profiler", 15, func(*aggregator.Aggregator) func() {
+			sink := sinkOn(-1) // delivery-only: isolate the profiler's own cost
+			prof := scuba.NewProfiler(scuba.ProfilerConfig{
+				Sink: sink, Source: "bench", Registry: reg, Interval: profInterval, Window: 50 * time.Millisecond})
+			return func() { prof.Close(); sink.Close() }
+		}},
+	}
+	if _, err := l.Query(q); err != nil { // fill the decode cache
+		return err
+	}
+	durs := make([][]time.Duration, len(surfaces))
+	for round := 0; round < rounds; round++ {
+		for k := range surfaces {
+			i := (k + round) % len(surfaces)
+			s := surfaces[i]
+			agg := aggregator.New([]aggregator.LeafTarget{l})
+			off := s.on(agg)
+			// Let the profiler's cadence engage, and give every cell the
+			// same idle host to start from.
+			time.Sleep(profInterval)
+			for t := 0; t < trials/rounds; t++ {
+				start := time.Now()
+				if _, err := agg.Query(q); err != nil {
+					off()
+					return err
+				}
+				durs[i] = append(durs[i], time.Since(start))
+			}
+			off()
+		}
+	}
+
+	rep := overheadReport{Rows: *rowsFlag, Trials: trials, Rounds: rounds}
+	fmt.Printf("%-10s | %12s %12s %10s\n", "surface", "p50", "p95", "overhead")
+	for i, s := range surfaces {
+		d := durs[i]
+		sort.Slice(d, func(a, b int) bool { return d[a] < d[b] })
+		cell := overheadCell{Surface: s.name, BarPct: s.bar,
+			P50Micros: float64(d[len(d)/2].Microseconds()), P95Micros: float64(d[len(d)*95/100].Microseconds())}
+		if base := rep.Cells; len(base) > 0 && base[0].P50Micros > 0 {
+			cell.OverheadPct = (cell.P50Micros - base[0].P50Micros) / base[0].P50Micros * 100
+		}
+		cell.Pass = s.bar == 0 || cell.OverheadPct <= s.bar
+		rep.Cells = append(rep.Cells, cell)
+	}
+	if rep.Cells[2].SpanRows, err = count(scuba.SystemTracesTable); err != nil {
+		return err
+	}
+	if rep.Cells[3].Captures, err = count(scuba.SystemProfilesTable, "capture"); err != nil {
+		return err
+	}
+	for _, c := range rep.Cells {
+		verdict := ""
+		if c.BarPct > 0 {
+			verdict = fmt.Sprintf("  [PASS, bar is %.0f%%]", c.BarPct)
+			if !c.Pass {
+				verdict = fmt.Sprintf("  [FAIL, bar is %.0f%%]", c.BarPct)
+			}
+		}
+		fmt.Printf("%-10s | %10.0fµs %10.0fµs %+9.1f%%%s\n", c.Surface, c.P50Micros, c.P95Micros, c.OverheadPct, verdict)
+	}
+	fmt.Printf("sink cell: %d span rows from %d traced queries (1 + leaves each); profiler cell: %d captures\n",
+		rep.Cells[2].SpanRows, trials, rep.Cells[3].Captures)
+
+	out, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile("BENCH_overhead.json", append(out, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Println("wrote BENCH_overhead.json")
+	fmt.Println("paper: Facebook monitors Scuba with Scuba; explaining a slow query, observing the")
+	fmt.Println("cluster and profiling it only earn their keep if the watched path cannot feel them")
+	return nil
+}

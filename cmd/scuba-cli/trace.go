@@ -11,13 +11,14 @@ import (
 	"scuba"
 )
 
-// runTrace fetches traces from a scuba-aggd -http listener and renders one
-// as a per-leaf waterfall: each span's round trip as a bar against the
-// query's end-to-end duration, annotated with the leaf's dominant execution
-// phase, recovery source, and work counters, with the slowest leaf called
-// out at the bottom — the "why was this query slow" answer in one screen.
-// With -restart it draws a scubad's restart ledger the same way: "where did
-// the restart go".
+// runTrace fetches one trace — a query's from a scuba-aggd -http listener, or
+// with -restart a scubad's restart ledger — and renders it as a waterfall:
+// every span a bar at its offset into the trace, a root's leaves and a
+// phase's tables indented under it, annotated with where the data came from,
+// what moved, a leaf's dominant execution phase and work counters, and how it
+// failed; the slowest leaf or table called out at the bottom — "why was this
+// query slow" and "where did the restart go" in one screen, drawn by one
+// function because both are lists of one span record.
 func runTrace(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	httpAddr := fs.String("http", "127.0.0.1:9091", "scuba-aggd observability (-http) address; with -restart, a scubad's")
@@ -40,7 +41,11 @@ func runTrace(args []string) {
 		if err := json.Unmarshal([]byte(body), &dump); err != nil {
 			log.Fatalf("bad /debug/recovery JSON from %s: %v", base, err)
 		}
-		printRestart(dump.Restart)
+		if len(dump.Restart) == 0 {
+			fmt.Println("no restart spans (has this daemon started a leaf?)")
+			return
+		}
+		printWaterfall(dump.Restart)
 		return
 	}
 	url := base + "/debug/traces"
@@ -64,65 +69,99 @@ func runTrace(args []string) {
 	}
 	if *list {
 		for _, tr := range dump.Traces {
-			flag := " "
-			if tr.Slow {
+			root, flag := tr.Root(), " "
+			if root.Slow {
 				flag = "S"
 			}
 			fmt.Printf("%s %20d  %s  %9v  %d/%d leaves  %s\n",
-				flag, tr.TraceID, tr.Start.Format("15:04:05.000"),
-				time.Duration(tr.DurationNanos).Round(time.Microsecond),
-				tr.LeavesAnswered, tr.LeavesTotal, tr.Query)
+				flag, root.TraceID, root.Start.Format("15:04:05.000"), root.Duration.Round(time.Microsecond),
+				tr.Leaves().Answered(), len(tr.Leaves()), root.Query)
 		}
 		return
 	}
 	printWaterfall(dump.Traces[0])
 }
 
-func printWaterfall(tr scuba.Trace) {
-	head := fmt.Sprintf("trace %d", tr.TraceID)
-	if tr.Slow {
-		head += "  (slow)"
+// printWaterfall draws a trace. A restart's two halves ran in different
+// processes (the exec between them is on nobody's clock), so each half is a
+// waterfall of its own; a query has one.
+func printWaterfall(trace scuba.Trace) {
+	head := fmt.Sprintf("trace %d", trace[len(trace)-1].TraceID)
+	if root := trace.Root(); root.Kind != "" {
+		if root.Slow {
+			head += "  (slow)"
+		}
+		head += fmt.Sprintf("\n  query:    %s\n  start:    %s   duration: %v   leaves: %d/%d answered", root.Query,
+			root.Start.Format("15:04:05.000"), root.Duration.Round(time.Microsecond),
+			trace.Leaves().Answered(), len(trace.Leaves()))
 	}
 	fmt.Println(head)
-	fmt.Printf("  query:    %s\n", tr.Query)
-	fmt.Printf("  start:    %s   duration: %v   leaves: %d/%d answered\n",
-		tr.Start.Format("15:04:05.000"),
-		time.Duration(tr.DurationNanos).Round(time.Microsecond),
-		tr.LeavesAnswered, tr.LeavesTotal)
-
-	width := 0
-	for _, sp := range tr.Spans {
-		if len(sp.Leaf) > width {
-			width = len(sp.Leaf)
-		}
+	ids := make(map[uint64]bool)
+	for _, sp := range trace {
+		ids[sp.SpanID] = sp.SpanID != 0
 	}
 	const barWidth = 32
-	for _, sp := range tr.Spans {
-		bar := renderBar(0, sp.RTTNanos, tr.DurationNanos, barWidth)
-		line := fmt.Sprintf("  %-*s [%s] %9v",
-			width, sp.Leaf, bar, time.Duration(sp.RTTNanos).Round(time.Microsecond))
-		switch {
-		case !sp.Answered:
-			line += "  UNANSWERED"
+	for _, half := range []string{"shutdown", "start", ""} {
+		spans := trace.Half(half)
+		if len(spans) == 0 {
+			continue
+		}
+		if half != "" {
+			fmt.Printf("  %s half: %v wall, %d spans, %d tables\n", half,
+				spans.TopLevel().Elapsed().Round(time.Microsecond), len(spans), len(spans.Tables()))
+		}
+		total, base := spans.Elapsed().Nanoseconds(), spans[0].Start
+		for _, sp := range spans {
+			label := sp.Kind
+			switch {
+			case sp.Leaf != "":
+				label = sp.Leaf
+			case sp.Table != "" && sp.Phase != "":
+				label = fmt.Sprintf("%s %s w%d", strings.TrimPrefix(sp.Phase, "restart.table."), sp.Table, sp.Worker)
+			case sp.Phase != "":
+				label = sp.Phase
+			}
+			if ids[sp.Parent] || sp.Phase != "" && sp.Table != "" {
+				label = "  " + label // somebody's share: a root's leaf, a phase's table
+			}
+			line := fmt.Sprintf("  %-44s [%s] %10v", label,
+				renderBar(sp.Start.Sub(base).Nanoseconds(), sp.Duration.Nanoseconds(), total, barWidth),
+				sp.Duration.Round(time.Microsecond))
+			var notes []string
+			if sp.Exec != nil {
+				notes = append(notes, execSummary(sp.Exec))
+			} else if sp.Recovery != "" {
+				notes = append(notes, sp.Recovery)
+			}
+			if sp.Bytes > 0 {
+				notes = append(notes, fmt.Sprintf("%d blocks %.1f MB", sp.Blocks, float64(sp.Bytes)/(1<<20)))
+			} else if sp.Blocks > 0 {
+				notes = append(notes, fmt.Sprintf("%d blocks", sp.Blocks))
+			}
+			if sp.Open {
+				notes = append(notes, "NEVER ENDED (the process died here)")
+			}
 			if sp.Err != "" {
-				line += ": " + sp.Err
+				notes = append(notes, "FAILED: "+sp.Err)
 			}
-		case sp.Exec != nil:
-			line += "  " + execSummary(sp.Exec)
-		}
-		fmt.Println(line)
-	}
-
-	if slowest := tr.SlowestSpan(); slowest != nil {
-		callout := fmt.Sprintf("  slowest leaf: %s (%v)",
-			slowest.Leaf, time.Duration(slowest.RTTNanos).Round(time.Microsecond))
-		if slowest.Exec != nil {
-			if phase, v := slowest.Exec.DominantPhase(); phase != "" {
-				callout += fmt.Sprintf(", dominant phase %s (%v)",
-					phase, time.Duration(v).Round(time.Microsecond))
+			if len(notes) > 0 {
+				line += "  " + strings.Join(notes, " · ")
 			}
+			fmt.Println(line)
 		}
-		fmt.Println(callout)
+		if slow := spans.Tables().Slowest(); slow.Table != "" {
+			fmt.Printf("  slowest table: %s (%v on worker %d)\n", slow.Table,
+				slow.Duration.Round(time.Microsecond), slow.Worker)
+		}
+		if slow := spans.Leaves().Slowest(); slow.Leaf != "" {
+			callout := fmt.Sprintf("  slowest leaf: %s (%v)", slow.Leaf, slow.Duration.Round(time.Microsecond))
+			if slow.Exec != nil {
+				if phase, v := slow.Exec.DominantPhase(); phase != "" {
+					callout += fmt.Sprintf(", dominant phase %s (%v)", phase, time.Duration(v).Round(time.Microsecond))
+				}
+			}
+			fmt.Println(callout)
+		}
 	}
 }
 
@@ -147,62 +186,6 @@ func execSummary(e *scuba.ExecStats) string {
 		parts = append(parts, fmt.Sprintf("cache %d/%d", e.CacheHits, e.CacheHits+e.CacheMisses))
 	}
 	return strings.Join(parts, " · ")
-}
-
-// printRestart renders a restart trace as one waterfall per half (the two
-// run in different processes; the exec between them is on nobody's clock):
-// whole-leaf phases flush left, each table's steps indented under the phase
-// they ran in, every bar placed at the span's offset into its half.
-func printRestart(trace scuba.RestartTrace) {
-	if len(trace) == 0 {
-		fmt.Println("no restart spans (has this daemon started a leaf?)")
-		return
-	}
-	fmt.Printf("restart trace %d\n", trace[len(trace)-1].TraceID)
-	const barWidth = 32
-	for _, half := range []string{"shutdown", "start"} {
-		spans := trace.Half(half)
-		if len(spans) == 0 {
-			continue
-		}
-		gap := spans.TopLevel()
-		fmt.Printf("  %s half: %v wall, %d spans, %d tables\n", half,
-			gap.Elapsed().Round(time.Microsecond), len(spans), len(spans.Tables()))
-		total := spans.Elapsed().Nanoseconds()
-		base := spans[0].Start
-		for _, sp := range spans {
-			label := sp.Phase
-			if sp.Table != "" {
-				label = fmt.Sprintf("  %s %s w%d", strings.TrimPrefix(sp.Phase, "restart.table."), sp.Table, sp.Worker)
-			}
-			line := fmt.Sprintf("  %-44s [%s] %10v", label,
-				renderBar(sp.Start.Sub(base).Nanoseconds(), sp.Duration.Nanoseconds(), total, barWidth),
-				sp.Duration.Round(time.Microsecond))
-			var notes []string
-			if sp.Source != "" {
-				notes = append(notes, sp.Source)
-			}
-			if sp.Bytes > 0 {
-				notes = append(notes, fmt.Sprintf("%d blocks %.1f MB", sp.Blocks, float64(sp.Bytes)/(1<<20)))
-			} else if sp.Blocks > 0 {
-				notes = append(notes, fmt.Sprintf("%d blocks", sp.Blocks))
-			}
-			if sp.Open {
-				notes = append(notes, "NEVER ENDED (the process died here)")
-			}
-			if sp.Err != "" {
-				notes = append(notes, "FAILED: "+sp.Err)
-			}
-			if len(notes) > 0 {
-				line += "  " + strings.Join(notes, " · ")
-			}
-			fmt.Println(line)
-		}
-		if slow := scuba.SlowestTable(spans.Tables()); slow.Table != "" {
-			fmt.Printf("  slowest table: %s (%v on worker %d)\n", slow.Table,
-				slow.Duration.Round(time.Microsecond), slow.Worker)
-		}
-	}
 }
 
 // renderBar draws a span of dur starting at off on a line of width cells that

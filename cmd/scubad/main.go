@@ -116,11 +116,11 @@ func main() {
 	// queryable through any aggregator and preserved across restarts by
 	// the shared-memory path. A crashed predecessor's recovered recorder
 	// events land in __system.recorder instead of only in the boot log.
-	// The sink exists before Start so the restart ledger (with
-	// -telemetry-interval set, its spans become __system.traces rows once the
-	// leaf is ALIVE) and restart-anomaly profiles have a delivery path. With
-	// -telemetry-interval 0 but the profiler on, the sink runs delivery-only
-	// (no metric snapshots, no span rows).
+	// The sink exists before Start so the restart ledger's spans (released to
+	// the observer's span hooks once the leaf is ALIVE: __system.traces rows
+	// with -telemetry-interval set, a profile capture for one over budget)
+	// have a delivery path. With -telemetry-interval 0 but the profiler on,
+	// the sink runs delivery-only (no metric snapshots, no span rows).
 	var sink *scuba.TelemetrySink
 	if *telemetry > 0 || *profEvery > 0 {
 		interval := *telemetry
@@ -136,7 +136,7 @@ func main() {
 		})
 		defer sink.Close()
 		if *telemetry > 0 {
-			ob.SetSink(sink)
+			ob.OnSpans(sink.RecordSpans)
 		}
 	}
 	if *profEvery > 0 {
@@ -148,7 +148,8 @@ func main() {
 		})
 		defer prof.Close()
 		// A restart span over budget profiles the restart that produced it.
-		ob.SetBudget(*profBudget, prof.OnRestartSpan)
+		ob.SetBudget(*profBudget)
+		ob.OnSpans(prof.OnSpans)
 		log.Printf("continuous profiler on: %v cadence into %s", *profEvery, scuba.SystemProfilesTable)
 	}
 
@@ -240,13 +241,13 @@ func logShutdown(how string, info scuba.ShutdownInfo) {
 // logPerTable prints one half's per-table roll-up of the restart spans, then
 // names the table whose steps took longest — the one that bounds the pool's
 // wall time (§4.2).
-func logPerTable(verb string, stats []scuba.TableCopyStat) {
+func logPerTable(verb string, stats scuba.Trace) {
 	for _, st := range stats {
 		log.Printf("  %s %q: worker %d, %d blocks, %.1f MB in %v",
 			verb, st.Table, st.Worker, st.Blocks, float64(st.Bytes)/(1<<20),
 			st.Duration.Round(time.Millisecond))
 	}
-	if slow := scuba.SlowestTable(stats); slow.Table != "" {
+	if slow := stats.Slowest(); slow.Table != "" {
 		log.Printf("  slowest %s table: %q (%v, %.1f MB on worker %d)",
 			verb, slow.Table, slow.Duration.Round(time.Millisecond),
 			float64(slow.Bytes)/(1<<20), slow.Worker)

@@ -29,6 +29,7 @@ type leafAnswer struct {
 	res  *query.Result
 	exec *obs.ExecStats
 	err  error
+	sent time.Time // when the RPC left; rtt is measured from it
 	rtt  time.Duration
 	// shardsOK is how many of the slot's shards were answered — by the
 	// target itself, or by replicas after a failover retry (sharded plans).
@@ -73,13 +74,13 @@ type Aggregator struct {
 	// query.leaves_abandoned counter of stragglers dropped at LeafTimeout,
 	// and a query.fanout histogram of leaves answered per query. With a
 	// Router set, query.shards_total / query.shards_answered /
-	// query.shards_unserved count per-shard coverage. With a Tracer set, a
-	// query.slow counter tracks slow-log admissions.
+	// query.shards_unserved count per-shard coverage.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, turns on per-query tracing: every query is
-	// stamped with a trace ID and per-leaf span IDs, and the assembled
-	// cross-leaf trace, each answered span carrying its target's ExecStats,
-	// lands in the tracer's rings (/debug/traces, /debug/slow).
+	// stamped with a trace ID and per-leaf span IDs, and the assembled trace —
+	// a root span, then one span per target, each answered one carrying its
+	// target's ExecStats — lands in the tracer's rings (/debug/traces,
+	// /debug/slow).
 	Tracer *obs.Tracer
 	// Labels names each leaf in traces (index-parallel to the targets);
 	// missing entries render as "leaf<i>". Daemons set the leaf addresses.
@@ -181,7 +182,9 @@ func (a *Aggregator) QueryTraced(q *query.Query, parent obs.TraceContext) (*quer
 	// wire-client retries, so the assembled trace has exactly one span per
 	// leaf.
 	ctxs := make([]obs.TraceContext, len(plan.targets))
+	var rootID uint64
 	if traceID != 0 {
+		rootID = obs.RandomID()
 		for i := range ctxs {
 			ctxs[i] = obs.TraceContext{TraceID: traceID, SpanID: obs.RandomID()}
 		}
@@ -196,7 +199,7 @@ func (a *Aggregator) QueryTraced(q *query.Query, parent obs.TraceContext) (*quer
 			defer func() { <-sem }()
 			t0 := time.Now()
 			res, exec, err := a.leaves[ft.idx].QueryShards(q, ft.shards, ctxs[i])
-			ans := leafAnswer{i: i, res: res, exec: exec, err: err, rtt: time.Since(t0)}
+			ans := leafAnswer{i: i, res: res, exec: exec, err: err, sent: t0, rtt: time.Since(t0)}
 			if err == nil {
 				ans.shardsOK = len(ft.shards)
 			} else {
@@ -223,29 +226,31 @@ func (a *Aggregator) QueryTraced(q *query.Query, parent obs.TraceContext) (*quer
 	// Only the collector writes answers and spans, so an abandoned straggler
 	// can never race the merge below.
 	got := make([]*leafAnswer, len(plan.targets))
-	spans := make([]obs.LeafSpan, len(plan.targets))
+	// The trace is its root span, then one span per planned target.
+	trace := make(obs.Trace, 1+len(plan.targets))
+	spans := trace[1:]
 	for i, ft := range plan.targets {
-		spans[i] = obs.LeafSpan{SpanID: ctxs[i].SpanID, Leaf: a.leafLabel(ft.idx), Shards: ft.shards}
+		spans[i] = obs.Span{TraceID: traceID, SpanID: ctxs[i].SpanID, Parent: rootID, Kind: obs.KindQueryLeaf,
+			Leaf: a.leafLabel(ft.idx), Table: q.Table, Worker: -1, Shards: ft.shards, Start: start}
 	}
-	elapsedAtDeadline := int64(0)
+	var elapsedAtDeadline time.Duration
 collect:
 	for received := 0; received < len(plan.targets); received++ {
 		select {
 		case ans := <-answers:
 			got[ans.i] = &ans
 			sp := &spans[ans.i]
-			sp.RTTNanos = ans.rtt.Nanoseconds()
+			sp.Start, sp.Duration = ans.sent, ans.rtt
 			if ans.err != nil {
 				sp.Err = ans.err.Error()
 				if ans.failedOver {
 					sp.Err += fmt.Sprintf(" (%d/%d shards failed over to replicas)", ans.shardsOK, len(plan.targets[ans.i].shards))
 				}
-			} else {
-				sp.Answered = true
-				sp.Exec = ans.exec
+			} else if sp.Exec = ans.exec; sp.Exec != nil {
+				sp.Recovery = sp.Exec.Recovery
 			}
 		case <-deadline:
-			elapsedAtDeadline = time.Since(start).Nanoseconds()
+			elapsedAtDeadline = time.Since(start)
 			break collect
 		}
 	}
@@ -256,10 +261,10 @@ collect:
 	// never disagree between /debug/traces and the dashboards.
 	abandoned := 0
 	for i := range spans {
-		if sp := &spans[i]; !sp.Answered && sp.Err == "" {
+		if got[i] == nil {
 			abandoned++
-			sp.RTTNanos = elapsedAtDeadline
-			sp.Err = "abandoned at leaf deadline"
+			spans[i].Duration = elapsedAtDeadline
+			spans[i].Err = "abandoned at leaf deadline"
 		}
 	}
 
@@ -324,22 +329,12 @@ collect:
 		}
 	}
 	if a.Tracer != nil && traceID != 0 {
-		d := time.Since(start)
-		slow := a.Tracer.Record(obs.Trace{
-			TraceID:        traceID,
-			Query:          q.String(),
-			Table:          q.Table,
-			Start:          start,
-			DurationNanos:  d.Nanoseconds(),
-			LeavesTotal:    merged.LeavesTotal,
-			LeavesAnswered: merged.LeavesAnswered,
-			ShardsTotal:    merged.ShardsTotal,
-			ShardsAnswered: merged.ShardsAnswered,
-			Spans:          spans,
-		})
-		if slow && a.Metrics != nil {
-			a.Metrics.Counter("query.slow").Add(1)
-		}
+		// Below another aggregator the root hangs under the upstream's leaf
+		// span for this subtree.
+		trace[0] = obs.Span{TraceID: traceID, SpanID: rootID, Parent: parent.SpanID, Kind: obs.KindQuery,
+			Table: q.Table, Worker: -1, Start: start, Duration: time.Since(start), Query: q.String(),
+			ShardsTotal: merged.ShardsTotal, ShardsAnswered: merged.ShardsAnswered}
+		a.Tracer.Record(trace)
 	}
 	return merged, nil
 }

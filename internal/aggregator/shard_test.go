@@ -187,9 +187,9 @@ func TestShardCoverageLossWithoutReplicas(t *testing.T) {
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
-	if traces[0].ShardsTotal != res.ShardsTotal || traces[0].ShardsAnswered != res.ShardsAnswered {
+	if root := traces[0].Root(); root.ShardsTotal != res.ShardsTotal || root.ShardsAnswered != res.ShardsAnswered {
 		t.Fatalf("trace coverage %d/%d disagrees with result %d/%d",
-			traces[0].ShardsAnswered, traces[0].ShardsTotal, res.ShardsAnswered, res.ShardsTotal)
+			root.ShardsAnswered, root.ShardsTotal, res.ShardsAnswered, res.ShardsTotal)
 	}
 }
 
@@ -231,16 +231,16 @@ func TestCoverageReconciliationAbandonedLeaf(t *testing.T) {
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
-	tr := traces[0]
-	if tr.LeavesTotal != res.LeavesTotal || tr.LeavesAnswered != res.LeavesAnswered {
-		t.Fatalf("trace leaves %d/%d != result %d/%d", tr.LeavesAnswered, tr.LeavesTotal, res.LeavesAnswered, res.LeavesTotal)
+	tr, leaves := traces[0].Root(), traces[0].Leaves()
+	if len(leaves) != res.LeavesTotal || leaves.Answered() != res.LeavesAnswered {
+		t.Fatalf("trace leaves %d/%d != result %d/%d", leaves.Answered(), len(leaves), res.LeavesAnswered, res.LeavesTotal)
 	}
 	if tr.ShardsTotal != res.ShardsTotal || tr.ShardsAnswered != res.ShardsAnswered {
 		t.Fatalf("trace shards %d/%d != result %d/%d", tr.ShardsAnswered, tr.ShardsTotal, res.ShardsAnswered, res.ShardsTotal)
 	}
 	answeredSpans, abandonedSpans := 0, 0
-	for _, sp := range tr.Spans {
-		if sp.Answered {
+	for _, sp := range leaves {
+		if sp.Err == "" {
 			answeredSpans++
 		} else if sp.Err == "abandoned at leaf deadline" {
 			abandonedSpans++
@@ -271,11 +271,11 @@ func TestShardSpansCarryShardLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	asn := r.Assign("events")
-	tr := a.Tracer.Recent()[0]
-	if len(tr.Spans) != len(asn.PerLeaf) {
-		t.Fatalf("spans = %d, serving leaves = %d", len(tr.Spans), len(asn.PerLeaf))
+	spans := a.Tracer.Recent()[0].Leaves()
+	if len(spans) != len(asn.PerLeaf) {
+		t.Fatalf("spans = %d, serving leaves = %d", len(spans), len(asn.PerLeaf))
 	}
-	for _, sp := range tr.Spans {
+	for _, sp := range spans {
 		if len(sp.Shards) == 0 {
 			t.Fatalf("span %q has no shard list", sp.Leaf)
 		}
@@ -315,11 +315,11 @@ func TestShardQueryFailoverOnDeadLeaf(t *testing.T) {
 		t.Fatalf("RowsScanned = %d, want 8", res.RowsScanned)
 	}
 	tr := a.Tracer.Recent()[0]
-	if tr.ShardsAnswered != 8 || tr.LeavesAnswered != res.LeavesAnswered {
-		t.Fatalf("trace coverage %d shards %d leaves disagrees with result", tr.ShardsAnswered, tr.LeavesAnswered)
+	if tr.Root().ShardsAnswered != 8 || tr.Leaves().Answered() != res.LeavesAnswered {
+		t.Fatalf("trace coverage %d shards %d leaves disagrees with result", tr.Root().ShardsAnswered, tr.Leaves().Answered())
 	}
 	found := false
-	for _, sp := range tr.Spans {
+	for _, sp := range tr.Leaves() {
 		if strings.Contains(sp.Err, "failed over to replicas") {
 			found = true
 			if !strings.Contains(sp.Err, fmt.Sprintf("%d/%d shards", deadShards, deadShards)) {

@@ -38,28 +38,29 @@ func TestTraceAssembly(t *testing.T) {
 	if len(traces) != 1 {
 		t.Fatalf("traces = %d, want 1", len(traces))
 	}
-	tr := traces[0]
-	if tr.TraceID == 0 || tr.Query == "" || tr.DurationNanos <= 0 {
-		t.Fatalf("trace header incomplete: %+v", tr)
+	tr, spans := traces[0].Root(), traces[0].Leaves()
+	if tr.TraceID == 0 || tr.SpanID == 0 || tr.Query == "" || tr.Duration <= 0 || tr.Table != "events" {
+		t.Fatalf("trace root incomplete: %+v", tr)
 	}
-	if tr.LeavesTotal != 3 || tr.LeavesAnswered != 3 {
-		t.Fatalf("coverage = %d/%d, want 3/3", tr.LeavesAnswered, tr.LeavesTotal)
+	if len(spans) != 3 || spans.Answered() != 3 || len(traces[0]) != 4 {
+		t.Fatalf("coverage = %d/%d in %d spans, want 3/3 under one root", spans.Answered(), len(spans), len(traces[0]))
 	}
-	if len(tr.Spans) != 3 {
-		t.Fatalf("spans = %d, want 3", len(tr.Spans))
+	if spans[0].Leaf != "alpha" || spans[1].Leaf != "leaf1" || spans[2].Leaf != "gamma" {
+		t.Fatalf("labels = %q/%q/%q", spans[0].Leaf, spans[1].Leaf, spans[2].Leaf)
 	}
-	if tr.Spans[0].Leaf != "alpha" || tr.Spans[1].Leaf != "leaf1" || tr.Spans[2].Leaf != "gamma" {
-		t.Fatalf("labels = %q/%q/%q", tr.Spans[0].Leaf, tr.Spans[1].Leaf, tr.Spans[2].Leaf)
-	}
-	seen := map[uint64]bool{}
+	seen := map[uint64]bool{tr.SpanID: true}
 	var rows int64
-	for _, sp := range tr.Spans {
+	for _, sp := range spans {
 		if sp.SpanID == 0 || seen[sp.SpanID] {
-			t.Fatalf("span IDs not unique nonzero: %+v", tr.Spans)
+			t.Fatalf("span IDs not unique nonzero: %+v", spans)
 		}
 		seen[sp.SpanID] = true
-		if !sp.Answered || sp.Exec == nil {
+		if sp.Err != "" || sp.Exec == nil {
 			t.Fatalf("span unanswered: %+v", sp)
+		}
+		if sp.TraceID != tr.TraceID || sp.Parent != tr.SpanID || sp.Duration <= 0 || sp.Duration > tr.Duration ||
+			sp.Start.Before(tr.Start) || sp.Recovery != sp.Exec.Recovery {
+			t.Fatalf("leaf span does not hang under the root %+v: %+v", tr, sp)
 		}
 		if sp.Exec.SpanID != sp.SpanID || sp.Exec.Table != "events" || sp.Exec.Recovery == "" {
 			t.Fatalf("exec stats wrong: %+v", sp.Exec)
@@ -101,8 +102,12 @@ func TestParentTraceIDAdopted(t *testing.T) {
 	if tr == nil {
 		t.Fatalf("parent trace ID not adopted; recent = %+v", a.Tracer.Recent())
 	}
-	if len(tr.Spans) != 1 || tr.Spans[0].SpanID == 999 {
-		t.Fatalf("child must stamp its own span IDs: %+v", tr.Spans)
+	if spans := tr.Leaves(); len(spans) != 1 || spans[0].SpanID == 999 || tr.Root().SpanID == 999 {
+		t.Fatalf("child must stamp its own span IDs: %+v", tr)
+	}
+	// The subtree hangs under the upstream's span for it.
+	if tr.Root().Parent != 999 {
+		t.Fatalf("subtree root's parent = %d, want the upstream leaf span 999", tr.Root().Parent)
 	}
 }
 
@@ -122,12 +127,12 @@ func TestErrorSpanRecorded(t *testing.T) {
 	if res.LeavesAnswered != 1 || res.LeavesTotal != 2 {
 		t.Fatalf("coverage = %d/%d, want 1/2", res.LeavesAnswered, res.LeavesTotal)
 	}
-	tr := a.Tracer.Recent()[0]
-	if tr.LeavesAnswered != 1 || tr.LeavesTotal != 2 {
-		t.Fatalf("trace coverage = %d/%d, want 1/2", tr.LeavesAnswered, tr.LeavesTotal)
+	spans := a.Tracer.Recent()[0].Leaves()
+	if spans.Answered() != 1 || len(spans) != 2 {
+		t.Fatalf("trace coverage = %d/%d, want 1/2", spans.Answered(), len(spans))
 	}
-	sp := tr.Spans[1]
-	if sp.Answered || sp.Err == "" || sp.Exec != nil {
+	sp := spans[1]
+	if sp.Err == "" || sp.Exec != nil {
 		t.Fatalf("error span wrong: %+v", sp)
 	}
 }
@@ -165,24 +170,21 @@ func TestAbandonedSpanMarked(t *testing.T) {
 		t.Fatalf("answered = %d, want 1", res.LeavesAnswered)
 	}
 	tr := a.Tracer.Recent()[0]
-	var abandonedSpan *obs.LeafSpan
-	for i := range tr.Spans {
-		if !tr.Spans[i].Answered {
-			abandonedSpan = &tr.Spans[i]
+	var abandonedSpan *obs.Span
+	for i, sp := range tr.Leaves() {
+		if sp.Err != "" {
+			abandonedSpan = &tr.Leaves()[i]
 		}
 	}
 	if abandonedSpan == nil {
-		t.Fatalf("no abandoned span in %+v", tr.Spans)
+		t.Fatalf("no abandoned span in %+v", tr)
 	}
-	if abandonedSpan.Err == "" || abandonedSpan.RTTNanos <= 0 {
+	if abandonedSpan.Err == "" || abandonedSpan.Duration <= 0 {
 		t.Fatalf("abandoned span not annotated: %+v", abandonedSpan)
 	}
 	// The 100ms deadline also makes this query slow under the 1ms
-	// threshold, which must tick the query.slow counter.
-	if !tr.Slow {
+	// threshold.
+	if !tr.Root().Slow {
 		t.Fatal("deadline-bound query not marked slow")
-	}
-	if got := reg.Snapshot().Counters["query.slow"]; got != 1 {
-		t.Fatalf("query.slow = %d, want 1", got)
 	}
 }

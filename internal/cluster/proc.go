@@ -173,7 +173,7 @@ type ProcRecovery struct {
 	PromotedBlocks int64 `json:"promoted_blocks"`
 	// Restart is the leaf's restart trace: the previous process's shutdown
 	// half and this process's start half, per phase, table and worker.
-	Restart obs.RestartTrace `json:"-"`
+	Restart obs.Trace `json:"-"`
 }
 
 // Recovery fetches the leaf's live /debug/recovery state: which path the
@@ -186,8 +186,8 @@ func (l *ProcLeaf) Recovery() (ProcRecovery, error) {
 	}
 	defer resp.Body.Close()
 	var dump struct {
-		Recovery ProcRecovery     `json:"recovery"`
-		Restart  obs.RestartTrace `json:"restart"`
+		Recovery ProcRecovery `json:"recovery"`
+		Restart  obs.Trace    `json:"restart"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
 		return ProcRecovery{}, err

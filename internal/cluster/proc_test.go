@@ -205,18 +205,18 @@ func TestSubprocessRolloverQuarantinesUnreadableRecovery(t *testing.T) {
 // span and ProcRecovery changes with it, with no arithmetic of its own.
 func TestProcRecoveryIsTheSpanLedger(t *testing.T) {
 	t0 := time.Unix(1_700_000_000, 0)
-	trace := obs.RestartTrace{
+	trace := obs.Trace{
 		{TraceID: 9, Half: obs.HalfShutdown, Phase: obs.PhaseCommit, Worker: -1, Start: t0, Duration: time.Millisecond},
-		{TraceID: 9, Half: obs.HalfStart, Phase: obs.PhaseTableView, Table: "t@0", Worker: 1, Source: "shm-view",
+		{TraceID: 9, Half: obs.HalfStart, Phase: obs.PhaseTableView, Table: "t@0", Worker: 1, Recovery: "shm-view",
 			Blocks: 3, Bytes: 300, Start: t0.Add(time.Second), Duration: 2 * time.Millisecond},
-		{TraceID: 9, Half: obs.HalfStart, Phase: obs.PhaseTableView, Table: "t@1", Worker: 0, Source: "shm-view",
+		{TraceID: 9, Half: obs.HalfStart, Phase: obs.PhaseTableView, Table: "t@1", Worker: 0, Recovery: "shm-view",
 			Blocks: 5, Bytes: 500, Start: t0.Add(time.Second), Duration: 7 * time.Millisecond},
 	}
 	srv := httptest.NewServer(obs.Handler(obs.HandlerConfig{
 		Recovery: func() any {
 			return map[string]any{"Path": "shm-view", "served_from_shm": 8, "promoted_blocks": 0}
 		},
-		Restart: func() obs.RestartTrace { return trace },
+		Restart: func() obs.Trace { return trace },
 	}))
 	defer srv.Close()
 	l := &ProcLeaf{HTTPAddr: strings.TrimPrefix(srv.URL, "http://")}
@@ -227,14 +227,14 @@ func TestProcRecoveryIsTheSpanLedger(t *testing.T) {
 	if rec.Path != "shm-view" || rec.ServedFromShm != 8 || len(rec.Restart) != 3 {
 		t.Fatalf("recovery = %+v", rec)
 	}
-	if slow := obs.Slowest(rec.Restart.Half(obs.HalfStart).Tables()); slow.Table != "t@1" || slow.Duration != 7*time.Millisecond || slow.Blocks != 5 {
+	if slow := rec.Restart.Half(obs.HalfStart).Tables().Slowest(); slow.Table != "t@1" || slow.Duration != 7*time.Millisecond || slow.Blocks != 5 {
 		t.Errorf("slowest table = %+v", slow)
 	}
 	trace[1].Duration = 9 * time.Millisecond
 	if rec, err = l.Recovery(); err != nil {
 		t.Fatal(err)
 	}
-	if slow := obs.Slowest(rec.Restart.Tables()); slow.Table != "t@0" || slow.Worker != 1 {
+	if slow := rec.Restart.Tables().Slowest(); slow.Table != "t@0" || slow.Worker != 1 {
 		t.Errorf("after lengthening t@0's span the slowest table = %+v", slow)
 	}
 }

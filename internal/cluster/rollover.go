@@ -123,7 +123,7 @@ type Restart struct {
 	Err string
 	// Trace is the restart ledger the replacement holds: the old process's
 	// shutdown half and its own start half, per phase, table and worker.
-	Trace obs.RestartTrace
+	Trace obs.Trace
 }
 
 // Snapshot is one dashboard sample (Figure 8): the fleet while a batch is in

@@ -79,7 +79,7 @@ func (l *Leaf) startPromoter() {
 	l.mu.Unlock()
 	n := l.promoteWorkerCount()
 	sp := l.restart.Begin(obs.PhasePromote, "", -1)
-	sp.Source = string(RecoveryShmView)
+	sp.Recovery = string(RecoveryShmView)
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go p.run()

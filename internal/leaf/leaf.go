@@ -97,7 +97,7 @@ type Config struct {
 	// Shutdown and Start, per table and worker — as registry timers named
 	// after the phase (restart.copy_out, restart.table.copy_out, ...),
 	// begin/end/fail events in its flight recorder, __system.traces rows and
-	// the profiler's over-budget trigger (obs.Span.End). Point its registry at
+	// the profiler's over-budget trigger (obs.ActiveSpan.End). Point its registry at
 	// Metrics so /metrics shows both. With a nil Obs the ledger still backs
 	// RecoveryInfo and ShutdownInfo and feeds nothing else.
 	Obs *obs.Observer
@@ -156,7 +156,7 @@ type RecoveryInfo struct {
 	// restore).
 	Workers int
 	// PerTable breaks the restore down by table, sorted by table name.
-	PerTable []TableCopyStat
+	PerTable obs.Trace
 	// PerTablePath says which path each table took (all "memory" on a clean
 	// shm restore; a mix after quarantines), sorted by table name. Path is
 	// derived from it.
@@ -194,7 +194,7 @@ type ShutdownInfo struct {
 	// disk-only path).
 	Workers int
 	// PerTable breaks the copy-out down by table, sorted by table name.
-	PerTable []TableCopyStat
+	PerTable obs.Trace
 }
 
 // ErrNotAlive is returned for requests while the leaf is restarting or has
@@ -237,7 +237,7 @@ type Leaf struct {
 	// its last gap span, open from ALIVE until the first successful query
 	// ends it; the flag makes that happen exactly once.
 	restart        *obs.Restart
-	firstAnswer    *obs.Span
+	firstAnswer    *obs.ActiveSpan
 	firstQueryOpen atomic.Bool
 
 	// copyBlockHook / restoreBlockHook are test-only fault-injection
@@ -326,7 +326,7 @@ func (l *Leaf) Recovery() RecoveryInfo {
 // RestartTrace returns the restart ledger as this process holds it, in start
 // order: the shutdown half its Start adopted from the predecessor's flight
 // recorder, then its own start half so far. Nil before Start.
-func (l *Leaf) RestartTrace() obs.RestartTrace {
+func (l *Leaf) RestartTrace() obs.Trace {
 	l.mu.Lock()
 	r := l.restart
 	l.mu.Unlock()

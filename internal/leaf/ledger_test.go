@@ -98,7 +98,7 @@ func TestRestartTraceAccountsForTheGap(t *testing.T) {
 				if sp.Table == "" {
 					continue
 				}
-				if sp.Table != "events" || sp.Worker < 0 || sp.Worker >= rec.Workers || sp.Source == "" {
+				if sp.Table != "events" || sp.Worker < 0 || sp.Worker >= rec.Workers || sp.Recovery == "" {
 					t.Errorf("span does not name its table, worker and source: %+v", sp)
 				}
 				if sp.Start.Before(pool.Start) || sp.End().After(pool.End()) {
@@ -120,7 +120,8 @@ func TestRestartTraceAccountsForTheGap(t *testing.T) {
 			if want := top[2].End().Sub(top[0].Start); rec.Duration != want {
 				t.Errorf("RecoveryInfo.Duration = %v, map begin to ALIVE is %v", rec.Duration, want)
 			}
-			want := []TableCopyStat{{Table: "events", Worker: rec.PerTable[0].Worker, Blocks: blocks, Bytes: bytes, Duration: steps}}
+			want := obs.Trace{{TraceID: up[0].TraceID, Kind: obs.KindRestart, Half: obs.HalfStart, Table: "events",
+				Worker: rec.PerTable[0].Worker, Blocks: blocks, Bytes: bytes, Start: rec.PerTable[0].Start, Duration: steps}}
 			if !reflect.DeepEqual(rec.PerTable, want) {
 				t.Errorf("PerTable = %+v, the spans say %+v", rec.PerTable, want)
 			}
@@ -144,11 +145,11 @@ func TestRestartTraceAccountsForTheGap(t *testing.T) {
 func TestInfoIsAViewOfTheSpans(t *testing.T) {
 	t0 := time.Unix(1_700_000_000, 0)
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	span := func(half, phase, table string, worker, startMs, durMs, blocks int) obs.RestartSpan {
-		return obs.RestartSpan{TraceID: 7, Half: half, Phase: phase, Table: table, Worker: worker,
+	span := func(half, phase, table string, worker, startMs, durMs, blocks int) obs.Span {
+		return obs.Span{TraceID: 7, Kind: obs.KindRestart, Half: half, Phase: phase, Table: table, Worker: worker,
 			Blocks: blocks, Bytes: int64(blocks) << 10, Start: t0.Add(ms(startMs)), Duration: ms(durMs)}
 	}
-	trace := obs.RestartTrace{
+	trace := obs.Trace{
 		span(obs.HalfShutdown, obs.PhaseQuiesce, "", -1, 0, 1, 0),
 		span(obs.HalfShutdown, obs.PhaseCopyOut, "", -1, 1, 50, 0),
 		span(obs.HalfShutdown, obs.PhaseTableSeal, "a", 0, 1, 5, 0),
@@ -168,9 +169,14 @@ func TestInfoIsAViewOfTheSpans(t *testing.T) {
 	}
 	var down ShutdownInfo
 	down.fromSpans(trace)
-	wantDown := ShutdownInfo{Tables: 2, Blocks: 8, BytesCopied: 8 << 10, Duration: ms(56), PerTable: []TableCopyStat{
-		{Table: "a", Worker: 0, Blocks: 6, Bytes: 6 << 10, Duration: ms(50)},
-		{Table: "b", Worker: 1, Blocks: 2, Bytes: 2 << 10, Duration: ms(9)},
+	// A table's roll-up is a span too: from its first step's start, the sum
+	// of its steps.
+	share := func(half, table string, worker, startMs, durMs, blocks int) TableCopyStat {
+		return span(half, "", table, worker, startMs, durMs, blocks)
+	}
+	wantDown := ShutdownInfo{Tables: 2, Blocks: 8, BytesCopied: 8 << 10, Duration: ms(56), PerTable: obs.Trace{
+		share(obs.HalfShutdown, "a", 0, 1, 50, 6),
+		share(obs.HalfShutdown, "b", 1, 1, 9, 2),
 	}}
 	if !reflect.DeepEqual(down, wantDown) {
 		t.Errorf("ShutdownInfo = %+v\nwant %+v", down, wantDown)
@@ -178,9 +184,9 @@ func TestInfoIsAViewOfTheSpans(t *testing.T) {
 	up := RecoveryInfo{Path: RecoveryMixed, Workers: 2}
 	up.fromSpans(trace)
 	wantUp := RecoveryInfo{Path: RecoveryMixed, Workers: 2, Tables: 2, Blocks: 8, BytesRestored: 8 << 10,
-		Duration: ms(15), SnapshotBlocks: 2, ServedFromShm: 6, PerTable: []TableCopyStat{
-			{Table: "a", Worker: 1, Blocks: 6, Bytes: 6 << 10, Duration: ms(11)},
-			{Table: "b", Worker: 0, Blocks: 2, Bytes: 2 << 10, Duration: ms(11)},
+		Duration: ms(15), SnapshotBlocks: 2, ServedFromShm: 6, PerTable: obs.Trace{
+			share(obs.HalfStart, "a", 1, 1002, 11, 6),
+			share(obs.HalfStart, "b", 0, 1002, 11, 2),
 		}}
 	if !reflect.DeepEqual(up, wantUp) {
 		t.Errorf("RecoveryInfo = %+v\nwant %+v", up, wantUp)
@@ -195,7 +201,7 @@ func TestInfoIsAViewOfTheSpans(t *testing.T) {
 	}
 	srv := httptest.NewServer(obs.Handler(obs.HandlerConfig{
 		Recovery: func() any { return up },
-		Restart:  func() obs.RestartTrace { return trace },
+		Restart:  func() obs.Trace { return trace },
 	}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/recovery")
@@ -204,8 +210,8 @@ func TestInfoIsAViewOfTheSpans(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var dump struct {
-		Recovery RecoveryInfo     `json:"recovery"`
-		Restart  obs.RestartTrace `json:"restart"`
+		Recovery RecoveryInfo `json:"recovery"`
+		Restart  obs.Trace    `json:"restart"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
 		t.Fatal(err)

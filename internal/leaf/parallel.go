@@ -24,13 +24,13 @@ import (
 )
 
 // TableCopyStat is one table's share of a shutdown copy-out or a restore:
-// which worker carried it, how much moved, and the time of all its steps — a
-// roll-up of the table's restart spans. ShutdownInfo and RecoveryInfo report
-// one entry per table, sorted by table name.
-type TableCopyStat = obs.TableShare
+// which worker carried it, how much moved, and the time of all its steps — the
+// roll-up span obs.Trace.Tables makes of the table's restart spans.
+// ShutdownInfo and RecoveryInfo report one per table, sorted by table name.
+type TableCopyStat = obs.Span
 
 // fromSpans fills in what a shutdown's restart spans say about it.
-func (info *ShutdownInfo) fromSpans(trace obs.RestartTrace) {
+func (info *ShutdownInfo) fromSpans(trace obs.Trace) {
 	down := trace.Half(obs.HalfShutdown)
 	info.PerTable = down.Tables()
 	info.Tables = len(info.PerTable)

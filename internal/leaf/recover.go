@@ -57,7 +57,7 @@ func (o *tableOutcome) addReason(why string) {
 }
 
 // fromSpans fills in what a start's restart spans say about it.
-func (info *RecoveryInfo) fromSpans(trace obs.RestartTrace) {
+func (info *RecoveryInfo) fromSpans(trace obs.Trace) {
 	up := trace.Half(obs.HalfStart)
 	info.PerTable = up.Tables()
 	info.Tables = len(info.PerTable)
@@ -343,7 +343,7 @@ func (l *Leaf) recoverTable(r *obs.Restart, worker int, name string, seg *shm.Se
 		// longer matches memory: start it over at the table's next row (0
 		// for a lost table). A replayed log already had its cursor set.
 		sp := r.Begin(obs.PhaseTableLogReset, name, worker)
-		sp.Source = string(o.path.Path)
+		sp.Recovery = string(o.path.Path)
 		var next int64
 		if err == nil {
 			next = tbl.NextRow()
@@ -385,7 +385,7 @@ func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.
 		phase, path = obs.PhaseTableView, RecoveryShmView
 	}
 	sp := r.Begin(phase, si.Table, worker)
-	sp.Source = string(path)
+	sp.Recovery = string(path)
 	v, err := shm.OpenTableSegmentView(l.shm, si)
 	if err != nil {
 		sp.End(err)
@@ -427,7 +427,7 @@ func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.
 // failed.
 func (l *Leaf) drainView(r *obs.Restart, worker int, name string, v *shm.MappedView) ([]*rowblock.RowBlock, error) {
 	sp := r.Begin(obs.PhaseTableCopyIn, name, worker)
-	sp.Source = string(RecoveryMemory)
+	sp.Recovery = string(RecoveryMemory)
 	blocks, err := v.Drain(func(rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
 		return l.cloneBlock(name, rb)
 	})
@@ -470,7 +470,7 @@ func (l *Leaf) adoptImages(r *obs.Restart, worker int, name, source string, bloc
 	starts := make([]int64, len(blocks))
 	if l.store != nil {
 		sp := r.Begin(obs.PhaseTableAdopt, name, worker)
-		sp.Source = source
+		sp.Recovery = source
 		images, w, err := l.store.Images(name)
 		tile := err == nil && len(images) == len(blocks)
 		for i := 0; tile && i < len(images); i++ {
@@ -515,7 +515,7 @@ func (l *Leaf) loadFromStore(r *obs.Restart, worker int, tbl *table.Table, logge
 	l.install(name, tbl)
 	o.path.Path = RecoveryDisk
 	sp := r.Begin(obs.PhaseTableLoad, name, worker)
-	sp.Source = string(RecoveryDisk)
+	sp.Recovery = string(RecoveryDisk)
 	w, err := l.store.Load(name, func(im disk.Image, rb *rowblock.RowBlock, err error) error {
 		if err != nil {
 			o.addReason(err.Error())
@@ -542,7 +542,7 @@ func (l *Leaf) loadFromStore(r *obs.Restart, worker int, tbl *table.Table, logge
 		return nil
 	}
 	sp = r.Begin(obs.PhaseTableReplay, name, worker)
-	sp.Source = string(RecoveryWAL)
+	sp.Recovery = string(RecoveryWAL)
 	recs, rows, pos, err := l.wal.ReplayFrom(name, w, func(b *rowblock.Batch) error {
 		return tbl.AddBatch(b, l.cfg.Clock())
 	})

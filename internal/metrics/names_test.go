@@ -52,7 +52,6 @@ func TestCanonicalNames(t *testing.T) {
 		"query.shards_total":     "query_shards_total",
 		"query.shards_answered":  "query_shards_answered",
 		"query.shards_unserved":  "query_shards_unserved",
-		"query.slow":             "query_slow",
 		// wire server
 		"rpc.errors": "rpc_errors",
 		"rpc.ping":   "rpc_ping",

@@ -240,22 +240,10 @@ func readRing(m *shm.Manager) ([]Event, uint64, error) {
 	if int64(recHeaderSize+capacity*slotSize) > seg.Size() {
 		return nil, 0, errRecUnreadable
 	}
-	// The live window is the last min(nextSeq, capacity) sequence numbers.
 	// A crash may have torn the newest slot (CRC skips it), and the header
 	// bump may not have happened for a fully written slot — scan one seq
 	// past the header to catch that case.
-	var events []Event
-	lo := uint64(0)
-	if nextSeq > uint64(capacity) {
-		lo = nextSeq - uint64(capacity)
-	}
-	for seq := lo; seq <= nextSeq; seq++ {
-		slot := b[recHeaderSize+int(seq%uint64(capacity))*slotSize:]
-		ev, ok := decodeSlot(slot[:slotSize], seq)
-		if ok {
-			events = append(events, ev)
-		}
-	}
+	events := decodeWindow(b, capacity, nextSeq, nextSeq+1)
 	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
 	maxSeq := nextSeq
 	if n := len(events); n > 0 && events[n-1].Seq+1 > maxSeq {
@@ -352,26 +340,25 @@ func (r *Recorder) Events() []Event {
 	if r.seg == nil {
 		return nil
 	}
-	events, _, err := decodeCurrent(r.seg.Bytes(), r.capacity, r.nextSeq)
-	if err != nil {
-		return nil
-	}
-	return events
+	return decodeWindow(r.seg.Bytes(), r.capacity, r.nextSeq, r.nextSeq)
 }
 
-func decodeCurrent(b []byte, capacity int, nextSeq uint64) ([]Event, uint64, error) {
+// decodeWindow decodes the ring's live window — the last min(nextSeq,
+// capacity) sequence numbers — up to end, skipping any slot whose CRC or
+// sequence is wrong.
+func decodeWindow(b []byte, capacity int, nextSeq, end uint64) []Event {
 	var events []Event
 	lo := uint64(0)
 	if nextSeq > uint64(capacity) {
 		lo = nextSeq - uint64(capacity)
 	}
-	for seq := lo; seq < nextSeq; seq++ {
+	for seq := lo; seq < end; seq++ {
 		slot := b[recHeaderSize+int(seq%uint64(capacity))*recSlotSize:]
 		if ev, ok := decodeSlot(slot[:recSlotSize], seq); ok {
 			events = append(events, ev)
 		}
 	}
-	return events, nextSeq, nil
+	return events
 }
 
 // Close flushes and unmaps the ring. The backing segment file survives for

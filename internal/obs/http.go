@@ -18,7 +18,7 @@ type RecoveryDump struct {
 	// Restart is the restart ledger: the previous process's shutdown half as
 	// read back from its flight-recorder ring, then this process's start
 	// half — one trace ID when one handed over to the other.
-	Restart RestartTrace `json:"restart,omitempty"`
+	Restart Trace `json:"restart,omitempty"`
 	// PreviousRun summarizes the flight-recorder events left by the
 	// previous process — the answer to "why did the restore fail".
 	PreviousRun *RunSummary `json:"previous_run,omitempty"`
@@ -41,7 +41,7 @@ type HandlerConfig struct {
 	// omits it). Called per request, so it can return live state.
 	Recovery func() any
 	// Restart supplies the restart ledger for /debug/recovery (nil omits it).
-	Restart func() RestartTrace
+	Restart func() Trace
 	// Tracer backs /debug/traces and /debug/slow (nil omits both — only the
 	// aggregator daemon assembles traces).
 	Tracer *Tracer
@@ -50,8 +50,10 @@ type HandlerConfig struct {
 // TraceDump is the /debug/traces and /debug/slow response body.
 type TraceDump struct {
 	// SlowThresholdNanos is the fixed slow threshold (0 = adaptive p99).
-	SlowThresholdNanos int64   `json:"slow_threshold_nanos"`
-	Traces             []Trace `json:"traces"`
+	SlowThresholdNanos int64 `json:"slow_threshold_nanos"`
+	// Traces lists the retained query traces, newest first: each the root
+	// span, then one per leaf, in the shape of /debug/recovery's restart list.
+	Traces []Trace `json:"traces"`
 }
 
 // Handler builds the daemon observability mux:
@@ -103,21 +105,12 @@ func Handler(cfg HandlerConfig) http.Handler {
 				dump.CurrentEvents = cur
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(dump) //nolint:errcheck // best effort over HTTP
+		writeJSON(w, dump)
 	})
 
 	if cfg.Tracer != nil {
 		writeTraces := func(w http.ResponseWriter, traces []Trace) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(TraceDump{ //nolint:errcheck // best effort over HTTP
-				SlowThresholdNanos: cfg.Tracer.SlowThreshold().Nanoseconds(),
-				Traces:             traces,
-			})
+			writeJSON(w, TraceDump{SlowThresholdNanos: cfg.Tracer.opts.SlowThreshold.Nanoseconds(), Traces: traces})
 		}
 		mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 			if idStr := r.URL.Query().Get("id"); idStr != "" {
@@ -131,7 +124,7 @@ func Handler(cfg HandlerConfig) http.Handler {
 					http.Error(w, "trace not found (rotated out?)", http.StatusNotFound)
 					return
 				}
-				writeTraces(w, []Trace{*tr})
+				writeTraces(w, []Trace{tr})
 				return
 			}
 			writeTraces(w, cfg.Tracer.Recent())
@@ -160,6 +153,13 @@ func Handler(cfg HandlerConfig) http.Handler {
 		}
 	})
 	return mux
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v) //nolint:errcheck // best effort over HTTP
 }
 
 // HTTPServer is one daemon's observability listener.

@@ -9,17 +9,16 @@ import (
 // Observer is where a daemon's observability sinks meet: a metrics registry
 // (for /metrics and dashboards), the flight recorder (for post-mortems of the
 // run that never got to serve /metrics), and — wired by the daemon once they
-// exist — the self-telemetry sink and the profiler's over-budget capture.
+// exist — the hooks every finished span is handed to (the self-telemetry
+// sink's RecordSpans, the profiler's OnSpans). Both span producers are made
+// off it: Tracer for an aggregator's queries, Restart for a leaf's restarts.
 // Any of them may be absent, and a nil *Observer is a valid no-op — callers
 // instrument unconditionally and configuration decides what sticks.
 type Observer struct {
-	reg  *metrics.Registry
-	rec  *Recorder
-	sink *Sink
-	// budget and overBudget are the profiler's restart trigger: a finished
-	// restart span longer than budget is handed to overBudget.
-	budget     time.Duration
-	overBudget func(RestartSpan)
+	reg     *metrics.Registry
+	rec     *Recorder
+	onSpans []func(Trace)
+	budget  time.Duration
 }
 
 // New creates an observer over a registry and recorder (either may be nil).
@@ -27,15 +26,24 @@ func New(reg *metrics.Registry, rec *Recorder) *Observer {
 	return &Observer{reg: reg, rec: rec}
 }
 
-// SetSink makes finished restart spans rows of __system.traces through sink.
-// Call it before the leaf's Start; not safe concurrently with ending spans.
-func (o *Observer) SetSink(sink *Sink) { o.sink = sink }
+// OnSpans hands every batch of finished spans — a recorded query trace, the
+// restart spans a ledger releases — to each fn, on the goroutine that
+// finished them: fn must not block. Call it before the producers start; not
+// safe concurrently with ending spans.
+func (o *Observer) OnSpans(fns ...func(Trace)) { o.onSpans = append(o.onSpans, fns...) }
 
-// SetBudget hands every finished restart span longer than budget to capture
-// (the continuous profiler's anomaly trigger). Call it before the leaf's
-// Start; capture must not block.
-func (o *Observer) SetBudget(budget time.Duration, capture func(RestartSpan)) {
-	o.budget, o.overBudget = budget, capture
+// SetBudget marks every restart span that runs longer than budget Slow, as
+// the tracer's threshold does a query (0 marks none). Call it before the
+// leaf's Start.
+func (o *Observer) SetBudget(budget time.Duration) { o.budget = budget }
+
+func (o *Observer) spansFinished(spans Trace) {
+	if o == nil || len(spans) == 0 {
+		return
+	}
+	for _, fn := range o.onSpans {
+		fn(spans)
+	}
 }
 
 // Registry returns the observer's metrics registry (nil when absent).

@@ -3,6 +3,7 @@ package obs
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,9 +24,9 @@ func ledgerRecorder(t *testing.T, dir string) *Recorder {
 // span: the codec is the hand-off.
 func TestSpanEventRoundTrip(t *testing.T) {
 	start := time.UnixMicro(1_700_000_000_000_000)
-	want := RestartSpan{
-		TraceID: 0x7123456789abcdef, Half: HalfStart, Phase: PhaseTableCopyIn, Table: "service_logs@3",
-		Worker: 2, Source: "memory", Blocks: 61, Bytes: 31 << 20,
+	want := Span{
+		TraceID: 0x7123456789abcdef, Kind: KindRestart, Half: HalfStart, Phase: PhaseTableCopyIn, Table: "service_logs@3",
+		Worker: 2, Recovery: "memory", Blocks: 61, Bytes: 31 << 20,
 		Start: start, Duration: 1234567 * time.Nanosecond, Err: "read block 7: payload CRC mismatch",
 	}
 	ev := Event{Kind: EventFail, Phase: want.eventPhase(), Detail: want.eventDetail(true),
@@ -48,7 +49,7 @@ func TestSpanEventRoundTrip(t *testing.T) {
 	}
 
 	// A whole-leaf span says less, and says it without a table or worker.
-	leaf := RestartSpan{TraceID: 9, Half: HalfShutdown, Phase: PhaseCommit, Worker: -1, Duration: time.Millisecond}
+	leaf := Span{TraceID: 9, Half: HalfShutdown, Phase: PhaseCommit, Worker: -1, Duration: time.Millisecond}
 	got, ok = spanFromEvent(Event{Kind: EventEnd, Phase: leaf.eventPhase(), Detail: leaf.eventDetail(true)})
 	if !ok || got.Table != "" || got.Worker != -1 || got.Duration != time.Millisecond || got.Half != HalfShutdown {
 		t.Errorf("whole-leaf span decoded as %+v (%v)", got, ok)
@@ -64,6 +65,90 @@ func TestSpanEventRoundTrip(t *testing.T) {
 		if sp, ok := spanFromEvent(ev); ok {
 			t.Errorf("event %+v decoded as span %+v", ev, sp)
 		}
+	}
+}
+
+// A rollover hands an old binary's ring to a new binary, so the span-event
+// text is a cross-version format: these literal strings are what the previous
+// process — of any release since the ledger — wrote, and a change to the
+// record must keep writing and reading them.
+func TestSpanEventGolden(t *testing.T) {
+	table := Span{TraceID: 0x7123456789abcdef, Kind: KindRestart, Half: HalfStart, Phase: PhaseTableCopyIn,
+		Table: "service_logs@3", Worker: 2, Recovery: "memory", Blocks: 61, Bytes: 32505856, Duration: 1234567}
+	failed := table
+	failed.Err = "read block 7: payload CRC mismatch"
+	leaf := Span{TraceID: 9, Kind: KindRestart, Half: HalfShutdown, Phase: PhaseCommit, Worker: -1, Duration: time.Millisecond}
+	for _, g := range []struct {
+		kind          EventKind
+		sp            Span
+		phase, detail string
+	}{
+		{EventBegin, table, "restart.table.copy_in:service_logs@3", "trace=7123456789abcdef half=start w=2"},
+		{EventEnd, table, "restart.table.copy_in:service_logs@3",
+			"trace=7123456789abcdef half=start w=2 src=memory blocks=61 bytes=32505856 ns=1234567"},
+		{EventFail, failed, "restart.table.copy_in:service_logs@3",
+			"trace=7123456789abcdef half=start w=2 src=memory blocks=61 bytes=32505856 ns=1234567 err=read block 7: payload CRC mismatch"},
+		{EventBegin, leaf, "restart.commit", "trace=9 half=shutdown w=-1"},
+		{EventEnd, leaf, "restart.commit", "trace=9 half=shutdown w=-1 src=- blocks=0 bytes=0 ns=1000000"},
+	} {
+		if phase, detail := g.sp.eventPhase(), g.sp.eventDetail(g.kind != EventBegin); phase != g.phase || detail != g.detail {
+			t.Errorf("%v event of %s written as\n  %q %q, the pinned text is\n  %q %q", g.kind, g.sp.Phase, phase, detail, g.phase, g.detail)
+		}
+		got, ok := spanFromEvent(Event{Kind: g.kind, Phase: g.phase, Detail: g.detail, UnixMicros: 1_700_000_000_000_000})
+		want := g.sp
+		if want.Open = g.kind == EventBegin; want.Open {
+			want.Recovery, want.Blocks, want.Bytes, want.Duration = "", 0, 0, 0 // a begin knows none of it yet
+		}
+		want.Start = time.UnixMicro(1_700_000_000_000_000).Add(-want.Duration)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("pinned %v event %q %q read as\n  %+v (%v), want\n  %+v", g.kind, g.phase, g.detail, got, ok, want)
+		}
+	}
+}
+
+// A table's name rides in the event's 64-byte phase field behind its phase. A
+// name too long for it used to come back cut, and two such names with a
+// common prefix collapsed onto one key and mis-paired their begins and ends.
+func TestLongTableNamesCrossTheRestartApart(t *testing.T) {
+	dir := t.TempDir()
+	prefix := strings.Repeat("p", 60)
+	a, b := prefix+strings.Repeat("a", 20), prefix+strings.Repeat("b", 20)
+	rec1 := ledgerRecorder(t, dir)
+	down := New(nil, rec1).Restart(HalfShutdown)
+	// Two pool workers, interleaved as a pool interleaves them.
+	sa := down.Begin(PhaseTableCopyOut, a, 0)
+	sb := down.Begin(PhaseTableCopyOut, b, 1)
+	sa.Blocks, sb.Blocks = 3, 5
+	sa.End(nil)
+	sb.End(nil)
+	down.Begin(PhaseCommit, "", -1).End(nil)
+	rec1.Close()
+
+	rec2 := ledgerRecorder(t, dir)
+	defer rec2.Close()
+	adopted := New(nil, rec2).Restart(HalfStart).Spans()
+	tables := adopted.Tables()
+	if len(adopted) != 3 || len(tables) != 2 {
+		t.Fatalf("adopted %d spans over %d tables, want 3 over 2: %+v", len(adopted), len(tables), adopted)
+	}
+	blocks := map[int]int{} // worker → blocks
+	for _, tb := range tables {
+		blocks[tb.Worker] = tb.Blocks
+		if !strings.HasPrefix(tb.Table, prefix[:20]) {
+			t.Errorf("table %q lost the start of its name", tb.Table)
+		}
+	}
+	if blocks[0] != 3 || blocks[1] != 5 {
+		t.Errorf("each table's end must pair with its own begin: blocks by worker = %v, want 0:3 1:5", blocks)
+	}
+	for _, sp := range adopted {
+		if sp.Open {
+			t.Errorf("span %+v was left open: its end paired with another table's begin", sp)
+		}
+	}
+	// A name that fits is written byte for byte as before.
+	if got := (Span{Phase: PhaseTableLogReset, Table: strings.Repeat("n", 40)}).eventPhase(); got != PhaseTableLogReset+":"+strings.Repeat("n", 40) || len(got) != slotPhaseMax {
+		t.Errorf("a name that fits the slot was rewritten: %q", got)
 	}
 }
 
@@ -171,7 +256,7 @@ func TestSpansReachTheSinkOnceAlive(t *testing.T) {
 	dir := t.TempDir()
 	rec1 := ledgerRecorder(t, dir)
 	ob1 := New(nil, rec1)
-	ob1.SetSink(sink)
+	ob1.OnSpans(sink.RecordSpans)
 	down := ob1.Restart(HalfShutdown)
 	down.Begin(PhaseCopyOut, "", -1).End(nil)
 	down.Begin(PhaseCommit, "", -1).End(nil)
@@ -183,11 +268,11 @@ func TestSpansReachTheSinkOnceAlive(t *testing.T) {
 	rec2 := ledgerRecorder(t, dir)
 	defer rec2.Close()
 	ob2 := New(nil, rec2)
-	ob2.SetSink(sink)
+	ob2.OnSpans(sink.RecordSpans)
 	up := ob2.Restart(HalfStart)
 	up.Begin(PhaseMap, "", -1).End(nil)
 	sp := up.Begin(PhaseTableView, "events", 0)
-	sp.Source, sp.Blocks = "shm-view", 7
+	sp.Recovery, sp.Blocks = "shm-view", 7
 	sp.End(nil)
 	if n := emitted(); n != 0 {
 		t.Fatalf("%d span rows emitted before ALIVE", n)
@@ -223,11 +308,11 @@ func TestSpansReachTheSinkOnceAlive(t *testing.T) {
 func TestTraceViews(t *testing.T) {
 	t0 := time.Unix(1_700_000_000, 0)
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	span := func(phase, table string, worker, startMs, durMs, blocks int, err string) RestartSpan {
-		return RestartSpan{TraceID: 1, Half: HalfStart, Phase: phase, Table: table, Worker: worker,
-			Source: "memory", Blocks: blocks, Bytes: int64(blocks) * 100, Start: t0.Add(ms(startMs)), Duration: ms(durMs), Err: err}
+	span := func(phase, table string, worker, startMs, durMs, blocks int, err string) Span {
+		return Span{TraceID: 1, Kind: KindRestart, Half: HalfStart, Phase: phase, Table: table, Worker: worker,
+			Recovery: "memory", Blocks: blocks, Bytes: int64(blocks) * 100, Start: t0.Add(ms(startMs)), Duration: ms(durMs), Err: err}
 	}
-	trace := RestartTrace{
+	trace := Trace{
 		span(PhaseMap, "", -1, 0, 2, 0, ""),
 		span(PhaseCopyIn, "", -1, 2, 30, 0, ""),
 		span(PhaseTableCRC, "a", 0, 2, 5, 0, ""),
@@ -240,14 +325,14 @@ func TestTraceViews(t *testing.T) {
 		span(PhaseFirstAnswer, "", -1, 33, 7, 0, ""),
 		span(PhasePromote, "", -1, 33, 500, 0, ""),
 	}
-	wantTables := []TableShare{
-		{Table: "a", Worker: 0, Blocks: 8, Bytes: 800, Duration: ms(25)},
-		{Table: "b", Worker: 1, Blocks: 3, Bytes: 300, Duration: ms(29)},
+	wantTables := Trace{
+		{TraceID: 1, Kind: KindRestart, Half: HalfStart, Table: "a", Worker: 0, Blocks: 8, Bytes: 800, Start: t0.Add(ms(2)), Duration: ms(25)},
+		{TraceID: 1, Kind: KindRestart, Half: HalfStart, Table: "b", Worker: 1, Blocks: 3, Bytes: 300, Start: t0.Add(ms(2)), Duration: ms(29)},
 	}
 	if got := trace.Tables(); !reflect.DeepEqual(got, wantTables) {
 		t.Errorf("Tables() = %+v\nwant %+v (a lost table is not listed; a failed step's time still counts)", got, wantTables)
 	}
-	if got := Slowest(trace.Tables()); got.Table != "b" {
+	if got := trace.Tables().Slowest(); got.Table != "b" {
 		t.Errorf("slowest = %+v", got)
 	}
 	if b, n := trace.Moved(); b != 11 || n != 1100 {

@@ -11,10 +11,11 @@ package obs
 //
 // Two rules keep the loop from feeding on itself:
 //
-//   - recursion suppression: traces of queries against __system.* tables
-//     are never converted into __system.traces rows (RecordTrace checks
-//     IsSystemTable on the trace's table), so health dashboards polling
-//     the system tables do not generate telemetry about their own polls;
+//   - recursion suppression: the spans of queries against __system.* tables
+//     are never converted into __system.traces rows (RecordSpans checks
+//     IsSystemTable on every query span's table), so health dashboards
+//     polling the system tables do not generate telemetry about their own
+//     polls;
 //   - the hot path never blocks on telemetry: every Record* call is a
 //     non-blocking enqueue onto a bounded queue drained by one background
 //     goroutine; overflow drops the batch and counts sink.dropped.
@@ -37,8 +38,8 @@ const (
 	// SystemMetricsTable holds per-daemon metric-registry snapshots (one
 	// row per metric per flush).
 	SystemMetricsTable = "__system.metrics"
-	// SystemTracesTable holds completed distributed-trace summaries (one row
-	// per query) and restart traces (one row per span).
+	// SystemTracesTable holds finished spans, one row each: a query's root
+	// and per-leaf spans, a restart's steps.
 	SystemTracesTable = "__system.traces"
 	// SystemRecorderTable holds flight-recorder events — including the
 	// previous run's events recovered after a crash, so crash forensics
@@ -80,9 +81,6 @@ type SinkConfig struct {
 	// MetricsInterval is the __system.metrics snapshot period (default
 	// 15s; negative disables the loop, e.g. for tests that flush manually).
 	MetricsInterval time.Duration
-	// TraceSampleN keeps 1 in N non-slow traces (default 1 = all); slow
-	// traces are always kept.
-	TraceSampleN int
 	// QueueSize bounds the pending-batch queue (default 128).
 	QueueSize int
 	// Clock overrides time.Now for tests.
@@ -111,9 +109,6 @@ type Sink struct {
 	rowsCount *metrics.Counter
 	dropped   *metrics.Counter
 	errors    *metrics.Counter
-
-	mu      sync.Mutex
-	nTraces int64
 }
 
 // NewSink creates and starts a sink. Panics if cfg.Emit is nil — a sink
@@ -125,9 +120,6 @@ func NewSink(cfg SinkConfig) *Sink {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 128
 	}
-	if cfg.TraceSampleN <= 0 {
-		cfg.TraceSampleN = 1
-	}
 	if cfg.MetricsInterval == 0 {
 		cfg.MetricsInterval = 15 * time.Second
 	}
@@ -138,11 +130,11 @@ func NewSink(cfg SinkConfig) *Sink {
 		cfg:  cfg,
 		ch:   make(chan sinkBatch, cfg.QueueSize),
 		done: make(chan struct{}),
+		// Without a registry the sink counts into nothing.
+		rowsCount: &metrics.Counter{}, dropped: &metrics.Counter{}, errors: &metrics.Counter{},
 	}
 	if reg := cfg.Registry; reg != nil {
-		s.rowsCount = reg.Counter("sink.rows")
-		s.dropped = reg.Counter("sink.dropped")
-		s.errors = reg.Counter("sink.errors")
+		s.rowsCount, s.dropped, s.errors = reg.Counter("sink.rows"), reg.Counter("sink.dropped"), reg.Counter("sink.errors")
 	}
 	s.wg.Add(1)
 	go s.drain()
@@ -211,17 +203,13 @@ func (s *Sink) deliver(b sinkBatch) {
 		return
 	}
 	if err := s.cfg.Emit(b.table, b.rows); err != nil {
-		if s.errors != nil {
-			s.errors.Add(1)
-		}
+		s.errors.Add(1)
 		if s.cfg.OnError != nil {
 			s.cfg.OnError(fmt.Errorf("obs: sink emit %s: %w", b.table, err))
 		}
 		return
 	}
-	if s.rowsCount != nil {
-		s.rowsCount.Add(int64(len(b.rows)))
-	}
+	s.rowsCount.Add(int64(len(b.rows)))
 }
 
 func (s *Sink) metricsLoop() {
@@ -238,8 +226,10 @@ func (s *Sink) metricsLoop() {
 	}
 }
 
-// put enqueues one batch without ever blocking; overflow drops it.
-func (s *Sink) put(table string, rows []rowblock.Row) {
+// RecordRows enqueues pre-built rows for a __system table without ever
+// blocking; overflow drops the batch. The cluster scraper, the rollover
+// driver and the profiler enter here, and so does every Record* below.
+func (s *Sink) RecordRows(table string, rows []rowblock.Row) {
 	if s == nil || len(rows) == 0 {
 		return
 	}
@@ -251,16 +241,8 @@ func (s *Sink) put(table string, rows []rowblock.Row) {
 	select {
 	case s.ch <- sinkBatch{table: table, rows: rows}:
 	default:
-		if s.dropped != nil {
-			s.dropped.Add(1)
-		}
+		s.dropped.Add(1)
 	}
-}
-
-// RecordRows enqueues pre-built rows for a __system table — the generic
-// entry point used by the cluster scraper and the rollover driver.
-func (s *Sink) RecordRows(table string, rows []rowblock.Row) {
-	s.put(table, rows)
 }
 
 // RecordSnapshot converts the registry's current snapshot into
@@ -270,43 +252,63 @@ func (s *Sink) RecordSnapshot() {
 	if s == nil || s.cfg.Registry == nil {
 		return
 	}
-	s.put(SystemMetricsTable, SnapshotRows(s.cfg.Registry.Snapshot(), s.cfg.Source, s.cfg.Clock().Unix()))
+	s.RecordRows(SystemMetricsTable, SnapshotRows(s.cfg.Registry.Snapshot(), s.cfg.Source, s.cfg.Clock().Unix()))
 }
 
-// RecordTrace converts one completed trace into a __system.traces row.
-// Traces of queries against __system tables are suppressed (recursion), and
-// non-slow traces are sampled 1-in-TraceSampleN. Wire it as the tracer's
-// OnRecord hook.
-func (s *Sink) RecordTrace(tr Trace) {
-	if s == nil || IsSystemTable(tr.Table) {
+// RecordSpans converts finished spans into __system.traces rows, one per
+// span under one column vocabulary — a traced query is a root row plus a row
+// per leaf, a restart a row per step, all keyed by trace_id: "which leaf was
+// slow" and "where did the restart go" are group-bys. A cell is written only
+// when it says something: an absent one reads back as the zero it would have
+// held. Spans of queries against __system tables are suppressed (recursion).
+// Row time is the span's start; t_us keeps it exact. It is an
+// Observer.OnSpans hook.
+func (s *Sink) RecordSpans(spans Trace) {
+	if s == nil {
 		return
 	}
-	if !tr.Slow && s.cfg.TraceSampleN > 1 {
-		s.mu.Lock()
-		n := s.nTraces
-		s.nTraces++
-		s.mu.Unlock()
-		if n%int64(s.cfg.TraceSampleN) != 0 {
-			return
+	rows := make([]rowblock.Row, 0, len(spans))
+	var cols map[string]rowblock.Value
+	str := func(name, v string) {
+		if v != "" {
+			cols[name] = rowblock.StringValue(v)
 		}
 	}
-	row := rowblock.Row{
-		Time: s.cfg.Clock().Unix(),
-		Cols: map[string]rowblock.Value{
-			"source":          rowblock.StringValue(s.cfg.Source),
-			"trace_id":        rowblock.Int64Value(int64(tr.TraceID)),
-			"query":           rowblock.StringValue(tr.Query),
-			"table":           rowblock.StringValue(tr.Table),
-			"duration_us":     rowblock.Int64Value(tr.DurationNanos / 1e3),
-			"leaves_total":    rowblock.Int64Value(int64(tr.LeavesTotal)),
-			"leaves_answered": rowblock.Int64Value(int64(tr.LeavesAnswered)),
-			"shards_total":    rowblock.Int64Value(int64(tr.ShardsTotal)),
-			"shards_answered": rowblock.Int64Value(int64(tr.ShardsAnswered)),
-			"slow":            BoolValue(tr.Slow),
-			"spans":           rowblock.Int64Value(int64(len(tr.Spans))),
-		},
+	num := func(name string, v int64) {
+		if v != 0 {
+			cols[name] = rowblock.Int64Value(v)
+		}
 	}
-	s.put(SystemTracesTable, []rowblock.Row{row})
+	for _, sp := range spans {
+		if sp.Kind != KindRestart && IsSystemTable(sp.Table) {
+			continue
+		}
+		cols = make(map[string]rowblock.Value, 12)
+		str("source", s.cfg.Source)
+		num("trace_id", int64(sp.TraceID))
+		num("span_id", int64(sp.SpanID))
+		num("parent", int64(sp.Parent))
+		str("kind", sp.Kind)
+		str("half", sp.Half)
+		str("phase", sp.Phase)
+		str("leaf", sp.Leaf)
+		str("table", sp.Table)
+		num("worker", int64(sp.Worker))
+		str("recovery", sp.Recovery)
+		num("shards", int64(len(sp.Shards)))
+		num("blocks", int64(sp.Blocks))
+		num("bytes", sp.Bytes)
+		num("t_us", sp.Start.UnixMicro())
+		num("duration_us", sp.Duration.Microseconds())
+		str("err", sp.Err)
+		num("open", BoolValue(sp.Open).Int)
+		str("query", sp.Query)
+		num("shards_total", int64(sp.ShardsTotal))
+		num("shards_answered", int64(sp.ShardsAnswered))
+		num("slow", BoolValue(sp.Slow).Int)
+		rows = append(rows, rowblock.Row{Time: sp.Start.Unix(), Cols: cols})
+	}
+	s.RecordRows(SystemTracesTable, rows)
 }
 
 // BoolValue is a flag column of a __system row: 1 or 0.
@@ -315,38 +317,6 @@ func BoolValue(b bool) rowblock.Value {
 		return rowblock.Int64Value(1)
 	}
 	return rowblock.Int64Value(0)
-}
-
-// RecordRestartSpans converts restart spans into __system.traces rows, one
-// per span, beside the query traces and keyed by the same trace_id column:
-// "where did the restart go" is a group-by over phase and table. Row time is
-// the span's start; t_us keeps it exact.
-func (s *Sink) RecordRestartSpans(spans []RestartSpan) {
-	if s == nil || len(spans) == 0 {
-		return
-	}
-	rows := make([]rowblock.Row, 0, len(spans))
-	for _, sp := range spans {
-		rows = append(rows, rowblock.Row{
-			Time: sp.Start.Unix(),
-			Cols: map[string]rowblock.Value{
-				"source":      rowblock.StringValue(s.cfg.Source),
-				"trace_id":    rowblock.Int64Value(int64(sp.TraceID)),
-				"half":        rowblock.StringValue(sp.Half),
-				"phase":       rowblock.StringValue(sp.Phase),
-				"table":       rowblock.StringValue(sp.Table),
-				"worker":      rowblock.Int64Value(int64(sp.Worker)),
-				"recovery":    rowblock.StringValue(sp.Source),
-				"blocks":      rowblock.Int64Value(int64(sp.Blocks)),
-				"bytes":       rowblock.Int64Value(sp.Bytes),
-				"t_us":        rowblock.Int64Value(sp.Start.UnixMicro()),
-				"duration_us": rowblock.Int64Value(sp.Duration.Microseconds()),
-				"err":         rowblock.StringValue(sp.Err),
-				"open":        BoolValue(sp.Open),
-			},
-		})
-	}
-	s.put(SystemTracesTable, rows)
 }
 
 // RecordRecorderEvents converts flight-recorder events into
@@ -373,7 +343,7 @@ func (s *Sink) RecordRecorderEvents(run string, events []Event) {
 			},
 		})
 	}
-	s.put(SystemRecorderTable, rows)
+	s.RecordRows(SystemRecorderTable, rows)
 }
 
 // SnapshotRows converts a metrics snapshot into __system.metrics rows: one

@@ -105,47 +105,60 @@ func TestSinkSnapshotRows(t *testing.T) {
 	}
 }
 
-func TestSinkTraceSuppressionAndSampling(t *testing.T) {
+func TestSinkSpanRowsAndSuppression(t *testing.T) {
 	var c collectEmit
-	s := NewSink(SinkConfig{
-		Emit:            c.emit,
-		Source:          "aggd",
-		MetricsInterval: -1,
-		TraceSampleN:    2,
-		Clock:           fixedClock(100),
-	})
+	s := NewSink(SinkConfig{Emit: c.emit, Source: "aggd", MetricsInterval: -1})
 	defer s.Close()
 
-	// Recursion suppression: a trace of a __system query never lands.
-	s.RecordTrace(Trace{TraceID: 1, Table: SystemLeafMetricsTable, Slow: true})
-	// Slow traces are always kept, sampling notwithstanding.
-	for i := 0; i < 3; i++ {
-		s.RecordTrace(Trace{TraceID: uint64(10 + i), Table: "service_logs", Slow: true, DurationNanos: 5e6})
-	}
-	// Non-slow traces sample 1-in-2.
-	for i := 0; i < 4; i++ {
-		s.RecordTrace(Trace{TraceID: uint64(20 + i), Table: "service_logs"})
-	}
+	// Recursion suppression: no span of a __system query ever lands — not
+	// the root, not a leaf's.
+	s.RecordSpans(mkTrace(1, time.Millisecond, Span{SpanID: 2, Leaf: "a", Table: SystemLeafMetricsTable}).
+		retable(SystemLeafMetricsTable))
+	// A restart step that carried a __system table is not a query: it lands.
+	s.RecordSpans(Trace{{TraceID: 3, Kind: KindRestart, Half: HalfStart, Phase: PhaseTableCopyIn,
+		Table: SystemMetricsTable, Recovery: "memory", Blocks: 2, Start: time.UnixMicro(7_000_001)}})
+	// A query trace is a root row and a row per leaf, under one trace ID.
+	tr := mkTrace(10, 5*time.Millisecond,
+		Span{SpanID: 11, Leaf: "leaf0", Duration: 3 * time.Millisecond, Recovery: "memory", Shards: []int{0, 2}},
+		Span{SpanID: 12, Leaf: "leaf1", Duration: 4 * time.Millisecond, Err: "leaf restarting"},
+	).retable("service_logs")
+	tr[0].Slow, tr[0].ShardsTotal, tr[0].ShardsAnswered = true, 4, 2
+	s.RecordSpans(tr)
 	s.Flush()
 
 	rows := c.get(SystemTracesTable)
-	if len(rows) != 5 { // 3 slow + 2 of 4 sampled
-		t.Fatalf("trace rows = %d, want 5: %+v", len(rows), rows)
+	if len(rows) != 4 {
+		t.Fatalf("span rows = %d, want 1 restart + 1 root + 2 leaves: %+v", len(rows), rows)
 	}
-	for _, r := range rows {
-		if r.Cols["table"].Str == SystemLeafMetricsTable {
-			t.Errorf("suppressed system-table trace leaked: %+v", r)
+	if r := rows[0].Cols; r["kind"].Str != KindRestart || r["table"].Str != SystemMetricsTable ||
+		rows[0].Time != 7 || r["t_us"].Int != 7_000_001 || r["blocks"].Int != 2 {
+		t.Errorf("restart row = %+v at %d", r, rows[0].Time)
+	}
+	root, l0, l1 := rows[1].Cols, rows[2].Cols, rows[3].Cols
+	if root["kind"].Str != KindQuery || root["slow"].Int != 1 || root["query"].Str == "" ||
+		root["shards_total"].Int != 4 || root["shards_answered"].Int != 2 || root["duration_us"].Int != 5000 {
+		t.Errorf("root row = %+v", root)
+	}
+	for _, r := range []map[string]rowblock.Value{l0, l1} {
+		if r["kind"].Str != KindQueryLeaf || r["trace_id"].Int != 10 || r["parent"].Int != root["span_id"].Int ||
+			r["table"].Str != "service_logs" || r["source"].Str != "aggd" {
+			t.Errorf("leaf row = %+v, want a child of root %d", r, root["span_id"].Int)
 		}
 	}
-	slow := 0
-	for _, r := range rows {
-		if r.Cols["slow"].Int == 1 {
-			slow++
-		}
+	if l0["leaf"].Str != "leaf0" || l0["recovery"].Str != "memory" || l0["shards"].Int != 2 || l0["err"].Str != "" {
+		t.Errorf("answered leaf row = %+v", l0)
 	}
-	if slow != 3 {
-		t.Errorf("slow rows = %d, want 3", slow)
+	if l1["leaf"].Str != "leaf1" || l1["err"].Str != "leaf restarting" || l1["duration_us"].Int != 4000 {
+		t.Errorf("failed leaf row = %+v", l1)
 	}
+}
+
+// retable sets the queried table on every span of a hand-made trace.
+func (t Trace) retable(table string) Trace {
+	for i := range t {
+		t[i].Table = table
+	}
+	return t
 }
 
 func TestSinkRecorderEvents(t *testing.T) {
@@ -227,7 +240,7 @@ func TestSinkCloseDeliversQueued(t *testing.T) {
 	// Nil sink: every method is a no-op.
 	var nilSink *Sink
 	nilSink.RecordRows(SystemRolloverTable, row)
-	nilSink.RecordTrace(Trace{})
+	nilSink.RecordSpans(Trace{{Kind: KindQuery}})
 	nilSink.RecordSnapshot()
 	nilSink.Close()
 	if nilSink.Flush() {

@@ -3,11 +3,11 @@ package obs
 // Distributed per-query tracing, Dapper-style: the aggregator that receives
 // a query stamps it with a trace ID and one span ID per leaf RPC; the wire
 // protocol carries the context in the request envelope, each leaf answers
-// with an ExecStats block, and the aggregator assembles the spans into a
-// Trace. Traces land in two bounded in-memory rings — the last N queries and
-// a tail-sampled slow-query log — served at /debug/traces and /debug/slow on
-// the aggregator daemon, so any single slow query can be explained end to
-// end while leaves restart and roll over.
+// with an ExecStats block, and the aggregator assembles a root span and one
+// span per leaf (span.go) into a Trace. Traces land in two bounded in-memory
+// rings — the last N queries and a tail-sampled slow-query log — served at
+// /debug/traces and /debug/slow on the aggregator daemon, so any single slow
+// query can be explained end to end while leaves restart and roll over.
 
 import (
 	"math/rand"
@@ -62,111 +62,37 @@ type ExecStats struct {
 }
 
 // DominantPhase names the largest phase of the breakdown and its share of
-// the summed phase time (0 when nothing was recorded).
-func (e *ExecStats) DominantPhase() (string, int64) {
-	name, v := "decode", e.DecodeNanos
-	if e.PruneNanos > v {
-		name, v = "prune", e.PruneNanos
-	}
-	if e.ScanNanos > v {
-		name, v = "scan", e.ScanNanos
-	}
-	if e.MergeNanos > v {
-		name, v = "merge", e.MergeNanos
-	}
-	if v == 0 {
-		return "", 0
+// the summed phase time ("" and 0 when nothing was recorded).
+func (e *ExecStats) DominantPhase() (name string, v int64) {
+	for _, p := range []struct {
+		name string
+		v    int64
+	}{{"decode", e.DecodeNanos}, {"prune", e.PruneNanos}, {"scan", e.ScanNanos}, {"merge", e.MergeNanos}} {
+		if p.v > v {
+			name, v = p.name, p.v
+		}
 	}
 	return name, v
-}
-
-// LeafSpan is one leaf's slot in an assembled trace.
-type LeafSpan struct {
-	SpanID uint64 `json:"span_id"`
-	// Leaf labels the target (its address in a distributed deployment).
-	Leaf string `json:"leaf"`
-	// Answered is false for leaves that errored or were abandoned at the
-	// aggregator's per-leaf deadline — the trace shows exactly which leaf's
-	// data is missing from a partial result.
-	Answered bool `json:"answered"`
-	// RTTNanos is the aggregator-observed round trip (dial + RPC + decode);
-	// RTT minus the leaf's own LatencyNanos is time lost to the network and
-	// retries. Abandoned leaves record the elapsed time at abandonment.
-	RTTNanos int64 `json:"rtt_nanos"`
-	// Err is the transport or leaf error for unanswered spans.
-	Err string `json:"err,omitempty"`
-	// Shards lists the shards this leaf was asked to serve (nil on
-	// unsharded deployments); an unanswered span's Shards are exactly the
-	// shards whose data is missing from the partial result.
-	Shards []int `json:"shards,omitempty"`
-	// Exec is the leaf's execution report (nil when the leaf predates the
-	// trace protocol, errored, or was abandoned).
-	Exec *ExecStats `json:"exec,omitempty"`
-}
-
-// Trace is one query's assembled cross-leaf trace.
-type Trace struct {
-	TraceID uint64 `json:"trace_id"`
-	// Query is the query's rendered form (SELECT ... FROM ...).
-	Query string `json:"query"`
-	// Table is the queried table. The self-telemetry sink keys its
-	// recursion suppression on it: traces of __system.* queries are never
-	// fed back into __system.traces. Additive — older traces decode with
-	// it empty.
-	Table string    `json:"table,omitempty"`
-	Start time.Time `json:"start"`
-	// DurationNanos is end-to-end aggregator time: fan-out, merge, finalize.
-	DurationNanos  int64 `json:"duration_nanos"`
-	LeavesTotal    int   `json:"leaves_total"`
-	LeavesAnswered int   `json:"leaves_answered"`
-	// Per-shard coverage, mirroring the merged Result's ShardsTotal and
-	// ShardsAnswered exactly (zero when the aggregator routes unsharded) —
-	// the regression tests pin that /debug/traces and the dashboard
-	// counters can never disagree.
-	ShardsTotal    int        `json:"shards_total,omitempty"`
-	ShardsAnswered int        `json:"shards_answered,omitempty"`
-	Slow           bool       `json:"slow"`
-	Spans          []LeafSpan `json:"spans"`
-}
-
-// SlowestSpan returns the answered span with the largest RTT (nil when none
-// answered).
-func (t *Trace) SlowestSpan() *LeafSpan {
-	var slow *LeafSpan
-	for i := range t.Spans {
-		sp := &t.Spans[i]
-		if !sp.Answered {
-			continue
-		}
-		if slow == nil || sp.RTTNanos > slow.RTTNanos {
-			slow = sp
-		}
-	}
-	return slow
 }
 
 // TracerOptions configure the trace rings.
 type TracerOptions struct {
 	// Capacity bounds the recent-trace ring (default 64).
 	Capacity int
-	// SlowCapacity bounds the slow-query ring (default 32).
-	SlowCapacity int
 	// SlowThreshold marks queries at or above this duration as slow. Zero
-	// selects adaptive tail sampling: once MinSamples latencies have been
-	// observed, anything at or above the running p99 is kept — "the slowest
+	// selects adaptive tail sampling: once adaptiveMinSamples latencies have
+	// been observed, anything above the running p99 is kept — "the slowest
 	// ~1% of whatever the workload currently is" without hand-tuning.
 	SlowThreshold time.Duration
-	// MinSamples is how many latencies adaptive sampling needs before it
-	// starts flagging (default 32; ignored with a fixed threshold).
-	MinSamples int64
-	// Metrics, when non-nil, receives trace.count and trace.slow counters.
-	Metrics *metrics.Registry
-	// OnRecord, when non-nil, observes every recorded trace after slow
-	// classification and span dedupe, outside the tracer's lock. The
-	// self-telemetry sink hooks here to turn completed traces into
-	// __system.traces rows.
-	OnRecord func(Trace)
 }
+
+const (
+	// slowRingCapacity bounds the slow-query ring.
+	slowRingCapacity = 32
+	// adaptiveMinSamples is how many latencies adaptive sampling needs before
+	// it starts flagging.
+	adaptiveMinSamples = 32
+)
 
 // idRand feeds the trace/span ID generators. math/rand suffices: IDs only
 // need to be unique within one aggregator's retained rings, not secret.
@@ -186,10 +112,11 @@ func RandomID() uint64 {
 	}
 }
 
-// Tracer assembles and retains traces on behalf of one aggregator. All
+// Tracer assembles and retains query traces on behalf of one aggregator. All
 // methods are safe for concurrent use; a nil *Tracer is a valid no-op for
 // the ID generators, so callers can stamp unconditionally.
 type Tracer struct {
+	o    *Observer // nil: traces are kept in the rings and go nowhere else
 	opts TracerOptions
 
 	mu     sync.Mutex
@@ -201,36 +128,27 @@ type Tracer struct {
 	slowCount  *metrics.Counter
 }
 
-// NewTracer creates a tracer. The zero options give a 64-trace ring, a
-// 32-trace slow log, and adaptive (p99) slow sampling.
-func NewTracer(opts TracerOptions) *Tracer {
+// Tracer creates a tracer whose finished traces feed the observer's span
+// hooks and whose trace.count / trace.slow counters live in its registry.
+// The zero options give a 64-trace ring and adaptive (p99) slow sampling.
+// Works on a nil Observer: the rings still fill.
+func (o *Observer) Tracer(opts TracerOptions) *Tracer {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 64
 	}
-	if opts.SlowCapacity <= 0 {
-		opts.SlowCapacity = 32
-	}
-	if opts.MinSamples <= 0 {
-		opts.MinSamples = 32
-	}
-	t := &Tracer{
-		opts: opts,
-		lat:  &metrics.Histogram{},
-	}
-	if reg := opts.Metrics; reg != nil {
-		t.traceCount = reg.Counter("trace.count")
-		t.slowCount = reg.Counter("trace.slow")
+	t := &Tracer{o: o, opts: opts, lat: &metrics.Histogram{}, traceCount: &metrics.Counter{}, slowCount: &metrics.Counter{}}
+	if reg := o.Registry(); reg != nil {
+		t.traceCount, t.slowCount = reg.Counter("trace.count"), reg.Counter("trace.slow")
 	}
 	return t
 }
 
-// SlowThreshold reports the configured fixed threshold (0 = adaptive).
-func (t *Tracer) SlowThreshold() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.opts.SlowThreshold
-}
+// NewTracer creates a tracer that feeds nothing but its own rings.
+func NewTracer(opts TracerOptions) *Tracer { return (*Observer)(nil).Tracer(opts) }
+
+// newTraceID mints a nonzero trace ID of 63 bits: it is an int64 column of
+// __system.traces and __system.profiles, and must read back as itself.
+func newTraceID() uint64 { return RandomID()>>1 | 1 }
 
 // NewTraceID returns a fresh nonzero trace ID — 0 on a nil tracer, which
 // callers read as "this query is untraced".
@@ -238,36 +156,32 @@ func (t *Tracer) NewTraceID() uint64 {
 	if t == nil {
 		return 0
 	}
-	return RandomID()
+	return newTraceID()
 }
 
-// Record files a completed trace: spans are deduplicated by span ID (a
-// retried RPC must not produce duplicate leaf spans — the attempt that
-// answered wins), the trace is classified slow or not, and it is inserted
-// into the bounded rings. It reports whether the trace was kept as slow.
+// Record files a completed query trace, root span first: the spans after it
+// are deduplicated by span ID (a retried RPC must not produce duplicate leaf
+// spans — the attempt that answered wins), the root is classified slow or
+// not, the trace is inserted into the bounded rings and handed to the
+// observer's span hooks. It reports whether the trace was kept as slow.
 func (t *Tracer) Record(tr Trace) bool {
-	if t == nil {
+	if t == nil || len(tr) == 0 {
 		return false
 	}
-	tr.Spans = dedupeSpans(tr.Spans)
+	tr = dedupeSpans(tr)
+	root := &tr[0]
 	t.mu.Lock()
-	tr.Slow = t.isSlowLocked(time.Duration(tr.DurationNanos))
-	t.lat.ObserveDuration(time.Duration(tr.DurationNanos))
+	root.Slow = t.isSlowLocked(root.Duration)
+	t.lat.ObserveDuration(root.Duration)
 	t.recent = appendBounded(t.recent, tr, t.opts.Capacity)
-	if tr.Slow {
-		t.slow = appendBounded(t.slow, tr, t.opts.SlowCapacity)
-		if t.slowCount != nil {
-			t.slowCount.Add(1)
-		}
+	if root.Slow {
+		t.slow = appendBounded(t.slow, tr, slowRingCapacity)
+		t.slowCount.Add(1)
 	}
-	if t.traceCount != nil {
-		t.traceCount.Add(1)
-	}
+	t.traceCount.Add(1)
 	t.mu.Unlock()
-	if t.opts.OnRecord != nil {
-		t.opts.OnRecord(tr)
-	}
-	return tr.Slow
+	t.o.spansFinished(tr)
+	return root.Slow
 }
 
 // isSlowLocked applies the fixed threshold, or the adaptive p99 rule once
@@ -278,7 +192,7 @@ func (t *Tracer) isSlowLocked(d time.Duration) bool {
 		return d >= th
 	}
 	st := t.lat.Stats()
-	if st.Count < t.opts.MinSamples {
+	if st.Count < adaptiveMinSamples {
 		return false
 	}
 	// Strictly above p99: in a tight uniform workload the typical latency
@@ -290,7 +204,7 @@ func (t *Tracer) isSlowLocked(d time.Duration) bool {
 // dedupeSpans keeps one span per span ID, preferring the one that answered
 // (and among answered duplicates, the first — the attempt whose response the
 // client returned). Spans without IDs (untraced targets) pass through.
-func dedupeSpans(spans []LeafSpan) []LeafSpan {
+func dedupeSpans(spans Trace) Trace {
 	seen := make(map[uint64]int, len(spans))
 	out := spans[:0]
 	for _, sp := range spans {
@@ -299,7 +213,7 @@ func dedupeSpans(spans []LeafSpan) []LeafSpan {
 			continue
 		}
 		if j, ok := seen[sp.SpanID]; ok {
-			if !out[j].Answered && sp.Answered {
+			if out[j].Err != "" && sp.Err == "" {
 				out[j] = sp
 			}
 			continue
@@ -343,17 +257,16 @@ func (t *Tracer) Slow() []Trace {
 
 // Get returns the trace with the given ID from either ring (nil if it has
 // rotated out).
-func (t *Tracer) Get(id uint64) *Trace {
+func (t *Tracer) Get(id uint64) Trace {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, ring := range [][]Trace{t.recent, t.slow} {
-		for i := range ring {
-			if ring[i].TraceID == id {
-				tr := ring[i]
-				return &tr
+		for _, tr := range ring {
+			if tr[0].TraceID == id {
+				return tr
 			}
 		}
 	}

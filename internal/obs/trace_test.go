@@ -1,16 +1,32 @@
 package obs
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"scuba/internal/metrics"
 )
 
-func mkTrace(id uint64, d time.Duration, spans ...LeafSpan) Trace {
-	return Trace{TraceID: id, Query: "SELECT count() FROM events", Start: time.Unix(1000, 0),
-		DurationNanos: d.Nanoseconds(), LeavesTotal: len(spans), LeavesAnswered: len(spans),
-		Spans: spans}
+// mkTrace builds a query trace the way the aggregator does: the root, then
+// the leaf spans under it.
+func mkTrace(id uint64, d time.Duration, leaves ...Span) Trace {
+	tr := Trace{{TraceID: id, SpanID: 1 << 40, Kind: KindQuery, Query: "SELECT count() FROM events",
+		Start: time.Unix(1000, 0), Duration: d}}
+	for _, sp := range leaves {
+		sp.TraceID, sp.Parent, sp.Kind = id, 1<<40, KindQueryLeaf
+		tr = append(tr, sp)
+	}
+	return tr
+}
+
+// ids lists the trace IDs of a ring dump.
+func ids(traces []Trace) []uint64 {
+	out := make([]uint64, len(traces))
+	for i, tr := range traces {
+		out[i] = tr.Root().TraceID
+	}
+	return out
 }
 
 func TestRandomIDNonzero(t *testing.T) {
@@ -32,24 +48,21 @@ func TestRandomIDNonzero(t *testing.T) {
 }
 
 func TestTracerRingBounds(t *testing.T) {
-	tr := NewTracer(TracerOptions{Capacity: 4, SlowCapacity: 2, SlowThreshold: time.Millisecond})
-	for i := 1; i <= 10; i++ {
+	tr := NewTracer(TracerOptions{Capacity: 4, SlowThreshold: time.Millisecond})
+	for i := 1; i <= 40; i++ {
 		tr.Record(mkTrace(uint64(i), 2*time.Millisecond)) // all slow
 	}
-	recent := tr.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("recent = %d, want capacity 4", len(recent))
+	if recent := ids(tr.Recent()); !reflect.DeepEqual(recent, []uint64{40, 39, 38, 37}) {
+		t.Fatalf("recent = %v, want the newest 4 of 40, newest first", recent)
 	}
-	// Newest first: 10, 9, 8, 7.
-	if recent[0].TraceID != 10 || recent[3].TraceID != 7 {
-		t.Fatalf("recent order wrong: %d..%d", recent[0].TraceID, recent[3].TraceID)
+	if slow := ids(tr.Slow()); len(slow) != slowRingCapacity || slow[0] != 40 || slow[1] != 39 {
+		t.Fatalf("slow ring = %v, want the newest %d", slow, slowRingCapacity)
 	}
-	slow := tr.Slow()
-	if len(slow) != 2 || slow[0].TraceID != 10 || slow[1].TraceID != 9 {
-		t.Fatalf("slow ring wrong: %+v", slow)
+	if got := tr.Get(39); got.Root().TraceID != 39 {
+		t.Fatalf("Get(39) = %+v (still in recent ring)", got)
 	}
-	if got := tr.Get(9); got == nil || got.TraceID != 9 {
-		t.Fatalf("Get(9) = %+v (still in recent ring)", got)
+	if got := tr.Get(20); got.Root().TraceID != 20 {
+		t.Fatalf("Get(20) = %+v (still in the slow ring)", got)
 	}
 	if got := tr.Get(1); got != nil {
 		t.Fatalf("Get(1) = %+v, want nil (rotated out of both rings)", got)
@@ -65,16 +78,16 @@ func TestFixedSlowThreshold(t *testing.T) {
 		t.Fatal("150ms not marked slow under a 100ms threshold")
 	}
 	slow := tr.Slow()
-	if len(slow) != 1 || slow[0].TraceID != 2 || !slow[0].Slow {
+	if len(slow) != 1 || slow[0].Root().TraceID != 2 || !slow[0].Root().Slow {
 		t.Fatalf("slow ring = %+v", slow)
 	}
 }
 
 func TestAdaptiveSlowThreshold(t *testing.T) {
-	tr := NewTracer(TracerOptions{MinSamples: 32})
-	// Below MinSamples nothing is slow, however extreme.
+	tr := NewTracer(TracerOptions{})
+	// Below adaptiveMinSamples nothing is slow, however extreme.
 	if tr.Record(mkTrace(1, time.Hour)) {
-		t.Fatal("flagged slow before MinSamples latencies observed")
+		t.Fatal("flagged slow before adaptiveMinSamples latencies observed")
 	}
 	// Feed a tight 1ms workload, then an outlier: the outlier must land in
 	// the slow ring, and a typical query must not.
@@ -94,16 +107,16 @@ func TestSpanDedupe(t *testing.T) {
 	// Three records of span 7 (a retried RPC observed three ways) plus an
 	// unrelated span: the answered attempt must win, order preserved.
 	tr.Record(mkTrace(1, time.Millisecond,
-		LeafSpan{SpanID: 7, Leaf: "a", Answered: false, Err: "conn reset"},
-		LeafSpan{SpanID: 9, Leaf: "b", Answered: true},
-		LeafSpan{SpanID: 7, Leaf: "a", Answered: true, Exec: &ExecStats{SpanID: 7, RowsScanned: 42}},
-		LeafSpan{SpanID: 7, Leaf: "a", Answered: true, Exec: &ExecStats{SpanID: 7, RowsScanned: 1}},
+		Span{SpanID: 7, Leaf: "a", Err: "conn reset"},
+		Span{SpanID: 9, Leaf: "b"},
+		Span{SpanID: 7, Leaf: "a", Exec: &ExecStats{SpanID: 7, RowsScanned: 42}},
+		Span{SpanID: 7, Leaf: "a", Exec: &ExecStats{SpanID: 7, RowsScanned: 1}},
 	))
-	got := tr.Recent()[0].Spans
+	got := tr.Recent()[0].Leaves()
 	if len(got) != 2 {
 		t.Fatalf("spans after dedupe = %d, want 2: %+v", len(got), got)
 	}
-	if got[0].SpanID != 7 || !got[0].Answered || got[0].Exec == nil || got[0].Exec.RowsScanned != 42 {
+	if got[0].SpanID != 7 || got[0].Err != "" || got[0].Exec == nil || got[0].Exec.RowsScanned != 42 {
 		t.Fatalf("dedupe kept wrong attempt: %+v", got[0])
 	}
 	if got[1].SpanID != 9 {
@@ -113,7 +126,7 @@ func TestSpanDedupe(t *testing.T) {
 
 func TestTracerMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	tr := NewTracer(TracerOptions{SlowThreshold: 10 * time.Millisecond, Metrics: reg})
+	tr := New(reg, nil).Tracer(TracerOptions{SlowThreshold: 10 * time.Millisecond})
 	tr.Record(mkTrace(1, time.Millisecond))
 	tr.Record(mkTrace(2, 20*time.Millisecond))
 	snap := reg.Snapshot()
@@ -132,18 +145,20 @@ func TestDominantPhase(t *testing.T) {
 	}
 }
 
-func TestSlowestSpan(t *testing.T) {
+func TestSlowestLeaf(t *testing.T) {
 	tr := mkTrace(1, time.Second,
-		LeafSpan{SpanID: 1, Leaf: "a", Answered: true, RTTNanos: 100},
-		LeafSpan{SpanID: 2, Leaf: "b", Answered: false, RTTNanos: 999}, // unanswered never wins
-		LeafSpan{SpanID: 3, Leaf: "c", Answered: true, RTTNanos: 300},
+		Span{SpanID: 1, Leaf: "a", Duration: 100},
+		Span{SpanID: 2, Leaf: "b", Duration: 999, Err: "abandoned at leaf deadline"}, // unanswered never wins
+		Span{SpanID: 3, Leaf: "c", Duration: 300},
 	)
-	if sp := tr.SlowestSpan(); sp == nil || sp.Leaf != "c" {
-		t.Fatalf("SlowestSpan = %+v, want leaf c", sp)
+	if sp := tr.Slowest(); sp.Leaf != "c" {
+		t.Fatalf("Slowest = %+v, want leaf c (not the root, not the failed leaf)", sp)
 	}
-	empty := mkTrace(2, time.Second)
-	if sp := empty.SlowestSpan(); sp != nil {
-		t.Fatalf("SlowestSpan on empty trace = %+v", sp)
+	if n, of := tr.Leaves().Answered(), len(tr.Leaves()); n != 2 || of != 3 {
+		t.Fatalf("coverage over the children = %d/%d, want 2/3", n, of)
+	}
+	if sp := mkTrace(2, time.Second).Slowest(); sp.SpanID != 0 {
+		t.Fatalf("Slowest on a trace with no leaves = %+v", sp)
 	}
 }
 
@@ -154,7 +169,7 @@ func TestTracerConcurrency(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 500; i++ {
 			tr.Record(mkTrace(RandomID(), time.Millisecond,
-				LeafSpan{SpanID: RandomID(), Answered: true}))
+				Span{SpanID: RandomID()}))
 		}
 	}()
 	for i := 0; i < 500; i++ {

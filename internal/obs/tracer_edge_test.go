@@ -8,14 +8,14 @@ import (
 // Adaptive slow-query sampling edge cases pinned: the warm-up window, ties
 // at the running p99, and ring wraparound.
 
-// During the first MinSamples observations the adaptive sampler must stay
+// During the first adaptiveMinSamples observations the adaptive sampler must stay
 // silent — there is no distribution to judge against yet — no matter how
 // slow the queries are.
 func TestTracerAdaptiveWarmupNeverSlow(t *testing.T) {
-	tr := NewTracer(TracerOptions{Capacity: 128, SlowCapacity: 128}) // MinSamples defaults to 32
-	for i := 0; i < 32; i++ {
+	tr := NewTracer(TracerOptions{Capacity: 128})
+	for i := 0; i < adaptiveMinSamples; i++ {
 		d := time.Duration(i+1) * time.Hour // absurdly slow
-		if tr.Record(Trace{TraceID: uint64(i + 1), DurationNanos: d.Nanoseconds()}) {
+		if tr.Record(mkTrace(uint64(i+1), d)) {
 			t.Fatalf("sample %d flagged slow during warm-up", i)
 		}
 	}
@@ -28,72 +28,38 @@ func TestTracerAdaptiveWarmupNeverSlow(t *testing.T) {
 // workload the typical latency is the p99 estimate, and the slow log should
 // stay empty until a genuine outlier arrives.
 func TestTracerAdaptiveTieAtP99(t *testing.T) {
-	tr := NewTracer(TracerOptions{Capacity: 128, SlowCapacity: 128})
+	tr := NewTracer(TracerOptions{Capacity: 128})
 	d := 1024 * time.Microsecond // exact power of two: bucket midpoint clamps to it
 	for i := 0; i < 32; i++ {
-		tr.Record(Trace{TraceID: uint64(i + 1), DurationNanos: d.Nanoseconds()})
+		tr.Record(mkTrace(uint64(i+1), d))
 	}
 	// Past warm-up now. The same latency again ties the running p99.
-	if tr.Record(Trace{TraceID: 100, DurationNanos: d.Nanoseconds()}) {
+	if tr.Record(mkTrace(100, d)) {
 		t.Fatal("tie at running p99 flagged slow; rule is strictly-above")
 	}
 	// A real outlier is caught.
-	if !tr.Record(Trace{TraceID: 101, DurationNanos: (100 * d).Nanoseconds()}) {
+	if !tr.Record(mkTrace(101, (100 * d))) {
 		t.Fatal("100x outlier not flagged slow")
 	}
 	slow := tr.Slow()
-	if len(slow) != 1 || slow[0].TraceID != 101 {
+	if len(slow) != 1 || slow[0].Root().TraceID != 101 {
 		t.Fatalf("slow log = %+v", slow)
 	}
 }
 
-// The recent ring drops oldest-first once full; Get finds only retained
-// traces; Recent returns newest first. The slow ring is bounded the same way.
-func TestTracerRingWraparound(t *testing.T) {
-	tr := NewTracer(TracerOptions{
-		Capacity:      4,
-		SlowCapacity:  2,
-		SlowThreshold: time.Millisecond,
-	})
-	for i := 1; i <= 10; i++ {
-		tr.Record(Trace{TraceID: uint64(i), DurationNanos: (2 * time.Millisecond).Nanoseconds()})
-	}
-	recent := tr.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("recent len = %d, want 4", len(recent))
-	}
-	for i, want := range []uint64{10, 9, 8, 7} { // newest first
-		if recent[i].TraceID != want {
-			t.Fatalf("recent[%d] = %d, want %d (full: %+v)", i, recent[i].TraceID, want, recent)
-		}
-	}
-	slow := tr.Slow()
-	if len(slow) != 2 || slow[0].TraceID != 10 || slow[1].TraceID != 9 {
-		t.Fatalf("slow ring = %+v", slow)
-	}
-	// Rotated-out traces are gone from both rings; retained ones resolve.
-	if got := tr.Get(3); got != nil {
-		t.Errorf("Get(3) = %+v, want nil after rotation", got)
-	}
-	if got := tr.Get(10); got == nil || got.TraceID != 10 {
-		t.Errorf("Get(10) = %+v", got)
-	}
-}
-
-// The OnRecord hook observes every recorded trace after classification,
-// with Slow already set.
-func TestTracerOnRecordHook(t *testing.T) {
+// The finished-span hook observes every recorded trace after
+// classification, with the root's Slow already set.
+func TestTracerFeedsTheSpanHook(t *testing.T) {
 	var seen []Trace
-	tr := NewTracer(TracerOptions{
-		SlowThreshold: time.Millisecond,
-		OnRecord:      func(tr Trace) { seen = append(seen, tr) },
-	})
-	tr.Record(Trace{TraceID: 1, DurationNanos: (2 * time.Millisecond).Nanoseconds()})
-	tr.Record(Trace{TraceID: 2, DurationNanos: time.Microsecond.Nanoseconds()})
-	if len(seen) != 2 {
-		t.Fatalf("hook saw %d traces, want 2", len(seen))
+	ob := New(nil, nil)
+	ob.OnSpans(func(tr Trace) { seen = append(seen, tr) })
+	tr := ob.Tracer(TracerOptions{SlowThreshold: time.Millisecond})
+	tr.Record(mkTrace(1, 2*time.Millisecond, Span{SpanID: 5, Leaf: "a"}))
+	tr.Record(mkTrace(2, time.Microsecond))
+	if len(seen) != 2 || len(seen[0]) != 2 {
+		t.Fatalf("hook saw %+v, want 2 traces, the first a root and a leaf", seen)
 	}
-	if !seen[0].Slow || seen[1].Slow {
+	if !seen[0].Root().Slow || seen[1].Root().Slow {
 		t.Errorf("hook saw wrong classification: %+v", seen)
 	}
 }

@@ -161,33 +161,29 @@ func (p *Profiler) Close() {
 	p.wg.Wait()
 }
 
-// OnTrace is the tracer OnRecord hook: a slow trace triggers an anomaly
-// capture tagged with its trace ID. Traces of __system queries are ignored —
+// OnSpans is the observer's finished-span hook (obs.Observer.OnSpans): a span
+// its producer marked Slow triggers an anomaly capture tagged with its trace
+// ID, so the functions that were hot join the waterfall that shows where the
+// time went — a query's root over the tracer's slow threshold, a restart step
+// over the observer's budget. Queries of __system tables are ignored:
 // profiling the profile queries would feed back into itself. Safe on nil.
-func (p *Profiler) OnTrace(tr obs.Trace) {
-	if p == nil || !tr.Slow || obs.IsSystemTable(tr.Table) {
-		return
+func (p *Profiler) OnSpans(spans obs.Trace) {
+	for _, sp := range spans {
+		switch {
+		case !sp.Slow: // most spans
+		case sp.Kind == obs.KindRestart:
+			detail := "phase=" + sp.Phase + " took=" + sp.Duration.String()
+			if sp.Table != "" {
+				detail += " table=" + sp.Table
+			}
+			if sp.Recovery != "" {
+				detail += " source=" + sp.Recovery
+			}
+			p.TriggerCapture(TriggerRestart, detail, sp.TraceID)
+		case sp.Kind == obs.KindQuery && !obs.IsSystemTable(sp.Table):
+			p.TriggerCapture(TriggerSlowQuery, sp.Query[:min(len(sp.Query), 256)], sp.TraceID)
+		}
 	}
-	q := tr.Query
-	if len(q) > 256 {
-		q = q[:256]
-	}
-	p.TriggerCapture(TriggerSlowQuery, q, tr.TraceID)
-}
-
-// OnRestartSpan is the restart ledger's over-budget hook
-// (obs.Observer.SetBudget): a span that ran longer than the budget triggers a
-// capture tagged with the restart's trace ID, so the functions that were hot
-// join the waterfall that shows where the time went. Safe on nil.
-func (p *Profiler) OnRestartSpan(sp obs.RestartSpan) {
-	detail := "phase=" + sp.Phase + " took=" + sp.Duration.String()
-	if sp.Table != "" {
-		detail += " table=" + sp.Table
-	}
-	if sp.Source != "" {
-		detail += " source=" + sp.Source
-	}
-	p.TriggerCapture(TriggerRestart, detail, sp.TraceID)
 }
 
 // TriggerCapture requests an anomaly capture. It never blocks: within the

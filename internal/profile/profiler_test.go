@@ -115,13 +115,14 @@ func TestCaptureEmitsTotalAndSchema(t *testing.T) {
 	}
 }
 
-func TestOnTraceTriggersTaggedCapture(t *testing.T) {
+func TestSlowQueryTriggersTaggedCapture(t *testing.T) {
 	trap := &rowTrap{}
 	p := newTestProfiler(t, trap, nil)
 
-	p.OnTrace(obs.Trace{Slow: false, TraceID: 1, Table: "events"})
-	p.OnTrace(obs.Trace{Slow: true, TraceID: 2, Table: obs.SystemMetricsTable})
-	p.OnTrace(obs.Trace{Slow: true, TraceID: 4242, Table: "events", Query: "SELECT count FROM events"})
+	p.OnSpans(obs.Trace{{Kind: obs.KindQuery, Slow: false, TraceID: 1, Table: "events"}})
+	p.OnSpans(obs.Trace{{Kind: obs.KindQuery, Slow: true, TraceID: 2, Table: obs.SystemMetricsTable}})
+	p.OnSpans(obs.Trace{{Kind: obs.KindQuery, Slow: true, TraceID: 4242, Table: "events", Query: "SELECT count FROM events"},
+		{Kind: obs.KindQueryLeaf, TraceID: 4242, Table: "events", Leaf: "leaf0"}})
 
 	waitRows(t, func() bool { return len(trap.byTrigger(TriggerSlowQuery)) > 0 })
 	rows := trap.byTrigger(TriggerSlowQuery)
@@ -154,19 +155,23 @@ func TestAnomalyCooldown(t *testing.T) {
 	}
 }
 
-// The budget check lives in the restart ledger's Span.End; the profiler only
-// turns the span it is handed into a capture tagged with the restart's trace.
+// The budget check lives in the restart ledger's ActiveSpan.End, which marks
+// the span Slow; the profiler only turns the slow span it is handed into a
+// capture tagged with the restart's trace. The ledger hands its spans over
+// once the leaf is ALIVE.
 func TestRestartSpanOverBudgetCaptures(t *testing.T) {
 	trap := &rowTrap{}
 	p := newTestProfiler(t, trap, func(c *Config) { c.AnomalyCooldown = time.Nanosecond })
 	ob := obs.New(nil, nil)
-	ob.SetBudget(20*time.Millisecond, p.OnRestartSpan)
+	ob.SetBudget(20 * time.Millisecond)
+	ob.OnSpans(p.OnSpans)
 	r := ob.Restart(obs.HalfStart)
 	r.Begin(obs.PhaseMap, "", -1).End(nil) // under budget
 	sp := r.Begin(obs.PhaseTableReplay, "events", 0)
-	sp.Source = "wal"
+	sp.Recovery = "wal"
 	time.Sleep(30 * time.Millisecond) // over budget
 	sp.End(nil)
+	r.Begin(obs.PhaseAlive, "", -1).End(nil)
 
 	waitRows(t, func() bool { return len(trap.byTrigger(TriggerRestart)) > 0 })
 	for _, r2 := range trap.byTrigger(TriggerRestart) {
@@ -242,8 +247,8 @@ func TestSteadyCadence(t *testing.T) {
 func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
 	p.Close()
-	p.OnTrace(obs.Trace{Slow: true})
-	p.OnRestartSpan(obs.RestartSpan{Phase: obs.PhaseCopyIn, Duration: time.Hour})
+	p.OnSpans(obs.Trace{{Kind: obs.KindQuery, Slow: true},
+		{Kind: obs.KindRestart, Slow: true, Phase: obs.PhaseCopyIn, Duration: time.Hour}})
 	if p.TriggerCapture("x", "", 0) || p.CaptureNow("x", "", 0) {
 		t.Fatal("nil profiler captured")
 	}

@@ -46,16 +46,13 @@ func TestTraceOverWire(t *testing.T) {
 	if len(traces) != 1 {
 		t.Fatalf("recent traces = %d, want 1", len(traces))
 	}
-	tr := traces[0]
-	if tr.TraceID == 0 || tr.LeavesTotal != 2 || tr.LeavesAnswered != 2 {
-		t.Fatalf("trace header wrong: %+v", tr)
-	}
-	if len(tr.Spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(tr.Spans))
+	spans := traces[0].Leaves()
+	if traces[0].Root().TraceID == 0 || len(spans) != 2 || spans.Answered() != 2 {
+		t.Fatalf("trace wrong: %+v", traces[0])
 	}
 	var rows int64
-	for _, sp := range tr.Spans {
-		if !sp.Answered || sp.Exec == nil {
+	for _, sp := range spans {
+		if sp.Err != "" || sp.Exec == nil {
 			t.Fatalf("span not answered with exec stats: %+v", sp)
 		}
 		if sp.Exec.SpanID != sp.SpanID {
@@ -64,16 +61,16 @@ func TestTraceOverWire(t *testing.T) {
 		if sp.Exec.Recovery == "" || sp.Exec.Table != "events" {
 			t.Fatalf("exec stats incomplete: %+v", sp.Exec)
 		}
-		if sp.RTTNanos < sp.Exec.LatencyNanos {
-			t.Fatalf("rtt %d < leaf latency %d", sp.RTTNanos, sp.Exec.LatencyNanos)
+		if sp.Duration.Nanoseconds() < sp.Exec.LatencyNanos {
+			t.Fatalf("rtt %v < leaf latency %dns", sp.Duration, sp.Exec.LatencyNanos)
 		}
 		rows += sp.Exec.RowsScanned
 	}
 	if rows != 150 {
 		t.Fatalf("summed per-span rows = %d, want 150", rows)
 	}
-	if tr.Spans[0].Leaf != s0.Addr() || tr.Spans[1].Leaf != s1.Addr() {
-		t.Fatalf("span labels = %q/%q, want server addresses", tr.Spans[0].Leaf, tr.Spans[1].Leaf)
+	if spans[0].Leaf != s0.Addr() || spans[1].Leaf != s1.Addr() {
+		t.Fatalf("span labels = %q/%q, want server addresses", spans[0].Leaf, spans[1].Leaf)
 	}
 }
 
@@ -112,11 +109,11 @@ func TestTraceStableAcrossRetries(t *testing.T) {
 		t.Fatalf("recent traces = %d, want 1", len(traces))
 	}
 	tr := traces[0]
-	if len(tr.Spans) != 1 {
-		t.Fatalf("retried RPC produced %d spans, want 1: %+v", len(tr.Spans), tr.Spans)
+	if len(tr.Leaves()) != 1 {
+		t.Fatalf("retried RPC produced %d spans, want 1: %+v", len(tr.Leaves()), tr)
 	}
-	sp := tr.Spans[0]
-	if !sp.Answered || sp.Exec == nil {
+	sp := tr.Leaves()[0]
+	if sp.Err != "" || sp.Exec == nil {
 		t.Fatalf("retried span unanswered: %+v", sp)
 	}
 	if sp.Exec.SpanID != sp.SpanID {
@@ -140,6 +137,8 @@ func TestAggServerPropagatesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer as.Close()
+	subTracer := obs.NewTracer(obs.TracerOptions{})
+	as.Aggregator().Tracer = subTracer
 
 	up := Dial(as.Addr())
 	defer up.Close()
@@ -165,11 +164,17 @@ func TestAggServerPropagatesTrace(t *testing.T) {
 	if _, err := root.Query(countQuery()); err != nil {
 		t.Fatal(err)
 	}
-	sp := root.Tracer.Recent()[0].Spans[0]
-	if !sp.Answered || sp.Exec == nil {
+	sp := root.Tracer.Recent()[0].Leaves()[0]
+	if sp.Err != "" || sp.Exec == nil {
 		t.Fatalf("upstream span unanswered: %+v", sp)
 	}
-	if sp.Exec.LatencyNanos <= 0 || sp.Exec.LatencyNanos > sp.RTTNanos {
-		t.Fatalf("subtree latency %dns outside (0, RTT %dns]", sp.Exec.LatencyNanos, sp.RTTNanos)
+	if sp.Exec.LatencyNanos <= 0 || sp.Exec.LatencyNanos > sp.Duration.Nanoseconds() {
+		t.Fatalf("subtree latency %dns outside (0, RTT %v]", sp.Exec.LatencyNanos, sp.Duration)
+	}
+	// The subtree's own spans do not vanish into that one report: its
+	// aggregator's trace has the same ID and hangs under the upstream span.
+	sub := subTracer.Get(sp.TraceID)
+	if sub.Root().Parent != sp.SpanID || len(sub.Leaves()) != 1 || sub.Leaves()[0].Parent != sub.Root().SpanID {
+		t.Fatalf("subtree trace %+v does not hang under upstream span %d", sub, sp.SpanID)
 	}
 }

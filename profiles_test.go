@@ -115,7 +115,7 @@ func TestProfilesAcrossRollover(t *testing.T) {
 	// Phase 2: an in-process profiler shadows the aggregator's tracer, the
 	// way scuba-aggd composes them. A 1ns slow threshold makes the next
 	// service_logs query an anomaly; the capture it triggers must carry
-	// that query's trace ID. (OnTrace ignores __system queries, so the
+	// that query's trace ID. (OnSpans ignores __system queries, so the
 	// polling above and below can never trigger captures of its own.)
 	emit := func(table string, rows []scuba.Row) error {
 		var lastErr error
@@ -142,15 +142,13 @@ func TestProfilesAcrossRollover(t *testing.T) {
 	})
 	defer prof.Close()
 	var slowTraceID atomic.Uint64
-	pc.Aggregator().Tracer = scuba.NewTracer(scuba.TracerOptions{
-		SlowThreshold: time.Nanosecond,
-		OnRecord: func(tr scuba.Trace) {
-			if tr.Table == "service_logs" {
-				slowTraceID.CompareAndSwap(0, tr.TraceID)
-			}
-			prof.OnTrace(tr)
-		},
+	ob := scuba.NewObserver(nil, nil)
+	ob.OnSpans(prof.OnSpans, func(tr scuba.Trace) {
+		if root := tr.Root(); root.Table == "service_logs" {
+			slowTraceID.CompareAndSwap(0, root.TraceID)
+		}
 	})
+	pc.Aggregator().Tracer = ob.Tracer(scuba.TracerOptions{SlowThreshold: time.Nanosecond})
 
 	slowQ := &scuba.Query{
 		Table:        "service_logs",

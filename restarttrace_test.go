@@ -5,6 +5,8 @@ package scuba_test
 // and a crash restart (start half only) each land in __system.traces as one
 // trace, read back here through the aggregator, and the top-level span
 // durations read back sum to the gap this test measured with its own clock.
+// So is a query: its root and its per-leaf spans are rows of the same table
+// under the same columns, read back the same way.
 
 import (
 	"os"
@@ -38,6 +40,25 @@ func (p *tracedProc) exit(closeRecorder bool) {
 	}
 }
 
+// traceRows reads one trace back from __system.traces, once the sink has
+// delivered, with an ordinary group-by through cl.
+func traceRows(t *testing.T, sink *scuba.TelemetrySink, cl *scuba.Client, traceID uint64, groupBy []string, aggs ...scuba.Aggregation) []scuba.ResultRow {
+	t.Helper()
+	if !sink.Flush() {
+		t.Fatal("telemetry sink did not flush")
+	}
+	q := &scuba.Query{
+		Table: scuba.SystemTracesTable, From: 0, To: 1 << 40, Limit: 1000,
+		Filters: []scuba.Filter{{Column: "trace_id", Op: scuba.OpEq, Int: int64(traceID)}},
+		GroupBy: groupBy, Aggregations: aggs,
+	}
+	res, err := cl.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows(q)
+}
+
 func TestRestartTraceInSystemTraces(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.Mkdir(filepath.Join(dir, "shm"), 0o755); err != nil {
@@ -69,7 +90,7 @@ func TestRestartTraceInSystemTraces(t *testing.T) {
 			Emit: l.AddRows, Source: "leaf0", MetricsInterval: -1,
 			OnError: func(err error) { t.Errorf("telemetry: %v", err) },
 		})
-		ob.SetSink(p.sink)
+		ob.OnSpans(p.sink.RecordSpans)
 
 		begin := time.Now()
 		if err := l.Start(); err != nil {
@@ -102,21 +123,9 @@ func TestRestartTraceInSystemTraces(t *testing.T) {
 	}
 	gapFromTraces := func(p *tracedProc, traceID uint64) map[string]halfRows {
 		t.Helper()
-		if !p.sink.Flush() {
-			t.Fatal("telemetry sink did not flush")
-		}
-		q := &scuba.Query{
-			Table: scuba.SystemTracesTable, From: 0, To: 1 << 40, Limit: 1000,
-			Filters:      []scuba.Filter{{Column: "trace_id", Op: scuba.OpEq, Int: int64(traceID)}},
-			GroupBy:      []string{"half", "phase", "table"},
-			Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}, {Op: scuba.AggSum, Column: "duration_us"}},
-		}
-		res, err := p.cl.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
 		out := map[string]halfRows{}
-		for _, row := range res.Rows(q) {
+		for _, row := range traceRows(t, p.sink, p.cl, traceID, []string{"half", "phase", "table"},
+			scuba.Aggregation{Op: scuba.AggCount}, scuba.Aggregation{Op: scuba.AggSum, Column: "duration_us"}) {
 			half, phase, table := row.Key[0], row.Key[1], row.Key[2]
 			h := out[half]
 			h.spans += int(row.Values[0])
@@ -140,7 +149,7 @@ func TestRestartTraceInSystemTraces(t *testing.T) {
 	}
 
 	// Process 1: fresh, loaded.
-	const rows = 400000
+	const rows = 1000000
 	p1, _ := boot(0)
 	gen := scuba.ServiceLogs(5, 1700000000)
 	for sent := 0; sent < rows; sent += 10000 {
@@ -194,5 +203,109 @@ func TestRestartTraceInSystemTraces(t *testing.T) {
 	// The clean restart's trace came back with the table it lives in.
 	if again := gapFromTraces(p3, clean); again["shutdown"].spans == 0 || again["start"].spans == 0 {
 		t.Errorf("trace %d did not survive the crash restart: %+v", clean, again)
+	}
+}
+
+// A traced query lands in __system.traces as a root row and one row per leaf
+// under one trace ID — the failed leaf's with its error — so "which leaf was
+// slow" is a group-by; a query of a __system table leaves no rows at all.
+func TestQueryTraceInSystemTraces(t *testing.T) {
+	defer scuba.ResetFaults()
+	dir := t.TempDir()
+	var addrs []string
+	var leaves []*scuba.Leaf
+	for id := 0; id < 2; id++ {
+		l, err := scuba.NewLeaf(scuba.LeafConfig{ID: id,
+			Shm:      scuba.ShmOptions{Dir: dir, Namespace: "qtrace"},
+			DiskRoot: filepath.Join(dir, "disk")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AddRows("service_logs", scuba.ServiceLogs(int64(id), 1700000000).NextBatch(20000)); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := scuba.NewServer(l, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		leaves, addrs = append(leaves, l), append(addrs, srv.Addr())
+	}
+	// The aggregator as scuba-aggd wires it: its tracer's finished spans go
+	// to the sink, which ingests them through the first leaf.
+	sink := scuba.NewTelemetrySink(scuba.TelemetrySinkConfig{
+		Emit: leaves[0].AddRows, Source: "aggd", MetricsInterval: -1,
+		OnError: func(err error) { t.Errorf("telemetry: %v", err) },
+	})
+	defer sink.Close()
+	ob := scuba.NewObserver(nil, nil)
+	ob.OnSpans(sink.RecordSpans)
+	agg, err := scuba.NewAggServer(addrs, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	tracer := ob.Tracer(scuba.TracerOptions{})
+	agg.Aggregator().Tracer = tracer
+	cl := scuba.DialLeaf(agg.Addr())
+	defer cl.Close()
+
+	count := &scuba.Query{Table: "service_logs", From: 0, To: 1 << 40,
+		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}}}
+	if err := scuba.ArmFaults("leaf.query.1=error"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Query(count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scuba.ResetFaults()
+	if res.LeavesAnswered != 1 || res.LeavesTotal != 2 {
+		t.Fatalf("coverage %d/%d, want leaf 1 failed", res.LeavesAnswered, res.LeavesTotal)
+	}
+	id := tracer.Recent()[0].Root().TraceID
+
+	maxDur := scuba.Aggregation{Op: scuba.AggMax, Column: "duration_us"}
+	byKind := map[string][2]float64{} // kind → rows, max duration_us
+	for _, row := range traceRows(t, sink, cl, id, []string{"kind"}, scuba.Aggregation{Op: scuba.AggCount}, maxDur) {
+		byKind[row.Key[0]] = [2]float64{row.Values[0], row.Values[1]}
+	}
+	root, leaf := byKind["query"], byKind["query.leaf"]
+	if len(byKind) != 2 || root[0] != 1 || leaf[0] != 2 {
+		t.Fatalf("trace %d read back as %v, want 1 query row and 2 query.leaf rows", id, byKind)
+	}
+	if leaf[1] <= 0 || leaf[1] > root[1] {
+		t.Errorf("slowest leaf took %v us of a %v us query", leaf[1], root[1])
+	}
+	// "The slowest leaf of trace X", and who failed: one group-by.
+	var failed, slowest string
+	var slowestUs float64
+	for _, row := range traceRows(t, sink, cl, id, []string{"leaf", "err"}, maxDur) {
+		switch l, errText := row.Key[0], row.Key[1]; {
+		case l == "": // the root
+		case errText != "":
+			failed = l
+		case row.Values[0] > slowestUs:
+			slowest, slowestUs = l, row.Values[0]
+		}
+	}
+	if failed != addrs[1] || slowest != addrs[0] {
+		t.Errorf("failed leaf = %q, slowest answered leaf = %q; want %q and %q", failed, slowest, addrs[1], addrs[0])
+	}
+
+	// The read-backs above were traced queries of a __system table, through
+	// the same aggregator: they left nothing.
+	all := &scuba.Query{Table: scuba.SystemTracesTable, From: 0, To: 1 << 40,
+		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}}}
+	if len(tracer.Recent()) < 3 || !sink.Flush() {
+		t.Fatalf("tracer kept %d traces: the read-backs must have been traced too", len(tracer.Recent()))
+	}
+	if res, err = cl.Query(all); err != nil {
+		t.Fatal(err)
+	} else if rows := res.Rows(all); len(rows) != 1 || rows[0].Values[0] != 3 {
+		t.Errorf("%s holds %+v rows, want the one user query's 3", scuba.SystemTracesTable, rows)
 	}
 }

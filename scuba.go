@@ -416,26 +416,28 @@ var DefaultSimParams = sim.DefaultParams
 // a week with 100% of data available (the paper's 93% vs 99.5%).
 var WeeklyFullAvailability = sim.WeeklyFullAvailability
 
-// Observability: the restart ledger (one span per restart phase, table and
-// worker, feeding the phase timers on /metrics, the flight recorder,
-// /debug/recovery and __system.traces) plus a crash-surviving flight recorder
-// in shared memory (its own segment, namespace "<ns>-obs", so the leaf's
-// segment sweep never deletes it). Every daemon takes an -http flag and
-// serves /metrics, /debug/recovery and /debug/pprof through ObsHandler; a nil
-// Observer or FlightRecorder is a valid no-op.
+// Observability: one span record (a query's root and per-leaf spans, a
+// restart's phase per table and worker) feeding the phase timers on /metrics,
+// the flight recorder, /debug/traces, /debug/recovery and __system.traces,
+// plus a crash-surviving flight recorder in shared memory (its own segment,
+// namespace "<ns>-obs", so the leaf's segment sweep never deletes it). Every
+// daemon takes an -http flag and serves /metrics, /debug/recovery and
+// /debug/pprof through ObsHandler; a nil Observer or FlightRecorder is a
+// valid no-op.
 type (
-	// RestartSpan is one step of a restart: phase, table, worker, recovery
-	// source, blocks, bytes, start, duration, error.
-	RestartSpan = obs.RestartSpan
-	// RestartTrace is a restart's spans, with the views tools read it
-	// through (Half, Phases, TopLevel, Tables, Elapsed).
-	RestartTrace = obs.RestartTrace
+	// Span is one step of a trace: a query on its aggregator, one leaf's
+	// share of it, or a restart phase (table, worker, recovery source,
+	// blocks, bytes); start, duration, error.
+	Span = obs.Span
+	// Trace is one trace's spans, with the views tools read it through
+	// (Root, Leaves, Half, Phases, TopLevel, Tables, Elapsed, Slowest).
+	Trace = obs.Trace
 	// MetricsRegistry is a named counter/gauge/timer/histogram registry.
 	MetricsRegistry = metrics.Registry
 	// MetricsSnapshot is a point-in-time copy of a whole registry.
 	MetricsSnapshot = metrics.Snapshot
-	// Observer is where the restart ledger's sinks meet: registry, flight
-	// recorder, telemetry sink, profiler budget.
+	// Observer is where a daemon's observability meets: registry, flight
+	// recorder, the finished-span hooks (telemetry sink, profiler).
 	Observer = obs.Observer
 	// FlightRecorder is the crash-surviving event ring in shared memory.
 	FlightRecorder = obs.Recorder
@@ -463,13 +465,9 @@ type (
 	TraceContext = obs.TraceContext
 	// ExecStats is one leaf's per-query execution report.
 	ExecStats = obs.ExecStats
-	// LeafSpan is one leaf's slot in an assembled trace.
-	LeafSpan = obs.LeafSpan
-	// Trace is one query's assembled cross-leaf trace.
-	Trace = obs.Trace
 	// Tracer assembles traces and retains the recent and slow rings.
 	Tracer = obs.Tracer
-	// TracerOptions configure ring sizes and the slow threshold.
+	// TracerOptions configure the recent ring's size and the slow threshold.
 	TracerOptions = obs.TracerOptions
 	// TraceDump is the /debug/traces and /debug/slow JSON shape.
 	TraceDump = obs.TraceDump
@@ -479,8 +477,9 @@ type (
 
 // Tracing constructors.
 var (
-	// NewTracer creates a tracer (zero options: 64-trace ring, 32-slow
-	// ring, adaptive p99 slow threshold).
+	// NewTracer creates a tracer over its own rings (zero options: 64-trace
+	// ring, adaptive p99 slow threshold); Observer.Tracer makes one that
+	// also feeds the observer's span hooks and registry.
 	NewTracer = obs.NewTracer
 	// NewTraceSpanID mints a random nonzero trace or span ID.
 	NewTraceSpanID = obs.RandomID
@@ -509,8 +508,6 @@ var (
 	OpenFlightRecorder = obs.OpenFlightRecorder
 	// SummarizeFlightEvents condenses an event dump into a RunSummary.
 	SummarizeFlightEvents = obs.Summarize
-	// SlowestTable picks the table share with the longest duration.
-	SlowestTable = obs.Slowest
 	// ObsHandler builds the /metrics + /debug/recovery + pprof mux.
 	ObsHandler = obs.Handler
 	// StartObsHTTP serves a handler on addr in the background.
@@ -518,7 +515,7 @@ var (
 )
 
 // Self-telemetry (Scuba-on-Scuba): each daemon can ingest its own metric
-// snapshots, trace summaries and flight-recorder events into reserved
+// snapshots, finished spans and flight-recorder events into reserved
 // __system.* tables through the ordinary leaf path; an aggregator-side
 // scraper pulls every leaf's snapshot into __system.leaf_metrics; and every
 // /metrics endpoint speaks Prometheus text exposition via

@@ -193,16 +193,16 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 	}
 	spanByLeaf := func(tr scuba.Trace) map[string]*scuba.ExecStats {
 		t.Helper()
-		if tr.TraceID == 0 || tr.LeavesTotal != 2 || tr.LeavesAnswered != 2 || len(tr.Spans) != 2 {
+		if spans := tr.Leaves(); tr.Root().TraceID == 0 || len(spans) != 2 || spans.Answered() != 2 || len(tr) != 3 {
 			t.Fatalf("trace incomplete: %+v", tr)
 		}
 		out := make(map[string]*scuba.ExecStats)
-		for _, sp := range tr.Spans {
-			if !sp.Answered || sp.Exec == nil || sp.SpanID == 0 || sp.Exec.SpanID != sp.SpanID {
+		for _, sp := range tr.Leaves() {
+			if sp.Err != "" || sp.Exec == nil || sp.SpanID == 0 || sp.Exec.SpanID != sp.SpanID || sp.Parent != tr.Root().SpanID {
 				t.Fatalf("span not answered with exec stats: %+v", sp)
 			}
-			if sp.RTTNanos < sp.Exec.LatencyNanos {
-				t.Errorf("leaf %s RTT %dns < leaf latency %dns", sp.Leaf, sp.RTTNanos, sp.Exec.LatencyNanos)
+			if sp.Duration.Nanoseconds() < sp.Exec.LatencyNanos {
+				t.Errorf("leaf %s RTT %v < leaf latency %dns", sp.Leaf, sp.Duration, sp.Exec.LatencyNanos)
 			}
 			out[sp.Leaf] = sp.Exec
 		}
@@ -247,14 +247,14 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 	// The delayed leaf is the slowest span of every trace, at >= its 200ms
 	// injected delay.
 	for _, tr := range dump.Traces {
-		sp := tr.SlowestSpan()
-		if sp == nil || sp.Leaf != leaves[1].addr {
+		sp := tr.Slowest()
+		if sp.Leaf != leaves[1].addr {
 			t.Errorf("slowest span = %+v, want delayed leaf %s", sp, leaves[1].addr)
-		} else if sp.RTTNanos < (200 * time.Millisecond).Nanoseconds() {
-			t.Errorf("delayed leaf RTT = %v, want >= 200ms", time.Duration(sp.RTTNanos))
+		} else if sp.Duration < 200*time.Millisecond {
+			t.Errorf("delayed leaf RTT = %v, want >= 200ms", sp.Duration)
 		}
-		if !tr.Slow {
-			t.Errorf("trace %d not marked slow despite the delayed leaf", tr.TraceID)
+		if !tr.Root().Slow {
+			t.Errorf("trace %d not marked slow despite the delayed leaf", tr.Root().TraceID)
 		}
 	}
 
@@ -266,8 +266,8 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 	if len(slow.Traces) != 3 {
 		t.Fatalf("slow traces = %d, want 3", len(slow.Traces))
 	}
-	if slow.Traces[0].TraceID != pruneT.TraceID {
-		t.Errorf("newest slow trace = %d, want %d", slow.Traces[0].TraceID, pruneT.TraceID)
+	if slow.Traces[0].Root().TraceID != pruneT.Root().TraceID {
+		t.Errorf("newest slow trace = %d, want %d", slow.Traces[0].Root().TraceID, pruneT.Root().TraceID)
 	}
 
 	// ---- cross-check against each leaf's own telemetry: the recovery path
@@ -306,9 +306,6 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 	}
 	if got := metricCounter(aggBody, "trace_slow"); got != 3 {
 		t.Errorf("aggregator trace.slow = %d, want 3", got)
-	}
-	if got := metricCounter(aggBody, "query_slow"); got != 3 {
-		t.Errorf("aggregator query.slow = %d, want 3", got)
 	}
 }
 
@@ -353,16 +350,16 @@ func TestInProcessClusterSpansCarryExec(t *testing.T) {
 				t.Fatalf("count = %v, want 800", rows[0].Values[0])
 			}
 			traces := agg.Tracer.Recent()
-			if len(traces) != 1 || len(traces[0].Spans) == 0 {
+			if len(traces) != 1 || len(traces[0].Leaves()) == 0 {
 				t.Fatalf("traces = %+v, want one with spans", traces)
 			}
 			var rows int64
-			for _, sp := range traces[0].Spans {
-				if !sp.Answered || sp.Exec == nil || sp.SpanID == 0 || sp.Exec.SpanID != sp.SpanID {
+			for _, sp := range traces[0].Leaves() {
+				if sp.Err != "" || sp.Exec == nil || sp.SpanID == 0 || sp.Exec.SpanID != sp.SpanID {
 					t.Fatalf("span not answered with its own exec report: %+v", sp)
 				}
-				if sp.Exec.LatencyNanos <= 0 || sp.RTTNanos < sp.Exec.LatencyNanos {
-					t.Errorf("leaf %s latency %dns outside (0, RTT %dns]", sp.Leaf, sp.Exec.LatencyNanos, sp.RTTNanos)
+				if sp.Exec.LatencyNanos <= 0 || sp.Duration.Nanoseconds() < sp.Exec.LatencyNanos {
+					t.Errorf("leaf %s latency %dns outside (0, RTT %v]", sp.Leaf, sp.Exec.LatencyNanos, sp.Duration)
 				}
 				if sp.Exec.ShardsServed != len(sp.Shards) {
 					t.Errorf("leaf %s served %d shards, asked for %v", sp.Leaf, sp.Exec.ShardsServed, sp.Shards)
