@@ -709,6 +709,70 @@ func BenchmarkScanWarmCache(b *testing.B) {
 	}
 }
 
+// BenchmarkScanDashboard is the shape the scan kernels exist for, and the
+// one dash_read's scan class sends: a string-set contains filter, a
+// two-column group-by (200 hosts x 12 services) and count / avg / p99, over
+// service_logs rows. cold decodes every column on every run (no decode
+// cache); warm finds host, service, cpu_ms and latency_ms decoded and walks
+// the encoded tags rows, as every run does. The blocks are full-size
+// (a key is built once per group per block, so 2400 groups over small blocks
+// would time key building, not the kernels).
+func BenchmarkScanDashboard(b *testing.B) {
+	const blocks, perBlock = 4, 65536
+	q := &scuba.Query{
+		Table: "service_logs", From: 0, To: 1 << 40,
+		Filters: []scuba.Filter{{Column: "tags", Op: scuba.OpContains, Str: "prod"}},
+		GroupBy: []string{"host", "service"},
+		Aggregations: []scuba.Aggregation{
+			{Op: scuba.AggCount},
+			{Op: scuba.AggAvg, Column: "cpu_ms"},
+			{Op: scuba.AggP99, Column: "latency_ms"},
+		},
+	}
+	for _, mode := range []struct {
+		name       string
+		cacheBytes int64
+	}{{"cold", 0}, {"warm", 256 << 20}} {
+		b.Run(mode.name, func(b *testing.B) {
+			e := newBenchEnv(b)
+			cfg := e.config(0)
+			cfg.ScanWorkers = 1
+			cfg.DecodeCacheBytes = mode.cacheBytes
+			l, err := scuba.NewLeaf(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := l.Start(); err != nil {
+				b.Fatal(err)
+			}
+			gen := scuba.ServiceLogs(42, 1700000000)
+			for blk := 0; blk < blocks; blk++ {
+				if err := l.AddRows("service_logs", gen.NextBatch(perBlock)); err != nil {
+					b.Fatal(err)
+				}
+				if err := l.SealAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			res, err := l.Query(q) // fills the cache when there is one
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.RowsScanned != blocks*perBlock || res.BlocksScanned != blocks || res.NumGroups() != 200*12 {
+				b.Fatalf("scanned %d rows of %d blocks into %d groups", res.RowsScanned, res.BlocksScanned, res.NumGroups())
+			}
+			b.SetBytes(blocks * perBlock)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := l.Query(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkScanTraced runs the full-table query through the traced entry
 // point — phase timing, ExecStats assembly and span echo included. Compare
 // against BenchmarkScanSerialCold: the delta is the tracing overhead on the

@@ -422,13 +422,14 @@ func columnRawSize(rb *rowblock.RowBlock, i int) (int64, error) {
 			rawSize += int64(len(c.Value(j)))
 		}
 	case *column.StringSetColumn:
-		for j := 0; j < c.Len(); j++ {
-			for _, s := range c.Value(j) {
-				rawSize += int64(len(s)) + 1
+		err = c.Each(func(_ int, ids []uint32) error {
+			for _, id := range ids {
+				rawSize += int64(len(c.Dict[id])) + 1
 			}
-		}
+			return nil
+		})
 	}
-	return rawSize, nil
+	return rawSize, err
 }
 
 func compressionDetail(gen *workload.Generator) error {

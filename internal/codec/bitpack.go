@@ -65,58 +65,89 @@ func EncodeBitPackU64(dst []byte, values []uint64) []byte {
 	return append(dst, buf[:nbytes]...)
 }
 
-// DecodeBitPackU64 decodes a stream produced by EncodeBitPackU64.
-func DecodeBitPackU64(src []byte) ([]uint64, error) {
+// bitPackHeader parses the [method][count][width] prefix of a bit-packed
+// stream and returns the packed bits. Both numbers come from outside: the
+// count is capped, and checked against the bytes present before a caller
+// sizes anything by it.
+func bitPackHeader(src []byte) (n, w int, packed []byte, err error) {
 	if len(src) == 0 || Method(src[0]) != MethodBitPack {
-		return nil, ErrMethod
+		return 0, 0, nil, ErrMethod
 	}
 	src = src[1:]
 	n64, used, err := Uvarint(src)
 	if err != nil {
-		return nil, err
+		return 0, 0, nil, err
 	}
 	src = src[used:]
 	if len(src) == 0 {
-		return nil, ErrCorrupt
+		return 0, 0, nil, ErrCorrupt
 	}
-	w := int(src[0])
+	w = int(src[0])
 	src = src[1:]
 	if w > 64 {
-		return nil, fmt.Errorf("%w: bit width %d", ErrCorrupt, w)
+		return 0, 0, nil, fmt.Errorf("%w: bit width %d", ErrCorrupt, w)
 	}
-	n := int(n64)
-	if n < 0 || n64 > maxBitPackItems {
-		return nil, fmt.Errorf("%w: %d items", ErrCorrupt, n64)
+	if n64 > maxBitPackItems {
+		return 0, 0, nil, fmt.Errorf("%w: %d items", ErrCorrupt, n64)
 	}
-	if w > 0 {
-		// Validate the payload size before allocating the output so
-		// untrusted counts cannot trigger huge allocations.
-		need := (n*w + 7) / 8
-		if len(src) < need {
-			return nil, fmt.Errorf("%w: need %d packed bytes, have %d", ErrCorrupt, need, len(src))
-		}
-	}
-	out := make([]uint64, n)
-	if w == 0 {
-		return out, nil
-	}
+	n = int(n64)
 	need := (n*w + 7) / 8
-	mask := ^uint64(0)
-	if w < 64 {
-		mask = (1 << uint(w)) - 1
+	if len(src) < need {
+		return 0, 0, nil, fmt.Errorf("%w: need %d packed bytes, have %d", ErrCorrupt, need, len(src))
 	}
-	// Read through a padded copy so every value is at most two 64-bit loads.
-	buf := make([]byte, need+16)
-	copy(buf, src[:need])
-	bitpos := 0
-	for i := 0; i < n; i++ {
-		bytePos, bitOff := bitpos/8, bitpos%8
-		v := binary.LittleEndian.Uint64(buf[bytePos:]) >> uint(bitOff)
-		if bitOff+w > 64 {
-			v |= binary.LittleEndian.Uint64(buf[bytePos+8:]) << uint(64-bitOff)
+	return n, w, src[:need], nil
+}
+
+// unpackBits reads len(dst) values of w bits each (1 <= w <= 64) from packed
+// straight into their final slice. A value is at most two 64-bit loads; the
+// loads stay inside packed until its last 16 bytes, and the few values there
+// are read through a zero-padded copy — no copy of the whole stream.
+func unpackBits[T uint32 | uint64 | int64](dst []T, packed []byte, w int) {
+	mask := ^uint64(0) >> uint(64-w)
+	get := func(b []byte, bitpos int) T {
+		p, off := bitpos>>3, uint(bitpos&7)
+		v := binary.LittleEndian.Uint64(b[p:]) >> off
+		if off+uint(w) > 64 {
+			v |= binary.LittleEndian.Uint64(b[p+8:]) << (64 - off)
 		}
-		out[i] = v & mask
+		return T(v & mask)
+	}
+	i, bitpos := 0, 0
+	for ; i < len(dst) && bitpos>>3+16 <= len(packed); i++ {
+		dst[i] = get(packed, bitpos)
 		bitpos += w
+	}
+	if i == len(dst) {
+		return
+	}
+	var tail [32]byte
+	base := bitpos >> 3
+	copy(tail[:], packed[base:])
+	for ; i < len(dst); i++ {
+		dst[i] = get(tail[:], bitpos-base*8)
+		bitpos += w
+	}
+}
+
+// DecodeBitPackU64 decodes a stream produced by EncodeBitPackU64.
+func DecodeBitPackU64(src []byte) ([]uint64, error) { return decodeBitPack[uint64](src, 64) }
+
+// DecodeBitPackU32 decodes a stream of values that fit 32 bits — dictionary
+// IDs — straight into a []uint32. A wider stream is corrupt: the encoder
+// packs at the width of the largest value.
+func DecodeBitPackU32(src []byte) ([]uint32, error) { return decodeBitPack[uint32](src, 32) }
+
+func decodeBitPack[T uint32 | uint64](src []byte, maxWidth int) ([]T, error) {
+	n, w, packed, err := bitPackHeader(src)
+	if err != nil {
+		return nil, err
+	}
+	if w > maxWidth {
+		return nil, fmt.Errorf("%w: %d-bit values, at most %d fit", ErrCorrupt, w, maxWidth)
+	}
+	out := make([]T, n)
+	if w > 0 {
+		unpackBits(out, packed, w)
 	}
 	return out, nil
 }
@@ -140,8 +171,10 @@ func EncodeDeltaBPI64(dst []byte, values []int64) []byte {
 	return EncodeBitPackU64(dst, deltas)
 }
 
-// DecodeDeltaBPI64 decodes a stream produced by EncodeDeltaBPI64.
-func DecodeDeltaBPI64(src []byte) ([]int64, error) {
+// DecodeDeltaBPI64 decodes a stream produced by EncodeDeltaBPI64 into dst,
+// which is reused when it is large enough and may be nil. The zigzagged
+// deltas are unpacked into the output and summed in place.
+func DecodeDeltaBPI64(dst []int64, src []byte) ([]int64, error) {
 	if len(src) == 0 || Method(src[0]) != MethodDeltaBP {
 		return nil, ErrMethod
 	}
@@ -152,24 +185,31 @@ func DecodeDeltaBPI64(src []byte) ([]int64, error) {
 	}
 	src = src[used:]
 	if count == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
 	first, used, err := Uvarint(src)
 	if err != nil {
 		return nil, err
 	}
-	src = src[used:]
-	deltas, err := DecodeBitPackU64(src)
+	n, w, packed, err := bitPackHeader(src[used:])
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(deltas)+1) != count {
-		return nil, fmt.Errorf("%w: count %d but %d deltas", ErrCorrupt, count, len(deltas))
+	if uint64(n)+1 != count {
+		return nil, fmt.Errorf("%w: count %d but %d deltas", ErrCorrupt, count, n)
 	}
-	out := make([]int64, count)
-	out[0] = UnZigZag(first)
-	for i, d := range deltas {
-		out[i+1] = out[i] + UnZigZag(d)
+	if cap(dst) < n+1 {
+		dst = make([]int64, n+1)
 	}
-	return out, nil
+	dst = dst[:n+1]
+	dst[0] = UnZigZag(first)
+	if w == 0 {
+		clear(dst[1:])
+	} else {
+		unpackBits(dst[1:], packed, w)
+	}
+	for i := 1; i < len(dst); i++ {
+		dst[i] = dst[i-1] + UnZigZag(uint64(dst[i]))
+	}
+	return dst, nil
 }

@@ -112,7 +112,7 @@ func TestDeltaBPRoundTrip(t *testing.T) {
 	}
 	for _, vals := range cases {
 		enc := EncodeDeltaBPI64(nil, vals)
-		got, err := DecodeDeltaBPI64(enc)
+		got, err := DecodeDeltaBPI64(nil, enc)
 		if err != nil {
 			t.Fatalf("decode %v: %v", vals, err)
 		}
@@ -146,7 +146,7 @@ func TestDeltaBPProperty(t *testing.T) {
 		// and overflow wraps identically on decode anyway, but DeepEqual on
 		// the reconstructed prefix is the contract we keep.
 		enc := EncodeDeltaBPI64(nil, vals)
-		got, err := DecodeDeltaBPI64(enc)
+		got, err := DecodeDeltaBPI64(nil, enc)
 		if err != nil {
 			return false
 		}

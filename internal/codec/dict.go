@@ -78,7 +78,9 @@ func EncodeDict(dst []byte, items []string) []byte {
 	return dst
 }
 
-// DecodeDict parses a dictionary blob back into its entries.
+// DecodeDict parses a dictionary blob back into its entries. The entries
+// are substrings of one copy of the blob, so a dictionary costs two
+// allocations however many entries it has.
 func DecodeDict(src []byte) ([]string, error) {
 	if len(src) == 0 || Method(src[0]) != MethodDict {
 		return nil, ErrMethod
@@ -92,18 +94,20 @@ func DecodeDict(src []byte) ([]string, error) {
 	if n > uint64(len(src)) { // each entry takes at least its length byte
 		return nil, fmt.Errorf("%w: %d entries in %d bytes", ErrCorrupt, n, len(src))
 	}
+	text := string(src)
 	items := make([]string, 0, n)
+	pos := 0
 	for i := uint64(0); i < n; i++ {
-		l, used, err := Uvarint(src)
+		l, used, err := Uvarint(src[pos:])
 		if err != nil {
 			return nil, fmt.Errorf("entry %d: %w", i, err)
 		}
-		src = src[used:]
-		if uint64(len(src)) < l {
-			return nil, fmt.Errorf("entry %d: %w: need %d bytes, have %d", i, ErrCorrupt, l, len(src))
+		pos += used
+		if uint64(len(src)-pos) < l {
+			return nil, fmt.Errorf("entry %d: %w: need %d bytes, have %d", i, ErrCorrupt, l, len(src)-pos)
 		}
-		items = append(items, string(src[:l]))
-		src = src[l:]
+		items = append(items, text[pos:pos+int(l)])
+		pos += int(l)
 	}
 	return items, nil
 }

@@ -16,7 +16,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		got, err := Decompress(comp, len(src))
+		got, err := Decompress(nil, comp, len(src))
 		if err != nil {
 			t.Fatalf("decompress own output: %v", err)
 		}
@@ -37,6 +37,6 @@ func FuzzDecompress(f *testing.F) {
 		if size < 0 || size > 1<<20 {
 			t.Skip()
 		}
-		Decompress(comp, size) //nolint:errcheck // only checking for panics
+		Decompress(nil, comp, size) //nolint:errcheck // only checking for panics
 	})
 }

@@ -141,21 +141,25 @@ func appendLenExt(dst []byte, rest int) []byte {
 	return append(dst, byte(rest))
 }
 
-// maxExpansion bounds how much an LZ4 block can grow: the densest sequence is
+// MaxExpansion bounds how much an LZ4 block can grow: the densest sequence is
 // a match whose length runs on in 0xFF extension bytes, 255 output bytes for
 // each byte of input.
-const maxExpansion = 255
+const MaxExpansion = 255
 
 // Decompress decodes an LZ4 block into a buffer of exactly decompressedSize
-// bytes. The size comes from the enclosing container (the RBC footer stores
-// the uncompressed length), which a checksum vouches was written, not that it
-// is sane: a size no block of len(src) bytes can decode to is ErrCorrupt
-// before anything is allocated for it.
-func Decompress(src []byte, decompressedSize int) ([]byte, error) {
-	if decompressedSize < 0 || decompressedSize/maxExpansion > len(src) {
+// bytes: buf when it is large enough (a caller's reusable scratch; nil is
+// fine), a fresh one otherwise. The size comes from the enclosing container
+// (the RBC footer stores the uncompressed length), which a checksum vouches
+// was written, not that it is sane: a size no block of len(src) bytes can
+// decode to is ErrCorrupt before anything is allocated for it.
+func Decompress(buf, src []byte, decompressedSize int) ([]byte, error) {
+	if decompressedSize < 0 || decompressedSize/MaxExpansion > len(src) {
 		return nil, fmt.Errorf("%w: %d bytes cannot decode to %d", ErrCorrupt, len(src), decompressedSize)
 	}
-	dst := make([]byte, decompressedSize)
+	if cap(buf) < decompressedSize {
+		buf = make([]byte, decompressedSize)
+	}
+	dst := buf[:decompressedSize]
 	n, err := DecompressInto(dst, src)
 	if err != nil {
 		return nil, err
@@ -167,7 +171,12 @@ func Decompress(src []byte, decompressedSize int) ([]byte, error) {
 }
 
 // DecompressInto decodes an LZ4 block into dst and returns the number of
-// bytes written.
+// bytes written. Most sequences of a column's data section are short — a few
+// literals, a match of a few bytes — so both copies have a path that moves
+// 16 bytes with two 64-bit loads and stores whenever that much room is left
+// on both sides, whatever the length: what lands past the sequence's end is
+// overwritten by the next one (output is written front to back and must fill
+// dst exactly), and a memmove call costs more than the bytes it would move.
 func DecompressInto(dst, src []byte) (int, error) {
 	di, si := 0, 0
 	if len(src) == 0 {
@@ -188,13 +197,17 @@ func DecompressInto(dst, src []byte) (int, error) {
 			litLen += n
 			si += used
 		}
-		if si+litLen > len(src) {
-			return 0, fmt.Errorf("%w: literal run past input", ErrCorrupt)
+		if litLen <= 16 && si+16 <= len(src) && di+16 <= len(dst) {
+			copy16(dst[di:], src[si:])
+		} else {
+			if si+litLen > len(src) {
+				return 0, fmt.Errorf("%w: literal run past input", ErrCorrupt)
+			}
+			if di+litLen > len(dst) {
+				return 0, ErrDstTooSmall
+			}
+			copy(dst[di:], src[si:si+litLen])
 		}
-		if di+litLen > len(dst) {
-			return 0, ErrDstTooSmall
-		}
-		copy(dst[di:], src[si:si+litLen])
 		si += litLen
 		di += litLen
 		if si == len(src) {
@@ -218,16 +231,37 @@ func DecompressInto(dst, src []byte) (int, error) {
 			si += used
 		}
 		matchLen += minMatch
-		if di+matchLen > len(dst) {
+		end := di + matchLen
+		if end > len(dst) {
 			return 0, ErrDstTooSmall
 		}
-		// Overlapping copy: must proceed byte-wise when offset < matchLen.
 		ref := di - offset
-		for i := 0; i < matchLen; i++ {
-			dst[di+i] = dst[ref+i]
+		switch {
+		case offset >= 8 && matchLen <= 16 && di+16 <= len(dst):
+			// The second 8 bytes may be ones the first store just wrote
+			// (offset < 16): they are read after it, so they are right.
+			copy16(dst[di:], dst[ref:])
+			di = end
+		case offset < 8 && matchLen <= 16:
+			// A match overlapping its own output repeats the last offset
+			// bytes; byte by byte is the definition.
+			for ; di < end; di++ {
+				dst[di] = dst[di-offset]
+			}
+		default:
+			// Copy what is already written, which doubles with every pass
+			// when the match overlaps its own output.
+			for di < end {
+				di += copy(dst[di:end], dst[ref:di])
+			}
 		}
-		di += matchLen
 	}
+}
+
+// copy16 moves 16 bytes from src to dst, 8 at a time in order.
+func copy16(dst, src []byte) {
+	binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
+	binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:]))
 }
 
 func readLenExt(src []byte) (n, used int, err error) {

@@ -16,7 +16,7 @@ func roundTrip(t *testing.T, src []byte) []byte {
 	if err != nil {
 		t.Fatalf("compress: %v", err)
 	}
-	got, err := Decompress(comp, len(src))
+	got, err := Decompress(nil, comp, len(src))
 	if err != nil {
 		t.Fatalf("decompress: %v", err)
 	}
@@ -31,7 +31,7 @@ func TestEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decompress(comp, 0)
+	got, err := Decompress(nil, comp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Decompress(comp, len(src))
+		got, err := Decompress(nil, comp, len(src))
 		if err != nil {
 			return false
 		}
@@ -155,7 +155,7 @@ func TestDecompressCorrupt(t *testing.T) {
 	}
 	// Truncations must error or produce short output, never panic.
 	for cut := 0; cut < len(comp); cut++ {
-		got, err := Decompress(comp[:cut], len(src))
+		got, err := Decompress(nil, comp[:cut], len(src))
 		if err == nil && bytes.Equal(got, src) && cut < len(comp) {
 			t.Fatalf("truncation at %d still decoded fully", cut)
 		}
@@ -164,7 +164,7 @@ func TestDecompressCorrupt(t *testing.T) {
 	for i := 0; i < len(comp); i++ {
 		bad := append([]byte(nil), comp...)
 		bad[i] ^= 0xff
-		Decompress(bad, len(src)) //nolint:errcheck // only checking for panics
+		Decompress(nil, bad, len(src)) //nolint:errcheck // only checking for panics
 	}
 }
 
@@ -174,10 +174,10 @@ func TestDecompressWrongSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress(comp, len(src)-1); err == nil {
+	if _, err := Decompress(nil, comp, len(src)-1); err == nil {
 		t.Error("short destination decoded without error")
 	}
-	if _, err := Decompress(comp, len(src)+10); err == nil {
+	if _, err := Decompress(nil, comp, len(src)+10); err == nil {
 		t.Error("long destination decoded without error")
 	}
 }
@@ -192,7 +192,7 @@ func TestCompressAppends(t *testing.T) {
 	if !bytes.HasPrefix(out, prefix) {
 		t.Error("Compress did not append to dst")
 	}
-	got, err := Decompress(out[len(prefix):], len(src))
+	got, err := Decompress(nil, out[len(prefix):], len(src))
 	if err != nil || !bytes.Equal(got, src) {
 		t.Errorf("appended compress round trip failed: %v", err)
 	}
@@ -226,7 +226,7 @@ func BenchmarkDecompressLogData(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(comp, len(src)); err != nil {
+		if _, err := Decompress(nil, comp, len(src)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -243,13 +243,13 @@ func TestDecompressRejectsImpossibleSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := Decompress(comp, len(zeros)); err != nil || !bytes.Equal(got, zeros) {
+	if got, err := Decompress(nil, comp, len(zeros)); err != nil || !bytes.Equal(got, zeros) {
 		t.Fatalf("the densest honest block (%d bytes for %d) no longer decodes: %v", len(comp), len(zeros), err)
 	}
-	for _, size := range []int{-1, maxExpansion*(len(comp)+1) + 1, 1 << 40, int(^uint(0) >> 1)} {
+	for _, size := range []int{-1, MaxExpansion*(len(comp)+1) + 1, 1 << 40, int(^uint(0) >> 1)} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := Decompress(comp, size)
+		_, err := Decompress(nil, comp, size)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("Decompress(%d bytes, size %d) = %v, want ErrCorrupt", len(comp), size, err)

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"scuba/internal/codec"
 	"scuba/internal/codec/lz4"
@@ -42,13 +43,38 @@ func maybeLZ4(data []byte) (out []byte, compressed bool) {
 	return comp, true
 }
 
-// undoLZ4 reverses maybeLZ4 according to the compression code.
-func undoLZ4(r *layout.RBC) ([]byte, error) {
-	data := r.Data()
+// lz4Bufs holds LZ4 output buffers between decodes. A data section is
+// un-LZ4'd into one, unpacked from there into the column's own typed slice,
+// and the buffer goes back: decoding a block costs its columns' slices, not
+// a second copy of every data section.
+var lz4Bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// undoLZ4 reverses maybeLZ4 according to the compression code. The bytes it
+// returns are the RBC's own when no LZ4 stage was applied (buf is nil) and a
+// pooled buffer's otherwise; either way they are only good until release(buf).
+func undoLZ4(r *layout.RBC) (data []byte, buf *[]byte, err error) {
 	if r.Code().Compressor() != codec.MethodLZ4 {
-		return data, nil
+		return r.Data(), nil, nil
 	}
-	return lz4.Decompress(data, r.UncompressedLen())
+	return pooledLZ4(r.Data(), r.UncompressedLen())
+}
+
+// pooledLZ4 decodes an LZ4 block of size bytes into a pooled buffer.
+func pooledLZ4(block []byte, size int) (data []byte, buf *[]byte, err error) {
+	buf = lz4Bufs.Get().(*[]byte)
+	data, err = lz4.Decompress(*buf, block, size)
+	if err != nil {
+		lz4Bufs.Put(buf)
+		return nil, nil, err
+	}
+	*buf = data
+	return data, buf, nil
+}
+
+func release(buf *[]byte) {
+	if buf != nil {
+		lz4Bufs.Put(buf)
+	}
 }
 
 // finish wraps an encoded data section into an RBC blob, applying LZ4.
@@ -162,42 +188,194 @@ func (c *StringColumn) Len() int { return len(c.IDs) }
 // Value returns the string at row i.
 func (c *StringColumn) Value(i int) string { return c.Dict[c.IDs[i]] }
 
-// StringSetColumn is a decoded string-set column.
+// StringSetColumn is a string-set column: a decoded dictionary over rows
+// that stay in the data section's own encoding — back to back, each a uvarint
+// count followed by that many uvarint dictionary IDs. It is the one form a
+// sealed block and an unsealed snapshot both hand a query, so contains has
+// one kernel (SelectContains) and no row is ever materialised as a slice of
+// its own. A sealed block's column aliases the block's data section, LZ4
+// stage included, and undoes that stage only when a walk needs the rows; a
+// malformed row is reported by the walk that reaches it.
 type StringSetColumn struct {
-	Dict []string
-	Rows [][]uint32
+	Dict   []string
+	n      int
+	data   []byte // the encoded rows, or the LZ4 block of them
+	packed bool   // data is an LZ4 block
+	raw    int    // length of the rows with no LZ4 stage over them
 }
 
 // Type implements Column.
 func (c *StringSetColumn) Type() layout.ValueType { return layout.TypeStringSet }
 
 // Len implements Column.
-func (c *StringSetColumn) Len() int { return len(c.Rows) }
+func (c *StringSetColumn) Len() int { return c.n }
 
-// Value returns the set of strings at row i.
-func (c *StringSetColumn) Value(i int) []string {
-	out := make([]string, len(c.Rows[i]))
-	for j, id := range c.Rows[i] {
-		out[j] = c.Dict[id]
+// EncodedBytes is the size of the row data the column holds or aliases.
+func (c *StringSetColumn) EncodedBytes() int { return len(c.data) }
+
+// rows returns the encoded rows, through a pooled buffer when they are still
+// under LZ4; they are good until release(buf).
+func (c *StringSetColumn) rows() (rows []byte, buf *[]byte, err error) {
+	if !c.packed {
+		return c.data, nil, nil
 	}
-	return out
+	return pooledLZ4(c.data, c.raw)
 }
 
-// Contains reports whether row i's set contains s.
-func (c *StringSetColumn) Contains(i int, s string) bool {
-	for _, id := range c.Rows[i] {
-		if c.Dict[id] == s {
-			return true
+// Each calls fn with every row's dictionary IDs, in row order; the slice is
+// reused from call to call. It stops at fn's first error, and reports a row
+// the data cannot back: a truncated varint, an ID outside the dictionary,
+// fewer or more bytes than the rows need.
+func (c *StringSetColumn) Each(fn func(row int, ids []uint32) error) error {
+	data, buf, err := c.rows()
+	if err != nil {
+		return err
+	}
+	defer release(buf)
+	var ids []uint32
+	for row := 0; row < c.n; row++ {
+		count, used, err := codec.Uvarint(data)
+		if err != nil {
+			return fmt.Errorf("column: row %d count: %w", row, err)
+		}
+		data = data[used:]
+		if count > uint64(len(data)) { // each id is at least one byte
+			return fmt.Errorf("column: row %d claims %d ids in %d bytes", row, count, len(data))
+		}
+		ids = ids[:0]
+		for j := uint64(0); j < count; j++ {
+			id, used, err := codec.Uvarint(data)
+			if err != nil {
+				return fmt.Errorf("column: row %d id %d: %w", row, j, err)
+			}
+			data = data[used:]
+			if id >= uint64(len(c.Dict)) {
+				return fmt.Errorf("column: id %d out of dictionary range %d", id, len(c.Dict))
+			}
+			ids = append(ids, uint32(id))
+		}
+		if err := fn(row, ids); err != nil {
+			return err
 		}
 	}
-	return false
+	if len(data) != 0 {
+		return fmt.Errorf("column: %d trailing bytes after %d rows", len(data), c.n)
+	}
+	return nil
 }
+
+// Values materialises every row's set, for the callers that re-encode a
+// column (the row-format translator) rather than query it.
+func (c *StringSetColumn) Values() ([][]string, error) {
+	var out [][]string // grown as rows are met, not sized by the header's count
+	err := c.Each(func(_ int, ids []uint32) error {
+		set := make([]string, len(ids))
+		for j, id := range ids {
+			set[j] = c.Dict[id]
+		}
+		out = append(out, set)
+		return nil
+	})
+	return out, err
+}
+
+// SelectContains narrows a selection to the rows whose set holds member:
+// sel lists row numbers in ascending order, and the survivors are written to
+// out (which may be sel itself) and returned. The dictionary is probed
+// first — a member the block never saw leaves no row and the rows untouched —
+// and then the encoded rows are walked once comparing IDs; no string is
+// compared per row.
+func (c *StringSetColumn) SelectContains(member string, sel, out []uint32) ([]uint32, error) {
+	id := -1
+	for i, s := range c.Dict {
+		if s == member {
+			id = i
+			break
+		}
+	}
+	if id < 0 || len(sel) == 0 {
+		return out[:0], nil
+	}
+	data, buf, err := c.rows()
+	if err != nil {
+		return nil, err
+	}
+	defer release(buf)
+	if int(sel[len(sel)-1]) >= c.n {
+		return nil, fmt.Errorf("column: row %d selected of %d", sel[len(sel)-1], c.n)
+	}
+	if cap(out) < len(sel) {
+		out = make([]uint32, len(sel))
+	}
+	out = out[:len(sel)] // a survivor lands at or before where sel held it
+	want := uint64(id)
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	pos, k, n := 0, 0, 0
+	for row := uint32(0); k < len(sel); {
+		// A row is almost always a one-byte count and a few one-byte IDs (a
+		// set holds a few tags, a block's dictionary a few dozen). Eight
+		// bytes in hand then hold a row or several, and whether any ID byte
+		// of a row equals the wanted one is a handful of word operations.
+		if pos+8 <= len(data) && want < 0x80 {
+			word, left := binary.LittleEndian.Uint64(data[pos:]), uint64(8)
+			for k < len(sel) {
+				size := word&0xff + 1 // the row's bytes, if they are one each
+				if size > left {
+					break
+				}
+				rowBits := lowBytes[size&15]
+				if word&highs&rowBits != 0 {
+					break
+				}
+				if row == sel[k] {
+					out[n] = row
+					k++
+					x := word ^ want*ones<<8 // a zero byte where an ID matches
+					if (x-ones)&^x&highs&rowBits&^0xff != 0 {
+						n++
+					}
+				}
+				row++
+				word, left = word>>(8*size&63), left-size
+			}
+			if left < 8 {
+				pos += int(8 - left)
+				continue
+			}
+		}
+		count, used := binary.Uvarint(data[pos:])
+		if used <= 0 || count > uint64(len(data)-pos-used) { // each id is at least one byte
+			return nil, fmt.Errorf("column: set row %d: %w", row, codec.ErrCorrupt)
+		}
+		found := false
+		for pos += used; count > 0; count-- {
+			v, used := binary.Uvarint(data[pos:])
+			if used <= 0 {
+				return nil, fmt.Errorf("column: set row %d: %w", row, codec.ErrCorrupt)
+			}
+			pos += used
+			found = found || v == want
+		}
+		if row == sel[k] {
+			k++
+			if found {
+				out[n] = row
+				n++
+			}
+		}
+		row++
+	}
+	return out[:n], nil
+}
+
+// lowBytes[n] has the low n bytes set, for n up to 8.
+var lowBytes = [16]uint64{0, 0xff, 0xffff, 0xffffff, 0xffffffff, 0xffffffffff, 0xffffffffffff, 0xffffffffffffff, ^uint64(0)}
 
 // Decode parses a validated RBC into a typed Column.
 func Decode(r *layout.RBC) (Column, error) {
 	switch r.Type() {
 	case layout.TypeInt64, layout.TypeTime:
-		vals, err := DecodeInt64(r)
+		vals, err := DecodeInt64(nil, r)
 		if err != nil {
 			return nil, err
 		}
@@ -217,16 +395,18 @@ func Decode(r *layout.RBC) (Column, error) {
 	}
 }
 
-// DecodeInt64 decodes an int64 or time column.
-func DecodeInt64(r *layout.RBC) ([]int64, error) {
+// DecodeInt64 decodes an int64 or time column into dst, which is reused when
+// it is large enough and may be nil.
+func DecodeInt64(dst []int64, r *layout.RBC) ([]int64, error) {
 	if r.Type() != layout.TypeInt64 && r.Type() != layout.TypeTime {
 		return nil, fmt.Errorf("column: %v is not an integer column", r.Type())
 	}
-	data, err := undoLZ4(r)
+	data, buf, err := undoLZ4(r)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := codec.DecodeDeltaBPI64(data)
+	defer release(buf)
+	vals, err := codec.DecodeDeltaBPI64(dst, data)
 	if err != nil {
 		return nil, err
 	}
@@ -241,10 +421,11 @@ func DecodeFloat64(r *layout.RBC) ([]float64, error) {
 	if r.Type() != layout.TypeFloat64 {
 		return nil, fmt.Errorf("column: %v is not a float column", r.Type())
 	}
-	data, err := undoLZ4(r)
+	data, buf, err := undoLZ4(r)
 	if err != nil {
 		return nil, err
 	}
+	defer release(buf)
 	if len(data) != r.NumItems()*8 {
 		return nil, fmt.Errorf("column: %d data bytes for %d floats", len(data), r.NumItems())
 	}
@@ -267,28 +448,29 @@ func DecodeString(r *layout.RBC) (*StringColumn, error) {
 	if len(dict) != r.NumDictItems() {
 		return nil, fmt.Errorf("column: %d dict entries, header says %d", len(dict), r.NumDictItems())
 	}
-	data, err := undoLZ4(r)
+	data, buf, err := undoLZ4(r)
 	if err != nil {
 		return nil, err
 	}
-	packed, err := codec.DecodeBitPackU64(data)
+	defer release(buf)
+	ids, err := codec.DecodeBitPackU32(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(packed) != r.NumItems() {
-		return nil, fmt.Errorf("column: decoded %d ids, header says %d", len(packed), r.NumItems())
+	if len(ids) != r.NumItems() {
+		return nil, fmt.Errorf("column: decoded %d ids, header says %d", len(ids), r.NumItems())
 	}
-	ids := make([]uint32, len(packed))
-	for i, v := range packed {
-		if v >= uint64(len(dict)) {
-			return nil, fmt.Errorf("column: id %d out of dictionary range %d", v, len(dict))
+	for _, id := range ids {
+		if int(id) >= len(dict) {
+			return nil, fmt.Errorf("column: id %d out of dictionary range %d", id, len(dict))
 		}
-		ids[i] = uint32(v)
 	}
 	return &StringColumn{Dict: dict, IDs: ids}, nil
 }
 
-// DecodeStringSet decodes a string-set column.
+// DecodeStringSet decodes a string-set column's dictionary and leaves its
+// rows as the block holds them (see StringSetColumn): the column aliases r's
+// data section and is good for as long as r's memory is.
 func DecodeStringSet(r *layout.RBC) (*StringSetColumn, error) {
 	if r.Type() != layout.TypeStringSet {
 		return nil, fmt.Errorf("column: %v is not a string-set column", r.Type())
@@ -297,41 +479,15 @@ func DecodeStringSet(r *layout.RBC) (*StringSetColumn, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := undoLZ4(r)
-	if err != nil {
-		return nil, err
+	c := &StringSetColumn{Dict: dict, n: r.NumItems(), data: r.Data(), raw: len(r.Data())}
+	if c.packed = r.Code().Compressor() == codec.MethodLZ4; c.packed {
+		c.raw = r.UncompressedLen()
 	}
-	// Each row costs at least one byte; a corrupt header cannot size the
-	// allocation beyond the data it actually shipped.
-	if r.NumItems() < 0 || r.NumItems() > len(data) {
-		return nil, fmt.Errorf("column: %d set rows in %d bytes", r.NumItems(), len(data))
+	// Each row costs at least one byte, and LZ4 grows a byte to at most
+	// MaxExpansion: a header that claims more rows than that is corrupt,
+	// whatever the rows turn out to hold, and nothing is sized by it.
+	if c.n < 0 || c.raw < 0 || c.n > c.raw || c.raw/lz4.MaxExpansion > len(c.data) {
+		return nil, fmt.Errorf("column: %d set rows in %d bytes (%d stored)", c.n, c.raw, len(c.data))
 	}
-	rows := make([][]uint32, 0, r.NumItems())
-	for len(rows) < r.NumItems() {
-		count, used, err := codec.Uvarint(data)
-		if err != nil {
-			return nil, fmt.Errorf("column: row %d count: %w", len(rows), err)
-		}
-		data = data[used:]
-		if count > uint64(len(data)) { // each id is at least one byte
-			return nil, fmt.Errorf("column: row %d claims %d ids in %d bytes", len(rows), count, len(data))
-		}
-		ids := make([]uint32, 0, count)
-		for j := uint64(0); j < count; j++ {
-			id, used, err := codec.Uvarint(data)
-			if err != nil {
-				return nil, fmt.Errorf("column: row %d id %d: %w", len(rows), j, err)
-			}
-			data = data[used:]
-			if id >= uint64(len(dict)) {
-				return nil, fmt.Errorf("column: id %d out of dictionary range %d", id, len(dict))
-			}
-			ids = append(ids, uint32(id))
-		}
-		rows = append(rows, ids)
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("column: %d trailing bytes after %d rows", len(data), len(rows))
-	}
-	return &StringSetColumn{Dict: dict, Rows: rows}, nil
+	return c, nil
 }

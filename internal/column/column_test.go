@@ -30,7 +30,7 @@ func TestInt64RoundTrip(t *testing.T) {
 	}
 	for _, vals := range cases {
 		blob := EncodeInt64(layout.TypeInt64, vals)
-		got, err := DecodeInt64(mustParse(t, blob))
+		got, err := DecodeInt64(nil, mustParse(t, blob))
 		if err != nil {
 			t.Fatalf("decode %v: %v", vals, err)
 		}
@@ -168,29 +168,121 @@ func TestStringSetRoundTrip(t *testing.T) {
 		if col.Len() != len(vals) {
 			t.Fatalf("Len = %d, want %d", col.Len(), len(vals))
 		}
+		got, err := col.Values()
+		if err != nil {
+			t.Fatalf("walk %v: %v", vals, err)
+		}
 		for i, want := range vals {
-			got := col.Value(i)
-			if len(got) == 0 && len(want) == 0 {
+			if len(got[i]) == 0 && len(want) == 0 {
 				continue
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("row %d = %v, want %v", i, got, want)
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("row %d = %v, want %v", i, got[i], want)
 			}
 		}
 	}
 }
 
-func TestStringSetContains(t *testing.T) {
-	blob := EncodeStringSet([][]string{{"tag1", "tag2"}, {"tag3"}})
-	col, err := DecodeStringSet(mustParse(t, blob))
+// selectAll is the selection that holds every row of an n-row block.
+func selectAll(n int) []uint32 {
+	sel := make([]uint32, n)
+	for i := range sel {
+		sel[i] = uint32(i)
+	}
+	return sel
+}
+
+// TestStringSetSelectContains pins the contains kernel on a sealed column
+// (rows under LZ4, aliased) and on an unsealed one (rows built in place):
+// whole and partial selections, in place and into a second slice, a member
+// the dictionary lacks, and IDs and counts that take more than one byte.
+func TestStringSetSelectContains(t *testing.T) {
+	vals := make([][]string, 1000)
+	for i := range vals {
+		vals[i] = []string{fmt.Sprintf("t%d", i%300), "all"}
+		if i%7 == 0 {
+			vals[i] = nil
+		}
+		if i == 500 {
+			for j := 0; j < 200; j++ { // a count past one varint byte
+				vals[i] = append(vals[i], fmt.Sprintf("t%d", j))
+			}
+		}
+	}
+	sealed, err := DecodeStringSet(mustParse(t, EncodeStringSet(vals)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !col.Contains(0, "tag1") || !col.Contains(0, "tag2") || col.Contains(0, "tag3") {
-		t.Error("Contains wrong for row 0")
+	if !sealed.packed {
+		t.Fatal("fixture did not compress: the sealed column never un-LZ4s")
 	}
-	if !col.Contains(1, "tag3") || col.Contains(1, "tag1") {
-		t.Error("Contains wrong for row 1")
+	for name, col := range map[string]*StringSetColumn{"sealed": sealed, "unsealed": NewStringSetFromValues(vals)} {
+		for _, member := range []string{"all", "t0", "t299", "t150", "absent"} {
+			for _, step := range []int{1, 3} {
+				var sel, want []uint32
+				for i := 0; i < len(vals); i += step {
+					sel = append(sel, uint32(i))
+					for _, s := range vals[i] {
+						if s == member {
+							want = append(want, uint32(i))
+							break
+						}
+					}
+				}
+				got, err := col.SelectContains(member, sel, nil)
+				if err != nil {
+					t.Fatalf("%s %q step %d: %v", name, member, step, err)
+				}
+				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Errorf("%s %q step %d: %d rows, want %d", name, member, step, len(got), len(want))
+				}
+				inPlace, err := col.SelectContains(member, sel, sel)
+				if err != nil || len(inPlace) != len(want) || (len(want) > 0 && !reflect.DeepEqual(inPlace, want)) {
+					t.Errorf("%s %q step %d in place: %v, %d rows, want %d", name, member, step, err, len(inPlace), len(want))
+				}
+			}
+		}
+		if _, err := col.SelectContains("all", []uint32{uint32(len(vals))}, nil); err == nil {
+			t.Errorf("%s: selecting a row past the column succeeded", name)
+		}
+	}
+}
+
+// TestStringSetMalformedRows pins that rows the data cannot back come back
+// as errors from the walks, never a panic: the column is opened lazily, so
+// the walks are where a damaged data section is met.
+func TestStringSetMalformedRows(t *testing.T) {
+	dict := codec.EncodeDict(nil, []string{"a", "b"})
+	cases := map[string][]byte{
+		"truncated ids":   {2, 0},
+		"truncated count": {1, 0, 0x80},
+		"count past data": {9, 0, 1},
+		"long varint id":  {1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+	}
+	for name, data := range cases {
+		blob := layout.Build(layout.TypeStringSet, codec.NewCode(codec.MethodDict, codec.MethodRaw), 2, 2, dict, data, uint64(len(data)))
+		col, err := DecodeStringSet(mustParse(t, blob))
+		if err != nil {
+			continue // refused at open is as good
+		}
+		if _, err := col.Values(); err == nil {
+			t.Errorf("%s: Values succeeded", name)
+		}
+		if _, err := col.SelectContains("a", selectAll(2), nil); err == nil {
+			t.Errorf("%s: SelectContains succeeded", name)
+		}
+	}
+	// An ID outside the dictionary and trailing bytes are Each's to report:
+	// contains compares IDs and stops at the last selected row.
+	for name, data := range map[string][]byte{"id out of range": {1, 7, 0}, "trailing bytes": {0, 0, 0}} {
+		blob := layout.Build(layout.TypeStringSet, codec.NewCode(codec.MethodDict, codec.MethodRaw), 2, 2, dict, data, uint64(len(data)))
+		col, err := DecodeStringSet(mustParse(t, blob))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := col.Values(); err == nil {
+			t.Errorf("%s: Values succeeded", name)
+		}
 	}
 }
 
@@ -218,7 +310,7 @@ func TestDecodeTypeMismatch(t *testing.T) {
 	if _, err := DecodeString(intBlob); err == nil {
 		t.Error("DecodeString on int column succeeded")
 	}
-	if _, err := DecodeInt64(strBlob); err == nil {
+	if _, err := DecodeInt64(nil, strBlob); err == nil {
 		t.Error("DecodeInt64 on string column succeeded")
 	}
 	if _, err := DecodeFloat64(intBlob); err == nil {
@@ -290,7 +382,7 @@ func TestInt64Property(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeInt64(r)
+		got, err := DecodeInt64(nil, r)
 		if err != nil {
 			return false
 		}

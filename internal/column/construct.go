@@ -1,6 +1,7 @@
 package column
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"scuba/internal/codec"
@@ -26,16 +27,16 @@ func NewStringFromValues(values []string) *StringColumn {
 	return &StringColumn{Dict: d.Items(), IDs: ids}
 }
 
-// NewStringSetFromValues builds a decoded string-set column from raw values.
+// NewStringSetFromValues builds a string-set column from raw values, its
+// rows in the same encoding a sealed block's data section uses.
 func NewStringSetFromValues(values [][]string) *StringSetColumn {
 	d := codec.NewDict()
-	rows := make([][]uint32, len(values))
-	for i, set := range values {
-		ids := make([]uint32, len(set))
-		for j, s := range set {
-			ids[j] = d.ID(s)
+	var data []byte
+	for _, set := range values {
+		data = binary.AppendUvarint(data, uint64(len(set)))
+		for _, s := range set {
+			data = binary.AppendUvarint(data, uint64(d.ID(s)))
 		}
-		rows[i] = ids
 	}
-	return &StringSetColumn{Dict: d.Items(), Rows: rows}
+	return &StringSetColumn{Dict: d.Items(), n: len(values), data: data, raw: len(data)}
 }

@@ -41,14 +41,18 @@ func TestNewStringSetFromValues(t *testing.T) {
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	if !reflect.DeepEqual(c.Value(0), []string{"x", "y"}) {
-		t.Errorf("row 0 = %v", c.Value(0))
+	vals, err := c.Values()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(c.Value(1)) != 0 {
-		t.Errorf("row 1 = %v", c.Value(1))
+	if !reflect.DeepEqual(vals[0], []string{"x", "y"}) {
+		t.Errorf("row 0 = %v", vals[0])
 	}
-	if !c.Contains(2, "y") || c.Contains(2, "x") {
-		t.Error("Contains wrong")
+	if len(vals[1]) != 0 {
+		t.Errorf("row 1 = %v", vals[1])
+	}
+	if got, err := c.SelectContains("y", []uint32{0, 1, 2}, nil); err != nil || !reflect.DeepEqual(got, []uint32{0, 2}) {
+		t.Errorf("rows containing y = %v, %v", got, err)
 	}
 	if c.Type() != layout.TypeStringSet {
 		t.Errorf("type = %v", c.Type())

@@ -13,7 +13,8 @@ import (
 // shm view uses, to Decode and to the four typed decoders. Both restart modes
 // decode columns only a segment-wide CRC has vouched for, so whatever gets
 // this far must come back as an error or as a column as long as its header
-// says, every row of it readable — never a panic, and never an allocation
+// says, every row of it readable (a string set, whose rows stay encoded, may
+// instead report the damage from the walk that meets it) — never a panic, and never an allocation
 // sized by a count the bytes present cannot back (the decoders check the
 // header's counts against the data first; lz4.Decompress and the bit-pack cap
 // do the same a layer down). A hostile count that slips through shows up here
@@ -63,19 +64,39 @@ func FuzzColumnDecode(f *testing.F) {
 			if col.Len() != r.NumItems() || col.Type() != r.Type() {
 				t.Fatalf("decoded %d rows of %v, header says %d of %v", col.Len(), col.Type(), r.NumItems(), r.Type())
 			}
-			for i := 0; i < col.Len(); i++ {
-				switch c := col.(type) {
-				case *StringColumn:
+			switch c := col.(type) {
+			case *StringColumn:
+				for i := 0; i < c.Len(); i++ {
 					_ = c.Value(i)
-				case *StringSetColumn:
-					_ = c.Value(i)
-					_ = c.Contains(i, "all")
+				}
+			case *StringSetColumn:
+				// A set's rows stay encoded: the walks are where a damaged
+				// data section is met, and they must agree on what they saw.
+				vals, verr := c.Values()
+				sel := make([]uint32, c.Len())
+				for i := range sel {
+					sel[i] = uint32(i)
+				}
+				hit, cerr := c.SelectContains("all", sel, nil)
+				if verr == nil {
+					want := 0
+					for _, set := range vals {
+						for _, s := range set {
+							if s == "all" {
+								want++
+								break
+							}
+						}
+					}
+					if cerr != nil || len(hit) != want {
+						t.Fatalf("contains found %d rows (%v), the rows hold %d", len(hit), cerr, want)
+					}
 				}
 			}
 		}
 		// The typed decoders refuse a column of another type and otherwise
 		// agree with Decode on whether the blob is one.
-		_, ierr := DecodeInt64(r)
+		_, ierr := DecodeInt64(nil, r)
 		_, ferr := DecodeFloat64(r)
 		_, serr := DecodeString(r)
 		_, xerr := DecodeStringSet(r)

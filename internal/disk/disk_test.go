@@ -49,11 +49,11 @@ func verifyBlockContents(t *testing.T, got, want *rowblock.RowBlock) {
 	if got.Rows() != want.Rows() {
 		t.Fatalf("rows = %d, want %d", got.Rows(), want.Rows())
 	}
-	gt, err := got.Times()
+	gt, err := got.Times(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wt, _ := want.Times()
+	wt, _ := want.Times(nil)
 	if !reflect.DeepEqual(gt, wt) {
 		t.Fatal("times differ")
 	}
@@ -84,9 +84,13 @@ func verifyBlockContents(t *testing.T, got, want *rowblock.RowBlock) {
 				}
 			}
 		case *column.StringSetColumn:
-			gc := gotCol.(*column.StringSetColumn)
+			gotSets, gerr := gotCol.(*column.StringSetColumn).Values()
+			wantSets, werr := wc.Values()
+			if gerr != nil || werr != nil {
+				t.Fatalf("column %q: %v, %v", f.Name, gerr, werr)
+			}
 			for i := 0; i < wc.Len(); i++ {
-				a, b := gc.Value(i), wc.Value(i)
+				a, b := gotSets[i], wantSets[i]
 				sort.Strings(a)
 				sort.Strings(b)
 				if !reflect.DeepEqual(a, b) {

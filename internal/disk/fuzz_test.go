@@ -42,7 +42,7 @@ func FuzzDecodeRowFormat(f *testing.F) {
 			t.Fatal("nil block without error")
 		}
 		if err == nil {
-			if _, terr := got.Times(); terr != nil {
+			if _, terr := got.Times(nil); terr != nil {
 				t.Fatalf("accepted block has broken time column: %v", terr)
 			}
 		}

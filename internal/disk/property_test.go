@@ -57,8 +57,8 @@ func TestRowFormatProperty(t *testing.T) {
 		if got.Rows() != orig.Rows() {
 			t.Fatalf("trial %d: rows %d != %d", trial, got.Rows(), orig.Rows())
 		}
-		gt, _ := got.Times()
-		ot, _ := orig.Times()
+		gt, _ := got.Times(nil)
+		ot, _ := orig.Times(nil)
 		if !reflect.DeepEqual(gt, ot) {
 			t.Fatalf("trial %d: times differ", trial)
 		}
@@ -91,9 +91,13 @@ func TestRowFormatProperty(t *testing.T) {
 					}
 				}
 			case *column.StringSetColumn:
-				gc := gotCol.(*column.StringSetColumn)
+				gotSets, gerr := gotCol.(*column.StringSetColumn).Values()
+				wantSets, werr := wc.Values()
+				if gerr != nil || werr != nil {
+					t.Fatalf("trial %d column %q: %v, %v", trial, f.Name, gerr, werr)
+				}
 				for i := 0; i < wc.Len(); i++ {
-					a, b := append([]string(nil), gc.Value(i)...), append([]string(nil), wc.Value(i)...)
+					a, b := gotSets[i], wantSets[i]
 					sort.Strings(a)
 					sort.Strings(b)
 					if !reflect.DeepEqual(a, b) {

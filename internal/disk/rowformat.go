@@ -45,7 +45,7 @@ type decodedColumns struct {
 	ints   [][]int64
 	floats [][]float64
 	strs   []*column.StringColumn
-	sets   []*column.StringSetColumn
+	sets   [][][]string
 }
 
 // EncodeRowFormat decodes every column of the block (paying decompression)
@@ -59,7 +59,7 @@ func EncodeRowFormat(rb *rowblock.RowBlock) ([]byte, error) {
 		ints:   make([][]int64, len(schema)),
 		floats: make([][]float64, len(schema)),
 		strs:   make([]*column.StringColumn, len(schema)),
-		sets:   make([]*column.StringSetColumn, len(schema)),
+		sets:   make([][][]string, len(schema)),
 	}
 	for i, f := range schema {
 		col, err := rb.DecodeColumn(f.Name)
@@ -74,7 +74,9 @@ func EncodeRowFormat(rb *rowblock.RowBlock) ([]byte, error) {
 		case *column.StringColumn:
 			cols.strs[i] = c
 		case *column.StringSetColumn:
-			cols.sets[i] = c
+			if cols.sets[i], err = c.Values(); err != nil {
+				return nil, err
+			}
 		default:
 			return nil, fmt.Errorf("disk: unsupported column %T", col)
 		}
@@ -103,7 +105,7 @@ func EncodeRowFormat(rb *rowblock.RowBlock) ([]byte, error) {
 				b = binary.AppendUvarint(b, uint64(len(s)))
 				b = append(b, s...)
 			case layout.TypeStringSet:
-				set := cols.sets[i].Value(r)
+				set := cols.sets[i][r]
 				b = binary.AppendUvarint(b, uint64(len(set)))
 				for _, s := range set {
 					b = binary.AppendUvarint(b, uint64(len(s)))

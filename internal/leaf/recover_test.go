@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"scuba/internal/query"
+	"scuba/internal/rowblock"
 	"scuba/internal/table"
 )
 
@@ -18,6 +19,13 @@ import (
 // schema (a column missing from many rows, one that shows up late, a string
 // set filter) as one canonical string.
 func driftFingerprint(t *testing.T, l *Leaf) string {
+	t.Helper()
+	return fingerprint(t, func(q *query.Query) (*query.Result, error) { return l.Query(q) })
+}
+
+// fingerprint is driftFingerprint over whatever answers the queries: a leaf,
+// or the reference executor over the rows a leaf is supposed to hold.
+func fingerprint(t *testing.T, answer func(*query.Query) (*query.Result, error)) string {
 	t.Helper()
 	var out []string
 	for _, q := range []*query.Query{
@@ -27,7 +35,7 @@ func driftFingerprint(t *testing.T, l *Leaf) string {
 			Filters:      []query.Filter{{Column: "tags", Op: query.OpContains, Str: "prod"}},
 			Aggregations: []query.Aggregation{{Op: query.AggCount}, {Op: query.AggMax, Column: "seq"}}},
 	} {
-		res, err := l.Query(q)
+		res, err := answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,13 +86,12 @@ func dirBytes(t *testing.T, root string) int64 {
 func sourceHistory(t *testing.T, cfg Config) *Leaf {
 	const now = 1700002400 // cutoff now-1000 falls between block 0's and block 1's newest row
 	l := startLeaf(t, cfg)
-	rng := rand.New(rand.NewSource(11))
-	at := int64(0)
+	rows := sourceRows()
 	add := func(n int) {
-		if err := l.AddRows("events", driftRows(rng, n, at)); err != nil {
+		if err := l.AddRows("events", rows[:n]); err != nil {
 			t.Fatal(err)
 		}
-		at += int64(n)
+		rows = rows[n:]
 	}
 	add(40000)
 	add(40000) // crosses the 65536-row block boundary mid-batch
@@ -101,6 +108,10 @@ func sourceHistory(t *testing.T, cfg Config) *Leaf {
 	add(100)
 	return l
 }
+
+// sourceRows are the 110100 rows sourceHistory acks, in order; the history
+// leaves rows[65536:] alive.
+func sourceRows() []rowblock.Row { return driftRows(rand.New(rand.NewSource(11)), 110100, 0) }
 
 func sourceClock() int64 { return 1700009999 } // block images carry the creation time
 
@@ -145,8 +156,10 @@ var recoverySources = []struct {
 
 // TestRecoverySourceEquivalence runs sourceHistory and brings it back from
 // each source the recovery loop can take a table from. Whatever the source,
-// the leaf must answer queries byte-identically, hold the same sealed images
-// and Stats, and leave the same image directory after its next persist pass.
+// the leaf must answer queries as the reference executor answers them over
+// the rows the history left alive — not merely as the other sources do: a
+// scan bug agrees with itself — hold the same sealed images and Stats, and
+// leave the same image directory after its next persist pass.
 func TestRecoverySourceEquivalence(t *testing.T) {
 	type picture struct {
 		answers string
@@ -154,6 +167,8 @@ func TestRecoverySourceEquivalence(t *testing.T) {
 		stats   Stats
 		store   map[string][]byte
 	}
+	alive := sourceRows()[65536:]
+	want := fingerprint(t, func(q *query.Query) (*query.Result, error) { return query.Reference(alive, q) })
 	var first *picture
 	for _, src := range recoverySources {
 		t.Run(src.name, func(t *testing.T) {
@@ -203,12 +218,12 @@ func TestRecoverySourceEquivalence(t *testing.T) {
 			if len(got.store) != 3 { // two images and the watermark
 				t.Errorf("store holds %d files, want 3: block 0's image must be gone", len(got.store))
 			}
+			if got.answers != want {
+				t.Errorf("query results differ from the reference executor's over rows [65536, 110100):\n got %s\nwant %s", got.answers, want)
+			}
 			if first == nil {
 				first = &got
 				return
-			}
-			if got.answers != first.answers {
-				t.Errorf("query results differ from the first source:\n got %s\nwant %s", got.answers, first.answers)
 			}
 			sameImages(t, "sealed blocks", got.images, first.images)
 			if got.stats.Rows != first.stats.Rows || got.stats.Bytes != first.stats.Bytes {

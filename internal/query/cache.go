@@ -127,11 +127,13 @@ func (c *DecodeCache) Put(rb Block, name string, col column.Column) {
 	key := decodeKey{rb, name}
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*decodeEntry).col = col
-		return
+		e := el.Value.(*decodeEntry)
+		c.bytes += size - e.size
+		e.col, e.size = col, size
+	} else {
+		c.entries[key] = c.ll.PushFront(&decodeEntry{key: key, col: col, size: size})
+		c.bytes += size
 	}
-	c.entries[key] = c.ll.PushFront(&decodeEntry{key: key, col: col, size: size})
-	c.bytes += size
 	for c.bytes > c.max {
 		c.evictOldestLocked()
 	}
@@ -208,12 +210,12 @@ func columnBytes(name string, col column.Column) int64 {
 		}
 		n += int64(len(c.IDs)) * 4
 	case *column.StringSetColumn:
+		// The executor keeps sets out of the cache (their rows alias the
+		// block); this is what one would hold on to if it went in.
 		for _, s := range c.Dict {
 			n += int64(len(s)) + 16
 		}
-		for _, row := range c.Rows {
-			n += int64(len(row))*4 + 24
-		}
+		n += int64(c.EncodedBytes())
 	}
 	return n
 }

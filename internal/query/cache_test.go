@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"scuba/internal/column"
+	"scuba/internal/layout"
 	"scuba/internal/metrics"
 	"scuba/internal/rowblock"
 	"scuba/internal/table"
@@ -159,4 +161,58 @@ func fixtureRows(t *testing.T, n int) []rowblock.Row {
 		}
 	}
 	return rows
+}
+
+// TestDecodeCacheBytesIsSumOfEntries pins the cache's byte count to the sum
+// over its live entries through every way an entry changes: insert, replace
+// by a column of another size (Put over an existing key used to swap the
+// column and keep the old size), eviction, and InvalidateBlocks. A string
+// set is priced by its dictionary plus the encoded rows it holds on to.
+func TestDecodeCacheBytesIsSumOfEntries(t *testing.T) {
+	blocks := fixtureTable(t).Blocks()
+	col := func(n int) *column.Int64Column {
+		return column.NewInt64(layout.TypeInt64, make([]int64, n))
+	}
+	dc := NewDecodeCache(20_000, nil)
+	check := func(step string) {
+		t.Helper()
+		var sum int64
+		for el := dc.ll.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*decodeEntry)
+			if want := columnBytes(e.key.name, e.col); e.size != want {
+				t.Errorf("%s: entry %q holds size %d, its column is %d bytes", step, e.key.name, e.size, want)
+			}
+			sum += e.size
+		}
+		if entries, bytes := dc.Stats(); bytes != sum || entries != dc.ll.Len() {
+			t.Errorf("%s: Stats() = %d entries, %d bytes; the entries sum to %d, %d bytes", step, entries, bytes, dc.ll.Len(), sum)
+		}
+	}
+	dc.Put(blocks[0], "a", col(100))
+	dc.Put(blocks[0], "b", col(200))
+	dc.Put(blocks[1], "a", col(300))
+	check("insert")
+	dc.Put(blocks[0], "a", col(1000)) // replace, larger
+	check("replace with a larger column")
+	dc.Put(blocks[0], "a", col(10)) // replace, smaller
+	check("replace with a smaller column")
+	dc.Put(blocks[0], "a", col(2000)) // replace, large enough to evict others
+	check("replace that evicts")
+	if entries, _ := dc.Stats(); entries >= 3 {
+		t.Errorf("a 16 KB replacement left all %d entries in a 20 KB cache", entries)
+	}
+	dc.Put(blocks[2], "c", col(500))
+	dc.InvalidateBlocks(blocks[:1])
+	check("invalidate")
+	dc.InvalidateBlocks(blocks)
+	check("invalidate all")
+	if entries, bytes := dc.Stats(); entries != 0 || bytes != 0 {
+		t.Errorf("empty cache reports %d entries, %d bytes", entries, bytes)
+	}
+
+	set := column.NewStringSetFromValues([][]string{{"prod", "tier1"}, {"prod"}, nil})
+	want := int64(len("tags")) + 64 + int64(len("prod")+16+len("tier1")+16) + int64(set.EncodedBytes())
+	if got := columnBytes("tags", set); got != want || set.EncodedBytes() != 6 {
+		t.Errorf("string set priced at %d bytes (%d encoded), want %d (6 encoded)", got, set.EncodedBytes(), want)
+	}
 }

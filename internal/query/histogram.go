@@ -21,18 +21,20 @@ func (h *Histogram) Add(v float64) {
 	h.Total++
 }
 
+// bucketOf is 1 + floor(log2(v)) clamped to the bucket range, read off the
+// float's exponent field: a value in [2^k, 2^(k+1)) has biased exponent
+// k+1023 whatever its mantissa, where math.Log2 rounds the value just below
+// 2^k up to k and lands it a bucket high. Zero, negatives and NaN go to
+// bucket 0 with the subnormals and everything below 1; +Inf, like anything
+// from 2^63 up, goes to the last. The integer kernels bucket the converted
+// float (a bits.Len64 shortcut would put 2^k-1 above 2^53, which converts
+// to 2^k, a bucket low).
 func bucketOf(v float64) int {
-	if v <= 0 || math.IsNaN(v) {
+	if !(v > 0) {
 		return 0
 	}
-	b := 1 + int(math.Floor(math.Log2(v)))
-	if b < 0 {
-		b = 0
-	}
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
+	b := int(math.Float64bits(v)>>52) - 1022
+	return min(max(b, 0), histBuckets-1)
 }
 
 // bucketMid returns a representative value for a bucket (geometric middle).

@@ -1,7 +1,9 @@
 package query
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -133,5 +135,71 @@ func TestAggStateHistMergeIntoPlain(t *testing.T) {
 	plain.Merge(withHist)
 	if plain.Hist == nil || plain.Hist.Total != 100 {
 		t.Error("histogram not carried through merge")
+	}
+}
+
+// log2BucketOf is bucketOf as it was before the exponent read:
+// 1 + floor(log2(v)), clamped.
+func log2BucketOf(v float64) int {
+	if v <= 0 || math.IsNaN(v) {
+		return 0
+	}
+	b := 1 + int(math.Floor(math.Log2(v)))
+	if b < 0 {
+		b = 0
+	}
+	if b >= histBuckets {
+		b = histBuckets - 1
+	}
+	return b
+}
+
+// TestBucketOfAgainstLog2 pins bucketOf to the truth — a positive finite v
+// is frac x 2^exp with frac in [0.5, 1), so its bucket is exp, clamped — and
+// to the old formula everywhere the old formula was right. It was wrong in
+// two places: the float just below 2^k for k = 3..63, where math.Log2 rounds
+// up to k and the value landed a bucket high, and +Inf, whose conversion to
+// int is undefined and landed it in bucket 0, below every finite value.
+func TestBucketOfAgainstLog2(t *testing.T) {
+	type input struct {
+		v       float64
+		moved   bool // the one place the old formula is not the reference
+		comment string
+	}
+	inputs := []input{
+		{v: 0}, {v: math.Copysign(0, -1)}, {v: -1}, {v: -1e300}, {v: math.Inf(-1)}, {v: math.NaN()},
+		{v: math.Inf(1), moved: true, comment: "+Inf"},
+		{v: math.SmallestNonzeroFloat64}, {v: math.Ldexp(1, -1060)}, {v: math.Ldexp(1, -1022)},
+		{v: 0.3}, {v: 1.5}, {v: 40.25}, {v: math.MaxFloat64},
+	}
+	for k := -1074; k <= 1023; k++ {
+		p := math.Ldexp(1, k)
+		below := math.Nextafter(p, 0)
+		inputs = append(inputs,
+			input{v: below, moved: k >= 3 && k <= 63, comment: fmt.Sprintf("just below 2^%d", k)},
+			input{v: p}, input{v: math.Nextafter(p, math.Inf(1))})
+	}
+	// Integers above 2^53 are bucketed as the float they convert to: 2^k-1
+	// rounds up to 2^k, one bucket above where its bit length would put it.
+	for k := 54; k <= 63; k++ {
+		i := int64(1)<<k - 1
+		if got, bitLen := bucketOf(float64(i)), bits.Len64(uint64(i)); got != min(bitLen+1, histBuckets-1) {
+			t.Errorf("bucketOf(float64(2^%d-1)) = %d, bit length %d", k, got, bitLen)
+		}
+		inputs = append(inputs, input{v: float64(i)}, input{v: float64(int64(1) << (k - 1))})
+	}
+	for _, in := range inputs {
+		got := bucketOf(in.v)
+		if want := log2BucketOf(in.v); (got != want) != in.moved {
+			t.Errorf("bucketOf(%g) = %d, the log2 formula gives %d (moved: %v %s)", in.v, got, want, in.moved, in.comment)
+		}
+		if in.v > 0 && !math.IsInf(in.v, 0) {
+			if _, exp := math.Frexp(in.v); got != min(max(exp, 0), histBuckets-1) {
+				t.Errorf("bucketOf(%g) = %d, exponent says %d", in.v, got, exp)
+			}
+		}
+	}
+	if got := bucketOf(math.Inf(1)); got != histBuckets-1 {
+		t.Errorf("bucketOf(+Inf) = %d, want the last bucket", got)
 	}
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"reflect"
 	"testing"
 
 	"scuba/internal/rowblock"
@@ -11,9 +12,10 @@ import (
 // has no "region" or "errors" columns, block 1 has both, block 2 has only
 // "errors". Every block has "service". This is Scuba's normal life — rows
 // are schemaless and columns appear per block.
-func partialTable(t *testing.T) *table.Table {
+func partialTable(t *testing.T) (*table.Table, []rowblock.Row) {
 	t.Helper()
 	tbl := table.New("evolving", table.Options{})
+	var all []rowblock.Row
 	addBlock := func(base int64, mk func(i int) map[string]rowblock.Value) {
 		t.Helper()
 		rows := make([]rowblock.Row, 50)
@@ -26,6 +28,7 @@ func partialTable(t *testing.T) *table.Table {
 		if err := tbl.SealActive(); err != nil {
 			t.Fatal(err)
 		}
+		all = append(all, rows...)
 	}
 	addBlock(1000, func(i int) map[string]rowblock.Value {
 		return map[string]rowblock.Value{
@@ -45,14 +48,18 @@ func partialTable(t *testing.T) *table.Table {
 			"errors":  rowblock.Int64Value(int64(10 + i%5)),
 		}
 	})
-	return tbl
+	return tbl, all
 }
 
-// TestPartiallyAbsentColumn drives every consumer of the decode closure's
-// nil-column contract (filters, group keys, numeric aggregation,
-// count-distinct) over a column present in some blocks and absent in others.
+// TestPartiallyAbsentColumn drives every consumer of the nil-column contract
+// (filters, group keys, numeric aggregation, count-distinct) over a column
+// present in some blocks and absent in others. Each answer is checked against
+// the number worked out by hand and against the reference executor over the
+// same rows: these queries read an absent cell as its column's own zero (a
+// well-typed filter operand, a string key, a numeric aggregate), which is
+// where the block scan and the row-at-a-time reading must agree.
 func TestPartiallyAbsentColumn(t *testing.T) {
-	tbl := partialTable(t)
+	tbl, tblRows := partialTable(t)
 	all := int64(0)
 	tests := []struct {
 		name string
@@ -163,6 +170,13 @@ func TestPartiallyAbsentColumn(t *testing.T) {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				tc.want(t, res, res.Rows(tc.q))
+				ref, err := Reference(tblRows, tc.q)
+				if err != nil {
+					t.Fatalf("reference: %v", err)
+				}
+				if !reflect.DeepEqual(res.Rows(tc.q), ref.Rows(tc.q)) {
+					t.Errorf("workers=%d: rows %+v, reference %+v", workers, res.Rows(tc.q), ref.Rows(tc.q))
+				}
 			}
 		})
 	}

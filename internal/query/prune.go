@@ -10,7 +10,7 @@ import "scuba/internal/rowblock"
 //
 // Pruning must be invisible apart from speed: a pruned block and a scanned
 // block must contribute identically (nothing) to the result, including error
-// behavior. scanBlockRows stops applying filters the moment the live-row count
+// behavior. scanRows stops applying filters the moment the live-row count
 // hits zero, so a type error in filter k is only ever surfaced when filters
 // 1..k-1 left rows alive. blockPruned mirrors that exactly: it walks filters
 // in order and prunes on the first zone exclusion, but gives up (scans) as
@@ -43,7 +43,7 @@ func blockPruned(rb Block, q *Query) bool {
 }
 
 // zoneExcludes reports whether the zone map proves no row matches f. Only
-// operator/kind pairs that applyFilter evaluates without error may prune;
+// operator/kind pairs that the scan's filter evaluates without error may prune;
 // everything else answers false (must scan). A nil zone map (absent column,
 // v1 image) never prunes.
 func zoneExcludes(z *rowblock.ZoneMap, f Filter) bool {

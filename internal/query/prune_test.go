@@ -8,6 +8,16 @@ import (
 	"scuba/internal/table"
 )
 
+// scanBlock folds one block into res: a one-block execution, zone maps
+// consulted, dc the decode cache.
+func scanBlock(rb Block, q *Query, res *Result, dc *DecodeCache) error {
+	s := newScanner(compile(q), dc)
+	defer s.release()
+	err := s.scanBlock(rb)
+	res.Merge(s.finish())
+	return err
+}
+
 // noZones hides a block's zone maps so the executor cannot prune it: the
 // embedded interface only promotes Block's methods, so the wrapper never
 // satisfies the zoner assertion. Tests use it to force-scan.
@@ -35,19 +45,7 @@ func zoneFixture(t *testing.T) *table.Table {
 	t.Helper()
 	tbl := table.New("events", table.Options{})
 	for b := 0; b < 4; b++ {
-		rows := make([]rowblock.Row, 100)
-		for i := range rows {
-			rows[i] = rowblock.Row{
-				Time: 1000 + int64(b*100+i),
-				Cols: map[string]rowblock.Value{
-					"status":  rowblock.Int64Value(int64(100*b + i)),
-					"latency": rowblock.Float64Value(float64(1000*b + i)),
-					"service": rowblock.StringValue([]string{"svc-0", "svc-1", "svc-2", "svc-3"}[b]),
-					"tags":    rowblock.SetValue("t" + string(rune('0'+b))),
-				},
-			}
-		}
-		if err := tbl.AddRows(rows, 1); err != nil {
+		if err := tbl.AddRows(zoneFixtureRows(b), 1); err != nil {
 			t.Fatal(err)
 		}
 		if err := tbl.SealActive(); err != nil {
@@ -55,6 +53,23 @@ func zoneFixture(t *testing.T) *table.Table {
 		}
 	}
 	return tbl
+}
+
+// zoneFixtureRows are the rows of zoneFixture's block b.
+func zoneFixtureRows(b int) []rowblock.Row {
+	rows := make([]rowblock.Row, 100)
+	for i := range rows {
+		rows[i] = rowblock.Row{
+			Time: 1000 + int64(b*100+i),
+			Cols: map[string]rowblock.Value{
+				"status":  rowblock.Int64Value(int64(100*b + i)),
+				"latency": rowblock.Float64Value(float64(1000*b + i)),
+				"service": rowblock.StringValue([]string{"svc-0", "svc-1", "svc-2", "svc-3"}[b]),
+				"tags":    rowblock.SetValue("t" + string(rune('0'+b))),
+			},
+		}
+	}
+	return rows
 }
 
 func TestZonePruneInt(t *testing.T) {
@@ -230,9 +245,15 @@ func TestZonePruneNeverHidesTypeErrors(t *testing.T) {
 }
 
 // TestParallelMatchesSerial runs the same queries at several pool sizes and
-// demands identical results (merge is associative/commutative; order-free).
+// demands identical results (merge is associative/commutative; order-free) —
+// identical to the reference executor's over the same rows, so the pool
+// sizes cannot agree on a wrong answer.
 func TestParallelMatchesSerial(t *testing.T) {
 	tbl := zoneFixture(t)
+	var rows []rowblock.Row
+	for b := 0; b < 4; b++ {
+		rows = append(rows, zoneFixtureRows(b)...)
+	}
 	queries := []*Query{
 		{Table: "events", From: 0, To: 1 << 40, Aggregations: []Aggregation{{Op: AggCount}, {Op: AggSum, Column: "status"}}},
 		{Table: "events", From: 0, To: 1 << 40, GroupBy: []string{"service"},
@@ -245,6 +266,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 		serial, err := Execute(tbl, q, ExecOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("query %d serial: %v", qi, err)
+		}
+		ref, err := Reference(rows, q)
+		if err != nil {
+			t.Fatalf("query %d reference: %v", qi, err)
+		}
+		if !reflect.DeepEqual(serial.Rows(q), ref.Rows(q)) {
+			t.Errorf("query %d serial: rows %+v, reference %+v", qi, serial.Rows(q), ref.Rows(q))
 		}
 		for _, workers := range []int{2, 4, 8} {
 			par, err := Execute(tbl, q, ExecOptions{Workers: workers})

@@ -104,6 +104,9 @@ func (op AggOp) String() string {
 // needsColumn reports whether the op reads a value column (count does not).
 func (op AggOp) needsColumn() bool { return op != AggCount }
 
+// percentile reports whether the op's accumulator keeps a histogram.
+func (op AggOp) percentile() bool { return op == AggP50 || op == AggP90 || op == AggP99 }
+
 // Aggregation names one output: an operator over a column.
 type Aggregation struct {
 	Op     AggOp

@@ -28,7 +28,7 @@ type AggState struct {
 // newAggState returns an empty accumulator for the op.
 func newAggState(op AggOp) *AggState {
 	st := &AggState{Min: math.Inf(1), Max: math.Inf(-1)}
-	if op == AggP50 || op == AggP90 || op == AggP99 {
+	if op.percentile() {
 		st.Hist = &Histogram{}
 	}
 	if op == AggCountDistinct {

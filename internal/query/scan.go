@@ -1,0 +1,852 @@
+package query
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"sync"
+	"time"
+
+	"scuba/internal/column"
+)
+
+// The block scan. A query is compiled once per execution into a plan (which
+// columns it reads, in which role); each scan worker owns a scanner — the
+// groups it has found so far plus the scratch one block needs — and folds
+// blocks into it one at a time:
+//
+//	selection   the live rows as a vector of row numbers, narrowed in place by
+//	            the time predicate (skipped, with the time column never
+//	            decoded, when the block header lies inside the range) and by
+//	            each filter in turn;
+//	grouping    every live row's group-by tuple reduced to one small integer
+//	            from dictionary IDs (strings) or value ranks (integers, time
+//	            buckets, floats), and that integer mapped to a group through
+//	            a per-block table — a key string is built once per group per
+//	            block, from the first live row that shows the tuple;
+//	aggregation one typed pass per aggregate over the column's values in
+//	            place, in row order.
+//
+// Scratch is pooled across queries (scanners), so a query that touches one
+// block allocates for its groups and nothing else.
+
+// plan is a query compiled for the scan: every distinct column it reads gets
+// a slot, and filters, group-by and aggregates name slots.
+type plan struct {
+	q       *Query
+	cols    []string
+	filters []int // slot per q.Filters entry
+	groups  []int // slot per q.GroupBy entry
+	aggs    []int // slot per q.Aggregations entry, -1 for count
+}
+
+func compile(q *Query) *plan {
+	p := &plan{q: q}
+	slot := func(name string) int {
+		for i, c := range p.cols {
+			if c == name {
+				return i
+			}
+		}
+		p.cols = append(p.cols, name)
+		return len(p.cols) - 1
+	}
+	for _, f := range q.Filters {
+		p.filters = append(p.filters, slot(f.Column))
+	}
+	for _, g := range q.GroupBy {
+		p.groups = append(p.groups, slot(g))
+	}
+	for _, a := range q.Aggregations {
+		if a.Op.needsColumn() {
+			p.aggs = append(p.aggs, slot(a.Column))
+		} else {
+			p.aggs = append(p.aggs, -1)
+		}
+	}
+	return p
+}
+
+// denseGroups bounds the per-block tuple → group table: tuples whose ID
+// space is at most this large index it directly, larger spaces are first
+// compacted to the tuples that occur (at most one per live row).
+const denseGroups = 1 << 16
+
+// scanner is one worker's state for one execution.
+type scanner struct {
+	p   *plan
+	dc  *DecodeCache
+	res *Result // work counters and phase times; finish adds the groups
+
+	// The groups found so far, in order of first sight: joined keys → index,
+	// and per aggregation one accumulator per group.
+	index   map[string]int32
+	keys    [][]string
+	aggs    [][]AggState
+	hists   []Histogram // slab the next percentile accumulators come from
+	keySlab []string    // slab the next group keys come from
+
+	// Per-block state, reset by scanRows.
+	cols   []column.Column // per plan slot, once loaded says so
+	loaded []bool
+	gcols  []column.Column // per group-by entry
+
+	// Scratch, kept across blocks and (through the pool) across queries.
+	times  []int64
+	all    []uint32 // 0, 1, 2, ...: the selection that holds every row
+	sel    []uint32
+	acc    []uint32   // per live row: tuple ID while folding, then its group
+	ids    []uint32   // per live row: one component's IDs
+	ints   []int64    // per live row: one integer-like component's values
+	tuples []int32    // tuple ID → group, -1 until a live row shows the tuple
+	dicts  [][]string // the dictionaries the tuple IDs were last made of
+	match  []bool     // per dictionary entry: does it pass the filter
+	seen   []uint64   // (group, dictionary ID) pairs a count-distinct has marked
+	ranks  map[int64]uint32
+	pairs  map[uint64]uint32
+	key    []string
+	text   []byte
+}
+
+var scanners = sync.Pool{New: func() any { return &scanner{index: make(map[string]int32)} }}
+
+func newScanner(p *plan, dc *DecodeCache) *scanner {
+	s := scanners.Get().(*scanner)
+	s.p, s.dc, s.res = p, dc, NewResult()
+	s.aggs = make([][]AggState, len(p.aggs))
+	return s
+}
+
+// release returns the scanner's scratch to the pool. What finish handed out
+// (keys, accumulators) belongs to the result by now and is let go of.
+func (s *scanner) release() {
+	s.p, s.dc, s.res = nil, nil, nil
+	clear(s.index)
+	s.keys, s.aggs, s.hists, s.keySlab = nil, nil, nil, nil
+	clear(s.cols)
+	clear(s.gcols)
+	clear(s.dicts)
+	s.tuples = s.tuples[:0] // the next query's first block starts a table
+	scanners.Put(s)
+}
+
+// finish moves the groups into the scanner's result and returns it.
+func (s *scanner) finish() *Result {
+	res, na := s.res, len(s.aggs)
+	res.groups = make(map[string]*Group, len(s.keys))
+	groups := make([]Group, len(s.keys))
+	states := make([]*AggState, len(s.keys)*na)
+	for g := range groups {
+		aggs := states[g*na : (g+1)*na : (g+1)*na]
+		for ai := range aggs {
+			st := &s.aggs[ai][g]
+			aggs[ai] = st
+			// What every row would have done alike is settled here, once per
+			// group: a count observed nothing but zeros, and a histogram
+			// took one value per observation.
+			if s.p.aggs[ai] < 0 {
+				st.Min, st.Max = 0, 0
+			}
+			if st.Hist != nil {
+				st.Hist.Total = st.Count
+			}
+		}
+		groups[g] = Group{Key: s.keys[g], Aggs: aggs}
+	}
+	for joined, g := range s.index {
+		res.groups[joined] = &groups[g]
+	}
+	return res
+}
+
+// group returns the index of the group with the key in s.key, adding it.
+func (s *scanner) group() int32 {
+	s.text = s.text[:0]
+	for i, part := range s.key {
+		if i > 0 {
+			s.text = append(s.text, keySep...)
+		}
+		s.text = append(s.text, part...)
+	}
+	if g, ok := s.index[string(s.text)]; ok {
+		return g
+	}
+	g := int32(len(s.keys))
+	s.index[string(s.text)] = g
+	// Keys are cut from a slab; an ungrouped query's one key stays nil, as
+	// the reference's is.
+	var key []string
+	if n := len(s.key); n > 0 {
+		if len(s.keySlab)+n > cap(s.keySlab) {
+			s.keySlab = make([]string, 0, n*min(max(2*len(s.keys), 4), 1024))
+		}
+		at := len(s.keySlab)
+		s.keySlab = append(s.keySlab, s.key...)
+		key = s.keySlab[at : at+n : at+n]
+	}
+	s.keys = append(s.keys, key)
+	for ai, a := range s.p.q.Aggregations {
+		st := AggState{Min: math.Inf(1), Max: math.Inf(-1)}
+		switch {
+		case a.Op.percentile():
+			if len(s.hists) == cap(s.hists) {
+				s.hists = make([]Histogram, 0, min(max(2*cap(s.hists), 4), 256))
+			}
+			s.hists = s.hists[:len(s.hists)+1]
+			st.Hist = &s.hists[len(s.hists)-1]
+		case a.Op == AggCountDistinct:
+			st.Distinct = make(map[string]bool)
+		}
+		s.aggs[ai] = append(s.aggs[ai], st)
+	}
+	return g
+}
+
+// scanBlock folds one block in, consulting zone maps to skip it outright and
+// the decode cache for column reuse across queries. Each phase's time lands
+// in res.Phases: the zone-map test as prune, producing typed vectors (a cache
+// lookup, or LZ4 + unpack on a miss, and the time column when the header
+// cannot answer for it) as decode, and everything else — selection, the walk
+// over a string set's encoded rows, grouping, aggregation — as scan. The
+// accounting costs a handful of clock reads per block (and two per decoded
+// column), which is noise against even a pruned block's work.
+func (s *scanner) scanBlock(blk Block) error {
+	res := s.res
+	pruneStart := time.Now()
+	pruned := blockPruned(blk, s.p.q)
+	scanStart := time.Now()
+	res.Phases.PruneNanos += scanStart.Sub(pruneStart).Nanoseconds()
+	if pruned {
+		res.BlocksPruned++
+		return nil
+	}
+	decodeBefore := res.Phases.DecodeNanos
+	err := s.scanRows(blk)
+	// Scan time is the block's wall time minus what decoding took of it.
+	res.Phases.ScanNanos += time.Since(scanStart).Nanoseconds() - (res.Phases.DecodeNanos - decodeBefore)
+	return err
+}
+
+// scanRows is scanBlock after the prune decision.
+func (s *scanner) scanRows(blk Block) error {
+	q, n := s.p.q, blk.Rows()
+	s.res.BlocksScanned++
+	s.res.RowsScanned += int64(n)
+	s.cols = grow(s.cols, len(s.p.cols))
+	clear(s.cols)
+	s.loaded = grow(s.loaded, len(s.p.cols))
+	clear(s.loaded)
+
+	for len(s.all) < n {
+		s.all = append(s.all, uint32(len(s.all)))
+	}
+	sel := s.all[:n]
+	s.sel = grow(s.sel, n)
+
+	// The time predicate, unless the header answers it for every row.
+	var times []int64
+	within := blk.Within(q.From, q.To)
+	if !within || q.TimeBucketSeconds > 0 {
+		start := time.Now()
+		s.times = grow(s.times, n)
+		var err error
+		times, err = blk.Times(s.times[:0])
+		s.res.Phases.DecodeNanos += time.Since(start).Nanoseconds()
+		if err != nil {
+			return err
+		}
+		if len(times) != n {
+			return fmt.Errorf("query: time column has %d rows, block has %d", len(times), n)
+		}
+	}
+	if !within {
+		sel = selectTimes(times, q.From, q.To, sel, s.sel)
+	}
+
+	// Filters narrow the selection; a filter is only looked at while rows
+	// are left, so its type error only surfaces then (prune.go relies on it).
+	for fi, f := range q.Filters {
+		if len(sel) == 0 {
+			return nil
+		}
+		col, err := s.column(blk, s.p.filters[fi], f.Op != OpContains)
+		if err != nil {
+			return err
+		}
+		if sel, err = s.filter(col, f, sel); err != nil {
+			return err
+		}
+	}
+	if len(sel) == 0 {
+		return nil
+	}
+
+	grp, err := s.groupRows(blk, sel, times)
+	if err != nil {
+		return err
+	}
+	for ai, a := range q.Aggregations {
+		var col column.Column
+		if slot := s.p.aggs[ai]; slot >= 0 {
+			if col, err = s.column(blk, slot, true); err != nil {
+				return err
+			}
+		}
+		if err := s.aggregate(s.aggs[ai], a, col, grp, sel); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// grow returns s with length n, reallocating only when it has to; what the
+// slice held is not kept.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// column returns the block's column for a plan slot, nil when the block does
+// not have it (every row then reads the type's zero). cached says whether the
+// decode cache is consulted: a contains filter reads a string set, whose
+// decoded form is its dictionary over the block's own bytes — nothing worth
+// (or safe) keeping beyond the scan — so it goes around the cache.
+func (s *scanner) column(blk Block, slot int, cached bool) (column.Column, error) {
+	if s.loaded[slot] {
+		return s.cols[slot], nil
+	}
+	s.loaded[slot] = true
+	name := s.p.cols[slot]
+	if !blk.HasColumn(name) {
+		return nil, nil
+	}
+	start := time.Now()
+	// track mirrors the registry accounting inside dc.Get: only sealed
+	// blocks are cacheable, so per-result hit/miss counts stay comparable to
+	// the leaf's query.decode_cache.* counters.
+	track := cached && s.dc != nil && cacheable(blk)
+	if track {
+		if c, ok := s.dc.Get(blk, name); ok {
+			s.res.Phases.DecodeNanos += time.Since(start).Nanoseconds()
+			s.res.CacheHits++
+			s.cols[slot] = c
+			return c, nil
+		}
+		s.res.CacheMisses++
+	}
+	c, err := blk.DecodeColumn(name)
+	if err == nil && c != nil && c.Len() != blk.Rows() {
+		err = fmt.Errorf("query: column %q has %d rows, block has %d", name, c.Len(), blk.Rows())
+	}
+	if err == nil && track {
+		if _, set := c.(*column.StringSetColumn); !set {
+			s.dc.Put(blk, name, c)
+		}
+	}
+	s.res.Phases.DecodeNanos += time.Since(start).Nanoseconds()
+	if err != nil {
+		return nil, err
+	}
+	s.cols[slot] = c
+	return c, nil
+}
+
+// selectTimes writes the rows of sel whose time lies in [from, to] to out.
+func selectTimes(times []int64, from, to int64, sel, out []uint32) []uint32 {
+	k := 0
+	for _, i := range sel {
+		out[k] = i
+		if t := times[i]; t >= from && t <= to {
+			k++
+		}
+	}
+	return out[:k]
+}
+
+// filter narrows sel to the rows that pass f, into s.sel (which sel may
+// already be: a row is written at or before where it was read).
+func (s *scanner) filter(col column.Column, f Filter, sel []uint32) ([]uint32, error) {
+	switch c := col.(type) {
+	case nil:
+		// Absent column: evaluate the predicate once against the type's
+		// zero value, inferred from the filter's operand.
+		if zeroValueMatches(f) {
+			return sel, nil
+		}
+		return sel[:0], nil
+	case *column.Int64Column:
+		if f.Op == OpContains {
+			return nil, fmt.Errorf("query: contains on integer column %q", f.Column)
+		}
+		return selectCompare(c.Values, f.Int, f.Op, sel, s.sel), nil
+	case *column.Float64Column:
+		if f.Op == OpContains {
+			return nil, fmt.Errorf("query: contains on float column %q", f.Column)
+		}
+		return selectCompare(c.Values, f.Float, f.Op, sel, s.sel), nil
+	case *column.StringColumn:
+		if f.Op == OpContains {
+			return nil, fmt.Errorf("query: contains on string column %q (use =)", f.Column)
+		}
+		// Evaluate once per dictionary entry, then test IDs per row — the
+		// payoff of dictionary encoding at query time.
+		s.match = grow(s.match, len(c.Dict))
+		for id, str := range c.Dict {
+			s.match[id] = compare(str, f.Str, f.Op)
+		}
+		match, out, k := s.match, s.sel, 0
+		for _, i := range sel {
+			out[k] = i
+			if match[c.IDs[i]] {
+				k++
+			}
+		}
+		return out[:k], nil
+	case *column.StringSetColumn:
+		if f.Op != OpContains {
+			return nil, fmt.Errorf("query: %v on string-set column %q (only contains)", f.Op, f.Column)
+		}
+		return c.SelectContains(f.Str, sel, s.sel)
+	default:
+		return nil, fmt.Errorf("query: unsupported column type %v", col.Type())
+	}
+}
+
+// selectCompare writes the rows of sel whose value compares to x under op
+// to out. The operator is picked once, outside the row loop.
+func selectCompare[T int64 | float64](vals []T, x T, op CompareOp, sel, out []uint32) []uint32 {
+	k := 0
+	switch op {
+	case OpEq:
+		for _, i := range sel {
+			out[k] = i
+			if vals[i] == x {
+				k++
+			}
+		}
+	case OpNe:
+		for _, i := range sel {
+			out[k] = i
+			if vals[i] != x {
+				k++
+			}
+		}
+	case OpLt:
+		for _, i := range sel {
+			out[k] = i
+			if vals[i] < x {
+				k++
+			}
+		}
+	case OpLe:
+		for _, i := range sel {
+			out[k] = i
+			if vals[i] <= x {
+				k++
+			}
+		}
+	case OpGt:
+		for _, i := range sel {
+			out[k] = i
+			if vals[i] > x {
+				k++
+			}
+		}
+	case OpGe:
+		for _, i := range sel {
+			out[k] = i
+			if vals[i] >= x {
+				k++
+			}
+		}
+	}
+	return out[:k]
+}
+
+// zeroValueMatches evaluates a filter against an absent column's zero. It
+// prefers the operand that is set; ambiguous zero operands are fine because
+// every interpretation agrees (0 == 0, "" == "").
+func zeroValueMatches(f Filter) bool {
+	switch {
+	case f.Op == OpContains:
+		return false // empty set contains nothing
+	case f.Str != "":
+		return compare("", f.Str, f.Op)
+	case f.Float != 0:
+		return compare(0, f.Float, f.Op)
+	default:
+		return compare(0, f.Int, f.Op)
+	}
+}
+
+func compare[T int64 | float64 | string](a, b T, op CompareOp) bool {
+	switch op {
+	case OpEq:
+		return a == b
+	case OpNe:
+		return a != b
+	case OpLt:
+		return a < b
+	case OpLe:
+		return a <= b
+	case OpGt:
+		return a > b
+	case OpGe:
+		return a >= b
+	default:
+		return false
+	}
+}
+
+// bucketStart floors t to its bucket's start (correct for negative times).
+func bucketStart(t, bucket int64) int64 {
+	b := t / bucket
+	if t%bucket != 0 && t < 0 {
+		b--
+	}
+	return b * bucket
+}
+
+// groupRows returns, per live row, the index of its group among the
+// scanner's. Each group-by component (the time bucket first) turns into small
+// integers — a string column's dictionary IDs as they are, anything
+// integer-like through ranks — which fold left to right into one tuple ID
+// per row; the tuple → group table is then filled by the first live row of
+// each tuple, the only rows a key string is built for. Blocks of one table
+// mostly carry the same dictionaries (the same hosts, the same services): a
+// block whose tuple IDs are those dictionaries' IDs folded by position means
+// by them what the last block meant and keeps its table. Ranks and
+// renumbered pairs go by order of first sight in one block, mean nothing in
+// the next, and start the table empty.
+func (s *scanner) groupRows(blk Block, sel []uint32, times []int64) ([]uint32, error) {
+	q := s.p.q
+	s.gcols = grow(s.gcols, len(s.p.groups))
+	cols := s.gcols
+	for gi, slot := range s.p.groups {
+		col, err := s.column(blk, slot, true)
+		if err != nil {
+			return nil, err
+		}
+		if _, set := col.(*column.StringSetColumn); set {
+			return nil, fmt.Errorf("query: cannot group by column %q of type %v", q.GroupBy[gi], col.Type())
+		}
+		cols[gi] = col
+	}
+
+	s.acc = grow(s.acc, len(sel))
+	acc := s.acc
+	space := uint64(1) // tuple IDs so far are below this
+	bucket := q.TimeBucketSeconds
+	keep := bucket == 0 // the last block's table still holds
+	if bucket > 0 {
+		s.ints = grow(s.ints, len(sel))
+		for k, i := range sel {
+			s.ints[k] = bucketStart(times[i], bucket) / bucket
+		}
+		ids, size := s.rank(s.ints)
+		space = s.fold(acc, space, size, ids, nil)
+	}
+	s.dicts = grow(s.dicts, len(cols)) // what it held stays: the last block's
+	for gi, col := range cols {
+		var dict []string
+		ranked := true
+		switch c := col.(type) {
+		case *column.StringColumn:
+			dict, ranked = c.Dict, false
+			keep = keep && positional(space, uint64(len(dict)))
+			space = s.fold(acc, space, uint64(len(dict)), c.IDs, sel)
+		case *column.Int64Column:
+			s.ints = grow(s.ints, len(sel))
+			for k, i := range sel {
+				s.ints[k] = c.Values[i]
+			}
+		case *column.Float64Column:
+			s.ints = grow(s.ints, len(sel))
+			for k, i := range sel {
+				s.ints[k] = int64(math.Float64bits(c.Values[i]))
+			}
+		default: // absent: one value, the empty key part
+			ranked = false
+		}
+		if ranked {
+			ids, size := s.rank(s.ints)
+			space = s.fold(acc, space, size, ids, nil)
+		}
+		keep = keep && !ranked && slices.Equal(dict, s.dicts[gi])
+		s.dicts[gi] = dict
+	}
+	if space == 1 {
+		clear(acc) // nothing folded: one tuple
+	}
+
+	tuples := s.tuples
+	if !keep || len(tuples) != int(space) {
+		s.tuples = grow(s.tuples, int(space))
+		tuples = s.tuples
+		for t := range tuples {
+			tuples[t] = -1
+		}
+	}
+	// At most one new group per tuple and per live row: make room once.
+	if need := len(s.keys) + int(min(space, uint64(len(sel)))); need > cap(s.keys) {
+		need = max(need, 2*cap(s.keys))
+		s.keys = append(make([][]string, 0, need), s.keys...)
+		for ai := range s.aggs {
+			s.aggs[ai] = append(make([]AggState, 0, need), s.aggs[ai]...)
+		}
+	}
+	for k, t := range acc {
+		g := tuples[t]
+		if g < 0 {
+			g = s.groupAt(sel[k], times, bucket, cols)
+			tuples[t] = g
+		}
+		acc[k] = uint32(g)
+	}
+	return acc, nil
+}
+
+// rank maps one component's per-live-row values to small integers (in s.ids)
+// and returns them with their bound: the offset from the smallest value when
+// the range is narrow (status codes, time buckets), otherwise order of first
+// sight.
+func (s *scanner) rank(vals []int64) ([]uint32, uint64) {
+	s.ids = grow(s.ids, len(vals))
+	ids := s.ids
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if width := uint64(hi) - uint64(lo); width < denseGroups {
+		for k, v := range vals {
+			ids[k] = uint32(uint64(v) - uint64(lo))
+		}
+		return ids, width + 1
+	}
+	if s.ranks == nil {
+		s.ranks = make(map[int64]uint32)
+	}
+	clear(s.ranks)
+	last, lastID := vals[0]+1, uint32(0) // sorted columns repeat their last value
+	for k, v := range vals {
+		if v != last {
+			id, ok := s.ranks[v]
+			if !ok {
+				id = uint32(len(s.ranks))
+				s.ranks[v] = id
+			}
+			last, lastID = v, id
+		}
+		ids[k] = lastID
+	}
+	return ids, uint64(len(s.ranks))
+}
+
+// fold widens every live row's tuple ID (below space) by one more component
+// whose IDs are below size, and returns the new bound. ids is per live row,
+// or per block row and read through sel. While the ID space stays small the
+// tuple is positional arithmetic; past denseGroups it is renumbered to the
+// pairs that occur, of which there are at most as many as live rows.
+func (s *scanner) fold(acc []uint32, space, size uint64, ids, sel []uint32) uint64 {
+	switch {
+	case space == 1 && sel == nil: // the first component is the tuple so far
+		copy(acc, ids)
+		return size
+	case space == 1:
+		for k, i := range sel {
+			acc[k] = ids[i]
+		}
+		return size
+	case positional(space, size) && sel == nil:
+		w := uint32(size)
+		for k := range acc {
+			acc[k] = acc[k]*w + ids[k]
+		}
+		return space * size
+	case positional(space, size):
+		w := uint32(size)
+		for k, i := range sel {
+			acc[k] = acc[k]*w + ids[i]
+		}
+		return space * size
+	}
+	if s.pairs == nil {
+		s.pairs = make(map[uint64]uint32)
+	}
+	clear(s.pairs)
+	for k := range acc {
+		id := ids[k]
+		if sel != nil {
+			id = ids[sel[k]]
+		}
+		pair := uint64(acc[k])<<32 | uint64(id)
+		r, ok := s.pairs[pair]
+		if !ok {
+			r = uint32(len(s.pairs))
+			s.pairs[pair] = r
+		}
+		acc[k] = r
+	}
+	return uint64(len(s.pairs))
+}
+
+// positional reports whether fold widens tuple IDs below space by a component
+// of size by arithmetic — the tuple ID is then a function of the component IDs
+// alone — rather than by renumbering the pairs a block happens to hold.
+func positional(space, size uint64) bool {
+	return space == 1 || space*size <= denseGroups
+}
+
+// groupAt returns the group of block row i, building its key the one time
+// per block the tuple → group table has no answer.
+func (s *scanner) groupAt(i uint32, times []int64, bucket int64, cols []column.Column) int32 {
+	s.key = s.key[:0]
+	if bucket > 0 {
+		s.key = append(s.key, strconv.FormatInt(bucketStart(times[i], bucket), 10))
+	}
+	for _, col := range cols {
+		part := ""
+		switch c := col.(type) {
+		case *column.StringColumn:
+			part = c.Dict[c.IDs[i]]
+		case *column.Int64Column:
+			part = strconv.FormatInt(c.Values[i], 10)
+		case *column.Float64Column:
+			part = strconv.FormatFloat(c.Values[i], 'g', -1, 64)
+		}
+		s.key = append(s.key, part)
+	}
+	return s.group()
+}
+
+// aggregate folds the live rows' values of one aggregation's column into
+// that aggregation's accumulators, in row order. A nil column is count's, or
+// one the block does not have: every row observes zero.
+func (s *scanner) aggregate(st []AggState, a Aggregation, col column.Column, grp, sel []uint32) error {
+	if a.Op == AggCountDistinct {
+		return s.distinct(st, a, col, grp, sel)
+	}
+	switch c := col.(type) {
+	case nil:
+		if a.Op == AggCount {
+			for _, g := range grp {
+				st[g].Count++ // finish settles the rest of Observe(0)
+			}
+			break
+		}
+		for _, g := range grp {
+			acc := &st[g] // Observe(0)
+			acc.Count++
+			acc.Sum += 0
+			if 0 < acc.Min {
+				acc.Min = 0
+			}
+			if 0 > acc.Max {
+				acc.Max = 0
+			}
+		}
+		if a.Op.percentile() {
+			for _, g := range grp {
+				st[g].Hist.Counts[0]++
+			}
+		}
+	case *column.Int64Column:
+		observe(st, c.Values, grp, sel, a.Op.percentile())
+	case *column.Float64Column:
+		observe(st, c.Values, grp, sel, a.Op.percentile())
+	default:
+		return fmt.Errorf("query: cannot aggregate column %q of type %v", a.Column, col.Type())
+	}
+	return nil
+}
+
+// observe is AggState.Observe over a column's values in place: one pass,
+// one float64 add per live row, in row order.
+func observe[T int64 | float64](st []AggState, vals []T, grp, sel []uint32, hist bool) {
+	if hist {
+		for k, i := range sel {
+			a, v := &st[grp[k]], float64(vals[i])
+			a.Count++
+			a.Sum += v
+			if v < a.Min {
+				a.Min = v
+			}
+			if v > a.Max {
+				a.Max = v
+			}
+			a.Hist.Counts[bucketOf(v)]++
+		}
+		return
+	}
+	for k, i := range sel {
+		a, v := &st[grp[k]], float64(vals[i])
+		a.Count++
+		a.Sum += v
+		if v < a.Min {
+			a.Min = v
+		}
+		if v > a.Max {
+			a.Max = v
+		}
+	}
+}
+
+// distinctBits bounds the (group, dictionary ID) bitmap of a count-distinct
+// over a string column; past it every row goes to the group's set.
+const distinctBits = 1 << 22
+
+// distinct is AggState.ObserveDistinct over the live rows. On a dictionary
+// column it marks (group, ID) pairs and touches a string — and the group's
+// set — once per pair per block.
+func (s *scanner) distinct(st []AggState, a Aggregation, col column.Column, grp, sel []uint32) error {
+	for _, g := range grp {
+		st[g].Count++
+	}
+	switch c := col.(type) {
+	case nil:
+		for _, g := range grp {
+			if set := st[g].Distinct; !set[""] {
+				set[""] = true
+			}
+		}
+	case *column.StringColumn:
+		width := uint64(len(c.Dict))
+		if bits := uint64(len(st)) * width; bits <= distinctBits {
+			s.seen = grow(s.seen, int(bits+63)/64)
+			seen := s.seen
+			clear(seen)
+			for k, i := range sel {
+				g, id := grp[k], c.IDs[i]
+				bit := uint64(g)*width + uint64(id)
+				if seen[bit>>6]&(1<<(bit&63)) == 0 {
+					seen[bit>>6] |= 1 << (bit & 63)
+					st[g].Distinct[c.Dict[id]] = true
+				}
+			}
+			break
+		}
+		for k, i := range sel {
+			st[grp[k]].Distinct[c.Dict[c.IDs[i]]] = true
+		}
+	case *column.Int64Column:
+		for k, i := range sel {
+			s.text = strconv.AppendInt(s.text[:0], c.Values[i], 10)
+			if set := st[grp[k]].Distinct; !set[string(s.text)] {
+				set[string(s.text)] = true
+			}
+		}
+	case *column.Float64Column:
+		for k, i := range sel {
+			s.text = strconv.AppendFloat(s.text[:0], c.Values[i], 'g', -1, 64)
+			if set := st[grp[k]].Distinct; !set[string(s.text)] {
+				set[string(s.text)] = true
+			}
+		}
+	default:
+		return fmt.Errorf("query: cannot stringify column %q of type %v", a.Column, col.Type())
+	}
+	return nil
+}

@@ -285,7 +285,7 @@ func heldBytes(b *Builder) int64 {
 // blockRows decodes a sealed block back into rows (every cell present).
 func blockRows(t *testing.T, rb *RowBlock) []Row {
 	t.Helper()
-	times, err := rb.Times()
+	times, err := rb.Times(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +306,8 @@ func blockRows(t *testing.T, rb *RowBlock) []Row {
 				c.Strs = append(c.Strs, col.Value(i))
 			}
 		case *column.StringSetColumn:
-			for i := range times {
-				c.Sets = append(c.Sets, col.Value(i))
+			if c.Sets, err = col.Values(); err != nil {
+				t.Fatal(err)
 			}
 		}
 		bt.Cols = append(bt.Cols, c)

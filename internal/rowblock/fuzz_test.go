@@ -28,7 +28,7 @@ func FuzzDecodeImage(f *testing.F) {
 		}
 		if err == nil {
 			// A successfully parsed block must be internally consistent.
-			if _, terr := rb.Times(); terr != nil {
+			if _, terr := rb.Times(nil); terr != nil {
 				t.Fatalf("accepted block has broken time column: %v", terr)
 			}
 		}

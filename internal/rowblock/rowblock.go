@@ -184,19 +184,27 @@ func (b *RowBlock) DecodeColumn(name string) (column.Column, error) {
 	return column.Decode(rbc)
 }
 
-// Times decodes the required time column.
-func (b *RowBlock) Times() ([]int64, error) {
+// Times decodes the required time column into dst, which is reused when it
+// is large enough and may be nil.
+func (b *RowBlock) Times(dst []int64) ([]int64, error) {
 	rbc := b.ColumnByName(TimeColumn)
 	if rbc == nil {
 		return nil, errors.New("rowblock: missing time column")
 	}
-	return column.DecodeInt64(rbc)
+	return column.DecodeInt64(dst, rbc)
 }
 
 // Overlaps reports whether the block may contain rows in [from, to].
 // Nearly all queries carry time predicates; this is the index (§2.1).
 func (b *RowBlock) Overlaps(from, to int64) bool {
 	return b.hdr.MinTime <= to && b.hdr.MaxTime >= from
+}
+
+// Within reports whether every row's time lies in [from, to]: the header
+// then answers the time predicate for the whole block and no reader needs
+// the time column.
+func (b *RowBlock) Within(from, to int64) bool {
+	return b.hdr.MinTime >= from && b.hdr.MaxTime <= to
 }
 
 // ReleaseColumn drops the i'th RBC so its heap memory can be reclaimed.

@@ -65,7 +65,7 @@ func TestBuilderSeal(t *testing.T) {
 
 func TestColumnValues(t *testing.T) {
 	rb := buildBlock(t, 10)
-	times, err := rb.Times()
+	times, err := rb.Times(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +212,8 @@ func TestImageRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Schema(), rb.Schema()) {
 		t.Errorf("schema mismatch: %v vs %v", got.Schema(), rb.Schema())
 	}
-	wantTimes, _ := rb.Times()
-	gotTimes, err := got.Times()
+	wantTimes, _ := rb.Times(nil)
+	gotTimes, err := got.Times(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,12 +64,18 @@ func (b *Builder) Snapshot() *UnsealedView {
 // Rows returns the number of snapshot rows.
 func (v *UnsealedView) Rows() int { return v.rows }
 
-// Times returns the snapshot's time column.
-func (v *UnsealedView) Times() ([]int64, error) { return v.times, nil }
+// Times returns the snapshot's time column (dst is a sealed block's decode
+// target; the snapshot's times are already a slice).
+func (v *UnsealedView) Times(dst []int64) ([]int64, error) { return v.times, nil }
 
 // Overlaps reports whether the snapshot may contain rows in [from, to].
 func (v *UnsealedView) Overlaps(from, to int64) bool {
 	return v.minTime <= to && v.maxTime >= from
+}
+
+// Within reports whether every snapshot row's time lies in [from, to].
+func (v *UnsealedView) Within(from, to int64) bool {
+	return v.minTime >= from && v.maxTime <= to
 }
 
 // Schema returns the snapshot schema.

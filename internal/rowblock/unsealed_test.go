@@ -31,7 +31,7 @@ func TestSnapshotContents(t *testing.T) {
 	if v.Rows() != 3 {
 		t.Fatalf("Rows = %d", v.Rows())
 	}
-	times, err := v.Times()
+	times, err := v.Times(nil)
 	if err != nil || !reflect.DeepEqual(times, []int64{10, 30, 20}) {
 		t.Fatalf("times = %v, %v", times, err)
 	}
@@ -63,8 +63,8 @@ func TestSnapshotContents(t *testing.T) {
 	}
 	setCol, _ := v.DecodeColumn("set")
 	ssc := setCol.(*column.StringSetColumn)
-	if !ssc.Contains(1, "y") || ssc.Contains(2, "x") {
-		t.Error("set column wrong")
+	if rows, err := ssc.SelectContains("y", []uint32{0, 1, 2}, nil); err != nil || !reflect.DeepEqual(rows, []uint32{1}) {
+		t.Errorf("rows of the set column containing y = %v, %v", rows, err)
 	}
 	if missing, err := v.DecodeColumn("ghost"); err != nil || missing != nil {
 		t.Errorf("missing column = %v, %v", missing, err)
@@ -116,8 +116,8 @@ func TestSnapshotMatchesSealedBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vTimes, _ := v.Times()
-	rbTimes, _ := rb.Times()
+	vTimes, _ := v.Times(nil)
+	rbTimes, _ := rb.Times(nil)
 	if !reflect.DeepEqual(vTimes, rbTimes) {
 		t.Error("times differ")
 	}

@@ -164,7 +164,7 @@ func TestGoldenV1Image(t *testing.T) {
 
 	// Contents must match the generator: times 1700000001+i, status
 	// 200+(i%4)*100, latency i*1.5, service web/api by i%3, tags t<i%5>.
-	times, err := rb.Times()
+	times, err := rb.Times(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,11 +120,11 @@ func FuzzSegmentCorruption(f *testing.F) {
 		}
 		for i, rb := range restored {
 			orig := blocks[i]
-			gotTimes, err := rb.Times()
+			gotTimes, err := rb.Times(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantTimes, _ := orig.Times()
+			wantTimes, _ := orig.Times(nil)
 			if !reflect.DeepEqual(gotTimes, wantTimes) {
 				t.Fatalf("mutation (%d, %#x) silently corrupted block %d", pos, x, i)
 			}

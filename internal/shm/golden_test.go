@@ -69,6 +69,10 @@ func TestGoldenSegmentV1(t *testing.T) {
 			if len(cols) != 5 {
 				t.Fatalf("block %d schema = %v", b, rb.Schema())
 			}
+			tags, err := cols["tags"].(*column.StringSetColumn).Values()
+			if err != nil {
+				t.Fatalf("block %d tags: %v", b, err)
+			}
 			for i, row := range want {
 				got := rowblock.Row{
 					Time: cols[rowblock.TimeColumn].(*column.Int64Column).Values[i],
@@ -76,7 +80,7 @@ func TestGoldenSegmentV1(t *testing.T) {
 						"status":  rowblock.Int64Value(cols["status"].(*column.Int64Column).Values[i]),
 						"latency": rowblock.Float64Value(cols["latency"].(*column.Float64Column).Values[i]),
 						"service": rowblock.StringValue(cols["service"].(*column.StringColumn).Value(i)),
-						"tags":    rowblock.SetValue(cols["tags"].(*column.StringSetColumn).Value(i)...),
+						"tags":    rowblock.SetValue(tags[i]...),
 					},
 				}
 				if !reflect.DeepEqual(got, row) {

@@ -80,8 +80,8 @@ func TestTableSegmentProperty(t *testing.T) {
 				if got.Header() != orig.Header() {
 					t.Fatalf("trial %d block %d: header %+v != %+v", trial, i, got.Header(), orig.Header())
 				}
-				gt, _ := got.Times()
-				ot, _ := orig.Times()
+				gt, _ := got.Times(nil)
+				ot, _ := orig.Times(nil)
 				if !reflect.DeepEqual(gt, ot) {
 					t.Fatalf("trial %d block %d: times differ", trial, i)
 				}

@@ -87,11 +87,11 @@ func TestTableSegmentRoundTrip(t *testing.T) {
 			if rb.Header() != orig.Header() || rb.Source() != nil {
 				t.Errorf("block %d header mismatch or still shm-resident", i)
 			}
-			gotTimes, err := rb.Times()
+			gotTimes, err := rb.Times(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantTimes, _ := orig.Times()
+			wantTimes, _ := orig.Times(nil)
 			if !reflect.DeepEqual(gotTimes, wantTimes) {
 				t.Errorf("block %d times mismatch", i)
 			}
@@ -186,8 +186,8 @@ func TestReaderTruncatesAsItDrains(t *testing.T) {
 			}
 		}
 		for i, rb := range restored {
-			got, err := rb.Times()
-			if want, _ := blocks[i].Times(); err != nil || !reflect.DeepEqual(got, want) {
+			got, err := rb.Times(nil)
+			if want, _ := blocks[i].Times(nil); err != nil || !reflect.DeepEqual(got, want) {
 				t.Errorf("block %d differs after the drain (%v)", i, err)
 			}
 		}
