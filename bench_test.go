@@ -581,6 +581,68 @@ func BenchmarkAggregatorFanOut(b *testing.B) {
 	}
 }
 
+// BenchmarkResultMergeWire measures the result path of dash_read's scan
+// class with the scan made small: two wire leaves each answer 2,400 groups x
+// {count, avg, p99} out of one warm block, and a client reads the merge
+// through a loopback aggregator server — two leaf replies encoded and
+// decoded, one merge, one aggregator reply, one Rows. Gated in CI so the
+// result's representation cannot grow a conversion per hop again.
+func BenchmarkResultMergeWire(b *testing.B) {
+	e := newBenchEnv(b)
+	q := &scuba.Query{
+		Table: "service_logs", From: 0, To: 1 << 40,
+		GroupBy: []string{"host", "service"},
+		Aggregations: []scuba.Aggregation{
+			{Op: scuba.AggCount},
+			{Op: scuba.AggAvg, Column: "cpu_ms"},
+			{Op: scuba.AggP99, Column: "latency_ms"},
+		},
+	}
+	var addrs []string
+	for id := 0; id < 2; id++ {
+		cfg := e.config(id)
+		cfg.ScanWorkers = 1
+		cfg.DecodeCacheBytes = 64 << 20
+		l, err := scuba.NewLeaf(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Start(); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.AddRows("service_logs", scuba.ServiceLogs(int64(42+id), 1700000000).NextBatch(65536)); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.SealAll(); err != nil {
+			b.Fatal(err)
+		}
+		srv, err := scuba.NewServer(l, "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		addrs = append(addrs, srv.Addr())
+	}
+	agg, err := scuba.NewAggServer(addrs, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer agg.Close()
+	c := scuba.DialLeaf(agg.Addr())
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.QueryVia(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rows := res.Rows(q); len(rows) != 200*12 || res.LeavesAnswered != 2 {
+			b.Fatalf("%d rows from %d leaves", len(rows), res.LeavesAnswered)
+		}
+	}
+}
+
 // BenchmarkTimeSeriesQuery measures the dashboard time-series panel shape:
 // per-minute error counts over the whole dataset.
 func BenchmarkTimeSeriesQuery(b *testing.B) {
@@ -758,8 +820,8 @@ func BenchmarkScanDashboard(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.RowsScanned != blocks*perBlock || res.BlocksScanned != blocks || res.NumGroups() != 200*12 {
-				b.Fatalf("scanned %d rows of %d blocks into %d groups", res.RowsScanned, res.BlocksScanned, res.NumGroups())
+			if res.RowsScanned != blocks*perBlock || res.BlocksScanned != blocks || len(res.Groups) != 200*12 {
+				b.Fatalf("scanned %d rows of %d blocks into %d groups", res.RowsScanned, res.BlocksScanned, len(res.Groups))
 			}
 			b.SetBytes(blocks * perBlock)
 			b.ReportAllocs()

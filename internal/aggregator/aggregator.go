@@ -268,7 +268,7 @@ collect:
 		}
 	}
 
-	merged := query.NewResult()
+	merged := &query.Result{}
 	for _, ans := range got {
 		if ans == nil || ans.res == nil {
 			// Unreachable or abandoned target with no failover: one leaf's
@@ -358,7 +358,7 @@ func (a *Aggregator) failover(q *query.Query, ft fanTarget) (*query.Result, int)
 	if r == nil {
 		return nil, 0
 	}
-	merged := query.NewResult()
+	merged := &query.Result{}
 	n := 0
 	pending := ft.shards
 	exclude := ft.idx

@@ -29,7 +29,7 @@ func (f *shardFake) QueryShards(q *query.Query, shards []int, tc obs.TraceContex
 	if len(shards) == 0 {
 		f.full++
 		f.mu.Unlock()
-		return query.NewResult(), nil, nil
+		return &query.Result{}, nil, nil
 	}
 	f.calls = append(f.calls, append([]int(nil), shards...))
 	f.mu.Unlock()
@@ -39,7 +39,7 @@ func (f *shardFake) QueryShards(q *query.Query, shards []int, tc obs.TraceContex
 	if f.err != nil {
 		return nil, nil, f.err
 	}
-	res := query.NewResult()
+	res := &query.Result{}
 	res.RowsScanned = int64(len(shards)) // one row per shard, checkable after merge
 	return res, &obs.ExecStats{Table: q.Table, ShardsServed: len(shards)}, nil
 }

@@ -705,7 +705,7 @@ func (l *Leaf) queryTable(q *query.Query) (*query.Result, error) {
 			return nil, err
 		}
 		l.observeFirstQuery()
-		return query.NewResult(), nil
+		return &query.Result{}, nil
 	}
 	res, err := query.Execute(tbl, q, query.ExecOptions{Workers: l.cfg.ScanWorkers, Cache: dc, Metrics: l.queryRegistry()})
 	if err == nil {

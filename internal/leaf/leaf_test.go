@@ -476,7 +476,7 @@ func TestQueryMissingTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumGroups() != 0 {
+	if len(res.Groups) != 0 {
 		t.Error("missing table returned groups")
 	}
 }

@@ -73,7 +73,7 @@ func TestCountDistinctMergeAcrossPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := NewResult()
+	merged := &Result{}
 	merged.Merge(ra)
 	merged.Merge(rb)
 	if got := merged.Rows(q)[0].Values[0]; got != 5 {
@@ -89,14 +89,13 @@ func TestCountDistinctSurvivesWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := Import(res.Export())
+	back := overWire(t, res)
 	// Merging the re-imported result with a fresh overlapping partial must
 	// still dedup (the set travels, not just the count).
-	extra := NewResult()
-	g := extra.group([]string{}, q)
-	g.Aggs[0].ObserveDistinct("svc-nonexistent")
-	g.Aggs[0].ObserveDistinct("web") // overlaps fixture values
-	back.Merge(extra)
+	var st AggState
+	st.ObserveDistinct("svc-nonexistent")
+	st.ObserveDistinct("web") // overlaps fixture values
+	back.Merge(&Result{Groups: []Group{{Aggs: []AggState{st}}}})
 	got := back.Rows(q)[0].Values[0]
 	if got != 4 { // web, ads, search + svc-nonexistent ("web" dedups)
 		t.Errorf("distinct after wire+merge = %v, want 4", got)

@@ -67,7 +67,7 @@ func FuzzZoneMapPrune(f *testing.F) {
 			Aggregations: []Aggregation{{Op: AggCount}, {Op: AggSum, Column: "n"}},
 		}
 
-		pruned := NewResult()
+		pruned := &Result{}
 		prunedErr := scanBlock(rb, q, pruned, nil)
 		want, wantErr := Reference(rows, q)
 

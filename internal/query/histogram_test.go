@@ -104,37 +104,25 @@ func TestBucketOfProperty(t *testing.T) {
 }
 
 func TestAggStateMergeIdentity(t *testing.T) {
-	a := newAggState(AggAvg)
+	var hists []Histogram
+	a := newAggState(AggAvg, &hists)
 	for i := 1; i <= 10; i++ {
 		a.Observe(float64(i))
 	}
-	empty := newAggState(AggAvg)
-	a.Merge(empty)
+	empty := newAggState(AggAvg, &hists)
+	a.Merge(&empty)
 	if a.Count != 10 || a.Sum != 55 || a.Min != 1 || a.Max != 10 {
 		t.Errorf("state = %+v", a)
 	}
 	// Merging into empty preserves values.
-	empty.Merge(a)
+	empty.Merge(&a)
 	if empty.Value(AggAvg) != 5.5 {
 		t.Errorf("avg = %v", empty.Value(AggAvg))
 	}
 	// Min/Max of empty state finalize to 0, not Inf.
-	e2 := newAggState(AggMin)
+	e2 := newAggState(AggMin, &hists)
 	if e2.Value(AggMin) != 0 || e2.Value(AggMax) != 0 {
 		t.Error("empty min/max not zero")
-	}
-}
-
-func TestAggStateHistMergeIntoPlain(t *testing.T) {
-	// Merging a histogram-bearing state into a plain one must carry it.
-	withHist := newAggState(AggP50)
-	for i := 1; i <= 100; i++ {
-		withHist.Observe(float64(i))
-	}
-	plain := &AggState{Min: math.Inf(1), Max: math.Inf(-1)}
-	plain.Merge(withHist)
-	if plain.Hist == nil || plain.Hist.Total != 100 {
-		t.Error("histogram not carried through merge")
 	}
 }
 

@@ -263,8 +263,8 @@ func sameRows(a, b []Row) bool {
 // FuzzScanKernels checks the block scan — selection vectors, the encoded
 // string-set walk, dictionary-ID grouping in its dense and renumbered forms,
 // the typed aggregate kernels, the tuple table kept across blocks — against
-// Reference, row at a time over the same rows: equal Rows(q) and equal
-// error-ness, over sealed blocks (with an unsealed tail or without) and over
+// Reference, row at a time over the same rows: equal Rows(q), equal
+// error-ness and groups in key order with no key twice, over sealed blocks (with an unsealed tail or without) and over
 // one unsealed snapshot, at 1 and 4 workers, with no decode cache, a cold
 // one and a warm one.
 func FuzzScanKernels(f *testing.F) {
@@ -283,7 +283,11 @@ func FuzzScanKernels(f *testing.F) {
 			if (err == nil) != (wantErr == nil) {
 				t.Fatalf("%s: error %v, reference error %v\nquery %+v", name, err, wantErr, c.q)
 			}
-			if err == nil && !sameRows(got.Rows(c.q), want.Rows(c.q)) {
+			if err != nil {
+				return
+			}
+			checkGroups(t, name, got)
+			if !sameRows(got.Rows(c.q), want.Rows(c.q)) {
 				t.Fatalf("%s:\n got %+v\nwant %+v\nquery %+v", name, got.Rows(c.q), want.Rows(c.q), c.q)
 			}
 		}
@@ -338,8 +342,8 @@ func TestScanAllocsPerBlock(t *testing.T) {
 		}
 		run := func() {
 			res, err := Execute(tbl, q, ExecOptions{Workers: 1})
-			if err != nil || res.NumGroups() != groups || res.RowsScanned != int64(blocks*perBlock) {
-				t.Fatalf("scan: %v, %d groups, %d rows", err, res.NumGroups(), res.RowsScanned)
+			if err != nil || len(res.Groups) != groups || res.RowsScanned != int64(blocks*perBlock) {
+				t.Fatalf("scan: %v, %d groups, %d rows", err, len(res.Groups), res.RowsScanned)
 			}
 		}
 		run() // size the pooled scratch

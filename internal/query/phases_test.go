@@ -66,7 +66,7 @@ func TestPhaseTimesPrunedQuery(t *testing.T) {
 // cache counters — the aggregator relies on this to report cross-leaf
 // totals on the merged result.
 func TestPhaseTimesMergeAcrossResults(t *testing.T) {
-	a, b := NewResult(), NewResult()
+	a, b := &Result{}, &Result{}
 	a.Phases = PhaseTimes{DecodeNanos: 10, PruneNanos: 20, ScanNanos: 30, MergeNanos: 40}
 	a.CacheHits, a.CacheMisses = 5, 1
 	b.Phases = PhaseTimes{DecodeNanos: 1, PruneNanos: 2, ScanNanos: 3, MergeNanos: 4}
@@ -118,7 +118,7 @@ func TestResultCacheCountersMatchRegistry(t *testing.T) {
 	}
 
 	// The per-phase and cache fields survive the wire round trip.
-	back := Import(warm.Export())
+	back := overWire(t, warm)
 	if back.Phases != warm.Phases || back.CacheHits != warm.CacheHits || back.CacheMisses != warm.CacheMisses {
 		t.Errorf("wire round trip dropped trace fields: %+v vs %+v", back, warm)
 	}

@@ -26,7 +26,7 @@ type noZones struct{ Block }
 // forceScan runs a query over blocks with pruning disabled.
 func forceScan(t *testing.T, blocks []*rowblock.RowBlock, q *Query) (*Result, error) {
 	t.Helper()
-	res := NewResult()
+	res := &Result{}
 	for _, rb := range blocks {
 		if !rb.Overlaps(q.From, q.To) {
 			continue
@@ -347,7 +347,7 @@ func TestV1ImageQueriesIdentically(t *testing.T) {
 			Aggregations: []Aggregation{{Op: AggCount}}},
 	}
 	for qi, q := range queries {
-		rv1, rv2 := NewResult(), NewResult()
+		rv1, rv2 := &Result{}, &Result{}
 		if err := scanBlock(v1, q, rv1, nil); err != nil {
 			t.Fatalf("query %d on v1 block: %v", qi, err)
 		}

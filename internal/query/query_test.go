@@ -256,9 +256,9 @@ func TestMergePartialResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := NewResult()
+	merged := &Result{}
 	for _, rb := range tbl.Blocks() {
-		part := NewResult()
+		part := &Result{}
 		if err := scanBlock(rb, full, part, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -293,8 +293,8 @@ func TestMissingColumnSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumGroups() != 0 {
-		t.Errorf("ghost=x matched %d groups", res.NumGroups())
+	if len(res.Groups) != 0 {
+		t.Errorf("ghost=x matched %d groups", len(res.Groups))
 	}
 	// ghost != x matches everything ("" != "x").
 	q.Filters[0].Op = OpNe
@@ -361,7 +361,7 @@ func TestTypeErrors(t *testing.T) {
 }
 
 func TestCoverage(t *testing.T) {
-	r := NewResult()
+	r := &Result{}
 	if r.Coverage() != 1 {
 		t.Errorf("empty coverage = %v", r.Coverage())
 	}

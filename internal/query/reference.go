@@ -46,7 +46,11 @@ func Reference(rows []rowblock.Row, q *Query) (*Result, error) {
 		return rowblock.Value{Type: vt}, ok
 	}
 
-	res := NewResult()
+	var (
+		groups []Group
+		index  = make(map[string]int) // quoted key tuple → its group
+		hists  []Histogram
+	)
 rows:
 	for _, r := range rows {
 		if r.Time < q.From || r.Time > q.To {
@@ -75,7 +79,17 @@ rows:
 			}
 			key = append(key, s)
 		}
-		g := res.group(key, q)
+		quoted := fmt.Sprintf("%q", key)
+		gi, ok := index[quoted]
+		if !ok {
+			gi, index[quoted] = len(groups), len(groups)
+			aggs := make([]AggState, len(q.Aggregations))
+			for ai, a := range q.Aggregations {
+				aggs[ai] = newAggState(a.Op, &hists)
+			}
+			groups = append(groups, Group{Key: key, Aggs: aggs})
+		}
+		g := &groups[gi]
 		for ai, a := range q.Aggregations {
 			v, ok := cell(r, a.Column)
 			switch {
@@ -96,6 +110,8 @@ rows:
 			}
 		}
 	}
+	res := &Result{Groups: groups}
+	res.SortGroups()
 	return res, nil
 }
 

@@ -1,9 +1,11 @@
 package query
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -25,13 +27,19 @@ type AggState struct {
 	Distinct map[string]bool
 }
 
-// newAggState returns an empty accumulator for the op.
-func newAggState(op AggOp) *AggState {
-	st := &AggState{Min: math.Inf(1), Max: math.Inf(-1)}
-	if op.percentile() {
-		st.Hist = &Histogram{}
-	}
-	if op == AggCountDistinct {
+// newAggState returns an empty accumulator for the op. A percentile's
+// histogram is cut from slab, which is replaced when it is full: a scan makes
+// one per group, and 2,400 groups are ten allocations this way.
+func newAggState(op AggOp, slab *[]Histogram) AggState {
+	st := AggState{Min: math.Inf(1), Max: math.Inf(-1)}
+	switch {
+	case op.percentile():
+		if len(*slab) == cap(*slab) {
+			*slab = make([]Histogram, 0, min(max(2*cap(*slab), 4), 256))
+		}
+		*slab = (*slab)[:len(*slab)+1]
+		st.Hist = &(*slab)[len(*slab)-1]
+	case op == AggCountDistinct:
 		st.Distinct = make(map[string]bool)
 	}
 	return st
@@ -63,9 +71,6 @@ func (s *AggState) ObserveDistinct(v string) {
 
 // Merge folds another accumulator in.
 func (s *AggState) Merge(o *AggState) {
-	if o == nil {
-		return
-	}
 	s.Count += o.Count
 	s.Sum += o.Sum
 	if o.Min < s.Min {
@@ -74,12 +79,8 @@ func (s *AggState) Merge(o *AggState) {
 	if o.Max > s.Max {
 		s.Max = o.Max
 	}
-	if s.Hist != nil {
+	if s.Hist != nil { // both or neither: they are one aggregation's
 		s.Hist.Merge(o.Hist)
-	} else if o.Hist != nil {
-		h := &Histogram{}
-		h.Merge(o.Hist)
-		s.Hist = h
 	}
 	if len(o.Distinct) > 0 {
 		if s.Distinct == nil {
@@ -130,12 +131,8 @@ func (s *AggState) Value(op AggOp) float64 {
 // query's Aggregations).
 type Group struct {
 	Key  []string
-	Aggs []*AggState
+	Aggs []AggState
 }
-
-const keySep = "\x00"
-
-func keyString(key []string) string { return strings.Join(key, keySep) }
 
 // PhaseTimes breaks one execution down by phase, in cumulative nanoseconds.
 // Parallel scan workers each contribute their own time, so on a multi-core
@@ -164,10 +161,14 @@ func (p *PhaseTimes) Add(o PhaseTimes) {
 	p.MergeNanos += o.MergeNanos
 }
 
-// Result is a (possibly partial) query result. Merging partial results from
-// many leaves is associative and commutative.
+// Result is a (possibly partial) query result, and its own wire form: the
+// scan hands one over, gob carries it as it is, and the aggregator merges
+// what arrives. Merging partial results from many leaves is associative and
+// commutative.
 type Result struct {
-	groups map[string]*Group
+	// Groups is sorted by key tuple and holds no key twice: Merge relies on
+	// it and keeps it, SortGroups establishes it.
+	Groups []Group
 	// Coverage and work accounting.
 	RowsScanned   int64
 	BlocksScanned int64
@@ -194,45 +195,70 @@ type Result struct {
 	CacheMisses int64
 }
 
-// NewResult returns an empty result.
-func NewResult() *Result {
-	return &Result{groups: make(map[string]*Group)}
-}
+// compareKeys orders key tuples, part by part: the order of Result.Groups.
+func compareKeys(a, b []string) int { return slices.CompareFunc(a, b, strings.Compare) }
 
-// group returns (creating if needed) the accumulator row for a key.
-func (r *Result) group(key []string, q *Query) *Group {
-	ks := keyString(key)
-	g, ok := r.groups[ks]
-	if !ok {
-		g = &Group{Key: append([]string(nil), key...), Aggs: make([]*AggState, len(q.Aggregations))}
-		for i, a := range q.Aggregations {
-			g.Aggs[i] = newAggState(a.Op)
-		}
-		r.groups[ks] = g
+// SortGroups puts Groups in key-tuple order and folds groups of one key into
+// one. Over groups already in order, which is what a current peer sends, it
+// is two passes and no sort; an older peer's arrive in map order.
+func (r *Result) SortGroups() {
+	byKey := func(a, b Group) int { return compareKeys(a.Key, b.Key) }
+	if !slices.IsSortedFunc(r.Groups, byKey) {
+		slices.SortFunc(r.Groups, byKey)
 	}
-	return g
+	out := r.Groups[:min(1, len(r.Groups))]
+	for _, g := range r.Groups[len(out):] {
+		if last := &out[len(out)-1]; compareKeys(last.Key, g.Key) == 0 {
+			last.merge(g)
+		} else {
+			out = append(out, g)
+		}
+	}
+	r.Groups = out
 }
 
-// NumGroups returns the number of groups.
-func (r *Result) NumGroups() int { return len(r.groups) }
+// Validate reports why r cannot be q's answer: Rows and Merge index a
+// group's key and accumulators by q's shape, and a percentile reads its
+// histogram. A result from outside the process is checked once, on arrival;
+// a reply that carries none is no answer either.
+func (r *Result) Validate(q *Query) error {
+	if r == nil {
+		return errors.New("query: no result")
+	}
+	arity := len(q.GroupBy)
+	if q.TimeBucketSeconds > 0 {
+		arity++
+	}
+	for i, g := range r.Groups {
+		if len(g.Key) != arity || len(g.Aggs) != len(q.Aggregations) {
+			return fmt.Errorf("query: result group %d has %d key parts and %d accumulators, the query %d and %d",
+				i, len(g.Key), len(g.Aggs), arity, len(q.Aggregations))
+		}
+		for ai, a := range q.Aggregations {
+			if a.Op.percentile() && g.Aggs[ai].Hist == nil {
+				return fmt.Errorf("query: result group %d has no histogram for %v", i, a)
+			}
+		}
+	}
+	return nil
+}
+
+// merge folds another group of the same key in.
+func (g *Group) merge(o Group) {
+	for i := range min(len(g.Aggs), len(o.Aggs)) {
+		g.Aggs[i].Merge(&o.Aggs[i])
+	}
+}
 
 // Merge folds a partial result into r. Both must come from the same query.
+// It is the one merge: scan workers' partials, a leaf's shards and an
+// aggregator's leaves all meet here, as two sorted runs. r takes o's groups
+// over rather than copying them.
 func (r *Result) Merge(o *Result) {
 	if o == nil {
 		return
 	}
-	for ks, og := range o.groups {
-		g, ok := r.groups[ks]
-		if !ok {
-			r.groups[ks] = og
-			continue
-		}
-		for i := range g.Aggs {
-			if i < len(og.Aggs) {
-				g.Aggs[i].Merge(og.Aggs[i])
-			}
-		}
-	}
+	r.Groups = mergeGroups(r.Groups, o.Groups)
 	r.RowsScanned += o.RowsScanned
 	r.BlocksScanned += o.BlocksScanned
 	r.BlocksSkipped += o.BlocksSkipped
@@ -244,6 +270,31 @@ func (r *Result) Merge(o *Result) {
 	r.Phases.Add(o.Phases)
 	r.CacheHits += o.CacheHits
 	r.CacheMisses += o.CacheMisses
+}
+
+// mergeGroups merges two sorted runs of groups into one.
+func mergeGroups(a, b []Group) []Group {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	// Partials of one query mostly hold the same keys: room for the longer
+	// run is usually all the room it takes.
+	out := make([]Group, 0, max(len(a), len(b)))
+	for len(a) > 0 && len(b) > 0 {
+		switch c := compareKeys(a[0].Key, b[0].Key); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			a[0].merge(b[0])
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // ExecStats builds the execution report for r, one leaf's partial or a
@@ -292,76 +343,6 @@ func (r *Result) ShardCoverage() float64 {
 	return float64(r.ShardsAnswered) / float64(r.ShardsTotal)
 }
 
-// WireResult is the serializable form of a Result, used by the wire
-// protocol between aggregators and leaves. AggState accumulators travel
-// whole so the aggregator can merge partial results exactly.
-type WireResult struct {
-	Groups         []WireGroup
-	RowsScanned    int64
-	BlocksScanned  int64
-	BlocksSkipped  int64
-	BlocksPruned   int64
-	LeavesTotal    int
-	LeavesAnswered int
-	// Shard coverage (v2-additive like the trace fields below; zero on
-	// unsharded deployments and pre-shard peers).
-	ShardsTotal    int
-	ShardsAnswered int
-	// Phase timings and cache counters travel with the result so the
-	// aggregator can build a per-leaf trace span without a second RPC. Gob
-	// omits zero values, so pre-trace peers interoperate transparently.
-	Phases      PhaseTimes
-	CacheHits   int64
-	CacheMisses int64
-}
-
-// WireGroup is one serialized group.
-type WireGroup struct {
-	Key  []string
-	Aggs []*AggState
-}
-
-// Export converts a Result for the wire.
-func (r *Result) Export() *WireResult {
-	w := &WireResult{
-		RowsScanned:    r.RowsScanned,
-		BlocksScanned:  r.BlocksScanned,
-		BlocksSkipped:  r.BlocksSkipped,
-		BlocksPruned:   r.BlocksPruned,
-		LeavesTotal:    r.LeavesTotal,
-		LeavesAnswered: r.LeavesAnswered,
-		ShardsTotal:    r.ShardsTotal,
-		ShardsAnswered: r.ShardsAnswered,
-		Phases:         r.Phases,
-		CacheHits:      r.CacheHits,
-		CacheMisses:    r.CacheMisses,
-	}
-	for _, g := range r.groups {
-		w.Groups = append(w.Groups, WireGroup{Key: g.Key, Aggs: g.Aggs})
-	}
-	return w
-}
-
-// Import rebuilds a Result from its wire form.
-func Import(w *WireResult) *Result {
-	r := NewResult()
-	r.RowsScanned = w.RowsScanned
-	r.BlocksScanned = w.BlocksScanned
-	r.BlocksSkipped = w.BlocksSkipped
-	r.BlocksPruned = w.BlocksPruned
-	r.LeavesTotal = w.LeavesTotal
-	r.LeavesAnswered = w.LeavesAnswered
-	r.ShardsTotal = w.ShardsTotal
-	r.ShardsAnswered = w.ShardsAnswered
-	r.Phases = w.Phases
-	r.CacheHits = w.CacheHits
-	r.CacheMisses = w.CacheMisses
-	for _, g := range w.Groups {
-		r.groups[keyString(g.Key)] = &Group{Key: g.Key, Aggs: g.Aggs}
-	}
-	return r
-}
-
 // Row is one finalized output row.
 type Row struct {
 	Key    []string
@@ -373,55 +354,52 @@ type Row struct {
 // and a time-bucketed query comes back in bucket order first so callers can
 // render the series directly. The list is trimmed to q.Limit.
 func (r *Result) Rows(q *Query) []Row {
-	groups := make([]*Group, 0, len(r.groups))
-	for _, g := range r.groups {
-		groups = append(groups, g)
+	// What a group is ranked by is worked out once per group, not per
+	// comparison: the bucket is parsed text and a percentile walks a histogram.
+	type ranked struct {
+		g      *Group
+		bucket int64
+		value  float64
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		gi, gj := groups[i], groups[j]
+	groups := make([]ranked, len(r.Groups))
+	for i := range r.Groups {
+		g := &r.Groups[i]
+		k := ranked{g: g}
 		if q.TimeBucketSeconds > 0 {
-			bi, _ := strconv.ParseInt(gi.Key[0], 10, 64)
-			bj, _ := strconv.ParseInt(gj.Key[0], 10, 64)
-			if bi != bj {
-				return bi < bj
-			}
+			k.bucket, _ = strconv.ParseInt(g.Key[0], 10, 64)
 		}
-		if q.OrderBy != nil && q.OrderBy.Agg < len(gi.Aggs) && q.OrderBy.Agg < len(gj.Aggs) {
-			op := q.Aggregations[q.OrderBy.Agg].Op
-			vi := gi.Aggs[q.OrderBy.Agg].Value(op)
-			vj := gj.Aggs[q.OrderBy.Agg].Value(op)
-			if vi != vj {
-				if q.OrderBy.Asc {
-					return vi < vj
-				}
-				return vi > vj
-			}
-		} else if ci, cj := groupCount(gi), groupCount(gj); ci != cj {
-			return ci > cj
+		if by := q.OrderBy; by != nil && by.Agg < len(g.Aggs) {
+			k.value = g.Aggs[by.Agg].Value(q.Aggregations[by.Agg].Op)
+		} else if len(g.Aggs) > 0 {
+			k.value = float64(g.Aggs[0].Count)
 		}
-		return keyString(gi.Key) < keyString(gj.Key)
+		groups[i] = k
+	}
+	sign := -1 // descending
+	if q.OrderBy != nil && q.OrderBy.Asc {
+		sign = 1
+	}
+	slices.SortFunc(groups, func(a, b ranked) int {
+		if c := cmp.Compare(a.bucket, b.bucket); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.value, b.value); c != 0 {
+			return sign * c
+		}
+		return compareKeys(a.g.Key, b.g.Key)
 	})
 	if q.Limit > 0 && len(groups) > q.Limit {
 		groups = groups[:q.Limit]
 	}
 	out := make([]Row, len(groups))
-	for i, g := range groups {
+	for i, k := range groups {
 		vals := make([]float64, len(q.Aggregations))
-		for j, a := range q.Aggregations {
-			if j < len(g.Aggs) {
-				vals[j] = g.Aggs[j].Value(a.Op)
-			}
+		for j := range min(len(vals), len(k.g.Aggs)) {
+			vals[j] = k.g.Aggs[j].Value(q.Aggregations[j].Op)
 		}
-		out[i] = Row{Key: g.Key, Values: vals}
+		out[i] = Row{Key: k.g.Key, Values: vals}
 	}
 	return out
-}
-
-func groupCount(g *Group) int64 {
-	if len(g.Aggs) == 0 {
-		return 0
-	}
-	return g.Aggs[0].Count
 }
 
 // Format renders rows as an aligned text table for CLIs and examples.

@@ -113,7 +113,7 @@ var scanners = sync.Pool{New: func() any { return &scanner{index: make(map[strin
 
 func newScanner(p *plan, dc *DecodeCache) *scanner {
 	s := scanners.Get().(*scanner)
-	s.p, s.dc, s.res = p, dc, NewResult()
+	s.p, s.dc, s.res = p, dc, &Result{}
 	s.aggs = make([][]AggState, len(p.aggs))
 	return s
 }
@@ -131,17 +131,24 @@ func (s *scanner) release() {
 	scanners.Put(s)
 }
 
-// finish moves the groups into the scanner's result and returns it.
+// finish hands the groups over in the scanner's result, in key order: the
+// order is settled on group numbers (nothing but integers moves), then each
+// group's accumulators are gathered from the per-aggregation columns the
+// kernels fold into.
 func (s *scanner) finish() *Result {
 	res, na := s.res, len(s.aggs)
-	res.groups = make(map[string]*Group, len(s.keys))
-	groups := make([]Group, len(s.keys))
-	states := make([]*AggState, len(s.keys)*na)
-	for g := range groups {
-		aggs := states[g*na : (g+1)*na : (g+1)*na]
+	order := make([]int32, len(s.keys))
+	for g := range order {
+		order[g] = int32(g)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return compareKeys(s.keys[a], s.keys[b]) })
+	res.Groups = make([]Group, len(order))
+	states := make([]AggState, len(order)*na)
+	for i, g := range order {
+		aggs := states[i*na : (i+1)*na : (i+1)*na]
 		for ai := range aggs {
-			st := &s.aggs[ai][g]
-			aggs[ai] = st
+			st := &aggs[ai]
+			*st = s.aggs[ai][g]
 			// What every row would have done alike is settled here, once per
 			// group: a count observed nothing but zeros, and a histogram
 			// took one value per observation.
@@ -152,13 +159,13 @@ func (s *scanner) finish() *Result {
 				st.Hist.Total = st.Count
 			}
 		}
-		groups[g] = Group{Key: s.keys[g], Aggs: aggs}
-	}
-	for joined, g := range s.index {
-		res.groups[joined] = &groups[g]
+		res.Groups[i] = Group{Key: s.keys[g], Aggs: aggs}
 	}
 	return res
 }
+
+// keySep joins a key tuple's parts in the scanner's index of its groups.
+const keySep = "\x00"
 
 // group returns the index of the group with the key in s.key, adding it.
 func (s *scanner) group() int32 {
@@ -187,18 +194,7 @@ func (s *scanner) group() int32 {
 	}
 	s.keys = append(s.keys, key)
 	for ai, a := range s.p.q.Aggregations {
-		st := AggState{Min: math.Inf(1), Max: math.Inf(-1)}
-		switch {
-		case a.Op.percentile():
-			if len(s.hists) == cap(s.hists) {
-				s.hists = make([]Histogram, 0, min(max(2*cap(s.hists), 4), 256))
-			}
-			s.hists = s.hists[:len(s.hists)+1]
-			st.Hist = &s.hists[len(s.hists)-1]
-		case a.Op == AggCountDistinct:
-			st.Distinct = make(map[string]bool)
-		}
-		s.aggs[ai] = append(s.aggs[ai], st)
+		s.aggs[ai] = append(s.aggs[ai], newAggState(a.Op, &s.hists))
 	}
 	return g
 }

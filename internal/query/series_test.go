@@ -185,7 +185,7 @@ func TestSeriesSurvivesWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := Import(res.Export())
+	back := overWire(t, res)
 	a, b := res.Rows(q), back.Rows(q)
 	if len(a) != len(b) {
 		t.Fatalf("rows %d vs %d", len(a), len(b))

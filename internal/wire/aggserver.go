@@ -64,7 +64,7 @@ func (s *AggServer) handle(req *Request) (*Response, func()) {
 		if err != nil {
 			resp.Err = err.Error()
 		} else {
-			resp.Result = res.Export()
+			resp.Result = res
 			if req.Trace.TraceID != 0 {
 				// In an aggregator tree the upstream's span for this server
 				// covers the whole subtree: report the summed phases of every

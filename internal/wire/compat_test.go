@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"scuba/internal/aggregator"
+	"scuba/internal/obs"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
 )
@@ -30,7 +32,52 @@ type v1Request struct {
 
 type v1Response struct {
 	Err    string
-	Result *query.WireResult
+	Result *v3Result
+}
+
+// v3Result and v3Group are the result as every binary through protocol 3
+// declared it — a mirror type beside query.Result, accumulators boxed — and
+// v3Response the envelope around it. A current binary sends query.Result
+// itself under the same field names; gob flattens the pointers, so these
+// stand in exactly for what an older peer encodes and what it decodes into.
+type v3Result struct {
+	Groups         []v3Group
+	RowsScanned    int64
+	BlocksScanned  int64
+	BlocksSkipped  int64
+	BlocksPruned   int64
+	LeavesTotal    int
+	LeavesAnswered int
+	ShardsTotal    int
+	ShardsAnswered int
+	Phases         query.PhaseTimes
+	CacheHits      int64
+	CacheMisses    int64
+}
+
+type v3Group struct {
+	Key  []string
+	Aggs []*query.AggState
+}
+
+type v3Response struct {
+	Err    string
+	Result *v3Result
+	Exec   *obs.ExecStats
+}
+
+// rows finalizes an older peer's view of a result the way that peer would.
+func (r *v3Result) rows(q *query.Query) []query.Row {
+	res := &query.Result{}
+	for _, g := range r.Groups {
+		aggs := make([]query.AggState, len(g.Aggs))
+		for i, st := range g.Aggs {
+			aggs[i] = *st
+		}
+		res.Groups = append(res.Groups, query.Group{Key: g.Key, Aggs: aggs})
+	}
+	res.SortGroups()
+	return res.Rows(q)
 }
 
 // v1QueryRequest is the canonical v1 frame pinned by the golden fixture. It
@@ -55,8 +102,8 @@ func v1QueryRequest() *v1Request {
 
 func v1QueryResponse() *v1Response {
 	return &v1Response{
-		Result: &query.WireResult{
-			Groups: []query.WireGroup{{
+		Result: &v3Result{
+			Groups: []v3Group{{
 				Key:  []string{"web"},
 				Aggs: []*query.AggState{{Count: 500, Sum: 12345, Min: 1, Max: 99}},
 			}},
@@ -212,11 +259,184 @@ func TestOldClientAgainstNewServer(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatalf("new server errored on v1 client: %s", resp.Err)
 	}
-	res := query.Import(resp.Result)
 	q := v1QueryRequest().Query
-	rows := res.Rows(q)
+	rows := resp.Result.rows(q)
 	if len(rows) != 1 || rows[0].Values[0] != 500 {
 		t.Fatalf("v1 client got wrong result: %v", rows)
+	}
+}
+
+// rawPeer serves answer's replies as raw gob frames: a peer built from
+// whatever types the test says it was, or a broken one.
+func rawPeer(t *testing.T, answer func(*Request) any) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+				for {
+					var req Request
+					if dec.Decode(&req) != nil || enc.Encode(answer(&req)) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestNewServerAgainstOldClient: what a current server sends — query.Result
+// as it is, groups sorted, accumulators by value — decodes under the v3
+// mirror types with nothing lost, every accumulator and the trace report.
+func TestNewServerAgainstOldClient(t *testing.T) {
+	s, c, _ := newServer(t, 0)
+	rows := mkRows(300, 1000)
+	for i := range rows {
+		rows[i].Cols["service"] = rowblock.StringValue([]string{"web", "ads", "search"}[i%3])
+	}
+	if err := c.AddRows("events", rows); err != nil {
+		t.Fatal(err)
+	}
+	q := &query.Query{Table: "events", From: 0, To: 1 << 40, TimeBucketSeconds: 100, GroupBy: []string{"service"},
+		Aggregations: []query.Aggregation{{Op: query.AggCount}, {Op: query.AggP90, Column: "lat"}, {Op: query.AggCountDistinct, Column: "lat"}}}
+	want, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := &Request{Kind: KindQuery, Query: q, Version: 3}
+	req.Trace.TraceID, req.Trace.SpanID = 5, 6
+	if err := gob.NewEncoder(conn).Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	var resp v3Response
+	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatalf("a current response under the v3 shapes: %v", err)
+	}
+	if resp.Err != "" || resp.Result == nil || resp.Exec == nil || resp.Exec.SpanID != 6 {
+		t.Fatalf("v3 client got %+v", resp)
+	}
+	if got := resp.Result.rows(q); len(got) != 9 || !reflect.DeepEqual(got, want.Rows(q)) {
+		t.Fatalf("v3 client reads\n%+v, a current client\n%+v", got, want.Rows(q))
+	}
+	if resp.Result.RowsScanned != 300 || resp.Result.Phases.ScanNanos == 0 {
+		t.Fatalf("v3 client lost the work counters: %+v", resp.Result)
+	}
+}
+
+// TestOldServerAgainstNewClient: a v3 peer built its reply by ranging over a
+// map, so its groups arrive in any order; a current client puts them in key
+// order on receipt — and folds a key sent twice, which no peer should but
+// nothing stops — so what it hands the merge keeps the merge's invariant.
+func TestOldServerAgainstNewClient(t *testing.T) {
+	q := &query.Query{Table: "events", From: 0, To: 1 << 40, GroupBy: []string{"service", "host"},
+		Aggregations: []query.Aggregation{{Op: query.AggCount}, {Op: query.AggSum, Column: "lat"}}}
+	group := func(service, host string, count int64, sum float64) v3Group {
+		return v3Group{Key: []string{service, host}, Aggs: []*query.AggState{{Count: count}, {Count: count, Sum: sum}}}
+	}
+	addr := rawPeer(t, func(*Request) any {
+		return &v3Response{Result: &v3Result{RowsScanned: 17, Groups: []v3Group{
+			group("web", "h2", 4, 40), group("ads", "h9", 1, 10), group("web", "h1", 2, 20),
+			group("web", "h2", 8, 80), group("ads", "h1", 2, 20),
+		}}}
+	})
+	c := Dial(addr)
+	defer c.Close()
+	res, _, err := c.QueryShards(q, nil, obs.TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strictlySorted(res.Groups) || res.RowsScanned != 17 {
+		t.Fatalf("received groups not in key order: %+v", res.Groups)
+	}
+	want := []query.Row{
+		{Key: []string{"web", "h2"}, Values: []float64{12, 120}},
+		{Key: []string{"ads", "h1"}, Values: []float64{2, 20}},
+		{Key: []string{"web", "h1"}, Values: []float64{2, 20}},
+		{Key: []string{"ads", "h9"}, Values: []float64{1, 10}},
+	}
+	if got := res.Rows(q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows %+v, want %+v", got, want)
+	}
+	// And it merges with a current leaf's answer.
+	_, cur, _ := newServer(t, 1)
+	rows := mkRows(6, 1000)
+	for i := range rows {
+		rows[i].Cols["host"] = rowblock.StringValue("h1")
+	}
+	if err := cur.AddRows("events", rows); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := aggregator.New([]aggregator.LeafTarget{c, cur}).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := merged.Rows(q); len(got) != 4 || got[1].Values[0] != 8 || got[1].Values[1] != 35 || merged.LeavesAnswered != 2 {
+		t.Fatalf("merged with a current leaf: %+v", got)
+	}
+}
+
+// TestMalformedResultIsTheTargetsError: a reply that cannot be the query's
+// answer — a percentile without its histogram, a time-bucketed group without
+// its bucket, the wrong number of accumulators, no result at all — is an
+// error from that target, not a panic in whoever finalizes the rows; the
+// aggregator counts the leaf unanswered and answers from the rest.
+func TestMalformedResultIsTheTargetsError(t *testing.T) {
+	_, good, _ := newServer(t, 0)
+	if err := good.AddRows("events", mkRows(50, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	one := func(key []string, aggs ...*query.AggState) *v3Response {
+		return &v3Response{Result: &v3Result{Groups: []v3Group{{Key: key, Aggs: aggs}}}}
+	}
+	p99 := []query.Aggregation{{Op: query.AggP99, Column: "lat"}}
+	count := []query.Aggregation{{Op: query.AggCount}}
+	for _, tc := range []struct {
+		name  string
+		q     *query.Query
+		reply *v3Response
+	}{
+		{"percentile without a histogram", &query.Query{Table: "events", To: 1 << 40, GroupBy: []string{"service"}, Aggregations: p99},
+			one([]string{"web"}, &query.AggState{Count: 3})},
+		{"time bucket without its key", &query.Query{Table: "events", To: 1 << 40, TimeBucketSeconds: 3600, Aggregations: count},
+			one(nil, &query.AggState{Count: 3})},
+		{"too few accumulators", &query.Query{Table: "events", To: 1 << 40, GroupBy: []string{"service"}, Aggregations: append(count, p99...)},
+			one([]string{"web"}, &query.AggState{Count: 3})},
+		{"no result", &query.Query{Table: "events", To: 1 << 40, Aggregations: count}, &v3Response{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := Dial(rawPeer(t, func(*Request) any { return tc.reply }))
+			defer bad.Close()
+			if res, _, err := bad.QueryShards(tc.q, nil, obs.TraceContext{}); err == nil {
+				t.Fatalf("accepted %+v", res)
+			}
+			res, err := aggregator.New([]aggregator.LeafTarget{good, bad}).Query(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LeavesTotal != 2 || res.LeavesAnswered != 1 {
+				t.Fatalf("coverage %d/%d, want 1/2", res.LeavesAnswered, res.LeavesTotal)
+			}
+			if rows := res.Rows(tc.q); len(rows) != 1 {
+				t.Fatalf("rows from the leaf that answered: %+v", rows)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"scuba/internal/aggregator"
@@ -18,8 +19,8 @@ import (
 // shard-scoped — over one leaf holding the same rows twice: as the logical
 // table (sealed blocks plus an unsealed tail) and as a four-shard copy.
 // Every entry's rows must equal the reference executor's over the raw rows,
-// and the work counters must agree among the entries that read the same
-// blocks.
+// its groups must come back in key order with no key twice, and the work
+// counters must agree among the entries that read the same blocks.
 func TestOneQueryPath(t *testing.T) {
 	const (
 		table     = "service_logs"
@@ -125,6 +126,9 @@ func TestOneQueryPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v via %s: %v", q, e.name, err)
 			}
+			if !strictlySorted(res.Groups) {
+				t.Fatalf("%v via %s: groups out of key order or repeated", q, e.name)
+			}
 			if got := res.Rows(q); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v via %s:\n got %+v\nwant %+v", q, e.name, got, want)
 			}
@@ -144,4 +148,14 @@ func TestOneQueryPath(t *testing.T) {
 	if answered < numQuery/4 || skipped == 0 {
 		t.Fatalf("mix too thin to mean anything: %d/%d queries matched rows, %d blocks skipped", answered, numQuery, skipped)
 	}
+}
+
+// strictlySorted reports whether groups keep query.Result's invariant.
+func strictlySorted(groups []query.Group) bool {
+	for i := 1; i < len(groups); i++ {
+		if slices.Compare(groups[i-1].Key, groups[i].Key) >= 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -130,7 +130,7 @@ type Request struct {
 type Response struct {
 	Err      string
 	Stats    *leaf.Stats
-	Result   *query.WireResult
+	Result   *query.Result
 	Shutdown *leaf.ShutdownInfo
 	// Exec is the leaf's execution report for a traced query (v2+; nil for
 	// untraced queries and pre-trace servers).
@@ -322,7 +322,7 @@ func (s *Server) handle(req *Request) *Response {
 		if req.Trace.TraceID == 0 {
 			exec = nil // the report travels only on a traced request
 		}
-		return &Response{Result: res.Export(), Exec: exec}
+		return &Response{Result: res, Exec: exec}
 	case KindStats:
 		st := s.leaf.Stats()
 		return &Response{Stats: &st}
@@ -645,7 +645,14 @@ func (c *Client) QueryShards(q *query.Query, shards []int, tc obs.TraceContext) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return query.Import(resp.Result), resp.Exec, nil
+	// What the peer sent is input: a result that is not q's answer is this
+	// target's error (the aggregator counts it unanswered), and an older
+	// peer's groups are in no order.
+	if err := resp.Result.Validate(q); err != nil {
+		return nil, nil, fmt.Errorf("wire: from %s: %w", c.addr, err)
+	}
+	resp.Result.SortGroups()
+	return resp.Result, resp.Exec, nil
 }
 
 // MetricsSnapshot fetches the leaf daemon's registry snapshot, recovery

@@ -196,6 +196,18 @@ func TestRolloverDiskPathAvailability(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseRows := baseline.Rows(q)
+	// The loader fills five of the table's eight shards, and a shard's owners
+	// come from hashing leaf addresses — ephemeral ports, another map every
+	// run — so now and then a leaf owns none of the five, holds no table and
+	// has nothing to recover.
+	held := make(map[int]int64)
+	for _, l := range pc.Leaves() {
+		st, err := l.Client().Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[l.ID] = st.Rows
+	}
 
 	// Let the write-behind sync finish so disk recovery is complete: the
 	// disk path's correctness depends on the backup, not on shm.
@@ -220,8 +232,19 @@ func TestRolloverDiskPathAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rollover: %v", err)
 	}
-	if got := rep.Recoveries[scuba.RecoveryDisk]; got != len(pc.Leaves()) {
-		t.Errorf("disk recoveries = %d, want %d", got, len(pc.Leaves()))
+	// Every leaf restarted, and every one that held rows came back from disk:
+	// none through shared memory, none empty-handed.
+	if len(rep.Restarts) != len(pc.Leaves()) || len(rep.Quarantined) != 0 {
+		t.Errorf("%d of %d leaves restarted, quarantined %v", len(rep.Restarts), len(pc.Leaves()), rep.Quarantined)
+	}
+	for _, rs := range rep.Restarts {
+		want := scuba.RecoveryDisk
+		if held[rs.Leaf] == 0 {
+			want = scuba.RecoveryNone
+		}
+		if rs.Recovery != want {
+			t.Errorf("leaf %d held %d rows and recovered by %q, want %q (rows per leaf: %v)", rs.Leaf, held[rs.Leaf], rs.Recovery, want, held)
+		}
 	}
 	if avail.Wrong != 0 {
 		t.Errorf("%d queries returned non-baseline results on the disk path", avail.Wrong)
@@ -229,6 +252,6 @@ func TestRolloverDiskPathAvailability(t *testing.T) {
 	if avail.MinShardCoverage < 0.75 {
 		t.Errorf("min shard coverage %.3f below floor 0.75", avail.MinShardCoverage)
 	}
-	t.Logf("disk-path rollover: %v, min coverage %.1f%%, p99 %v",
-		rep.Duration.Round(time.Millisecond), 100*avail.MinShardCoverage, avail.P99)
+	t.Logf("disk-path rollover: %v, min coverage %.1f%%, p99 %v, rows per leaf %v, recoveries %v",
+		rep.Duration.Round(time.Millisecond), 100*avail.MinShardCoverage, avail.P99, held, rep.Recoveries)
 }
