@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"scuba"
+	"scuba/internal/query"
 	"scuba/internal/tailer"
 )
 
@@ -639,6 +640,55 @@ func BenchmarkResultMergeWire(b *testing.B) {
 		}
 		if rows := res.Rows(q); len(rows) != 200*12 || res.LeavesAnswered != 2 {
 			b.Fatalf("%d rows from %d leaves", len(rows), res.LeavesAnswered)
+		}
+	}
+}
+
+// BenchmarkResultFrame measures the result codec alone on the same answer:
+// one leaf's 2,400 groups x {count, avg, p99} encoded to a result frame and
+// decoded back, which is what every hop of a query pays once each way.
+// SetBytes is the frame's size, so MB/s and B/op are on the record. Gated in
+// CI beside BenchmarkResultMergeWire.
+func BenchmarkResultFrame(b *testing.B) {
+	e := newBenchEnv(b)
+	cfg := e.config(0)
+	cfg.ScanWorkers = 1
+	l, err := scuba.NewLeaf(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := l.Start(); err != nil {
+		b.Fatal(err)
+	}
+	if err := l.AddRows("service_logs", scuba.ServiceLogs(42, 1700000000).NextBatch(65536)); err != nil {
+		b.Fatal(err)
+	}
+	res, err := l.Query(&scuba.Query{
+		Table: "service_logs", From: 0, To: 1 << 40,
+		GroupBy: []string{"host", "service"},
+		Aggregations: []scuba.Aggregation{
+			{Op: scuba.AggCount},
+			{Op: scuba.AggAvg, Column: "cpu_ms"},
+			{Op: scuba.AggP99, Column: "latency_ms"},
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame, err := res.AppendFrame(nil)
+	if err != nil || len(res.Groups) != 200*12 {
+		b.Fatalf("%d groups, %v", len(res.Groups), err)
+	}
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if frame, err = res.AppendFrame(frame[:0]); err != nil {
+			b.Fatal(err)
+		}
+		back, err := query.DecodeResultFrame(frame)
+		if err != nil || len(back.Groups) != len(res.Groups) {
+			b.Fatalf("decoded %v, %v", back, err)
 		}
 	}
 }

@@ -195,7 +195,7 @@ func runQuery(clients []*scuba.Client, args []string) {
 
 	targets := make([]aggregator.LeafTarget, len(clients))
 	for i, c := range clients {
-		targets[i] = c
+		targets[i] = unansweredToStderr{c}
 	}
 	agg := aggregator.New(targets)
 	start := time.Now()
@@ -207,6 +207,20 @@ func runQuery(clients []*scuba.Client, args []string) {
 	fmt.Printf("\n%d/%d leaves answered (%.0f%% of data), %d rows scanned, %d blocks skipped, %v\n",
 		res.LeavesAnswered, res.LeavesTotal, 100*res.Coverage(),
 		res.RowsScanned, res.BlocksSkipped, time.Since(start).Round(time.Millisecond))
+}
+
+// unansweredToStderr says why a leaf did not answer. To the aggregator that
+// is coverage, not an error, and the reason — "peer speaks protocol < 4" from
+// a leaf a release behind, a refused connection — would go unsaid under the
+// "1/2 leaves answered" line.
+type unansweredToStderr struct{ *scuba.Client }
+
+func (u unansweredToStderr) QueryShards(q *scuba.Query, shards []int, tc scuba.TraceContext) (*scuba.Result, *scuba.ExecStats, error) {
+	res, exec, err := u.Client.QueryShards(q, shards, tc)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "scuba-cli: unanswered: %v\n", err)
+	}
+	return res, exec, err
 }
 
 func parseFilter(s string) (scuba.Filter, error) {

@@ -426,10 +426,12 @@ func DecodeFloat64(r *layout.RBC) ([]float64, error) {
 		return nil, err
 	}
 	defer release(buf)
-	if len(data) != r.NumItems()*8 {
+	// Divide what is there rather than multiply what the header claims: a
+	// count near 2^61 times 8 wraps to a length the data does have.
+	if len(data)%8 != 0 || len(data)/8 != r.NumItems() {
 		return nil, fmt.Errorf("column: %d data bytes for %d floats", len(data), r.NumItems())
 	}
-	vals := make([]float64, r.NumItems())
+	vals := make([]float64, len(data)/8)
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
 	}

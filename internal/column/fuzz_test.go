@@ -49,6 +49,12 @@ func FuzzColumnDecode(f *testing.F) {
 			f.Add(hostile)
 		}
 	}
+	// A float column whose header claims 2^61 items over no data: the count
+	// times eight wraps to zero, the length the data has (found by this
+	// target; DecodeFloat64 used to size its output by the claim and panic).
+	wrapped := EncodeFloat64(nil)
+	binary.LittleEndian.PutUint64(wrapped[16:], 1<<61)
+	f.Add(wrapped)
 	// Row ids into a dictionary with no entries.
 	f.Add(layout.Build(layout.TypeString, codec.NewCode(codec.MethodDict, codec.MethodRaw),
 		2, 0, codec.EncodeDict(nil, nil), codec.EncodeBitPackU64(nil, []uint64{0, 0}), 3))

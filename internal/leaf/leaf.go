@@ -535,7 +535,7 @@ func (l *Leaf) acceptingAdds() bool {
 }
 
 // AddRows ingests rows held in process — the facade, the self-telemetry
-// sink, a not-yet-upgraded tailer's KindAddRows — by transposing them into a
+// sink — by transposing them into a
 // batch and taking the same path as AddBatch. Rows that disagree among
 // themselves on a column's type are rejected whole with
 // rowblock.ErrTypeConflict before anything is logged or applied.

@@ -39,49 +39,134 @@ func TestHistogramAccuracy(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeEquivalence(t *testing.T) {
-	// Adding values to one histogram must equal merging two halves.
-	whole, a, b := &Histogram{}, &Histogram{}, &Histogram{}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 5000; i++ {
-		v := math.Abs(rng.NormFloat64()) * 100
-		whole.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
+// denseHistogram is the histogram as every binary through protocol 3 held
+// it, all 65 buckets whether a value reached them or not: the reference the
+// windowed one is checked against.
+type denseHistogram struct {
+	Counts [histBuckets]int64
+	Total  int64
+}
+
+func (h *denseHistogram) Add(v float64) {
+	h.Counts[bucketOf(v)]++
+	h.Total++
+}
+
+func (h *denseHistogram) Merge(o *denseHistogram) {
+	for i, c := range o.Counts {
+		h.Counts[i] += c
+	}
+	h.Total += o.Total
+}
+
+func (h *denseHistogram) Quantile(q float64) float64 {
+	if h.Total == 0 {
+		return 0
+	}
+	rank := max(int64(math.Ceil(q*float64(h.Total))), 1)
+	var seen int64
+	for i, c := range h.Counts {
+		if seen += c; seen >= rank {
+			return bucketMid(i)
 		}
 	}
-	a.Merge(b)
-	if a.Total != whole.Total {
-		t.Fatalf("totals: %d vs %d", a.Total, whole.Total)
+	return bucketMid(histBuckets - 1)
+}
+
+// sameAsDense fails unless h says what d says: every bucket, the total and
+// the three quantiles a query can ask for.
+func sameAsDense(t *testing.T, name string, h *Histogram, d *denseHistogram) {
+	t.Helper()
+	if h.Lo < 0 || h.Lo+len(h.Counts) > histBuckets {
+		t.Fatalf("%s: window [%d, %d) leaves the bucket range", name, h.Lo, h.Lo+len(h.Counts))
 	}
-	for i := range whole.Counts {
-		if a.Counts[i] != whole.Counts[i] {
-			t.Fatalf("bucket %d: %d vs %d", i, a.Counts[i], whole.Counts[i])
+	var got [histBuckets]int64
+	copy(got[h.Lo:], h.Counts)
+	if got != d.Counts {
+		t.Fatalf("%s: buckets\n%v, dense\n%v", name, got, d.Counts)
+	}
+	if h.Total() != d.Total {
+		t.Fatalf("%s: total %d, dense %d", name, h.Total(), d.Total)
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		if g, w := h.Quantile(q), d.Quantile(q); g != w {
+			t.Fatalf("%s: quantile(%v) = %v, dense %v", name, q, g, w)
 		}
 	}
 }
 
-func TestHistogramEdgeCases(t *testing.T) {
-	h := &Histogram{}
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile != 0")
+// TestWindowedHistogramAgainstDense: whatever the values and whichever way
+// the window has to move, the windowed histogram holds what the dense one
+// holds — after every Add, and after merges of windows that overlap, touch
+// or lie apart, in both directions.
+func TestWindowedHistogramAgainstDense(t *testing.T) {
+	var powers []float64
+	for k := 0; k <= 64; k++ {
+		p := math.Exp2(float64(k))
+		powers = append(powers, math.Nextafter(p, 0), p, math.Nextafter(p, math.Inf(1)), p-1, p+1)
 	}
-	h.Add(0)
-	h.Add(-5)
-	h.Add(math.NaN())
-	if h.Counts[0] != 3 {
-		t.Errorf("bucket 0 = %d", h.Counts[0])
+	rng := rand.New(rand.NewSource(11))
+	var mixed []float64
+	for i := 0; i < 4000; i++ {
+		mixed = append(mixed, math.Exp2(rng.Float64()*70-3))
 	}
-	if h.Quantile(0.5) != 0 {
-		t.Error("zeros quantile != 0")
+	var outward []float64 // from the middle, down and up in turn
+	for k := 0; k < 33; k++ {
+		outward = append(outward, math.Exp2(float64(32-k)), math.Exp2(float64(32+k)))
 	}
-	h.Add(math.MaxFloat64)
-	if h.Counts[histBuckets-1] != 1 {
-		t.Error("huge value not clamped to last bucket")
+	streams := map[string][]float64{
+		"nothing":    nil,
+		"zeros":      {0, 0, 0},
+		"unordered":  {math.NaN(), -1, math.Inf(-1), 0, math.Inf(1), math.MaxFloat64, math.SmallestNonzeroFloat64},
+		"powers":     powers,
+		"descending": {1e18, 1e15, 1e12, 1e9, 1e6, 1e3, 1, 0},
+		"ascending":  {0, 1, 1e3, 1e6, 1e9, 1e12, 1e15, 1e18, math.Inf(1)},
+		"outward":    outward,
+		"narrow":     {100, 101, 150, 120, 99, 300, 64, 63},
+		"small":      {0.5, 1, 2, 3, 2, 1},
+		"huge":       {1e18, 2e18, 8e18, 1e19, 1e300},
+		"mixed":      mixed,
 	}
-	h.Merge(nil) // must not panic
+	var slab []histRoom // a scan's: first windows side by side, wider ones off it
+	built := map[string]*Histogram{}
+	dense := map[string]*denseHistogram{}
+	for name, vals := range streams {
+		h, viaSlab, d := &Histogram{}, newAggState(AggP99, &slab).Hist, &denseHistogram{}
+		for _, v := range vals {
+			h.Add(v)
+			viaSlab.bump(bucketOf(v))
+			d.Add(v)
+			sameAsDense(t, name, h, d)
+		}
+		built[name], dense[name] = viaSlab, d
+	}
+	for name, h := range built {
+		sameAsDense(t, name+" (slab)", h, dense[name])
+	}
+	clone := func(h *Histogram) *Histogram {
+		return &Histogram{Lo: h.Lo, Counts: append([]int64(nil), h.Counts...)}
+	}
+	for an, a := range built {
+		for bn, b := range built {
+			got, want := clone(a), *dense[an]
+			got.Merge(b)
+			want.Merge(dense[bn])
+			sameAsDense(t, an+" + "+bn, got, &want)
+		}
+	}
+	(&Histogram{}).Merge(nil) // must not panic
+}
+
+// TestHistogramCountsSaturate: counts a peer sent are added without wrapping.
+func TestHistogramCountsSaturate(t *testing.T) {
+	a := &Histogram{Lo: 3, Counts: []int64{math.MaxInt64 - 1, 5}}
+	a.Merge(&Histogram{Lo: 3, Counts: []int64{7, 1}})
+	if a.Counts[0] != math.MaxInt64 || a.Counts[1] != 6 || a.Total() != math.MaxInt64 {
+		t.Fatalf("merged %v, total %d", a.Counts, a.Total())
+	}
+	if q := a.Quantile(0.5); q != bucketMid(3) {
+		t.Fatalf("median %v, want bucket 3's", q)
+	}
 }
 
 func TestBucketOfProperty(t *testing.T) {
@@ -104,7 +189,7 @@ func TestBucketOfProperty(t *testing.T) {
 }
 
 func TestAggStateMergeIdentity(t *testing.T) {
-	var hists []Histogram
+	var hists []histRoom
 	a := newAggState(AggAvg, &hists)
 	for i := 1; i <= 10; i++ {
 		a.Observe(float64(i))

@@ -1,8 +1,6 @@
 package query
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -12,16 +10,16 @@ import (
 	"scuba/internal/table"
 )
 
-// overWire returns what a peer decodes when res is sent to it: a Result is
-// its own wire form, so this is a gob round trip (and a deep copy).
+// overWire returns what a peer decodes when res is sent to it: a round trip
+// through the result frame (and a deep copy).
 func overWire(t testing.TB, res *Result) *Result {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
+	frame, err := res.AppendFrame(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back := new(Result)
-	if err := gob.NewDecoder(&buf).Decode(back); err != nil {
+	back, err := DecodeResultFrame(frame)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return back

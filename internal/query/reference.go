@@ -49,7 +49,7 @@ func Reference(rows []rowblock.Row, q *Query) (*Result, error) {
 	var (
 		groups []Group
 		index  = make(map[string]int) // quoted key tuple → its group
-		hists  []Histogram
+		hists  []histRoom
 	)
 rows:
 	for _, r := range rows {

@@ -28,17 +28,20 @@ type AggState struct {
 }
 
 // newAggState returns an empty accumulator for the op. A percentile's
-// histogram is cut from slab, which is replaced when it is full: a scan makes
-// one per group, and 2,400 groups are ten allocations this way.
-func newAggState(op AggOp, slab *[]Histogram) AggState {
+// histogram, and the room for its first window, is cut from slab, which is
+// replaced when it is full: a scan makes one per group, and 2,400 groups are
+// ten allocations this way.
+func newAggState(op AggOp, slab *[]histRoom) AggState {
 	st := AggState{Min: math.Inf(1), Max: math.Inf(-1)}
 	switch {
 	case op.percentile():
 		if len(*slab) == cap(*slab) {
-			*slab = make([]Histogram, 0, min(max(2*cap(*slab), 4), 256))
+			*slab = make([]histRoom, 0, min(max(2*cap(*slab), 4), 256))
 		}
 		*slab = (*slab)[:len(*slab)+1]
-		st.Hist = &(*slab)[len(*slab)-1]
+		h := &(*slab)[len(*slab)-1]
+		h.Counts = h.room[:0]
+		st.Hist = &h.Histogram
 	case op == AggCountDistinct:
 		st.Distinct = make(map[string]bool)
 	}
@@ -161,9 +164,9 @@ func (p *PhaseTimes) Add(o PhaseTimes) {
 	p.MergeNanos += o.MergeNanos
 }
 
-// Result is a (possibly partial) query result, and its own wire form: the
-// scan hands one over, gob carries it as it is, and the aggregator merges
-// what arrives. Merging partial results from many leaves is associative and
+// Result is a (possibly partial) query result: the scan hands one over, the
+// result frame (frame.go) carries it as it is, and the aggregator merges what
+// arrives. Merging partial results from many leaves is associative and
 // commutative.
 type Result struct {
 	// Groups is sorted by key tuple and holds no key twice: Merge relies on
@@ -193,6 +196,15 @@ type Result struct {
 	// the per-query view of the query.decode_cache.{hits,misses} counters.
 	CacheHits   int64
 	CacheMisses int64
+}
+
+// keyParts is how many parts a group key of q's has: the time bucket, when
+// there is one, then the group-by columns.
+func (q *Query) keyParts() int {
+	if q.TimeBucketSeconds > 0 {
+		return 1 + len(q.GroupBy)
+	}
+	return len(q.GroupBy)
 }
 
 // compareKeys orders key tuples, part by part: the order of Result.Groups.
@@ -225,10 +237,7 @@ func (r *Result) Validate(q *Query) error {
 	if r == nil {
 		return errors.New("query: no result")
 	}
-	arity := len(q.GroupBy)
-	if q.TimeBucketSeconds > 0 {
-		arity++
-	}
+	arity := q.keyParts()
 	for i, g := range r.Groups {
 		if len(g.Key) != arity || len(g.Aggs) != len(q.Aggregations) {
 			return fmt.Errorf("query: result group %d has %d key parts and %d accumulators, the query %d and %d",
@@ -392,8 +401,10 @@ func (r *Result) Rows(q *Query) []Row {
 		groups = groups[:q.Limit]
 	}
 	out := make([]Row, len(groups))
+	na := len(q.Aggregations)
+	slab := make([]float64, len(groups)*na) // every row's values, one allocation
 	for i, k := range groups {
-		vals := make([]float64, len(q.Aggregations))
+		vals := slab[i*na : (i+1)*na : (i+1)*na]
 		for j := range min(len(vals), len(k.g.Aggs)) {
 			vals[j] = k.g.Aggs[j].Value(q.Aggregations[j].Op)
 		}

@@ -84,8 +84,8 @@ type scanner struct {
 	index   map[string]int32
 	keys    [][]string
 	aggs    [][]AggState
-	hists   []Histogram // slab the next percentile accumulators come from
-	keySlab []string    // slab the next group keys come from
+	hists   []histRoom // slab the next percentile accumulators come from
+	keySlab []string   // slab the next group keys come from
 
 	// Per-block state, reset by scanRows.
 	cols   []column.Column // per plan slot, once loaded says so
@@ -132,16 +132,36 @@ func (s *scanner) release() {
 }
 
 // finish hands the groups over in the scanner's result, in key order: the
-// order is settled on group numbers (nothing but integers moves), then each
-// group's accumulators are gathered from the per-aggregation columns the
-// kernels fold into.
+// order is settled on group numbers and the ranks of their key parts (nothing
+// but integers moves, and nothing is compared), then each group's
+// accumulators are gathered from the per-aggregation columns the kernels fold
+// into.
 func (s *scanner) finish() *Result {
-	res, na := s.res, len(s.aggs)
-	order := make([]int32, len(s.keys))
+	res, na, nk := s.res, len(s.aggs), s.p.q.keyParts()
+	dicts, ranks := rankKeys(len(s.keys), nk, func(g int) []string { return s.keys[g] })
+	order, next := make([]int32, len(s.keys)), make([]int32, len(s.keys))
 	for g := range order {
 		order[g] = int32(g)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return compareKeys(s.keys[a], s.keys[b]) })
+	// Ranks are dense, so a counting sort per key position, the last first,
+	// leaves the groups in tuple order.
+	var starts []int32
+	for p := nk - 1; p >= 0; p-- {
+		starts = grow(starts, len(dicts[p])+1)
+		clear(starts)
+		for g := range order {
+			starts[ranks[g*nk+p]+1]++
+		}
+		for r := 1; r < len(starts); r++ {
+			starts[r] += starts[r-1]
+		}
+		for _, g := range order {
+			r := ranks[int(g)*nk+p]
+			next[starts[r]] = g
+			starts[r]++
+		}
+		order, next = next, order
+	}
 	res.Groups = make([]Group, len(order))
 	states := make([]AggState, len(order)*na)
 	for i, g := range order {
@@ -150,13 +170,9 @@ func (s *scanner) finish() *Result {
 			st := &aggs[ai]
 			*st = s.aggs[ai][g]
 			// What every row would have done alike is settled here, once per
-			// group: a count observed nothing but zeros, and a histogram
-			// took one value per observation.
+			// group: a count observed nothing but zeros.
 			if s.p.aggs[ai] < 0 {
 				st.Min, st.Max = 0, 0
-			}
-			if st.Hist != nil {
-				st.Hist.Total = st.Count
 			}
 		}
 		res.Groups[i] = Group{Key: s.keys[g], Aggs: aggs}
@@ -586,12 +602,14 @@ func (s *scanner) groupRows(blk Block, sel []uint32, times []int64) ([]uint32, e
 			tuples[t] = -1
 		}
 	}
-	// At most one new group per tuple and per live row: make room once.
-	if need := len(s.keys) + int(min(space, uint64(len(sel)))); need > cap(s.keys) {
-		need = max(need, 2*cap(s.keys))
-		s.keys = append(make([][]string, 0, need), s.keys...)
+	// The first block brings at most one group per tuple and per live row:
+	// make room once. Later blocks of the table mostly bring the same groups
+	// again, and append makes room for the ones they add.
+	if len(s.keys) == 0 {
+		need := int(min(space, uint64(len(sel))))
+		s.keys = make([][]string, 0, need)
 		for ai := range s.aggs {
-			s.aggs[ai] = append(make([]AggState, 0, need), s.aggs[ai]...)
+			s.aggs[ai] = make([]AggState, 0, need)
 		}
 	}
 	for k, t := range acc {
@@ -746,7 +764,7 @@ func (s *scanner) aggregate(st []AggState, a Aggregation, col column.Column, grp
 		}
 		if a.Op.percentile() {
 			for _, g := range grp {
-				st[g].Hist.Counts[0]++
+				st[g].Hist.bump(0)
 			}
 		}
 	case *column.Int64Column:
@@ -773,7 +791,7 @@ func observe[T int64 | float64](st []AggState, vals []T, grp, sel []uint32, hist
 			if v > a.Max {
 				a.Max = v
 			}
-			a.Hist.Counts[bucketOf(v)]++
+			a.Hist.bump(bucketOf(v))
 		}
 		return
 	}

@@ -29,8 +29,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"slices"
 
 	"scuba/internal/layout"
@@ -39,11 +37,7 @@ import (
 const (
 	frameMagic   uint32 = 0x31464253 // "SBF1"
 	frameVersion byte   = 1
-	// frameOverhead is magic + version + CRC.
-	frameOverhead = 4 + 1 + 4
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Batch is a decoded ingest batch: a time vector and one dense value vector
 // per column, every vector Rows() long.
@@ -140,8 +134,7 @@ func FromRows(rows []Row) (*Batch, error) {
 // AppendFrame appends the batch's frame to dst.
 func (b *Batch) AppendFrame(dst []byte) []byte {
 	base := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
-	dst = append(dst, frameVersion)
+	dst = AppendFrameHeader(dst, frameMagic, frameVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(b.Times)))
 	dst = binary.AppendUvarint(dst, uint64(len(b.Cols)))
 	for _, c := range b.Cols {
@@ -149,43 +142,20 @@ func (b *Batch) AppendFrame(dst []byte) []byte {
 		dst = append(dst, c.Name...)
 		dst = append(dst, byte(c.Type))
 	}
-	for _, t := range b.Times {
-		dst = binary.AppendUvarint(dst, zigzag(t))
-	}
+	dst = AppendInts(dst, b.Times)
 	for _, c := range b.Cols {
 		switch c.Type {
 		case layout.TypeInt64, layout.TypeTime:
-			for _, v := range c.Ints {
-				dst = binary.AppendUvarint(dst, zigzag(v))
-			}
+			dst = AppendInts(dst, c.Ints)
 		case layout.TypeFloat64:
-			for _, v := range c.Floats {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-			}
+			dst = AppendFloats(dst, c.Floats)
 		case layout.TypeString:
-			for _, s := range c.Strs {
-				dst = binary.AppendUvarint(dst, uint64(len(s)))
-			}
-			for _, s := range c.Strs {
-				dst = append(dst, s...)
-			}
+			dst = AppendStrs(dst, c.Strs)
 		case layout.TypeStringSet:
-			for _, set := range c.Sets {
-				dst = binary.AppendUvarint(dst, uint64(len(set)))
-			}
-			for _, set := range c.Sets {
-				for _, s := range set {
-					dst = binary.AppendUvarint(dst, uint64(len(s)))
-				}
-			}
-			for _, set := range c.Sets {
-				for _, s := range set {
-					dst = append(dst, s...)
-				}
-			}
+			dst = AppendSets(dst, c.Sets)
 		}
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[base:], castagnoli))
+	return SealFrame(dst, base)
 }
 
 // DecodeFrame parses one whole frame. The input is untrusted (it arrives
@@ -194,32 +164,22 @@ func (b *Batch) AppendFrame(dst []byte) []byte {
 // bytes all fail with ErrBatchCorrupt; a column named "time" fails with
 // ErrReservedName. The batch does not alias frame.
 func DecodeFrame(frame []byte) (*Batch, error) {
-	if len(frame) < frameOverhead {
-		return nil, fmt.Errorf("%w: %d-byte frame", ErrBatchCorrupt, len(frame))
-	}
-	if m := binary.LittleEndian.Uint32(frame); m != frameMagic {
-		return nil, fmt.Errorf("%w: frame magic %08x", ErrBatchCorrupt, m)
-	}
-	if frame[4] != frameVersion {
-		return nil, fmt.Errorf("%w: frame version %d", ErrBatchCorrupt, frame[4])
-	}
-	body := frame[:len(frame)-4]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(frame[len(body):]) {
-		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrBatchCorrupt)
-	}
-	r := reader{b: body, pos: 5}
-	nrows, err := r.count()
+	r, err := OpenFrame(frame, frameMagic, frameVersion)
 	if err != nil {
 		return nil, err
 	}
-	ncols, err := r.count()
+	nrows, err := r.Count()
+	if err != nil {
+		return nil, err
+	}
+	ncols, err := r.Count()
 	if err != nil {
 		return nil, err
 	}
 	b := &Batch{Cols: make([]BatchColumn, ncols)}
 	for k := range b.Cols {
 		c := &b.Cols[k]
-		if c.Name, err = r.str(); err != nil {
+		if c.Name, err = r.Str(); err != nil {
 			return nil, err
 		}
 		if c.Type, err = r.valueType(); err != nil {
@@ -232,127 +192,27 @@ func DecodeFrame(frame []byte) (*Batch, error) {
 			return nil, fmt.Errorf("%w: column %q out of order", ErrBatchCorrupt, c.Name)
 		}
 	}
-	if b.Times, err = r.ints(nrows); err != nil {
+	if b.Times, err = r.Ints(nrows); err != nil {
 		return nil, err
 	}
 	for k := range b.Cols {
 		c := &b.Cols[k]
 		switch c.Type {
 		case layout.TypeInt64, layout.TypeTime:
-			c.Ints, err = r.ints(nrows)
+			c.Ints, err = r.Ints(nrows)
 		case layout.TypeFloat64:
-			c.Floats, err = r.floats(nrows)
+			c.Floats, err = r.Floats(nrows)
 		case layout.TypeString:
-			c.Strs, err = r.strs(nrows)
+			c.Strs, err = r.Strs(nrows)
 		case layout.TypeStringSet:
-			c.Sets, err = r.sets(nrows)
+			c.Sets, err = r.Sets(nrows)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("column %q: %w", c.Name, err)
 		}
 	}
-	if r.left() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing frame bytes", ErrBatchCorrupt, r.left())
+	if r.Left() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing frame bytes", ErrBatchCorrupt, r.Left())
 	}
 	return b, nil
-}
-
-// The vector readers below size their allocations by n only after checking
-// the buffer still holds at least one byte per announced cell.
-
-func (r *reader) ints(n int) ([]int64, error) {
-	if n > r.left() {
-		return nil, fmt.Errorf("%w: %d varints in %d bytes", ErrBatchCorrupt, n, r.left())
-	}
-	out := make([]int64, n)
-	for i := range out {
-		u, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = unzigzag(u)
-	}
-	return out, nil
-}
-
-func (r *reader) floats(n int) ([]float64, error) {
-	raw, err := r.bytes(8 * n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out, nil
-}
-
-// lengths reads n uvarint lengths and returns them with their sum, refusing
-// a sum the rest of the buffer cannot hold.
-func (r *reader) lengths(n int) ([]int, int, error) {
-	if n > r.left() {
-		return nil, 0, fmt.Errorf("%w: %d lengths in %d bytes", ErrBatchCorrupt, n, r.left())
-	}
-	lens := make([]int, n)
-	total := 0
-	for i := range lens {
-		l, err := r.count()
-		if err != nil {
-			return nil, 0, err
-		}
-		lens[i] = l
-		total += l
-		if total > r.left() {
-			return nil, 0, fmt.Errorf("%w: lengths sum past the frame", ErrBatchCorrupt)
-		}
-	}
-	return lens, total, nil
-}
-
-// cut reads total bytes as one string and slices it by lens.
-func (r *reader) cut(lens []int, total int) ([]string, error) {
-	raw, err := r.bytes(total)
-	if err != nil {
-		return nil, err
-	}
-	text := string(raw)
-	out := make([]string, len(lens))
-	off := 0
-	for i, l := range lens {
-		out[i] = text[off : off+l]
-		off += l
-	}
-	return out, nil
-}
-
-func (r *reader) strs(n int) ([]string, error) {
-	lens, total, err := r.lengths(n)
-	if err != nil {
-		return nil, err
-	}
-	return r.cut(lens, total)
-}
-
-func (r *reader) sets(n int) ([][]string, error) {
-	counts, elems, err := r.lengths(n)
-	if err != nil {
-		return nil, err
-	}
-	lens, total, err := r.lengths(elems)
-	if err != nil {
-		return nil, err
-	}
-	all, err := r.cut(lens, total)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]string, n)
-	off := 0
-	for i, c := range counts {
-		// Full slice expression: appending to one row's set must not write
-		// into its neighbour's elements.
-		out[i] = all[off : off+c : off+c]
-		off += c
-	}
-	return out, nil
 }

@@ -27,9 +27,6 @@ import (
 // ErrBatchCorrupt marks a structurally invalid row payload or batch frame.
 var ErrBatchCorrupt = errors.New("rowblock: corrupt row payload or batch frame")
 
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
 // AppendRowPayload appends r's row payload to dst. Column names are written
 // in ascending order so a row encodes identically run to run; map iteration
 // order must not leak into payload bytes.
@@ -40,7 +37,7 @@ func AppendRowPayload(dst []byte, r Row) ([]byte, error) {
 		names = append(names, name)
 	}
 	slices.Sort(names)
-	dst = binary.AppendUvarint(dst, zigzag(r.Time))
+	dst = binary.AppendUvarint(dst, Zigzag(r.Time))
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for _, name := range names {
 		v := r.Cols[name]
@@ -49,7 +46,7 @@ func AppendRowPayload(dst []byte, r Row) ([]byte, error) {
 		dst = append(dst, byte(v.Type))
 		switch v.Type {
 		case layout.TypeInt64, layout.TypeTime:
-			dst = binary.AppendUvarint(dst, zigzag(v.Int))
+			dst = binary.AppendUvarint(dst, Zigzag(v.Int))
 		case layout.TypeFloat64:
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float))
 		case layout.TypeString:
@@ -68,58 +65,8 @@ func AppendRowPayload(dst []byte, r Row) ([]byte, error) {
 	return dst, nil
 }
 
-// reader walks an untrusted buffer; every accessor bounds-checks and reports
-// ErrBatchCorrupt instead of over-reading.
-type reader struct {
-	b   []byte
-	pos int
-}
-
-func (r *reader) left() int { return len(r.b) - r.pos }
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint at %d", ErrBatchCorrupt, r.pos)
-	}
-	r.pos += n
-	return v, nil
-}
-
-// count reads a uvarint that announces how many items follow, each at least
-// one byte long: anything the buffer cannot hold is rejected before a caller
-// sizes an allocation with it.
-func (r *reader) count() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(r.left()) {
-		return 0, fmt.Errorf("%w: count %d overruns %d remaining bytes", ErrBatchCorrupt, v, r.left())
-	}
-	return int(v), nil
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || n > r.left() {
-		return nil, fmt.Errorf("%w: %d bytes overrun the buffer at %d", ErrBatchCorrupt, n, r.pos)
-	}
-	b := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.count()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.bytes(n)
-	return string(b), err
-}
-
-func (r *reader) valueType() (layout.ValueType, error) {
-	b, err := r.bytes(1)
+func (r *Reader) valueType() (layout.ValueType, error) {
+	b, err := r.Bytes(1)
 	if err != nil {
 		return 0, err
 	}
@@ -138,18 +85,18 @@ func storable(vt layout.ValueType) bool {
 // DecodeRowPayload parses the row payload at the head of b and returns the
 // row with the number of bytes it occupied.
 func DecodeRowPayload(b []byte) (Row, int, error) {
-	r := reader{b: b}
-	tu, err := r.uvarint()
+	r := Reader{b: b}
+	tu, err := r.Uvarint()
 	if err != nil {
 		return Row{}, 0, err
 	}
-	ncols, err := r.count()
+	ncols, err := r.Count()
 	if err != nil {
 		return Row{}, 0, err
 	}
-	row := Row{Time: unzigzag(tu), Cols: make(map[string]Value, ncols)}
+	row := Row{Time: Unzigzag(tu), Cols: make(map[string]Value, ncols)}
 	for c := 0; c < ncols; c++ {
-		name, err := r.str()
+		name, err := r.Str()
 		if err != nil {
 			return Row{}, 0, err
 		}
@@ -160,23 +107,23 @@ func DecodeRowPayload(b []byte) (Row, int, error) {
 		v := Value{Type: vt}
 		switch vt {
 		case layout.TypeInt64, layout.TypeTime:
-			u, err := r.uvarint()
+			u, err := r.Uvarint()
 			if err != nil {
 				return Row{}, 0, err
 			}
-			v.Int = unzigzag(u)
+			v.Int = Unzigzag(u)
 		case layout.TypeFloat64:
-			f, err := r.bytes(8)
+			f, err := r.Bytes(8)
 			if err != nil {
 				return Row{}, 0, err
 			}
 			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(f))
 		case layout.TypeString:
-			if v.Str, err = r.str(); err != nil {
+			if v.Str, err = r.Str(); err != nil {
 				return Row{}, 0, err
 			}
 		case layout.TypeStringSet:
-			n, err := r.count()
+			n, err := r.Count()
 			if err != nil {
 				return Row{}, 0, err
 			}
@@ -184,7 +131,7 @@ func DecodeRowPayload(b []byte) (Row, int, error) {
 				v.Set = make([]string, n)
 			}
 			for j := range v.Set {
-				if v.Set[j], err = r.str(); err != nil {
+				if v.Set[j], err = r.Str(); err != nil {
 					return Row{}, 0, err
 				}
 			}

@@ -61,17 +61,17 @@ func (s *AggServer) handle(req *Request) (*Response, func()) {
 	case KindQuery:
 		start := time.Now()
 		res, err := s.agg.QueryTraced(req.Query, req.Trace)
+		if err == nil {
+			err = resp.setResult(res, req.Version)
+		}
 		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Result = res
-			if req.Trace.TraceID != 0 {
-				// In an aggregator tree the upstream's span for this server
-				// covers the whole subtree: report the summed phases of every
-				// leaf below (no single recovery source) and the subtree's
-				// wall time.
-				resp.Exec = res.ExecStats(req.Trace.SpanID, req.Query.Table, "", time.Since(start), 0)
-			}
+			resp = Response{Err: err.Error()}
+		} else if req.Trace.TraceID != 0 {
+			// In an aggregator tree the upstream's span for this server
+			// covers the whole subtree: report the summed phases of every
+			// leaf below (no single recovery source) and the subtree's
+			// wall time.
+			resp.Exec = res.ExecStats(req.Trace.SpanID, req.Query.Table, "", time.Since(start), 0)
 		}
 	case KindLeafStatus:
 		if s.agg.Router == nil {

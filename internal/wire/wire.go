@@ -34,9 +34,16 @@ import (
 // v1 server ignores a v2 client's trace fields. Golden-frame tests pin both
 // directions. Version 3 moved ingest off gob: rows travel as one batch
 // frame (rowblock.DecodeFrame) under KindAddBatch, a kind a v2 server
-// rejects by name — so leaves upgrade before tailers. A v3 server still
-// ingests a v2 client's KindAddRows.
-const ProtocolVersion = 3
+// rejects by name — so leaves upgrade before tailers. Version 4 moved the
+// query result off gob: it travels as one result frame
+// (query.DecodeResultFrame) in Response.Frame, and this is the first version
+// a server acts on. A server answers a query in the shape Request.Version
+// reads — the frame from 4 on, protocol 3's gob result (v3compat.go) below —
+// so leaves upgrade before aggregators and aggregators before clients; a
+// client that gets a reply without a frame says the peer is older and has no
+// answer from it. The same release dropped gob ingest: kind 2, a v2 tailer's
+// rows, is answered as any unknown kind is (DESIGN.md §13 has the table).
+const ProtocolVersion = 4
 
 // Kind tags a request.
 type Kind uint8
@@ -45,8 +52,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindPing:
 		return "ping"
-	case KindAddRows:
-		return "add"
 	case KindQuery:
 		return "query"
 	case KindStats:
@@ -74,7 +79,7 @@ func (k Kind) String() string {
 // orchestrator flips leaf statuses and reads shard coverage through them.
 const (
 	KindPing Kind = iota + 1
-	KindAddRows
+	_             // 2 was KindAddRows, gob ingest, until protocol 4: the number stays taken
 	KindQuery
 	KindStats
 	KindShutdown
@@ -91,9 +96,10 @@ const (
 	// __system.leaf_metrics rows (v2-additive).
 	KindMetrics
 	// KindAddBatch ingests Request.Batch, one batch frame, into Table (v3).
-	// It is a kind of its own rather than a field on KindAddRows so that a
-	// pre-v3 server answers "unknown request kind" instead of decoding a
-	// request with no Rows and acking a batch it never saw.
+	// It is a kind of its own rather than a field on the gob ingest kind it
+	// replaced, so that a pre-v3 server answers "unknown request kind"
+	// instead of decoding a request with no rows and acking a batch it never
+	// saw.
 	KindAddBatch
 )
 
@@ -101,16 +107,14 @@ const (
 type Request struct {
 	Kind  Kind
 	Table string
-	// Rows is the KindAddRows payload: what pre-v3 clients send. Current
-	// clients send Batch.
-	Rows []rowblock.Row
 	// Batch is the KindAddBatch payload: one batch frame, logged and applied
 	// by the leaf as the bytes it is.
 	Batch []byte
 	Query *query.Query
 	// UseShm selects the shared memory shutdown path (vs disk-only).
 	UseShm bool
-	// Version is the sender's ProtocolVersion (0 = pre-versioning client).
+	// Version is the sender's ProtocolVersion (0 = pre-versioning client):
+	// what a server goes by when it picks the shape of a query's answer.
 	Version uint8
 	// Trace carries the query's trace context (v2+; zero = untraced).
 	Trace obs.TraceContext
@@ -128,9 +132,13 @@ type Request struct {
 
 // Response is one RPC response.
 type Response struct {
-	Err      string
-	Stats    *leaf.Stats
-	Result   *query.Result
+	Err   string
+	Stats *leaf.Stats
+	// Frame is a query's answer: one result frame (v4+). Result is the same
+	// answer in protocol 3's shape, sent to a requester below version 4
+	// instead and never read by this build.
+	Frame    []byte
+	Result   *v3Result
 	Shutdown *leaf.ShutdownInfo
 	// Exec is the leaf's execution report for a traced query (v2+; nil for
 	// untraced queries and pre-trace servers).
@@ -305,8 +313,6 @@ func (s *Server) handle(req *Request) *Response {
 	switch req.Kind {
 	case KindPing:
 		return &Response{}
-	case KindAddRows:
-		return s.added(len(req.Rows), s.leaf.AddRows(req.Table, req.Rows))
 	case KindAddBatch:
 		return s.added(s.leaf.AddBatch(req.Table, req.Batch))
 	case KindQuery:
@@ -322,7 +328,12 @@ func (s *Server) handle(req *Request) *Response {
 		if req.Trace.TraceID == 0 {
 			exec = nil // the report travels only on a traced request
 		}
-		return &Response{Result: res, Exec: exec}
+		resp := &Response{Exec: exec}
+		if err := resp.setResult(res, req.Version); err != nil {
+			s.reg.Counter("rpc.errors").Add(1)
+			return &Response{Err: err.Error()}
+		}
+		return resp
 	case KindStats:
 		st := s.leaf.Stats()
 		return &Response{Stats: &st}
@@ -358,7 +369,18 @@ func (s *Server) handle(req *Request) *Response {
 	}
 }
 
-// added answers an ingest request of either kind and counts its rows.
+// setResult puts a query's answer in the shape a requester of the given
+// protocol version reads.
+func (resp *Response) setResult(res *query.Result, version uint8) (err error) {
+	if version < 4 {
+		resp.Result = v3ResultOf(res)
+		return nil
+	}
+	resp.Frame, err = res.AppendFrame(nil)
+	return err
+}
+
+// added answers an ingest request and counts its rows.
 func (s *Server) added(rows int, err error) *Response {
 	if err != nil {
 		s.reg.Counter("rpc.errors").Add(1)
@@ -636,8 +658,8 @@ func (c *Client) QueryTraced(q *query.Query, tc obs.TraceContext) (*query.Result
 }
 
 // QueryShards implements aggregator.LeafTarget: the shard list and the trace
-// context ride the request envelope (gob omits both when empty), the leaf's
-// ExecStats ride a traced request's response. The span ID was stamped by the
+// context ride the request envelope (gob omits both when empty), the result
+// frame and, on a traced request, the leaf's ExecStats ride the response. The span ID was stamped by the
 // aggregator before the first attempt, so a retried RPC re-sends the same
 // context and the trace never grows duplicate spans.
 func (c *Client) QueryShards(q *query.Query, shards []int, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error) {
@@ -645,14 +667,22 @@ func (c *Client) QueryShards(q *query.Query, shards []int, tc obs.TraceContext) 
 	if err != nil {
 		return nil, nil, err
 	}
-	// What the peer sent is input: a result that is not q's answer is this
-	// target's error (the aggregator counts it unanswered), and an older
-	// peer's groups are in no order.
-	if err := resp.Result.Validate(q); err != nil {
+	// What the peer sent is input: no frame, a frame that does not decode or
+	// a result that is not q's answer is this target's error (the aggregator
+	// counts it unanswered), and nothing but this check says the groups are
+	// in order.
+	if len(resp.Frame) == 0 {
+		return nil, nil, fmt.Errorf("wire: %s answered without a result frame: peer speaks protocol < %d", c.addr, ProtocolVersion)
+	}
+	res, err := query.DecodeResultFrame(resp.Frame)
+	if err == nil {
+		err = res.Validate(q)
+	}
+	if err != nil {
 		return nil, nil, fmt.Errorf("wire: from %s: %w", c.addr, err)
 	}
-	resp.Result.SortGroups()
-	return resp.Result, resp.Exec, nil
+	res.SortGroups()
+	return res, resp.Exec, nil
 }
 
 // MetricsSnapshot fetches the leaf daemon's registry snapshot, recovery

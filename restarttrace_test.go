@@ -139,10 +139,17 @@ func TestRestartTraceInSystemTraces(t *testing.T) {
 		}
 		return out
 	}
+	// The ledger's spans may fall short of this test's clock by a tenth or by
+	// 3 ms, whichever is more. The clock runs past what a leaf's ledger can
+	// cover: its last span ends when the leaf has executed its first query,
+	// and the answer then crosses two connections that carry their first
+	// reply (gob describes Response's types once per connection) and an
+	// aggregator's merge before the client has it — 0.7 to 1.7 ms measured,
+	// of a start that a warm host finishes in 15.
 	within := func(what string, got, want time.Duration) {
 		t.Helper()
-		if got > want || float64(got) < 0.9*float64(want) {
-			t.Errorf("%s: spans read back from __system.traces sum to %v, this test's clock says %v: want within 10 %%", what, got, want)
+		if got > want || want-got > max(want/10, 3*time.Millisecond) {
+			t.Errorf("%s: spans read back from __system.traces sum to %v, this test's clock says %v: want within 10 %% or 3 ms", what, got, want)
 		} else {
 			t.Logf("%s: %v of %v (%.1f %%)", what, got, want, 100*float64(got)/float64(want))
 		}

@@ -113,6 +113,11 @@ func runRolloverAvailability(t *testing.T, machines, leavesPer int, batchFractio
 	}
 	if len(rep.Quarantined) != 0 {
 		t.Errorf("quarantined leaves: %v", rep.Quarantined)
+		for _, r := range rep.Restarts {
+			if r.Err != "" { // why the slot was left without a serving process
+				t.Logf("leaf %d (%s): killed %v, crashed %v after %v: %s", r.Leaf, r.Name, r.Killed, r.Crashed, r.Duration, r.Err)
+			}
+		}
 	}
 
 	// The availability invariant: queries kept answering, none were wrong,

@@ -485,8 +485,9 @@ var (
 	NewTraceSpanID = obs.RandomID
 )
 
-// WireProtocolVersion is the RPC envelope version this build speaks
-// (version 2 added trace context; old frames still decode).
+// WireProtocolVersion is the RPC protocol version this build speaks
+// (version 2 added trace context, 3 the batch frame, 4 the result frame; a
+// server answers an older requester in the shape it reads).
 const WireProtocolVersion = wire.ProtocolVersion
 
 // Flight-recorder event kinds.
