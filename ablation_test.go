@@ -5,14 +5,12 @@
 package scuba_test
 
 import (
-	"fmt"
 	"testing"
 
 	"scuba"
 	"scuba/internal/codec"
 	"scuba/internal/codec/lz4"
 	"scuba/internal/rowblock"
-	"scuba/internal/shm"
 	"scuba/internal/tailer"
 )
 
@@ -97,12 +95,9 @@ func BenchmarkAblationCopyGranularity(b *testing.B) {
 	b.Run("rbc-at-a-time", func(b *testing.B) {
 		b.SetBytes(int64(size))
 		for i := 0; i < b.N; i++ {
-			w, err := block.NewImageWriter(dst)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for !w.Done() {
-				w.CopyColumn()
+			n := copy(dst, block.ImagePrefix())
+			for c := 0; c < block.NumColumns(); c++ {
+				n += copy(dst[n:], block.Column(c).Blob())
 			}
 		}
 	})
@@ -129,40 +124,6 @@ func buildBigBlock(b *testing.B, rows int) *rowblock.RowBlock {
 		b.Fatal(err)
 	}
 	return rb
-}
-
-// BenchmarkAblationSegmentEstimate measures Figure 6's estimate-then-grow
-// against a perfectly sized segment: how much do the remap-and-grow cycles
-// cost when the initial estimate is badly wrong?
-func BenchmarkAblationSegmentEstimate(b *testing.B) {
-	block := buildBigBlock(b, 65536)
-	total := int64(block.ImageSize())
-	for _, est := range []struct {
-		name     string
-		estimate int64
-	}{
-		{"exact", total},
-		{"half", total / 2},
-		{"tiny", 4096},
-	} {
-		b.Run(est.name, func(b *testing.B) {
-			dir := b.TempDir()
-			m := shm.NewManager(0, shm.Options{Dir: dir, Namespace: "abl"})
-			b.SetBytes(total)
-			for i := 0; i < b.N; i++ {
-				w, err := shm.CreateTableSegment(m, fmt.Sprintf("seg-%d", i%4), "t", est.estimate)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := w.WriteBlock(block, false); err != nil {
-					b.Fatal(err)
-				}
-				if err := w.Finish(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationLZ4Stage quantifies what the byte-level LZ4 stage buys on

@@ -502,16 +502,22 @@ func TestRolloverKillNineMidBatch(t *testing.T) {
 		// WAL off: the canary guard exists for the pre-WAL world where a
 		// crashed leaf's only road back is the disk translate.
 		pc, q, baseRows := start(t, true)
+		killedIn := -1
 		rep, err := pc.Rollover(scuba.RolloverConfig{
 			BatchFraction: 0.25,
 			UseShm:        true,
 			KillTimeout:   time.Minute,
-			// A single disk fallback among the first batch's restarts trips
-			// the canary guard immediately.
+			// A single disk fallback among a batch's restarts trips the
+			// canary guard immediately.
 			MaxDiskFallback: 0.1,
 			Tables:          []string{"service_logs"},
 			OnBatch: func(b int, draining []string, _ scuba.ClusterSnapshot) {
-				if b == 0 {
+				// The victim must hold rows, as above: a leaf that owns no
+				// non-empty shard has no image to come back through and
+				// recovers by "none", which is no disk fallback (1 full run in
+				// 20 drained such a leaf first and went on to complete).
+				if killedIn < 0 && holdsRows(t, pc, draining[0]) {
+					killedIn = b
 					killDraining(t, pc, draining[0])
 				}
 			},
@@ -519,11 +525,12 @@ func TestRolloverKillNineMidBatch(t *testing.T) {
 		if !errors.Is(err, scuba.ErrRolloverAborted) {
 			t.Fatalf("err = %v, want ErrRolloverAborted", err)
 		}
-		if !rep.Aborted || rep.Batches != 1 || rep.Recoveries[scuba.RecoveryDisk] != 1 {
-			t.Errorf("report = %+v, want aborted after 1 batch with 1 disk recovery", rep)
+		if !rep.Aborted || rep.Batches != killedIn+1 || rep.Recoveries[scuba.RecoveryDisk] != 1 {
+			t.Errorf("report = %+v, want aborted after batch %d with 1 disk recovery", rep, killedIn)
 		}
 		// The aborted rollover is still a healthy cluster: the victim came
-		// back from disk, everyone else never restarted.
+		// back from disk, the batches before it restarted cleanly and the
+		// ones after it never did.
 		after, err := pc.AggClient().Query(q)
 		if err != nil {
 			t.Fatal(err)

@@ -30,7 +30,7 @@ var (
 	dir     = flag.String("dir", "", "shared working directory")
 	rows    = flag.Int("rows", 200000, "rows to ingest")
 	crash   = flag.Bool("crash", false, "crash the old process instead of a clean shutdown")
-	workers = flag.Int("copy-workers", 0, "restart-path copy pool size (0 = NumCPU, 1 = serial)")
+	workers = flag.Int("copy-workers", 0, "restart-path copy pool size (0 = GOMAXPROCS, 1 = serial)")
 )
 
 func config(workDir string) scuba.LeafConfig {

@@ -51,7 +51,7 @@ type Config struct {
 	// InstantOn makes every leaf restart serve zero-copy from its mmap'd shm
 	// backup while background promotion copies blocks heap-side.
 	InstantOn bool
-	// PromoteWorkers sizes the instant-on promotion pool (0 = NumCPU).
+	// PromoteWorkers sizes the instant-on promotion pool (0 = GOMAXPROCS).
 	PromoteWorkers int
 }
 

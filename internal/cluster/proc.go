@@ -103,7 +103,7 @@ type ProcConfig struct {
 	// queries zero-copy from its mmap'd shm backup as soon as validation
 	// passes, and the copy-in runs as background promotion.
 	InstantOn bool
-	// PromoteWorkers is each leaf's -promote-workers (0 = NumCPU).
+	// PromoteWorkers is each leaf's -promote-workers (0 = GOMAXPROCS).
 	PromoteWorkers int
 }
 

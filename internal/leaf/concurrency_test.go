@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -347,10 +348,16 @@ func TestCopyWorkerDefaultsAndClamp(t *testing.T) {
 	if info.Workers != 2 {
 		t.Errorf("shutdown workers = %d, want clamp to 2 tables", info.Workers)
 	}
-	nu := startLeaf(t, e.config(0)) // CopyWorkers 0: NumCPU, clamped to 2
+	nu := startLeaf(t, e.config(0)) // CopyWorkers 0: GOMAXPROCS, clamped to 2
 	rec := nu.Recovery()
 	if rec.Workers < 1 || rec.Workers > 2 {
 		t.Errorf("restore workers = %d, want 1..2", rec.Workers)
+	}
+	// The default is the cores this process may run on, not the host's: a
+	// leaf given one core starts one worker however many the machine has.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if c, p := nu.copyWorkers(8), nu.promoteWorkerCount(); c != 1 || p != 1 {
+		t.Errorf("with GOMAXPROCS 1: %d copy workers, %d promote workers, want 1 and 1", c, p)
 	}
 }
 
@@ -490,5 +497,54 @@ func TestParallelShutdownMetadataRoundTrips(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again, md) {
 		t.Fatalf("round-trip changed metadata:\ngot  %+v\nwant %+v", again, md)
+	}
+}
+
+// TestPoolsTakeLargestTableFirst: a pool fed alphabetically ends with one
+// worker on the largest table while the others idle, so both pools go by size
+// — heap bytes on the way out, segment bytes on the way in — and the reports
+// stay sorted by name.
+func TestPoolsTakeLargestTableFirst(t *testing.T) {
+	e := newEnv(t)
+	cfg := e.config(0)
+	cfg.CopyWorkers = 1 // one worker: the order tables are taken in is the order they are fed in
+	old := startLeaf(t, cfg)
+	rng := rand.New(rand.NewSource(9)) // rows that do not compress to nothing
+	for name, rows := range map[string]int{"a-small": 300, "b-large": 6000, "c-medium": 2000} {
+		if err := old.AddRows(name, driftRows(rng, rows, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.SealAll(); err != nil { // Table.Bytes counts sealed blocks
+		t.Fatal(err)
+	}
+	var out, in []string
+	note := func(seen *[]string, name string) {
+		if n := len(*seen); n == 0 || (*seen)[n-1] != name {
+			*seen = append(*seen, name)
+		}
+	}
+	old.copyBlockHook = func(name string, _ int) error { note(&out, name); return nil }
+	info, err := old.Shutdown()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nu, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nu.restoreBlockHook = func(name string) error { note(&in, name); return nil }
+	if err := nu.Start(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"b-large", "c-medium", "a-small"}
+	if !reflect.DeepEqual(out, want) || !reflect.DeepEqual(in, want) {
+		t.Errorf("copied out %v, copied in %v, want both %v", out, in, want)
+	}
+	rec := nu.Recovery()
+	for i, name := range []string{"a-small", "b-large", "c-medium"} {
+		if info.PerTable[i].Table != name || rec.PerTable[i].Table != name || rec.PerTablePath[i].Table != name {
+			t.Errorf("reports not sorted by name: shutdown %v, start %v / %v", info.PerTable[i].Table, rec.PerTable[i].Table, rec.PerTablePath[i].Table)
+		}
 	}
 }

@@ -1,0 +1,230 @@
+package leaf
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"os"
+	"sync"
+	"testing"
+
+	"scuba/internal/obs"
+	"scuba/internal/query"
+	"scuba/internal/rowblock"
+	"scuba/internal/table"
+)
+
+// segmentRegions parses a finished table segment far enough to name one byte
+// in each region the payload CRC covers: a zone map in the first image's
+// prefix, a column blob, the last byte of the first image (the gap-free
+// boundary with the second) and the footer.
+func segmentRegions(t *testing.T, raw []byte) map[string]int {
+	t.Helper()
+	footer := int(binary.LittleEndian.Uint64(raw[16:]))
+	if n := binary.LittleEndian.Uint32(raw[24:]); n < 2 {
+		t.Fatalf("segment holds %d blocks, want a boundary between two", n)
+	}
+	first := int(binary.LittleEndian.Uint64(raw[footer:]))
+	second := int(binary.LittleEndian.Uint64(raw[footer+8:]))
+	rb, size, err := rowblock.DecodeImage(raw[first:second])
+	if err != nil || first+size != second {
+		t.Fatalf("first image: %d bytes of %d, %v", size, second-first, err)
+	}
+	prefix := size - int(rb.Header().Size)
+	return map[string]int{
+		"image prefix (a zone map)": first + prefix - 8*rb.NumColumns() - 1, // just before the column offset table
+		"column blob":               first + prefix + rb.Column(0).Size() + rb.Column(1).Size()/2,
+		"image boundary":            second - 1,
+		"footer":                    footer + 8, // the second block's offset
+	}
+}
+
+// TestDrainVerifiesBeforeInstall flips one byte in each region of a finished
+// segment. An eager start checks the payload CRC in the drain, over its
+// copies: whichever region the damage is in, exactly that table is
+// quarantined to the store with none of its shm blocks installed, the other
+// tables come from memory, and the leaf answers as the reference does. An
+// instant-on start finds the same damage at open, as it always did.
+func TestDrainVerifiesBeforeInstall(t *testing.T) {
+	rows := driftRows(rand.New(rand.NewSource(3)), 9000, 0)
+	want := fingerprint(t, func(q *query.Query) (*query.Result, error) { return query.Reference(rows, q) })
+	for _, instantOn := range []bool{false, true} {
+		for _, region := range []string{"image prefix (a zone map)", "column blob", "image boundary", "footer"} {
+			name := "eager/" + region
+			if instantOn {
+				name = "instant-on/" + region
+			}
+			t.Run(name, func(t *testing.T) {
+				e := newEnv(t)
+				old := startLeaf(t, e.config(0))
+				for at := 0; at < len(rows); at += 3000 {
+					if err := old.AddRows("events", rows[at:at+3000]); err != nil {
+						t.Fatal(err)
+					}
+					if err := old.SealAll(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ingest(t, old, "errors", 300, 1000)
+				ingest(t, old, "ads", 200, 1000)
+				if _, err := old.Shutdown(); err != nil {
+					t.Fatal(err)
+				}
+				segFile := tableSegmentFile(t, e, "events")
+				raw, err := os.ReadFile(segFile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[segmentRegions(t, raw)[region]] ^= 0x04
+				if err := os.WriteFile(segFile, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+
+				cfg := e.config(0)
+				cfg.InstantOn = instantOn
+				nu := startLeaf(t, cfg)
+				defer nu.stopPromoter()
+				rec := nu.Recovery()
+				if rec.Path != RecoveryMixed || rec.Quarantined != 1 || rec.FellBack {
+					t.Fatalf("recovery = %+v, want mixed with 1 quarantined table", rec)
+				}
+				fromShm := RecoveryMemory
+				if instantOn {
+					fromShm = RecoveryShmView
+				}
+				for _, tr := range rec.PerTablePath {
+					switch {
+					case tr.Table == "events" && (tr.Path != RecoveryDisk || tr.Reason == ""):
+						t.Errorf("damaged table: %+v, want disk and why", tr)
+					case tr.Table != "events" && tr.Path != fromShm:
+						t.Errorf("intact table: %+v, want %v", tr, fromShm)
+					}
+				}
+				// The table's shm step failed — at open when the view was to be
+				// served, at open or in the drain otherwise — and none of its
+				// blocks went from shm into the table: nothing was adopted.
+				failed := false
+				for _, sp := range nu.RestartTrace().Half(obs.HalfStart) {
+					if sp.Table != "events" {
+						continue
+					}
+					switch sp.Phase {
+					case obs.PhaseTableCRC, obs.PhaseTableView, obs.PhaseTableCopyIn:
+						failed = failed || sp.Err != ""
+						if instantOn && sp.Phase != obs.PhaseTableView {
+							t.Errorf("instant-on ran %s", sp.Phase)
+						}
+					case obs.PhaseTableAdopt:
+						t.Errorf("blocks of the damaged segment were installed: %+v", sp)
+					}
+				}
+				if !failed {
+					t.Error("no shm step of the damaged table failed")
+				}
+				if got := driftFingerprint(t, nu); got != want {
+					t.Errorf("answers differ from the reference:\ngot  %s\nwant %s", got, want)
+				}
+				if got := countRows(t, nu, "errors") + countRows(t, nu, "ads"); got != 500 {
+					t.Errorf("intact tables count %v rows, want 500", got)
+				}
+			})
+		}
+	}
+}
+
+// TestEagerDrainBesideExpiry runs an eager start — two workers draining
+// segments, installing tables — while retention expires blocks of the tables
+// that are already in and queries read them; run under -race it is the check
+// that the drain shares nothing with either. What retention leaves is what
+// the reference counts.
+func TestEagerDrainBesideExpiry(t *testing.T) {
+	const now = 1700000000 + 1000
+	e := newEnv(t)
+	cfg := e.config(0)
+	cfg.CopyWorkers = 2
+	cfg.Clock = func() int64 { return now }
+	cfg.Table = table.Options{MaxAgeSeconds: 940} // cutoff inside the second block
+	old := startLeaf(t, cfg)
+	rows := driftRows(rand.New(rand.NewSource(5)), 9000, 0) // times 1700000000 .. +180
+	tables := []string{"events", "t1", "t2", "t3"}
+	for _, name := range tables {
+		for at := 0; at < len(rows); at += 3000 {
+			if err := old.AddRows(name, rows[at:at+3000]); err != nil {
+				t.Fatal(err)
+			}
+			if err := old.SealAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := old.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	nu, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := nu.ExpireAll(now); err != nil {
+				t.Errorf("ExpireAll beside the drain: %v", err)
+				return
+			}
+			for _, name := range tables {
+				nu.Query(&query.Query{Table: name, From: 0, To: 1 << 40, //nolint:errcheck // not ALIVE yet is fine
+					Aggregations: []query.Aggregation{{Op: query.AggCount}, {Op: query.AggSum, Column: "seq"}}})
+			}
+		}
+	}()
+	err = nu.Start()
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := nu.Recovery(); rec.Path != RecoveryMemory || rec.Quarantined != 0 {
+		t.Fatalf("recovery = %+v, want memory", rec)
+	}
+	if _, err := nu.ExpireAll(now); err != nil {
+		t.Fatal(err)
+	}
+	// Retention drops whole blocks whose newest row is past the age limit: the
+	// first 3000-row block (times up to +59) goes, the other two stay.
+	var kept []rowblock.Row
+	for at := 0; at < len(rows); at += 3000 {
+		if block := rows[at : at+3000]; block[len(block)-1].Time >= now-940 {
+			kept = append(kept, block...)
+		}
+	}
+	if len(kept) != 6000 {
+		t.Fatalf("the history keeps %d rows, want 6000", len(kept))
+	}
+	q := &query.Query{Table: "events", From: 0, To: 1 << 40,
+		Aggregations: []query.Aggregation{{Op: query.AggCount}, {Op: query.AggSum, Column: "seq"}}}
+	want, err := query.Reference(kept, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range tables {
+		q.Table = name
+		got, err := nu.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := got.Rows(q), want.Rows(q); len(g) != 1 || g[0].Values[0] != w[0].Values[0] || g[0].Values[1] != w[0].Values[1] {
+			t.Errorf("%s after drain and expiry: %+v, want %+v", name, g, w)
+		}
+	}
+	if files := segmentFiles(t, e.shmDir); len(files) != 0 {
+		t.Errorf("segments left after the drain: %v", files)
+	}
+}

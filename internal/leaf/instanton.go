@@ -53,7 +53,7 @@ type promoter struct {
 func (l *Leaf) promoteWorkerCount() int {
 	w := l.cfg.PromoteWorkers
 	if w <= 0 {
-		w = runtime.NumCPU()
+		w = runtime.GOMAXPROCS(0)
 	}
 	return w
 }
@@ -171,7 +171,7 @@ func (p *promoter) next() (*table.Table, *rowblock.RowBlock) {
 func (p *promoter) promoteBlock(tbl *table.Table, rb *rowblock.RowBlock) bool {
 	var clone *rowblock.RowBlock
 	var err error
-	p.copyTime.Time(func() { clone, err = p.l.cloneBlock(tbl.Name(), rb) })
+	p.copyTime.Time(func() { clone, err = p.l.cloneBlock(tbl.Name(), rb, true) })
 	if err != nil {
 		p.l.cfg.Obs.Event(obs.EventFail, obs.PhasePromote, tbl.Name()+": block stays shm-resident: "+err.Error())
 		return false

@@ -68,7 +68,7 @@ type Config struct {
 	// CopyWorkers bounds the worker pool that copies tables between heap
 	// and shared memory on the restart path. The copy is pure memory
 	// bandwidth (§4.2) and parallelizes across tables: 0 means
-	// runtime.NumCPU(), 1 preserves the serial one-table-at-a-time
+	// runtime.GOMAXPROCS, 1 preserves the serial one-table-at-a-time
 	// behavior.
 	CopyWorkers int
 	// ScanWorkers bounds the per-query worker pool that fans a table's
@@ -77,14 +77,14 @@ type Config struct {
 	ScanWorkers int
 	// InstantOn turns the shm restore from a barrier into serve-from-shm.
 	// Either way segments are mapped read-only and validated (metadata + CRC);
-	// on, tables serve queries zero-copy from the mappings the moment that
-	// passes and blocks are cloned heap-side in the background in query-heat
-	// order; off, the same clone runs before ALIVE — the paper's eager
-	// copy-in.
+	// on, the CRC is checked up front, tables serve queries zero-copy from the
+	// mappings the moment that passes and blocks are cloned heap-side in the
+	// background in query-heat order; off, the same clone runs before ALIVE —
+	// the paper's eager copy-in — and the CRC is checked over the clones.
 	InstantOn bool
 	// PromoteWorkers bounds the background promotion pool that copies
 	// shm-resident blocks heap-side after an instant-on restore. 0 resolves
-	// like CopyWorkers (runtime.NumCPU()).
+	// like CopyWorkers (runtime.GOMAXPROCS).
 	PromoteWorkers int
 	// DecodeCacheBytes budgets the per-table LRU of decoded columns that
 	// lets repeated queries (dashboards) skip LZ4/dictionary decode. 0

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -39,12 +40,13 @@ func (info *ShutdownInfo) fromSpans(trace obs.Trace) {
 }
 
 // copyWorkers resolves Config.CopyWorkers for a pool over the given number
-// of jobs: 0 means runtime.NumCPU(), 1 preserves the serial behavior, and
-// the pool never exceeds the job count.
+// of jobs: 0 means runtime.GOMAXPROCS (this leaf's cores, not the machine's:
+// the paper runs eight leaves per machine, §2), 1 preserves the serial
+// behavior, and the pool never exceeds the job count.
 func (l *Leaf) copyWorkers(jobs int) int {
 	w := l.cfg.CopyWorkers
 	if w <= 0 {
-		w = runtime.NumCPU()
+		w = runtime.GOMAXPROCS(0)
 	}
 	if jobs > 0 && w > jobs {
 		w = jobs
@@ -55,14 +57,25 @@ func (l *Leaf) copyWorkers(jobs int) int {
 	return w
 }
 
+// largestFirst orders n jobs by descending size (ties keep their order): a
+// pool fed its largest job first never ends with one worker idle while
+// another has only just started on the biggest table.
+func largestFirst(n int, size func(i int) int64) []int {
+	sizes, order := make([]int64, n), make([]int, n)
+	for i := range order {
+		sizes[i], order[i] = size(i), i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
+	return order
+}
+
 // copyOutAll fans the tables of a clean shutdown out to the copy worker
-// pool — Figure 6's per-table loop, run concurrently. On any failure the
-// context cancels the remaining workers, every segment writer created so
-// far is aborted (a no-op for the already-finished ones), all of this
-// leaf's shared memory is removed so a failed shutdown never leaves
-// orphaned segments, and still-unsynced sealed blocks are flushed to disk
-// best-effort so the next process's disk recovery misses nothing sealed.
-// Returns the worker count used.
+// pool — Figure 6's per-table loop, run concurrently, largest table first. On
+// any failure the context cancels the remaining workers (each closes the
+// segment it was writing), all of this leaf's shared memory is removed so a
+// failed shutdown never leaves orphaned segments, and still-unsynced sealed
+// blocks are flushed to disk best-effort so the next process's disk recovery
+// misses nothing sealed. Returns the worker count used.
 func (l *Leaf) copyOutAll(r *obs.Restart, tables []*table.Table, md *shm.Metadata) (int, error) {
 	workers := l.copyWorkers(len(tables))
 	if len(tables) == 0 {
@@ -71,11 +84,9 @@ func (l *Leaf) copyOutAll(r *obs.Restart, tables []*table.Table, md *shm.Metadat
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var (
-		mdMu      sync.Mutex // serializes md.Segments append + metadata write
-		writersMu sync.Mutex
-		writers   []*shm.TableSegmentWriter
-		errMu     sync.Mutex
-		firstErr  error
+		mdMu     sync.Mutex // serializes md.Segments append + metadata write
+		errMu    sync.Mutex
+		firstErr error
 	)
 	fail := func(err error) {
 		errMu.Lock()
@@ -84,11 +95,6 @@ func (l *Leaf) copyOutAll(r *obs.Restart, tables []*table.Table, md *shm.Metadat
 			cancel()
 		}
 		errMu.Unlock()
-	}
-	track := func(w *shm.TableSegmentWriter) {
-		writersMu.Lock()
-		writers = append(writers, w)
-		writersMu.Unlock()
 	}
 	// One generation stamp for the whole shutdown: segment files are named
 	// tbl-<name>.g<gen> so this backup never O_TRUNCs a file an instant-on
@@ -107,21 +113,18 @@ func (l *Leaf) copyOutAll(r *obs.Restart, tables []*table.Table, md *shm.Metadat
 				if ctx.Err() != nil {
 					continue // cancelled: drain the channel without copying
 				}
-				if err := l.copyTableOut(ctx, r, worker, tbl, md, &mdMu, track, gen); err != nil {
+				if err := l.copyTableOut(ctx, r, worker, tbl, md, &mdMu, gen); err != nil {
 					fail(fmt.Errorf("leaf: shutdown copy of %q: %w", tbl.Name(), err))
 				}
 			}
 		}(w)
 	}
-	for _, tbl := range tables {
-		jobs <- tbl
+	for _, i := range largestFirst(len(tables), func(i int) int64 { return tables[i].Bytes() }) {
+		jobs <- tables[i]
 	}
 	close(jobs)
 	wg.Wait()
 	if firstErr != nil {
-		for _, w := range writers {
-			w.Abort() //nolint:errcheck // idempotent; finished writers no-op
-		}
 		l.shm.RemoveAll() //nolint:errcheck // valid bit never set; best effort
 		l.flushBestEffort(tables)
 	}
@@ -133,7 +136,7 @@ func (l *Leaf) copyOutAll(r *obs.Restart, tables []*table.Table, md *shm.Metadat
 // which counts the blocks and bytes it moves — COPY_TO_SHM, segment create +
 // registration, block-at-a-time copy (releasing heap as it goes), Finish,
 // DONE.
-func (l *Leaf) copyTableOut(ctx context.Context, r *obs.Restart, worker int, tbl *table.Table, md *shm.Metadata, mdMu *sync.Mutex, track func(*shm.TableSegmentWriter), gen int64) (err error) {
+func (l *Leaf) copyTableOut(ctx context.Context, r *obs.Restart, worker int, tbl *table.Table, md *shm.Metadata, mdMu *sync.Mutex, gen int64) (err error) {
 	if err := l.sealAndPersist(r, tbl, worker); err != nil {
 		return err
 	}
@@ -143,12 +146,12 @@ func (l *Leaf) copyTableOut(ctx context.Context, r *obs.Restart, worker int, tbl
 		return err
 	}
 	segName := shm.SegmentNameForTableGen(tbl.Name(), gen)
-	// Figure 6: estimate size of table, create table segment.
-	w, err := shm.CreateTableSegment(l.shm, segName, tbl.Name(), tbl.Bytes()+4096)
+	// Figure 6: create table segment (appended to: there is no size to estimate).
+	w, err := shm.CreateTableSegment(l.shm, segName, tbl.Name())
 	if err != nil {
 		return err
 	}
-	track(w)
+	defer w.Abort() //nolint:errcheck // whatever fails below; a no-op once Finish has run
 	// Figure 6: add the table segment to the leaf metadata — the one
 	// cross-worker mutation, serialized under the metadata mutex.
 	mdMu.Lock()
@@ -156,24 +159,20 @@ func (l *Leaf) copyTableOut(ctx context.Context, r *obs.Restart, worker int, tbl
 	err = l.shm.WriteMetadata(md)
 	mdMu.Unlock()
 	if err != nil {
-		w.Abort() //nolint:errcheck
 		return err
 	}
 	// Copy row blocks, deleting each from the heap as it lands.
 	for {
 		if err := ctx.Err(); err != nil { // another worker failed
-			w.Abort() //nolint:errcheck
 			return err
 		}
 		if h := l.copyBlockHook; h != nil {
 			if err := h(tbl.Name(), sp.Blocks); err != nil {
-				w.Abort() //nolint:errcheck
 				return err
 			}
 		}
 		blocks, err := tbl.DropBlocksForShutdown(1)
 		if err != nil {
-			w.Abort() //nolint:errcheck
 			return err
 		}
 		if len(blocks) == 0 {
@@ -187,7 +186,6 @@ func (l *Leaf) copyTableOut(ctx context.Context, r *obs.Restart, worker int, tbl
 			src.Release()
 		}
 		if werr != nil {
-			w.Abort() //nolint:errcheck
 			return werr
 		}
 		sp.Blocks++

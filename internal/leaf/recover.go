@@ -125,7 +125,13 @@ func (l *Leaf) Start() error {
 			}
 		}(w)
 	}
-	for i := range names {
+	segSize := func(i int) int64 {
+		if si, ok := segs[names[i]]; ok {
+			return l.shm.SegmentSize(si.Segment)
+		}
+		return 0
+	}
+	for _, i := range largestFirst(len(names), segSize) {
 		jobs <- i
 	}
 	close(jobs)
@@ -372,11 +378,12 @@ func sizeOf(blocks []*rowblock.RowBlock) (n int64) {
 }
 
 // takeFromShm fills tbl with the sealed blocks in its shm segment. The
-// segment is always opened and validated as a mapped view; InstantOn only
-// selects when the blocks are cloned to the heap: here, before ALIVE
-// (Figure 7's copy-in), or behind it by the promoter, with queries served
-// zero-copy from the view meanwhile. A segment that will not open or validate
-// sends the table to the store in either mode. A clean shutdown seals every
+// segment is always opened as a mapped view; InstantOn selects when the blocks
+// are cloned to the heap — here, before ALIVE (Figure 7's copy-in), or behind
+// it by the promoter, with queries served zero-copy from the view meanwhile —
+// and so where the payload CRC is checked: by the open, or by the drain over
+// its clones. Nothing is installed before it passes: a segment that will not
+// open or validate sends the table to the store. A clean shutdown seals every
 // table's unsealed tail before copy-out (Figure 5c PREPARE), so a segment
 // never carries unsealed rows.
 func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.SegmentInfo, o *tableOutcome) error {
@@ -386,7 +393,7 @@ func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.
 	}
 	sp := r.Begin(phase, si.Table, worker)
 	sp.Recovery = string(path)
-	v, err := shm.OpenTableSegmentView(l.shm, si)
+	v, err := shm.OpenTableSegmentView(l.shm, si, l.cfg.InstantOn)
 	if err != nil {
 		sp.End(err)
 		return fmt.Errorf("open segment: %w", err)
@@ -422,14 +429,15 @@ func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.
 }
 
 // drainView is Figure 7's copy-in, the table's copy_in span: v's blocks are
-// cloned to the heap newest first while the segment shrinks behind them
+// cloned to the heap newest first while the segment shrinks behind them and
+// the payload CRC is folded over the clones, unverified till then
 // (MappedView.Drain), and the segment is gone when the span ends, drained or
 // failed.
 func (l *Leaf) drainView(r *obs.Restart, worker int, name string, v *shm.MappedView) ([]*rowblock.RowBlock, error) {
 	sp := r.Begin(obs.PhaseTableCopyIn, name, worker)
 	sp.Recovery = string(RecoveryMemory)
 	blocks, err := v.Drain(func(rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
-		return l.cloneBlock(name, rb)
+		return l.cloneBlock(name, rb, false)
 	})
 	sp.Blocks, sp.Bytes = len(blocks), sizeOf(blocks)
 	sp.End(err)
@@ -439,8 +447,9 @@ func (l *Leaf) drainView(r *obs.Restart, worker int, name string, v *shm.MappedV
 // cloneBlock is the one shm → heap step, run by the eager drain before ALIVE
 // and by the promoter behind it: pin the view (expiry may release the block's
 // residency reference at any moment, and the clone must never read unmapped
-// memory), fire shm.copy_in, copy the blobs, verify the copies' checksums.
-func (l *Leaf) cloneBlock(name string, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
+// memory), fire shm.copy_in, copy the blobs, and verify the copies' checksums
+// unless the caller does (the drain).
+func (l *Leaf) cloneBlock(name string, rb *rowblock.RowBlock, verify bool) (*rowblock.RowBlock, error) {
 	src := rb.Source()
 	if !src.Retain() {
 		return nil, fmt.Errorf("leaf: %s: segment view already drained", name)
@@ -454,7 +463,7 @@ func (l *Leaf) cloneBlock(name string, rb *rowblock.RowBlock) (*rowblock.RowBloc
 	if err := fault.Inject(fault.SiteShmCopyIn); err != nil {
 		return nil, fmt.Errorf("leaf: %s: copy in: %w", name, err)
 	}
-	return rb.CloneToHeap()
+	return rb.CloneToHeap(verify)
 }
 
 // adoptImages gives blocks restored from shm their global row indexes and

@@ -205,6 +205,25 @@ func genKernelCase(seed int64, shape uint16) kernelCase {
 			q.Aggregations = append(q.Aggregations, Aggregation{Op: aggOps[rng.Intn(len(aggOps))], Column: numeric[rng.Intn(len(numeric))]})
 		}
 	}
+	if shape>>8&1 == 1 {
+		// One group: no group-by, no bucket, and one aggregate of every kind a
+		// scanner folds without working out a group per row (the generated ones
+		// stay). Bits 9-10 say which rows are live: every row of every block (a
+		// count then touches no column), a range that cuts through blocks, none
+		// (filtered to empty: no group at all), or what was generated above.
+		q.GroupBy, q.TimeBucketSeconds = nil, 0
+		q.Aggregations = append(q.Aggregations, Aggregation{Op: AggSum, Column: "fl"},
+			Aggregation{Op: AggP99, Column: "n"}, Aggregation{Op: AggCountDistinct, Column: "s1"},
+			Aggregation{Op: AggMax, Column: "on"}, Aggregation{Op: AggCountDistinct, Column: "ghost"})
+		switch lo, hi := c.rows[0].Time, c.rows[len(c.rows)-1].Time; shape >> 9 & 3 {
+		case 0:
+			q.From, q.To, q.Filters = math.MinInt64, math.MaxInt64, nil
+		case 1:
+			q.From, q.To, q.Filters = lo+(hi-lo)/3, hi-(hi-lo)/3, nil
+		case 2:
+			q.Filters = append(q.Filters, Filter{Column: "s2", Op: OpEq, Str: "nobody"})
+		}
+	}
 	if rng.Intn(4) == 0 {
 		// Order by the count: an aggregate that can be NaN has no order.
 		q.OrderBy = &Order{Agg: 0, Asc: rng.Intn(2) == 0}
@@ -262,7 +281,8 @@ func sameRows(a, b []Row) bool {
 
 // FuzzScanKernels checks the block scan — selection vectors, the encoded
 // string-set walk, dictionary-ID grouping in its dense and renumbered forms,
-// the typed aggregate kernels, the tuple table kept across blocks — against
+// the typed aggregate kernels, the tuple table kept across blocks, the
+// one-group plan that skips grouping — against
 // Reference, row at a time over the same rows: equal Rows(q), equal
 // error-ness and groups in key order with no key twice, over sealed blocks (with an unsealed tail or without) and over
 // one unsealed snapshot, at 1 and 4 workers, with no decode cache, a cold
@@ -275,6 +295,11 @@ func FuzzScanKernels(f *testing.F) {
 	f.Add(int64(8), uint16(0b0011010))   // 300 tags: two-byte IDs in the set rows
 	f.Add(int64(4), uint16(0b10000000))  // 300 x 300 recurring pairs, reshuffled per block
 	f.Add(int64(11), uint16(0b10000000)) // the same over three blocks
+	for seed := int64(0); seed < 16; seed++ {
+		// One group (bit 8): all rows / partly in range / filtered to empty /
+		// as generated, with and without an unsealed tail and NaN/Inf values.
+		f.Add(seed, uint16(1<<8|(seed&3)<<9|(seed>>2&1)<<6|(seed>>3&1)<<5))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint16) {
 		c := genKernelCase(seed, shape)
 		want, wantErr := Reference(c.rows, c.q)

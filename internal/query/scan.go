@@ -24,9 +24,11 @@ import (
 //	            from dictionary IDs (strings) or value ranks (integers, time
 //	            buckets, floats), and that integer mapped to a group through
 //	            a per-block table — a key string is built once per group per
-//	            block, from the first live row that shows the tuple;
+//	            block, from the first live row that shows the tuple; skipped
+//	            when the query has one group;
 //	aggregation one typed pass per aggregate over the column's values in
-//	            place, in row order.
+//	            place, in row order — with one group into an accumulator held
+//	            in registers, and a count is the selection's length.
 //
 // Scratch is pooled across queries (scanners), so a query that touches one
 // block allocates for its groups and nothing else.
@@ -39,10 +41,13 @@ type plan struct {
 	filters []int // slot per q.Filters entry
 	groups  []int // slot per q.GroupBy entry
 	aggs    []int // slot per q.Aggregations entry, -1 for count
+	// single: no group-by and no time bucket, so every live row is in the one
+	// group and nothing has to be worked out, or kept, per row.
+	single bool
 }
 
 func compile(q *Query) *plan {
-	p := &plan{q: q}
+	p := &plan{q: q, single: len(q.GroupBy) == 0 && q.TimeBucketSeconds == 0}
 	slot := func(name string) int {
 		for i, c := range p.cols {
 			if c == name {
@@ -294,7 +299,14 @@ func (s *scanner) scanRows(blk Block) error {
 		return nil
 	}
 
-	grp, err := s.groupRows(blk, sel, times)
+	var grp []uint32 // per live row its group; nil when they all are in group 0
+	var err error
+	if !s.p.single {
+		grp, err = s.groupRows(blk, sel, times)
+	} else if len(s.keys) == 0 {
+		s.key = s.key[:0]
+		s.group()
+	}
 	if err != nil {
 		return err
 	}
@@ -738,8 +750,33 @@ func (s *scanner) groupAt(i uint32, times []int64, bucket int64, cols []column.C
 
 // aggregate folds the live rows' values of one aggregation's column into
 // that aggregation's accumulators, in row order. A nil column is count's, or
-// one the block does not have: every row observes zero.
+// one the block does not have: every row observes zero. A nil grp is a plan
+// with one group: its count is the selection's length (a block inside the time
+// range, with no filter, is counted without a column of it being touched) and
+// its numeric kernels keep accumulator 0 in registers.
 func (s *scanner) aggregate(st []AggState, a Aggregation, col column.Column, grp, sel []uint32) error {
+	if grp == nil && a.Op != AggCountDistinct {
+		switch c := col.(type) {
+		case nil:
+			if a.Op == AggCount {
+				st[0].Count += int64(len(sel))
+				return nil
+			}
+		case *column.Int64Column:
+			observeOne(&st[0], c.Values, sel, a.Op.percentile())
+			return nil
+		case *column.Float64Column:
+			observeOne(&st[0], c.Values, sel, a.Op.percentile())
+			return nil
+		}
+	}
+	if grp == nil {
+		// What is left (an absent column, a count-distinct) goes the long way
+		// round, with every row's group spelled out.
+		s.acc = grow(s.acc, len(sel))
+		clear(s.acc)
+		grp = s.acc
+	}
 	if a.Op == AggCountDistinct {
 		return s.distinct(st, a, col, grp, sel)
 	}
@@ -804,6 +841,28 @@ func observe[T int64 | float64](st []AggState, vals []T, grp, sel []uint32, hist
 		}
 		if v > a.Max {
 			a.Max = v
+		}
+	}
+}
+
+// observeOne is observe for a plan with one group: the same values in the
+// same order into one accumulator, which stays in registers for the block.
+func observeOne[T int64 | float64](a *AggState, vals []T, sel []uint32, hist bool) {
+	sum, lo, hi := a.Sum, a.Min, a.Max
+	for _, i := range sel {
+		v := float64(vals[i])
+		sum += v
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	a.Count, a.Sum, a.Min, a.Max = a.Count+int64(len(sel)), sum, lo, hi
+	if hist {
+		for _, i := range sel {
+			a.Hist.bump(bucketOf(float64(vals[i])))
 		}
 	}
 }

@@ -127,11 +127,18 @@ func (b *RowBlock) Source() Source { return b.src }
 // CloneToHeap deep-copies the block's RBC blobs into fresh heap memory and
 // returns a source-free block with the same header, schema, and zone maps.
 // It is how a shm-resident block moves heap-side, before ALIVE or behind it.
-// Each copy's checksum is verified: only a segment-wide CRC at open time has
-// vouched for the source, and the copy is what the leaf keeps. An armed
-// shm.copy_in corruption damages the copy, past its header, before that
-// check — the mapping it came from is read-only.
-func (b *RowBlock) CloneToHeap() (*RowBlock, error) {
+// The copy is what the leaf keeps, so someone must checksum it: with verify
+// each copy's own checksum is checked here (the promoter, whose source a
+// segment-wide CRC vouched for at open time); without, the caller checksums
+// the copies itself (the eager drain, which folds them into the segment CRC
+// it has not checked yet). An armed shm.copy_in corruption damages the copy,
+// past its header, before either check — the mapping it came from is
+// read-only.
+func (b *RowBlock) CloneToHeap(verify bool) (*RowBlock, error) {
+	parse := layout.ParseTrusted
+	if verify {
+		parse = layout.Parse
+	}
 	cols := make([]*layout.RBC, len(b.cols))
 	for i, c := range b.cols {
 		if c == nil {
@@ -139,7 +146,7 @@ func (b *RowBlock) CloneToHeap() (*RowBlock, error) {
 		}
 		blob := append([]byte(nil), c.Blob()...)
 		fault.CorruptBytes(fault.SiteShmCopyIn, blob[layout.HeaderSize:])
-		rbc, err := layout.Parse(blob)
+		rbc, err := parse(blob)
 		if err != nil {
 			return nil, fmt.Errorf("rowblock: clone column %q: %w", b.schema[i].Name, err)
 		}
@@ -508,8 +515,11 @@ const ImageMagicV2 uint32 = 0x324b4252 // "RBK2"
 // ErrImageCorrupt is returned for structurally invalid block images.
 var ErrImageCorrupt = errors.New("rowblock: corrupt block image")
 
-// imagePrefix serializes everything before the RBC blobs.
-func (b *RowBlock) imagePrefix() []byte {
+// ImagePrefix serializes everything before the RBC blobs: an image is its
+// prefix followed by every column's blob. The shutdown copy writes the prefix
+// and then one column at a time, releasing each heap column right behind its
+// copy (Figure 6), so it must be taken before the first release.
+func (b *RowBlock) ImagePrefix() []byte {
 	var p []byte
 	p = binary.LittleEndian.AppendUint32(p, ImageMagicV2)
 	p = binary.LittleEndian.AppendUint64(p, 0) // image size, patched below
@@ -563,48 +573,12 @@ func (b *RowBlock) ImageSize() int {
 
 // AppendImage serializes the whole block (prefix plus all columns).
 func (b *RowBlock) AppendImage(dst []byte) []byte {
-	dst = append(dst, b.imagePrefix()...)
+	dst = append(dst, b.ImagePrefix()...)
 	for _, c := range b.cols {
 		dst = append(dst, c.Blob()...)
 	}
 	return dst
 }
-
-// ImageWriter streams a block image into a caller-provided buffer one column
-// at a time, so shutdown can release each heap column right after copying it
-// (Figure 6). The destination must be ImageSize() bytes.
-type ImageWriter struct {
-	block *RowBlock
-	dst   []byte
-	pos   int
-	next  int // next column to copy
-}
-
-// NewImageWriter writes the prefix immediately and prepares column copies.
-func (b *RowBlock) NewImageWriter(dst []byte) (*ImageWriter, error) {
-	if len(dst) < b.ImageSize() {
-		return nil, fmt.Errorf("rowblock: image needs %d bytes, have %d", b.ImageSize(), len(dst))
-	}
-	prefix := b.imagePrefix()
-	copy(dst, prefix)
-	return &ImageWriter{block: b, dst: dst, pos: len(prefix)}, nil
-}
-
-// CopyColumn copies the next RBC into the image and returns its size, or 0
-// when all columns are done. The caller releases the heap column afterwards.
-func (w *ImageWriter) CopyColumn() int {
-	if w.next >= len(w.block.cols) {
-		return 0
-	}
-	blob := w.block.cols[w.next].Blob()
-	copy(w.dst[w.pos:], blob)
-	w.pos += len(blob)
-	w.next++
-	return len(blob)
-}
-
-// Done reports whether every column has been copied.
-func (w *ImageWriter) Done() bool { return w.next >= len(w.block.cols) }
 
 // DecodeImage parses a block image zero-copy — the RBCs alias img — and
 // verifies every column's checksum: images come from shm or disk.
@@ -612,11 +586,14 @@ func DecodeImage(img []byte) (*RowBlock, int, error) {
 	return decodeImage(img, layout.Parse)
 }
 
-// DecodeImageVerified is DecodeImage without the per-column checksum pass.
-// Only for callers that have already verified a covering checksum over every
-// image byte — the shm view, whose segment-wide payload CRC includes all
-// column blobs. Skipping the second pass roughly halves the bytes touched
-// before a restarted leaf can serve.
+// DecodeImageVerified is DecodeImage without the per-column checksum pass:
+// structure and bounds only. For callers that verify a covering checksum over
+// every image byte themselves — the shm view, whose segment-wide payload CRC
+// includes all column blobs and is checked before a block is served or
+// installed (at open for instant-on, in the drain for an eager start, which
+// therefore runs this on bytes nothing has vouched for yet). Skipping the
+// second pass roughly halves the bytes touched before a restarted leaf can
+// serve.
 func DecodeImageVerified(img []byte) (*RowBlock, int, error) {
 	return decodeImage(img, layout.ParseTrusted)
 }

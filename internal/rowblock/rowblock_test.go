@@ -253,7 +253,7 @@ func TestCloneToHeapVerifiesItsCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := mapped.CloneToHeap()
+	clone, err := mapped.CloneToHeap(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,51 +268,37 @@ func TestCloneToHeapVerifiesItsCopy(t *testing.T) {
 	}
 	data := mapped.Column(1).Data()
 	data[len(data)/2] ^= 0x10
-	if _, err := mapped.CloneToHeap(); !errors.Is(err, layout.ErrChecksum) {
+	if _, err := mapped.CloneToHeap(true); !errors.Is(err, layout.ErrChecksum) {
 		t.Fatalf("clone of a damaged block = %v, want %v", err, layout.ErrChecksum)
+	}
+	// Unverified, the damage is the caller's to find: it checksums the copy.
+	if clone, err = mapped.CloneToHeap(false); err != nil || clone.Column(1).Data()[len(data)/2] != data[len(data)/2] {
+		t.Fatalf("unverified clone of a damaged block = %v, want the damaged bytes", err)
 	}
 }
 
-func TestImageWriterIncremental(t *testing.T) {
+// TestImagePrefixThenColumns is the shutdown copy's view of an image: the
+// prefix, taken before any column is released, followed by each column's blob
+// — released right behind its copy — is the image AppendImage builds.
+func TestImagePrefixThenColumns(t *testing.T) {
 	rb := buildBlock(t, 200)
-	dst := make([]byte, rb.ImageSize())
-	w, err := rb.NewImageWriter(dst)
-	if err != nil {
-		t.Fatal(err)
+	want := rb.AppendImage(nil)
+	if len(want) != rb.ImageSize() {
+		t.Fatalf("image is %d bytes, ImageSize says %d", len(want), rb.ImageSize())
 	}
-	copies := 0
-	for !w.Done() {
-		n := w.CopyColumn()
-		if n <= 0 {
-			t.Fatal("CopyColumn returned 0 before Done")
-		}
-		// Simulate the shutdown path: release the heap column just copied.
-		rb.ReleaseColumn(copies)
-		copies++
-	}
-	if copies != rb.NumColumns() {
-		t.Errorf("copied %d columns, want %d", copies, rb.NumColumns())
+	got := rb.ImagePrefix()
+	for i := 0; i < rb.NumColumns(); i++ {
+		got = append(got, rb.Column(i).Blob()...)
+		rb.ReleaseColumn(i)
 	}
 	if !rb.Released() {
 		t.Error("block not marked released")
 	}
-	if w.CopyColumn() != 0 {
-		t.Error("CopyColumn after Done returned bytes")
+	if !bytes.Equal(got, want) {
+		t.Fatal("prefix + columns differ from AppendImage")
 	}
-	// The streamed image must decode identically to AppendImage.
-	got, _, err := DecodeImage(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows() != 200 {
-		t.Errorf("rows = %d", got.Rows())
-	}
-}
-
-func TestImageWriterShortBuffer(t *testing.T) {
-	rb := buildBlock(t, 10)
-	if _, err := rb.NewImageWriter(make([]byte, rb.ImageSize()-1)); err == nil {
-		t.Error("short buffer accepted")
+	if dec, _, err := DecodeImage(got); err != nil || dec.Rows() != 200 {
+		t.Fatalf("decode = %v, %v", dec, err)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestConcurrentTableSegmentCreation(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				segName := fmt.Sprintf("tbl-seg%02d", i)
-				w, err := CreateTableSegment(m, segName, fmt.Sprintf("seg%02d", i), 256)
+				w, err := CreateTableSegment(m, segName, fmt.Sprintf("seg%02d", i))
 				if err != nil {
 					errs <- err
 					return
@@ -46,7 +46,7 @@ func TestConcurrentTableSegmentCreation(t *testing.T) {
 			}
 		}
 		for i := 0; i < nSegments; i++ {
-			restored, err := drainView(openView(t, m, fmt.Sprintf("tbl-seg%02d", i), fmt.Sprintf("seg%02d", i)))
+			restored, err := drainView(openToDrain(t, m, fmt.Sprintf("tbl-seg%02d", i), fmt.Sprintf("seg%02d", i)))
 			if err != nil {
 				t.Fatalf("segment %d: %v", i, err)
 			}
@@ -109,7 +109,7 @@ func TestWriterMisuse(t *testing.T) {
 	newWriter := func(t *testing.T) *TableSegmentWriter {
 		t.Helper()
 		m := newTestManager(t, 1, false)
-		w, err := CreateTableSegment(m, "tbl-m", "m", 4096)
+		w, err := CreateTableSegment(m, "tbl-m", "m")
 		if err != nil {
 			t.Fatal(err)
 		}

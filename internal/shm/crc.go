@@ -13,17 +13,18 @@ import (
 // checksumParallel splits the buffer into per-core chunks, checksums them
 // concurrently, and stitches the results with the standard GF(2)
 // matrix-exponentiation CRC combine (the zlib crc32_combine construction,
-// here over the Castagnoli polynomial).
+// here over the Castagnoli polynomial). The eager drain stitches with the same
+// combine: it checksums a segment block by block, newest first, as it copies.
 
 // crcParallelMinChunk is the smallest chunk worth a goroutine; below
 // workers*this, the sequential checksum wins.
 const crcParallelMinChunk = 512 << 10
 
 // checksumParallel computes crc32.Checksum(b, segCRCTable) using up to
-// NumCPU cores. Identical result, same polynomial, only faster on large
+// GOMAXPROCS cores. Identical result, same polynomial, only faster on large
 // buffers.
 func checksumParallel(b []byte) uint32 {
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if m := len(b) / crcParallelMinChunk; workers > m {
 		workers = m
 	}
@@ -65,45 +66,36 @@ const castagnoliReflected = 0x82F63B78
 // crc32Combine returns the CRC of the concatenation of two buffers given
 // crc1 of the first, crc2 of the second, and the second's length: it
 // advances crc1 through len2 zero bytes by applying the CRC's linear
-// operator as a GF(2) matrix raised to len2 (squaring per bit of len2),
-// then folds in crc2. Works on finalized (xor-conditioned) CRC values.
+// operator as a GF(2) matrix raised to len2 (one precomputed squaring per
+// bit of len2), then folds in crc2. Works on finalized (xor-conditioned) CRC
+// values.
 func crc32Combine(crc1, crc2 uint32, len2 int64) uint32 {
-	if len2 <= 0 {
-		return crc1
-	}
-	var even, odd [32]uint32
-	// The operator for one zero bit: shift down, feeding the polynomial.
-	odd[0] = castagnoliReflected
-	row := uint32(1)
-	for n := 1; n < 32; n++ {
-		odd[n] = row
-		row <<= 1
-	}
-	// Square twice: one zero bit -> one zero byte (8 bits = 2^3 squarings,
-	// two here and one per loop entry below).
-	gf2MatrixSquare(&even, &odd)
-	gf2MatrixSquare(&odd, &even)
-	// Apply len2 zero bytes, squaring the operator per bit of len2.
-	for {
-		gf2MatrixSquare(&even, &odd)
+	for k := 0; len2 > 0; k, len2 = k+1, len2>>1 {
 		if len2&1 != 0 {
-			crc1 = gf2MatrixTimes(&even, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
-		}
-		gf2MatrixSquare(&odd, &even)
-		if len2&1 != 0 {
-			crc1 = gf2MatrixTimes(&odd, crc1)
-		}
-		len2 >>= 1
-		if len2 == 0 {
-			break
+			crc1 = gf2MatrixTimes(&zeroBytes[k], crc1)
 		}
 	}
 	return crc1 ^ crc2
 }
+
+// zeroBytes[k] is the operator that advances a CRC through 2^k zero bytes.
+var zeroBytes = func() (ops [63][32]uint32) {
+	// The operator for one zero bit: shift down, feeding the polynomial.
+	var bit [32]uint32
+	bit[0] = castagnoliReflected
+	for n := 1; n < 32; n++ {
+		bit[n] = 1 << (n - 1)
+	}
+	// Squared three times it is the operator for one zero byte.
+	var two, four [32]uint32
+	gf2MatrixSquare(&two, &bit)
+	gf2MatrixSquare(&four, &two)
+	gf2MatrixSquare(&ops[0], &four)
+	for k := 1; k < len(ops); k++ {
+		gf2MatrixSquare(&ops[k], &ops[k-1])
+	}
+	return ops
+}()
 
 // gf2MatrixTimes multiplies the 32x32 GF(2) matrix by the vector.
 func gf2MatrixTimes(mat *[32]uint32, vec uint32) uint32 {

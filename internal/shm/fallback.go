@@ -3,17 +3,7 @@ package shm
 import (
 	"fmt"
 	"io"
-	"unsafe"
 )
-
-// unsafePointer returns the address of a byte slice's backing array for the
-// raw msync syscall.
-func unsafePointer(b []byte) unsafe.Pointer {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Pointer(&b[0])
-}
 
 // loadFallback reads the whole backing file into a heap buffer. Used when
 // mmap is disabled; cross-process semantics still hold because storeFallback
@@ -27,7 +17,7 @@ func (s *Segment) loadFallback() error {
 	return nil
 }
 
-// storeFallback writes the heap buffer back to the file.
+// storeFallback writes the heap buffer back to the file, on Close.
 func (s *Segment) storeFallback() error {
 	if s.data == nil {
 		return nil
@@ -38,11 +28,10 @@ func (s *Segment) storeFallback() error {
 		s.data = nil
 		return nil
 	}
-	if _, err := s.f.WriteAt(s.data[:min(int64(len(s.data)), s.size)], 0); err != nil {
+	_, err := s.f.WriteAt(s.data[:min(int64(len(s.data)), s.size)], 0)
+	s.data = nil
+	if err != nil {
 		return fmt.Errorf("shm: write segment %s: %w", s.name, err)
-	}
-	if int64(len(s.data)) != s.size {
-		s.data = nil // force reload at the new size
 	}
 	return nil
 }

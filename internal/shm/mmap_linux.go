@@ -16,12 +16,12 @@ func (s *Segment) mapIn() error {
 	flags := syscall.MAP_SHARED
 	if s.ro {
 		prot = syscall.PROT_READ
-		// Restore-side mappings are read end to end immediately (the CRC
-		// validation pass touches every byte), and on the instant-on path
-		// that pass IS the availability gap. Prefault the whole mapping in
-		// one kernel sweep instead of eating a minor fault per page mid-CRC
-		// — on tmpfs the pages are already resident, so MAP_POPULATE only
-		// builds page tables.
+		// Restore-side mappings are read end to end immediately — by the CRC
+		// pass of a view verified at open, which on the instant-on path IS
+		// the availability gap, or by the drain's copy. Prefault the whole
+		// mapping in one kernel sweep instead of eating a minor fault per
+		// page mid-read — on tmpfs the pages are already resident, so
+		// MAP_POPULATE only builds page tables.
 		flags |= syscall.MAP_POPULATE
 	}
 	data, err := syscall.Mmap(int(s.f.Fd()), 0, int(s.size),
@@ -46,20 +46,6 @@ func (s *Segment) mapOut() error {
 	s.data = nil
 	if err != nil {
 		return fmt.Errorf("shm: munmap %s: %w", s.name, err)
-	}
-	return nil
-}
-
-func (s *Segment) sync() error {
-	if !s.useMmap {
-		return s.storeFallback()
-	}
-	// MS_SYNC through the raw syscall; the data slice is page-aligned
-	// because it came from mmap.
-	_, _, errno := syscall.Syscall(syscall.SYS_MSYNC,
-		uintptr(unsafePointer(s.data)), uintptr(len(s.data)), uintptr(syscall.MS_SYNC))
-	if errno != 0 {
-		return fmt.Errorf("shm: msync %s: %w", s.name, errno)
 	}
 	return nil
 }

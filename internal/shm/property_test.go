@@ -44,14 +44,7 @@ func TestTableSegmentProperty(t *testing.T) {
 				blocks[bi] = rb
 			}
 
-			// Deliberately bad estimate half the time, to exercise Grow.
-			estimate := int64(1024)
-			if rng.Intn(2) == 0 {
-				for _, rb := range blocks {
-					estimate += int64(rb.ImageSize())
-				}
-			}
-			w, err := CreateTableSegment(m, "tbl-p", "p", estimate)
+			w, err := CreateTableSegment(m, "tbl-p", "p")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +57,7 @@ func TestTableSegmentProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			restored, err := drainView(openView(t, m, "tbl-p", "p"))
+			restored, err := drainView(openToDrain(t, m, "tbl-p", "p"))
 			if err != nil {
 				t.Fatal(err)
 			}

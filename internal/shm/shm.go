@@ -50,8 +50,10 @@ type Options struct {
 	// Namespace isolates multiple clusters sharing one directory. It is
 	// prefixed to every file name.
 	Namespace string
-	// DisableMmap forces the heap-backed fallback: segment contents are
-	// kept in ordinary memory and written to the file on Sync/Close.
+	// DisableMmap forces the heap-backed fallback for mapped segments:
+	// contents are read into ordinary memory and, for a read-write segment,
+	// written back to the file on Close. It says how a segment is read; the
+	// table segment writer appends to the file either way.
 	DisableMmap bool
 }
 
@@ -76,9 +78,6 @@ func NewManager(leafID int, opts Options) *Manager {
 	}
 	return &Manager{dir: dir, namespace: ns, leafID: leafID, noMmap: opts.DisableMmap}
 }
-
-// LeafID returns the leaf this manager serves.
-func (m *Manager) LeafID() int { return m.leafID }
 
 // metadataPath is the leaf's unique hard-coded metadata location (§4.2).
 func (m *Manager) metadataPath() string {
@@ -347,7 +346,9 @@ func (m *Manager) RemoveSegment(name string) error {
 	return err
 }
 
-// CreateSegment creates (or truncates) a segment of the given size.
+// CreateSegment creates (or truncates) a read-write mapped segment of the
+// given, fixed size (the flight recorder's ring; a table segment is appended
+// to, not mapped, by TableSegmentWriter).
 func (m *Manager) CreateSegment(name string, size int64) (*Segment, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrSegmentSize, size)
@@ -372,9 +373,8 @@ func (m *Manager) CreateSegment(name string, size int64) (*Segment, error) {
 // OpenSegment maps an existing segment read-write.
 func (m *Manager) OpenSegment(name string) (*Segment, error) { return m.open(name, false) }
 
-// open maps an existing segment. Read-only, writes through the mapping fault
-// and Grow and Sync are rejected: table segments are read through a view that
-// a stray store can never damage.
+// open maps an existing segment. Read-only, writes through the mapping fault:
+// table segments are read through a view that a stray store can never damage.
 func (m *Manager) open(name string, ro bool) (*Segment, error) {
 	path := m.segmentPath(name)
 	flag := os.O_RDWR
@@ -405,10 +405,13 @@ func (m *Manager) open(name string, ro bool) (*Segment, error) {
 	return s, nil
 }
 
-// SegmentExists reports whether the named segment file is present.
-func (m *Manager) SegmentExists(name string) bool {
-	_, err := os.Stat(m.segmentPath(name))
-	return err == nil
+// SegmentSize returns the named segment file's size, 0 when there is none.
+func (m *Manager) SegmentSize(name string) int64 {
+	fi, err := os.Stat(m.segmentPath(name))
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
 }
 
 // Segment is one mapped shared memory region.
@@ -429,38 +432,15 @@ func (s *Segment) Name() string { return s.name }
 // Size returns the current segment size.
 func (s *Segment) Size() int64 { return s.size }
 
-// Bytes returns the mapped contents. The slice is invalidated by Grow,
-// Truncate, and Close.
+// Bytes returns the mapped contents. The slice is invalidated by Close, and
+// past the new size by Truncate.
 func (s *Segment) Bytes() []byte { return s.data }
 
-// Grow extends the segment (Figure 6: "grow the table segment in size if
-// needed"). Existing contents are preserved; the previous Bytes slice is
-// invalid afterwards.
-func (s *Segment) Grow(newSize int64) error {
-	if s.closed {
-		return ErrClosed
-	}
-	if s.ro {
-		return fmt.Errorf("shm: grow %s: segment is read-only", s.name)
-	}
-	if newSize <= s.size {
-		return nil
-	}
-	if err := s.mapOut(); err != nil {
-		return err
-	}
-	if err := s.f.Truncate(newSize); err != nil {
-		return fmt.Errorf("shm: grow %s: %w", s.name, err)
-	}
-	s.size = newSize
-	return s.mapIn()
-}
-
-// Truncate shrinks the segment (Figure 7: "truncate the table shared memory
-// segment if needed", which releases physical pages back as the restore
-// drains the segment). A read-only segment shrinks its file on the path and
-// keeps its mapping — no munmap and mmap per drained block — so the caller
-// must not read Bytes() past newSize again: under mmap those pages are gone.
+// Truncate shrinks the segment's file (Figure 7: "truncate the table shared
+// memory segment if needed", which releases physical pages back as the restore
+// drains the segment) and keeps its mapping — no munmap and mmap per drained
+// block — so the caller must not touch Bytes() past newSize again: under mmap
+// those pages are gone.
 func (s *Segment) Truncate(newSize int64) error {
 	if s.closed {
 		return ErrClosed
@@ -471,21 +451,11 @@ func (s *Segment) Truncate(newSize int64) error {
 	if newSize <= 0 {
 		newSize = 1 // keep the mapping valid; Remove deletes the file
 	}
-	if s.ro {
-		if err := os.Truncate(s.path, newSize); err != nil {
-			return fmt.Errorf("shm: truncate %s: %w", s.name, err)
-		}
-		s.size = newSize
-		return nil
-	}
-	if err := s.mapOut(); err != nil {
-		return err
-	}
-	if err := s.f.Truncate(newSize); err != nil {
+	if err := os.Truncate(s.path, newSize); err != nil {
 		return fmt.Errorf("shm: truncate %s: %w", s.name, err)
 	}
 	s.size = newSize
-	return s.mapIn()
+	return nil
 }
 
 // Close unmaps and closes the segment, flushing contents to the backing
@@ -500,15 +470,4 @@ func (s *Segment) Close() error {
 		return err
 	}
 	return s.f.Close()
-}
-
-// Sync flushes the mapping to the backing file.
-func (s *Segment) Sync() error {
-	if s.closed {
-		return ErrClosed
-	}
-	if s.ro {
-		return fmt.Errorf("shm: sync %s: segment is read-only", s.name)
-	}
-	return s.sync()
 }

@@ -14,6 +14,9 @@ func newTestManager(t *testing.T, leafID int, disableMmap bool) *Manager {
 	return NewManager(leafID, Options{Dir: t.TempDir(), Namespace: "test", DisableMmap: disableMmap})
 }
 
+// SegmentExists reports whether the named segment file is present.
+func (m *Manager) SegmentExists(name string) bool { return m.SegmentSize(name) > 0 }
+
 // runBothModes runs a subtest under real mmap and under the fallback.
 func runBothModes(t *testing.T, fn func(t *testing.T, disableMmap bool)) {
 	t.Run("mmap", func(t *testing.T) { fn(t, false) })
@@ -44,31 +47,6 @@ func TestSegmentCreateWriteReopen(t *testing.T) {
 		}
 		if seg2.Size() != 4096 {
 			t.Errorf("size = %d", seg2.Size())
-		}
-	})
-}
-
-func TestSegmentGrowPreservesData(t *testing.T) {
-	runBothModes(t, func(t *testing.T, noMmap bool) {
-		m := newTestManager(t, 1, noMmap)
-		seg, err := m.CreateSegment("g", 4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer seg.Close()
-		copy(seg.Bytes(), "persistent prefix")
-		if err := seg.Grow(65536); err != nil {
-			t.Fatal(err)
-		}
-		if seg.Size() != 65536 {
-			t.Errorf("size = %d", seg.Size())
-		}
-		if !bytes.HasPrefix(seg.Bytes(), []byte("persistent prefix")) {
-			t.Error("grow lost data")
-		}
-		// Growing smaller is a no-op.
-		if err := seg.Grow(100); err != nil || seg.Size() != 65536 {
-			t.Errorf("shrinking grow: %v, size %d", err, seg.Size())
 		}
 	})
 }
@@ -113,11 +91,8 @@ func TestSegmentClosedOperations(t *testing.T) {
 	if err := seg.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
-	if err := seg.Grow(2048); !errors.Is(err, ErrClosed) {
-		t.Errorf("grow after close: %v", err)
-	}
-	if err := seg.Sync(); !errors.Is(err, ErrClosed) {
-		t.Errorf("sync after close: %v", err)
+	if err := seg.Truncate(512); !errors.Is(err, ErrClosed) {
+		t.Errorf("truncate after close: %v", err)
 	}
 }
 
@@ -308,19 +283,4 @@ func TestMetadataAtomicReplace(t *testing.T) {
 	if err != nil || !got.Valid {
 		t.Errorf("read: %+v, %v", got, err)
 	}
-}
-
-func TestSync(t *testing.T) {
-	runBothModes(t, func(t *testing.T, noMmap bool) {
-		m := newTestManager(t, 1, noMmap)
-		seg, err := m.CreateSegment("sy", 4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer seg.Close()
-		copy(seg.Bytes(), "synced data")
-		if err := seg.Sync(); err != nil {
-			t.Fatal(err)
-		}
-	})
 }

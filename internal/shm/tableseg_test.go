@@ -36,32 +36,39 @@ func buildBlocks(t *testing.T, nblocks, rowsPerBlock int) []*rowblock.RowBlock {
 	return out
 }
 
-// openView opens the named segment of table through the one reader.
+// openView opens the named segment of table through the one reader, verified
+// up front: a view to serve in place.
 func openView(t testing.TB, m *Manager, seg, table string) *MappedView {
 	t.Helper()
-	v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg})
+	v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return v
 }
 
-// drainView drains v the way an eager restore does, cloning with nothing
-// around the clone.
-func drainView(v *MappedView) ([]*rowblock.RowBlock, error) {
-	return v.Drain((*rowblock.RowBlock).CloneToHeap)
+// openToDrain opens the named segment the way an eager restore does:
+// structure only, the payload CRC left to the drain.
+func openToDrain(t testing.TB, m *Manager, seg, table string) *MappedView {
+	t.Helper()
+	v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
+
+// cloneUnverified is the eager drain's clone step with nothing around it.
+func cloneUnverified(rb *rowblock.RowBlock) (*rowblock.RowBlock, error) { return rb.CloneToHeap(false) }
+
+// drainView drains v the way an eager restore does.
+func drainView(v *MappedView) ([]*rowblock.RowBlock, error) { return v.Drain(cloneUnverified) }
 
 func TestTableSegmentRoundTrip(t *testing.T) {
 	runBothModes(t, func(t *testing.T, noMmap bool) {
 		m := newTestManager(t, 1, noMmap)
 		blocks := buildBlocks(t, 4, 300)
-		var totalBytes int64
-		for _, rb := range blocks {
-			totalBytes += int64(rb.ImageSize())
-		}
-
-		w, err := CreateTableSegment(m, "tbl-events", "events", totalBytes)
+		w, err := CreateTableSegment(m, "tbl-events", "events")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,36 +109,10 @@ func TestTableSegmentRoundTrip(t *testing.T) {
 	})
 }
 
-func TestTableSegmentGrowsFromSmallEstimate(t *testing.T) {
-	// Figure 6 estimates the size and grows if needed; force growth with a
-	// deliberately tiny estimate.
-	m := newTestManager(t, 1, false)
-	blocks := buildBlocks(t, 6, 500)
-	w, err := CreateTableSegment(m, "tbl-g", "g", 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rb := range blocks {
-		if err := w.WriteBlock(rb, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := drainView(openView(t, m, "tbl-g", "g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(restored) != 6 {
-		t.Errorf("restored %d blocks", len(restored))
-	}
-}
-
 func TestWriteBlockReleasesHeapColumns(t *testing.T) {
 	m := newTestManager(t, 1, false)
 	blocks := buildBlocks(t, 1, 100)
-	w, err := CreateTableSegment(m, "tbl-r", "r", int64(blocks[0].ImageSize()))
+	w, err := CreateTableSegment(m, "tbl-r", "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +126,7 @@ func TestWriteBlockReleasesHeapColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Released blocks still restore correctly from the segment.
-	restored, err := drainView(openView(t, m, "tbl-r", "r"))
+	restored, err := drainView(openToDrain(t, m, "tbl-r", "r"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +143,7 @@ func TestReaderTruncatesAsItDrains(t *testing.T) {
 		m := newTestManager(t, 1, noMmap)
 		blocks := buildBlocks(t, 3, 1000)
 		writeSegment(t, m, "tbl-t", "t", blocks)
-		v := openView(t, m, "tbl-t", "t")
+		v := openToDrain(t, m, "tbl-t", "t")
 		path := m.segmentPath("tbl-t")
 		fileSize := func() int64 {
 			fi, err := os.Stat(path)
@@ -171,19 +152,20 @@ func TestReaderTruncatesAsItDrains(t *testing.T) {
 			}
 			return fi.Size()
 		}
-		// The file's size as each clone begins, newest block first.
+		// The file's size as each clone begins, newest block first: whole for
+		// the first, then cut at the start of the image cloned just before —
+		// every callback's block is gone from tmpfs before the next begins.
+		want := []int64{fileSize(), v.offsets[2], v.offsets[1]}
 		var sizes []int64
 		restored, err := v.Drain(func(rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
 			sizes = append(sizes, fileSize())
-			return rb.CloneToHeap()
+			return rb.CloneToHeap(false)
 		})
 		if err != nil || len(restored) != 3 {
 			t.Fatalf("drain = %d blocks, %v", len(restored), err)
 		}
-		for i := 1; i < len(sizes); i++ {
-			if sizes[i] >= sizes[i-1] {
-				t.Errorf("segment did not shrink behind block %d: %v", len(sizes)-i, sizes)
-			}
+		if !reflect.DeepEqual(sizes, want) || !(want[0] > want[1] && want[1] > want[2]) {
+			t.Errorf("segment size before each clone = %v, want %v", sizes, want)
 		}
 		for i, rb := range restored {
 			got, err := rb.Times(nil)
@@ -200,7 +182,7 @@ func TestReaderTruncatesAsItDrains(t *testing.T) {
 func TestOpenTableSegmentRejectsCorruption(t *testing.T) {
 	m := newTestManager(t, 1, false)
 	blocks := buildBlocks(t, 2, 50)
-	w, err := CreateTableSegment(m, "tbl-c", "c", 1<<20)
+	w, err := CreateTableSegment(m, "tbl-c", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +202,7 @@ func TestOpenTableSegmentRejectsCorruption(t *testing.T) {
 		}
 		mut(seg.Bytes())
 		seg.Close()
-		v, err := OpenTableSegmentView(m, SegmentInfo{Table: "c", Segment: "tbl-c"})
+		v, err := OpenTableSegmentView(m, SegmentInfo{Table: "c", Segment: "tbl-c"}, true)
 		if err != nil {
 			return err
 		}
@@ -252,7 +234,7 @@ func TestOpenTableSegmentRejectsCorruption(t *testing.T) {
 func TestAbortLeavesRemovableSegment(t *testing.T) {
 	m := newTestManager(t, 1, false)
 	blocks := buildBlocks(t, 1, 10)
-	w, err := CreateTableSegment(m, "tbl-a", "a", 1024)
+	w, err := CreateTableSegment(m, "tbl-a", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +255,7 @@ func TestAbortLeavesRemovableSegment(t *testing.T) {
 func TestBytesCopiedAccounting(t *testing.T) {
 	m := newTestManager(t, 1, false)
 	blocks := buildBlocks(t, 2, 100)
-	w, err := CreateTableSegment(m, "tbl-b", "b", 1<<20)
+	w, err := CreateTableSegment(m, "tbl-b", "b")
 	if err != nil {
 		t.Fatal(err)
 	}

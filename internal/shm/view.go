@@ -2,6 +2,7 @@ package shm
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sync/atomic"
 
 	"scuba/internal/fault"
@@ -16,6 +17,10 @@ import (
 // behind each (Drain). Either way the segment stays mapped until the
 // last reference drains.
 //
+// The payload CRC is checked before any block is served or installed, over
+// bytes that are being read anyway: by the open when the view will be served
+// in place, by Drain — over the copies it makes — when it is drained.
+//
 // References: the view opens holding one reference per decoded block (the
 // table's residency), and every in-flight scan that snapshots a view block
 // takes one more via Retain. Whoever removes a block from circulation —
@@ -26,24 +31,30 @@ import (
 // from nonzero only), so a reader either pins live memory or is told the view
 // is gone.
 type MappedView struct {
-	m       *Manager
-	seg     *Segment
-	offsets []int64 // of each block image in the segment
-	blocks  []*rowblock.RowBlock
-	refs    atomic.Int64
+	m         *Manager
+	seg       *Segment
+	offsets   []int64 // of each block image in the segment, then of the footer
+	blocks    []*rowblock.RowBlock
+	crc       uint32 // of the payload, as the segment's header states it
+	footerCRC uint32 // of the footer alone, the tail Drain's checksum starts from
+	refs      atomic.Int64
 }
 
 // OpenTableSegmentView maps the table segment si names read-only and decodes
-// every block image in place. It is the restore path's whole up-front
-// gauntlet — header, footer, whole-payload CRC, block image structure, and the
-// segment's table name against the (CRC-guarded) metadata's, since the name
-// bytes sit outside the payload CRC — so a damaged segment is an error here,
-// before any block is installed, and the caller quarantines exactly that table
-// to the store. Any failure closes the mapping and leaves the file.
+// every block image in place: header, footer, block image structure (images
+// tile the payload with no gap), and the segment's table name against the
+// (CRC-guarded) metadata's, since the name bytes sit outside the payload CRC.
+// With verify it also checks the whole-payload CRC, so everything that can be
+// wrong with a segment is an error here and the view may be served as it is.
+// Without, the blocks are structurally sound but unverified: the caller must
+// Drain the view, which checks the CRC over its copies, and serve or install
+// nothing before that returns. Either way a damaged segment is an error before
+// any block is installed, and the caller quarantines exactly that table to the
+// store. Any failure closes the mapping and leaves the file.
 //
 // A segment with zero blocks has nothing to serve: it is unmapped and deleted
 // here, and the view returned holds no blocks and no references.
-func OpenTableSegmentView(m *Manager, si SegmentInfo) (*MappedView, error) {
+func OpenTableSegmentView(m *Manager, si SegmentInfo, verify bool) (*MappedView, error) {
 	if err := fault.Inject(fault.SiteShmMap); err != nil {
 		return nil, fmt.Errorf("shm: map segment %s: %w", si.Segment, err)
 	}
@@ -52,7 +63,7 @@ func OpenTableSegmentView(m *Manager, si SegmentInfo) (*MappedView, error) {
 		return nil, err
 	}
 	v := &MappedView{m: m, seg: seg}
-	if err := v.decode(si.Table); err != nil {
+	if err := v.decode(si.Table, verify); err != nil {
 		seg.Close()
 		return nil, err
 	}
@@ -64,32 +75,52 @@ func OpenTableSegmentView(m *Manager, si SegmentInfo) (*MappedView, error) {
 	return v, nil
 }
 
-// decode validates the mapped segment and decodes its block images in place.
-// There is no CorruptBytes hook: the mapping is PROT_READ, so flipping bytes
-// in place would fault. Rot coverage comes from arming shm.copy_out with
-// corrupt — the CRC validation here is what must catch it.
-func (v *MappedView) decode(table string) error {
+// decode validates the mapped segment's structure — and with verify its
+// payload CRC — and decodes its block images in place. There is no
+// CorruptBytes hook: the mapping is PROT_READ, so flipping bytes in place
+// would fault. Rot coverage comes from arming shm.copy_out with corrupt — the
+// CRC check, here or in Drain, is what must catch it.
+func (v *MappedView) decode(table string, verify bool) error {
 	b := v.seg.Bytes()
-	name, offsets, err := parseTableSegment(b)
+	name, offsets, crc, err := parseTableSegment(b)
 	if err != nil {
 		return err
 	}
 	if name != table {
 		return fmt.Errorf("%w: segment names table %q, metadata says %q", ErrSegCorrupt, name, table)
 	}
-	for i, off := range offsets {
-		// The segment-wide payload CRC just verified every image byte, so the
-		// per-column checksum pass would re-read the same memory for nothing;
-		// a block's heap clone is verified when it is made.
-		rb, _, err := rowblock.DecodeImageVerified(b[off:])
+	n := len(offsets) - 1
+	payloadStart, footerEnd := int64(segHeaderFixed+len(name)), offsets[n]+int64(8*n)
+	if offsets[0] != payloadStart {
+		return fmt.Errorf("%w: first block at %d, payload at %d", ErrSegCorrupt, offsets[0], payloadStart)
+	}
+	if verify {
+		if sum := checksumParallel(b[payloadStart:footerEnd]); sum != crc {
+			return crcMismatch(sum, crc)
+		}
+	}
+	for i := 0; i < n; i++ {
+		// The segment-wide payload CRC covers every image byte, so a per-column
+		// checksum pass would read the same memory for nothing.
+		rb, size, err := rowblock.DecodeImageVerified(b[offsets[i]:offsets[i+1]])
+		if err == nil && int64(size) != offsets[i+1]-offsets[i] {
+			err = fmt.Errorf("%w: image of %d bytes in a slot of %d", ErrSegCorrupt, size, offsets[i+1]-offsets[i])
+		}
 		if err != nil {
 			return fmt.Errorf("shm: block %d of %s: %w", i, table, err)
 		}
 		rb.SetSource(v)
 		v.blocks = append(v.blocks, rb)
 	}
-	v.offsets = offsets
+	v.offsets, v.crc = offsets, crc
+	v.footerCRC = crc32.Checksum(b[offsets[n]:footerEnd], segCRCTable)
 	return nil
+}
+
+// crcMismatch is the error of a payload whose bytes rotted while the segment
+// sat in shared memory; the caller quarantines the table to the store.
+func crcMismatch(sum, want uint32) error {
+	return fmt.Errorf("%w: payload checksum %08x, header says %08x", ErrSegCorrupt, sum, want)
 }
 
 // SegmentName returns the mapped segment's name.
@@ -125,18 +156,37 @@ func (v *MappedView) Retain() bool {
 // footprint stays flat (§4.4). It returns the clones in segment order. The
 // last release unmaps and deletes the segment; so does a failure, which
 // releases the blocks not yet cloned.
+//
+// Drain is also where a drained segment's payload CRC is checked, so that
+// each of its bytes is read cold once: per block the checksum of the image
+// prefix, from the mapping, runs on over the clone's blobs, still in cache
+// from the copy; the blocks' checksums are stitched onto the footer's as they
+// come, newest first; and the whole is compared with the header's once, at the
+// end. A mismatch is Drain's error — the clones are dropped, none was handed
+// on — and covers damage done to a clone on its way to the heap as well.
 func (v *MappedView) Drain(clone func(*rowblock.RowBlock) (*rowblock.RowBlock, error)) ([]*rowblock.RowBlock, error) {
+	b := v.seg.Bytes()
 	out := make([]*rowblock.RowBlock, len(v.blocks))
+	sum, summed := v.footerCRC, int64(8*len(v.blocks)) // of the payload's tail, and its length
 	for i := len(v.blocks) - 1; i >= 0; i-- {
-		var err error
-		if out[i], err = clone(v.blocks[i]); err == nil {
-			err = v.seg.Truncate(v.offsets[i])
+		rb, err := clone(v.blocks[i])
+		if err == nil {
+			start, end := v.offsets[i], v.offsets[i+1]
+			crc := crc32.Checksum(b[start:end-v.blocks[i].Header().Size], segCRCTable)
+			for c := 0; c < rb.NumColumns(); c++ {
+				crc = crc32.Update(crc, segCRCTable, rb.Column(c).Blob())
+			}
+			sum, summed = crc32Combine(crc, sum, summed), summed+end-start
+			out[i], err = rb, v.seg.Truncate(start)
 		}
 		if err != nil {
 			rowblock.ReleaseSources(v.blocks[:i+1])
 			return nil, err
 		}
 		v.Release()
+	}
+	if sum != v.crc {
+		return nil, crcMismatch(sum, v.crc)
 	}
 	return out, nil
 }

@@ -8,23 +8,7 @@ import (
 
 func writeViewSegment(t *testing.T, m *Manager, seg, table string, nblocks int) {
 	t.Helper()
-	blocks := buildBlocks(t, nblocks, 200)
-	var total int64
-	for _, rb := range blocks {
-		total += int64(rb.ImageSize())
-	}
-	w, err := CreateTableSegment(m, seg, table, total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rb := range blocks {
-		if err := w.WriteBlock(rb, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	writeSegment(t, m, seg, table, buildBlocks(t, nblocks, 200))
 }
 
 func TestMappedViewServesAndDrains(t *testing.T) {
@@ -95,7 +79,7 @@ func TestMappedViewValidation(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "c", Segment: "tbl-c"}); !errors.Is(err, ErrSegCorrupt) {
+	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "c", Segment: "tbl-c"}, true); !errors.Is(err, ErrSegCorrupt) {
 		t.Fatalf("corrupt view open = %v, want ErrSegCorrupt", err)
 	}
 	// A failed open leaves the file where it was.
@@ -104,13 +88,13 @@ func TestMappedViewValidation(t *testing.T) {
 	}
 
 	// Missing segment.
-	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "missing", Segment: "tbl-missing"}); !errors.Is(err, ErrSegmentGone) {
+	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "missing", Segment: "tbl-missing"}, true); !errors.Is(err, ErrSegmentGone) {
 		t.Fatalf("missing view open = %v, want ErrSegmentGone", err)
 	}
 
 	// The metadata names another table than the segment does.
 	writeViewSegment(t, m, "tbl-n", "n", 1)
-	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "other", Segment: "tbl-n"}); !errors.Is(err, ErrSegCorrupt) {
+	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "other", Segment: "tbl-n"}, true); !errors.Is(err, ErrSegCorrupt) {
 		t.Fatalf("misnamed view open = %v, want ErrSegCorrupt", err)
 	}
 
