@@ -60,6 +60,13 @@ func newBenchEnv(b *testing.B) benchEnv {
 	return benchEnv{dir: dir}
 }
 
+// benchProcs gives the benchmark n cores: the restart pool and the scan pool
+// are both sized by GOMAXPROCS.
+func benchProcs(b *testing.B, n int) {
+	old := runtime.GOMAXPROCS(n)
+	b.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func (e benchEnv) config(id int) scuba.LeafConfig {
 	return scuba.LeafConfig{
 		ID:           id,
@@ -302,19 +309,20 @@ func BenchmarkParallelRestart(b *testing.B) {
 
 // ---- E14: restart copy worker sweep ----
 
-// BenchmarkShutdownRestoreWorkers sweeps the restart-path copy pool over a
-// multi-table leaf: each iteration is one full shutdown+restore cycle. The
-// per-table copy is pure memory bandwidth, so wall clock should drop as
-// workers are added until the memory bus saturates.
+// BenchmarkShutdownRestoreWorkers sweeps the restart-path pool — GOMAXPROCS,
+// set inside each workers=N sub-benchmark so ci/benchgate.py still pairs the
+// names with the merge-base's — over a multi-table leaf: each iteration is one
+// full shutdown+restore cycle. The per-table copy is pure memory bandwidth, so
+// wall clock should drop as workers are added until the memory bus saturates.
 func BenchmarkShutdownRestoreWorkers(b *testing.B) {
 	const tables = 16
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchProcs(b, workers)
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				e := newBenchEnv(b)
 				cfg := e.config(0)
-				cfg.CopyWorkers = workers
 				l, err := scuba.NewLeaf(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -602,7 +610,6 @@ func BenchmarkResultMergeWire(b *testing.B) {
 	var addrs []string
 	for id := 0; id < 2; id++ {
 		cfg := e.config(id)
-		cfg.ScanWorkers = 1
 		cfg.DecodeCacheBytes = 64 << 20
 		l, err := scuba.NewLeaf(cfg)
 		if err != nil {
@@ -652,7 +659,6 @@ func BenchmarkResultMergeWire(b *testing.B) {
 func BenchmarkResultFrame(b *testing.B) {
 	e := newBenchEnv(b)
 	cfg := e.config(0)
-	cfg.ScanWorkers = 1
 	l, err := scuba.NewLeaf(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -719,9 +725,9 @@ func scanBenchLeaf(b *testing.B, workers int, cacheBytes int64) *scuba.Leaf {
 // the self-telemetry overhead pair (E20).
 func scanBenchLeafReg(b *testing.B, workers int, cacheBytes int64, reg *scuba.MetricsRegistry) *scuba.Leaf {
 	b.Helper()
+	benchProcs(b, workers)
 	e := newBenchEnv(b)
 	cfg := e.config(0)
-	cfg.ScanWorkers = workers
 	cfg.DecodeCacheBytes = cacheBytes
 	cfg.Metrics = reg
 	l, err := scuba.NewLeaf(cfg)
@@ -846,9 +852,9 @@ func BenchmarkScanDashboard(b *testing.B) {
 		cacheBytes int64
 	}{{"cold", 0}, {"warm", 256 << 20}} {
 		b.Run(mode.name, func(b *testing.B) {
+			benchProcs(b, 1)
 			e := newBenchEnv(b)
 			cfg := e.config(0)
-			cfg.ScanWorkers = 1
 			cfg.DecodeCacheBytes = mode.cacheBytes
 			l, err := scuba.NewLeaf(cfg)
 			if err != nil {

@@ -3,6 +3,7 @@ package scuba_test
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -101,4 +102,98 @@ func TestBenchedBenchmarksAreGated(t *testing.T) {
 			t.Errorf("the head bench step runs %q but no gate --filter covers it (filters %q)", name, filters)
 		}
 	}
+}
+
+// TestWorkflowPatternsMatchSomething: a step that runs `go test -run 'TestA|TestB'`
+// keeps passing when TestB is renamed — it just stops running it. Every
+// alternative of every -run / -bench pattern in the workflows must match at
+// least one Test / Fuzz (for -run) or Benchmark (for -bench) function in the
+// packages the command names.
+func TestWorkflowPatternsMatchSomething(t *testing.T) {
+	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	runs, benches := regexp.MustCompile("^(Test|Fuzz)"), regexp.MustCompile("^Benchmark")
+	declared := func(dir string) (names []string) {
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range funcDecl.FindAllSubmatch(src, -1) {
+				names = append(names, string(m[1]))
+			}
+		}
+		return names
+	}
+	files, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no workflow files (%v)", err)
+	}
+	indent := func(line string) int { return len(line) - len(strings.TrimLeft(line, " ")) }
+	checked := 0
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One command a line: shell continuations joined, and a folded scalar
+		// (run: >) with the lines indented under it.
+		var lines []string
+		fold := -1
+		for _, line := range strings.Split(strings.ReplaceAll(string(data), "\\\n", " "), "\n") {
+			if fold >= 0 && indent(line) > fold {
+				lines[len(lines)-1] += " " + strings.TrimSpace(line)
+				continue
+			}
+			fold = -1
+			if strings.HasSuffix(line, "run: >") {
+				fold = indent(line)
+			}
+			lines = append(lines, line)
+		}
+		for _, line := range lines {
+			_, cmd, ok := strings.Cut(line, "go test ")
+			if !ok || strings.HasPrefix(strings.TrimSpace(line), "#") {
+				continue
+			}
+			cmd, _, _ = strings.Cut(cmd, " | ")
+			fields := strings.Fields(cmd)
+			var names []string
+			for _, arg := range fields {
+				if arg == "." || strings.HasPrefix(arg, "./") && !strings.HasSuffix(arg, "...") {
+					names = append(names, declared(arg)...)
+				}
+			}
+			for i, arg := range fields[:len(fields)-1] {
+				kind := map[string]*regexp.Regexp{"-run": runs, "-bench": benches}[arg]
+				pattern := strings.Trim(fields[i+1], `'"`)
+				if kind == nil || pattern == "^$" {
+					continue
+				}
+				for _, alt := range strings.Split(pattern, "|") {
+					top, _, _ := strings.Cut(alt, "/")
+					re, err := regexp.Compile(top)
+					if err != nil {
+						t.Errorf("%s: %s %q: %v", f, arg, alt, err)
+						continue
+					}
+					checked++
+					matched := false
+					for _, name := range names {
+						matched = matched || (kind.MatchString(name) && re.MatchString(name))
+					}
+					if !matched {
+						t.Errorf("%s: `go test %s`: %s %q matches none of the %d functions declared there", f, cmd, arg, alt, len(names))
+					}
+				}
+			}
+		}
+	}
+	if checked < 20 {
+		t.Errorf("read only %d patterns out of the workflows: the parse is broken", checked)
+	}
+	t.Logf("%d patterns", checked)
 }

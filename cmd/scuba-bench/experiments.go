@@ -805,19 +805,21 @@ func loadLeafTables(l *scuba.Leaf, tables, rowsPerTable int) (int64, error) {
 	return l.Stats().Bytes, nil
 }
 
-// runE14 sweeps Config.CopyWorkers over a multi-table leaf and reports one
-// full shutdown+restore cycle per pool size, with the slowest table of each
-// half (the critical path a wider pool hides).
+// runE14 sweeps GOMAXPROCS — the restart pool's size — over a multi-table leaf
+// and reports one full shutdown+restore cycle per pool size, with the slowest
+// table of each half (the critical path a wider pool hides).
 func runE14() error {
 	const tables = 16
 	rowsPerTable := *rowsFlag / tables
 	fmt.Printf("%8s | %12s %12s | %12s %12s | %8s | %s\n",
 		"workers", "shutdown", "restore", "cycle", "data", "speedup", "slowest table out/in")
 	var base time.Duration
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
 	for _, workers := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(workers)
 		b, cleanup := newBench()
 		cfg := b.leafConfig(0)
-		cfg.CopyWorkers = workers
 		if err := os.MkdirAll(filepath.Join(b.dir, "shm"), 0o755); err != nil {
 			cleanup()
 			return err
@@ -870,8 +872,8 @@ func runE14() error {
 			rec.PerTable.Slowest().Duration.Round(time.Millisecond))
 		cleanup()
 	}
-	fmt.Printf("note: GOMAXPROCS=%d; true parallel speedup needs multiple cores — on one core the pool only overlaps blocking I/O\n",
-		runtime.GOMAXPROCS(0))
+	fmt.Printf("note: %d CPUs; true parallel speedup needs as many cores as workers — past that the pool only overlaps blocking I/O\n",
+		runtime.NumCPU())
 	return nil
 }
 

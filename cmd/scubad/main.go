@@ -38,10 +38,7 @@ func main() {
 		budget     = flag.Int64("memory-budget", 8<<30, "data budget in bytes, reported to tailers")
 		maxAge     = flag.Int64("max-age", 0, "expire rows older than this many seconds (0 = keep)")
 		maxBytes   = flag.Int64("max-bytes", 0, "per-table compressed byte cap (0 = no cap)")
-		workers    = flag.Int("copy-workers", 0, "restart-path copy pool size (0 = GOMAXPROCS, 1 = serial)")
 		instantOn  = flag.Bool("instant-on", false, "serve queries zero-copy from mmap'd shm on restart; copy-in happens in the background")
-		promoteWk  = flag.Int("promote-workers", 0, "background promotion pool size for -instant-on (0 = GOMAXPROCS)")
-		scanWork   = flag.Int("scan-workers", 0, "per-query sealed-block scan pool size (0 = GOMAXPROCS, 1 = serial)")
 		decCache   = flag.Int64("decode-cache-bytes", 64<<20, "per-table decoded-column cache budget in bytes (0 disables)")
 		syncEvery  = flag.Duration("sync-interval", 5*time.Second, "persist pass interval: block images written, WAL truncated behind them")
 		expireEach = flag.Duration("expire-interval", time.Minute, "expiration sweep interval")
@@ -95,10 +92,7 @@ func main() {
 		MemoryBudget:          *budget,
 		Table:                 scuba.TableOptions{MaxAgeSeconds: *maxAge, MaxBytes: *maxBytes},
 		DisableMemoryRecovery: *noShm,
-		CopyWorkers:           *workers,
 		InstantOn:             *instantOn,
-		PromoteWorkers:        *promoteWk,
-		ScanWorkers:           *scanWork,
 		DecodeCacheBytes:      *decCache,
 		WALDir:                *walDir,
 		WALSyncInterval:       *walSync,

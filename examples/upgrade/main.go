@@ -26,11 +26,10 @@ import (
 )
 
 var (
-	phase   = flag.String("phase", "", "internal: old | new")
-	dir     = flag.String("dir", "", "shared working directory")
-	rows    = flag.Int("rows", 200000, "rows to ingest")
-	crash   = flag.Bool("crash", false, "crash the old process instead of a clean shutdown")
-	workers = flag.Int("copy-workers", 0, "restart-path copy pool size (0 = GOMAXPROCS, 1 = serial)")
+	phase = flag.String("phase", "", "internal: old | new")
+	dir   = flag.String("dir", "", "shared working directory")
+	rows  = flag.Int("rows", 200000, "rows to ingest")
+	crash = flag.Bool("crash", false, "crash the old process instead of a clean shutdown")
 )
 
 func config(workDir string) scuba.LeafConfig {
@@ -39,7 +38,6 @@ func config(workDir string) scuba.LeafConfig {
 		Shm:          scuba.ShmOptions{Dir: workDir, Namespace: "upgrade"},
 		DiskRoot:     workDir + "/disk",
 		MemoryBudget: 4 << 30,
-		CopyWorkers:  *workers,
 	}
 }
 
@@ -73,7 +71,6 @@ func orchestrate() {
 			"-dir", workDir,
 			fmt.Sprintf("-rows=%d", *rows),
 			fmt.Sprintf("-crash=%v", *crash),
-			fmt.Sprintf("-copy-workers=%d", *workers),
 		)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr

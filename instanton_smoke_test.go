@@ -34,13 +34,8 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One promote worker keeps each replacement's promotion window open long
-	// enough for the probe to catch queries mid-promotion.
 	pc := startRolloverCluster(t, 1, 2, instantOnSmokeRows,
-		func(cfg *scuba.ProcConfig) {
-			cfg.BinPath = raceBin
-			cfg.PromoteWorkers = 1
-		})
+		func(cfg *scuba.ProcConfig) { cfg.BinPath = raceBin })
 	n := len(pc.Leaves())
 	q := rolloverQuery()
 	agg := pc.AggClient()

@@ -51,8 +51,6 @@ type Config struct {
 	// InstantOn makes every leaf restart serve zero-copy from its mmap'd shm
 	// backup while background promotion copies blocks heap-side.
 	InstantOn bool
-	// PromoteWorkers sizes the instant-on promotion pool (0 = GOMAXPROCS).
-	PromoteWorkers int
 }
 
 // Node is one leaf slot: the process comes and goes across restarts, the
@@ -116,14 +114,13 @@ func (n *Node) Name() string { return fmt.Sprintf("node%d", n.GlobalID) }
 
 func (n *Node) leafConfig() leaf.Config {
 	return leaf.Config{
-		ID:             n.GlobalID,
-		Shm:            shm.Options{Dir: n.cfg.ShmDir, Namespace: n.cfg.Namespace},
-		DiskRoot:       n.cfg.DiskRoot,
-		Table:          n.cfg.Table,
-		MemoryBudget:   n.cfg.MemoryBudgetPerLeaf,
-		Clock:          n.cfg.Clock,
-		InstantOn:      n.cfg.InstantOn,
-		PromoteWorkers: n.cfg.PromoteWorkers,
+		ID:           n.GlobalID,
+		Shm:          shm.Options{Dir: n.cfg.ShmDir, Namespace: n.cfg.Namespace},
+		DiskRoot:     n.cfg.DiskRoot,
+		Table:        n.cfg.Table,
+		MemoryBudget: n.cfg.MemoryBudgetPerLeaf,
+		Clock:        n.cfg.Clock,
+		InstantOn:    n.cfg.InstantOn,
 	}
 }
 

@@ -103,8 +103,6 @@ type ProcConfig struct {
 	// queries zero-copy from its mmap'd shm backup as soon as validation
 	// passes, and the copy-in runs as background promotion.
 	InstantOn bool
-	// PromoteWorkers is each leaf's -promote-workers (0 = GOMAXPROCS).
-	PromoteWorkers int
 }
 
 // ProcLeaf is one leaf slot of a subprocess cluster: the OS process comes
@@ -314,9 +312,6 @@ func (pc *ProcCluster) startLeaf(l *ProcLeaf) error {
 	}
 	if pc.cfg.InstantOn {
 		args = append(args, "-instant-on")
-		if pc.cfg.PromoteWorkers > 0 {
-			args = append(args, "-promote-workers", strconv.Itoa(pc.cfg.PromoteWorkers))
-		}
 	}
 	cmd := exec.Command(pc.cfg.BinPath, args...)
 	if pc.cfg.Logs != nil {

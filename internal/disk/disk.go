@@ -104,6 +104,21 @@ func TableDirs(root string) ([]string, error) {
 	return out, nil
 }
 
+// Size is the bytes of a table's files by the directory listing alone — what a
+// start sizes the table's load by before reading any of it; 0 when unreadable.
+func (s *Store) Size(table string) int64 { return DirSize(s.tableDir(table)) }
+
+// DirSize sums the sizes of dir's files. The WAL sizes a table's log with it.
+func DirSize(dir string) (n int64) {
+	entries, _ := os.ReadDir(dir) //nolint:errcheck // an unreadable directory counts for nothing
+	for _, e := range entries {
+		if fi, err := e.Info(); err == nil {
+			n += fi.Size()
+		}
+	}
+	return n
+}
+
 // Image names one block image file: global rows [Start, End()).
 type Image struct {
 	Start   int64

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 
+	"scuba/internal/codec"
 	"scuba/internal/column"
 	"scuba/internal/layout"
 	"scuba/internal/rowblock"
@@ -97,7 +98,7 @@ func EncodeRowFormat(rb *rowblock.RowBlock) ([]byte, error) {
 		for i, f := range schema {
 			switch f.Type {
 			case layout.TypeInt64, layout.TypeTime:
-				b = binary.AppendUvarint(b, zigzag(cols.ints[i][r]))
+				b = binary.AppendUvarint(b, codec.ZigZag(cols.ints[i][r]))
 			case layout.TypeFloat64:
 				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cols.floats[i][r]))
 			case layout.TypeString:
@@ -118,9 +119,6 @@ func EncodeRowFormat(rb *rowblock.RowBlock) ([]byte, error) {
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable)), nil
 }
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // DecodeRowFormat translates a row-format file back into a column block:
 // the rows are transposed into one batch and re-ingested through a
@@ -217,9 +215,9 @@ func DecodeRowFormat(data []byte) (*rowblock.RowBlock, error) {
 					return nil, err
 				}
 				if i == 0 {
-					bt.Times = append(bt.Times, unzigzag(u))
+					bt.Times = append(bt.Times, codec.UnZigZag(u))
 				} else {
-					c.Ints = append(c.Ints, unzigzag(u))
+					c.Ints = append(c.Ints, codec.UnZigZag(u))
 				}
 			case layout.TypeFloat64:
 				if pos+8 > len(body) {

@@ -20,7 +20,7 @@ func TestDecodeCacheRace(t *testing.T) {
 	e := newEnv(t)
 	cfg := e.config(0)
 	cfg.Metrics = metrics.NewRegistry()
-	cfg.ScanWorkers = 4
+	setProcs(t, 4)
 	cfg.DecodeCacheBytes = 1 << 20 // small enough to force evictions
 	cfg.Table = table.Options{MaxAgeSeconds: 1 << 40}
 	l := startLeaf(t, cfg)

@@ -14,12 +14,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"scuba/internal/fault"
 	"scuba/internal/obs"
 	"scuba/internal/rowblock"
 	"scuba/internal/shm"
@@ -109,9 +111,9 @@ func TestParallelRestartMatchesSerial(t *testing.T) {
 	fixedClock := func() int64 { return 1_700_000_000 }
 
 	run := func(workers int) (map[string][][]byte, ShutdownInfo, RecoveryInfo) {
+		setProcs(t, workers)
 		e := newEnv(t)
 		cfg := e.config(0)
-		cfg.CopyWorkers = workers
 		cfg.Clock = fixedClock
 		l := startLeaf(t, cfg)
 		seedTables(t, l, seed)
@@ -162,26 +164,23 @@ func TestParallelRestartMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestWorkerFailureDuringShutdown kills one copy worker mid-table and checks
+// TestWorkerFailureDuringShutdown fails one copy worker's block and checks
 // the whole shutdown rolls back: no metadata, no orphaned segments of any
 // table (including ones whose writers had already finished — the satellite
 // regression), and the next start serves full results from disk.
 func TestWorkerFailureDuringShutdown(t *testing.T) {
 	e := newEnv(t)
-	cfg := e.config(0)
-	cfg.CopyWorkers = 4
-	l := startLeaf(t, cfg)
+	setProcs(t, 4)
+	l := startLeaf(t, e.config(0))
 	for i := 0; i < 6; i++ {
 		ingest(t, l, fmt.Sprintf("t%d", i), 200+10*i, int64(1000*i))
 	}
 	boom := errors.New("boom")
-	l.copyBlockHook = func(tbl string, block int) error {
-		if tbl == "t3" && block == 1 {
-			return boom
-		}
-		return nil
-	}
-	if _, err := l.Shutdown(); !errors.Is(err, boom) {
+	t.Cleanup(fault.Reset)
+	fault.Arm(fault.Point{Site: fault.SiteShmCopyOut, Action: fault.ActError, Err: boom, After: 3, Count: 1})
+	_, err := l.Shutdown()
+	fault.Reset()
+	if !errors.Is(err, boom) {
 		t.Fatalf("shutdown err = %v, want injected fault", err)
 	}
 	m := shm.NewManager(0, shm.Options{Dir: e.shmDir, Namespace: "test"})
@@ -212,35 +211,24 @@ func TestWorkerFailureDuringShutdown(t *testing.T) {
 	}
 }
 
-// TestWorkerFailureDuringRestore kills the restore of one table; the leaf
-// must quarantine exactly that table to the disk path, restore the other
+// TestWorkerFailureDuringRestore fails one block's copy-in; the leaf must
+// quarantine exactly that block's table to the disk path, restore the other
 // five from shared memory, report a mixed recovery, and serve full results
 // for every table — including the quarantined one — with no leftover shm.
 func TestWorkerFailureDuringRestore(t *testing.T) {
 	e := newEnv(t)
-	cfg := e.config(0)
-	cfg.CopyWorkers = 4
-	old := startLeaf(t, cfg)
+	setProcs(t, 4)
+	old := startLeaf(t, e.config(0))
 	for i := 0; i < 6; i++ {
 		ingest(t, old, fmt.Sprintf("t%d", i), 150+i, int64(1000*i))
 	}
 	if _, err := old.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	nu, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	nu.restoreBlockHook = func(tbl string) error {
-		if tbl == "t2" {
-			return boom
-		}
-		return nil
-	}
-	if err := nu.Start(); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(fault.Reset)
+	fault.Arm(fault.Point{Site: fault.SiteShmCopyIn, Action: fault.ActError, After: 2, Count: 1})
+	nu := startLeaf(t, e.config(0))
+	fault.Reset()
 	rec := nu.Recovery()
 	if rec.Path != RecoveryMixed || rec.FellBack {
 		t.Fatalf("recovery = %+v, want mixed (no whole-restore fallback)", rec)
@@ -250,7 +238,7 @@ func TestWorkerFailureDuringRestore(t *testing.T) {
 	}
 	for _, tr := range rec.PerTablePath {
 		want := RecoveryMemory
-		if tr.Table == "t2" {
+		if strings.Contains(tr.Reason, fault.ErrInjected.Error()) {
 			want = RecoveryDisk
 		}
 		if tr.Path != want {
@@ -275,9 +263,8 @@ func TestWorkerFailureDuringRestore(t *testing.T) {
 // nothing is silently dropped.
 func TestShutdownWhileIngesting(t *testing.T) {
 	e := newEnv(t)
-	cfg := e.config(0)
-	cfg.CopyWorkers = 4
-	l := startLeaf(t, cfg)
+	setProcs(t, 4)
+	l := startLeaf(t, e.config(0))
 	const ingesters = 4
 	for g := 0; g < ingesters; g++ {
 		ingest(t, l, fmt.Sprintf("t%d", g), 50, 0)
@@ -331,14 +318,14 @@ func TestShutdownWhileIngesting(t *testing.T) {
 	}
 }
 
-// TestCopyWorkerDefaultsAndClamp checks CopyWorkers resolution through the
-// reported info: explicit pools clamp to the table count, and the 0 default
-// resolves to at least one worker.
-func TestCopyWorkerDefaultsAndClamp(t *testing.T) {
+// TestPoolSizeIsCoresClampedToJobs checks the pool's size through the reported
+// info: the cores this process may run on, not the host's — a leaf given one
+// core starts one worker however many the machine has — and never more workers
+// than tables.
+func TestPoolSizeIsCoresClampedToJobs(t *testing.T) {
 	e := newEnv(t)
-	cfg := e.config(0)
-	cfg.CopyWorkers = 8
-	l := startLeaf(t, cfg)
+	setProcs(t, 8)
+	l := startLeaf(t, e.config(0))
 	ingest(t, l, "only", 30, 0)
 	ingest(t, l, "pair", 30, 0)
 	info, err := l.Shutdown()
@@ -348,16 +335,9 @@ func TestCopyWorkerDefaultsAndClamp(t *testing.T) {
 	if info.Workers != 2 {
 		t.Errorf("shutdown workers = %d, want clamp to 2 tables", info.Workers)
 	}
-	nu := startLeaf(t, e.config(0)) // CopyWorkers 0: GOMAXPROCS, clamped to 2
-	rec := nu.Recovery()
-	if rec.Workers < 1 || rec.Workers > 2 {
-		t.Errorf("restore workers = %d, want 1..2", rec.Workers)
-	}
-	// The default is the cores this process may run on, not the host's: a
-	// leaf given one core starts one worker however many the machine has.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if c, p := nu.copyWorkers(8), nu.promoteWorkerCount(); c != 1 || p != 1 {
-		t.Errorf("with GOMAXPROCS 1: %d copy workers, %d promote workers, want 1 and 1", c, p)
+	runtime.GOMAXPROCS(1)
+	if rec := startLeaf(t, e.config(0)).Recovery(); rec.Workers != 1 {
+		t.Errorf("restore workers = %d with GOMAXPROCS 1, want 1", rec.Workers)
 	}
 }
 
@@ -366,7 +346,8 @@ func TestCopyWorkerDefaultsAndClamp(t *testing.T) {
 func TestTableSpansNameTheirWorker(t *testing.T) {
 	e := newEnv(t)
 	cfg := e.config(0)
-	cfg.CopyWorkers = 2
+	const procs = 2
+	setProcs(t, procs)
 	cfg.Obs, _ = newObserver(t, e, 0) // the ring hands the shutdown half over
 	l := startLeaf(t, cfg)
 	ingest(t, l, "a", 100, 0)
@@ -382,8 +363,8 @@ func TestTableSpansNameTheirWorker(t *testing.T) {
 			if sp.Table == "" {
 				continue
 			}
-			if sp.Worker < 0 || sp.Worker >= cfg.CopyWorkers {
-				t.Errorf("%s %s of %q ran on worker %d of a pool of %d", half, sp.Phase, sp.Table, sp.Worker, cfg.CopyWorkers)
+			if sp.Worker < 0 || sp.Worker >= procs {
+				t.Errorf("%s %s of %q ran on worker %d of a pool of %d", half, sp.Phase, sp.Table, sp.Worker, procs)
 			}
 			if w, seen := worker[sp.Table]; seen && w != sp.Worker {
 				t.Errorf("%s: table %q moved from worker %d to %d mid-restart", half, sp.Table, w, sp.Worker)
@@ -455,9 +436,8 @@ func TestGoldenMetadataFixture(t *testing.T) {
 // table, and stable under a ReadMetadata/WriteMetadata round-trip.
 func TestParallelShutdownMetadataRoundTrips(t *testing.T) {
 	e := newEnv(t)
-	cfg := e.config(0)
-	cfg.CopyWorkers = 4
-	l := startLeaf(t, cfg)
+	setProcs(t, 4)
+	l := startLeaf(t, e.config(0))
 	names := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	for i, n := range names {
 		ingest(t, l, n, 60+i, int64(100*i))
@@ -500,14 +480,25 @@ func TestParallelShutdownMetadataRoundTrips(t *testing.T) {
 	}
 }
 
+// taken lists a report's tables in the order the pool began them.
+func taken(perTable obs.Trace) []string {
+	byStart := append(obs.Trace(nil), perTable...)
+	sort.Slice(byStart, func(i, j int) bool { return byStart[i].Start.Before(byStart[j].Start) })
+	names := make([]string, len(byStart))
+	for i, sp := range byStart {
+		names[i] = sp.Table
+	}
+	return names
+}
+
 // TestPoolsTakeLargestTableFirst: a pool fed alphabetically ends with one
-// worker on the largest table while the others idle, so both pools go by size
-// — heap bytes on the way out, segment bytes on the way in — and the reports
-// stay sorted by name.
+// worker on the largest table while the others idle, so every pool goes by
+// size — heap bytes on the way out, segment bytes on the way in, image and log
+// bytes after a crash — and the reports stay sorted by name.
 func TestPoolsTakeLargestTableFirst(t *testing.T) {
 	e := newEnv(t)
 	cfg := e.config(0)
-	cfg.CopyWorkers = 1 // one worker: the order tables are taken in is the order they are fed in
+	setProcs(t, 1) // one worker: the order tables are taken in is the order they are fed in
 	old := startLeaf(t, cfg)
 	rng := rand.New(rand.NewSource(9)) // rows that do not compress to nothing
 	for name, rows := range map[string]int{"a-small": 300, "b-large": 6000, "c-medium": 2000} {
@@ -518,30 +509,21 @@ func TestPoolsTakeLargestTableFirst(t *testing.T) {
 	if err := old.SealAll(); err != nil { // Table.Bytes counts sealed blocks
 		t.Fatal(err)
 	}
-	var out, in []string
-	note := func(seen *[]string, name string) {
-		if n := len(*seen); n == 0 || (*seen)[n-1] != name {
-			*seen = append(*seen, name)
-		}
-	}
-	old.copyBlockHook = func(name string, _ int) error { note(&out, name); return nil }
 	info, err := old.Shutdown()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nu, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nu.restoreBlockHook = func(name string) error { note(&in, name); return nil }
-	if err := nu.Start(); err != nil {
-		t.Fatal(err)
+	rec := startLeaf(t, cfg).Recovery()
+	crashed := startLeaf(t, cfg).Recovery() // the backup is consumed: the store alone
+	if rec.Path != RecoveryMemory || crashed.Path != RecoveryDisk {
+		t.Fatalf("recovered by %s then %s, want memory then disk", rec.Path, crashed.Path)
 	}
 	want := []string{"b-large", "c-medium", "a-small"}
-	if !reflect.DeepEqual(out, want) || !reflect.DeepEqual(in, want) {
-		t.Errorf("copied out %v, copied in %v, want both %v", out, in, want)
+	for what, got := range map[string][]string{"copied out": taken(info.PerTable), "copied in": taken(rec.PerTable), "loaded": taken(crashed.PerTable)} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %v, want %v", what, got, want)
+		}
 	}
-	rec := nu.Recovery()
 	for i, name := range []string{"a-small", "b-large", "c-medium"} {
 		if info.PerTable[i].Table != name || rec.PerTable[i].Table != name || rec.PerTablePath[i].Table != name {
 			t.Errorf("reports not sorted by name: shutdown %v, start %v / %v", info.PerTable[i].Table, rec.PerTable[i].Table, rec.PerTablePath[i].Table)

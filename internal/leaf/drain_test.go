@@ -140,7 +140,7 @@ func TestEagerDrainBesideExpiry(t *testing.T) {
 	const now = 1700000000 + 1000
 	e := newEnv(t)
 	cfg := e.config(0)
-	cfg.CopyWorkers = 2
+	setProcs(t, 2)
 	cfg.Clock = func() int64 { return now }
 	cfg.Table = table.Options{MaxAgeSeconds: 940} // cutoff inside the second block
 	old := startLeaf(t, cfg)

@@ -14,7 +14,7 @@ import (
 // recovery path must be exactly what the failure model predicts. Crash
 // actions need a real process and live in the e2e subprocess tests.
 //
-// CopyWorkers is pinned to 1 so hit ordering is deterministic: tables copy
+// GOMAXPROCS is pinned to 1 (one pool worker) so hit ordering is deterministic: tables copy
 // largest first (t2, t1, t0), and Shutdown's metadata writes are
 // initial(1) + one registration per table (2-4) + commit(5).
 func TestFaultMatrix(t *testing.T) {
@@ -101,12 +101,12 @@ func TestFaultMatrix(t *testing.T) {
 	// Unfaulted baseline: per-table count and latency sum after a clean
 	// shutdown/restore cycle. Every faulted run must reproduce these
 	// exactly (minus tables deliberately lost).
+	setProcs(t, 1)
 	baseCount := make(map[string]float64)
 	baseSum := make(map[string]float64)
 	{
 		e := newEnv(t)
 		cfg := e.config(0)
-		cfg.CopyWorkers = 1
 		l := startLeaf(t, cfg)
 		for i := 0; i < tables; i++ {
 			ingest(t, l, fmt.Sprintf("t%d", i), counts[i], int64(1000*i))
@@ -130,7 +130,6 @@ func TestFaultMatrix(t *testing.T) {
 			fault.Reset()
 			e := newEnv(t)
 			cfg := e.config(0)
-			cfg.CopyWorkers = 1
 			l := startLeaf(t, cfg)
 			for i := 0; i < tables; i++ {
 				ingest(t, l, fmt.Sprintf("t%d", i), counts[i], int64(1000*i))

@@ -17,6 +17,7 @@
 package leaf
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -65,16 +66,6 @@ type Config struct {
 	// DisableMemoryRecovery forces disk recovery on start (Figure 5b's
 	// "memory recovery disabled" edge).
 	DisableMemoryRecovery bool
-	// CopyWorkers bounds the worker pool that copies tables between heap
-	// and shared memory on the restart path. The copy is pure memory
-	// bandwidth (§4.2) and parallelizes across tables: 0 means
-	// runtime.GOMAXPROCS, 1 preserves the serial one-table-at-a-time
-	// behavior.
-	CopyWorkers int
-	// ScanWorkers bounds the per-query worker pool that fans a table's
-	// sealed blocks out during execution. 0 means runtime.GOMAXPROCS, 1
-	// preserves the serial block-at-a-time scan.
-	ScanWorkers int
 	// InstantOn turns the shm restore from a barrier into serve-from-shm.
 	// Either way segments are mapped read-only and validated (metadata + CRC);
 	// on, the CRC is checked up front, tables serve queries zero-copy from the
@@ -82,10 +73,6 @@ type Config struct {
 	// background in query-heat order; off, the same clone runs before ALIVE —
 	// the paper's eager copy-in — and the CRC is checked over the clones.
 	InstantOn bool
-	// PromoteWorkers bounds the background promotion pool that copies
-	// shm-resident blocks heap-side after an instant-on restore. 0 resolves
-	// like CopyWorkers (runtime.GOMAXPROCS).
-	PromoteWorkers int
 	// DecodeCacheBytes budgets the per-table LRU of decoded columns that
 	// lets repeated queries (dashboards) skip LZ4/dictionary decode. 0
 	// disables the cache.
@@ -190,8 +177,7 @@ type ShutdownInfo struct {
 	// ToShm is false when the leaf shut down without shared memory
 	// (disk-only path).
 	ToShm bool
-	// Workers is the copy pool size the shutdown ran with (0 on the
-	// disk-only path).
+	// Workers is the pool size the shutdown ran with.
 	Workers int
 	// PerTable breaks the copy-out down by table, sorted by table name.
 	PerTable obs.Trace
@@ -239,14 +225,6 @@ type Leaf struct {
 	restart        *obs.Restart
 	firstAnswer    *obs.ActiveSpan
 	firstQueryOpen atomic.Bool
-
-	// copyBlockHook / restoreBlockHook are test-only fault-injection
-	// points, called before each block copy with the table name (and, on the
-	// way out, the block index); a non-nil return fails that worker's table
-	// mid-copy. Set them before Shutdown/Start — workers read them without
-	// synchronization.
-	copyBlockHook    func(table string, block int) error
-	restoreBlockHook func(table string) error
 }
 
 // ErrWALNeedsDiskRoot rejects a Config with WALDir set and DiskRoot empty:
@@ -307,14 +285,10 @@ func (l *Leaf) State() State {
 func (l *Leaf) Recovery() RecoveryInfo {
 	l.mu.Lock()
 	info := l.recovery
-	tbls := make([]*table.Table, 0, len(l.tables))
-	for _, t := range l.tables {
-		tbls = append(tbls, t)
-	}
 	l.mu.Unlock()
 	if info.Path == RecoveryShmView || info.ServedFromShm > 0 {
 		var resident int64
-		for _, t := range tbls {
+		for _, t := range l.tablesSorted() {
 			resident += int64(t.ForeignBlocks())
 		}
 		info.ServedFromShm = resident
@@ -365,149 +339,113 @@ func (l *Leaf) attachCache(name string, tbl *table.Table) {
 	tbl.SetEvictHook(c.InvalidateBlocks)
 }
 
-func (l *Leaf) dropAllTables() {
-	l.mu.Lock()
-	tables := l.tables
-	l.tables = make(map[string]*table.Table)
-	l.ingest = make(map[string]*sync.Mutex)
-	l.caches = make(map[string]*query.DecodeCache)
-	l.mu.Unlock()
-	// Tables still holding shm-resident blocks (an instant-on restore that
-	// failed partway, or a disk-bound shutdown before promotion drained)
-	// release their residency references here so the mappings unmap once the
-	// last in-flight scan finishes. The shm-backed Shutdown path drained all
-	// blocks through DropBlocksForShutdown already, so this sees none.
-	for _, t := range tables {
-		rowblock.ReleaseSources(t.Blocks())
-	}
-}
-
 // ---- Backup path (Figure 6) ----
 
 // Shutdown performs a clean shutdown through shared memory, implementing
 // Figure 6: flush to disk, copy every table to its segment (releasing heap
-// as it goes) with a pool of Config.CopyWorkers workers, set the valid bit,
-// and move the leaf to EXIT. After Shutdown returns the process can exec
-// its replacement. On failure no shared memory survives — the next start
-// recovers from disk. Every step is a span of a new restart ledger, which the
-// next process's Start continues.
-func (l *Leaf) Shutdown() (info ShutdownInfo, err error) {
-	r := l.cfg.Obs.Restart(obs.HalfShutdown)
-	info.ToShm = true
-	defer func() { info.fromSpans(r.Spans()) }()
-	if err = l.quiesce(r); err != nil {
-		return info, err
-	}
-
-	// Figure 6: create the leaf metadata with the valid bit false. It only
-	// becomes true after every table is safely in shared memory.
-	co := r.Begin(obs.PhaseCopyOut, "", -1)
-	md := &shm.Metadata{Valid: false, Version: shm.LayoutVersion, Created: l.cfg.Clock()}
-	if err = l.shm.WriteMetadata(md); err != nil {
-		co.End(err)
-		// The next start recovers from the store; make sure sealed-but-
-		// unpersisted blocks reach it and no stale shm survives.
-		l.flushBestEffort(l.tablesSorted())
-		l.shm.RemoveAll() //nolint:errcheck
-		return info, err
-	}
-	info.Workers, err = l.copyOutAll(r, l.tablesSorted(), md)
-	co.End(err)
-	if err != nil {
-		return info, err
-	}
-
-	// Figure 6: set valid bit to true — the commit point, written exactly
-	// once, after every worker has finished.
-	cm := r.Begin(obs.PhaseCommit, "", -1)
-	md.Valid = true
-	err = l.shm.WriteMetadata(md)
-	cm.End(err)
-	if err != nil {
-		// The valid bit never landed, so the segments are unreachable by
-		// the next start: free them and flush any disk stragglers (the
-		// per-table copies already synced, so this is belt and braces).
-		l.flushBestEffort(l.tablesSorted())
-		l.shm.RemoveAll() //nolint:errcheck
-		return info, err
-	}
-	ex := r.Begin(obs.PhaseExit, "", -1)
-	l.dropAllTables()
-	l.closeWAL()
-	err = l.transition(StateExit)
-	ex.End(err)
-	return info, err
-}
-
-// quiesce opens both shutdown paths: stop background promotion before
-// touching any table — a promotion mid-copy must not race the copy-out's
-// block drain — and stop accepting requests.
-func (l *Leaf) quiesce(r *obs.Restart) error {
-	sp := r.Begin(obs.PhaseQuiesce, "", -1)
-	l.stopPromoter()
-	err := l.transition(StateCopyToShm)
-	sp.End(err)
-	return err
-}
-
-// sealAndPersist takes one table through what both shutdown paths do before
-// its blocks leave the heap. PREPARE: reject new requests, kill deletes, wait
-// for in-flight adds and queries, seal pending rows (Figure 5c). Then finish
-// pending synchronization with the data on disk (§4.1): after this the
-// store's images tile the table, which is what lets the next process adopt
-// them instead of rewriting them.
-func (l *Leaf) sealAndPersist(r *obs.Restart, tbl *table.Table, worker int) error {
-	sp := r.Begin(obs.PhaseTableSeal, tbl.Name(), worker)
-	err := tbl.Prepare()
-	sp.End(err)
-	if err != nil || l.store == nil {
-		return err
-	}
-	sp = r.Begin(obs.PhaseTablePersist, tbl.Name(), worker)
-	_, err = l.persistTable(tbl)
-	sp.End(err)
-	return err
-}
-
-// closeWAL flushes and closes the write-ahead log on the clean shutdown
-// paths. The log files are intentionally left on disk: if the process
-// crashes before (or during) the next restore, the WAL still covers
-// everything the shm backup does.
-func (l *Leaf) closeWAL() {
-	if l.wal != nil {
-		l.walReady.Store(false)
-		l.wal.Close() //nolint:errcheck // shutdown teardown; appends already acked are synced
-	}
-}
+// as it goes) on the pool, set the valid bit, and move the leaf to EXIT. After
+// Shutdown returns the process can exec its replacement. On failure no shared
+// memory survives — the next start recovers from disk. Every step is a span of
+// a new restart ledger, which the next process's Start continues.
+func (l *Leaf) Shutdown() (ShutdownInfo, error) { return l.shutdown(true) }
 
 // ShutdownToDisk performs a clean shutdown without shared memory: flush all
 // tables to disk and exit. The next start recovers from disk. This is the
 // pre-paper upgrade path and the baseline in every restart experiment.
-func (l *Leaf) ShutdownToDisk() (info ShutdownInfo, err error) {
+func (l *Leaf) ShutdownToDisk() (ShutdownInfo, error) { return l.shutdown(false) }
+
+// shutdown is the one way out: every table sealed and persisted on the pool
+// and, toShm, copied out between the metadata's two writes.
+func (l *Leaf) shutdown(toShm bool) (info ShutdownInfo, err error) {
 	r := l.cfg.Obs.Restart(obs.HalfShutdown)
+	info.ToShm = toShm
 	defer func() { info.fromSpans(r.Spans()) }()
-	if err = l.quiesce(r); err != nil {
+	// Stop background promotion before touching any table — a promotion
+	// mid-copy must not race the copy-out's block drain — and stop accepting
+	// requests.
+	sp := r.Begin(obs.PhaseQuiesce, "", -1)
+	l.stopPromoter()
+	err = l.transition(StateCopyToShm)
+	sp.End(err)
+	if err != nil {
 		return info, err
 	}
-	for _, tbl := range l.tablesSorted() {
-		if err = l.sealAndPersist(r, tbl, 0); err != nil {
-			return info, err
-		}
-		if err = tbl.Transition(table.StateCopyToShm); err != nil {
-			return info, err
-		}
-		if err = tbl.Transition(table.StateDone); err != nil {
-			return info, err
+	tables := l.tablesSorted()
+	var b *backup
+	if toShm {
+		// Figure 6: create the leaf metadata with the valid bit false. It only
+		// becomes true after every table is safely in shared memory.
+		sp = r.Begin(obs.PhaseCopyOut, "", -1)
+		b = &backup{md: shm.Metadata{Version: shm.LayoutVersion, Created: l.cfg.Clock()}, gen: time.Now().UnixNano()}
+		err = l.shm.WriteMetadata(&b.md)
+	}
+	if err == nil {
+		heap := func(i int) int64 { return tables[i].Bytes() }
+		// The first failure stops the other workers, each closing the segment
+		// it was writing.
+		info.Workers, err = fanOut(context.Background(), true, len(tables), heap, func(ctx context.Context, worker, i int) error {
+			if err := l.shutdownTable(ctx, r, worker, tables[i], b); err != nil {
+				return fmt.Errorf("leaf: shutdown of %q: %w", tables[i].Name(), err)
+			}
+			return nil
+		})
+	}
+	if toShm {
+		sp.End(err)
+		if err == nil {
+			// Figure 6: set valid bit to true — the commit point, written
+			// exactly once, after every worker has finished.
+			sp = r.Begin(obs.PhaseCommit, "", -1)
+			b.md.Valid = true
+			err = l.shm.WriteMetadata(&b.md)
+			sp.End(err)
 		}
 	}
-	ex := r.Begin(obs.PhaseExit, "", -1)
-	// No shm data: make sure stale segments from older runs cannot be used.
-	if err = l.shm.RemoveAll(); err == nil {
-		l.dropAllTables()
-		l.closeWAL()
+	if err != nil {
+		// The one failure path. The valid bit never landed, so the next start
+		// recovers from the store, and every block that reaches it here is a
+		// block not lost: write whatever is still unpersisted, ignoring errors.
+		// Prepare seals the unsealed tail of tables the pool never reached (a
+		// no-op or error on tables already past PREPARE, which is fine — those
+		// synced before their copy began). And leave no shared memory behind,
+		// orphaned segments included.
+		if l.store != nil {
+			for _, tbl := range tables {
+				tbl.Prepare()       //nolint:errcheck
+				l.persistTable(tbl) //nolint:errcheck
+			}
+		}
+		l.shm.RemoveAll() //nolint:errcheck // best effort
+		return info, err
+	}
+	sp = r.Begin(obs.PhaseExit, "", -1)
+	if !toShm {
+		// No shm data: make sure stale segments from older runs cannot be used.
+		err = l.shm.RemoveAll()
+	}
+	if err == nil {
+		l.mu.Lock()
+		l.tables = make(map[string]*table.Table)
+		l.ingest = make(map[string]*sync.Mutex)
+		l.caches = make(map[string]*query.DecodeCache)
+		l.mu.Unlock()
+		// Tables still holding shm-resident blocks (a disk-bound shutdown
+		// before promotion drained) release their residency references here so
+		// the mappings unmap once the last in-flight scan finishes; copy-out
+		// drained every block through DropBlocksForShutdown already.
+		for _, t := range tables {
+			rowblock.ReleaseSources(t.Blocks())
+		}
+		if l.wal != nil {
+			// The log files are intentionally left on disk: if the process
+			// crashes before (or during) the next restore, the WAL still
+			// covers everything the shm backup does.
+			l.walReady.Store(false)
+			l.wal.Close() //nolint:errcheck // shutdown teardown; appends already acked are synced
+		}
 		err = l.transition(StateExit)
 	}
-	ex.End(err)
+	sp.End(err)
 	return info, err
 }
 
@@ -707,7 +645,7 @@ func (l *Leaf) queryTable(q *query.Query) (*query.Result, error) {
 		l.observeFirstQuery()
 		return &query.Result{}, nil
 	}
-	res, err := query.Execute(tbl, q, query.ExecOptions{Workers: l.cfg.ScanWorkers, Cache: dc, Metrics: l.queryRegistry()})
+	res, err := query.Execute(tbl, q, query.ExecOptions{Cache: dc, Metrics: l.queryRegistry()})
 	if err == nil {
 		l.observeFirstQuery()
 	}
@@ -850,14 +788,8 @@ type Stats struct {
 // Stats returns a snapshot. FreeMemory is the placement signal tailers ask
 // two random leaves for (§2).
 func (l *Leaf) Stats() Stats {
-	l.mu.Lock()
-	state := l.state
-	tbls := make([]*table.Table, 0, len(l.tables))
-	for _, t := range l.tables {
-		tbls = append(tbls, t)
-	}
-	l.mu.Unlock()
-	st := Stats{ID: l.cfg.ID, State: state, Tables: len(tbls)}
+	tbls := l.tablesSorted()
+	st := Stats{ID: l.cfg.ID, State: l.State(), Tables: len(tbls)}
 	for _, t := range tbls {
 		ts := t.Stats()
 		st.Blocks += ts.NumBlocks
@@ -877,13 +809,11 @@ func (l *Leaf) Stats() Stats {
 
 // Tables lists table names currently held by the leaf.
 func (l *Leaf) Tables() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	names := make([]string, 0, len(l.tables))
-	for name := range l.tables {
-		names = append(names, name)
+	tbls := l.tablesSorted()
+	names := make([]string, len(tbls))
+	for i, t := range tbls {
+		names[i] = t.Name()
 	}
-	sort.Strings(names)
 	return names
 }
 

@@ -232,7 +232,7 @@ func TestInfoIsAViewOfTheSpans(t *testing.T) {
 func TestSpansEndWhileRecoveryRenders(t *testing.T) {
 	e := newEnv(t)
 	cfg := e.config(0)
-	cfg.CopyWorkers = 4
+	setProcs(t, 4)
 	cfg.Obs, _ = newObserver(t, e, 0)
 	old := startLeaf(t, cfg)
 	for i := 0; i < 24; i++ {

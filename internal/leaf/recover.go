@@ -21,10 +21,10 @@ package leaf
 // the watermark.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"scuba/internal/disk"
 	"scuba/internal/fault"
@@ -107,41 +107,33 @@ func (l *Leaf) Start() error {
 	}
 	sp := r.Begin(phase, "", -1)
 	outcomes := make([]tableOutcome, len(names))
-	if len(names) > 0 {
-		info.Workers = l.copyWorkers(len(names))
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < info.Workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for idx := range jobs { // disjoint indices: no mutex needed
-				var seg *shm.SegmentInfo
-				if si, ok := segs[names[idx]]; ok {
-					seg = &si
-				}
-				outcomes[idx] = l.recoverTable(r, worker, names[idx], seg, logged[names[idx]])
-			}
-		}(w)
-	}
-	segSize := func(i int) int64 {
+	// A job's size is what it will read, by stat calls alone: the table's shm
+	// segment when it has one, else the store's image files plus the log's
+	// segments — so the crash path's pool, too, takes its largest table first.
+	size := func(i int) (n int64) {
 		if si, ok := segs[names[i]]; ok {
 			return l.shm.SegmentSize(si.Segment)
 		}
-		return 0
+		if l.store != nil {
+			n += l.store.Size(names[i])
+		}
+		if l.wal != nil {
+			n += l.wal.Size(names[i])
+		}
+		return n
 	}
-	for _, i := range largestFirst(len(names), segSize) {
-		jobs <- i
+	info.Workers, err = fanOut(context.Background(), false, len(names), size, func(_ context.Context, worker, i int) error {
+		si, hasSeg := segs[names[i]]
+		outcomes[i] = l.recoverTable(r, worker, names[i], si, hasSeg, logged[names[i]])
+		return outcomes[i].err
+	})
+	sp.End(err)
+	if err != nil {
+		return err
 	}
-	close(jobs)
-	wg.Wait()
 
 	var live []string
 	for _, o := range outcomes {
-		if err = o.err; err != nil {
-			break
-		}
 		info.PerTablePath = append(info.PerTablePath, o.path)
 		if o.quarantined {
 			info.Quarantined++
@@ -151,10 +143,6 @@ func (l *Leaf) Start() error {
 		if o.view != nil {
 			live = append(live, o.view.SegmentName())
 		}
-	}
-	sp.End(err)
-	if err != nil {
-		return err
 	}
 	// With no table to read a path off, the leaf took the path its source
 	// decided: a valid (empty) shm backup, or the exception edge to disk.
@@ -314,14 +302,14 @@ func leafPath(tables []TableRecovery) RecoveryPath {
 
 // recoverTable brings one table back from the best source that validates,
 // installs it, and leaves its log matching it, each step a span on this
-// pool worker. seg is the table's shm segment when this start may use shm;
-// logged says the table has a log.
-func (l *Leaf) recoverTable(r *obs.Restart, worker int, name string, seg *shm.SegmentInfo, logged bool) tableOutcome {
+// pool worker. seg is the table's shm segment, given hasSeg: this start may use
+// shm and the backup holds the table; logged says the table has a log.
+func (l *Leaf) recoverTable(r *obs.Restart, worker int, name string, seg shm.SegmentInfo, hasSeg, logged bool) tableOutcome {
 	o := tableOutcome{path: TableRecovery{Table: name}}
 	tbl := table.NewRecovering(name, l.cfg.Table)
 	var err error
-	if seg != nil {
-		if err = l.takeFromShm(r, worker, tbl, *seg, &o); err == nil {
+	if hasSeg {
+		if err = l.takeFromShm(r, worker, tbl, seg, &o); err == nil {
 			l.install(name, tbl)
 		} else {
 			// A corrupt or unreadable segment quarantines only its own table to
@@ -331,7 +319,7 @@ func (l *Leaf) recoverTable(r *obs.Restart, worker int, name string, seg *shm.Se
 			tbl = table.NewRecovering(name, l.cfg.Table)
 		}
 	}
-	if seg == nil || err != nil {
+	if !hasSeg || err != nil {
 		err = l.loadFromStore(r, worker, tbl, logged, &o)
 	}
 	if err != nil {
@@ -455,11 +443,6 @@ func (l *Leaf) cloneBlock(name string, rb *rowblock.RowBlock, verify bool) (*row
 		return nil, fmt.Errorf("leaf: %s: segment view already drained", name)
 	}
 	defer src.Release()
-	if h := l.restoreBlockHook; h != nil {
-		if err := h(name); err != nil {
-			return nil, err
-		}
-	}
 	if err := fault.Inject(fault.SiteShmCopyIn); err != nil {
 		return nil, fmt.Errorf("leaf: %s: copy in: %w", name, err)
 	}

@@ -26,7 +26,7 @@ func TestDecodeCacheHitsOnRepeat(t *testing.T) {
 		GroupBy:      []string{"service"},
 		Aggregations: []Aggregation{{Op: AggAvg, Column: "latency"}},
 	}
-	cold, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc})
+	cold, err := executeOn(1, tbl, q, ExecOptions{Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestDecodeCacheHitsOnRepeat(t *testing.T) {
 		t.Errorf("cold misses = %d, want 6", misses)
 	}
 
-	warm, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc})
+	warm, err := executeOn(1, tbl, q, ExecOptions{Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDecodeCacheEviction(t *testing.T) {
 		GroupBy:      []string{"service"},
 		Aggregations: []Aggregation{{Op: AggAvg, Column: "latency"}},
 	}
-	if _, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc}); err != nil {
+	if _, err := executeOn(1, tbl, q, ExecOptions{Cache: dc}); err != nil {
 		t.Fatal(err)
 	}
 	_, bytes := dc.Stats()
@@ -90,7 +90,7 @@ func TestDecodeCacheSkipsUnsealed(t *testing.T) {
 	dc := NewDecodeCache(64<<20, nil)
 	q := &Query{Table: "events", From: 0, To: 1 << 40,
 		GroupBy: []string{"service"}, Aggregations: []Aggregation{{Op: AggCount}}}
-	if _, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc}); err != nil {
+	if _, err := executeOn(1, tbl, q, ExecOptions{Cache: dc}); err != nil {
 		t.Fatal(err)
 	}
 	if entries, _ := dc.Stats(); entries != 0 {
@@ -117,7 +117,7 @@ func TestDecodeCacheInvalidateOnExpire(t *testing.T) {
 	}
 	q := &Query{Table: "events", From: 0, To: 1 << 40,
 		GroupBy: []string{"service"}, Aggregations: []Aggregation{{Op: AggCount}}}
-	if _, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc}); err != nil {
+	if _, err := executeOn(1, tbl, q, ExecOptions{Cache: dc}); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := dc.Stats()
@@ -138,7 +138,7 @@ func TestDecodeCacheInvalidateOnExpire(t *testing.T) {
 		t.Errorf("expire did not invalidate cache: %d -> %d entries", before, after)
 	}
 	// The survivor's entries are still valid and queryable.
-	res, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc})
+	res, err := executeOn(1, tbl, q, ExecOptions{Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,12 +33,9 @@ var (
 	_ Block = (*rowblock.UnsealedView)(nil)
 )
 
-// ExecOptions tune one execution. The zero value sizes the scan pool to
-// GOMAXPROCS with no cross-query cache and no metrics.
+// ExecOptions tune one execution. The zero value has no cross-query cache and
+// no metrics.
 type ExecOptions struct {
-	// Workers bounds the sealed-block scan pool. 0 or negative means
-	// GOMAXPROCS; 1 scans serially on the calling goroutine.
-	Workers int
 	// Cache, when non-nil, holds decoded columns across queries (shared by
 	// every query against the same table; safe for concurrent use).
 	Cache *DecodeCache
@@ -88,11 +85,9 @@ func execute(tbl *table.Table, q *Query, opts ExecOptions) (*Result, error) {
 	// in-flight queries before releasing block columns, so workers must not
 	// outlive the gate.
 	err := tbl.ScanView(q.From, q.To, func(v table.View) error {
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		workers = max(min(workers, len(v.Blocks)), 1)
+		// The scan pool is the cores this process was given, at most one
+		// worker a block; one worker scans on the calling goroutine.
+		workers := max(min(runtime.GOMAXPROCS(0), len(v.Blocks)), 1)
 		scanners := make([]*scanner, workers)
 		for w := range scanners {
 			scanners[w] = newScanner(p, opts.Cache)

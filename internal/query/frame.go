@@ -41,6 +41,7 @@ import (
 	"math"
 	"slices"
 
+	"scuba/internal/codec"
 	"scuba/internal/rowblock"
 )
 
@@ -124,7 +125,7 @@ func (r *Result) AppendFrame(dst []byte) ([]byte, error) {
 		}
 		dst = append(dst, shape)
 		for i := range groups {
-			dst = binary.AppendUvarint(dst, rowblock.Zigzag(groups[i].Aggs[ai].Count))
+			dst = binary.AppendUvarint(dst, codec.ZigZag(groups[i].Aggs[ai].Count))
 		}
 		for i := range groups {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(groups[i].Aggs[ai].Sum))

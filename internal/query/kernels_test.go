@@ -318,11 +318,11 @@ func FuzzScanKernels(f *testing.F) {
 		}
 		sealed := c.table(t, true)
 		for _, workers := range []int{1, 4} {
-			got, err := Execute(sealed, c.q, ExecOptions{Workers: workers})
+			got, err := executeOn(workers, sealed, c.q, ExecOptions{})
 			check(fmt.Sprintf("sealed, %d workers, no cache", workers), got, err)
 			dc := NewDecodeCache(8<<20, nil)
 			for _, state := range []string{"cold", "warm"} {
-				got, err := Execute(sealed, c.q, ExecOptions{Workers: workers, Cache: dc})
+				got, err := executeOn(workers, sealed, c.q, ExecOptions{Cache: dc})
 				check(fmt.Sprintf("sealed, %d workers, %s cache", workers, state), got, err)
 			}
 		}
@@ -366,7 +366,7 @@ func TestScanAllocsPerBlock(t *testing.T) {
 			}
 		}
 		run := func() {
-			res, err := Execute(tbl, q, ExecOptions{Workers: 1})
+			res, err := executeOn(1, tbl, q, ExecOptions{})
 			if err != nil || len(res.Groups) != groups || res.RowsScanned != int64(blocks*perBlock) {
 				t.Fatalf("scan: %v, %d groups, %d rows", err, len(res.Groups), res.RowsScanned)
 			}
@@ -409,7 +409,7 @@ func TestTupleTableAcrossBlocks(t *testing.T) {
 	}
 	q := &Query{Table: "k", From: 0, To: 1 << 40, GroupBy: []string{"s"},
 		Aggregations: []Aggregation{{Op: AggCount}, {Op: AggSum, Column: "v"}}}
-	got, err := Execute(tbl, q, ExecOptions{Workers: 1})
+	got, err := executeOn(1, tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestRenumberedTuplesAcrossBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			got, err := Execute(tbl, q, ExecOptions{Workers: workers})
+			got, err := executeOn(workers, tbl, q, ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -513,7 +513,7 @@ func TestGroupByWideTuples(t *testing.T) {
 	} {
 		q.Table, q.From, q.To = "k", -1<<40, 1<<40
 		q.Aggregations = []Aggregation{{Op: AggCount}, {Op: AggSum, Column: "n"}, {Op: AggCountDistinct, Column: "s1"}}
-		got, err := Execute(tbl, q, ExecOptions{Workers: 1})
+		got, err := executeOn(1, tbl, q, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +551,7 @@ func TestCountDistinctPastBitmap(t *testing.T) {
 	}
 	q := &Query{Table: "k", From: 0, To: 1 << 40, GroupBy: []string{"id"},
 		Aggregations: []Aggregation{{Op: AggCountDistinct, Column: "s"}}}
-	got, err := Execute(tbl, q, ExecOptions{Workers: 1})
+	got, err := executeOn(1, tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

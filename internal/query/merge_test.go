@@ -94,7 +94,7 @@ func TestMergeIsReferenceOverTheWhole(t *testing.T) {
 			if err := tbl.AddRows(rows[len(rows)/2:], 1); err != nil {
 				t.Fatal(err)
 			}
-			if partials[p], err = Execute(tbl, c.q, ExecOptions{Workers: 1 + p%2}); err != nil {
+			if partials[p], err = executeOn(1+p%2, tbl, c.q, ExecOptions{}); err != nil {
 				t.Fatalf("seed %d part %d: %v (the reference answers the whole)", seed, p, err)
 			}
 			checkGroups(t, fmt.Sprintf("seed %d part %d", seed, p), partials[p])

@@ -165,7 +165,7 @@ func TestPartiallyAbsentColumn(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
-				res, err := Execute(tbl, tc.q, ExecOptions{Workers: workers})
+				res, err := executeOn(workers, tbl, tc.q, ExecOptions{})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

@@ -17,7 +17,7 @@ func TestPhaseTimesRecorded(t *testing.T) {
 		GroupBy:      []string{"service"},
 		Aggregations: []Aggregation{{Op: AggAvg, Column: "latency"}},
 	}
-	res, err := Execute(tbl, q, ExecOptions{Workers: 2})
+	res, err := executeOn(2, tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestPhaseTimesPrunedQuery(t *testing.T) {
 		// latency is always in [0,19]; this filter can never match.
 		Filters: []Filter{{Column: "latency", Op: OpGt, Int: 1000, Float: 1000}},
 	}
-	res, err := Execute(tbl, q, ExecOptions{Workers: 1})
+	res, err := executeOn(1, tbl, q, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestResultCacheCountersMatchRegistry(t *testing.T) {
 		GroupBy:      []string{"service"},
 		Aggregations: []Aggregation{{Op: AggAvg, Column: "latency"}},
 	}
-	cold, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc})
+	cold, err := executeOn(1, tbl, q, ExecOptions{Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestResultCacheCountersMatchRegistry(t *testing.T) {
 		t.Error("cold run reported no misses")
 	}
 
-	warm, err := Execute(tbl, q, ExecOptions{Workers: 1, Cache: dc})
+	warm, err := executeOn(1, tbl, q, ExecOptions{Cache: dc})
 	if err != nil {
 		t.Fatal(err)
 	}

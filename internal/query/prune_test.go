@@ -263,7 +263,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			Aggregations: []Aggregation{{Op: AggMax, Column: "status"}}},
 	}
 	for qi, q := range queries {
-		serial, err := Execute(tbl, q, ExecOptions{Workers: 1})
+		serial, err := executeOn(1, tbl, q, ExecOptions{})
 		if err != nil {
 			t.Fatalf("query %d serial: %v", qi, err)
 		}
@@ -275,7 +275,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Errorf("query %d serial: rows %+v, reference %+v", qi, serial.Rows(q), ref.Rows(q))
 		}
 		for _, workers := range []int{2, 4, 8} {
-			par, err := Execute(tbl, q, ExecOptions{Workers: workers})
+			par, err := executeOn(workers, tbl, q, ExecOptions{})
 			if err != nil {
 				t.Fatalf("query %d workers=%d: %v", qi, workers, err)
 			}
@@ -302,7 +302,7 @@ func TestParallelErrorPropagates(t *testing.T) {
 		Filters:      []Filter{{Column: "status", Op: OpContains, Str: "x"}},
 		Aggregations: []Aggregation{{Op: AggCount}},
 	}
-	if _, err := Execute(tbl, q, ExecOptions{Workers: 4}); err == nil {
+	if _, err := executeOn(4, tbl, q, ExecOptions{}); err == nil {
 		t.Fatalf("worker error swallowed")
 	}
 }

@@ -3,12 +3,21 @@ package query
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"scuba/internal/rowblock"
 	"scuba/internal/table"
 )
+
+// executeOn is Execute with a scan pool of the given size: the pool is the
+// process's GOMAXPROCS, which the tests here can steer because none of them
+// is t.Parallel.
+func executeOn(workers int, tbl *table.Table, q *Query, opts ExecOptions) (*Result, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	return Execute(tbl, q, opts)
+}
 
 // fixtureTable builds a table with 3 blocks x 100 rows of service logs.
 // Rows have time = 1000+i, service in {web,ads,search}, latency = i%20,

@@ -21,6 +21,7 @@ import (
 	"math"
 	"slices"
 
+	"scuba/internal/codec"
 	"scuba/internal/layout"
 )
 
@@ -37,7 +38,7 @@ func AppendRowPayload(dst []byte, r Row) ([]byte, error) {
 		names = append(names, name)
 	}
 	slices.Sort(names)
-	dst = binary.AppendUvarint(dst, Zigzag(r.Time))
+	dst = binary.AppendUvarint(dst, codec.ZigZag(r.Time))
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for _, name := range names {
 		v := r.Cols[name]
@@ -46,7 +47,7 @@ func AppendRowPayload(dst []byte, r Row) ([]byte, error) {
 		dst = append(dst, byte(v.Type))
 		switch v.Type {
 		case layout.TypeInt64, layout.TypeTime:
-			dst = binary.AppendUvarint(dst, Zigzag(v.Int))
+			dst = binary.AppendUvarint(dst, codec.ZigZag(v.Int))
 		case layout.TypeFloat64:
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float))
 		case layout.TypeString:
@@ -94,7 +95,7 @@ func DecodeRowPayload(b []byte) (Row, int, error) {
 	if err != nil {
 		return Row{}, 0, err
 	}
-	row := Row{Time: Unzigzag(tu), Cols: make(map[string]Value, ncols)}
+	row := Row{Time: codec.UnZigZag(tu), Cols: make(map[string]Value, ncols)}
 	for c := 0; c < ncols; c++ {
 		name, err := r.Str()
 		if err != nil {
@@ -111,7 +112,7 @@ func DecodeRowPayload(b []byte) (Row, int, error) {
 			if err != nil {
 				return Row{}, 0, err
 			}
-			v.Int = Unzigzag(u)
+			v.Int = codec.UnZigZag(u)
 		case layout.TypeFloat64:
 			f, err := r.Bytes(8)
 			if err != nil {

@@ -12,19 +12,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"scuba/internal/codec"
 )
 
 // frameOverhead is magic + version + CRC.
 const frameOverhead = 4 + 1 + 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Zigzag maps a signed value to the unsigned one a varint stores: small
-// magnitudes of either sign stay short.
-func Zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// Unzigzag undoes Zigzag.
-func Unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // AppendFrameHeader starts a frame: the magic and the version.
 func AppendFrameHeader(dst []byte, magic uint32, version byte) []byte {
@@ -59,7 +54,7 @@ func OpenFrame(frame []byte, magic uint32, version byte) (Reader, error) {
 // AppendInts appends a vector of zigzag varints.
 func AppendInts(dst []byte, vals []int64) []byte {
 	for _, v := range vals {
-		dst = binary.AppendUvarint(dst, Zigzag(v))
+		dst = binary.AppendUvarint(dst, codec.ZigZag(v))
 	}
 	return dst
 }
@@ -134,7 +129,7 @@ func (r *Reader) Uvarint() (uint64, error) {
 // Int reads one zigzag varint.
 func (r *Reader) Int() (int64, error) {
 	u, err := r.Uvarint()
-	return Unzigzag(u), err
+	return codec.UnZigZag(u), err
 }
 
 // Count reads a uvarint that announces how many items follow, each at least

@@ -32,29 +32,20 @@ func checksumParallel(b []byte) uint32 {
 		return crc32.Checksum(b, segCRCTable)
 	}
 	chunk := (len(b) + workers - 1) / workers
+	part := func(i int) []byte { return b[i*chunk : min((i+1)*chunk, len(b))] }
 	crcs := make([]uint32, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(b) {
-			hi = len(b)
-		}
 		wg.Add(1)
-		go func(i, lo, hi int) {
+		go func(i int) {
 			defer wg.Done()
-			crcs[i] = crc32.Checksum(b[lo:hi], segCRCTable)
-		}(i, lo, hi)
+			crcs[i] = crc32.Checksum(part(i), segCRCTable)
+		}(i)
 	}
 	wg.Wait()
 	crc := crcs[0]
 	for i := 1; i < workers; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(b) {
-			hi = len(b)
-		}
-		crc = crc32Combine(crc, crcs[i], int64(hi-lo))
+		crc = crc32Combine(crc, crcs[i], int64(len(part(i))))
 	}
 	return crc
 }

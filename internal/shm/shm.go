@@ -273,30 +273,9 @@ func (m *Manager) Invalidate() error {
 	return m.WriteMetadata(md)
 }
 
-// RemoveAll deletes the metadata and every segment it references, plus any
-// orphaned segment files with this leaf's prefix.
-func (m *Manager) RemoveAll() error {
-	var firstErr error
-	if md, err := m.ReadMetadata(); err == nil {
-		for _, s := range md.Segments {
-			if err := m.RemoveSegment(s.Segment); err != nil && !errors.Is(err, ErrSegmentGone) && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	prefix := fmt.Sprintf("%s-leaf%d-", m.namespace, m.leafID)
-	entries, err := os.ReadDir(m.dir)
-	if err == nil {
-		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), prefix) {
-				if err := os.Remove(filepath.Join(m.dir, e.Name())); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-	}
-	return firstErr
-}
+// RemoveAll deletes every file with this leaf's prefix: the metadata, the
+// segments it names and any orphaned ones.
+func (m *Manager) RemoveAll() error { return m.sweep(nil) }
 
 // RemoveMetadata deletes only the leaf metadata file, leaving segment files
 // in place. The instant-on restore path uses it: segments stay mapped (and
@@ -316,19 +295,24 @@ func (m *Manager) RemoveMetadata() error {
 // calls it after mapping the current generation's views, sweeping orphans
 // left by a previous generation that exited before its views drained.
 func (m *Manager) RemoveOtherSegments(keep []string) error {
-	keepName := make(map[string]bool, len(keep)+1)
-	keepName[filepath.Base(m.metadataPath())] = true
+	keepName := map[string]bool{filepath.Base(m.metadataPath()): true}
 	for _, k := range keep {
 		keepName[filepath.Base(m.segmentPath(k))] = true
 	}
+	return m.sweep(keepName)
+}
+
+// sweep removes this leaf's files but the kept ones and returns the first
+// failure; a directory that is not there holds nothing to remove.
+func (m *Manager) sweep(keep map[string]bool) error {
 	prefix := fmt.Sprintf("%s-leaf%d-", m.namespace, m.leafID)
 	entries, err := os.ReadDir(m.dir)
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	var firstErr error
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), prefix) && !keepName[e.Name()] {
+		if strings.HasPrefix(e.Name(), prefix) && !keep[e.Name()] {
 			if err := os.Remove(filepath.Join(m.dir, e.Name())); err != nil && firstErr == nil {
 				firstErr = err
 			}

@@ -587,6 +587,9 @@ func (l *Log) Quarantined(table string) bool {
 // its table trivially.
 func (l *Log) Tables() ([]string, error) { return disk.TableDirs(l.dir) }
 
+// Size is the bytes of one table's log segments, by the directory listing.
+func (l *Log) Size(table string) int64 { return disk.DirSize(l.tableDir(table)) }
+
 // ResetTable discards one table's log (the table was restored without it,
 // so the old log no longer matches memory) and re-creates it empty with the
 // cursor at next.

@@ -4,7 +4,8 @@ package scuba_test
 // trace ID carried across the process boundary in the flight-recorder ring)
 // and a crash restart (start half only) each land in __system.traces as one
 // trace, read back here through the aggregator, and the top-level span
-// durations read back sum to the gap this test measured with its own clock.
+// durations read back sum to no more than the gap this test measured with its
+// own clock.
 // So is a query: its root and its per-leaf spans are rows of the same table
 // under the same columns, read back the same way.
 
@@ -139,17 +140,17 @@ func TestRestartTraceInSystemTraces(t *testing.T) {
 		}
 		return out
 	}
-	// The ledger's spans may fall short of this test's clock by a tenth or by
-	// 3 ms, whichever is more. The clock runs past what a leaf's ledger can
-	// cover: its last span ends when the leaf has executed its first query,
-	// and the answer then crosses two connections that carry their first
-	// reply (gob describes Response's types once per connection) and an
-	// aggregator's merge before the client has it — 0.7 to 1.7 ms measured,
-	// of a start that a warm host finishes in 15.
+	// The spans read back never exceed this test's clock, and that is all this
+	// test asks of the sum. The clock runs past what a leaf's ledger can cover —
+	// its last span ends when the leaf has executed its first query, and the
+	// answer then crosses two connections that carry their first reply and an
+	// aggregator's merge, 0.7 to 1.7 ms on a quiet host and any length under a
+	// stall — so how little may go uncovered is measured inside the process,
+	// by internal/leaf's TestRestartTraceAccountsForTheGap.
 	within := func(what string, got, want time.Duration) {
 		t.Helper()
-		if got > want || want-got > max(want/10, 3*time.Millisecond) {
-			t.Errorf("%s: spans read back from __system.traces sum to %v, this test's clock says %v: want within 10 %% or 3 ms", what, got, want)
+		if got <= 0 || got > want {
+			t.Errorf("%s: spans read back from __system.traces sum to %v, this test's clock says %v: want no more", what, got, want)
 		} else {
 			t.Logf("%s: %v of %v (%.1f %%)", what, got, want, 100*float64(got)/float64(want))
 		}
