@@ -25,7 +25,6 @@ import (
 	"scuba/internal/obs"
 	"scuba/internal/profile"
 	"scuba/internal/rowblock"
-	"scuba/internal/shard"
 	"scuba/internal/wire"
 )
 
@@ -41,7 +40,6 @@ func main() {
 		replication = flag.Int("replication", 0, "shard replication factor R: each shard lives on R leaves and queries fail over to a replica while the primary restarts (0 = unsharded full fan-out)")
 		numShards   = flag.Int("num-shards", 0, "shards per table under -replication (0 = 2x leaf count)")
 		machineSpec = flag.String("machines", "", "comma-separated machine index per leaf (parallel to -leaves) so shard replicas land on distinct machines; '' = every leaf its own machine")
-		scrapeEach  = flag.Duration("scrape-interval", 0, "cluster scrape period: pull every leaf's metrics snapshot into __system.leaf_metrics (0 disables)")
 		telemetry   = flag.Duration("telemetry-interval", 0, "self-telemetry period: snapshot this aggregator's own metrics and query spans into __system tables (0 disables)")
 		profEvery   = flag.Duration("profile-interval", time.Minute, "continuous profiler steady cadence: capture a CPU window + heap delta into __system.profiles (0 disables; slow queries also trigger tagged captures)")
 		profMutex   = flag.Bool("profile-contention", false, "enable mutex/block profiling so /debug/pprof/mutex and /debug/pprof/block return real data")
@@ -72,14 +70,14 @@ func main() {
 	}
 
 	// Self-telemetry (Scuba-on-Scuba): the aggregator's own metric
-	// snapshots and query spans — plus the cluster scrape rows below — are
-	// delivered into __system tables through the first leaf that will take
-	// them, and served back out over the ordinary query path. The sink
-	// refuses the spans of __system-table queries, so telemetry queries
+	// snapshots and query spans are delivered into __system tables through
+	// the first leaf that will take them, and served back out over the
+	// ordinary query path; each leaf's own sink writes that leaf's facts. The
+	// sink refuses the spans of __system-table queries, so telemetry queries
 	// never generate telemetry.
 	ob := obs.New(reg, nil)
 	var sink *obs.Sink
-	if *scrapeEach > 0 || *telemetry > 0 || *profEvery > 0 {
+	if *telemetry > 0 || *profEvery > 0 {
 		emit := func(table string, rows []rowblock.Row) error {
 			var lastErr error
 			for _, c := range clients {
@@ -131,7 +129,6 @@ func main() {
 	agg.LeafTimeout = *leafTimeout
 	agg.Tracer = tracer
 	agg.Labels = addrs
-	var router *shard.Router
 	if *replication > 0 {
 		var machines []int
 		if *machineSpec != "" {
@@ -146,24 +143,8 @@ func main() {
 				log.Fatalf("scuba-aggd: -machines lists %d entries for %d leaves", len(machines), len(addrs))
 			}
 		}
-		router = wire.ShardRouting(agg, addrs, machines, *replication, *numShards)
+		router := wire.ShardRouting(agg, addrs, machines, *replication, *numShards)
 		log.Printf("shard routing on: %s", router.Map())
-	}
-	if *scrapeEach > 0 {
-		scrapeTargets := make([]wire.ScrapeTarget, len(addrs))
-		for i, a := range addrs {
-			scrapeTargets[i] = wire.ScrapeTarget{Name: a, Client: clients[i]}
-		}
-		scraper := wire.StartScraper(wire.ScraperConfig{
-			Leaves:   scrapeTargets,
-			Sink:     sink,
-			Router:   router,
-			Interval: *scrapeEach,
-			Source:   *addr,
-			Registry: reg,
-		})
-		defer scraper.Stop()
-		log.Printf("cluster scraper on: %d leaves into %s every %v", len(addrs), obs.SystemLeafMetricsTable, *scrapeEach)
 	}
 	srv, err := wire.NewAggServerOver(agg, *addr)
 	if err != nil {

@@ -1,17 +1,18 @@
 package main
 
 // scuba-cli health renders live cluster health from the cluster's own
-// self-telemetry: the __system.leaf_metrics rows the aggregator's scraper
-// ingests, queried back through that same aggregator. There is no side
-// channel — if health renders, the whole Scuba-on-Scuba loop (scrape →
-// sink → leaf ingest → fan-out query) is working.
+// self-telemetry: each leaf's newest __system.metrics snapshot, written by
+// that leaf's own sink and queried back through the aggregator, beside the
+// aggregator's shard map. There is no side channel — if health renders, the
+// whole Scuba-on-Scuba loop (snapshot → sink → leaf ingest → fan-out query)
+// is working.
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -22,7 +23,7 @@ import (
 
 func runHealth(args []string) {
 	fs := flag.NewFlagSet("health", flag.ExitOnError)
-	aggAddr := fs.String("agg", "127.0.0.1:9001", "aggregator address (must run with -scrape-interval)")
+	aggAddr := fs.String("agg", "127.0.0.1:9001", "aggregator address (its leaves must run with -telemetry-interval)")
 	window := fs.Duration("window", 2*time.Minute, "how far back to look for telemetry rows")
 	watch := fs.Duration("watch", 0, "top-style refresh period (0 = render once)")
 	format := fs.String("format", "table", "output format: table or json (json implies -watch 0)")
@@ -63,8 +64,9 @@ func runHealth(args []string) {
 	}
 }
 
-// leafHealth is the newest __system.leaf_metrics scrape for one leaf. The
-// JSON tags shape `health -format json` output for scripts and dashboards.
+// leafHealth is one leaf's newest __system.metrics snapshot and its status in
+// the shard map. The JSON tags shape `health -format json` output for scripts
+// and dashboards.
 type leafHealth struct {
 	Leaf        string  `json:"leaf"`
 	Status      string  `json:"status"`
@@ -93,46 +95,41 @@ type healthReport struct {
 	SlowQueries   float64 `json:"slow_queries"`
 }
 
-// gatherHealth pulls the newest per-leaf scrape rows and coverage counters —
+// gatherHealth reads every leaf's newest snapshot and the coverage counters —
 // the shared source for both the table and JSON renderings.
 func gatherHealth(c *scuba.Client, aggAddr string, window time.Duration) (*healthReport, error) {
 	now := time.Now().Unix()
 	from := now - int64(window/time.Second)
 
 	q := &scuba.Query{
-		Table:   scuba.SystemLeafMetricsTable,
-		From:    from,
-		To:      now + 1,
-		GroupBy: []string{"leaf", "status", "recovery"},
-		Aggregations: []scuba.Aggregation{
-			{Op: scuba.AggMax, Column: "rows"},
-			{Op: scuba.AggMax, Column: "queries"},
-			{Op: scuba.AggMax, Column: "query_errors"},
-			{Op: scuba.AggMax, Column: "decode_cache_hits"},
-			{Op: scuba.AggMax, Column: "decode_cache_misses"},
-			{Op: scuba.AggMax, Column: "free_memory"},
-			{Op: scuba.AggMax, Column: "quarantined"},
-		},
-		Limit: 10000,
+		Table:             scuba.SystemMetricsTable,
+		From:              from,
+		To:                now + 1,
+		GroupBy:           []string{"source", "name"},
+		TimeBucketSeconds: 1,
+		Aggregations:      []scuba.Aggregation{{Op: scuba.AggMax, Column: "value"}},
 	}
 	res, err := c.Query(q)
 	if err != nil {
-		return nil, fmt.Errorf("querying %s through %s: %w", scuba.SystemLeafMetricsTable, aggAddr, err)
+		return nil, fmt.Errorf("querying %s through %s: %w", scuba.SystemMetricsTable, aggAddr, err)
 	}
-
-	// A leaf whose status or recovery path changed inside the window shows
-	// up once per combination; the scrape with the most queries observed is
-	// the newest (counters are cumulative), so it wins.
-	newest := map[string]leafHealth{}
+	// Rows come in time order, so a source's newest second replaces what its
+	// older ones said. Newest by time, not by the largest counter: a restarted
+	// leaf's counters start again at zero.
+	second := map[string]string{}
+	snaps := map[string]map[string]float64{}
 	for _, row := range res.Rows(q) {
-		h := leafHealth{
-			Leaf: row.Key[0], Status: row.Key[1], Recovery: row.Key[2],
-			Rows: row.Values[0], Queries: row.Values[1], QueryErrors: row.Values[2],
-			CacheHits: row.Values[3], CacheMisses: row.Values[4], FreeBytes: row.Values[5],
-			Quarantined: row.Values[6] > 0,
+		if source := row.Key[1]; second[source] != row.Key[0] {
+			second[source], snaps[source] = row.Key[0], map[string]float64{}
 		}
-		if prev, ok := newest[h.Leaf]; !ok || h.Queries >= prev.Queries {
-			newest[h.Leaf] = h
+		snaps[row.Key[1]][row.Key[2]] = row.Values[0]
+	}
+	// The shard map says which leaves serve; an aggregator that does not
+	// route by shard has none, and every leaf it reaches is ACTIVE.
+	status := map[string]string{}
+	if m, sts, _, err := c.ShardMap(); err == nil {
+		for i := range min(len(m.Leaves), len(sts)) {
+			status[m.Leaves[i].Name] = sts[i].String()
 		}
 	}
 	rep := &healthReport{
@@ -145,20 +142,34 @@ func gatherHealth(c *scuba.Client, aggAddr string, window time.Duration) (*healt
 		TracedQueries:  -1,
 		SlowQueries:    -1,
 	}
-	for _, h := range newest {
+	for source, m := range snaps {
+		if _, leaf := m["leaf_rows"]; !leaf {
+			// An aggregator's own snapshot: its trace counters, written with
+			// scuba-aggd -telemetry-interval.
+			if n, ok := m["trace_count"]; ok {
+				rep.TracedQueries = max(rep.TracedQueries, 0) + n
+				rep.SlowQueries = max(rep.SlowQueries, 0) + m["trace_slow"]
+			}
+			continue
+		}
+		h := leafHealth{
+			Leaf: source, Status: cmp.Or(status[source], "ACTIVE"),
+			Rows: m["leaf_rows"], Queries: m["query_exec_count"], QueryErrors: m["query_exec_errors"],
+			CacheHits: m["query_decode_cache_hits"], CacheMisses: m["query_decode_cache_misses"],
+			FreeBytes: m["leaf_free_memory"], Quarantined: m["leaf_quarantined"] > 0,
+		}
+		for _, p := range []scuba.RecoveryPath{scuba.RecoveryNone, scuba.RecoveryMemory,
+			scuba.RecoveryShmView, scuba.RecoveryMixed, scuba.RecoveryWAL, scuba.RecoveryDisk} {
+			if m["leaf_recovery_"+scuba.CanonicalMetricName(string(p))] > 0 {
+				h.Recovery = string(p)
+			}
+		}
 		rep.Leaves = append(rep.Leaves, h)
 		if h.Status == "ACTIVE" {
 			rep.Active++
 		}
 	}
 	sort.Slice(rep.Leaves, func(i, j int) bool { return rep.Leaves[i].Leaf < rep.Leaves[j].Leaf })
-
-	slow := maxMetric(c, from, now, "trace_slow")
-	total := maxMetric(c, from, now, "trace_count")
-	if !math.IsNaN(slow) && !math.IsNaN(total) {
-		rep.TracedQueries = total
-		rep.SlowQueries = slow
-	}
 	return rep, nil
 }
 
@@ -171,8 +182,8 @@ func renderHealth(w *os.File, c *scuba.Client, aggAddr string, window time.Durat
 	fmt.Fprintf(w, "cluster health via %s (window %v, %s)\n\n",
 		aggAddr, window, time.Unix(rep.GeneratedAt, 0).Format("15:04:05"))
 	if len(rep.Leaves) == 0 {
-		fmt.Fprintf(w, "no %s rows in the last %v — is scuba-aggd running with -scrape-interval?\n",
-			scuba.SystemLeafMetricsTable, window)
+		fmt.Fprintf(w, "no leaf snapshots in %s in the last %v — do the leaves run with -telemetry-interval?\n",
+			scuba.SystemMetricsTable, window)
 		return nil
 	}
 
@@ -193,7 +204,7 @@ func renderHealth(w *os.File, c *scuba.Client, aggAddr string, window time.Durat
 	fmt.Fprintf(w, "\nleaves: %d/%d active, %d/%d answered this query (%.0f%% of data)\n",
 		rep.Active, len(rep.Leaves), rep.LeavesAnswered, rep.LeavesTotal, 100*rep.Coverage)
 
-	// Slow-query rate from the aggregator's own metric snapshots (needs
+	// Slow-query rate from the aggregators' own metric snapshots (needs
 	// scuba-aggd -telemetry-interval; silently n/a otherwise).
 	if rep.TracedQueries >= 0 && rep.TracedQueries > 0 {
 		fmt.Fprintf(w, "queries traced: %.0f, slow: %.0f (%s)\n",
@@ -202,33 +213,6 @@ func renderHealth(w *os.File, c *scuba.Client, aggAddr string, window time.Durat
 		fmt.Fprintln(w, "slow-query rate: n/a (aggregator telemetry off)")
 	}
 	return nil
-}
-
-// maxMetric fetches the newest value of one counter from __system.metrics
-// (cumulative, so max over the window is the latest sample). NaN when no
-// rows matched.
-func maxMetric(c *scuba.Client, from, to int64, name string) float64 {
-	q := &scuba.Query{
-		Table: scuba.SystemMetricsTable,
-		From:  from,
-		To:    to + 1,
-		Filters: []scuba.Filter{
-			{Column: "name", Op: scuba.OpEq, Str: name},
-		},
-		Aggregations: []scuba.Aggregation{
-			{Op: scuba.AggCount},
-			{Op: scuba.AggMax, Column: "value"},
-		},
-	}
-	res, err := c.Query(q)
-	if err != nil {
-		return math.NaN()
-	}
-	rows := res.Rows(q)
-	if len(rows) == 0 || rows[0].Values[0] == 0 {
-		return math.NaN()
-	}
-	return rows[0].Values[1]
 }
 
 func pct(num, den float64) string {

@@ -152,10 +152,23 @@ func main() {
 		log.Fatal(err)
 	}
 	rec := l.Recovery()
-	log.Printf("scubad leaf %d up in %v (recovery: %s, %d blocks, %.1f MB, %d copy workers)",
+	log.Printf("scubad leaf %d up in %v (recovery: %s, %d blocks, %.1f MB, %d pool workers)",
 		*id, time.Since(start).Round(time.Millisecond), rec.Path, rec.Blocks,
 		float64(rec.BytesRestored)/(1<<20), rec.Workers)
 	logPerTable("restored", rec.PerTable)
+	// This leaf's facts ride its registry, sampled by every snapshot: its
+	// own sink is the one writer of them into __system.metrics (what
+	// `scuba-cli health` reads), and /metrics shows the same numbers.
+	reg.OnSnapshot("leaf", func() {
+		st, rec := l.Stats(), l.Recovery()
+		reg.Gauge("leaf.tables").Set(int64(st.Tables))
+		reg.Gauge("leaf.blocks").Set(int64(st.Blocks))
+		reg.Gauge("leaf.rows").Set(st.Rows)
+		reg.Gauge("leaf.bytes").Set(st.Bytes)
+		reg.Gauge("leaf.free_memory").Set(st.FreeMemory)
+		reg.Gauge("leaf.quarantined").Set(int64(rec.Quarantined))
+		reg.Gauge("leaf.recovery." + scuba.CanonicalMetricName(string(rec.Path))).Set(1)
+	})
 
 	srv, err := scuba.NewServerOn(l, *addr, reg)
 	if err != nil {
@@ -226,7 +239,7 @@ func main() {
 // logShutdown prints a ShutdownInfo symmetrically to the recovery log line
 // at startup: totals, workers, and the per-table breakdown.
 func logShutdown(how string, info scuba.ShutdownInfo) {
-	log.Printf("%s: %d tables, %d blocks, %.1f MB in %v (shm=%v, %d copy workers); exiting",
+	log.Printf("%s: %d tables, %d blocks, %.1f MB in %v (shm=%v, %d pool workers); exiting",
 		how, info.Tables, info.Blocks, float64(info.BytesCopied)/(1<<20),
 		info.Duration.Round(time.Millisecond), info.ToShm, info.Workers)
 	logPerTable("copied", info.PerTable)

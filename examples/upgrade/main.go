@@ -119,7 +119,7 @@ func runOld() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("[old pid %d] clean shutdown: %.1f MB to shared memory in %v with %d copy workers\n",
+	fmt.Printf("[old pid %d] clean shutdown: %.1f MB to shared memory in %v with %d pool workers\n",
 		os.Getpid(), float64(info.BytesCopied)/(1<<20), info.Duration.Round(time.Millisecond),
 		info.Workers)
 	printPerTable(os.Getpid(), "copied out", info.PerTable)
@@ -135,7 +135,7 @@ func runNew() {
 		log.Fatal(err)
 	}
 	rec := l.Recovery()
-	fmt.Printf("[new pid %d] recovered via %s: %d blocks, %.1f MB in %v with %d copy workers\n",
+	fmt.Printf("[new pid %d] recovered via %s: %d blocks, %.1f MB in %v with %d pool workers\n",
 		os.Getpid(), rec.Path, rec.Blocks, float64(rec.BytesRestored)/(1<<20),
 		rec.Duration.Round(time.Millisecond), rec.Workers)
 	printPerTable(os.Getpid(), "copied in", rec.PerTable)

@@ -23,7 +23,7 @@ func TestSystemTableBypassesShardRouting(t *testing.T) {
 		}
 	}
 
-	res, err := a.Query(countQ(obs.SystemLeafMetricsTable))
+	res, err := a.Query(countQ(obs.SystemMetricsTable))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,13 +86,10 @@ type ProcConfig struct {
 	// leaf runs with -wal-dir under WorkDir, so a crashed (kill -9) leaf's
 	// replacement recovers every acked row: block images + WAL replay.
 	DisableWAL bool
-	// ScrapeInterval, when positive, runs an aggregator-side cluster
-	// scraper that pulls every leaf's metrics snapshot into
-	// __system.leaf_metrics on this period.
-	ScrapeInterval time.Duration
 	// TelemetryInterval, when positive, turns on each scubad's
-	// self-telemetry sink (its -telemetry-interval flag): metric snapshots
-	// and flight-recorder events flow into that leaf's __system tables.
+	// self-telemetry sink (its -telemetry-interval flag): metric snapshots —
+	// the leaf's facts among them — and flight-recorder events flow into that
+	// leaf's __system tables.
 	TelemetryInterval time.Duration
 	// ProfileInterval, when positive, sets each scubad's continuous
 	// profiler cadence (its -profile-interval flag); steady and
@@ -197,13 +194,11 @@ func (l *ProcLeaf) Recovery() (ProcRecovery, error) {
 // ProcCluster is a set of scubad subprocesses plus one shard-routing
 // aggregator server over them.
 type ProcCluster struct {
-	cfg     ProcConfig
-	leaves  []*ProcLeaf
-	router  *shard.Router
-	aggSrv  *wire.AggServer
-	aggCli  *wire.Client
-	sink    *obs.Sink
-	scraper *wire.Scraper
+	cfg    ProcConfig
+	leaves []*ProcLeaf
+	router *shard.Router
+	aggSrv *wire.AggServer
+	aggCli *wire.Client
 }
 
 // StartProcCluster builds the leaf processes and the aggregator. The caller
@@ -264,31 +259,8 @@ func StartProcCluster(cfg ProcConfig) (*ProcCluster, error) {
 	pc.aggSrv = srv
 	pc.router = wire.ShardRouting(srv.Aggregator(), addrs, machines, cfg.Replication, cfg.NumShards)
 	pc.aggCli = wire.Dial(srv.Addr())
-	if cfg.ScrapeInterval > 0 {
-		// The scraper's sink delivers into the cluster itself: rows go to
-		// the first live leaf, whence every aggregator query finds them.
-		pc.sink = obs.NewSink(obs.SinkConfig{
-			Emit:            pc.emitSystemRows,
-			Source:          "aggd",
-			MetricsInterval: -1, // the scraper drives delivery
-		})
-		targets := make([]wire.ScrapeTarget, len(pc.leaves))
-		for i, l := range pc.leaves {
-			targets[i] = wire.ScrapeTarget{Name: l.Addr, Client: l.client}
-		}
-		pc.scraper = wire.StartScraper(wire.ScraperConfig{
-			Leaves:   targets,
-			Sink:     pc.sink,
-			Router:   pc.router,
-			Interval: cfg.ScrapeInterval,
-		})
-	}
 	return pc, nil
 }
-
-// Scraper exposes the cluster scraper (nil unless ScrapeInterval was set);
-// tests use ScrapeOnce for a deterministic pull.
-func (pc *ProcCluster) Scraper() *wire.Scraper { return pc.scraper }
 
 // startLeaf execs a scubad process on the leaf's fixed identity.
 func (pc *ProcCluster) startLeaf(l *ProcLeaf) error {
@@ -401,8 +373,6 @@ func (pc *ProcCluster) NewShardedPlacer() *tailer.ShardedPlacer {
 // Close kills every subprocess and releases sockets. Safe on a
 // partially-started cluster.
 func (pc *ProcCluster) Close() {
-	pc.scraper.Stop()
-	pc.sink.Close()
 	for _, l := range pc.leaves {
 		l.Kill()                    //nolint:errcheck
 		l.waitExit(5 * time.Second) //nolint:errcheck

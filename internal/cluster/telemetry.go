@@ -100,22 +100,16 @@ func (r *RolloverReport) Rows(source string, start time.Time) []rowblock.Row {
 }
 
 // Persist writes report rows (RolloverReport.Rows, AvailabilityReport.Rows)
-// into __system.rollover via the first live leaf. The rows land in a plain
-// leaf-local table, so every aggregator query for __system.rollover finds
-// them regardless of shard routing.
+// into __system.rollover via the first live leaf that takes them. The rows
+// land in a plain leaf-local table, so every aggregator query for
+// __system.rollover finds them regardless of shard routing.
 func (pc *ProcCluster) Persist(rows []rowblock.Row) error {
-	return pc.emitSystemRows(obs.SystemRolloverTable, rows)
-}
-
-// emitSystemRows is the cluster-side sink Emit: deliver telemetry rows to
-// the first live leaf that will take them.
-func (pc *ProcCluster) emitSystemRows(table string, rows []rowblock.Row) error {
 	var lastErr error
 	for _, l := range pc.leaves {
 		if l.Quarantined() {
 			continue
 		}
-		if err := l.Client().AddRows(table, rows); err != nil {
+		if err := l.Client().AddRows(obs.SystemRolloverTable, rows); err != nil {
 			lastErr = err
 			continue
 		}

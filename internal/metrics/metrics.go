@@ -35,8 +35,8 @@ type Gauge struct {
 // Set stores the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// SetDuration stores a duration in whole microseconds. The restart copy
-// workers report per-worker busy time this way: sub-millisecond copies are
+// SetDuration stores a duration in whole microseconds and marks the gauge as
+// one, so every rendering carries the unit: sub-millisecond durations are
 // common at test scale and would all round to zero in milliseconds.
 func (g *Gauge) SetDuration(d time.Duration) {
 	g.duration.Store(true)
@@ -105,12 +105,33 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	timers     map[string]*Timer
 	histograms map[string]*Histogram
-	// runtime is non-nil once EnableRuntimeMetrics has been called; every
-	// Snapshot then refreshes the runtime.* self-metrics first.
-	runtime *runtimeSampler
-	// process is non-nil once EnableProcessMetrics has been called; every
-	// Snapshot then refreshes up.seconds and carries the build info.
-	process *processSampler
+	// hooks run at the start of every Snapshot (OnSnapshot).
+	hooks []hook
+	// build is the binary's identity once EnableProcessMetrics has run.
+	build *BuildInfo
+}
+
+type hook struct {
+	name string
+	fn   func()
+}
+
+// OnSnapshot registers fn to run at the start of every Snapshot — so before
+// every /metrics render and every __system.metrics batch — ahead of reading
+// any value: the one way a registry samples state it does not own (the Go
+// runtime, the process, a leaf's tables). Hooks run outside the registry
+// lock, so fn may set any metric; two snapshots at once run fn concurrently,
+// so state fn keeps between calls is its own to guard. A name already
+// registered keeps its first hook, which makes registering idempotent.
+func (r *Registry) OnSnapshot(name string, fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, h := range r.hooks {
+		if h.name == name {
+			return
+		}
+	}
+	r.hooks = append(r.hooks, hook{name, fn})
 }
 
 // NewRegistry returns an empty registry.
@@ -193,8 +214,12 @@ type Snapshot struct {
 // Snapshot captures every metric. Each value is internally consistent; the
 // set as a whole is a best-effort snapshot under concurrent writers.
 func (r *Registry) Snapshot() Snapshot {
-	r.sampleRuntime()
-	r.sampleProcess()
+	r.mu.Lock()
+	hooks := r.hooks
+	r.mu.Unlock()
+	for _, h := range hooks {
+		h.fn()
+	}
 	r.mu.Lock()
 	counters := make(map[string]*Counter, len(r.counters))
 	for name, c := range r.counters {
@@ -212,6 +237,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range r.histograms {
 		histograms[name] = h
 	}
+	build := r.build
 	r.mu.Unlock()
 
 	snap := Snapshot{
@@ -219,6 +245,7 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:     make(map[string]GaugeValue, len(gauges)),
 		Timers:     make(map[string]TimerStats, len(timers)),
 		Histograms: make(map[string]HistogramStats, len(histograms)),
+		Build:      build,
 	}
 	for name, c := range counters {
 		snap.Counters[name] = c.Value()
@@ -236,12 +263,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range histograms {
 		snap.Histograms[name] = h.Stats()
 	}
-	r.mu.Lock()
-	if r.process != nil {
-		b := r.process.build
-		snap.Build = &b
-	}
-	r.mu.Unlock()
 	return snap
 }
 

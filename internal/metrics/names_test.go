@@ -1,6 +1,12 @@
 package metrics
 
-import "testing"
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestCanonicalName(t *testing.T) {
 	cases := map[string]string{
@@ -57,6 +63,21 @@ func TestCanonicalNames(t *testing.T) {
 		"rpc.ping":   "rpc_ping",
 		"rpc.query":  "rpc_query",
 		"rows.added": "rows_added",
+		// leaf facts, sampled by scubad's snapshot hook: one
+		// leaf.recovery.<path> gauge per leaf.RecoveryPath, 1 for the path of
+		// the last Start, spelled as the rollover counters spell it
+		"leaf.tables":            "leaf_tables",
+		"leaf.blocks":            "leaf_blocks",
+		"leaf.rows":              "leaf_rows",
+		"leaf.bytes":             "leaf_bytes",
+		"leaf.free_memory":       "leaf_free_memory",
+		"leaf.quarantined":       "leaf_quarantined",
+		"leaf.recovery.none":     "leaf_recovery_none",
+		"leaf.recovery.memory":   "leaf_recovery_memory",
+		"leaf.recovery.shm_view": "leaf_recovery_shm_view",
+		"leaf.recovery.mixed":    "leaf_recovery_mixed",
+		"leaf.recovery.wal":      "leaf_recovery_wal",
+		"leaf.recovery.disk":     "leaf_recovery_disk",
 		// restart ledger: one timer per span phase (internal/obs/restart.go),
 		// whole-leaf phases first, then a table's steps; promotion's blocks
 		// are a histogram, not spans
@@ -108,11 +129,9 @@ func TestCanonicalNames(t *testing.T) {
 		"runtime.heap_bytes":    "runtime_heap_bytes",
 		"runtime.gc_pause_hist": "runtime_gc_pause_hist",
 		// self-telemetry sink
-		"sink.rows":     "sink_rows",
-		"sink.dropped":  "sink_dropped",
-		"sink.errors":   "sink_errors",
-		"scrape.count":  "scrape_count",
-		"scrape.errors": "scrape_errors",
+		"sink.rows":    "sink_rows",
+		"sink.dropped": "sink_dropped",
+		"sink.errors":  "sink_errors",
 	}
 	seen := make(map[string]string, len(pinned))
 	for raw, want := range pinned {
@@ -124,5 +143,30 @@ func TestCanonicalNames(t *testing.T) {
 			t.Errorf("collision: %q and %q both canonicalize to %q", prev, raw, got)
 		}
 		seen[got] = raw
+	}
+}
+
+// TestRetiredNamesStayRetired: a leaf's facts have one writer, its own sink,
+// so the aggregator-side scraper's counters went with the scraper. No non-test
+// source in the module may name them again.
+func TestRetiredNamesStayRetired(t *testing.T) {
+	retired := []string{"scrape.count", "scrape.errors", "scrape_count", "scrape_errors"}
+	err := filepath.WalkDir(filepath.Join("..", ".."), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, name := range retired {
+			if strings.Contains(string(src), `"`+name+`"`) {
+				t.Errorf("%s names the retired metric %q", path, name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -15,12 +15,6 @@ type BuildInfo struct {
 	GoVersion string
 }
 
-// processSampler holds the start time behind the up.seconds gauge.
-type processSampler struct {
-	start time.Time
-	build BuildInfo
-}
-
 // EnableProcessMetrics turns on process identity self-metrics:
 //
 //	up.seconds   gauge, seconds since this call (process start for daemons
@@ -48,10 +42,14 @@ func (r *Registry) EnableProcessMetrics() {
 		}
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.process == nil {
-		r.process = &processSampler{start: time.Now(), build: bi}
+	if r.build == nil {
+		r.build = &bi
 	}
+	r.mu.Unlock()
+	start := time.Now()
+	r.OnSnapshot("process", func() {
+		r.Gauge("up.seconds").Set(int64(time.Since(start).Seconds()))
+	})
 }
 
 // Build returns the build info captured by EnableProcessMetrics (zero value
@@ -59,20 +57,8 @@ func (r *Registry) EnableProcessMetrics() {
 func (r *Registry) Build() BuildInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.process == nil {
+	if r.build == nil {
 		return BuildInfo{}
 	}
-	return r.process.build
-}
-
-// sampleProcess refreshes up.seconds. Like sampleRuntime it must run
-// outside r.mu (Gauge locks).
-func (r *Registry) sampleProcess() {
-	r.mu.Lock()
-	ps := r.process
-	r.mu.Unlock()
-	if ps == nil {
-		return
-	}
-	r.Gauge("up.seconds").Set(int64(time.Since(ps.start).Seconds()))
+	return *r.build
 }

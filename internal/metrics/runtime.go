@@ -1,61 +1,71 @@
 package metrics
 
 import (
-	"runtime"
+	"math"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"time"
 )
-
-// runtimeSampler holds the GC-pause cursor for a registry with runtime
-// self-metrics enabled.
-type runtimeSampler struct {
-	mu        sync.Mutex
-	lastNumGC uint32
-}
 
 // EnableRuntimeMetrics turns on Go runtime self-metrics: every Snapshot
 // (and therefore every /metrics scrape and String render) first samples the
 // runtime into
 //
 //	runtime.goroutines     gauge, current goroutine count
-//	runtime.heap_bytes     gauge, live heap (MemStats.HeapAlloc)
-//	runtime.gc_pause_hist  histogram of individual GC stop-the-world pauses
+//	runtime.heap_bytes     gauge, heap held by objects (MemStats.HeapAlloc)
+//	runtime.gc_pause_hist  histogram of GC stop-the-world pauses, one per
+//	                       completed cycle
 //
-// Sampling on scrape rather than on a timer means an idle daemon costs
-// nothing and a scraped one is always current. Idempotent.
+// The sample is read from runtime/metrics, which does not stop the world as
+// reading the runtime's MemStats does. Sampling on snapshot rather than on a
+// timer means an idle daemon costs nothing and a scraped one is always
+// current. Idempotent.
 func (r *Registry) EnableRuntimeMetrics() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.runtime == nil {
-		r.runtime = &runtimeSampler{}
+	samples := []rtmetrics.Sample{
+		{Name: "/sched/goroutines:goroutines"},
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/sched/pauses/total/gc:seconds"},
 	}
-}
-
-// sampleRuntime refreshes the runtime metrics. It must run outside r.mu
-// (it reaches the registry through Gauge/Histogram, which lock).
-func (r *Registry) sampleRuntime() {
-	r.mu.Lock()
-	rs := r.runtime
-	r.mu.Unlock()
-	if rs == nil {
-		return
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	r.Gauge("runtime.goroutines").Set(int64(runtime.NumGoroutine()))
-	r.Gauge("runtime.heap_bytes").Set(int64(ms.HeapAlloc))
-	// PauseNs is a circular buffer of the last 256 pause durations; fold in
-	// only the GCs that happened since the previous sample, and if more than
-	// 256 did, take the 256 the runtime still remembers.
-	h := r.Histogram("runtime.gc_pause_hist")
-	start := rs.lastNumGC + 1
-	if ms.NumGC > 255 && start < ms.NumGC-255 {
-		start = ms.NumGC - 255
-	}
-	for i := start; i <= ms.NumGC && i > 0; i++ {
-		h.ObserveDuration(time.Duration(ms.PauseNs[(i+255)%256]))
-	}
-	rs.lastNumGC = ms.NumGC
+	var mu sync.Mutex // guards the sample buffers and the cursor below
+	var cycles uint64 // completed GC cycles already folded into the histogram
+	var seen []uint64 // and their pauses, per runtime bucket
+	r.OnSnapshot("runtime", func() {
+		mu.Lock()
+		defer mu.Unlock()
+		rtmetrics.Read(samples)
+		r.Gauge("runtime.goroutines").Set(int64(samples[0].Value.Uint64()))
+		r.Gauge("runtime.heap_bytes").Set(int64(samples[1].Value.Uint64()))
+		pauses := samples[3].Value.Float64Histogram()
+		if seen == nil {
+			seen = make([]uint64, len(pauses.Counts))
+		}
+		var fresh uint64
+		for i, c := range pauses.Counts {
+			fresh += c - seen[i]
+		}
+		n := samples[2].Value.Uint64() - cycles
+		if n == 0 || fresh == 0 {
+			return // no cycle has finished since the last sample
+		}
+		// A cycle stops the world twice; the histogram keeps one pause per
+		// cycle, as MemStats.PauseNs did: the fresh pauses are walked in
+		// ascending order and the last of every fresh/n of them observed, so
+		// the count is the cycles and the longest pause always lands.
+		h := r.Histogram("runtime.gc_pause_hist")
+		var rank uint64
+		k := uint64(1)
+		for i, c := range pauses.Counts {
+			rank += c - seen[i]
+			seen[i] = c
+			for ; k <= n && k*fresh <= rank*n; k++ {
+				v := pauses.Buckets[i+1]
+				if math.IsInf(v, 1) {
+					v = pauses.Buckets[i]
+				}
+				h.ObserveDuration(time.Duration(v * float64(time.Second)))
+			}
+		}
+		cycles += n
+	})
 }

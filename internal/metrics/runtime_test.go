@@ -3,6 +3,7 @@ package metrics
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -49,5 +50,65 @@ func TestRuntimeMetrics(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in rendering:\n%s", want, out)
 		}
+	}
+}
+
+// Every completed GC cycle lands in gc_pause_hist once, read from
+// runtime/metrics between two snapshots (no stop-the-world sampler).
+func TestGCPauseHistCountsEveryCycle(t *testing.T) {
+	r := NewRegistry()
+	r.EnableRuntimeMetrics()
+	before := r.Snapshot().Histograms["runtime.gc_pause_hist"].Count
+	for range 3 {
+		runtime.GC()
+	}
+	after := r.Snapshot().Histograms["runtime.gc_pause_hist"]
+	if after.Count-before < 3 {
+		t.Fatalf("gc_pause_hist count %d -> %d across three forced GCs, want +3 or more", before, after.Count)
+	}
+	if !after.IsDuration {
+		t.Fatal("gc_pause_hist lost its duration unit")
+	}
+}
+
+// A hook runs before every snapshot reads its values, and a second hook under
+// the same name is ignored.
+func TestOnSnapshotHook(t *testing.T) {
+	r := NewRegistry()
+	calls := 0
+	r.OnSnapshot("x", func() { calls++; r.Gauge("x").Set(int64(calls)) })
+	r.OnSnapshot("x", func() { t.Fatal("second hook under one name ran") })
+	r.Snapshot()
+	if g := r.Snapshot().Gauges["x"]; g.Value != 2 || calls != 2 {
+		t.Fatalf("gauge x = %d after %d calls, want 2 and 2", g.Value, calls)
+	}
+}
+
+// Snapshots taken at once share the runtime hook's cursor: no cycle is
+// folded in twice, or missed, while GCs run beside them.
+func TestRuntimeSnapshotsConcurrently(t *testing.T) {
+	r := NewRegistry()
+	r.EnableRuntimeMetrics()
+	r.EnableProcessMetrics()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				r.Snapshot()
+				runtime.GC()
+			}
+		}()
+	}
+	wg.Wait()
+	// Every cycle the process has completed is folded in once: the count lies
+	// between NumGC just before the last snapshot and just after it.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := r.Snapshot().Histograms["runtime.gc_pause_hist"].Count
+	runtime.ReadMemStats(&after)
+	if got < int64(before.NumGC) || got > int64(after.NumGC) {
+		t.Fatalf("gc_pause_hist count = %d, NumGC %d before the snapshot and %d after", got, before.NumGC, after.NumGC)
 	}
 }

@@ -1,13 +1,12 @@
 package obs
 
 // Scuba-on-Scuba: the self-telemetry sink feeds the system's own
-// observability data — metric-registry snapshots, completed trace
-// summaries, flight-recorder events, rollover timelines, scraped leaf
-// state — back through the normal ingest path into reserved __system.*
-// tables, so operators query the cluster's health with the same query
-// engine the cluster serves. Because __system tables are ordinary leaf
-// tables, they ride the shm restart path: restart history survives
-// restarts.
+// observability data — metric-registry snapshots (a leaf's facts among
+// them), completed trace summaries, flight-recorder events — back through
+// the normal ingest path into reserved __system.* tables, so operators
+// query the cluster's health with the same query engine the cluster
+// serves. Because __system tables are ordinary leaf tables, they ride the
+// shm restart path: restart history survives restarts.
 //
 // Two rules keep the loop from feeding on itself:
 //
@@ -48,10 +47,6 @@ const (
 	// SystemRolloverTable holds rolling-restart timelines: per-restart
 	// outcomes and the availability probe's coverage/latency points.
 	SystemRolloverTable = "__system.rollover"
-	// SystemLeafMetricsTable holds the aggregator's cluster-scraper view:
-	// one row per ACTIVE leaf per scrape with its stats, key counters and
-	// shard-coverage state.
-	SystemLeafMetricsTable = "__system.leaf_metrics"
 	// SystemProfilesTable holds the continuous profiler's folded captures:
 	// one row per top-N function per capture window, plus a "(total)" row,
 	// tagged with the trigger (interval / slow_query / restart / gc_pause)
@@ -227,8 +222,8 @@ func (s *Sink) metricsLoop() {
 }
 
 // RecordRows enqueues pre-built rows for a __system table without ever
-// blocking; overflow drops the batch. The cluster scraper, the rollover
-// driver and the profiler enter here, and so does every Record* below.
+// blocking; overflow drops the batch. The profiler enters here, and so does
+// every Record* below.
 func (s *Sink) RecordRows(table string, rows []rowblock.Row) {
 	if s == nil || len(rows) == 0 {
 		return

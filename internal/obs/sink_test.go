@@ -39,15 +39,15 @@ func fixedClock(sec int64) func() time.Time {
 
 func TestIsSystemTable(t *testing.T) {
 	for table, want := range map[string]bool{
-		SystemMetricsTable:     true,
-		SystemTracesTable:      true,
-		SystemRolloverTable:    true,
-		SystemLeafMetricsTable: true,
-		SystemRecorderTable:    true,
-		"__system.other":       true,
-		"service_logs":         false,
-		"__systemish":          false,
-		"":                     false,
+		SystemMetricsTable:  true,
+		SystemTracesTable:   true,
+		SystemRolloverTable: true,
+		SystemProfilesTable: true,
+		SystemRecorderTable: true,
+		"__system.other":    true,
+		"service_logs":      false,
+		"__systemish":       false,
+		"":                  false,
 	} {
 		if got := IsSystemTable(table); got != want {
 			t.Errorf("IsSystemTable(%q) = %v, want %v", table, got, want)
@@ -112,8 +112,8 @@ func TestSinkSpanRowsAndSuppression(t *testing.T) {
 
 	// Recursion suppression: no span of a __system query ever lands — not
 	// the root, not a leaf's.
-	s.RecordSpans(mkTrace(1, time.Millisecond, Span{SpanID: 2, Leaf: "a", Table: SystemLeafMetricsTable}).
-		retable(SystemLeafMetricsTable))
+	s.RecordSpans(mkTrace(1, time.Millisecond, Span{SpanID: 2, Leaf: "a", Table: SystemMetricsTable}).
+		retable(SystemMetricsTable))
 	// A restart step that carried a __system table is not a query: it lands.
 	s.RecordSpans(Trace{{TraceID: 3, Kind: KindRestart, Half: HalfStart, Phase: PhaseTableCopyIn,
 		Table: SystemMetricsTable, Recovery: "memory", Blocks: 2, Start: time.UnixMicro(7_000_001)}})

@@ -566,6 +566,18 @@ func TestAddBatchIsAKindOfItsOwn(t *testing.T) {
 	}
 }
 
+// TestOldScraperIsRefused: kind 9 was the cluster scraper's pull of a leaf's
+// registry. A leaf's own sink now writes its facts, and a current leaf answers
+// an older aggregator's scrape as any kind it does not handle — an error that
+// aggregator counts, never a wrong row. The number stays taken
+// (TestAddBatchIsAKindOfItsOwn pins the kinds after it).
+func TestOldScraperIsRefused(t *testing.T) {
+	_, c, _ := newServer(t, 0)
+	if _, err := c.Call(&Request{Kind: 9}); err == nil || !strings.Contains(err.Error(), "unknown request kind 9") {
+		t.Fatalf("kind 9: %v, want \"unknown request kind 9\"", err)
+	}
+}
+
 // FuzzEnvelopeDecode throws arbitrary bytes at the request decoder — the
 // server's first contact with the network — expecting errors, never panics.
 func FuzzEnvelopeDecode(f *testing.F) {

@@ -64,8 +64,6 @@ func (k Kind) String() string {
 		return "shardmap"
 	case KindFlush:
 		return "flush"
-	case KindMetrics:
-		return "metrics"
 	case KindAddBatch:
 		return "addbatch"
 	default:
@@ -90,11 +88,7 @@ const (
 	// before doing anything that could kill the process uncleanly
 	// (v2-additive).
 	KindFlush
-	// KindMetrics returns the leaf daemon's full metrics snapshot plus its
-	// recovery report — the admin RPC behind the aggregator's cluster
-	// scraper, which turns every ACTIVE leaf's snapshot into
-	// __system.leaf_metrics rows (v2-additive).
-	KindMetrics
+	_ // 9 was the cluster scraper's metrics pull, until leaves wrote their own facts: the number stays taken
 	// KindAddBatch ingests Request.Batch, one batch frame, into Table (v3).
 	// It is a kind of its own rather than a field on the gob ingest kind it
 	// replaced, so that a pre-v3 server answers "unknown request kind"
@@ -150,11 +144,6 @@ type Response struct {
 	ShardMap     []byte
 	LeafStatuses []uint8
 	MapVersion   int64
-	// Metrics and Recovery are the KindMetrics payload: the leaf daemon's
-	// registry snapshot and its last-start recovery report (v2-additive;
-	// nil from older servers, which answer the unknown kind with an error).
-	Metrics  *metrics.Snapshot
-	Recovery *leaf.RecoveryInfo
 }
 
 // rpcServer is the one accept / track / decode / handle / encode / close
@@ -337,11 +326,6 @@ func (s *Server) handle(req *Request) *Response {
 	case KindStats:
 		st := s.leaf.Stats()
 		return &Response{Stats: &st}
-	case KindMetrics:
-		snap := s.reg.Snapshot()
-		rec := s.leaf.Recovery()
-		st := s.leaf.Stats()
-		return &Response{Metrics: &snap, Recovery: &rec, Stats: &st}
 	case KindShutdown:
 		var info leaf.ShutdownInfo
 		var err error
@@ -562,8 +546,7 @@ func idempotent(k Kind) bool {
 	// Status flips are absolute (not increments) and flushing twice is a
 	// no-op, so retrying either is safe.
 	return k == KindPing || k == KindQuery || k == KindStats ||
-		k == KindLeafStatus || k == KindShardMap || k == KindFlush ||
-		k == KindMetrics
+		k == KindLeafStatus || k == KindShardMap || k == KindFlush
 }
 
 // callOnce runs one attempt on its own connection under RPCTimeout. A
@@ -683,28 +666,6 @@ func (c *Client) QueryShards(q *query.Query, shards []int, tc obs.TraceContext) 
 	}
 	res.SortGroups()
 	return res, resp.Exec, nil
-}
-
-// MetricsSnapshot fetches the leaf daemon's registry snapshot, recovery
-// report and stats in one RPC — the cluster scraper's per-leaf pull.
-func (c *Client) MetricsSnapshot() (metrics.Snapshot, leaf.RecoveryInfo, leaf.Stats, error) {
-	resp, err := c.Call(&Request{Kind: KindMetrics})
-	if err != nil {
-		return metrics.Snapshot{}, leaf.RecoveryInfo{}, leaf.Stats{}, err
-	}
-	var snap metrics.Snapshot
-	if resp.Metrics != nil {
-		snap = *resp.Metrics
-	}
-	var rec leaf.RecoveryInfo
-	if resp.Recovery != nil {
-		rec = *resp.Recovery
-	}
-	var st leaf.Stats
-	if resp.Stats != nil {
-		st = *resp.Stats
-	}
-	return snap, rec, st, nil
 }
 
 // Flush asks the leaf to seal its in-progress blocks and sync everything to

@@ -517,31 +517,24 @@ var (
 
 // Self-telemetry (Scuba-on-Scuba): each daemon can ingest its own metric
 // snapshots, finished spans and flight-recorder events into reserved
-// __system.* tables through the ordinary leaf path; an aggregator-side
-// scraper pulls every leaf's snapshot into __system.leaf_metrics; and every
-// /metrics endpoint speaks Prometheus text exposition via
-// ?format=prometheus. System tables are plain leaf-local tables, so the
-// telemetry rides the shared-memory restart path like any other data.
+// __system.* tables through the ordinary leaf path — a leaf's own sink is the
+// one writer of its facts (rows, recovery path, query counters: what
+// `scuba-cli health` reads from __system.metrics) — and every /metrics
+// endpoint speaks Prometheus text exposition via ?format=prometheus. System
+// tables are plain leaf-local tables, so the telemetry rides the
+// shared-memory restart path like any other data.
 type (
 	// TelemetrySink converts observability events into __system rows and
 	// delivers them off the hot path.
 	TelemetrySink = obs.Sink
 	// TelemetrySinkConfig configures a sink's delivery and sampling.
 	TelemetrySinkConfig = obs.SinkConfig
-	// ClusterScraper is the aggregator-side loop pulling leaf snapshots.
-	ClusterScraper = wire.Scraper
-	// ClusterScraperConfig configures the scrape loop.
-	ClusterScraperConfig = wire.ScraperConfig
-	// ScrapeTarget is one leaf a cluster scraper pulls from.
-	ScrapeTarget = wire.ScrapeTarget
 )
 
 // Self-telemetry constructors and helpers.
 var (
 	// NewTelemetrySink builds a sink (Emit is required; see SinkConfig).
 	NewTelemetrySink = obs.NewSink
-	// StartClusterScraper starts an aggregator-side scrape loop.
-	StartClusterScraper = wire.StartScraper
 	// IsSystemTable reports whether a table name is reserved telemetry.
 	IsSystemTable = obs.IsSystemTable
 	// CanonicalMetricName is the snake_case spelling shared by the metrics
@@ -553,13 +546,12 @@ var (
 
 // Reserved self-telemetry table names.
 const (
-	SystemTablePrefix      = obs.SystemTablePrefix
-	SystemMetricsTable     = obs.SystemMetricsTable
-	SystemTracesTable      = obs.SystemTracesTable
-	SystemRecorderTable    = obs.SystemRecorderTable
-	SystemRolloverTable    = obs.SystemRolloverTable
-	SystemLeafMetricsTable = obs.SystemLeafMetricsTable
-	SystemProfilesTable    = obs.SystemProfilesTable
+	SystemTablePrefix   = obs.SystemTablePrefix
+	SystemMetricsTable  = obs.SystemMetricsTable
+	SystemTracesTable   = obs.SystemTracesTable
+	SystemRecorderTable = obs.SystemRecorderTable
+	SystemRolloverTable = obs.SystemRolloverTable
+	SystemProfilesTable = obs.SystemProfilesTable
 )
 
 // Continuous profiling: every daemon runs a background sampler that folds

@@ -1,8 +1,8 @@
 package scuba_test
 
 // The Scuba-on-Scuba keystone: a real subprocess cluster observes itself.
-// The aggregator's scraper ingests every leaf's metrics snapshot into
-// __system.leaf_metrics, a rollover drill persists its restart timeline and
+// Every leaf's own sink ingests its metrics snapshot — its facts among them —
+// into __system.metrics, a rollover drill persists its restart timeline and
 // the probe's coverage timeline into __system.rollover, and all of it is
 // queried back through the same aggregator the drill was exercising. Because
 // __system tables are plain leaf tables, a second rollover then proves the
@@ -13,6 +13,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,19 +44,78 @@ func countSystemRows(t *testing.T, agg *scuba.Client, table, event string) (floa
 	return rows[0].Values[0], res
 }
 
-// waitForSystemRows polls until the table serves at least want matching rows
-// (telemetry delivery is asynchronous by design: the sink must never block
-// the paths it observes).
-func waitForSystemRows(t *testing.T, agg *scuba.Client, table, event string, want float64) float64 {
+// waitForLeafSnapshots polls until n sources have written leaf_rows into
+// __system.metrics, want snapshots in all, and returns per source the count
+// of its snapshots and the largest leaf_rows any of them held.
+func waitForLeafSnapshots(t *testing.T, agg *scuba.Client, n int, want int64) []scuba.ResultRow {
 	t.Helper()
+	q := &scuba.Query{
+		Table:        scuba.SystemMetricsTable,
+		From:         0,
+		To:           1 << 62,
+		Filters:      []scuba.Filter{{Column: "name", Op: scuba.OpEq, Str: "leaf_rows"}},
+		GroupBy:      []string{"source"},
+		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}, {Op: scuba.AggMax, Column: "value"}},
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		got, _ := countSystemRows(t, agg, table, event)
-		if got >= want {
-			return got
+		res, err := agg.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := res.Rows(q)
+		var got int64
+		for _, r := range rows {
+			got += int64(r.Values[0])
+		}
+		if len(rows) >= n && got >= want {
+			return rows
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s (event=%q): %v rows after 10s, want >= %v", table, event, got, want)
+			t.Fatalf("leaf snapshots after 10s: %d sources, %d snapshots; want %d, %d", len(rows), got, n, want)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// waitForRecoveryGauge polls until the newest second of one leaf's snapshots
+// names exactly one recovery path, the wanted one: a restarted leaf's first
+// snapshots can share a second with its predecessor's last.
+func waitForRecoveryGauge(t *testing.T, agg *scuba.Client, source, want string) {
+	t.Helper()
+	q := &scuba.Query{
+		Table: scuba.SystemMetricsTable,
+		From:  0,
+		To:    1 << 62,
+		Filters: []scuba.Filter{
+			{Column: "source", Op: scuba.OpEq, Str: source},
+			{Column: "value", Op: scuba.OpEq, Int: 1, Float: 1},
+		},
+		GroupBy:           []string{"name"},
+		TimeBucketSeconds: 1,
+		Aggregations:      []scuba.Aggregation{{Op: scuba.AggCount}},
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		res, err := agg.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newest, paths := "", []string{}
+		for _, r := range res.Rows(q) { // bucket order
+			if !strings.HasPrefix(r.Key[1], "leaf_recovery_") {
+				continue
+			}
+			if r.Key[0] != newest {
+				newest, paths = r.Key[0], nil
+			}
+			paths = append(paths, r.Key[1])
+		}
+		if len(paths) == 1 && paths[0] == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("leaf %s: newest snapshot says %v, /debug/recovery says %s", source, paths, want)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -72,7 +132,6 @@ func TestSelfTelemetryAcrossRollover(t *testing.T) {
 		Replication:       2,
 		WorkDir:           t.TempDir(),
 		Namespace:         "seltel",
-		ScrapeInterval:    100 * time.Millisecond,
 		TelemetryInterval: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -90,34 +149,20 @@ func TestSelfTelemetryAcrossRollover(t *testing.T) {
 	}
 	agg := pc.AggClient()
 
-	// Phase 1: the scraper and each leaf's own sink populate the __system
-	// tables (one leaf_metrics row per leaf per scrape; metric-snapshot
-	// rows from every scubad's telemetry loop).
-	waitForSystemRows(t, agg, scuba.SystemLeafMetricsTable, "", float64(n))
-	waitForSystemRows(t, agg, scuba.SystemMetricsTable, "", 1)
+	// Phase 1: each leaf's own sink populates __system.metrics: every
+	// snapshot carries that leaf's facts (leaf_rows, leaf_recovery_<path>).
+	leafRows := waitForLeafSnapshots(t, agg, n, 1)
 
-	// Each leaf must appear in the scrape with healthy vitals.
-	perLeaf := &scuba.Query{
-		Table:        scuba.SystemLeafMetricsTable,
-		From:         0,
-		To:           1 << 62,
-		GroupBy:      []string{"leaf"},
-		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}, {Op: scuba.AggMax, Column: "rows"}},
-	}
-	res, err := agg.Query(perLeaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leafRows := res.Rows(perLeaf)
+	// Each leaf must appear in its own snapshots with healthy vitals.
 	if len(leafRows) != n {
-		t.Fatalf("leaf_metrics covers %d leaves, want %d: %+v", len(leafRows), n, leafRows)
+		t.Fatalf("leaf snapshots cover %d leaves, want %d: %+v", len(leafRows), n, leafRows)
 	}
-	var scraped int64
+	var snapshots int64
 	for _, r := range leafRows {
 		if r.Values[1] <= 0 {
-			t.Errorf("leaf %s scraped with 0 rows of data", r.Key[0])
+			t.Errorf("leaf %s snapshotted with 0 rows of data", r.Key[0])
 		}
-		scraped += int64(r.Values[0])
+		snapshots += int64(r.Values[0])
 	}
 
 	// Phase 2: rollover drill #1 under a correctness probe, then persist
@@ -188,9 +233,19 @@ func TestSelfTelemetryAcrossRollover(t *testing.T) {
 			t.Errorf("persisted min shard coverage %v != probe's %v", got, avail.MinShardCoverage)
 		}
 	}
-	// The drill itself was scraped: leaf_metrics keeps accumulating and
-	// records which leaves recovered from memory.
-	waitForSystemRows(t, agg, scuba.SystemLeafMetricsTable, "", float64(scraped+1))
+	// The drill itself was recorded: the leaves' snapshots keep accumulating,
+	// and each leaf's newest one names the path its /debug/recovery reports.
+	waitForLeafSnapshots(t, agg, n, snapshots+1)
+	for _, l := range pc.Leaves() {
+		rec, err := l.Recovery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Path == "" {
+			t.Fatalf("leaf %s: /debug/recovery reports no path", l.Addr)
+		}
+		waitForRecoveryGauge(t, agg, l.Addr, "leaf_recovery_"+scuba.CanonicalMetricName(rec.Path))
+	}
 
 	// Phase 4: restart every leaf again. The telemetry written before these
 	// restarts must still be served afterwards — __system tables ride the
@@ -215,6 +270,6 @@ func TestSelfTelemetryAcrossRollover(t *testing.T) {
 	if int(points2) != len(avail.Points) {
 		t.Errorf("probe rows after second rollover = %v, want %d", points2, len(avail.Points))
 	}
-	t.Logf("self-telemetry: %d leaves, %v leaf_metrics rows, %d restart rows and %d probe points preserved across a full second rollover",
-		n, scraped, int(restarts2), int(points2))
+	t.Logf("self-telemetry: %d leaves, %v leaf snapshots, %d restart rows and %d probe points preserved across a full second rollover",
+		n, snapshots, int(restarts2), int(points2))
 }
