@@ -234,6 +234,8 @@ func (b *RowBlock) Released() bool {
 type Builder struct {
 	created  int64
 	times    []int64
+	minTime  int64 // over times, kept by AppendBatch for Seal and Snapshot
+	maxTime  int64
 	names    []string // column order of first appearance
 	builders map[string]*BatchColumn
 	rawBytes int64 // pre-compression size estimate, for the 1 GB cap
@@ -242,7 +244,8 @@ type Builder struct {
 
 // NewBuilder returns a builder; created is the block creation timestamp.
 func NewBuilder(created int64) *Builder {
-	return &Builder{created: created, builders: make(map[string]*BatchColumn), byteCap: MaxBytes}
+	return &Builder{created: created, minTime: math.MaxInt64, maxTime: math.MinInt64,
+		builders: make(map[string]*BatchColumn), byteCap: MaxBytes}
 }
 
 // Rows returns the number of rows added so far.
@@ -290,6 +293,15 @@ func (cb *BatchColumn) backfill(rows int) {
 	case layout.TypeStringSet:
 		cb.Sets = append(cb.Sets, make([][]string, rows-len(cb.Sets))...)
 	}
+}
+
+// sealedType is the column's type in a block's schema: only the time column
+// is typed time there.
+func (cb *BatchColumn) sealedType() layout.ValueType {
+	if cb.Type == layout.TypeTime {
+		return layout.TypeInt64
+	}
+	return cb.Type
 }
 
 // zeroCellBytes is the pre-compression size of a zero value.
@@ -374,6 +386,10 @@ func (b *Builder) AppendBatch(bt *Batch) (int, error) {
 	}
 
 	b.times = append(b.times, bt.Times[:n]...)
+	for _, t := range bt.Times[:n] {
+		b.minTime = min(b.minTime, t)
+		b.maxTime = max(b.maxTime, t)
+	}
 	b.rawBytes += sz
 	for i := range bt.Cols {
 		c := &bt.Cols[i]
@@ -403,35 +419,25 @@ func (b *Builder) Seal() (*RowBlock, error) {
 	if len(b.times) == 0 {
 		return nil, errors.New("rowblock: sealing empty block")
 	}
-	minT, maxT := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, t := range b.times {
-		minT = min(minT, t)
-		maxT = max(maxT, t)
-	}
 	schema := Schema{{Name: TimeColumn, Type: layout.TypeTime}}
 	blobs := [][]byte{column.EncodeInt64(layout.TypeTime, b.times)}
 	// Zone maps are stamped from the raw values before encoding, so the
 	// query path can disprove predicates without decompressing anything.
-	zones := []ZoneMap{zoneOfInts(b.times)}
+	zones := []ZoneMap{{Kind: ZoneInt, MinI: b.minTime, MaxI: b.maxTime}}
 	for _, name := range b.names {
 		cb := b.builders[name]
 		var blob []byte
-		var vt layout.ValueType
 		switch cb.Type {
 		case layout.TypeInt64, layout.TypeTime:
-			vt = layout.TypeInt64
 			blob = column.EncodeInt64(layout.TypeInt64, cb.Ints)
 		case layout.TypeFloat64:
-			vt = layout.TypeFloat64
 			blob = column.EncodeFloat64(cb.Floats)
 		case layout.TypeString:
-			vt = layout.TypeString
 			blob = column.EncodeString(cb.Strs)
 		case layout.TypeStringSet:
-			vt = layout.TypeStringSet
 			blob = column.EncodeStringSet(cb.Sets)
 		}
-		schema = append(schema, Field{Name: name, Type: vt})
+		schema = append(schema, Field{Name: name, Type: cb.sealedType()})
 		blobs = append(blobs, blob)
 		zones = append(zones, cb.sealZoneMap())
 	}
@@ -449,8 +455,8 @@ func (b *Builder) Seal() (*RowBlock, error) {
 		hdr: Header{
 			Size:     size,
 			RowCount: len(b.times),
-			MinTime:  minT,
-			MaxTime:  maxT,
+			MinTime:  b.minTime,
+			MaxTime:  b.maxTime,
 			Created:  b.created,
 		},
 		schema: schema,

@@ -1,97 +1,95 @@
 package rowblock
 
 import (
-	"math"
-
 	"scuba/internal/column"
 	"scuba/internal/layout"
 )
 
-// UnsealedView is a read-only snapshot of a builder's in-progress rows, so
-// queries see data the moment it is ingested, before the block seals and
-// compresses. The snapshot copies the builder's column slices; subsequent
-// AddRow calls do not affect it.
+// UnsealedView is a query's read-only view of a builder's in-progress rows,
+// so queries see data the moment it is ingested, before the block seals and
+// compresses. It aliases the builder's vectors instead of copying them: a
+// builder only appends, so the first Rows() cells of every vector stay as
+// they are under the view. A column is built the first time the query reads
+// it, outside the table lock. A view belongs to one query and is not safe for
+// concurrent use.
 type UnsealedView struct {
-	rows    int
 	minTime int64
 	maxTime int64
-	times   []int64
 	schema  Schema
-	cols    map[string]column.Column
+	vecs    []BatchColumn   // parallel to schema; vecs[0] is the time column
+	cols    []column.Column // parallel to schema, each built on first read
 }
 
-// Snapshot captures the builder's current rows. Returns nil when empty.
+// Snapshot returns a view of the builder's current rows, nil when it has
+// none. It is O(columns) — slice headers with the capacity clipped to the
+// row count, so the builder's later appends and backfills, which write only
+// past it, never reach what the view reads; a column the builder adds later
+// is a new vector the view never saw, and a sealed builder is dropped, not
+// reused.
 func (b *Builder) Snapshot() *UnsealedView {
-	if len(b.times) == 0 {
+	n := len(b.times)
+	if n == 0 {
 		return nil
 	}
 	v := &UnsealedView{
-		rows:   len(b.times),
-		times:  append([]int64(nil), b.times...),
-		schema: Schema{{Name: TimeColumn, Type: layout.TypeTime}},
-		cols:   make(map[string]column.Column, len(b.names)+1),
+		minTime: b.minTime,
+		maxTime: b.maxTime,
+		schema:  make(Schema, 1, len(b.names)+1),
+		vecs:    make([]BatchColumn, 1, len(b.names)+1),
+		cols:    make([]column.Column, len(b.names)+1),
 	}
-	v.minTime, v.maxTime = math.MaxInt64, math.MinInt64
-	for _, t := range v.times {
-		v.minTime = min(v.minTime, t)
-		v.maxTime = max(v.maxTime, t)
-	}
-	v.cols[TimeColumn] = column.NewInt64(layout.TypeTime, v.times)
+	v.schema[0] = Field{Name: TimeColumn, Type: layout.TypeTime}
+	v.vecs[0] = BatchColumn{Name: TimeColumn, Type: layout.TypeTime, Ints: b.times[:n:n]}
 	for _, name := range b.names {
 		cb := b.builders[name]
-		var col column.Column
-		var vt layout.ValueType
-		switch cb.Type {
-		case layout.TypeInt64, layout.TypeTime:
-			vt = layout.TypeInt64
-			col = column.NewInt64(layout.TypeInt64, append([]int64(nil), cb.Ints...))
-		case layout.TypeFloat64:
-			vt = layout.TypeFloat64
-			col = &column.Float64Column{Values: append([]float64(nil), cb.Floats...)}
-		case layout.TypeString:
-			vt = layout.TypeString
-			col = column.NewStringFromValues(cb.Strs)
-		case layout.TypeStringSet:
-			vt = layout.TypeStringSet
-			col = column.NewStringSetFromValues(cb.Sets)
-		}
-		v.schema = append(v.schema, Field{Name: name, Type: vt})
-		v.cols[name] = col
+		v.schema = append(v.schema, Field{Name: name, Type: cb.sealedType()})
+		v.vecs = append(v.vecs, cb.slice(0, n))
 	}
 	return v
 }
 
-// Rows returns the number of snapshot rows.
-func (v *UnsealedView) Rows() int { return v.rows }
+// Rows returns the number of rows in the view.
+func (v *UnsealedView) Rows() int { return len(v.vecs[0].Ints) }
 
-// Times returns the snapshot's time column (dst is a sealed block's decode
-// target; the snapshot's times are already a slice).
-func (v *UnsealedView) Times(dst []int64) ([]int64, error) { return v.times, nil }
+// Times returns the view's time column (dst is a sealed block's decode
+// target; the view's times are already a slice).
+func (v *UnsealedView) Times(dst []int64) ([]int64, error) { return v.vecs[0].Ints, nil }
 
-// Overlaps reports whether the snapshot may contain rows in [from, to].
+// Overlaps reports whether the view may contain rows in [from, to].
 func (v *UnsealedView) Overlaps(from, to int64) bool {
 	return v.minTime <= to && v.maxTime >= from
 }
 
-// Within reports whether every snapshot row's time lies in [from, to].
+// Within reports whether every row's time in the view lies in [from, to].
 func (v *UnsealedView) Within(from, to int64) bool {
 	return v.minTime >= from && v.maxTime <= to
 }
 
-// Schema returns the snapshot schema.
+// Schema returns the view's schema, typed as the sealed block's will be.
 func (v *UnsealedView) Schema() Schema { return v.schema }
 
-// HasColumn reports whether the snapshot has the named column.
-func (v *UnsealedView) HasColumn(name string) bool {
-	_, ok := v.cols[name]
-	return ok
-}
+// HasColumn reports whether the view has the named column.
+func (v *UnsealedView) HasColumn(name string) bool { return v.schema.Index(name) >= 0 }
 
-// DecodeColumn returns the named column (already decoded — the snapshot is
-// never compressed).
+// DecodeColumn returns the named column, nil when the view lacks it. The
+// first call for a column builds it over the aliased vector — a string
+// column's dictionary included — and later calls return the same one.
 func (v *UnsealedView) DecodeColumn(name string) (column.Column, error) {
-	if c, ok := v.cols[name]; ok {
-		return c, nil
+	i := v.schema.Index(name)
+	if i < 0 {
+		return nil, nil
 	}
-	return nil, nil
+	if v.cols[i] == nil {
+		switch c := &v.vecs[i]; c.Type {
+		case layout.TypeInt64, layout.TypeTime:
+			v.cols[i] = column.NewInt64(v.schema[i].Type, c.Ints)
+		case layout.TypeFloat64:
+			v.cols[i] = &column.Float64Column{Values: c.Floats}
+		case layout.TypeString:
+			v.cols[i] = column.NewStringFromValues(c.Strs)
+		case layout.TypeStringSet:
+			v.cols[i] = column.NewStringSetFromValues(c.Sets)
+		}
+	}
+	return v.cols[i], nil
 }

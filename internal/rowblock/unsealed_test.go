@@ -1,6 +1,7 @@
 package rowblock
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -82,12 +83,13 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := b.Snapshot()
-	// Rows added after the snapshot must not appear in it.
-	if err := b.AddRow(Row{Time: 2, Cols: map[string]Value{"i": Int64Value(2)}}); err != nil {
+	// Rows added after the snapshot must not appear in it, nor a column
+	// that arrived with them (backfilled under the rows the view holds).
+	if err := b.AddRow(Row{Time: 2, Cols: map[string]Value{"i": Int64Value(2), "j": Int64Value(3)}}); err != nil {
 		t.Fatal(err)
 	}
-	if v.Rows() != 1 {
-		t.Errorf("snapshot grew to %d rows", v.Rows())
+	if v.Rows() != 1 || v.HasColumn("j") {
+		t.Errorf("snapshot grew to %d rows, column j %v", v.Rows(), v.HasColumn("j"))
 	}
 	iCol, _ := v.DecodeColumn("i")
 	if got := iCol.(*column.Int64Column).Values; len(got) != 1 || got[0] != 1 {
@@ -97,11 +99,13 @@ func TestSnapshotIsolation(t *testing.T) {
 
 func TestSnapshotMatchesSealedBlock(t *testing.T) {
 	// A snapshot and the block sealed from the same builder must agree on
-	// every value (the unsealed path takes no compression shortcuts).
+	// every value (the unsealed path takes no compression shortcuts) and on
+	// the time range, which the builder tracks as it appends: the times
+	// arrive out of order, the smallest and largest mid-block.
 	mk := func() *Builder {
 		b := NewBuilder(7)
 		for i := 0; i < 500; i++ {
-			err := b.AddRow(Row{Time: int64(1000 + i), Cols: map[string]Value{
+			err := b.AddRow(Row{Time: int64(1000 + (i*211+137)%500), Cols: map[string]Value{
 				"svc": StringValue([]string{"a", "b", "c"}[i%3]),
 				"n":   Int64Value(int64(i * i)),
 			}})
@@ -121,6 +125,23 @@ func TestSnapshotMatchesSealedBlock(t *testing.T) {
 	if !reflect.DeepEqual(vTimes, rbTimes) {
 		t.Error("times differ")
 	}
+	h := rb.Header()
+	if h.MinTime != 1000 || h.MaxTime != 1499 || vTimes[0] == h.MinTime || vTimes[len(vTimes)-1] == h.MaxTime {
+		t.Fatalf("header time range [%d, %d] over times %v…", h.MinTime, h.MaxTime, vTimes[:4])
+	}
+	if z := zoneOfInts(rbTimes); rb.zoneAt(0) != z {
+		t.Errorf("time zone map %+v, want %+v", rb.zoneAt(0), z)
+	}
+	for _, r := range [][2]int64{
+		{h.MinTime, h.MaxTime}, {h.MinTime + 1, h.MaxTime}, {h.MinTime, h.MaxTime - 1},
+		{h.MinTime - 10, h.MinTime}, {h.MinTime - 10, h.MinTime - 1},
+		{h.MaxTime, h.MaxTime + 10}, {h.MaxTime + 1, h.MaxTime + 10},
+	} {
+		if v.Overlaps(r[0], r[1]) != rb.Overlaps(r[0], r[1]) || v.Within(r[0], r[1]) != rb.Within(r[0], r[1]) {
+			t.Errorf("[%d, %d]: view overlaps %v within %v, sealed overlaps %v within %v", r[0], r[1],
+				v.Overlaps(r[0], r[1]), v.Within(r[0], r[1]), rb.Overlaps(r[0], r[1]), rb.Within(r[0], r[1]))
+		}
+	}
 	vN, _ := v.DecodeColumn("n")
 	rbN, _ := rb.DecodeColumn("n")
 	if !reflect.DeepEqual(vN.(*column.Int64Column).Values, rbN.(*column.Int64Column).Values) {
@@ -132,5 +153,83 @@ func TestSnapshotMatchesSealedBlock(t *testing.T) {
 		if vS.(*column.StringColumn).Value(i) != rbS.(*column.StringColumn).Value(i) {
 			t.Fatalf("string row %d differs", i)
 		}
+	}
+}
+
+// wideBuilder holds n rows with one column of every type.
+func wideBuilder(t *testing.T, n int) *Builder {
+	t.Helper()
+	bt := &Batch{Times: make([]int64, n), Cols: []BatchColumn{
+		{Name: "f", Type: layout.TypeFloat64, Floats: make([]float64, n)},
+		{Name: "i", Type: layout.TypeInt64, Ints: make([]int64, n)},
+		{Name: "s", Type: layout.TypeString, Strs: make([]string, n)},
+		{Name: "set", Type: layout.TypeStringSet, Sets: make([][]string, n)},
+	}}
+	for r := range n {
+		bt.Times[r] = int64(r)
+		bt.Cols[0].Floats[r] = float64(r) / 4
+		bt.Cols[1].Ints[r] = int64(r)
+		bt.Cols[2].Strs[r] = fmt.Sprint("s", r%7)
+		bt.Cols[3].Sets[r] = []string{"x", fmt.Sprint("y", r%3)}
+	}
+	b := NewBuilder(1)
+	if k, err := b.AppendBatch(bt); err != nil || k != n {
+		t.Fatalf("appended %d of %d rows: %v", k, n, err)
+	}
+	return b
+}
+
+// TestSnapshotAllocsDoNotGrowWithRows pins what a query does under the table
+// lock: taking a view of 60k rows allocates exactly what taking one of 1k
+// does — no per-row copy, no dictionary.
+func TestSnapshotAllocsDoNotGrowWithRows(t *testing.T) {
+	small, large := wideBuilder(t, 1000), wideBuilder(t, 60000)
+	a := testing.AllocsPerRun(50, func() { small.Snapshot() })
+	b := testing.AllocsPerRun(50, func() { large.Snapshot() })
+	if a != b {
+		t.Errorf("Snapshot allocates %v times at 1k rows, %v at 60k", a, b)
+	}
+	// No copy at all: every vector of the view is the builder's own.
+	v := large.Snapshot()
+	if &v.vecs[0].Ints[0] != &large.times[0] {
+		t.Error("the view's times are a copy")
+	}
+	for _, c := range v.vecs[1:] {
+		cb, shared := large.builders[c.Name], false
+		switch c.Type {
+		case layout.TypeInt64:
+			shared = &c.Ints[0] == &cb.Ints[0]
+		case layout.TypeFloat64:
+			shared = &c.Floats[0] == &cb.Floats[0]
+		case layout.TypeString:
+			shared = &c.Strs[0] == &cb.Strs[0]
+		case layout.TypeStringSet:
+			shared = &c.Sets[0] == &cb.Sets[0]
+		}
+		if !shared {
+			t.Errorf("the view's column %q is a copy", c.Name)
+		}
+	}
+}
+
+// TestViewBuildsOnlyTheColumnsRead: reading one column of a view builds that
+// column alone — no dictionary for a string column the query never reads —
+// and reading it again returns the column the first read built.
+func TestViewBuildsOnlyTheColumnsRead(t *testing.T) {
+	v := wideBuilder(t, 1000).Snapshot()
+	c, err := v.DecodeColumn("i")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range v.schema {
+		if built := v.cols[i] != nil; built != (f.Name == "i") {
+			t.Errorf("column %q built = %v after reading only i", f.Name, built)
+		}
+	}
+	if again, _ := v.DecodeColumn("i"); again != c {
+		t.Error("a second read built column i again")
+	}
+	if got := c.(*column.Int64Column).Values; len(got) != 1000 || got[999] != 999 {
+		t.Errorf("column i = %d values ending %d", len(got), got[len(got)-1])
 	}
 }

@@ -169,6 +169,9 @@ func NewTailer(src Source, category string, offset int64) *Tailer {
 // Offset returns the tailer's next offset.
 func (t *Tailer) Offset() int64 { return t.offset }
 
+// Rewind sets the offset the next Poll reads from.
+func (t *Tailer) Rewind(offset int64) { t.offset = offset }
+
 // Poll reads up to max messages and advances the offset. On ErrTooOld the
 // tailer skips to the oldest retained message and reports how many were
 // lost.

@@ -227,8 +227,11 @@ func (t *Table) notifyEvict(blocks []*rowblock.RowBlock) {
 type View struct {
 	// Blocks are the sealed blocks overlapping the query's time range.
 	Blocks []*rowblock.RowBlock
-	// Active is a snapshot of the unsealed in-progress rows (nil when there
-	// are none), so data is queryable the moment it arrives.
+	// Active is a view of the unsealed in-progress rows (nil when there are
+	// none), so data is queryable the moment it arrives. It aliases the
+	// builder's vectors — taking it under the lock is O(columns) — and keeps
+	// the arrays it aliases alive, even once the builder has grown past them,
+	// until the query drops it.
 	Active *rowblock.UnsealedView
 	// NumBlocks counts all sealed blocks, overlapping or not.
 	NumBlocks int

@@ -282,15 +282,25 @@ func (t *Tailer) DrainOnce() (placed int, err error) {
 		}()
 	}
 	var batch []rowblock.Row
-	flush := func() error {
+	// from, badAt and lostAt are the reader's offset and counters just past
+	// the last placed batch. When no leaf takes a batch, nothing was sent
+	// anywhere: the tailer rewinds to them, and the next drain reads those
+	// messages — and counts what it skips among them — again.
+	from, badAt, lostAt := t.reader.Offset(), t.RowsBad, t.RowsLost
+	flush := func(next int64) error {
 		if len(batch) == 0 {
 			return nil
 		}
 		if _, err := t.placer.Place(t.cfg.Table, batch); err != nil {
+			if errors.Is(err, ErrNoTarget) {
+				t.reader.Rewind(from)
+				t.RowsBad, t.RowsLost = badAt, lostAt
+			}
 			return err
 		}
 		placed += len(batch)
 		batch = batch[:0]
+		from, badAt, lostAt = next, t.RowsBad, t.RowsLost
 		return nil
 	}
 	for {
@@ -310,13 +320,13 @@ func (t *Tailer) DrainOnce() (placed int, err error) {
 			}
 			batch = append(batch, row)
 			if len(batch) >= t.cfg.BatchRows {
-				if err := flush(); err != nil {
+				if err := flush(m.Offset + 1); err != nil {
 					return placed, err
 				}
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	if err := flush(t.reader.Offset()); err != nil {
 		return placed, err
 	}
 	if t.cfg.Checkpoint != nil {
@@ -328,6 +338,7 @@ func (t *Tailer) DrainOnce() (placed int, err error) {
 }
 
 // Run pumps until stop is closed, flushing every N rows or t seconds (§2).
+// A batch no leaf takes (ErrNoTarget) is tried again on the next tick.
 func (t *Tailer) Run(stop <-chan struct{}) error {
 	ticker := time.NewTicker(t.cfg.FlushInterval)
 	defer ticker.Stop()

@@ -3,7 +3,11 @@ package tailer
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"scuba/internal/leaf"
 	"scuba/internal/query"
@@ -298,5 +302,76 @@ func TestTailerCountsLostRows(t *testing.T) {
 	}
 	if placed != 3 || tl.RowsLost != 7 {
 		t.Errorf("placed %d lost %d", placed, tl.RowsLost)
+	}
+}
+
+// refusingPlacer answers ErrNoTarget to its first refuse calls, then records
+// the time of every row it is given.
+type refusingPlacer struct {
+	mu     sync.Mutex
+	refuse int
+	times  []int64
+}
+
+func (p *refusingPlacer) Place(_ string, rows []rowblock.Row) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.refuse > 0 {
+		p.refuse--
+		return -1, ErrNoTarget
+	}
+	for _, r := range rows {
+		p.times = append(p.times, r.Time)
+	}
+	return 0, nil
+}
+
+func (p *refusingPlacer) placed() []int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]int64(nil), p.times...)
+}
+
+// TestRunRetriesABatchNoLeafTakes: a batch no leaf accepts is tried again on
+// Run's next tick, not dropped with the rest of its poll — every row lands
+// exactly once, an undecodable message among them is counted once, nothing
+// is counted lost, and the checkpoint ends past the last placed message.
+func TestRunRetriesABatchNoLeafTakes(t *testing.T) {
+	const rows = 35
+	bus := scribe.NewBus(0)
+	for i := range rows {
+		if i == 3 {
+			bus.Append("c", []byte("junk"))
+		}
+		payload, err := EncodeRow(rowblock.Row{Time: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus.Append("c", payload)
+	}
+	p := &refusingPlacer{refuse: 3}
+	cp := NewCheckpoint(filepath.Join(t.TempDir(), "c.ckpt"))
+	tl := New(Config{Category: "c", Table: "t", BatchRows: 10, FlushInterval: 5 * time.Millisecond, Checkpoint: cp}, bus, p, 0)
+	stop, errc := make(chan struct{}), make(chan error, 1)
+	go func() { errc <- tl.Run(stop) }()
+	for deadline := time.Now().Add(5 * time.Second); len(p.placed()) < rows && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(stop)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	got, want := p.placed(), make([]int64, rows)
+	for i := range want {
+		want[i] = int64(i)
+	}
+	if slices.Sort(got); !slices.Equal(got, want) {
+		t.Errorf("placed rows %v, want each of 0..%d once", got, rows-1)
+	}
+	if tl.RowsLost != 0 || tl.RowsBad != 1 {
+		t.Errorf("lost %d, bad %d; want 0 and 1", tl.RowsLost, tl.RowsBad)
+	}
+	if saved, end := cp.Load(), bus.End("c"); saved != end {
+		t.Errorf("checkpoint %d, want %d", saved, end)
 	}
 }
