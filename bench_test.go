@@ -516,15 +516,13 @@ func BenchmarkIngest(b *testing.B) {
 }
 
 // BenchmarkAddRowsWAL measures the ingest path with the write-ahead log on:
-// each 1000-row batch is framed, CRC'd, appended, and fsynced before the ack
-// (WALSyncInterval 0 — the worst-case durable configuration; group commit
-// amortizes the fsync in production). Gated against BenchmarkIngest-style
-// regressions in CI: the WAL must stay a bounded tax on AddRows.
+// each 1000-row batch is framed, CRC'd, appended, and fsynced before the ack.
+// Gated against BenchmarkIngest-style regressions in CI: the WAL must stay a
+// bounded tax on AddRows.
 func BenchmarkAddRowsWAL(b *testing.B) {
 	e := newBenchEnv(b)
 	cfg := e.config(0)
 	cfg.WALDir = filepath.Join(e.dir, "wal")
-	cfg.WALSyncInterval = 0
 	l, err := scuba.NewLeaf(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -552,7 +550,6 @@ func BenchmarkIngestWire(b *testing.B) {
 	e := newBenchEnv(b)
 	cfg := e.config(0)
 	cfg.WALDir = filepath.Join(e.dir, "wal")
-	cfg.WALSyncInterval = 0
 	l, err := scuba.NewLeaf(cfg)
 	if err != nil {
 		b.Fatal(err)

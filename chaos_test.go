@@ -174,7 +174,6 @@ func TestDaemonCrashDuringIngestWAL(t *testing.T) {
 					"-disk-root", filepath.Join(workDir, "disk"),
 					"-sync-interval", "100ms", // the persist pass: images, watermark, truncate
 					"-wal-dir", filepath.Join(workDir, "wal"),
-					"-wal-sync", "0", // fsync inline: every ack is durable
 				}
 				if faultSpec != "" {
 					args = append(args, "-fault", faultSpec)

@@ -43,7 +43,6 @@ func main() {
 		syncEvery  = flag.Duration("sync-interval", 5*time.Second, "persist pass interval: block images written, WAL truncated behind them")
 		expireEach = flag.Duration("expire-interval", time.Minute, "expiration sweep interval")
 		walDir     = flag.String("wal-dir", "", "write-ahead log root for crash-path parity; needs -disk-root ('' disables the WAL)")
-		walSync    = flag.Duration("wal-sync", 2*time.Millisecond, "WAL group-commit fsync interval (0 = fsync inline on every append)")
 		httpAddr   = flag.String("http", "", "observability listen address serving /metrics, /debug/recovery and /debug/pprof ('' disables)")
 		telemetry  = flag.Duration("telemetry-interval", 0, "self-telemetry period: snapshot this leaf's metrics into __system tables (0 disables)")
 		profEvery  = flag.Duration("profile-interval", time.Minute, "continuous profiler steady cadence: capture a CPU window + heap delta into __system.profiles this often (0 disables the profiler)")
@@ -95,7 +94,6 @@ func main() {
 		InstantOn:             *instantOn,
 		DecodeCacheBytes:      *decCache,
 		WALDir:                *walDir,
-		WALSyncInterval:       *walSync,
 		Metrics:               reg,
 		Obs:                   ob,
 	}

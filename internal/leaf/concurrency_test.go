@@ -6,6 +6,7 @@ package leaf
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -338,6 +339,38 @@ func TestPoolSizeIsCoresClampedToJobs(t *testing.T) {
 	runtime.GOMAXPROCS(1)
 	if rec := startLeaf(t, e.config(0)).Recovery(); rec.Workers != 1 {
 		t.Errorf("restore workers = %d with GOMAXPROCS 1, want 1", rec.Workers)
+	}
+}
+
+// TestBackgroundPoolLeavesACore pins fanOut's sizing rule by what its jobs
+// see: the promoter's backgroundPool, which runs beside queries, has at most
+// GOMAXPROCS-1 jobs running at once and never fewer than one; Start's and the
+// shutdowns' pools, which nothing runs beside, have GOMAXPROCS.
+func TestBackgroundPoolLeavesACore(t *testing.T) {
+	const jobs = 6
+	highWater := func(kind poolKind) (int, int) {
+		var running, most atomic.Int64
+		workers, _ := fanOut(context.Background(), kind, jobs, func(int) int64 { return 0 }, func(context.Context, int, int) error {
+			n := running.Add(1)
+			for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+			}
+			time.Sleep(10 * time.Millisecond)
+			running.Add(-1)
+			return nil
+		})
+		return int(most.Load()), workers
+	}
+	for _, c := range []struct{ procs, background, foreground int }{{2, 1, 2}, {1, 1, 1}} {
+		setProcs(t, c.procs)
+		for _, k := range []struct {
+			kind poolKind
+			name string
+			want int
+		}{{backgroundPool, "background", c.background}, {startPool, "start", c.foreground}, {shutdownPool, "shutdown", c.foreground}} {
+			if most, workers := highWater(k.kind); most != k.want || workers != k.want {
+				t.Errorf("GOMAXPROCS %d, %s pool: %d jobs at once on %d workers, want %d", c.procs, k.name, most, workers, k.want)
+			}
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ func (l *Leaf) startPromoter() {
 	go func() {
 		// There are as many jobs as blocks and each takes one, whichever is
 		// next by then: the job's index and size say nothing.
-		fanOut(ctx, false, n, func(int) int64 { return 0 }, func(context.Context, int, int) error { //nolint:errcheck // jobs return none
+		fanOut(ctx, backgroundPool, n, func(int) int64 { return 0 }, func(context.Context, int, int) error { //nolint:errcheck // jobs return none
 			tbl, rb := next()
 			l.promoteBlock(tbl, rb, copyTime)
 			return nil

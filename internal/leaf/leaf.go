@@ -54,9 +54,10 @@ type Config struct {
 	// is truncated behind live. Empty disables the WAL: a crash loses the
 	// rows acked since the last persist pass, the paper's durability model.
 	WALDir string
-	// WALSyncInterval is the group-commit cadence: ingest batches block
-	// until the next WAL fsync at most this far away. <=0 fsyncs on every
-	// append (maximum durability, minimum throughput).
+	// WALSyncInterval does nothing: a batch's fsync is led by the first
+	// waiter that finds none in flight (internal/wal), not run on a clock.
+	// It stays only because bench/ sets it, and goes with the other
+	// forwards kept for bench/.
 	WALSyncInterval time.Duration
 	// Table sets default retention for new tables.
 	Table table.Options
@@ -256,10 +257,7 @@ func New(cfg Config) (*Leaf, error) {
 		l.store = store
 	}
 	if cfg.WALDir != "" {
-		w, err := wal.Open(filepath.Join(cfg.WALDir, fmt.Sprintf("leaf%d", cfg.ID)), wal.Options{
-			SyncInterval: cfg.WALSyncInterval,
-			Metrics:      cfg.Metrics,
-		})
+		w, err := wal.Open(filepath.Join(cfg.WALDir, fmt.Sprintf("leaf%d", cfg.ID)), wal.Options{Metrics: cfg.Metrics})
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +381,7 @@ func (l *Leaf) shutdown(toShm bool) (info ShutdownInfo, err error) {
 		heap := func(i int) int64 { return tables[i].Bytes() }
 		// The first failure stops the other workers, each closing the segment
 		// it was writing.
-		info.Workers, err = fanOut(context.Background(), true, len(tables), heap, func(ctx context.Context, worker, i int) error {
+		info.Workers, err = fanOut(context.Background(), shutdownPool, len(tables), heap, func(ctx context.Context, worker, i int) error {
 			if err := l.shutdownTable(ctx, r, worker, tables[i], b); err != nil {
 				return fmt.Errorf("leaf: shutdown of %q: %w", tables[i].Name(), err)
 			}

@@ -24,7 +24,8 @@ import (
 // TestRestartTraceAccountsForTheGap: for each recovery source the start
 // half's top-level spans tile [Start begin, first answer] — in order, no
 // overlap, summing to within 10 % of the gap this test measures with its own
-// clock — every table span names its table, worker and source and lies inside
+// clock (or a fixed 250 µs for the sub-millisecond images-only gap) — every
+// table span names its table, worker and source and lies inside
 // its phase, the whole-phase timers read the phase's wall time, and
 // RecoveryInfo's totals are the sums over the spans.
 func TestRestartTraceAccountsForTheGap(t *testing.T) {
@@ -85,8 +86,19 @@ func TestRestartTraceAccountsForTheGap(t *testing.T) {
 			if want := []string{obs.PhaseMap, phase, obs.PhaseAlive, obs.PhaseFirstAnswer}; !reflect.DeepEqual(got, want) {
 				t.Fatalf("top-level spans %v, want %v", got, want)
 			}
-			if top[0].Start.Before(begin) || sum > gap || float64(sum) < 0.9*float64(gap) {
-				t.Errorf("top-level spans sum to %v of a %v gap, want within 10 %%", sum, gap)
+			// What no span covers is the fixed cost of the Query call around
+			// the first answer, not a share of the gap: 26 µs at p50 and
+			// 125 µs at most over 100 runs of the images-only source, whose
+			// gap is 0.27-0.47 ms, so 10 % of it is inside that noise. That
+			// source may leave untracedFloor uncovered; the others, with gaps
+			// of milliseconds, keep 10 %.
+			const untracedFloor = 250 * time.Microsecond
+			slack := gap / 10
+			if src.wantPath == RecoveryDisk {
+				slack = max(slack, untracedFloor)
+			}
+			if top[0].Start.Before(begin) || sum > gap || gap-sum > slack {
+				t.Errorf("top-level spans sum to %v of a %v gap, want within %v", sum, gap, slack)
 			}
 			t.Logf("gap %v, top-level spans %v (%.1f %%)", gap, sum, 100*float64(sum)/float64(gap))
 

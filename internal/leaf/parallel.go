@@ -34,17 +34,35 @@ func (info *ShutdownInfo) fromSpans(trace obs.Trace) {
 	info.Duration = down.Elapsed()
 }
 
+// poolKind is what a fan-out's caller already knows about it: whether
+// anything waits for a core beside it, and what its first failure does.
+type poolKind uint8
+
+const (
+	// startPool is Start before ALIVE: nothing is served yet, so it takes
+	// every core, and a table that fails is that table's outcome alone.
+	startPool poolKind = iota
+	// shutdownPool is a clean shutdown: nothing is served any more, and the
+	// first failure stops the rest.
+	shutdownPool
+	// backgroundPool runs beside queries (the promoter): it leaves one core
+	// to them, so a query that parks gets a P back without waiting out a
+	// preemption tick behind workers that never yield (DESIGN.md §14).
+	backgroundPool
+)
+
 // fanOut is the restart path's one pool: Start's per-table recovery, both clean
 // shutdowns and the promoter run on it. The n jobs are taken in descending
 // order of size (ties keep their order) — a pool fed its largest job first
 // never ends with one worker idle while another has only just started on the
-// biggest table — by min(GOMAXPROCS, n) workers: the pool's size is a property
-// of the cores this process was given (the paper runs eight leaves a machine,
-// §2), not an option. A job not yet begun when its context ends is skipped:
-// the caller's ctx, and with failFast the first error, recorded before the
-// cancellation can make others, stop the rest. Returns the pool size and the
-// first error.
-func fanOut(ctx context.Context, failFast bool, n int, size func(i int) int64, job func(ctx context.Context, worker, i int) error) (int, error) {
+// biggest table — by min(GOMAXPROCS, n) workers, one fewer (but at least one)
+// for a backgroundPool: the pool's size is a property of the cores this
+// process was given (the paper runs eight leaves a machine, §2) and of what
+// runs beside it, not an option. A job not yet begun when its context ends is
+// skipped: the caller's ctx, and in a shutdownPool the first error, recorded
+// before the cancellation can make others, stop the rest. Returns the pool
+// size and the first error.
+func fanOut(ctx context.Context, kind poolKind, n int, size func(i int) int64, job func(ctx context.Context, worker, i int) error) (int, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	sizes, order := make([]int64, n), make([]int, n)
@@ -52,7 +70,11 @@ func fanOut(ctx context.Context, failFast bool, n int, size func(i int) int64, j
 		sizes[i], order[i] = size(i), i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
-	workers := min(runtime.GOMAXPROCS(0), n)
+	procs := runtime.GOMAXPROCS(0)
+	if kind == backgroundPool {
+		procs = max(1, procs-1)
+	}
+	workers := min(procs, n)
 	var (
 		next     atomic.Int64
 		errOnce  sync.Once
@@ -71,7 +93,7 @@ func fanOut(ctx context.Context, failFast bool, n int, size func(i int) int64, j
 				if err := job(ctx, worker, order[k]); err != nil {
 					errOnce.Do(func() {
 						firstErr = err
-						if failFast {
+						if kind == shutdownPool {
 							cancel()
 						}
 					})

@@ -122,7 +122,7 @@ func (l *Leaf) Start() error {
 		}
 		return n
 	}
-	info.Workers, err = fanOut(context.Background(), false, len(names), size, func(_ context.Context, worker, i int) error {
+	info.Workers, err = fanOut(context.Background(), startPool, len(names), size, func(_ context.Context, worker, i int) error {
 		si, hasSeg := segs[names[i]]
 		outcomes[i] = l.recoverTable(r, worker, names[i], si, hasSeg, logged[names[i]])
 		return outcomes[i].err

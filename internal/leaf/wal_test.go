@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"scuba/internal/fault"
 	"scuba/internal/query"
@@ -29,9 +28,6 @@ func newWALEnv(t *testing.T) walEnv {
 func (e walEnv) config(id int) Config {
 	cfg := e.env.config(id)
 	cfg.WALDir = e.walDir
-	// Inline fsync in tests: deterministic, and no flusher goroutine to leak
-	// from "crashed" (abandoned) leaf objects.
-	cfg.WALSyncInterval = 0
 	return cfg
 }
 
@@ -277,9 +273,7 @@ func TestWALQuarantineOnRejectedBatch(t *testing.T) {
 // reordered batches makes replay duplicate one and drop the other.
 func TestWALConcurrentIngestCrashRecovery(t *testing.T) {
 	e := newWALEnv(t)
-	cfg := e.config(0)
-	cfg.WALSyncInterval = time.Millisecond // group commit, not inline fsync
-	old := startLeaf(t, cfg)
+	old := startLeaf(t, e.config(0))
 
 	const (
 		writers   = 16
@@ -336,7 +330,7 @@ func TestWALConcurrentIngestCrashRecovery(t *testing.T) {
 		}
 	}
 	want := groupedResult(t, old, "events")
-	// Stop the abandoned leaf's flusher; its WAL files stay for the crash.
+	// Close the abandoned leaf's log; its WAL files stay for the crash.
 	if err := old.WAL().Close(); err != nil {
 		t.Fatal(err)
 	}

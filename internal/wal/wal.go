@@ -19,11 +19,12 @@
 // Appends are group-committed in two stages so the caller can order the log
 // and its in-memory apply under one lock without serializing on fsyncs:
 // Begin writes the record to the active segment and assigns its row indexes,
-// and the returned Commit's Wait blocks until a flusher fsync covers the
-// record (SyncInterval cadence; <=0 fsyncs inline, driven by the waiters
-// themselves). The caller only acks its client after Wait returns, so acked
-// rows are always durable; a batch lost to a torn tail write was by
-// construction never acked.
+// and the returned Commit's Wait blocks until an fsync covers the record.
+// The first waiter to find no fsync in flight leads one for everything
+// written so far, outside the table's lock, so Begin never waits out an
+// fsync; waiters that arrive meanwhile share the next. The caller only acks
+// its client after Wait returns, so acked rows are always durable; a batch
+// lost to a torn tail write was by construction never acked.
 //
 // Any write or fsync failure on the append path quarantines the table: the
 // failed record's bytes may sit mid-segment and become durable on a later
@@ -44,7 +45,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"scuba/internal/disk"
 	"scuba/internal/fault"
@@ -54,9 +54,6 @@ import (
 
 // Options configure a Log.
 type Options struct {
-	// SyncInterval is the group-commit cadence: appenders wait for the next
-	// background fsync at most this far away. <=0 fsyncs on every append.
-	SyncInterval time.Duration
 	// SegmentBytes rotates the active segment past this size (default 4 MB).
 	// Truncation deletes whole closed segments, so smaller segments reclaim
 	// space sooner at the cost of more files.
@@ -82,9 +79,6 @@ type Log struct {
 	mu     sync.Mutex
 	tables map[string]*tableLog
 	closed bool
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // tableLog is one table's active segment and group-commit state.
@@ -99,9 +93,12 @@ type tableLog struct {
 	next int64    // global row index the next append starts at
 	rec  []byte   // record scratch, reused across appends under mu
 
-	appendSeq   int64 // records written
-	syncedSeq   int64 // records durably fsynced
-	dirty       bool
+	appendSeq int64 // records written
+	syncedSeq int64 // records durably fsynced
+	// syncing is set while a leader's fsync runs with mu released. Waiters
+	// sleep on cond until it clears, and so do rotation and close, which
+	// close the fd; an append that need not rotate never waits for it.
+	syncing     bool
 	quarantined bool
 	// failed is set when the quarantine marker itself could not be persisted
 	// (disk full, say): the quarantine exists only in memory, so a crashed
@@ -119,19 +116,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 4 << 20
 	}
-	l := &Log{
-		dir:    dir,
-		opts:   opts,
-		tables: make(map[string]*tableLog),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	if opts.SyncInterval > 0 {
-		go l.flushLoop()
-	} else {
-		close(l.done)
-	}
-	return l, nil
+	return &Log{dir: dir, opts: opts, tables: make(map[string]*tableLog)}, nil
 }
 
 // Dir returns the log root.
@@ -304,19 +289,28 @@ func (l *Log) Begin(table string, frame []byte, rows int) (*Commit, error) {
 func (tl *tableLog) begin(frame []byte, rows int, opts Options) (int64, error) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	if tl.closed {
-		return 0, ErrClosed
-	}
-	if tl.failed != nil {
-		return 0, tl.failed
-	}
-	if tl.quarantined {
-		return 0, nil
-	}
-	if tl.f == nil || tl.size >= opts.SegmentBytes {
-		if err := tl.rotateLocked(); err != nil {
-			return 0, err
+	for {
+		if tl.closed {
+			return 0, ErrClosed
 		}
+		if tl.failed != nil {
+			return 0, tl.failed
+		}
+		if tl.quarantined {
+			return 0, nil
+		}
+		if tl.f != nil && tl.size < opts.SegmentBytes {
+			break
+		}
+		if !tl.syncing {
+			if err := tl.rotateLocked(); err != nil {
+				return 0, err
+			}
+			break
+		}
+		// Rotation closes the fd a leader is fsyncing: wait that fsync out,
+		// then look again — it may have quarantined the table.
+		tl.cond.Wait()
 	}
 	tl.rec = appendRecord(tl.rec[:0], tl.next, rows, frame)
 	rec := tl.rec
@@ -334,7 +328,6 @@ func (tl *tableLog) begin(frame []byte, rows int, opts Options) (int64, error) {
 	tl.size += int64(len(rec))
 	tl.next += int64(rows)
 	tl.appendSeq++
-	tl.dirty = true
 	return tl.appendSeq, nil
 }
 
@@ -345,8 +338,12 @@ func (tl *tableLog) begin(frame []byte, rows int, opts Options) (int64, error) {
 // exactly like every later append to a quarantined table. A non-nil return
 // (log closed, or quarantine marker unpersistable) means the batch must be
 // nacked.
+//
+// A waiter that finds no fsync in flight leads one, covering every record
+// written so far; the others wait for it, and a record written while it
+// runs waits for the next leader.
 func (c *Commit) Wait() error {
-	tl, opts := c.tl, c.log.opts
+	tl := c.tl
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	for tl.syncedSeq < c.seq {
@@ -359,37 +356,49 @@ func (c *Commit) Wait() error {
 		if tl.closed {
 			return ErrClosed
 		}
-		if opts.SyncInterval <= 0 {
-			// Inline commit: the waiter drives the fsync itself (concurrent
-			// waiters still share it — whoever gets the lock first syncs for
-			// all). A failure quarantines or fails the table; the loop
-			// re-checks both.
-			tl.syncLocked() //nolint:errcheck
+		if tl.syncing {
+			tl.cond.Wait()
 			continue
 		}
-		tl.cond.Wait()
+		// A failure quarantines or fails the table; the loop re-checks both.
+		if err := tl.syncLocked(true); err == nil {
+			addCount(c.log.counter("wal.fsyncs"), 1)
+		}
 	}
 	return nil
 }
 
-// syncLocked fsyncs the active segment; on success every written record is
-// durable. On failure the table is quarantined: the un-synced record bytes
-// stay mid-segment and a later successful fsync of the same fd would make
-// them durable anyway, misaligned with what the caller was told — so the
-// log must never be trusted again. Called with tl.mu held.
-func (tl *tableLog) syncLocked() error {
-	err := fault.Inject(fault.SiteWALSync)
-	if err == nil && tl.f != nil {
-		err = tl.f.Sync()
+// syncLocked fsyncs the active segment, marks the records written before it
+// durable — never one written while it ran — and wakes the waiters. A leader
+// (lead) runs the fsync with mu released and syncing set, so neither Begin
+// nor a waiter checking its own record is held up by it; rotation and close,
+// which close the fd right after, run it holding mu. On failure the table is
+// quarantined: the un-synced record bytes stay mid-segment and a later
+// successful fsync of the same fd would make them durable anyway, misaligned
+// with what the caller was told — so the log must never be trusted again.
+// Called with tl.mu held and no fsync in flight; returns with mu held.
+func (tl *tableLog) syncLocked(lead bool) error {
+	upTo, f := tl.appendSeq, tl.f
+	if lead {
+		tl.syncing = true
+		tl.mu.Unlock()
 	}
+	err := fault.Inject(fault.SiteWALSync)
+	if err == nil && f != nil {
+		err = f.Sync()
+	}
+	if lead {
+		tl.mu.Lock()
+		tl.syncing = false
+	}
+	defer tl.cond.Broadcast()
 	if err != nil {
 		if qerr := tl.quarantineLocked(); qerr != nil {
 			err = errors.Join(err, qerr)
 		}
 		return err
 	}
-	tl.syncedSeq = tl.appendSeq
-	tl.dirty = false
+	tl.syncedSeq = upTo
 	return nil
 }
 
@@ -413,16 +422,16 @@ func (tl *tableLog) quarantineLocked() error {
 
 // rotateLocked fsyncs and closes the active segment (closed segments are
 // always durable) and opens the next one, named by its first row index.
+// Called with tl.mu held and no fsync in flight.
 func (tl *tableLog) rotateLocked() error {
 	if tl.f != nil {
-		if err := tl.syncLocked(); err != nil {
+		if err := tl.syncLocked(false); err != nil {
 			return err
 		}
 		if err := tl.f.Close(); err != nil {
 			return err
 		}
 		tl.f = nil
-		tl.cond.Broadcast() // rotation synced; release any group-commit waiters
 	}
 	tl.seq++
 	name := fmt.Sprintf("wal-%08d-%d.log", tl.seq, tl.next)
@@ -433,43 +442,6 @@ func (tl *tableLog) rotateLocked() error {
 	tl.f = f
 	tl.size = 0
 	return disk.SyncDir(tl.dir)
-}
-
-// flushLoop is the group-commit flusher: every SyncInterval it fsyncs each
-// dirty table's active segment and wakes that table's waiting appenders.
-func (l *Log) flushLoop() {
-	defer close(l.done)
-	t := time.NewTicker(l.opts.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-t.C:
-			l.flushAll()
-		}
-	}
-}
-
-func (l *Log) flushAll() {
-	l.mu.Lock()
-	tls := make([]*tableLog, 0, len(l.tables))
-	for _, tl := range l.tables {
-		tls = append(tls, tl)
-	}
-	l.mu.Unlock()
-	for _, tl := range tls {
-		tl.mu.Lock()
-		if tl.dirty && tl.appendSeq > tl.syncedSeq && !tl.closed && !tl.quarantined && tl.failed == nil {
-			// A failed sync quarantines the table inside syncLocked, which
-			// also wakes the waiters.
-			if err := tl.syncLocked(); err == nil {
-				addCount(l.counter("wal.fsyncs"), 1)
-			}
-			tl.cond.Broadcast()
-		}
-		tl.mu.Unlock()
-	}
 }
 
 // ---- Truncation ----
@@ -606,20 +578,27 @@ func (l *Log) ResetTable(table string, next int64) error {
 	return l.SetCursor(table, next)
 }
 
+// closeFile waits out an in-flight leader, fsyncs what no fsync has covered
+// yet (a failure quarantines, as on the append path) and closes the active
+// segment. Waiters it did not cover are nacked with ErrClosed.
 func (tl *tableLog) closeFile() {
 	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	for tl.syncing {
+		tl.cond.Wait()
+	}
 	if tl.f != nil {
-		tl.f.Sync()  //nolint:errcheck // best effort on teardown
+		if tl.appendSeq > tl.syncedSeq {
+			tl.syncLocked(false) //nolint:errcheck // waiters read the outcome off the table's state
+		}
 		tl.f.Close() //nolint:errcheck
 		tl.f = nil
 	}
 	tl.closed = true
 	tl.cond.Broadcast()
-	tl.mu.Unlock()
 }
 
-// Close flushes and closes every table log and stops the flusher. The Log
-// is unusable afterwards.
+// Close flushes and closes every table log. The Log is unusable afterwards.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -632,14 +611,7 @@ func (l *Log) Close() error {
 		tls = append(tls, tl)
 	}
 	l.mu.Unlock()
-	close(l.stop)
-	<-l.done
 	for _, tl := range tls {
-		tl.mu.Lock()
-		if tl.f != nil && tl.appendSeq > tl.syncedSeq {
-			tl.syncLocked() //nolint:errcheck // waiters are nacked below
-		}
-		tl.mu.Unlock()
 		tl.closeFile()
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,7 +124,7 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
-	l := openTest(t, Options{}) // SyncInterval 0: fsync inline
+	l := openTest(t, Options{})
 	for i := 0; i < 5; i++ {
 		if err := appendRows(l, "events", testRows(i*10, 10)); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -146,15 +147,19 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGroupCommitConcurrentAppends: concurrent appenders share fsyncs — the
+// first waiter leads one for every record written so far, the rest ride it or
+// the next — so there are fewer fsyncs than appends, and at least one.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
-	l := openTest(t, Options{SyncInterval: time.Millisecond, Metrics: metrics.NewRegistry()})
+	l := openTest(t, Options{Metrics: metrics.NewRegistry()})
+	const writers, appends = 8, 5
 	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for g := 0; g < 8; g++ {
+	errs := make([]error, writers)
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 5; i++ {
+			for i := 0; i < appends; i++ {
 				if err := appendRows(l, "events", testRows(0, 3)); err != nil {
 					errs[g] = err
 					return
@@ -169,14 +174,184 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 		}
 	}
 	got, _ := collectReplay(t, l, "events", 0)
-	if len(got) != 8*5*3 {
-		t.Fatalf("replayed %d rows, want %d", len(got), 8*5*3)
+	if len(got) != writers*appends*3 {
+		t.Fatalf("replayed %d rows, want %d", len(got), writers*appends*3)
 	}
-	if v := l.opts.Metrics.Counter("wal.append_rows").Value(); v != 8*5*3 {
-		t.Fatalf("wal.append_rows=%d want %d", v, 8*5*3)
+	if v := l.opts.Metrics.Counter("wal.append_rows").Value(); v != writers*appends*3 {
+		t.Fatalf("wal.append_rows=%d want %d", v, writers*appends*3)
 	}
-	if l.opts.Metrics.Counter("wal.fsyncs").Value() == 0 {
-		t.Fatal("no group-commit fsyncs recorded")
+	n := l.opts.Metrics.Counter("wal.fsyncs").Value()
+	if n < 1 || n >= writers*appends {
+		t.Fatalf("wal.fsyncs=%d for %d appends, want at least 1 and fewer than the appends", n, writers*appends)
+	}
+	t.Logf("%d fsyncs for %d appends", n, writers*appends)
+}
+
+// TestBeginDoesNotWaitForAnFsync: a leader fsyncs with the table's lock
+// released, so the next batch's Begin — which runs under the leaf's ingest
+// lock, the table apply's too — is not held up by it.
+func TestBeginDoesNotWaitForAnFsync(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	l := openTest(t, Options{})
+	if err := appendRows(l, "events", testRows(0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.ArmSpec("wal.sync=delay:200ms"); err != nil {
+		t.Fatal(err)
+	}
+	c, err := l.Begin("events", testFrame(t, testRows(3, 3)), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led := make(chan error, 1)
+	go func() { led <- c.Wait() }()
+	for fault.Hits(fault.SiteWALSync) == 0 { // the leader is inside its fsync
+		time.Sleep(time.Millisecond)
+	}
+	begin := time.Now()
+	c2, err := l.Begin("events", testFrame(t, testRows(6, 3)), 3)
+	if took := time.Since(begin); took > 50*time.Millisecond {
+		t.Errorf("Begin took %v beside a 200 ms fsync, want under 50 ms", took)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Reset()
+	if err := <-led; err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := collectReplay(t, l, "events", 0); !reflect.DeepEqual(got, testRows(0, 9)) {
+		t.Fatalf("replayed %d rows, want the 9 appended", len(got))
+	}
+}
+
+// TestRotationAndCloseWaitOutALeader: rotation and Close close the fd a
+// leader may be fsyncing with the lock released, so they wait for it. With
+// one-byte segments every append after the first rotates; a rotating Begin,
+// then Close, each land inside a leader's delayed fsync, with concurrent
+// rotating appenders between them. No fsync may meet a closed fd (that
+// would quarantine the table), and every acked row replays.
+func TestRotationAndCloseWaitOutALeader(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		next  atomic.Int64
+		mu    sync.Mutex
+		acked []rowblock.Row
+	)
+	frames := func() ([]rowblock.Row, []byte) {
+		rows := testRows(int(next.Add(2)-2), 2) // distinct seq values per batch
+		return rows, testFrame(t, rows)
+	}
+	ack := func(rows []rowblock.Row) {
+		mu.Lock()
+		acked = append(acked, rows...)
+		mu.Unlock()
+	}
+	errDropped := errors.New("batch dropped: the table's log is quarantined")
+	appendOne := func() error {
+		rows, frame := frames()
+		c, err := l.Begin("events", frame, len(rows))
+		if err == nil && c == nil {
+			err = errDropped
+		}
+		if err == nil {
+			err = c.Wait()
+		}
+		if err == nil {
+			ack(rows)
+		}
+		return err
+	}
+	// leaderInFsync begins a batch and returns once the Wait leading its
+	// fsync is inside a 20 ms delay, with the fd it recorded still open.
+	leaderInFsync := func() <-chan error {
+		rows, frame := frames()
+		c, err := l.Begin("events", frame, len(rows)) // may rotate: arm after
+		if err == nil && c == nil {
+			err = errDropped
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault.Reset()
+		if err := fault.ArmSpec("wal.sync=delay:20ms;count=1"); err != nil {
+			t.Fatal(err)
+		}
+		led := make(chan error, 1)
+		go func() {
+			err := c.Wait()
+			if err == nil {
+				ack(rows)
+			}
+			led <- err
+		}()
+		for fault.Hits(fault.SiteWALSync) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		return led
+	}
+
+	if err := appendOne(); err != nil {
+		t.Fatal(err)
+	}
+	led := leaderInFsync()
+	if err := appendOne(); err != nil { // rotates: closes the leader's fd
+		t.Fatal(err)
+	}
+	if err := <-led; err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if err := appendOne(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	led = leaderInFsync()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-led; err != nil {
+		t.Fatal(err)
+	}
+	fault.Reset()
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.Quarantined("events") {
+		t.Fatal("a leader's fsync met a closed fd: table quarantined")
+	}
+	got, _ := collectReplay(t, l2, "events", 0)
+	replayed := map[int64]bool{}
+	for _, r := range got {
+		replayed[r.Cols["seq"].Int] = true
+	}
+	for _, r := range acked {
+		if !replayed[r.Cols["seq"].Int] {
+			t.Fatalf("acked row seq=%d did not replay", r.Cols["seq"].Int)
+		}
+	}
+	if len(acked) != 2*44 || len(got) != len(acked) {
+		t.Fatalf("%d rows acked, %d replayed, want all 88 of both", len(acked), len(got))
 	}
 }
 
