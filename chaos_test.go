@@ -49,7 +49,6 @@ func TestDaemonCrashDuringShutdownRecoversFromDisk(t *testing.T) {
 					"-shm-dir", workDir,
 					"-namespace", "chaos",
 					"-disk-root", filepath.Join(workDir, "disk"),
-					"-sync-interval", "100ms",
 				}
 				if faultSpec != "" {
 					args = append(args, "-fault", faultSpec)
@@ -87,9 +86,8 @@ func TestDaemonCrashDuringShutdownRecoversFromDisk(t *testing.T) {
 					t.Fatalf("load: %v", err)
 				}
 			}
-			// Let the write-behind sync flush everything to the disk backup
-			// (100ms interval; nothing new is written after this point).
-			time.Sleep(1200 * time.Millisecond)
+			// No block has sealed: the shutdown's own persist, ahead of the
+			// copy-out the fault crashes, is what puts the rows on disk.
 
 			// The shutdown RPC crashes the process mid-drain; the client sees
 			// a transport error, never a clean response.
@@ -172,7 +170,6 @@ func TestDaemonCrashDuringIngestWAL(t *testing.T) {
 					"-shm-dir", workDir,
 					"-namespace", "chaos-wal-" + sc.name,
 					"-disk-root", filepath.Join(workDir, "disk"),
-					"-sync-interval", "100ms", // the persist pass: images, watermark, truncate
 					"-wal-dir", filepath.Join(workDir, "wal"),
 				}
 				if faultSpec != "" {
@@ -225,8 +222,9 @@ func TestDaemonCrashDuringIngestWAL(t *testing.T) {
 			switch {
 			case sc.fault != "":
 				// Ingest until the armed fault kills the process mid-call
-				// (append/sync sites), or until the background persist pass
-				// kills it (snap/truncate sites) and sends start failing.
+				// (append/sync sites), or until the persist behind the first
+				// seal (132 batches in) kills it (snap/truncate sites) and
+				// sends start failing.
 				deadline := time.Now().Add(15 * time.Second)
 				for time.Now().Before(deadline) {
 					if err := sendOne(); err != nil {

@@ -40,7 +40,6 @@ func main() {
 		maxBytes   = flag.Int64("max-bytes", 0, "per-table compressed byte cap (0 = no cap)")
 		instantOn  = flag.Bool("instant-on", false, "serve queries zero-copy from mmap'd shm on restart; copy-in happens in the background")
 		decCache   = flag.Int64("decode-cache-bytes", 64<<20, "per-table decoded-column cache budget in bytes (0 disables)")
-		syncEvery  = flag.Duration("sync-interval", 5*time.Second, "persist pass interval: block images written, WAL truncated behind them")
 		expireEach = flag.Duration("expire-interval", time.Minute, "expiration sweep interval")
 		walDir     = flag.String("wal-dir", "", "write-ahead log root for crash-path parity; needs -disk-root ('' disables the WAL)")
 		httpAddr   = flag.String("http", "", "observability listen address serving /metrics, /debug/recovery and /debug/pprof ('' disables)")
@@ -197,9 +196,9 @@ func main() {
 		log.Printf("observability on http://%s (/metrics /debug/recovery /debug/pprof)", hs.Addr())
 	}
 
-	// Background maintenance: asynchronous disk sync (§4.1) + expiration.
+	// Background maintenance: expiration (§2). A block's image is written
+	// when it seals (§4.1's asynchronous disk writes), with no loop.
 	maint := l.StartMaintenance(scuba.MaintenanceConfig{
-		SyncInterval:   *syncEvery,
 		ExpireInterval: *expireEach,
 		OnError:        func(err error) { log.Printf("maintenance: %v", err) },
 	})

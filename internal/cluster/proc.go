@@ -78,10 +78,6 @@ type ProcConfig struct {
 	// ReadyTimeout bounds how long a starting leaf may take to answer Ping
 	// (default 30s; covers disk recovery of test-sized datasets).
 	ReadyTimeout time.Duration
-	// SyncInterval is each leaf's persist-pass interval — block images
-	// written, WAL truncated behind them (default 200ms, fast so a crashed
-	// leaf's store is near-current and its log tail short).
-	SyncInterval time.Duration
 	// DisableWAL turns off the per-leaf write-ahead log. By default every
 	// leaf runs with -wal-dir under WorkDir, so a crashed (kill -9) leaf's
 	// replacement recovers every acked row: block images + WAL replay.
@@ -219,9 +215,6 @@ func StartProcCluster(cfg ProcConfig) (*ProcCluster, error) {
 	if cfg.ReadyTimeout <= 0 {
 		cfg.ReadyTimeout = 30 * time.Second
 	}
-	if cfg.SyncInterval <= 0 {
-		cfg.SyncInterval = 200 * time.Millisecond
-	}
 	pc := &ProcCluster{cfg: cfg}
 	n := cfg.Machines * cfg.LeavesPerMachine
 	ports, err := freeLoopbackAddrs(2 * n)
@@ -271,7 +264,6 @@ func (pc *ProcCluster) startLeaf(l *ProcLeaf) error {
 		"-shm-dir", pc.cfg.WorkDir,
 		"-namespace", pc.cfg.Namespace,
 		"-disk-root", pc.cfg.WorkDir + "/disk",
-		"-sync-interval", pc.cfg.SyncInterval.String(),
 	}
 	if !pc.cfg.DisableWAL {
 		args = append(args, "-wal-dir", pc.cfg.WorkDir+"/wal")

@@ -151,6 +151,13 @@ func parseImage(name string) (Image, bool) {
 // table the store has never seen lists as empty with watermark 0.
 func (s *Store) Images(table string) ([]Image, int64, error) {
 	dir := s.tableDir(table)
+	// The watermark before the listing: a persist renames its images before
+	// it saves the watermark, so every image a watermark read here covers is
+	// listed below, whatever persist runs meanwhile.
+	w, err := loadWatermark(dir)
+	if err != nil {
+		return nil, 0, err
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -165,8 +172,7 @@ func (s *Store) Images(table string) ([]Image, int64, error) {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	w, err := loadWatermark(dir)
-	return out, w, err
+	return out, w, nil
 }
 
 // writeAtomic writes data to dir/name through an fsynced temp file and a
@@ -360,7 +366,7 @@ func (s *Store) DropBelow(table string, row int64) (int, error) {
 }
 
 // DropTable deletes one table's images and watermark. A shm restore whose
-// blocks the images do not tile calls it, so the next persist pass rewrites
+// blocks the images do not tile calls it, so the next persist rewrites
 // the table from row 0 of its new numbering.
 func (s *Store) DropTable(table string) error {
 	return os.RemoveAll(s.tableDir(table))

@@ -100,7 +100,7 @@ const (
 	SiteWALAppend = "wal.append"
 	// SiteWALSync is the group-commit fsync acked appends wait on.
 	SiteWALSync = "wal.sync"
-	// SiteWALTruncate is the persist pass's deletion of covered WAL segments.
+	// SiteWALTruncate is a persist's deletion of covered WAL segments.
 	SiteWALTruncate = "wal.truncate"
 	// SiteWALReplay is the per-segment read during crash recovery.
 	SiteWALReplay = "wal.replay"

@@ -89,21 +89,22 @@ func TestAddRowsAddBatchEquivalence(t *testing.T) {
 			t.Fatalf("AddBatch = %d, %v", n, err)
 		}
 		if i == 1 {
-			// Rows [0,65536) are sealed; image them so the watermark lands
-			// inside the second record (rows 40000..79999) of the log.
-			if n, err := byRows.SnapshotPass(); err != nil || n != 1 {
-				t.Fatalf("SnapshotPass = %d, %v", n, err)
-			}
+			// Rows [0,65536) sealed in this batch and went to the store
+			// behind it: the watermark lands inside the second record (rows
+			// 40000..79999) of the log.
+			storeTiles(t, byRows, "events")
 		}
 		if sa, sb := byRows.Stats(), byFrames.Stats(); sa.Bytes != sb.Bytes || sa.Rows != sb.Rows || sa.Blocks != sb.Blocks {
 			t.Fatalf("after batch %d: stats %+v vs %+v", i, sa, sb)
 		}
 	}
 
-	// Crash byRows before sealing anything more: recovery loads block 0 from
-	// its snapshot image and replays from row 65536, mid-record.
+	// Crash byRows once the persists behind its seals have ended: recovery
+	// loads blocks 0-2 from their images and replays from row 196608, in the
+	// middle of the 140000-row record.
+	storeTiles(t, byRows, "events")
 	recovered := startLeaf(t, ca)
-	if info := recovered.Recovery(); info.Path != RecoveryWAL || info.SnapshotBlocks != 1 || info.WALRowsReplayed != at-65536 {
+	if info := recovered.Recovery(); info.Path != RecoveryWAL || info.SnapshotBlocks != 3 || info.WALRowsReplayed != at-3*65536 {
 		t.Fatalf("recovery = %+v", info)
 	}
 	want := sealedImages(t, byFrames)

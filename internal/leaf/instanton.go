@@ -127,10 +127,11 @@ func (l *Leaf) promoteBlock(tbl *table.Table, rb *rowblock.RowBlock, copyTime *m
 	}
 	// A failed swap means the block left the table (expiry, shutdown) while we
 	// copied, and whoever removed it released its residency reference. A swap
-	// took the old block out of circulation: release its residency reference
-	// (scans that snapshotted it still hold their own pins).
+	// took the old block out of circulation and ended its residency: release
+	// the reference that residency held (scans that snapshotted it still hold
+	// their own pins).
 	if tbl.SwapBlock(rb, clone) {
-		rowblock.ReleaseSources([]*rowblock.RowBlock{rb})
+		rb.Source().Release()
 		l.promoted.Add(1)
 	}
 }

@@ -277,10 +277,10 @@ func TestInstantOnPromotionCatchesDamagedClone(t *testing.T) {
 }
 
 // TestInstantOnScanPinsViewAcrossExpiry is the refcount race: a scan
-// snapshots a shm-resident block, then retention expires that block (and
-// promotion finishes everything else) while the scan is still reading. The
-// segment must stay mapped — and its file alive — until the scan drains,
-// and only then unmap and delete.
+// snapshots a shm-resident block, then retention expires that block while
+// the scan is still reading. The segment's file goes with the last
+// residency; the mapping must stay, readable, until the scan drains, and only
+// then unmap.
 func TestInstantOnScanPinsViewAcrossExpiry(t *testing.T) {
 	e := newEnv(t)
 	clock := int64(10_000)
@@ -320,11 +320,7 @@ func TestInstantOnScanPinsViewAcrossExpiry(t *testing.T) {
 	release := make(chan struct{})
 	scanDone := make(chan error, 1)
 	go func() {
-		scanDone <- tbl.ScanView(0, 1<<40, func(table.View) error {
-			close(scanning)
-			<-release
-			return nil
-		})
+		scanDone <- tbl.ScanView(0, 1<<40, readPinned(scanning, release))
 	}()
 	<-scanning
 
@@ -336,25 +332,72 @@ func TestInstantOnScanPinsViewAcrossExpiry(t *testing.T) {
 	if got := len(tbl.Blocks()); got != 0 {
 		t.Fatalf("expiry left %d blocks", got)
 	}
-	// The scan still pins the view: mapped, refs held, file on disk.
+	// The scan still pins the view: mapped, refs held; the file is gone.
 	if view.Refs() == 0 {
 		t.Fatal("view drained while a scan still reads it")
 	}
-	if files := segmentFiles(t, e.shmDir); len(files) == 0 {
-		t.Fatal("segment file deleted while a scan still reads it")
+	if files := segmentFiles(t, e.shmDir); len(files) != 0 {
+		t.Fatalf("segment files %v outlived the last residency", files)
 	}
 
 	close(release)
 	if err := <-scanDone; err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for view.Refs() != 0 || len(segmentFiles(t, e.shmDir)) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("view not reclaimed after scan drained: refs=%d files=%v",
-				view.Refs(), segmentFiles(t, e.shmDir))
+	// The parked promoter may still be pinning the view for a failing clone.
+	eventually(t, "the view unmapped after the scan drained", func() bool { return view.Refs() == 0 })
+}
+
+// readPinned is a ScanView callback that holds its view until release, then
+// reads every byte of each block it pinned: a mapping released under it
+// faults here.
+func readPinned(scanning, release chan struct{}) func(table.View) error {
+	return func(v table.View) error {
+		close(scanning)
+		<-release
+		for _, rb := range v.Blocks {
+			rb.AppendImage(nil)
 		}
-		time.Sleep(2 * time.Millisecond)
+		return nil
+	}
+}
+
+// TestInstantOnLastPromotionUnlinksBesideAScan: a scan holds the view's
+// blocks inside ScanView's callback across the last promotion. Once
+// ServedFromShm reads 0 the shm directory holds no segment, and the scan's
+// reads of the blocks it pinned stay valid until it returns.
+func TestInstantOnLastPromotionUnlinksBesideAScan(t *testing.T) {
+	e := newEnv(t)
+	old := startLeaf(t, e.config(0))
+	for i := 0; i < 3; i++ {
+		ingest(t, old, "events", 400, int64(1000+400*i))
+		if err := old.SealAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := old.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	// Hold every clone back long enough for the scan to pin the view first.
+	t.Cleanup(fault.Reset)
+	if err := fault.ArmSpec(fault.SiteShmCopyIn + "=delay:50ms"); err != nil {
+		t.Fatal(err)
+	}
+	nu := startLeaf(t, e.instantConfig(0))
+	defer nu.stopPromoter()
+	scanning, release := make(chan struct{}), make(chan struct{})
+	scanDone := make(chan error, 1)
+	go func() {
+		scanDone <- nu.Table("events").ScanView(0, 1<<40, readPinned(scanning, release))
+	}()
+	<-scanning
+	waitPromoted(t, nu)
+	if files := segmentFiles(t, e.shmDir); len(files) != 0 {
+		t.Errorf("ServedFromShm reads 0, yet segment files %v are left", files)
+	}
+	close(release)
+	if err := <-scanDone; err != nil {
+		t.Fatal(err)
 	}
 }
 

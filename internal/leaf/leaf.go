@@ -52,7 +52,8 @@ type Config struct {
 	// WALDir enables the per-table write-ahead log rooted there (a leaf<ID>
 	// subdirectory is created); it needs DiskRoot, where the images the log
 	// is truncated behind live. Empty disables the WAL: a crash loses the
-	// rows acked since the last persist pass, the paper's durability model.
+	// rows acked since their table's last persist, the paper's durability
+	// model.
 	WALDir string
 	// WALSyncInterval does nothing: a batch's fsync is led by the first
 	// waiter that finds none in flight (internal/wal), not run on a clock.
@@ -202,12 +203,7 @@ type Leaf struct {
 	mu     sync.Mutex
 	state  State
 	tables map[string]*table.Table
-	// ingest holds one lock per table, spanning WAL record reservation and
-	// the table apply in AddRows: WAL record order must equal table row
-	// order or crash replay splices batches wrongly around the image
-	// watermark. The fsync wait happens outside the lock, so group commit
-	// still batches concurrent appenders.
-	ingest map[string]*sync.Mutex
+	locks  map[string]*tableLocks
 	// caches holds each table's decoded-column cache (nil entries/absent
 	// when Config.DecodeCacheBytes is 0). A table's cache is created when
 	// the table is installed and its evict hook invalidates cache entries
@@ -246,7 +242,7 @@ func New(cfg Config) (*Leaf, error) {
 		shm:    shm.NewManager(cfg.ID, cfg.Shm),
 		state:  StateInit,
 		tables: make(map[string]*table.Table),
-		ingest: make(map[string]*sync.Mutex),
+		locks:  make(map[string]*tableLocks),
 		caches: make(map[string]*query.DecodeCache),
 	}
 	if cfg.DiskRoot != "" {
@@ -424,7 +420,7 @@ func (l *Leaf) shutdown(toShm bool) (info ShutdownInfo, err error) {
 	if err == nil {
 		l.mu.Lock()
 		l.tables = make(map[string]*table.Table)
-		l.ingest = make(map[string]*sync.Mutex)
+		l.locks = make(map[string]*tableLocks)
 		l.caches = make(map[string]*query.DecodeCache)
 		l.mu.Unlock()
 		// Tables still holding shm-resident blocks (a disk-bound shutdown
@@ -510,21 +506,12 @@ func (l *Leaf) addBatch(tableName string, b *rowblock.Batch, frame []byte) error
 		l.tables[tableName] = tbl
 	}
 	useWAL := l.wal != nil && l.walReady.Load()
-	var ing *sync.Mutex
-	if useWAL {
-		if ing = l.ingest[tableName]; ing == nil {
-			ing = new(sync.Mutex)
-			l.ingest[tableName] = ing
-		}
-	}
 	l.mu.Unlock()
 	if !ok {
 		l.attachCache(tableName, tbl)
 	}
-	if !useWAL {
-		return tbl.AddBatch(b, l.cfg.Clock())
-	}
-	if frame == nil {
+	locks := l.locksFor(tableName)
+	if useWAL && frame == nil {
 		frame = b.AppendFrame(nil)
 	}
 	// Log before apply, under the table's ingest lock: the lock makes WAL
@@ -532,29 +519,43 @@ func (l *Leaf) addBatch(tableName string, b *rowblock.Batch, frame []byte) error
 	// otherwise interleave the two differently, and crash replay would
 	// splice them wrongly around the image watermark). The durability
 	// wait happens after the lock drops, so concurrent appenders still
-	// share group-commit fsyncs.
-	ing.Lock()
-	commit, err := l.wal.Begin(tableName, frame, b.Rows())
+	// share group-commit fsyncs. A batch that fills the builder seals a
+	// block: the log rotates before it, so that the persist behind the seal
+	// truncates every log row the new image holds.
+	locks.ingest.Lock()
+	seals := tbl.Stats().Unsealed+b.Rows() >= rowblock.MaxRows
+	var commit *wal.Commit
+	var err error
+	if useWAL && seals {
+		err = l.wal.Rotate(tableName)
+	}
+	if useWAL && err == nil {
+		commit, err = l.wal.Begin(tableName, frame, b.Rows())
+	}
+	if err == nil {
+		err = tbl.AddBatch(b, l.cfg.Clock())
+		if err != nil && useWAL {
+			// The table rejected a batch the log already holds: the log's row
+			// indexes no longer mirror the table. Quarantine it, degrading that
+			// one table's crash recovery to its images alone until the next
+			// restart resets its log. If even the quarantine marker cannot be
+			// persisted, the WAL keeps nacking the table — surface that too.
+			if qerr := l.wal.Quarantine(tableName); qerr != nil {
+				err = errors.Join(err, qerr)
+			}
+		}
+	}
+	locks.ingest.Unlock()
 	if err != nil {
-		ing.Unlock()
 		return err
 	}
-	err = tbl.AddBatch(b, l.cfg.Clock())
-	ing.Unlock()
-	if err != nil {
-		// The table rejected a batch the log already holds: the log's row
-		// indexes no longer mirror the table. Quarantine it, degrading that
-		// one table's crash recovery to its images alone until the next
-		// restart resets its log. If even the quarantine marker cannot be
-		// persisted, the WAL keeps nacking the table — surface that too.
-		if qerr := l.wal.Quarantine(tableName); qerr != nil {
-			return errors.Join(err, qerr)
-		}
-		return err
+	if seals {
+		l.persistBehind(tbl)
 	}
 	if commit == nil {
-		// Quarantined log: the batch is applied but not WAL-covered; acked
-		// under the degraded pre-WAL durability model (disk write-behind).
+		// No WAL, or a quarantined log: the batch is applied but not
+		// WAL-covered; acked under the pre-WAL durability model (disk
+		// write-behind).
 		return nil
 	}
 	return commit.Wait()
@@ -702,13 +703,35 @@ func (l *Leaf) SealAll() error {
 	return nil
 }
 
-// SyncToDisk is the one persist pass — the asynchronous write-behind of
-// §4.1 ("only the sections of data that have changed since the last
-// synchronization point need to be updated"): for every table, write the
-// images of the blocks sealed since the last pass, move the store's
-// watermark past them, and truncate the log behind it. It returns the number
-// of images written. The maintenance loop calls it on SyncInterval; shutdown
-// runs the same pass per table before copying it out.
+// tableLocks are one table's leaf-side locks.
+type tableLocks struct {
+	// ingest spans the WAL record reservation and the table apply in
+	// addBatch: WAL record order must equal table row order, or crash replay
+	// splices batches wrongly around the image watermark.
+	ingest sync.Mutex
+	// persist serializes what writes or deletes the table's images: the
+	// persister, SyncToDisk, shutdown and expiry's DropBelow. Without it an
+	// image written for a block expiry has just dropped would bring the block
+	// back after a crash, and two persists could interleave the watermark's
+	// read and write.
+	persist sync.Mutex
+}
+
+// locksFor returns the table's locks, creating them on first use.
+func (l *Leaf) locksFor(name string) *tableLocks {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	tl := l.locks[name]
+	if tl == nil {
+		tl = new(tableLocks)
+		l.locks[name] = tl
+	}
+	return tl
+}
+
+// SyncToDisk is the persist barrier: for every table it waits out a persist
+// in flight, then persists what is left. It returns the number of images
+// this call wrote, 0 when the persister had written them all.
 func (l *Leaf) SyncToDisk() (int, error) {
 	if l.store == nil {
 		return 0, nil
@@ -728,10 +751,48 @@ func (l *Leaf) SyncToDisk() (int, error) {
 // backup were two stores; the frozen benchmark still calls it.
 func (l *Leaf) SnapshotPass() (int, error) { return l.SyncToDisk() }
 
-// persistTable runs the persist pass for one table. A failed pass marks
-// nothing: the next one rewrites the same files.
+// persistBehind hands tbl to the persister once one of its blocks has
+// sealed: §4.1's write-behind, with the seal as the synchronization point
+// (a sealed block never changes). The persist runs on a goroutine of its
+// own, off the ack path and outside the table and ingest locks. A failure is
+// a flight-recorder event: the log still covers the rows, and the next seal
+// or SyncToDisk writes them. A table still recovering is left to Start's
+// hand-off at ALIVE, one shutting down to its own persist.
+func (l *Leaf) persistBehind(tbl *table.Table) {
+	if l.store == nil || tbl.State() != table.StateAlive {
+		return
+	}
+	go func() {
+		if _, err := l.persistTable(tbl); err != nil {
+			l.cfg.Obs.Event(obs.EventFail, obs.PhaseTablePersist+":"+tbl.Name(), err.Error())
+		}
+	}()
+}
+
+// persistTable writes the images of the blocks tbl sealed since its last
+// persist, saves the store's watermark W past them and truncates the log
+// behind W, under the table's persist lock. A failure marks nothing: the
+// next persist rewrites the same files.
 func (l *Leaf) persistTable(tbl *table.Table) (int, error) {
+	locks := l.locksFor(tbl.Name())
+	locks.persist.Lock()
+	defer locks.persist.Unlock()
+	return l.persistLocked(tbl)
+}
+
+func (l *Leaf) persistLocked(tbl *table.Table) (int, error) {
 	blocks, starts := tbl.UnpersistedBlocks()
+	for _, rb := range blocks {
+		if src := rb.Source(); src != nil {
+			// The table's shm view, pinned while images of its blocks are
+			// written. One already gone holds no block of the table any more.
+			if !src.Retain() {
+				return l.persistLocked(tbl)
+			}
+			defer src.Release()
+			break
+		}
+	}
 	n, err := l.store.Persist(tbl.Name(), blocks, starts)
 	if err != nil || n == 0 {
 		return n, err
@@ -764,7 +825,13 @@ func (l *Leaf) ExpireAll(now int64) (int, error) {
 			return dropped, err
 		}
 		if l.store != nil {
-			if _, err := l.store.DropBelow(tbl.Name(), tbl.FirstRow()); err != nil {
+			// Under the persist lock: a persist that listed a block expiry
+			// dropped writes its image first, and this deletes it.
+			locks := l.locksFor(tbl.Name())
+			locks.persist.Lock()
+			_, err := l.store.DropBelow(tbl.Name(), tbl.FirstRow())
+			locks.persist.Unlock()
+			if err != nil {
 				return dropped, err
 			}
 		}

@@ -54,6 +54,9 @@ func startLeaf(t *testing.T, cfg Config) *Leaf {
 	if err := l.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// A persist behind a seal may outlive the test: the SyncToDisk barrier
+	// waits it out before the TempDir cleanups, registered earlier, run.
+	t.Cleanup(func() { l.SyncToDisk() }) //nolint:errcheck
 	return l
 }
 

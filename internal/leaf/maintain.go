@@ -5,14 +5,10 @@ import (
 )
 
 // MaintenanceConfig drives the background loop every deployed leaf runs:
-// asynchronous disk sync (§4.1: "during normal operation, disk writes are
-// asynchronous") and expiration of aged data (§2: leaves "delete data as it
-// expires due to either age or size limits").
+// expiration of aged data (§2: leaves "delete data as it expires due to
+// either age or size limits"). Disk writes need no loop — §4.1's
+// asynchronous write-behind runs when a block seals (persistBehind).
 type MaintenanceConfig struct {
-	// SyncInterval is how often the persist pass runs: newly sealed blocks
-	// written to the store as images and the WAL truncated behind them
-	// (default 5s).
-	SyncInterval time.Duration
 	// ExpireInterval is how often retention runs (default 1m).
 	ExpireInterval time.Duration
 	// OnError receives background errors (nil = dropped). Shutdown killing
@@ -32,9 +28,6 @@ type Maintainer struct {
 // the leaf down; the loop also winds down by itself once the leaf stops
 // accepting requests.
 func (l *Leaf) StartMaintenance(cfg MaintenanceConfig) *Maintainer {
-	if cfg.SyncInterval <= 0 {
-		cfg.SyncInterval = 5 * time.Second
-	}
 	if cfg.ExpireInterval <= 0 {
 		cfg.ExpireInterval = time.Minute
 	}
@@ -45,35 +38,20 @@ func (l *Leaf) StartMaintenance(cfg MaintenanceConfig) *Maintainer {
 
 func (m *Maintainer) run() {
 	defer close(m.done)
-	syncT := time.NewTicker(m.cfg.SyncInterval)
 	expT := time.NewTicker(m.cfg.ExpireInterval)
-	defer syncT.Stop()
 	defer expT.Stop()
 	for {
 		select {
 		case <-m.stop:
 			return
-		case <-syncT.C:
-			if m.leaf.State() != StateAlive {
-				continue
-			}
-			if _, err := m.leaf.SyncToDisk(); err != nil {
-				m.report(err)
-			}
 		case <-expT.C:
 			if m.leaf.State() != StateAlive {
 				continue
 			}
-			if _, err := m.leaf.ExpireAll(m.leaf.cfg.Clock()); err != nil {
-				m.report(err)
+			if _, err := m.leaf.ExpireAll(m.leaf.cfg.Clock()); err != nil && m.cfg.OnError != nil {
+				m.cfg.OnError(err)
 			}
 		}
-	}
-}
-
-func (m *Maintainer) report(err error) {
-	if m.cfg.OnError != nil {
-		m.cfg.OnError(err)
 	}
 }
 

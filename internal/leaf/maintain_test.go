@@ -7,7 +7,7 @@ import (
 	"scuba/internal/table"
 )
 
-func TestMaintainerSyncsAndExpires(t *testing.T) {
+func TestMaintainerExpires(t *testing.T) {
 	e := newEnv(t)
 	cfg := e.config(0)
 	cfg.Table = table.Options{MaxAgeSeconds: 100}
@@ -19,17 +19,18 @@ func TestMaintainerSyncsAndExpires(t *testing.T) {
 	if err := l.SealAll(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := l.SyncToDisk(); err != nil {
+		t.Fatal(err)
+	}
 
-	m := l.StartMaintenance(MaintenanceConfig{
-		SyncInterval:   5 * time.Millisecond,
-		ExpireInterval: 5 * time.Millisecond,
-	})
+	m := l.StartMaintenance(MaintenanceConfig{ExpireInterval: 5 * time.Millisecond})
 	defer m.Stop()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if l.Stats().Blocks == 0 {
-			return // expired by the background loop
+		// Expired by the background loop, heap and store alike.
+		if images, _, _ := l.store.Images("events"); l.Stats().Blocks == 0 && len(images) == 0 {
+			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -42,7 +43,6 @@ func TestMaintainerSurvivesShutdown(t *testing.T) {
 	ingest(t, l, "events", 50, 1000)
 	errs := make(chan error, 16)
 	m := l.StartMaintenance(MaintenanceConfig{
-		SyncInterval:   time.Millisecond,
 		ExpireInterval: time.Millisecond,
 		OnError:        func(err error) { errs <- err },
 	})
@@ -63,7 +63,7 @@ func TestMaintainerSurvivesShutdown(t *testing.T) {
 func TestMaintainerStopIsPrompt(t *testing.T) {
 	e := newEnv(t)
 	l := startLeaf(t, e.config(0))
-	m := l.StartMaintenance(MaintenanceConfig{SyncInterval: time.Hour, ExpireInterval: time.Hour})
+	m := l.StartMaintenance(MaintenanceConfig{ExpireInterval: time.Hour})
 	done := make(chan struct{})
 	go func() {
 		m.Stop()

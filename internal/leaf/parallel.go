@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"scuba/internal/obs"
+	"scuba/internal/rowblock"
 	"scuba/internal/shm"
 	"scuba/internal/table"
 )
@@ -183,10 +184,8 @@ func (l *Leaf) copyTableOut(ctx context.Context, r *obs.Restart, worker int, tbl
 		werr := w.WriteBlock(blocks[0], true)
 		// An un-promoted shm-resident block just had its bytes copied into
 		// the new generation's segment (or failed); either way it leaves the
-		// table here, so release its residency reference on the old mapping.
-		if src := blocks[0].Source(); src != nil {
-			src.Release()
-		}
+		// table here, so its residency on the old mapping ends.
+		rowblock.ReleaseSources(blocks)
 		if werr != nil {
 			return werr
 		}

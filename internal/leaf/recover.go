@@ -160,7 +160,7 @@ func (l *Leaf) Start() error {
 		// The backup is consumed (Figure 7: delete the metadata and the
 		// segments): no future start may trust it, so a crash from here on
 		// recovers from the store and the log. Live views keep their files
-		// until the last reference drains; everything else goes, failed
+		// while a table holds their blocks; everything else goes, failed
 		// tables' segments and a previous generation's orphans included.
 		// The valid bit is already false, so what cannot be removed is
 		// garbage, not a hazard.
@@ -191,6 +191,16 @@ func (l *Leaf) Start() error {
 	l.mu.Unlock()
 	l.firstAnswer = r.Begin(obs.PhaseFirstAnswer, "", -1)
 	l.firstQueryOpen.Store(true)
+	// Blocks reach the store as they seal, so nothing else would find a table
+	// holding sealed blocks no image covers: one restored from shm whose
+	// images did not tile (its log was just reset: until this persist ends,
+	// a crash loses it), or one whose replay sealed because a crash cut its
+	// persist off.
+	for _, t := range l.tablesSorted() {
+		if blocks, _ := t.UnpersistedBlocks(); len(blocks) > 0 {
+			l.persistBehind(t)
+		}
+	}
 	if served > 0 {
 		// Promotion starts only after the leaf is ALIVE: queries are already
 		// being answered from the views, and the copy the paper blocked
@@ -456,8 +466,8 @@ func (l *Leaf) cloneBlock(name string, rb *rowblock.RowBlock, verify bool) (*row
 // indexes: the images are adopted as they are and nothing is rewritten. When
 // they do not tile (no store, an image lost, one left behind by a killed
 // expiry) the table's images are dropped — the adopt span fails if they
-// cannot be — its numbering restarts at 0 and the next persist pass writes
-// them again.
+// cannot be — its numbering restarts at 0 and Start's hand-off at ALIVE
+// writes them again.
 func (l *Leaf) adoptImages(r *obs.Restart, worker int, name, source string, blocks []*rowblock.RowBlock) ([]int64, int64) {
 	starts := make([]int64, len(blocks))
 	if l.store != nil {

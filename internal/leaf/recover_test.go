@@ -98,15 +98,39 @@ func sourceHistory(t *testing.T, cfg Config) *Leaf {
 	if err := l.SealAll(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := l.SyncToDisk(); err != nil || n != 2 {
-		t.Fatalf("SyncToDisk = %d, %v", n, err)
-	}
+	storeTiles(t, l, "events")
 	if n, err := l.ExpireAll(now); err != nil || n != 1 {
 		t.Fatalf("ExpireAll dropped %d blocks (%v), want the first", n, err)
 	}
 	add(30000) // the "late" column shows up past row 70000
 	add(100)
 	return l
+}
+
+// storeTiles runs the SyncToDisk barrier and asserts that the store's images
+// then tile the table's sealed blocks, one image per block, row range for
+// row range — whichever persist wrote them.
+func storeTiles(t *testing.T, l *Leaf, name string) {
+	t.Helper()
+	if _, err := l.SyncToDisk(); err != nil {
+		t.Fatal(err)
+	}
+	images, _, err := l.store.Images(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := l.Table(name)
+	blocks := tbl.Blocks()
+	if len(images) != len(blocks) {
+		t.Fatalf("%s: %d images for %d sealed blocks", name, len(images), len(blocks))
+	}
+	start := tbl.FirstRow()
+	for i, im := range images {
+		if im.Start != start || im.Rows != blocks[i].Rows() {
+			t.Fatalf("%s: image %d holds rows [%d, %d), block %d rows from %d", name, i, im.Start, im.End(), blocks[i].Rows(), start)
+		}
+		start = im.End()
+	}
 }
 
 // sourceRows are the 110100 rows sourceHistory acks, in order; the history
@@ -307,11 +331,11 @@ func TestCleanRestartAdoptsImages(t *testing.T) {
 	if p := reset.Recovery().Path; p != RecoveryMemory {
 		t.Fatalf("recovery path = %v", p)
 	}
-	if n := len(dirFiles(t, e.diskDir)); n != 0 {
-		t.Fatalf("%d stale files left after images failed to tile", n)
-	}
-	if n, err := reset.SyncToDisk(); err != nil || n != 4 {
-		t.Fatalf("persist pass after the reset wrote %d images (%v), want all 4", n, err)
+	// Start dropped the images and handed the table to the persister at
+	// ALIVE: after the barrier all four are written again, and nothing else.
+	storeTiles(t, reset, "events")
+	if n := len(dirFiles(t, e.diskDir)); n != 5 {
+		t.Fatalf("store holds %d files after the reset, want 4 images and the watermark", n)
 	}
 	if got := countRows(t, startLeaf(t, e.config(0)), "events"); got != 1570 {
 		t.Fatalf("rows after reset and crash = %v, want 1570", got)

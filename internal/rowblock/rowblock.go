@@ -85,20 +85,25 @@ type Header struct {
 // Source is the foreign memory a zero-copy block's RBC blobs alias — for
 // instant-on restarts, a refcounted mmap'd shm segment view. Retain pins the
 // memory for a reader and reports false when the source is already gone (the
-// last reference dropped); Release undoes one Retain. A block with a nil
-// source owns its memory outright.
+// last reference dropped); Release undoes one Retain. Evict ends one block's
+// residency — no table holds it any more — and keeps the reference that
+// residency held, which the caller then Releases like a reader's: the backing
+// file goes with the last residency, the mapping with the last reference. A
+// block with a nil source owns its memory outright.
 type Source interface {
 	Retain() bool
 	Release()
+	Evict()
 }
 
-// ReleaseSources drops the residency reference of every foreign-memory block
-// in blocks (no-op for heap-owned blocks). Removers call it exactly once per
-// block they take out of circulation — see the refcount discipline on
-// shm.MappedView.
+// ReleaseSources ends the residency of every foreign-memory block in blocks
+// and drops its reference (no-op for heap-owned blocks). Removers call it
+// exactly once per block they take out of circulation — see the refcount
+// discipline on shm.MappedView.
 func ReleaseSources(blocks []*RowBlock) {
 	for _, rb := range blocks {
 		if rb != nil && rb.src != nil {
+			rb.src.Evict()
 			rb.src.Release()
 		}
 	}

@@ -25,11 +25,13 @@ import (
 // table's residency), and every in-flight scan that snapshots a view block
 // takes one more via Retain. Whoever removes a block from circulation —
 // the eager drain, background promotion, expiry, shutdown copy-out, table
-// teardown — releases the block's residency reference; the scan that pinned a
-// block releases its own when it drains. When the count hits zero the segment
-// is unmapped and its file deleted, and Retain can never resurrect it (CAS
-// from nonzero only), so a reader either pins live memory or is told the view
-// is gone.
+// teardown — ends the block's residency (Evict) and releases its reference;
+// the scan that pinned a block releases its own when it drains. The last
+// residency to end deletes the segment's file: no table serves the view any
+// more, and a scan still reading keeps the mapping, which outlives the
+// unlinked file. When the count hits zero the segment is unmapped, and Retain
+// can never resurrect it (CAS from nonzero only), so a reader either pins
+// live memory or is told the view is gone.
 type MappedView struct {
 	m         *Manager
 	seg       *Segment
@@ -38,6 +40,7 @@ type MappedView struct {
 	crc       uint32 // of the payload, as the segment's header states it
 	footerCRC uint32 // of the footer alone, the tail Drain's checksum starts from
 	refs      atomic.Int64
+	resident  atomic.Int64 // blocks a table still holds
 }
 
 // OpenTableSegmentView maps the table segment si names read-only and decodes
@@ -72,6 +75,7 @@ func OpenTableSegmentView(m *Manager, si SegmentInfo, verify bool) (*MappedView,
 		m.RemoveSegment(si.Segment) //nolint:errcheck // the restore's final sweep takes what this leaves
 	}
 	v.refs.Store(int64(len(v.blocks)))
+	v.resident.Store(int64(len(v.blocks)))
 	return v, nil
 }
 
@@ -183,6 +187,7 @@ func (v *MappedView) Drain(clone func(*rowblock.RowBlock) (*rowblock.RowBlock, e
 			rowblock.ReleaseSources(v.blocks[:i+1])
 			return nil, err
 		}
+		v.Evict()
 		v.Release()
 	}
 	if sum != v.crc {
@@ -191,14 +196,20 @@ func (v *MappedView) Drain(clone func(*rowblock.RowBlock) (*rowblock.RowBlock, e
 	return out, nil
 }
 
+// Evict ends one block's residency. The last one deletes the segment's file
+// — a removal error is deliberately swallowed: a leftover file is swept by
+// the next restore's orphan pass, and no remover is positioned to act on it.
+func (v *MappedView) Evict() {
+	if v.resident.Add(-1) == 0 {
+		v.m.RemoveSegment(v.seg.Name()) //nolint:errcheck
+	}
+}
+
 // Release drops one reference. The releaser that takes the count to zero
-// unmaps the segment and deletes its file — removal errors are deliberately
-// swallowed (a leftover file is swept by the next restore's orphan pass;
-// there is no caller positioned to act on the error mid-scan-drain).
+// unmaps the segment; its file went with the last residency.
 func (v *MappedView) Release() {
 	if n := v.refs.Add(-1); n == 0 {
-		v.seg.Close()                   //nolint:errcheck
-		v.m.RemoveSegment(v.seg.Name()) //nolint:errcheck
+		v.seg.Close() //nolint:errcheck
 	} else if n < 0 {
 		panic(fmt.Sprintf("shm: view %s over-released (refs=%d)", v.seg.Name(), n))
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	"scuba/internal/rowblock"
 )
 
 func writeViewSegment(t *testing.T, m *Manager, seg, table string, nblocks int) {
@@ -37,26 +39,24 @@ func TestMappedViewServesAndDrains(t *testing.T) {
 			t.Fatalf("rows = %d", rows)
 		}
 
-		// A scan pin keeps the view alive after all residency refs drop.
+		// A scan pin keeps the mapping after the last residency ends; the
+		// file goes with that residency.
 		if !v.Retain() {
 			t.Fatal("Retain failed on live view")
 		}
-		for range v.Blocks() {
-			v.Release()
-		}
+		rowblock.ReleaseSources(v.Blocks())
 		if v.Refs() != 1 {
 			t.Fatalf("refs after residency drain = %d", v.Refs())
 		}
-		path := m.segmentPath("tbl-events.g7")
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("segment file gone while pinned: %v", err)
+		if _, err := os.Stat(m.segmentPath("tbl-events.g7")); !os.IsNotExist(err) {
+			t.Fatalf("segment file survived the last residency: %v", err)
+		}
+		for _, rb := range v.Blocks() {
+			rb.AppendImage(nil) // reads every byte: still mapped while pinned
 		}
 		v.Release()
 		if v.Refs() != 0 {
 			t.Fatalf("refs = %d after final release", v.Refs())
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("segment file survived the last release: %v", err)
 		}
 		// Retain cannot resurrect a drained view.
 		if v.Retain() {

@@ -299,9 +299,11 @@ func (t *Table) ScanView(from, to int64, fn func(View) error) error {
 // accounting is unchanged because the clone shares the header. Returns false
 // when old is no longer present (expired or copied out) or the table has
 // left ALIVE (shutdown owns the blocks now); the caller keeps the old block
-// in that case. On success the old block is reported to the evict hook so
-// derived state (the decode cache) drops entries keyed by its identity; the
-// caller releases the old block's residency reference.
+// in that case. On success the old block's residency ends under the table
+// lock (Source.Evict), so once ForeignBlocks reads 0 no view's file is left;
+// the old block is reported to the evict hook so derived state (the decode
+// cache) drops entries keyed by its identity, and the caller releases the
+// reference its residency held.
 func (t *Table) SwapBlock(old, new *rowblock.RowBlock) bool {
 	t.mu.Lock()
 	if t.state != StateAlive {
@@ -311,6 +313,9 @@ func (t *Table) SwapBlock(old, new *rowblock.RowBlock) bool {
 	for i, rb := range t.blocks {
 		if rb == old {
 			t.blocks[i] = new
+			if src := old.Source(); src != nil {
+				src.Evict()
+			}
 			t.mu.Unlock()
 			t.notifyEvict([]*rowblock.RowBlock{old})
 			return true

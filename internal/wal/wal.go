@@ -444,15 +444,47 @@ func (tl *tableLog) rotateLocked() error {
 	return disk.SyncDir(tl.dir)
 }
 
+// Rotate starts the table's next segment at the cursor, after waiting out a
+// leader's fsync as Begin's rotation does. A leaf rotates before the batch
+// that fills its builder, so Truncate behind that seal frees every row before
+// it. An empty segment or a quarantined log is left as it is.
+func (l *Log) Rotate(table string) error {
+	tl, err := l.tableLogFor(table)
+	if err != nil {
+		return err
+	}
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	for tl.syncing {
+		tl.cond.Wait()
+	}
+	switch {
+	case tl.closed:
+		return ErrClosed
+	case tl.failed != nil:
+		return tl.failed
+	case tl.quarantined || tl.size == 0:
+		return nil
+	}
+	return tl.rotateLocked()
+}
+
 // ---- Truncation ----
 
 // Truncate deletes closed segments whose every record is below the store's
 // watermark w: a segment is disposable once its successor's first row index
 // is <= w. The active (newest) segment is never deleted. Returns the number
-// of segments removed.
+// of segments removed. A closed Log refuses, holding its lock through the
+// removals: a persist that outlives its log (an in-process crash drops the
+// leaf, not its goroutines) must not delete what a successor is replaying.
 func (l *Log) Truncate(table string, w int64) (int, error) {
 	if err := fault.Inject(fault.SiteWALTruncate); err != nil {
 		return 0, fmt.Errorf("wal: truncate %s: %w", table, err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, ErrClosed
 	}
 	dir := l.tableDir(table)
 	segs, err := listSegments(dir)

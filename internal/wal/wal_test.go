@@ -492,6 +492,45 @@ func TestRotationAndTruncate(t *testing.T) {
 	}
 }
 
+// TestRotateAtTheCursor: Rotate starts the next segment at the log cursor, so
+// a watermark there frees every segment before it; an empty active segment
+// is not rotated again, and a closed log neither rotates nor truncates.
+func TestRotateAtTheCursor(t *testing.T) {
+	l := openTest(t, Options{})
+	for i := 0; i < 3; i++ {
+		if err := appendRows(l, "events", testRows(i*10, 10)); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 2; j++ { // the second finds the new segment empty
+			if err := l.Rotate("events"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dir := filepath.Join(l.Dir(), "events")
+	segs, _ := listSegments(dir)
+	var starts []int64
+	for _, sg := range segs {
+		starts = append(starts, sg.start)
+	}
+	if want := []int64{0, 10, 20, 30}; !reflect.DeepEqual(starts, want) {
+		t.Fatalf("segments start at %v, want %v", starts, want)
+	}
+	if removed, err := l.Truncate("events", 30); err != nil || removed != 3 {
+		t.Fatalf("Truncate(30) removed %d (%v), want every segment but the active one", removed, err)
+	}
+	l.Close()
+	if err := l.Rotate("events"); !errors.Is(err, ErrClosed) {
+		t.Errorf("Rotate after Close = %v, want ErrClosed", err)
+	}
+	if _, err := l.Truncate("events", 1<<40); !errors.Is(err, ErrClosed) {
+		t.Errorf("Truncate after Close = %v, want ErrClosed", err)
+	}
+	if segs, _ = listSegments(dir); len(segs) != 1 {
+		t.Errorf("%d segments after a refused Truncate, want 1", len(segs))
+	}
+}
+
 func TestQuarantineSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
