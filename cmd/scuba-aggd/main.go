@@ -34,9 +34,8 @@ func main() {
 		leaves      = flag.String("leaves", "", "comma-separated leaf addresses")
 		leafTimeout = flag.Duration("leaf-timeout", 10*time.Second, "abandon leaves slower than this per query; their data is reported missing from coverage (0 = wait forever)")
 		faultSpec   = flag.String("fault", "", "arm fault-injection points for chaos testing, e.g. 'wire.read=delay:500ms;count=10' (see internal/fault)")
-		httpAddr    = flag.String("http", "", "observability listen address serving /metrics, /debug/traces, /debug/slow and /debug/pprof ('' disables)")
-		slowQuery   = flag.Duration("slow-query", 0, "queries at or above this duration land in the /debug/slow ring (0 = adaptive: slower than the running p99)")
-		traceRing   = flag.Int("trace-ring", 64, "how many recent traces /debug/traces retains")
+		httpAddr    = flag.String("http", "", "observability listen address serving /metrics and /debug/pprof ('' disables)")
+		slowQuery   = flag.Duration("slow-query", 0, "queries at or above this duration are marked slow in __system.traces and trigger a profile (0 = adaptive: slower than the running p99)")
 		replication = flag.Int("replication", 0, "shard replication factor R: each shard lives on R leaves and queries fail over to a replica while the primary restarts (0 = unsharded full fan-out)")
 		numShards   = flag.Int("num-shards", 0, "shards per table under -replication (0 = 2x leaf count)")
 		machineSpec = flag.String("machines", "", "comma-separated machine index per leaf (parallel to -leaves) so shard replicas land on distinct machines; '' = every leaf its own machine")
@@ -105,9 +104,9 @@ func main() {
 			ob.OnSpans(sink.RecordSpans)
 		}
 	}
-	// Continuous profiler: steady captures plus anomaly captures when a
-	// slow query hits the trace ring, each tagged with the trace ID so
-	// scuba-cli profile links back to the waterfall.
+	// Continuous profiler: steady captures plus anomaly captures when the
+	// tracer marks a query slow, each tagged with the trace ID so scuba-cli
+	// profile links back to the waterfall.
 	if *profEvery > 0 {
 		prof := profile.New(profile.Config{
 			Sink:     sink,
@@ -119,7 +118,6 @@ func main() {
 		ob.OnSpans(prof.OnSpans)
 		log.Printf("continuous profiler on: %v cadence into %s", *profEvery, obs.SystemProfilesTable)
 	}
-	tracer := ob.Tracer(obs.TracerOptions{Capacity: *traceRing, SlowThreshold: *slowQuery})
 	targets := make([]aggregator.LeafTarget, len(addrs))
 	for i := range clients {
 		targets[i] = clients[i]
@@ -127,7 +125,7 @@ func main() {
 	agg := aggregator.New(targets)
 	agg.Metrics = reg
 	agg.LeafTimeout = *leafTimeout
-	agg.Tracer = tracer
+	agg.Tracer = ob.Tracer(obs.TracerOptions{SlowThreshold: *slowQuery})
 	agg.Labels = addrs
 	if *replication > 0 {
 		var machines []int
@@ -152,12 +150,12 @@ func main() {
 	}
 	log.Printf("scuba-aggd serving %d leaves on %s (leaf timeout %v)", len(addrs), srv.Addr(), *leafTimeout)
 	if *httpAddr != "" {
-		hs, err := obs.StartHTTP(*httpAddr, obs.Handler(obs.HandlerConfig{Registry: reg, Tracer: tracer}))
+		hs, err := obs.StartHTTP(*httpAddr, obs.Handler(obs.HandlerConfig{Registry: reg}))
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer hs.Close()
-		log.Printf("observability on http://%s (/metrics /debug/traces /debug/slow /debug/pprof)", hs.Addr())
+		log.Printf("observability on http://%s (/metrics /debug/pprof)", hs.Addr())
 	}
 
 	sigs := make(chan os.Signal, 1)

@@ -53,8 +53,8 @@ type overheadReport struct {
 // watch: one loaded leaf behind an in-process aggregator, one full-scan
 // group-by, its p50 with nothing on and with exactly one surface on —
 //
-//	tracing   the aggregator has a tracer: span contexts, the leaf's
-//	          ExecStats, the root + leaf spans, the ring insert (bar 2 %, or
+//	tracing   the aggregator has a tracer with no span hooks: span contexts,
+//	          the leaf's ExecStats, the root + leaf spans (bar 2 %, or
 //	          tracingBarMicros per query: it must be cheap enough to leave on
 //	          for every query, and what it costs is a fixed few spans a
 //	          query, not a share of the scan — a faster scan must not fail a
@@ -125,7 +125,7 @@ func runOverhead() error {
 	}{
 		{"off", 0, 0, func(*aggregator.Aggregator) func() { return func() {} }},
 		{"tracing", 2, tracingBarMicros, func(agg *aggregator.Aggregator) func() {
-			agg.Tracer = obs.NewTracer(obs.TracerOptions{})
+			agg.Tracer = obs.New(nil, nil).Tracer(obs.TracerOptions{})
 			return func() {}
 		}},
 		{"sink", 15, 0, func(agg *aggregator.Aggregator) func() {

@@ -11,7 +11,7 @@
 //	scuba-cli stats -http :8081            # scrape a daemon's /metrics + /debug/recovery
 //	scuba-cli health -agg :9001 -watch 2s  # live cluster health from __system tables
 //	scuba-cli profile -agg :9001 -top 15   # hottest functions from __system.profiles
-//	scuba-cli trace -http :9091            # per-leaf waterfall of the latest query trace
+//	scuba-cli -addrs :9001 trace           # per-leaf waterfall of the latest query, from __system.traces
 //	scuba-cli trace -http :8081 -restart   # a scubad's restart, span by span
 //	scuba-cli -addrs :8001 shutdown [-disk]
 package main
@@ -67,7 +67,7 @@ func main() {
 	case "profile":
 		runProfile(args)
 	case "trace":
-		runTrace(args)
+		runTrace(clients[0], args)
 	case "shutdown":
 		runShutdown(clients, args)
 	default:
@@ -275,18 +275,14 @@ func runStats(clients []*scuba.Client, args []string) {
 // previous run's outcome (the flight-recorder answer to "why did the last
 // restart fall back to disk") and the current recovery state.
 func scrapeObs(addr string) {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	body, err := httpGet(base + "/metrics")
+	body, err := httpGet(addr, "/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("== metrics ==")
 	fmt.Print(body)
 
-	recBody, err := httpGet(base + "/debug/recovery")
+	recBody, err := httpGet(addr, "/debug/recovery")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -342,7 +338,12 @@ func printRecovery(v any) {
 	}
 }
 
-func httpGet(url string) (string, error) {
+// httpGet fetches path from a daemon's -http address, http:// by default.
+func httpGet(addr, path string) (string, error) {
+	url := addr + path
+	if !strings.Contains(addr, "://") {
+		url = "http://" + url
+	}
 	resp, err := http.Get(url)
 	if err != nil {
 		return "", err

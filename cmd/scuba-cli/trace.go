@@ -9,37 +9,34 @@ import (
 	"time"
 
 	"scuba"
+	"scuba/internal/obs"
 )
 
-// runTrace fetches one trace — a query's from a scuba-aggd -http listener, or
-// with -restart a scubad's restart ledger — and renders it as a waterfall:
-// every span a bar at its offset into the trace, a root's leaves and a
-// phase's tables indented under it, annotated with where the data came from,
-// what moved, a leaf's dominant execution phase and work counters, and how it
-// failed; the slowest leaf or table called out at the bottom — "why was this
-// query slow" and "where did the restart go" in one screen, drawn by one
-// function because both are lists of one span record.
-func runTrace(args []string) {
+// runTrace fetches one trace — a query's from __system.traces through the
+// aggregator c, or with -restart a scubad's restart ledger — and renders it as
+// a waterfall: every span a bar at its offset into the trace, a root's leaves
+// and a phase's tables indented under it, annotated with where the data came
+// from, what moved, a leaf's dominant execution phase and work counters, and
+// how it failed; the slowest leaf or table called out at the bottom — "why
+// was this query slow" and "where did the restart go" in one screen, drawn by
+// one function because both are lists of one span record.
+func runTrace(c *scuba.Client, args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	httpAddr := fs.String("http", "127.0.0.1:9091", "scuba-aggd observability (-http) address; with -restart, a scubad's")
+	httpAddr := fs.String("http", "127.0.0.1:8081", "with -restart: the scubad's observability (-http) address")
 	restart := fs.Bool("restart", false, "draw the restart trace from a scubad's /debug/recovery instead of a query trace")
 	id := fs.Uint64("id", 0, "show the trace with this ID (0 = the most recent)")
-	slow := fs.Bool("slow", false, "read the slow-query ring instead of recent traces")
-	list := fs.Bool("list", false, "one line per retained trace instead of a waterfall")
+	slow := fs.Bool("slow", false, "only queries the aggregator marked slow")
+	list := fs.Bool("list", false, "one line per query instead of a waterfall")
 	fs.Parse(args) //nolint:errcheck
 
-	base := *httpAddr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
 	if *restart {
-		body, err := httpGet(base + "/debug/recovery")
+		body, err := httpGet(*httpAddr, "/debug/recovery")
 		if err != nil {
 			log.Fatal(err)
 		}
 		var dump scuba.RecoveryDump
 		if err := json.Unmarshal([]byte(body), &dump); err != nil {
-			log.Fatalf("bad /debug/recovery JSON from %s: %v", base, err)
+			log.Fatalf("bad /debug/recovery JSON from %s: %v", *httpAddr, err)
 		}
 		if len(dump.Restart) == 0 {
 			fmt.Println("no restart spans (has this daemon started a leaf?)")
@@ -48,38 +45,53 @@ func runTrace(args []string) {
 		printWaterfall(dump.Restart)
 		return
 	}
-	url := base + "/debug/traces"
+	// Without -id, the roots, newest first: a query span with no parent ran
+	// on the aggregator it was sent to.
+	filters := []scuba.Filter{{Column: "kind", Str: obs.KindQuery}, {Column: "parent"}}
 	if *slow {
-		url = base + "/debug/slow"
+		filters = append(filters, scuba.Filter{Column: "slow", Int: 1})
 	}
 	if *id != 0 {
-		url = fmt.Sprintf("%s/debug/traces?id=%d", base, *id)
+		filters = []scuba.Filter{{Column: "trace_id", Int: int64(*id)}}
 	}
-	body, err := httpGet(url)
-	if err != nil {
+	traces, err := readTraces(c, filters...)
+	if err == nil && !*list && *id == 0 && len(traces) > 0 {
+		traces, err = readTraces(c, scuba.Filter{Column: "trace_id", Int: int64(traces[0][0].TraceID)})
+	}
+	switch {
+	case err != nil:
 		log.Fatal(err)
-	}
-	var dump scuba.TraceDump
-	if err := json.Unmarshal([]byte(body), &dump); err != nil {
-		log.Fatalf("bad trace JSON from %s: %v", url, err)
-	}
-	if len(dump.Traces) == 0 {
-		fmt.Println("no traces retained (has a query run through this aggregator?)")
-		return
-	}
-	if *list {
-		for _, tr := range dump.Traces {
+	case len(traces) == 0:
+		fmt.Printf("no such query spans in %s (does scuba-aggd run with -telemetry-interval?)\n", scuba.SystemTracesTable)
+	case !*list:
+		printWaterfall(traces[0])
+	default:
+		for _, tr := range traces {
 			root, flag := tr.Root(), " "
 			if root.Slow {
 				flag = "S"
 			}
-			fmt.Printf("%s %20d  %s  %9v  %d/%d leaves  %s\n",
-				flag, root.TraceID, root.Start.Format("15:04:05.000"), root.Duration.Round(time.Microsecond),
-				tr.Leaves().Answered(), len(tr.Leaves()), root.Query)
+			fmt.Printf("%s %20d  %s  %9v  %s\n", flag, root.TraceID, root.Start.Format("15:04:05.000"),
+				root.Duration.Round(time.Microsecond), root.Query)
 		}
-		return
 	}
-	printWaterfall(dump.Traces[0])
+}
+
+// readTraces reads the spans of __system.traces that pass the filters as traces.
+func readTraces(c *scuba.Client, filters ...scuba.Filter) ([]scuba.Trace, error) {
+	q := &scuba.Query{Table: scuba.SystemTracesTable, From: 0, To: 1 << 40, Filters: filters, GroupBy: obs.SpanKeys}
+	for _, col := range obs.SpanValues {
+		q.Aggregations = append(q.Aggregations, scuba.Aggregation{Op: scuba.AggMax, Column: col})
+	}
+	res, err := c.Query(q)
+	if err != nil {
+		return nil, fmt.Errorf("querying %s: %w", scuba.SystemTracesTable, err)
+	}
+	var spans []scuba.Span
+	for _, row := range res.Rows(q) {
+		spans = append(spans, obs.SpanFromRow(row.Key, row.Values))
+	}
+	return obs.Traces(spans), nil
 }
 
 // printWaterfall draws a trace. A restart's two halves ran in different

@@ -79,8 +79,8 @@ type Aggregator struct {
 	// Tracer, when non-nil, turns on per-query tracing: every query is
 	// stamped with a trace ID and per-leaf span IDs, and the assembled trace —
 	// a root span, then one span per target, each answered one carrying its
-	// target's ExecStats — lands in the tracer's rings (/debug/traces,
-	// /debug/slow).
+	// target's ExecStats — goes to the tracer's observer (its sink writes it
+	// into __system.traces).
 	Tracer *obs.Tracer
 	// Labels names each leaf in traces (index-parallel to the targets);
 	// missing entries render as "leaf<i>". Daemons set the leaf addresses.
@@ -258,7 +258,7 @@ collect:
 	// their spans record the elapsed time at abandonment. This is the one
 	// place abandonment is decided — the merged result, the trace, and the
 	// metrics counters below all read the same span state, so coverage can
-	// never disagree between /debug/traces and the dashboards.
+	// never disagree between __system.traces and the dashboards.
 	abandoned := 0
 	for i := range spans {
 		if got[i] == nil {

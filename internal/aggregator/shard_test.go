@@ -157,7 +157,7 @@ func TestShardFailoverOnDraining(t *testing.T) {
 func TestShardCoverageLossWithoutReplicas(t *testing.T) {
 	a, _, r := shardedAgg(t, 4, 1, 12)
 	a.Metrics = metrics.NewRegistry()
-	a.Tracer = obs.NewTracer(obs.TracerOptions{})
+	recorded := traced(a, obs.TracerOptions{})
 	r.SetStatus(2, shard.StatusDraining)
 	lost := len(r.Assign("events").PerLeaf[2]) // shards leaf2 would have served
 	asn := r.Assign("events")
@@ -183,7 +183,7 @@ func TestShardCoverageLossWithoutReplicas(t *testing.T) {
 			snap.Counters["query.shards_total"], snap.Counters["query.shards_answered"],
 			snap.Counters["query.shards_unserved"], res.ShardsTotal, res.ShardsAnswered, len(asn.Unserved))
 	}
-	traces := a.Tracer.Recent()
+	traces := recorded()
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
@@ -196,11 +196,11 @@ func TestShardCoverageLossWithoutReplicas(t *testing.T) {
 // TestCoverageReconciliationAbandonedLeaf is the satellite-4 regression test:
 // one leaf is abandoned at the deadline, and the merged result, the recorded
 // trace, and the metrics counters must all agree on leaf AND shard coverage —
-// the dashboards and /debug/traces can never tell different stories.
+// the dashboards and __system.traces can never tell different stories.
 func TestCoverageReconciliationAbandonedLeaf(t *testing.T) {
 	a, fakes, r := shardedAgg(t, 4, 1, 8)
 	a.Metrics = metrics.NewRegistry()
-	a.Tracer = obs.NewTracer(obs.TracerOptions{})
+	recorded := traced(a, obs.TracerOptions{})
 	a.LeafTimeout = 50 * time.Millisecond
 	slow := -1
 	for i := range fakes {
@@ -227,7 +227,7 @@ func TestCoverageReconciliationAbandonedLeaf(t *testing.T) {
 		t.Fatalf("ShardsAnswered = %d, want %d (abandoned leaf held %d)", res.ShardsAnswered, 8-slowShards, slowShards)
 	}
 
-	traces := a.Tracer.Recent()
+	traces := recorded()
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
@@ -263,15 +263,15 @@ func TestCoverageReconciliationAbandonedLeaf(t *testing.T) {
 }
 
 // TestShardSpansCarryShardLists checks traces label each leaf span with the
-// shards it was asked for, so /debug/traces shows the routing decision.
+// shards it was asked for, so a trace shows the routing decision.
 func TestShardSpansCarryShardLists(t *testing.T) {
 	a, _, r := shardedAgg(t, 4, 2, 8)
-	a.Tracer = obs.NewTracer(obs.TracerOptions{})
+	recorded := traced(a, obs.TracerOptions{})
 	if _, err := a.Query(countQ("events")); err != nil {
 		t.Fatal(err)
 	}
 	asn := r.Assign("events")
-	spans := a.Tracer.Recent()[0].Leaves()
+	spans := recorded()[0].Leaves()
 	if len(spans) != len(asn.PerLeaf) {
 		t.Fatalf("spans = %d, serving leaves = %d", len(spans), len(asn.PerLeaf))
 	}
@@ -288,7 +288,7 @@ func TestShardSpansCarryShardLists(t *testing.T) {
 // stays full, leaf coverage shows the dip, and the span records the failover.
 func TestShardQueryFailoverOnDeadLeaf(t *testing.T) {
 	a, fakes, r := shardedAgg(t, 4, 2, 8)
-	a.Tracer = obs.NewTracer(obs.TracerOptions{})
+	recorded := traced(a, obs.TracerOptions{})
 	dead := -1
 	for i := range fakes {
 		if len(r.Assign("events").PerLeaf[i]) > 0 {
@@ -314,7 +314,7 @@ func TestShardQueryFailoverOnDeadLeaf(t *testing.T) {
 	if res.RowsScanned != 8 {
 		t.Fatalf("RowsScanned = %d, want 8", res.RowsScanned)
 	}
-	tr := a.Tracer.Recent()[0]
+	tr := recorded()[0]
 	if tr.Root().ShardsAnswered != 8 || tr.Leaves().Answered() != res.LeavesAnswered {
 		t.Fatalf("trace coverage %d shards %d leaves disagrees with result", tr.Root().ShardsAnswered, tr.Leaves().Answered())
 	}

@@ -2,6 +2,7 @@ package aggregator
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +11,25 @@ import (
 	"scuba/internal/obs"
 	"scuba/internal/query"
 )
+
+// traced gives a a tracer whose observer's span hook keeps every trace it
+// files, and returns what the hook has seen so far, in order.
+func traced(a *Aggregator, opts obs.TracerOptions) func() []obs.Trace {
+	var mu sync.Mutex
+	var seen []obs.Trace
+	ob := obs.New(nil, nil)
+	ob.OnSpans(func(tr obs.Trace) {
+		mu.Lock()
+		defer mu.Unlock()
+		seen = append(seen, tr)
+	})
+	a.Tracer = ob.Tracer(opts)
+	return func() []obs.Trace {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]obs.Trace(nil), seen...)
+	}
+}
 
 // TestTraceAssembly runs a traced query over in-process leaves and checks
 // the assembled trace top to bottom.
@@ -23,7 +43,7 @@ func TestTraceAssembly(t *testing.T) {
 	reg := metrics.NewRegistry()
 	a := New(leaves)
 	a.Metrics = reg
-	a.Tracer = obs.NewTracer(obs.TracerOptions{})
+	recorded := traced(a, obs.TracerOptions{})
 	a.Labels = []string{"alpha", "", "gamma"} // middle one falls back
 
 	res, err := a.Query(countQuery())
@@ -34,7 +54,7 @@ func TestTraceAssembly(t *testing.T) {
 		t.Fatalf("rows = %d, want 300", res.RowsScanned)
 	}
 
-	traces := a.Tracer.Recent()
+	traces := recorded()
 	if len(traces) != 1 {
 		t.Fatalf("traces = %d, want 1", len(traces))
 	}
@@ -73,17 +93,29 @@ func TestTraceAssembly(t *testing.T) {
 }
 
 // TestUntracedWithoutTracer pins that a tracerless aggregator behaves
-// exactly as before: no trace, no slow counter, leaves queried untraced.
+// exactly as before: no trace ID, leaves queried untraced.
 func TestUntracedWithoutTracer(t *testing.T) {
 	l := newLeaf(t, 7)
 	ingest(t, l, 50, 0)
-	a := New([]LeafTarget{l})
+	spy := &contextSpy{LeafTarget: l}
+	a := New([]LeafTarget{spy})
 	if _, err := a.Query(countQuery()); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Tracer.Recent(); got != nil {
-		t.Fatalf("nil tracer retained traces: %+v", got)
+	if len(spy.seen) != 1 || spy.seen[0] != (obs.TraceContext{}) {
+		t.Fatalf("tracerless aggregator sent trace contexts %+v, want one zero", spy.seen)
 	}
+}
+
+// contextSpy records the trace context of every query it forwards.
+type contextSpy struct {
+	LeafTarget
+	seen []obs.TraceContext
+}
+
+func (s *contextSpy) QueryShards(q *query.Query, shards []int, tc obs.TraceContext) (*query.Result, *obs.ExecStats, error) {
+	s.seen = append(s.seen, tc)
+	return s.LeafTarget.QueryShards(q, shards, tc)
 }
 
 // TestParentTraceIDAdopted checks the aggregator-tree contract: a nonzero
@@ -92,15 +124,15 @@ func TestParentTraceIDAdopted(t *testing.T) {
 	l := newLeaf(t, 8)
 	ingest(t, l, 10, 0)
 	a := New([]LeafTarget{l})
-	a.Tracer = obs.NewTracer(obs.TracerOptions{})
+	recorded := traced(a, obs.TracerOptions{})
 
 	parent := obs.TraceContext{TraceID: 12345, SpanID: 999}
 	if _, err := a.QueryTraced(countQuery(), parent); err != nil {
 		t.Fatal(err)
 	}
-	tr := a.Tracer.Get(12345)
-	if tr == nil {
-		t.Fatalf("parent trace ID not adopted; recent = %+v", a.Tracer.Recent())
+	tr := recorded()[0]
+	if tr.Root().TraceID != 12345 {
+		t.Fatalf("parent trace ID not adopted: %+v", tr)
 	}
 	if spans := tr.Leaves(); len(spans) != 1 || spans[0].SpanID == 999 || tr.Root().SpanID == 999 {
 		t.Fatalf("child must stamp its own span IDs: %+v", tr)
@@ -118,7 +150,7 @@ func TestErrorSpanRecorded(t *testing.T) {
 	ingest(t, good, 20, 0)
 	bad := plain{erroring{}}
 	a := New([]LeafTarget{good, bad})
-	a.Tracer = obs.NewTracer(obs.TracerOptions{})
+	recorded := traced(a, obs.TracerOptions{})
 
 	res, err := a.Query(countQuery())
 	if err != nil {
@@ -127,7 +159,7 @@ func TestErrorSpanRecorded(t *testing.T) {
 	if res.LeavesAnswered != 1 || res.LeavesTotal != 2 {
 		t.Fatalf("coverage = %d/%d, want 1/2", res.LeavesAnswered, res.LeavesTotal)
 	}
-	spans := a.Tracer.Recent()[0].Leaves()
+	spans := recorded()[0].Leaves()
 	if spans.Answered() != 1 || len(spans) != 2 {
 		t.Fatalf("trace coverage = %d/%d, want 1/2", spans.Answered(), len(spans))
 	}
@@ -160,7 +192,7 @@ func TestAbandonedSpanMarked(t *testing.T) {
 	a := New([]LeafTarget{fast, slow})
 	a.Metrics = reg
 	a.LeafTimeout = 100 * time.Millisecond
-	a.Tracer = obs.NewTracer(obs.TracerOptions{SlowThreshold: time.Millisecond})
+	recorded := traced(a, obs.TracerOptions{SlowThreshold: time.Millisecond})
 
 	res, err := a.Query(countQuery())
 	if err != nil {
@@ -169,7 +201,7 @@ func TestAbandonedSpanMarked(t *testing.T) {
 	if res.LeavesAnswered != 1 {
 		t.Fatalf("answered = %d, want 1", res.LeavesAnswered)
 	}
-	tr := a.Tracer.Recent()[0]
+	tr := recorded()[0]
 	var abandonedSpan *obs.Span
 	for i, sp := range tr.Leaves() {
 		if sp.Err != "" {

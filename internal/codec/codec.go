@@ -112,83 +112,3 @@ func Uvarint(src []byte) (uint64, int, error) {
 	}
 	return v, n, nil
 }
-
-// EncodeVarintU64 encodes values as [method byte][count varint][values...].
-func EncodeVarintU64(dst []byte, values []uint64) []byte {
-	dst = append(dst, byte(MethodVarint))
-	dst = binary.AppendUvarint(dst, uint64(len(values)))
-	for _, v := range values {
-		dst = binary.AppendUvarint(dst, v)
-	}
-	return dst
-}
-
-// DecodeVarintU64 decodes a stream produced by EncodeVarintU64.
-func DecodeVarintU64(src []byte) ([]uint64, error) {
-	if len(src) == 0 || Method(src[0]) != MethodVarint {
-		return nil, ErrMethod
-	}
-	src = src[1:]
-	n, used, err := Uvarint(src)
-	if err != nil {
-		return nil, err
-	}
-	src = src[used:]
-	// Every value takes at least one byte; reject counts the stream cannot
-	// hold so untrusted input never sizes an allocation.
-	if n > uint64(len(src)) {
-		return nil, fmt.Errorf("%w: %d values in %d bytes", ErrCorrupt, n, len(src))
-	}
-	out := make([]uint64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, used, err := Uvarint(src)
-		if err != nil {
-			return nil, fmt.Errorf("value %d: %w", i, err)
-		}
-		src = src[used:]
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// EncodeDeltaI64 delta-encodes signed values: the first value is stored
-// zigzag-varint, then each delta is stored zigzag-varint. Timestamps and
-// other near-monotonic columns compress extremely well this way (§2.1).
-func EncodeDeltaI64(dst []byte, values []int64) []byte {
-	dst = append(dst, byte(MethodDelta))
-	dst = binary.AppendUvarint(dst, uint64(len(values)))
-	prev := int64(0)
-	for _, v := range values {
-		dst = binary.AppendUvarint(dst, ZigZag(v-prev))
-		prev = v
-	}
-	return dst
-}
-
-// DecodeDeltaI64 decodes a stream produced by EncodeDeltaI64.
-func DecodeDeltaI64(src []byte) ([]int64, error) {
-	if len(src) == 0 || Method(src[0]) != MethodDelta {
-		return nil, ErrMethod
-	}
-	src = src[1:]
-	n, used, err := Uvarint(src)
-	if err != nil {
-		return nil, err
-	}
-	src = src[used:]
-	if n > uint64(len(src)) { // each delta is at least one byte
-		return nil, fmt.Errorf("%w: %d deltas in %d bytes", ErrCorrupt, n, len(src))
-	}
-	out := make([]int64, 0, n)
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		u, used, err := Uvarint(src)
-		if err != nil {
-			return nil, fmt.Errorf("delta %d: %w", i, err)
-		}
-		src = src[used:]
-		prev += UnZigZag(u)
-		out = append(out, prev)
-	}
-	return out, nil
-}

@@ -149,8 +149,6 @@ type RecorderOptions struct {
 	Namespace string
 	// Capacity is the ring size in events (0 = 1024).
 	Capacity int
-	// DisableMmap forces the heap-backed segment fallback.
-	DisableMmap bool
 	// Clock supplies unix microseconds; nil means time.Now. Tests inject
 	// fixed clocks for deterministic dumps.
 	Clock func() int64
@@ -176,11 +174,7 @@ func OpenFlightRecorder(id int, opts RecorderOptions) (*Recorder, error) {
 	if clock == nil {
 		clock = func() int64 { return time.Now().UnixMicro() }
 	}
-	m := shm.NewManager(id, shm.Options{
-		Dir:         opts.Dir,
-		Namespace:   ns + obsNamespaceSuffix,
-		DisableMmap: opts.DisableMmap,
-	})
+	m := shm.NewManager(id, shm.Options{Dir: opts.Dir, Namespace: ns + obsNamespaceSuffix})
 	r := &Recorder{m: m, capacity: capacity, clock: clock}
 
 	// Read the previous run's ring, if one survives and is readable.

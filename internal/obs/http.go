@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 )
 
@@ -42,18 +41,6 @@ type HandlerConfig struct {
 	Recovery func() any
 	// Restart supplies the restart ledger for /debug/recovery (nil omits it).
 	Restart func() Trace
-	// Tracer backs /debug/traces and /debug/slow (nil omits both — only the
-	// aggregator daemon assembles traces).
-	Tracer *Tracer
-}
-
-// TraceDump is the /debug/traces and /debug/slow response body.
-type TraceDump struct {
-	// SlowThresholdNanos is the fixed slow threshold (0 = adaptive p99).
-	SlowThresholdNanos int64 `json:"slow_threshold_nanos"`
-	// Traces lists the retained query traces, newest first: each the root
-	// span, then one per leaf, in the shape of /debug/recovery's restart list.
-	Traces []Trace `json:"traces"`
 }
 
 // Handler builds the daemon observability mux:
@@ -108,32 +95,6 @@ func Handler(cfg HandlerConfig) http.Handler {
 		writeJSON(w, dump)
 	})
 
-	if cfg.Tracer != nil {
-		writeTraces := func(w http.ResponseWriter, traces []Trace) {
-			writeJSON(w, TraceDump{SlowThresholdNanos: cfg.Tracer.opts.SlowThreshold.Nanoseconds(), Traces: traces})
-		}
-		mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-			if idStr := r.URL.Query().Get("id"); idStr != "" {
-				id, err := strconv.ParseUint(idStr, 10, 64)
-				if err != nil {
-					http.Error(w, "bad trace id", http.StatusBadRequest)
-					return
-				}
-				tr := cfg.Tracer.Get(id)
-				if tr == nil {
-					http.Error(w, "trace not found (rotated out?)", http.StatusNotFound)
-					return
-				}
-				writeTraces(w, []Trace{tr})
-				return
-			}
-			writeTraces(w, cfg.Tracer.Recent())
-		})
-		mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, _ *http.Request) {
-			writeTraces(w, cfg.Tracer.Slow())
-		})
-	}
-
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -148,9 +109,6 @@ func Handler(cfg HandlerConfig) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "scuba observability (up %v)\n\n/metrics\n/debug/recovery\n/debug/pprof/\n",
 			time.Since(started).Round(time.Second))
-		if cfg.Tracer != nil {
-			fmt.Fprintf(w, "/debug/traces\n/debug/slow\n")
-		}
 	})
 	return mux
 }

@@ -20,7 +20,10 @@ package obs
 //     goroutine; overflow drops the batch and counts sink.dropped.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -253,11 +256,12 @@ func (s *Sink) RecordSnapshot() {
 // RecordSpans converts finished spans into __system.traces rows, one per
 // span under one column vocabulary — a traced query is a root row plus a row
 // per leaf, a restart a row per step, all keyed by trace_id: "which leaf was
-// slow" and "where did the restart go" are group-bys. A cell is written only
-// when it says something: an absent one reads back as the zero it would have
-// held. Spans of queries against __system tables are suppressed (recursion).
-// Row time is the span's start; t_us keeps it exact. It is an
-// Observer.OnSpans hook.
+// slow" and "where did the restart go" are group-bys. An answering leaf's
+// execution report is cells of its row. A cell is written only when it says
+// something: an absent one reads back as the zero it would have held. Spans
+// of queries against __system tables are suppressed (recursion). Row time is
+// the span's start; t_us keeps it exact. It is an Observer.OnSpans hook, and
+// SpanFromRow reads its rows back.
 func (s *Sink) RecordSpans(spans Trace) {
 	if s == nil {
 		return
@@ -278,7 +282,7 @@ func (s *Sink) RecordSpans(spans Trace) {
 		if sp.Kind != KindRestart && IsSystemTable(sp.Table) {
 			continue
 		}
-		cols = make(map[string]rowblock.Value, 12)
+		cols = make(map[string]rowblock.Value, 24)
 		str("source", s.cfg.Source)
 		num("trace_id", int64(sp.TraceID))
 		num("span_id", int64(sp.SpanID))
@@ -301,9 +305,93 @@ func (s *Sink) RecordSpans(spans Trace) {
 		num("shards_total", int64(sp.ShardsTotal))
 		num("shards_answered", int64(sp.ShardsAnswered))
 		num("slow", BoolValue(sp.Slow).Int)
+		if e := sp.Exec; e != nil {
+			num("latency_ns", e.LatencyNanos)
+			num("decode_ns", e.DecodeNanos)
+			num("prune_ns", e.PruneNanos)
+			num("scan_ns", e.ScanNanos)
+			num("merge_ns", e.MergeNanos)
+			num("rows_scanned", e.RowsScanned)
+			num("blocks_scanned", e.BlocksScanned)
+			num("blocks_pruned", e.BlocksPruned)
+			num("blocks_skipped", e.BlocksSkipped)
+			num("cache_hits", e.CacheHits)
+			num("cache_misses", e.CacheMisses)
+			num("shards_served", int64(e.ShardsServed))
+		}
 		rows = append(rows, rowblock.Row{Time: sp.Start.Unix(), Cols: cols})
 	}
 	s.RecordRows(SystemTracesTable, rows)
+}
+
+// A reader of __system.traces groups by SpanKeys — what tells two spans
+// apart, the 64-bit IDs among them, which a float64 aggregate cannot hold —
+// and takes the max of each of SpanValues; SpanFromRow turns each group back
+// into its span.
+var (
+	SpanKeys   = []string{"trace_id", "span_id", "parent", "kind", "half", "phase", "leaf", "table", "worker", "recovery", "err", "query"}
+	SpanValues = []string{"t_us", "duration_us", "blocks", "bytes", "open", "shards_total", "shards_answered", "slow",
+		"latency_ns", "decode_ns", "prune_ns", "scan_ns", "merge_ns", "rows_scanned", "blocks_scanned", "blocks_pruned",
+		"blocks_skipped", "cache_hits", "cache_misses", "shards_served"}
+)
+
+// SpanFromRow rebuilds the span RecordSpans wrote from one group's key (in
+// SpanKeys order) and values (in SpanValues order): its times cut to the
+// table's microseconds, its shard list gone (the row keeps its length), and
+// its ExecStats back when any execution cell was written.
+func SpanFromRow(key []string, values []float64) Span {
+	str := func(col string) string { return key[slices.Index(SpanKeys, col)] }
+	// An ID is an int64 cell: a 64-bit span ID reads back negative.
+	id := func(col string) uint64 { n, _ := strconv.ParseInt(str(col), 10, 64); return uint64(n) }
+	num := func(col string) int64 { return int64(values[slices.Index(SpanValues, col)]) }
+	sp := Span{TraceID: id("trace_id"), SpanID: id("span_id"), Parent: id("parent"), Kind: str("kind"),
+		Half: str("half"), Phase: str("phase"), Leaf: str("leaf"), Table: str("table"), Worker: int(id("worker")),
+		Recovery: str("recovery"), Err: str("err"), Query: str("query"),
+		Start: time.UnixMicro(num("t_us")), Duration: time.Duration(num("duration_us")) * time.Microsecond,
+		Blocks: int(num("blocks")), Bytes: num("bytes"), Open: num("open") != 0,
+		ShardsTotal: int(num("shards_total")), ShardsAnswered: int(num("shards_answered")), Slow: num("slow") != 0}
+	bare := ExecStats{SpanID: sp.SpanID, Table: sp.Table, Recovery: sp.Recovery}
+	e := bare
+	e.LatencyNanos, e.DecodeNanos, e.PruneNanos = num("latency_ns"), num("decode_ns"), num("prune_ns")
+	e.ScanNanos, e.MergeNanos, e.RowsScanned = num("scan_ns"), num("merge_ns"), num("rows_scanned")
+	e.BlocksScanned, e.BlocksPruned, e.BlocksSkipped = num("blocks_scanned"), num("blocks_pruned"), num("blocks_skipped")
+	e.CacheHits, e.CacheMisses, e.ShardsServed = num("cache_hits"), num("cache_misses"), int(num("shards_served"))
+	if e != bare {
+		sp.Exec = &e
+	}
+	return sp
+}
+
+// Traces groups spans read back from __system.traces by trace ID, newest
+// first. A trace lists its root first — the query span whose parent is not in
+// the trace, so a subtree aggregator's root stays under the upstream leaf
+// span it hangs from — then the rest by start.
+func Traces(spans []Span) []Trace {
+	byID := make(map[uint64]Trace)
+	for _, sp := range spans {
+		byID[sp.TraceID] = append(byID[sp.TraceID], sp)
+	}
+	out := make([]Trace, 0, len(byID))
+	for _, tr := range byID {
+		ids := make(map[uint64]bool, len(tr))
+		for _, sp := range tr {
+			ids[sp.SpanID] = sp.SpanID != 0
+		}
+		rank := func(sp Span) int {
+			if sp.Kind == KindQuery && !ids[sp.Parent] {
+				return 0
+			}
+			return 1
+		}
+		slices.SortStableFunc(tr, func(a, b Span) int {
+			return cmp.Or(cmp.Compare(rank(a), rank(b)), a.Start.Compare(b.Start), cmp.Compare(a.SpanID, b.SpanID))
+		})
+		out = append(out, tr)
+	}
+	slices.SortFunc(out, func(a, b Trace) int {
+		return cmp.Or(b[0].Start.Compare(a[0].Start), cmp.Compare(a[0].TraceID, b[0].TraceID))
+	})
+	return out
 }
 
 // BoolValue is a flag column of a __system row: 1 or 0.

@@ -119,7 +119,8 @@ func TestSinkSpanRowsAndSuppression(t *testing.T) {
 		Table: SystemMetricsTable, Recovery: "memory", Blocks: 2, Start: time.UnixMicro(7_000_001)}})
 	// A query trace is a root row and a row per leaf, under one trace ID.
 	tr := mkTrace(10, 5*time.Millisecond,
-		Span{SpanID: 11, Leaf: "leaf0", Duration: 3 * time.Millisecond, Recovery: "memory", Shards: []int{0, 2}},
+		Span{SpanID: 11, Leaf: "leaf0", Duration: 3 * time.Millisecond, Recovery: "memory", Shards: []int{0, 2},
+			Exec: &ExecStats{LatencyNanos: 2_500_000, ScanNanos: 2_000_000, RowsScanned: 7, CacheHits: 3, ShardsServed: 2}},
 		Span{SpanID: 12, Leaf: "leaf1", Duration: 4 * time.Millisecond, Err: "leaf restarting"},
 	).retable("service_logs")
 	tr[0].Slow, tr[0].ShardsTotal, tr[0].ShardsAnswered = true, 4, 2
@@ -147,6 +148,17 @@ func TestSinkSpanRowsAndSuppression(t *testing.T) {
 	}
 	if l0["leaf"].Str != "leaf0" || l0["recovery"].Str != "memory" || l0["shards"].Int != 2 || l0["err"].Str != "" {
 		t.Errorf("answered leaf row = %+v", l0)
+	}
+	// The leaf's execution report is cells of its row, its zeros unwritten.
+	if l0["latency_ns"].Int != 2_500_000 || l0["scan_ns"].Int != 2_000_000 || l0["rows_scanned"].Int != 7 ||
+		l0["cache_hits"].Int != 3 || l0["shards_served"].Int != 2 {
+		t.Errorf("answered leaf row's exec cells = %+v", l0)
+	}
+	if _, ok := l0["decode_ns"]; ok {
+		t.Errorf("a zero exec cell was written: %+v", l0)
+	}
+	if _, ok := l1["latency_ns"]; ok {
+		t.Errorf("failed leaf row has exec cells: %+v", l1)
 	}
 	if l1["leaf"].Str != "leaf1" || l1["err"].Str != "leaf restarting" || l1["duration_us"].Int != 4000 {
 		t.Errorf("failed leaf row = %+v", l1)

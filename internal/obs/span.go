@@ -5,8 +5,7 @@ package obs
 // trace ID. Two producers fill it in, an aggregator's Tracer (trace.go) and a
 // leaf's Restart ledger (restart.go); everything downstream of a finished
 // span is shared: the Observer's span hooks, the __system.traces row, the
-// JSON of /debug/traces, /debug/slow and /debug/recovery, scuba-cli's
-// waterfall.
+// JSON of /debug/recovery, scuba-cli's waterfall.
 
 import (
 	"slices"

@@ -4,10 +4,10 @@ package obs
 // a query stamps it with a trace ID and one span ID per leaf RPC; the wire
 // protocol carries the context in the request envelope, each leaf answers
 // with an ExecStats block, and the aggregator assembles a root span and one
-// span per leaf (span.go) into a Trace. Traces land in two bounded in-memory
-// rings — the last N queries and a tail-sampled slow-query log — served at
-// /debug/traces and /debug/slow on the aggregator daemon, so any single slow
-// query can be explained end to end while leaves restart and roll over.
+// span per leaf (span.go) into a Trace. The tracer keeps none of it: a
+// finished trace goes to the observer's span hooks, and the sink's hook makes
+// it rows of __system.traces — the one place a query's spans are kept, read
+// back by scuba-cli trace with an ordinary group-by.
 
 import (
 	"math/rand"
@@ -75,27 +75,21 @@ func (e *ExecStats) DominantPhase() (name string, v int64) {
 	return name, v
 }
 
-// TracerOptions configure the trace rings.
+// TracerOptions configure a tracer.
 type TracerOptions struct {
-	// Capacity bounds the recent-trace ring (default 64).
-	Capacity int
 	// SlowThreshold marks queries at or above this duration as slow. Zero
 	// selects adaptive tail sampling: once adaptiveMinSamples latencies have
-	// been observed, anything above the running p99 is kept — "the slowest
+	// been observed, anything above the running p99 is slow — "the slowest
 	// ~1% of whatever the workload currently is" without hand-tuning.
 	SlowThreshold time.Duration
 }
 
-const (
-	// slowRingCapacity bounds the slow-query ring.
-	slowRingCapacity = 32
-	// adaptiveMinSamples is how many latencies adaptive sampling needs before
-	// it starts flagging.
-	adaptiveMinSamples = 32
-)
+// adaptiveMinSamples is how many latencies adaptive sampling needs before it
+// starts flagging.
+const adaptiveMinSamples = 32
 
 // idRand feeds the trace/span ID generators. math/rand suffices: IDs only
-// need to be unique within one aggregator's retained rings, not secret.
+// need to be unique among the traces __system.traces holds, not secret.
 var idRand = struct {
 	sync.Mutex
 	*rand.Rand
@@ -112,17 +106,15 @@ func RandomID() uint64 {
 	}
 }
 
-// Tracer assembles and retains query traces on behalf of one aggregator. All
+// Tracer files finished query traces on behalf of one aggregator. All
 // methods are safe for concurrent use; a nil *Tracer is a valid no-op for
 // the ID generators, so callers can stamp unconditionally.
 type Tracer struct {
-	o    *Observer // nil: traces are kept in the rings and go nowhere else
+	o    *Observer // nil: traces are classified and counted, and go nowhere
 	opts TracerOptions
 
-	mu     sync.Mutex
-	recent []Trace // ring, oldest first once full
-	slow   []Trace
-	lat    *metrics.Histogram // latency distribution for adaptive sampling
+	mu  sync.Mutex
+	lat *metrics.Histogram // latency distribution for adaptive sampling
 
 	traceCount *metrics.Counter
 	slowCount  *metrics.Counter
@@ -130,21 +122,15 @@ type Tracer struct {
 
 // Tracer creates a tracer whose finished traces feed the observer's span
 // hooks and whose trace.count / trace.slow counters live in its registry.
-// The zero options give a 64-trace ring and adaptive (p99) slow sampling.
-// Works on a nil Observer: the rings still fill.
+// The zero options give adaptive (p99) slow sampling. Works on a nil
+// Observer: traces are still classified and counted.
 func (o *Observer) Tracer(opts TracerOptions) *Tracer {
-	if opts.Capacity <= 0 {
-		opts.Capacity = 64
-	}
 	t := &Tracer{o: o, opts: opts, lat: &metrics.Histogram{}, traceCount: &metrics.Counter{}, slowCount: &metrics.Counter{}}
 	if reg := o.Registry(); reg != nil {
 		t.traceCount, t.slowCount = reg.Counter("trace.count"), reg.Counter("trace.slow")
 	}
 	return t
 }
-
-// NewTracer creates a tracer that feeds nothing but its own rings.
-func NewTracer(opts TracerOptions) *Tracer { return (*Observer)(nil).Tracer(opts) }
 
 // newTraceID mints a nonzero trace ID of 63 bits: it is an int64 column of
 // __system.traces and __system.profiles, and must read back as itself.
@@ -162,8 +148,8 @@ func (t *Tracer) NewTraceID() uint64 {
 // Record files a completed query trace, root span first: the spans after it
 // are deduplicated by span ID (a retried RPC must not produce duplicate leaf
 // spans — the attempt that answered wins), the root is classified slow or
-// not, the trace is inserted into the bounded rings and handed to the
-// observer's span hooks. It reports whether the trace was kept as slow.
+// not, and the trace is handed to the observer's span hooks. It reports
+// whether the root was classified slow.
 func (t *Tracer) Record(tr Trace) bool {
 	if t == nil || len(tr) == 0 {
 		return false
@@ -173,9 +159,7 @@ func (t *Tracer) Record(tr Trace) bool {
 	t.mu.Lock()
 	root.Slow = t.isSlowLocked(root.Duration)
 	t.lat.ObserveDuration(root.Duration)
-	t.recent = appendBounded(t.recent, tr, t.opts.Capacity)
 	if root.Slow {
-		t.slow = appendBounded(t.slow, tr, slowRingCapacity)
 		t.slowCount.Add(1)
 	}
 	t.traceCount.Add(1)
@@ -196,7 +180,7 @@ func (t *Tracer) isSlowLocked(d time.Duration) bool {
 		return false
 	}
 	// Strictly above p99: in a tight uniform workload the typical latency
-	// IS the p99 estimate, and the slow log should stay empty until a real
+	// IS the p99 estimate, and nothing should be flagged until a real
 	// outlier shows up.
 	return d.Microseconds() > st.P99
 }
@@ -220,63 +204,6 @@ func dedupeSpans(spans Trace) Trace {
 		}
 		seen[sp.SpanID] = len(out)
 		out = append(out, sp)
-	}
-	return out
-}
-
-// appendBounded appends to a ring slice, dropping the oldest entry once the
-// capacity is reached.
-func appendBounded(ring []Trace, tr Trace, capacity int) []Trace {
-	ring = append(ring, tr)
-	if len(ring) > capacity {
-		copy(ring, ring[1:])
-		ring = ring[:len(ring)-1]
-	}
-	return ring
-}
-
-// Recent returns the retained traces, newest first.
-func (t *Tracer) Recent() []Trace {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return reversed(t.recent)
-}
-
-// Slow returns the slow-query log, newest first.
-func (t *Tracer) Slow() []Trace {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return reversed(t.slow)
-}
-
-// Get returns the trace with the given ID from either ring (nil if it has
-// rotated out).
-func (t *Tracer) Get(id uint64) Trace {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, ring := range [][]Trace{t.recent, t.slow} {
-		for _, tr := range ring {
-			if tr[0].TraceID == id {
-				return tr
-			}
-		}
-	}
-	return nil
-}
-
-func reversed(ring []Trace) []Trace {
-	out := make([]Trace, len(ring))
-	for i, tr := range ring {
-		out[len(ring)-1-i] = tr
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,11 +20,31 @@ func mkTrace(id uint64, d time.Duration, leaves ...Span) Trace {
 	return tr
 }
 
-// ids lists the trace IDs of a ring dump.
-func ids(traces []Trace) []uint64 {
-	out := make([]uint64, len(traces))
-	for i, tr := range traces {
-		out[i] = tr.Root().TraceID
+// recorded returns a tracer whose observer's span hook keeps every trace the
+// tracer files, and what the hook has seen so far, in order.
+func recorded(opts TracerOptions) (*Tracer, func() []Trace) {
+	var mu sync.Mutex
+	var seen []Trace
+	ob := New(nil, nil)
+	ob.OnSpans(func(tr Trace) {
+		mu.Lock()
+		defer mu.Unlock()
+		seen = append(seen, tr)
+	})
+	return ob.Tracer(opts), func() []Trace {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]Trace(nil), seen...)
+	}
+}
+
+// slowIDs lists the trace IDs of the traces whose root was marked slow.
+func slowIDs(traces []Trace) []uint64 {
+	var out []uint64
+	for _, tr := range traces {
+		if tr.Root().Slow {
+			out = append(out, tr.Root().TraceID)
+		}
 	}
 	return out
 }
@@ -47,50 +67,27 @@ func TestRandomIDNonzero(t *testing.T) {
 	}
 }
 
-func TestTracerRingBounds(t *testing.T) {
-	tr := NewTracer(TracerOptions{Capacity: 4, SlowThreshold: time.Millisecond})
-	for i := 1; i <= 40; i++ {
-		tr.Record(mkTrace(uint64(i), 2*time.Millisecond)) // all slow
-	}
-	if recent := ids(tr.Recent()); !reflect.DeepEqual(recent, []uint64{40, 39, 38, 37}) {
-		t.Fatalf("recent = %v, want the newest 4 of 40, newest first", recent)
-	}
-	if slow := ids(tr.Slow()); len(slow) != slowRingCapacity || slow[0] != 40 || slow[1] != 39 {
-		t.Fatalf("slow ring = %v, want the newest %d", slow, slowRingCapacity)
-	}
-	if got := tr.Get(39); got.Root().TraceID != 39 {
-		t.Fatalf("Get(39) = %+v (still in recent ring)", got)
-	}
-	if got := tr.Get(20); got.Root().TraceID != 20 {
-		t.Fatalf("Get(20) = %+v (still in the slow ring)", got)
-	}
-	if got := tr.Get(1); got != nil {
-		t.Fatalf("Get(1) = %+v, want nil (rotated out of both rings)", got)
-	}
-}
-
 func TestFixedSlowThreshold(t *testing.T) {
-	tr := NewTracer(TracerOptions{SlowThreshold: 100 * time.Millisecond})
+	tr, seen := recorded(TracerOptions{SlowThreshold: 100 * time.Millisecond})
 	if tr.Record(mkTrace(1, 50*time.Millisecond)) {
 		t.Fatal("50ms marked slow under a 100ms threshold")
 	}
 	if !tr.Record(mkTrace(2, 150*time.Millisecond)) {
 		t.Fatal("150ms not marked slow under a 100ms threshold")
 	}
-	slow := tr.Slow()
-	if len(slow) != 1 || slow[0].Root().TraceID != 2 || !slow[0].Root().Slow {
-		t.Fatalf("slow ring = %+v", slow)
+	if slow := slowIDs(seen()); len(seen()) != 2 || len(slow) != 1 || slow[0] != 2 {
+		t.Fatalf("hook saw slow roots %v of %+v", slow, seen())
 	}
 }
 
 func TestAdaptiveSlowThreshold(t *testing.T) {
-	tr := NewTracer(TracerOptions{})
+	tr := New(nil, nil).Tracer(TracerOptions{})
 	// Below adaptiveMinSamples nothing is slow, however extreme.
 	if tr.Record(mkTrace(1, time.Hour)) {
 		t.Fatal("flagged slow before adaptiveMinSamples latencies observed")
 	}
 	// Feed a tight 1ms workload, then an outlier: the outlier must land in
-	// the slow ring, and a typical query must not.
+	// be flagged, and a typical query must not.
 	for i := 0; i < 64; i++ {
 		tr.Record(mkTrace(uint64(100+i), time.Millisecond))
 	}
@@ -103,7 +100,7 @@ func TestAdaptiveSlowThreshold(t *testing.T) {
 }
 
 func TestSpanDedupe(t *testing.T) {
-	tr := NewTracer(TracerOptions{})
+	tr, seen := recorded(TracerOptions{})
 	// Three records of span 7 (a retried RPC observed three ways) plus an
 	// unrelated span: the answered attempt must win, order preserved.
 	tr.Record(mkTrace(1, time.Millisecond,
@@ -112,7 +109,7 @@ func TestSpanDedupe(t *testing.T) {
 		Span{SpanID: 7, Leaf: "a", Exec: &ExecStats{SpanID: 7, RowsScanned: 42}},
 		Span{SpanID: 7, Leaf: "a", Exec: &ExecStats{SpanID: 7, RowsScanned: 1}},
 	))
-	got := tr.Recent()[0].Leaves()
+	got := seen()[0].Leaves()
 	if len(got) != 2 {
 		t.Fatalf("spans after dedupe = %d, want 2: %+v", len(got), got)
 	}
@@ -162,20 +159,36 @@ func TestSlowestLeaf(t *testing.T) {
 	}
 }
 
+// Concurrent queries file their traces through one tracer: each reaches the
+// hook once, and the counters see every one.
 func TestTracerConcurrency(t *testing.T) {
-	tr := NewTracer(TracerOptions{Capacity: 8})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 500; i++ {
-			tr.Record(mkTrace(RandomID(), time.Millisecond,
-				Span{SpanID: RandomID()}))
-		}
-	}()
-	for i := 0; i < 500; i++ {
-		tr.Recent()
-		tr.Slow()
-		tr.Get(uint64(i))
+	reg := metrics.NewRegistry()
+	var mu sync.Mutex
+	seen := make(map[uint64]int)
+	ob := New(reg, nil)
+	ob.OnSpans(func(tr Trace) {
+		mu.Lock()
+		defer mu.Unlock()
+		seen[tr.Root().TraceID]++
+	})
+	tr := ob.Tracer(TracerOptions{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 250; i++ {
+				tr.Record(mkTrace(tr.NewTraceID(), time.Millisecond, Span{SpanID: RandomID()}))
+			}
+		}()
 	}
-	<-done
+	wg.Wait()
+	if n := reg.Snapshot().Counters["trace.count"]; len(seen) != 1000 || n != 1000 {
+		t.Fatalf("hook saw %d distinct traces, trace.count = %d; want 1000 each", len(seen), n)
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Fatalf("trace %d reached the hook %d times", id, n)
+		}
+	}
 }

@@ -5,30 +5,30 @@ import (
 	"time"
 )
 
-// Adaptive slow-query sampling edge cases pinned: the warm-up window, ties
-// at the running p99, and ring wraparound.
+// Adaptive slow-query sampling edge cases pinned: the warm-up window and ties
+// at the running p99.
 
 // During the first adaptiveMinSamples observations the adaptive sampler must stay
 // silent — there is no distribution to judge against yet — no matter how
 // slow the queries are.
 func TestTracerAdaptiveWarmupNeverSlow(t *testing.T) {
-	tr := NewTracer(TracerOptions{Capacity: 128})
+	tr, seen := recorded(TracerOptions{})
 	for i := 0; i < adaptiveMinSamples; i++ {
 		d := time.Duration(i+1) * time.Hour // absurdly slow
 		if tr.Record(mkTrace(uint64(i+1), d)) {
 			t.Fatalf("sample %d flagged slow during warm-up", i)
 		}
 	}
-	if got := len(tr.Slow()); got != 0 {
-		t.Fatalf("slow log has %d entries after warm-up", got)
+	if slow := slowIDs(seen()); len(slow) != 0 {
+		t.Fatalf("hook saw slow roots %v during warm-up", slow)
 	}
 }
 
 // A latency exactly equal to the running p99 is NOT slow: in a tight uniform
-// workload the typical latency is the p99 estimate, and the slow log should
-// stay empty until a genuine outlier arrives.
+// workload the typical latency is the p99 estimate, and nothing should be
+// flagged until a genuine outlier arrives.
 func TestTracerAdaptiveTieAtP99(t *testing.T) {
-	tr := NewTracer(TracerOptions{Capacity: 128})
+	tr, seen := recorded(TracerOptions{})
 	d := 1024 * time.Microsecond // exact power of two: bucket midpoint clamps to it
 	for i := 0; i < 32; i++ {
 		tr.Record(mkTrace(uint64(i+1), d))
@@ -41,9 +41,8 @@ func TestTracerAdaptiveTieAtP99(t *testing.T) {
 	if !tr.Record(mkTrace(101, (100 * d))) {
 		t.Fatal("100x outlier not flagged slow")
 	}
-	slow := tr.Slow()
-	if len(slow) != 1 || slow[0].Root().TraceID != 101 {
-		t.Fatalf("slow log = %+v", slow)
+	if slow := slowIDs(seen()); len(slow) != 1 || slow[0] != 101 {
+		t.Fatalf("hook saw slow roots %v, want [101]", slow)
 	}
 }
 

@@ -20,9 +20,3 @@ func EnableContention() {
 	runtime.SetMutexProfileFraction(mutexProfileFraction)
 	runtime.SetBlockProfileRate(blockProfileRateNs)
 }
-
-// DisableContention turns both off again (tests).
-func DisableContention() {
-	runtime.SetMutexProfileFraction(0)
-	runtime.SetBlockProfileRate(0)
-}

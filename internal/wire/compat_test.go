@@ -385,7 +385,8 @@ func TestOldServerAgainstNewClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := aggregator.New([]aggregator.LeafTarget{old, cur})
-	agg.Tracer = obs.NewTracer(obs.TracerOptions{})
+	tracer, recorded := recordingTracer(obs.TracerOptions{})
+	agg.Tracer = tracer
 	merged, err := agg.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -397,8 +398,8 @@ func TestOldServerAgainstNewClient(t *testing.T) {
 		t.Fatalf("rows from the leaf that speaks 4: %+v", got)
 	}
 	// The reason is on the old leaf's span, word for word: what scuba-cli
-	// trace and /debug/traces show.
-	traces := agg.Tracer.Recent()
+	// trace and __system.traces show.
+	traces := recorded()
 	if len(traces) != 1 || !strings.Contains(traces[0][1].Err, "peer speaks protocol < 4") {
 		t.Fatalf("the old leaf's span: %+v", traces)
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,24 @@ import (
 func countQuery() *query.Query {
 	return &query.Query{Table: "events", From: 0, To: 1 << 40,
 		Aggregations: []query.Aggregation{{Op: query.AggCount}}}
+}
+
+// recordingTracer returns a tracer whose observer's span hook keeps every
+// trace it files, and what the hook has seen so far, in order.
+func recordingTracer(opts obs.TracerOptions) (*obs.Tracer, func() []obs.Trace) {
+	var mu sync.Mutex
+	var seen []obs.Trace
+	ob := obs.New(nil, nil)
+	ob.OnSpans(func(tr obs.Trace) {
+		mu.Lock()
+		defer mu.Unlock()
+		seen = append(seen, tr)
+	})
+	return ob.Tracer(opts), func() []obs.Trace {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]obs.Trace(nil), seen...)
+	}
 }
 
 // TestTraceOverWire runs a traced query through an aggregator over wire
@@ -29,7 +48,7 @@ func TestTraceOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tracer := obs.NewTracer(obs.TracerOptions{})
+	tracer, recorded := recordingTracer(obs.TracerOptions{})
 	agg := aggregator.New([]aggregator.LeafTarget{c0, c1})
 	agg.Tracer = tracer
 	agg.Labels = []string{s0.Addr(), s1.Addr()}
@@ -42,9 +61,9 @@ func TestTraceOverWire(t *testing.T) {
 		t.Fatalf("count = %v, want 150", got)
 	}
 
-	traces := tracer.Recent()
+	traces := recorded()
 	if len(traces) != 1 {
-		t.Fatalf("recent traces = %d, want 1", len(traces))
+		t.Fatalf("recorded traces = %d, want 1", len(traces))
 	}
 	spans := traces[0].Leaves()
 	if traces[0].Root().TraceID == 0 || len(spans) != 2 || spans.Answered() != 2 {
@@ -86,7 +105,7 @@ func TestTraceStableAcrossRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tracer := obs.NewTracer(obs.TracerOptions{})
+	tracer, recorded := recordingTracer(obs.TracerOptions{})
 	agg := aggregator.New([]aggregator.LeafTarget{c})
 	agg.Tracer = tracer
 
@@ -104,9 +123,9 @@ func TestTraceStableAcrossRetries(t *testing.T) {
 		t.Fatalf("wire.read hits = %d, want 2 (one failure + one success)", got)
 	}
 
-	traces := tracer.Recent()
+	traces := recorded()
 	if len(traces) != 1 {
-		t.Fatalf("recent traces = %d, want 1", len(traces))
+		t.Fatalf("recorded traces = %d, want 1", len(traces))
 	}
 	tr := traces[0]
 	if len(tr.Leaves()) != 1 {
@@ -137,7 +156,7 @@ func TestAggServerPropagatesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer as.Close()
-	subTracer := obs.NewTracer(obs.TracerOptions{})
+	subTracer, subRecorded := recordingTracer(obs.TracerOptions{})
 	as.Aggregator().Tracer = subTracer
 
 	up := Dial(as.Addr())
@@ -160,11 +179,12 @@ func TestAggServerPropagatesTrace(t *testing.T) {
 	// The upstream aggregator's span for the subtree: its latency is the
 	// subtree's wall time, so RTT - latency is the hop, not the whole query.
 	root := aggregator.New([]aggregator.LeafTarget{up})
-	root.Tracer = obs.NewTracer(obs.TracerOptions{})
+	rootTracer, rootRecorded := recordingTracer(obs.TracerOptions{})
+	root.Tracer = rootTracer
 	if _, err := root.Query(countQuery()); err != nil {
 		t.Fatal(err)
 	}
-	sp := root.Tracer.Recent()[0].Leaves()[0]
+	sp := rootRecorded()[0].Leaves()[0]
 	if sp.Err != "" || sp.Exec == nil {
 		t.Fatalf("upstream span unanswered: %+v", sp)
 	}
@@ -173,7 +193,12 @@ func TestAggServerPropagatesTrace(t *testing.T) {
 	}
 	// The subtree's own spans do not vanish into that one report: its
 	// aggregator's trace has the same ID and hangs under the upstream span.
-	sub := subTracer.Get(sp.TraceID)
+	var sub obs.Trace
+	for _, tr := range subRecorded() {
+		if tr.Root().TraceID == sp.TraceID {
+			sub = tr
+		}
+	}
 	if sub.Root().Parent != sp.SpanID || len(sub.Leaves()) != 1 || sub.Leaves()[0].Parent != sub.Root().SpanID {
 		t.Fatalf("subtree trace %+v does not hang under upstream span %d", sub, sp.SpanID)
 	}

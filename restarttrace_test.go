@@ -12,6 +12,7 @@ package scuba_test
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -249,15 +250,25 @@ func TestQueryTraceInSystemTraces(t *testing.T) {
 		OnError: func(err error) { t.Errorf("telemetry: %v", err) },
 	})
 	defer sink.Close()
+	var mu sync.Mutex
+	var recorded []uint64 // the trace IDs the tracer filed, in order
 	ob := scuba.NewObserver(nil, nil)
-	ob.OnSpans(sink.RecordSpans)
+	ob.OnSpans(sink.RecordSpans, func(tr scuba.Trace) {
+		mu.Lock()
+		defer mu.Unlock()
+		recorded = append(recorded, tr.Root().TraceID)
+	})
+	traced := func() []uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]uint64(nil), recorded...)
+	}
 	agg, err := scuba.NewAggServer(addrs, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer agg.Close()
-	tracer := ob.Tracer(scuba.TracerOptions{})
-	agg.Aggregator().Tracer = tracer
+	agg.Aggregator().Tracer = ob.Tracer(scuba.TracerOptions{})
 	cl := scuba.DialLeaf(agg.Addr())
 	defer cl.Close()
 
@@ -274,7 +285,7 @@ func TestQueryTraceInSystemTraces(t *testing.T) {
 	if res.LeavesAnswered != 1 || res.LeavesTotal != 2 {
 		t.Fatalf("coverage %d/%d, want leaf 1 failed", res.LeavesAnswered, res.LeavesTotal)
 	}
-	id := tracer.Recent()[0].Root().TraceID
+	id := traced()[0]
 
 	maxDur := scuba.Aggregation{Op: scuba.AggMax, Column: "duration_us"}
 	byKind := map[string][2]float64{} // kind → rows, max duration_us
@@ -308,8 +319,8 @@ func TestQueryTraceInSystemTraces(t *testing.T) {
 	// the same aggregator: they left nothing.
 	all := &scuba.Query{Table: scuba.SystemTracesTable, From: 0, To: 1 << 40,
 		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}}}
-	if len(tracer.Recent()) < 3 || !sink.Flush() {
-		t.Fatalf("tracer kept %d traces: the read-backs must have been traced too", len(tracer.Recent()))
+	if len(traced()) < 3 || !sink.Flush() {
+		t.Fatalf("tracer filed %d traces: the read-backs must have been traced too", len(traced()))
 	}
 	if res, err = cl.Query(all); err != nil {
 		t.Fatal(err)

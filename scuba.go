@@ -418,7 +418,7 @@ var WeeklyFullAvailability = sim.WeeklyFullAvailability
 
 // Observability: one span record (a query's root and per-leaf spans, a
 // restart's phase per table and worker) feeding the phase timers on /metrics,
-// the flight recorder, /debug/traces, /debug/recovery and __system.traces,
+// the flight recorder, /debug/recovery and __system.traces,
 // plus a crash-surviving flight recorder in shared memory (its own segment,
 // namespace "<ns>-obs", so the leaf's segment sweep never deletes it). Every
 // daemon takes an -http flag and serves /metrics, /debug/recovery and
@@ -457,33 +457,22 @@ type (
 
 // Tracing: the aggregator stamps every query with a trace ID and per-leaf
 // span IDs, the wire envelope (protocol v2) carries the context, each leaf
-// answers with an ExecStats report, and the assembled cross-leaf traces are
-// served from bounded rings at /debug/traces and /debug/slow on scuba-aggd.
+// answers with an ExecStats report; the assembled cross-leaf trace goes to
+// the observer's span hooks, whose sink keeps it in __system.traces.
 type (
 	// TraceContext is the (trace ID, span ID) pair carried in request
 	// envelopes; the zero value means untraced.
 	TraceContext = obs.TraceContext
 	// ExecStats is one leaf's per-query execution report.
 	ExecStats = obs.ExecStats
-	// Tracer assembles traces and retains the recent and slow rings.
+	// Tracer files query traces with its observer (Observer.Tracer).
 	Tracer = obs.Tracer
-	// TracerOptions configure the recent ring's size and the slow threshold.
+	// TracerOptions configure the slow threshold.
 	TracerOptions = obs.TracerOptions
-	// TraceDump is the /debug/traces and /debug/slow JSON shape.
-	TraceDump = obs.TraceDump
-	// PhaseTimes is a query execution's per-phase time breakdown.
-	PhaseTimes = query.PhaseTimes
 )
 
-// Tracing constructors.
-var (
-	// NewTracer creates a tracer over its own rings (zero options: 64-trace
-	// ring, adaptive p99 slow threshold); Observer.Tracer makes one that
-	// also feeds the observer's span hooks and registry.
-	NewTracer = obs.NewTracer
-	// NewTraceSpanID mints a random nonzero trace or span ID.
-	NewTraceSpanID = obs.RandomID
-)
+// NewTraceSpanID mints a random nonzero trace or span ID.
+var NewTraceSpanID = obs.RandomID
 
 // WireProtocolVersion is the RPC protocol version this build speaks
 // (version 2 added trace context, 3 the batch frame, 4 the result frame; a

@@ -4,7 +4,8 @@ package scuba_test
 // processes — one restarted through shared memory, one through disk, the
 // disk one deliberately delayed with fault injection — put scuba-aggd in
 // front, run queries over TCP, and read the assembled traces back from
-// /debug/traces and /debug/slow. The per-leaf spans must explain where each
+// __system.traces, where the aggregator's sink keeps them, through the same
+// aggregator. The per-leaf spans must explain where each
 // leaf's data came from, where its time went, and which leaf made the query
 // slow — and the numbers must agree with each leaf's own /metrics.
 
@@ -15,12 +16,15 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"scuba"
+	"scuba/internal/obs"
 )
 
 // metricCounter extracts "counter <name> <value>" from a /metrics dump
@@ -36,6 +40,43 @@ func metricCounter(body, name string) int64 {
 		return -1
 	}
 	return v
+}
+
+// systemTraces reads the spans of __system.traces that pass the filters
+// through the aggregator c, as traces, newest first.
+func systemTraces(t *testing.T, c *scuba.Client, filters ...scuba.Filter) []scuba.Trace {
+	t.Helper()
+	q := &scuba.Query{Table: scuba.SystemTracesTable, From: 0, To: 1 << 40, Filters: filters, GroupBy: obs.SpanKeys}
+	for _, col := range obs.SpanValues {
+		q.Aggregations = append(q.Aggregations, scuba.Aggregation{Op: scuba.AggMax, Column: col})
+	}
+	res, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []scuba.Span
+	for _, row := range res.Rows(q) {
+		spans = append(spans, obs.SpanFromRow(row.Key, row.Values))
+	}
+	return obs.Traces(spans)
+}
+
+// recordingTracer returns a tracer whose observer's span hook keeps every
+// trace it files, and what the hook has seen so far, in order.
+func recordingTracer(opts scuba.TracerOptions) (*scuba.Tracer, func() []scuba.Trace) {
+	var mu sync.Mutex
+	var seen []scuba.Trace
+	ob := scuba.NewObserver(nil, nil)
+	ob.OnSpans(func(tr scuba.Trace) {
+		mu.Lock()
+		defer mu.Unlock()
+		seen = append(seen, tr)
+	})
+	return ob.Tracer(opts), func() []scuba.Trace {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(seen)
+	}
 }
 
 func TestDistributedTracingEndToEnd(t *testing.T) {
@@ -132,7 +173,8 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 	}
 
 	// ---- aggregator over both, with a 100ms fixed slow-query threshold:
-	// the delayed leaf guarantees every query is slow.
+	// the delayed leaf guarantees every query is slow. Its sink writes every
+	// query's spans into __system.traces through the first leaf.
 	aggAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
 	aggHTTP := fmt.Sprintf("127.0.0.1:%d", freePort(t))
 	agg := exec.Command(aggBin,
@@ -140,6 +182,7 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 		"-http", aggHTTP,
 		"-leaves", leaves[0].addr+","+leaves[1].addr,
 		"-slow-query", "100ms",
+		"-telemetry-interval", "200ms",
 	)
 	agg.Stdout = os.Stderr
 	agg.Stderr = os.Stderr
@@ -174,18 +217,29 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 		}
 	}
 
-	// ---- read the traces back. Newest first: prune, warm, cold.
-	var dump scuba.TraceDump
-	if err := json.Unmarshal([]byte(httpGetBody(t, "http://"+aggHTTP+"/debug/traces")), &dump); err != nil {
-		t.Fatalf("bad /debug/traces JSON: %v", err)
+	// The aggregator's own /metrics carry the trace counters. Read them
+	// before the read-backs below, which are traced queries too.
+	aggBody := httpGetBody(t, "http://"+aggHTTP+"/metrics")
+	if got := metricCounter(aggBody, "trace_count"); got != 3 {
+		t.Errorf("aggregator trace.count = %d, want 3", got)
 	}
-	if dump.SlowThresholdNanos != (100 * time.Millisecond).Nanoseconds() {
-		t.Errorf("slow_threshold_nanos = %d, want 100ms", dump.SlowThresholdNanos)
+	if got := metricCounter(aggBody, "trace_slow"); got != 3 {
+		t.Errorf("aggregator trace.slow = %d, want 3", got)
 	}
-	if len(dump.Traces) != 3 {
-		t.Fatalf("traces = %d, want 3", len(dump.Traces))
+
+	// ---- read the traces back from __system.traces once the sink has
+	// delivered them (a query of a __system table leaves no spans). Newest
+	// first: prune, warm, cold.
+	var traces []scuba.Trace
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+		if traces = systemTraces(t, client); len(traces) >= 3 {
+			break
+		}
 	}
-	pruneT, warmT, coldT := dump.Traces[0], dump.Traces[1], dump.Traces[2]
+	if len(traces) != 3 {
+		t.Fatalf("__system.traces holds %d traces, want 3", len(traces))
+	}
+	pruneT, warmT, coldT := traces[0], traces[1], traces[2]
 
 	wantRecovery := map[string]string{
 		leaves[0].addr: "memory",
@@ -201,7 +255,8 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 			if sp.Err != "" || sp.Exec == nil || sp.SpanID == 0 || sp.Exec.SpanID != sp.SpanID || sp.Parent != tr.Root().SpanID {
 				t.Fatalf("span not answered with exec stats: %+v", sp)
 			}
-			if sp.Duration.Nanoseconds() < sp.Exec.LatencyNanos {
+			// The table keeps the round trip in whole microseconds.
+			if sp.Duration+time.Microsecond <= time.Duration(sp.Exec.LatencyNanos) {
 				t.Errorf("leaf %s RTT %v < leaf latency %dns", sp.Leaf, sp.Duration, sp.Exec.LatencyNanos)
 			}
 			out[sp.Leaf] = sp.Exec
@@ -246,7 +301,7 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 
 	// The delayed leaf is the slowest span of every trace, at >= its 200ms
 	// injected delay.
-	for _, tr := range dump.Traces {
+	for _, tr := range traces {
 		sp := tr.Slowest()
 		if sp.Leaf != leaves[1].addr {
 			t.Errorf("slowest span = %+v, want delayed leaf %s", sp, leaves[1].addr)
@@ -258,16 +313,13 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 		}
 	}
 
-	// ---- /debug/slow: the delayed leaf landed every query in the slow log.
-	var slow scuba.TraceDump
-	if err := json.Unmarshal([]byte(httpGetBody(t, "http://"+aggHTTP+"/debug/slow")), &slow); err != nil {
-		t.Fatalf("bad /debug/slow JSON: %v", err)
+	// ---- the slow roots: the delayed leaf made every query slow.
+	slow := systemTraces(t, client, scuba.Filter{Column: "slow", Int: 1})
+	if len(slow) != 3 {
+		t.Fatalf("slow roots = %d, want 3", len(slow))
 	}
-	if len(slow.Traces) != 3 {
-		t.Fatalf("slow traces = %d, want 3", len(slow.Traces))
-	}
-	if slow.Traces[0].Root().TraceID != pruneT.Root().TraceID {
-		t.Errorf("newest slow trace = %d, want %d", slow.Traces[0].Root().TraceID, pruneT.Root().TraceID)
+	if slow[0].Root().TraceID != pruneT.Root().TraceID {
+		t.Errorf("newest slow trace = %d, want %d", slow[0].Root().TraceID, pruneT.Root().TraceID)
 	}
 
 	// ---- cross-check against each leaf's own telemetry: the recovery path
@@ -298,14 +350,6 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 		if !strings.Contains(body, "gauge runtime_goroutines") || !strings.Contains(body, "gauge runtime_heap_bytes") {
 			t.Errorf("leaf %d /metrics missing runtime self-metrics:\n%s", lp.id, body)
 		}
-	}
-	// The aggregator's own /metrics carry the trace counters.
-	aggBody := httpGetBody(t, "http://"+aggHTTP+"/metrics")
-	if got := metricCounter(aggBody, "trace_count"); got != 3 {
-		t.Errorf("aggregator trace.count = %d, want 3", got)
-	}
-	if got := metricCounter(aggBody, "trace_slow"); got != 3 {
-		t.Errorf("aggregator trace.slow = %d, want 3", got)
 	}
 }
 
@@ -339,7 +383,8 @@ func TestInProcessClusterSpansCarryExec(t *testing.T) {
 				}
 			}
 			agg := c.NewAggregator()
-			agg.Tracer = scuba.NewTracer(scuba.TracerOptions{})
+			tracer, recorded := recordingTracer(scuba.TracerOptions{})
+			agg.Tracer = tracer
 			q := &scuba.Query{Table: "error_events", From: 0, To: 1 << 40,
 				Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}}}
 			res, err := agg.Query(q)
@@ -349,7 +394,7 @@ func TestInProcessClusterSpansCarryExec(t *testing.T) {
 			if rows := res.Rows(q); rows[0].Values[0] != 800 {
 				t.Fatalf("count = %v, want 800", rows[0].Values[0])
 			}
-			traces := agg.Tracer.Recent()
+			traces := recorded()
 			if len(traces) != 1 || len(traces[0].Leaves()) == 0 {
 				t.Fatalf("traces = %+v, want one with spans", traces)
 			}
