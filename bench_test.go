@@ -14,6 +14,7 @@ import (
 
 	"scuba"
 	"scuba/internal/query"
+	"scuba/internal/rowblock"
 	"scuba/internal/tailer"
 )
 
@@ -463,6 +464,26 @@ func BenchmarkQueryTimePruned(b *testing.B) {
 // columns besides time. Its view is taken under the table lock, where ingest
 // waits for it, and must not cost more for the columns the query never reads.
 func BenchmarkQueryUnsealedTail(b *testing.B) {
+	benchmarkUnsealedTail(b, &scuba.Query{
+		Table: "service_logs", From: 0, To: 1 << 40,
+		Aggregations: []scuba.Aggregation{{Op: scuba.AggMax, Column: "latency_ms"}},
+	})
+}
+
+// BenchmarkQueryUnsealedTailGrouped is the ingest reader's window query —
+// count and sum of latency by service — over the same 60k-row tail. A tail
+// row's strings are interned by the first query that reads them, so a later
+// query groups on the IDs the builder holds instead of building a dictionary.
+func BenchmarkQueryUnsealedTailGrouped(b *testing.B) {
+	benchmarkUnsealedTail(b, &scuba.Query{
+		Table: "service_logs", From: 0, To: 1 << 40,
+		GroupBy:      []string{"service"},
+		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}, {Op: scuba.AggSum, Column: "latency_ms"}},
+	})
+}
+
+// benchmarkUnsealedTail runs q over a table whose 60k rows are all unsealed.
+func benchmarkUnsealedTail(b *testing.B, q *scuba.Query) {
 	e := newBenchEnv(b)
 	l, _ := e.startLoaded(b, 0, 0)
 	gen := scuba.ServiceLogs(42, 1700000000)
@@ -473,10 +494,6 @@ func BenchmarkQueryUnsealedTail(b *testing.B) {
 	}
 	if st := l.Stats(); st.Blocks != 0 || st.Rows != 60000 {
 		b.Fatalf("%d rows in %d sealed blocks, want 60000 unsealed", st.Rows, st.Blocks)
-	}
-	q := &scuba.Query{
-		Table: "service_logs", From: 0, To: 1 << 40,
-		Aggregations: []scuba.Aggregation{{Op: scuba.AggMax, Column: "latency_ms"}},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -536,6 +553,27 @@ func BenchmarkAddRowsWAL(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := l.AddRows("service_logs", batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSealBlock measures one full service_logs block from AppendBatch
+// through Seal. The seal dictionary-encodes the string and set columns under
+// the table lock, so its cost is what ingest waits for at a block boundary.
+func BenchmarkSealBlock(b *testing.B) {
+	bt, err := rowblock.FromRows(scuba.ServiceLogs(42, 1700000000).NextBatch(rowblock.MaxRows))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bl := rowblock.NewBuilder(1)
+		if n, err := bl.AppendBatch(bt); err != nil || n != rowblock.MaxRows {
+			b.Fatalf("appended %d of %d rows: %v", n, rowblock.MaxRows, err)
+		}
+		if _, err := bl.Seal(); err != nil {
 			b.Fatal(err)
 		}
 	}

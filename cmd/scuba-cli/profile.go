@@ -71,22 +71,21 @@ type capture struct {
 	Source  string
 	Trigger string
 	Detail  string
-	TraceID int64
+	TraceID uint64
 }
 
 // listCaptures returns the window's captures, newest first.
 func listCaptures(c *scuba.Client, window time.Duration, source, trigger string) ([]capture, error) {
 	now := time.Now().Unix()
 	q := &scuba.Query{
-		Table:   scuba.SystemProfilesTable,
-		From:    now - int64(window/time.Second),
-		To:      now + 1,
-		GroupBy: []string{"capture", "source", "trigger", "detail"},
-		Aggregations: []scuba.Aggregation{
-			{Op: scuba.AggMax, Column: "t_us"},
-			{Op: scuba.AggMax, Column: "trace_id"},
-		},
-		Limit: 10000,
+		Table: scuba.SystemProfilesTable,
+		From:  now - int64(window/time.Second),
+		To:    now + 1,
+		// trace_id is a key, as in the trace reader: a float64 aggregate
+		// cannot hold a 63-bit ID, and `trace -id` needs every bit of it.
+		GroupBy:      []string{"capture", "source", "trigger", "detail", "trace_id"},
+		Aggregations: []scuba.Aggregation{{Op: scuba.AggMax, Column: "t_us"}},
+		Limit:        10000,
 	}
 	if source != "" {
 		q.Filters = append(q.Filters, scuba.Filter{Column: "source", Op: scuba.OpEq, Str: source})
@@ -100,9 +99,11 @@ func listCaptures(c *scuba.Client, window time.Duration, source, trigger string)
 	}
 	var caps []capture
 	for _, row := range res.Rows(q) {
+		// An ID is an int64 cell: a 64-bit trace ID reads back negative.
+		id, _ := strconv.ParseInt(row.Key[4], 10, 64)
 		caps = append(caps, capture{
 			ID: row.Key[0], Source: row.Key[1], Trigger: row.Key[2], Detail: row.Key[3],
-			TUS: int64(row.Values[0]), TraceID: int64(row.Values[1]),
+			TUS: int64(row.Values[0]), TraceID: uint64(id),
 		})
 	}
 	sort.Slice(caps, func(i, j int) bool { return caps[i].TUS > caps[j].TUS })

@@ -107,45 +107,17 @@ func EncodeFloat64(values []float64) []byte {
 	return finish(layout.TypeFloat64, codec.MethodRaw, uint64(len(values)), 0, nil, data)
 }
 
-// EncodeString dictionary-encodes string values.
+// EncodeString dictionary-encodes string values (Interner.EncodeStrings).
 func EncodeString(values []string) []byte {
-	d := codec.NewDict()
-	ids := make([]uint32, len(values))
-	for i, s := range values {
-		ids[i] = d.ID(s)
-	}
-	remap := d.Canonicalize()
-	packed := make([]uint64, len(ids))
-	for i, id := range ids {
-		packed[i] = uint64(remap[id])
-	}
-	dict := codec.EncodeDict(nil, d.Items())
-	data := codec.EncodeBitPackU64(nil, packed)
-	return finish(layout.TypeString, codec.MethodDict, uint64(len(values)), uint64(d.Len()), dict, data)
+	blob, _ := new(Interner).EncodeStrings(values)
+	return blob
 }
 
 // EncodeStringSet encodes per-row string sets: each row's data is a varint
-// count followed by varint dictionary IDs.
+// count followed by varint dictionary IDs (Interner.EncodeSets).
 func EncodeStringSet(values [][]string) []byte {
-	d := codec.NewDict()
-	rows := make([][]uint32, len(values))
-	for i, set := range values {
-		ids := make([]uint32, len(set))
-		for j, s := range set {
-			ids[j] = d.ID(s)
-		}
-		rows[i] = ids
-	}
-	remap := d.Canonicalize()
-	var data []byte
-	for _, ids := range rows {
-		data = binary.AppendUvarint(data, uint64(len(ids)))
-		for _, id := range ids {
-			data = binary.AppendUvarint(data, uint64(remap[id]))
-		}
-	}
-	dict := codec.EncodeDict(nil, d.Items())
-	return finish(layout.TypeStringSet, codec.MethodDict, uint64(len(values)), uint64(d.Len()), dict, data)
+	blob, _ := new(Interner).EncodeSets(values)
+	return blob
 }
 
 // Int64Column is a decoded integer (or time) column.

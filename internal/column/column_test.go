@@ -216,7 +216,7 @@ func TestStringSetSelectContains(t *testing.T) {
 	if !sealed.packed {
 		t.Fatal("fixture did not compress: the sealed column never un-LZ4s")
 	}
-	for name, col := range map[string]*StringSetColumn{"sealed": sealed, "unsealed": NewStringSetFromValues(vals)} {
+	for name, col := range map[string]*StringSetColumn{"sealed": sealed, "unsealed": new(Interner).Sets(vals)} {
 		for _, member := range []string{"all", "t0", "t299", "t150", "absent"} {
 			for _, step := range []int{1, 3} {
 				var sel, want []uint32

@@ -1,9 +1,14 @@
 package column
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"scuba/internal/codec"
 	"scuba/internal/layout"
 )
 
@@ -20,45 +25,143 @@ func TestNewInt64(t *testing.T) {
 	NewInt64(layout.TypeString, nil)
 }
 
-func TestNewStringFromValues(t *testing.T) {
-	c := NewStringFromValues([]string{"b", "a", "b"})
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d", c.Len())
+// TestInternerStrings: a column holds the rows asked for, its dictionary in
+// first-seen order, and stays as it was while later calls intern more rows
+// and the encode sorts the dictionary.
+func TestInternerStrings(t *testing.T) {
+	var in Interner
+	values := []string{"b", "a", "b", "", "c"}
+	first := in.Strings(values[:3])
+	if first.Len() != 3 || first.Type() != layout.TypeString {
+		t.Fatalf("len/type = %d/%v", first.Len(), first.Type())
 	}
-	if c.Value(0) != "b" || c.Value(1) != "a" || c.Value(2) != "b" {
-		t.Error("values wrong")
+	if !reflect.DeepEqual(first.Dict, []string{"b", "a"}) || !reflect.DeepEqual(first.IDs, []uint32{0, 1, 0}) {
+		t.Errorf("first column = %q %v", first.Dict, first.IDs)
 	}
-	if len(c.Dict) != 2 {
-		t.Errorf("dict = %v", c.Dict)
+	all := in.Strings(values)
+	if !reflect.DeepEqual(all.Dict, []string{"b", "a", "", "c"}) || !reflect.DeepEqual(all.IDs, []uint32{0, 1, 0, 2, 3}) {
+		t.Errorf("whole column = %q %v", all.Dict, all.IDs)
 	}
-	if c.Type() != layout.TypeString {
-		t.Errorf("type = %v", c.Type())
+	if _, dict := in.EncodeStrings(values); !reflect.DeepEqual(dict, []string{"", "a", "b", "c"}) {
+		t.Errorf("sealed dictionary = %q", dict)
+	}
+	for i, want := range values {
+		if all.Value(i) != want {
+			t.Errorf("row %d reads %q after the encode, want %q", i, all.Value(i), want)
+		}
+	}
+	if first.Value(0) != "b" || first.Value(1) != "a" || first.Value(2) != "b" {
+		t.Error("the first column changed under the encode")
 	}
 }
 
-func TestNewStringSetFromValues(t *testing.T) {
-	c := NewStringSetFromValues([][]string{{"x", "y"}, nil, {"y"}})
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d", c.Len())
+func TestInternerSets(t *testing.T) {
+	var in Interner
+	values := [][]string{{"x", "y"}, nil, {"y"}, {"z", "z", ""}}
+	first := in.Sets(values[:3])
+	if first.Len() != 3 || first.Type() != layout.TypeStringSet {
+		t.Fatalf("len/type = %d/%v", first.Len(), first.Type())
 	}
-	vals, err := c.Values()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(vals[0], []string{"x", "y"}) {
-		t.Errorf("row 0 = %v", vals[0])
-	}
-	if len(vals[1]) != 0 {
-		t.Errorf("row 1 = %v", vals[1])
-	}
-	if got, err := c.SelectContains("y", []uint32{0, 1, 2}, nil); err != nil || !reflect.DeepEqual(got, []uint32{0, 2}) {
+	if got, err := first.SelectContains("y", []uint32{0, 1, 2}, nil); err != nil || !reflect.DeepEqual(got, []uint32{0, 2}) {
 		t.Errorf("rows containing y = %v, %v", got, err)
 	}
-	if c.Type() != layout.TypeStringSet {
-		t.Errorf("type = %v", c.Type())
+	all := in.Sets(values)
+	if _, dict := in.EncodeSets(values); !reflect.DeepEqual(dict, []string{"", "x", "y", "z"}) {
+		t.Errorf("sealed dictionary = %q", dict)
+	}
+	for _, c := range []*StringSetColumn{first, all} {
+		rows, err := c.Values()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range rows {
+			if len(row) != len(values[i]) || len(row) > 0 && !reflect.DeepEqual(row, values[i]) {
+				t.Errorf("row %d of a %d-row column = %q after the encode, want %q", i, c.Len(), row, values[i])
+			}
+		}
 	}
 	// Len methods on the typed columns (interface completeness).
 	if (&Float64Column{Values: []float64{1}}).Len() != 1 {
 		t.Error("Float64Column.Len wrong")
+	}
+}
+
+// refEncodeString and refEncodeStringSet are the string encoders as they were
+// before the Interner: a codec.Dict over every cell, canonicalized in place,
+// then each cell's ID remapped. Sealed columns must keep their bytes.
+func refEncodeString(values []string) []byte {
+	d := codec.NewDict()
+	ids := make([]uint32, len(values))
+	for i, s := range values {
+		ids[i] = d.ID(s)
+	}
+	remap := d.Canonicalize()
+	packed := make([]uint64, len(ids))
+	for i, id := range ids {
+		packed[i] = uint64(remap[id])
+	}
+	return finish(layout.TypeString, codec.MethodDict, uint64(len(values)), uint64(d.Len()),
+		codec.EncodeDict(nil, d.Items()), codec.EncodeBitPackU64(nil, packed))
+}
+
+func refEncodeStringSet(values [][]string) []byte {
+	d := codec.NewDict()
+	rows := make([][]uint32, len(values))
+	for i, set := range values {
+		for _, s := range set {
+			rows[i] = append(rows[i], d.ID(s))
+		}
+	}
+	remap := d.Canonicalize()
+	var data []byte
+	for _, ids := range rows {
+		data = binary.AppendUvarint(data, uint64(len(ids)))
+		for _, id := range ids {
+			data = binary.AppendUvarint(data, uint64(remap[id]))
+		}
+	}
+	return finish(layout.TypeStringSet, codec.MethodDict, uint64(len(values)), uint64(d.Len()),
+		codec.EncodeDict(nil, d.Items()), data)
+}
+
+// TestInternerEncodesAsTheDictEncoders interns random columns a piece at a
+// time, as views read them, and checks the encoders against the reference
+// byte for byte: empty strings, repeated and empty set members, and a few
+// hundred distinct values, so a set's IDs change varint width when the
+// dictionary is sorted.
+func TestInternerEncodesAsTheDictEncoders(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	word := func() string {
+		if rng.Intn(6) == 0 {
+			return ""
+		}
+		return fmt.Sprintf("v%d", rng.Intn(400))
+	}
+	for round := range 30 {
+		strs, sets := make([]string, rng.Intn(600)), [][]string(nil)
+		for i := range strs {
+			strs[i] = word()
+			set := make([]string, rng.Intn(4))
+			for j := range set {
+				set[j] = word()
+			}
+			if len(set) > 1 && rng.Intn(3) == 0 {
+				set[1] = set[0]
+			}
+			sets = append(sets, set)
+		}
+		var si, ti Interner
+		for k := 0; k < len(strs); k += 1 + rng.Intn(100) {
+			si.Strings(strs[:k])
+			ti.Sets(sets[:k])
+		}
+		sblob, _ := si.EncodeStrings(strs)
+		tblob, _ := ti.EncodeSets(sets)
+		if !bytes.Equal(sblob, refEncodeString(strs)) || !bytes.Equal(EncodeString(strs), sblob) {
+			t.Fatalf("round %d: %d strings encode differently from the reference", round, len(strs))
+		}
+		if !bytes.Equal(tblob, refEncodeStringSet(sets)) || !bytes.Equal(EncodeStringSet(sets), tblob) {
+			t.Fatalf("round %d: %d sets encode differently from the reference", round, len(sets))
+		}
 	}
 }

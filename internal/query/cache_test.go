@@ -210,7 +210,7 @@ func TestDecodeCacheBytesIsSumOfEntries(t *testing.T) {
 		t.Errorf("empty cache reports %d entries, %d bytes", entries, bytes)
 	}
 
-	set := column.NewStringSetFromValues([][]string{{"prod", "tier1"}, {"prod"}, nil})
+	set := new(column.Interner).Sets([][]string{{"prod", "tier1"}, {"prod"}, nil})
 	want := int64(len("tags")) + 64 + int64(len("prod")+16+len("tier1")+16) + int64(set.EncodedBytes())
 	if got := columnBytes("tags", set); got != want || set.EncodedBytes() != 6 {
 		t.Errorf("string set priced at %d bytes (%d encoded), want %d (6 encoded)", got, set.EncodedBytes(), want)

@@ -242,15 +242,22 @@ type Builder struct {
 	minTime  int64 // over times, kept by AppendBatch for Seal and Snapshot
 	maxTime  int64
 	names    []string // column order of first appearance
-	builders map[string]*BatchColumn
+	builders map[string]*builderColumn
 	rawBytes int64 // pre-compression size estimate, for the 1 GB cap
 	byteCap  int64 // defaults to MaxBytes; tests lower it
+}
+
+// builderColumn is a builder's column: its cells and, for strings and sets,
+// their IDs, interned by whoever reads a row first — a view or the seal.
+type builderColumn struct {
+	BatchColumn
+	dict column.Interner
 }
 
 // NewBuilder returns a builder; created is the block creation timestamp.
 func NewBuilder(created int64) *Builder {
 	return &Builder{created: created, minTime: math.MaxInt64, maxTime: math.MinInt64,
-		builders: make(map[string]*BatchColumn), byteCap: MaxBytes}
+		builders: make(map[string]*builderColumn), byteCap: MaxBytes}
 }
 
 // Rows returns the number of rows added so far.
@@ -400,7 +407,7 @@ func (b *Builder) AppendBatch(bt *Batch) (int, error) {
 		c := &bt.Cols[i]
 		cb, ok := b.builders[c.Name]
 		if !ok {
-			cb = &BatchColumn{Name: c.Name, Type: c.Type}
+			cb = &builderColumn{BatchColumn: BatchColumn{Name: c.Name, Type: c.Type}}
 			cb.backfill(prev)
 			b.builders[c.Name] = cb
 			b.names = append(b.names, c.Name)
@@ -426,25 +433,26 @@ func (b *Builder) Seal() (*RowBlock, error) {
 	}
 	schema := Schema{{Name: TimeColumn, Type: layout.TypeTime}}
 	blobs := [][]byte{column.EncodeInt64(layout.TypeTime, b.times)}
-	// Zone maps are stamped from the raw values before encoding, so the
-	// query path can disprove predicates without decompressing anything.
+	// Zone maps are stamped from the raw values (strings from their
+	// dictionary), so the query path can disprove predicates undecoded.
 	zones := []ZoneMap{{Kind: ZoneInt, MinI: b.minTime, MaxI: b.maxTime}}
 	for _, name := range b.names {
 		cb := b.builders[name]
 		var blob []byte
+		var dict []string
 		switch cb.Type {
 		case layout.TypeInt64, layout.TypeTime:
 			blob = column.EncodeInt64(layout.TypeInt64, cb.Ints)
 		case layout.TypeFloat64:
 			blob = column.EncodeFloat64(cb.Floats)
 		case layout.TypeString:
-			blob = column.EncodeString(cb.Strs)
+			blob, dict = cb.dict.EncodeStrings(cb.Strs)
 		case layout.TypeStringSet:
-			blob = column.EncodeStringSet(cb.Sets)
+			blob, dict = cb.dict.EncodeSets(cb.Sets)
 		}
 		schema = append(schema, Field{Name: name, Type: cb.sealedType()})
 		blobs = append(blobs, blob)
-		zones = append(zones, cb.sealZoneMap())
+		zones = append(zones, cb.sealZoneMap(dict))
 	}
 	var size int64
 	cols := make([]*layout.RBC, len(blobs))

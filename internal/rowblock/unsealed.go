@@ -9,15 +9,15 @@ import (
 // so queries see data the moment it is ingested, before the block seals and
 // compresses. It aliases the builder's vectors instead of copying them: a
 // builder only appends, so the first Rows() cells of every vector stay as
-// they are under the view. A column is built the first time the query reads
-// it, outside the table lock. A view belongs to one query and is not safe for
-// concurrent use.
+// they are under the view. A string or set column is read through its
+// builder column's interner, outside the table lock: whoever reads a row
+// first — a view or the seal — interns it, and no later reader does again.
 type UnsealedView struct {
 	minTime int64
 	maxTime int64
 	schema  Schema
-	vecs    []BatchColumn   // parallel to schema; vecs[0] is the time column
-	cols    []column.Column // parallel to schema, each built on first read
+	vecs    []BatchColumn      // parallel to schema; vecs[0] is the time column
+	dicts   []*column.Interner // parallel to schema
 }
 
 // Snapshot returns a view of the builder's current rows, nil when it has
@@ -36,7 +36,7 @@ func (b *Builder) Snapshot() *UnsealedView {
 		maxTime: b.maxTime,
 		schema:  make(Schema, 1, len(b.names)+1),
 		vecs:    make([]BatchColumn, 1, len(b.names)+1),
-		cols:    make([]column.Column, len(b.names)+1),
+		dicts:   make([]*column.Interner, 1, len(b.names)+1),
 	}
 	v.schema[0] = Field{Name: TimeColumn, Type: layout.TypeTime}
 	v.vecs[0] = BatchColumn{Name: TimeColumn, Type: layout.TypeTime, Ints: b.times[:n:n]}
@@ -44,6 +44,7 @@ func (b *Builder) Snapshot() *UnsealedView {
 		cb := b.builders[name]
 		v.schema = append(v.schema, Field{Name: name, Type: cb.sealedType()})
 		v.vecs = append(v.vecs, cb.slice(0, n))
+		v.dicts = append(v.dicts, &cb.dict)
 	}
 	return v
 }
@@ -71,25 +72,21 @@ func (v *UnsealedView) Schema() Schema { return v.schema }
 // HasColumn reports whether the view has the named column.
 func (v *UnsealedView) HasColumn(name string) bool { return v.schema.Index(name) >= 0 }
 
-// DecodeColumn returns the named column, nil when the view lacks it. The
-// first call for a column builds it over the aliased vector — a string
-// column's dictionary included — and later calls return the same one.
+// DecodeColumn returns the named column, nil when the view lacks it. A
+// string or set column first interns those of the view's rows no reader has.
 func (v *UnsealedView) DecodeColumn(name string) (column.Column, error) {
 	i := v.schema.Index(name)
 	if i < 0 {
 		return nil, nil
 	}
-	if v.cols[i] == nil {
-		switch c := &v.vecs[i]; c.Type {
-		case layout.TypeInt64, layout.TypeTime:
-			v.cols[i] = column.NewInt64(v.schema[i].Type, c.Ints)
-		case layout.TypeFloat64:
-			v.cols[i] = &column.Float64Column{Values: c.Floats}
-		case layout.TypeString:
-			v.cols[i] = column.NewStringFromValues(c.Strs)
-		case layout.TypeStringSet:
-			v.cols[i] = column.NewStringSetFromValues(c.Sets)
-		}
+	switch c := &v.vecs[i]; c.Type {
+	case layout.TypeString:
+		return v.dicts[i].Strings(c.Strs), nil
+	case layout.TypeStringSet:
+		return v.dicts[i].Sets(c.Sets), nil
+	case layout.TypeFloat64:
+		return &column.Float64Column{Values: c.Floats}, nil
+	default:
+		return column.NewInt64(v.schema[i].Type, c.Ints), nil
 	}
-	return v.cols[i], nil
 }

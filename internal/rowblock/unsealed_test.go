@@ -211,25 +211,3 @@ func TestSnapshotAllocsDoNotGrowWithRows(t *testing.T) {
 		}
 	}
 }
-
-// TestViewBuildsOnlyTheColumnsRead: reading one column of a view builds that
-// column alone — no dictionary for a string column the query never reads —
-// and reading it again returns the column the first read built.
-func TestViewBuildsOnlyTheColumnsRead(t *testing.T) {
-	v := wideBuilder(t, 1000).Snapshot()
-	c, err := v.DecodeColumn("i")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range v.schema {
-		if built := v.cols[i] != nil; built != (f.Name == "i") {
-			t.Errorf("column %q built = %v after reading only i", f.Name, built)
-		}
-	}
-	if again, _ := v.DecodeColumn("i"); again != c {
-		t.Error("a second read built column i again")
-	}
-	if got := c.(*column.Int64Column).Values; len(got) != 1000 || got[999] != 999 {
-		t.Errorf("column i = %d values ending %d", len(got), got[len(got)-1])
-	}
-}

@@ -16,8 +16,8 @@ import (
 // predicates against the summary and skips the whole block — no LZ4 decode,
 // no per-row work — when the summary proves no row can match.
 //
-// Zone maps are computed once at Seal time from the raw builder values and
-// persisted in the v2 block image. Blocks restored from v1 images (or the
+// Zone maps are computed once at Seal time from the builder's values and
+// dictionaries, and persisted in the v2 block image. Blocks restored from v1 images (or the
 // row-format disk backup) carry no zone maps and are always scanned.
 
 // ZoneKind says what summary a column carries.
@@ -103,23 +103,12 @@ func zoneOfFloats(values []float64) ZoneMap {
 	return z
 }
 
-// zoneOfStrings summarizes distinct string values (a dictionary or the raw
-// value slice — duplicates only cost redundant bloom inserts).
-func zoneOfStrings(values []string) ZoneMap {
-	z := ZoneMap{Kind: ZoneDict}
-	for _, s := range values {
+// zoneOfDict summarizes a string or set column by its dictionary: a Bloom
+// filter holds a set, so each value once sets the bits every cell would.
+func zoneOfDict(kind ZoneKind, dict []string) ZoneMap {
+	z := ZoneMap{Kind: kind}
+	for _, s := range dict {
 		z.bloomAdd(s)
-	}
-	return z
-}
-
-// zoneOfStringSets summarizes every member of every row's set.
-func zoneOfStringSets(values [][]string) ZoneMap {
-	z := ZoneMap{Kind: ZoneSetDict}
-	for _, set := range values {
-		for _, s := range set {
-			z.bloomAdd(s)
-		}
 	}
 	return z
 }
@@ -206,17 +195,17 @@ func (b *RowBlock) ColumnZone(name string) *ZoneMap {
 // the block carries none). Callers must not modify the slice.
 func (b *RowBlock) ZoneMaps() []ZoneMap { return b.zones }
 
-// sealZoneMap builds the summary for one column builder.
-func (cb *BatchColumn) sealZoneMap() ZoneMap {
+// sealZoneMap builds one column's summary; dict is a string or set column's.
+func (cb *BatchColumn) sealZoneMap(dict []string) ZoneMap {
 	switch cb.Type {
 	case layout.TypeInt64, layout.TypeTime:
 		return zoneOfInts(cb.Ints)
 	case layout.TypeFloat64:
 		return zoneOfFloats(cb.Floats)
 	case layout.TypeString:
-		return zoneOfStrings(cb.Strs)
+		return zoneOfDict(ZoneDict, dict)
 	case layout.TypeStringSet:
-		return zoneOfStringSets(cb.Sets)
+		return zoneOfDict(ZoneSetDict, dict)
 	default:
 		return ZoneMap{Kind: ZoneNone}
 	}

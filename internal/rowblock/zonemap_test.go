@@ -77,8 +77,8 @@ func TestZoneMapRoundTrip(t *testing.T) {
 		{Kind: ZoneNone},
 		{Kind: ZoneInt, MinI: -5, MaxI: 1 << 40},
 		{Kind: ZoneFloat, MinF: -1.5, MaxF: 2.25},
-		zoneOfStrings([]string{"a", "b", "c"}),
-		zoneOfStringSets([][]string{{"x", "y"}, {"z"}}),
+		zoneOfDict(ZoneDict, []string{"a", "b", "c"}),
+		zoneOfDict(ZoneSetDict, []string{"x", "y", "z"}),
 	}
 	var buf []byte
 	for _, z := range zones {

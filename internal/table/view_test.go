@@ -164,9 +164,12 @@ func (d *drift) check(blk viewBlock, from int64) (int64, error) {
 // TestViewsAgreeWithAppendedPrefix races readers against one writer: each
 // reader takes a view and, while the writer appends, backfills and seals
 // beside it, checks every column of every row the view holds — the sealed
-// blocks once each, the unsealed tail every time — and that the view holds
-// at least the rows appended before it was taken. Run it under -race: the
-// tail aliases the builder's vectors.
+// blocks once each, the unsealed tail every time, whose string and set
+// columns the readers intern racing each other and the seal — and that the
+// view holds at least the rows appended before it was taken. A view taken
+// before the seal is read only after it, and a view of rows earlier readers
+// interned interns nothing again. Run it under -race: the tail aliases the
+// builder's vectors and its interners.
 func TestViewsAgreeWithAppendedPrefix(t *testing.T) {
 	d := newDrift(rowblock.MaxRows + 25000)
 	if b := d.batchOf(rowblock.MaxRows); d.starts[b] == rowblock.MaxRows {
@@ -219,14 +222,28 @@ func TestViewsAgreeWithAppendedPrefix(t *testing.T) {
 			}
 		}()
 	}
-	for b := 0; b < len(d.starts) && !done.Load(); b++ {
+	last := len(d.starts) - 1 // held back for the allocation check below
+	for b := 0; b < last && !done.Load(); b++ {
 		bt := d.batch(b)
+		// The batch that seals: a view taken before it is read only after it.
+		var pre *rowblock.UnsealedView
+		if d.starts[b] < rowblock.MaxRows && d.starts[b]+int64(bt.Rows()) > rowblock.MaxRows {
+			if err := tbl.ScanView(0, 1<<62, func(v View) error { pre = v.Active; return nil }); err != nil || pre == nil {
+				t.Errorf("no view of the tail before the seal: %v", err)
+				break
+			}
+		}
 		handed.Add(int64(bt.Rows()))
 		if err := tbl.AddBatch(bt, 1); err != nil {
 			t.Error(err)
 			break
 		}
 		appended.Add(int64(bt.Rows()))
+		if pre != nil {
+			if next, err := d.check(pre, 0); err != nil || next != d.starts[b] {
+				t.Errorf("a view taken before the seal and read after it holds rows [0, %d), want [0, %d): %v", next, d.starts[b], err)
+			}
+		}
 		// Append the next batch only once a reader holds a view: the appends
 		// then run beside the reads.
 		for seen := scans.Load(); scans.Load() == seen && !done.Load(); {
@@ -235,6 +252,36 @@ func TestViewsAgreeWithAppendedPrefix(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
+	// A first read interns the tail's string and set rows; after the last
+	// batch lands, reading those columns of a fresh view costs their two
+	// column headers (AllocsPerRun's warm-up run interns the new rows), at
+	// 25,000 rows as at one: nothing below an earlier reader's row count is
+	// interned again.
+	readTail := func(cols ...string) func() {
+		return func() {
+			err := tbl.ScanView(0, 1<<62, func(v View) error {
+				for _, c := range cols {
+					if _, err := v.Active.DecodeColumn(c); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	readTail("s", "set")()
+	bt := d.batch(last)
+	handed.Add(int64(bt.Rows()))
+	if err := tbl.AddBatch(bt, 1); err != nil {
+		t.Fatal(err)
+	}
+	appended.Add(int64(bt.Rows()))
+	if bare, read := testing.AllocsPerRun(10, readTail()), testing.AllocsPerRun(10, readTail("s", "set")); read != bare+2 {
+		t.Errorf("reading the string and set columns of an interned tail allocates %v times beyond the view's %v, want 2", read-bare, bare)
+	}
 	if err := scan(map[*rowblock.RowBlock]bool{}); err != nil {
 		t.Fatal(err)
 	}
