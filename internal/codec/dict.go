@@ -3,7 +3,6 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Dictionary encoding replaces repeated strings with small integer indexes.
@@ -18,54 +17,6 @@ import (
 //
 // Entries are sorted so equal dictionaries serialize identically, which makes
 // blob checksums stable across restarts.
-
-// Dict maps strings to dense indexes during column building.
-type Dict struct {
-	ids   map[string]uint32
-	items []string
-}
-
-// NewDict returns an empty dictionary.
-func NewDict() *Dict {
-	return &Dict{ids: make(map[string]uint32)}
-}
-
-// ID interns s and returns its index.
-func (d *Dict) ID(s string) uint32 {
-	if id, ok := d.ids[s]; ok {
-		return id
-	}
-	id := uint32(len(d.items))
-	d.ids[s] = id
-	d.items = append(d.items, s)
-	return id
-}
-
-// Len reports the number of distinct entries.
-func (d *Dict) Len() int { return len(d.items) }
-
-// Items returns the interned strings indexed by ID. The returned slice is
-// owned by the dictionary and must not be modified.
-func (d *Dict) Items() []string { return d.items }
-
-// Canonicalize re-sorts the dictionary entries and returns the remap table
-// old-ID -> new-ID. Callers must rewrite any IDs handed out before the call.
-func (d *Dict) Canonicalize() []uint32 {
-	order := make([]int, len(d.items))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return d.items[order[a]] < d.items[order[b]] })
-	remap := make([]uint32, len(d.items))
-	sorted := make([]string, len(d.items))
-	for newID, oldID := range order {
-		remap[oldID] = uint32(newID)
-		sorted[newID] = d.items[oldID]
-		d.ids[d.items[oldID]] = uint32(newID)
-	}
-	d.items = sorted
-	return remap
-}
 
 // EncodeDict serializes the dictionary entries.
 func EncodeDict(dst []byte, items []string) []byte {

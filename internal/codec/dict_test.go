@@ -7,43 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestDictInterning(t *testing.T) {
-	d := NewDict()
-	a := d.ID("alpha")
-	b := d.ID("beta")
-	a2 := d.ID("alpha")
-	if a != a2 {
-		t.Errorf("re-interning alpha gave %d, want %d", a2, a)
-	}
-	if a == b {
-		t.Error("distinct strings share an ID")
-	}
-	if d.Len() != 2 {
-		t.Errorf("Len = %d, want 2", d.Len())
-	}
-}
-
-func TestDictCanonicalize(t *testing.T) {
-	d := NewDict()
-	ids := []uint32{d.ID("zebra"), d.ID("apple"), d.ID("mango")}
-	remap := d.Canonicalize()
-	items := d.Items()
-	if !reflect.DeepEqual(items, []string{"apple", "mango", "zebra"}) {
-		t.Fatalf("canonical items = %v", items)
-	}
-	// Old IDs remapped must point at the same strings.
-	originals := []string{"zebra", "apple", "mango"}
-	for i, old := range ids {
-		if items[remap[old]] != originals[i] {
-			t.Errorf("remap[%d] -> %q, want %q", old, items[remap[old]], originals[i])
-		}
-	}
-	// Interning after canonicalization returns the new IDs.
-	if d.ID("apple") != 0 || d.ID("zebra") != 2 {
-		t.Error("post-canonicalize interning returns stale IDs")
-	}
-}
-
 func TestDictSerializeRoundTrip(t *testing.T) {
 	cases := [][]string{
 		{},
@@ -97,39 +60,16 @@ func TestDictDecodeCorrupt(t *testing.T) {
 	}
 }
 
-func TestDictStableSerialization(t *testing.T) {
-	// Two dictionaries built in different insertion orders must serialize
-	// identically after canonicalization — checksum stability across
-	// restarts depends on this.
-	build := func(order []string) []byte {
-		d := NewDict()
-		for _, s := range order {
-			d.ID(s)
-		}
-		d.Canonicalize()
-		return EncodeDict(nil, d.Items())
-	}
-	a := build([]string{"x", "y", "z"})
-	b := build([]string{"z", "x", "y"})
-	if !reflect.DeepEqual(a, b) {
-		t.Error("canonicalized dictionaries serialize differently")
-	}
-}
-
 func TestDictLargeCardinality(t *testing.T) {
-	d := NewDict()
-	for i := 0; i < 10000; i++ {
-		d.ID(fmt.Sprintf("entry-%d", i))
+	items := make([]string, 10000)
+	for i := range items {
+		items[i] = fmt.Sprintf("entry-%d", i)
 	}
-	if d.Len() != 10000 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	enc := EncodeDict(nil, d.Items())
-	got, err := DecodeDict(enc)
+	got, err := DecodeDict(EncodeDict(nil, items))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, d.Items()) {
+	if !reflect.DeepEqual(got, items) {
 		t.Error("large dictionary round trip mismatch")
 	}
 }

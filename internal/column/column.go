@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"scuba/internal/codec"
@@ -23,7 +24,7 @@ import (
 )
 
 // Column is a decoded, queryable column. Concrete types are Int64Column,
-// Float64Column, StringColumn, and StringSetColumn.
+// Float64Column, StringColumn, StringSetColumn and SetMasks.
 type Column interface {
 	// Type returns the column's value type.
 	Type() layout.ValueType
@@ -163,11 +164,12 @@ func (c *StringColumn) Value(i int) string { return c.Dict[c.IDs[i]] }
 // StringSetColumn is a string-set column: a decoded dictionary over rows
 // that stay in the data section's own encoding — back to back, each a uvarint
 // count followed by that many uvarint dictionary IDs. It is the one form a
-// sealed block and an unsealed snapshot both hand a query, so contains has
-// one kernel (SelectContains) and no row is ever materialised as a slice of
-// its own. A sealed block's column aliases the block's data section, LZ4
-// stage included, and undoes that stage only when a walk needs the rows; a
-// malformed row is reported by the walk that reaches it.
+// sealed block and an unsealed snapshot both hand a reader, and no row is ever
+// materialised as a slice of its own. A sealed block's column aliases the
+// block's data section, LZ4 stage included, and undoes that stage only when a
+// walk needs the rows; a malformed row is reported by the walk that reaches
+// it. It is not kept beyond the block's reader: the decode cache holds a
+// sealed set as its Masks, which own their memory.
 type StringSetColumn struct {
 	Dict   []string
 	n      int
@@ -181,9 +183,6 @@ func (c *StringSetColumn) Type() layout.ValueType { return layout.TypeStringSet 
 
 // Len implements Column.
 func (c *StringSetColumn) Len() int { return c.n }
-
-// EncodedBytes is the size of the row data the column holds or aliases.
-func (c *StringSetColumn) EncodedBytes() int { return len(c.data) }
 
 // rows returns the encoded rows, through a pooled buffer when they are still
 // under LZ4; they are good until release(buf).
@@ -258,13 +257,7 @@ func (c *StringSetColumn) Values() ([][]string, error) {
 // and then the encoded rows are walked once comparing IDs; no string is
 // compared per row.
 func (c *StringSetColumn) SelectContains(member string, sel, out []uint32) ([]uint32, error) {
-	id := -1
-	for i, s := range c.Dict {
-		if s == member {
-			id = i
-			break
-		}
-	}
+	id := slices.Index(c.Dict, member)
 	if id < 0 || len(sel) == 0 {
 		return out[:0], nil
 	}
@@ -273,13 +266,9 @@ func (c *StringSetColumn) SelectContains(member string, sel, out []uint32) ([]ui
 		return nil, err
 	}
 	defer release(buf)
-	if int(sel[len(sel)-1]) >= c.n {
-		return nil, fmt.Errorf("column: row %d selected of %d", sel[len(sel)-1], c.n)
+	if out, err = selection(c.n, sel, out); err != nil {
+		return nil, err
 	}
-	if cap(out) < len(sel) {
-		out = make([]uint32, len(sel))
-	}
-	out = out[:len(sel)] // a survivor lands at or before where sel held it
 	want := uint64(id)
 	const ones, highs = 0x0101010101010101, 0x8080808080808080
 	pos, k, n := 0, 0, 0
@@ -342,6 +331,119 @@ func (c *StringSetColumn) SelectContains(member string, sel, out []uint32) ([]ui
 
 // lowBytes[n] has the low n bytes set, for n up to 8.
 var lowBytes = [16]uint64{0, 0xff, 0xffff, 0xffffff, 0xffffffff, 0xffffffffff, 0xffffffffffff, 0xffffffffffffff, ^uint64(0)}
+
+// selection checks that sel, non-empty and ascending, fits an n-row column and
+// returns out with room for it; out may be sel, as no survivor moves later.
+func selection(n int, sel, out []uint32) ([]uint32, error) {
+	if int(sel[len(sel)-1]) >= n {
+		return nil, fmt.Errorf("column: row %d selected of %d", sel[len(sel)-1], n)
+	}
+	if cap(out) < len(sel) {
+		return make([]uint32, len(sel)), nil
+	}
+	return out[:len(sel)], nil
+}
+
+// SetMasks is a sealed string-set column as the decode cache keeps it: the
+// dictionary and a bitmask a row, bit i set when the row holds Dict[i], in the
+// narrowest of 8, 16, 32 or 64 bits that holds the dictionary. It owns its
+// memory and answers contains only; other readers read a StringSetColumn.
+type SetMasks struct {
+	Dict  []string
+	n     int
+	width int // bytes a mask
+	masks interface {
+		selectBit(bit int, sel, out []uint32) []uint32
+	}
+}
+
+// Type implements Column.
+func (c *SetMasks) Type() layout.ValueType { return layout.TypeStringSet }
+
+// Len implements Column.
+func (c *SetMasks) Len() int { return c.n }
+
+// MaskBytes is the size of the masks, one a row.
+func (c *SetMasks) MaskBytes() int { return c.n * c.width }
+
+// Masks builds the column's masked form, validating the rows as Each does; it
+// is nil for a dictionary of more than 64 entries, which stays on the walk.
+func (c *StringSetColumn) Masks() (*SetMasks, error) {
+	switch d := len(c.Dict); {
+	case d <= 8:
+		return buildMasks[uint8](c, 1)
+	case d <= 16:
+		return buildMasks[uint16](c, 2)
+	case d <= 32:
+		return buildMasks[uint32](c, 4)
+	case d <= 64:
+		return buildMasks[uint64](c, 8)
+	}
+	return nil, nil
+}
+
+type masks[M uint8 | uint16 | uint32 | uint64] []M
+
+// buildMasks reads the rows once, a byte at a time: almost every row is a
+// one-byte count and one-byte IDs below the dictionary's size (at most 64, so
+// no byte of a longer varint passes). From the first row that is not, or with
+// bytes left over, Each reads the rows again and reports what is wrong.
+func buildMasks[M uint8 | uint16 | uint32 | uint64](c *StringSetColumn, width int) (*SetMasks, error) {
+	data, buf, err := c.rows()
+	if err != nil {
+		return nil, err
+	}
+	defer release(buf)
+	ms, dict, pos, row := make(masks[M], c.n), uint64(len(c.Dict)), 0, 0
+	for ; row < len(ms) && pos < len(data) && data[pos] < 0x80 && int(data[pos]) < len(data)-pos; row++ {
+		ids := data[pos+1 : pos+1+int(data[pos])]
+		var m, or uint64
+		for _, id := range ids {
+			m |= 1 << (id & 63)
+			or |= uint64(id)
+		}
+		if or >= 64 || m>>dict != 0 {
+			break
+		}
+		ms[row], pos = M(m), pos+1+len(ids)
+	}
+	if row < len(ms) || pos < len(data) {
+		err = c.Each(func(row int, ids []uint32) error {
+			ms[row] = 0
+			for _, id := range ids {
+				ms[row] |= 1 << id
+			}
+			return nil
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &SetMasks{Dict: c.Dict, n: c.n, width: width, masks: ms}, nil
+}
+
+// SelectContains is StringSetColumn.SelectContains, a row surviving when its
+// mask has the member's bit.
+func (c *SetMasks) SelectContains(member string, sel, out []uint32) ([]uint32, error) {
+	bit := slices.Index(c.Dict, member)
+	if bit < 0 || len(sel) == 0 {
+		return out[:0], nil
+	}
+	out, err := selection(c.n, sel, out)
+	if err != nil {
+		return nil, err
+	}
+	return c.masks.selectBit(bit, sel, out), nil
+}
+
+func (ms masks[M]) selectBit(bit int, sel, out []uint32) []uint32 {
+	k := 0
+	for _, i := range sel {
+		out[k] = i
+		k += int(ms[i] >> bit & 1)
+	}
+	return out[:k]
+}
 
 // Decode parses a validated RBC into a typed Column.
 func Decode(r *layout.RBC) (Column, error) {

@@ -1,6 +1,7 @@
 package column
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -249,8 +250,8 @@ func TestStringSetSelectContains(t *testing.T) {
 }
 
 // TestStringSetMalformedRows pins that rows the data cannot back come back
-// as errors from the walks, never a panic: the column is opened lazily, so
-// the walks are where a damaged data section is met.
+// as errors from the walks and from the masks' build, never a panic: the
+// column is opened lazily, so those are where a damaged data section is met.
 func TestStringSetMalformedRows(t *testing.T) {
 	dict := codec.EncodeDict(nil, []string{"a", "b"})
 	cases := map[string][]byte{
@@ -271,10 +272,20 @@ func TestStringSetMalformedRows(t *testing.T) {
 		if _, err := col.SelectContains("a", selectAll(2), nil); err == nil {
 			t.Errorf("%s: SelectContains succeeded", name)
 		}
+		if _, err := col.Masks(); err == nil {
+			t.Errorf("%s: Masks succeeded", name)
+		}
 	}
-	// An ID outside the dictionary and trailing bytes are Each's to report:
-	// contains compares IDs and stops at the last selected row.
-	for name, data := range map[string][]byte{"id out of range": {1, 7, 0}, "trailing bytes": {0, 0, 0}} {
+	// An ID outside the dictionary, bytes past the last row or short of it
+	// are for Each and the masks to report: contains compares IDs and stops
+	// at the last selected row.
+	for name, data := range map[string][]byte{
+		"id out of range":       {1, 7, 0},
+		"id equal to dict size": {1, 2, 0},
+		"id in a long varint":   {1, 0x82, 0x00, 0},
+		"trailing bytes":        {0, 0, 0},
+		"rows missing":          {1, 0},
+	} {
 		blob := layout.Build(layout.TypeStringSet, codec.NewCode(codec.MethodDict, codec.MethodRaw), 2, 2, dict, data, uint64(len(data)))
 		col, err := DecodeStringSet(mustParse(t, blob))
 		if err != nil {
@@ -283,6 +294,46 @@ func TestStringSetMalformedRows(t *testing.T) {
 		if _, err := col.Values(); err == nil {
 			t.Errorf("%s: Values succeeded", name)
 		}
+		if _, err := col.Masks(); err == nil {
+			t.Errorf("%s: Masks succeeded", name)
+		}
+	}
+}
+
+// TestSetMasksBuild pins the masks of rows the byte-at-a-time path cannot
+// take — a count past one varint byte, an ID in a longer varint than it
+// needs — as the walk reads them, and that a dictionary past 64 entries has
+// no masks. Rows the data cannot back are TestStringSetMalformedRows'.
+func TestSetMasksBuild(t *testing.T) {
+	long := binary.AppendUvarint(nil, 200) // a set of 200 "b"s, then {a} and {}
+	for i := 0; i < 200; i++ {
+		long = append(long, 1)
+	}
+	long = append(long, 1, 0x80, 0x00, 0) // {a}, its ID in two bytes; {}
+	blob := layout.Build(layout.TypeStringSet, codec.NewCode(codec.MethodDict, codec.MethodRaw), 3, 2,
+		codec.EncodeDict(nil, []string{"a", "b"}), long, uint64(len(long)))
+	col, err := DecodeStringSet(mustParse(t, blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := col.Masks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for member, want := range map[string][]uint32{"a": {1}, "b": {0}, "c": nil} {
+		if got, err := m.SelectContains(member, selectAll(3), nil); err != nil || len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Errorf("rows containing %q = %v, %v; want %v", member, got, err, want)
+		}
+	}
+	wide := make([][]string, 65)
+	for i := range wide {
+		wide[i] = []string{fmt.Sprintf("t%d", i)}
+	}
+	if col, err = DecodeStringSet(mustParse(t, EncodeStringSet(wide))); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := col.Masks(); m != nil || err != nil {
+		t.Errorf("a 65-entry dictionary built masks (%v)", err)
 	}
 }
 

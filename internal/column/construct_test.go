@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"scuba/internal/codec"
@@ -86,33 +87,68 @@ func TestInternerSets(t *testing.T) {
 	}
 }
 
+// refDict is the dictionary the string encoders built before the Interner:
+// an ID per distinct cell in order of first sight, then the entries sorted in
+// place and every ID handed out remapped.
+type refDict struct {
+	ids   map[string]uint32
+	items []string
+}
+
+func (d *refDict) id(s string) uint32 {
+	if id, ok := d.ids[s]; ok {
+		return id
+	}
+	if d.ids == nil {
+		d.ids = make(map[string]uint32)
+	}
+	d.ids[s] = uint32(len(d.items))
+	d.items = append(d.items, s)
+	return d.ids[s]
+}
+
+// canonicalize sorts the entries and returns the remap table old ID -> new ID.
+func (d *refDict) canonicalize() []uint32 {
+	order := make([]int, len(d.items))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return d.items[order[a]] < d.items[order[b]] })
+	remap, sorted := make([]uint32, len(d.items)), make([]string, len(d.items))
+	for newID, oldID := range order {
+		remap[oldID], sorted[newID] = uint32(newID), d.items[oldID]
+	}
+	d.items = sorted
+	return remap
+}
+
 // refEncodeString and refEncodeStringSet are the string encoders as they were
-// before the Interner: a codec.Dict over every cell, canonicalized in place,
+// before the Interner: a refDict over every cell, canonicalized in place,
 // then each cell's ID remapped. Sealed columns must keep their bytes.
 func refEncodeString(values []string) []byte {
-	d := codec.NewDict()
+	var d refDict
 	ids := make([]uint32, len(values))
 	for i, s := range values {
-		ids[i] = d.ID(s)
+		ids[i] = d.id(s)
 	}
-	remap := d.Canonicalize()
+	remap := d.canonicalize()
 	packed := make([]uint64, len(ids))
 	for i, id := range ids {
 		packed[i] = uint64(remap[id])
 	}
-	return finish(layout.TypeString, codec.MethodDict, uint64(len(values)), uint64(d.Len()),
-		codec.EncodeDict(nil, d.Items()), codec.EncodeBitPackU64(nil, packed))
+	return finish(layout.TypeString, codec.MethodDict, uint64(len(values)), uint64(len(d.items)),
+		codec.EncodeDict(nil, d.items), codec.EncodeBitPackU64(nil, packed))
 }
 
 func refEncodeStringSet(values [][]string) []byte {
-	d := codec.NewDict()
+	var d refDict
 	rows := make([][]uint32, len(values))
 	for i, set := range values {
 		for _, s := range set {
-			rows[i] = append(rows[i], d.ID(s))
+			rows[i] = append(rows[i], d.id(s))
 		}
 	}
-	remap := d.Canonicalize()
+	remap := d.canonicalize()
 	var data []byte
 	for _, ids := range rows {
 		data = binary.AppendUvarint(data, uint64(len(ids)))
@@ -120,8 +156,8 @@ func refEncodeStringSet(values [][]string) []byte {
 			data = binary.AppendUvarint(data, uint64(remap[id]))
 		}
 	}
-	return finish(layout.TypeStringSet, codec.MethodDict, uint64(len(values)), uint64(d.Len()),
-		codec.EncodeDict(nil, d.Items()), data)
+	return finish(layout.TypeStringSet, codec.MethodDict, uint64(len(values)), uint64(len(d.items)),
+		codec.EncodeDict(nil, d.items), data)
 }
 
 // TestInternerEncodesAsTheDictEncoders interns random columns a piece at a

@@ -14,7 +14,8 @@ import (
 // decode columns only a segment-wide CRC has vouched for, so whatever gets
 // this far must come back as an error or as a column as long as its header
 // says, every row of it readable (a string set, whose rows stay encoded, may
-// instead report the damage from the walk that meets it) — never a panic, and never an allocation
+// instead report the damage from the walk that meets it, and its masks must
+// fail or agree with that walk) — never a panic, and never an allocation
 // sized by a count the bytes present cannot back (the decoders check the
 // header's counts against the data first; lz4.Decompress and the bit-pack cap
 // do the same a layer down). A hostile count that slips through shows up here
@@ -30,7 +31,19 @@ func FuzzColumnDecode(f *testing.F) {
 		strs[i] = fmt.Sprintf("svc-%d", i%7)
 		sets[i] = []string{fmt.Sprintf("t%d", i%5), "all"}
 	}
+	// Set columns on mask widths' edges: 9 entries (16-bit masks), 33 (64-bit)
+	// and 65 (no masks, the walk).
+	wideSets := func(width int) [][]string {
+		out := make([][]string, 100)
+		for i := range out {
+			out[i] = []string{fmt.Sprintf("t%d", i%width), "all"}
+		}
+		return out
+	}
 	valid := [][]byte{
+		EncodeStringSet(wideSets(8)),
+		EncodeStringSet(wideSets(32)),
+		EncodeStringSet(wideSets(64)),
 		EncodeInt64(layout.TypeInt64, ints),
 		EncodeInt64(layout.TypeTime, ints[:3]),
 		EncodeInt64(layout.TypeInt64, make([]int64, 100)), // zero-width bit packing
@@ -55,6 +68,12 @@ func FuzzColumnDecode(f *testing.F) {
 	wrapped := EncodeFloat64(nil)
 	binary.LittleEndian.PutUint64(wrapped[16:], 1<<61)
 	f.Add(wrapped)
+	// A set row whose ID is the dictionary's size, and one with a byte past
+	// the last row.
+	for _, data := range [][]byte{{2, 1, 2}, {1, 0, 0}} {
+		f.Add(layout.Build(layout.TypeStringSet, codec.NewCode(codec.MethodDict, codec.MethodRaw),
+			1, 2, codec.EncodeDict(nil, []string{"a", "all"}), data, uint64(len(data))))
+	}
 	// Row ids into a dictionary with no entries.
 	f.Add(layout.Build(layout.TypeString, codec.NewCode(codec.MethodDict, codec.MethodRaw),
 		2, 0, codec.EncodeDict(nil, nil), codec.EncodeBitPackU64(nil, []uint64{0, 0}), 3))
@@ -96,6 +115,25 @@ func FuzzColumnDecode(f *testing.F) {
 					}
 					if cerr != nil || len(hit) != want {
 						t.Fatalf("contains found %d rows (%v), the rows hold %d", len(hit), cerr, want)
+					}
+				}
+				// The masks validate as the walk does, and agree with it.
+				m, merr := c.Masks()
+				switch {
+				case len(c.Dict) > 64:
+					if m != nil || merr != nil {
+						t.Fatalf("masks over a %d-entry dictionary (%v)", len(c.Dict), merr)
+					}
+				case (merr == nil) != (verr == nil):
+					t.Fatalf("masks built with %v, the rows read with %v", merr, verr)
+				case merr == nil && len(c.Dict) > 0:
+					// "all" and the entry with the mask's highest bit.
+					for _, member := range []string{"all", c.Dict[len(c.Dict)-1]} {
+						walked, werr := c.SelectContains(member, sel, nil)
+						masked, err := m.SelectContains(member, sel, nil)
+						if err != nil || werr != nil || len(masked) != len(walked) {
+							t.Fatalf("masked contains %q found %d rows (%v), the walk %d (%v)", member, len(masked), err, len(walked), werr)
+						}
 					}
 				}
 			}

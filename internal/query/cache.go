@@ -209,13 +209,11 @@ func columnBytes(name string, col column.Column) int64 {
 			n += int64(len(s)) + 16
 		}
 		n += int64(len(c.IDs)) * 4
-	case *column.StringSetColumn:
-		// The executor keeps sets out of the cache (their rows alias the
-		// block); this is what one would hold on to if it went in.
+	case *column.SetMasks: // a string set as the scanner keeps it
 		for _, s := range c.Dict {
 			n += int64(len(s)) + 16
 		}
-		n += int64(c.EncodedBytes())
+		n += int64(c.MaskBytes())
 	}
 	return n
 }

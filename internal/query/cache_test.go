@@ -210,9 +210,12 @@ func TestDecodeCacheBytesIsSumOfEntries(t *testing.T) {
 		t.Errorf("empty cache reports %d entries, %d bytes", entries, bytes)
 	}
 
-	set := new(column.Interner).Sets([][]string{{"prod", "tier1"}, {"prod"}, nil})
-	want := int64(len("tags")) + 64 + int64(len("prod")+16+len("tier1")+16) + int64(set.EncodedBytes())
-	if got := columnBytes("tags", set); got != want || set.EncodedBytes() != 6 {
-		t.Errorf("string set priced at %d bytes (%d encoded), want %d (6 encoded)", got, set.EncodedBytes(), want)
+	set, err := new(column.Interner).Sets([][]string{{"prod", "tier1"}, {"prod"}, nil}).Masks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len("tags")) + 64 + int64(len("prod")+16+len("tier1")+16) + int64(set.MaskBytes())
+	if got := columnBytes("tags", set); got != want || set.MaskBytes() != 3 {
+		t.Errorf("string set priced at %d bytes (%d of masks), want %d (3 of masks)", got, set.MaskBytes(), want)
 	}
 }

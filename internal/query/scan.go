@@ -223,11 +223,11 @@ func (s *scanner) group() int32 {
 // scanBlock folds one block in, consulting zone maps to skip it outright and
 // the decode cache for column reuse across queries. Each phase's time lands
 // in res.Phases: the zone-map test as prune, producing typed vectors (a cache
-// lookup, or LZ4 + unpack on a miss, and the time column when the header
-// cannot answer for it) as decode, and everything else — selection, the walk
-// over a string set's encoded rows, grouping, aggregation — as scan. The
-// accounting costs a handful of clock reads per block (and two per decoded
-// column), which is noise against even a pruned block's work.
+// lookup, or LZ4 + unpack or a set's masks on a miss, and the time column when
+// the header cannot answer for it) as decode, and everything else — selection,
+// a contains, grouping, aggregation — as scan. The accounting costs a handful
+// of clock reads per block (and two per decoded column), which is noise
+// against even a pruned block's work.
 func (s *scanner) scanBlock(blk Block) error {
 	res := s.res
 	pruneStart := time.Now()
@@ -287,7 +287,7 @@ func (s *scanner) scanRows(blk Block) error {
 		if len(sel) == 0 {
 			return nil
 		}
-		col, err := s.column(blk, s.p.filters[fi], f.Op != OpContains)
+		col, err := s.column(blk, s.p.filters[fi])
 		if err != nil {
 			return err
 		}
@@ -313,7 +313,7 @@ func (s *scanner) scanRows(blk Block) error {
 	for ai, a := range q.Aggregations {
 		var col column.Column
 		if slot := s.p.aggs[ai]; slot >= 0 {
-			if col, err = s.column(blk, slot, true); err != nil {
+			if col, err = s.column(blk, slot); err != nil {
 				return err
 			}
 		}
@@ -334,11 +334,10 @@ func grow[T any](s []T, n int) []T {
 }
 
 // column returns the block's column for a plan slot, nil when the block does
-// not have it (every row then reads the type's zero). cached says whether the
-// decode cache is consulted: a contains filter reads a string set, whose
-// decoded form is its dictionary over the block's own bytes — nothing worth
-// (or safe) keeping beyond the scan — so it goes around the cache.
-func (s *scanner) column(blk Block, slot int, cached bool) (column.Column, error) {
+// not have it (every row then reads the type's zero), from and into the decode
+// cache when there is one. The cache keeps a set as its column.SetMasks; one
+// too wide for masks is rows over the block's own bytes, never kept.
+func (s *scanner) column(blk Block, slot int) (column.Column, error) {
 	if s.loaded[slot] {
 		return s.cols[slot], nil
 	}
@@ -351,7 +350,7 @@ func (s *scanner) column(blk Block, slot int, cached bool) (column.Column, error
 	// track mirrors the registry accounting inside dc.Get: only sealed
 	// blocks are cacheable, so per-result hit/miss counts stay comparable to
 	// the leaf's query.decode_cache.* counters.
-	track := cached && s.dc != nil && cacheable(blk)
+	track := s.dc != nil && cacheable(blk)
 	if track {
 		if c, ok := s.dc.Get(blk, name); ok {
 			s.res.Phases.DecodeNanos += time.Since(start).Nanoseconds()
@@ -365,10 +364,14 @@ func (s *scanner) column(blk Block, slot int, cached bool) (column.Column, error
 	if err == nil && c != nil && c.Len() != blk.Rows() {
 		err = fmt.Errorf("query: column %q has %d rows, block has %d", name, c.Len(), blk.Rows())
 	}
-	if err == nil && track {
-		if _, set := c.(*column.StringSetColumn); !set {
-			s.dc.Put(blk, name, c)
+	if set, ok := c.(*column.StringSetColumn); ok && err == nil && track {
+		var m *column.SetMasks
+		if m, err = set.Masks(); m != nil {
+			c = m
 		}
+	}
+	if _, walked := c.(*column.StringSetColumn); err == nil && track && !walked {
+		s.dc.Put(blk, name, c)
 	}
 	s.res.Phases.DecodeNanos += time.Since(start).Nanoseconds()
 	if err != nil {
@@ -376,6 +379,10 @@ func (s *scanner) column(blk Block, slot int, cached bool) (column.Column, error
 	}
 	s.cols[slot] = c
 	return c, nil
+}
+
+type setColumn interface { // a contains over a set's encoded rows or its masks
+	SelectContains(member string, sel, out []uint32) ([]uint32, error)
 }
 
 // selectTimes writes the rows of sel whose time lies in [from, to] to out.
@@ -429,11 +436,11 @@ func (s *scanner) filter(col column.Column, f Filter, sel []uint32) ([]uint32, e
 			}
 		}
 		return out[:k], nil
-	case *column.StringSetColumn:
+	case *column.StringSetColumn, *column.SetMasks:
 		if f.Op != OpContains {
 			return nil, fmt.Errorf("query: %v on string-set column %q (only contains)", f.Op, f.Column)
 		}
-		return c.SelectContains(f.Str, sel, s.sel)
+		return c.(setColumn).SelectContains(f.Str, sel, s.sel)
 	default:
 		return nil, fmt.Errorf("query: unsupported column type %v", col.Type())
 	}
@@ -550,11 +557,12 @@ func (s *scanner) groupRows(blk Block, sel []uint32, times []int64) ([]uint32, e
 	s.gcols = grow(s.gcols, len(s.p.groups))
 	cols := s.gcols
 	for gi, slot := range s.p.groups {
-		col, err := s.column(blk, slot, true)
+		col, err := s.column(blk, slot)
 		if err != nil {
 			return nil, err
 		}
-		if _, set := col.(*column.StringSetColumn); set {
+		switch col.(type) {
+		case *column.StringSetColumn, *column.SetMasks:
 			return nil, fmt.Errorf("query: cannot group by column %q of type %v", q.GroupBy[gi], col.Type())
 		}
 		cols[gi] = col
