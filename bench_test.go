@@ -464,7 +464,7 @@ func BenchmarkQueryTimePruned(b *testing.B) {
 // columns besides time. Its view is taken under the table lock, where ingest
 // waits for it, and must not cost more for the columns the query never reads.
 func BenchmarkQueryUnsealedTail(b *testing.B) {
-	benchmarkUnsealedTail(b, &scuba.Query{
+	benchmarkUnsealedTail(b, 0, &scuba.Query{
 		Table: "service_logs", From: 0, To: 1 << 40,
 		Aggregations: []scuba.Aggregation{{Op: scuba.AggMax, Column: "latency_ms"}},
 	})
@@ -475,15 +475,28 @@ func BenchmarkQueryUnsealedTail(b *testing.B) {
 // row's strings are interned by the first query that reads them, so a later
 // query groups on the IDs the builder holds instead of building a dictionary.
 func BenchmarkQueryUnsealedTailGrouped(b *testing.B) {
-	benchmarkUnsealedTail(b, &scuba.Query{
+	benchmarkUnsealedTail(b, 0, &scuba.Query{
 		Table: "service_logs", From: 0, To: 1 << 40,
 		GroupBy:      []string{"service"},
 		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}, {Op: scuba.AggSum, Column: "latency_ms"}},
 	})
 }
 
-// benchmarkUnsealedTail runs q over a table whose 60k rows are all unsealed.
-func benchmarkUnsealedTail(b *testing.B, q *scuba.Query) {
+// BenchmarkQueryUnsealedTailWindow is the same query over the window the
+// ingest reader asks for: the newest 1024 s of the tail, a few thousand of
+// its 60k rows. The header cannot answer that range, so the scan finds it
+// in the tail's ascending times with two binary searches.
+func BenchmarkQueryUnsealedTailWindow(b *testing.B) {
+	benchmarkUnsealedTail(b, 1024, &scuba.Query{
+		Table: "service_logs", To: 1 << 40,
+		GroupBy:      []string{"service"},
+		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}, {Op: scuba.AggSum, Column: "latency_ms"}},
+	})
+}
+
+// benchmarkUnsealedTail runs q over a table whose 60k rows are all unsealed;
+// newest > 0 starts q that many seconds before the newest row.
+func benchmarkUnsealedTail(b *testing.B, newest int64, q *scuba.Query) {
 	e := newBenchEnv(b)
 	l, _ := e.startLoaded(b, 0, 0)
 	gen := scuba.ServiceLogs(42, 1700000000)
@@ -494,6 +507,9 @@ func benchmarkUnsealedTail(b *testing.B, q *scuba.Query) {
 	}
 	if st := l.Stats(); st.Blocks != 0 || st.Rows != 60000 {
 		b.Fatalf("%d rows in %d sealed blocks, want 60000 unsealed", st.Rows, st.Blocks)
+	}
+	if newest > 0 {
+		q.From = gen.Now() - newest
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

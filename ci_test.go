@@ -68,18 +68,24 @@ func TestWorkflowsFuzzThroughTheDriver(t *testing.T) {
 // families it fails a PR on; the two lists live in different steps and once
 // disagreed (BenchmarkShutdownRestore ran six times a PR and gated nothing).
 // Every family the head step names must be covered by a --filter prefix of a
-// step that gates bench-base.txt against bench-head.txt.
+// step that gates bench-base.txt against bench-head.txt, and the "Bench
+// merge-base" step must run the same families: one the base lacks reads as
+// "no baseline", which the gate passes, so it would never be gated.
 func TestBenchedBenchmarksAreGated(t *testing.T) {
 	data, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var benched, filters []string
+	var base string
 	for _, step := range strings.Split(string(data), "\n      - ")[1:] {
+		_, rest, _ := strings.Cut(step, "-bench '")
+		pattern, _, _ := strings.Cut(rest, "'")
 		if strings.HasPrefix(step, "name: Bench PR head\n") {
-			_, rest, _ := strings.Cut(step, "-bench '")
-			pattern, _, _ := strings.Cut(rest, "'")
 			benched = strings.Split(pattern, "|")
+		}
+		if strings.HasPrefix(step, "name: Bench merge-base\n") {
+			base = pattern
 		}
 		if strings.Contains(step, "benchgate.py bench-base.txt bench-head.txt") {
 			fields := strings.Fields(step)
@@ -90,8 +96,11 @@ func TestBenchedBenchmarksAreGated(t *testing.T) {
 			}
 		}
 	}
-	if len(benched) < 2 || len(filters) == 0 {
-		t.Fatalf("could not read the workflow: benched %q, gate filters %q", benched, filters)
+	if len(benched) < 2 || len(filters) == 0 || base == "" {
+		t.Fatalf("could not read the workflow: benched %q, base %q, gate filters %q", benched, base, filters)
+	}
+	if head := strings.Join(benched, "|"); base != head {
+		t.Errorf("the merge-base bench step runs %q, the head step %q: both must bench the same families", base, head)
 	}
 	for _, name := range benched {
 		gated := false

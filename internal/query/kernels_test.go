@@ -224,6 +224,46 @@ func genKernelCase(seed int64, shape uint16) kernelCase {
 			q.Filters = append(q.Filters, Filter{Column: "s2", Op: OpEq, Str: "nobody"})
 		}
 	}
+	// The tail: the rows no sealed block holds, or every row when none are
+	// left over (the all-unsealed table holds them in one builder). Bits
+	// 11-12 put the range's ends where a search over its ascending times can
+	// slip: on a run of tied times, on the tail's first row, on its last.
+	tail0 := c.rows[len(c.rows)-tail:]
+	if tail == 0 {
+		tail0 = c.rows
+	}
+	at := func() int64 { return tail0[rng.Intn(len(tail0))].Time }
+	switch shape >> 11 & 3 {
+	case 1:
+		for i := 1 + rng.Intn(len(tail0)); i < len(tail0); i++ {
+			if tail0[i].Time == tail0[i-1].Time {
+				q.From, q.To = tail0[i].Time, max(tail0[i].Time, at())
+				break
+			}
+		}
+	case 2:
+		q.From, q.To = tail0[0].Time, at()
+	case 3:
+		q.From, q.To = at(), tail0[len(tail0)-1].Time
+	}
+	// Bit 13 breaks the time order in the tail (or, with a one-row tail, in
+	// every row): one straggler, two neighbours out of order, or the tail
+	// reversed. The scan must then compare each tail row's time.
+	if shape>>13&1 == 1 {
+		if len(tail0) < 2 {
+			tail0 = c.rows
+		}
+		switch i := 1 + rng.Intn(len(tail0)-1); rng.Intn(3) {
+		case 0:
+			tail0[i].Time = tail0[0].Time - 1 - int64(rng.Intn(3))
+		case 1:
+			tail0[i].Time, tail0[i-1].Time = tail0[i-1].Time, tail0[i].Time+1
+		case 2:
+			for l, r := 0, len(tail0)-1; l < r; l, r = l+1, r-1 {
+				tail0[l].Time, tail0[r].Time = tail0[r].Time, tail0[l].Time
+			}
+		}
+	}
 	if rng.Intn(4) == 0 {
 		// Order by the count: an aggregate that can be NaN has no order.
 		q.OrderBy = &Order{Agg: 0, Asc: rng.Intn(2) == 0}
@@ -282,7 +322,8 @@ func sameRows(a, b []Row) bool {
 // FuzzScanKernels checks the block scan — selection vectors, the encoded
 // string-set walk, dictionary-ID grouping in its dense and renumbered forms,
 // the typed aggregate kernels, the tuple table kept across blocks, the
-// one-group plan that skips grouping — against
+// one-group plan that skips grouping, the time range found by binary search
+// in an ascending tail or compared row by row in any other block — against
 // Reference, row at a time over the same rows: equal Rows(q), equal
 // error-ness and groups in key order with no key twice, over sealed blocks (with an unsealed tail or without) and over
 // one unsealed snapshot, at 1 and 4 workers, with no decode cache, a cold
@@ -299,6 +340,12 @@ func FuzzScanKernels(f *testing.F) {
 		// One group (bit 8): all rows / partly in range / filtered to empty /
 		// as generated, with and without an unsealed tail and NaN/Inf values.
 		f.Add(seed, uint16(1<<8|(seed&3)<<9|(seed>>2&1)<<6|(seed>>3&1)<<5))
+	}
+	for seed := int64(0); seed < 24; seed++ {
+		// The range's ends on tied times, the tail's first row or its last
+		// (bits 11-12), with an unsealed tail and without (bit 6), the tail
+		// ascending or not (bit 13).
+		f.Add(seed, uint16((seed%3+1)<<11|(seed/3&1)<<6|(seed/6&1)<<13|seed/12))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint16) {
 		c := genKernelCase(seed, shape)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"scuba/internal/column"
+	"scuba/internal/rowblock"
 )
 
 // The block scan. A query is compiled once per execution into a plan (which
@@ -261,7 +262,9 @@ func (s *scanner) scanRows(blk Block) error {
 	sel := s.all[:n]
 	s.sel = grow(s.sel, n)
 
-	// The time predicate, unless the header answers it for every row.
+	// The time predicate, unless the header answers it for every row: an
+	// unsealed tail whose times ascend holds [From, To] as one run of rows,
+	// any other block compares each row's time.
 	var times []int64
 	within := blk.Within(q.From, q.To)
 	if !within || q.TimeBucketSeconds > 0 {
@@ -278,7 +281,15 @@ func (s *scanner) scanRows(blk Block) error {
 		}
 	}
 	if !within {
-		sel = selectTimes(times, q.From, q.To, sel, s.sel)
+		lo, hi, ascending := 0, 0, false
+		if v, ok := blk.(*rowblock.UnsealedView); ok {
+			lo, hi, ascending = v.Range(q.From, q.To)
+		}
+		if ascending {
+			sel = sel[lo:hi]
+		} else {
+			sel = selectTimes(times, q.From, q.To, sel, s.sel)
+		}
 	}
 
 	// Filters narrow the selection; a filter is only looked at while rows

@@ -241,6 +241,7 @@ type Builder struct {
 	times    []int64
 	minTime  int64 // over times, kept by AppendBatch for Seal and Snapshot
 	maxTime  int64
+	sorted   bool     // no time is below one appended before it (ties allowed)
 	names    []string // column order of first appearance
 	builders map[string]*builderColumn
 	rawBytes int64 // pre-compression size estimate, for the 1 GB cap
@@ -256,7 +257,7 @@ type builderColumn struct {
 
 // NewBuilder returns a builder; created is the block creation timestamp.
 func NewBuilder(created int64) *Builder {
-	return &Builder{created: created, minTime: math.MaxInt64, maxTime: math.MinInt64,
+	return &Builder{created: created, minTime: math.MaxInt64, maxTime: math.MinInt64, sorted: true,
 		builders: make(map[string]*builderColumn), byteCap: MaxBytes}
 }
 
@@ -399,6 +400,7 @@ func (b *Builder) AppendBatch(bt *Batch) (int, error) {
 
 	b.times = append(b.times, bt.Times[:n]...)
 	for _, t := range bt.Times[:n] {
+		b.sorted = b.sorted && t >= b.maxTime // one straggler clears it for good
 		b.minTime = min(b.minTime, t)
 		b.maxTime = max(b.maxTime, t)
 	}

@@ -1,6 +1,8 @@
 package rowblock
 
 import (
+	"sort"
+
 	"scuba/internal/column"
 	"scuba/internal/layout"
 )
@@ -15,6 +17,7 @@ import (
 type UnsealedView struct {
 	minTime int64
 	maxTime int64
+	sorted  bool // the builder's at Snapshot: appends never touch these rows
 	schema  Schema
 	vecs    []BatchColumn      // parallel to schema; vecs[0] is the time column
 	dicts   []*column.Interner // parallel to schema
@@ -34,6 +37,7 @@ func (b *Builder) Snapshot() *UnsealedView {
 	v := &UnsealedView{
 		minTime: b.minTime,
 		maxTime: b.maxTime,
+		sorted:  b.sorted,
 		schema:  make(Schema, 1, len(b.names)+1),
 		vecs:    make([]BatchColumn, 1, len(b.names)+1),
 		dicts:   make([]*column.Interner, 1, len(b.names)+1),
@@ -64,6 +68,19 @@ func (v *UnsealedView) Overlaps(from, to int64) bool {
 // Within reports whether every row's time in the view lies in [from, to].
 func (v *UnsealedView) Within(from, to int64) bool {
 	return v.minTime >= from && v.maxTime <= to
+}
+
+// Range returns the rows [lo, hi) whose times lie in [from, to], found by
+// two binary searches, when the view's times are non-decreasing; ok is
+// false when they are not, and each row's time must be compared instead.
+func (v *UnsealedView) Range(from, to int64) (lo, hi int, ok bool) {
+	if !v.sorted {
+		return 0, 0, false
+	}
+	times := v.vecs[0].Ints
+	lo = sort.Search(len(times), func(i int) bool { return times[i] >= from })
+	hi = lo + sort.Search(len(times)-lo, func(i int) bool { return times[lo+i] > to })
+	return lo, hi, true
 }
 
 // Schema returns the view's schema, typed as the sealed block's will be.

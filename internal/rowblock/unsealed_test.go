@@ -2,7 +2,10 @@ package rowblock
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"scuba/internal/column"
@@ -208,6 +211,134 @@ func TestSnapshotAllocsDoNotGrowWithRows(t *testing.T) {
 		}
 		if !shared {
 			t.Errorf("the view's column %q is a copy", c.Name)
+		}
+	}
+}
+
+// timesBatch is a batch of the given times, each row with one int column
+// (and, when pad > 0, a string of that many bytes, to reach a byte cap).
+func timesBatch(pad int, times ...int64) *Batch {
+	bt := &Batch{Times: times, Cols: []BatchColumn{{Name: "i", Type: layout.TypeInt64, Ints: make([]int64, len(times))}}}
+	if pad > 0 {
+		bt.Cols = append(bt.Cols, BatchColumn{Name: "pad", Type: layout.TypeString, Strs: make([]string, len(times))})
+		for r := range times {
+			bt.Cols[1].Strs[r] = strings.Repeat("x", pad)
+		}
+	}
+	return bt
+}
+
+// appendAll appends bt whole to b.
+func appendAll(t *testing.T, b *Builder, bt *Batch) {
+	t.Helper()
+	if n, err := b.AppendBatch(bt); err != nil || n != bt.Rows() {
+		t.Fatalf("appended %d of %d rows: %v", n, bt.Rows(), err)
+	}
+}
+
+// TestRangeOverAscendingTimes: a view whose times never fall answers a time
+// range as the run of rows [lo, hi) — ties at either end included — and one
+// row below an earlier time turns that off for the rest of the builder.
+func TestRangeOverAscendingTimes(t *testing.T) {
+	b := NewBuilder(1)
+	appendAll(t, b, timesBatch(0, 5, 5, 5, 6, 6))
+	appendAll(t, b, timesBatch(0, 6, 9, 9)) // ties across a batch boundary
+	v := b.Snapshot()
+	for _, c := range []struct{ from, to int64 }{
+		{5, 5}, {6, 6}, {9, 9}, {5, 9}, {6, 9}, {5, 6}, {7, 8}, {0, 4}, {10, 20},
+		{math.MinInt64, math.MaxInt64}, {0, 5}, {9, math.MaxInt64}, {9, 5}, {7, 6},
+	} {
+		lo, hi, ok := v.Range(c.from, c.to)
+		times, _ := v.Times(nil)
+		var want []int64
+		for _, tm := range times {
+			if tm >= c.from && tm <= c.to {
+				want = append(want, tm)
+			}
+		}
+		if !ok || lo > hi || !slices.Equal(times[lo:hi], want) {
+			t.Errorf("[%d, %d]: rows [%d, %d) ok %v, want the rows of %v", c.from, c.to, lo, hi, ok, want)
+		}
+	}
+
+	appendAll(t, b, timesBatch(0, 10, 8)) // a straggler in a later batch
+	if _, _, ok := b.Snapshot().Range(0, 9); ok {
+		t.Error("a view past a straggler answers a range")
+	}
+	appendAll(t, b, timesBatch(0, 20, 21))
+	if _, _, ok := b.Snapshot().Range(0, 9); ok {
+		t.Error("ascending rows after a straggler turned the range back on")
+	}
+	if lo, hi, ok := v.Range(6, 6); !ok || lo != 3 || hi != 6 {
+		t.Errorf("the view taken before the straggler: rows [%d, %d) ok %v, want [3, 6) true", lo, hi, ok)
+	}
+}
+
+// TestRangeJudgesOnlyTheRowsTaken: a batch cut short by the byte cap or the
+// row cap is judged on the rows the builder took; a straggler past the cut
+// goes to the next builder and leaves this one sorted.
+func TestRangeJudgesOnlyTheRowsTaken(t *testing.T) {
+	b := NewBuilder(1)
+	b.byteCap = 1500 // three rows of ~521 bytes
+	bt := timesBatch(512, 1, 2, 3, 0)
+	if n, err := b.AppendBatch(bt); err != nil || n != 3 || !b.Full() {
+		t.Fatalf("took %d rows (full %v): %v", n, b.Full(), err)
+	}
+	if lo, hi, ok := b.Snapshot().Range(2, 3); !ok || lo != 1 || hi != 3 {
+		t.Errorf("byte cap: rows [%d, %d) ok %v, want [1, 3) true", lo, hi, ok)
+	}
+
+	b = NewBuilder(1)
+	times := make([]int64, MaxRows-1)
+	for i := range times {
+		times[i] = int64(i / 3)
+	}
+	appendAll(t, b, timesBatch(0, times...))
+	last := times[len(times)-1]
+	if n, err := b.AppendBatch(timesBatch(0, last, 0)); err != nil || n != 1 || !b.Full() {
+		t.Fatalf("took %d rows (full %v): %v", n, b.Full(), err)
+	}
+	if lo, hi, ok := b.Snapshot().Range(last, last); !ok || hi != MaxRows || lo != MaxRows-4 {
+		t.Errorf("row cap: rows [%d, %d) ok %v, want [%d, %d) true", lo, hi, ok, MaxRows-4, MaxRows)
+	}
+}
+
+// TestRangeOfAnEarlierViewBesideAWriter: a view taken before a straggler
+// keeps answering its own rows' range while a writer appends stragglers and
+// grows the builder's vectors behind it (run under -race: the writer must
+// never write a cell the view reads).
+func TestRangeOfAnEarlierViewBesideAWriter(t *testing.T) {
+	b := NewBuilder(1)
+	times := make([]int64, 1000)
+	for i := range times {
+		times[i] = int64(i / 4)
+	}
+	appendAll(t, b, timesBatch(0, times...))
+	v := b.Snapshot()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range 2000 {
+			if _, err := b.AppendBatch(timesBatch(0, int64(300+i), int64(i%250), int64(i%250))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; ; i++ {
+		from := int64(i % 260)
+		lo, hi, ok := v.Range(from, from+5)
+		want := min(4*(from+6), 1000) - min(4*from, 1000)
+		if !ok || lo != int(min(4*from, 1000)) || int64(hi-lo) != want {
+			t.Fatalf("[%d, %d]: rows [%d, %d) ok %v, want %d rows from %d", from, from+5, lo, hi, ok, want, min(4*from, 1000))
+		}
+		select {
+		case <-done:
+			if _, _, ok := b.Snapshot().Range(0, 1); ok {
+				t.Error("the writer's stragglers left the builder ascending")
+			}
+			return
+		default:
 		}
 	}
 }
