@@ -8,11 +8,11 @@
 //	scuba-cli -addrs :8001,:8002 load -table service_logs -rows 100000
 //	scuba-cli -addrs :8001,:8002 query -table service_logs -group-by service -agg count,avg:latency_ms
 //	scuba-cli -addrs :8001 stats
-//	scuba-cli stats -http :8081            # scrape a daemon's /metrics + /debug/recovery
+//	scuba-cli stats -http :8081            # a daemon's /metrics (Prometheus) + live /debug/recovery
 //	scuba-cli health -agg :9001 -watch 2s  # live cluster health from __system tables
 //	scuba-cli profile -agg :9001 -top 15   # hottest functions from __system.profiles
 //	scuba-cli -addrs :9001 trace           # per-leaf waterfall of the latest query, from __system.traces
-//	scuba-cli trace -http :8081 -restart   # a scubad's restart, span by span
+//	scuba-cli -addrs :8001 trace -restart  # the newest restart, span by span, from __system.traces
 //	scuba-cli -addrs :8001 shutdown [-disk]
 package main
 
@@ -271,9 +271,9 @@ func runStats(clients []*scuba.Client, args []string) {
 }
 
 // scrapeObs fetches /metrics and /debug/recovery from a daemon's -http
-// listener and pretty-prints the restart story: metrics first, then the
-// previous run's outcome (the flight-recorder answer to "why did the last
-// restart fall back to disk") and the current recovery state.
+// listener and prints the Prometheus exposition, then the live recovery
+// state. A restart's spans are read with `trace -restart`, its flight-recorder
+// events from __system.recorder.
 func scrapeObs(addr string) {
 	body, err := httpGet(addr, "/metrics")
 	if err != nil {
@@ -286,7 +286,9 @@ func scrapeObs(addr string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var dump scuba.RecoveryDump
+	var dump struct {
+		Recovery json.RawMessage `json:"recovery"`
+	}
 	if err := json.Unmarshal([]byte(recBody), &dump); err != nil {
 		log.Fatalf("bad /debug/recovery JSON: %v", err)
 	}
@@ -294,29 +296,13 @@ func scrapeObs(addr string) {
 	if dump.Recovery != nil {
 		printRecovery(dump.Recovery)
 	}
-	if pr := dump.PreviousRun; pr != nil {
-		if pr.Failed {
-			fmt.Printf("previous run FAILED in phase %q: %s\n", pr.FailurePhase, pr.FailureDetail)
-		} else {
-			fmt.Printf("previous run: last phase %q (%d events)\n", pr.LastPhase, pr.Events)
-		}
-	} else {
-		fmt.Println("previous run: no flight-recorder data")
-	}
-	if cr := dump.CurrentRun; cr != nil {
-		fmt.Printf("current run: last phase %q (%d events)\n", cr.LastPhase, cr.Events)
-		for _, ev := range dump.CurrentEvents {
-			fmt.Printf("  %s %-5s %s %s\n", ev.Time().Format("15:04:05.000"), ev.KindName, ev.Phase, ev.Detail)
-		}
-	}
 }
 
 // printRecovery renders the /debug/recovery payload: the overall path, then
 // — the degraded-recovery story — each quarantined table and where its data
 // came from instead, so an operator can see at a glance which tables paid
 // disk-recovery time and which came up empty.
-func printRecovery(v any) {
-	b, _ := json.Marshal(v) //nolint:errcheck
+func printRecovery(b json.RawMessage) {
 	var rec scuba.RecoveryInfo
 	if err := json.Unmarshal(b, &rec); err != nil || rec.Path == "" {
 		fmt.Printf("recovery: %s\n", b)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -12,37 +11,35 @@ import (
 	"scuba/internal/obs"
 )
 
-// runTrace fetches one trace — a query's from __system.traces through the
-// aggregator c, or with -restart a scubad's restart ledger — and renders it as
-// a waterfall: every span a bar at its offset into the trace, a root's leaves
-// and a phase's tables indented under it, annotated with where the data came
-// from, what moved, a leaf's dominant execution phase and work counters, and
-// how it failed; the slowest leaf or table called out at the bottom — "why
-// was this query slow" and "where did the restart go" in one screen, drawn by
-// one function because both are lists of one span record.
+// runTrace reads one trace from __system.traces through c (a leaf or an
+// aggregator) — a query's, or with -restart the newest restart's — and
+// renders it as a waterfall: every span a bar at its offset into the trace,
+// a root's leaves and a phase's tables indented under it, annotated with
+// where the data came from, what moved, a leaf's dominant execution phase and
+// work counters, and how it failed; the slowest leaf or table called out at
+// the bottom — "why was this query slow" and "where did the restart go" in
+// one screen, drawn by one function because both are lists of one span
+// record.
 func runTrace(c *scuba.Client, args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	httpAddr := fs.String("http", "127.0.0.1:8081", "with -restart: the scubad's observability (-http) address")
-	restart := fs.Bool("restart", false, "draw the restart trace from a scubad's /debug/recovery instead of a query trace")
+	restart := fs.Bool("restart", false, "draw the newest restart trace instead of a query trace")
 	id := fs.Uint64("id", 0, "show the trace with this ID (0 = the most recent)")
 	slow := fs.Bool("slow", false, "only queries the aggregator marked slow")
 	list := fs.Bool("list", false, "one line per query instead of a waterfall")
 	fs.Parse(args) //nolint:errcheck
 
 	if *restart {
-		body, err := httpGet(*httpAddr, "/debug/recovery")
-		if err != nil {
+		// Every span of a restart trace is a restart span: the filter reads
+		// whole traces, newest first.
+		traces, err := readTraces(c, scuba.Filter{Column: "kind", Str: obs.KindRestart})
+		switch {
+		case err != nil:
 			log.Fatal(err)
+		case len(traces) == 0:
+			fmt.Printf("no restart spans in %s (does scubad run with -telemetry-interval?)\n", scuba.SystemTracesTable)
+		default:
+			printWaterfall(traces[0])
 		}
-		var dump scuba.RecoveryDump
-		if err := json.Unmarshal([]byte(body), &dump); err != nil {
-			log.Fatalf("bad /debug/recovery JSON from %s: %v", *httpAddr, err)
-		}
-		if len(dump.Restart) == 0 {
-			fmt.Println("no restart spans (has this daemon started a leaf?)")
-			return
-		}
-		printWaterfall(dump.Restart)
 		return
 	}
 	// Without -id, the roots, newest first: a query span with no parent ran

@@ -12,23 +12,28 @@ import (
 	"scuba/internal/obs"
 )
 
-// waterfall is what printWaterfall draws for tr.
-func waterfall(t *testing.T, tr scuba.Trace) string {
+// printed is what fn writes to stdout.
+func printed(t *testing.T, fn func()) string {
 	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "waterfall")
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	stdout := os.Stdout
 	os.Stdout = f
-	printWaterfall(tr)
+	fn()
 	os.Stdout = stdout
 	out, err := os.ReadFile(f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(out)
+}
+
+// waterfall is what printWaterfall draws for tr.
+func waterfall(t *testing.T, tr scuba.Trace) string {
+	return printed(t, func() { printWaterfall(tr) })
 }
 
 // The waterfall scuba-cli trace reads back from __system.traces is the
@@ -169,5 +174,93 @@ func TestWaterfallFromSystemTraces(t *testing.T) {
 	}
 	if len(roots) != 3 || roots[0][0].TraceID != 77 || len(roots[1]) != 1 || !roots[1][0].Slow {
 		t.Errorf("roots = %+v, want the three top roots, newest first, all slow", roots)
+	}
+}
+
+// `trace -restart` draws the newest restart read back from __system.traces
+// through a leaf: a restart through shared memory, its shutdown half handed
+// over in the flight-recorder ring, is the waterfall of the ledger the new
+// process holds (RestartTrace), at the table's microsecond resolution — and
+// not the first process's own start, which the table also holds.
+func TestRestartWaterfallFromSystemTraces(t *testing.T) {
+	shm := scuba.ShmOptions{Dir: t.TempDir(), Namespace: "restart-waterfall"}
+	disk := t.TempDir()
+	// boot starts a process as scubad wires one with -telemetry-interval:
+	// the observer's recorder hands the shutdown half over, its sink keeps
+	// every span in __system.traces.
+	boot := func() (*scuba.Leaf, *scuba.TelemetrySink, *scuba.FlightRecorder) {
+		t.Helper()
+		rec, err := scuba.OpenFlightRecorder(0, scuba.FlightRecorderOptions{Dir: shm.Dir, Namespace: shm.Namespace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ob := scuba.NewObserver(scuba.NewMetricsRegistry(), rec)
+		l, err := scuba.NewLeaf(scuba.LeafConfig{ID: 0, Shm: shm, DiskRoot: disk, Obs: ob})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := scuba.NewTelemetrySink(scuba.TelemetrySinkConfig{
+			Emit: l.AddRows, Source: "leaf0", MetricsInterval: -1,
+			OnError: func(err error) { t.Errorf("telemetry: %v", err) },
+		})
+		ob.OnSpans(sink.RecordSpans)
+		if err := l.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return l, sink, rec
+	}
+	old, sink, rec := boot()
+	if err := old.AddRows("service_logs", scuba.ServiceLogs(1, 1700000000).NextBatch(20000)); err != nil {
+		t.Fatal(err)
+	}
+	if !sink.Flush() {
+		t.Fatal("telemetry sink did not flush")
+	}
+	if _, err := old.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	sink.Close()
+	rec.Close()
+
+	l, sink, rec := boot()
+	defer rec.Close()
+	defer sink.Close()
+	if got := l.Recovery().Path; got != scuba.RecoveryMemory {
+		t.Fatalf("recovery = %s, want memory", got)
+	}
+	srv, err := scuba.NewServer(l, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := scuba.DialLeaf(srv.Addr())
+	defer c.Close()
+	// The first answer ends the ledger's last span.
+	if _, err := c.Query(&scuba.Query{Table: "service_logs", From: 0, To: 1 << 40,
+		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}}}); err != nil {
+		t.Fatal(err)
+	}
+	if !sink.Flush() {
+		t.Fatal("telemetry sink did not flush")
+	}
+
+	spans := l.RestartTrace()
+	for i := range spans {
+		spans[i].Start = time.UnixMicro(spans[i].Start.UnixMicro())
+		spans[i].Duration = spans[i].Duration.Truncate(time.Microsecond)
+	}
+	want := obs.Traces(spans)
+	if len(want) != 1 || len(want[0].Half(obs.HalfShutdown)) == 0 || len(want[0].Half(obs.HalfStart)) == 0 {
+		t.Fatalf("the ledger holds %d traces, want one with both halves: %+v", len(want), spans)
+	}
+	got := printed(t, func() { runTrace(c, []string{"-restart"}) })
+	if w := waterfall(t, want[0]); got != w {
+		t.Errorf("trace -restart drew:\n%s\nwaterfall of the ledger:\n%s", got, w)
+	}
+	t.Logf("\n%s", got)
+	for _, want := range []string{"shutdown half", "start half", "copy_in service_logs", "copy_out service_logs"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("no %q in the restart waterfall", want)
+		}
 	}
 }

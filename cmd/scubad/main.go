@@ -73,12 +73,8 @@ func main() {
 		log.Printf("flight recorder unavailable (continuing without): %v", err)
 	}
 	if prev := fr.Previous(); len(prev) > 0 {
-		sum := scuba.SummarizeFlightEvents(prev)
-		if sum.Failed {
-			log.Printf("previous run recorded a failure in phase %q: %s", sum.FailurePhase, sum.FailureDetail)
-		} else {
-			log.Printf("previous run's last recorded phase: %q (%d events)", sum.LastPhase, sum.Events)
-		}
+		last := prev[len(prev)-1]
+		log.Printf("previous run's newest event: %s %q %s (%d events)", last.Kind, last.Phase, last.Detail, len(prev))
 	}
 	ob := scuba.NewObserver(reg, fr)
 	ob.Event(scuba.FlightNote, "process.start", fmt.Sprintf("scubad leaf %d", *id))
@@ -185,9 +181,7 @@ func main() {
 	if *httpAddr != "" {
 		hs, err := scuba.StartObsHTTP(*httpAddr, scuba.ObsHandler(scuba.ObsHandlerConfig{
 			Registry: reg,
-			Recorder: fr,
 			Recovery: func() any { return l.Recovery() },
-			Restart:  l.RestartTrace,
 		}))
 		if err != nil {
 			log.Fatal(err)
@@ -224,9 +218,6 @@ func main() {
 			log.Fatalf("shutdown: %v", err)
 		}
 		logShutdown("signal shutdown", info)
-	}
-	if m := reg.String(); m != "" {
-		log.Printf("final metrics:\n%s", m)
 	}
 	ob.Event(scuba.FlightNote, "process.exit", "clean exit")
 	fr.Close()

@@ -34,8 +34,10 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := startRolloverCluster(t, 1, 2, instantOnSmokeRows,
-		func(cfg *scuba.ProcConfig) { cfg.BinPath = raceBin })
+	pc := startRolloverCluster(t, 1, 2, instantOnSmokeRows, func(cfg *scuba.ProcConfig) {
+		cfg.BinPath = raceBin
+		cfg.TelemetryInterval = 200 * time.Millisecond // restart spans land in each leaf's __system.traces
+	})
 	n := len(pc.Leaves())
 	q := rolloverQuery()
 	agg := pc.AggClient()
@@ -189,27 +191,31 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 		100*ratio, avail.Queries, avail.Wrong, rep3.MaxGap)
 }
 
-// restoreCosts reads every leaf's restart ledger and returns, per leaf and
-// table of the loaded data (the shards of service_logs; a leaf's own
-// __system tables are a few rows), the time of the table's start-half spans
-// of the given phases.
+// restoreCosts reads every leaf's newest restart trace from its own
+// __system.traces and returns, per leaf and table of the loaded data (the
+// shards of service_logs; a leaf's own __system tables are a few rows), the
+// time of the table's start-half spans of the given phases. A restart's spans
+// reach the table behind ALIVE, so it polls until the newest trace has them.
 func restoreCosts(t *testing.T, pc *scuba.ProcCluster, phases ...string) map[int]map[string]time.Duration {
 	t.Helper()
 	out := make(map[int]map[string]time.Duration)
 	for _, l := range pc.Leaves() {
-		rec, err := l.Recovery()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[l.ID] = make(map[string]time.Duration)
-		for _, st := range rec.Restart.Half(obs.HalfStart).Phases(phases...).Tables() {
-			if strings.HasPrefix(st.Table, "service_logs") {
-				out[l.ID][st.Table] = st.Duration
+		costs := make(map[string]time.Duration)
+		for deadline := time.Now().Add(30 * time.Second); len(costs) == 0; time.Sleep(50 * time.Millisecond) {
+			var newest scuba.Trace
+			if traces := systemTraces(t, l.Client(), scuba.Filter{Column: "kind", Str: obs.KindRestart}); len(traces) > 0 {
+				newest = traces[0]
+			}
+			for _, st := range newest.Half(obs.HalfStart).Phases(phases...).Tables() {
+				if strings.HasPrefix(st.Table, "service_logs") {
+					costs[st.Table] = st.Duration
+				}
+			}
+			if len(costs) == 0 && time.Now().After(deadline) {
+				t.Fatalf("leaf %d: no %v spans in its newest restart trace: %+v", l.ID, phases, newest)
 			}
 		}
-		if len(out[l.ID]) == 0 {
-			t.Fatalf("leaf %d: no %v spans in its restart ledger: %+v", l.ID, phases, rec.Restart)
-		}
+		out[l.ID] = costs
 	}
 	return out
 }

@@ -53,8 +53,6 @@ type LeafTarget interface {
 // Aggregator fans queries out to a fixed set of leaves.
 type Aggregator struct {
 	leaves []LeafTarget
-	// Parallelism bounds concurrent per-leaf queries (0 = all at once).
-	Parallelism int
 	// LeafTimeout bounds how long a query waits for any single leaf
 	// (0 = wait forever). At the deadline the merge proceeds with whatever
 	// has arrived; stragglers are abandoned and show up as unanswered in
@@ -189,14 +187,11 @@ func (a *Aggregator) QueryTraced(q *query.Query, parent obs.TraceContext) (*quer
 			ctxs[i] = obs.TraceContext{TraceID: traceID, SpanID: obs.RandomID()}
 		}
 	}
-	sem := make(chan struct{}, a.parallelism(len(plan.targets)))
 	// The channel is buffered for the full fan-out, so a leaf answering
 	// after its deadline completes its send and exits instead of leaking.
 	answers := make(chan leafAnswer, len(plan.targets))
 	for i, ft := range plan.targets {
 		go func(i int, ft fanTarget) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			t0 := time.Now()
 			res, exec, err := a.leaves[ft.idx].QueryShards(q, ft.shards, ctxs[i])
 			ans := leafAnswer{i: i, res: res, exec: exec, err: err, sent: t0, rtt: time.Since(t0)}
@@ -314,10 +309,7 @@ collect:
 		d := time.Since(start)
 		r.Counter("query.count").Add(1)
 		r.Timer("query.latency").Observe(d)
-		// Exemplar the latency bucket with this query's trace so a scrape
-		// of a slow bucket links straight to its waterfall (zero trace ID
-		// records the plain sample).
-		r.Histogram("query.latency_hist").ObserveDurationExemplar(d, traceID)
+		r.Histogram("query.latency_hist").ObserveDuration(d)
 		r.Counter("query.leaves_total").Add(int64(merged.LeavesTotal))
 		r.Counter("query.leaves_answered").Add(int64(merged.LeavesAnswered))
 		r.Counter("query.leaves_abandoned").Add(int64(abandoned))
@@ -438,16 +430,6 @@ func (a *Aggregator) leafLabel(i int) string {
 		return a.Labels[i]
 	}
 	return fmt.Sprintf("leaf%d", i)
-}
-
-func (a *Aggregator) parallelism(n int) int {
-	if a.Parallelism > 0 {
-		return a.Parallelism
-	}
-	if n < 1 {
-		return 1
-	}
-	return n
 }
 
 // NumLeaves returns the configured target count (the fan-out width of an

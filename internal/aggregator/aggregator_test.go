@@ -185,28 +185,6 @@ func (p plain) QueryShards(q *query.Query, _ []int, _ obs.TraceContext) (*query.
 	return res, nil, err
 }
 
-func TestBoundedParallelism(t *testing.T) {
-	leaves := make([]LeafTarget, 16)
-	for i := range leaves {
-		l := newLeaf(t, i)
-		ingest(t, l, 10, 0)
-		leaves[i] = l
-	}
-	a := New(leaves)
-	a.Parallelism = 2
-	q := countQuery()
-	res, err := a.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows := res.Rows(q); rows[0].Values[0] != 160 {
-		t.Errorf("count = %v", rows[0].Values[0])
-	}
-	if a.NumLeaves() != 16 {
-		t.Errorf("NumLeaves = %d", a.NumLeaves())
-	}
-}
-
 func TestQueryMetrics(t *testing.T) {
 	leaves := make([]LeafTarget, 3)
 	for i := range leaves {
@@ -224,6 +202,9 @@ func TestQueryMetrics(t *testing.T) {
 	r := a.Metrics
 	if got := r.Counter("query.count").Value(); got != 4 {
 		t.Errorf("query.count = %d", got)
+	}
+	if a.NumLeaves() != 3 {
+		t.Errorf("NumLeaves = %d", a.NumLeaves())
 	}
 	if got := r.Counter("query.leaves_answered").Value(); got != 12 {
 		t.Errorf("query.leaves_answered = %d", got)

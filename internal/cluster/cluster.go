@@ -233,7 +233,7 @@ func (n *Node) restart(cfg RolloverConfig, rs *Restart) error {
 	}
 	l = n.leaf
 	n.mu.Unlock()
-	rs.Recovery, rs.Trace = l.Recovery().Path, l.RestartTrace()
+	rs.Recovery = l.Recovery().Path
 	return nil
 }
 

@@ -24,7 +24,6 @@ import (
 
 	"scuba/internal/aggregator"
 	"scuba/internal/leaf"
-	"scuba/internal/obs"
 	"scuba/internal/shard"
 	"scuba/internal/shm"
 	"scuba/internal/tailer"
@@ -155,36 +154,31 @@ func (l *ProcLeaf) waitExit(timeout time.Duration) error {
 
 // ProcRecovery is a leaf's /debug/recovery answer as restart tooling reads
 // it — the endpoint the production rollover script polls: the path the last
-// restart took ("memory", "mixed", "wal", "disk", "shm-view"), the live
-// promotion counts, and the restart ledger everything about time is read
-// from.
+// restart took ("memory", "mixed", "wal", "disk", "shm-view") and the live
+// promotion counts. The restart's spans are rows of the leaf's
+// __system.traces.
 type ProcRecovery struct {
 	Path           string
 	ServedFromShm  int64 `json:"served_from_shm"`
 	PromotedBlocks int64 `json:"promoted_blocks"`
-	// Restart is the leaf's restart trace: the previous process's shutdown
-	// half and this process's start half, per phase, table and worker.
-	Restart obs.Trace `json:"-"`
 }
 
 // Recovery fetches the leaf's live /debug/recovery state: which path the
-// last restart took, its span ledger, and — during an instant-on restart —
-// how many blocks are still shm-resident.
+// last restart took and — during an instant-on restart — how many blocks are
+// still shm-resident.
 func (l *ProcLeaf) Recovery() (ProcRecovery, error) {
 	resp, err := http.Get("http://" + l.HTTPAddr + "/debug/recovery")
 	if err != nil {
 		return ProcRecovery{}, err
 	}
 	defer resp.Body.Close()
-	var dump struct {
+	var body struct {
 		Recovery ProcRecovery `json:"recovery"`
-		Restart  obs.Trace    `json:"restart"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		return ProcRecovery{}, err
 	}
-	dump.Recovery.Restart = dump.Restart
-	return dump.Recovery, nil
+	return body.Recovery, nil
 }
 
 // ProcCluster is a set of scubad subprocesses plus one shard-routing
@@ -445,7 +439,7 @@ func (l *ProcLeaf) restart(cfg RolloverConfig, rs *Restart) error {
 	// A replacement that cannot say how it recovered is one the guards cannot
 	// judge: quarantined like one that never served.
 	rec, err := l.Recovery()
-	rs.Recovery, rs.Trace = leaf.RecoveryPath(rec.Path), rec.Restart
+	rs.Recovery = leaf.RecoveryPath(rec.Path)
 	return err
 }
 

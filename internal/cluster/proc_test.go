@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -200,23 +201,16 @@ func TestSubprocessRolloverQuarantinesUnreadableRecovery(t *testing.T) {
 	wantServedByReplicas(t, pc, 0, q, baseRows)
 }
 
-// TestProcRecoveryIsTheSpanLedger: what restart tooling knows about a
-// restart's time and volume is the span list /debug/recovery serves — change a
-// span and ProcRecovery changes with it, with no arithmetic of its own.
-func TestProcRecoveryIsTheSpanLedger(t *testing.T) {
-	t0 := time.Unix(1_700_000_000, 0)
-	trace := obs.Trace{
-		{TraceID: 9, Half: obs.HalfShutdown, Phase: obs.PhaseCommit, Worker: -1, Start: t0, Duration: time.Millisecond},
-		{TraceID: 9, Half: obs.HalfStart, Phase: obs.PhaseTableView, Table: "t@0", Worker: 1, Recovery: "shm-view",
-			Blocks: 3, Bytes: 300, Start: t0.Add(time.Second), Duration: 2 * time.Millisecond},
-		{TraceID: 9, Half: obs.HalfStart, Phase: obs.PhaseTableView, Table: "t@1", Worker: 0, Recovery: "shm-view",
-			Blocks: 5, Bytes: 500, Start: t0.Add(time.Second), Duration: 7 * time.Millisecond},
-	}
+// TestProcRecoveryIsTheLiveState: what restart tooling reads from
+// /debug/recovery is the leaf's recovery state as it stands at the request —
+// an instant-on promotion moving between two reads moves the answer with it.
+func TestProcRecoveryIsTheLiveState(t *testing.T) {
+	var promoted atomic.Int64
 	srv := httptest.NewServer(obs.Handler(obs.HandlerConfig{
 		Recovery: func() any {
-			return map[string]any{"Path": "shm-view", "served_from_shm": 8, "promoted_blocks": 0}
+			p := promoted.Load()
+			return map[string]any{"Path": "shm-view", "served_from_shm": 8 - p, "promoted_blocks": p}
 		},
-		Restart: func() obs.Trace { return trace },
 	}))
 	defer srv.Close()
 	l := &ProcLeaf{HTTPAddr: strings.TrimPrefix(srv.URL, "http://")}
@@ -224,17 +218,14 @@ func TestProcRecoveryIsTheSpanLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Path != "shm-view" || rec.ServedFromShm != 8 || len(rec.Restart) != 3 {
-		t.Fatalf("recovery = %+v", rec)
+	if want := (ProcRecovery{Path: "shm-view", ServedFromShm: 8}); rec != want {
+		t.Fatalf("recovery = %+v, want %+v", rec, want)
 	}
-	if slow := rec.Restart.Half(obs.HalfStart).Tables().Slowest(); slow.Table != "t@1" || slow.Duration != 7*time.Millisecond || slow.Blocks != 5 {
-		t.Errorf("slowest table = %+v", slow)
-	}
-	trace[1].Duration = 9 * time.Millisecond
+	promoted.Store(8)
 	if rec, err = l.Recovery(); err != nil {
 		t.Fatal(err)
 	}
-	if slow := rec.Restart.Tables().Slowest(); slow.Table != "t@0" || slow.Worker != 1 {
-		t.Errorf("after lengthening t@0's span the slowest table = %+v", slow)
+	if want := (ProcRecovery{Path: "shm-view", PromotedBlocks: 8}); rec != want {
+		t.Errorf("after the promotion drained: recovery = %+v, want %+v", rec, want)
 	}
 }

@@ -121,9 +121,6 @@ type Restart struct {
 	// Err is set when the slot was left without a serving process; the
 	// rollover quarantines it DOWN.
 	Err string
-	// Trace is the restart ledger the replacement holds: the old process's
-	// shutdown half and its own start half, per phase, table and worker.
-	Trace obs.Trace
 }
 
 // Snapshot is one dashboard sample (Figure 8): the fleet while a batch is in

@@ -213,7 +213,7 @@ var rolloverCases = []rolloverCase{
 				if got := aliveOn(c, 2); got != 16 {
 					t.Errorf("%d of 16 nodes alive on version 2", got)
 				}
-				if tr := rep.Restarts[0].Trace.Half(obs.HalfStart); len(tr.Phases(obs.PhaseTableCopyIn)) == 0 {
+				if tr := c.Node(rep.Restarts[0].Leaf).current().RestartTrace().Half(obs.HalfStart); len(tr.Phases(obs.PhaseTableCopyIn)) == 0 {
 					t.Errorf("restart trace shows no table copied in: %+v", tr)
 				}
 			}

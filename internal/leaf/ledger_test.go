@@ -9,8 +9,6 @@ package leaf
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -153,7 +151,7 @@ func TestRestartTraceAccountsForTheGap(t *testing.T) {
 }
 
 // TestInfoIsAViewOfTheSpans changes nothing but a span list and watches
-// RecoveryInfo, ShutdownInfo and the /debug/recovery body follow.
+// RecoveryInfo and ShutdownInfo follow.
 func TestInfoIsAViewOfTheSpans(t *testing.T) {
 	t0 := time.Unix(1_700_000_000, 0)
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -211,36 +209,11 @@ func TestInfoIsAViewOfTheSpans(t *testing.T) {
 	if down.Tables != 1 || down.Blocks != 6 || len(down.PerTable) != 1 {
 		t.Errorf("after failing b's copy-out: %+v", down)
 	}
-	srv := httptest.NewServer(obs.Handler(obs.HandlerConfig{
-		Recovery: func() any { return up },
-		Restart:  func() obs.Trace { return trace },
-	}))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/recovery")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var dump struct {
-		Recovery RecoveryInfo `json:"recovery"`
-		Restart  obs.Trace    `json:"restart"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		t.Fatal(err)
-	}
-	if len(dump.Restart) != len(trace) || dump.Restart[5].Err != "segment full" || !dump.Restart[5].Start.Equal(trace[5].Start) {
-		t.Errorf("/debug/recovery restart = %+v", dump.Restart)
-	}
-	var again RecoveryInfo
-	again.fromSpans(dump.Restart)
-	if again.Blocks != dump.Recovery.Blocks || again.Duration != dump.Recovery.Duration ||
-		!reflect.DeepEqual(again.PerTable, dump.Recovery.PerTable) {
-		t.Errorf("the body's recovery summary %+v is not what its spans say: %+v", dump.Recovery, again)
-	}
 }
 
 // TestSpansEndWhileRecoveryRenders runs under -race: a four-worker pool ends
-// table spans while /debug/recovery renders the ledger.
+// table spans while a reader renders the ledger and the recovery state built
+// from it, as /debug/recovery and a span hook do.
 func TestSpansEndWhileRecoveryRenders(t *testing.T) {
 	e := newEnv(t)
 	cfg := e.config(0)
@@ -257,12 +230,6 @@ func TestSpansEndWhileRecoveryRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(obs.Handler(obs.HandlerConfig{
-		Recorder: cfg.Obs.Recorder(),
-		Recovery: func() any { return nu.Recovery() },
-		Restart:  nu.RestartTrace,
-	}))
-	defer srv.Close()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -274,16 +241,13 @@ func TestSpansEndWhileRecoveryRenders(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := http.Get(srv.URL + "/debug/recovery")
-			if err != nil {
+			if _, err := json.Marshal(struct {
+				Recovery RecoveryInfo
+				Restart  obs.Trace
+			}{nu.Recovery(), nu.RestartTrace()}); err != nil {
 				t.Error(err)
 				return
 			}
-			var dump obs.RecoveryDump
-			if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-				t.Error(err)
-			}
-			resp.Body.Close()
 		}
 	}()
 	err = nu.Start()

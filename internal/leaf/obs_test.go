@@ -71,11 +71,12 @@ func TestRestartPhaseSpans(t *testing.T) {
 			t.Errorf("timer %s count = %d, want one per table", name, st.Count)
 		}
 	}
-	// The whole lifecycle shows up in the registry text exposition.
-	text := newReg.String()
-	for _, want := range []string{"timer restart_map", "timer restart_copy_in", "timer restart_table_copy_in", "timer restart_alive"} {
+	// The whole lifecycle shows up in the registry's Prometheus exposition.
+	text := newReg.Prometheus()
+	for _, want := range []string{"scuba_restart_map_seconds_count 1", "scuba_restart_copy_in_seconds_count 1",
+		"scuba_restart_table_copy_in_seconds_count 2", "scuba_restart_alive_seconds_count 1"} {
 		if !strings.Contains(text, want) {
-			t.Errorf("registry text missing %q:\n%s", want, text)
+			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
 	}
 	// And in the flight recorder: per-table begin/end events inside the span.
@@ -135,9 +136,14 @@ func TestCrashDuringCopyOutDiagnosis(t *testing.T) {
 	if len(prev) == 0 {
 		t.Fatal("no previous-run events survived the failed shutdown")
 	}
-	sum := obs.Summarize(prev)
-	if !sum.Failed {
-		t.Fatalf("previous run not marked failed: %+v", sum)
+	var newestFail obs.Event
+	for _, ev := range prev {
+		if ev.Kind == obs.EventFail {
+			newestFail = ev
+		}
+	}
+	if newestFail.Kind != obs.EventFail {
+		t.Fatalf("previous run recorded no failure: %+v", prev)
 	}
 	// Whichever table's block met the fault: its copy-out failed with the reason.
 	var failed string
@@ -150,8 +156,8 @@ func TestCrashDuringCopyOutDiagnosis(t *testing.T) {
 	if failed == "" {
 		t.Fatalf("no %s:<table> fail event with the fault reason in %+v", obs.PhaseTableCopyOut, prev)
 	}
-	if !strings.HasPrefix(sum.FailurePhase, obs.PhaseTableCopyOut+":") && sum.FailurePhase != obs.PhaseCopyOut {
-		t.Errorf("failure phase = %q, want a table's copy-out (or the whole-leaf span)", sum.FailurePhase)
+	if !strings.HasPrefix(newestFail.Phase, obs.PhaseTableCopyOut+":") && newestFail.Phase != obs.PhaseCopyOut {
+		t.Errorf("failure phase = %q, want a table's copy-out (or the whole-leaf span)", newestFail.Phase)
 	}
 	// The begin reached the ring before the work it covered: every span that
 	// failed or finished had begun, and the begins come first.
@@ -162,7 +168,7 @@ func TestCrashDuringCopyOutDiagnosis(t *testing.T) {
 			began[ev.Phase] = true
 		case obs.EventEnd, obs.EventFail:
 			if !began[ev.Phase] {
-				t.Errorf("%s of %s is in the ring without a begin before it", ev.KindName, ev.Phase)
+				t.Errorf("%s of %s is in the ring without a begin before it", ev.Kind, ev.Phase)
 			}
 		}
 	}

@@ -15,43 +15,31 @@ import (
 // dashboards need.
 //
 // Durations observed via ObserveDuration are stored as whole microseconds
-// and flagged, so snapshots and the registry's text output render them as
-// durations instead of bare counts.
+// and flagged, so the Prometheus exposition renders them in seconds instead
+// of bare counts.
 type Histogram struct {
 	mu       sync.Mutex
 	count    int64
 	sum      int64
 	min, max int64
 	buckets  [65]int64 // index = bits.Len64(value)
-	// exemplars holds the most recent traced observation per bucket
-	// (ObserveDurationExemplar). Last-write-wins is the standard exemplar
-	// policy: the scrape wants *a* recent trace for the bucket, not all.
-	exemplars [65]*Exemplar
-	duration  bool
-}
-
-// Exemplar links one observation in a bucket to the distributed trace that
-// produced it, exposed in OpenMetrics exemplar syntax on the Prometheus
-// exposition so a dashboard can jump from a latency bucket straight to
-// scuba-cli trace.
-type Exemplar struct {
-	// TraceID is the trace's ID, rendered in decimal to match the trace_id
-	// column of __system.traces and the scuba-cli trace argument.
-	TraceID uint64
-	// Value is the observed sample in the histogram's native unit
-	// (microseconds for duration histograms).
-	Value int64
-	// UnixMicros is when the observation happened.
-	UnixMicros int64
+	duration bool
 }
 
 // Observe records one sample. Negative values clamp to zero.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.observe(v, false) }
+
+// ObserveDuration records a duration in whole microseconds and marks the
+// histogram as duration-typed for rendering.
+func (h *Histogram) ObserveDuration(d time.Duration) { h.observe(d.Microseconds(), true) }
+
+func (h *Histogram) observe(v int64, duration bool) {
 	if v < 0 {
 		v = 0
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.duration = h.duration || duration
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -61,56 +49,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count++
 	h.sum += v
 	h.buckets[bits.Len64(uint64(v))]++
-}
-
-// ObserveDuration records a duration in whole microseconds and marks the
-// histogram as duration-typed for rendering.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.duration = true
-	if h.count == 0 || us < h.min {
-		h.min = us
-	}
-	if us > h.max {
-		h.max = us
-	}
-	h.count++
-	h.sum += us
-	h.buckets[bits.Len64(uint64(us))]++
-}
-
-// ObserveDurationExemplar records a duration like ObserveDuration and
-// additionally attaches the trace ID as the bucket's exemplar. A zero
-// traceID records the sample without an exemplar (untraced request).
-func (h *Histogram) ObserveDurationExemplar(d time.Duration, traceID uint64) {
-	if traceID == 0 {
-		h.ObserveDuration(d)
-		return
-	}
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	now := time.Now().UnixMicro()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.duration = true
-	if h.count == 0 || us < h.min {
-		h.min = us
-	}
-	if us > h.max {
-		h.max = us
-	}
-	h.count++
-	h.sum += us
-	i := bits.Len64(uint64(us))
-	h.buckets[i]++
-	h.exemplars[i] = &Exemplar{TraceID: traceID, Value: us, UnixMicros: now}
 }
 
 // Time runs fn and records its duration.
@@ -127,9 +65,6 @@ func (h *Histogram) Time(fn func()) {
 type HistogramBucket struct {
 	Le    int64
 	Count int64
-	// Exemplar is the bucket's most recent traced observation, nil when no
-	// traced request has landed in the bucket.
-	Exemplar *Exemplar
 }
 
 // HistogramStats is a histogram snapshot. P50/P95/P99 are estimated from
@@ -178,12 +113,7 @@ func (h *Histogram) Stats() HistogramStats {
 		case i > 0:
 			le = int64(1)<<i - 1
 		}
-		bk := HistogramBucket{Le: le, Count: c}
-		if ex := h.exemplars[i]; ex != nil {
-			cp := *ex
-			bk.Exemplar = &cp
-		}
-		st.Buckets = append(st.Buckets, bk)
+		st.Buckets = append(st.Buckets, HistogramBucket{Le: le, Count: c})
 	}
 	return st
 }

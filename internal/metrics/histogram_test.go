@@ -98,7 +98,7 @@ func TestObserveVsSnapshotRace(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = r.Snapshot().String()
+				_ = r.Prometheus()
 			}
 		}
 	}()

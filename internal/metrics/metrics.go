@@ -6,9 +6,6 @@
 package metrics
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -264,50 +261,4 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms[name] = h.Stats()
 	}
 	return snap
-}
-
-// String renders all metrics one per line, each tagged with its type
-// (counter|gauge|timer|histogram) and a unit suffix on duration gauges, so
-// a reader can tell 1500 rows from 1500 microseconds. Names are rendered in
-// their canonical snake_case form (CanonicalName), the same spelling the
-// Prometheus exposition uses. Lines sort lexically, which groups metrics by
-// type and then by name. This is also the default /metrics HTTP exposition
-// format.
-func (r *Registry) String() string {
-	return r.Snapshot().String()
-}
-
-// String renders a snapshot in the registry text format.
-func (s Snapshot) String() string {
-	var lines []string
-	if s.Build != nil {
-		lines = append(lines, fmt.Sprintf("info build_info version=%s commit=%s go=%s",
-			s.Build.Version, s.Build.Commit, s.Build.GoVersion))
-	}
-	for name, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("counter %s %d", CanonicalName(name), v))
-	}
-	for name, g := range s.Gauges {
-		if g.Unit != "" {
-			lines = append(lines, fmt.Sprintf("gauge %s %d%s", CanonicalName(name), g.Value, g.Unit))
-		} else {
-			lines = append(lines, fmt.Sprintf("gauge %s %d", CanonicalName(name), g.Value))
-		}
-	}
-	for name, st := range s.Timers {
-		lines = append(lines, fmt.Sprintf("timer %s count=%d total=%v mean=%v min=%v max=%v",
-			CanonicalName(name), st.Count, st.Total, st.Mean, st.Min, st.Max))
-	}
-	for name, st := range s.Histograms {
-		if st.IsDuration {
-			us := func(v int64) time.Duration { return time.Duration(v) * time.Microsecond }
-			lines = append(lines, fmt.Sprintf("histogram %s count=%d p50=%v p95=%v p99=%v min=%v max=%v mean=%v",
-				CanonicalName(name), st.Count, us(st.P50), us(st.P95), us(st.P99), us(st.Min), us(st.Max), us(st.Mean())))
-		} else {
-			lines = append(lines, fmt.Sprintf("histogram %s count=%d p50=%d p95=%d p99=%d min=%d max=%d mean=%d",
-				CanonicalName(name), st.Count, st.P50, st.P95, st.P99, st.Min, st.Max, st.Mean()))
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

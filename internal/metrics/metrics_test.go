@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -67,38 +66,6 @@ func TestTimerTime(t *testing.T) {
 	tm.Time(func() { time.Sleep(time.Millisecond) })
 	if st := tm.Stats(); st.Count != 1 || st.Total < time.Millisecond {
 		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestRegistryString(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b.count").Add(2)
-	r.Gauge("a.gauge").Set(1)
-	r.Gauge("busy").SetDuration(1500 * time.Microsecond)
-	r.Timer("c.timer").Observe(time.Second)
-	r.Histogram("d.hist").Observe(7)
-	s := r.String()
-	lines := strings.Split(s, "\n")
-	if len(lines) != 5 {
-		t.Fatalf("lines = %d: %q", len(lines), s)
-	}
-	// Every line is type-tagged, and the lexical sort groups by type.
-	// Rendered names are canonical snake_case even though registry keys
-	// keep their dotted internal spellings.
-	for _, want := range []string{
-		"counter b_count 2",
-		"gauge a_gauge 1",
-		"gauge busy 1500us", // duration gauges carry a unit suffix
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("missing line %q in:\n%s", want, s)
-		}
-	}
-	if !strings.HasPrefix(lines[0], "counter ") || !strings.HasPrefix(lines[4], "timer ") {
-		t.Errorf("type grouping wrong: %q", s)
-	}
-	if !strings.Contains(s, "histogram d_hist count=1") {
-		t.Errorf("histogram line missing: %q", s)
 	}
 }
 

@@ -5,9 +5,9 @@ import "strings"
 // CanonicalName maps an internal metric name to its stable snake_case form:
 // lowercase, with every run of non-alphanumeric characters (dots, dashes,
 // slashes, spaces) collapsed to a single underscore. Registry keys stay
-// free-form — instrumentation sites keep their dotted names — but every
-// rendered surface (Registry.String, the /metrics text format, Prometheus
-// exposition, and the self-telemetry sink) goes through this one function,
+// free-form — instrumentation sites keep their dotted names — but both
+// rendered surfaces (the /metrics Prometheus exposition and the
+// self-telemetry sink's __system.metrics rows) go through this one function,
 // so dashboards and scrape configs see one spelling that does not drift
 // when internal names do. The canonical set is pinned by TestCanonicalNames.
 func CanonicalName(name string) string {

@@ -27,10 +27,8 @@ const PrometheusPrefix = "scuba_"
 // Every name is CanonicalName'd and prefixed with PrometheusPrefix, and
 // families sort lexically so scrapes are byte-stable for equal snapshots.
 //
-// The output is OpenMetrics-compatible: histogram buckets whose most recent
-// traced observation is known carry an exemplar ("# {trace_id=...} value
-// timestamp" after the bucket value) and the exposition ends with "# EOF".
-// Plain-Prometheus scrapers ignore both.
+// Every sample line is "name{labels} value", and the exposition ends with
+// the comment "# EOF", which a 0.0.4 scraper skips like any other comment.
 func (s Snapshot) Prometheus() string {
 	var b strings.Builder
 	if s.Build != nil {
@@ -73,19 +71,7 @@ func (s Snapshot) Prometheus() string {
 			if st.IsDuration {
 				le = promFloat(float64(bk.Le) / 1e6)
 			}
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d", fam, le, cum)
-			// OpenMetrics exemplar, in the family's base unit. The +Inf
-			// bucket below stays exemplar-free by construction: it is a
-			// synthesized total, not an observed bucket.
-			if ex := bk.Exemplar; ex != nil {
-				v := strconv.FormatInt(ex.Value, 10)
-				if st.IsDuration {
-					v = promFloat(float64(ex.Value) / 1e6)
-				}
-				fmt.Fprintf(&b, " # {trace_id=\"%d\"} %s %s",
-					ex.TraceID, v, promFloat(float64(ex.UnixMicros)/1e6))
-			}
-			b.WriteByte('\n')
+			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", fam, le, cum)
 		}
 		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", fam, st.Count)
 		sum := strconv.FormatInt(st.Sum, 10)

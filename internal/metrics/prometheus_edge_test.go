@@ -22,16 +22,15 @@ func TestPrometheusEmptyRegistry(t *testing.T) {
 	}
 }
 
-// TestPrometheusScrapeObserveRace hammers every metric type (including the
-// exemplar path) while scraping; run under -race this pins that a scrape
-// never tears an observation.
+// TestPrometheusScrapeObserveRace hammers every metric type while scraping;
+// run under -race this pins that a scrape never tears an observation.
 func TestPrometheusScrapeObserveRace(t *testing.T) {
 	r := NewRegistry()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				select {
@@ -43,10 +42,9 @@ func TestPrometheusScrapeObserveRace(t *testing.T) {
 				r.Gauge("race.gauge").Set(int64(i))
 				r.Timer("race.timer").Observe(time.Duration(i) * time.Microsecond)
 				r.Histogram("race.hist").Observe(int64(i % 1000))
-				r.Histogram("race.lat_hist").ObserveDurationExemplar(
-					time.Duration(i%500)*time.Microsecond, uint64(w*1_000_000+i+1))
+				r.Histogram("race.lat_hist").ObserveDuration(time.Duration(i%500) * time.Microsecond)
 			}
-		}(w)
+		}()
 	}
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(deadline) {
@@ -105,53 +103,5 @@ func TestPrometheusBucketMonotonicity(t *testing.T) {
 	}
 	if infCum != st.Count {
 		t.Fatalf("+Inf bucket %d != count %d", infCum, st.Count)
-	}
-}
-
-// TestPrometheusExemplars pins the OpenMetrics exemplar rendering: the
-// traced bucket carries "# {trace_id=...}", the +Inf bucket never does, and
-// untraced histograms render exemplar-free.
-func TestPrometheusExemplars(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("plain.lat_hist").ObserveDuration(3 * time.Millisecond)
-	h := r.Histogram("query.latency_hist")
-	h.ObserveDurationExemplar(10*time.Millisecond, 0xabcdef) // traced
-	h.ObserveDurationExemplar(20*time.Microsecond, 0)        // untraced: no exemplar
-
-	st := h.Stats()
-	var withEx int
-	for _, bk := range st.Buckets {
-		if bk.Exemplar != nil {
-			withEx++
-			if bk.Exemplar.TraceID != 0xabcdef {
-				t.Fatalf("exemplar trace = %d", bk.Exemplar.TraceID)
-			}
-			if bk.Exemplar.Value != (10 * time.Millisecond).Microseconds() {
-				t.Fatalf("exemplar value = %d", bk.Exemplar.Value)
-			}
-		}
-	}
-	if withEx != 1 {
-		t.Fatalf("buckets with exemplars = %d, want 1", withEx)
-	}
-
-	out := r.Prometheus()
-	want := `# {trace_id="` + strconv.FormatUint(0xabcdef, 10) + `"} 0.01 `
-	if !strings.Contains(out, want) {
-		t.Fatalf("no exemplar %q in:\n%s", want, out)
-	}
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, `le="+Inf"`) && strings.Contains(line, "trace_id") {
-			t.Fatalf("+Inf bucket carries an exemplar: %q", line)
-		}
-		if strings.HasPrefix(line, "scuba_plain_lat_hist") && strings.Contains(line, "trace_id") {
-			t.Fatalf("untraced histogram grew an exemplar: %q", line)
-		}
-	}
-	// A second traced observation in the same bucket replaces the exemplar
-	// (last-write-wins).
-	h.ObserveDurationExemplar(11*time.Millisecond, 77)
-	if !strings.Contains(r.Prometheus(), `# {trace_id="77"}`) {
-		t.Fatal("exemplar not replaced by newer trace")
 	}
 }

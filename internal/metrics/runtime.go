@@ -8,8 +8,8 @@ import (
 )
 
 // EnableRuntimeMetrics turns on Go runtime self-metrics: every Snapshot
-// (and therefore every /metrics scrape and String render) first samples the
-// runtime into
+// (and therefore every /metrics scrape and __system.metrics batch) first
+// samples the runtime into
 //
 //	runtime.goroutines     gauge, current goroutine count
 //	runtime.heap_bytes     gauge, heap held by objects (MemStats.HeapAlloc)

@@ -45,8 +45,8 @@ func TestRuntimeMetrics(t *testing.T) {
 		t.Fatalf("gc_pause_hist count went %d -> %d with NumGC=%d", before, after.Count, ms.NumGC)
 	}
 
-	out := r.String()
-	for _, want := range []string{"gauge runtime_goroutines", "gauge runtime_heap_bytes", "histogram runtime_gc_pause_hist"} {
+	out := r.Prometheus()
+	for _, want := range []string{"\nscuba_runtime_goroutines ", "\nscuba_runtime_heap_bytes ", "# TYPE scuba_runtime_gc_pause_hist_seconds histogram"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in rendering:\n%s", want, out)
 		}

@@ -113,12 +113,11 @@ func (k EventKind) String() string {
 
 // Event is one recorded span or lifecycle event.
 type Event struct {
-	Seq        uint64    `json:"seq"`
-	UnixMicros int64     `json:"unix_micros"`
-	Kind       EventKind `json:"-"`
-	KindName   string    `json:"kind"`
-	Phase      string    `json:"phase"`
-	Detail     string    `json:"detail,omitempty"`
+	Seq        uint64
+	UnixMicros int64
+	Kind       EventKind
+	Phase      string
+	Detail     string
 }
 
 // Time converts the event timestamp.
@@ -263,7 +262,6 @@ func decodeSlot(slot []byte, wantSeq uint64) (Event, bool) {
 		Seq:        seq,
 		UnixMicros: int64(binary.LittleEndian.Uint64(slot[16:])),
 		Kind:       kind,
-		KindName:   kind.String(),
 		Phase:      string(slot[slotFixedSize : slotFixedSize+phaseLen]),
 		Detail:     string(slot[slotFixedSize+slotPhaseMax : slotFixedSize+slotPhaseMax+detailLen]),
 	}
@@ -379,41 +377,4 @@ func (r *Recorder) Remove() error {
 		return err
 	}
 	return r.m.RemoveSegment(recSegName)
-}
-
-// RunSummary condenses a run's event stream into the questions an operator
-// asks first: what was the last thing the process did, and did it fail?
-type RunSummary struct {
-	// Events is how many events the stream holds.
-	Events int `json:"events"`
-	// LastPhase is the phase of the newest event.
-	LastPhase string `json:"last_phase,omitempty"`
-	// LastKind is the kind of the newest event ("begin" means the run
-	// ended mid-phase — a crash or kill during that phase).
-	LastKind string `json:"last_kind,omitempty"`
-	// Failed reports whether any phase failed.
-	Failed bool `json:"failed"`
-	// FailureDetail is the newest failure's reason.
-	FailureDetail string `json:"failure_detail,omitempty"`
-	// FailurePhase is the newest failure's phase.
-	FailurePhase string `json:"failure_phase,omitempty"`
-}
-
-// Summarize condenses events (oldest first) into a RunSummary.
-func Summarize(events []Event) RunSummary {
-	s := RunSummary{Events: len(events)}
-	if len(events) == 0 {
-		return s
-	}
-	last := events[len(events)-1]
-	s.LastPhase, s.LastKind = last.Phase, last.Kind.String()
-	for i := len(events) - 1; i >= 0; i-- {
-		if events[i].Kind == EventFail {
-			s.Failed = true
-			s.FailurePhase = events[i].Phase
-			s.FailureDetail = events[i].Detail
-			break
-		}
-	}
-	return s
 }

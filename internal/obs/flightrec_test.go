@@ -52,16 +52,8 @@ func TestKillAndReread(t *testing.T) {
 		t.Fatalf("previous events = %d, want 4: %+v", len(prev), prev)
 	}
 	last := prev[len(prev)-1]
-	if last.Phase != "copy-out:service_logs" || last.Kind != EventFail {
+	if last.Phase != "copy-out:service_logs" || last.Kind != EventFail || !strings.Contains(last.Detail, "injected fault") {
 		t.Errorf("last event = %+v", last)
-	}
-	sum := Summarize(prev)
-	if !sum.Failed || sum.FailurePhase != "copy-out:service_logs" ||
-		!strings.Contains(sum.FailureDetail, "injected fault") {
-		t.Errorf("summary = %+v", sum)
-	}
-	if sum.LastPhase != "copy-out:service_logs" {
-		t.Errorf("last phase = %q", sum.LastPhase)
 	}
 	// Sequence numbering continues across runs so a merged dump orders.
 	r2.Record(EventNote, "process.start", "")
@@ -180,9 +172,6 @@ func TestNoPreviousRun(t *testing.T) {
 	defer r.Close()
 	if prev := r.Previous(); prev != nil {
 		t.Errorf("previous = %+v on first open", prev)
-	}
-	if sum := Summarize(nil); sum.Events != 0 || sum.Failed {
-		t.Errorf("empty summary = %+v", sum)
 	}
 }
 

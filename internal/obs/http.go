@@ -7,92 +7,53 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"time"
-)
 
-// RecoveryDump is the /debug/recovery response body.
-type RecoveryDump struct {
-	// Recovery is daemon-specific recovery state (leaf.RecoveryInfo for
-	// scubad; nil for daemons without a recovery notion).
-	Recovery any `json:"recovery,omitempty"`
-	// Restart is the restart ledger: the previous process's shutdown half as
-	// read back from its flight-recorder ring, then this process's start
-	// half — one trace ID when one handed over to the other.
-	Restart Trace `json:"restart,omitempty"`
-	// PreviousRun summarizes the flight-recorder events left by the
-	// previous process — the answer to "why did the restore fail".
-	PreviousRun *RunSummary `json:"previous_run,omitempty"`
-	// PreviousEvents is the previous run's full event dump, oldest first.
-	PreviousEvents []Event `json:"previous_events,omitempty"`
-	// CurrentRun summarizes this process's events so far.
-	CurrentRun *RunSummary `json:"current_run,omitempty"`
-	// CurrentEvents is this run's full event dump, oldest first.
-	CurrentEvents []Event `json:"current_events,omitempty"`
-}
+	"scuba/internal/metrics"
+)
 
 // HandlerConfig configures the daemon observability mux.
 type HandlerConfig struct {
-	// Registry backs /metrics (required in practice; nil serves empty).
-	Registry interface{ String() string }
-	// Recorder backs the flight-recorder half of /debug/recovery (nil for
-	// daemons without one).
-	Recorder *Recorder
-	// Recovery supplies the daemon-specific half of /debug/recovery (nil
-	// omits it). Called per request, so it can return live state.
+	// Registry backs /metrics (nil serves an empty exposition).
+	Registry *metrics.Registry
+	// Recovery supplies /debug/recovery's live recovery state
+	// (leaf.RecoveryInfo for scubad; nil for daemons without one). Called
+	// per request.
 	Recovery func() any
-	// Restart supplies the restart ledger for /debug/recovery (nil omits it).
-	Restart func() Trace
 }
 
 // Handler builds the daemon observability mux:
 //
-//	/metrics         registry text format
-//	/debug/recovery  RecoveryDump JSON
+//	/metrics         the registry in the Prometheus text exposition
+//	/debug/recovery  {"recovery": <the live recovery state>}
 //	/debug/pprof/*   net/http/pprof
 //	/                plain-text index of the above
+//
+// A restart's spans and the flight recorder's events are read from
+// __system.traces and __system.recorder, not from here.
 func Handler(cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	started := time.Now()
 
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "prometheus" {
-			prom, ok := cfg.Registry.(interface{ Prometheus() string })
-			if !ok {
-				http.Error(w, "prometheus exposition unavailable", http.StatusNotImplemented)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			fmt.Fprint(w, prom.Prometheus())
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		var snap metrics.Snapshot
 		if cfg.Registry != nil {
-			fmt.Fprintln(w, cfg.Registry.String())
+			snap = cfg.Registry.Snapshot()
 		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		fmt.Fprint(w, snap.Prometheus())
 	})
 
 	mux.HandleFunc("/debug/recovery", func(w http.ResponseWriter, _ *http.Request) {
-		dump := RecoveryDump{}
+		var body struct {
+			Recovery any `json:"recovery,omitempty"`
+		}
 		if cfg.Recovery != nil {
-			dump.Recovery = cfg.Recovery()
+			body.Recovery = cfg.Recovery()
 		}
-		if cfg.Restart != nil {
-			dump.Restart = cfg.Restart()
-		}
-		if cfg.Recorder != nil {
-			prev := cfg.Recorder.Previous()
-			cur := cfg.Recorder.Events()
-			if len(prev) > 0 {
-				s := Summarize(prev)
-				dump.PreviousRun = &s
-				dump.PreviousEvents = prev
-			}
-			if len(cur) > 0 {
-				s := Summarize(cur)
-				dump.CurrentRun = &s
-				dump.CurrentEvents = cur
-			}
-		}
-		writeJSON(w, dump)
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(body) //nolint:errcheck // best effort over HTTP
 	})
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -111,13 +72,6 @@ func Handler(cfg HandlerConfig) http.Handler {
 			time.Since(started).Round(time.Second))
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // best effort over HTTP
 }
 
 // HTTPServer is one daemon's observability listener.

@@ -10,8 +10,8 @@ package obs
 //
 //  1. the registry timer named after the phase,
 //  2. the flight recorder's begin/end/fail events,
-//  3. the in-memory trace (RecoveryInfo, ShutdownInfo and /debug/recovery are
-//     views of it), and
+//  3. the in-memory trace (RecoveryInfo and ShutdownInfo are views of it),
+//     and
 //  4. the observer's span hooks: the __system.traces rows and the profiler's
 //     over-budget capture.
 //
@@ -162,8 +162,8 @@ func TraceFromEvents(events []Event) Trace {
 }
 
 // Restart is the ledger of one half of a restart in this process. Safe for
-// concurrent use: the copy pool's workers end spans while /debug/recovery
-// renders them.
+// concurrent use: the copy pool's workers end spans while Leaf.Recovery and
+// Leaf.RestartTrace read them.
 type Restart struct {
 	o    *Observer // nil: spans are kept in memory and go nowhere else
 	id   uint64

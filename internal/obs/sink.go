@@ -365,7 +365,8 @@ func SpanFromRow(key []string, values []float64) Span {
 // Traces groups spans read back from __system.traces by trace ID, newest
 // first. A trace lists its root first — the query span whose parent is not in
 // the trace, so a subtree aggregator's root stays under the upstream leaf
-// span it hangs from — then the rest by start.
+// span it hangs from — then the rest by start; restart spans, which carry no
+// span ID, that start in the same microsecond by phase, table and worker.
 func Traces(spans []Span) []Trace {
 	byID := make(map[uint64]Trace)
 	for _, sp := range spans {
@@ -384,7 +385,8 @@ func Traces(spans []Span) []Trace {
 			return 1
 		}
 		slices.SortStableFunc(tr, func(a, b Span) int {
-			return cmp.Or(cmp.Compare(rank(a), rank(b)), a.Start.Compare(b.Start), cmp.Compare(a.SpanID, b.SpanID))
+			return cmp.Or(cmp.Compare(rank(a), rank(b)), a.Start.Compare(b.Start), cmp.Compare(a.SpanID, b.SpanID),
+				cmp.Compare(a.Phase, b.Phase), cmp.Compare(a.Table, b.Table), cmp.Compare(a.Worker, b.Worker))
 		})
 		out = append(out, tr)
 	}
@@ -419,7 +421,7 @@ func (s *Sink) RecordRecorderEvents(run string, events []Event) {
 				"source": rowblock.StringValue(s.cfg.Source),
 				"run":    rowblock.StringValue(run),
 				"seq":    rowblock.Int64Value(int64(ev.Seq)),
-				"kind":   rowblock.StringValue(ev.KindName),
+				"kind":   rowblock.StringValue(ev.Kind.String()),
 				"phase":  rowblock.StringValue(ev.Phase),
 				"detail": rowblock.StringValue(ev.Detail),
 				"t_us":   rowblock.Int64Value(ev.UnixMicros),

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -173,14 +174,31 @@ func (t Trace) retable(table string) Trace {
 	return t
 }
 
+// Restart spans carry no span ID, and a pool's workers can begin table spans
+// in the same microsecond: Traces orders them by phase, table and worker, so
+// a trace read back in the group-by's order draws as the ledger does.
+func TestTracesOrderTiedRestartSpansAlike(t *testing.T) {
+	at := time.UnixMicro(1_700_000_000_000_000)
+	ledger := []Span{
+		{TraceID: 5, Kind: KindRestart, Half: HalfStart, Phase: PhaseCopyIn, Worker: -1, Start: at},
+		{TraceID: 5, Kind: KindRestart, Half: HalfStart, Phase: PhaseTableCRC, Table: "t1", Worker: 0, Start: at},
+		{TraceID: 5, Kind: KindRestart, Half: HalfStart, Phase: PhaseTableCRC, Table: "t0", Worker: 1, Start: at},
+	}
+	readBack := []Span{ledger[2], ledger[1], ledger[0]}
+	got, want := Traces(readBack), Traces(ledger)
+	if len(got) != 1 || len(want) != 1 || !reflect.DeepEqual(got[0], want[0]) {
+		t.Errorf("read back in another order: %+v\nfrom the ledger: %+v", got, want)
+	}
+}
+
 func TestSinkRecorderEvents(t *testing.T) {
 	var c collectEmit
 	s := NewSink(SinkConfig{Emit: c.emit, Source: "leaf1", MetricsInterval: -1, Clock: fixedClock(0)})
 	defer s.Close()
 
 	evs := []Event{
-		{Seq: 1, UnixMicros: 5_000_123, KindName: "begin", Phase: "restart.copy_out"},
-		{Seq: 2, UnixMicros: 5_100_456, KindName: "end", Phase: "restart.copy_out", Detail: "100ms"},
+		{Seq: 1, UnixMicros: 5_000_123, Kind: EventBegin, Phase: "restart.copy_out"},
+		{Seq: 2, UnixMicros: 5_100_456, Kind: EventEnd, Phase: "restart.copy_out", Detail: "100ms"},
 	}
 	s.RecordRecorderEvents("previous", evs)
 	s.Flush()

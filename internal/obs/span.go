@@ -4,8 +4,8 @@ package obs
 // leaves, a restart's phases — is a list of one record, the Span, under one
 // trace ID. Two producers fill it in, an aggregator's Tracer (trace.go) and a
 // leaf's Restart ledger (restart.go); everything downstream of a finished
-// span is shared: the Observer's span hooks, the __system.traces row, the
-// JSON of /debug/recovery, scuba-cli's waterfall.
+// span is shared: the Observer's span hooks, the __system.traces row and,
+// read back from it, scuba-cli's waterfall.
 
 import (
 	"slices"

@@ -313,7 +313,7 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		d := time.Since(start)
 		s.reg.Timer("query.latency").Observe(d)
-		s.reg.Histogram("query.latency_hist").ObserveDurationExemplar(d, req.Trace.TraceID)
+		s.reg.Histogram("query.latency_hist").ObserveDuration(d)
 		if req.Trace.TraceID == 0 {
 			exec = nil // the report travels only on a traced request
 		}

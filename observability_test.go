@@ -1,9 +1,10 @@
 package scuba_test
 
-// End-to-end observability: run scubad as a real OS process with -http,
-// scrape /metrics and /debug/recovery over HTTP, restart it through shared
-// memory, and check the restart-phase breakdown and the flight-recorder
-// story survive the process boundary.
+// End-to-end observability: run scubad as a real OS process with -http and
+// -telemetry-interval, scrape /metrics and /debug/recovery over HTTP, restart
+// it through shared memory, and read the restart back where a query is read:
+// the previous run's flight-recorder events from __system.recorder, both
+// halves of the restart trace from __system.traces.
 
 import (
 	"encoding/json"
@@ -59,6 +60,7 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 			"-shm-dir", workDir,
 			"-namespace", "otest",
 			"-disk-root", filepath.Join(workDir, "disk"),
+			"-telemetry-interval", "200ms",
 		)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
@@ -98,22 +100,13 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 
 	body := httpGetBody(t, "http://"+httpAddr+"/metrics")
 	for _, want := range []string{
-		"counter rpc_query 3",
-		"timer query_latency count=3",
-		"histogram query_latency_hist count=3",
-		"p50=", "p95=", "p99=",
+		"\nscuba_rpc_query 3\n",
+		"\nscuba_query_latency_seconds_count 3\n",
+		"\nscuba_query_latency_hist_seconds_count 3\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
-	}
-
-	var dump scuba.RecoveryDump
-	if err := json.Unmarshal([]byte(httpGetBody(t, "http://"+httpAddr+"/debug/recovery")), &dump); err != nil {
-		t.Fatalf("bad /debug/recovery JSON: %v", err)
-	}
-	if dump.CurrentRun == nil || len(dump.CurrentEvents) == 0 {
-		t.Fatalf("first run recorded no events: %+v", dump)
 	}
 
 	// ---- restart through shared memory ----
@@ -136,62 +129,69 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 	// /metrics of the restarted process: the Figure 7 phase timers.
 	body = httpGetBody(t, "http://"+httpAddr+"/metrics")
 	for _, want := range []string{
-		"timer restart_map count=1",
-		"timer restart_copy_in count=1",
-		"timer restart_table_copy_in count=1",
-		"timer restart_alive count=1",
+		"\nscuba_restart_map_seconds_count 1\n",
+		"\nscuba_restart_copy_in_seconds_count 1\n",
+		"\nscuba_restart_table_copy_in_seconds_count ",
+		"\nscuba_restart_alive_seconds_count 1\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("post-restart /metrics missing %q:\n%s", want, body)
 		}
 	}
 
-	// /debug/recovery: the memory path taken, and the previous run's story
-	// (its Figure 6 copy-out + commit) read back from the flight recorder.
-	dump = scuba.RecoveryDump{}
+	// /debug/recovery: the live recovery state, the memory path taken, and
+	// nothing else.
+	var dump map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(httpGetBody(t, "http://"+httpAddr+"/debug/recovery")), &dump); err != nil {
 		t.Fatalf("bad /debug/recovery JSON: %v", err)
 	}
-	rec, ok := dump.Recovery.(map[string]any)
-	if !ok || rec["Path"] != "memory" {
-		t.Errorf("recovery = %+v, want memory path", dump.Recovery)
+	var rec scuba.RecoveryInfo
+	if err := json.Unmarshal(dump["recovery"], &rec); err != nil || len(dump) != 1 || rec.Path != scuba.RecoveryMemory {
+		t.Errorf("/debug/recovery = %s, want only the recovery member, on the memory path", dump)
 	}
-	if dump.PreviousRun == nil {
-		t.Fatal("no previous-run summary after restart")
-	}
-	if dump.PreviousRun.Failed {
-		t.Errorf("clean previous run marked failed: %+v", dump.PreviousRun)
-	}
-	var sawCopyOut, sawCommit bool
-	for _, ev := range dump.PreviousEvents {
-		if ev.KindName == "end" && ev.Phase == "restart.copy_out" {
-			sawCopyOut = true
+
+	// The previous run's story — its Figure 6 copy-out and commit — read back
+	// from the flight recorder into __system.recorder, and the restart as one
+	// trace in __system.traces: the old process's shutdown half, carried over
+	// in the ring, and this process's start half. The sink delivers both
+	// behind ALIVE.
+	events := &scuba.Query{Table: scuba.SystemRecorderTable, From: 0, To: 1 << 40,
+		Filters: []scuba.Filter{{Column: "run", Str: "previous"}, {Column: "kind", Str: "end"}},
+		GroupBy: []string{"phase"}, Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}}}
+	deadline := time.Now().Add(10 * time.Second)
+	var ended map[string]bool
+	var restart scuba.Trace
+	for {
+		res, err := client2.Query(events)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev.KindName == "end" && ev.Phase == "restart.commit" {
-			sawCommit = true
+		ended = map[string]bool{}
+		for _, row := range res.Rows(events) {
+			ended[row.Key[0]] = true
 		}
-	}
-	if !sawCopyOut || !sawCommit {
-		t.Errorf("previous events missing copy-out/commit spans: %+v", dump.PreviousEvents)
-	}
-	// And the restart as one trace: the old process's shutdown half, carried
-	// over in the flight-recorder ring, and this process's start half.
-	halves := map[string]uint64{}
-	for _, sp := range dump.Restart {
-		if id, seen := halves[sp.Half]; seen && id != sp.TraceID {
-			t.Errorf("%s half spans carry trace IDs %d and %d", sp.Half, id, sp.TraceID)
+		if traces := systemTraces(t, client2, scuba.Filter{Column: "kind", Str: "restart"}); len(traces) > 0 {
+			restart = traces[0]
 		}
-		halves[sp.Half] = sp.TraceID
+		done := ended["restart.copy_out"] && ended["restart.commit"] &&
+			len(restart.Half("shutdown")) > 0 && len(restart.Half("start")) > 0
+		if done || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
-	if len(halves) != 2 || halves["shutdown"] != halves["start"] || halves["start"] == 0 {
-		t.Errorf("restart ledger halves → trace IDs = %v, want both halves under one ID: %+v", halves, dump.Restart)
+	if !ended["restart.copy_out"] || !ended["restart.commit"] {
+		t.Errorf("previous run's ended phases in %s = %v, want copy-out and commit", scuba.SystemRecorderTable, ended)
+	}
+	if len(restart.Half("shutdown")) == 0 || len(restart.Half("start")) == 0 {
+		t.Errorf("newest restart trace in %s = %+v, want both halves under one ID", scuba.SystemTracesTable, restart)
 	}
 	var sawLogs bool
-	for _, st := range dump.Restart.Half("start").Tables() {
+	for _, st := range restart.Half("start").Tables() {
 		sawLogs = sawLogs || (st.Table == "service_logs" && st.Blocks > 0)
 	}
 	if !sawLogs {
-		t.Errorf("restart ledger's start half does not carry service_logs: %+v", dump.Restart)
+		t.Errorf("restart trace's start half does not carry service_logs: %+v", restart)
 	}
 	// Data really is back (the restart the metrics describe happened).
 	res, err := client2.Query(q)

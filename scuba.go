@@ -418,11 +418,11 @@ var WeeklyFullAvailability = sim.WeeklyFullAvailability
 
 // Observability: one span record (a query's root and per-leaf spans, a
 // restart's phase per table and worker) feeding the phase timers on /metrics,
-// the flight recorder, /debug/recovery and __system.traces,
-// plus a crash-surviving flight recorder in shared memory (its own segment,
-// namespace "<ns>-obs", so the leaf's segment sweep never deletes it). Every
-// daemon takes an -http flag and serves /metrics, /debug/recovery and
-// /debug/pprof through ObsHandler; a nil Observer or FlightRecorder is a
+// the flight recorder and __system.traces, plus a crash-surviving flight
+// recorder in shared memory (its own segment, namespace "<ns>-obs", so the
+// leaf's segment sweep never deletes it). Every daemon takes an -http flag and
+// serves /metrics (Prometheus text), /debug/recovery (the live recovery state)
+// and /debug/pprof through ObsHandler; a nil Observer or FlightRecorder is a
 // valid no-op.
 type (
 	// Span is one step of a trace: a query on its aggregator, one leaf's
@@ -445,14 +445,10 @@ type (
 	FlightRecorderOptions = obs.RecorderOptions
 	// FlightEvent is one recorded lifecycle event.
 	FlightEvent = obs.Event
-	// FlightRunSummary condenses one run's events (last phase, failure).
-	FlightRunSummary = obs.RunSummary
 	// ObsHandlerConfig wires a daemon's sinks into the HTTP mux.
 	ObsHandlerConfig = obs.HandlerConfig
 	// ObsHTTPServer is one daemon's observability listener.
 	ObsHTTPServer = obs.HTTPServer
-	// RecoveryDump is the /debug/recovery JSON shape.
-	RecoveryDump = obs.RecoveryDump
 )
 
 // Tracing: the aggregator stamps every query with a trace ID and per-leaf
@@ -496,8 +492,6 @@ var (
 	// OpenFlightRecorder opens (or creates) a leaf's flight-recorder
 	// segment, returning the previous run's events if any survived.
 	OpenFlightRecorder = obs.OpenFlightRecorder
-	// SummarizeFlightEvents condenses an event dump into a RunSummary.
-	SummarizeFlightEvents = obs.Summarize
 	// ObsHandler builds the /metrics + /debug/recovery + pprof mux.
 	ObsHandler = obs.Handler
 	// StartObsHTTP serves a handler on addr in the background.
@@ -509,7 +503,7 @@ var (
 // __system.* tables through the ordinary leaf path — a leaf's own sink is the
 // one writer of its facts (rows, recovery path, query counters: what
 // `scuba-cli health` reads from __system.metrics) — and every /metrics
-// endpoint speaks Prometheus text exposition via ?format=prometheus. System
+// endpoint speaks the Prometheus text exposition. System
 // tables are plain leaf-local tables, so the telemetry rides the
 // shared-memory restart path like any other data.
 type (
@@ -526,8 +520,8 @@ var (
 	NewTelemetrySink = obs.NewSink
 	// IsSystemTable reports whether a table name is reserved telemetry.
 	IsSystemTable = obs.IsSystemTable
-	// CanonicalMetricName is the snake_case spelling shared by the metrics
-	// dump, the Prometheus exposition and the __system.metrics rows.
+	// CanonicalMetricName is the snake_case spelling shared by the
+	// Prometheus exposition and the __system.metrics rows.
 	CanonicalMetricName = metrics.CanonicalName
 	// TelemetrySnapshotRows flattens a metrics snapshot into rows.
 	TelemetrySnapshotRows = obs.SnapshotRows

@@ -27,10 +27,10 @@ import (
 	"scuba/internal/obs"
 )
 
-// metricCounter extracts "counter <name> <value>" from a /metrics dump
-// (-1 when absent).
+// metricCounter extracts the counter "scuba_<name> <value>" from a /metrics
+// scrape (-1 when absent).
 func metricCounter(body, name string) int64 {
-	re := regexp.MustCompile(`(?m)^counter ` + regexp.QuoteMeta(name) + ` (\d+)$`)
+	re := regexp.MustCompile(`(?m)^scuba_` + regexp.QuoteMeta(name) + ` (\d+)$`)
 	m := re.FindStringSubmatch(body)
 	if m == nil {
 		return -1
@@ -326,13 +326,12 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 	// in /debug/recovery and the counters in /metrics must agree with what
 	// the spans reported.
 	for _, lp := range leaves {
-		var rec scuba.RecoveryDump
+		var rec struct{ Recovery scuba.RecoveryInfo }
 		if err := json.Unmarshal([]byte(httpGetBody(t, "http://"+lp.http+"/debug/recovery")), &rec); err != nil {
 			t.Fatalf("bad /debug/recovery JSON from leaf %d: %v", lp.id, err)
 		}
-		r, ok := rec.Recovery.(map[string]any)
-		if !ok || r["Path"] != wantRecovery[lp.addr] {
-			t.Errorf("leaf %d /debug/recovery path = %v, span said %q", lp.id, rec.Recovery, wantRecovery[lp.addr])
+		if got := string(rec.Recovery.Path); got != wantRecovery[lp.addr] {
+			t.Errorf("leaf %d /debug/recovery path = %q, span said %q", lp.id, got, wantRecovery[lp.addr])
 		}
 
 		body := httpGetBody(t, "http://"+lp.http+"/metrics")
@@ -347,7 +346,7 @@ func TestDistributedTracingEndToEnd(t *testing.T) {
 		if got := metricCounter(body, "query_decode_cache_hits"); got < warm.CacheHits {
 			t.Errorf("leaf %d /metrics cache hits = %d, warm span reported %d", lp.id, got, warm.CacheHits)
 		}
-		if !strings.Contains(body, "gauge runtime_goroutines") || !strings.Contains(body, "gauge runtime_heap_bytes") {
+		if !strings.Contains(body, "\nscuba_runtime_goroutines ") || !strings.Contains(body, "\nscuba_runtime_heap_bytes ") {
 			t.Errorf("leaf %d /metrics missing runtime self-metrics:\n%s", lp.id, body)
 		}
 	}
