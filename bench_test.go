@@ -918,7 +918,6 @@ func BenchmarkScanWarmCache(b *testing.B) {
 // are full-size (a key is built once per group per block, so 2400 groups over
 // small blocks would time key building, not the kernels).
 func BenchmarkScanDashboard(b *testing.B) {
-	const blocks, perBlock = 4, 65536
 	q := &scuba.Query{
 		Table: "service_logs", From: 0, To: 1 << 40,
 		Filters: []scuba.Filter{{Column: "tags", Op: scuba.OpContains, Str: "prod"}},
@@ -934,33 +933,7 @@ func BenchmarkScanDashboard(b *testing.B) {
 		cacheBytes int64
 	}{{"cold", 0}, {"warm", 256 << 20}, {"first", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
-			benchProcs(b, 1)
-			e := newBenchEnv(b)
-			cfg := e.config(0)
-			cfg.DecodeCacheBytes = mode.cacheBytes
-			l, err := scuba.NewLeaf(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := l.Start(); err != nil {
-				b.Fatal(err)
-			}
-			gen := scuba.ServiceLogs(42, 1700000000)
-			for blk := 0; blk < blocks; blk++ {
-				if err := l.AddRows("service_logs", gen.NextBatch(perBlock)); err != nil {
-					b.Fatal(err)
-				}
-				if err := l.SealAll(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			res, err := l.Query(q) // fills the cache when there is one
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.RowsScanned != blocks*perBlock || res.BlocksScanned != blocks || len(res.Groups) != 200*12 {
-				b.Fatalf("scanned %d rows of %d blocks into %d groups", res.RowsScanned, res.BlocksScanned, len(res.Groups))
-			}
+			l := dashboardLeaf(b, mode.cacheBytes, q)
 			run := func() (*scuba.Result, error) { return l.Query(q) }
 			if mode.name == "first" {
 				// The leaf's own path, with a cache of its own per run.
@@ -969,11 +942,74 @@ func BenchmarkScanDashboard(b *testing.B) {
 					return query.Execute(tbl, q, query.ExecOptions{Cache: query.NewDecodeCache(256<<20, nil)})
 				}
 			}
-			b.SetBytes(blocks * perBlock)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// dashboardLeaf is BenchmarkScanDashboard's leaf: 4 full-size sealed blocks
+// of service_logs rows, with a decode cache of cacheBytes (none when 0) that
+// one run of q has filled, checked to reach every block and 200 x 12 groups.
+func dashboardLeaf(b *testing.B, cacheBytes int64, q *scuba.Query) *scuba.Leaf {
+	const blocks, perBlock = 4, 65536
+	benchProcs(b, 1)
+	e := newBenchEnv(b)
+	cfg := e.config(0)
+	cfg.DecodeCacheBytes = cacheBytes
+	l, err := scuba.NewLeaf(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := l.Start(); err != nil {
+		b.Fatal(err)
+	}
+	gen := scuba.ServiceLogs(42, 1700000000)
+	for blk := 0; blk < blocks; blk++ {
+		if err := l.AddRows("service_logs", gen.NextBatch(perBlock)); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.SealAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	res, err := l.Query(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.RowsScanned != blocks*perBlock || res.BlocksScanned != blocks || len(res.Groups) != 200*12 {
+		b.Fatalf("scanned %d rows of %d blocks into %d groups", res.RowsScanned, res.BlocksScanned, len(res.Groups))
+	}
+	b.SetBytes(blocks * perBlock)
+	return l
+}
+
+// BenchmarkScanAggregates times each aggregate kernel on its own: the
+// dashboard's 4 x 65,536 rows and 200 x 12 host/service groups, warm, and
+// one aggregation a sub-benchmark, so a kernel that slows down shows by op
+// (count_distinct on a string, the host).
+func BenchmarkScanAggregates(b *testing.B) {
+	for _, a := range []scuba.Aggregation{
+		{Op: scuba.AggCount}, {Op: scuba.AggSum, Column: "cpu_ms"}, {Op: scuba.AggAvg, Column: "cpu_ms"},
+		{Op: scuba.AggMin, Column: "cpu_ms"}, {Op: scuba.AggP99, Column: "latency_ms"},
+		{Op: scuba.AggCountDistinct, Column: "host"},
+	} {
+		b.Run(a.Op.String(), func(b *testing.B) {
+			q := &scuba.Query{
+				Table: "service_logs", From: 0, To: 1 << 40,
+				GroupBy:      []string{"host", "service"},
+				Aggregations: []scuba.Aggregation{a},
+			}
+			l := dashboardLeaf(b, 256<<20, q)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := l.Query(q); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,9 @@
 package query
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // histBuckets is the number of log-scale buckets. Bucket i covers values
 // whose magnitude has bit length i (bucket 0 holds zero and negatives are
@@ -26,47 +29,65 @@ type Histogram struct {
 	Counts []int64
 }
 
-// Add records one value.
-func (h *Histogram) Add(v float64) { h.bump(bucketOf(v)) }
-
-// bump counts one value in bucket b, widening the window to hold it.
-func (h *Histogram) bump(b int) {
+// Add records one value, widening the window to hold it.
+func (h *Histogram) Add(v float64) {
+	b := bucketOf(v)
 	if uint(b-h.Lo) >= uint(len(h.Counts)) {
 		h.widen(b)
 	}
 	h.Counts[b-h.Lo]++
 }
 
-// widen moves the histogram to a window that holds bucket b as well. The
-// first window is histWindow wide around b, cut from the capacity Counts came
-// with when its maker gave it any (a scan does, see histRoom); a later one
-// takes in b with room beyond it on the side it grew, on the heap.
+// widen moves the histogram to a window that holds bucket b as well, as a
+// scan's table of one row moves.
 func (h *Histogram) widen(b int) {
-	if len(h.Counts) == 0 {
-		h.Lo = min(max(b-histWindow/2, 0), histBuckets-histWindow)
-		if cap(h.Counts) >= histWindow {
-			h.Counts = h.Counts[:histWindow]
-		} else {
-			h.Counts = make([]int64, histWindow)
-		}
-		return
-	}
-	lo, hi := h.Lo, h.Lo+len(h.Counts)
-	if b < lo {
-		lo = max(b-histWindow/4, 0)
-	} else {
-		hi = min(b+1+histWindow/4, histBuckets)
-	}
-	counts := make([]int64, hi-lo)
-	copy(counts[h.Lo-lo:], h.Counts)
-	h.Lo, h.Counts = lo, counts
+	t := flatHist{lo: h.Lo, width: len(h.Counts), counts: h.Counts}
+	t.widen(b, 1)
+	h.Lo, h.Counts = t.lo, t.counts
 }
 
-// histRoom is a histogram with its first window beside it, so that the one
-// is a cache line from the other and a scan's 2,400 of both are a slab.
-type histRoom struct {
-	Histogram
-	room [histWindow]int64
+// flatHist is one percentile aggregation's histograms in a scan, one row of
+// counts per group over one window [lo, lo+width) that every group shares: a
+// value is a bump at row g, column b-lo, with no per-group window to look up.
+// The window starts histWindow wide around the first value and is laid out
+// again, every row moved to it, when a value falls outside it.
+type flatHist struct {
+	lo, width int
+	counts    []int64 // groups rows of width
+}
+
+// widen lays the table of groups rows out again over a window that holds
+// bucket b as well: the first histWindow wide around b, a later one taking in
+// b with room beyond it on the side it grew.
+func (h *flatHist) widen(b, groups int) {
+	lo, hi := min(max(b-histWindow/2, 0), histBuckets-histWindow), 0
+	switch {
+	case h.width == 0:
+		hi = lo + histWindow
+	case b < h.lo:
+		lo, hi = max(b-histWindow/4, 0), h.lo+h.width
+	default:
+		lo, hi = h.lo, min(b+1+histWindow/4, histBuckets)
+	}
+	w := hi - lo
+	counts := make([]int64, groups*w)
+	for g := 0; h.width > 0 && g < groups; g++ {
+		copy(counts[g*w+h.lo-lo:], h.counts[g*h.width:(g+1)*h.width])
+	}
+	h.lo, h.width, h.counts = lo, w, counts
+}
+
+// cut returns group g's row as a histogram, trimmed to the buckets it
+// counted; its counts stay in the table, which the histogram shares.
+func (h *flatHist) cut(g int) Histogram {
+	lo, row := h.lo, h.counts[g*h.width:(g+1)*h.width]
+	for len(row) > 0 && row[0] == 0 {
+		lo, row = lo+1, row[1:]
+	}
+	for len(row) > 0 && row[len(row)-1] == 0 {
+		row = row[:len(row)-1]
+	}
+	return Histogram{Lo: lo, Counts: row[:len(row):len(row)]}
 }
 
 // bucketOf is 1 + floor(log2(v)) clamped to the bucket range, read off the
@@ -74,15 +95,24 @@ type histRoom struct {
 // k+1023 whatever its mantissa, where math.Log2 rounds the value just below
 // 2^k up to k and lands it a bucket high. Zero, negatives and NaN go to
 // bucket 0 with the subnormals and everything below 1; +Inf, like anything
-// from 2^63 up, goes to the last. The integer kernels bucket the converted
-// float (a bits.Len64 shortcut would put 2^k-1 above 2^53, which converts
-// to 2^k, a bucket low).
+// from 2^63 up, goes to the last.
 func bucketOf(v float64) int {
 	if !(v > 0) {
 		return 0
 	}
 	b := int(math.Float64bits(v)>>52) - 1022
 	return min(max(b, 0), histBuckets-1)
+}
+
+// bucketOfInt is bucketOf(float64(v)) without the float: an integer in
+// (0, 2^53) converts exactly, and its bucket is its bit length. Anything else
+// goes through the float, where a 2^k-1 above 2^53 rounds up to 2^k, a
+// bucket above its bit length.
+func bucketOfInt(v int64) int {
+	if uint64(v)-1 < 1<<53-1 {
+		return bits.Len64(uint64(v))
+	}
+	return bucketOf(float64(v))
 }
 
 // bucketMid returns a representative value for a bucket (geometric middle).

@@ -127,21 +127,55 @@ func TestWindowedHistogramAgainstDense(t *testing.T) {
 		"huge":       {1e18, 2e18, 8e18, 1e19, 1e300},
 		"mixed":      mixed,
 	}
-	var slab []histRoom // a scan's: first windows side by side, wider ones off it
+	// A scan's table: each stream is the middle group of a flat table of
+	// three, between a low and a high neighbour in both orders, so that the
+	// shared window widens up and down with every row holding counts. The
+	// groups join one round after another, their values interleaved and fed
+	// in batches, so the window widens between batches and inside them.
+	flat := func(name string, groups ...[]float64) Histogram {
+		var table aggColumn
+		dense := make([]denseHistogram, len(groups))
+		var vals []float64
+		var grp, sel []uint32
+		for round := 0; round < len(mixed)+len(groups); round++ { // mixed is the longest stream
+			for g, stream := range groups[:min(round+1, len(groups))] {
+				if at := round - g; at < len(stream) {
+					vals, grp = append(vals, stream[at]), append(grp, uint32(g))
+				}
+			}
+		}
+		joined := 0
+		for len(vals) > 0 {
+			n := min(1+rng.Intn(64), len(vals))
+			sel = sel[:0]
+			for k := range n {
+				for ; joined <= int(grp[k]); joined++ {
+					table.add(AggP99)
+				}
+				sel = append(sel, uint32(k))
+				dense[grp[k]].Add(vals[k])
+			}
+			bumpAll(&table.hist, joined, vals, grp, sel)
+			vals, grp = vals[n:], grp[n:]
+			for g := range joined {
+				h := table.hist.cut(g)
+				sameAsDense(t, fmt.Sprintf("%s, group %d of a flat table", name, g), &h, &dense[g])
+			}
+		}
+		return table.hist.cut(1)
+	}
 	built := map[string]*Histogram{}
 	dense := map[string]*denseHistogram{}
 	for name, vals := range streams {
-		h, viaSlab, d := &Histogram{}, newAggState(AggP99, &slab).Hist, &denseHistogram{}
+		h, d := &Histogram{}, &denseHistogram{}
 		for _, v := range vals {
 			h.Add(v)
-			viaSlab.bump(bucketOf(v))
 			d.Add(v)
 			sameAsDense(t, name, h, d)
 		}
-		built[name], dense[name] = viaSlab, d
-	}
-	for name, h := range built {
-		sameAsDense(t, name+" (slab)", h, dense[name])
+		flat(name, streams["huge"], vals, streams["narrow"])
+		cut := flat(name, streams["narrow"], vals, streams["huge"])
+		built[name], dense[name] = &cut, d
 	}
 	clone := func(h *Histogram) *Histogram {
 		return &Histogram{Lo: h.Lo, Counts: append([]int64(nil), h.Counts...)}
@@ -189,12 +223,11 @@ func TestBucketOfProperty(t *testing.T) {
 }
 
 func TestAggStateMergeIdentity(t *testing.T) {
-	var hists []histRoom
-	a := newAggState(AggAvg, &hists)
+	a := newAggState(AggAvg)
 	for i := 1; i <= 10; i++ {
 		a.Observe(float64(i))
 	}
-	empty := newAggState(AggAvg, &hists)
+	empty := newAggState(AggAvg)
 	a.Merge(&empty)
 	if a.Count != 10 || a.Sum != 55 || a.Min != 1 || a.Max != 10 {
 		t.Errorf("state = %+v", a)
@@ -205,7 +238,7 @@ func TestAggStateMergeIdentity(t *testing.T) {
 		t.Errorf("avg = %v", empty.Value(AggAvg))
 	}
 	// Min/Max of empty state finalize to 0, not Inf.
-	e2 := newAggState(AggMin, &hists)
+	e2 := newAggState(AggMin)
 	if e2.Value(AggMin) != 0 || e2.Value(AggMax) != 0 {
 		t.Error("empty min/max not zero")
 	}
@@ -274,5 +307,21 @@ func TestBucketOfAgainstLog2(t *testing.T) {
 	}
 	if got := bucketOf(math.Inf(1)); got != histBuckets-1 {
 		t.Errorf("bucketOf(+Inf) = %d, want the last bucket", got)
+	}
+}
+
+// TestBucketOfIntAgainstFloat: the integer kernels' bucket is the converted
+// float's at every edge of its shortcut — the sign, zero, every power of two
+// and its neighbours, and around 2^53, past which the conversion rounds a
+// 2^k-1 up a bucket.
+func TestBucketOfIntAgainstFloat(t *testing.T) {
+	edges := []int64{math.MinInt64, -1, 0, 1, 1<<53 - 1, 1 << 53, 1<<53 + 1, 1<<54 - 1, math.MaxInt64}
+	for k := 1; k <= 62; k++ {
+		edges = append(edges, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for _, v := range edges {
+		if got, want := bucketOfInt(v), bucketOf(float64(v)); got != want {
+			t.Errorf("bucketOfInt(%d) = %d, the converted float's bucket %d", v, got, want)
+		}
 	}
 }

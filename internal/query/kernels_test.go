@@ -34,8 +34,17 @@ type kernelCase struct {
 //	      the same dictionaries and only their order differs)
 //	set   string set over a pool of 3 or 300 tags
 //
-// Every numeric value is a small multiple of a power of two, so a sum is
-// exact in float64 whatever order the workers merge in.
+// and, when the shape says so, in every row:
+//
+//	gid   int64, 160 values: groups by the hundred in one block
+//	pw    int64: powers of two over 40 buckets, or the edges of the integer
+//	      bucket (2^53 and its neighbours, 2^k-1, 0, -1, the extremes)
+//	pf    float64: powers of two over 40 buckets, or NaN, ±Inf, negatives
+//	      and subnormals
+//
+// Every numeric value but the edges is a small multiple of a power of two,
+// so a sum is exact in float64 whatever order the workers merge in; the
+// edges are not summed.
 func genKernelCase(seed int64, shape uint16) kernelCase {
 	rng := rand.New(rand.NewSource(seed))
 	dictSizes := []int{1, 2, 300}
@@ -43,7 +52,8 @@ func genKernelCase(seed int64, shape uint16) kernelCase {
 	tagPool := []int{3, 300}[int(shape>>4)%2]
 	nonFinite := shape>>5&1 == 1
 	perBlock := 20 + rng.Intn(40)
-	if d1 == 300 || d2 == 300 || tagPool == 300 {
+	spread, edges := shape>>14&1 == 1, shape>>15&1 == 1
+	if d1 == 300 || d2 == 300 || tagPool == 300 || spread {
 		perBlock = 300 + rng.Intn(60) // room for the whole dictionary in a block
 	}
 	numBlocks := 1 + rng.Intn(3)
@@ -129,6 +139,16 @@ func genKernelCase(seed int64, shape uint16) kernelCase {
 			if has["oset"] {
 				cols["oset"] = rowblock.SetValue(fmt.Sprintf("tag%d", rng.Intn(3)))
 			}
+			if spread || edges {
+				pw, pf := int64(1)<<rng.Intn(40), math.Ldexp(1, rng.Intn(40)-10)
+				if edges {
+					k := 1 + rng.Intn(62)
+					pw = []int64{1<<53 - 1, 1 << 53, 1<<53 + 1, 1<<k - 1, 1 << k, 0, -1, math.MinInt64, math.MaxInt64}[rng.Intn(9)]
+					pf = []float64{math.NaN(), math.Inf(1), math.Inf(-1), -math.Ldexp(1, k), math.SmallestNonzeroFloat64 * float64(k), math.Ldexp(1, k)}[rng.Intn(6)]
+				}
+				cols["gid"] = rowblock.Int64Value(int64(rng.Intn(160)))
+				cols["pw"], cols["pf"] = rowblock.Int64Value(pw), rowblock.Float64Value(pf)
+			}
 			c.rows = append(c.rows, rowblock.Row{Time: t, Cols: cols})
 		}
 	}
@@ -203,6 +223,22 @@ func genKernelCase(seed int64, shape uint16) kernelCase {
 				[]Aggregation{{Op: AggSum, Column: "s1"}, {Op: AggCountDistinct, Column: "set"}}[rng.Intn(2)])
 		default:
 			q.Aggregations = append(q.Aggregations, Aggregation{Op: aggOps[rng.Intn(len(aggOps))], Column: numeric[rng.Intn(len(numeric))]})
+		}
+	}
+	if spread {
+		// Bit 14: a hundred groups and more in every block, then values over
+		// 40 buckets, so a percentile's shared window widens mid-block with
+		// every group's row in it.
+		q.From, q.To, q.Filters, q.GroupBy = math.MinInt64, math.MaxInt64, nil, []string{"gid"}
+	}
+	if spread || edges {
+		// Bit 15 puts the integer bucket's edges and the floats that are no
+		// number, or no normal one, in the percentile and extreme columns.
+		q.Aggregations = append(q.Aggregations, Aggregation{Op: AggP99, Column: "pw"}, Aggregation{Op: AggP50, Column: "pf"},
+			Aggregation{Op: AggMin, Column: "pw"}, Aggregation{Op: AggMax, Column: "pf"},
+			Aggregation{Op: AggP90, Column: "pw"}, Aggregation{Op: AggMin, Column: "pf"})
+		if !edges {
+			q.Aggregations = append(q.Aggregations, Aggregation{Op: AggSum, Column: "pw"}, Aggregation{Op: AggAvg, Column: "pf"})
 		}
 	}
 	if shape>>8&1 == 1 {
@@ -321,7 +357,8 @@ func sameRows(a, b []Row) bool {
 
 // FuzzScanKernels checks the block scan — selection vectors, the encoded
 // string-set walk, dictionary-ID grouping in its dense and renumbered forms,
-// the typed aggregate kernels, the tuple table kept across blocks, the
+// the per-op aggregate kernels and a percentile's flat table, whose window
+// widens under a hundred groups, the tuple table kept across blocks, the
 // one-group plan that skips grouping, the time range found by binary search
 // in an ascending tail or compared row by row in any other block — against
 // Reference, row at a time over the same rows: equal Rows(q), equal
@@ -346,6 +383,13 @@ func FuzzScanKernels(f *testing.F) {
 		// (bits 11-12), with an unsealed tail and without (bit 6), the tail
 		// ascending or not (bit 13).
 		f.Add(seed, uint16((seed%3+1)<<11|(seed/3&1)<<6|(seed/6&1)<<13|seed/12))
+	}
+	for seed := int64(0); seed < 16; seed++ {
+		// A percentile's window widening mid-block under 100-odd groups (bit
+		// 14), the integer bucket's edges and NaN, ±Inf, negative and
+		// subnormal floats (bit 15), and both; with an unsealed tail and
+		// without (bit 6).
+		f.Add(seed, uint16((seed%3+1)<<14|(seed/3&1)<<6))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint16) {
 		c := genKernelCase(seed, shape)

@@ -49,7 +49,6 @@ func Reference(rows []rowblock.Row, q *Query) (*Result, error) {
 	var (
 		groups []Group
 		index  = make(map[string]int) // quoted key tuple → its group
-		hists  []histRoom
 	)
 rows:
 	for _, r := range rows {
@@ -85,7 +84,7 @@ rows:
 			gi, index[quoted] = len(groups), len(groups)
 			aggs := make([]AggState, len(q.Aggregations))
 			for ai, a := range q.Aggregations {
-				aggs[ai] = newAggState(a.Op, &hists)
+				aggs[ai] = newAggState(a.Op)
 			}
 			groups = append(groups, Group{Key: key, Aggs: aggs})
 		}

@@ -13,7 +13,14 @@ import (
 	"scuba/internal/obs"
 )
 
-// AggState is the mergeable accumulator behind one aggregation output.
+// AggState is the mergeable accumulator behind one aggregation output. Count
+// is the group's rows, whatever the op. Of the rest, Value reads one field
+// per op: Sum for sum and avg, Min for min, Max for max, Hist for the
+// percentiles, Distinct for count-distinct. A scan fills only that one and
+// leaves the others at their identity — Sum 0, Min +Inf, Max -Inf, which
+// Merge leaves the other side's value under — so a state that fills every
+// field, as Observe and a peer before the per-op scan do, merges with it to
+// the same answer.
 type AggState struct {
 	Count int64
 	Sum   float64
@@ -27,21 +34,12 @@ type AggState struct {
 	Distinct map[string]bool
 }
 
-// newAggState returns an empty accumulator for the op. A percentile's
-// histogram, and the room for its first window, is cut from slab, which is
-// replaced when it is full: a scan makes one per group, and 2,400 groups are
-// ten allocations this way.
-func newAggState(op AggOp, slab *[]histRoom) AggState {
+// newAggState returns an empty accumulator for the op.
+func newAggState(op AggOp) AggState {
 	st := AggState{Min: math.Inf(1), Max: math.Inf(-1)}
 	switch {
 	case op.percentile():
-		if len(*slab) == cap(*slab) {
-			*slab = make([]histRoom, 0, min(max(2*cap(*slab), 4), 256))
-		}
-		*slab = (*slab)[:len(*slab)+1]
-		h := &(*slab)[len(*slab)-1]
-		h.Counts = h.room[:0]
-		st.Hist = &h.Histogram
+		st.Hist = &Histogram{}
 	case op == AggCountDistinct:
 		st.Distinct = make(map[string]bool)
 	}

@@ -27,9 +27,11 @@ import (
 //	            a per-block table — a key string is built once per group per
 //	            block, from the first live row that shows the tuple; skipped
 //	            when the query has one group;
-//	aggregation one typed pass per aggregate over the column's values in
-//	            place, in row order — with one group into an accumulator held
-//	            in registers, and a count is the selection's length.
+//	aggregation one count per group, bumped per live row (with one group,
+//	            the selection's length); then one typed pass per other
+//	            aggregate over its column's values in place, in row order,
+//	            into a column of only what its op reads (aggColumn) — with
+//	            one group, a sum, min or max held in a register.
 //
 // Scratch is pooled across queries (scanners), so a query that touches one
 // block allocates for its groups and nothing else.
@@ -86,12 +88,12 @@ type scanner struct {
 	res *Result // work counters and phase times; finish adds the groups
 
 	// The groups found so far, in order of first sight: joined keys → index,
-	// and per aggregation one accumulator per group.
+	// each group's live rows, and per aggregation a column of accumulators.
 	index   map[string]int32
 	keys    [][]string
-	aggs    [][]AggState
-	hists   []histRoom // slab the next percentile accumulators come from
-	keySlab []string   // slab the next group keys come from
+	count   []int64
+	aggs    []aggColumn
+	keySlab []string // slab the next group keys come from
 
 	// Per-block state, reset by scanRows.
 	cols   []column.Column // per plan slot, once loaded says so
@@ -104,7 +106,7 @@ type scanner struct {
 	sel    []uint32
 	acc    []uint32   // per live row: tuple ID while folding, then its group
 	ids    []uint32   // per live row: one component's IDs
-	ints   []int64    // per live row: one integer-like component's values
+	ints   []int64    // per live row: one integer-like component's values, or zeros
 	tuples []int32    // tuple ID → group, -1 until a live row shows the tuple
 	dicts  [][]string // the dictionaries the tuple IDs were last made of
 	match  []bool     // per dictionary entry: does it pass the filter
@@ -115,12 +117,54 @@ type scanner struct {
 	text   []byte
 }
 
+// aggColumn is one aggregation's accumulators, one per group, holding only
+// what AggState.Value reads for its op: nothing for a count (the scanner's
+// count is its answer), the sums of a sum or avg, the mins of a min, the maxs
+// of a max, a percentile's bucket table, a count-distinct's sets.
+type aggColumn struct {
+	vals []float64
+	hist flatHist
+	sets []map[string]bool
+}
+
+// add gives a new group the op's empty accumulator.
+func (c *aggColumn) add(op AggOp) {
+	switch {
+	case op == AggSum || op == AggAvg:
+		c.vals = append(c.vals, 0)
+	case op == AggMin:
+		c.vals = append(c.vals, math.Inf(1))
+	case op == AggMax:
+		c.vals = append(c.vals, math.Inf(-1))
+	case op.percentile():
+		c.hist.counts = append(c.hist.counts, make([]int64, c.hist.width)...)
+	case op == AggCountDistinct:
+		c.sets = append(c.sets, make(map[string]bool))
+	}
+}
+
+// state is group g's AggState, the fields its op does not read at identity.
+func (c *aggColumn) state(op AggOp, g int32, count int64) AggState {
+	st := AggState{Count: count, Min: math.Inf(1), Max: math.Inf(-1)}
+	switch {
+	case op == AggSum || op == AggAvg:
+		st.Sum = c.vals[g]
+	case op == AggMin:
+		st.Min = c.vals[g]
+	case op == AggMax:
+		st.Max = c.vals[g]
+	case op == AggCountDistinct:
+		st.Distinct = c.sets[g]
+	}
+	return st
+}
+
 var scanners = sync.Pool{New: func() any { return &scanner{index: make(map[string]int32)} }}
 
 func newScanner(p *plan, dc *DecodeCache) *scanner {
 	s := scanners.Get().(*scanner)
 	s.p, s.dc, s.res = p, dc, &Result{}
-	s.aggs = make([][]AggState, len(p.aggs))
+	s.aggs = make([]aggColumn, len(p.aggs))
 	return s
 }
 
@@ -129,7 +173,7 @@ func newScanner(p *plan, dc *DecodeCache) *scanner {
 func (s *scanner) release() {
 	s.p, s.dc, s.res = nil, nil, nil
 	clear(s.index)
-	s.keys, s.aggs, s.hists, s.keySlab = nil, nil, nil, nil
+	s.keys, s.count, s.aggs, s.keySlab = nil, nil, nil, nil
 	clear(s.cols)
 	clear(s.gcols)
 	clear(s.dicts)
@@ -140,8 +184,8 @@ func (s *scanner) release() {
 // finish hands the groups over in the scanner's result, in key order: the
 // order is settled on group numbers and the ranks of their key parts (nothing
 // but integers moves, and nothing is compared), then each group's
-// accumulators are gathered from the per-aggregation columns the kernels fold
-// into.
+// accumulators are assembled from its count and the per-aggregation columns
+// the kernels fold into; a percentile's histograms are cut from its table.
 func (s *scanner) finish() *Result {
 	res, na, nk := s.res, len(s.aggs), s.p.q.keyParts()
 	dicts, ranks := rankKeys(len(s.keys), nk, func(g int) []string { return s.keys[g] })
@@ -170,18 +214,22 @@ func (s *scanner) finish() *Result {
 	}
 	res.Groups = make([]Group, len(order))
 	states := make([]AggState, len(order)*na)
-	for i, g := range order {
-		aggs := states[i*na : (i+1)*na : (i+1)*na]
-		for ai := range aggs {
-			st := &aggs[ai]
-			*st = s.aggs[ai][g]
-			// What every row would have done alike is settled here, once per
-			// group: a count observed nothing but zeros.
-			if s.p.aggs[ai] < 0 {
-				st.Min, st.Max = 0, 0
+	for ai, a := range s.p.q.Aggregations {
+		var hists []Histogram
+		if a.Op.percentile() {
+			hists = make([]Histogram, len(order))
+		}
+		for i, g := range order {
+			st := &states[i*na+ai]
+			*st = s.aggs[ai].state(a.Op, g, s.count[g])
+			if hists != nil {
+				hists[i] = s.aggs[ai].hist.cut(int(g))
+				st.Hist = &hists[i]
 			}
 		}
-		res.Groups[i] = Group{Key: s.keys[g], Aggs: aggs}
+	}
+	for i, g := range order {
+		res.Groups[i] = Group{Key: s.keys[g], Aggs: states[i*na : (i+1)*na : (i+1)*na]}
 	}
 	return res
 }
@@ -215,8 +263,9 @@ func (s *scanner) group() int32 {
 		key = s.keySlab[at : at+n : at+n]
 	}
 	s.keys = append(s.keys, key)
+	s.count = append(s.count, 0)
 	for ai, a := range s.p.q.Aggregations {
-		s.aggs[ai] = append(s.aggs[ai], newAggState(a.Op, &s.hists))
+		s.aggs[ai].add(a.Op)
 	}
 	return g
 }
@@ -321,14 +370,19 @@ func (s *scanner) scanRows(blk Block) error {
 	if err != nil {
 		return err
 	}
+	if grp == nil {
+		s.count[0] += int64(len(sel))
+	}
 	for ai, a := range q.Aggregations {
-		var col column.Column
-		if slot := s.p.aggs[ai]; slot >= 0 {
-			if col, err = s.column(blk, slot); err != nil {
-				return err
-			}
+		slot := s.p.aggs[ai]
+		if slot < 0 {
+			continue // a count is the group's count
 		}
-		if err := s.aggregate(s.aggs[ai], a, col, grp, sel); err != nil {
+		col, err := s.column(blk, slot)
+		if err != nil {
+			return err
+		}
+		if err := s.aggregate(&s.aggs[ai], a, col, grp, sel); err != nil {
 			return err
 		}
 	}
@@ -553,16 +607,17 @@ func bucketStart(t, bucket int64) int64 {
 }
 
 // groupRows returns, per live row, the index of its group among the
-// scanner's. Each group-by component (the time bucket first) turns into small
-// integers — a string column's dictionary IDs as they are, anything
-// integer-like through ranks — which fold left to right into one tuple ID
-// per row; the tuple → group table is then filled by the first live row of
-// each tuple, the only rows a key string is built for. Blocks of one table
-// mostly carry the same dictionaries (the same hosts, the same services): a
-// block whose tuple IDs are those dictionaries' IDs folded by position means
-// by them what the last block meant and keeps its table. Ranks and
-// renumbered pairs go by order of first sight in one block, mean nothing in
-// the next, and start the table empty.
+// scanner's, and counts the row in its group. Each group-by component (the
+// time bucket first) turns into small integers — a string column's
+// dictionary IDs as they are, anything integer-like through ranks — which
+// fold left to right into one tuple ID per row; the tuple → group table is
+// then filled by the first live row of each tuple, the only rows a key
+// string is built for. Blocks of one table mostly carry the same
+// dictionaries (the same hosts, the same services): a block whose tuple IDs
+// are those dictionaries' IDs folded by position means by them what the last
+// block meant and keeps its table. Ranks and renumbered pairs go by order of
+// first sight in one block, mean nothing in the next, and start the table
+// empty.
 func (s *scanner) groupRows(blk Block, sel []uint32, times []int64) ([]uint32, error) {
 	q := s.p.q
 	s.gcols = grow(s.gcols, len(s.p.groups))
@@ -639,9 +694,7 @@ func (s *scanner) groupRows(blk Block, sel []uint32, times []int64) ([]uint32, e
 	if len(s.keys) == 0 {
 		need := int(min(space, uint64(len(sel))))
 		s.keys = make([][]string, 0, need)
-		for ai := range s.aggs {
-			s.aggs[ai] = make([]AggState, 0, need)
-		}
+		s.count = make([]int64, 0, need)
 	}
 	for k, t := range acc {
 		g := tuples[t]
@@ -650,6 +703,7 @@ func (s *scanner) groupRows(blk Block, sel []uint32, times []int64) ([]uint32, e
 			tuples[t] = g
 		}
 		acc[k] = uint32(g)
+		s.count[g]++
 	}
 	return acc, nil
 }
@@ -768,121 +822,101 @@ func (s *scanner) groupAt(i uint32, times []int64, bucket int64, cols []column.C
 }
 
 // aggregate folds the live rows' values of one aggregation's column into
-// that aggregation's accumulators, in row order. A nil column is count's, or
-// one the block does not have: every row observes zero. A nil grp is a plan
-// with one group: its count is the selection's length (a block inside the time
-// range, with no filter, is counted without a column of it being touched) and
-// its numeric kernels keep accumulator 0 in registers.
-func (s *scanner) aggregate(st []AggState, a Aggregation, col column.Column, grp, sel []uint32) error {
-	if grp == nil && a.Op != AggCountDistinct {
-		switch c := col.(type) {
-		case nil:
-			if a.Op == AggCount {
-				st[0].Count += int64(len(sel))
-				return nil
-			}
-		case *column.Int64Column:
-			observeOne(&st[0], c.Values, sel, a.Op.percentile())
-			return nil
-		case *column.Float64Column:
-			observeOne(&st[0], c.Values, sel, a.Op.percentile())
-			return nil
-		}
-	}
-	if grp == nil {
-		// What is left (an absent column, a count-distinct) goes the long way
-		// round, with every row's group spelled out.
+// that aggregation's accumulators, in row order. A nil column is one the
+// block does not have: every row observes zero. A nil grp is a plan with one
+// group, whose sum, min and max kernels keep accumulator 0 in registers; the
+// other kernels are handed every row's group spelled out.
+func (s *scanner) aggregate(c *aggColumn, a Aggregation, col column.Column, grp, sel []uint32) error {
+	if grp == nil && (a.Op.percentile() || a.Op == AggCountDistinct) {
 		s.acc = grow(s.acc, len(sel))
 		clear(s.acc)
 		grp = s.acc
 	}
 	if a.Op == AggCountDistinct {
-		return s.distinct(st, a, col, grp, sel)
+		return s.distinct(c.sets, a, col, grp, sel)
 	}
-	switch c := col.(type) {
+	switch col := col.(type) {
 	case nil:
-		if a.Op == AggCount {
-			for _, g := range grp {
-				st[g].Count++ // finish settles the rest of Observe(0)
-			}
-			break
-		}
-		for _, g := range grp {
-			acc := &st[g] // Observe(0)
-			acc.Count++
-			acc.Sum += 0
-			if 0 < acc.Min {
-				acc.Min = 0
-			}
-			if 0 > acc.Max {
-				acc.Max = 0
-			}
-		}
-		if a.Op.percentile() {
-			for _, g := range grp {
-				st[g].Hist.bump(0)
-			}
-		}
+		s.ints = grow(s.ints, len(sel))
+		clear(s.ints)
+		accumulate(c, len(s.keys), a.Op, s.ints, grp, s.all[:len(sel)])
 	case *column.Int64Column:
-		observe(st, c.Values, grp, sel, a.Op.percentile())
+		accumulate(c, len(s.keys), a.Op, col.Values, grp, sel)
 	case *column.Float64Column:
-		observe(st, c.Values, grp, sel, a.Op.percentile())
+		accumulate(c, len(s.keys), a.Op, col.Values, grp, sel)
 	default:
 		return fmt.Errorf("query: cannot aggregate column %q of type %v", a.Column, col.Type())
 	}
 	return nil
 }
 
-// observe is AggState.Observe over a column's values in place: one pass,
-// one float64 add per live row, in row order.
-func observe[T int64 | float64](st []AggState, vals []T, grp, sel []uint32, hist bool) {
-	if hist {
+// accumulate is the op's kernel over a column's values in place: one pass,
+// each live row's value converted to float64 once and folded into its
+// group's accumulator in row order (so a sum adds what AggState.Observe
+// would, in the order it would); a percentile bumps its group's table row.
+func accumulate[T int64 | float64](c *aggColumn, groups int, op AggOp, vals []T, grp, sel []uint32) {
+	acc := c.vals
+	switch {
+	case op.percentile():
+		bumpAll(&c.hist, groups, vals, grp, sel)
+	case grp == nil:
+		a := acc[0]
+		switch op {
+		case AggSum, AggAvg:
+			for _, i := range sel {
+				a += float64(vals[i])
+			}
+		case AggMin:
+			for _, i := range sel {
+				if v := float64(vals[i]); v < a {
+					a = v
+				}
+			}
+		case AggMax:
+			for _, i := range sel {
+				if v := float64(vals[i]); v > a {
+					a = v
+				}
+			}
+		}
+		acc[0] = a
+	case op == AggSum || op == AggAvg:
 		for k, i := range sel {
-			a, v := &st[grp[k]], float64(vals[i])
-			a.Count++
-			a.Sum += v
-			if v < a.Min {
-				a.Min = v
-			}
-			if v > a.Max {
-				a.Max = v
-			}
-			a.Hist.bump(bucketOf(v))
+			acc[grp[k]] += float64(vals[i])
 		}
-		return
-	}
-	for k, i := range sel {
-		a, v := &st[grp[k]], float64(vals[i])
-		a.Count++
-		a.Sum += v
-		if v < a.Min {
-			a.Min = v
+	case op == AggMin:
+		for k, i := range sel {
+			if v := float64(vals[i]); v < acc[grp[k]] {
+				acc[grp[k]] = v
+			}
 		}
-		if v > a.Max {
-			a.Max = v
+	case op == AggMax:
+		for k, i := range sel {
+			if v := float64(vals[i]); v > acc[grp[k]] {
+				acc[grp[k]] = v
+			}
 		}
 	}
 }
 
-// observeOne is observe for a plan with one group: the same values in the
-// same order into one accumulator, which stays in registers for the block.
-func observeOne[T int64 | float64](a *AggState, vals []T, sel []uint32, hist bool) {
-	sum, lo, hi := a.Sum, a.Min, a.Max
-	for _, i := range sel {
-		v := float64(vals[i])
-		sum += v
-		if v < lo {
-			lo = v
+// bumpAll counts each live row's value in its group's row of the table,
+// holding the window and the table in locals until a value falls outside
+// the window. An integer column is bucketed without the float.
+func bumpAll[T int64 | float64](h *flatHist, groups int, vals []T, grp, sel []uint32) {
+	ints, isInt := any(vals).([]int64)
+	lo, w, tab := h.lo, h.width, h.counts
+	for k, i := range sel {
+		var b int
+		if isInt {
+			b = bucketOfInt(ints[i])
+		} else {
+			b = bucketOf(float64(vals[i]))
 		}
-		if v > hi {
-			hi = v
+		if uint(b-lo) >= uint(w) {
+			h.widen(b, groups)
+			lo, w, tab = h.lo, h.width, h.counts
 		}
-	}
-	a.Count, a.Sum, a.Min, a.Max = a.Count+int64(len(sel)), sum, lo, hi
-	if hist {
-		for _, i := range sel {
-			a.Hist.bump(bucketOf(float64(vals[i])))
-		}
+		tab[int(grp[k])*w+b-lo]++
 	}
 }
 
@@ -890,23 +924,20 @@ func observeOne[T int64 | float64](a *AggState, vals []T, sel []uint32, hist boo
 // over a string column; past it every row goes to the group's set.
 const distinctBits = 1 << 22
 
-// distinct is AggState.ObserveDistinct over the live rows. On a dictionary
-// column it marks (group, ID) pairs and touches a string — and the group's
-// set — once per pair per block.
-func (s *scanner) distinct(st []AggState, a Aggregation, col column.Column, grp, sel []uint32) error {
-	for _, g := range grp {
-		st[g].Count++
-	}
+// distinct is AggState.ObserveDistinct over the live rows, into the groups'
+// sets. On a dictionary column it marks (group, ID) pairs and touches a
+// string — and the group's set — once per pair per block.
+func (s *scanner) distinct(sets []map[string]bool, a Aggregation, col column.Column, grp, sel []uint32) error {
 	switch c := col.(type) {
 	case nil:
 		for _, g := range grp {
-			if set := st[g].Distinct; !set[""] {
+			if set := sets[g]; !set[""] {
 				set[""] = true
 			}
 		}
 	case *column.StringColumn:
 		width := uint64(len(c.Dict))
-		if bits := uint64(len(st)) * width; bits <= distinctBits {
+		if bits := uint64(len(sets)) * width; bits <= distinctBits {
 			s.seen = grow(s.seen, int(bits+63)/64)
 			seen := s.seen
 			clear(seen)
@@ -915,25 +946,25 @@ func (s *scanner) distinct(st []AggState, a Aggregation, col column.Column, grp,
 				bit := uint64(g)*width + uint64(id)
 				if seen[bit>>6]&(1<<(bit&63)) == 0 {
 					seen[bit>>6] |= 1 << (bit & 63)
-					st[g].Distinct[c.Dict[id]] = true
+					sets[g][c.Dict[id]] = true
 				}
 			}
 			break
 		}
 		for k, i := range sel {
-			st[grp[k]].Distinct[c.Dict[c.IDs[i]]] = true
+			sets[grp[k]][c.Dict[c.IDs[i]]] = true
 		}
 	case *column.Int64Column:
 		for k, i := range sel {
 			s.text = strconv.AppendInt(s.text[:0], c.Values[i], 10)
-			if set := st[grp[k]].Distinct; !set[string(s.text)] {
+			if set := sets[grp[k]]; !set[string(s.text)] {
 				set[string(s.text)] = true
 			}
 		}
 	case *column.Float64Column:
 		for k, i := range sel {
 			s.text = strconv.AppendFloat(s.text[:0], c.Values[i], 'g', -1, 64)
-			if set := st[grp[k]].Distinct; !set[string(s.text)] {
+			if set := sets[grp[k]]; !set[string(s.text)] {
 				set[string(s.text)] = true
 			}
 		}

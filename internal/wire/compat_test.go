@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"flag"
+	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -15,6 +17,7 @@ import (
 	"scuba/internal/obs"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
+	"scuba/internal/table"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata")
@@ -47,7 +50,10 @@ type v3Response struct {
 
 // rows finalizes an older peer's view of a result the way that peer would:
 // its dense histograms as they are, its groups in whatever order they came.
-func (r *v3Result) rows(q *query.Query) []query.Row {
+func (r *v3Result) rows(q *query.Query) []query.Row { return r.result().Rows(q) }
+
+// result is an older peer's view of a result as a Result, its groups sorted.
+func (r *v3Result) result() *query.Result {
 	res := &query.Result{}
 	for _, g := range r.Groups {
 		aggs := make([]query.AggState, len(g.Aggs))
@@ -60,7 +66,7 @@ func (r *v3Result) rows(q *query.Query) []query.Row {
 		res.Groups = append(res.Groups, query.Group{Key: g.Key, Aggs: aggs})
 	}
 	res.SortGroups()
-	return res.Rows(q)
+	return res
 }
 
 // v1QueryRequest is the canonical v1 frame pinned by the golden fixture. It
@@ -341,6 +347,85 @@ func TestNewServerAgainstOldClient(t *testing.T) {
 		for _, g := range resp.Result.Groups {
 			if h := g.Aggs[1].Hist; h == nil || h.Total != g.Aggs[1].Count || h.Total == 0 {
 				t.Fatalf("%s: group %q: dense histogram %+v for %d values", name, g.Key, h, g.Aggs[1].Count)
+			}
+		}
+	}
+}
+
+// TestMixedFleetMerge: through a rollover a leaf whose scan keeps only what
+// each op reads answers beside leaves from before it, whose accumulators fill
+// every field as Reference's do (a count's Min and Max, a percentile's Sum,
+// Min and Max). Its fields an op does not read are at their identity, so a
+// merge of the two, in either order, over the result frame or protocol 3's
+// gob result, answers what one executor over both leaves' rows answers.
+func TestMixedFleetMerge(t *testing.T) {
+	var rows []rowblock.Row
+	for i := 0; i < 600; i++ {
+		rows = append(rows, rowblock.Row{Time: int64(1000 + i), Cols: map[string]rowblock.Value{
+			"service": rowblock.StringValue([]string{"web", "ads", "search"}[i%3]),
+			"host":    rowblock.StringValue(fmt.Sprintf("h%d", i%7)),
+			"lat":     rowblock.Int64Value(int64(i * 37 % 1000)),
+			"cpu":     rowblock.Float64Value(float64(i%40)/4 - 3),
+		}})
+	}
+	q := &query.Query{Table: "events", From: 0, To: 1 << 40, TimeBucketSeconds: 200, GroupBy: []string{"service"},
+		Aggregations: []query.Aggregation{{Op: query.AggCount}, {Op: query.AggSum, Column: "cpu"},
+			{Op: query.AggAvg, Column: "lat"}, {Op: query.AggMin, Column: "cpu"}, {Op: query.AggMax, Column: "lat"},
+			{Op: query.AggP50, Column: "lat"}, {Op: query.AggP99, Column: "cpu"}, {Op: query.AggCountDistinct, Column: "host"}}}
+	want, err := query.Reference(rows, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The parent-shaped leaf holds the first rows, the per-op one the rest in
+	// a sealed block and a tail; the bucket from 1200 is in both.
+	parent, err := query.Reference(rows[:250], q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := table.New("events", table.Options{})
+	if err := tbl.AddRows(rows[250:450], 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.SealActive(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AddRows(rows[450:], 1); err != nil {
+		t.Fatal(err)
+	}
+	perOp, err := query.Execute(tbl, q, query.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full, per := parent.Groups[0].Aggs, perOp.Groups[0].Aggs; full[0].Max != 0 || full[5].Sum == 0 ||
+		per[0].Max != math.Inf(-1) || per[5].Sum != 0 || per[5].Min != math.Inf(1) {
+		t.Fatalf("not a mixed fleet: the parent's count and p50 %+v %+v, the per-op leaf's %+v %+v", full[0], full[5], per[0], per[5])
+	}
+	transports := map[string]func(*query.Result) *query.Result{
+		"result frame": func(res *query.Result) *query.Result {
+			frame, err := res.AppendFrame(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := query.DecodeResultFrame(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		},
+		"protocol 3": func(res *query.Result) *query.Result {
+			var back v3Result
+			if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v3ResultOf(res)))).Decode(&back); err != nil {
+				t.Fatal(err)
+			}
+			return back.result()
+		},
+	}
+	for name, via := range transports {
+		for i, pair := range [][2]*query.Result{{parent, perOp}, {perOp, parent}} {
+			merged := via(pair[0])
+			merged.Merge(via(pair[1]))
+			if got := merged.Rows(q); !reflect.DeepEqual(got, want.Rows(q)) {
+				t.Fatalf("%s, order %d: merged\n%+v, reference\n%+v", name, i, got, want.Rows(q))
 			}
 		}
 	}
