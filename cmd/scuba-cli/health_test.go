@@ -36,9 +36,7 @@ func healthCluster(t *testing.T, source string) (*aggregator.Aggregator, *scuba.
 	}{{now - 20, 5000, "leaf.recovery.disk"}, {now - 10, 3, "leaf.recovery.memory"}} {
 		rows := scuba.TelemetrySnapshotRows(metrics.Snapshot{
 			Counters: map[string]int64{"query.exec.count": snap.queries},
-			Gauges: map[string]metrics.GaugeValue{
-				"leaf.rows": {Value: 1000}, snap.recovery: {Value: 1},
-			},
+			Gauges:   map[string]int64{"leaf.rows": 1000, snap.recovery: 1},
 		}, source, snap.at)
 		if err := l.AddRows(scuba.SystemMetricsTable, rows); err != nil {
 			t.Fatal(err)

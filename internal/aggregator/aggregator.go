@@ -66,11 +66,11 @@ type Aggregator struct {
 	// targets.
 	Router *shard.Router
 	// Metrics, when non-nil, receives per-query instrumentation: the
-	// query.latency timer and query.latency_hist histogram (end-to-end
-	// fan-out + merge), query.count / query.errors counters, the
-	// query.leaves_total / query.leaves_answered coverage counters, a
-	// query.leaves_abandoned counter of stragglers dropped at LeafTimeout,
-	// and a query.fanout histogram of leaves answered per query. With a
+	// query.latency timer (end-to-end fan-out + merge), query.count /
+	// query.errors counters, the query.leaves_total / query.leaves_answered
+	// coverage counters, a query.leaves_abandoned counter of stragglers
+	// dropped at LeafTimeout, and a query.fanout histogram of leaves
+	// answered per query. With a
 	// Router set, query.shards_total / query.shards_answered /
 	// query.shards_unserved count per-shard coverage.
 	Metrics *metrics.Registry
@@ -306,10 +306,8 @@ collect:
 		merged.ShardsTotal = plan.shardsTotal
 	}
 	if r := a.Metrics; r != nil {
-		d := time.Since(start)
 		r.Counter("query.count").Add(1)
-		r.Timer("query.latency").Observe(d)
-		r.Histogram("query.latency_hist").ObserveDuration(d)
+		r.Timer("query.latency").Observe(time.Since(start))
 		r.Counter("query.leaves_total").Add(int64(merged.LeavesTotal))
 		r.Counter("query.leaves_answered").Add(int64(merged.LeavesAnswered))
 		r.Counter("query.leaves_abandoned").Add(int64(abandoned))

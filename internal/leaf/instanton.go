@@ -45,12 +45,12 @@ type promoteCursor struct {
 func (l *Leaf) startPromoter() {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &promoter{cancel: cancel, done: make(chan struct{})}
-	// copyTime is restart.promote.block_us. Promotion is one span for the
+	// copyTime is restart.promote.block. Promotion is one span for the
 	// whole drain, not one per block: the blocks are Leaf.promoted and this
-	// histogram of their heap copies.
-	copyTime := new(metrics.Histogram)
-	if reg := l.cfg.Obs.Registry(); reg != nil {
-		copyTime = reg.Histogram("restart.promote.block_us")
+	// timer of their heap copies.
+	copyTime := new(metrics.Timer)
+	if reg := l.registry(); reg != nil {
+		copyTime = reg.Timer("restart.promote.block")
 	}
 	var cursors []*promoteCursor
 	n := 0
@@ -117,7 +117,7 @@ func (l *Leaf) stopPromoter() {
 // promoteBlock moves one shm-resident block heap-side: clone, swap, release
 // the table's residency reference. A block that cannot be promoted stays where
 // it is — the table keeps serving it from shm, which is always safe.
-func (l *Leaf) promoteBlock(tbl *table.Table, rb *rowblock.RowBlock, copyTime *metrics.Histogram) {
+func (l *Leaf) promoteBlock(tbl *table.Table, rb *rowblock.RowBlock, copyTime *metrics.Timer) {
 	var clone *rowblock.RowBlock
 	var err error
 	copyTime.Time(func() { clone, err = l.cloneBlock(tbl.Name(), rb, true) })

@@ -79,8 +79,8 @@ type Config struct {
 	// lets repeated queries (dashboards) skip LZ4/dictionary decode. 0
 	// disables the cache.
 	DecodeCacheBytes int64
-	// Metrics, when non-nil, receives the query-path and WAL metrics; without
-	// it the query path's land in Obs's registry.
+	// Metrics, when non-nil, receives the query-path, WAL and promotion
+	// metrics; without it they land in Obs's registry (nil for both: none).
 	Metrics *metrics.Registry
 	// Obs, when non-nil, receives the restart ledger's spans — every phase of
 	// Shutdown and Start, per table and worker — as registry timers named
@@ -253,7 +253,7 @@ func New(cfg Config) (*Leaf, error) {
 		l.store = store
 	}
 	if cfg.WALDir != "" {
-		w, err := wal.Open(filepath.Join(cfg.WALDir, fmt.Sprintf("leaf%d", cfg.ID)), wal.Options{Metrics: cfg.Metrics})
+		w, err := wal.Open(filepath.Join(cfg.WALDir, fmt.Sprintf("leaf%d", cfg.ID)), wal.Options{Metrics: l.registry()})
 		if err != nil {
 			return nil, err
 		}
@@ -326,7 +326,7 @@ func (l *Leaf) attachCache(name string, tbl *table.Table) {
 	l.mu.Lock()
 	c, ok := l.caches[name]
 	if !ok {
-		c = query.NewDecodeCache(l.cfg.DecodeCacheBytes, l.queryRegistry())
+		c = query.NewDecodeCache(l.cfg.DecodeCacheBytes, l.registry())
 		l.caches[name] = c
 	}
 	l.mu.Unlock()
@@ -644,7 +644,7 @@ func (l *Leaf) queryTable(q *query.Query) (*query.Result, error) {
 		l.observeFirstQuery()
 		return &query.Result{}, nil
 	}
-	res, err := query.Execute(tbl, q, query.ExecOptions{Cache: dc, Metrics: l.queryRegistry()})
+	res, err := query.Execute(tbl, q, query.ExecOptions{Cache: dc, Metrics: l.registry()})
 	if err == nil {
 		l.observeFirstQuery()
 	}
@@ -683,9 +683,10 @@ func (l *Leaf) tableRecoverySource(tableName string) string {
 	return string(l.recovery.Path)
 }
 
-// queryRegistry picks the registry query latencies land in: Config.Metrics
-// when set, else the observer's (nil disables query metrics).
-func (l *Leaf) queryRegistry() *metrics.Registry {
+// registry picks the registry the leaf's own metrics (query path, WAL,
+// promotion) land in: Config.Metrics when set, else the observer's (nil
+// disables them).
+func (l *Leaf) registry() *metrics.Registry {
 	if l.cfg.Metrics != nil {
 		return l.cfg.Metrics
 	}

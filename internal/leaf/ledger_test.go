@@ -137,11 +137,11 @@ func TestRestartTraceAccountsForTheGap(t *testing.T) {
 			}
 			if src.wantPath == RecoveryShmView {
 				// Promotion runs behind the gap as one span; its blocks are a
-				// count on it and a histogram of their copies, not spans.
+				// count on it and a timer of their copies, not spans.
 				waitPromoted(t, l)
 				l.stopPromoter() // returns once the drain's span has ended
 				drain := l.RestartTrace().Phases(obs.PhasePromote)
-				copies := reg.Histogram("restart.promote.block_us").Stats().Count
+				copies := reg.Timer("restart.promote.block").Stats().Count
 				if len(drain) != 1 || drain[0].Blocks != blocks || copies != int64(blocks) || reg.Timer(obs.PhasePromote).Stats().Count != 1 {
 					t.Errorf("promotion of %d blocks: spans %+v, %d block copies timed", blocks, drain, copies)
 				}

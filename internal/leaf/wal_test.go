@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"scuba/internal/fault"
+	"scuba/internal/metrics"
+	"scuba/internal/obs"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
 )
@@ -461,5 +463,26 @@ func TestWALDisabledLeavesBehaviorUnchanged(t *testing.T) {
 	}
 	if l.WAL() != nil {
 		t.Fatal("WAL open without WALDir")
+	}
+}
+
+// TestObsOnlyLeafCountsTheWAL: a leaf's own metrics follow one rule — its
+// Metrics registry, else its observer's — so a leaf given only an observer
+// counts its WAL where it counts its queries.
+func TestObsOnlyLeafCountsTheWAL(t *testing.T) {
+	e := newWALEnv(t)
+	cfg := e.config(0)
+	reg := metrics.NewRegistry()
+	cfg.Obs = obs.New(reg, nil)
+	l := startLeaf(t, cfg)
+	ingest(t, l, "events", 300, 1000)
+	groupedResult(t, l, "events")
+	snap := reg.Snapshot()
+	if snap.Counters["wal.fsyncs"] < 1 || snap.Counters["wal.append_rows"] != 300 {
+		t.Errorf("wal.fsyncs = %d, wal.append_rows = %d in the observer's registry, want >= 1 and 300",
+			snap.Counters["wal.fsyncs"], snap.Counters["wal.append_rows"])
+	}
+	if got := snap.Timers["query.exec.latency"].Count; got != 1 {
+		t.Errorf("query.exec.latency count = %d, want 1", got)
 	}
 }

@@ -21,9 +21,6 @@ func TestHistogramBasics(t *testing.T) {
 	if st.Sum != 110 {
 		t.Errorf("sum = %d", st.Sum)
 	}
-	if st.IsDuration {
-		t.Error("value histogram marked as duration")
-	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -45,11 +42,10 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Errorf("p99 = %d, want within [64,100]", st.P99)
 	}
 	// Quantiles are clamped to observed extremes.
-	if q := h.Quantile(0); q < 1 {
-		t.Errorf("q0 = %d, want >= observed min", q)
-	}
-	if q := h.Quantile(1); q != 100 {
-		t.Errorf("q1 = %d, want clamped to max 100", q)
+	for _, q := range []int64{st.P50, st.P95, st.P99} {
+		if q < st.Min || q > st.Max {
+			t.Errorf("quantile %d outside [%d, %d]", q, st.Min, st.Max)
+		}
 	}
 }
 
@@ -61,13 +57,22 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
+// A duration histogram is a Timer, and a Timer holds nanoseconds: two
+// 1,500 ns samples total 3,000 ns exactly (in whole µs they would be 2,000).
 func TestHistogramDuration(t *testing.T) {
-	var h Histogram
-	h.ObserveDuration(1500 * time.Microsecond)
-	h.Time(func() {})
-	st := h.Stats()
-	if !st.IsDuration || st.Count != 2 || st.Max != 1500 {
-		t.Errorf("stats = %+v", st)
+	var tm Timer
+	tm.Observe(1500 * time.Nanosecond)
+	tm.Observe(1500 * time.Nanosecond)
+	st := tm.Stats()
+	if st.Count != 2 || st.Total != 3000*time.Nanosecond || st.Mean != 1500*time.Nanosecond {
+		t.Errorf("stats = %+v, want count 2, total 3µs, mean 1.5µs", st)
+	}
+	if st.Min != 1500 || st.Max != 1500 || st.P50 != 1500 || st.P99 != 1500 {
+		t.Errorf("min/max/p50/p99 = %v/%v/%v/%v, want 1.5µs", st.Min, st.Max, st.P50, st.P99)
+	}
+	tm.Time(func() {})
+	if st := tm.Stats(); st.Count != 3 || st.Total < 3000 {
+		t.Errorf("after Time: %+v", st)
 	}
 }
 
@@ -109,8 +114,8 @@ func TestObserveVsSnapshotRace(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perWriter; j++ {
 				r.Timer("restart.copy_out").Observe(time.Duration(j) * time.Microsecond)
-				r.Histogram("query.latency_hist").Observe(int64(i*perWriter + j))
-				r.Histogram("query.latency_hist").Stats()
+				r.Histogram("query.fanout").Observe(int64(i*perWriter + j))
+				r.Histogram("query.fanout").Stats()
 			}
 		}(i)
 	}
@@ -122,7 +127,7 @@ func TestObserveVsSnapshotRace(t *testing.T) {
 	if got := snap.Timers["restart.copy_out"].Count; got != writers*perWriter {
 		t.Errorf("timer count = %d, want %d", got, writers*perWriter)
 	}
-	if got := snap.Histograms["query.latency_hist"].Count; got != writers*perWriter {
+	if got := snap.Histograms["query.fanout"].Count; got != writers*perWriter {
 		t.Errorf("histogram count = %d, want %d", got, writers*perWriter)
 	}
 }

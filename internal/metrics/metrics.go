@@ -3,6 +3,10 @@
 // not a general metrics system — just enough to print the dashboards and
 // tables the experiments need, and to back the /metrics HTTP exposition of
 // every daemon, with no dependencies.
+//
+// A duration has one instrument, the Timer (a Histogram of nanoseconds), and
+// each duration is observed once, under one name: there is no duration gauge,
+// no µs histogram and no _hist twin beside a timer.
 package metrics
 
 import (
@@ -21,24 +25,10 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a settable value.
-type Gauge struct {
-	v atomic.Int64
-	// duration marks gauges set via SetDuration so snapshots and text
-	// output can render the microsecond value with a unit instead of as a
-	// bare count.
-	duration atomic.Bool
-}
+type Gauge struct{ v atomic.Int64 }
 
 // Set stores the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// SetDuration stores a duration in whole microseconds and marks the gauge as
-// one, so every rendering carries the unit: sub-millisecond durations are
-// common at test scale and would all round to zero in milliseconds.
-func (g *Gauge) SetDuration(d time.Duration) {
-	g.duration.Store(true)
-	g.v.Store(d.Microseconds())
-}
 
 // Add adjusts the gauge by a delta (useful for high-water tracking under
 // concurrent writers combined with Value polling).
@@ -47,28 +37,12 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value reads the gauge.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Timer accumulates durations.
-type Timer struct {
-	mu    sync.Mutex
-	count int64
-	total time.Duration
-	min   time.Duration
-	max   time.Duration
-}
+// Timer is the registry's one duration instrument: a Histogram of
+// nanoseconds, so a total stays exact and a latency keeps its distribution.
+type Timer struct{ h Histogram }
 
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.count == 0 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
-	t.count++
-	t.total += d
-}
+// Observe records one duration. Negative durations clamp to zero.
+func (t *Timer) Observe(d time.Duration) { t.h.Observe(int64(d)) }
 
 // Time runs fn and records its duration.
 func (t *Timer) Time(fn func()) {
@@ -77,22 +51,25 @@ func (t *Timer) Time(fn func()) {
 	t.Observe(time.Since(start))
 }
 
-// TimerStats is a timer snapshot.
+// TimerStats is a timer snapshot: the histogram's, read as durations.
+// Buckets' Le bounds are in nanoseconds.
 type TimerStats struct {
 	Count          int64
 	Total          time.Duration
 	Min, Max, Mean time.Duration
+	P50, P95, P99  time.Duration
+	Buckets        []HistogramBucket
 }
 
 // Stats snapshots the timer.
 func (t *Timer) Stats() TimerStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := TimerStats{Count: t.count, Total: t.total, Min: t.min, Max: t.max}
-	if t.count > 0 {
-		st.Mean = t.total / time.Duration(t.count)
+	st := t.h.Stats()
+	return TimerStats{
+		Count: st.Count, Total: time.Duration(st.Sum),
+		Min: time.Duration(st.Min), Max: time.Duration(st.Max), Mean: time.Duration(st.Mean()),
+		P50: time.Duration(st.P50), P95: time.Duration(st.P95), P99: time.Duration(st.P99),
+		Buckets: st.Buckets,
 	}
-	return st
 }
 
 // Registry names a set of metrics.
@@ -189,19 +166,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// GaugeValue is one gauge's snapshot. Unit is "us" for gauges set via
-// SetDuration and "" otherwise.
-type GaugeValue struct {
-	Value int64
-	Unit  string
-}
-
 // Snapshot is a point-in-time structured view of every metric in a
 // registry, so tests and HTTP handlers consume typed values instead of
 // parsing the text rendering.
 type Snapshot struct {
 	Counters   map[string]int64
-	Gauges     map[string]GaugeValue
+	Gauges     map[string]int64
 	Timers     map[string]TimerStats
 	Histograms map[string]HistogramStats
 	// Build is the binary's identity, nil unless EnableProcessMetrics ran.
@@ -239,7 +209,7 @@ func (r *Registry) Snapshot() Snapshot {
 
 	snap := Snapshot{
 		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]GaugeValue, len(gauges)),
+		Gauges:     make(map[string]int64, len(gauges)),
 		Timers:     make(map[string]TimerStats, len(timers)),
 		Histograms: make(map[string]HistogramStats, len(histograms)),
 		Build:      build,
@@ -248,11 +218,7 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Counters[name] = c.Value()
 	}
 	for name, g := range gauges {
-		gv := GaugeValue{Value: g.Value()}
-		if g.duration.Load() {
-			gv.Unit = "us"
-		}
-		snap.Gauges[name] = gv
+		snap.Gauges[name] = g.Value()
 	}
 	for name, t := range timers {
 		snap.Timers[name] = t.Stats()

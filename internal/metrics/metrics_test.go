@@ -59,6 +59,14 @@ func TestTimer(t *testing.T) {
 	if st.Mean != 20*time.Millisecond || st.Total != 40*time.Millisecond {
 		t.Errorf("mean/total = %v/%v", st.Mean, st.Total)
 	}
+	for _, q := range []time.Duration{st.P50, st.P95, st.P99} {
+		if q < st.Min || q > st.Max {
+			t.Errorf("quantile %v outside [%v, %v]", q, st.Min, st.Max)
+		}
+	}
+	if len(st.Buckets) != 2 || st.Buckets[0].Count != 1 || st.Buckets[1].Count != 1 {
+		t.Errorf("buckets = %+v, want the two samples in two buckets", st.Buckets)
+	}
 }
 
 func TestTimerTime(t *testing.T) {
@@ -73,35 +81,27 @@ func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("rows").Add(10)
 	r.Gauge("free").Set(99)
-	r.Gauge("busy").SetDuration(250 * time.Microsecond)
 	r.Timer("t").Observe(time.Millisecond)
-	r.Histogram("h").ObserveDuration(2 * time.Millisecond)
+	r.Histogram("h").Observe(2000)
 
 	snap := r.Snapshot()
 	if snap.Counters["rows"] != 10 {
 		t.Errorf("counter = %d", snap.Counters["rows"])
 	}
-	if g := snap.Gauges["free"]; g.Value != 99 || g.Unit != "" {
-		t.Errorf("gauge free = %+v", g)
+	if g := snap.Gauges["free"]; g != 99 {
+		t.Errorf("gauge free = %d", g)
 	}
-	if g := snap.Gauges["busy"]; g.Value != 250 || g.Unit != "us" {
-		t.Errorf("gauge busy = %+v", g)
-	}
-	if ts := snap.Timers["t"]; ts.Count != 1 || ts.Total != time.Millisecond {
+	if ts := snap.Timers["t"]; ts.Count != 1 || ts.Total != time.Millisecond || ts.P99 != time.Millisecond {
 		t.Errorf("timer = %+v", ts)
 	}
 	hs := snap.Histograms["h"]
-	if hs.Count != 1 || !hs.IsDuration || hs.Min != 2000 || hs.Max != 2000 {
+	if hs.Count != 1 || hs.Min != 2000 || hs.Max != 2000 {
 		t.Errorf("histogram = %+v", hs)
 	}
 }
 
-func TestGaugeDurationAndAdd(t *testing.T) {
+func TestGaugeAdd(t *testing.T) {
 	var g Gauge
-	g.SetDuration(1500 * time.Microsecond)
-	if got := g.Value(); got != 1500 {
-		t.Errorf("SetDuration value = %d, want 1500", got)
-	}
 	g.Set(10)
 	g.Add(5)
 	g.Add(-3)

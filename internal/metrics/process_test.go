@@ -39,7 +39,7 @@ func TestProcessMetrics(t *testing.T) {
 		t.Fatalf("GoVersion = %q", snap.Build.GoVersion)
 	}
 	up, ok := snap.Gauges["up.seconds"]
-	if !ok || up.Value < 0 {
+	if !ok || up < 0 {
 		t.Fatalf("up.seconds = %+v ok=%v", up, ok)
 	}
 	if got := r.Build(); got != *snap.Build {

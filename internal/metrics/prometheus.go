@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // PrometheusPrefix is prepended to every canonical metric name in the
@@ -15,14 +16,11 @@ const PrometheusPrefix = "scuba_"
 // Prometheus renders the snapshot in the Prometheus text exposition format
 // (text/plain; version=0.0.4):
 //
-//   - counters and plain gauges keep their integer values;
-//   - duration gauges (SetDuration, stored in µs) become <name>_seconds
-//     gauges in float seconds, per Prometheus base-unit convention;
-//   - timers become <name>_seconds summaries (_count and _sum only — the
-//     Timer keeps no distribution);
-//   - histograms expose their power-of-two buckets as cumulative le-bound
-//     buckets plus _sum and _count; duration histograms are converted from
-//     µs to <name>_seconds with float le bounds.
+//   - counters and gauges keep their integer values;
+//   - timers become <name>_seconds histograms: their power-of-two
+//     nanosecond buckets as cumulative buckets with float le bounds in
+//     seconds, plus _sum and _count;
+//   - histograms render the same way with integer le bounds and _sum.
 //
 // Every name is CanonicalName'd and prefixed with PrometheusPrefix, and
 // families sort lexically so scrapes are byte-stable for equal snapshots.
@@ -41,48 +39,35 @@ func (s Snapshot) Prometheus() string {
 		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", fam, fam, s.Counters[name])
 	}
 	for _, name := range sortedKeys(s.Gauges) {
-		g := s.Gauges[name]
 		fam := PrometheusPrefix + CanonicalName(name)
-		if g.Unit == "us" {
-			fam += "_seconds"
-			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", fam, fam, promFloat(float64(g.Value)/1e6))
-		} else {
-			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", fam, fam, g.Value)
-		}
+		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", fam, fam, s.Gauges[name])
 	}
+	seconds := func(ns int64) string { return promFloat(time.Duration(ns).Seconds()) }
 	for _, name := range sortedKeys(s.Timers) {
 		st := s.Timers[name]
-		fam := PrometheusPrefix + CanonicalName(name) + "_seconds"
-		fmt.Fprintf(&b, "# TYPE %s summary\n", fam)
-		fmt.Fprintf(&b, "%s_count %d\n", fam, st.Count)
-		fmt.Fprintf(&b, "%s_sum %s\n", fam, promFloat(st.Total.Seconds()))
+		writeHistogram(&b, PrometheusPrefix+CanonicalName(name)+"_seconds",
+			st.Buckets, st.Count, int64(st.Total), seconds)
 	}
+	integer := func(v int64) string { return strconv.FormatInt(v, 10) }
 	for _, name := range sortedKeys(s.Histograms) {
 		st := s.Histograms[name]
-		fam := PrometheusPrefix + CanonicalName(name)
-		if st.IsDuration {
-			fam += "_seconds"
-		}
-		fmt.Fprintf(&b, "# TYPE %s histogram\n", fam)
-		var cum int64
-		for _, bk := range st.Buckets {
-			cum += bk.Count
-			le := strconv.FormatInt(bk.Le, 10)
-			if st.IsDuration {
-				le = promFloat(float64(bk.Le) / 1e6)
-			}
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", fam, le, cum)
-		}
-		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", fam, st.Count)
-		sum := strconv.FormatInt(st.Sum, 10)
-		if st.IsDuration {
-			sum = promFloat(float64(st.Sum) / 1e6)
-		}
-		fmt.Fprintf(&b, "%s_sum %s\n", fam, sum)
-		fmt.Fprintf(&b, "%s_count %d\n", fam, st.Count)
+		writeHistogram(&b, PrometheusPrefix+CanonicalName(name), st.Buckets, st.Count, st.Sum, integer)
 	}
 	b.WriteString("# EOF\n")
 	return b.String()
+}
+
+// writeHistogram renders one histogram family: cumulative le buckets, the
+// +Inf bucket, _sum and _count, with format spelling le bounds and the sum.
+func writeHistogram(b *strings.Builder, fam string, buckets []HistogramBucket, count, sum int64, format func(int64) string) {
+	fmt.Fprintf(b, "# TYPE %s histogram\n", fam)
+	var cum int64
+	for _, bk := range buckets {
+		cum += bk.Count
+		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", fam, format(bk.Le), cum)
+	}
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", fam, count)
+	fmt.Fprintf(b, "%s_sum %s\n%s_count %d\n", fam, format(sum), fam, count)
 }
 
 // Prometheus renders the registry's current snapshot in Prometheus text

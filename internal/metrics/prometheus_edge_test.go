@@ -42,7 +42,6 @@ func TestPrometheusScrapeObserveRace(t *testing.T) {
 				r.Gauge("race.gauge").Set(int64(i))
 				r.Timer("race.timer").Observe(time.Duration(i) * time.Microsecond)
 				r.Histogram("race.hist").Observe(int64(i % 1000))
-				r.Histogram("race.lat_hist").ObserveDuration(time.Duration(i%500) * time.Microsecond)
 			}
 		}()
 	}

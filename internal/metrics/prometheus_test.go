@@ -11,14 +11,13 @@ func TestPrometheusCountersAndGauges(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("rows.added").Add(42)
 	r.Gauge("free").Set(1000)
-	r.Gauge("worker.busy").SetDuration(1500 * time.Microsecond)
+	r.Gauge("delta").Add(-3)
 
 	out := r.Prometheus()
 	for _, want := range []string{
 		"# TYPE scuba_rows_added counter\nscuba_rows_added 42\n",
 		"# TYPE scuba_free gauge\nscuba_free 1000\n",
-		// Duration gauges convert µs → float seconds and gain _seconds.
-		"# TYPE scuba_worker_busy_seconds gauge\nscuba_worker_busy_seconds 0.0015\n",
+		"# TYPE scuba_delta gauge\nscuba_delta -3\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -26,20 +25,28 @@ func TestPrometheusCountersAndGauges(t *testing.T) {
 	}
 }
 
-func TestPrometheusTimerSummary(t *testing.T) {
+// A timer renders as a histogram in seconds, never as a summary: its
+// nanosecond buckets become float le bounds.
+func TestPrometheusTimerHistogram(t *testing.T) {
 	r := NewRegistry()
-	r.Timer("restart.copy_in").Observe(250 * time.Millisecond)
-	r.Timer("restart.copy_in").Observe(750 * time.Millisecond)
+	r.Timer("restart.copy_in").Observe(250 * time.Millisecond) // 2.5e8 ns → le=2^28-1 ns
+	r.Timer("restart.copy_in").Observe(750 * time.Millisecond) // 7.5e8 ns → le=2^30-1 ns
 
 	out := r.Prometheus()
 	for _, want := range []string{
-		"# TYPE scuba_restart_copy_in_seconds summary\n",
+		"# TYPE scuba_restart_copy_in_seconds histogram\n",
+		`scuba_restart_copy_in_seconds_bucket{le="0.268435455"} 1`,
+		`scuba_restart_copy_in_seconds_bucket{le="1.073741823"} 2`,
+		`scuba_restart_copy_in_seconds_bucket{le="+Inf"} 2`,
 		"scuba_restart_copy_in_seconds_count 2\n",
 		"scuba_restart_copy_in_seconds_sum 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, " summary\n") {
+		t.Errorf("a timer rendered as a summary:\n%s", out)
 	}
 }
 
@@ -69,18 +76,18 @@ func TestPrometheusHistogramBuckets(t *testing.T) {
 
 func TestPrometheusDurationHistogramSeconds(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("query.latency_hist")
-	h.ObserveDuration(100 * time.Microsecond) // 100µs → bucket le=127µs
-	h.ObserveDuration(2 * time.Millisecond)   // 2000µs → bucket le=2047µs
+	tm := r.Timer("query.latency")
+	tm.Observe(100 * time.Microsecond) // 100,000 ns → bucket le=131,071 ns
+	tm.Observe(2 * time.Millisecond)   // 2,000,000 ns → bucket le=2,097,151 ns
 
 	out := r.Prometheus()
 	for _, want := range []string{
-		"# TYPE scuba_query_latency_hist_seconds histogram\n",
-		`scuba_query_latency_hist_seconds_bucket{le="0.000127"} 1`,
-		`scuba_query_latency_hist_seconds_bucket{le="0.002047"} 2`,
-		`scuba_query_latency_hist_seconds_bucket{le="+Inf"} 2`,
-		"scuba_query_latency_hist_seconds_sum 0.0021\n",
-		"scuba_query_latency_hist_seconds_count 2\n",
+		"# TYPE scuba_query_latency_seconds histogram\n",
+		`scuba_query_latency_seconds_bucket{le="0.000131071"} 1`,
+		`scuba_query_latency_seconds_bucket{le="0.002097151"} 2`,
+		`scuba_query_latency_seconds_bucket{le="+Inf"} 2`,
+		"scuba_query_latency_seconds_sum 0.0021\n",
+		"scuba_query_latency_seconds_count 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -121,9 +128,9 @@ func TestPrometheusRaces(t *testing.T) {
 				default:
 				}
 				r.Counter("c").Add(1)
-				r.Gauge("g").SetDuration(time.Millisecond)
+				r.Gauge("g").Set(1)
 				r.Timer("t").Observe(time.Microsecond)
-				r.Histogram("h").ObserveDuration(time.Microsecond)
+				r.Histogram("h").Observe(1)
 			}
 		}()
 	}

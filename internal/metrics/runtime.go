@@ -13,7 +13,7 @@ import (
 //
 //	runtime.goroutines     gauge, current goroutine count
 //	runtime.heap_bytes     gauge, heap held by objects (MemStats.HeapAlloc)
-//	runtime.gc_pause_hist  histogram of GC stop-the-world pauses, one per
+//	runtime.gc_pause       timer of GC stop-the-world pauses, one per
 //	                       completed cycle
 //
 // The sample is read from runtime/metrics, which does not stop the world as
@@ -28,7 +28,7 @@ func (r *Registry) EnableRuntimeMetrics() {
 		{Name: "/sched/pauses/total/gc:seconds"},
 	}
 	var mu sync.Mutex // guards the sample buffers and the cursor below
-	var cycles uint64 // completed GC cycles already folded into the histogram
+	var cycles uint64 // completed GC cycles already folded into the timer
 	var seen []uint64 // and their pauses, per runtime bucket
 	r.OnSnapshot("runtime", func() {
 		mu.Lock()
@@ -48,11 +48,11 @@ func (r *Registry) EnableRuntimeMetrics() {
 		if n == 0 || fresh == 0 {
 			return // no cycle has finished since the last sample
 		}
-		// A cycle stops the world twice; the histogram keeps one pause per
+		// A cycle stops the world twice; the timer keeps one pause per
 		// cycle, as MemStats.PauseNs did: the fresh pauses are walked in
 		// ascending order and the last of every fresh/n of them observed, so
 		// the count is the cycles and the longest pause always lands.
-		h := r.Histogram("runtime.gc_pause_hist")
+		t := r.Timer("runtime.gc_pause")
 		var rank uint64
 		k := uint64(1)
 		for i, c := range pauses.Counts {
@@ -63,7 +63,7 @@ func (r *Registry) EnableRuntimeMetrics() {
 				if math.IsInf(v, 1) {
 					v = pauses.Buckets[i]
 				}
-				h.ObserveDuration(time.Duration(v * float64(time.Second)))
+				t.Observe(time.Duration(v * float64(time.Second)))
 			}
 		}
 		cycles += n

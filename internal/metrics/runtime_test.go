@@ -23,51 +23,52 @@ func TestRuntimeMetrics(t *testing.T) {
 	runtime.GC()
 	snap := r.Snapshot()
 
-	if g := snap.Gauges["runtime.goroutines"]; g.Value < 1 {
-		t.Fatalf("runtime.goroutines = %d, want >= 1", g.Value)
+	if g := snap.Gauges["runtime.goroutines"]; g < 1 {
+		t.Fatalf("runtime.goroutines = %d, want >= 1", g)
 	}
-	if g := snap.Gauges["runtime.heap_bytes"]; g.Value <= 0 {
-		t.Fatalf("runtime.heap_bytes = %d, want > 0", g.Value)
+	if g := snap.Gauges["runtime.heap_bytes"]; g <= 0 {
+		t.Fatalf("runtime.heap_bytes = %d, want > 0", g)
 	}
-	h := snap.Histograms["runtime.gc_pause_hist"]
+	h := snap.Timers["runtime.gc_pause"]
 	if h.Count < 2 {
-		t.Fatalf("gc_pause_hist count = %d, want >= 2 after two forced GCs", h.Count)
+		t.Fatalf("gc_pause count = %d, want >= 2 after two forced GCs", h.Count)
 	}
 
 	// A second snapshot must not re-observe the same pauses.
 	before := h.Count
-	after := r.Snapshot().Histograms["runtime.gc_pause_hist"]
+	after := r.Snapshot().Timers["runtime.gc_pause"]
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	// Concurrent GCs can legitimately add pauses between snapshots; what is
 	// forbidden is double counting: total observed never exceeds NumGC.
 	if after.Count < before || after.Count > int64(ms.NumGC) {
-		t.Fatalf("gc_pause_hist count went %d -> %d with NumGC=%d", before, after.Count, ms.NumGC)
+		t.Fatalf("gc_pause count went %d -> %d with NumGC=%d", before, after.Count, ms.NumGC)
 	}
 
 	out := r.Prometheus()
-	for _, want := range []string{"\nscuba_runtime_goroutines ", "\nscuba_runtime_heap_bytes ", "# TYPE scuba_runtime_gc_pause_hist_seconds histogram"} {
+	for _, want := range []string{"\nscuba_runtime_goroutines ", "\nscuba_runtime_heap_bytes ", "# TYPE scuba_runtime_gc_pause_seconds histogram"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in rendering:\n%s", want, out)
 		}
 	}
 }
 
-// Every completed GC cycle lands in gc_pause_hist once, read from
-// runtime/metrics between two snapshots (no stop-the-world sampler).
+// Every completed GC cycle lands in the gc_pause timer's histogram once,
+// read from runtime/metrics between two snapshots (no stop-the-world
+// sampler), as a nonzero duration.
 func TestGCPauseHistCountsEveryCycle(t *testing.T) {
 	r := NewRegistry()
 	r.EnableRuntimeMetrics()
-	before := r.Snapshot().Histograms["runtime.gc_pause_hist"].Count
+	before := r.Snapshot().Timers["runtime.gc_pause"].Count
 	for range 3 {
 		runtime.GC()
 	}
-	after := r.Snapshot().Histograms["runtime.gc_pause_hist"]
+	after := r.Snapshot().Timers["runtime.gc_pause"]
 	if after.Count-before < 3 {
-		t.Fatalf("gc_pause_hist count %d -> %d across three forced GCs, want +3 or more", before, after.Count)
+		t.Fatalf("gc_pause count %d -> %d across three forced GCs, want +3 or more", before, after.Count)
 	}
-	if !after.IsDuration {
-		t.Fatal("gc_pause_hist lost its duration unit")
+	if after.Max <= 0 || after.P99 > after.Max {
+		t.Fatalf("gc_pause max %v, p99 %v: want a positive duration, p99 within it", after.Max, after.P99)
 	}
 }
 
@@ -79,8 +80,8 @@ func TestOnSnapshotHook(t *testing.T) {
 	r.OnSnapshot("x", func() { calls++; r.Gauge("x").Set(int64(calls)) })
 	r.OnSnapshot("x", func() { t.Fatal("second hook under one name ran") })
 	r.Snapshot()
-	if g := r.Snapshot().Gauges["x"]; g.Value != 2 || calls != 2 {
-		t.Fatalf("gauge x = %d after %d calls, want 2 and 2", g.Value, calls)
+	if g := r.Snapshot().Gauges["x"]; g != 2 || calls != 2 {
+		t.Fatalf("gauge x = %d after %d calls, want 2 and 2", g, calls)
 	}
 }
 
@@ -106,9 +107,9 @@ func TestRuntimeSnapshotsConcurrently(t *testing.T) {
 	// between NumGC just before the last snapshot and just after it.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got := r.Snapshot().Histograms["runtime.gc_pause_hist"].Count
+	got := r.Snapshot().Timers["runtime.gc_pause"].Count
 	runtime.ReadMemStats(&after)
 	if got < int64(before.NumGC) || got > int64(after.NumGC) {
-		t.Fatalf("gc_pause_hist count = %d, NumGC %d before the snapshot and %d after", got, before.NumGC, after.NumGC)
+		t.Fatalf("gc_pause count = %d, NumGC %d before the snapshot and %d after", got, before.NumGC, after.NumGC)
 	}
 }

@@ -42,7 +42,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	h, reg := newTestHandler(t)
 	reg.Counter("rpc.query").Add(3)
 	reg.Timer(PhaseCopyIn).Observe(5 * time.Millisecond)
-	reg.Histogram("query.latency_hist").ObserveDuration(2 * time.Millisecond)
+	reg.Timer("query.latency").Observe(2 * time.Millisecond)
 
 	srv := httptest.NewServer(h)
 	defer srv.Close()
@@ -62,11 +62,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE scuba_rpc_query counter",
 		"scuba_rpc_query 3",
-		"# TYPE scuba_restart_copy_in_seconds summary",
+		"# TYPE scuba_restart_copy_in_seconds histogram",
 		"scuba_restart_copy_in_seconds_count 1",
-		"# TYPE scuba_query_latency_hist_seconds histogram",
-		`scuba_query_latency_hist_seconds_bucket{le="+Inf"} 1`,
-		"scuba_query_latency_hist_seconds_count 1",
+		"# TYPE scuba_query_latency_seconds histogram",
+		`scuba_query_latency_seconds_bucket{le="+Inf"} 1`,
+		"scuba_query_latency_seconds_count 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing %q in:\n%s", want, body)
@@ -79,7 +79,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestMetricsEndpointPrometheus(t *testing.T) {
 	h, reg := newTestHandler(t)
 	reg.Counter("rpc.query").Add(3)
-	reg.Histogram("query.latency_hist").ObserveDuration(2 * time.Millisecond)
+	reg.Timer("query.latency").Observe(2 * time.Millisecond)
 
 	srv := httptest.NewServer(h)
 	defer srv.Close()

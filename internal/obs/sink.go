@@ -432,9 +432,10 @@ func (s *Sink) RecordRecorderEvents(run string, events []Event) {
 }
 
 // SnapshotRows converts a metrics snapshot into __system.metrics rows: one
-// row per metric, named canonically, stamped with source and time. Timers
-// and histograms flatten to count/sum/min/max/mean (+p50/p95/p99 for
-// histograms), all durations in whole microseconds.
+// row per metric, named canonically, stamped with source and time. A counter
+// or gauge row has value; a histogram row count, sum, min, max, mean, p50,
+// p95 and p99; a timer row count and the same six as whole microseconds
+// (sum_us ... p99_us).
 func SnapshotRows(snap metrics.Snapshot, source string, now int64) []rowblock.Row {
 	rows := make([]rowblock.Row, 0,
 		len(snap.Counters)+len(snap.Gauges)+len(snap.Timers)+len(snap.Histograms))
@@ -450,12 +451,9 @@ func SnapshotRows(snap metrics.Snapshot, source string, now int64) []rowblock.Ro
 		cols["value"] = rowblock.Int64Value(v)
 		rows = append(rows, rowblock.Row{Time: now, Cols: cols})
 	}
-	for name, g := range snap.Gauges {
+	for name, v := range snap.Gauges {
 		cols := base("gauge", name)
-		cols["value"] = rowblock.Int64Value(g.Value)
-		if g.Unit != "" {
-			cols["unit"] = rowblock.StringValue(g.Unit)
-		}
+		cols["value"] = rowblock.Int64Value(v)
 		rows = append(rows, rowblock.Row{Time: now, Cols: cols})
 	}
 	for name, st := range snap.Timers {
@@ -465,6 +463,9 @@ func SnapshotRows(snap metrics.Snapshot, source string, now int64) []rowblock.Ro
 		cols["min_us"] = rowblock.Int64Value(st.Min.Microseconds())
 		cols["max_us"] = rowblock.Int64Value(st.Max.Microseconds())
 		cols["mean_us"] = rowblock.Int64Value(st.Mean.Microseconds())
+		cols["p50_us"] = rowblock.Int64Value(st.P50.Microseconds())
+		cols["p95_us"] = rowblock.Int64Value(st.P95.Microseconds())
+		cols["p99_us"] = rowblock.Int64Value(st.P99.Microseconds())
 		rows = append(rows, rowblock.Row{Time: now, Cols: cols})
 	}
 	for name, st := range snap.Histograms {
@@ -477,9 +478,6 @@ func SnapshotRows(snap metrics.Snapshot, source string, now int64) []rowblock.Ro
 		cols["p50"] = rowblock.Int64Value(st.P50)
 		cols["p95"] = rowblock.Int64Value(st.P95)
 		cols["p99"] = rowblock.Int64Value(st.P99)
-		if st.IsDuration {
-			cols["unit"] = rowblock.StringValue("us")
-		}
 		rows = append(rows, rowblock.Row{Time: now, Cols: cols})
 	}
 	return rows

@@ -59,9 +59,10 @@ func TestIsSystemTable(t *testing.T) {
 func TestSinkSnapshotRows(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("rows.added").Add(7)
-	reg.Gauge("worker.busy").SetDuration(1500 * time.Microsecond)
+	reg.Gauge("leaf.free_memory").Set(1500)
 	reg.Timer("restart.copy_in").Observe(2 * time.Millisecond)
-	reg.Histogram("query.latency_hist").ObserveDuration(300 * time.Microsecond)
+	reg.Timer("query.latency").Observe(300 * time.Microsecond)
+	reg.Histogram("query.fanout").Observe(3)
 
 	var c collectEmit
 	s := NewSink(SinkConfig{
@@ -90,15 +91,23 @@ func TestSinkSnapshotRows(t *testing.T) {
 		cr.Cols["value"].Int != 7 || cr.Cols["source"].Str != "leaf0" {
 		t.Errorf("counter row = %+v", cr)
 	}
-	if g := byName["worker_busy"]; g.Cols["unit"].Str != "us" || g.Cols["value"].Int != 1500 {
-		t.Errorf("duration gauge row = %+v", g)
+	if g := byName["leaf_free_memory"]; g.Cols["type"].Str != "gauge" || g.Cols["value"].Int != 1500 {
+		t.Errorf("gauge row = %+v", g)
 	}
-	if tm := byName["restart_copy_in"]; tm.Cols["count"].Int != 1 || tm.Cols["sum_us"].Int != 2000 {
+	if tm := byName["restart_copy_in"]; tm.Cols["count"].Int != 1 || tm.Cols["sum_us"].Int != 2000 ||
+		tm.Cols["p50_us"].Int != 2000 || tm.Cols["p99_us"].Int != 2000 {
 		t.Errorf("timer row = %+v", tm)
 	}
-	h := byName["query_latency_hist"]
-	if h.Cols["count"].Int != 1 || h.Cols["p50"].Int != 300 || h.Cols["unit"].Str != "us" {
+	if tm := byName["query_latency"]; tm.Cols["type"].Str != "timer" || tm.Cols["p50_us"].Int != 300 || tm.Cols["p95_us"].Int != 300 {
+		t.Errorf("latency timer row = %+v", tm)
+	}
+	if h := byName["query_fanout"]; h.Cols["type"].Str != "histogram" || h.Cols["count"].Int != 1 || h.Cols["p50"].Int != 3 {
 		t.Errorf("histogram row = %+v", h)
+	}
+	for _, r := range rows {
+		if _, ok := r.Cols["unit"]; ok {
+			t.Errorf("row %s has a unit column: a duration is a timer row in µs", r.Cols["name"].Str)
+		}
 	}
 	// Sink accounting landed in the registry.
 	if got := reg.Counter("sink.rows").Value(); got != int64(len(rows)) {

@@ -114,7 +114,7 @@ type Tracer struct {
 	opts TracerOptions
 
 	mu  sync.Mutex
-	lat *metrics.Histogram // latency distribution for adaptive sampling
+	lat *metrics.Timer // latency distribution for adaptive sampling
 
 	traceCount *metrics.Counter
 	slowCount  *metrics.Counter
@@ -125,7 +125,7 @@ type Tracer struct {
 // The zero options give adaptive (p99) slow sampling. Works on a nil
 // Observer: traces are still classified and counted.
 func (o *Observer) Tracer(opts TracerOptions) *Tracer {
-	t := &Tracer{o: o, opts: opts, lat: &metrics.Histogram{}, traceCount: &metrics.Counter{}, slowCount: &metrics.Counter{}}
+	t := &Tracer{o: o, opts: opts, lat: &metrics.Timer{}, traceCount: &metrics.Counter{}, slowCount: &metrics.Counter{}}
 	if reg := o.Registry(); reg != nil {
 		t.traceCount, t.slowCount = reg.Counter("trace.count"), reg.Counter("trace.slow")
 	}
@@ -158,7 +158,7 @@ func (t *Tracer) Record(tr Trace) bool {
 	root := &tr[0]
 	t.mu.Lock()
 	root.Slow = t.isSlowLocked(root.Duration)
-	t.lat.ObserveDuration(root.Duration)
+	t.lat.Observe(root.Duration)
 	if root.Slow {
 		t.slowCount.Add(1)
 	}
@@ -182,7 +182,7 @@ func (t *Tracer) isSlowLocked(d time.Duration) bool {
 	// Strictly above p99: in a tight uniform workload the typical latency
 	// IS the p99 estimate, and nothing should be flagged until a real
 	// outlier shows up.
-	return d.Microseconds() > st.P99
+	return d > st.P99
 }
 
 // dedupeSpans keeps one span per span ID, preferring the one that answered

@@ -29,7 +29,7 @@ const (
 	TriggerInterval  = "interval"   // steady-cadence capture
 	TriggerSlowQuery = "slow_query" // a slow trace hit the tracer ring
 	TriggerRestart   = "restart"    // a restart phase blew its budget
-	TriggerGCPause   = "gc_pause"   // runtime.gc_pause_hist p99 over budget
+	TriggerGCPause   = "gc_pause"   // runtime.gc_pause p99 over budget
 )
 
 // Config configures a Profiler.
@@ -59,7 +59,7 @@ type Config struct {
 	// AnomalyCooldown is the minimum gap between anomaly-triggered
 	// captures (default 15s). The first anomaly is always captured.
 	AnomalyCooldown time.Duration
-	// GCPauseBudget: a runtime.gc_pause_hist p99 above this (with new GCs
+	// GCPauseBudget: a runtime.gc_pause p99 above this (with new GCs
 	// since the last check) triggers a gc_pause capture (default 50ms).
 	GCPauseBudget time.Duration
 	// Clock overrides time.Now for tests. Only stamps rows and cooldowns;
@@ -280,9 +280,9 @@ func (p *Profiler) checkGCPause() {
 	if reg == nil {
 		return
 	}
-	// Snapshot refreshes the runtime sampler (that is where gc_pause_hist
-	// gets its data between scrapes).
-	st, ok := reg.Snapshot().Histograms["runtime.gc_pause_hist"]
+	// Snapshot refreshes the runtime sampler (that is where gc_pause gets
+	// its data between scrapes).
+	st, ok := reg.Snapshot().Timers["runtime.gc_pause"]
 	if !ok || st.Count == 0 {
 		return
 	}
@@ -290,11 +290,10 @@ func (p *Profiler) checkGCPause() {
 	grew := st.Count > p.lastGCCount
 	p.lastGCCount = st.Count
 	p.mu.Unlock()
-	p99 := time.Duration(st.P99) * time.Microsecond
-	if !grew || p99 <= p.cfg.GCPauseBudget {
+	if !grew || st.P99 <= p.cfg.GCPauseBudget {
 		return
 	}
-	detail := "gc_pause_p99=" + p99.String() + " budget=" + p.cfg.GCPauseBudget.String()
+	detail := "gc_pause_p99=" + st.P99.String() + " budget=" + p.cfg.GCPauseBudget.String()
 	p.TriggerCapture(TriggerGCPause, detail, 0)
 }
 

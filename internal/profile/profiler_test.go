@@ -196,7 +196,7 @@ func TestGCPauseSpikeTriggersCapture(t *testing.T) {
 	// No data yet: no trigger.
 	p.checkGCPause()
 	// A 100ms pause lands the p99 far over the 1ms budget.
-	reg.Histogram("runtime.gc_pause_hist").ObserveDuration(100 * time.Millisecond)
+	reg.Timer("runtime.gc_pause").Observe(100 * time.Millisecond)
 	p.checkGCPause()
 	waitRows(t, func() bool { return len(trap.byTrigger(TriggerGCPause)) > 0 })
 	before := len(trap.byTrigger(TriggerGCPause))

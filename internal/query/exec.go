@@ -40,7 +40,7 @@ type ExecOptions struct {
 	// every query against the same table; safe for concurrent use).
 	Cache *DecodeCache
 	// Metrics, when non-nil, receives the per-query execution latency — the
-	// query.exec.latency timer and query.exec.latency_hist histogram — plus
+	// query.exec.latency timer — plus
 	// the query.exec.count, query.exec.errors and query.blocks_pruned
 	// counters. The names carry the "exec." infix so a daemon sharing one
 	// registry between its wire server (which times whole RPCs as
@@ -66,9 +66,7 @@ func Execute(tbl *table.Table, q *Query, opts ExecOptions) (*Result, error) {
 		if err != nil {
 			reg.Counter("query.exec.errors").Add(1)
 		} else {
-			d := time.Since(start)
-			reg.Timer("query.exec.latency").Observe(d)
-			reg.Histogram("query.exec.latency_hist").ObserveDuration(d)
+			reg.Timer("query.exec.latency").Observe(time.Since(start))
 			reg.Counter("query.blocks_pruned").Add(res.BlocksPruned)
 		}
 	}

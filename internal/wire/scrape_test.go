@@ -44,8 +44,21 @@ func TestScrapeAfterTracedQueryIsTextFormat004(t *testing.T) {
 	if _, _, err := up.QueryTraced(countQuery(), tc); err != nil {
 		t.Fatal(err)
 	}
-	if st := reg.Histogram("query.latency_hist").Stats(); st.Count != 2 {
-		t.Fatalf("query.latency_hist count = %d, want the leaf's and the aggregator's", st.Count)
+	// The latency is observed once per layer, by one timer: no other
+	// family holds it.
+	snap := reg.Snapshot()
+	if st := snap.Timers["query.latency"]; st.Count != 2 {
+		t.Fatalf("query.latency count = %d, want the leaf's and the aggregator's", st.Count)
+	}
+	for name := range snap.Histograms {
+		if strings.Contains(name, "latency") {
+			t.Errorf("histogram %q holds a latency the query.latency timer already has", name)
+		}
+	}
+	for name := range snap.Timers {
+		if strings.Contains(name, "latency") && name != "query.latency" && name != "query.exec.latency" {
+			t.Errorf("timer %q holds a latency the query.latency timer already has", name)
+		}
 	}
 
 	srv := httptest.NewServer(obs.Handler(obs.HandlerConfig{Registry: reg}))
@@ -67,7 +80,7 @@ func TestScrapeAfterTracedQueryIsTextFormat004(t *testing.T) {
 		if !sample004.MatchString(line) {
 			t.Errorf("not a 0.0.4 sample line: %q", line)
 		}
-		if strings.HasPrefix(line, "scuba_query_latency_hist_seconds_bucket{") {
+		if strings.HasPrefix(line, "scuba_query_latency_seconds_bucket{") {
 			buckets++
 		}
 	}

@@ -311,9 +311,7 @@ func (s *Server) handle(req *Request) *Response {
 			s.reg.Counter("rpc.errors").Add(1)
 			return &Response{Err: err.Error()}
 		}
-		d := time.Since(start)
-		s.reg.Timer("query.latency").Observe(d)
-		s.reg.Histogram("query.latency_hist").ObserveDuration(d)
+		s.reg.Timer("query.latency").Observe(time.Since(start))
 		if req.Trace.TraceID == 0 {
 			exec = nil // the report travels only on a traced request
 		}

@@ -101,11 +101,18 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 	body := httpGetBody(t, "http://"+httpAddr+"/metrics")
 	for _, want := range []string{
 		"\nscuba_rpc_query 3\n",
+		"\n# TYPE scuba_query_latency_seconds histogram\n",
 		"\nscuba_query_latency_seconds_count 3\n",
-		"\nscuba_query_latency_hist_seconds_count 3\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
+	}
+	// Each latency is one timer, rendered as one histogram: no "_hist" twin
+	// family and no summary.
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") && (strings.Contains(line, "_hist") || strings.HasSuffix(line, " summary")) {
+			t.Errorf("/metrics has %q", line)
 		}
 	}
 
