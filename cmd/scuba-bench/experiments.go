@@ -171,7 +171,7 @@ func translateRowFormat(dir string, l *scuba.Leaf) (rowTranslate, error) {
 	start := time.Now()
 	for _, name := range l.Tables() {
 		for i, rb := range l.Table(name).Blocks() {
-			data, err := disk.EncodeRowFormat(rb)
+			data, err := encodeRowFormat(rb)
 			if err != nil {
 				return tr, err
 			}
@@ -191,7 +191,7 @@ func translateRowFormat(dir string, l *scuba.Leaf) (rowTranslate, error) {
 		}
 		tr.read += time.Since(start)
 		start = time.Now()
-		rb, err := disk.DecodeRowFormat(data)
+		rb, err := decodeRowFormat(data)
 		if err != nil {
 			return tr, err
 		}

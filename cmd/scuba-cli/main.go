@@ -241,6 +241,8 @@ func parseFilter(s string) (scuba.Filter, error) {
 			if n, err := strconv.ParseInt(val, 10, 64); err == nil {
 				f.Int = n
 				f.Float = float64(n)
+			} else if x, err := strconv.ParseFloat(val, 64); err == nil {
+				f.Float = x
 			}
 			f.Str = val
 			return f, nil

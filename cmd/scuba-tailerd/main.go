@@ -120,7 +120,7 @@ func main() {
 	}
 	tl := tailer.New(cfg, src, placer, 0)
 	log.Printf("scuba-tailerd pumping %q from %s to %d leaves (from offset %d)",
-		*category, *scribeAddr, len(targets), 0)
+		*category, *scribeAddr, len(targets), tl.Offset())
 
 	stop := make(chan struct{})
 	done := make(chan error, 1)

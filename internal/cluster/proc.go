@@ -74,9 +74,6 @@ type ProcConfig struct {
 	Namespace string
 	// Logs receives subprocess stdout/stderr (nil = discarded).
 	Logs io.Writer
-	// ReadyTimeout bounds how long a starting leaf may take to answer Ping
-	// (default 30s; covers disk recovery of test-sized datasets).
-	ReadyTimeout time.Duration
 	// DisableWAL turns off the per-leaf write-ahead log. By default every
 	// leaf runs with -wal-dir under WorkDir, so a crashed (kill -9) leaf's
 	// replacement recovers every acked row: block images + WAL replay.
@@ -206,9 +203,6 @@ func StartProcCluster(cfg ProcConfig) (*ProcCluster, error) {
 	if cfg.Namespace == "" {
 		cfg.Namespace = "proc"
 	}
-	if cfg.ReadyTimeout <= 0 {
-		cfg.ReadyTimeout = 30 * time.Second
-	}
 	pc := &ProcCluster{cfg: cfg}
 	n := cfg.Machines * cfg.LeavesPerMachine
 	ports, err := freeLoopbackAddrs(2 * n)
@@ -291,18 +285,22 @@ func (pc *ProcCluster) startLeaf(l *ProcLeaf) error {
 	return nil
 }
 
+// readyTimeout bounds how long a starting leaf may take to answer Ping; it
+// covers disk recovery of test-sized datasets.
+const readyTimeout = 30 * time.Second
+
 // waitReady polls Ping until the leaf's server answers. scubad listens only
 // after recovery completes, so a successful Ping means the leaf is serving
 // its recovered data.
 func (pc *ProcCluster) waitReady(l *ProcLeaf) error {
-	deadline := time.Now().Add(pc.cfg.ReadyTimeout)
+	deadline := time.Now().Add(readyTimeout)
 	for time.Now().Before(deadline) {
 		if err := l.client.Ping(); err == nil {
 			return nil
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return fmt.Errorf("cluster: leaf %d (%s) not ready after %v", l.ID, l.Addr, pc.cfg.ReadyTimeout)
+	return fmt.Errorf("cluster: leaf %d (%s) not ready after %v", l.ID, l.Addr, readyTimeout)
 }
 
 // Leaves returns all leaf slots.

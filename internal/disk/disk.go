@@ -247,6 +247,8 @@ const watermarkFile = "watermark"
 
 const watermarkMagic uint32 = 0x314B4D57 // "WMK1"
 
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
 // saveWatermark durably records that every row below w is in an image (or
 // expired). Monotone: a w at or below the file's is only a directory sync,
 // so an old in-flight pass can never roll coverage back.

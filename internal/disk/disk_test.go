@@ -1,11 +1,8 @@
 package disk
 
 import (
-	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,7 +11,6 @@ import (
 	"testing"
 
 	"scuba/internal/column"
-	"scuba/internal/layout"
 	"scuba/internal/rowblock"
 )
 
@@ -392,56 +388,6 @@ func dirContents(t *testing.T, root string) map[string][]byte {
 		t.Fatal(err)
 	}
 	return out
-}
-
-func TestRowFormatCorruption(t *testing.T) {
-	raw, err := EncodeRowFormat(buildBlock(t, 50, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every single-byte flip must be rejected by the CRC.
-	for _, i := range []int{0, 5, 10, 30, len(raw) / 2, len(raw) - 5} {
-		bad := append([]byte(nil), raw...)
-		bad[i] ^= 0x01
-		if _, err := DecodeRowFormat(bad); err == nil {
-			t.Errorf("flip at %d accepted", i)
-		}
-	}
-	// Truncation too.
-	if _, err := DecodeRowFormat(raw[:len(raw)/2]); err == nil {
-		t.Error("truncated file accepted")
-	}
-}
-
-// TestRowFormatRejectsBadSchema covers checksum-valid files whose schema no
-// block can hold: a time column that is not an integer, a column named twice.
-func TestRowFormatRejectsBadSchema(t *testing.T) {
-	build := func(rows []byte, fields ...rowblock.Field) []byte {
-		b := binary.LittleEndian.AppendUint32(nil, rowMagic)
-		b = binary.LittleEndian.AppendUint32(b, rowVersion)
-		b = binary.LittleEndian.AppendUint64(b, 1) // one row
-		b = binary.LittleEndian.AppendUint64(b, 7) // created
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(fields)))
-		for _, f := range fields {
-			b = binary.LittleEndian.AppendUint16(b, uint16(len(f.Name)))
-			b = append(append(b, f.Name...), byte(f.Type))
-		}
-		b = append(b, rows...)
-		return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
-	}
-	tm := rowblock.Field{Name: rowblock.TimeColumn, Type: layout.TypeTime}
-	a := rowblock.Field{Name: "a", Type: layout.TypeInt64}
-	if _, err := DecodeRowFormat(build([]byte{2, 4}, tm, a)); err != nil {
-		t.Fatalf("well-formed file: %v", err)
-	}
-	for name, data := range map[string][]byte{
-		"float time":       build(make([]byte, 8), rowblock.Field{Name: rowblock.TimeColumn, Type: layout.TypeFloat64}),
-		"duplicate column": build([]byte{2, 4, 6}, tm, a, a),
-	} {
-		if _, err := DecodeRowFormat(data); !errors.Is(err, ErrCorruptFile) {
-			t.Errorf("%s: %v, want ErrCorruptFile", name, err)
-		}
-	}
 }
 
 func TestTableNameEncoding(t *testing.T) {

@@ -12,43 +12,6 @@ import (
 	"scuba/internal/rowblock"
 )
 
-// FuzzDecodeRowFormat feeds arbitrary bytes to the bench-only row-format
-// decoder. It must reject garbage with an error, never panic or balloon
-// memory.
-func FuzzDecodeRowFormat(f *testing.F) {
-	b := rowblock.NewBuilder(7)
-	for i := 0; i < 50; i++ {
-		b.AddRow(rowblock.Row{Time: int64(i), Cols: map[string]rowblock.Value{ //nolint:errcheck
-			"s": rowblock.StringValue("x"),
-			"n": rowblock.Int64Value(int64(i)),
-			"f": rowblock.Float64Value(float64(i)),
-			"t": rowblock.SetValue("a", "b"),
-		}})
-	}
-	rb, err := b.Seal()
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid, err := EncodeRowFormat(rb)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte(nil))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeRowFormat(data)
-		if err == nil && got == nil {
-			t.Fatal("nil block without error")
-		}
-		if err == nil {
-			if _, terr := got.Times(nil); terr != nil {
-				t.Fatalf("accepted block has broken time column: %v", terr)
-			}
-		}
-	})
-}
-
 // FuzzImageLoad plants arbitrary bytes as a block image file and loads the
 // table — the code path every store recovery runs over every image. Each
 // input is tried raw and resealed: with the column checksums of the seed

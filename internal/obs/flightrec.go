@@ -69,13 +69,12 @@ const obsNamespaceSuffix = "-obs"
 // next-seq. A crash can tear at most the slot being written; its CRC will
 // not match and the reader skips it.
 const (
-	recHeaderSize  = 4 + 4 + 4 + 4 + 8
-	slotPhaseMax   = 64
-	slotDetailMax  = 160
-	slotFixedSize  = 4 + 1 + 1 + 2 + 8 + 8
-	recSlotSize    = slotFixedSize + slotPhaseMax + slotDetailMax // 256
-	defaultSlots   = 1024                                         // a shutdown half of ~170 tables, six span events each
-	maxRecordSlots = 1 << 16
+	recHeaderSize = 4 + 4 + 4 + 4 + 8
+	slotPhaseMax  = 64
+	slotDetailMax = 160
+	slotFixedSize = 4 + 1 + 1 + 2 + 8 + 8
+	recSlotSize   = slotFixedSize + slotPhaseMax + slotDetailMax // 256
+	recorderSlots = 1024                                         // a shutdown half of ~170 tables, six span events each
 )
 
 var recCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -146,8 +145,6 @@ type RecorderOptions struct {
 	// Namespace is the cluster namespace; the recorder appends "-obs" so
 	// its segment survives the data manager's RemoveAll sweeps.
 	Namespace string
-	// Capacity is the ring size in events (0 = 1024).
-	Capacity int
 	// Clock supplies unix microseconds; nil means time.Now. Tests inject
 	// fixed clocks for deterministic dumps.
 	Clock func() int64
@@ -158,16 +155,15 @@ type RecorderOptions struct {
 // mid-phase — are available via Previous; recording starts fresh for this
 // run with continuing sequence numbers.
 func OpenFlightRecorder(id int, opts RecorderOptions) (*Recorder, error) {
+	return openRecorder(id, opts, recorderSlots)
+}
+
+// openRecorder is OpenFlightRecorder with a ring of capacity events; tests
+// use small rings to wrap them.
+func openRecorder(id int, opts RecorderOptions, capacity int) (*Recorder, error) {
 	ns := opts.Namespace
 	if ns == "" {
 		ns = "scuba"
-	}
-	capacity := opts.Capacity
-	if capacity <= 0 {
-		capacity = defaultSlots
-	}
-	if capacity > maxRecordSlots {
-		capacity = maxRecordSlots
 	}
 	clock := opts.Clock
 	if clock == nil {
@@ -227,10 +223,10 @@ func readRing(m *shm.Manager) ([]Event, uint64, error) {
 	capacity := int(binary.LittleEndian.Uint32(b[8:]))
 	slotSize := int(binary.LittleEndian.Uint32(b[12:]))
 	nextSeq := binary.LittleEndian.Uint64(b[16:])
-	if capacity <= 0 || capacity > maxRecordSlots || slotSize != recSlotSize {
+	if capacity <= 0 || slotSize != recSlotSize {
 		return nil, 0, errRecUnreadable
 	}
-	if int64(recHeaderSize+capacity*slotSize) > seg.Size() {
+	if recHeaderSize+int64(capacity)*recSlotSize > seg.Size() {
 		return nil, 0, errRecUnreadable
 	}
 	// A crash may have torn the newest slot (CRC skips it), and the header

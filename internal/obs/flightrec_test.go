@@ -16,7 +16,6 @@ func testOpts(t *testing.T, dir string) RecorderOptions {
 	return RecorderOptions{
 		Dir:       dir,
 		Namespace: "obstest",
-		Capacity:  8,
 		Clock: func() int64 {
 			micros++
 			return micros
@@ -31,7 +30,7 @@ func testOpts(t *testing.T, dir string) RecorderOptions {
 // recorded phase.
 func TestKillAndReread(t *testing.T) {
 	dir := t.TempDir()
-	r1, err := OpenFlightRecorder(0, testOpts(t, dir))
+	r1, err := openRecorder(0, testOpts(t, dir), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func TestKillAndReread(t *testing.T) {
 	// No Close: the "process" is killed here. The mmap'ed tmpfs file keeps
 	// the bytes regardless.
 
-	r2, err := OpenFlightRecorder(0, testOpts(t, dir))
+	r2, err := openRecorder(0, testOpts(t, dir), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestKillAndReread(t *testing.T) {
 
 func TestRingWraparound(t *testing.T) {
 	dir := t.TempDir()
-	r1, err := OpenFlightRecorder(0, testOpts(t, dir)) // capacity 8
+	r1, err := openRecorder(0, testOpts(t, dir), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestRingWraparound(t *testing.T) {
 		t.Fatalf("current events = %d, want capacity 8", got)
 	}
 
-	r2, err := OpenFlightRecorder(0, testOpts(t, dir))
+	r2, err := openRecorder(0, testOpts(t, dir), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func TestRingWraparound(t *testing.T) {
 // returning garbage.
 func TestTornSlotSkipped(t *testing.T) {
 	dir := t.TempDir()
-	r1, err := OpenFlightRecorder(3, testOpts(t, dir))
+	r1, err := openRecorder(3, testOpts(t, dir), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestTornSlotSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := OpenFlightRecorder(3, testOpts(t, dir))
+	r2, err := openRecorder(3, testOpts(t, dir), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestTornSlotSkipped(t *testing.T) {
 // ring as unreadable, exactly like a data segment with layout skew.
 func TestVersionSkew(t *testing.T) {
 	dir := t.TempDir()
-	r1, err := OpenFlightRecorder(0, testOpts(t, dir))
+	r1, err := openRecorder(0, testOpts(t, dir), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestVersionSkew(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := OpenFlightRecorder(0, testOpts(t, dir))
+	r2, err := openRecorder(0, testOpts(t, dir), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +164,7 @@ func TestVersionSkew(t *testing.T) {
 }
 
 func TestNoPreviousRun(t *testing.T) {
-	r, err := OpenFlightRecorder(0, testOpts(t, t.TempDir()))
+	r, err := openRecorder(0, testOpts(t, t.TempDir()), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +178,7 @@ func TestNoPreviousRun(t *testing.T) {
 // copy workers do exactly this); the race detector checks the locking and
 // the ring must hold the newest capacity events intact.
 func TestConcurrentRecord(t *testing.T) {
-	opts := testOpts(t, t.TempDir())
-	opts.Capacity = 64
-	r, err := OpenFlightRecorder(0, opts)
+	r, err := openRecorder(0, testOpts(t, t.TempDir()), 64)
 	if err != nil {
 		t.Fatal(err)
 	}

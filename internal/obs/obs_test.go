@@ -9,7 +9,7 @@ import (
 
 func TestSpanFeedsTimerAndRecorder(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rec, err := OpenFlightRecorder(0, testOpts(t, t.TempDir()))
+	rec, err := openRecorder(0, testOpts(t, t.TempDir()), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSpanFeedsTimerAndRecorder(t *testing.T) {
 
 func TestSpanFailure(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rec, err := OpenFlightRecorder(0, testOpts(t, t.TempDir()))
+	rec, err := openRecorder(0, testOpts(t, t.TempDir()), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

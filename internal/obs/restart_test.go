@@ -13,7 +13,7 @@ import (
 
 func ledgerRecorder(t *testing.T, dir string) *Recorder {
 	t.Helper()
-	rec, err := OpenFlightRecorder(0, RecorderOptions{Dir: dir, Namespace: "ledger", Capacity: 64})
+	rec, err := openRecorder(0, RecorderOptions{Dir: dir, Namespace: "ledger"}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,14 +79,16 @@ type SinkConfig struct {
 	// MetricsInterval is the __system.metrics snapshot period (default
 	// 15s; negative disables the loop, e.g. for tests that flush manually).
 	MetricsInterval time.Duration
-	// QueueSize bounds the pending-batch queue (default 128).
-	QueueSize int
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
 	// OnError observes delivery errors (in addition to the sink.errors
 	// counter). Optional.
 	OnError func(error)
 }
+
+// sinkQueue bounds the pending-batch queue: a batch enqueued past it is
+// dropped (and counted), never blocks its caller.
+const sinkQueue = 128
 
 type sinkBatch struct {
 	table string
@@ -115,9 +117,6 @@ func NewSink(cfg SinkConfig) *Sink {
 	if cfg.Emit == nil {
 		panic("obs: SinkConfig.Emit is required")
 	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 128
-	}
 	if cfg.MetricsInterval == 0 {
 		cfg.MetricsInterval = 15 * time.Second
 	}
@@ -126,7 +125,7 @@ func NewSink(cfg SinkConfig) *Sink {
 	}
 	s := &Sink{
 		cfg:  cfg,
-		ch:   make(chan sinkBatch, cfg.QueueSize),
+		ch:   make(chan sinkBatch, sinkQueue),
 		done: make(chan struct{}),
 		// Without a registry the sink counts into nothing.
 		rowsCount: &metrics.Counter{}, dropped: &metrics.Counter{}, errors: &metrics.Counter{},

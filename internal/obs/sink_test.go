@@ -236,7 +236,6 @@ func TestSinkOverflowDropsNotBlocks(t *testing.T) {
 		},
 		Registry:        reg,
 		MetricsInterval: -1,
-		QueueSize:       2,
 		Clock:           fixedClock(0),
 	})
 	row := []rowblock.Row{{Time: 1, Cols: map[string]rowblock.Value{"x": rowblock.Int64Value(1)}}}
@@ -244,7 +243,7 @@ func TestSinkOverflowDropsNotBlocks(t *testing.T) {
 	<-blocked
 	done := make(chan struct{})
 	go func() {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < sinkQueue+10; i++ {
 			s.RecordRows(SystemRolloverTable, row)
 		}
 		close(done)
@@ -254,8 +253,8 @@ func TestSinkOverflowDropsNotBlocks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("RecordRows blocked on a wedged Emit")
 	}
-	if got := reg.Counter("sink.dropped").Value(); got < 8 {
-		t.Errorf("sink.dropped = %d, want >= 8", got)
+	if got := reg.Counter("sink.dropped").Value(); got < 10 {
+		t.Errorf("sink.dropped = %d, want >= 10", got)
 	}
 	close(release)
 	s.Close()

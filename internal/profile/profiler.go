@@ -16,12 +16,16 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultInterval        = 60 * time.Second
-	DefaultWindow          = 5 * time.Second
-	DefaultAnomalyWindow   = 1 * time.Second
-	DefaultTopN            = 20
-	DefaultAnomalyCooldown = 15 * time.Second
-	DefaultGCPauseBudget   = 50 * time.Millisecond
+	DefaultInterval = 60 * time.Second
+	DefaultWindow   = 5 * time.Second
+)
+
+// The anomaly policy.
+const (
+	anomalyWindow   = 1 * time.Second       // CPU window: attribution while the cause is hot
+	anomalyCooldown = 15 * time.Second      // least gap between anomaly captures; the first always runs
+	gcPauseBudget   = 50 * time.Millisecond // a gc_pause p99 above it, with new GCs, is an anomaly
+	topN            = 20                    // rows: top N functions by CPU ∪ top N by alloc delta
 )
 
 // Capture triggers, written into the __system.profiles "trigger" column.
@@ -49,19 +53,6 @@ type Config struct {
 	// Window is the CPU-profile window of a steady capture (default 5s,
 	// clamped to Interval/2 so back-to-back captures cannot overlap).
 	Window time.Duration
-	// AnomalyWindow is the shorter CPU window of an anomaly capture
-	// (default 1s) — the goal is attribution, not precision, and the
-	// trigger wants to land while the cause is still hot.
-	AnomalyWindow time.Duration
-	// TopN bounds the per-capture row count: the top N functions by CPU
-	// flat time, unioned with the top N by allocation delta (default 20).
-	TopN int
-	// AnomalyCooldown is the minimum gap between anomaly-triggered
-	// captures (default 15s). The first anomaly is always captured.
-	AnomalyCooldown time.Duration
-	// GCPauseBudget: a runtime.gc_pause p99 above this (with new GCs
-	// since the last check) triggers a gc_pause capture (default 50ms).
-	GCPauseBudget time.Duration
 	// Clock overrides time.Now for tests. Only stamps rows and cooldowns;
 	// capture windows always run on real timers.
 	Clock func() time.Time
@@ -79,11 +70,12 @@ type capReq struct {
 // anomaly — run on that single goroutine because runtime/pprof allows only
 // one CPU profile at a time process-wide.
 type Profiler struct {
-	cfg  Config
-	reqs chan capReq
-	done chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	cfg           Config
+	reqs          chan capReq
+	done          chan struct{}
+	anomalyWindow time.Duration // the constant clamped like Window; tests shorten it
+	wg            sync.WaitGroup
+	once          sync.Once
 
 	captures  *metrics.Counter
 	anomalies *metrics.Counter
@@ -107,38 +99,16 @@ func New(cfg Config) *Profiler {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	if cfg.Interval > 0 && cfg.Window > cfg.Interval/2 {
-		cfg.Window = cfg.Interval / 2
-	}
-	if cfg.Window < 10*time.Millisecond {
-		cfg.Window = 10 * time.Millisecond
-	}
-	if cfg.AnomalyWindow <= 0 {
-		cfg.AnomalyWindow = DefaultAnomalyWindow
-	}
-	if cfg.Interval > 0 && cfg.AnomalyWindow > cfg.Interval/2 {
-		cfg.AnomalyWindow = cfg.Interval / 2
-	}
-	if cfg.AnomalyWindow < 10*time.Millisecond {
-		cfg.AnomalyWindow = 10 * time.Millisecond
-	}
-	if cfg.TopN <= 0 {
-		cfg.TopN = DefaultTopN
-	}
-	if cfg.AnomalyCooldown <= 0 {
-		cfg.AnomalyCooldown = DefaultAnomalyCooldown
-	}
-	if cfg.GCPauseBudget <= 0 {
-		cfg.GCPauseBudget = DefaultGCPauseBudget
-	}
+	cfg.Window = clampWindow(cfg.Window, cfg.Interval)
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
 	p := &Profiler{
-		cfg:       cfg,
-		reqs:      make(chan capReq, 8),
-		done:      make(chan struct{}),
-		prevAlloc: make(map[string]int64),
+		cfg:           cfg,
+		reqs:          make(chan capReq, 8),
+		done:          make(chan struct{}),
+		anomalyWindow: clampWindow(anomalyWindow, cfg.Interval),
+		prevAlloc:     make(map[string]int64),
 	}
 	if reg := cfg.Registry; reg != nil {
 		p.captures = reg.Counter("profile.captures")
@@ -149,6 +119,15 @@ func New(cfg Config) *Profiler {
 	p.wg.Add(1)
 	go p.loop()
 	return p
+}
+
+// clampWindow keeps a capture window within half the steady interval, so
+// back-to-back captures cannot overlap, and at least 10ms.
+func clampWindow(w, interval time.Duration) time.Duration {
+	if interval > 0 {
+		w = min(w, interval/2)
+	}
+	return max(w, 10*time.Millisecond)
 }
 
 // Close stops the capture goroutine. A window in flight is cut short, its
@@ -195,7 +174,7 @@ func (p *Profiler) TriggerCapture(reason, detail string, traceID uint64) bool {
 	}
 	now := p.cfg.Clock()
 	p.mu.Lock()
-	if !p.lastAnomaly.IsZero() && now.Sub(p.lastAnomaly) < p.cfg.AnomalyCooldown {
+	if !p.lastAnomaly.IsZero() && now.Sub(p.lastAnomaly) < anomalyCooldown {
 		p.mu.Unlock()
 		p.count(p.dropped)
 		return false
@@ -266,7 +245,7 @@ func (p *Profiler) loop() {
 		case <-steadyC:
 			p.capture(capReq{reason: TriggerInterval}, p.cfg.Window)
 		case req := <-p.reqs:
-			p.capture(req, p.cfg.AnomalyWindow)
+			p.capture(req, p.anomalyWindow)
 		}
 	}
 }
@@ -290,10 +269,10 @@ func (p *Profiler) checkGCPause() {
 	grew := st.Count > p.lastGCCount
 	p.lastGCCount = st.Count
 	p.mu.Unlock()
-	if !grew || st.P99 <= p.cfg.GCPauseBudget {
+	if !grew || st.P99 <= gcPauseBudget {
 		return
 	}
-	detail := "gc_pause_p99=" + st.P99.String() + " budget=" + p.cfg.GCPauseBudget.String()
+	detail := "gc_pause_p99=" + st.P99.String() + " budget=" + gcPauseBudget.String()
 	p.TriggerCapture(TriggerGCPause, detail, 0)
 }
 
@@ -408,13 +387,13 @@ func (p *Profiler) buildRows(req capReq, window time.Duration, cpu, heap *Profil
 	}
 	keep := make(map[string]bool)
 	sort.Slice(names, func(i, j int) bool { return agg[names[i]].flat > agg[names[j]].flat })
-	for i := 0; i < len(names) && i < p.cfg.TopN; i++ {
+	for i := 0; i < len(names) && i < topN; i++ {
 		if agg[names[i]].flat > 0 {
 			keep[names[i]] = true
 		}
 	}
 	sort.Slice(names, func(i, j int) bool { return agg[names[i]].allocDelta > agg[names[j]].allocDelta })
-	for i := 0; i < len(names) && i < p.cfg.TopN; i++ {
+	for i := 0; i < len(names) && i < topN; i++ {
 		if agg[names[i]].allocDelta > 0 {
 			keep[names[i]] = true
 		}

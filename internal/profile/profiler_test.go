@@ -3,6 +3,7 @@ package profile
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,16 +54,16 @@ func newTestProfiler(t *testing.T, trap *rowTrap, mut func(*Config)) *Profiler {
 	})
 	t.Cleanup(sink.Close)
 	cfg := Config{
-		Sink:          sink,
-		Source:        "test-leaf",
-		Interval:      -1, // no steady loop; tests drive captures directly
-		AnomalyWindow: 20 * time.Millisecond,
+		Sink:     sink,
+		Source:   "test-leaf",
+		Interval: -1, // no steady loop; tests drive captures directly
 	}
 	if mut != nil {
 		mut(&cfg)
 	}
 	p := New(cfg)
 	t.Cleanup(p.Close)
+	p.anomalyWindow = 20 * time.Millisecond
 	return p
 }
 
@@ -140,7 +141,6 @@ func TestAnomalyCooldown(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	trap := &rowTrap{}
 	p := newTestProfiler(t, trap, func(c *Config) {
-		c.AnomalyCooldown = time.Minute
 		c.Clock = func() time.Time { return now }
 	})
 	if !p.TriggerCapture(TriggerSlowQuery, "first", 1) {
@@ -149,8 +149,12 @@ func TestAnomalyCooldown(t *testing.T) {
 	if p.TriggerCapture(TriggerSlowQuery, "second", 2) {
 		t.Fatal("second anomaly inside the cooldown should drop")
 	}
-	now = now.Add(2 * time.Minute)
-	if !p.TriggerCapture(TriggerSlowQuery, "third", 3) {
+	now = now.Add(anomalyCooldown - time.Nanosecond)
+	if p.TriggerCapture(TriggerSlowQuery, "third", 3) {
+		t.Fatal("anomaly a nanosecond before the cooldown ends should drop")
+	}
+	now = now.Add(time.Nanosecond)
+	if !p.TriggerCapture(TriggerSlowQuery, "fourth", 4) {
 		t.Fatal("anomaly after the cooldown should capture")
 	}
 }
@@ -161,7 +165,7 @@ func TestAnomalyCooldown(t *testing.T) {
 // once the leaf is ALIVE.
 func TestRestartSpanOverBudgetCaptures(t *testing.T) {
 	trap := &rowTrap{}
-	p := newTestProfiler(t, trap, func(c *Config) { c.AnomalyCooldown = time.Nanosecond })
+	p := newTestProfiler(t, trap, nil)
 	ob := obs.New(nil, nil)
 	ob.SetBudget(20 * time.Millisecond)
 	ob.OnSpans(p.OnSpans)
@@ -188,14 +192,16 @@ func TestRestartSpanOverBudgetCaptures(t *testing.T) {
 func TestGCPauseSpikeTriggersCapture(t *testing.T) {
 	reg := metrics.NewRegistry()
 	trap := &rowTrap{}
+	// Every clock read is an hour after the last, past the cooldown: only
+	// the new-GC gate may hold a capture back.
+	var hours atomic.Int64
 	p := newTestProfiler(t, trap, func(c *Config) {
 		c.Registry = reg
-		c.GCPauseBudget = time.Millisecond
-		c.AnomalyCooldown = time.Nanosecond
+		c.Clock = func() time.Time { return time.Unix(hours.Add(1)*3600, 0) }
 	})
 	// No data yet: no trigger.
 	p.checkGCPause()
-	// A 100ms pause lands the p99 far over the 1ms budget.
+	// A 100ms pause lands the p99 over the 50ms budget.
 	reg.Timer("runtime.gc_pause").Observe(100 * time.Millisecond)
 	p.checkGCPause()
 	waitRows(t, func() bool { return len(trap.byTrigger(TriggerGCPause)) > 0 })
@@ -211,10 +217,7 @@ func TestGCPauseSpikeTriggersCapture(t *testing.T) {
 func TestSelfCounters(t *testing.T) {
 	reg := metrics.NewRegistry()
 	trap := &rowTrap{}
-	p := newTestProfiler(t, trap, func(c *Config) {
-		c.Registry = reg
-		c.AnomalyCooldown = time.Hour
-	})
+	p := newTestProfiler(t, trap, func(c *Config) { c.Registry = reg })
 	p.CaptureNow(TriggerInterval, "", 0)
 	p.TriggerCapture(TriggerSlowQuery, "", 1)
 	p.TriggerCapture(TriggerSlowQuery, "", 2) // dropped by cooldown

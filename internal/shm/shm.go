@@ -6,9 +6,9 @@
 // The paper uses the POSIX mmap API via Boost::Interprocess. Here a segment
 // is an mmap'ed file in a tmpfs directory (/dev/shm by default on Linux),
 // which has identical lifetime semantics: segments are named, survive
-// process exit, and are explicitly removed. A heap-backed fallback (see
-// Options.DisableMmap) keeps the package usable on systems without mmap;
-// it still round-trips through the same files.
+// process exit, and are explicitly removed. A heap-backed fallback (the path
+// of non-Linux builds) keeps the package usable on systems without mmap; it
+// still round-trips through the same files.
 //
 // Per Figure 4, every leaf server has a unique hard-coded location for its
 // metadata: a valid bit, a layout version number, and the names of the
@@ -50,11 +50,6 @@ type Options struct {
 	// Namespace isolates multiple clusters sharing one directory. It is
 	// prefixed to every file name.
 	Namespace string
-	// DisableMmap forces the heap-backed fallback for mapped segments:
-	// contents are read into ordinary memory and, for a read-write segment,
-	// written back to the file on Close. It says how a segment is read; the
-	// table segment writer appends to the file either way.
-	DisableMmap bool
 }
 
 // Manager creates, opens, and removes the segments of one leaf server.
@@ -62,7 +57,8 @@ type Manager struct {
 	dir       string
 	namespace string
 	leafID    int
-	noMmap    bool
+	// noMmap takes the heap fallback, as non-Linux builds do; tests set it.
+	noMmap bool
 }
 
 // NewManager returns a manager for the given leaf's segments. Leaf IDs are
@@ -76,7 +72,7 @@ func NewManager(leafID int, opts Options) *Manager {
 	if ns == "" {
 		ns = "scuba"
 	}
-	return &Manager{dir: dir, namespace: ns, leafID: leafID, noMmap: opts.DisableMmap}
+	return &Manager{dir: dir, namespace: ns, leafID: leafID}
 }
 
 // metadataPath is the leaf's unique hard-coded metadata location (§4.2).

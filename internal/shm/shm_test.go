@@ -11,7 +11,9 @@ import (
 
 func newTestManager(t *testing.T, leafID int, disableMmap bool) *Manager {
 	t.Helper()
-	return NewManager(leafID, Options{Dir: t.TempDir(), Namespace: "test", DisableMmap: disableMmap})
+	m := NewManager(leafID, Options{Dir: t.TempDir(), Namespace: "test"})
+	m.noMmap = disableMmap
+	return m
 }
 
 // SegmentExists reports whether the named segment file is present.
@@ -26,7 +28,8 @@ func runBothModes(t *testing.T, fn func(t *testing.T, disableMmap bool)) {
 func TestSegmentCreateWriteReopen(t *testing.T) {
 	runBothModes(t, func(t *testing.T, noMmap bool) {
 		dir := t.TempDir()
-		m := NewManager(3, Options{Dir: dir, Namespace: "test", DisableMmap: noMmap})
+		m := NewManager(3, Options{Dir: dir, Namespace: "test"})
+		m.noMmap = noMmap
 		seg, err := m.CreateSegment("s1", 4096)
 		if err != nil {
 			t.Fatal(err)
@@ -36,7 +39,8 @@ func TestSegmentCreateWriteReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A "new process": fresh manager over the same directory.
-		m2 := NewManager(3, Options{Dir: dir, Namespace: "test", DisableMmap: noMmap})
+		m2 := NewManager(3, Options{Dir: dir, Namespace: "test"})
+		m2.noMmap = noMmap
 		seg2, err := m2.OpenSegment("s1")
 		if err != nil {
 			t.Fatal(err)

@@ -123,6 +123,9 @@ func TestTailerRestartResumesFromCheckpoint(t *testing.T) {
 	// arrived while it was down.
 	produce(500, 5000)
 	t2 := New(Config{Category: "c", Table: "t", Checkpoint: cp}, bus, p, 0)
+	if got, want := t2.Offset(), cp.Load(); got != want || want == 0 {
+		t.Fatalf("restarted tailer at offset %d, want the checkpoint %d", got, want)
+	}
 	placed, err := t2.DrainOnce()
 	if err != nil {
 		t.Fatal(err)

@@ -82,14 +82,16 @@ const (
 	PolicyRandom                  // pick one alive leaf uniformly at random
 )
 
+// placeTries is how many random pairs a placement probes before falling back
+// to a restarting server. The paper says "after enough tries".
+const placeTries = 4
+
 // Placer implements two-random-choice placement over a fixed target set.
 type Placer struct {
-	mu      sync.Mutex
-	targets []Target
-	rng     *rand.Rand
-	// MaxTries is how many random pairs to probe before falling back to a
-	// restarting server. The paper says "after enough tries".
-	MaxTries int
+	mu       sync.Mutex
+	targets  []Target
+	rng      *rand.Rand
+	maxTries int // placeTries unless a test raises it
 	// Policy is PolicyTwoChoice unless overridden for ablations.
 	Policy Policy
 	stats  PlacerStats
@@ -100,7 +102,7 @@ func NewPlacer(targets []Target, seed int64) *Placer {
 	return &Placer{
 		targets:  targets,
 		rng:      rand.New(rand.NewSource(seed)),
-		MaxTries: 4,
+		maxTries: placeTries,
 		stats:    PlacerStats{PerTarget: make([]int64, len(targets))},
 	}
 }
@@ -136,7 +138,7 @@ func (p *Placer) Place(table string, rows []rowblock.Row) (int, error) {
 	p.stats.Batches++
 
 	var recoveryCandidate = -1
-	for try := 0; try < p.MaxTries; try++ {
+	for try := 0; try < p.maxTries; try++ {
 		i := p.rng.Intn(len(p.targets))
 		if p.Policy == PolicyRandom {
 			// Ablation baseline: one uniformly random probe per try,
@@ -214,12 +216,11 @@ type Config struct {
 	// rows land in (usually the same name).
 	Category string
 	Table    string
-	// BatchRows flushes a batch every N rows (default 1000).
+	// BatchRows flushes a batch every N rows and bounds one Scribe read
+	// (default 1000).
 	BatchRows int
 	// FlushInterval flushes a partial batch after this long (default 1s).
 	FlushInterval time.Duration
-	// PollBatch bounds one Scribe read (default = BatchRows).
-	PollBatch int
 	// Checkpoint, when set, is loaded at construction (overriding the
 	// offset argument) and saved after every successful drain, so a
 	// restarted tailer resumes where its predecessor stopped.
@@ -251,9 +252,6 @@ func New(cfg Config, bus scribe.Source, placer BatchPlacer, offset int64) *Taile
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = time.Second
 	}
-	if cfg.PollBatch <= 0 {
-		cfg.PollBatch = cfg.BatchRows
-	}
 	if cfg.Table == "" {
 		cfg.Table = cfg.Category
 	}
@@ -264,6 +262,10 @@ func New(cfg Config, bus scribe.Source, placer BatchPlacer, offset int64) *Taile
 	}
 	return &Tailer{cfg: cfg, reader: scribe.NewTailer(bus, cfg.Category, offset), placer: placer}
 }
+
+// Offset is the Scribe offset the next drain reads from: the checkpoint a
+// restarted tailer resumed at, until it drains.
+func (t *Tailer) Offset() int64 { return t.reader.Offset() }
 
 // DrainOnce pulls everything currently in the category and places it in
 // batches, returning rows placed. It is the synchronous building block for
@@ -304,7 +306,7 @@ func (t *Tailer) DrainOnce() (placed int, err error) {
 		return nil
 	}
 	for {
-		msgs, lost, err := t.reader.Poll(t.cfg.PollBatch)
+		msgs, lost, err := t.reader.Poll(t.cfg.BatchRows)
 		if err != nil {
 			return placed, err
 		}

@@ -212,7 +212,7 @@ func TestPolicyRandomSkipsDeadLeaves(t *testing.T) {
 	alive := newLeaf(t, 0, 1<<30)
 	p := NewPlacer([]Target{deadTarget{}, leafTarget{alive}, deadTarget{}}, 3)
 	p.Policy = PolicyRandom
-	p.MaxTries = 16
+	p.maxTries = 16
 	for i := 0; i < 20; i++ {
 		idx, err := p.Place("t", []rowblock.Row{{Time: 1}})
 		if err != nil {

@@ -52,12 +52,13 @@ import (
 	"scuba/internal/rowblock"
 )
 
+// segmentBytes rotates the active segment past this size. Truncation
+// deletes whole closed segments, so smaller segments reclaim space sooner at
+// the cost of more files.
+const segmentBytes = 4 << 20
+
 // Options configure a Log.
 type Options struct {
-	// SegmentBytes rotates the active segment past this size (default 4 MB).
-	// Truncation deletes whole closed segments, so smaller segments reclaim
-	// space sooner at the cost of more files.
-	SegmentBytes int64
 	// Metrics, when non-nil, receives wal.* counters (append rows, fsyncs,
 	// truncated segments, replayed rows).
 	Metrics *metrics.Registry
@@ -73,8 +74,9 @@ var ErrGap = errors.New("wal: gap between image watermark and log tail")
 
 // Log is one leaf's write-ahead log.
 type Log struct {
-	dir  string
-	opts Options
+	dir          string
+	opts         Options
+	segmentBytes int64 // the constant unless a test shrinks it
 
 	mu     sync.Mutex
 	tables map[string]*tableLog
@@ -113,10 +115,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create root: %w", err)
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 4 << 20
-	}
-	return &Log{dir: dir, opts: opts, tables: make(map[string]*tableLog)}, nil
+	return &Log{dir: dir, opts: opts, segmentBytes: segmentBytes, tables: make(map[string]*tableLog)}, nil
 }
 
 // Dir returns the log root.
@@ -272,7 +271,7 @@ func (l *Log) Begin(table string, frame []byte, rows int) (*Commit, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq, err := tl.begin(frame, rows, l.opts)
+	seq, err := tl.begin(frame, rows, l.segmentBytes)
 	if err != nil {
 		return nil, fmt.Errorf("wal: append %s: %w", table, err)
 	}
@@ -285,8 +284,9 @@ func (l *Log) Begin(table string, frame []byte, rows int) (*Commit, error) {
 }
 
 // begin reserves and writes one record, returning its commit sequence (0
-// when the quarantined table dropped it).
-func (tl *tableLog) begin(frame []byte, rows int, opts Options) (int64, error) {
+// when the quarantined table dropped it). It rotates an active segment of
+// rotateAt bytes or more first.
+func (tl *tableLog) begin(frame []byte, rows int, rotateAt int64) (int64, error) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	for {
@@ -299,7 +299,7 @@ func (tl *tableLog) begin(frame []byte, rows int, opts Options) (int64, error) {
 		if tl.quarantined {
 			return 0, nil
 		}
-		if tl.f != nil && tl.size < opts.SegmentBytes {
+		if tl.f != nil && tl.size < rotateAt {
 			break
 		}
 		if !tl.syncing {

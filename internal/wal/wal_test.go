@@ -237,10 +237,11 @@ func TestBeginDoesNotWaitForAnFsync(t *testing.T) {
 func TestRotationAndCloseWaitOutALeader(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 1})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.segmentBytes = 1
 	var (
 		next  atomic.Int64
 		mu    sync.Mutex
@@ -448,7 +449,8 @@ func TestMidLogCorruptionAborts(t *testing.T) {
 }
 
 func TestRotationAndTruncate(t *testing.T) {
-	l := openTest(t, Options{SegmentBytes: 1024, Metrics: metrics.NewRegistry()})
+	l := openTest(t, Options{Metrics: metrics.NewRegistry()})
+	l.segmentBytes = 1024
 	for i := 0; i < 20; i++ {
 		if err := appendRows(l, "events", testRows(i*10, 10)); err != nil {
 			t.Fatal(err)

@@ -36,12 +36,9 @@ func blackholeListener(t *testing.T) net.Listener {
 
 func TestRPCTimeoutUnwedgesHungServer(t *testing.T) {
 	ln := blackholeListener(t)
-	c := DialOptions(ln.Addr().String(), Options{
-		RPCTimeout: 100 * time.Millisecond,
-		MaxRetries: 1,
-		RetryBase:  time.Millisecond,
-		RetryMax:   2 * time.Millisecond,
-	})
+	c := Dial(ln.Addr().String())
+	c.rpcTimeout = 100 * time.Millisecond
+	c.retryMax = 2 * time.Millisecond
 	defer c.Close()
 
 	start := time.Now()
@@ -54,7 +51,7 @@ func TestRPCTimeoutUnwedgesHungServer(t *testing.T) {
 	if !errors.As(err, &nerr) || !nerr.Timeout() {
 		t.Fatalf("err = %v, want a timeout", err)
 	}
-	// Two attempts (1 + 1 retry) at 100ms each plus slack.
+	// Four attempts (1 + 3 retries) at 100ms each plus slack.
 	if elapsed > 2*time.Second {
 		t.Fatalf("ping took %v; deadline did not bound the call", elapsed)
 	}
@@ -63,18 +60,15 @@ func TestRPCTimeoutUnwedgesHungServer(t *testing.T) {
 func TestDialTimeoutBoundsConnect(t *testing.T) {
 	// A port from TEST-NET that drops SYNs on most setups; even when it
 	// RSTs instead, the call must come back quickly either way.
-	c := DialOptions("192.0.2.1:9", Options{
-		DialTimeout: 100 * time.Millisecond,
-		MaxRetries:  1,
-		RetryBase:   time.Millisecond,
-	})
+	c := Dial("192.0.2.1:9")
+	c.dialTimeout = 100 * time.Millisecond
 	defer c.Close()
 	start := time.Now()
-	if err := c.Ping(); err == nil {
-		t.Fatal("ping to a blackhole address succeeded")
+	if _, err := c.acquire(); err == nil {
+		t.Fatal("dial to a blackhole address succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("dial took %v, want bounded by DialTimeout", elapsed)
+		t.Fatalf("dial took %v, want bounded by the dial timeout", elapsed)
 	}
 }
 
@@ -116,11 +110,10 @@ func TestIdempotentRetryWithBackoff(t *testing.T) {
 	fault.Reset()
 	_, c, _ := newServer(t, 81)
 
-	// First two reads fail at the transport; the third succeeds. Default
-	// MaxRetries(3) must absorb both failures.
+	// First two reads fail at the transport; the third succeeds.
+	// maxRetries (3) must absorb both failures.
 	fault.Arm(fault.Point{Site: fault.SiteWireRead, Action: fault.ActError, Count: 2})
-	c.opts.RetryBase = time.Millisecond
-	c.opts.RetryMax = 4 * time.Millisecond
+	c.retryMax = 4 * time.Millisecond
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping with 2 injected transport errors = %v", err)
 	}
@@ -140,8 +133,7 @@ func TestRetryCountersInRegistry(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	c.opts.Metrics = reg
-	c.opts.RetryBase = time.Millisecond
-	c.opts.RetryMax = 4 * time.Millisecond
+	c.retryMax = 4 * time.Millisecond
 
 	// Two transport failures, then success: two retries, none exhausted.
 	fault.Arm(fault.Point{Site: fault.SiteWireRead, Action: fault.ActError, Count: 2})
@@ -155,14 +147,14 @@ func TestRetryCountersInRegistry(t *testing.T) {
 		t.Errorf("wire.retry_exhausted = %d, want 0", got)
 	}
 
-	// Every attempt fails: MaxRetries more retries, one exhaustion.
+	// Every attempt fails: maxRetries more retries, one exhaustion.
 	fault.Reset()
 	fault.Arm(fault.Point{Site: fault.SiteWireRead, Action: fault.ActError})
 	if err := c.Ping(); err == nil {
 		t.Fatal("ping with all attempts failing succeeded")
 	}
-	if got := reg.Counter("wire.retries").Value(); got != 2+int64(c.opts.MaxRetries) {
-		t.Errorf("wire.retries = %d, want %d", got, 2+c.opts.MaxRetries)
+	if got := reg.Counter("wire.retries").Value(); got != 2+int64(maxRetries) {
+		t.Errorf("wire.retries = %d, want %d", got, 2+maxRetries)
 	}
 	if got := reg.Counter("wire.retry_exhausted").Value(); got != 1 {
 		t.Errorf("wire.retry_exhausted = %d, want 1", got)
@@ -174,7 +166,7 @@ func TestRetryCountersInRegistry(t *testing.T) {
 	if err := c.AddRows("events", mkRows(1, 0)); err == nil {
 		t.Fatal("AddRows with injected transport error succeeded")
 	}
-	if got := reg.Counter("wire.retries").Value(); got != 2+int64(c.opts.MaxRetries) {
+	if got := reg.Counter("wire.retries").Value(); got != 2+int64(maxRetries) {
 		t.Errorf("wire.retries after mutation failure = %d (mutation was retried?)", got)
 	}
 	if got := reg.Counter("wire.retry_exhausted").Value(); got != 1 {
@@ -197,14 +189,15 @@ func TestMutatingRequestsNeverRetry(t *testing.T) {
 }
 
 func TestBackoffIsCappedAndJittered(t *testing.T) {
-	o := Options{RetryBase: 25 * time.Millisecond, RetryMax: 100 * time.Millisecond}.withDefaults()
+	c := Dial("127.0.0.1:0")
+	c.retryMax = 100 * time.Millisecond
 	for attempt := 0; attempt < 8; attempt++ {
 		for i := 0; i < 50; i++ {
-			d := backoff(o, attempt)
-			if d > o.RetryMax {
-				t.Fatalf("attempt %d: backoff %v exceeds cap %v", attempt, d, o.RetryMax)
+			d := c.backoff(attempt)
+			if d > c.retryMax {
+				t.Fatalf("attempt %d: backoff %v exceeds cap %v", attempt, d, c.retryMax)
 			}
-			if d < o.RetryBase/2 {
+			if d < retryBase/2 {
 				t.Fatalf("attempt %d: backoff %v below base/2", attempt, d)
 			}
 		}

@@ -113,8 +113,7 @@ func TestTraceStableAcrossRetries(t *testing.T) {
 	// retry answers. (AddRows above already consumed nothing: the fault is
 	// armed after ingest.)
 	fault.Arm(fault.Point{Site: fault.SiteWireRead, Action: fault.ActError, Count: 1})
-	c.opts.RetryBase = time.Millisecond
-	c.opts.RetryMax = 4 * time.Millisecond
+	c.retryMax = 4 * time.Millisecond
 
 	if _, err := agg.Query(countQuery()); err != nil {
 		t.Fatal(err)

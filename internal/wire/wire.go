@@ -372,58 +372,23 @@ func (s *Server) added(rows int, err error) *Response {
 	return &Response{}
 }
 
-// Options bound how long a client waits on the network. The zero value
-// means "use the defaults" — every field has a production-safe default, so
-// plain Dial never hangs forever on a SIGSTOP'd or partitioned leaf.
+// The client's network bounds (see Client).
+const (
+	dialTimeout = 10 * time.Second      // connection establishment
+	rpcTimeout  = 60 * time.Second      // one attempt's encode+decode
+	maxRetries  = 3                     // retries after a transport error
+	retryBase   = 25 * time.Millisecond // first backoff delay
+	retryMax    = time.Second           // backoff cap
+	maxIdle     = 2                     // healthy connections kept pooled
+)
+
+// Options configure a client.
 type Options struct {
-	// DialTimeout bounds connection establishment (default 10s).
-	DialTimeout time.Duration
-	// RPCTimeout bounds each attempt's encode+decode via a connection
-	// deadline (default 60s). Negative disables deadlines (tests that
-	// deliberately park a call use this).
-	RPCTimeout time.Duration
-	// MaxRetries is how many times an idempotent request is retried after
-	// the first attempt fails on a transport error (default 3).
-	MaxRetries int
-	// RetryBase is the first backoff delay; each retry doubles it
-	// (default 25ms).
-	RetryBase time.Duration
-	// RetryMax caps the backoff delay (default 1s).
-	RetryMax time.Duration
-	// MaxIdle is how many healthy connections the client keeps pooled for
-	// reuse (default 2). Concurrent callers beyond the pool dial extra
-	// connections rather than queueing behind a slow RPC.
-	MaxIdle int
 	// Metrics, when set, receives client-side retry counters: wire.retries
 	// (every retried attempt) and wire.retry_exhausted (calls that failed
 	// after the last retry). Retry storms during a rollover are invisible
 	// in server-side counters — the server never saw the failed attempts.
 	Metrics *metrics.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 10 * time.Second
-	}
-	if o.RPCTimeout == 0 {
-		o.RPCTimeout = 60 * time.Second
-	}
-	if o.RPCTimeout < 0 {
-		o.RPCTimeout = 0
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 25 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = time.Second
-	}
-	if o.MaxIdle <= 0 {
-		o.MaxIdle = 2
-	}
-	return o
 }
 
 // clientConn is one gob session. Encoders and decoders are stateful, so a
@@ -442,6 +407,8 @@ type clientConn struct {
 type Client struct {
 	addr string
 	opts Options
+	// The package constants unless a test shortens them.
+	dialTimeout, rpcTimeout, retryMax time.Duration
 
 	mu   sync.Mutex
 	idle []*clientConn
@@ -451,12 +418,12 @@ type Client struct {
 // lazily.
 func Dial(addr string) *Client { return DialOptions(addr, Options{}) }
 
-// DialOptions is Dial with explicit deadline/retry configuration.
+// DialOptions is Dial with explicit Options.
 func DialOptions(addr string, opts Options) *Client {
-	return &Client{addr: addr, opts: opts.withDefaults()}
+	return &Client{addr: addr, opts: opts, dialTimeout: dialTimeout, rpcTimeout: rpcTimeout, retryMax: retryMax}
 }
 
-// acquire pops a pooled connection or dials a new one under DialTimeout.
+// acquire pops a pooled connection or dials a new one under dialTimeout.
 func (c *Client) acquire() (*clientConn, error) {
 	c.mu.Lock()
 	if n := len(c.idle); n > 0 {
@@ -469,7 +436,7 @@ func (c *Client) acquire() (*clientConn, error) {
 	if err := fault.Inject(fault.SiteWireDial); err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +447,7 @@ func (c *Client) acquire() (*clientConn, error) {
 // pool is full).
 func (c *Client) release(cc *clientConn) {
 	c.mu.Lock()
-	if len(c.idle) < c.opts.MaxIdle {
+	if len(c.idle) < maxIdle {
 		c.idle = append(c.idle, cc)
 		c.mu.Unlock()
 		return
@@ -500,7 +467,7 @@ func (c *Client) Call(req *Request) (*Response, error) {
 	}
 	retries := 0
 	if idempotent(req.Kind) {
-		retries = c.opts.MaxRetries
+		retries = maxRetries
 	}
 	var resp *Response
 	var err error
@@ -512,7 +479,7 @@ func (c *Client) Call(req *Request) (*Response, error) {
 		if c.opts.Metrics != nil {
 			c.opts.Metrics.Counter("wire.retries").Add(1)
 		}
-		time.Sleep(backoff(c.opts, attempt))
+		time.Sleep(c.backoff(attempt))
 	}
 	if err != nil {
 		if c.opts.Metrics != nil && retries > 0 {
@@ -526,17 +493,15 @@ func (c *Client) Call(req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// backoff is the delay before retry attempt+1: RetryBase doubled per
-// attempt, capped at RetryMax, with the upper half jittered so a thundering
+// backoff is the delay before retry attempt+1: retryBase doubled per
+// attempt, capped at retryMax, with the upper half jittered so a thundering
 // herd of clients retrying against one restarting leaf spreads out.
-func backoff(o Options, attempt int) time.Duration {
-	d := o.RetryBase
-	for i := 0; i < attempt && d < o.RetryMax; i++ {
+func (c *Client) backoff(attempt int) time.Duration {
+	d := retryBase
+	for i := 0; i < attempt && d < c.retryMax; i++ {
 		d *= 2
 	}
-	if d > o.RetryMax {
-		d = o.RetryMax
-	}
+	d = min(d, c.retryMax)
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
@@ -547,7 +512,7 @@ func idempotent(k Kind) bool {
 		k == KindLeafStatus || k == KindShardMap || k == KindFlush
 }
 
-// callOnce runs one attempt on its own connection under RPCTimeout. A
+// callOnce runs one attempt on its own connection under rpcTimeout. A
 // transport error closes the connection; an application error (Response.Err)
 // leaves it healthy and pooled.
 func (c *Client) callOnce(req *Request) (*Response, error) {
@@ -555,11 +520,9 @@ func (c *Client) callOnce(req *Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.opts.RPCTimeout > 0 {
-		if err := cc.conn.SetDeadline(time.Now().Add(c.opts.RPCTimeout)); err != nil {
-			cc.conn.Close()
-			return nil, err
-		}
+	if err := cc.conn.SetDeadline(time.Now().Add(c.rpcTimeout)); err != nil {
+		cc.conn.Close()
+		return nil, err
 	}
 	if err := fault.Inject(fault.SiteWireWrite); err != nil {
 		cc.conn.Close()
@@ -578,11 +541,9 @@ func (c *Client) callOnce(req *Request) (*Response, error) {
 		cc.conn.Close()
 		return nil, err
 	}
-	if c.opts.RPCTimeout > 0 {
-		if err := cc.conn.SetDeadline(time.Time{}); err != nil {
-			cc.conn.Close()
-			return nil, err
-		}
+	if err := cc.conn.SetDeadline(time.Time{}); err != nil {
+		cc.conn.Close()
+		return nil, err
 	}
 	c.release(cc)
 	return &resp, nil

@@ -135,10 +135,9 @@ func TestProfilesAcrossRollover(t *testing.T) {
 	})
 	defer sink.Close()
 	prof := scuba.NewProfiler(scuba.ProfilerConfig{
-		Sink:          sink,
-		Source:        "aggd",
-		Interval:      -1, // anomalies only; the leaves cover the steady cadence
-		AnomalyWindow: 50 * time.Millisecond,
+		Sink:     sink,
+		Source:   "aggd",
+		Interval: -1, // anomalies only; the leaves cover the steady cadence
 	})
 	defer prof.Close()
 	var slowTraceID atomic.Uint64

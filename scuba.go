@@ -545,7 +545,7 @@ const (
 type (
 	// ContinuousProfiler is the per-daemon capture loop.
 	ContinuousProfiler = profile.Profiler
-	// ProfilerConfig configures cadence, windows, budgets and delivery.
+	// ProfilerConfig configures cadence, the steady window and delivery.
 	ProfilerConfig = profile.Config
 	// PprofProfile is a decoded pprof protobuf (the in-repo decoder).
 	PprofProfile = profile.Profile
