@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -207,6 +208,74 @@ func BenchmarkRestartFromDisk(b *testing.B) {
 		if err := nu.Start(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRestartFromWAL measures the crash path (§4.1: a crash never
+// trusts shm): Start loads the store's block images of benchRows sealed rows
+// and replays the log tail behind them, 10k / 30k / 60k rows that only the
+// log holds. Each iteration abandons the leaf without Shutdown and returns
+// its heap to the OS, untimed, so the replay runs on a cold heap as after a
+// real crash; the recovered leaf changes neither the images nor the log, so
+// the next one replays the same tail. ns/row is ns/op over the tail, and
+// replay-ns/op the restart.table.replay span alone, which the three sizes
+// fit as a + b·rows.
+func BenchmarkRestartFromWAL(b *testing.B) {
+	for _, tail := range []int{10000, 30000, 60000} {
+		b.Run(fmt.Sprintf("tail=%d", tail), func(b *testing.B) {
+			e := newBenchEnv(b)
+			cfg := e.config(0)
+			cfg.WALDir = filepath.Join(e.dir, "wal")
+			l, err := scuba.NewLeaf(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := l.Start(); err != nil {
+				b.Fatal(err)
+			}
+			gen := scuba.ServiceLogs(42, 1700000000)
+			for sent := 0; sent < benchRows+tail; sent += 10000 {
+				if err := l.AddRows("service_logs", gen.NextBatch(min(10000, benchRows+tail-sent))); err != nil {
+					b.Fatal(err)
+				}
+				if sent+10000 == benchRows {
+					if err := l.SealAll(); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := l.SyncToDisk(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			var replay time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				l.WAL().Close() //nolint:errcheck // the crash: the leaf is abandoned
+				runtime.GC()
+				debug.FreeOSMemory()
+				if l, err = scuba.NewLeaf(cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := l.Start(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if rec := l.Recovery(); rec.Path != scuba.RecoveryWAL || rec.WALRowsReplayed != int64(tail) {
+					b.Fatalf("recovery = %v replaying %d rows, want wal replaying %d", rec.Path, rec.WALRowsReplayed, tail)
+				}
+				for _, sp := range l.RestartTrace() {
+					if sp.Phase == "restart.table.replay" {
+						replay += sp.Duration
+					}
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tail), "ns/row")
+			b.ReportMetric(float64(replay.Nanoseconds())/float64(b.N), "replay-ns/op")
+		})
 	}
 }
 

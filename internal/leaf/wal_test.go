@@ -1,6 +1,7 @@
 package leaf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -172,6 +173,43 @@ func TestWALCorruptionFallsBackToDisk(t *testing.T) {
 	// (pre-WAL durability for this one table).
 	if got := countRows(t, l, "events"); got != 2000 {
 		t.Fatalf("events count = %v, want 2000 synced rows", got)
+	}
+}
+
+// TestWALReplayRowsCountedPastCorruption: rows replayed before mid-log
+// corruption stay in the table, so wal.replay_rows counts them exactly as
+// RecoveryInfo.WALRowsReplayed does.
+func TestWALReplayRowsCountedPastCorruption(t *testing.T) {
+	e := newWALEnv(t)
+	old := startLeaf(t, e.config(0))
+	for i := 0; i < 3; i++ {
+		ingest(t, old, "events", 10, int64(1000+10*i)) // one record each
+	}
+	segs, err := filepath.Glob(filepath.Join(e.walDir, "leaf0", "events", "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments = %v (%v), want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A record is a 24-byte header, the payload (its length at offset 16) and
+	// a 4-byte CRC: flip a payload byte of the second one.
+	second := 24 + int(binary.LittleEndian.Uint32(data[16:])) + 4
+	data[second+24+3] ^= 0xff
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := e.config(0)
+	cfg.Metrics = metrics.NewRegistry()
+	l := startLeaf(t, cfg)
+	rec := l.Recovery()
+	if rec.WALRowsReplayed != 10 {
+		t.Fatalf("WALRowsReplayed = %d, want the 10 rows before the damage (%+v)", rec.WALRowsReplayed, rec)
+	}
+	if got := cfg.Metrics.Counter("wal.replay_rows").Value(); got != rec.WALRowsReplayed {
+		t.Fatalf("wal.replay_rows = %d, WALRowsReplayed = %d", got, rec.WALRowsReplayed)
 	}
 }
 

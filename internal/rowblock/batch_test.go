@@ -396,6 +396,62 @@ func TestAppendBatchMatchesAddRow(t *testing.T) {
 	}
 }
 
+// TestBuilderVectorsGrowByDoubling pins how a builder's vectors grow: filled
+// with 1,000-row batches, each vector is allocated at most 8 times (append's
+// ~1.25× steps take ~14), and a full builder holds no cell past MaxRows. The
+// "sparse" column is absent from every other batch, so backfill grows it too.
+func TestBuilderVectorsGrowByDoubling(t *testing.T) {
+	const rows = 1000
+	var batches []*Batch
+	for start := 0; start < MaxRows; start += rows {
+		rs := make([]Row, rows)
+		for i := range rs {
+			rs[i] = Row{Time: int64(start + i), Cols: map[string]Value{
+				"n": Int64Value(int64(i)), "f": Float64Value(float64(i)),
+				"s": StringValue("svc"), "tags": SetValue("a"),
+			}}
+			if start/rows%2 == 0 {
+				rs[i].Cols["sparse"] = Int64Value(1)
+			}
+		}
+		bt, err := FromRows(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, bt)
+	}
+	fill := func(batches []*Batch) *Builder {
+		b := NewBuilder(1)
+		for _, bt := range batches {
+			if _, err := b.AppendBatch(bt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	full := fill(batches)
+	if full.Rows() != MaxRows {
+		t.Fatalf("builder holds %d rows, want %d", full.Rows(), MaxRows)
+	}
+	vectors := 1 + len(full.builders)
+	// The first batch creates the builder, its columns and one allocation per
+	// vector; every allocation after it is a vector moving.
+	first := testing.AllocsPerRun(2, func() { fill(batches[:1]) })
+	all := testing.AllocsPerRun(2, func() { fill(batches) })
+	if per := 1 + (all-first)/float64(vectors); per > 8 {
+		t.Errorf("%.1f allocations per vector (%v filling, %v for the first batch, %d vectors), want <= 8", per, all, first, vectors)
+	}
+	caps := map[string]int{"time": cap(full.times)}
+	for name, cb := range full.builders {
+		caps[name] = max(cap(cb.Ints), cap(cb.Floats), cap(cb.Strs), cap(cb.Sets))
+	}
+	for name, c := range caps {
+		if c > MaxRows {
+			t.Errorf("full builder's %s vector holds %d cells, want <= %d", name, c, MaxRows)
+		}
+	}
+}
+
 func TestAppendBatchTypeConflictAppliesNothing(t *testing.T) {
 	b := NewBuilder(1)
 	if err := b.AddRow(Row{Time: 1, Cols: map[string]Value{"a": Int64Value(1)}}); err != nil {

@@ -298,14 +298,31 @@ func (b *Builder) AddRow(r Row) error {
 func (cb *BatchColumn) backfill(rows int) {
 	switch cb.Type {
 	case layout.TypeInt64, layout.TypeTime:
-		cb.Ints = append(cb.Ints, make([]int64, rows-len(cb.Ints))...)
+		cb.Ints = pad(cb.Ints, rows)
 	case layout.TypeFloat64:
-		cb.Floats = append(cb.Floats, make([]float64, rows-len(cb.Floats))...)
+		cb.Floats = pad(cb.Floats, rows)
 	case layout.TypeString:
-		cb.Strs = append(cb.Strs, make([]string, rows-len(cb.Strs))...)
+		cb.Strs = pad(cb.Strs, rows)
 	case layout.TypeStringSet:
-		cb.Sets = append(cb.Sets, make([][]string, rows-len(cb.Sets))...)
+		cb.Sets = pad(cb.Sets, rows)
 	}
+}
+
+// pad extends s with zero values to n cells.
+func pad[T any](s []T, n int) []T {
+	m := len(s)
+	s = grow(s, n-m)[:n]
+	clear(s[m:])
+	return s
+}
+
+// grow returns s with room for n more cells, doubling it, capped at MaxRows:
+// half the moves of append's ~1.25× steps, and never a cell past MaxRows.
+func grow[T any](s []T, n int) []T {
+	if need := len(s) + n; need > cap(s) {
+		s = append(make([]T, 0, min(max(2*cap(s), need), max(MaxRows, need))), s...)
+	}
+	return s
 }
 
 // sealedType is the column's type in a block's schema: only the time column
@@ -398,7 +415,7 @@ func (b *Builder) AppendBatch(bt *Batch) (int, error) {
 		sz = size(n)
 	}
 
-	b.times = append(b.times, bt.Times[:n]...)
+	b.times = append(grow(b.times, n), bt.Times[:n]...)
 	for _, t := range bt.Times[:n] {
 		b.sorted = b.sorted && t >= b.maxTime // one straggler clears it for good
 		b.minTime = min(b.minTime, t)
@@ -416,10 +433,10 @@ func (b *Builder) AppendBatch(bt *Batch) (int, error) {
 		}
 		// Only the vector matching the type is non-empty.
 		src := c.slice(0, n)
-		cb.Ints = append(cb.Ints, src.Ints...)
-		cb.Floats = append(cb.Floats, src.Floats...)
-		cb.Strs = append(cb.Strs, src.Strs...)
-		cb.Sets = append(cb.Sets, src.Sets...)
+		cb.Ints = append(grow(cb.Ints, len(src.Ints)), src.Ints...)
+		cb.Floats = append(grow(cb.Floats, len(src.Floats)), src.Floats...)
+		cb.Strs = append(grow(cb.Strs, len(src.Strs)), src.Strs...)
+		cb.Sets = append(grow(cb.Sets, len(src.Sets)), src.Sets...)
 	}
 	for _, cb := range b.builders {
 		cb.backfill(len(b.times))

@@ -28,6 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"os"
+	"slices"
 
 	"scuba/internal/rowblock"
 )
@@ -70,7 +73,7 @@ type record struct {
 	magic   uint32
 	start   int64
 	count   int
-	payload []byte // aliases the segment buffer
+	payload []byte // aliases the buffer it was decoded from
 }
 
 // decodeRecord parses the framing of the record at the head of b and returns
@@ -101,6 +104,52 @@ func decodeRecord(b []byte) (rec record, used int, err error) {
 	}
 	rec.payload = body[20:]
 	return rec, used, nil
+}
+
+// segmentReader reads segments record by record into one reused buffer,
+// each record exactly the bytes decodeRecord would see in the whole segment.
+type segmentReader struct {
+	f    *os.File
+	left int64 // segment bytes after the last record read
+	buf  []byte
+}
+
+// open starts reading the segment at path, closing the one before it.
+func (sr *segmentReader) open(path string) (err error) {
+	sr.close()
+	if sr.f, err = os.Open(path); err != nil {
+		return err
+	}
+	st, err := sr.f.Stat()
+	if err == nil {
+		sr.left = st.Size()
+	}
+	return err
+}
+
+// close closes the segment read last; Close on a nil *os.File only errs.
+func (sr *segmentReader) close() { sr.f.Close() }
+
+// next decodes the next record as decodeRecord(segment[off:]) would, the
+// payload aliasing the buffer; any other error than theirs is a failed read.
+func (sr *segmentReader) next() (record, int, error) {
+	if sr.left < recordOverhead {
+		return record{}, 0, errTorn
+	}
+	sr.buf = slices.Grow(sr.buf[:0], recordOverhead)[:recordOverhead]
+	if _, err := io.ReadFull(sr.f, sr.buf); err != nil {
+		return record{}, 0, err
+	}
+	used := recordOverhead + int64(binary.LittleEndian.Uint32(sr.buf[16:]))
+	if used > sr.left {
+		return decodeRecord(sr.buf) // runs past the end: torn, unless the magic is bad
+	}
+	sr.buf = slices.Grow(sr.buf, int(used)-recordOverhead)[:used]
+	if _, err := io.ReadFull(sr.f, sr.buf[recordOverhead:]); err != nil {
+		return record{}, 0, err
+	}
+	sr.left -= used
+	return decodeRecord(sr.buf)
 }
 
 // batch decodes the record's payload. The record CRC already passed, so a

@@ -184,10 +184,10 @@ func listSegments(dir string) ([]segFile, error) {
 // ---- Append path ----
 
 // tableLogFor returns (creating if needed) the table's log state. A new
-// tableLog continues after the highest existing segment; its cursor comes
-// from cursors set by recovery (SetCursor) or, for a table with existing
-// segments and no cursor, from scanning the newest segment's records.
-func (l *Log) tableLogFor(table string) (*tableLog, error) {
+// tableLog continues after the highest existing segment; its cursor is
+// cursor when known (>= 0, from SetCursor) or else from scanning the newest
+// segment's records.
+func (l *Log) tableLogFor(table string, cursor int64) (*tableLog, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -204,18 +204,18 @@ func (l *Log) tableLogFor(table string) (*tableLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	tl := &tableLog{dir: dir}
+	tl := &tableLog{dir: dir, next: max(cursor, 0)}
 	tl.cond = sync.NewCond(&tl.mu)
 	if _, err := os.Stat(filepath.Join(dir, quarantineMarker)); err == nil {
 		tl.quarantined = true
 	}
 	if n := len(segs); n > 0 {
 		tl.seq = segs[n-1].seq
-		end, err := scanSegmentEnd(filepath.Join(dir, segs[n-1].name), segs[n-1].start)
-		if err != nil {
-			return nil, err
+		if cursor < 0 {
+			if tl.next, err = scanSegmentEnd(filepath.Join(dir, segs[n-1].name), segs[n-1].start); err != nil {
+				return nil, err
+			}
 		}
-		tl.next = end
 	}
 	l.tables[table] = tl
 	return tl, nil
@@ -224,18 +224,18 @@ func (l *Log) tableLogFor(table string) (*tableLog, error) {
 // scanSegmentEnd walks a segment's records to find the row index after its
 // last intact record (a torn tail is skipped, matching replay).
 func scanSegmentEnd(path string, start int64) (int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
+	var sr segmentReader
+	defer sr.close()
+	if err := sr.open(path); err != nil {
 		return 0, err
 	}
 	end := start
-	for off := 0; off < len(data); {
-		rec, used, err := decodeRecord(data[off:])
+	for sr.left > 0 {
+		rec, _, err := sr.next()
 		if err != nil {
 			break // torn or corrupt tail: appends continue after the last good record
 		}
 		end = rec.start + int64(rec.count)
-		off += used
 	}
 	return end, nil
 }
@@ -267,7 +267,7 @@ func (l *Log) Begin(table string, frame []byte, rows int) (*Commit, error) {
 	if err := fault.Inject(fault.SiteWALAppend); err != nil {
 		return nil, fmt.Errorf("wal: append %s: %w", table, err)
 	}
-	tl, err := l.tableLogFor(table)
+	tl, err := l.tableLogFor(table, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +449,7 @@ func (tl *tableLog) rotateLocked() error {
 // that fills its builder, so Truncate behind that seal frees every row before
 // it. An empty segment or a quarantined log is left as it is.
 func (l *Log) Rotate(table string) error {
-	tl, err := l.tableLogFor(table)
+	tl, err := l.tableLogFor(table, -1)
 	if err != nil {
 		return err
 	}
@@ -511,9 +511,9 @@ func (l *Log) Truncate(table string, w int64) (int, error) {
 
 // SetCursor installs the table's next row index after a recovery decided
 // where the log resumes (the end of replay, or the restored row count after
-// a non-WAL restore). Appends continue into a fresh segment.
+// a non-WAL restore), without a scan. Appends continue into a fresh segment.
 func (l *Log) SetCursor(table string, next int64) error {
-	tl, err := l.tableLogFor(table)
+	tl, err := l.tableLogFor(table, next)
 	if err != nil {
 		return err
 	}
@@ -547,7 +547,7 @@ const quarantineMarker = "quarantined"
 // quarantine would not survive a crash and recovery would take the WAL path
 // missing the acked tail.
 func (l *Log) Quarantine(table string) error {
-	tl, err := l.tableLogFor(table)
+	tl, err := l.tableLogFor(table, -1)
 	if err != nil {
 		return err
 	}
@@ -651,13 +651,13 @@ func (l *Log) Close() error {
 
 // ---- Replay ----
 
-// ReplayFrom streams the log tail of one table, in order, starting at row
-// index from (records straddling it are sliced). fn receives each batch,
-// decoded into the column vectors live ingest applied; returning an error
-// aborts the replay. A torn record at a segment's tail
-// is discarded (it was never acked); bad records anywhere else return
-// ErrCorrupt. A log whose tail starts after from returns ErrGap.
-// Returns (records applied, rows applied, next row index).
+// ReplayFrom streams the log tail of one table, record by record, in order,
+// starting at row index from (records straddling it are sliced). fn receives
+// each batch, decoded into the column vectors live ingest applied; returning
+// an error aborts the replay. A torn record at a segment's tail is discarded
+// (it was never acked); bad records anywhere else return ErrCorrupt. A log
+// whose tail starts after from returns ErrGap. Returns (records applied, rows
+// applied, next row index); wal.replay_rows counts the rows however it ends.
 func (l *Log) ReplayFrom(table string, from int64, fn func(*rowblock.Batch) error) (int, int64, int64, error) {
 	dir := l.tableDir(table)
 	segs, err := listSegments(dir)
@@ -666,6 +666,9 @@ func (l *Log) ReplayFrom(table string, from int64, fn func(*rowblock.Batch) erro
 	}
 	pos := from
 	records, rowsApplied := 0, int64(0)
+	defer func() { addCount(l.counter("wal.replay_rows"), rowsApplied) }()
+	var sr segmentReader
+	defer sr.close()
 	for i, sg := range segs {
 		// A segment is skippable when its successor starts at or below pos:
 		// every record in it is then below the watermark.
@@ -675,12 +678,11 @@ func (l *Log) ReplayFrom(table string, from int64, fn func(*rowblock.Batch) erro
 		if err := fault.Inject(fault.SiteWALReplay); err != nil {
 			return records, rowsApplied, pos, fmt.Errorf("wal: replay %s: %w", table, err)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, sg.name))
-		if err != nil {
+		if err := sr.open(filepath.Join(dir, sg.name)); err != nil {
 			return records, rowsApplied, pos, err
 		}
-		for off := 0; off < len(data); {
-			rec, used, derr := decodeRecord(data[off:])
+		for off := 0; sr.left > 0; {
+			rec, used, derr := sr.next()
 			if derr != nil {
 				// A record that runs past EOF (used == 0) or CRC-fails as the
 				// file's final record is a torn tail: its fsync never
@@ -688,10 +690,13 @@ func (l *Log) ReplayFrom(table string, from int64, fn func(*rowblock.Batch) erro
 				// the next segment (the continuity check below catches any
 				// real loss). A bad record with intact records after it is
 				// corruption — data past it may be acked, so replay aborts.
-				if errors.Is(derr, errTorn) && (used == 0 || off+used >= len(data)) {
+				if errors.Is(derr, errTorn) && (used == 0 || sr.left == 0) {
 					break
 				}
-				return records, rowsApplied, pos, fmt.Errorf("wal: %s %s at offset %d: %w", table, sg.name, off, ErrCorrupt)
+				if errors.Is(derr, errTorn) || errors.Is(derr, ErrCorrupt) {
+					derr = ErrCorrupt // anything else is a failed read
+				}
+				return records, rowsApplied, pos, fmt.Errorf("wal: %s %s at offset %d: %w", table, sg.name, off, derr)
 			}
 			off += used
 			end := rec.start + int64(rec.count)
@@ -716,6 +721,5 @@ func (l *Log) ReplayFrom(table string, from int64, fn func(*rowblock.Batch) erro
 			rowsApplied += int64(b.Rows())
 		}
 	}
-	addCount(l.counter("wal.replay_rows"), rowsApplied)
 	return records, rowsApplied, pos, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -380,8 +381,8 @@ func TestTornTailDiscardedWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2 := len(data) - rec1 // second record's size
-	for _, cut := range []int{1, recordOverhead / 2, 12, rec2 / 2, rec2 - 1} {
+	rec2 := len(data) - rec1          // second record's size
+	for cut := 1; cut < rec2; cut++ { // every byte of the final record
 		if err := os.WriteFile(path, data[:len(data)-cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -708,6 +709,115 @@ func FuzzRecordDecode(f *testing.F) {
 		b2, err := rec2.batch()
 		if err != nil || !reflect.DeepEqual(b, b2) {
 			t.Fatalf("batch differs after re-encode cycle: %v", err)
+		}
+	})
+}
+
+// replayWhole is ReplayFrom's loop over one segment read whole into memory,
+// as replay read segments before it streamed them: FuzzReplaySegment's
+// reference.
+func replayWhole(data []byte, from int64, fn func(*rowblock.Batch) error) (int, int64, int64, error) {
+	pos, records, rows := from, 0, int64(0)
+	for off := 0; off < len(data); {
+		rec, used, err := decodeRecord(data[off:])
+		if err != nil {
+			if errors.Is(err, errTorn) && (used == 0 || off+used >= len(data)) {
+				break
+			}
+			return records, rows, pos, ErrCorrupt
+		}
+		off += used
+		end := rec.start + int64(rec.count)
+		if end <= pos {
+			continue
+		}
+		if rec.start > pos {
+			return records, rows, pos, ErrGap
+		}
+		b, err := rec.batch()
+		if err != nil {
+			return records, rows, pos, err
+		}
+		if rec.start < pos {
+			b = b.Slice(int(pos-rec.start), b.Rows())
+		}
+		if err := fn(b); err != nil {
+			return records, rows, pos, err
+		}
+		pos = end
+		records++
+		rows += int64(b.Rows())
+	}
+	return records, rows, pos, nil
+}
+
+// errClass names the kind of a replay error, which is what streaming must
+// keep; the messages carry offsets and file names.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.Is(err, ErrGap):
+		return "gap"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	}
+	return "other: " + err.Error()
+}
+
+// FuzzReplaySegment gives arbitrary segment bytes to ReplayFrom, which
+// streams the segment record by record, and to replayWhole, which decodes it
+// from one buffer: both must apply the same batches and return the same
+// counts, next row index and error class, and wal.replay_rows must count
+// every applied row however the replay ends.
+func FuzzReplaySegment(f *testing.F) {
+	var seg []byte
+	for i := 0; i < 3; i++ {
+		seg = appendRecord(seg, int64(i*10), 10, testFrame(f, testRows(i*10, 10)))
+	}
+	rec1 := len(appendRecord(nil, 0, 10, testFrame(f, testRows(0, 10))))
+	f.Add(seg, uint16(0))
+	f.Add(seg, uint16(15))
+	f.Add(seg[:len(seg)-7], uint16(0))            // torn final record
+	f.Add(seg[:rec1+recordOverhead/2], uint16(0)) // torn inside a header
+	flipped := slices.Clone(seg)
+	flipped[rec1+recordOverhead+3] ^= 0x40 // the second record's payload
+	f.Add(flipped, uint16(0))
+	past := slices.Clone(seg)
+	binary.LittleEndian.PutUint32(past[len(past)-rec1+16:], 1<<30) // a length past EOF
+	f.Add(past, uint16(0))
+	big := appendRecord(slices.Clone(seg), 30, 300, testFrame(f, testRows(30, 300))) // a large record after small ones
+	f.Add(big, uint16(0))
+	f.Add(big, uint16(100))
+	f.Add(wal1Record(f, 0, testRows(0, 3)), uint16(1))
+	f.Add(seg, uint16(40))                                                    // past the log's end: nothing to apply
+	f.Add(appendRecord(nil, 5, 10, testFrame(f, testRows(0, 10))), uint16(0)) // a gap
+	// One directory per fuzzing process, which runs one input at a time.
+	dir := f.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "events"), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, seg []byte, from uint16) {
+		if err := os.WriteFile(filepath.Join(dir, "events", "wal-00000001-0.log"), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := metrics.NewRegistry()
+		l, err := Open(dir, Options{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		var got, want []*rowblock.Batch
+		recs, rows, next, err := l.ReplayFrom("events", int64(from), func(b *rowblock.Batch) error { got = append(got, b); return nil })
+		wrecs, wrows, wnext, werr := replayWhole(seg, int64(from), func(b *rowblock.Batch) error { want = append(want, b); return nil })
+		if errClass(err) != errClass(werr) || recs != wrecs || rows != wrows || next != wnext {
+			t.Fatalf("streamed: %d records, %d rows, next %d, %v; whole: %d, %d, %d, %v", recs, rows, next, err, wrecs, wrows, wnext, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("streamed replay applied other batches than the whole-buffer walk")
+		}
+		if c := reg.Counter("wal.replay_rows").Value(); c != rows {
+			t.Fatalf("wal.replay_rows = %d, replay applied %d", c, rows)
 		}
 	})
 }
