@@ -89,7 +89,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 // which is exactly what the paper cannot afford at 10-15 GB per leaf.
 func BenchmarkAblationCopyGranularity(b *testing.B) {
 	block := buildBigBlock(b, 65536)
-	size := block.ImageSize()
+	size := len(block.AppendImage(nil))
 	dst := make([]byte, size)
 
 	b.Run("rbc-at-a-time", func(b *testing.B) {

@@ -219,64 +219,74 @@ func BenchmarkRestartFromDisk(b *testing.B) {
 // real crash; the recovered leaf changes neither the images nor the log, so
 // the next one replays the same tail. ns/row is ns/op over the tail, and
 // replay-ns/op the restart.table.replay span alone, which the three sizes
-// fit as a + b·rows.
+// fit as a + b·rows. The rows arrive in 10,000-row batches, one log record
+// each; the batch=1000 runs send the 1,000-row batches of the restart_crash
+// workload, so their tail is ten times as many records.
 func BenchmarkRestartFromWAL(b *testing.B) {
-	for _, tail := range []int{10000, 30000, 60000} {
-		b.Run(fmt.Sprintf("tail=%d", tail), func(b *testing.B) {
-			e := newBenchEnv(b)
-			cfg := e.config(0)
-			cfg.WALDir = filepath.Join(e.dir, "wal")
-			l, err := scuba.NewLeaf(cfg)
-			if err != nil {
-				b.Fatal(err)
+	for _, batch := range []int{10000, 1000} {
+		for _, tail := range []int{10000, 30000, 60000} {
+			name := fmt.Sprintf("tail=%d", tail)
+			if batch != 10000 {
+				name = fmt.Sprintf("batch=%d/%s", batch, name)
 			}
-			if err := l.Start(); err != nil {
-				b.Fatal(err)
-			}
-			gen := scuba.ServiceLogs(42, 1700000000)
-			for sent := 0; sent < benchRows+tail; sent += 10000 {
-				if err := l.AddRows("service_logs", gen.NextBatch(min(10000, benchRows+tail-sent))); err != nil {
-					b.Fatal(err)
-				}
-				if sent+10000 == benchRows {
-					if err := l.SealAll(); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := l.SyncToDisk(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			var replay time.Duration
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				l.WAL().Close() //nolint:errcheck // the crash: the leaf is abandoned
-				runtime.GC()
-				debug.FreeOSMemory()
-				if l, err = scuba.NewLeaf(cfg); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := l.Start(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if rec := l.Recovery(); rec.Path != scuba.RecoveryWAL || rec.WALRowsReplayed != int64(tail) {
-					b.Fatalf("recovery = %v replaying %d rows, want wal replaying %d", rec.Path, rec.WALRowsReplayed, tail)
-				}
-				for _, sp := range l.RestartTrace() {
-					if sp.Phase == "restart.table.replay" {
-						replay += sp.Duration
-					}
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tail), "ns/row")
-			b.ReportMetric(float64(replay.Nanoseconds())/float64(b.N), "replay-ns/op")
-		})
+			b.Run(name, func(b *testing.B) { benchmarkRestartFromWAL(b, batch, tail) })
+		}
 	}
+}
+
+func benchmarkRestartFromWAL(b *testing.B, batch, tail int) {
+	e := newBenchEnv(b)
+	cfg := e.config(0)
+	cfg.WALDir = filepath.Join(e.dir, "wal")
+	l, err := scuba.NewLeaf(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := l.Start(); err != nil {
+		b.Fatal(err)
+	}
+	gen := scuba.ServiceLogs(42, 1700000000)
+	for sent := 0; sent < benchRows+tail; sent += batch {
+		if err := l.AddRows("service_logs", gen.NextBatch(min(batch, benchRows+tail-sent))); err != nil {
+			b.Fatal(err)
+		}
+		if sent+batch == benchRows {
+			if err := l.SealAll(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := l.SyncToDisk(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var replay time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l.WAL().Close() //nolint:errcheck // the crash: the leaf is abandoned
+		runtime.GC()
+		debug.FreeOSMemory()
+		if l, err = scuba.NewLeaf(cfg); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := l.Start(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if rec := l.Recovery(); rec.Path != scuba.RecoveryWAL || rec.WALRowsReplayed != int64(tail) {
+			b.Fatalf("recovery = %v replaying %d rows, want wal replaying %d", rec.Path, rec.WALRowsReplayed, tail)
+		}
+		for _, sp := range l.RestartTrace() {
+			if sp.Phase == "restart.table.replay" {
+				replay += sp.Duration
+			}
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tail), "ns/row")
+	b.ReportMetric(float64(replay.Nanoseconds())/float64(b.N), "replay-ns/op")
 }
 
 // ---- E3/E4: rollover ----

@@ -2,6 +2,7 @@ package scuba_test
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -205,4 +206,57 @@ func TestWorkflowPatternsMatchSomething(t *testing.T) {
 		t.Errorf("read only %d patterns out of the workflows: the parse is broken", checked)
 	}
 	t.Logf("%d patterns", checked)
+}
+
+// TestMutantsStillApply: each ci/mutants/*.patch is a deliberate bug that a
+// named test must catch. Its header names the mutant, the package and the
+// test ("Mutant:", "Package:", "Test:" lines ahead of the diff). A mutant
+// that no longer applies checks nothing, so every patch must still apply to
+// this tree, and the test it names must still be declared in its package;
+// code that moves takes its mutants along.
+func TestMutantsStillApply(t *testing.T) {
+	git, err := exec.LookPath("git")
+	if err != nil {
+		t.Skip("no git to apply the patches with")
+	}
+	patches, err := filepath.Glob("ci/mutants/*.patch")
+	if err != nil || len(patches) == 0 {
+		t.Fatalf("no mutants under ci/mutants (%v)", err)
+	}
+	for _, p := range patches {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, _, _ := strings.Cut(string(data), "\ndiff --git ")
+		field := func(key string) string {
+			for _, line := range strings.Split(header, "\n") {
+				if v, ok := strings.CutPrefix(line, key+": "); ok {
+					return strings.TrimSpace(v)
+				}
+			}
+			return ""
+		}
+		pkg, test := field("Package"), field("Test")
+		if field("Mutant") == "" || pkg == "" || test == "" {
+			t.Errorf("%s: the header must name the Mutant, its Package and the Test that catches it", p)
+			continue
+		}
+		decl := regexp.MustCompile(`(?m)^func ` + regexp.QuoteMeta(test) + `\(`)
+		tests, _ := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		declared := false
+		for _, f := range tests {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			declared = declared || decl.Match(src)
+		}
+		if !declared {
+			t.Errorf("%s: %s declares no %s", p, pkg, test)
+		}
+		if out, err := exec.Command(git, "apply", "--check", p).CombinedOutput(); err != nil {
+			t.Errorf("%s no longer applies: %v\n%s", p, err, out)
+		}
+	}
 }

@@ -545,7 +545,7 @@ func (l *Leaf) loadFromStore(r *obs.Restart, worker int, tbl *table.Table, logge
 	}
 	sp = r.Begin(obs.PhaseTableReplay, name, worker)
 	sp.Recovery = string(RecoveryWAL)
-	recs, rows, pos, err := l.wal.ReplayFrom(name, w, func(b *rowblock.Batch) error {
+	recs, rows, pos, err := l.wal.ReplayFrom(name, w, tbl.Reserve, func(b *rowblock.Batch) error {
 		return tbl.AddBatch(b, l.cfg.Clock())
 	})
 	sp.End(err)

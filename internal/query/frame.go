@@ -298,7 +298,7 @@ func decodeResultFrame(frame []byte) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		dict, err := r.Strs(ndict)
+		dict, err := r.Strs(nil, ndict)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +357,7 @@ func decodeResultFrame(frame []byte) (*Result, error) {
 			}
 		}
 		if shape&shapeDistinct != 0 {
-			sets, err := r.Sets(n)
+			sets, err := r.Sets(nil, n)
 			if err != nil {
 				return nil, fmt.Errorf("accumulator %d: %w", ai, err)
 			}

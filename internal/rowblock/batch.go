@@ -45,6 +45,8 @@ type Batch struct {
 	Times []int64
 	// Cols is sorted by name, names unique and never TimeColumn.
 	Cols []BatchColumn
+
+	lens []int // Decode's length scratch
 }
 
 // BatchColumn is one column of a batch. Exactly the vector matching Type is
@@ -108,7 +110,7 @@ func FromRows(rows []Row) (*Batch, error) {
 					return nil, fmt.Errorf("rowblock: column %q has no storable type (%v)", name, v.Type)
 				}
 				c := BatchColumn{Name: name, Type: v.Type}
-				c.backfill(n)
+				c.backfill(n, n)
 				b.Cols = append(b.Cols, c)
 			}
 			c := &b.Cols[k]
@@ -158,61 +160,77 @@ func (b *Batch) AppendFrame(dst []byte) []byte {
 	return SealFrame(dst, base)
 }
 
-// DecodeFrame parses one whole frame. The input is untrusted (it arrives
-// over the wire and from disk): a bad magic, version or checksum, a count
-// the buffer cannot hold, unsorted or duplicate column names, or trailing
-// bytes all fail with ErrBatchCorrupt; a column named "time" fails with
-// ErrReservedName. The batch does not alias frame.
+// DecodeFrame parses one whole frame into a new batch. The input is
+// untrusted (it arrives over the wire and from disk): a bad magic, version or
+// checksum, a count the buffer cannot hold, unsorted or duplicate column
+// names, or trailing bytes all fail with ErrBatchCorrupt; a column named
+// "time" fails with ErrReservedName. The batch does not alias frame.
 func DecodeFrame(frame []byte) (*Batch, error) {
-	r, err := OpenFrame(frame, frameMagic, frameVersion)
-	if err != nil {
+	b := new(Batch)
+	if err := b.Decode(frame); err != nil {
 		return nil, err
 	}
+	return b, nil
+}
+
+// Decode parses one whole frame into b as DecodeFrame does, reusing b's
+// vectors and length scratch: what b held before is gone, and on an error b
+// holds nothing usable. The string text and set element arrays are new on
+// every call, so strings and sets kept from an earlier decode stay valid.
+func (b *Batch) Decode(frame []byte) error {
+	r, err := OpenFrame(frame, frameMagic, frameVersion)
+	if err != nil {
+		return err
+	}
+	r.lens = b.lens
 	nrows, err := r.Count()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ncols, err := r.Count()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	b := &Batch{Cols: make([]BatchColumn, ncols)}
+	b.Cols = resize(b.Cols, ncols)
 	for k := range b.Cols {
 		c := &b.Cols[k]
 		if c.Name, err = r.Str(); err != nil {
-			return nil, err
+			return err
 		}
 		if c.Type, err = r.valueType(); err != nil {
-			return nil, err
+			return err
 		}
 		if c.Name == TimeColumn {
-			return nil, ErrReservedName
+			return ErrReservedName
 		}
 		if k > 0 && b.Cols[k-1].Name >= c.Name {
-			return nil, fmt.Errorf("%w: column %q out of order", ErrBatchCorrupt, c.Name)
+			return fmt.Errorf("%w: column %q out of order", ErrBatchCorrupt, c.Name)
 		}
 	}
-	if b.Times, err = r.Ints(nrows); err != nil {
-		return nil, err
+	if b.Times, err = r.Ints(b.Times, nrows); err != nil {
+		return err
 	}
 	for k := range b.Cols {
 		c := &b.Cols[k]
+		// Only the vector matching the type holds cells; the rest keep arrays.
+		c.Ints, c.Floats, c.Strs, c.Sets = c.Ints[:0], c.Floats[:0], c.Strs[:0], c.Sets[:0]
 		switch c.Type {
 		case layout.TypeInt64, layout.TypeTime:
-			c.Ints, err = r.Ints(nrows)
+			c.Ints, err = r.Ints(c.Ints, nrows)
 		case layout.TypeFloat64:
-			c.Floats, err = r.Floats(nrows)
+			c.Floats, err = r.Floats(c.Floats, nrows)
 		case layout.TypeString:
-			c.Strs, err = r.Strs(nrows)
+			c.Strs, err = r.Strs(c.Strs, nrows)
 		case layout.TypeStringSet:
-			c.Sets, err = r.Sets(nrows)
+			c.Sets, err = r.Sets(c.Sets, nrows)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("column %q: %w", c.Name, err)
+			return fmt.Errorf("column %q: %w", c.Name, err)
 		}
 	}
+	b.lens = r.lens
 	if r.Left() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing frame bytes", ErrBatchCorrupt, r.Left())
+		return fmt.Errorf("%w: %d trailing frame bytes", ErrBatchCorrupt, r.Left())
 	}
-	return b, nil
+	return nil
 }

@@ -401,25 +401,7 @@ func TestAppendBatchMatchesAddRow(t *testing.T) {
 // ~1.25× steps take ~14), and a full builder holds no cell past MaxRows. The
 // "sparse" column is absent from every other batch, so backfill grows it too.
 func TestBuilderVectorsGrowByDoubling(t *testing.T) {
-	const rows = 1000
-	var batches []*Batch
-	for start := 0; start < MaxRows; start += rows {
-		rs := make([]Row, rows)
-		for i := range rs {
-			rs[i] = Row{Time: int64(start + i), Cols: map[string]Value{
-				"n": Int64Value(int64(i)), "f": Float64Value(float64(i)),
-				"s": StringValue("svc"), "tags": SetValue("a"),
-			}}
-			if start/rows%2 == 0 {
-				rs[i].Cols["sparse"] = Int64Value(1)
-			}
-		}
-		bt, err := FromRows(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batches = append(batches, bt)
-	}
+	batches := thousandRowBatches(t, MaxRows)
 	fill := func(batches []*Batch) *Builder {
 		b := NewBuilder(1)
 		for _, bt := range batches {
@@ -441,14 +423,157 @@ func TestBuilderVectorsGrowByDoubling(t *testing.T) {
 	if per := 1 + (all-first)/float64(vectors); per > 8 {
 		t.Errorf("%.1f allocations per vector (%v filling, %v for the first batch, %d vectors), want <= 8", per, all, first, vectors)
 	}
-	caps := map[string]int{"time": cap(full.times)}
-	for name, cb := range full.builders {
-		caps[name] = max(cap(cb.Ints), cap(cb.Floats), cap(cb.Strs), cap(cb.Sets))
-	}
-	for name, c := range caps {
+	for name, c := range builderCaps(full) {
 		if c > MaxRows {
 			t.Errorf("full builder's %s vector holds %d cells, want <= %d", name, c, MaxRows)
 		}
+	}
+}
+
+// thousandRowBatches returns rows rows of every type in 1,000-row batches,
+// the last one short. A "sparse" column is in every other batch, from the
+// first, so backfill grows it too.
+func thousandRowBatches(t *testing.T, rows int) []*Batch {
+	t.Helper()
+	var batches []*Batch
+	for start := 0; start < rows; start += 1000 {
+		rs := make([]Row, min(1000, rows-start))
+		for i := range rs {
+			rs[i] = Row{Time: int64(start + i), Cols: map[string]Value{
+				"n": Int64Value(int64(i)), "f": Float64Value(float64(i)),
+				"s": StringValue("svc"), "tags": SetValue("a"),
+			}}
+			if start/1000%2 == 0 {
+				rs[i].Cols["sparse"] = Int64Value(1)
+			}
+		}
+		bt, err := FromRows(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, bt)
+	}
+	return batches
+}
+
+// builderCaps returns the capacity of each of the builder's vectors, by
+// column name.
+func builderCaps(b *Builder) map[string]int {
+	caps := map[string]int{TimeColumn: cap(b.times)}
+	for name, cb := range b.builders {
+		caps[name] = max(cap(cb.Ints), cap(cb.Floats), cap(cb.Strs), cap(cb.Sets))
+	}
+	return caps
+}
+
+// TestReplayedTailAllocatesOnce pins what Reserve buys crash replay: a
+// builder reserved for the rows it is about to take and filled 1,000 rows at
+// a time allocates each vector once, at the reservation: the first batch
+// allocates no more than it does in a builder that is not reserved, nothing
+// is allocated after it, and every vector's capacity is the reservation. A
+// reservation past MaxRows sizes no vector past it.
+func TestReplayedTailAllocatesOnce(t *testing.T) {
+	for _, rows := range []int{30500, MaxRows} {
+		batches := thousandRowBatches(t, rows)
+		reserve := rows
+		fill := func(batches []*Batch) *Builder {
+			b := NewBuilder(1)
+			b.Reserve(reserve)
+			for _, bt := range batches {
+				if _, err := b.AppendBatch(bt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return b
+		}
+		first := testing.AllocsPerRun(2, func() { fill(batches[:1]) })
+		all := testing.AllocsPerRun(2, func() { fill(batches) })
+		reserve = 0
+		if unreserved := testing.AllocsPerRun(2, func() { fill(batches[:1]) }); first != unreserved {
+			t.Errorf("%d rows: the first batch allocates %v times reserved, %v times not", rows, first, unreserved)
+		}
+		reserve = rows
+		if all != first {
+			t.Errorf("%d rows: %v allocations filling, %v for the first batch: a vector moved", rows, all, first)
+		}
+		full := fill(batches)
+		if full.Rows() != rows {
+			t.Fatalf("builder holds %d rows, want %d", full.Rows(), rows)
+		}
+		for name, c := range builderCaps(full) {
+			if c != rows {
+				t.Errorf("%d rows reserved: the %s vector holds %d cells", rows, name, c)
+			}
+		}
+	}
+	b := NewBuilder(1)
+	b.Reserve(3 * MaxRows)
+	if _, err := b.AppendBatch(thousandRowBatches(t, 1000)[0]); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range builderCaps(b) {
+		if c > MaxRows {
+			t.Errorf("reserved past MaxRows: the %s vector holds %d cells, want <= %d", name, c, MaxRows)
+		}
+	}
+}
+
+// TestDecodeIntoReusedBatch decodes frames of drifting schemas one after
+// another into one batch, as replay's ring does, and appends each to a
+// builder before decoding the next; only the vector matching a column's type
+// may hold cells. The builder keeps the batch's strings
+// and sets, which point into the frame's text and set element arrays, so it
+// must end up holding what a builder fed the frames' source batches holds:
+// only the vectors are reused. Once warm, a decode allocates only strings
+// and element arrays: each column's name, the text of each string column,
+// and the text and element array of each set column.
+func TestDecodeIntoReusedBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var reused Batch
+	got, want := NewBuilder(1), NewBuilder(1)
+	for range 200 {
+		bt, err := FromRows(randomRows(rng, 1+rng.Intn(12)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Decode(bt.AppendFrame(nil)); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range reused.Cols {
+			if filled := min(len(c.Ints), 1) + min(len(c.Floats), 1) + min(len(c.Strs), 1) + min(len(c.Sets), 1); filled != 1 {
+				t.Fatalf("column %q (%v) holds cells in %d vectors, want only its type's", c.Name, c.Type, filled)
+			}
+		}
+		if _, err := want.AppendBatch(bt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := got.AppendBatch(&reused); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotBlock, err := got.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBlock, err := want.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(blockRows(t, gotBlock), blockRows(t, wantBlock)) {
+		t.Fatal("a builder fed one reused batch holds other rows than one fed the source batches")
+	}
+
+	b, err := FromRows(goldenRows()) // four columns, one of them strings and one sets
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := b.AppendFrame(nil)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := reused.Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 4+1+2 {
+		t.Errorf("a warm decode allocates %v times, want 7", allocs)
 	}
 }
 
@@ -474,7 +599,8 @@ func TestAppendBatchTypeConflictAppliesNothing(t *testing.T) {
 // a valid checksum, so the structure checks behind the CRC are reached — to
 // the frame decoder: garbage is ErrBatchCorrupt (or ErrReservedName), never
 // a panic or an allocation sized by an untrusted count, and whatever decodes
-// survives a re-encode.
+// survives a re-encode. Decoding into a batch reused across inputs, failed
+// decodes included, must give what a new batch does.
 func FuzzBatchDecode(f *testing.F) {
 	b, err := FromRows(goldenRows())
 	if err != nil {
@@ -485,9 +611,16 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("SBF1"))
 	f.Add(append(append(valid[:5:5], 0xff, 0xff, 0xff, 0xff, 0x0f), valid[6:]...))
+	var reused Batch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, frame := range [][]byte{data, reseal(data)} {
 			got, err := DecodeFrame(frame)
+			if rerr := reused.Decode(frame); (rerr == nil) != (err == nil) {
+				t.Fatalf("decoding into a reused batch: %v; into a new one: %v", rerr, err)
+			}
+			if err == nil && !reflect.DeepEqual(batchRows(got), batchRows(&reused)) {
+				t.Fatal("a reused batch decodes other rows than a new one")
+			}
 			if err != nil {
 				if !errors.Is(err, ErrBatchCorrupt) && !errors.Is(err, ErrReservedName) {
 					t.Fatalf("unexpected error class: %v", err)

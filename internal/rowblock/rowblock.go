@@ -224,17 +224,6 @@ func (b *RowBlock) Within(from, to int64) bool {
 // it goes, keeping the process footprint flat (§4.4, Figure 6).
 func (b *RowBlock) ReleaseColumn(i int) { b.cols[i] = nil }
 
-// Released reports whether any column has been released; such a block is no
-// longer queryable.
-func (b *RowBlock) Released() bool {
-	for _, c := range b.cols {
-		if c == nil {
-			return true
-		}
-	}
-	return false
-}
-
 // Builder accumulates rows and seals them into a RowBlock.
 type Builder struct {
 	created  int64
@@ -246,6 +235,7 @@ type Builder struct {
 	builders map[string]*builderColumn
 	rawBytes int64 // pre-compression size estimate, for the 1 GB cap
 	byteCap  int64 // defaults to MaxBytes; tests lower it
+	reserve  int   // cells each vector is made with (Reserve); 0 doubles from the first batch
 }
 
 // builderColumn is a builder's column: its cells and, for strings and sets,
@@ -259,6 +249,15 @@ type builderColumn struct {
 func NewBuilder(created int64) *Builder {
 	return &Builder{created: created, minTime: math.MaxInt64, maxTime: math.MinInt64, sorted: true,
 		builders: make(map[string]*builderColumn), byteCap: MaxBytes}
+}
+
+// Reserve sizes a new builder for rows rows, capped at MaxRows: each vector
+// is made once at that size — the time vector now, a column's when the
+// column first appears — instead of doubling up to it. Crash replay knows the
+// tail it is about to append; live ingest does not reserve.
+func (b *Builder) Reserve(rows int) {
+	b.reserve = min(rows, MaxRows)
+	b.times = grow(b.times, b.reserve-len(b.times))
 }
 
 // Rows returns the number of rows added so far.
@@ -294,24 +293,25 @@ func (b *Builder) AddRow(r Row) error {
 	return err
 }
 
-// backfill pads the column with zero values up to rows cells.
-func (cb *BatchColumn) backfill(rows int) {
+// backfill pads the column with zero values up to rows cells, in a vector
+// with room for at least room.
+func (cb *BatchColumn) backfill(rows, room int) {
 	switch cb.Type {
 	case layout.TypeInt64, layout.TypeTime:
-		cb.Ints = pad(cb.Ints, rows)
+		cb.Ints = pad(cb.Ints, rows, room)
 	case layout.TypeFloat64:
-		cb.Floats = pad(cb.Floats, rows)
+		cb.Floats = pad(cb.Floats, rows, room)
 	case layout.TypeString:
-		cb.Strs = pad(cb.Strs, rows)
+		cb.Strs = pad(cb.Strs, rows, room)
 	case layout.TypeStringSet:
-		cb.Sets = pad(cb.Sets, rows)
+		cb.Sets = pad(cb.Sets, rows, room)
 	}
 }
 
-// pad extends s with zero values to n cells.
-func pad[T any](s []T, n int) []T {
+// pad extends s with zero values to n cells, growing it to room or more.
+func pad[T any](s []T, n, room int) []T {
 	m := len(s)
-	s = grow(s, n-m)[:n]
+	s = grow(s, max(n, room)-m)[:n]
 	clear(s[m:])
 	return s
 }
@@ -427,7 +427,7 @@ func (b *Builder) AppendBatch(bt *Batch) (int, error) {
 		cb, ok := b.builders[c.Name]
 		if !ok {
 			cb = &builderColumn{BatchColumn: BatchColumn{Name: c.Name, Type: c.Type}}
-			cb.backfill(prev)
+			cb.backfill(prev, b.reserve)
 			b.builders[c.Name] = cb
 			b.names = append(b.names, c.Name)
 		}
@@ -439,7 +439,7 @@ func (b *Builder) AppendBatch(bt *Batch) (int, error) {
 		cb.Sets = append(grow(cb.Sets, len(src.Sets)), src.Sets...)
 	}
 	for _, cb := range b.builders {
-		cb.backfill(len(b.times))
+		cb.backfill(len(b.times), b.reserve)
 	}
 	return n, nil
 }
@@ -591,22 +591,6 @@ func (b *RowBlock) zoneAt(i int) ZoneMap {
 		return ZoneMap{Kind: ZoneNone}
 	}
 	return b.zones[i]
-}
-
-// ImageSize returns the serialized image size in bytes.
-func (b *RowBlock) ImageSize() int {
-	n := 4 + 8 + 8 + 8*3 + 4
-	for _, f := range b.schema {
-		n += 2 + len(f.Name) + 1
-	}
-	for i := range b.schema {
-		n += zoneMapSize(b.zoneAt(i))
-	}
-	n += 8 * len(b.cols)
-	for _, c := range b.cols {
-		n += c.Size()
-	}
-	return n
 }
 
 // AppendImage serializes the whole block (prefix plus all columns).

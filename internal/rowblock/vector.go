@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"scuba/internal/codec"
 )
@@ -103,8 +104,9 @@ func AppendSets(dst []byte, sets [][]string) []byte {
 // allocations by an announced count only after checking the buffer still
 // holds at least one byte per announced cell.
 type Reader struct {
-	b   []byte
-	pos int
+	b    []byte
+	pos  int
+	lens []int // Strs' and Sets' length scratch
 }
 
 // Left returns how many bytes are still unread.
@@ -166,12 +168,12 @@ func (r *Reader) Str() (string, error) {
 	return string(b), err
 }
 
-// Ints reads a vector of n zigzag varints.
-func (r *Reader) Ints(n int) ([]int64, error) {
+// Ints reads a vector of n zigzag varints into dst, resized.
+func (r *Reader) Ints(dst []int64, n int) ([]int64, error) {
 	if n > r.Left() {
 		return nil, fmt.Errorf("%w: %d varints in %d bytes", ErrBatchCorrupt, n, r.Left())
 	}
-	out := make([]int64, n)
+	out := resize(dst, n)
 	for i := range out {
 		v, err := r.Int()
 		if err != nil {
@@ -209,8 +211,8 @@ func (r *Reader) Counts(dst []int64) error {
 	return nil
 }
 
-// Floats reads a vector of n 8-byte floats.
-func (r *Reader) Floats(n int) ([]float64, error) {
+// Floats reads a vector of n 8-byte floats into dst, resized.
+func (r *Reader) Floats(dst []float64, n int) ([]float64, error) {
 	if n > r.Left()/8 {
 		return nil, fmt.Errorf("%w: %d floats in %d bytes", ErrBatchCorrupt, n, r.Left())
 	}
@@ -218,43 +220,44 @@ func (r *Reader) Floats(n int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
+	out := resize(dst, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return out, nil
 }
 
-// Lengths reads n uvarint lengths and returns them with their sum, refusing
-// a sum the rest of the buffer cannot hold.
-func (r *Reader) Lengths(n int) ([]int, int, error) {
+// lengths appends n uvarint lengths to lens and returns it with their sum,
+// refusing a sum the rest of the buffer cannot hold.
+func (r *Reader) lengths(lens []int, n int) ([]int, int, error) {
 	if n > r.Left() {
 		return nil, 0, fmt.Errorf("%w: %d lengths in %d bytes", ErrBatchCorrupt, n, r.Left())
 	}
-	lens := make([]int, n)
-	total := 0
-	for i := range lens {
+	lens, total := slices.Grow(lens, n), 0
+	for range n {
 		l, err := r.Count()
 		if err != nil {
 			return nil, 0, err
 		}
-		lens[i] = l
+		lens = append(lens, l)
 		total += l
 		if total > r.Left() {
 			return nil, 0, fmt.Errorf("%w: lengths sum past the frame", ErrBatchCorrupt)
 		}
 	}
+	r.lens = lens
 	return lens, total, nil
 }
 
-// Cut reads total bytes as one string and slices it by lens.
-func (r *Reader) Cut(lens []int, total int) ([]string, error) {
+// cut reads total bytes as one new string and slices it by lens into dst,
+// resized.
+func (r *Reader) cut(dst []string, lens []int, total int) ([]string, error) {
 	raw, err := r.Bytes(total)
 	if err != nil {
 		return nil, err
 	}
 	text := string(raw)
-	out := make([]string, len(lens))
+	out := resize(dst, len(lens))
 	off := 0
 	for i, l := range lens {
 		out[i] = text[off : off+l]
@@ -263,36 +266,48 @@ func (r *Reader) Cut(lens []int, total int) ([]string, error) {
 	return out, nil
 }
 
-// Strs reads a vector of n strings, all substrings of one decoded text.
-func (r *Reader) Strs(n int) ([]string, error) {
-	lens, total, err := r.Lengths(n)
+// Strs reads a vector of n strings into dst, resized: substrings of one text,
+// new on every call.
+func (r *Reader) Strs(dst []string, n int) ([]string, error) {
+	lens, total, err := r.lengths(r.lens[:0], n)
 	if err != nil {
 		return nil, err
 	}
-	return r.Cut(lens, total)
+	return r.cut(dst, lens, total)
 }
 
-// Sets reads a vector of n string sets.
-func (r *Reader) Sets(n int) ([][]string, error) {
-	counts, elems, err := r.Lengths(n)
+// Sets reads a vector of n string sets into dst, resized. The element array
+// and its text are new on every call: whoever keeps a set keeps a slice of
+// them.
+func (r *Reader) Sets(dst [][]string, n int) ([][]string, error) {
+	lens, elems, err := r.lengths(r.lens[:0], n)
 	if err != nil {
 		return nil, err
 	}
-	lens, total, err := r.Lengths(elems)
+	lens, total, err := r.lengths(lens, elems)
 	if err != nil {
 		return nil, err
 	}
-	all, err := r.Cut(lens, total)
+	all, err := r.cut(nil, lens[n:], total)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]string, n)
+	dst = resize(dst, n)
 	off := 0
-	for i, c := range counts {
+	for i, c := range lens[:n] {
 		// Full slice expression: appending to one row's set must not write
 		// into its neighbour's elements.
-		out[i] = all[off : off+c : off+c]
+		dst[i] = all[off : off+c : off+c]
 		off += c
 	}
-	return out, nil
+	return dst, nil
+}
+
+// resize returns s with n cells, in its own array when that has room; the
+// cells' contents are left for the caller to overwrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -134,17 +134,6 @@ func appendZoneMap(dst []byte, z ZoneMap) []byte {
 	return dst
 }
 
-func zoneMapSize(z ZoneMap) int {
-	switch z.Kind {
-	case ZoneInt, ZoneFloat:
-		return 1 + 16
-	case ZoneDict, ZoneSetDict:
-		return 1 + zoneBloomBytes
-	default:
-		return 1
-	}
-}
-
 // parseZoneMap decodes one serialized zone map, returning the bytes used.
 func parseZoneMap(b []byte) (ZoneMap, int, error) {
 	if len(b) < 1 {

@@ -119,8 +119,10 @@ func TestWriteBlockReleasesHeapColumns(t *testing.T) {
 	if err := w.WriteBlock(blocks[0], true); err != nil {
 		t.Fatal(err)
 	}
-	if !blocks[0].Released() {
-		t.Error("columns not released after copy")
+	for i := 0; i < blocks[0].NumColumns(); i++ {
+		if blocks[0].Column(i) != nil {
+			t.Errorf("column %d not released after copy", i)
+		}
 	}
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)

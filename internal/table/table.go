@@ -45,8 +45,9 @@ type Table struct {
 	inflightDel int
 	killDeletes bool
 
-	blocks []*rowblock.RowBlock
-	active *rowblock.Builder
+	blocks  []*rowblock.RowBlock
+	active  *rowblock.Builder
+	reserve int // rows the next builder is sized for (Reserve), then 0
 	// starts[i] is the global row index of blocks[i]'s first row, and
 	// sealedEnd the index one past the last sealed row. Global indexes are
 	// cumulative over the table's whole life — expiration drops entries but
@@ -148,6 +149,8 @@ func (t *Table) AddBatch(b *rowblock.Batch, now int64) error {
 	for b.Rows() > 0 {
 		if t.active == nil {
 			t.active = rowblock.NewBuilder(now)
+			t.active.Reserve(t.reserve)
+			t.reserve = 0
 		}
 		n, err := t.active.AppendBatch(b)
 		if err != nil {
@@ -164,6 +167,15 @@ func (t *Table) AddBatch(b *rowblock.Batch, now int64) error {
 		b = b.Slice(n, b.Rows())
 	}
 	return nil
+}
+
+// Reserve sizes the table's next builder for rows rows
+// (rowblock.Builder.Reserve). Crash replay calls it with the log tail's row
+// count before it applies the tail.
+func (t *Table) Reserve(rows int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.reserve = rows
 }
 
 // sealActiveLocked seals the in-progress builder into the block vector.

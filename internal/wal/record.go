@@ -30,6 +30,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"scuba/internal/rowblock"
@@ -152,24 +153,52 @@ func (sr *segmentReader) next() (record, int, error) {
 	return decodeRecord(sr.buf)
 }
 
-// batch decodes the record's payload. The record CRC already passed, so a
-// payload that does not decode to count rows is an encoder bug or a forged
-// file, not a torn write: ErrCorrupt.
-func (rec record) batch() (*rowblock.Batch, error) {
-	var b *rowblock.Batch
+// decode decodes the record's payload into b, reusing b's vectors. The
+// record CRC already passed, so a payload that does not decode to count rows
+// is an encoder bug or a forged file, not a torn write: ErrCorrupt.
+func (rec record) decode(b *rowblock.Batch) error {
 	var err error
 	if rec.magic == recordMagic {
-		b, err = rowblock.DecodeFrame(rec.payload)
+		err = b.Decode(rec.payload)
 	} else {
-		b, err = decodeRowsV1(rec.payload, rec.count)
+		var v1 *rowblock.Batch
+		if v1, err = decodeRowsV1(rec.payload, rec.count); err == nil {
+			*b = *v1
+		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if b.Rows() != rec.count {
-		return nil, fmt.Errorf("%w: record says %d rows, payload holds %d", ErrCorrupt, rec.count, b.Rows())
+		return fmt.Errorf("%w: record says %d rows, payload holds %d", ErrCorrupt, rec.count, b.Rows())
 	}
-	return b, nil
+	return nil
+}
+
+// tailRows sums the rows past from that the 24-byte heads of the records
+// replay reads announce, capped at rowblock.MaxRows: the size replay reserves
+// for the tail. Nothing trusts the sum, so a segment's walk just ends where
+// a head cannot be read.
+func tailRows(dir string, segs []segFile, from int64) int {
+	rows, head := int64(0), make([]byte, recordOverhead-4)
+	for i := 0; i < len(segs) && rows < rowblock.MaxRows; i++ {
+		if i+1 < len(segs) && segs[i+1].start <= from {
+			continue // below the watermark, as replay skips it
+		}
+		f, err := os.Open(filepath.Join(dir, segs[i].name))
+		if err != nil {
+			continue
+		}
+		for off := int64(0); rows < rowblock.MaxRows; off += recordOverhead + int64(binary.LittleEndian.Uint32(head[16:])) {
+			if _, err := f.ReadAt(head, off); err != nil {
+				break
+			}
+			start := int64(binary.LittleEndian.Uint64(head[4:]))
+			rows += max(start+int64(binary.LittleEndian.Uint32(head[12:]))-max(start, from), 0)
+		}
+		f.Close()
+	}
+	return int(min(rows, rowblock.MaxRows))
 }
 
 // decodeRowsV1 reads a WAL1 payload: count row payloads back to back.

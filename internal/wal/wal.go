@@ -651,24 +651,63 @@ func (l *Log) Close() error {
 
 // ---- Replay ----
 
+// replayRing is how many batches a replay decodes into, in turn: the one fn
+// applies, the one the reader decodes into, and one sent between them.
+const replayRing = 3
+
 // ReplayFrom streams the log tail of one table, record by record, in order,
-// starting at row index from (records straddling it are sliced). fn receives
-// each batch, decoded into the column vectors live ingest applied; returning
-// an error aborts the replay. A torn record at a segment's tail is discarded
-// (it was never acked); bad records anywhere else return ErrCorrupt. A log
-// whose tail starts after from returns ErrGap. Returns (records applied, rows
-// applied, next row index); wal.replay_rows counts the rows however it ends.
-func (l *Log) ReplayFrom(table string, from int64, fn func(*rowblock.Batch) error) (int, int64, int64, error) {
+// starting at row index from (records straddling it are sliced). Before the
+// first batch it calls reserve, when non-nil, with the tail's rows as the
+// records' heads count them, capped at rowblock.MaxRows. fn receives each
+// batch, decoded into the column vectors live ingest applied and valid only
+// until fn returns; returning an error aborts the replay. A torn record at a
+// segment's tail is discarded (it was never acked); bad records anywhere else
+// return ErrCorrupt. A log whose tail starts after from returns ErrGap.
+// Returns (records applied, rows applied, next row index); wal.replay_rows
+// counts the rows however it ends. A reader goroutine decodes ahead while
+// the caller's applies, and is stopped before ReplayFrom returns.
+func (l *Log) ReplayFrom(table string, from int64, reserve func(rows int), fn func(*rowblock.Batch) error) (int, int64, int64, error) {
 	dir := l.tableDir(table)
 	segs, err := listSegments(dir)
 	if err != nil {
 		return 0, 0, from, err
 	}
-	pos := from
+	if reserve != nil {
+		reserve(tailRows(dir, segs, from))
+	}
+	// The reader decodes into a batch again replayRing records after sending
+	// it; with room for replayRing-2 in the channel, fn is done with it by then.
+	out, done := make(chan *rowblock.Batch, replayRing-2), make(chan struct{})
+	var readErr error
+	go func() {
+		defer close(out)
+		readErr = readTail(table, dir, segs, from, out, done)
+	}()
 	records, rowsApplied := 0, int64(0)
-	defer func() { addCount(l.counter("wal.replay_rows"), rowsApplied) }()
+	defer func() {
+		close(done)
+		for range out { // closed once the reader has closed its segment
+		}
+		addCount(l.counter("wal.replay_rows"), rowsApplied)
+	}()
+	for b := range out {
+		if err := fn(b); err != nil {
+			return records, rowsApplied, from + rowsApplied, err
+		}
+		records++
+		rowsApplied += int64(b.Rows())
+	}
+	return records, rowsApplied, from + rowsApplied, readErr
+}
+
+// readTail is ReplayFrom's reader: it decodes the records of segs past row
+// index pos, in order, into a ring of batches and sends them on out until
+// done closes or a record fails.
+func readTail(table, dir string, segs []segFile, pos int64, out chan<- *rowblock.Batch, done <-chan struct{}) error {
 	var sr segmentReader
 	defer sr.close()
+	var ring [replayRing]rowblock.Batch
+	sent := 0
 	for i, sg := range segs {
 		// A segment is skippable when its successor starts at or below pos:
 		// every record in it is then below the watermark.
@@ -676,10 +715,10 @@ func (l *Log) ReplayFrom(table string, from int64, fn func(*rowblock.Batch) erro
 			continue
 		}
 		if err := fault.Inject(fault.SiteWALReplay); err != nil {
-			return records, rowsApplied, pos, fmt.Errorf("wal: replay %s: %w", table, err)
+			return fmt.Errorf("wal: replay %s: %w", table, err)
 		}
 		if err := sr.open(filepath.Join(dir, sg.name)); err != nil {
-			return records, rowsApplied, pos, err
+			return err
 		}
 		for off := 0; sr.left > 0; {
 			rec, used, derr := sr.next()
@@ -696,7 +735,7 @@ func (l *Log) ReplayFrom(table string, from int64, fn func(*rowblock.Batch) erro
 				if errors.Is(derr, errTorn) || errors.Is(derr, ErrCorrupt) {
 					derr = ErrCorrupt // anything else is a failed read
 				}
-				return records, rowsApplied, pos, fmt.Errorf("wal: %s %s at offset %d: %w", table, sg.name, off, derr)
+				return fmt.Errorf("wal: %s %s at offset %d: %w", table, sg.name, off, derr)
 			}
 			off += used
 			end := rec.start + int64(rec.count)
@@ -704,22 +743,23 @@ func (l *Log) ReplayFrom(table string, from int64, fn func(*rowblock.Batch) erro
 				continue
 			}
 			if rec.start > pos {
-				return records, rowsApplied, pos, fmt.Errorf("%w: %s needs row %d, log resumes at %d", ErrGap, table, pos, rec.start)
+				return fmt.Errorf("%w: %s needs row %d, log resumes at %d", ErrGap, table, pos, rec.start)
 			}
-			b, err := rec.batch()
-			if err != nil {
-				return records, rowsApplied, pos, fmt.Errorf("wal: %s %s at offset %d: %w", table, sg.name, off-used, err)
+			b := &ring[sent%replayRing]
+			if err := rec.decode(b); err != nil {
+				return fmt.Errorf("wal: %s %s at offset %d: %w", table, sg.name, off-used, err)
 			}
 			if rec.start < pos {
 				b = b.Slice(int(pos-rec.start), b.Rows())
 			}
-			if err := fn(b); err != nil {
-				return records, rowsApplied, pos, err
+			select {
+			case out <- b:
+			case <-done:
+				return nil
 			}
 			pos = end
-			records++
-			rowsApplied += int64(b.Rows())
+			sent++
 		}
 	}
-	return records, rowsApplied, pos, nil
+	return nil
 }

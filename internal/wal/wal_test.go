@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,10 +94,39 @@ func batchRows(b *rowblock.Batch) []rowblock.Row {
 	return rows
 }
 
+// decodeNew decodes the record's payload into a new batch.
+func decodeNew(rec record) (*rowblock.Batch, error) {
+	b := new(rowblock.Batch)
+	return b, rec.decode(b)
+}
+
+// cloneBatch copies a batch replay handed to fn, which is valid only until fn
+// returns: the exported vectors, and of each column only the one its type
+// fills, so batches that hold the same cells compare equal however their
+// vectors were reused.
+func cloneBatch(b *rowblock.Batch) *rowblock.Batch {
+	out := &rowblock.Batch{Times: slices.Clone(b.Times), Cols: make([]rowblock.BatchColumn, len(b.Cols))}
+	for k, c := range b.Cols {
+		cc := rowblock.BatchColumn{Name: c.Name, Type: c.Type}
+		switch c.Type {
+		case layout.TypeInt64, layout.TypeTime:
+			cc.Ints = slices.Clone(c.Ints)
+		case layout.TypeFloat64:
+			cc.Floats = slices.Clone(c.Floats)
+		case layout.TypeString:
+			cc.Strs = slices.Clone(c.Strs)
+		case layout.TypeStringSet:
+			cc.Sets = slices.Clone(c.Sets)
+		}
+		out.Cols[k] = cc
+	}
+	return out
+}
+
 func collectReplay(t *testing.T, l *Log, table string, from int64) ([]rowblock.Row, int64) {
 	t.Helper()
 	var got []rowblock.Row
-	_, _, next, err := l.ReplayFrom(table, from, func(b *rowblock.Batch) error {
+	_, _, next, err := l.ReplayFrom(table, from, nil, func(b *rowblock.Batch) error {
 		got = append(got, batchRows(b)...)
 		return nil
 	})
@@ -115,7 +146,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if rec.start != 42 || rec.count != 17 || used != len(raw) {
 		t.Fatalf("start=%d count=%d used=%d want 42, 17, %d", rec.start, rec.count, used, len(raw))
 	}
-	b, err := rec.batch()
+	b, err := decodeNew(rec)
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -443,7 +474,7 @@ func TestMidLogCorruptionAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	_, _, _, err = l2.ReplayFrom("events", 0, func(*rowblock.Batch) error { return nil })
+	_, _, _, err = l2.ReplayFrom("events", 0, nil, func(*rowblock.Batch) error { return nil })
 	if err == nil {
 		t.Fatal("mid-log corruption not detected")
 	}
@@ -489,7 +520,7 @@ func TestRotationAndTruncate(t *testing.T) {
 		t.Fatal("active segment deleted")
 	}
 	// Replay below the truncated tail now reports a gap.
-	_, _, _, err = l.ReplayFrom("events", 0, func(*rowblock.Batch) error { return nil })
+	_, _, _, err = l.ReplayFrom("events", 0, nil, func(*rowblock.Batch) error { return nil })
 	if !errors.Is(err, ErrGap) {
 		t.Fatalf("want ErrGap, got %v", err)
 	}
@@ -691,7 +722,7 @@ func FuzzRecordDecode(f *testing.F) {
 		if used > len(data) || used < recordOverhead {
 			t.Fatalf("used=%d len=%d", used, len(data))
 		}
-		b, err := rec.batch()
+		b, err := decodeNew(rec)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("payload error is not ErrCorrupt: %v", err)
@@ -706,8 +737,8 @@ func FuzzRecordDecode(f *testing.F) {
 		if err != nil || rec2.start != rec.start || used2 != len(re) {
 			t.Fatalf("re-encoded record fails decode: %v", err)
 		}
-		b2, err := rec2.batch()
-		if err != nil || !reflect.DeepEqual(b, b2) {
+		b2, err := decodeNew(rec2)
+		if err != nil || !reflect.DeepEqual(cloneBatch(b), cloneBatch(b2)) {
 			t.Fatalf("batch differs after re-encode cycle: %v", err)
 		}
 	})
@@ -734,7 +765,7 @@ func replayWhole(data []byte, from int64, fn func(*rowblock.Batch) error) (int, 
 		if rec.start > pos {
 			return records, rows, pos, ErrGap
 		}
-		b, err := rec.batch()
+		b, err := decodeNew(rec)
 		if err != nil {
 			return records, rows, pos, err
 		}
@@ -792,6 +823,13 @@ func FuzzReplaySegment(f *testing.F) {
 	f.Add(wal1Record(f, 0, testRows(0, 3)), uint16(1))
 	f.Add(seg, uint16(40))                                                    // past the log's end: nothing to apply
 	f.Add(appendRecord(nil, 5, 10, testFrame(f, testRows(0, 10))), uint16(0)) // a gap
+	// More records than the ring, over a schema whose string and set columns
+	// come and go; from the start, from inside the third record, and with a
+	// WAL1 record among them.
+	drift := driftingSegment(f, -1)
+	f.Add(drift, uint16(0))
+	f.Add(drift, uint16(12))
+	f.Add(driftingSegment(f, 5), uint16(3))
 	// One directory per fuzzing process, which runs one input at a time.
 	dir := f.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, "events"), 0o755); err != nil {
@@ -808,8 +846,15 @@ func FuzzReplaySegment(f *testing.F) {
 		}
 		defer l.Close()
 		var got, want []*rowblock.Batch
-		recs, rows, next, err := l.ReplayFrom("events", int64(from), func(b *rowblock.Batch) error { got = append(got, b); return nil })
-		wrecs, wrows, wnext, werr := replayWhole(seg, int64(from), func(b *rowblock.Batch) error { want = append(want, b); return nil })
+		reserved := -1
+		reserve := func(rows int) {
+			if reserved >= 0 || len(got) > 0 {
+				t.Fatalf("reserve(%d) after reserve(%d) or after %d batches", rows, reserved, len(got))
+			}
+			reserved = rows
+		}
+		recs, rows, next, err := l.ReplayFrom("events", int64(from), reserve, func(b *rowblock.Batch) error { got = append(got, cloneBatch(b)); return nil })
+		wrecs, wrows, wnext, werr := replayWhole(seg, int64(from), func(b *rowblock.Batch) error { want = append(want, cloneBatch(b)); return nil })
 		if errClass(err) != errClass(werr) || recs != wrecs || rows != wrows || next != wnext {
 			t.Fatalf("streamed: %d records, %d rows, next %d, %v; whole: %d, %d, %d, %v", recs, rows, next, err, wrecs, wrows, wnext, werr)
 		}
@@ -819,7 +864,162 @@ func FuzzReplaySegment(f *testing.F) {
 		if c := reg.Counter("wal.replay_rows").Value(); c != rows {
 			t.Fatalf("wal.replay_rows = %d, replay applied %d", c, rows)
 		}
+		// The heads may lie about what follows them, but never about a
+		// record replay applied.
+		if int64(reserved) < min(rows, rowblock.MaxRows) || reserved > rowblock.MaxRows {
+			t.Fatalf("reserved %d rows for a replay of %d", reserved, rows)
+		}
 	})
+}
+
+// driftingSegment is ten records of five rows whose schema drifts: the
+// string column is missing from every third record and the set column from
+// every other one. Record wal1, when in range, is framed the WAL1 way.
+func driftingSegment(t testing.TB, wal1 int) []byte {
+	var seg []byte
+	for i := range 10 {
+		rows := testRows(i*5, 5)
+		for _, r := range rows {
+			if i%3 == 1 {
+				delete(r.Cols, "service")
+			}
+			if i%2 == 1 {
+				delete(r.Cols, "tags")
+			}
+		}
+		if i == wal1 {
+			seg = append(seg, wal1Record(t, int64(i*5), rows)...)
+			continue
+		}
+		seg = appendRecord(seg, int64(i*5), 5, testFrame(t, rows))
+	}
+	return seg
+}
+
+// logOf writes one table's log, a segment per element of segs (each named
+// by the start of its first record), and opens it.
+func logOf(t *testing.T, segs ...[]byte) (*Log, *metrics.Registry) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "events"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i, seg := range segs {
+		name := fmt.Sprintf("wal-%08d-%d.log", i+1, binary.LittleEndian.Uint64(seg[4:]))
+		if err := os.WriteFile(filepath.Join(dir, "events", name), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := metrics.NewRegistry()
+	l, err := Open(dir, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l, reg
+}
+
+// TestReplayReservesTheTail: before the first batch, ReplayFrom reserves
+// the rows past from that its records' heads announce, across segments,
+// skipping a segment wholly below from.
+func TestReplayReservesTheTail(t *testing.T) {
+	drift := driftingSegment(t, -1)
+	var more []byte
+	for i := 10; i < 14; i++ {
+		more = appendRecord(more, int64(i*5), 5, testFrame(t, testRows(i*5, 5)))
+	}
+	l, _ := logOf(t, drift, more)
+	for _, tc := range []struct{ from, want int64 }{{0, 70}, {12, 58}, {50, 20}, {52, 18}, {70, 0}} {
+		reserved := -1
+		_, rows, _, err := l.ReplayFrom("events", tc.from, func(n int) { reserved = n }, func(*rowblock.Batch) error {
+			if reserved < 0 {
+				t.Fatal("a batch before the reservation")
+			}
+			return nil
+		})
+		if err != nil || rows != tc.want || int64(reserved) != tc.want {
+			t.Errorf("from %d: reserved %d, replayed %d rows (%v), want %d", tc.from, reserved, rows, err, tc.want)
+		}
+	}
+}
+
+// openSegments counts this process's open files under dir.
+func openSegments(t *testing.T, dir string) int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to count open files by: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReplayStopsReaderOnFnError: fn fails at record k of a log with more
+// records than the reader's ring. ReplayFrom must return fn's error with k
+// records applied and wal.replay_rows counting their rows, and must have
+// stopped its reader and closed its segment: no goroutine or open file is
+// left behind.
+func TestReplayStopsReaderOnFnError(t *testing.T) {
+	l, reg := logOf(t, driftingSegment(t, -1))
+	before := runtime.NumGoroutine()
+	const k = 3
+	boom := errors.New("apply failed")
+	calls := 0
+	recs, rows, next, err := l.ReplayFrom("events", 0, nil, func(*rowblock.Batch) error {
+		if calls == k {
+			return boom
+		}
+		calls++
+		return nil
+	})
+	if !errors.Is(err, boom) || recs != k || rows != 5*k || next != 5*k {
+		t.Fatalf("ReplayFrom = %d records, %d rows, next %d, %v; want %d, %d, %d, %v", recs, rows, next, err, k, 5*k, 5*k, boom)
+	}
+	if c := reg.Counter("wal.replay_rows").Value(); c != rows {
+		t.Fatalf("wal.replay_rows = %d, replay applied %d", c, rows)
+	}
+	if n := openSegments(t, l.Dir()); n != 0 {
+		t.Errorf("%d segment files left open", n)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the replay, %d before: the reader is still running", n, before)
+	}
+}
+
+// TestReplayBatchValidUntilFnReturns: the reader decodes ahead into a ring
+// of reused batches, so the batch fn holds must not be decoded into again
+// before fn returns. fn reads its batch, gives the reader time to run ahead,
+// and reads it again.
+func TestReplayBatchValidUntilFnReturns(t *testing.T) {
+	var want [][]rowblock.Row
+	var seg []byte
+	for i := range 12 {
+		rows := testRows(i*5, 5)
+		want = append(want, rows)
+		seg = appendRecord(seg, int64(i*5), 5, testFrame(t, rows))
+	}
+	l, _ := logOf(t, seg)
+	i := 0
+	_, _, _, err := l.ReplayFrom("events", 0, nil, func(b *rowblock.Batch) error {
+		first := batchRows(b)
+		time.Sleep(2 * time.Millisecond)
+		if again := batchRows(b); !reflect.DeepEqual(first, again) || !reflect.DeepEqual(first, want[i]) {
+			t.Fatalf("batch %d changed while fn held it", i)
+		}
+		i++
+		return nil
+	})
+	if err != nil || i != len(want) {
+		t.Fatalf("replayed %d of %d batches: %v", i, len(want), err)
+	}
 }
 
 // wal1Record frames rows the way binaries before the batch frame did: magic
@@ -898,8 +1098,8 @@ func TestWAL1SegmentStillReplays(t *testing.T) {
 		want = append(want, b)
 	}
 	var got []*rowblock.Batch
-	collect := func(b *rowblock.Batch) error { got = append(got, b); return nil }
-	recs, rows, next, err := l.ReplayFrom("events", 0, collect)
+	collect := func(b *rowblock.Batch) error { got = append(got, cloneBatch(b)); return nil }
+	recs, rows, next, err := l.ReplayFrom("events", 0, nil, collect)
 	if err != nil || recs != 3 || rows != 8 || next != 8 {
 		t.Fatalf("replay: recs=%d rows=%d next=%d err=%v", recs, rows, next, err)
 	}
@@ -908,7 +1108,7 @@ func TestWAL1SegmentStillReplays(t *testing.T) {
 	}
 	// From row 5 the third record (rows 4..7) is sliced past the watermark.
 	got = nil
-	if _, rows, _, err = l.ReplayFrom("events", 5, collect); err != nil || rows != 3 {
+	if _, rows, _, err = l.ReplayFrom("events", 5, nil, collect); err != nil || rows != 3 {
 		t.Fatalf("mid-record replay: rows=%d err=%v", rows, err)
 	}
 	if !reflect.DeepEqual(got, []*rowblock.Batch{want[2].Slice(1, 4)}) {
