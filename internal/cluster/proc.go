@@ -34,7 +34,7 @@ import (
 // path. It builds by package path, so it works from any directory inside
 // the module.
 func BuildScubad(dir string) (string, error) {
-	return buildScubad(dir, false)
+	return buildCmd("", dir, "scubad", false)
 }
 
 // BuildScubadRace compiles scubad with the race detector, so rollover
@@ -42,19 +42,22 @@ func BuildScubad(dir string) (string, error) {
 // promoter against live scans, most of all — under instrumentation, not
 // just the test harness.
 func BuildScubadRace(dir string) (string, error) {
-	return buildScubad(dir, true)
+	return buildCmd("", dir, "scubad", true)
 }
 
-func buildScubad(dir string, race bool) (string, error) {
-	bin := dir + "/scubad"
+// buildCmd compiles the command cmd/name of the module in src ("" = the
+// one the process runs in) into dir.
+func buildCmd(src, dir, name string, race bool) (string, error) {
+	bin := dir + "/" + name
 	args := []string{"build"}
 	if race {
 		args = append(args, "-race")
 	}
-	args = append(args, "-o", bin, "scuba/cmd/scubad")
+	args = append(args, "-o", bin, "scuba/cmd/"+name)
 	cmd := exec.Command("go", args...)
+	cmd.Dir = src
 	if out, err := cmd.CombinedOutput(); err != nil {
-		return "", fmt.Errorf("cluster: building scubad: %w\n%s", err, out)
+		return "", fmt.Errorf("cluster: building %s: %w\n%s", name, err, out)
 	}
 	return bin, nil
 }

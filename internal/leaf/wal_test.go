@@ -115,64 +115,62 @@ func TestWALCrashRecovery(t *testing.T) {
 }
 
 // TestWALCorruptionFallsBackToDisk: mid-log corruption degrades that table
-// to the disk translate instead of failing the leaf.
+// to its store images instead of failing the leaf. A log segment of the
+// retired WAL1 format (the wal package's fixture, which no supported release
+// writes) is corruption like any other.
 func TestWALCorruptionFallsBackToDisk(t *testing.T) {
-	e := newWALEnv(t)
-	old := startLeaf(t, e.config(0))
-	ingest(t, old, "events", 2000, 1000)
-	if err := old.SealAll(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := old.SyncToDisk(); err != nil {
-		t.Fatal(err)
-	}
-	ingest(t, old, "events", 500, 5000)
-
-	// Flip a byte in the middle of the first WAL segment.
-	tdir := filepath.Join(e.walDir, "leaf0", "events")
-	entries, err := os.ReadDir(tdir)
+	wal1, err := os.ReadFile(filepath.Join("..", "wal", "testdata", "wal1-segment.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupted := false
-	for _, ent := range entries {
-		if !strings.HasPrefix(ent.Name(), "wal-") {
-			continue
-		}
-		path := filepath.Join(tdir, ent.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[30] ^= 0xff
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		corrupted = true
-		break
-	}
-	if !corrupted {
-		t.Fatal("no WAL segment found to corrupt")
-	}
+	for name, corrupt := range map[string]func([]byte) []byte{
+		"flipped byte": func(data []byte) []byte { data[30] ^= 0xff; return data },
+		"WAL1 segment": func([]byte) []byte { return wal1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := newWALEnv(t)
+			old := startLeaf(t, e.config(0))
+			ingest(t, old, "events", 2000, 1000)
+			if err := old.SealAll(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := old.SyncToDisk(); err != nil {
+				t.Fatal(err)
+			}
+			ingest(t, old, "events", 500, 5000)
 
-	l := startLeaf(t, e.config(0))
-	info := l.Recovery()
-	if info.Path != RecoveryDisk {
-		t.Fatalf("recovery path = %v, want disk (%+v)", info.Path, info)
-	}
-	var tr *TableRecovery
-	for i := range info.PerTablePath {
-		if info.PerTablePath[i].Table == "events" {
-			tr = &info.PerTablePath[i]
-		}
-	}
-	if tr == nil || tr.Reason == "" {
-		t.Fatalf("per-table path missing fallback reason: %+v", info.PerTablePath)
-	}
-	// The synced rows survive; the WAL tail behind the corruption is lost
-	// (pre-WAL durability for this one table).
-	if got := countRows(t, l, "events"); got != 2000 {
-		t.Fatalf("events count = %v, want 2000 synced rows", got)
+			segs, err := filepath.Glob(filepath.Join(e.walDir, "leaf0", "events", "wal-*.log"))
+			if err != nil || len(segs) == 0 {
+				t.Fatalf("no WAL segment to corrupt (%v)", err)
+			}
+			data, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(segs[0], corrupt(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			l := startLeaf(t, e.config(0))
+			info := l.Recovery()
+			if info.Path != RecoveryDisk {
+				t.Fatalf("recovery path = %v, want disk (%+v)", info.Path, info)
+			}
+			var tr *TableRecovery
+			for i := range info.PerTablePath {
+				if info.PerTablePath[i].Table == "events" {
+					tr = &info.PerTablePath[i]
+				}
+			}
+			if tr == nil || !strings.Contains(tr.Reason, "corrupt record") {
+				t.Fatalf("per-table path missing the fallback reason: %+v", info.PerTablePath)
+			}
+			// The synced rows survive; the WAL tail behind the corruption is
+			// lost (pre-WAL durability for this one table).
+			if got := countRows(t, l, "events"); got != 2000 {
+				t.Fatalf("events count = %v, want 2000 synced rows", got)
+			}
+		})
 	}
 }
 

@@ -18,8 +18,8 @@ import "scuba/internal/rowblock"
 // error a real scan would have returned.
 
 // zoner is implemented by sealed row blocks that carry zone maps. Unsealed
-// views and blocks restored from v1 images either don't implement it or
-// return nil zones, and are always scanned.
+// views don't implement it, a column without a summary returns a nil zone,
+// and both are always scanned.
 type zoner interface {
 	ColumnZone(name string) *rowblock.ZoneMap
 }
@@ -44,8 +44,8 @@ func blockPruned(rb Block, q *Query) bool {
 
 // zoneExcludes reports whether the zone map proves no row matches f. Only
 // operator/kind pairs that the scan's filter evaluates without error may prune;
-// everything else answers false (must scan). A nil zone map (absent column,
-// v1 image) never prunes.
+// everything else answers false (must scan). A nil zone map (absent or
+// unsummarized column) never prunes.
 func zoneExcludes(z *rowblock.ZoneMap, f Filter) bool {
 	if z == nil {
 		return false
@@ -102,7 +102,7 @@ func zoneExcludes(z *rowblock.ZoneMap, f Filter) bool {
 func filterErrorFree(rb Block, zm *rowblock.ZoneMap, f Filter) bool {
 	if zm == nil {
 		// Absent column: the zero-value path never errors. Present but
-		// unsummarized (v1 image): type unknown, assume the worst.
+		// unsummarized: type unknown, assume the worst.
 		return !rb.HasColumn(f.Column)
 	}
 	switch zm.Kind {

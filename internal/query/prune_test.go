@@ -325,37 +325,3 @@ func TestBlocksSkippedAccounting(t *testing.T) {
 			res.BlocksScanned, res.BlocksPruned, res.BlocksSkipped)
 	}
 }
-
-// TestV1ImageQueriesIdentically loads the golden v1 image (no zone maps) and
-// checks a query over it matches the same rows freshly sealed today (v2,
-// with zones): format version must not change results.
-func TestV1ImageQueriesIdentically(t *testing.T) {
-	img := readGoldenV1(t)
-	v1, _, err := rowblock.DecodeImage(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := sealGoldenRows(t)
-
-	queries := []*Query{
-		{Table: "g", From: 0, To: 1 << 40, Aggregations: []Aggregation{{Op: AggCount}, {Op: AggSum, Column: "status"}}},
-		{Table: "g", From: 0, To: 1 << 40, Filters: []Filter{{Column: "status", Op: OpEq, Int: 300}},
-			Aggregations: []Aggregation{{Op: AggAvg, Column: "latency_ms"}}},
-		{Table: "g", From: 0, To: 1 << 40, GroupBy: []string{"service"},
-			Aggregations: []Aggregation{{Op: AggCount}}},
-		{Table: "g", From: 0, To: 1 << 40, Filters: []Filter{{Column: "tags", Op: OpContains, Str: "t2"}},
-			Aggregations: []Aggregation{{Op: AggCount}}},
-	}
-	for qi, q := range queries {
-		rv1, rv2 := &Result{}, &Result{}
-		if err := scanBlock(v1, q, rv1, nil); err != nil {
-			t.Fatalf("query %d on v1 block: %v", qi, err)
-		}
-		if err := scanBlock(fresh, q, rv2, nil); err != nil {
-			t.Fatalf("query %d on fresh block: %v", qi, err)
-		}
-		if !reflect.DeepEqual(rv1.Rows(q), rv2.Rows(q)) {
-			t.Errorf("query %d: v1 %+v != fresh %+v", qi, rv1.Rows(q), rv2.Rows(q))
-		}
-	}
-}

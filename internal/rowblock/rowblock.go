@@ -114,9 +114,9 @@ type RowBlock struct {
 	hdr    Header
 	schema Schema
 	cols   []*layout.RBC // parallel to schema; nil after ReleaseColumn
-	// zones holds per-column zone maps parallel to schema. Empty for blocks
-	// restored from v1 images or the row-format disk backup: such blocks are
-	// always scanned.
+	// zones holds per-column zone maps parallel to schema: Seal computes
+	// them and an image carries them. Empty only for a block FromColumns
+	// assembled on its own, which is always scanned.
 	zones []ZoneMap
 	// src is non-nil while the RBC blobs alias foreign memory (a mapped shm
 	// segment). Readers must hold a Retain on it across any column access.
@@ -528,27 +528,21 @@ func FromColumns(hdr Header, schema Schema, cols []*layout.RBC) (*RowBlock, erro
 // table, and then the RBC blobs contiguously — one less level of
 // indirection than the heap layout.
 //
-//	u32  magic "RBK2" ("RBK1" for version-1 images, which have no zone maps)
+//	u32  magic "RBK2"
 //	u64  image size in bytes
 //	u64  row count
 //	i64  min time, max time, created
 //	u32  number of columns
 //	per column: u16 name length, name bytes, u8 type
-//	per column: zone map (v2 only; u8 kind + kind-dependent payload)
+//	per column: zone map (u8 kind + kind-dependent payload)
 //	per column: u64 offset of the RBC blob from the image base
 //	RBC blobs, contiguous
 //
-// New images are always written in v2. v1 images (written before zone maps
-// existed) still decode; their blocks simply carry no zone maps and are
-// never pruned.
+// "RBK1", the version-1 image without the zone-map section, is corrupt to
+// this reader: no supported release writes it (DESIGN.md §13).
 
-// ImageMagic identifies a version-1 serialized row block image (no zone
-// maps). Readers accept it forever; writers no longer produce it.
-const ImageMagic uint32 = 0x314b4252 // "RBK1"
-
-// ImageMagicV2 identifies a version-2 image: v1 plus a per-column zone-map
-// section between the schema and the offset table.
-const ImageMagicV2 uint32 = 0x324b4252 // "RBK2"
+// imageMagic identifies a serialized row block image.
+const imageMagic uint32 = 0x324b4252 // "RBK2"
 
 // ErrImageCorrupt is returned for structurally invalid block images.
 var ErrImageCorrupt = errors.New("rowblock: corrupt block image")
@@ -559,7 +553,7 @@ var ErrImageCorrupt = errors.New("rowblock: corrupt block image")
 // copy (Figure 6), so it must be taken before the first release.
 func (b *RowBlock) ImagePrefix() []byte {
 	var p []byte
-	p = binary.LittleEndian.AppendUint32(p, ImageMagicV2)
+	p = binary.LittleEndian.AppendUint32(p, imageMagic)
 	p = binary.LittleEndian.AppendUint64(p, 0) // image size, patched below
 	p = binary.LittleEndian.AppendUint64(p, uint64(b.hdr.RowCount))
 	p = binary.LittleEndian.AppendUint64(p, uint64(b.hdr.MinTime))
@@ -585,7 +579,7 @@ func (b *RowBlock) ImagePrefix() []byte {
 }
 
 // zoneAt returns the i'th column's zone map (ZoneNone when the block
-// carries no summaries, e.g. after a v1 or row-format restore).
+// carries no summaries).
 func (b *RowBlock) zoneAt(i int) ZoneMap {
 	if i >= len(b.zones) {
 		return ZoneMap{Kind: ZoneNone}
@@ -624,8 +618,7 @@ func decodeImage(img []byte, parse func([]byte) (*layout.RBC, error)) (*RowBlock
 	if len(img) < 48 {
 		return nil, 0, fmt.Errorf("%w: %d bytes", ErrImageCorrupt, len(img))
 	}
-	magic := binary.LittleEndian.Uint32(img)
-	if magic != ImageMagic && magic != ImageMagicV2 {
+	if magic := binary.LittleEndian.Uint32(img); magic != imageMagic {
 		return nil, 0, fmt.Errorf("%w: magic %08x", ErrImageCorrupt, magic)
 	}
 	size := binary.LittleEndian.Uint64(img[4:])
@@ -663,17 +656,14 @@ func decodeImage(img []byte, parse func([]byte) (*layout.RBC, error)) (*RowBlock
 		pos++
 		schema = append(schema, Field{Name: name, Type: vt})
 	}
-	var zones []ZoneMap
-	if magic == ImageMagicV2 {
-		zones = make([]ZoneMap, 0, ncols)
-		for i := 0; i < ncols; i++ {
-			z, used, err := parseZoneMap(img[pos:])
-			if err != nil {
-				return nil, 0, err
-			}
-			zones = append(zones, z)
-			pos += used
+	zones := make([]ZoneMap, 0, ncols)
+	for i := 0; i < ncols; i++ {
+		z, used, err := parseZoneMap(img[pos:])
+		if err != nil {
+			return nil, 0, err
 		}
+		zones = append(zones, z)
+		pos += used
 	}
 	if pos+8*ncols > len(img) {
 		return nil, 0, fmt.Errorf("%w: truncated offset table", ErrImageCorrupt)

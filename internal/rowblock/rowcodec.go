@@ -1,9 +1,8 @@
 package rowblock
 
 // The row payload: the self-describing encoding of one Row. It is what a
-// Scribe message carries (tailer.EncodeRow/DecodeRow) and what version-1 WAL
-// records hold back to back, so a log written by an older binary replays
-// through the same decoder. Pinned by testdata/row-v1.golden.
+// Scribe message carries (tailer.EncodeRow/DecodeRow). Pinned by
+// testdata/row-v1.golden.
 //
 //	zigzag varint time
 //	uvarint ncols

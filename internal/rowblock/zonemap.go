@@ -17,8 +17,7 @@ import (
 // no per-row work — when the summary proves no row can match.
 //
 // Zone maps are computed once at Seal time from the builder's values and
-// dictionaries, and persisted in the v2 block image. Blocks restored from v1 images (or the
-// row-format disk backup) carry no zone maps and are always scanned.
+// dictionaries, and persisted in the block image.
 
 // ZoneKind says what summary a column carries.
 type ZoneKind uint8
@@ -167,8 +166,8 @@ func parseZoneMap(b []byte) (ZoneMap, int, error) {
 }
 
 // ColumnZone returns the named column's zone map, or nil when the column is
-// absent or the block carries no summary for it (v1 images, row-format
-// restores). Callers must treat nil as "must scan".
+// absent or the block carries no summary for it. Callers must treat nil as
+// "must scan".
 func (b *RowBlock) ColumnZone(name string) *ZoneMap {
 	i := b.schema.Index(name)
 	if i < 0 || i >= len(b.zones) {

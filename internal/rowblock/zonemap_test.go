@@ -1,7 +1,7 @@
 package rowblock
 
 import (
-	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -134,62 +134,24 @@ func TestImageV2RoundTripZones(t *testing.T) {
 	}
 }
 
-// TestGoldenV1Image pins backward compatibility: an image written by the v1
-// code (before zone maps existed) must decode with identical contents and no
-// zone summaries, and the decoded rows must re-encode as a valid v2 image.
+// TestGoldenV1Image: an image written by the v1 code (before zone maps
+// existed, magic "RBK1") is corrupt to this reader — no supported release
+// writes one — and reads as ErrImageCorrupt, the class every image reader
+// already degrades on, whichever pass decodes it.
 func TestGoldenV1Image(t *testing.T) {
 	img, err := os.ReadFile(filepath.Join("testdata", "image-v1.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, _, err := DecodeImage(img)
-	if err != nil {
-		t.Fatalf("decode v1 golden: %v", err)
+	if magic := string(img[:4]); magic != "RBK1" {
+		t.Fatalf("fixture magic %q is not RBK1", magic)
 	}
-	if rb.Rows() != 64 {
-		t.Fatalf("rows = %d", rb.Rows())
-	}
-	if len(rb.ZoneMaps()) != 0 {
-		t.Errorf("v1 image decoded with %d zone maps", len(rb.ZoneMaps()))
-	}
-	for _, f := range rb.Schema() {
-		if rb.ColumnZone(f.Name) != nil {
-			t.Errorf("v1 image has a zone for %q", f.Name)
+	for name, decode := range map[string]func([]byte) (*RowBlock, int, error){
+		"DecodeImage": DecodeImage, "DecodeImageVerified": DecodeImageVerified,
+	} {
+		if rb, _, err := decode(img); !errors.Is(err, ErrImageCorrupt) {
+			t.Errorf("%s of a v1 image: %v, %v; want ErrImageCorrupt", name, rb, err)
 		}
-	}
-
-	// Contents must match the generator: times 1700000001+i, status
-	// 200+(i%4)*100, latency i*1.5, service web/api by i%3, tags t<i%5>.
-	times, err := rb.Times(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ts := range times {
-		if ts != 1700000001+int64(i) {
-			t.Fatalf("time[%d] = %d", i, ts)
-		}
-	}
-	status, err := rb.DecodeColumn("status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, ok := status.(interface{ Len() int })
-	if !ok || sc.Len() != 64 {
-		t.Fatalf("status column: %T", status)
-	}
-
-	// The same rows re-sealed today produce a v2 image with zones; the v2
-	// image must itself round-trip.
-	img2 := rb.AppendImage(nil)
-	if bytes.Equal(img, img2) {
-		t.Fatalf("re-encoded image is still v1")
-	}
-	rb2, _, err := DecodeImage(img2)
-	if err != nil {
-		t.Fatalf("re-decode: %v", err)
-	}
-	if rb2.Rows() != rb.Rows() || rb2.Header().Size != rb.Header().Size {
-		t.Errorf("re-encoded image changed contents")
 	}
 }
 

@@ -2,19 +2,19 @@
 //
 // Each record frames one ingested batch:
 //
-//	u32 magic "WAL2" ("WAL1" for records written before the batch frame)
+//	u32 magic "WAL2"
 //	u64 start     global row index of the batch's first row
 //	u32 count     rows in the batch
 //	u32 length    payload bytes
 //	payload       the batch
 //	u32 CRC-32C   over everything above
 //
-// The log is value logging, replayed through the normal ingest path. A WAL2
+// The log is value logging, replayed through the normal ingest path. The
 // payload is the batch frame (rowblock.DecodeFrame) exactly as it arrived
 // over the wire: the leaf logs the bytes it was sent and replay decodes them
-// into the same column vectors live ingest applied. A WAL1 payload is count
-// row payloads (rowblock.DecodeRowPayload) back to back; a log can outlive
-// the binary that wrote it, so they stay readable, but are never written.
+// into the same column vectors live ingest applied. A record under any other
+// magic is corrupt: "WAL1", the row payloads binaries before the batch frame
+// wrote, included — no supported release writes it (DESIGN.md §13).
 //
 // A record that runs past the end of the segment, or fails its CRC as the
 // segment's final record, is torn: the fsync it was waiting on never
@@ -36,10 +36,7 @@ import (
 	"scuba/internal/rowblock"
 )
 
-const (
-	recordMagicV1 uint32 = 0x314C4157 // "WAL1"
-	recordMagic   uint32 = 0x324C4157 // "WAL2"
-)
+const recordMagic uint32 = 0x324C4157 // "WAL2"
 
 // recordOverhead is the framing cost outside the payload.
 const recordOverhead = 4 + 8 + 4 + 4 + 4
@@ -71,7 +68,6 @@ func appendRecord(dst []byte, start int64, count int, frame []byte) []byte {
 
 // record is one framed batch, its payload still encoded.
 type record struct {
-	magic   uint32
 	start   int64
 	count   int
 	payload []byte // aliases the buffer it was decoded from
@@ -84,9 +80,8 @@ func decodeRecord(b []byte) (rec record, used int, err error) {
 	if len(b) < recordOverhead {
 		return record{}, 0, errTorn
 	}
-	rec.magic = binary.LittleEndian.Uint32(b)
-	if rec.magic != recordMagic && rec.magic != recordMagicV1 {
-		return record{}, 0, fmt.Errorf("%w: magic %08x", ErrCorrupt, rec.magic)
+	if magic := binary.LittleEndian.Uint32(b); magic != recordMagic {
+		return record{}, 0, fmt.Errorf("%w: magic %08x", ErrCorrupt, magic)
 	}
 	rec.start = int64(binary.LittleEndian.Uint64(b[4:]))
 	rec.count = int(binary.LittleEndian.Uint32(b[12:]))
@@ -157,16 +152,7 @@ func (sr *segmentReader) next() (record, int, error) {
 // record CRC already passed, so a payload that does not decode to count rows
 // is an encoder bug or a forged file, not a torn write: ErrCorrupt.
 func (rec record) decode(b *rowblock.Batch) error {
-	var err error
-	if rec.magic == recordMagic {
-		err = b.Decode(rec.payload)
-	} else {
-		var v1 *rowblock.Batch
-		if v1, err = decodeRowsV1(rec.payload, rec.count); err == nil {
-			*b = *v1
-		}
-	}
-	if err != nil {
+	if err := b.Decode(rec.payload); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if b.Rows() != rec.count {
@@ -199,26 +185,4 @@ func tailRows(dir string, segs []segFile, from int64) int {
 		f.Close()
 	}
 	return int(min(rows, rowblock.MaxRows))
-}
-
-// decodeRowsV1 reads a WAL1 payload: count row payloads back to back.
-func decodeRowsV1(p []byte, count int) (*rowblock.Batch, error) {
-	// A row costs at least 2 bytes encoded; reject counts the payload cannot
-	// hold before allocating (untrusted input must not size allocs).
-	if count > len(p)/2+1 {
-		return nil, fmt.Errorf("%d rows in %d payload bytes", count, len(p))
-	}
-	rows := make([]rowblock.Row, count)
-	for i := range rows {
-		row, n, err := rowblock.DecodeRowPayload(p)
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = row
-		p = p[n:]
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("%d trailing payload bytes", len(p))
-	}
-	return rowblock.FromRows(rows)
 }

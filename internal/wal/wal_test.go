@@ -707,8 +707,9 @@ func TestQuarantineMarkerFailureNacks(t *testing.T) {
 }
 
 // FuzzRecordDecode feeds arbitrary bytes to the record parser and, when the
-// framing holds, to the payload decoders of both record versions: garbage is
-// an error, never a panic, and a record that decodes survives a re-encode.
+// framing holds, to the payload decoder: garbage is an error, never a panic,
+// and a record that decodes survives a re-encode. The WAL1 seeds are records
+// of the retired format, which the parser refuses as corrupt.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add(appendRecord(nil, 0, 3, testFrame(f, testRows(0, 3))))
 	f.Add(appendRecord(nil, 1<<40, 0, nil))
@@ -825,7 +826,7 @@ func FuzzReplaySegment(f *testing.F) {
 	f.Add(appendRecord(nil, 5, 10, testFrame(f, testRows(0, 10))), uint16(0)) // a gap
 	// More records than the ring, over a schema whose string and set columns
 	// come and go; from the start, from inside the third record, and with a
-	// WAL1 record among them.
+	// record of the retired WAL1 format among them: corruption mid-log.
 	drift := driftingSegment(f, -1)
 	f.Add(drift, uint16(0))
 	f.Add(drift, uint16(12))
@@ -874,7 +875,8 @@ func FuzzReplaySegment(f *testing.F) {
 
 // driftingSegment is ten records of five rows whose schema drifts: the
 // string column is missing from every third record and the set column from
-// every other one. Record wal1, when in range, is framed the WAL1 way.
+// every other one. Record wal1, when in range, is framed the retired WAL1
+// way.
 func driftingSegment(t testing.TB, wal1 int) []byte {
 	var seg []byte
 	for i := range 10 {
@@ -1023,7 +1025,8 @@ func TestReplayBatchValidUntilFnReturns(t *testing.T) {
 }
 
 // wal1Record frames rows the way binaries before the batch frame did: magic
-// "WAL1" over back-to-back row payloads.
+// "WAL1" over back-to-back row payloads. No supported release writes it, so
+// a reader takes it for corruption.
 func wal1Record(t testing.TB, start int64, rows []rowblock.Row) []byte {
 	t.Helper()
 	var payload []byte
@@ -1034,99 +1037,31 @@ func wal1Record(t testing.TB, start int64, rows []rowblock.Row) []byte {
 		}
 	}
 	rec := appendRecord(nil, start, len(rows), payload)
-	binary.LittleEndian.PutUint32(rec, recordMagicV1)
+	copy(rec, "WAL1")
 	binary.LittleEndian.PutUint32(rec[len(rec)-4:], crc32.Checksum(rec[:len(rec)-4], crcTable))
 	return rec
 }
 
-// wal1FixtureBatches is what testdata/wal1-segment.log holds: three records
-// appended by the last commit whose encoder wrote WAL1 (row payloads back to
-// back), over a drifting schema with missing cells and an empty row.
-func wal1FixtureBatches() [][]rowblock.Row {
-	return [][]rowblock.Row{
-		{
-			{Time: 1700000000, Cols: map[string]rowblock.Value{"service": rowblock.StringValue("web"), "latency_ms": rowblock.Int64Value(12), "ratio": rowblock.Float64Value(0.5), "tags": rowblock.SetValue("prod", "tier1")}},
-			{Time: 1700000001, Cols: map[string]rowblock.Value{"service": rowblock.StringValue("api"), "latency_ms": rowblock.Int64Value(-3), "tags": rowblock.SetValue()}},
-			{Time: 1700000001, Cols: map[string]rowblock.Value{"service": rowblock.StringValue(""), "ratio": rowblock.Float64Value(-2.25)}},
-		},
-		{
-			{Time: 1699999999, Cols: map[string]rowblock.Value{"service": rowblock.StringValue("web"), "region": rowblock.StringValue("prn")}},
-		},
-		{
-			{Time: 1700000002, Cols: map[string]rowblock.Value{"latency_ms": rowblock.Int64Value(1 << 40), "region": rowblock.StringValue("ash"), "tags": rowblock.SetValue("x")}},
-			{Time: 1700000003, Cols: map[string]rowblock.Value{}},
-			{Time: 1700000004, Cols: map[string]rowblock.Value{"service": rowblock.StringValue("db"), "latency_ms": rowblock.Int64Value(7), "ratio": rowblock.Float64Value(1), "region": rowblock.StringValue("prn"), "tags": rowblock.SetValue("prod", "tier3", "canary")}},
-			{Time: 1700000004, Cols: map[string]rowblock.Value{"service": rowblock.StringValue("db")}},
-		},
-	}
-}
-
-// TestWAL1SegmentStillReplays: a log can outlive the binary that wrote it.
-// The checked-in segment was written by the WAL1 encoder (never regenerate
-// it); it must replay to the rows it was given, whole and from mid-record,
-// and new appends must continue after it as WAL2 records.
-func TestWAL1SegmentStillReplays(t *testing.T) {
+// TestWAL1SegmentIsRejected: the checked-in segment was written by the WAL1
+// encoder (row payloads back to back, before the batch frame; never
+// regenerate it). No supported release writes that format, so its first
+// record is corruption: replay applies nothing, from the start or past it,
+// and stops with ErrCorrupt, the class a leaf recovers its table from the
+// store on.
+func TestWAL1SegmentIsRejected(t *testing.T) {
 	seg, err := os.ReadFile(filepath.Join("testdata", "wal1-segment.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if magic := binary.LittleEndian.Uint32(seg); magic != recordMagicV1 {
-		t.Fatalf("fixture magic %08x is not WAL1", magic)
+	if magic := string(seg[:4]); magic != "WAL1" {
+		t.Fatalf("fixture magic %q is not WAL1", magic)
 	}
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "events"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "events", "wal-00000001-0.log"), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l := func() *Log {
-		l, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
+	l, _ := logOf(t, seg)
+	for _, from := range []int64{0, 5} {
+		applied := 0
+		recs, rows, _, err := l.ReplayFrom("events", from, nil, func(*rowblock.Batch) error { applied++; return nil })
+		if !errors.Is(err, ErrCorrupt) || recs != 0 || rows != 0 || applied != 0 {
+			t.Fatalf("replay from %d: %d records, %d rows, %d batches applied, %v; want ErrCorrupt and nothing applied", from, recs, rows, applied, err)
 		}
-		t.Cleanup(func() { l.Close() })
-		return l
-	}()
-
-	var want []*rowblock.Batch
-	for _, rows := range wal1FixtureBatches() {
-		b, err := rowblock.FromRows(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, b)
-	}
-	var got []*rowblock.Batch
-	collect := func(b *rowblock.Batch) error { got = append(got, cloneBatch(b)); return nil }
-	recs, rows, next, err := l.ReplayFrom("events", 0, nil, collect)
-	if err != nil || recs != 3 || rows != 8 || next != 8 {
-		t.Fatalf("replay: recs=%d rows=%d next=%d err=%v", recs, rows, next, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("replayed batches differ from what the WAL1 encoder was given:\n got %+v\nwant %+v", got, want)
-	}
-	// From row 5 the third record (rows 4..7) is sliced past the watermark.
-	got = nil
-	if _, rows, _, err = l.ReplayFrom("events", 5, nil, collect); err != nil || rows != 3 {
-		t.Fatalf("mid-record replay: rows=%d err=%v", rows, err)
-	}
-	if !reflect.DeepEqual(got, []*rowblock.Batch{want[2].Slice(1, 4)}) {
-		t.Fatalf("mid-record replay differs: %+v", got)
-	}
-
-	if err := appendRows(l, "events", testRows(8, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if all, next := collectReplay(t, l, "events", 0); len(all) != 10 || next != 10 {
-		t.Fatalf("after appending to a WAL1 log: %d rows, next=%d", len(all), next)
-	}
-	segs, _ := listSegments(filepath.Join(dir, "events"))
-	data, err := os.ReadFile(filepath.Join(dir, "events", segs[len(segs)-1].name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if magic := binary.LittleEndian.Uint32(data); magic != recordMagic {
-		t.Fatalf("new record magic %08x is not WAL2", magic)
 	}
 }

@@ -60,12 +60,19 @@ func (s *AggServer) handle(req *Request) (*Response, func()) {
 	case KindPing:
 	case KindQuery:
 		start := time.Now()
-		res, err := s.agg.QueryTraced(req.Query, req.Trace)
+		err := tooOld(req)
+		var res *query.Result
 		if err == nil {
-			err = resp.setResult(res, req.Version)
+			res, err = s.agg.QueryTraced(req.Query, req.Trace)
+		}
+		if err == nil {
+			resp.Frame, err = res.AppendFrame(nil)
 		}
 		if err != nil {
 			resp = Response{Err: err.Error()}
+			if r := s.agg.Metrics; r != nil {
+				r.Counter("rpc.errors").Add(1)
+			}
 		} else if req.Trace.TraceID != 0 {
 			// In an aggregator tree the upstream's span for this server
 			// covers the whole subtree: report the summed phases of every

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"scuba/internal/aggregator"
+	"scuba/internal/metrics"
 	"scuba/internal/obs"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
@@ -38,35 +39,33 @@ type v1Response struct {
 	Result *v3Result
 }
 
-// v3Response is the envelope as a protocol 3 peer declares it; v3Result, the
-// result inside it, is the mirror type the server's down-converter fills
-// (v3compat.go). Gob flattens pointers and matches fields by name, so these
-// stand in exactly for what an older peer encodes and what it decodes into.
+// v3Response is the envelope as a protocol 3 peer declares it, and v3Result
+// the gob result inside it, the types that peer encodes and decodes. Gob
+// flattens pointers and matches fields by name, so these stand in exactly for
+// what an older peer sends.
 type v3Response struct {
 	Err    string
 	Result *v3Result
 	Exec   *obs.ExecStats
 }
 
-// rows finalizes an older peer's view of a result the way that peer would:
-// its dense histograms as they are, its groups in whatever order they came.
-func (r *v3Result) rows(q *query.Query) []query.Row { return r.result().Rows(q) }
+type v3Result struct {
+	Groups        []v3Group
+	RowsScanned   int64
+	BlocksScanned int64
+}
 
-// result is an older peer's view of a result as a Result, its groups sorted.
-func (r *v3Result) result() *query.Result {
-	res := &query.Result{}
-	for _, g := range r.Groups {
-		aggs := make([]query.AggState, len(g.Aggs))
-		for i, st := range g.Aggs {
-			aggs[i] = query.AggState{Count: st.Count, Sum: st.Sum, Min: st.Min, Max: st.Max, Distinct: st.Distinct}
-			if st.Hist != nil {
-				aggs[i].Hist = &query.Histogram{Counts: st.Hist.Counts[:]}
-			}
-		}
-		res.Groups = append(res.Groups, query.Group{Key: g.Key, Aggs: aggs})
-	}
-	res.SortGroups()
-	return res
+type v3Group struct {
+	Key  []string
+	Aggs []v3AggState
+}
+
+type v3AggState struct {
+	Count    int64
+	Sum      float64
+	Min      float64
+	Max      float64
+	Distinct map[string]bool
 }
 
 // v1QueryRequest is the canonical v1 frame pinned by the golden fixture. It
@@ -136,8 +135,9 @@ func golden(t *testing.T, name string, canonical any) []byte {
 }
 
 // TestGoldenV1Frames proves a current binary still decodes pre-trace
-// envelope bytes: the request's trace fields come back zero (the query runs
-// untraced) and the response's Exec comes back nil — no error in either
+// envelope bytes: the request's trace fields and version come back zero (a
+// server refuses that query by name) and the response carries no frame or
+// Exec (a client says the peer is older) — no decode error in either
 // direction.
 func TestGoldenV1Frames(t *testing.T) {
 	reqRaw := golden(t, "frame-v1-request.golden", v1QueryRequest())
@@ -158,11 +158,8 @@ func TestGoldenV1Frames(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(respRaw)).Decode(&resp); err != nil {
 		t.Fatalf("decoding v1 response with current code: %v", err)
 	}
-	if resp.Exec != nil {
-		t.Fatalf("v1 response decoded with Exec = %+v, want nil", resp.Exec)
-	}
-	if resp.Result == nil || resp.Result.RowsScanned != 500 {
-		t.Fatalf("v1 response payload mangled: %+v", resp)
+	if resp.Exec != nil || len(resp.Frame) != 0 || resp.Err != "" {
+		t.Fatalf("v1 response decoded as %+v, want no frame, no report, no error: a reply from an older peer", resp)
 	}
 
 	// The fixture itself must round-trip through the v1 shapes unchanged —
@@ -222,39 +219,6 @@ func TestShardFrameDecodesAsV1(t *testing.T) {
 	}
 }
 
-// TestOldClientAgainstNewServer drives a live server with raw v1 frames
-// over TCP — exactly what a not-yet-upgraded aggregator does during a
-// rolling restart — and expects a correct answer, untraced.
-func TestOldClientAgainstNewServer(t *testing.T) {
-	s, c, _ := newServer(t, 0)
-	if err := c.AddRows("events", mkRows(500, 1000)); err != nil {
-		t.Fatal(err)
-	}
-
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(v1QueryRequest()); err != nil {
-		t.Fatal(err)
-	}
-	var resp v1Response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("new server errored on v1 client: %s", resp.Err)
-	}
-	q := v1QueryRequest().Query
-	rows := resp.Result.rows(q)
-	if len(rows) != 1 || rows[0].Values[0] != 500 {
-		t.Fatalf("v1 client got wrong result: %v", rows)
-	}
-}
-
 // rawPeer serves answer's replies as raw gob frames: a peer built from
 // whatever types the test says it was, or a broken one.
 func rawPeer(t *testing.T, answer func(*Request) any) string {
@@ -285,69 +249,103 @@ func rawPeer(t *testing.T, answer func(*Request) any) string {
 	return ln.Addr().String()
 }
 
-// TestNewServerAgainstOldClient: during a rollover old aggregators query new
-// leaves and old clients new aggregators. A query that says Version 3 is
-// answered, by the leaf server and by the aggregator server alike, in
-// protocol 3's shape — it decodes under the v3 mirror types with nothing
-// lost, every accumulator, the dense histograms and the trace report — and
-// carries no frame the old peer would have no field for.
-func TestNewServerAgainstOldClient(t *testing.T) {
-	s, c, _ := newServer(t, 0)
-	rows := mkRows(300, 1000)
-	for i := range rows {
-		rows[i].Cols["service"] = rowblock.StringValue([]string{"web", "ads", "search"}[i%3])
-	}
-	if err := c.AddRows("events", rows); err != nil {
-		t.Fatal(err)
-	}
-	agg, err := NewAggServer([]string{s.Addr()}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-	q := &query.Query{Table: "events", From: 0, To: 1 << 40, TimeBucketSeconds: 100, GroupBy: []string{"service"},
-		Aggregations: []query.Aggregation{{Op: query.AggCount}, {Op: query.AggP90, Column: "lat"}, {Op: query.AggCountDistinct, Column: "lat"}}}
-	want, err := c.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+// oldPeerTarget is a live server an old requester dials, with the
+// rpc.errors counter its refusal must raise.
+type oldPeerTarget struct {
+	name   string
+	addr   string
+	errors *metrics.Counter
+}
 
-	for name, addr := range map[string]string{"leaf server": s.Addr(), "aggregator server": agg.Addr()} {
-		conn, err := net.Dial("tcp", addr)
+// oldPeerTargets starts a leaf server holding 300 rows and an aggregator
+// server over it: the two servers an old aggregator or an old client reaches
+// during a rolling restart. The returned client is a current one on the leaf.
+func oldPeerTargets(t *testing.T) (*Client, *AggServer, []oldPeerTarget) {
+	t.Helper()
+	s, c, _ := newServer(t, 0)
+	if err := c.AddRows("events", mkRows(300, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	aggReg := metrics.NewRegistry()
+	agg, err := NewAggServerOn([]string{s.Addr()}, "127.0.0.1:0", aggReg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { agg.Close() })
+	return c, agg, []oldPeerTarget{
+		{"leaf server", s.Addr(), s.Metrics().Counter("rpc.errors")},
+		{"aggregator server", agg.Addr(), aggReg.Counter("rpc.errors")},
+	}
+}
+
+// expectOldQueryRefused sends req, a query from a protocol version
+// requester, as a raw gob frame and wants it refused by name: both versions
+// in Response.Err, no result, no trace report, one more rpc.errors. The
+// connection stays up: a ping on it still answers.
+func expectOldQueryRefused(t *testing.T, srv oldPeerTarget, version uint8, req any) {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	before := srv.errors.Value()
+	if err := enc.Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	var resp v3Response
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("a protocol %d requester sent a query; this server speaks protocol %d", version, ProtocolVersion)
+	if !strings.Contains(resp.Err, want) || resp.Result != nil || resp.Exec != nil {
+		t.Fatalf("%s answered a version %d query with %+v, want the error %q", srv.name, version, resp, want)
+	}
+	if got := srv.errors.Value() - before; got != 1 {
+		t.Fatalf("%s: rpc.errors rose by %d for a refused version %d query, want 1", srv.name, got, version)
+	}
+	if err := enc.Encode(&v1Request{Kind: KindPing}); err != nil {
+		t.Fatal(err)
+	}
+	var pong v3Response
+	if err := dec.Decode(&pong); err != nil || pong.Err != "" {
+		t.Fatalf("%s: a ping after the refusal: %+v, %v", srv.name, pong, err)
+	}
+}
+
+// TestOldClientAgainstNewServer drives the leaf server and the aggregator
+// server with a raw v1 frame over TCP — no version at all, exactly what a
+// pre-versioning aggregator or client sends — and expects the query refused
+// by name, never an empty reply that would decode on its side as "no groups".
+func TestOldClientAgainstNewServer(t *testing.T) {
+	_, _, targets := oldPeerTargets(t)
+	for _, srv := range targets {
+		expectOldQueryRefused(t, srv, 0, v1QueryRequest())
+	}
+}
+
+// TestNewServerAgainstOldClient: a requester older than protocol 4 cannot
+// read the result frame, and an empty reply would decode on its side as an
+// answer with no groups. The leaf server and the aggregator server alike
+// refuse a version 3 query (traced, as a v3 aggregator sends it) by name,
+// naming both versions, count the refusal in rpc.errors, and keep the
+// connection; a current client is answered as ever by both.
+func TestNewServerAgainstOldClient(t *testing.T) {
+	c, agg, targets := oldPeerTargets(t)
+	q := v1QueryRequest().Query
+	v3 := &Request{Kind: KindQuery, Query: q, Version: 3}
+	v3.Trace.TraceID, v3.Trace.SpanID = 5, 6
+	for _, srv := range targets {
+		expectOldQueryRefused(t, srv, 3, v3)
+	}
+	for _, cli := range []*Client{c, Dial(agg.Addr())} {
+		res, err := cli.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
-		req := &Request{Kind: KindQuery, Query: q, Version: 3}
-		req.Trace.TraceID, req.Trace.SpanID = 5, 6
-		if err := gob.NewEncoder(conn).Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		// Under the current shape first: the reply holds no frame.
-		var raw Response
-		if err := gob.NewDecoder(conn).Decode(&raw); err != nil {
-			t.Fatal(err)
-		}
-		if len(raw.Frame) != 0 {
-			t.Fatalf("%s sent a version 3 requester a %d-byte frame", name, len(raw.Frame))
-		}
-		var resp v3Response
-		if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, &raw))).Decode(&resp); err != nil {
-			t.Fatalf("%s: a reply to version 3 under the v3 shapes: %v", name, err)
-		}
-		if resp.Err != "" || resp.Result == nil || resp.Exec == nil || resp.Exec.SpanID != 6 {
-			t.Fatalf("%s: v3 client got %+v", name, resp)
-		}
-		if got := resp.Result.rows(q); len(got) != 9 || !reflect.DeepEqual(got, want.Rows(q)) {
-			t.Fatalf("%s: v3 client reads\n%+v, a current client\n%+v", name, got, want.Rows(q))
-		}
-		if resp.Result.RowsScanned != 300 || resp.Result.Phases.ScanNanos == 0 {
-			t.Fatalf("%s: v3 client lost the work counters: %+v", name, resp.Result)
-		}
-		for _, g := range resp.Result.Groups {
-			if h := g.Aggs[1].Hist; h == nil || h.Total != g.Aggs[1].Count || h.Total == 0 {
-				t.Fatalf("%s: group %q: dense histogram %+v for %d values", name, g.Key, h, g.Aggs[1].Count)
-			}
+		if rows := res.Rows(q); len(rows) != 1 || rows[0].Values[0] != 300 {
+			t.Fatalf("a current client reads %+v, want the 300 rows", rows)
 		}
 	}
 }
@@ -356,8 +354,8 @@ func TestNewServerAgainstOldClient(t *testing.T) {
 // each op reads answers beside leaves from before it, whose accumulators fill
 // every field as Reference's do (a count's Min and Max, a percentile's Sum,
 // Min and Max). Its fields an op does not read are at their identity, so a
-// merge of the two, in either order, over the result frame or protocol 3's
-// gob result, answers what one executor over both leaves' rows answers.
+// merge of the two, in either order, over the result frame, answers what one
+// executor over both leaves' rows answers.
 func TestMixedFleetMerge(t *testing.T) {
 	var rows []rowblock.Row
 	for i := 0; i < 600; i++ {
@@ -400,33 +398,18 @@ func TestMixedFleetMerge(t *testing.T) {
 		per[0].Max != math.Inf(-1) || per[5].Sum != 0 || per[5].Min != math.Inf(1) {
 		t.Fatalf("not a mixed fleet: the parent's count and p50 %+v %+v, the per-op leaf's %+v %+v", full[0], full[5], per[0], per[5])
 	}
-	transports := map[string]func(*query.Result) *query.Result{
-		"result frame": func(res *query.Result) *query.Result {
-			frame, err := res.AppendFrame(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := query.DecodeResultFrame(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		},
-		"protocol 3": func(res *query.Result) *query.Result {
-			var back v3Result
-			if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v3ResultOf(res)))).Decode(&back); err != nil {
-				t.Fatal(err)
-			}
-			return back.result()
-		},
+	via := func(res *query.Result) *query.Result {
+		out, err := query.DecodeResultFrame(frameOf(t, res).Frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	for name, via := range transports {
-		for i, pair := range [][2]*query.Result{{parent, perOp}, {perOp, parent}} {
-			merged := via(pair[0])
-			merged.Merge(via(pair[1]))
-			if got := merged.Rows(q); !reflect.DeepEqual(got, want.Rows(q)) {
-				t.Fatalf("%s, order %d: merged\n%+v, reference\n%+v", name, i, got, want.Rows(q))
-			}
+	for i, pair := range [][2]*query.Result{{parent, perOp}, {perOp, parent}} {
+		merged := via(pair[0])
+		merged.Merge(via(pair[1]))
+		if got := merged.Rows(q); !reflect.DeepEqual(got, want.Rows(q)) {
+			t.Fatalf("order %d: merged\n%+v, reference\n%+v", i, got, want.Rows(q))
 		}
 	}
 }

@@ -28,22 +28,24 @@ import (
 
 // ProtocolVersion is the envelope version this build speaks. Version 2
 // added trace context to Request and ExecStats to Response. The encoding is
-// gob, which matches struct fields by name and omits zero values, so the
-// version number is informational rather than a gate: a v2 server answers a
-// v1 client (trace fields decode as zero — the query runs untraced) and a
-// v1 server ignores a v2 client's trace fields. Golden-frame tests pin both
-// directions. Version 3 moved ingest off gob: rows travel as one batch
-// frame (rowblock.DecodeFrame) under KindAddBatch, a kind a v2 server
-// rejects by name — so leaves upgrade before tailers. Version 4 moved the
-// query result off gob: it travels as one result frame
-// (query.DecodeResultFrame) in Response.Frame, and this is the first version
-// a server acts on. A server answers a query in the shape Request.Version
-// reads — the frame from 4 on, protocol 3's gob result (v3compat.go) below —
-// so leaves upgrade before aggregators and aggregators before clients; a
-// client that gets a reply without a frame says the peer is older and has no
-// answer from it. The same release dropped gob ingest: kind 2, a v2 tailer's
-// rows, is answered as any unknown kind is (DESIGN.md §13 has the table).
+// gob, which matches struct fields by name and omits zero values, so a field
+// one side lacks decodes as zero on the other: a v1 server ignores a v2
+// client's trace fields. Golden-frame tests pin that. Version 3 moved ingest
+// off gob: rows travel as one batch frame (rowblock.DecodeFrame) under
+// KindAddBatch, a kind a v2 server rejects by name — so leaves upgrade before
+// tailers. Version 4 moved the query result off gob: it travels as one
+// result frame (query.DecodeResultFrame) in Response.Frame. A server answers
+// a query only for a requester of minQueryVersion or later and refuses any
+// other by name, so leaves upgrade before aggregators and aggregators before
+// clients; a client that gets a reply without a frame says the peer is older
+// and has no answer from it. The same release dropped gob ingest: kind 2, a
+// v2 tailer's rows, is answered as any unknown kind is (DESIGN.md §13 has
+// the table).
 const ProtocolVersion = 4
+
+// minQueryVersion is the oldest requester a query is answered for: the first
+// version that reads the result frame.
+const minQueryVersion = 4
 
 // Kind tags a request.
 type Kind uint8
@@ -108,7 +110,7 @@ type Request struct {
 	// UseShm selects the shared memory shutdown path (vs disk-only).
 	UseShm bool
 	// Version is the sender's ProtocolVersion (0 = pre-versioning client):
-	// what a server goes by when it picks the shape of a query's answer.
+	// a query from below minQueryVersion is refused.
 	Version uint8
 	// Trace carries the query's trace context (v2+; zero = untraced).
 	Trace obs.TraceContext
@@ -128,11 +130,8 @@ type Request struct {
 type Response struct {
 	Err   string
 	Stats *leaf.Stats
-	// Frame is a query's answer: one result frame (v4+). Result is the same
-	// answer in protocol 3's shape, sent to a requester below version 4
-	// instead and never read by this build.
+	// Frame is a query's answer: one result frame (v4+).
 	Frame    []byte
-	Result   *v3Result
 	Shutdown *leaf.ShutdownInfo
 	// Exec is the leaf's execution report for a traced query (v2+; nil for
 	// untraced queries and pre-trace servers).
@@ -305,18 +304,8 @@ func (s *Server) handle(req *Request) *Response {
 	case KindAddBatch:
 		return s.added(s.leaf.AddBatch(req.Table, req.Batch))
 	case KindQuery:
-		start := time.Now()
-		res, exec, err := s.leaf.QueryShards(req.Query, req.Shards, req.Trace)
+		resp, err := s.query(req)
 		if err != nil {
-			s.reg.Counter("rpc.errors").Add(1)
-			return &Response{Err: err.Error()}
-		}
-		s.reg.Timer("query.latency").Observe(time.Since(start))
-		if req.Trace.TraceID == 0 {
-			exec = nil // the report travels only on a traced request
-		}
-		resp := &Response{Exec: exec}
-		if err := resp.setResult(res, req.Version); err != nil {
 			s.reg.Counter("rpc.errors").Add(1)
 			return &Response{Err: err.Error()}
 		}
@@ -351,15 +340,32 @@ func (s *Server) handle(req *Request) *Response {
 	}
 }
 
-// setResult puts a query's answer in the shape a requester of the given
-// protocol version reads.
-func (resp *Response) setResult(res *query.Result, version uint8) (err error) {
-	if version < 4 {
-		resp.Result = v3ResultOf(res)
-		return nil
+// query answers a query request with its result frame.
+func (s *Server) query(req *Request) (*Response, error) {
+	if err := tooOld(req); err != nil {
+		return nil, err
 	}
-	resp.Frame, err = res.AppendFrame(nil)
-	return err
+	start := time.Now()
+	res, exec, err := s.leaf.QueryShards(req.Query, req.Shards, req.Trace)
+	if err != nil {
+		return nil, err
+	}
+	s.reg.Timer("query.latency").Observe(time.Since(start))
+	if req.Trace.TraceID == 0 {
+		exec = nil // the report travels only on a traced request
+	}
+	frame, err := res.AppendFrame(nil)
+	return &Response{Frame: frame, Exec: exec}, err
+}
+
+// tooOld refuses a query from a requester that cannot read the result
+// frame, naming both versions: an empty reply would decode on its side as
+// an answer with no groups.
+func tooOld(req *Request) error {
+	if req.Version < minQueryVersion {
+		return fmt.Errorf("wire: a protocol %d requester sent a query; this server speaks protocol %d and answers queries from %d on", req.Version, ProtocolVersion, minQueryVersion)
+	}
+	return nil
 }
 
 // added answers an ingest request and counts its rows.
