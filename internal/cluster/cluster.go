@@ -233,7 +233,8 @@ func (n *Node) restart(cfg RolloverConfig, rs *Restart) error {
 	}
 	l = n.leaf
 	n.mu.Unlock()
-	rs.Recovery = l.Recovery().Path
+	rec := l.Recovery()
+	rs.Recovery, rs.RowsDropped = rec.Path, rowsDropped(rec.PerTablePath)
 	return nil
 }
 

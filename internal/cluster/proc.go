@@ -161,6 +161,9 @@ type ProcRecovery struct {
 	Path           string
 	ServedFromShm  int64 `json:"served_from_shm"`
 	PromotedBlocks int64 `json:"promoted_blocks"`
+	// RowsDropped sums what the tables report lost
+	// (leaf.TableRecovery.RowsDropped).
+	RowsDropped int64 `json:"-"`
 }
 
 // Recovery fetches the leaf's live /debug/recovery state: which path the
@@ -173,12 +176,17 @@ func (l *ProcLeaf) Recovery() (ProcRecovery, error) {
 	}
 	defer resp.Body.Close()
 	var body struct {
-		Recovery ProcRecovery `json:"recovery"`
+		Recovery struct {
+			ProcRecovery
+			PerTablePath []leaf.TableRecovery
+		} `json:"recovery"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		return ProcRecovery{}, err
 	}
-	return body.Recovery, nil
+	rec := body.Recovery.ProcRecovery
+	rec.RowsDropped = rowsDropped(body.Recovery.PerTablePath)
+	return rec, nil
 }
 
 // ProcCluster is a set of scubad subprocesses plus one shard-routing
@@ -292,14 +300,18 @@ func (pc *ProcCluster) startLeaf(l *ProcLeaf) error {
 // covers disk recovery of test-sized datasets.
 const readyTimeout = 30 * time.Second
 
-// waitReady polls Ping until the leaf's server answers. scubad listens only
-// after recovery completes, so a successful Ping means the leaf is serving
-// its recovered data.
+// waitReady polls Ping until the leaf's server answers, and its
+// /debug/recovery when it has one. scubad listens only after recovery
+// completes, so a successful Ping means the leaf is serving its recovered
+// data; it starts its HTTP endpoint a moment later, and a restart reads how
+// the leaf recovered from there right after.
 func (pc *ProcCluster) waitReady(l *ProcLeaf) error {
 	deadline := time.Now().Add(readyTimeout)
 	for time.Now().Before(deadline) {
 		if err := l.client.Ping(); err == nil {
-			return nil
+			if _, err := l.Recovery(); err == nil || l.HTTPAddr == "" {
+				return nil
+			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -440,7 +452,7 @@ func (l *ProcLeaf) restart(cfg RolloverConfig, rs *Restart) error {
 	// A replacement that cannot say how it recovered is one the guards cannot
 	// judge: quarantined like one that never served.
 	rec, err := l.Recovery()
-	rs.Recovery = leaf.RecoveryPath(rec.Path)
+	rs.Recovery, rs.RowsDropped = leaf.RecoveryPath(rec.Path), rec.RowsDropped
 	return err
 }
 

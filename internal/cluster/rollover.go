@@ -39,12 +39,13 @@ type RolloverConfig struct {
 	// replacement restarts from disk.
 	KillTimeout time.Duration
 	// MaxDiskFallback aborts the rollover when more than this fraction of
-	// restarted leaves fall back to full disk recovery (0 disables the
-	// guard). A healthy shm rollover disk-recovers almost never; a wave of
-	// disk fallbacks means the new build can't read the old segments (a
-	// layout-version mistake, a corrupting bug) and finishing the rollover
-	// would pay hours of disk recovery cluster-wide — stopping early
-	// mirrors the canary's intent (§4.5).
+	// restarted leaves fall back to full disk recovery or come back degraded
+	// (rows dropped, RolloverReport.Degraded) (0 disables the guard). A
+	// healthy shm rollover does either almost never; a wave of them means the
+	// new build can't read the old segments or images (a layout-version
+	// mistake, a corrupting bug) and finishing the rollover would pay hours
+	// of disk recovery or lose data cluster-wide — stopping early mirrors the
+	// canary's intent (§4.5).
 	MaxDiskFallback float64
 	// MaxAvailabilityGap, when positive, aborts the rollover if any restarted
 	// leaf takes longer than this from the start of its replacement to
@@ -114,6 +115,10 @@ type Restart struct {
 	Crashed bool
 	// Recovery is the path the replacement came up by.
 	Recovery leaf.RecoveryPath
+	// RowsDropped is what the replacement's tables report they lost
+	// (leaf.TableRecovery.RowsDropped): images it could not decode, damaged
+	// blocks the store had no image of.
+	RowsDropped int64
 	// Gap is the availability gap: replacement start to serving queries.
 	Gap time.Duration
 	// Duration is the whole restart, shutdown included.
@@ -153,6 +158,9 @@ type RolloverReport struct {
 	// Quarantined leaves were left DOWN: their replacement never served, so
 	// their shards keep serving from replicas.
 	Quarantined []int
+	// Degraded leaves served again but dropped rows doing it, whatever
+	// path they came up by.
+	Degraded []int
 	// MaxGap is the largest availability gap any successful restart paid.
 	MaxGap time.Duration
 	// Timeline holds each batch's dashboard sample.
@@ -185,9 +193,9 @@ func (r *RolloverReport) String() string {
 			paths = append(paths, fmt.Sprintf("%d %s", n, p))
 		}
 	}
-	s := fmt.Sprintf("%v, %d batches, min availability %.1f%%, max gap %v, recoveries: %s, %d quarantined",
+	s := fmt.Sprintf("%v, %d batches, min availability %.1f%%, max gap %v, recoveries: %s, %d quarantined, %d degraded",
 		r.Duration.Round(time.Millisecond), r.Batches, 100*r.MinAvailability(),
-		r.MaxGap.Round(time.Millisecond), strings.Join(paths, " / "), len(r.Quarantined))
+		r.MaxGap.Round(time.Millisecond), strings.Join(paths, " / "), len(r.Quarantined), len(r.Degraded))
 	if r.Aborted {
 		s += ", ABORTED"
 	}
@@ -196,7 +204,7 @@ func (r *RolloverReport) String() string {
 
 // tally adds one finished batch to the report: a restart that left its slot
 // without a serving process is a quarantine, every other one counts under
-// the path it recovered by.
+// the path it recovered by, and as degraded too if it dropped rows.
 func (r *RolloverReport) tally(batch []Restart, reg *metrics.Registry) {
 	for _, rs := range batch {
 		r.Restarts = append(r.Restarts, rs)
@@ -205,6 +213,9 @@ func (r *RolloverReport) tally(batch []Restart, reg *metrics.Registry) {
 			continue
 		}
 		r.Recoveries[rs.Recovery]++
+		if rs.RowsDropped > 0 {
+			r.Degraded = append(r.Degraded, rs.Leaf)
+		}
 		reg.Counter("rollover.recovery." + metrics.CanonicalName(string(rs.Recovery))).Add(1)
 		if rs.Gap > r.MaxGap {
 			r.MaxGap = rs.Gap
@@ -218,8 +229,13 @@ func (r *RolloverReport) tally(batch []Restart, reg *metrics.Registry) {
 func (cfg RolloverConfig) breached(r *RolloverReport, batch []Restart) string {
 	if restarted := len(r.Restarts) - len(r.Quarantined); cfg.MaxDiskFallback > 0 && restarted > 0 {
 		disk := r.Recoveries[leaf.RecoveryDisk]
+		for _, rs := range r.Restarts {
+			if rs.Err == "" && rs.RowsDropped > 0 && rs.Recovery != leaf.RecoveryDisk {
+				disk++
+			}
+		}
 		if frac := float64(disk) / float64(restarted); frac > cfg.MaxDiskFallback {
-			return fmt.Sprintf("%d of %d restarted leaves (%.0f%%) fell back to disk recovery, limit %.0f%%",
+			return fmt.Sprintf("%d of %d restarted leaves (%.0f%%) fell back to disk recovery or dropped rows, limit %.0f%%",
 				disk, restarted, frac*100, cfg.MaxDiskFallback*100)
 		}
 	}
@@ -232,6 +248,14 @@ func (cfg RolloverConfig) breached(r *RolloverReport, batch []Restart) string {
 		}
 	}
 	return ""
+}
+
+// rowsDropped sums the rows a replacement's tables report lost.
+func rowsDropped(tables []leaf.TableRecovery) (n int64) {
+	for _, tr := range tables {
+		n += tr.RowsDropped
+	}
+	return n
 }
 
 // ErrRolloverAborted is returned (wrapped) when a guard stops a rollover.

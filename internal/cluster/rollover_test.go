@@ -10,7 +10,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -300,8 +304,8 @@ var rolloverCases = []rolloverCase{
 		},
 	},
 	{
-		// One corrupted block in the first restarted leaf: it quarantines one
-		// table and reports a mixed recovery — degraded, but not a disk
+		// One failed block copy in the first restarted leaf: it quarantines
+		// one table and reports a mixed recovery — degraded, but not a disk
 		// fallback, so the guard must not trip.
 		name: "mixed recovery does not trip the guard", machines: 2, perMachine: 2,
 		cfg: RolloverConfig{BatchFraction: 0.25, UseShm: true, MaxDiskFallback: 0.25},
@@ -315,7 +319,7 @@ var rolloverCases = []rolloverCase{
 			for _, n := range f.cluster.Nodes() {
 				addNodeRows(t, n, "errors", 50)
 			}
-			if err := fault.ArmSpec("shm.copy_in=corrupt;count=1"); err != nil {
+			if err := fault.ArmSpec("shm.copy_in=error;count=1"); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -549,5 +553,58 @@ func TestKilledLeafRestartsFromDisk(t *testing.T) {
 	after, _ := totalCount(t, c)
 	if after != before {
 		t.Errorf("count %v -> %v", before, after)
+	}
+}
+
+// TestRolloverReportsDroppedRows: a store image under a magic this build does
+// not write — a newer release's — cannot be decoded, so the restart that
+// loads it drops that block's rows, and the rollover reports the restart
+// degraded whatever path it came up by. The MaxDiskFallback guard counts a
+// degraded restart as it counts a disk fallback.
+func TestRolloverReportsDroppedRows(t *testing.T) {
+	c := newCluster(t, 2, 1)
+	for _, n := range c.Nodes() {
+		addNodeRows(t, n, "events", 300)
+		if err := n.current().SealAll(); err != nil {
+			t.Fatal(err)
+		}
+		addNodeRows(t, n, "events", 200)
+		if err := n.current().SealAll(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.current().SyncToDisk(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	images, err := filepath.Glob(filepath.Join(c.cfg.DiskRoot, "leaf0", "events", "*.rbk"))
+	if err != nil || len(images) != 2 {
+		t.Fatalf("leaf 0's images: %v, %v", images, err)
+	}
+	sort.Strings(images) // block-<start>-…: the 300-row block first
+	img, err := os.ReadFile(images[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(img, "RBK3") // the magic after this build's RBK2
+	if err := os.WriteFile(images[0], img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := c.Rollover(RolloverConfig{BatchFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Degraded, []int{0}) || rep.Restarts[0].RowsDropped != 300 || rep.Restarts[1].RowsDropped != 0 {
+		t.Fatalf("degraded %v, restarts %+v; want leaf 0 degraded by 300 rows", rep.Degraded, rep.Restarts)
+	}
+	if !strings.Contains(rep.String(), "1 degraded") {
+		t.Errorf("summary %q does not count the degraded restart", rep.String())
+	}
+
+	f := buildFakeFleet(t, rolloverCase{machines: 4, perMachine: 1})
+	f.fakes[0].outcome.RowsDropped = 1
+	rep, err = f.run(RolloverConfig{BatchFraction: 0.25, UseShm: true, MaxDiskFallback: 0.5})
+	if !errors.Is(err, ErrRolloverAborted) || rep.Batches != 1 || !reflect.DeepEqual(rep.Recoveries, recoveries(leaf.RecoveryMemory, 1)) {
+		t.Fatalf("a memory restart that dropped rows: %v, report %+v; want the guard to stop the rollover", err, rep)
 	}
 }

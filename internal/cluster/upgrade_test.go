@@ -324,7 +324,7 @@ func startRefAggd(t *testing.T, bin string, pc *ProcCluster) *wire.Client {
 // back by want with nothing to work around: no table with a reason (a
 // rejected segment, a damaged image, a dropped log tail) and no fall back
 // from an unreadable metadata.
-func wantRecovery(t *testing.T, leg string, l *ProcLeaf, want leaf.RecoveryPath) {
+func wantRecovery(t *testing.T, leg string, l *ProcLeaf, want leaf.RecoveryPath, reason string) {
 	t.Helper()
 	resp, err := http.Get("http://" + l.HTTPAddr + "/debug/recovery")
 	if err != nil {
@@ -344,10 +344,11 @@ func wantRecovery(t *testing.T, leg string, l *ProcLeaf, want leaf.RecoveryPath)
 	rec := body.Recovery
 	ok := rec.Path == want && !rec.FellBack
 	for _, tr := range rec.PerTablePath {
-		ok = ok && tr.Path == want && tr.Reason == ""
+		ok = ok && tr.Path == want && (tr.Reason == "") == (reason == "") && strings.Contains(tr.Reason, reason)
 	}
 	if !ok {
-		t.Fatalf("%s: leaf %d came back by %s (FellBack %v, tables %+v), want %s throughout", leg, l.ID, rec.Path, rec.FellBack, rec.PerTablePath, want)
+		t.Fatalf("%s: leaf %d came back by %s (FellBack %v, tables %+v), want %s throughout, every table's reason naming %q",
+			leg, l.ID, rec.Path, rec.FellBack, rec.PerTablePath, want, reason)
 	}
 }
 
@@ -359,19 +360,25 @@ func wantRecovery(t *testing.T, leg string, l *ProcLeaf, want leaf.RecoveryPath)
 //
 //	leg  writer        reader        formats crossing                 recovery
 //	1    ref           —             —                                (fresh start)
-//	2    ref           head          shm segments, LayoutVersion 2    memory
+//	2    ref           head          shm LayoutVersion 2 vs 3         wal (skew)
 //	     ref / head    both aggds    protocol 4, mixed fleet          —
-//	3    head          ref           store images, WAL records        wal (kill -9)
-//	4    head          ref           shm segments, LayoutVersion 2    memory
-//	5    ref           head+1        shm LayoutVersion 2 vs 3         wal (skew)
-//	5    head+1        ref           shm LayoutVersion 3 vs 2         wal (skew)
+//	3    head          head          shm LayoutVersion 3, instant-on  shm-view
+//	4    head          head+1        shm LayoutVersion 3 vs 4         wal (skew)
+//	5    head+1        head          shm LayoutVersion 4 vs 3         wal (skew)
+//	6    head          ref           store images, WAL records        wal (kill -9)
+//	7    ref           ref           shm LayoutVersion 2              memory
+//	7    head          ref           shm LayoutVersion 3 vs 2         wal (skew)
 //
 // head+1 is this build with shm.LayoutVersion one higher. A skewed start
 // takes the store and the log, which hold everything the shm backup does
-// because a clean shutdown leaves the log on disk. After every leg both this
-// build's aggregator and the reference's scuba-aggd answer every golden
-// query as query.Reference does over the batches the fleet holds, and those
-// hold every acked batch and no batch that was not sent.
+// because a clean shutdown leaves the log on disk, and never a view of the
+// foreign segments; this build's tables then each name the skew as their
+// reason (ref's predate that). Legs 3 to 5 start instant-on, so a view is
+// what a skewed start would serve if it trusted the wrong segments. After
+// every leg both this build's aggregator and the reference's scuba-aggd
+// answer every golden query as query.Reference does over the batches the
+// fleet holds, and those hold every acked batch and no batch that was not
+// sent; no rollover reports a restart degraded.
 func TestUpgradeRollover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping the subprocess upgrade drill")
@@ -431,12 +438,19 @@ func TestUpgradeRollover(t *testing.T) {
 	ing := startUpgradeIngest(placer)
 	t.Cleanup(ing.close)
 
-	// roll restarts every leaf on bin, one machine at a time, and requires
-	// each to come back by want.
+	// roll restarts every leaf on bin, one machine at a time (instant-on or
+	// not), and requires each to come back by the path want names for it,
+	// every table's reason naming what want says ("" for none).
 	var aggs map[string]Querier
-	roll := func(leg, bin string, want leaf.RecoveryPath, onMixed func(draining string)) {
+	type outcome func(id int) (leaf.RecoveryPath, string)
+	all := func(p leaf.RecoveryPath, reason string) outcome {
+		return func(int) (leaf.RecoveryPath, string) { return p, reason }
+	}
+	const skew = "layout version skew"
+	roll := func(leg, bin string, instantOn bool, want outcome, onMixed func(draining string)) {
 		t.Helper()
 		pc.cfg.BinPath = bin
+		pc.SetInstantOn(instantOn)
 		rep, err := pc.Rollover(RolloverConfig{
 			BatchFraction: 0.5,
 			UseShm:        true,
@@ -448,11 +462,12 @@ func TestUpgradeRollover(t *testing.T) {
 				}
 			},
 		})
-		if err != nil || len(rep.Quarantined) != 0 {
-			t.Fatalf("%s: rollover: %v, quarantined %v", leg, err, rep.Quarantined)
+		if err != nil || len(rep.Quarantined) != 0 || len(rep.Degraded) != 0 {
+			t.Fatalf("%s: rollover: %v, quarantined %v, degraded %v (restarts %+v)", leg, err, rep.Quarantined, rep.Degraded, rep.Restarts)
 		}
 		for _, r := range rep.Restarts {
-			wantRecovery(t, leg, pc.Leaf(r.Leaf), want)
+			path, reason := want(r.Leaf)
+			wantRecovery(t, leg, pc.Leaf(r.Leaf), path, reason)
 		}
 		ing.checkAnswers(t, leg, aggs)
 	}
@@ -462,9 +477,10 @@ func TestUpgradeRollover(t *testing.T) {
 	aggs = map[string]Querier{"this build's aggregator": pc.AggClient(), "the reference scuba-aggd": startRefAggd(t, refAggd, pc)}
 	ing.checkAnswers(t, "1 reference fleet", aggs)
 
-	// Leg 2: roll to this build. Halfway, one leaf of each release serves:
-	// with both ACTIVE for the check, either aggregator's plan spans both.
-	roll("2 reference → this build", head, leaf.RecoveryMemory, func(draining string) {
+	// Leg 2: roll to this build, which cannot read the reference's segments.
+	// Halfway, one leaf of each release serves: with both ACTIVE for the
+	// check, either aggregator's plan spans both.
+	roll("2 reference → this build", head, false, all(leaf.RecoveryWAL, skew), func(draining string) {
 		id := pc.router.Map().LeafIndex(draining)
 		if err := pc.router.SetStatus(id, shard.StatusActive); err != nil {
 			t.Fatal(err)
@@ -475,8 +491,18 @@ func TestUpgradeRollover(t *testing.T) {
 		}
 	})
 
-	// Leg 3: this build's store images and WAL records, read by the
+	// Leg 3: this build's segments, served in place by this build.
+	roll("3 this build → this build, instant-on", head, true, all(leaf.RecoveryShmView, ""), nil)
+
+	// Leg 4: the same two rolls with the next layout version: neither build
+	// may serve a view of the other's segments, and both come back from the
+	// store and the log.
+	roll("4 this build → layout bump", bumped, true, all(leaf.RecoveryWAL, skew), nil)
+	roll("5 layout bump → this build", head, true, all(leaf.RecoveryWAL, skew), nil)
+
+	// Leg 6: this build's store images and WAL records, read by the
 	// reference after a kill -9 mid-ingest.
+	pc.SetInstantOn(false)
 	victim := pc.Leaf(0)
 	if err := victim.Client().Flush(); err != nil {
 		t.Fatal(err)
@@ -495,17 +521,17 @@ func TestUpgradeRollover(t *testing.T) {
 	if err := pc.waitReady(victim); err != nil {
 		t.Fatal(err)
 	}
-	wantRecovery(t, "3 kill -9 → reference", victim, leaf.RecoveryWAL)
-	ing.checkAnswers(t, "3 kill -9 → reference", aggs)
+	wantRecovery(t, "6 kill -9 → reference", victim, leaf.RecoveryWAL, "")
+	ing.checkAnswers(t, "6 kill -9 → reference", aggs)
 
-	// Leg 4: this build's shm segments, read by the reference.
-	roll("4 this build → reference", ref, leaf.RecoveryMemory, nil)
-
-	// Leg 5: the same two rolls with the next layout version: neither release
-	// may read the other's segments, and both come back from the store and
-	// the log.
-	roll("5 reference → layout bump", bumped, leaf.RecoveryWAL, nil)
-	roll("5 layout bump → reference", ref, leaf.RecoveryWAL, nil)
+	// Leg 7: back to the reference, which reads its own segments and not
+	// this build's.
+	roll("7 back to the reference", ref, false, func(id int) (leaf.RecoveryPath, string) {
+		if id == victim.ID {
+			return leaf.RecoveryMemory, ""
+		}
+		return leaf.RecoveryWAL, ""
+	}, nil)
 
 	avail := probe.Stop()
 	if avail.Wrong != 0 || avail.Queries == 0 {

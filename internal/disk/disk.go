@@ -311,7 +311,7 @@ func (s *Store) Load(table string, fn func(im Image, rb *rowblock.RowBlock, err 
 			}
 		}
 		pos = im.End()
-		rb, err := s.loadImage(table, im)
+		rb, err := s.LoadImage(table, im)
 		if err := fn(im, rb, err); err != nil {
 			return 0, err
 		}
@@ -330,7 +330,8 @@ func (s *Store) Load(table string, fn func(im Image, rb *rowblock.RowBlock, err 
 	return w, nil
 }
 
-func (s *Store) loadImage(table string, im Image) (*rowblock.RowBlock, error) {
+// LoadImage reads one of the table's images (Images).
+func (s *Store) LoadImage(table string, im Image) (*rowblock.RowBlock, error) {
 	data, err := os.ReadFile(filepath.Join(s.tableDir(table), im.Name))
 	if err != nil {
 		return nil, fmt.Errorf("disk: %s: %w", table, err)

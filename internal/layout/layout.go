@@ -162,9 +162,9 @@ func Parse(blob []byte) (*RBC, error) {
 	return r, nil
 }
 
-// ParseTrusted validates structure but skips the checksum. The heap->shm
-// copy path uses it for blobs the process just built itself; every load from
-// shared memory or disk must use Parse.
+// ParseTrusted validates structure but skips the checksum. The seal uses it
+// for blobs the process just built itself; every load from shared memory or
+// disk must use Parse.
 func ParseTrusted(blob []byte) (*RBC, error) {
 	return parseHeader(blob)
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // segmentRegions parses a finished table segment far enough to name one byte
-// in each region the payload CRC covers: a zone map in the first image's
-// prefix, a column blob, the last byte of the first image (the gap-free
-// boundary with the second) and the footer.
+// in each region a checksum covers: a zone map in the first image's prefix,
+// a column blob, the last byte of the first image (the gap-free boundary with
+// the second) and the block index.
 func segmentRegions(t *testing.T, raw []byte) map[string]int {
 	t.Helper()
 	footer := int(binary.LittleEndian.Uint64(raw[16:]))
@@ -24,7 +24,7 @@ func segmentRegions(t *testing.T, raw []byte) map[string]int {
 		t.Fatalf("segment holds %d blocks, want a boundary between two", n)
 	}
 	first := int(binary.LittleEndian.Uint64(raw[footer:]))
-	second := int(binary.LittleEndian.Uint64(raw[footer+8:]))
+	second := int(binary.LittleEndian.Uint64(raw[footer+12:]))
 	rb, size, err := rowblock.DecodeImage(raw[first:second])
 	if err != nil || first+size != second {
 		t.Fatalf("first image: %d bytes of %d, %v", size, second-first, err)
@@ -34,16 +34,18 @@ func segmentRegions(t *testing.T, raw []byte) map[string]int {
 		"image prefix (a zone map)": first + prefix - 8*rb.NumColumns() - 1, // just before the column offset table
 		"column blob":               first + prefix + rb.Column(0).Size() + rb.Column(1).Size()/2,
 		"image boundary":            second - 1,
-		"footer":                    footer + 8, // the second block's offset
+		"footer":                    footer + 12, // the second block's offset
 	}
 }
 
 // TestDrainVerifiesBeforeInstall flips one byte in each region of a finished
-// segment. An eager start checks the payload CRC in the drain, over its
-// copies: whichever region the damage is in, exactly that table is
-// quarantined to the store with none of its shm blocks installed, the other
-// tables come from memory, and the leaf answers as the reference does. An
-// instant-on start finds the same damage at open, as it always did.
+// segment. Damage to metadata — an image prefix, the block index — fails the
+// open: exactly that table is quarantined to the store with none of its shm
+// blocks installed, and the other tables come from memory. Damage to a
+// column fails that block's first read — the eager drain's clone, or at
+// instant-on a scan's or the promoter's — and exactly that block is replaced
+// by the store's image of its rows. Either way the leaf answers as the
+// reference does.
 func TestDrainVerifiesBeforeInstall(t *testing.T) {
 	rows := driftRows(rand.New(rand.NewSource(3)), 9000, 0)
 	want := fingerprint(t, func(q *query.Query) (*query.Result, error) { return query.Reference(rows, q) })
@@ -53,6 +55,7 @@ func TestDrainVerifiesBeforeInstall(t *testing.T) {
 			if instantOn {
 				name = "instant-on/" + region
 			}
+			atOpen := region == "image prefix (a zone map)" || region == "footer"
 			t.Run(name, func(t *testing.T) {
 				e := newEnv(t)
 				old := startLeaf(t, e.config(0))
@@ -83,13 +86,37 @@ func TestDrainVerifiesBeforeInstall(t *testing.T) {
 				cfg.InstantOn = instantOn
 				nu := startLeaf(t, cfg)
 				defer nu.stopPromoter()
-				rec := nu.Recovery()
-				if rec.Path != RecoveryMixed || rec.Quarantined != 1 || rec.FellBack {
-					t.Fatalf("recovery = %+v, want mixed with 1 quarantined table", rec)
-				}
 				fromShm := RecoveryMemory
 				if instantOn {
 					fromShm = RecoveryShmView
+				}
+				if got := driftFingerprint(t, nu); got != want {
+					t.Errorf("answers differ from the reference:\ngot  %s\nwant %s", got, want)
+				}
+				if got := countRows(t, nu, "errors") + countRows(t, nu, "ads"); got != 500 {
+					t.Errorf("intact tables count %v rows, want 500", got)
+				}
+				rec := nu.Recovery()
+				if !atOpen {
+					if rec.Path != fromShm || rec.Quarantined != 0 || rec.FellBack {
+						t.Fatalf("recovery = %+v, want %v with none quarantined", rec, fromShm)
+					}
+					for _, tr := range rec.PerTablePath {
+						replaced := 0
+						if tr.Table == "events" {
+							replaced = 1
+						}
+						if tr.Path != fromShm || tr.BlocksReplaced != replaced || tr.BlocksDropped != 0 || tr.RowsDropped != 0 {
+							t.Errorf("table: %+v, want %v with %d block replaced", tr, fromShm, replaced)
+						}
+					}
+					if got := nu.tableRecoverySource("events"); got != string(fromShm) {
+						t.Errorf("execution reports the table's source as %q, want %q", got, fromShm)
+					}
+					return
+				}
+				if rec.Path != RecoveryMixed || rec.Quarantined != 1 || rec.FellBack {
+					t.Fatalf("recovery = %+v, want mixed with 1 quarantined table", rec)
 				}
 				for _, tr := range rec.PerTablePath {
 					switch {
@@ -99,32 +126,22 @@ func TestDrainVerifiesBeforeInstall(t *testing.T) {
 						t.Errorf("intact table: %+v, want %v", tr, fromShm)
 					}
 				}
-				// The table's shm step failed — at open when the view was to be
-				// served, at open or in the drain otherwise — and none of its
-				// blocks went from shm into the table: nothing was adopted.
+				// The table's open failed and none of its blocks went from shm
+				// into the table: nothing was adopted.
 				failed := false
 				for _, sp := range nu.RestartTrace().Half(obs.HalfStart) {
 					if sp.Table != "events" {
 						continue
 					}
 					switch sp.Phase {
-					case obs.PhaseTableCRC, obs.PhaseTableView, obs.PhaseTableCopyIn:
+					case obs.PhaseTableCRC, obs.PhaseTableView:
 						failed = failed || sp.Err != ""
-						if instantOn && sp.Phase != obs.PhaseTableView {
-							t.Errorf("instant-on ran %s", sp.Phase)
-						}
-					case obs.PhaseTableAdopt:
-						t.Errorf("blocks of the damaged segment were installed: %+v", sp)
+					case obs.PhaseTableCopyIn, obs.PhaseTableAdopt:
+						t.Errorf("blocks of the damaged segment were taken: %+v", sp)
 					}
 				}
 				if !failed {
-					t.Error("no shm step of the damaged table failed")
-				}
-				if got := driftFingerprint(t, nu); got != want {
-					t.Errorf("answers differ from the reference:\ngot  %s\nwant %s", got, want)
-				}
-				if got := countRows(t, nu, "errors") + countRows(t, nu, "ads"); got != 500 {
-					t.Errorf("intact tables count %v rows, want 500", got)
+					t.Error("the damaged table's open did not fail")
 				}
 			})
 		}

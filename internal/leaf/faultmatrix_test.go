@@ -6,6 +6,7 @@ import (
 
 	"scuba/internal/fault"
 	"scuba/internal/query"
+	"scuba/internal/rowblock"
 )
 
 // TestFaultMatrix is the keystone regression suite for DESIGN.md §8: for
@@ -31,7 +32,9 @@ func TestFaultMatrix(t *testing.T) {
 		wantShutdownErr bool
 		wantPath        RecoveryPath
 		wantQuarantined int
-		wantFellBack    bool
+		// wantReplaced counts blocks replaced from the store's images.
+		wantReplaced int
+		wantFellBack bool
 		// lostTables expect zero rows (quarantine reload also failed).
 		lostTables map[string]bool
 	}{
@@ -76,9 +79,9 @@ func TestFaultMatrix(t *testing.T) {
 			wantPath: RecoveryMixed, wantQuarantined: 1,
 		},
 		{
-			name: "copy_in corruption caught by block checksums, quarantined",
+			name: "copy_in corruption caught by block checksums, block replaced",
 			spec: "shm.copy_in=corrupt;count=1", stage: "restore",
-			wantPath: RecoveryMixed, wantQuarantined: 1,
+			wantPath: RecoveryMemory, wantReplaced: 1,
 		},
 		{
 			name: "copy_in delay only slows restore, memory restore",
@@ -174,6 +177,13 @@ func TestFaultMatrix(t *testing.T) {
 			if rec.Quarantined != tc.wantQuarantined {
 				t.Fatalf("quarantined = %d, want %d (%+v)", rec.Quarantined, tc.wantQuarantined, rec.PerTablePath)
 			}
+			replaced := 0
+			for _, tr := range rec.PerTablePath {
+				replaced += tr.BlocksReplaced
+			}
+			if replaced != tc.wantReplaced {
+				t.Fatalf("blocks replaced = %d, want %d (%+v)", replaced, tc.wantReplaced, rec.PerTablePath)
+			}
 			if rec.FellBack != tc.wantFellBack {
 				t.Fatalf("fellBack = %v, want %v", rec.FellBack, tc.wantFellBack)
 			}
@@ -210,4 +220,79 @@ func countAndSum(t *testing.T, l *Leaf, tableName string) (count, sum float64) {
 		return 0, 0
 	}
 	return rows[0].Values[0], rows[0].Values[1]
+}
+
+// TestStaleImagesOutliveTheRestore: a table whose store images do not tile
+// its segment's blocks (here one image too many, a copy of the first past
+// the watermark) keeps them until every block is on the heap. A failed drain
+// quarantines the table to them, a damaged clone — the drain's or the
+// promoter's — is replaced from them, and the table's first persist from
+// then on writes its own in their place.
+func TestStaleImagesOutliveTheRestore(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec           string
+		instant, quarantined bool
+	}{
+		{"drain fails", "shm.copy_in=error;count=1", false, true},
+		{"drain clone damaged", "shm.copy_in=corrupt;count=1", false, false},
+		{"promoter clone damaged", "shm.copy_in=corrupt;count=1", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Cleanup(fault.Reset)
+			e := newEnv(t)
+			old := startLeaf(t, e.config(0))
+			for i := 0; i < 3; i++ {
+				ingest(t, old, "events", 400, int64(1000+400*i))
+				if err := old.SealAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := countRows(t, old, "events")
+			if _, err := old.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			images, w, err := old.store.Images("events")
+			if err != nil || len(images) != 3 {
+				t.Fatalf("images after the shutdown: %v, %v", images, err)
+			}
+			first, err := old.store.LoadImage("events", images[0])
+			if err == nil {
+				_, err = old.store.Persist("events", []*rowblock.RowBlock{first}, []int64{w})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if err := fault.ArmSpec(tc.spec); err != nil {
+				t.Fatal(err)
+			}
+			cfg := e.config(0)
+			cfg.InstantOn = tc.instant
+			nu := startLeaf(t, cfg)
+			defer nu.stopPromoter()
+			if tc.instant {
+				<-nu.promo.done
+			}
+			fault.Reset()
+			rec := nu.Recovery().PerTablePath[0]
+			if tc.quarantined {
+				want += float64(images[0].Rows) // the stale copy is the store's too
+				if rec.Path != RecoveryDisk {
+					t.Errorf("recovery = %+v, want the table quarantined to the store", rec)
+				}
+			} else if rec.BlocksReplaced != 1 || rec.BlocksDropped != 0 {
+				t.Errorf("recovery = %+v, want one block replaced and none dropped", rec)
+			}
+			if got := countRows(t, nu, "events"); got != want {
+				t.Errorf("rows = %v, want %v", got, want)
+			}
+			if _, err := nu.SyncToDisk(); err != nil {
+				t.Fatal(err)
+			}
+			own, _, err := nu.store.Images("events")
+			if n := nu.Table("events").Stats().NumBlocks; err != nil || len(own) != n {
+				t.Errorf("store images after SyncToDisk: %v, %v; want the table's %d", own, err, n)
+			}
+		})
+	}
 }

@@ -5,15 +5,17 @@ package leaf
 // was judged too invasive (§3); but the segment layout is
 // one-memcpy-relocatable, so recover.go's takeFromShm maps each table segment
 // read-only and decodes every block image in place, and with InstantOn it
-// flips the leaf ALIVE the moment metadata + CRC validation pass instead of
-// cloning the blocks first. The copy the paper blocked availability on still
-// happens — as background promotion on a bounded worker pool, hottest tables
-// first (per-table decode-cache hits as the heat signal), each block swapped
-// for its heap clone (Leaf.cloneBlock, the eager drain's own step) without
-// disturbing in-flight scans. This file is that promotion.
+// flips the leaf ALIVE the moment the metadata validates instead of cloning
+// the blocks first; each block's columns are checked by their first reader.
+// The copy the paper blocked availability on still happens — as background
+// promotion on a bounded worker pool, hottest tables first (per-table
+// decode-cache hits as the heat signal), each block swapped for its heap
+// clone (Leaf.cloneBlock, the eager drain's own step) without disturbing
+// in-flight scans. This file is that promotion.
 
 import (
 	"context"
+	"errors"
 
 	"scuba/internal/metrics"
 	"scuba/internal/obs"
@@ -31,8 +33,9 @@ type promoter struct {
 }
 
 // promoteCursor walks one table's view blocks, oldest first to match scan
-// order. A block whose promotion fails (injected fault, bad checksum) is
-// passed like any other: the table just keeps serving it from shm.
+// order. A block whose promotion fails (injected fault) is passed like any
+// other: the table just keeps serving it from shm. One whose copy fails its
+// check is replaced from the store.
 type promoteCursor struct {
 	tbl    *table.Table
 	blocks []*rowblock.RowBlock
@@ -41,8 +44,9 @@ type promoteCursor struct {
 // startPromoter launches the background promotion on the pool, one job per
 // view block. Called once per Start, after the leaf transitions ALIVE. The
 // drain is the start ledger's restart.promote span, ended by whichever comes
-// first: the last block promoted, or stopPromoter.
-func (l *Leaf) startPromoter() {
+// first: the last block promoted, or stopPromoter; the channel it returns is
+// closed then.
+func (l *Leaf) startPromoter() <-chan struct{} {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &promoter{cancel: cancel, done: make(chan struct{})}
 	// copyTime is restart.promote.block. Promotion is one span for the
@@ -96,8 +100,10 @@ func (l *Leaf) startPromoter() {
 		})
 		sp.Blocks = int(l.promoted.Load())
 		sp.End(nil)
+		l.handOffUnpersisted()
 		close(p.done)
 	}()
+	return p.done
 }
 
 // stopPromoter stops the pool and waits for in-flight promotions to land.
@@ -116,11 +122,18 @@ func (l *Leaf) stopPromoter() {
 
 // promoteBlock moves one shm-resident block heap-side: clone, swap, release
 // the table's residency reference. A block that cannot be promoted stays where
-// it is — the table keeps serving it from shm, which is always safe.
+// it is — the table keeps serving it from shm, which is always safe — unless
+// its copy failed the check: then it is damaged, and replaced.
 func (l *Leaf) promoteBlock(tbl *table.Table, rb *rowblock.RowBlock, copyTime *metrics.Timer) {
 	var clone *rowblock.RowBlock
 	var err error
-	copyTime.Time(func() { clone, err = l.cloneBlock(tbl.Name(), rb, true) })
+	copyTime.Time(func() { clone, err = l.cloneBlock(tbl.Name(), rb) })
+	var dmg *rowblock.DamagedError
+	if errors.As(err, &dmg) {
+		l.cfg.Obs.Event(obs.EventFail, obs.PhasePromote, tbl.Name()+": block replaced: "+err.Error())
+		l.replaceDamaged(tbl, rb, dmg.Err)
+		return
+	}
 	if err != nil {
 		l.cfg.Obs.Event(obs.EventFail, obs.PhasePromote, tbl.Name()+": block stays shm-resident: "+err.Error())
 		return

@@ -1,10 +1,13 @@
 package leaf
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,9 +236,9 @@ func TestInstantOnPromotionFaultKeepsServingFromShm(t *testing.T) {
 }
 
 // TestInstantOnPromotionCatchesDamagedClone damages one block's heap copy
-// behind the open-time CRC (shm.copy_in=corrupt;count=1). The promoter's
-// per-column check must refuse it: that block is parked shm-resident with a
-// fail event, every other block is promoted, and answers never change.
+// (shm.copy_in=corrupt;count=1). The promoter's per-column check must refuse
+// it: that block is replaced by the store's image of its rows, with a fail
+// event, every other block is promoted, and answers never change.
 func TestInstantOnPromotionCatchesDamagedClone(t *testing.T) {
 	e := newEnv(t)
 	old := startLeaf(t, e.config(0))
@@ -258,9 +261,9 @@ func TestInstantOnPromotionCatchesDamagedClone(t *testing.T) {
 	cfg.Obs, _ = newObserver(t, e, 0)
 	nu := startLeaf(t, cfg)
 	defer nu.stopPromoter()
-	<-nu.promo.done // the workers leave once only parked blocks remain
-	if rec := nu.Recovery(); rec.ServedFromShm != 1 || rec.PromotedBlocks != 2 {
-		t.Errorf("recovery = %+v, want 1 block parked in shm and 2 promoted", rec)
+	<-nu.promo.done
+	if rec := nu.Recovery(); rec.ServedFromShm != 0 || rec.PromotedBlocks != 2 || rec.PerTablePath[0].BlocksReplaced != 1 {
+		t.Errorf("recovery = %+v, want 1 block replaced and 2 promoted", rec)
 	}
 	fails := 0
 	for _, ev := range cfg.Obs.Recorder().Events() {
@@ -272,7 +275,7 @@ func TestInstantOnPromotionCatchesDamagedClone(t *testing.T) {
 		t.Errorf("%d promote fail events naming a checksum, want 1", fails)
 	}
 	if got := queryFingerprint(t, nu, "events"); got != want {
-		t.Errorf("after the parked block:\ngot  %s\nwant %s", got, want)
+		t.Errorf("after the replaced block:\ngot  %s\nwant %s", got, want)
 	}
 }
 
@@ -478,5 +481,154 @@ func TestSegmentGenerationNames(t *testing.T) {
 		if got := shm.SegmentNameForTableGen("x", tc.gen); got != tc.want {
 			t.Errorf("SegmentNameForTableGen(x, %d) = %q, want %q", tc.gen, got, tc.want)
 		}
+	}
+}
+
+// TestFirstReadsRace: scans on four goroutines, the promoter and expiry take
+// their first reads of one instant-on view at once, and one block's column
+// is damaged. Run under -race it is the check that a block's one check, its
+// replacement from the store, its promotion and its expiry share nothing
+// unguarded, and one more goroutine reads the recovery record the
+// replacement updates, as /debug/recovery does. The damaged block is replaced
+// exactly once, and every answer over the rows retention keeps is the
+// reference's.
+func TestFirstReadsRace(t *testing.T) {
+	const now = 1700000000 + 1000
+	e := newEnv(t)
+	cfg := e.config(0)
+	setProcs(t, 4)
+	cfg.Clock = func() int64 { return now }
+	cfg.Table = table.Options{MaxAgeSeconds: 940} // the first three blocks expire
+	old := startLeaf(t, cfg)
+	rows := driftRows(rand.New(rand.NewSource(9)), 9000, 0) // 20 s of event time a block
+	for at := 0; at < len(rows); at += 1000 {
+		if err := old.AddRows("events", rows[at:at+1000]); err != nil {
+			t.Fatal(err)
+		}
+		if err := old.SealAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := old.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	segFile := tableSegmentFile(t, e, "events")
+	raw, err := os.ReadFile(segFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[binary.LittleEndian.Uint64(raw[16:])-20] ^= 0x10 // in the last block's last column
+	if err := os.WriteFile(segFile, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	q := &query.Query{Table: "events", From: 1700000060, To: 1 << 40, GroupBy: []string{"service"},
+		Aggregations: []query.Aggregation{{Op: query.AggCount}, {Op: query.AggSum, Column: "seq"}, {Op: query.AggMax, Column: "ratio"}}}
+	answer := func(res *query.Result) string {
+		b, err := json.Marshal(res.Rows(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	ref, err := query.Reference(rows[3000:], q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := answer(ref)
+
+	cfg.InstantOn = true
+	nu := startLeaf(t, cfg)
+	defer nu.stopPromoter()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				res, err := nu.Query(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := answer(res); got != want {
+					t.Errorf("answer beside the first reads:\ngot  %s\nwant %s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if _, err := nu.ExpireAll(now); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			if _, err := json.Marshal(nu.Recovery()); err != nil {
+				t.Error(err)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	<-nu.promo.done
+	close(stop)
+	<-polled
+	if rec := nu.Recovery(); rec.ServedFromShm != 0 || rec.PerTablePath[0].BlocksReplaced != 1 || rec.PerTablePath[0].BlocksDropped != 0 {
+		t.Fatalf("recovery = %+v, want every block off shm and the damaged one replaced once", rec)
+	}
+	res, err := nu.Query(q)
+	if err != nil || answer(res) != want {
+		t.Fatalf("answer after the promotion: %v", err)
+	}
+}
+
+// TestSyncToDiskDoesNotWaitForPromotion: an instant-on start deletes the
+// logs its resets set aside once promotion is done, but the persist barrier
+// does not wait for promotion: SyncToDisk deletes them at once and returns
+// while every clone is still held up.
+func TestSyncToDiskDoesNotWaitForPromotion(t *testing.T) {
+	e := newWALEnv(t)
+	cfg := e.config(0)
+	old := startLeaf(t, cfg)
+	ingest(t, old, "events", 600, 1000)
+	if _, err := old.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Cleanup(fault.Reset)
+	if err := fault.ArmSpec(fault.SiteShmCopyIn + "=delay:500ms"); err != nil {
+		t.Fatal(err)
+	}
+	cfg.InstantOn = true
+	nu := startLeaf(t, cfg)
+	defer nu.stopPromoter()
+	aside := nu.WAL().Dir() + ".reset"
+	if entries, err := os.ReadDir(aside); err != nil || len(entries) != 1 {
+		t.Fatalf("set-aside logs while promotion runs: %v, %v; want the one reset", entries, err)
+	}
+	if _, err := nu.SyncToDisk(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-nu.promo.done:
+		t.Fatal("SyncToDisk returned after promotion")
+	default:
+	}
+	if entries, err := os.ReadDir(aside); err != nil || len(entries) != 0 {
+		t.Fatalf("set-aside logs after SyncToDisk: %v, %v", entries, err)
 	}
 }

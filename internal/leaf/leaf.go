@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,11 +70,11 @@ type Config struct {
 	// "memory recovery disabled" edge).
 	DisableMemoryRecovery bool
 	// InstantOn turns the shm restore from a barrier into serve-from-shm.
-	// Either way segments are mapped read-only and validated (metadata + CRC);
-	// on, the CRC is checked up front, tables serve queries zero-copy from the
-	// mappings the moment that passes and blocks are cloned heap-side in the
-	// background in query-heat order; off, the same clone runs before ALIVE —
-	// the paper's eager copy-in — and the CRC is checked over the clones.
+	// Either way segments are mapped read-only and their metadata validated,
+	// and each block's columns are checked by its first reader; on, tables
+	// serve queries zero-copy from the mappings the moment that passes and
+	// blocks are cloned heap-side in the background in query-heat order; off,
+	// the same clone runs before ALIVE — the paper's eager copy-in.
 	InstantOn bool
 	// DecodeCacheBytes budgets the per-table LRU of decoded columns that
 	// lets repeated queries (dashboards) skip LZ4/dictionary decode. 0
@@ -122,9 +123,17 @@ type TableRecovery struct {
 	Table string
 	Path  RecoveryPath
 	// Reason says what the table's recovery had to work around: why its shm
-	// segment was rejected, which image file was damaged, why its log tail
-	// was not replayed.
+	// segment was rejected, which block was replaced or dropped, which image
+	// file was damaged, why its log tail was not replayed.
 	Reason string `json:",omitempty"`
+	// BlocksReplaced counts segment blocks that failed their check when first
+	// read and were replaced by the store's image of the same rows — before
+	// ALIVE or after it. BlocksDropped and RowsDropped count the blocks, and
+	// their rows, the table lost: a damaged segment block the store had no
+	// image of, or a store image that would not decode.
+	BlocksReplaced int   `json:",omitempty"`
+	BlocksDropped  int   `json:",omitempty"`
+	RowsDropped    int64 `json:",omitempty"`
 }
 
 // RecoveryInfo reports what Start did, for dashboards and benchmarks. What it
@@ -222,6 +231,11 @@ type Leaf struct {
 	restart        *obs.Restart
 	firstAnswer    *obs.ActiveSpan
 	firstQueryOpen atomic.Bool
+	// stale names the tables restored from shm whose store images do not
+	// tile their blocks (adoptImages): the images stay, for a damaged block
+	// to be replaced from, until the table holds no shm-resident block, and
+	// the table's first persist from then on drops them (persistLocked).
+	stale map[string]bool
 }
 
 // ErrWALNeedsDiskRoot rejects a Config with WALDir set and DiskRoot empty:
@@ -279,6 +293,8 @@ func (l *Leaf) State() State {
 func (l *Leaf) Recovery() RecoveryInfo {
 	l.mu.Lock()
 	info := l.recovery
+	// Replacements after ALIVE update the leaf's record in place.
+	info.PerTablePath = slices.Clone(info.PerTablePath)
 	l.mu.Unlock()
 	if info.Path == RecoveryShmView || info.ServedFromShm > 0 {
 		var resident int64
@@ -644,11 +660,18 @@ func (l *Leaf) queryTable(q *query.Query) (*query.Result, error) {
 		l.observeFirstQuery()
 		return &query.Result{}, nil
 	}
-	res, err := query.Execute(tbl, q, query.ExecOptions{Cache: dc, Metrics: l.registry()})
-	if err == nil {
+	for {
+		res, err := query.Execute(tbl, q, query.ExecOptions{Cache: dc, Metrics: l.registry()})
+		if err != nil {
+			var dmg *rowblock.DamagedError
+			if errors.As(err, &dmg) && l.replaceDamaged(tbl, dmg.Block, dmg.Err) {
+				continue // the answer is the one without the damaged bytes
+			}
+			return nil, err
+		}
 		l.observeFirstQuery()
+		return res, nil
 	}
-	return res, err
 }
 
 // observeFirstQuery ends the restart's last gap span exactly once per Start,
@@ -662,12 +685,14 @@ func (l *Leaf) observeFirstQuery() {
 }
 
 // RecoveryQuarantined is the recovery source the execution report names for a
-// table whose shm segment failed validation and was re-read from disk.
+// table that came from the store for a reason: its shm segment failed
+// validation, or its backup was of another layout.
 const RecoveryQuarantined = "quarantined"
 
 // tableRecoverySource reports where a table's data came from on the last
 // Start: the per-table path when a mixed recovery recorded one (with
-// quarantined tables called out), else the leaf-wide path.
+// quarantined tables called out), else the leaf-wide path. A table served
+// from shm keeps its path whatever its reason says (a replaced block).
 func (l *Leaf) tableRecoverySource(tableName string) string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -675,7 +700,7 @@ func (l *Leaf) tableRecoverySource(tableName string) string {
 		if tr.Table != tableName {
 			continue
 		}
-		if tr.Reason != "" {
+		if tr.Reason != "" && tr.Path != RecoveryMemory && tr.Path != RecoveryShmView {
 			return RecoveryQuarantined
 		}
 		return string(tr.Path)
@@ -730,10 +755,15 @@ func (l *Leaf) locksFor(name string) *tableLocks {
 	return tl
 }
 
-// SyncToDisk is the persist barrier: for every table it waits out a persist
-// in flight, then persists what is left. It returns the number of images
-// this call wrote, 0 when the persister had written them all.
+// SyncToDisk is the persist barrier: it deletes the logs Start set aside,
+// if the deletion has not run yet (wal.Log.Settle), and, for every table,
+// waits out a persist in flight, then persists what is left. It returns the
+// number of images this call wrote, 0 when the persister had written them
+// all.
 func (l *Leaf) SyncToDisk() (int, error) {
+	if l.wal != nil {
+		l.wal.Settle()
+	}
 	if l.store == nil {
 		return 0, nil
 	}
@@ -782,6 +812,17 @@ func (l *Leaf) persistTable(tbl *table.Table) (int, error) {
 }
 
 func (l *Leaf) persistLocked(tbl *table.Table) (int, error) {
+	if l.isStale(tbl.Name()) {
+		if tbl.State() == table.StateAlive && tbl.ForeignBlocks() > 0 {
+			return 0, nil // the promoter's hand-off, or the shutdown, writes it
+		}
+		if err := l.store.DropTable(tbl.Name()); err != nil {
+			return 0, err
+		}
+		l.mu.Lock()
+		delete(l.stale, tbl.Name())
+		l.mu.Unlock()
+	}
 	blocks, starts := tbl.UnpersistedBlocks()
 	for _, rb := range blocks {
 		if src := rb.Source(); src != nil {
@@ -827,10 +868,13 @@ func (l *Leaf) ExpireAll(now int64) (int, error) {
 		}
 		if l.store != nil {
 			// Under the persist lock: a persist that listed a block expiry
-			// dropped writes its image first, and this deletes it.
+			// dropped writes its image first, and this deletes it. Stale
+			// images are not numbered as the table is, and go whole.
 			locks := l.locksFor(tbl.Name())
 			locks.persist.Lock()
-			_, err := l.store.DropBelow(tbl.Name(), tbl.FirstRow())
+			if !l.isStale(tbl.Name()) {
+				_, err = l.store.DropBelow(tbl.Name(), tbl.FirstRow())
+			}
 			locks.persist.Unlock()
 			if err != nil {
 				return dropped, err

@@ -124,22 +124,38 @@ type backup struct {
 // requests, kill deletes, wait for in-flight adds and queries, seal pending
 // rows (Figure 5c). Then finish pending synchronization with the data on disk
 // (§4.1): after this the store's images tile the table, which is what lets the
-// next process adopt them instead of rewriting them. Then, with a backup,
-// Figure 6's copy-out.
+// next process adopt them instead of rewriting them. With a backup, Figure 6's
+// copy-out runs beside that persist rather than behind it: it takes the blocks
+// the persist does not touch first, oldest first, and waits for the persist
+// only at the first block it is writing. A persist error fails the table
+// before the valid bit, with every unpersisted block still whole for the
+// failure path to write.
 func (l *Leaf) shutdownTable(ctx context.Context, r *obs.Restart, worker int, tbl *table.Table, b *backup) error {
 	sp := r.Begin(obs.PhaseTableSeal, tbl.Name(), worker)
 	err := tbl.Prepare()
 	sp.End(err)
-	if err == nil && l.store != nil {
-		sp = r.Begin(obs.PhaseTablePersist, tbl.Name(), worker)
-		_, err = l.persistTable(tbl)
-		sp.End(err)
+	if err != nil {
+		return err
 	}
-	if err == nil {
-		err = tbl.Transition(table.StateCopyToShm)
+	p := &persisting{done: make(chan struct{})}
+	if l.store == nil {
+		close(p.done)
+	} else {
+		unpersisted, _ := tbl.UnpersistedBlocks()
+		p.clean = tbl.Stats().NumBlocks - len(unpersisted)
+		sp := r.Begin(obs.PhaseTablePersist, tbl.Name(), worker)
+		go func() {
+			_, p.err = l.persistTable(tbl)
+			sp.End(p.err)
+			close(p.done)
+		}()
 	}
+	err = tbl.Transition(table.StateCopyToShm)
 	if err == nil && b != nil {
-		err = l.copyTableOut(ctx, r, worker, tbl, b)
+		err = l.copyTableOut(ctx, r, worker, tbl, b, p)
+	}
+	if perr := p.wait(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		return err
@@ -147,10 +163,23 @@ func (l *Leaf) shutdownTable(ctx context.Context, r *obs.Restart, worker int, tb
 	return tbl.Transition(table.StateDone)
 }
 
+// persisting is a table's shutdown persist, running beside its copy-out.
+type persisting struct {
+	clean int // leading blocks it does not touch: their images are written
+	done  chan struct{}
+	err   error
+}
+
+func (p *persisting) wait() error {
+	<-p.done
+	return p.err
+}
+
 // copyTableOut is one table's Figure 6 backup, its copy-out span (which counts
 // the blocks and bytes it moves): segment create + registration, block-at-a-
-// time copy (releasing heap as it goes), Finish.
-func (l *Leaf) copyTableOut(ctx context.Context, r *obs.Restart, worker int, tbl *table.Table, b *backup) (err error) {
+// time copy (releasing heap as it goes), Finish. It waits for p before it
+// takes the first block p writes.
+func (l *Leaf) copyTableOut(ctx context.Context, r *obs.Restart, worker int, tbl *table.Table, b *backup, p *persisting) (err error) {
 	sp := r.Begin(obs.PhaseTableCopyOut, tbl.Name(), worker)
 	defer func() { sp.End(err) }()
 	segName := shm.SegmentNameForTableGen(tbl.Name(), b.gen)
@@ -170,9 +199,14 @@ func (l *Leaf) copyTableOut(ctx context.Context, r *obs.Restart, worker int, tbl
 		return err
 	}
 	// Copy row blocks, deleting each from the heap as it lands.
-	for {
+	for copied := 0; ; copied++ {
 		if err := ctx.Err(); err != nil { // another worker failed
 			return err
+		}
+		if copied == p.clean {
+			if err := p.wait(); err != nil {
+				return err
+			}
 		}
 		blocks, err := tbl.DropBlocksForShutdown(1)
 		if err != nil {

@@ -200,3 +200,36 @@ func TestFailedPersistIsRetriedByTheNextSeal(t *testing.T) {
 		t.Fatalf("rows = %v, want 140000", got)
 	}
 }
+
+// TestShutdownPersistFailureKeepsUnpersistedBlocks: a shutdown persists the
+// block its seal made beside the copy-out, and here that persist fails. The
+// copy-out must not have taken the block from the table first: the shutdown
+// fails before the valid bit, its failure path writes the block, and the
+// next start, from the store, holds every row.
+func TestShutdownPersistFailureKeepsUnpersistedBlocks(t *testing.T) {
+	e := newEnv(t)
+	l := startLeaf(t, e.config(0))
+	ingest(t, l, "events", 400, 1000)
+	if err := l.SealAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.SyncToDisk(); err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, l, "events", 300, 2000) // the tail the shutdown seals
+	t.Cleanup(fault.Reset)
+	if err := fault.ArmSpec(fault.SiteSnapWrite + "=error;count=1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Shutdown(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("shutdown = %v, want the persist's %v", err, fault.ErrInjected)
+	}
+	fault.Reset()
+	nu := startLeaf(t, e.config(0))
+	if rec := nu.Recovery(); rec.Path != RecoveryDisk || rec.SnapshotBlocks != 2 {
+		t.Fatalf("recovery = %+v, want disk with both blocks' images", rec)
+	}
+	if got := countRows(t, nu, "events"); got != 700 {
+		t.Fatalf("rows = %v, want 700", got)
+	}
+}

@@ -5,14 +5,17 @@ package leaf
 //
 //	for each table in (shm segments ∪ store tables ∪ log tables):
 //	    take its blocks from shm (a mapped view, cloned to the heap before
-//	        ALIVE unless InstantOn) if the valid bit and the segment's CRC allow,
+//	        ALIVE unless InstantOn) if the valid bit and the segment's
+//	        metadata CRCs allow,
 //	    else load its images from the store and replay the log tail past
 //	        their watermark if a usable log covers it;
 //	    go ALIVE
 //
 // A fault costs one table one source — a bad segment falls to the store, a
-// damaged image loses that block, an unusable log loses the tail past the
-// watermark — and RecoveryPath is read off the per-table outcomes.
+// segment block that fails its check when first read is replaced by the
+// store's image of it, a damaged image loses that block, an unusable log
+// loses the tail past the watermark — and RecoveryPath is read off the
+// per-table outcomes.
 //
 // Invariant: while a table's log is not quarantined, the log's cursor equals
 // the table's NextRow, because addBatch appends to the log before applying
@@ -49,11 +52,32 @@ type tableOutcome struct {
 	err error
 }
 
-func (o *tableOutcome) addReason(why string) {
-	if o.path.Reason != "" {
-		o.path.Reason += "; "
+func (tr *TableRecovery) addReason(why string) {
+	if tr.Reason != "" {
+		tr.Reason += "; "
 	}
-	o.path.Reason += why
+	tr.Reason += why
+}
+
+// countLoss records on tr, and in the registry, one block recovery could not
+// serve as it found it: replaced by the store's image of the same rows, or
+// dropped with its rows.
+func (l *Leaf) countLoss(tr *TableRecovery, start int64, rows int, replaced bool, why error) {
+	reg := l.registry()
+	if replaced {
+		tr.BlocksReplaced++
+		tr.addReason(fmt.Sprintf("block at row %d replaced from the store: %v", start, why))
+		if reg != nil {
+			reg.Counter("restart.blocks_replaced").Add(1)
+		}
+		return
+	}
+	tr.BlocksDropped++
+	tr.RowsDropped += int64(rows)
+	tr.addReason(fmt.Sprintf("block at row %d dropped: %v", start, why))
+	if reg != nil {
+		reg.Counter("restart.rows_dropped").Add(int64(rows))
+	}
 }
 
 // fromSpans fills in what a start's restart spans say about it.
@@ -82,7 +106,7 @@ func (l *Leaf) Start() error {
 	info := RecoveryInfo{Path: RecoveryNone}
 
 	ms := r.Begin(obs.PhaseMap, "", -1)
-	segs, err := l.claimShm(&info)
+	segs, skew, err := l.claimShm(&info)
 	var names []string
 	var logged map[string]bool
 	if err == nil {
@@ -134,6 +158,9 @@ func (l *Leaf) Start() error {
 
 	var live []string
 	for _, o := range outcomes {
+		if skew != "" {
+			o.path.addReason(skew) // the backup this table had, unread
+		}
 		info.PerTablePath = append(info.PerTablePath, o.path)
 		if o.quarantined {
 			info.Quarantined++
@@ -191,23 +218,37 @@ func (l *Leaf) Start() error {
 	l.mu.Unlock()
 	l.firstAnswer = r.Begin(obs.PhaseFirstAnswer, "", -1)
 	l.firstQueryOpen.Store(true)
-	// Blocks reach the store as they seal, so nothing else would find a table
-	// holding sealed blocks no image covers: one restored from shm whose
-	// images did not tile (its log was just reset: until this persist ends,
-	// a crash loses it), or one whose replay sealed because a crash cut its
-	// persist off.
+	l.handOffUnpersisted()
+	var promoted <-chan struct{} // nil: no promotion to wait out
+	if served > 0 {
+		// Promotion starts only after the leaf is ALIVE: queries are already
+		// being answered from the views, and the copy the paper blocked
+		// availability on happens here, in the background.
+		promoted = l.startPromoter()
+	}
+	if l.wal != nil {
+		// Every row of a log Start set aside is in the store. The deletes
+		// wait out the promotion, beside which the first answers are served
+		// (unlinks beside them made them slower), unless SyncToDisk wants
+		// them first.
+		l.wal.DropSetAside(promoted)
+	}
+	return nil
+}
+
+// handOffUnpersisted hands the persister every table holding sealed blocks
+// no image of its own covers; blocks reach the store as they seal, so
+// nothing else would. Start calls it at ALIVE — for a table restored from
+// shm whose images did not tile (until its persist ends, a crash recovers
+// the stale images), or one whose replay sealed because a crash cut its
+// persist off — and the promoter once it is done, for a stale table that
+// still served blocks from shm at ALIVE.
+func (l *Leaf) handOffUnpersisted() {
 	for _, t := range l.tablesSorted() {
 		if blocks, _ := t.UnpersistedBlocks(); len(blocks) > 0 {
 			l.persistBehind(t)
 		}
 	}
-	if served > 0 {
-		// Promotion starts only after the leaf is ALIVE: queries are already
-		// being answered from the views, and the copy the paper blocked
-		// availability on happens here, in the background.
-		l.startPromoter()
-	}
-	return nil
 }
 
 // claimShm is Figure 7's opening: if this start may take blocks from shared
@@ -215,13 +256,14 @@ func (l *Leaf) Start() error {
 // the store on the next start — and returns the table segments by table. It
 // returns nil, with the leaf in DISK_RECOVERY and the reason noted in the
 // flight recorder, when shm is off by config, absent, invalid (a crash or a
-// consumed backup), from another layout version, or unreadable (Figure 5b's
-// exception edge, reported as FellBack).
-func (l *Leaf) claimShm(info *RecoveryInfo) (map[string]shm.SegmentInfo, error) {
+// consumed backup), from another layout version — then skew says so, for
+// every table to report — or unreadable (Figure 5b's exception edge,
+// reported as FellBack).
+func (l *Leaf) claimShm(info *RecoveryInfo) (segs map[string]shm.SegmentInfo, skew string, err error) {
 	why := "memory recovery disabled by config"
 	if !l.cfg.DisableMemoryRecovery {
 		if err := l.transition(StateMemoryRecovery); err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		md, err := l.shm.ReadMetadata()
 		if err == nil && md.Valid && md.Version == shm.LayoutVersion {
@@ -231,7 +273,7 @@ func (l *Leaf) claimShm(info *RecoveryInfo) (map[string]shm.SegmentInfo, error) 
 				for _, si := range md.Segments {
 					segs[si.Table] = si
 				}
-				return segs, nil
+				return segs, "", nil
 			}
 		}
 		switch {
@@ -246,10 +288,11 @@ func (l *Leaf) claimShm(info *RecoveryInfo) (map[string]shm.SegmentInfo, error) 
 			// The shared memory layout changed between releases; the data is
 			// unreadable by this binary (§4.2).
 			why = fmt.Sprintf("layout version skew (segment %d, binary %d)", md.Version, shm.LayoutVersion)
+			skew = "shm backup unread: " + why
 		}
 	}
 	l.cfg.Obs.Event(obs.EventNote, obs.PhaseMap, why+": taking the disk path")
-	return nil, l.transition(StateDiskRecovery)
+	return nil, skew, l.transition(StateDiskRecovery)
 }
 
 // recoverableTables names every table any source knows, sorted, and says
@@ -325,7 +368,7 @@ func (l *Leaf) recoverTable(r *obs.Restart, worker int, name string, seg shm.Seg
 			// A corrupt or unreadable segment quarantines only its own table to
 			// the store instead of throwing away the whole shm restore.
 			o.quarantined = true
-			o.addReason(err.Error())
+			o.path.addReason(err.Error())
 			tbl = table.NewRecovering(name, l.cfg.Table)
 		}
 	}
@@ -340,12 +383,13 @@ func (l *Leaf) recoverTable(r *obs.Restart, worker int, name string, seg shm.Seg
 		delete(l.tables, name)
 		l.mu.Unlock()
 		o.path.Path = RecoveryNone
-		o.addReason("disk reload failed: " + err.Error())
+		o.path.addReason("disk reload failed: " + err.Error())
 	}
 	if l.wal != nil && o.path.Path != RecoveryWAL {
 		// The table did not come back through its log, so the old log no
-		// longer matches memory: start it over at the table's next row (0
-		// for a lost table). A replayed log already had its cursor set.
+		// longer matches memory: set it aside and start it over at the
+		// table's next row (0 for a lost table). A replayed log already had
+		// its cursor set.
 		sp := r.Begin(obs.PhaseTableLogReset, name, worker)
 		sp.Recovery = string(o.path.Path)
 		var next int64
@@ -376,14 +420,15 @@ func sizeOf(blocks []*rowblock.RowBlock) (n int64) {
 }
 
 // takeFromShm fills tbl with the sealed blocks in its shm segment. The
-// segment is always opened as a mapped view; InstantOn selects when the blocks
-// are cloned to the heap — here, before ALIVE (Figure 7's copy-in), or behind
-// it by the promoter, with queries served zero-copy from the view meanwhile —
-// and so where the payload CRC is checked: by the open, or by the drain over
-// its clones. Nothing is installed before it passes: a segment that will not
-// open or validate sends the table to the store. A clean shutdown seals every
-// table's unsealed tail before copy-out (Figure 5c PREPARE), so a segment
-// never carries unsealed rows.
+// segment is always opened as a mapped view, which checks its metadata; a
+// segment that will not open or validate sends the table to the store.
+// InstantOn selects when the blocks are cloned to the heap — here, before
+// ALIVE (Figure 7's copy-in), or behind it by the promoter, with queries
+// served zero-copy from the view meanwhile. Either way a block's columns are
+// checked by its first reader, and one that fails is replaced by the store's
+// image of its rows (replaceDamaged). A clean shutdown seals every table's
+// unsealed tail before copy-out (Figure 5c PREPARE), so a segment never
+// carries unsealed rows.
 func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.SegmentInfo, o *tableOutcome) error {
 	phase, path := obs.PhaseTableCRC, RecoveryMemory
 	if l.cfg.InstantOn {
@@ -391,7 +436,7 @@ func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.
 	}
 	sp := r.Begin(phase, si.Table, worker)
 	sp.Recovery = string(path)
-	v, err := shm.OpenTableSegmentView(l.shm, si, l.cfg.InstantOn)
+	v, err := shm.OpenTableSegmentView(l.shm, si)
 	if err != nil {
 		sp.End(err)
 		return fmt.Errorf("open segment: %w", err)
@@ -402,17 +447,20 @@ func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.
 	}
 	sp.End(nil)
 	o.path.Path = RecoveryMemory
-	if !l.cfg.InstantOn {
-		if blocks, err = l.drainView(r, worker, si.Table, v); err != nil {
-			return err
-		}
-	} else if len(blocks) > 0 { // an empty segment leaves nothing to view: memory
+	if l.cfg.InstantOn && len(blocks) > 0 { // an empty segment leaves nothing to view: memory
 		o.view, o.path.Path = v, RecoveryShmView
 	}
-	starts, through := l.adoptImages(r, worker, si.Table, string(o.path.Path), blocks)
+	starts, through, stale := l.adoptImages(r, worker, si.Table, string(o.path.Path), blocks)
+	if !l.cfg.InstantOn {
+		if blocks, err = l.drainView(r, worker, si.Table, v, starts, o); err != nil {
+			return err
+		}
+	}
 	err = tbl.Transition(table.StateMemoryRecovery)
 	for i := 0; err == nil && i < len(blocks); i++ {
-		err = tbl.RestoreBlock(blocks[i], starts[i])
+		if blocks[i] != nil { // dropped by the drain
+			err = tbl.RestoreBlock(blocks[i], starts[i])
+		}
 	}
 	if err != nil {
 		// Unreachable (a fresh table takes any ascending starts); release the
@@ -423,31 +471,110 @@ func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.
 	}
 	tbl.AlignSealedEnd(through)
 	tbl.MarkPersistedThrough(through)
+	if stale {
+		l.mu.Lock()
+		if l.stale == nil {
+			l.stale = make(map[string]bool)
+		}
+		l.stale[si.Table] = true
+		l.mu.Unlock()
+	}
 	return nil
 }
 
 // drainView is Figure 7's copy-in, the table's copy_in span: v's blocks are
-// cloned to the heap newest first while the segment shrinks behind them and
-// the payload CRC is folded over the clones, unverified till then
+// cloned to the heap newest first while the segment shrinks behind them
 // (MappedView.Drain), and the segment is gone when the span ends, drained or
-// failed.
-func (l *Leaf) drainView(r *obs.Restart, worker int, name string, v *shm.MappedView) ([]*rowblock.RowBlock, error) {
+// failed. A clone that fails its check takes the store's image of the
+// block's rows, at starts[i], in its place, or leaves a nil: the block is
+// dropped.
+func (l *Leaf) drainView(r *obs.Restart, worker int, name string, v *shm.MappedView, starts []int64, o *tableOutcome) ([]*rowblock.RowBlock, error) {
 	sp := r.Begin(obs.PhaseTableCopyIn, name, worker)
 	sp.Recovery = string(RecoveryMemory)
-	blocks, err := v.Drain(func(rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
-		return l.cloneBlock(name, rb, false)
+	blocks, err := v.Drain(func(i int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
+		clone, err := l.cloneBlock(name, rb)
+		var dmg *rowblock.DamagedError
+		if !errors.As(err, &dmg) {
+			return clone, err
+		}
+		clone = l.storeImage(name, starts[i], rb)
+		l.countLoss(&o.path, starts[i], rb.Rows(), clone != nil, dmg.Err)
+		return clone, nil
 	})
-	sp.Blocks, sp.Bytes = len(blocks), sizeOf(blocks)
+	for _, rb := range blocks {
+		if rb != nil {
+			sp.Blocks++
+			sp.Bytes += rb.Header().Size
+		}
+	}
 	sp.End(err)
 	return blocks, err
+}
+
+// storeImage is the store's image of the rows a damaged block held — the
+// clean shutdown persisted every block before it set the valid bit — or nil
+// when the store has none with the block's header. It looks at start first;
+// a stale table's images are numbered otherwise.
+func (l *Leaf) storeImage(name string, start int64, bad *rowblock.RowBlock) *rowblock.RowBlock {
+	if l.store == nil {
+		return nil
+	}
+	images, _, err := l.store.Images(name)
+	if err != nil {
+		return nil
+	}
+	sort.SliceStable(images, func(i, j int) bool { return images[i].Start == start && images[j].Start != start })
+	for _, im := range images {
+		if im.Rows != bad.Rows() || im.MaxTime != bad.Header().MaxTime {
+			continue
+		}
+		if rb, err := l.store.LoadImage(name, im); err == nil && rb.Header() == bad.Header() {
+			return rb
+		}
+	}
+	return nil
+}
+
+func (l *Leaf) isStale(name string) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stale[name]
+}
+
+// replaceDamaged takes a block whose first read found it damaged out of tbl
+// once ALIVE — a scan's or the promoter's — swapping in the store's image of
+// the same rows, or dropping it when there is none, and counts that on the
+// table's recovery record. It reports whether the block is out of the table:
+// also when another reader took it out first.
+func (l *Leaf) replaceDamaged(tbl *table.Table, bad *rowblock.RowBlock, why error) bool {
+	start, ok := tbl.StartOf(bad)
+	if !ok {
+		return true
+	}
+	rb := l.storeImage(tbl.Name(), start, bad)
+	if !tbl.SwapBlock(bad, rb) {
+		_, held := tbl.StartOf(bad)
+		return !held
+	}
+	if src := bad.Source(); src != nil {
+		src.Release() // the reference the ended residency held
+	}
+	l.mu.Lock()
+	for i := range l.recovery.PerTablePath {
+		if tr := &l.recovery.PerTablePath[i]; tr.Table == tbl.Name() {
+			l.countLoss(tr, start, bad.Rows(), rb != nil, why)
+		}
+	}
+	l.mu.Unlock()
+	return true
 }
 
 // cloneBlock is the one shm → heap step, run by the eager drain before ALIVE
 // and by the promoter behind it: pin the view (expiry may release the block's
 // residency reference at any moment, and the clone must never read unmapped
-// memory), fire shm.copy_in, copy the blobs, and verify the copies' checksums
-// unless the caller does (the drain).
-func (l *Leaf) cloneBlock(name string, rb *rowblock.RowBlock, verify bool) (*rowblock.RowBlock, error) {
+// memory), fire shm.copy_in, copy the blobs and check the copies
+// (CloneToHeap: a *rowblock.DamagedError when they fail).
+func (l *Leaf) cloneBlock(name string, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
 	src := rb.Source()
 	if !src.Retain() {
 		return nil, fmt.Errorf("leaf: %s: segment view already drained", name)
@@ -456,7 +583,7 @@ func (l *Leaf) cloneBlock(name string, rb *rowblock.RowBlock, verify bool) (*row
 	if err := fault.Inject(fault.SiteShmCopyIn); err != nil {
 		return nil, fmt.Errorf("leaf: %s: copy in: %w", name, err)
 	}
-	return rb.CloneToHeap(verify)
+	return rb.CloneToHeap()
 }
 
 // adoptImages gives blocks restored from shm their global row indexes and
@@ -464,12 +591,12 @@ func (l *Leaf) cloneBlock(name string, rb *rowblock.RowBlock, verify bool) (*row
 // indexes, but a clean shutdown persisted every block before copying it out,
 // so the store's images tile the blocks exactly and their names hold the
 // indexes: the images are adopted as they are and nothing is rewritten. When
-// they do not tile (no store, an image lost, one left behind by a killed
-// expiry) the table's images are dropped — the adopt span fails if they
-// cannot be — its numbering restarts at 0 and Start's hand-off at ALIVE
-// writes them again.
-func (l *Leaf) adoptImages(r *obs.Restart, worker int, name, source string, blocks []*rowblock.RowBlock) ([]int64, int64) {
-	starts := make([]int64, len(blocks))
+// they do not tile (an image lost, one left behind by a killed expiry) the
+// numbering restarts at 0 and the images are stale: they stay, for a damaged
+// block's rows (storeImage), until the table's first persist with all of its
+// blocks on the heap replaces them (Leaf.stale).
+func (l *Leaf) adoptImages(r *obs.Restart, worker int, name, source string, blocks []*rowblock.RowBlock) (starts []int64, through int64, stale bool) {
+	starts = make([]int64, len(blocks))
 	if l.store != nil {
 		sp := r.Begin(obs.PhaseTableAdopt, name, worker)
 		sp.Recovery = source
@@ -485,18 +612,18 @@ func (l *Leaf) adoptImages(r *obs.Restart, worker int, name, source string, bloc
 			tile = w <= images[n-1].End()
 			w = images[n-1].End()
 		}
+		sp.End(err)
 		if tile {
-			sp.End(nil)
-			return starts, w
+			return starts, w, false
 		}
-		sp.End(l.store.DropTable(name))
+		stale = true
 	}
 	var next int64
 	for i, rb := range blocks {
 		starts[i] = next
 		next += int64(rb.Rows())
 	}
-	return starts, 0
+	return starts, 0, stale
 }
 
 // loadFromStore fills tbl from the store's images (the load span) and, when
@@ -518,16 +645,30 @@ func (l *Leaf) loadFromStore(r *obs.Restart, worker int, tbl *table.Table, logge
 	o.path.Path = RecoveryDisk
 	sp := r.Begin(obs.PhaseTableLoad, name, worker)
 	sp.Recovery = string(RecoveryDisk)
+	// An image that will not decode costs its block; its rows are counted
+	// once the load is over (a hole before an image is reported on it too).
+	unread := make(map[int64]int)
 	w, err := l.store.Load(name, func(im disk.Image, rb *rowblock.RowBlock, err error) error {
 		if err != nil {
-			o.addReason(err.Error())
+			if im.Name != "" {
+				unread[im.Start] = im.Rows
+			}
+			o.path.addReason(err.Error())
 			return nil
 		}
+		delete(unread, im.Start)
 		sp.Blocks++
 		sp.Bytes += rb.Header().Size
 		return tbl.RestoreBlock(rb, im.Start)
 	})
 	sp.End(err)
+	for _, rows := range unread {
+		o.path.BlocksDropped++
+		o.path.RowsDropped += int64(rows)
+		if reg := l.registry(); reg != nil {
+			reg.Counter("restart.rows_dropped").Add(int64(rows))
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -540,7 +681,7 @@ func (l *Leaf) loadFromStore(r *obs.Restart, worker int, tbl *table.Table, logge
 		return nil
 	}
 	if l.wal.Quarantined(name) {
-		o.addReason("wal quarantined")
+		o.path.addReason("wal quarantined")
 		return nil
 	}
 	sp = r.Begin(obs.PhaseTableReplay, name, worker)
@@ -552,7 +693,7 @@ func (l *Leaf) loadFromStore(r *obs.Restart, worker int, tbl *table.Table, logge
 	o.walRecords, o.walRows = recs, rows
 	if err != nil {
 		// The records before the damage were acked in this order and stay.
-		o.addReason("replay: " + err.Error())
+		o.path.addReason("replay: " + err.Error())
 		return nil
 	}
 	o.path.Path = RecoveryWAL

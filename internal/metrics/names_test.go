@@ -101,6 +101,9 @@ func TestCanonicalNames(t *testing.T) {
 		"restart.table.load":      "restart_table_load",
 		"restart.table.replay":    "restart_table_replay",
 		"restart.table.log_reset": "restart_table_log_reset",
+		// blocks a start's checks replaced from the store, and rows it lost
+		"restart.blocks_replaced": "restart_blocks_replaced",
+		"restart.rows_dropped":    "restart_rows_dropped",
 		// rollover driver: one recovery counter per leaf.RecoveryPath
 		// (cluster.TestRolloverCountsEveryRecoveryPath emits all six)
 		"rollover.batch":               "rollover_batch",

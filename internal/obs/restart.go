@@ -64,9 +64,9 @@ const (
 	PhaseTableSeal     = "restart.table.seal"      // seal the unsealed tail (PREPARE)
 	PhaseTablePersist  = "restart.table.persist"   // unpersisted images + watermark, fsynced
 	PhaseTableCopyOut  = "restart.table.copy_out"  // blocks heap → segment
-	PhaseTableCRC      = "restart.table.crc"       // open the segment, verify the payload CRC
+	PhaseTableCRC      = "restart.table.crc"       // open the segment to drain, check its metadata
 	PhaseTableCopyIn   = "restart.table.copy_in"   // blocks segment → heap
-	PhaseTableView     = "restart.table.view"      // map read-only, verify, decode in place
+	PhaseTableView     = "restart.table.view"      // map read-only, check metadata, decode in place
 	PhaseTableAdopt    = "restart.table.adopt"     // match the store's images to the blocks
 	PhaseTableLoad     = "restart.table.load"      // the store's images → heap
 	PhaseTableReplay   = "restart.table.replay"    // the log tail past the watermark

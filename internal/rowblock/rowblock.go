@@ -14,8 +14,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"sort"
+	"sync"
 
 	"scuba/internal/column"
 	"scuba/internal/fault"
@@ -121,6 +123,53 @@ type RowBlock struct {
 	// src is non-nil while the RBC blobs alias foreign memory (a mapped shm
 	// segment). Readers must hold a Retain on it across any column access.
 	src Source
+	// check is set on a block whose columns nothing has parsed or checked
+	// yet (OpenImage): its first reader parses blobs into cols and checks
+	// every checksum, once (Verify). image is the mapped image such a block
+	// was decoded from.
+	check *firstRead
+	image []byte
+	blobs [][]byte
+}
+
+// firstRead is the outcome of a block's one column pass.
+type firstRead struct {
+	once sync.Once
+	err  error
+}
+
+// DamagedError is a block whose column bytes failed their checksum when
+// they were first read or copied: nothing may answer from it, and its owner
+// replaces it (from the store's image of the same rows) or drops it.
+type DamagedError struct {
+	Block *RowBlock
+	Err   error
+}
+
+func (e *DamagedError) Error() string { return "rowblock: damaged block: " + e.Err.Error() }
+func (e *DamagedError) Unwrap() error { return e.Err }
+
+// Verify parses and checks every column of a block OpenImage decoded — the
+// structure and the checksum of each blob — the first time anyone asks, a
+// scan's first column read, and returns the same answer after that; a block
+// built or copied in this process has nothing to check. Concurrent first
+// readers wait for one pass. The fast path is one atomic load.
+func (b *RowBlock) Verify() error {
+	if b.check == nil {
+		return nil
+	}
+	return b.verifyOnce()
+}
+
+// verifyOnce is Verify's one pass, kept out of it so that the check every
+// read makes inlines.
+func (b *RowBlock) verifyOnce() error {
+	b.check.once.Do(func() {
+		if err := b.parseColumns(b.blobs); err != nil {
+			b.check.err = &DamagedError{Block: b, Err: err}
+		}
+	})
+	return b.check.err
 }
 
 // SetSource marks the block's columns as aliasing foreign memory owned by s.
@@ -132,32 +181,34 @@ func (b *RowBlock) Source() Source { return b.src }
 // CloneToHeap deep-copies the block's RBC blobs into fresh heap memory and
 // returns a source-free block with the same header, schema, and zone maps.
 // It is how a shm-resident block moves heap-side, before ALIVE or behind it.
-// The copy is what the leaf keeps, so someone must checksum it: with verify
-// each copy's own checksum is checked here (the promoter, whose source a
-// segment-wide CRC vouched for at open time); without, the caller checksums
-// the copies itself (the eager drain, which folds them into the segment CRC
-// it has not checked yet). An armed shm.copy_in corruption damages the copy,
-// past its header, before either check — the mapping it came from is
-// read-only.
-func (b *RowBlock) CloneToHeap(verify bool) (*RowBlock, error) {
-	parse := layout.ParseTrusted
-	if verify {
-		parse = layout.Parse
-	}
-	cols := make([]*layout.RBC, len(b.cols))
-	for i, c := range b.cols {
-		if c == nil {
-			return nil, fmt.Errorf("rowblock: cloning released column %d", i)
+// The copy is what the leaf keeps, so its columns are parsed and checked as
+// the first read of an OpenImage block's are, while the copy is hot; a
+// failure is a *DamagedError naming b. An armed shm.copy_in corruption
+// damages the copy, past its header, before the check — the mapping it came
+// from is read-only.
+func (b *RowBlock) CloneToHeap() (*RowBlock, error) {
+	blobs := b.blobs
+	if blobs == nil {
+		blobs = make([][]byte, len(b.cols))
+		for i, c := range b.cols {
+			if c == nil {
+				return nil, fmt.Errorf("rowblock: cloning released column %d", i)
+			}
+			blobs[i] = c.Blob()
 		}
-		blob := append([]byte(nil), c.Blob()...)
-		fault.CorruptBytes(fault.SiteShmCopyIn, blob[layout.HeaderSize:])
-		rbc, err := parse(blob)
-		if err != nil {
-			return nil, fmt.Errorf("rowblock: clone column %q: %w", b.schema[i].Name, err)
-		}
-		cols[i] = rbc
 	}
-	return &RowBlock{hdr: b.hdr, schema: b.schema, cols: cols, zones: b.zones}, nil
+	clone := &RowBlock{hdr: b.hdr, schema: b.schema, cols: make([]*layout.RBC, len(blobs)), zones: b.zones}
+	copies := make([][]byte, len(blobs))
+	for i, blob := range blobs {
+		copies[i] = append([]byte(nil), blob...)
+		if len(blob) > layout.HeaderSize { // a shorter one fails its parse
+			fault.CorruptBytes(fault.SiteShmCopyIn, copies[i][layout.HeaderSize:])
+		}
+	}
+	if err := clone.parseColumns(copies); err != nil {
+		return nil, &DamagedError{Block: b, Err: fmt.Errorf("clone: %w", err)}
+	}
+	return clone, nil
 }
 
 // Header returns the block header.
@@ -187,8 +238,11 @@ func (b *RowBlock) ColumnByName(name string) *layout.RBC {
 }
 
 // DecodeColumn decodes the named column. Data stays compressed in memory;
-// queries decode on demand.
+// queries decode on demand. It is a first read (Verify).
 func (b *RowBlock) DecodeColumn(name string) (column.Column, error) {
+	if err := b.Verify(); err != nil {
+		return nil, err
+	}
 	rbc := b.ColumnByName(name)
 	if rbc == nil {
 		return nil, fmt.Errorf("rowblock: no column %q", name)
@@ -197,8 +251,11 @@ func (b *RowBlock) DecodeColumn(name string) (column.Column, error) {
 }
 
 // Times decodes the required time column into dst, which is reused when it
-// is large enough and may be nil.
+// is large enough and may be nil. It is a first read (Verify).
 func (b *RowBlock) Times(dst []int64) ([]int64, error) {
+	if err := b.Verify(); err != nil {
+		return nil, err
+	}
 	rbc := b.ColumnByName(TimeColumn)
 	if rbc == nil {
 		return nil, errors.New("rowblock: missing time column")
@@ -497,28 +554,36 @@ func (b *Builder) Seal() (*RowBlock, error) {
 	}, nil
 }
 
-// FromColumns assembles a sealed block directly from parsed RBCs; the disk
-// and shm restore paths use it. The first schema entry must be the time
-// column, and hdr.Size/RowCount must match the columns.
+// FromColumns assembles a sealed block directly from parsed RBCs. The first
+// schema entry must be the time column, and hdr.Size/RowCount must match the
+// columns.
 func FromColumns(hdr Header, schema Schema, cols []*layout.RBC) (*RowBlock, error) {
+	if err := checkColumns(hdr, schema, cols); err != nil {
+		return nil, err
+	}
+	return &RowBlock{hdr: hdr, schema: schema, cols: cols}, nil
+}
+
+// checkColumns is FromColumns' check, which an image's decode also runs.
+func checkColumns(hdr Header, schema Schema, cols []*layout.RBC) error {
 	if len(schema) != len(cols) {
-		return nil, fmt.Errorf("rowblock: %d schema fields, %d columns", len(schema), len(cols))
+		return fmt.Errorf("rowblock: %d schema fields, %d columns", len(schema), len(cols))
 	}
 	if len(schema) == 0 || schema[0].Name != TimeColumn {
-		return nil, errors.New("rowblock: first column must be 'time'")
+		return errors.New("rowblock: first column must be 'time'")
 	}
 	var size int64
 	for i, c := range cols {
 		if c.NumItems() != hdr.RowCount {
-			return nil, fmt.Errorf("rowblock: column %q has %d items, header says %d rows",
+			return fmt.Errorf("rowblock: column %q has %d items, header says %d rows",
 				schema[i].Name, c.NumItems(), hdr.RowCount)
 		}
 		size += int64(c.Size())
 	}
 	if size != hdr.Size {
-		return nil, fmt.Errorf("%w: header size %d, columns total %d", ErrImageCorrupt, hdr.Size, size)
+		return fmt.Errorf("%w: header size %d, columns total %d", ErrImageCorrupt, hdr.Size, size)
 	}
-	return &RowBlock{hdr: hdr, schema: schema, cols: cols}, nil
+	return nil
 }
 
 // ---- Block image: the position-independent serialized form (Figure 4) ----
@@ -587,8 +652,12 @@ func (b *RowBlock) zoneAt(i int) ZoneMap {
 	return b.zones[i]
 }
 
-// AppendImage serializes the whole block (prefix plus all columns).
+// AppendImage serializes the whole block (prefix plus all columns), or
+// appends its MappedImage.
 func (b *RowBlock) AppendImage(dst []byte) []byte {
+	if b.image != nil {
+		return append(dst, b.image...)
+	}
 	dst = append(dst, b.ImagePrefix()...)
 	for _, c := range b.cols {
 		dst = append(dst, c.Blob()...)
@@ -599,31 +668,56 @@ func (b *RowBlock) AppendImage(dst []byte) []byte {
 // DecodeImage parses a block image zero-copy — the RBCs alias img — and
 // verifies every column's checksum: images come from shm or disk.
 func DecodeImage(img []byte) (*RowBlock, int, error) {
-	return decodeImage(img, layout.Parse)
+	rb, blobs, size, err := decodePrefix(img)
+	if err == nil {
+		err = rb.parseColumns(blobs)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return rb, size, nil
 }
 
-// DecodeImageVerified is DecodeImage without the per-column checksum pass:
-// structure and bounds only. For callers that verify a covering checksum over
-// every image byte themselves — the shm view, whose segment-wide payload CRC
-// includes all column blobs and is checked before a block is served or
-// installed (at open for instant-on, in the drain for an eager start, which
-// therefore runs this on bytes nothing has vouched for yet). Skipping the
-// second pass roughly halves the bytes touched before a restarted leaf can
-// serve.
-func DecodeImageVerified(img []byte) (*RowBlock, int, error) {
-	return decodeImage(img, layout.ParseTrusted)
+// OpenImage decodes an image zero-copy and checks only its prefix now —
+// header, schema, zone maps and column offsets, the bytes no column checksum
+// covers — against prefixCRC, the PrefixCRC its writer recorded beside it.
+// The columns are the block's first reader's to parse and check (Verify), so
+// opening a mapped shm segment reads its metadata and none of its data. The
+// block keeps img as its image (MappedImage).
+func OpenImage(img []byte, prefixCRC uint32) (*RowBlock, int, error) {
+	rb, blobs, size, err := decodePrefix(img)
+	if err != nil {
+		return nil, 0, err
+	}
+	if sum := PrefixCRC(img[:int64(size)-rb.hdr.Size]); sum != prefixCRC {
+		return nil, 0, fmt.Errorf("%w: prefix checksum %08x, recorded %08x", ErrImageCorrupt, sum, prefixCRC)
+	}
+	rb.check, rb.image, rb.blobs = new(firstRead), img[:size], blobs
+	return rb, size, nil
 }
 
-func decodeImage(img []byte, parse func([]byte) (*layout.RBC, error)) (*RowBlock, int, error) {
+// PrefixCRC is the CRC-32C of an image prefix (ImagePrefix) that OpenImage
+// checks.
+func PrefixCRC(prefix []byte) uint32 { return crc32.Checksum(prefix, castagnoli) }
+
+// MappedImage is the image an OpenImage block was decoded from, the bytes a
+// copy of it writes as they are — unchecked ones included: their checksums
+// travel with them — and nil for a block built or copied in this process.
+func (b *RowBlock) MappedImage() []byte { return b.image }
+
+// decodePrefix parses an image's prefix into a block without columns, and
+// returns the column blobs, which tile the image from the prefix's end to
+// its own; the header's Size is their total.
+func decodePrefix(img []byte) (*RowBlock, [][]byte, int, error) {
 	if len(img) < 48 {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrImageCorrupt, len(img))
+		return nil, nil, 0, fmt.Errorf("%w: %d bytes", ErrImageCorrupt, len(img))
 	}
 	if magic := binary.LittleEndian.Uint32(img); magic != imageMagic {
-		return nil, 0, fmt.Errorf("%w: magic %08x", ErrImageCorrupt, magic)
+		return nil, nil, 0, fmt.Errorf("%w: magic %08x", ErrImageCorrupt, magic)
 	}
 	size := binary.LittleEndian.Uint64(img[4:])
 	if size > uint64(len(img)) || size < 48 {
-		return nil, 0, fmt.Errorf("%w: image size %d, buffer %d", ErrImageCorrupt, size, len(img))
+		return nil, nil, 0, fmt.Errorf("%w: image size %d, buffer %d", ErrImageCorrupt, size, len(img))
 	}
 	img = img[:size]
 	hdr := Header{
@@ -637,18 +731,18 @@ func decodeImage(img []byte, parse func([]byte) (*layout.RBC, error)) (*RowBlock
 	// A schema entry takes at least 3 bytes and each column needs an
 	// 8-byte offset; reject counts the image cannot possibly hold before
 	// allocating anything (untrusted input must not size allocations).
-	if ncols < 0 || pos+11*ncols > len(img) {
-		return nil, 0, fmt.Errorf("%w: %d columns in %d bytes", ErrImageCorrupt, ncols, len(img))
+	if ncols < 1 || pos+11*ncols > len(img) {
+		return nil, nil, 0, fmt.Errorf("%w: %d columns in %d bytes", ErrImageCorrupt, ncols, len(img))
 	}
 	schema := make(Schema, 0, ncols)
 	for i := 0; i < ncols; i++ {
 		if pos+2 > len(img) {
-			return nil, 0, fmt.Errorf("%w: truncated schema", ErrImageCorrupt)
+			return nil, nil, 0, fmt.Errorf("%w: truncated schema", ErrImageCorrupt)
 		}
 		nameLen := int(binary.LittleEndian.Uint16(img[pos:]))
 		pos += 2
 		if pos+nameLen+1 > len(img) {
-			return nil, 0, fmt.Errorf("%w: truncated schema entry", ErrImageCorrupt)
+			return nil, nil, 0, fmt.Errorf("%w: truncated schema entry", ErrImageCorrupt)
 		}
 		name := string(img[pos : pos+nameLen])
 		pos += nameLen
@@ -660,41 +754,48 @@ func decodeImage(img []byte, parse func([]byte) (*layout.RBC, error)) (*RowBlock
 	for i := 0; i < ncols; i++ {
 		z, used, err := parseZoneMap(img[pos:])
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 		zones = append(zones, z)
 		pos += used
 	}
 	if pos+8*ncols > len(img) {
-		return nil, 0, fmt.Errorf("%w: truncated offset table", ErrImageCorrupt)
+		return nil, nil, 0, fmt.Errorf("%w: truncated offset table", ErrImageCorrupt)
 	}
 	offsets := make([]uint64, ncols)
 	for i := range offsets {
 		offsets[i] = binary.LittleEndian.Uint64(img[pos:])
 		pos += 8
 	}
-	cols := make([]*layout.RBC, ncols)
-	var total int64
+	blobs := make([][]byte, ncols)
 	for i, off := range offsets {
 		end := size
 		if i+1 < ncols {
 			end = offsets[i+1]
 		}
 		if off > end || end > size || off < uint64(pos) {
-			return nil, 0, fmt.Errorf("%w: column %d offsets [%d,%d)", ErrImageCorrupt, i, off, end)
+			return nil, nil, 0, fmt.Errorf("%w: column %d offsets [%d,%d)", ErrImageCorrupt, i, off, end)
 		}
-		rbc, err := parse(img[off:end])
+		blobs[i] = img[off:end]
+	}
+	hdr.Size = int64(size - offsets[0])
+	return &RowBlock{hdr: hdr, schema: schema, zones: zones, cols: make([]*layout.RBC, ncols)}, blobs, int(size), nil
+}
+
+// parseColumns builds the block's columns from their blobs and checks them
+// against its header and schema as FromColumns does.
+func (b *RowBlock) parseColumns(blobs [][]byte) error {
+	cols := make([]*layout.RBC, len(blobs))
+	for i, blob := range blobs {
+		rbc, err := layout.Parse(blob)
 		if err != nil {
-			return nil, 0, fmt.Errorf("rowblock: column %d (%s): %w", i, schema[i].Name, err)
+			return fmt.Errorf("rowblock: column %d (%s): %w", i, b.schema[i].Name, err)
 		}
 		cols[i] = rbc
-		total += int64(rbc.Size())
 	}
-	hdr.Size = total
-	rb, err := FromColumns(hdr, schema, cols)
-	if err != nil {
-		return nil, 0, err
+	if err := checkColumns(b.hdr, b.schema, cols); err != nil {
+		return err
 	}
-	rb.zones = zones
-	return rb, int(size), nil
+	copy(b.cols, cols)
+	return nil
 }

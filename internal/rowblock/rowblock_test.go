@@ -240,21 +240,28 @@ func TestImageZeroCopy(t *testing.T) {
 	}
 }
 
+// openImage opens rb's image as the shm view does: the prefix checked against
+// the CRC its writer records, the columns left to the first reader.
+func openImage(t *testing.T, rb *RowBlock) *RowBlock {
+	t.Helper()
+	opened, _, err := OpenImage(rb.AppendImage(nil), PrefixCRC(rb.ImagePrefix()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opened
+}
+
 // TestCloneToHeapVerifiesItsCopy: a clone owns fresh memory, and damage the
-// source picked up after its covering checksum was verified — the case of a
-// mapped shm block — is caught by the clone's per-column check.
+// source carries — the case of a mapped shm block no reader has checked — is
+// caught by the clone's per-column check, as a DamagedError naming the source.
 func TestCloneToHeapVerifiesItsCopy(t *testing.T) {
 	rb := buildBlock(t, 300)
-	img := rb.AppendImage(nil)
-	mapped, _, err := DecodeImageVerified(img)
-	if err != nil {
+	mapped := openImage(t, rb)
+	clone, err := mapped.CloneToHeap()
+	if err != nil || mapped.Verify() != nil {
 		t.Fatal(err)
 	}
-	clone, err := mapped.CloneToHeap(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clone.Header() != rb.Header() || clone.Source() != nil {
+	if clone.Header() != rb.Header() || clone.Source() != nil || clone.Verify() != nil {
 		t.Errorf("clone header %+v source %v", clone.Header(), clone.Source())
 	}
 	for i := 0; i < clone.NumColumns(); i++ {
@@ -265,12 +272,47 @@ func TestCloneToHeapVerifiesItsCopy(t *testing.T) {
 	}
 	data := mapped.Column(1).Data()
 	data[len(data)/2] ^= 0x10
-	if _, err := mapped.CloneToHeap(true); !errors.Is(err, layout.ErrChecksum) {
-		t.Fatalf("clone of a damaged block = %v, want %v", err, layout.ErrChecksum)
+	var dmg *DamagedError
+	if _, err := mapped.CloneToHeap(); !errors.As(err, &dmg) || dmg.Block != mapped || !errors.Is(err, layout.ErrChecksum) {
+		t.Fatalf("clone of a damaged block = %v, want a DamagedError of it wrapping %v", err, layout.ErrChecksum)
 	}
-	// Unverified, the damage is the caller's to find: it checksums the copy.
-	if clone, err = mapped.CloneToHeap(false); err != nil || clone.Column(1).Data()[len(data)/2] != data[len(data)/2] {
-		t.Fatalf("unverified clone of a damaged block = %v, want the damaged bytes", err)
+}
+
+// TestOpenImageChecksOnFirstRead: OpenImage checks the prefix against its CRC
+// and no column; the first column read checks every column once, and a
+// damaged block fails every read after, as a DamagedError naming it.
+func TestOpenImageChecksOnFirstRead(t *testing.T) {
+	rb := buildBlock(t, 300)
+	img, crc := rb.AppendImage(nil), PrefixCRC(rb.ImagePrefix())
+	for _, at := range []int{5, 44, len(rb.ImagePrefix()) - 1} {
+		bad := append([]byte(nil), img...)
+		bad[at] ^= 0x01
+		if _, _, err := OpenImage(bad, crc); !errors.Is(err, ErrImageCorrupt) {
+			t.Errorf("prefix byte %d flipped: open = %v, want ErrImageCorrupt", at, err)
+		}
+	}
+	if rb.Verify() != nil {
+		t.Fatal("a sealed block has nothing to check")
+	}
+	good, _, err := OpenImage(img, crc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := good.Times(nil); err != nil || good.Verify() != nil {
+		t.Fatalf("first read of a whole block: %v", err)
+	}
+
+	img[len(img)-20] ^= 0x40 // in the last column's blob
+	damaged, _, err := OpenImage(img, crc)
+	if err != nil {
+		t.Fatalf("column damage is not the open's to see: %v", err)
+	}
+	var dmg *DamagedError
+	if _, err := damaged.Times(nil); !errors.As(err, &dmg) || dmg.Block != damaged {
+		t.Fatalf("time column of a damaged block = %v, want a DamagedError of it", err)
+	}
+	if _, err := damaged.DecodeColumn(damaged.Schema()[1].Name); !errors.As(err, &dmg) {
+		t.Fatalf("second read of a damaged block = %v, want a DamagedError", err)
 	}
 }
 

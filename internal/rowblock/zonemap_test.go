@@ -147,7 +147,8 @@ func TestGoldenV1Image(t *testing.T) {
 		t.Fatalf("fixture magic %q is not RBK1", magic)
 	}
 	for name, decode := range map[string]func([]byte) (*RowBlock, int, error){
-		"DecodeImage": DecodeImage, "DecodeImageVerified": DecodeImageVerified,
+		"DecodeImage": DecodeImage,
+		"OpenImage":   func(img []byte) (*RowBlock, int, error) { return OpenImage(img, PrefixCRC(img[:48])) },
 	} {
 		if rb, _, err := decode(img); !errors.Is(err, ErrImageCorrupt) {
 			t.Errorf("%s of a v1 image: %v, %v; want ErrImageCorrupt", name, rb, err)

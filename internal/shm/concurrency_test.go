@@ -46,7 +46,7 @@ func TestConcurrentTableSegmentCreation(t *testing.T) {
 			}
 		}
 		for i := 0; i < nSegments; i++ {
-			restored, err := drainView(openToDrain(t, m, fmt.Sprintf("tbl-seg%02d", i), fmt.Sprintf("seg%02d", i)))
+			restored, err := drainView(openView(t, m, fmt.Sprintf("tbl-seg%02d", i), fmt.Sprintf("seg%02d", i)))
 			if err != nil {
 				t.Fatalf("segment %d: %v", i, err)
 			}

@@ -11,32 +11,33 @@ import (
 	"scuba/internal/rowblock"
 )
 
-// writeSegment backs blocks into a finished segment and returns its file
-// contents plus the payload region [payloadStart, footerEnd).
-func writeSegment(t testing.TB, m *Manager, segName, tableName string, blocks []*rowblock.RowBlock) (payloadStart, payloadEnd int64) {
+// writeSegment backs blocks into a finished segment and returns where its
+// images start, then where its block index does and ends.
+func writeSegment(t testing.TB, m *Manager, segName, tableName string, blocks []*rowblock.RowBlock) (offsets []int64, end int64) {
 	t.Helper()
 	w, err := CreateTableSegment(m, segName, tableName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rb := range blocks {
+		offsets = append(offsets, w.pos)
 		if err := w.WriteBlock(rb, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	payloadStart = w.payloadStart
-	payloadEnd = w.pos + int64(8*len(w.offsets))
+	offsets = append(offsets, w.pos)
+	end = w.pos + int64(len(w.index))
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	return payloadStart, payloadEnd
+	return offsets, end
 }
 
 // restoreBothWays puts raw in place as the named segment twice and reads it the
-// two ways a restart does: opened verified, as a view to serve in place
-// (instant-on), and opened for its structure alone and drained, the CRC
-// checked over the clones (eager). It returns the blocks each way got, or the
-// error that stopped it — the open's or the drain's.
+// two ways a restart does: served in place, each block's first read its
+// Verify (instant-on), and drained, each clone checking its copy (eager).
+// Each way returns its blocks as heap copies — nil for a block its first read
+// found damaged, which the leaf replaces — or the open's error.
 func restoreBothWays(t testing.TB, m *Manager, seg, table string, raw []byte) (served, drained []*rowblock.RowBlock, serveErr, drainErr error) {
 	t.Helper()
 	put := func() {
@@ -44,84 +45,128 @@ func restoreBothWays(t testing.TB, m *Manager, seg, table string, raw []byte) (s
 			t.Fatal(err)
 		}
 	}
+	damaged := func(err error) bool {
+		var dmg *rowblock.DamagedError
+		return errors.As(err, &dmg)
+	}
 	put()
-	if v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg}, true); err != nil {
+	if v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg}); err != nil {
 		serveErr = err
 	} else {
-		// Heap copies to compare, then let the view go.
 		for _, rb := range v.Blocks() {
-			c, err := rb.CloneToHeap(true)
-			if err != nil {
-				t.Fatalf("clone of a verified view: %v", err)
+			var c *rowblock.RowBlock
+			if err := rb.Verify(); err == nil {
+				c, err = rb.CloneToHeap()
+				if err != nil {
+					t.Fatalf("clone of a checked block: %v", err)
+				}
+			} else if !damaged(err) {
+				t.Fatalf("first read: %v, want a DamagedError", err)
 			}
 			served = append(served, c)
 		}
-		v.seg.Close()
+		rowblock.ReleaseSources(v.Blocks())
 	}
 	put()
-	if v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg}, false); err != nil {
+	if v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg}); err != nil {
 		drainErr = err
 	} else {
-		drained, drainErr = drainView(v)
+		drained, drainErr = v.Drain(func(i int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
+			c, err := clone(i, rb)
+			if damaged(err) {
+				return nil, nil
+			}
+			return c, err
+		})
 	}
 	return served, drained, serveErr, drainErr
 }
 
-// TestPayloadCRCCatchesFlippedBytes is the property the satellite task asks
-// for: the metadata CRC already guards the metadata block, but a flipped bit
-// anywhere in a table segment's row-block data (or footer) must be caught
-// before any block is restored — by the open of a view that will be served in
-// place, by the open or the drain of one that is drained — so the leaf can
-// quarantine the table to disk recovery instead of installing silently wrong
-// columns.
-func TestPayloadCRCCatchesFlippedBytes(t *testing.T) {
+// lostBlocks is the blocks restored lost: nil, or the index of every block
+// that differs from its original.
+func lostBlocks(t testing.TB, blocks, restored []*rowblock.RowBlock) []int {
+	t.Helper()
+	if len(restored) != len(blocks) {
+		t.Fatalf("%d blocks restored of %d", len(restored), len(blocks))
+	}
+	var lost []int
+	for i, rb := range restored {
+		if rb == nil || rb.Header() != blocks[i].Header() || !bytes.Equal(rb.AppendImage(nil), blocks[i].AppendImage(nil)) {
+			lost = append(lost, i)
+		}
+	}
+	return lost
+}
+
+// TestEveryFlippedByteIsCaught: a flipped bit anywhere in a table segment is
+// caught before any answer reads it — in the header's offsets and counts, the
+// block index or an image prefix by the open, so the leaf quarantines the
+// table to the store; in a column blob by the first read of exactly that
+// block, so the leaf replaces that block alone — whether the blocks are served
+// in place or drained.
+func TestEveryFlippedByteIsCaught(t *testing.T) {
 	m := newTestManager(t, 1, false)
 	blocks := buildBlocks(t, 3, 200)
-	start, end := writeSegment(t, m, "tbl-crc", "crc", blocks)
+	offsets, end := writeSegment(t, m, "tbl-crc", "crc", blocks)
 	raw, err := os.ReadFile(m.segmentPath("tbl-crc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Sample positions across the whole payload + footer region, including
-	// both boundaries.
-	offs := []int64{start, start + 1, (start + end) / 2, end - 9, end - 1}
-	step := (end - start) / 37
-	if step < 1 {
-		step = 1
+	// The block a byte's flip costs, or -1 where it must fail the open.
+	costs := func(off int64) int {
+		for i, rb := range blocks {
+			if prefixEnd := offsets[i] + int64(len(rb.ImagePrefix())); off >= prefixEnd && off < offsets[i+1] {
+				return i
+			}
+		}
+		return -1
 	}
-	for off := start; off < end; off += step {
+	offs := []int64{8, 16, 24, 28, offsets[0], offsets[1] - 1, offsets[3], end - 5, end - 1}
+	for off := offsets[0]; off < end; off += (end - offsets[0]) / 41 {
 		offs = append(offs, off)
 	}
 	for _, off := range offs {
 		raw[off] ^= 0x40
-		_, drained, serveErr, drainErr := restoreBothWays(t, m, "tbl-crc", "crc", raw)
-		if !errors.Is(serveErr, ErrSegCorrupt) {
-			t.Fatalf("flip at %d (payload [%d,%d)): verified open = %v, want ErrSegCorrupt", off, start, end, serveErr)
-		}
-		if drainErr == nil || drained != nil {
-			t.Fatalf("flip at %d (payload [%d,%d)): the drain handed over %d blocks, %v", off, start, end, len(drained), drainErr)
+		served, drained, serveErr, drainErr := restoreBothWays(t, m, "tbl-crc", "crc", raw)
+		if want := costs(off); want < 0 {
+			if serveErr == nil || drainErr == nil {
+				t.Fatalf("flip at %d: opened (%v, %v), want an error", off, serveErr, drainErr)
+			}
+		} else {
+			if serveErr != nil || drainErr != nil {
+				t.Fatalf("flip at %d in block %d's columns: %v, %v", off, want, serveErr, drainErr)
+			}
+			for _, restored := range [][]*rowblock.RowBlock{served, drained} {
+				if lost := lostBlocks(t, blocks, restored); len(lost) != 1 || lost[0] != want || restored[want] != nil {
+					t.Fatalf("flip at %d in block %d's columns lost blocks %v", off, want, lost)
+				}
+			}
 		}
 		raw[off] ^= 0x40 // flip back: must validate again
-		if _, drained, serveErr, drainErr = restoreBothWays(t, m, "tbl-crc", "crc", raw); serveErr != nil || drainErr != nil || len(drained) != 3 {
+		if served, drained, serveErr, drainErr = restoreBothWays(t, m, "tbl-crc", "crc", raw); serveErr != nil || drainErr != nil ||
+			lostBlocks(t, blocks, served) != nil || lostBlocks(t, blocks, drained) != nil {
 			t.Fatalf("restore flip at %d: %v, %v", off, serveErr, drainErr)
 		}
 	}
 }
 
 // FuzzSegmentCorruption checks that an arbitrary single-byte mutation
-// anywhere in the segment file never yields silently wrong block data, in
-// either order of verification: the open fails, the drain fails, or every
-// restored block is identical to the original.
+// anywhere in the segment file never yields silently wrong block data, served
+// in place or drained: the open fails, or every block is identical to the
+// original but at most one, which its first read reported damaged.
 func FuzzSegmentCorruption(f *testing.F) {
 	f.Add(uint32(0), byte(0xff))    // magic
 	f.Add(uint32(4), byte(0x01))    // version
-	f.Add(uint32(28), byte(0x80))   // payload CRC field
-	f.Add(uint32(40), byte(0xa5))   // payload
-	f.Add(uint32(999), byte(0x01))  // deep payload / footer
+	f.Add(uint32(28), byte(0x80))   // index CRC field
+	f.Add(uint32(40), byte(0xa5))   // first image prefix
+	f.Add(uint32(999), byte(0x01))  // the block index: second image's offset
 	f.Add(uint32(50), byte(0x00))   // no-op mutation must keep working
 	f.Add(uint32(45), byte(0x7f))   // first image's size field
-	f.Add(uint32(1510), byte(0x01)) // an image's column offset table
+	f.Add(uint32(1510), byte(0x01)) // the first image's last column blob
+	f.Add(uint32(24), byte(0x01))   // block count
+	f.Add(uint32(994), byte(0x04))  // the block index: first image's prefix CRC
+	f.Add(uint32(1006), byte(0x80)) // the block index: second image's prefix CRC
+	f.Add(uint32(700), byte(0x20))  // the second image's columns: costs that block
 	f.Fuzz(func(t *testing.T, off uint32, x byte) {
 		m := newTestManager(t, 1, false)
 		blocks := buildBlocks(t, 2, 50)
@@ -140,16 +185,10 @@ func FuzzSegmentCorruption(f *testing.F) {
 			err      error
 		}{{"served in place", served, serveErr}, {"drained", drained, drainErr}} {
 			if way.err != nil {
-				continue // detected (CRC, structure, or the name check) — fine
+				continue // detected (a CRC, structure, or the name check) — fine
 			}
-			// Survived every check: the data must be exactly the original.
-			if len(way.restored) != len(blocks) {
-				t.Fatalf("%s: mutation (%d, %#x) silently dropped blocks: %d of %d", way.name, pos, x, len(way.restored), len(blocks))
-			}
-			for i, rb := range way.restored {
-				if rb.Header() != blocks[i].Header() || !bytes.Equal(rb.AppendImage(nil), blocks[i].AppendImage(nil)) {
-					t.Fatalf("%s: mutation (%d, %#x) silently corrupted block %d", way.name, pos, x, i)
-				}
+			if lost := lostBlocks(t, blocks, way.restored); len(lost) > 1 || len(lost) == 1 && way.restored[lost[0]] != nil {
+				t.Fatalf("%s: mutation (%d, %#x) silently corrupted blocks %v", way.name, pos, x, lost)
 			}
 		}
 	})
@@ -214,8 +253,8 @@ func TestFaultSiteCopyOut(t *testing.T) {
 	}
 	fault.Reset()
 
-	// Corrupt action: the damage lands after the CRC is stamped, so the
-	// segment finishes cleanly but fails validation at open.
+	// Corrupt action: the damage lands after the CRCs are stamped, so the
+	// segment finishes cleanly but fails the open or a block's first read.
 	fault.Arm(fault.Point{Site: fault.SiteShmCopyOut, Action: fault.ActCorrupt})
 	writeSegment(t, m, "tbl-f2", "f2", blocks)
 	fault.Reset()
@@ -223,20 +262,19 @@ func TestFaultSiteCopyOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, drained, serveErr, drainErr := restoreBothWays(t, m, "tbl-f2", "f2", raw)
-	if !errors.Is(serveErr, ErrSegCorrupt) {
-		t.Fatalf("open corrupted segment = %v, want ErrSegCorrupt", serveErr)
+	served, drained, serveErr, drainErr := restoreBothWays(t, m, "tbl-f2", "f2", raw)
+	if serveErr == nil && lostBlocks(t, blocks, served) == nil {
+		t.Fatal("the corrupted segment served every block")
 	}
-	if drainErr == nil || drained != nil {
-		t.Fatalf("drain of the corrupted segment = %d blocks, %v", len(drained), drainErr)
+	if drainErr == nil && lostBlocks(t, blocks, drained) == nil {
+		t.Fatal("the corrupted segment drained every block")
 	}
 }
 
-// TestFaultSiteCopyIn: the open-time CRC passed, so a block damaged on its
-// way to the heap is the per-column checksums' to catch — and only the armed
-// hit's block fails. In a drain, whose clones are not verified one by one,
-// the damage is in what the payload CRC is folded over and fails the drain.
-// (The site's error action is the leaf's: its clone step calls Inject.)
+// TestFaultSiteCopyIn: a block damaged on its way to the heap is the clone's
+// check to catch — and only the armed hit's block fails. A drain whose clone
+// returns that damage fails with it. (The site's error action is the leaf's:
+// its clone step calls Inject; so is replacing the damaged block.)
 func TestFaultSiteCopyIn(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	fault.Reset()
@@ -246,7 +284,7 @@ func TestFaultSiteCopyIn(t *testing.T) {
 	v := openView(t, m, "tbl-f4", "f4")
 
 	fault.Arm(fault.Point{Site: fault.SiteShmCopyIn, Action: fault.ActCorrupt, Count: 1})
-	if _, err := v.Blocks()[1].CloneToHeap(true); !errors.Is(err, layout.ErrChecksum) {
+	if _, err := v.Blocks()[1].CloneToHeap(); !errors.Is(err, layout.ErrChecksum) {
 		t.Fatalf("corrupted copy-in clone = %v, want %v", err, layout.ErrChecksum)
 	}
 	if fault.Hits(fault.SiteShmCopyIn) == 0 {
@@ -258,10 +296,10 @@ func TestFaultSiteCopyIn(t *testing.T) {
 	}
 
 	writeSegment(t, m, "tbl-f5", "f5", blocks)
-	v = openToDrain(t, m, "tbl-f5", "f5")
+	v = openView(t, m, "tbl-f5", "f5")
 	fault.Arm(fault.Point{Site: fault.SiteShmCopyIn, Action: fault.ActCorrupt, Count: 1})
-	if restored, err := drainView(v); !errors.Is(err, ErrSegCorrupt) || restored != nil {
-		t.Fatalf("drain with a clone damaged = %d blocks, %v, want %v", len(restored), err, ErrSegCorrupt)
+	if restored, err := drainView(v); !errors.Is(err, layout.ErrChecksum) || restored != nil {
+		t.Fatalf("drain with a clone damaged = %d blocks, %v, want %v", len(restored), err, layout.ErrChecksum)
 	}
 	if m.SegmentExists("tbl-f5") {
 		t.Error("the failed drain left its segment")

@@ -2,6 +2,8 @@ package shm
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,8 +14,10 @@ import (
 	"scuba/internal/rowblock"
 )
 
-// goldenRows is the source of testdata/segment-v1.golden: block b of 3, 40
-// rows each, one column of every type beside the time column.
+var update = flag.Bool("update", false, "rewrite testdata/segment-v3.golden")
+
+// goldenRows is the source of the testdata/segment-v*.golden fixtures: block
+// b of 3, 40 rows each, one column of every type beside the time column.
 func goldenRows(b int) []rowblock.Row {
 	rows := make([]rowblock.Row, 40)
 	for i := range rows {
@@ -31,12 +35,12 @@ func goldenRows(b int) []rowblock.Row {
 	return rows
 }
 
-// TestGoldenSegmentV1 pins the SGT1 table segment layout. The fixture was
-// written by CreateTableSegment / WriteBlock / Finish as of the commit before
-// the mapped view became the only reader (segment "tbl-golden" of table
-// "golden", blocks created at 1700000100+b) and must never be regenerated: a
-// new binary reads the segments the old binary's shutdown left in shared
-// memory, or the restart takes the disk path.
+// TestGoldenSegmentV1: the fixture was written by CreateTableSegment /
+// WriteBlock / Finish at layout version 2, with a payload CRC (segment
+// "tbl-golden" of table "golden", blocks created at 1700000100+b), and must
+// never be regenerated. This binary refuses it as version skew and leaves it
+// in place — the metadata's version check sends such a start to the store
+// before any segment is opened (DESIGN.md §13).
 func TestGoldenSegmentV1(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "segment-v1.golden"))
 	if err != nil {
@@ -47,7 +51,30 @@ func TestGoldenSegmentV1(t *testing.T) {
 		if err := os.WriteFile(m.segmentPath("tbl-golden"), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := drainView(openToDrain(t, m, "tbl-golden", "golden"))
+		if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "golden", Segment: "tbl-golden"}); !errors.Is(err, ErrVersionSkew) {
+			t.Fatalf("open of a layout-2 segment = %v, want %v", err, ErrVersionSkew)
+		}
+		if !m.SegmentExists("tbl-golden") {
+			t.Fatal("the refused segment was removed")
+		}
+	})
+}
+
+// TestGoldenSegmentV3 pins the table segment layout of LayoutVersion 3: a
+// block index with a prefix CRC per block under an index CRC. The fixture
+// is the one TestWriterReproducesGoldenSegmentV3 checks the writer against;
+// regenerate it (-update) only with a LayoutVersion bump.
+func TestGoldenSegmentV3(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "segment-v3.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runBothModes(t, func(t *testing.T, noMmap bool) {
+		m := newTestManager(t, 1, noMmap)
+		if err := os.WriteFile(m.segmentPath("tbl-golden"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := drainView(openView(t, m, "tbl-golden", "golden"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,14 +119,11 @@ func TestGoldenSegmentV1(t *testing.T) {
 	})
 }
 
-// TestWriterReproducesGoldenSegmentV1: the appending writer lays down, byte for
-// byte, the segment the mapped read-write writer before it did — the format
-// did not move, so a segment crosses a binary upgrade in either direction.
-func TestWriterReproducesGoldenSegmentV1(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "segment-v1.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestWriterReproducesGoldenSegmentV3: the writer lays down, byte for byte,
+// the layout-3 fixture — the format did not move, so a segment crosses a
+// binary upgrade between two layout-3 releases in either direction.
+func TestWriterReproducesGoldenSegmentV3(t *testing.T) {
+	path := filepath.Join("testdata", "segment-v3.golden")
 	m := newTestManager(t, 1, false)
 	w, err := CreateTableSegment(m, "tbl-golden", "golden")
 	if err != nil {
@@ -124,6 +148,15 @@ func TestWriterReproducesGoldenSegmentV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(m.segmentPath("tbl-golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,24 +13,30 @@ func (s *Segment) mapIn() error {
 		return s.loadFallback()
 	}
 	prot := syscall.PROT_READ | syscall.PROT_WRITE
-	flags := syscall.MAP_SHARED
 	if s.ro {
+		// No MAP_POPULATE: a view's open reads only the segment's metadata,
+		// and an instant-on start goes ALIVE on that (DESIGN.md §14).
 		prot = syscall.PROT_READ
-		// Restore-side mappings are read end to end immediately — by the CRC
-		// pass of a view verified at open, which on the instant-on path IS
-		// the availability gap, or by the drain's copy. Prefault the whole
-		// mapping in one kernel sweep instead of eating a minor fault per
-		// page mid-read — on tmpfs the pages are already resident, so
-		// MAP_POPULATE only builds page tables.
-		flags |= syscall.MAP_POPULATE
 	}
-	data, err := syscall.Mmap(int(s.f.Fd()), 0, int(s.size),
-		prot, flags)
+	data, err := syscall.Mmap(int(s.f.Fd()), 0, int(s.size), prot, syscall.MAP_SHARED)
 	if err != nil {
 		return fmt.Errorf("shm: mmap %s (%d bytes): %w", s.name, s.size, err)
 	}
 	s.data = data
 	return nil
+}
+
+// madvPopulateRead is Linux's MADV_POPULATE_READ (5.14 and later).
+const madvPopulateRead = 22
+
+// populate prefaults a mapping about to be read end to end — the eager
+// drain's — in one kernel sweep instead of a minor fault per page mid-copy:
+// on tmpfs the pages are resident, so it only builds page tables. An older
+// kernel refuses the advice, and the copy faults the pages in.
+func (s *Segment) populate() {
+	if s.useMmap && s.data != nil {
+		syscall.Madvise(s.data, madvPopulateRead) //nolint:errcheck // advice
+	}
 }
 
 // mapOut unmaps the segment. MAP_SHARED writes are visible to the file

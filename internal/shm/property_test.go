@@ -57,7 +57,7 @@ func TestTableSegmentProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			restored, err := drainView(openToDrain(t, m, "tbl-p", "p"))
+			restored, err := drainView(openView(t, m, "tbl-p", "p"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,8 +35,11 @@ import (
 // Version history:
 //
 //	1 — initial table segment layout
-//	2 — table segment header gained a payload CRC (see tableseg.go)
-const LayoutVersion uint32 = 2
+//	2 — table segment header gained a payload CRC
+//	3 — the payload CRC became an index CRC, and each block index entry
+//	    gained its image prefix's CRC: a block is checked at first read
+//	    (see tableseg.go)
+const LayoutVersion uint32 = 3
 
 // DefaultDir is the default segment directory. /dev/shm is a tmpfs on
 // Linux, so segments live in physical memory, never on disk.

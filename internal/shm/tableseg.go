@@ -20,28 +20,38 @@ import (
 //	u64  payload start (offset of the first block image)
 //	u64  footer offset (end of payload, patched by Finish)
 //	u32  number of row blocks (patched by Finish)
-//	u32  payload CRC-32C over [payload start, footer end) (patched by Finish)
+//	u32  index CRC-32C over the header's first 28 bytes and the footer
+//	     (patched by Finish)
 //	u16  table name length
 //	...  table name bytes
 //	...  row block images, contiguous (see rowblock.AppendImage)
-//	footer: u64 per block — offset of each block image
+//	footer, the block index: per block a u64 image offset and the u32
+//	     CRC-32C of the image's prefix (rowblock.PrefixCRC)
 //
 // The footer lets an eager restore drain the segment in reverse, truncating
 // the tail after each block (MappedView.Drain) so tmpfs pages are
 // released as the data moves back to the heap, keeping the total footprint
 // flat (§4.4, Figure 7).
 //
-// The payload CRC covers every block image and the footer. Row blocks carry
-// their own per-column checksums, but those cover neither the image prefixes
-// (schema, zone maps, offsets) nor the footer. Verifying the whole payload
-// before any block of it is served or installed — when the segment is opened
-// if it will be served in place, in the drain if it is drained (view.go) —
-// turns data rot into a quarantine decision for exactly the damaged table.
+// Every byte a reader uses is under one checksum, checked when it is read:
+// the index CRC covers the header's offsets and counts and the index, the
+// metadata (CRC-guarded itself) vouches for the version and the table name,
+// a prefix CRC covers each image's header, schema, zone maps and column
+// offsets, and each column blob carries its own CRC-32C. Opening a segment
+// checks the first three, which is metadata; a block's column CRCs are
+// checked by its first reader (rowblock.RowBlock.Verify), so a damaged block
+// costs that block alone (view.go).
 
 // SegMagic identifies a table segment.
 const SegMagic uint32 = 0x31544753 // "SGT1"
 
 const segHeaderFixed = 4 + 4 + 8 + 8 + 4 + 4 + 2
+
+// segIndexed is the header bytes the index CRC covers, and where it sits.
+const segIndexed = 28
+
+// segIndexEntry is one block's footer entry: image offset and prefix CRC.
+const segIndexEntry = 8 + 4
 
 // ErrSegCorrupt is returned for structurally invalid table segments.
 var ErrSegCorrupt = fmt.Errorf("shm: corrupt table segment")
@@ -52,9 +62,9 @@ var segCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // block column at a time (Figure 6). The segment's file is appended to with
 // write(2) — header, then per block its image prefix and each column blob, in
 // segment order — so a byte crosses into shared memory once, by the kernel's
-// copy into fresh tmpfs pages, and the payload CRC is folded over each piece
-// as it is handed over rather than read back. Nothing is mapped and nothing
-// is sized in advance.
+// copy into fresh tmpfs pages, and nothing reads it again: the blobs carry
+// their checksums, and only each prefix is checksummed on its way out.
+// Nothing is mapped and nothing is sized in advance.
 //
 // A writer is single-goroutine: the parallel shutdown path gives each worker
 // its own writer over its own segment. Distinct writers over distinct
@@ -66,10 +76,10 @@ var segCRCTable = crc32.MakeTable(crc32.Castagnoli)
 type TableSegmentWriter struct {
 	name         string
 	f            *os.File
+	header       []byte // the first segIndexed bytes, patched by Finish
 	payloadStart int64
 	pos          int64
-	offsets      []int64
-	crc          uint32 // CRC-32C of [payloadStart, pos)
+	index        []byte // the footer so far
 	// BytesCopied counts column bytes written, for bandwidth accounting.
 	BytesCopied int64
 
@@ -90,31 +100,31 @@ func CreateTableSegment(m *Manager, segName, tableName string) (*TableSegmentWri
 	b = binary.LittleEndian.AppendUint64(b, uint64(headerSize))
 	b = binary.LittleEndian.AppendUint64(b, uint64(headerSize)) // footer offset, patched by Finish
 	b = binary.LittleEndian.AppendUint32(b, 0)                  // block count, patched by Finish
-	b = binary.LittleEndian.AppendUint32(b, 0)                  // payload CRC, patched by Finish
+	b = binary.LittleEndian.AppendUint32(b, 0)                  // index CRC, patched by Finish
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(tableName)))
 	b = append(b, tableName...)
 	if _, err := f.Write(b); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("shm: write segment %s: %w", segName, err)
 	}
-	return &TableSegmentWriter{name: segName, f: f, payloadStart: headerSize, pos: headerSize}, nil
+	return &TableSegmentWriter{name: segName, f: f, header: b[:segIndexed], payloadStart: headerSize, pos: headerSize}, nil
 }
 
-// put appends p to the segment and folds it into the payload CRC: the write
-// just pulled p through the cache, so the checksum reads it hot.
+// put appends p to the segment.
 func (w *TableSegmentWriter) put(p []byte) error {
 	n, err := w.f.Write(p)
 	w.pos += int64(n)
 	if err != nil {
 		return fmt.Errorf("shm: write segment %s: %w", w.name, err)
 	}
-	w.crc = crc32.Update(w.crc, segCRCTable, p)
 	return nil
 }
 
 // WriteBlock copies one row block into the segment column by column. When
 // release is true each heap column is dropped right after its copy, so the
-// block's memory is reclaimed incrementally (Figure 6 pseudocode).
+// block's memory is reclaimed incrementally (Figure 6 pseudocode). A block
+// still served from a previous segment's mapping goes in one piece, as it
+// came: bytes no reader has checked travel with the checksums that will.
 func (w *TableSegmentWriter) WriteBlock(rb *rowblock.RowBlock, release bool) error {
 	if w.state != "" {
 		return fmt.Errorf("%w: WriteBlock on %s segment writer", ErrClosed, w.state)
@@ -122,11 +132,21 @@ func (w *TableSegmentWriter) WriteBlock(rb *rowblock.RowBlock, release bool) err
 	if err := fault.Inject(fault.SiteShmCopyOut); err != nil {
 		return fmt.Errorf("shm: copy out to %s: %w", w.name, err)
 	}
-	off := w.pos
-	if err := w.put(rb.ImagePrefix()); err != nil { // before columns are released
-		return err
+	off, img := w.pos, rb.MappedImage()
+	var prefix []byte
+	if img != nil {
+		prefix = img[:int64(len(img))-rb.Header().Size]
+		if err := w.put(img); err != nil {
+			return err
+		}
+		w.BytesCopied += rb.Header().Size
+	} else {
+		prefix = rb.ImagePrefix() // before columns are released
+		if err := w.put(prefix); err != nil {
+			return err
+		}
 	}
-	for i := 0; i < rb.NumColumns(); i++ {
+	for i := 0; img == nil && i < rb.NumColumns(); i++ {
 		blob := rb.Column(i).Blob()
 		if err := w.put(blob); err != nil {
 			return err
@@ -136,12 +156,13 @@ func (w *TableSegmentWriter) WriteBlock(rb *rowblock.RowBlock, release bool) err
 			rb.ReleaseColumn(i)
 		}
 	}
-	w.offsets = append(w.offsets, off)
+	w.index = binary.LittleEndian.AppendUint64(w.index, uint64(off))
+	w.index = binary.LittleEndian.AppendUint32(w.index, rowblock.PrefixCRC(prefix))
 	return nil
 }
 
 // Finish writes the footer, patches the header's footer offset, block count
-// and payload CRC, and closes the file; the data stays in tmpfs. Finish is
+// and index CRC, and closes the file; the data stays in tmpfs. Finish is
 // terminal: a second Finish, or a Finish after Abort, returns ErrClosed, and
 // a Finish that fails has closed the file and left the writer aborted, so the
 // segment is the caller's to remove.
@@ -149,21 +170,16 @@ func (w *TableSegmentWriter) Finish() error {
 	if w.state != "" {
 		return fmt.Errorf("%w: Finish on %s segment writer", ErrClosed, w.state)
 	}
-	footerOff := w.pos
-	footer := make([]byte, 0, 8*len(w.offsets))
-	for _, off := range w.offsets {
-		footer = binary.LittleEndian.AppendUint64(footer, uint64(off))
-	}
+	binary.LittleEndian.PutUint64(w.header[16:], uint64(w.pos))
+	binary.LittleEndian.PutUint32(w.header[24:], uint32(len(w.index)/segIndexEntry))
 	err := fault.Inject(fault.SiteShmCopyOut)
 	if err == nil {
-		err = w.put(footer)
+		err = w.put(w.index)
 	}
 	if err == nil {
-		var patch [16]byte
-		binary.LittleEndian.PutUint64(patch[0:], uint64(footerOff))
-		binary.LittleEndian.PutUint32(patch[8:], uint32(len(w.offsets)))
-		binary.LittleEndian.PutUint32(patch[12:], w.crc)
-		_, err = w.f.WriteAt(patch[:], 16)
+		patch := append([]byte(nil), w.header[16:]...)
+		patch = binary.LittleEndian.AppendUint32(patch, indexCRC(w.header, w.index))
+		_, err = w.f.WriteAt(patch, 16)
 	}
 	if err == nil && fault.Enabled() {
 		err = w.corruptPayload()
@@ -180,9 +196,10 @@ func (w *TableSegmentWriter) Finish() error {
 }
 
 // corruptPayload gives an armed copy_out corruption the finished payload to
-// flip bytes in, through the file, after the CRC is stamped — the same damage
-// as memory rot between commit and restore — so the restore side must detect
-// it and quarantine the table.
+// flip bytes in, through the file, after the CRCs are stamped — the same
+// damage as memory rot between commit and restore — so the restore side must
+// detect it: at the open for the index and the prefixes, at a block's first
+// read for its columns.
 func (w *TableSegmentWriter) corruptPayload() error {
 	b := make([]byte, w.pos-w.payloadStart)
 	if _, err := w.f.ReadAt(b, w.payloadStart); err != nil {
@@ -205,42 +222,50 @@ func (w *TableSegmentWriter) Abort() error {
 	return w.f.Close()
 }
 
-// parseTableSegment validates a table segment's header and footer and returns
-// the table name, the block image offsets followed by the footer's (so image i
-// is b[offsets[i]:offsets[i+1]]), and the payload CRC the header states. Every
-// offset is bounds-checked: the bytes may not have been checksummed yet.
-func parseTableSegment(b []byte) (string, []int64, uint32, error) {
+// indexCRC is the index CRC of a segment with the given first segIndexed
+// header bytes and footer.
+func indexCRC(header, footer []byte) uint32 {
+	return crc32.Update(crc32.Checksum(header[:segIndexed], segCRCTable), segCRCTable, footer)
+}
+
+// parseTableSegment validates a table segment's header and block index —
+// its CRC, and that the images tile the payload in order — and returns the
+// table name, the block image offsets followed by the footer's (so image i
+// is b[offsets[i]:offsets[i+1]]), and each image's prefix CRC.
+func parseTableSegment(b []byte) (string, []int64, []uint32, error) {
 	if len(b) < segHeaderFixed {
-		return "", nil, 0, fmt.Errorf("%w: %d bytes", ErrSegCorrupt, len(b))
+		return "", nil, nil, fmt.Errorf("%w: %d bytes", ErrSegCorrupt, len(b))
 	}
 	if m := binary.LittleEndian.Uint32(b[0:]); m != SegMagic {
-		return "", nil, 0, fmt.Errorf("%w: magic %08x", ErrSegCorrupt, m)
+		return "", nil, nil, fmt.Errorf("%w: magic %08x", ErrSegCorrupt, m)
 	}
 	if v := binary.LittleEndian.Uint32(b[4:]); v != LayoutVersion {
-		return "", nil, 0, fmt.Errorf("%w: segment version %d, code version %d", ErrVersionSkew, v, LayoutVersion)
+		return "", nil, nil, fmt.Errorf("%w: segment version %d, code version %d", ErrVersionSkew, v, LayoutVersion)
 	}
 	payloadStart := int64(binary.LittleEndian.Uint64(b[8:]))
 	footerOff := int64(binary.LittleEndian.Uint64(b[16:]))
-	nblocks := int(binary.LittleEndian.Uint32(b[24:]))
-	payloadCRC := binary.LittleEndian.Uint32(b[28:])
+	nblocks := int64(binary.LittleEndian.Uint32(b[24:]))
 	nameLen := int(binary.LittleEndian.Uint16(b[32:]))
 	if payloadStart != int64(segHeaderFixed+nameLen) ||
-		footerOff < payloadStart ||
-		footerOff+int64(8*nblocks) > int64(len(b)) {
-		return "", nil, 0, fmt.Errorf("%w: payload=%d footer=%d blocks=%d len=%d",
+		footerOff < payloadStart || footerOff > int64(len(b)) ||
+		segIndexEntry*nblocks > int64(len(b))-footerOff {
+		return "", nil, nil, fmt.Errorf("%w: payload=%d footer=%d blocks=%d len=%d",
 			ErrSegCorrupt, payloadStart, footerOff, nblocks, len(b))
 	}
-	tableName := string(b[segHeaderFixed : segHeaderFixed+nameLen])
-	offsets := make([]int64, nblocks+1)
+	index := b[footerOff : footerOff+segIndexEntry*nblocks]
+	if sum, want := indexCRC(b, index), binary.LittleEndian.Uint32(b[segIndexed:]); sum != want {
+		return "", nil, nil, fmt.Errorf("%w: index checksum %08x, header says %08x", ErrSegCorrupt, sum, want)
+	}
+	offsets, crcs := make([]int64, nblocks+1), make([]uint32, nblocks)
 	prev := payloadStart
-	for i := 0; i < nblocks; i++ {
-		off := int64(binary.LittleEndian.Uint64(b[footerOff+int64(8*i):]))
+	for i := range crcs {
+		e := index[segIndexEntry*i:]
+		off := int64(binary.LittleEndian.Uint64(e))
 		if off < prev || off >= footerOff {
-			return "", nil, 0, fmt.Errorf("%w: block %d offset %d", ErrSegCorrupt, i, off)
+			return "", nil, nil, fmt.Errorf("%w: block %d offset %d", ErrSegCorrupt, i, off)
 		}
-		offsets[i] = off
-		prev = off
+		offsets[i], crcs[i], prev = off, binary.LittleEndian.Uint32(e[8:]), off
 	}
 	offsets[nblocks] = footerOff
-	return tableName, offsets, payloadCRC, nil
+	return string(b[segHeaderFixed : segHeaderFixed+nameLen]), offsets, crcs, nil
 }

@@ -36,33 +36,22 @@ func buildBlocks(t *testing.T, nblocks, rowsPerBlock int) []*rowblock.RowBlock {
 	return out
 }
 
-// openView opens the named segment of table through the one reader, verified
-// up front: a view to serve in place.
+// openView opens the named segment of table through the one reader.
 func openView(t testing.TB, m *Manager, seg, table string) *MappedView {
 	t.Helper()
-	v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg}, true)
+	v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return v
 }
 
-// openToDrain opens the named segment the way an eager restore does:
-// structure only, the payload CRC left to the drain.
-func openToDrain(t testing.TB, m *Manager, seg, table string) *MappedView {
-	t.Helper()
-	v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-// cloneUnverified is the eager drain's clone step with nothing around it.
-func cloneUnverified(rb *rowblock.RowBlock) (*rowblock.RowBlock, error) { return rb.CloneToHeap(false) }
+// clone is the eager drain's clone step with nothing around it: a damaged
+// block is the drain's error.
+func clone(_ int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) { return rb.CloneToHeap() }
 
 // drainView drains v the way an eager restore does.
-func drainView(v *MappedView) ([]*rowblock.RowBlock, error) { return v.Drain(cloneUnverified) }
+func drainView(v *MappedView) ([]*rowblock.RowBlock, error) { return v.Drain(clone) }
 
 func TestTableSegmentRoundTrip(t *testing.T) {
 	runBothModes(t, func(t *testing.T, noMmap bool) {
@@ -128,7 +117,7 @@ func TestWriteBlockReleasesHeapColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Released blocks still restore correctly from the segment.
-	restored, err := drainView(openToDrain(t, m, "tbl-r", "r"))
+	restored, err := drainView(openView(t, m, "tbl-r", "r"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +134,7 @@ func TestReaderTruncatesAsItDrains(t *testing.T) {
 		m := newTestManager(t, 1, noMmap)
 		blocks := buildBlocks(t, 3, 1000)
 		writeSegment(t, m, "tbl-t", "t", blocks)
-		v := openToDrain(t, m, "tbl-t", "t")
+		v := openView(t, m, "tbl-t", "t")
 		path := m.segmentPath("tbl-t")
 		fileSize := func() int64 {
 			fi, err := os.Stat(path)
@@ -159,9 +148,9 @@ func TestReaderTruncatesAsItDrains(t *testing.T) {
 		// every callback's block is gone from tmpfs before the next begins.
 		want := []int64{fileSize(), v.offsets[2], v.offsets[1]}
 		var sizes []int64
-		restored, err := v.Drain(func(rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
+		restored, err := v.Drain(func(i int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
 			sizes = append(sizes, fileSize())
-			return rb.CloneToHeap(false)
+			return clone(i, rb)
 		})
 		if err != nil || len(restored) != 3 {
 			t.Fatalf("drain = %d blocks, %v", len(restored), err)
@@ -197,6 +186,7 @@ func TestOpenTableSegmentRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	col := openView(t, m, "tbl-c", "c").offsets[1] - 20
 	corrupt := func(mut func([]byte)) error {
 		seg, err := m.OpenSegment("tbl-c")
 		if err != nil {
@@ -204,12 +194,15 @@ func TestOpenTableSegmentRejectsCorruption(t *testing.T) {
 		}
 		mut(seg.Bytes())
 		seg.Close()
-		v, err := OpenTableSegmentView(m, SegmentInfo{Table: "c", Segment: "tbl-c"}, true)
+		v, err := OpenTableSegmentView(m, SegmentInfo{Table: "c", Segment: "tbl-c"})
 		if err != nil {
 			return err
 		}
-		rowblock.ReleaseSources(v.Blocks()) // the last one deletes the file
-		return nil
+		for _, rb := range v.Blocks() {
+			err = errors.Join(err, rb.Verify())
+			rb.Source().Release() // unmapped with the last; the file stays
+		}
+		return err
 	}
 
 	if err := corrupt(func(b []byte) { b[0] ^= 0xff }); err == nil {
@@ -219,13 +212,19 @@ func TestOpenTableSegmentRejectsCorruption(t *testing.T) {
 	if err := corrupt(func(b []byte) { b[0] ^= 0xff; b[4] ^= 0xff }); !errors.Is(err, ErrVersionSkew) {
 		t.Errorf("version skew: %v", err)
 	}
-	// Fix version, corrupt a payload byte: the payload CRC must catch it.
-	if err := corrupt(func(b []byte) { b[4] ^= 0xff; b[200] ^= 0x01 }); !errors.Is(err, ErrSegCorrupt) {
-		t.Errorf("payload corruption: %v", err)
+	// Fix version, corrupt a byte of the first block's last column, short of
+	// its checksum: the block's first read must catch it.
+	var dmg *rowblock.DamagedError
+	if err := corrupt(func(b []byte) { b[4] ^= 0xff; b[col] ^= 0x01 }); !errors.As(err, &dmg) {
+		t.Errorf("column corruption: %v", err)
 	}
-	// Undo that, damage the table name: it sits outside the payload CRC and
+	// Undo that, damage the block count: the index CRC must catch it.
+	if err := corrupt(func(b []byte) { b[col] ^= 0x01; b[24] ^= 0x01 }); !errors.Is(err, ErrSegCorrupt) {
+		t.Errorf("block count corruption: %v", err)
+	}
+	// Undo that, damage the table name: no CRC of the segment covers it; it
 	// is checked against the metadata's.
-	if err := corrupt(func(b []byte) { b[200] ^= 0x01; b[segHeaderFixed] ^= 0x01 }); !errors.Is(err, ErrSegCorrupt) {
+	if err := corrupt(func(b []byte) { b[24] ^= 0x01; b[segHeaderFixed] ^= 0x01 }); !errors.Is(err, ErrSegCorrupt) {
 		t.Errorf("table name mismatch: %v", err)
 	}
 	if err := corrupt(func(b []byte) { b[segHeaderFixed] ^= 0x01 }); err != nil {

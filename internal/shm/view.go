@@ -2,7 +2,6 @@ package shm
 
 import (
 	"fmt"
-	"hash/crc32"
 	"sync/atomic"
 
 	"scuba/internal/fault"
@@ -17,9 +16,13 @@ import (
 // behind each (Drain). Either way the segment stays mapped until the
 // last reference drains.
 //
-// The payload CRC is checked before any block is served or installed, over
-// bytes that are being read anyway: by the open when the view will be served
-// in place, by Drain — over the copies it makes — when it is drained.
+// The open checks metadata only: the segment's index and each image's
+// prefix, by their CRCs. A block's column bytes are checked by their first
+// reader, once (rowblock.RowBlock.Verify): a scan's first column read, or the
+// clone that moves the block heap-side, which checks its copy while it is
+// hot. No answer reads a byte no checksum has passed, and a damaged block
+// costs that block alone: its reader gets a *rowblock.DamagedError, and the
+// leaf replaces the block from the store.
 //
 // References: the view opens holding one reference per decoded block (the
 // table's residency), and every in-flight scan that snapshots a view block
@@ -33,31 +36,26 @@ import (
 // can never resurrect it (CAS from nonzero only), so a reader either pins
 // live memory or is told the view is gone.
 type MappedView struct {
-	m         *Manager
-	seg       *Segment
-	offsets   []int64 // of each block image in the segment, then of the footer
-	blocks    []*rowblock.RowBlock
-	crc       uint32 // of the payload, as the segment's header states it
-	footerCRC uint32 // of the footer alone, the tail Drain's checksum starts from
-	refs      atomic.Int64
-	resident  atomic.Int64 // blocks a table still holds
+	m        *Manager
+	seg      *Segment
+	offsets  []int64 // of each block image in the segment, then of the footer
+	blocks   []*rowblock.RowBlock
+	refs     atomic.Int64
+	resident atomic.Int64 // blocks a table still holds
 }
 
 // OpenTableSegmentView maps the table segment si names read-only and decodes
-// every block image in place: header, footer, block image structure (images
-// tile the payload with no gap), and the segment's table name against the
-// (CRC-guarded) metadata's, since the name bytes sit outside the payload CRC.
-// With verify it also checks the whole-payload CRC, so everything that can be
-// wrong with a segment is an error here and the view may be served as it is.
-// Without, the blocks are structurally sound but unverified: the caller must
-// Drain the view, which checks the CRC over its copies, and serve or install
-// nothing before that returns. Either way a damaged segment is an error before
-// any block is installed, and the caller quarantines exactly that table to the
-// store. Any failure closes the mapping and leaves the file.
+// every block image in place, reading only metadata: the header and block
+// index under the index CRC, each image's prefix under its prefix CRC, the
+// images' structure (they tile the payload with no gap), and the segment's
+// table name against the (CRC-guarded) metadata's. Anything wrong there is an
+// error, and the caller quarantines exactly that table to the store; the
+// column bytes are checked when each block is first read. Any failure closes
+// the mapping and leaves the file.
 //
 // A segment with zero blocks has nothing to serve: it is unmapped and deleted
 // here, and the view returned holds no blocks and no references.
-func OpenTableSegmentView(m *Manager, si SegmentInfo, verify bool) (*MappedView, error) {
+func OpenTableSegmentView(m *Manager, si SegmentInfo) (*MappedView, error) {
 	if err := fault.Inject(fault.SiteShmMap); err != nil {
 		return nil, fmt.Errorf("shm: map segment %s: %w", si.Segment, err)
 	}
@@ -66,7 +64,7 @@ func OpenTableSegmentView(m *Manager, si SegmentInfo, verify bool) (*MappedView,
 		return nil, err
 	}
 	v := &MappedView{m: m, seg: seg}
-	if err := v.decode(si.Table, verify); err != nil {
+	if err := v.decode(si.Table); err != nil {
 		seg.Close()
 		return nil, err
 	}
@@ -79,34 +77,25 @@ func OpenTableSegmentView(m *Manager, si SegmentInfo, verify bool) (*MappedView,
 	return v, nil
 }
 
-// decode validates the mapped segment's structure — and with verify its
-// payload CRC — and decodes its block images in place. There is no
-// CorruptBytes hook: the mapping is PROT_READ, so flipping bytes in place
-// would fault. Rot coverage comes from arming shm.copy_out with corrupt — the
-// CRC check, here or in Drain, is what must catch it.
-func (v *MappedView) decode(table string, verify bool) error {
+// decode validates the mapped segment's metadata and decodes its block
+// images in place. There is no CorruptBytes hook: the mapping is PROT_READ,
+// so flipping bytes in place would fault. Rot coverage comes from arming
+// shm.copy_out with corrupt — the CRC checks, here or at a block's first
+// read, are what must catch it.
+func (v *MappedView) decode(table string) error {
 	b := v.seg.Bytes()
-	name, offsets, crc, err := parseTableSegment(b)
+	name, offsets, crcs, err := parseTableSegment(b)
 	if err != nil {
 		return err
 	}
 	if name != table {
 		return fmt.Errorf("%w: segment names table %q, metadata says %q", ErrSegCorrupt, name, table)
 	}
-	n := len(offsets) - 1
-	payloadStart, footerEnd := int64(segHeaderFixed+len(name)), offsets[n]+int64(8*n)
-	if offsets[0] != payloadStart {
+	if payloadStart := int64(segHeaderFixed + len(name)); offsets[0] != payloadStart {
 		return fmt.Errorf("%w: first block at %d, payload at %d", ErrSegCorrupt, offsets[0], payloadStart)
 	}
-	if verify {
-		if sum := checksumParallel(b[payloadStart:footerEnd]); sum != crc {
-			return crcMismatch(sum, crc)
-		}
-	}
-	for i := 0; i < n; i++ {
-		// The segment-wide payload CRC covers every image byte, so a per-column
-		// checksum pass would read the same memory for nothing.
-		rb, size, err := rowblock.DecodeImageVerified(b[offsets[i]:offsets[i+1]])
+	for i, crc := range crcs {
+		rb, size, err := rowblock.OpenImage(b[offsets[i]:offsets[i+1]], crc)
 		if err == nil && int64(size) != offsets[i+1]-offsets[i] {
 			err = fmt.Errorf("%w: image of %d bytes in a slot of %d", ErrSegCorrupt, size, offsets[i+1]-offsets[i])
 		}
@@ -116,15 +105,8 @@ func (v *MappedView) decode(table string, verify bool) error {
 		rb.SetSource(v)
 		v.blocks = append(v.blocks, rb)
 	}
-	v.offsets, v.crc = offsets, crc
-	v.footerCRC = crc32.Checksum(b[offsets[n]:footerEnd], segCRCTable)
+	v.offsets = offsets
 	return nil
-}
-
-// crcMismatch is the error of a payload whose bytes rotted while the segment
-// sat in shared memory; the caller quarantines the table to the store.
-func crcMismatch(sum, want uint32) error {
-	return fmt.Errorf("%w: payload checksum %08x, header says %08x", ErrSegCorrupt, sum, want)
 }
 
 // SegmentName returns the mapped segment's name.
@@ -153,35 +135,21 @@ func (v *MappedView) Retain() bool {
 }
 
 // Drain is Figure 7's copy-in loop for an eager restore, which holds every
-// reference: each block is handed to clone newest first, and behind each clone
+// reference: block i is handed to clone newest first, and behind each clone
 // the segment from that block's image to its end goes back to tmpfs
 // ("truncate the table shared memory segment if needed") with the block's
 // residency reference, so the heap grows as the segment shrinks and the
-// footprint stays flat (§4.4). It returns the clones in segment order. The
-// last release unmaps and deletes the segment; so does a failure, which
-// releases the blocks not yet cloned.
-//
-// Drain is also where a drained segment's payload CRC is checked, so that
-// each of its bytes is read cold once: per block the checksum of the image
-// prefix, from the mapping, runs on over the clone's blobs, still in cache
-// from the copy; the blocks' checksums are stitched onto the footer's as they
-// come, newest first; and the whole is compared with the header's once, at the
-// end. A mismatch is Drain's error — the clones are dropped, none was handed
-// on — and covers damage done to a clone on its way to the heap as well.
-func (v *MappedView) Drain(clone func(*rowblock.RowBlock) (*rowblock.RowBlock, error)) ([]*rowblock.RowBlock, error) {
-	b := v.seg.Bytes()
+// footprint stays flat (§4.4). The clone checks its copy (CloneToHeap) and
+// may return nil for a block the caller drops. Drain returns the clones in
+// segment order. The last release unmaps and deletes the segment; so does a
+// clone's error, which is Drain's and releases the blocks not yet cloned.
+func (v *MappedView) Drain(clone func(i int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error)) ([]*rowblock.RowBlock, error) {
 	out := make([]*rowblock.RowBlock, len(v.blocks))
-	sum, summed := v.footerCRC, int64(8*len(v.blocks)) // of the payload's tail, and its length
+	v.seg.populate()
 	for i := len(v.blocks) - 1; i >= 0; i-- {
-		rb, err := clone(v.blocks[i])
+		rb, err := clone(i, v.blocks[i])
 		if err == nil {
-			start, end := v.offsets[i], v.offsets[i+1]
-			crc := crc32.Checksum(b[start:end-v.blocks[i].Header().Size], segCRCTable)
-			for c := 0; c < rb.NumColumns(); c++ {
-				crc = crc32.Update(crc, segCRCTable, rb.Column(c).Blob())
-			}
-			sum, summed = crc32Combine(crc, sum, summed), summed+end-start
-			out[i], err = rb, v.seg.Truncate(start)
+			out[i], err = rb, v.seg.Truncate(v.offsets[i])
 		}
 		if err != nil {
 			rowblock.ReleaseSources(v.blocks[:i+1])
@@ -189,9 +157,6 @@ func (v *MappedView) Drain(clone func(*rowblock.RowBlock) (*rowblock.RowBlock, e
 		}
 		v.Evict()
 		v.Release()
-	}
-	if sum != v.crc {
-		return nil, crcMismatch(sum, v.crc)
 	}
 	return out, nil
 }

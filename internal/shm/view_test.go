@@ -68,18 +68,19 @@ func TestMappedViewServesAndDrains(t *testing.T) {
 func TestMappedViewValidation(t *testing.T) {
 	m := newTestManager(t, 1, false)
 
-	// Corrupt payload: flip one byte, CRC must reject the view.
+	// Corrupt block index: flip one byte of the block's prefix CRC, the
+	// index CRC must reject the view.
 	writeViewSegment(t, m, "tbl-c", "c", 1)
 	path := m.segmentPath("tbl-c")
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)-20] ^= 0xff
+	b[len(b)-2] ^= 0xff
 	if err := os.WriteFile(path, b, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "c", Segment: "tbl-c"}, true); !errors.Is(err, ErrSegCorrupt) {
+	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "c", Segment: "tbl-c"}); !errors.Is(err, ErrSegCorrupt) {
 		t.Fatalf("corrupt view open = %v, want ErrSegCorrupt", err)
 	}
 	// A failed open leaves the file where it was.
@@ -88,13 +89,13 @@ func TestMappedViewValidation(t *testing.T) {
 	}
 
 	// Missing segment.
-	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "missing", Segment: "tbl-missing"}, true); !errors.Is(err, ErrSegmentGone) {
+	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "missing", Segment: "tbl-missing"}); !errors.Is(err, ErrSegmentGone) {
 		t.Fatalf("missing view open = %v, want ErrSegmentGone", err)
 	}
 
 	// The metadata names another table than the segment does.
 	writeViewSegment(t, m, "tbl-n", "n", 1)
-	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "other", Segment: "tbl-n"}, true); !errors.Is(err, ErrSegCorrupt) {
+	if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "other", Segment: "tbl-n"}); !errors.Is(err, ErrSegCorrupt) {
 		t.Fatalf("misnamed view open = %v, want ErrSegCorrupt", err)
 	}
 

@@ -306,9 +306,11 @@ func (t *Table) ScanView(from, to int64, fn func(View) error) error {
 }
 
 // SwapBlock replaces old with new in the block vector — the background
-// promotion path swapping a shm-resident block for its heap clone. The swap
-// preserves the block's position and global row index; header-derived
-// accounting is unchanged because the clone shares the header. Returns false
+// promotion path swapping a shm-resident block for its heap clone, or a
+// damaged block for the store's image of the same rows — or, with a nil new,
+// drops it. A swap preserves the block's position and global row index;
+// header-derived accounting is unchanged because the two share the header,
+// and a drop takes the block's rows and bytes off it. Returns false
 // when old is no longer present (expired or copied out) or the table has
 // left ALIVE (shutdown owns the blocks now); the caller keeps the old block
 // in that case. On success the old block's residency ends under the table
@@ -324,7 +326,14 @@ func (t *Table) SwapBlock(old, new *rowblock.RowBlock) bool {
 	}
 	for i, rb := range t.blocks {
 		if rb == old {
-			t.blocks[i] = new
+			if new != nil {
+				t.blocks[i] = new
+			} else {
+				t.blocks = append(t.blocks[:i:i], t.blocks[i+1:]...)
+				t.starts = append(t.starts[:i:i], t.starts[i+1:]...)
+				t.rowsTotal -= int64(old.Rows())
+				t.bytesTotal -= old.Header().Size
+			}
 			if src := old.Source(); src != nil {
 				src.Evict()
 			}
@@ -335,6 +344,19 @@ func (t *Table) SwapBlock(old, new *rowblock.RowBlock) bool {
 	}
 	t.mu.Unlock()
 	return false
+}
+
+// StartOf returns the global row index of rb's first row, and false when
+// the table does not hold rb.
+func (t *Table) StartOf(rb *rowblock.RowBlock) (int64, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, b := range t.blocks {
+		if b == rb {
+			return t.starts[i], true
+		}
+	}
+	return 0, false
 }
 
 // ForeignBlocks counts sealed blocks whose columns still alias foreign

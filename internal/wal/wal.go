@@ -16,6 +16,9 @@
 //	                                      keeps the images and skips the log
 //	                                      until the next restart resets it
 //
+// and beside the root, <root>.reset/<enc(table)>.<n>: a log ResetTable set
+// aside, which nothing replays and DropSetAside (or the next Open) deletes.
+//
 // Appends are group-committed in two stages so the caller can order the log
 // and its in-memory apply under one lock without serializing on fsyncs:
 // Begin writes the record to the active segment and assigns its row indexes,
@@ -45,6 +48,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"scuba/internal/disk"
 	"scuba/internal/fault"
@@ -81,6 +85,10 @@ type Log struct {
 	mu     sync.Mutex
 	tables map[string]*tableLog
 	closed bool
+	// dropping is DropSetAside's goroutine; closing hurry starts it at once.
+	dropping  sync.WaitGroup
+	hurry     chan struct{}
+	hurryOnce sync.Once
 }
 
 // tableLog is one table's active segment and group-commit state.
@@ -110,12 +118,17 @@ type tableLog struct {
 	closed bool
 }
 
-// Open opens (creating if needed) the log rooted at dir.
+// Open opens (creating if needed) the log rooted at dir, and deletes the logs
+// a crash left set aside (ResetTable).
 func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create root: %w", err)
 	}
-	return &Log{dir: dir, opts: opts, segmentBytes: segmentBytes, tables: make(map[string]*tableLog)}, nil
+	l := &Log{dir: dir, opts: opts, segmentBytes: segmentBytes, tables: make(map[string]*tableLog), hurry: make(chan struct{})}
+	if err := l.removeSetAside(); err != nil {
+		return nil, fmt.Errorf("wal: delete set-aside logs: %w", err)
+	}
+	return l, nil
 }
 
 // Dir returns the log root.
@@ -596,7 +609,10 @@ func (l *Log) Size(table string) int64 { return disk.DirSize(l.tableDir(table)) 
 
 // ResetTable discards one table's log (the table was restored without it,
 // so the old log no longer matches memory) and re-creates it empty with the
-// cursor at next.
+// cursor at next. The old log is set aside in one rename, and deleted by
+// DropSetAside off the restart's critical path; one a crash leaves set aside
+// is deleted by the next Open and never replayed. Either way every row it
+// held is in the store.
 func (l *Log) ResetTable(table string, next int64) error {
 	l.mu.Lock()
 	if tl, ok := l.tables[table]; ok {
@@ -604,10 +620,55 @@ func (l *Log) ResetTable(table string, next int64) error {
 		delete(l.tables, table)
 	}
 	l.mu.Unlock()
-	if err := os.RemoveAll(l.tableDir(table)); err != nil {
+	if err := os.MkdirAll(l.asideDir(), 0o755); err != nil {
+		return err
+	}
+	aside := filepath.Join(l.asideDir(), fmt.Sprintf("%s.%d", disk.EncodeTableName(table), time.Now().UnixNano()))
+	if err := os.Rename(l.tableDir(table), aside); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	return l.SetCursor(table, next)
+}
+
+// asideDir holds the logs ResetTable set aside. It sits beside the root, so
+// no listing of the root's tables sees them.
+func (l *Log) asideDir() string { return l.dir + ".reset" }
+
+// DropSetAside deletes the logs ResetTable set aside on a goroutine of its
+// own, once after is closed (at once for a nil after) or Settle asks for it;
+// one it does not finish is the next Open's.
+func (l *Log) DropSetAside(after <-chan struct{}) {
+	l.dropping.Add(1)
+	go func() {
+		defer l.dropping.Done()
+		if after != nil {
+			select {
+			case <-after:
+			case <-l.hurry:
+			}
+		}
+		l.removeSetAside() //nolint:errcheck // the next Open retries
+	}()
+}
+
+// Settle has the deletion DropSetAside started run now and waits for it, so
+// that the log's directories hold only what it replays.
+func (l *Log) Settle() {
+	l.hurryOnce.Do(func() { close(l.hurry) })
+	l.dropping.Wait()
+}
+
+func (l *Log) removeSetAside() error {
+	entries, err := os.ReadDir(l.asideDir())
+	if os.IsNotExist(err) {
+		return nil
+	}
+	for _, e := range entries {
+		if rerr := os.RemoveAll(filepath.Join(l.asideDir(), e.Name())); rerr != nil {
+			err = rerr
+		}
+	}
+	return err
 }
 
 // closeFile waits out an in-flight leader, fsyncs what no fsync has covered
@@ -632,6 +693,7 @@ func (tl *tableLog) closeFile() {
 
 // Close flushes and closes every table log. The Log is unusable afterwards.
 func (l *Log) Close() error {
+	l.Settle()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()

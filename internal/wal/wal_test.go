@@ -1065,3 +1065,76 @@ func TestWAL1SegmentIsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashAfterResetNeverReplaysTheSetAsideLog: ResetTable sets the old log
+// aside in one rename and the log starts over at the cursor it is given. A
+// crash before DropSetAside deletes the old one leaves it beside the root;
+// the next Open deletes it, and a replay reads only what was appended after
+// the reset.
+func TestCrashAfterResetNeverReplaysTheSetAsideLog(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "leaf0")
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRows(l, "events", testRows(0, 30)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ResetTable("events", 30); err != nil {
+		t.Fatal(err)
+	}
+	aside, err := os.ReadDir(dir + ".reset")
+	if err != nil || len(aside) != 1 {
+		t.Fatalf("set-aside logs after the reset: %v, %v", aside, err)
+	}
+	if err := appendRows(l, "events", testRows(30, 5)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close() // the crash: DropSetAside never ran
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if aside, err := os.ReadDir(dir + ".reset"); err != nil || len(aside) != 0 {
+		t.Fatalf("set-aside logs after the reopen: %v, %v", aside, err)
+	}
+	if tables, err := l2.Tables(); err != nil || len(tables) != 1 || tables[0] != "events" {
+		t.Fatalf("Tables = %v, %v", tables, err)
+	}
+	got, next := collectReplay(t, l2, "events", 30)
+	if len(got) != 5 || next != 35 {
+		t.Fatalf("replay from the reset cursor: %d rows, next %d; want the 5 appended after the reset", len(got), next)
+	}
+	// Nothing below the reset cursor is left to replay.
+	if _, _, _, err := l2.ReplayFrom("events", 0, nil, func(*rowblock.Batch) error { return nil }); !errors.Is(err, ErrGap) {
+		t.Fatalf("replay from 0 = %v, want %v: the rows before the reset are the store's", err, ErrGap)
+	}
+}
+
+// TestDropSetAsideWaitsUnlessSettled: the deletion DropSetAside starts waits
+// for its channel, and Settle runs it at once and waits for it.
+func TestDropSetAsideWaitsUnlessSettled(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "leaf0")
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := appendRows(l, "events", testRows(0, 30)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ResetTable("events", 30); err != nil {
+		t.Fatal(err)
+	}
+	l.DropSetAside(make(chan struct{})) // never closed
+	time.Sleep(10 * time.Millisecond)
+	if aside, err := os.ReadDir(dir + ".reset"); err != nil || len(aside) != 1 {
+		t.Fatalf("set-aside logs before Settle: %v, %v", aside, err)
+	}
+	l.Settle()
+	if aside, err := os.ReadDir(dir + ".reset"); err != nil || len(aside) != 0 {
+		t.Fatalf("set-aside logs after Settle: %v, %v", aside, err)
+	}
+}
