@@ -69,12 +69,12 @@ func TestInstantOnRolloverSmoke(t *testing.T) {
 		t.Fatalf("copy-in rollover: memory recoveries = %d, want %d (report: %+v)", got, n, rep1)
 	}
 	// The restore cost of a table is read off its restart spans: on this
-	// rollover the segment's CRC pass plus the copy to the heap. That is the
+	// rollover the segment's open (its view span) plus the copy to the heap. That is the
 	// restore's data-proportional part, not whole-Start: fixed leaf-boot
 	// costs (WAL open, disk store) are identical on both paths and
 	// independent of data size, so at production scale they vanish — at
 	// smoke scale they'd drown the signal.
-	copyIn := restoreCosts(t, pc, obs.PhaseTableCRC, obs.PhaseTableCopyIn)
+	copyIn := restoreCosts(t, pc, obs.PhaseTableView, obs.PhaseTableCopyIn)
 
 	// Rollover 2: instant-on over the same data, unprobed — the ratio
 	// measurement. The gap rollover and the probed rollover are separate: a

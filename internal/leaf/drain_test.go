@@ -134,7 +134,7 @@ func TestDrainVerifiesBeforeInstall(t *testing.T) {
 						continue
 					}
 					switch sp.Phase {
-					case obs.PhaseTableCRC, obs.PhaseTableView:
+					case obs.PhaseTableView:
 						failed = failed || sp.Err != ""
 					case obs.PhaseTableCopyIn, obs.PhaseTableAdopt:
 						t.Errorf("blocks of the damaged segment were taken: %+v", sp)
@@ -243,5 +243,47 @@ func TestEagerDrainBesideExpiry(t *testing.T) {
 	}
 	if files := segmentFiles(t, e.shmDir); len(files) != 0 {
 		t.Errorf("segments left after the drain: %v", files)
+	}
+}
+
+// TestEagerStartServesNothingFromShm: an eager start runs the move loop on
+// every table before ALIVE, so when Start returns no table holds a block of
+// a view, nothing counts as served from shm, no segment file is left, and
+// every table answers as before the restart.
+func TestEagerStartServesNothingFromShm(t *testing.T) {
+	e := newEnv(t)
+	setProcs(t, 2)
+	old := startLeaf(t, e.config(0))
+	tables := []string{"ads", "errors", "events"}
+	for i := 0; i < 3; i++ {
+		for j, name := range tables {
+			ingest(t, old, name, 100*(j+1), int64(1000+1000*j+300*i))
+		}
+		if err := old.SealAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]string{}
+	for _, name := range tables {
+		want[name] = queryFingerprint(t, old, name)
+	}
+	if _, err := old.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	nu := startLeaf(t, e.config(0))
+	if rec := nu.Recovery(); rec.Path != RecoveryMemory || rec.ServedFromShm != 0 || rec.Blocks != 9 {
+		t.Fatalf("recovery = %+v, want 9 blocks from memory, none served from shm", rec)
+	}
+	for _, name := range tables {
+		if n := nu.Table(name).ForeignBlocks(); n != 0 {
+			t.Errorf("%s holds %d blocks of a view at ALIVE", name, n)
+		}
+		if got := queryFingerprint(t, nu, name); got != want[name] {
+			t.Errorf("%s after the restart:\ngot  %s\nwant %s", name, got, want[name])
+		}
+	}
+	if files := segmentFiles(t, e.shmDir); len(files) != 0 {
+		t.Errorf("segment files left at ALIVE: %v", files)
 	}
 }

@@ -366,9 +366,12 @@ func readPinned(scanning, release chan struct{}) func(table.View) error {
 }
 
 // TestInstantOnLastPromotionUnlinksBesideAScan: a scan holds the view's
-// blocks inside ScanView's callback across the last promotion. Once
-// ServedFromShm reads 0 the shm directory holds no segment, and the scan's
-// reads of the blocks it pinned stay valid until it returns.
+// blocks inside ScanView's callback across every promotion. While it pins
+// the view the segment file keeps its size — the promoter moves blocks
+// newest first, and a view that cut its tail under the pin would fault the
+// scan's reads of the blocks promoted meanwhile. Once ServedFromShm reads 0
+// the shm directory holds no segment, and the scan's reads of the blocks it
+// pinned stay valid until it returns.
 func TestInstantOnLastPromotionUnlinksBesideAScan(t *testing.T) {
 	e := newEnv(t)
 	old := startLeaf(t, e.config(0))
@@ -394,7 +397,18 @@ func TestInstantOnLastPromotionUnlinksBesideAScan(t *testing.T) {
 		scanDone <- nu.Table("events").ScanView(0, 1<<40, readPinned(scanning, release))
 	}()
 	<-scanning
-	waitPromoted(t, nu)
+	segFile := tableSegmentFile(t, e, "events")
+	whole, err := os.Stat(segFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for nu.Recovery().ServedFromShm > 0 {
+		if fi, err := os.Stat(segFile); err == nil && fi.Size() != whole.Size() {
+			// Leave the scan parked: its reads would fault past the cut.
+			t.Fatalf("segment cut to %d of %d bytes under a scan's pin", fi.Size(), whole.Size())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if files := segmentFiles(t, e.shmDir); len(files) != 0 {
 		t.Errorf("ServedFromShm reads 0, yet segment files %v are left", files)
 	}
@@ -487,11 +501,12 @@ func TestSegmentGenerationNames(t *testing.T) {
 // TestFirstReadsRace: scans on four goroutines, the promoter and expiry take
 // their first reads of one instant-on view at once, and one block's column
 // is damaged. Run under -race it is the check that a block's one check, its
-// replacement from the store, its promotion and its expiry share nothing
-// unguarded, and one more goroutine reads the recovery record the
-// replacement updates, as /debug/recovery does. The damaged block is replaced
-// exactly once, and every answer over the rows retention keeps is the
-// reference's.
+// replacement from the store, its promotion, its expiry, the decode cache
+// the scans fill and the view's cuts of its tail share nothing unguarded,
+// and one more goroutine reads the recovery record the replacement updates,
+// as /debug/recovery does. The damaged block is replaced exactly once, every
+// answer over the rows retention keeps is the reference's, and no segment
+// file is left once every block is off shm.
 func TestFirstReadsRace(t *testing.T) {
 	const now = 1700000000 + 1000
 	e := newEnv(t)
@@ -523,6 +538,7 @@ func TestFirstReadsRace(t *testing.T) {
 	}
 
 	q := &query.Query{Table: "events", From: 1700000060, To: 1 << 40, GroupBy: []string{"service"},
+		Filters:      []query.Filter{{Column: "tags", Op: query.OpContains, Str: "prod"}},
 		Aggregations: []query.Aggregation{{Op: query.AggCount}, {Op: query.AggSum, Column: "seq"}, {Op: query.AggMax, Column: "ratio"}}}
 	answer := func(res *query.Result) string {
 		b, err := json.Marshal(res.Rows(q))
@@ -538,6 +554,7 @@ func TestFirstReadsRace(t *testing.T) {
 	want := answer(ref)
 
 	cfg.InstantOn = true
+	cfg.DecodeCacheBytes = 1 << 20 // cached columns beside the cuts
 	nu := startLeaf(t, cfg)
 	defer nu.stopPromoter()
 	var wg sync.WaitGroup
@@ -589,6 +606,9 @@ func TestFirstReadsRace(t *testing.T) {
 	<-polled
 	if rec := nu.Recovery(); rec.ServedFromShm != 0 || rec.PerTablePath[0].BlocksReplaced != 1 || rec.PerTablePath[0].BlocksDropped != 0 {
 		t.Fatalf("recovery = %+v, want every block off shm and the damaged one replaced once", rec)
+	}
+	if files := segmentFiles(t, e.shmDir); len(files) != 0 {
+		t.Errorf("segment files left once every block is off shm: %v", files)
 	}
 	res, err := nu.Query(q)
 	if err != nil || answer(res) != want {

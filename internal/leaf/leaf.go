@@ -6,10 +6,12 @@
 //   - Shutdown (Figure 6): copy every table from heap to shared memory one
 //     row block column at a time, freeing heap as it goes, then set the
 //     valid bit and exit.
-//   - Restart (Figure 7): if the valid bit is set, clear it and copy the
-//     data back to the heap, truncating and deleting segments as they
-//     drain; otherwise load the block images in the disk store and replay
-//     the write-ahead log's tail (recover.go).
+//   - Restart (Figure 7): if the valid bit is set, clear it, map each table
+//     segment read-only and put its blocks into the table in place, then
+//     move them to the heap newest first — before ALIVE, or with InstantOn
+//     behind it — while each segment's file shrinks behind them and goes
+//     with its last block (instanton.go); otherwise load the block images in
+//     the disk store and replay the write-ahead log's tail (recover.go).
 //
 // Crashes never recover from shared memory — the crash may have been caused
 // by memory corruption — so the valid bit is only ever set by a completed
@@ -69,12 +71,13 @@ type Config struct {
 	// DisableMemoryRecovery forces disk recovery on start (Figure 5b's
 	// "memory recovery disabled" edge).
 	DisableMemoryRecovery bool
-	// InstantOn turns the shm restore from a barrier into serve-from-shm.
-	// Either way segments are mapped read-only and their metadata validated,
-	// and each block's columns are checked by its first reader; on, tables
-	// serve queries zero-copy from the mappings the moment that passes and
-	// blocks are cloned heap-side in the background in query-heat order; off,
-	// the same clone runs before ALIVE — the paper's eager copy-in.
+	// InstantOn says when a shm restore moves its blocks to the heap. Either
+	// way segments are mapped read-only and their metadata validated, each
+	// block's columns are checked by their first reader, and one loop a table
+	// clones the blocks heap-side newest first. Off, that loop runs before
+	// ALIVE — the paper's eager copy-in; on, tables serve queries zero-copy
+	// from the mappings the moment the metadata passes, and the loop runs in
+	// the background, largest table first.
 	InstantOn bool
 	// DecodeCacheBytes budgets the per-table LRU of decoded columns that
 	// lets repeated queries (dashboards) skip LZ4/dictionary decode. 0
@@ -172,8 +175,8 @@ type RecoveryInfo struct {
 	// views (instant-on); it drains toward zero as promotion moves blocks
 	// heap-side. Recovery() reports the live value.
 	ServedFromShm int64 `json:"served_from_shm"`
-	// PromotedBlocks counts view blocks the background promoter has moved
-	// heap-side since the last instant-on restore. Live value.
+	// PromotedBlocks counts view blocks the move loop has swapped for heap
+	// clones since the last instant-on restore. Live value.
 	PromotedBlocks int64 `json:"promoted_blocks"`
 }
 
@@ -664,7 +667,7 @@ func (l *Leaf) queryTable(q *query.Query) (*query.Result, error) {
 		res, err := query.Execute(tbl, q, query.ExecOptions{Cache: dc, Metrics: l.registry()})
 		if err != nil {
 			var dmg *rowblock.DamagedError
-			if errors.As(err, &dmg) && l.replaceDamaged(tbl, dmg.Block, dmg.Err) {
+			if errors.As(err, &dmg) && l.replaceDamaged(tbl, dmg.Block, dmg.Err, nil) {
 				continue // the answer is the one without the damaged bytes
 			}
 			return nil, err

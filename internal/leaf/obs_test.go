@@ -66,7 +66,7 @@ func TestRestartPhaseSpans(t *testing.T) {
 	if st := newReg.Timer(obs.PhaseDiskRecovery).Stats(); st.Count != 0 {
 		t.Errorf("disk recovery ran on the memory path: %+v", st)
 	}
-	for _, name := range []string{obs.PhaseTableCRC, obs.PhaseTableCopyIn, obs.PhaseTableAdopt} {
+	for _, name := range []string{obs.PhaseTableView, obs.PhaseTableCopyIn, obs.PhaseTableAdopt} {
 		if st := newReg.Timer(name).Stats(); st.Count != 2 {
 			t.Errorf("timer %s count = %d, want one per table", name, st.Count)
 		}

@@ -30,7 +30,6 @@ import (
 	"sort"
 
 	"scuba/internal/disk"
-	"scuba/internal/fault"
 	"scuba/internal/obs"
 	"scuba/internal/rowblock"
 	"scuba/internal/shm"
@@ -43,7 +42,8 @@ type tableOutcome struct {
 	path TableRecovery // Path is RecoveryNone when the table was lost
 	// quarantined: the table's shm segment failed and the store took over.
 	quarantined bool
-	// view is the live mapping an instant-on table serves from.
+	// view is the table's segment view: its file stays past ALIVE while an
+	// instant-on table serves blocks of it.
 	view *shm.MappedView
 	// walRecords/walRows is what the log replayed on top of the images.
 	walRecords int
@@ -419,22 +419,25 @@ func sizeOf(blocks []*rowblock.RowBlock) (n int64) {
 	return n
 }
 
-// takeFromShm fills tbl with the sealed blocks in its shm segment. The
-// segment is always opened as a mapped view, which checks its metadata; a
-// segment that will not open or validate sends the table to the store.
-// InstantOn selects when the blocks are cloned to the heap — here, before
-// ALIVE (Figure 7's copy-in), or behind it by the promoter, with queries
-// served zero-copy from the view meanwhile. Either way a block's columns are
-// checked by its first reader, and one that fails is replaced by the store's
-// image of its rows (replaceDamaged). A clean shutdown seals every table's
-// unsealed tail before copy-out (Figure 5c PREPARE), so a segment never
-// carries unsealed rows.
+// takeFromShm fills tbl with the sealed blocks in its shm segment, the same
+// way for both starts: the segment is opened as a mapped view (the table's
+// view span), which checks its metadata, and its blocks go into the table
+// as they are, aliasing the mapping; a segment that will not open or
+// validate sends the table to the store. An eager start then moves them to
+// the heap here, before ALIVE (copyIn); an instant-on start serves the view
+// and leaves the move to the promoter behind ALIVE. Either way a block's
+// columns are checked by their first reader, and one that fails is replaced
+// by the store's image of its rows (replaceDamaged). Any other failure
+// returns the blocks the table still serves from the view, and the table is
+// quarantined to the store. A clean shutdown seals every table's unsealed
+// tail before copy-out (Figure 5c PREPARE), so a segment never carries
+// unsealed rows.
 func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.SegmentInfo, o *tableOutcome) error {
-	phase, path := obs.PhaseTableCRC, RecoveryMemory
+	path := RecoveryMemory
 	if l.cfg.InstantOn {
-		phase, path = obs.PhaseTableView, RecoveryShmView
+		path = RecoveryShmView
 	}
-	sp := r.Begin(phase, si.Table, worker)
+	sp := r.Begin(obs.PhaseTableView, si.Table, worker)
 	sp.Recovery = string(path)
 	v, err := shm.OpenTableSegmentView(l.shm, si)
 	if err != nil {
@@ -442,32 +445,27 @@ func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.
 		return fmt.Errorf("open segment: %w", err)
 	}
 	blocks := v.Blocks()
-	if l.cfg.InstantOn {
-		sp.Blocks, sp.Bytes = len(blocks), sizeOf(blocks)
-	}
-	sp.End(nil)
 	o.path.Path = RecoveryMemory
 	if l.cfg.InstantOn && len(blocks) > 0 { // an empty segment leaves nothing to view: memory
-		o.view, o.path.Path = v, RecoveryShmView
+		o.path.Path, sp.Blocks, sp.Bytes = path, len(blocks), sizeOf(blocks)
 	}
+	sp.End(nil)
 	starts, through, stale := l.adoptImages(r, worker, si.Table, string(o.path.Path), blocks)
-	if !l.cfg.InstantOn {
-		if blocks, err = l.drainView(r, worker, si.Table, v, starts, o); err != nil {
-			return err
-		}
-	}
 	err = tbl.Transition(table.StateMemoryRecovery)
 	for i := 0; err == nil && i < len(blocks); i++ {
-		if blocks[i] != nil { // dropped by the drain
-			err = tbl.RestoreBlock(blocks[i], starts[i])
-		}
+		err = tbl.RestoreBlock(blocks[i], starts[i])
 	}
 	if err != nil {
-		// Unreachable (a fresh table takes any ascending starts); release the
-		// residency references so a view's mapping drains.
+		// Unreachable (a fresh table takes any ascending starts); end the
+		// residencies so the view's mapping drains.
 		rowblock.ReleaseSources(blocks)
-		o.view = nil
 		return err
+	}
+	if !l.cfg.InstantOn {
+		if err := l.copyIn(r, worker, tbl, o); err != nil {
+			rowblock.ReleaseSources(tbl.Blocks())
+			return err
+		}
 	}
 	tbl.AlignSealedEnd(through)
 	tbl.MarkPersistedThrough(through)
@@ -479,36 +477,21 @@ func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.
 		l.stale[si.Table] = true
 		l.mu.Unlock()
 	}
+	o.view = v
 	return nil
 }
 
-// drainView is Figure 7's copy-in, the table's copy_in span: v's blocks are
-// cloned to the heap newest first while the segment shrinks behind them
-// (MappedView.Drain), and the segment is gone when the span ends, drained or
-// failed. A clone that fails its check takes the store's image of the
-// block's rows, at starts[i], in its place, or leaves a nil: the block is
-// dropped.
-func (l *Leaf) drainView(r *obs.Restart, worker int, name string, v *shm.MappedView, starts []int64, o *tableOutcome) ([]*rowblock.RowBlock, error) {
-	sp := r.Begin(obs.PhaseTableCopyIn, name, worker)
+// copyIn is Figure 7's copy-in, the table's copy_in span: the promoter's
+// loop (moveBlocks) run on the table's recovery worker before ALIVE, which
+// leaves the table holding heap blocks only, and the segment, cut back
+// behind every block, gone.
+func (l *Leaf) copyIn(r *obs.Restart, worker int, tbl *table.Table, o *tableOutcome) error {
+	sp := r.Begin(obs.PhaseTableCopyIn, tbl.Name(), worker)
 	sp.Recovery = string(RecoveryMemory)
-	blocks, err := v.Drain(func(i int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
-		clone, err := l.cloneBlock(name, rb)
-		var dmg *rowblock.DamagedError
-		if !errors.As(err, &dmg) {
-			return clone, err
-		}
-		clone = l.storeImage(name, starts[i], rb)
-		l.countLoss(&o.path, starts[i], rb.Rows(), clone != nil, dmg.Err)
-		return clone, nil
-	})
-	for _, rb := range blocks {
-		if rb != nil {
-			sp.Blocks++
-			sp.Bytes += rb.Header().Size
-		}
-	}
+	var err error
+	sp.Blocks, sp.Bytes, err = l.moveBlocks(context.Background(), tbl, &o.path)
 	sp.End(err)
-	return blocks, err
+	return err
 }
 
 // storeImage is the store's image of the rows a damaged block held — the
@@ -541,12 +524,13 @@ func (l *Leaf) isStale(name string) bool {
 	return l.stale[name]
 }
 
-// replaceDamaged takes a block whose first read found it damaged out of tbl
-// once ALIVE — a scan's or the promoter's — swapping in the store's image of
-// the same rows, or dropping it when there is none, and counts that on the
-// table's recovery record. It reports whether the block is out of the table:
-// also when another reader took it out first.
-func (l *Leaf) replaceDamaged(tbl *table.Table, bad *rowblock.RowBlock, why error) bool {
+// replaceDamaged takes a block whose first read found it damaged — a scan's,
+// or a move's clone — out of tbl, swapping in the store's image of the same
+// rows, or dropping it when there is none, and counts that on tr: the
+// table's record while it recovers, nil once the leaf's record holds it
+// (ALIVE). It reports whether the block is out of the table: also when
+// another reader took it out first.
+func (l *Leaf) replaceDamaged(tbl *table.Table, bad *rowblock.RowBlock, why error, tr *TableRecovery) bool {
 	start, ok := tbl.StartOf(bad)
 	if !ok {
 		return true
@@ -559,6 +543,10 @@ func (l *Leaf) replaceDamaged(tbl *table.Table, bad *rowblock.RowBlock, why erro
 	if src := bad.Source(); src != nil {
 		src.Release() // the reference the ended residency held
 	}
+	if tr != nil {
+		l.countLoss(tr, start, bad.Rows(), rb != nil, why)
+		return true
+	}
 	l.mu.Lock()
 	for i := range l.recovery.PerTablePath {
 		if tr := &l.recovery.PerTablePath[i]; tr.Table == tbl.Name() {
@@ -567,23 +555,6 @@ func (l *Leaf) replaceDamaged(tbl *table.Table, bad *rowblock.RowBlock, why erro
 	}
 	l.mu.Unlock()
 	return true
-}
-
-// cloneBlock is the one shm → heap step, run by the eager drain before ALIVE
-// and by the promoter behind it: pin the view (expiry may release the block's
-// residency reference at any moment, and the clone must never read unmapped
-// memory), fire shm.copy_in, copy the blobs and check the copies
-// (CloneToHeap: a *rowblock.DamagedError when they fail).
-func (l *Leaf) cloneBlock(name string, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
-	src := rb.Source()
-	if !src.Retain() {
-		return nil, fmt.Errorf("leaf: %s: segment view already drained", name)
-	}
-	defer src.Release()
-	if err := fault.Inject(fault.SiteShmCopyIn); err != nil {
-		return nil, fmt.Errorf("leaf: %s: copy in: %w", name, err)
-	}
-	return rb.CloneToHeap()
 }
 
 // adoptImages gives blocks restored from shm their global row indexes and

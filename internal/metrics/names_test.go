@@ -94,7 +94,6 @@ func TestCanonicalNames(t *testing.T) {
 		"restart.table.seal":      "restart_table_seal",
 		"restart.table.persist":   "restart_table_persist",
 		"restart.table.copy_out":  "restart_table_copy_out",
-		"restart.table.crc":       "restart_table_crc",
 		"restart.table.copy_in":   "restart_table_copy_in",
 		"restart.table.view":      "restart_table_view",
 		"restart.table.adopt":     "restart_table_adopt",
@@ -151,11 +150,13 @@ func TestCanonicalNames(t *testing.T) {
 // so the aggregator-side scraper's counters went with the scraper; and a
 // duration is observed once, by a timer, so the µs histogram twins beside the
 // query timers went, and the µs-named pause and promote histograms are timers
-// under their plain names. No non-test source in the module may name them
-// again.
+// under their plain names; and both shm starts open a segment in a view
+// span, so the eager start's crc span went. No non-test source in the module
+// may name them again.
 func TestRetiredNamesStayRetired(t *testing.T) {
 	retired := []string{"scrape.count", "scrape.errors", "scrape_count", "scrape_errors",
-		"query.latency_hist", "query.exec.latency_hist", "runtime.gc_pause_hist", "restart.promote.block_us"}
+		"query.latency_hist", "query.exec.latency_hist", "runtime.gc_pause_hist", "restart.promote.block_us",
+		"restart.table.crc"}
 	err := filepath.WalkDir(filepath.Join("..", ".."), func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err

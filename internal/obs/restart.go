@@ -64,7 +64,6 @@ const (
 	PhaseTableSeal     = "restart.table.seal"      // seal the unsealed tail (PREPARE)
 	PhaseTablePersist  = "restart.table.persist"   // unpersisted images + watermark, fsynced
 	PhaseTableCopyOut  = "restart.table.copy_out"  // blocks heap → segment
-	PhaseTableCRC      = "restart.table.crc"       // open the segment to drain, check its metadata
 	PhaseTableCopyIn   = "restart.table.copy_in"   // blocks segment → heap
 	PhaseTableView     = "restart.table.view"      // map read-only, check metadata, decode in place
 	PhaseTableAdopt    = "restart.table.adopt"     // match the store's images to the blocks

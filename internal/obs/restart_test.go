@@ -315,11 +315,11 @@ func TestTraceViews(t *testing.T) {
 	trace := Trace{
 		span(PhaseMap, "", -1, 0, 2, 0, ""),
 		span(PhaseCopyIn, "", -1, 2, 30, 0, ""),
-		span(PhaseTableCRC, "a", 0, 2, 5, 0, ""),
+		span(PhaseTableView, "a", 0, 2, 5, 0, ""),
 		span(PhaseTableCopyIn, "a", 0, 7, 20, 8, ""),
-		span(PhaseTableCRC, "b", 1, 2, 4, 0, "payload CRC mismatch"),
+		span(PhaseTableView, "b", 1, 2, 4, 0, "index checksum mismatch"),
 		span(PhaseTableLoad, "b", 1, 6, 25, 3, ""),
-		span(PhaseTableCRC, "lost", 1, 31, 1, 0, "no such segment"),
+		span(PhaseTableView, "lost", 1, 31, 1, 0, "no such segment"),
 		span(PhaseTableLoad, "lost", 1, 32, 0, 2, "no such table"),
 		span(PhaseAlive, "", -1, 32, 1, 0, ""),
 		span(PhaseFirstAnswer, "", -1, 33, 7, 0, ""),

@@ -190,8 +190,8 @@ func TestTracesOrderTiedRestartSpansAlike(t *testing.T) {
 	at := time.UnixMicro(1_700_000_000_000_000)
 	ledger := []Span{
 		{TraceID: 5, Kind: KindRestart, Half: HalfStart, Phase: PhaseCopyIn, Worker: -1, Start: at},
-		{TraceID: 5, Kind: KindRestart, Half: HalfStart, Phase: PhaseTableCRC, Table: "t1", Worker: 0, Start: at},
-		{TraceID: 5, Kind: KindRestart, Half: HalfStart, Phase: PhaseTableCRC, Table: "t0", Worker: 1, Start: at},
+		{TraceID: 5, Kind: KindRestart, Half: HalfStart, Phase: PhaseTableView, Table: "t1", Worker: 0, Start: at},
+		{TraceID: 5, Kind: KindRestart, Half: HalfStart, Phase: PhaseTableView, Table: "t0", Worker: 1, Start: at},
 	}
 	readBack := []Span{ledger[2], ledger[1], ledger[0]}
 	got, want := Traces(readBack), Traces(ledger)

@@ -3,7 +3,6 @@ package query
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"scuba/internal/column"
 	"scuba/internal/metrics"
@@ -33,11 +32,6 @@ type DecodeCache struct {
 	misses    *metrics.Counter
 	evictions *metrics.Counter
 	bytesG    *metrics.Gauge
-
-	// localHits counts this cache's hits alone. The registry counters above
-	// are shared across every table's cache; the promotion scheduler needs a
-	// per-table signal to rank query heat, so this one stays local.
-	localHits atomic.Int64
 }
 
 type decodeKey struct {
@@ -99,17 +93,7 @@ func (c *DecodeCache) Get(rb Block, name string) (column.Column, bool) {
 	}
 	c.ll.MoveToFront(el)
 	count(c.hits)
-	c.localHits.Add(1)
 	return el.Value.(*decodeEntry).col, true
-}
-
-// Hits returns how many lookups this cache (alone) has served from memory —
-// the promotion scheduler's per-table query-heat signal. Safe on nil caches.
-func (c *DecodeCache) Hits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.localHits.Load()
 }
 
 // Put inserts a decoded column, evicting least-recently-used entries to stay

@@ -84,18 +84,19 @@ type Header struct {
 	Created  int64 // when the row block was first created
 }
 
-// Source is the foreign memory a zero-copy block's RBC blobs alias — for
-// instant-on restarts, a refcounted mmap'd shm segment view. Retain pins the
-// memory for a reader and reports false when the source is already gone (the
-// last reference dropped); Release undoes one Retain. Evict ends one block's
+// Source is the foreign memory a zero-copy block's RBC blobs alias — after a
+// shm restart, a refcounted mmap'd segment view. Retain pins the memory for a
+// reader and reports false when the source is already gone (the last
+// reference dropped); Release undoes one Retain. Evict ends block b's
 // residency — no table holds it any more — and keeps the reference that
 // residency held, which the caller then Releases like a reader's: the backing
-// file goes with the last residency, the mapping with the last reference. A
-// block with a nil source owns its memory outright.
+// file shrinks as its blocks leave and goes with the last residency, the
+// mapping with the last reference. A block with a nil source owns its memory
+// outright.
 type Source interface {
 	Retain() bool
 	Release()
-	Evict()
+	Evict(b *RowBlock)
 }
 
 // ReleaseSources ends the residency of every foreign-memory block in blocks
@@ -105,7 +106,7 @@ type Source interface {
 func ReleaseSources(blocks []*RowBlock) {
 	for _, rb := range blocks {
 		if rb != nil && rb.src != nil {
-			rb.src.Evict()
+			rb.src.Evict(rb)
 			rb.src.Release()
 		}
 	}

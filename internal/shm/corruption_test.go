@@ -71,7 +71,7 @@ func restoreBothWays(t testing.TB, m *Manager, seg, table string, raw []byte) (s
 	if v, err := OpenTableSegmentView(m, SegmentInfo{Table: table, Segment: seg}); err != nil {
 		drainErr = err
 	} else {
-		drained, drainErr = v.Drain(func(i int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
+		drained, drainErr = drain(v, func(i int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
 			c, err := clone(i, rb)
 			if damaged(err) {
 				return nil, nil

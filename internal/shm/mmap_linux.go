@@ -26,19 +26,6 @@ func (s *Segment) mapIn() error {
 	return nil
 }
 
-// madvPopulateRead is Linux's MADV_POPULATE_READ (5.14 and later).
-const madvPopulateRead = 22
-
-// populate prefaults a mapping about to be read end to end — the eager
-// drain's — in one kernel sweep instead of a minor fault per page mid-copy:
-// on tmpfs the pages are resident, so it only builds page tables. An older
-// kernel refuses the advice, and the copy faults the pages in.
-func (s *Segment) populate() {
-	if s.useMmap && s.data != nil {
-		syscall.Madvise(s.data, madvPopulateRead) //nolint:errcheck // advice
-	}
-}
-
 // mapOut unmaps the segment. MAP_SHARED writes are visible to the file
 // without an explicit flush.
 func (s *Segment) mapOut() error {

@@ -8,5 +8,3 @@ package shm
 func (s *Segment) mapIn() error { return s.loadFallback() }
 
 func (s *Segment) mapOut() error { return s.storeFallback() }
-
-func (s *Segment) populate() {}

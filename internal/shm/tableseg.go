@@ -28,10 +28,10 @@ import (
 //	footer, the block index: per block a u64 image offset and the u32
 //	     CRC-32C of the image's prefix (rowblock.PrefixCRC)
 //
-// The footer lets an eager restore drain the segment in reverse, truncating
-// the tail after each block (MappedView.Drain) so tmpfs pages are
-// released as the data moves back to the heap, keeping the total footprint
-// flat (§4.4, Figure 7).
+// The footer's offsets let a restore hand the segment back to tmpfs from
+// the end: as blocks move to the heap newest first, the view truncates the
+// file behind them (MappedView.Evict), keeping the total footprint flat
+// (§4.4, Figure 7).
 //
 // Every byte a reader uses is under one checksum, checked when it is read:
 // the index CRC covers the header's offsets and counts and the index, the

@@ -3,7 +3,6 @@ package shm
 import (
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 
@@ -46,12 +45,32 @@ func openView(t testing.TB, m *Manager, seg, table string) *MappedView {
 	return v
 }
 
-// clone is the eager drain's clone step with nothing around it: a damaged
+// clone is the move loop's clone step with nothing around it: a damaged
 // block is the drain's error.
 func clone(_ int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) { return rb.CloneToHeap() }
 
-// drainView drains v the way an eager restore does.
-func drainView(v *MappedView) ([]*rowblock.RowBlock, error) { return v.Drain(clone) }
+// drain moves v's blocks to the heap the way an eager start does, with no
+// table around them: newest first, each cloned and then its residency ended,
+// so the view cuts its tail behind it. It returns the clones in segment
+// order. A clone's error is the drain's, and the blocks not yet moved leave
+// with it.
+func drain(v *MappedView, clone func(i int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error)) ([]*rowblock.RowBlock, error) {
+	blocks := v.Blocks()
+	out := make([]*rowblock.RowBlock, len(blocks))
+	for i := len(blocks) - 1; i >= 0; i-- {
+		c, err := clone(i, blocks[i])
+		if err != nil {
+			rowblock.ReleaseSources(blocks[:i+1])
+			return nil, err
+		}
+		out[i] = c
+		rowblock.ReleaseSources(blocks[i : i+1])
+	}
+	return out, nil
+}
+
+// drainView drains v with the plain clone step.
+func drainView(v *MappedView) ([]*rowblock.RowBlock, error) { return drain(v, clone) }
 
 func TestTableSegmentRoundTrip(t *testing.T) {
 	runBothModes(t, func(t *testing.T, noMmap bool) {
@@ -124,50 +143,6 @@ func TestWriteBlockReleasesHeapColumns(t *testing.T) {
 	if len(restored) != 1 || restored[0].Rows() != 100 {
 		t.Errorf("restored = %v", restored)
 	}
-}
-
-// TestReaderTruncatesAsItDrains is the §4.4 flat footprint: the segment file
-// gets strictly smaller behind every block the eager drain clones — the blocks
-// still to come stay readable below the cut — and the last release deletes it.
-func TestReaderTruncatesAsItDrains(t *testing.T) {
-	runBothModes(t, func(t *testing.T, noMmap bool) {
-		m := newTestManager(t, 1, noMmap)
-		blocks := buildBlocks(t, 3, 1000)
-		writeSegment(t, m, "tbl-t", "t", blocks)
-		v := openView(t, m, "tbl-t", "t")
-		path := m.segmentPath("tbl-t")
-		fileSize := func() int64 {
-			fi, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fi.Size()
-		}
-		// The file's size as each clone begins, newest block first: whole for
-		// the first, then cut at the start of the image cloned just before —
-		// every callback's block is gone from tmpfs before the next begins.
-		want := []int64{fileSize(), v.offsets[2], v.offsets[1]}
-		var sizes []int64
-		restored, err := v.Drain(func(i int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error) {
-			sizes = append(sizes, fileSize())
-			return clone(i, rb)
-		})
-		if err != nil || len(restored) != 3 {
-			t.Fatalf("drain = %d blocks, %v", len(restored), err)
-		}
-		if !reflect.DeepEqual(sizes, want) || !(want[0] > want[1] && want[1] > want[2]) {
-			t.Errorf("segment size before each clone = %v, want %v", sizes, want)
-		}
-		for i, rb := range restored {
-			got, err := rb.Times(nil)
-			if want, _ := blocks[i].Times(nil); err != nil || !reflect.DeepEqual(got, want) {
-				t.Errorf("block %d differs after the drain (%v)", i, err)
-			}
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("segment file survived the drain: %v", err)
-		}
-	})
 }
 
 func TestOpenTableSegmentRejectsCorruption(t *testing.T) {

@@ -2,6 +2,7 @@ package shm
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"scuba/internal/fault"
@@ -9,12 +10,11 @@ import (
 )
 
 // MappedView is the one reader of a table segment: a read-only mmap whose
-// block images are decoded in place, so the RBC blobs alias the mapping. An
-// instant-on restart serves queries from the blocks while a background
-// promoter clones them to the heap; an eager restart clones them all before
-// the leaf goes ALIVE, newest first, handing the segment's tail back to tmpfs
-// behind each (Drain). Either way the segment stays mapped until the
-// last reference drains.
+// block images are decoded in place, so the RBC blobs alias the mapping. Both
+// starts serve a table from its view's blocks and move them to the heap one
+// at a time, newest first (the leaf's one move loop): an eager start before
+// the leaf goes ALIVE, an instant-on start behind it while queries read the
+// view. The segment stays mapped until the last reference drains.
 //
 // The open checks metadata only: the segment's index and each image's
 // prefix, by their CRCs. A block's column bytes are checked by their first
@@ -25,23 +25,42 @@ import (
 // leaf replaces the block from the store.
 //
 // References: the view opens holding one reference per decoded block (the
-// table's residency), and every in-flight scan that snapshots a view block
-// takes one more via Retain. Whoever removes a block from circulation —
-// the eager drain, background promotion, expiry, shutdown copy-out, table
-// teardown — ends the block's residency (Evict) and releases its reference;
-// the scan that pinned a block releases its own when it drains. The last
-// residency to end deletes the segment's file: no table serves the view any
-// more, and a scan still reading keeps the mapping, which outlives the
-// unlinked file. When the count hits zero the segment is unmapped, and Retain
-// can never resurrect it (CAS from nonzero only), so a reader either pins
-// live memory or is told the view is gone.
+// table's residency), and every reader that pins a view block takes one more
+// via Retain. Whoever removes a block from circulation — promotion, expiry,
+// a damaged block's replacement, shutdown copy-out, table teardown — ends the
+// block's residency (Evict) and releases its reference; a reader releases its
+// own when it is done. When the count hits zero the segment is unmapped, and
+// Retain can never resurrect it (CAS from nonzero only), so a reader either
+// pins live memory or is told the view is gone.
+//
+// The tail (§4.4, Figure 7: "truncate the table shared memory segment if
+// needed"): when a residency ends and every block from some image on has
+// left, the segment's file is cut back to that image's offset — but only if
+// no reader pins the view, which is when the references are the residencies
+// plus the evicting caller's own. Nothing reads a cut byte: a block is read
+// by a reader that pinned it while its table held it (a pin counted before
+// the block could leave, so the view is not cut under it), or by whoever
+// took it out of the table before ending its residency (so it has not left).
+// The one decoded column that aliases the mapping, a string set's rows
+// (column.StringSetColumn), lives inside the scan that pinned its block and
+// never enters the decode cache, whose entries are copies keyed by block.
+// Every block a table still holds lies below the cut. So a start that moves
+// blocks newest first with nothing pinned — every eager one — hands the
+// segment back to tmpfs behind each block and its footprint stays flat, and
+// a pinned view is never cut. The last residency to end deletes the file
+// instead: a reader still holding a pin keeps the mapping, which outlives
+// the unlinked file.
 type MappedView struct {
-	m        *Manager
-	seg      *Segment
-	offsets  []int64 // of each block image in the segment, then of the footer
-	blocks   []*rowblock.RowBlock
-	refs     atomic.Int64
-	resident atomic.Int64 // blocks a table still holds
+	m       *Manager
+	seg     *Segment
+	offsets []int64 // of each block image in the segment, then of the footer
+	blocks  []*rowblock.RowBlock
+	refs    atomic.Int64
+
+	mu       sync.Mutex
+	resident int                         // blocks a table still holds
+	left     map[*rowblock.RowBlock]bool // blocks whose residency ended
+	tail     int                         // blocks[tail:] are cut from the file
 }
 
 // OpenTableSegmentView maps the table segment si names read-only and decodes
@@ -73,7 +92,8 @@ func OpenTableSegmentView(m *Manager, si SegmentInfo) (*MappedView, error) {
 		m.RemoveSegment(si.Segment) //nolint:errcheck // the restore's final sweep takes what this leaves
 	}
 	v.refs.Store(int64(len(v.blocks)))
-	v.resident.Store(int64(len(v.blocks)))
+	v.resident, v.tail = len(v.blocks), len(v.blocks)
+	v.left = make(map[*rowblock.RowBlock]bool, len(v.blocks))
 	return v, nil
 }
 
@@ -134,39 +154,27 @@ func (v *MappedView) Retain() bool {
 	}
 }
 
-// Drain is Figure 7's copy-in loop for an eager restore, which holds every
-// reference: block i is handed to clone newest first, and behind each clone
-// the segment from that block's image to its end goes back to tmpfs
-// ("truncate the table shared memory segment if needed") with the block's
-// residency reference, so the heap grows as the segment shrinks and the
-// footprint stays flat (§4.4). The clone checks its copy (CloneToHeap) and
-// may return nil for a block the caller drops. Drain returns the clones in
-// segment order. The last release unmaps and deletes the segment; so does a
-// clone's error, which is Drain's and releases the blocks not yet cloned.
-func (v *MappedView) Drain(clone func(i int, rb *rowblock.RowBlock) (*rowblock.RowBlock, error)) ([]*rowblock.RowBlock, error) {
-	out := make([]*rowblock.RowBlock, len(v.blocks))
-	v.seg.populate()
-	for i := len(v.blocks) - 1; i >= 0; i-- {
-		rb, err := clone(i, v.blocks[i])
-		if err == nil {
-			out[i], err = rb, v.seg.Truncate(v.offsets[i])
-		}
-		if err != nil {
-			rowblock.ReleaseSources(v.blocks[:i+1])
-			return nil, err
-		}
-		v.Evict()
-		v.Release()
-	}
-	return out, nil
-}
-
-// Evict ends one block's residency. The last one deletes the segment's file
-// — a removal error is deliberately swallowed: a leftover file is swept by
-// the next restore's orphan pass, and no remover is positioned to act on it.
-func (v *MappedView) Evict() {
-	if v.resident.Add(-1) == 0 {
+// Evict ends rb's residency: no table holds it any more, and the caller
+// releases the reference it held after this returns. The last residency
+// deletes the segment's file; before it, a tail every block of which has left
+// goes back to tmpfs when no reader pins the view (see MappedView). Removal
+// and truncation errors are deliberately swallowed: a leftover file, or a
+// longer one, is swept by the next restore's orphan pass, and no remover is
+// positioned to act on it.
+func (v *MappedView) Evict(rb *rowblock.RowBlock) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.left[rb] = true
+	if v.resident--; v.resident == 0 {
 		v.m.RemoveSegment(v.seg.Name()) //nolint:errcheck
+		return
+	}
+	tail := v.tail
+	for tail > 0 && v.left[v.blocks[tail-1]] {
+		tail--
+	}
+	if tail < v.tail && v.refs.Load() == int64(v.resident)+1 && v.seg.Truncate(v.offsets[tail]) == nil {
+		v.tail = tail
 	}
 }
 

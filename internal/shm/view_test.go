@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"testing"
@@ -108,4 +109,64 @@ func TestMappedViewValidation(t *testing.T) {
 	if m.SegmentExists("tbl-empty") {
 		t.Fatal("empty segment file left behind")
 	}
+}
+
+// TestEvictionHandsTheTailBack is the §4.4 flat footprint, kept by the view:
+// a residency that ends while every block after it has left, with nothing
+// pinned, cuts the file back to that block's image, and the blocks below stay
+// readable; a pin held across an eviction leaves the file whole, the evicted
+// block included, and the next unpinned eviction takes the whole run that
+// left since; the last residency unlinks the file.
+func TestEvictionHandsTheTailBack(t *testing.T) {
+	runBothModes(t, func(t *testing.T, noMmap bool) {
+		m := newTestManager(t, 1, noMmap)
+		blocks := buildBlocks(t, 5, 1000)
+		writeSegment(t, m, "tbl-t", "t", blocks)
+		v := openView(t, m, "tbl-t", "t")
+		vb := v.Blocks()
+		path := m.segmentPath("tbl-t")
+		size := func() int64 {
+			t.Helper()
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fi.Size()
+		}
+		readable := func(from, to int) {
+			t.Helper()
+			for i := from; i < to; i++ {
+				if !bytes.Equal(vb[i].AppendImage(nil), blocks[i].AppendImage(nil)) {
+					t.Errorf("block %d reads back otherwise", i)
+				}
+			}
+		}
+		evict := func(i int, want int64, why string) {
+			t.Helper()
+			rowblock.ReleaseSources(vb[i : i+1])
+			if got := size(); got != want {
+				// Fatal: reading a block past a cut would fault the test binary.
+				t.Fatalf("after block %d left (%s): file is %d bytes, want %d", i, why, got, want)
+			}
+		}
+		whole := size()
+		evict(0, whole, "blocks after it are still held")
+		evict(4, v.offsets[4], "newest, nothing pinned")
+		readable(1, 4)
+		if !v.Retain() {
+			t.Fatal("Retain failed on a live view")
+		}
+		evict(3, v.offsets[4], "a reader pins the view")
+		readable(1, 4)
+		v.Release()
+		evict(2, v.offsets[2], "pin gone: blocks 2 and 3 go together")
+		readable(1, 2)
+		rowblock.ReleaseSources(vb[1:2])
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("segment file survived the last residency: %v", err)
+		}
+		if v.Refs() != 0 {
+			t.Errorf("refs = %d after every residency ended", v.Refs())
+		}
+	})
 }

@@ -305,27 +305,29 @@ func (t *Table) ScanView(from, to int64, fn func(View) error) error {
 	return fn(view)
 }
 
-// SwapBlock replaces old with new in the block vector — the background
-// promotion path swapping a shm-resident block for its heap clone, or a
-// damaged block for the store's image of the same rows — or, with a nil new,
-// drops it. A swap preserves the block's position and global row index;
-// header-derived accounting is unchanged because the two share the header,
-// and a drop takes the block's rows and bytes off it. Returns false
-// when old is no longer present (expired or copied out) or the table has
-// left ALIVE (shutdown owns the blocks now); the caller keeps the old block
-// in that case. On success the old block's residency ends under the table
-// lock (Source.Evict), so once ForeignBlocks reads 0 no view's file is left;
-// the old block is reported to the evict hook so derived state (the decode
-// cache) drops entries keyed by its identity, and the caller releases the
-// reference its residency held.
+// SwapBlock replaces old with new in the block vector — the move loop
+// swapping a shm-resident block for its heap clone, or a damaged block for
+// the store's image of the same rows — or, with a nil new, drops it. A swap
+// preserves the block's position and global row index; header-derived
+// accounting is unchanged because the two share the header, and a drop takes
+// the block's rows and bytes off it. Returns false when old is no longer
+// present (expired or copied out) or the table is neither ALIVE nor in
+// MEMORY_RECOVERY (an eager start moves its blocks there; after ALIVE,
+// shutdown owns the blocks); the caller keeps the old block in that case. On
+// success the old block's residency ends under the table lock
+// (Source.Evict), so once ForeignBlocks reads 0 no view's file is left; the
+// old block is reported to the evict hook so derived state (the decode cache)
+// drops entries keyed by its identity, and the caller releases the reference
+// its residency held.
 func (t *Table) SwapBlock(old, new *rowblock.RowBlock) bool {
 	t.mu.Lock()
-	if t.state != StateAlive {
+	if t.state != StateAlive && t.state != StateMemoryRecovery {
 		t.mu.Unlock()
 		return false
 	}
-	for i, rb := range t.blocks {
-		if rb == old {
+	// From the newest end: the move loop takes blocks newest first.
+	for i := len(t.blocks) - 1; i >= 0; i-- {
+		if t.blocks[i] == old {
 			if new != nil {
 				t.blocks[i] = new
 			} else {
@@ -335,7 +337,7 @@ func (t *Table) SwapBlock(old, new *rowblock.RowBlock) bool {
 				t.bytesTotal -= old.Header().Size
 			}
 			if src := old.Source(); src != nil {
-				src.Evict()
+				src.Evict(old)
 			}
 			t.mu.Unlock()
 			t.notifyEvict([]*rowblock.RowBlock{old})
@@ -343,6 +345,22 @@ func (t *Table) SwapBlock(old, new *rowblock.RowBlock) bool {
 		}
 	}
 	t.mu.Unlock()
+	return false
+}
+
+// Pin retains rb's foreign memory for a reader, as ScanView does, when the
+// table still holds rb: under the table lock, so a block that has left —
+// whose bytes its view may have handed back — is never pinned. The caller
+// releases rb.Source() when done. False for a block the table no longer
+// holds or whose source is gone.
+func (t *Table) Pin(rb *rowblock.RowBlock) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := len(t.blocks) - 1; i >= 0; i-- {
+		if t.blocks[i] == rb {
+			return rb.Source() != nil && rb.Source().Retain()
+		}
+	}
 	return false
 }
 
