@@ -80,8 +80,18 @@ func TestBenchedBenchmarksAreGated(t *testing.T) {
 	var benched, filters []string
 	var base string
 	for _, step := range strings.Split(string(data), "\n      - ")[1:] {
-		_, rest, _ := strings.Cut(step, "-bench '")
-		pattern, _, _ := strings.Cut(rest, "'")
+		// A step may bench in several commands (the restart families at a
+		// fixed count): its pattern is theirs joined, in order.
+		var patterns []string
+		for rest := step; ; {
+			var ok bool
+			if _, rest, ok = strings.Cut(rest, "-bench '"); !ok {
+				break
+			}
+			p, _, _ := strings.Cut(rest, "'")
+			patterns = append(patterns, p)
+		}
+		pattern := strings.Join(patterns, "|")
 		if strings.HasPrefix(step, "name: Bench PR head\n") {
 			benched = strings.Split(pattern, "|")
 		}

@@ -91,10 +91,9 @@ type promoter struct {
 // table on the background pool, the table with the most bytes first. Called
 // once per Start, after the leaf transitions ALIVE. The drain is the start
 // ledger's restart.promote span, ended by whichever comes first: the last
-// table drained, or stopPromoter; the channel it returns is closed then. A
-// table whose loop stops on an error keeps serving the blocks it has left
-// from shm, which is always safe.
-func (l *Leaf) startPromoter() <-chan struct{} {
+// table drained, or stopPromoter. A table whose loop stops on an error keeps
+// serving the blocks it has left from shm, which is always safe.
+func (l *Leaf) startPromoter() {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &promoter{cancel: cancel, done: make(chan struct{})}
 	l.mu.Lock()
@@ -116,7 +115,6 @@ func (l *Leaf) startPromoter() <-chan struct{} {
 		l.handOffUnpersisted()
 		close(p.done)
 	}()
-	return p.done
 }
 
 // stopPromoter stops the pool and waits for in-flight promotions to land.

@@ -615,40 +615,3 @@ func TestFirstReadsRace(t *testing.T) {
 		t.Fatalf("answer after the promotion: %v", err)
 	}
 }
-
-// TestSyncToDiskDoesNotWaitForPromotion: an instant-on start deletes the
-// logs its resets set aside once promotion is done, but the persist barrier
-// does not wait for promotion: SyncToDisk deletes them at once and returns
-// while every clone is still held up.
-func TestSyncToDiskDoesNotWaitForPromotion(t *testing.T) {
-	e := newWALEnv(t)
-	cfg := e.config(0)
-	old := startLeaf(t, cfg)
-	ingest(t, old, "events", 600, 1000)
-	if _, err := old.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-
-	t.Cleanup(fault.Reset)
-	if err := fault.ArmSpec(fault.SiteShmCopyIn + "=delay:500ms"); err != nil {
-		t.Fatal(err)
-	}
-	cfg.InstantOn = true
-	nu := startLeaf(t, cfg)
-	defer nu.stopPromoter()
-	aside := nu.WAL().Dir() + ".reset"
-	if entries, err := os.ReadDir(aside); err != nil || len(entries) != 1 {
-		t.Fatalf("set-aside logs while promotion runs: %v, %v; want the one reset", entries, err)
-	}
-	if _, err := nu.SyncToDisk(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-nu.promo.done:
-		t.Fatal("SyncToDisk returned after promotion")
-	default:
-	}
-	if entries, err := os.ReadDir(aside); err != nil || len(entries) != 0 {
-		t.Fatalf("set-aside logs after SyncToDisk: %v, %v", entries, err)
-	}
-}

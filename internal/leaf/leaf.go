@@ -450,9 +450,10 @@ func (l *Leaf) shutdown(toShm bool) (info ShutdownInfo, err error) {
 			rowblock.ReleaseSources(t.Blocks())
 		}
 		if l.wal != nil {
-			// The log files are intentionally left on disk: if the process
-			// crashes before (or during) the next restore, the WAL still
-			// covers everything the shm backup does.
+			// Every table's log is empty: each was reset behind its table's
+			// persist, whose watermark is fsynced before the log goes, so if
+			// the process crashes before (or during) the next restore, the
+			// store holds everything the shm backup does.
 			l.walReady.Store(false)
 			l.wal.Close() //nolint:errcheck // shutdown teardown; appends already acked are synced
 		}
@@ -758,15 +759,11 @@ func (l *Leaf) locksFor(name string) *tableLocks {
 	return tl
 }
 
-// SyncToDisk is the persist barrier: it deletes the logs Start set aside,
-// if the deletion has not run yet (wal.Log.Settle), and, for every table,
-// waits out a persist in flight, then persists what is left. It returns the
-// number of images this call wrote, 0 when the persister had written them
-// all.
+// SyncToDisk is the persist barrier: for every table it waits out a persist
+// in flight, then persists what is left. It returns the number of images
+// this call wrote, 0 when the persister had written them all. It does not
+// wait for promotion.
 func (l *Leaf) SyncToDisk() (int, error) {
-	if l.wal != nil {
-		l.wal.Settle()
-	}
 	if l.store == nil {
 		return 0, nil
 	}

@@ -127,9 +127,12 @@ type backup struct {
 // next process adopt them instead of rewriting them. With a backup, Figure 6's
 // copy-out runs beside that persist rather than behind it: it takes the blocks
 // the persist does not touch first, oldest first, and waits for the persist
-// only at the first block it is writing. A persist error fails the table
-// before the valid bit, with every unpersisted block still whole for the
-// failure path to write.
+// only at the first block it is writing. Once the persist has returned the
+// store holds every row, so the table's log is emptied behind it, still
+// under the persist lock: the next start has none to reset. A persist error
+// fails the table before the valid bit, with every unpersisted block still
+// whole for the failure path to write and the log whole for the next start
+// to replay.
 func (l *Leaf) shutdownTable(ctx context.Context, r *obs.Restart, worker int, tbl *table.Table, b *backup) error {
 	sp := r.Begin(obs.PhaseTableSeal, tbl.Name(), worker)
 	err := tbl.Prepare()
@@ -145,7 +148,16 @@ func (l *Leaf) shutdownTable(ctx context.Context, r *obs.Restart, worker int, tb
 		p.clean = tbl.Stats().NumBlocks - len(unpersisted)
 		sp := r.Begin(obs.PhaseTablePersist, tbl.Name(), worker)
 		go func() {
-			_, p.err = l.persistTable(tbl)
+			locks := l.locksFor(tbl.Name())
+			locks.persist.Lock()
+			_, p.err = l.persistLocked(tbl)
+			if p.err == nil && l.wal != nil {
+				if err := l.wal.ResetTable(tbl.Name(), tbl.NextRow()); err != nil {
+					// The store holds every row; the next start resets the log.
+					l.cfg.Obs.Event(obs.EventFail, obs.PhaseTableLogReset+":"+tbl.Name(), err.Error())
+				}
+			}
+			locks.persist.Unlock()
 			sp.End(p.err)
 			close(p.done)
 		}()

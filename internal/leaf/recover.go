@@ -219,19 +219,11 @@ func (l *Leaf) Start() error {
 	l.firstAnswer = r.Begin(obs.PhaseFirstAnswer, "", -1)
 	l.firstQueryOpen.Store(true)
 	l.handOffUnpersisted()
-	var promoted <-chan struct{} // nil: no promotion to wait out
 	if served > 0 {
 		// Promotion starts only after the leaf is ALIVE: queries are already
 		// being answered from the views, and the copy the paper blocked
 		// availability on happens here, in the background.
-		promoted = l.startPromoter()
-	}
-	if l.wal != nil {
-		// Every row of a log Start set aside is in the store. The deletes
-		// wait out the promotion, beside which the first answers are served
-		// (unlinks beside them made them slower), unless SyncToDisk wants
-		// them first.
-		l.wal.DropSetAside(promoted)
+		l.startPromoter()
 	}
 	return nil
 }
@@ -387,9 +379,10 @@ func (l *Leaf) recoverTable(r *obs.Restart, worker int, name string, seg shm.Seg
 	}
 	if l.wal != nil && o.path.Path != RecoveryWAL {
 		// The table did not come back through its log, so the old log no
-		// longer matches memory: set it aside and start it over at the
-		// table's next row (0 for a lost table). A replayed log already had
-		// its cursor set.
+		// longer matches memory: empty it and start it over at the table's
+		// next row (0 for a lost table). After a clean shutdown it is empty
+		// already, and this unlinks nothing. A replayed log already had its
+		// cursor set.
 		sp := r.Begin(obs.PhaseTableLogReset, name, worker)
 		sp.Recovery = string(o.path.Path)
 		var next int64

@@ -2,6 +2,7 @@ package leaf
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,11 +11,13 @@ import (
 	"sync"
 	"testing"
 
+	"scuba/internal/disk"
 	"scuba/internal/fault"
 	"scuba/internal/metrics"
 	"scuba/internal/obs"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
+	"scuba/internal/shm"
 )
 
 // walEnv extends env with the WAL directory that survives crashes.
@@ -245,6 +248,92 @@ func TestWALResetAfterCleanRestart(t *testing.T) {
 	}
 	if got := groupedResult(t, third, "events"); !reflect.DeepEqual(got, want) {
 		t.Errorf("results differ after crash recovery")
+	}
+}
+
+// TestCleanShutdownLeavesNoLog: a shutdown that returns nil has emptied
+// every table's log behind its persist — a quarantined one too — so the next
+// start has no log to reset. A start that cannot take the shm backup then
+// recovers every acked row from the store alone, through logs that cover
+// their tables trivially.
+func TestCleanShutdownLeavesNoLog(t *testing.T) {
+	for _, toShm := range []bool{true, false} {
+		t.Run(fmt.Sprintf("toShm=%v", toShm), func(t *testing.T) {
+			e := newWALEnv(t)
+			old := startLeaf(t, e.config(0))
+			want := map[string]float64{"t0": 900, "t1": 300, "t2": 50}
+			for name, n := range want {
+				ingest(t, old, name, int(n)-20, 1000)
+			}
+			if err := old.SealAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := old.WAL().Quarantine("t1"); err != nil {
+				t.Fatal(err)
+			}
+			for name := range want {
+				ingest(t, old, name, 20, 5000) // the tail each shutdown seals
+			}
+			dir := old.WAL().Dir()
+			shutdown := old.ShutdownToDisk
+			if toShm {
+				shutdown = old.Shutdown
+			}
+			if _, err := shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			for name := range want {
+				tableDir := filepath.Join(dir, disk.EncodeTableName(name))
+				if entries, err := os.ReadDir(tableDir); err != nil || len(entries) != 0 {
+					t.Errorf("%s's log after the shutdown: %v, %v; want an empty directory", name, entries, err)
+				}
+			}
+
+			m := shm.NewManager(0, shm.Options{Dir: e.shmDir, Namespace: "test"})
+			if err := m.Invalidate(); err != nil {
+				t.Fatal(err)
+			}
+			nu := startLeaf(t, e.config(0))
+			if rec := nu.Recovery(); rec.Path != RecoveryWAL || rec.WALRowsReplayed != 0 {
+				t.Fatalf("recovery = %+v, want wal with nothing replayed", rec)
+			}
+			for name, n := range want {
+				if got := countRows(t, nu, name); got != n {
+					t.Errorf("%s rows = %v, want %v", name, got, n)
+				}
+			}
+		})
+	}
+}
+
+// TestFailedShutdownPersistKeepsTheLog: a shutdown whose persist fails, and
+// whose failure path cannot write the images either, leaves the table's log
+// whole, and the next start replays the tail no image holds.
+func TestFailedShutdownPersistKeepsTheLog(t *testing.T) {
+	e := newWALEnv(t)
+	l := startLeaf(t, e.config(0))
+	ingest(t, l, "events", 400, 1000)
+	if err := l.SealAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.SyncToDisk(); err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, l, "events", 300, 2000) // the tail the shutdown seals
+	t.Cleanup(fault.Reset)
+	if err := fault.ArmSpec(fault.SiteSnapWrite + "=error"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Shutdown(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("shutdown = %v, want the persist's %v", err, fault.ErrInjected)
+	}
+	fault.Reset()
+	nu := startLeaf(t, e.config(0))
+	if rec := nu.Recovery(); rec.Path != RecoveryWAL || rec.WALRowsReplayed != 300 {
+		t.Fatalf("recovery = %+v, want wal replaying the 300-row tail", rec)
+	}
+	if got := countRows(t, nu, "events"); got != 700 {
+		t.Fatalf("rows = %v, want 700", got)
 	}
 }
 

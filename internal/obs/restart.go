@@ -62,7 +62,7 @@ const (
 
 	// One table's steps on one pool worker.
 	PhaseTableSeal     = "restart.table.seal"      // seal the unsealed tail (PREPARE)
-	PhaseTablePersist  = "restart.table.persist"   // unpersisted images + watermark, fsynced
+	PhaseTablePersist  = "restart.table.persist"   // unpersisted images + watermark, fsynced; at shutdown, then the log emptied
 	PhaseTableCopyOut  = "restart.table.copy_out"  // blocks heap → segment
 	PhaseTableCopyIn   = "restart.table.copy_in"   // blocks segment → heap
 	PhaseTableView     = "restart.table.view"      // map read-only, check metadata, decode in place
