@@ -5,6 +5,7 @@ package scuba_test
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"scuba"
 	"scuba/internal/query"
 	"scuba/internal/rowblock"
+	"scuba/internal/table"
 	"scuba/internal/tailer"
 )
 
@@ -1066,6 +1068,120 @@ func dashboardLeaf(b *testing.B, cacheBytes int64, q *scuba.Query) *scuba.Leaf {
 	}
 	b.SetBytes(blocks * perBlock)
 	return l
+}
+
+// BenchmarkScanWindow is dash_read's window panel on the leaf's query path:
+// one bucket-aligned 1/64 of the loaded time range, grouped by service, count
+// and a sum, over a table of service_logs rows with the workload's 32 MB
+// decode cache, drawn from a seeded sequence of windows. A window holds
+// ~15,000 rows and lies across one or two 65,536-row blocks, whose time
+// columns every query decodes (the cache holds the others): at 1M rows the
+// cache holds every block's grouped and summed columns, at 10M rows (skipped
+// under -short) the working set is ~10x the budget.
+func BenchmarkScanWindow(b *testing.B) {
+	sizes := []int{1 << 20, 10 << 20}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, rows := range sizes {
+		b.Run(fmt.Sprintf("rows=%dM", rows>>20), func(b *testing.B) {
+			tbl, last := windowTable(b, rows)
+			const first, bucket = 1700000000, 64
+			w := max((last-first+1)/64/bucket, 1) * bucket
+			rng := rand.New(rand.NewSource(1))
+			qs := make([]*scuba.Query, 256)
+			for i := range qs {
+				from := first + rng.Int63n(max((last-first+1)/w, 1))*w
+				qs[i] = &scuba.Query{
+					Table: "service_logs", From: from, To: from + w - 1,
+					GroupBy:      []string{"service"},
+					Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}, {Op: scuba.AggSum, Column: "latency_ms"}},
+				}
+			}
+			opts := query.ExecOptions{Cache: query.NewDecodeCache(32<<20, nil)}
+			for _, q := range qs { // the cache as a running dashboard has it
+				if _, err := query.Execute(tbl, q, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := query.Execute(tbl, qs[i%len(qs)], opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// windowTables keeps BenchmarkScanWindow's tables by row count for the whole
+// run: a sub-benchmark's function runs once for each b.N it tries, and the
+// 10M-row table takes tens of seconds to load.
+var windowTables sync.Map // rows → *windowFixture
+
+type windowFixture struct {
+	tbl  *table.Table
+	last int64 // the newest row's time
+}
+
+// windowTable returns a table of rows sealed service_logs rows and the time
+// of its newest row.
+func windowTable(b *testing.B, rows int) (*table.Table, int64) {
+	b.Helper()
+	if f, ok := windowTables.Load(rows); ok {
+		return f.(*windowFixture).tbl, f.(*windowFixture).last
+	}
+	tbl := table.New("service_logs", table.Options{})
+	gen := scuba.ServiceLogs(42, 1700000000)
+	for sent := 0; sent < rows; sent += 10000 {
+		if err := tbl.AddRows(gen.NextBatch(min(10000, rows-sent)), 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tbl.SealActive(); err != nil {
+		b.Fatal(err)
+	}
+	windowTables.Store(rows, &windowFixture{tbl, gen.Now()})
+	return tbl, gen.Now()
+}
+
+// BenchmarkDecodeColumn decodes one column of one full-size, sealed
+// service_logs block a run — LZ4 and the bit-packing kernels, the decode
+// cache's miss: the time column (delta-packed and summed), an int64 column
+// (latency_ms, delta-packed) and a dictionary column (host, packed IDs).
+func BenchmarkDecodeColumn(b *testing.B) {
+	bt, err := rowblock.FromRows(scuba.ServiceLogs(42, 1700000000).NextBatch(rowblock.MaxRows))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bl := rowblock.NewBuilder(1)
+	if n, err := bl.AppendBatch(bt); err != nil || n != rowblock.MaxRows {
+		b.Fatalf("appended %d of %d rows: %v", n, rowblock.MaxRows, err)
+	}
+	rb, err := bl.Seal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	times := make([]int64, rowblock.MaxRows) // the scan's reused scratch
+	for _, c := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"time", func() error { _, err := rb.Times(times); return err }},
+		{"int64", func() error { _, err := rb.DecodeColumn("latency_ms"); return err }},
+		{"dict", func() error { _, err := rb.DecodeColumn("host"); return err }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.decode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowblock.MaxRows, "ns/value")
+		})
+	}
 }
 
 // BenchmarkScanAggregates times each aggregate kernel on its own: the

@@ -163,6 +163,20 @@ func main() {
 		reg.Gauge("leaf.recovery." + scuba.CanonicalMetricName(string(rec.Path))).Set(1)
 	})
 
+	// The observability listener comes up before the RPC one, so a client
+	// that has an answer on the RPC port finds /debug/recovery answering too.
+	if *httpAddr != "" {
+		hs, err := scuba.StartObsHTTP(*httpAddr, scuba.ObsHandler(scuba.ObsHandlerConfig{
+			Registry: reg,
+			Recovery: func() any { return l.Recovery() },
+		}))
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer hs.Close()
+		log.Printf("observability on http://%s (/metrics /debug/recovery /debug/pprof)", hs.Addr())
+	}
+
 	srv, err := scuba.NewServerOn(l, *addr, reg)
 	if err != nil {
 		log.Fatal(err)
@@ -176,18 +190,6 @@ func main() {
 			sink.RecordRecorderEvents("previous", prev)
 		}
 		sink.RecordRecorderEvents("current", fr.Events())
-	}
-
-	if *httpAddr != "" {
-		hs, err := scuba.StartObsHTTP(*httpAddr, scuba.ObsHandler(scuba.ObsHandlerConfig{
-			Registry: reg,
-			Recovery: func() any { return l.Recovery() },
-		}))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer hs.Close()
-		log.Printf("observability on http://%s (/metrics /debug/recovery /debug/pprof)", hs.Addr())
 	}
 
 	// Background maintenance: expiration (§2). A block's image is written

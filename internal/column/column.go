@@ -472,10 +472,7 @@ func Decode(r *layout.RBC) (Column, error) {
 // DecodeInt64 decodes an int64 or time column into dst, which is reused when
 // it is large enough and may be nil.
 func DecodeInt64(dst []int64, r *layout.RBC) ([]int64, error) {
-	if r.Type() != layout.TypeInt64 && r.Type() != layout.TypeTime {
-		return nil, fmt.Errorf("column: %v is not an integer column", r.Type())
-	}
-	data, buf, err := undoLZ4(r)
+	data, buf, err := intData(r)
 	if err != nil {
 		return nil, err
 	}
@@ -488,6 +485,35 @@ func DecodeInt64(dst []int64, r *layout.RBC) ([]int64, error) {
 		return nil, fmt.Errorf("column: decoded %d values, header says %d", len(vals), r.NumItems())
 	}
 	return vals, nil
+}
+
+// SearchInt64 returns, when an int64 or time column's values ascend, the
+// rows [lo, hi) whose values lie in [from, to], found as the column decodes
+// and without keeping it (codec.SearchDeltaBPI64); ascending is false when a
+// value is below one before it.
+func SearchInt64(r *layout.RBC, from, to int64) (lo, hi int, ascending bool, err error) {
+	data, buf, err := intData(r)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	defer release(buf)
+	n, lo, hi, ascending, err := codec.SearchDeltaBPI64(data, from, to)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	if n != r.NumItems() {
+		return 0, 0, false, fmt.Errorf("column: searched %d values, header says %d", n, r.NumItems())
+	}
+	return lo, hi, ascending, nil
+}
+
+// intData is an int64 or time column's data section, un-LZ4'd into buf
+// (undoLZ4).
+func intData(r *layout.RBC) (data []byte, buf *[]byte, err error) {
+	if r.Type() != layout.TypeInt64 && r.Type() != layout.TypeTime {
+		return nil, nil, fmt.Errorf("column: %v is not an integer column", r.Type())
+	}
+	return undoLZ4(r)
 }
 
 // DecodeFloat64 decodes a float column.

@@ -17,8 +17,12 @@ import (
 type Block interface {
 	Rows() int
 	// Within reports whether every row's time lies in [from, to]; the scan
-	// then never asks for Times.
+	// then asks for the times only to bucket rows by them.
 	Within(from, to int64) bool
+	// Range returns, when the block's times never fall (ok), the rows
+	// [lo, hi) whose times lie in [from, to]; the scan then compares no
+	// row's time.
+	Range(from, to int64) (lo, hi int, ok bool, err error)
 	// Times returns the time column, decoded into dst's array when the block
 	// has to decode at all.
 	Times(dst []int64) ([]int64, error)

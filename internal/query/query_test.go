@@ -3,7 +3,9 @@ package query
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -399,5 +401,84 @@ func TestFormat(t *testing.T) {
 	out := Format(q, []Row{{Key: []string{"web"}, Values: []float64{42}}})
 	if !strings.Contains(out, "web") || !strings.Contains(out, "42.000") {
 		t.Errorf("Format = %q", out)
+	}
+}
+
+// TestSealedBlockTimeRange: a sealed block whose times ascend answers a time
+// window as the run of rows a binary search finds, and one with a straggler
+// compares each row's time; both answer as Reference, for windows at the
+// block's first and last row, inside and across runs of equal times, between
+// two rows, over the whole block and wholly outside it, with and without
+// time buckets.
+func TestSealedBlockTimeRange(t *testing.T) {
+	ascending := []int64{100, 100, 101, 103, 103, 103, 103, 104, 107, 110, 110}
+	straggler := slices.Clone(ascending)
+	straggler[6] = 99 // below every time before it
+	windows := []struct {
+		name     string
+		from, to int64
+	}{
+		{"first row", 100, 100}, {"up to the first row", 90, 100},
+		{"last row", 110, 110}, {"from the last row", 110, 120},
+		{"inside a run", 103, 103}, {"across runs", 101, 104}, {"between rows", 105, 106},
+		{"whole block", 99, 110}, {"before it", 0, 98}, {"after it", 111, 200},
+	}
+	for _, blk := range []struct {
+		name      string
+		times     []int64
+		ascending bool
+	}{{"ascending", ascending, true}, {"straggler", straggler, false}} {
+		rows := make([]rowblock.Row, len(blk.times))
+		b := rowblock.NewBuilder(1)
+		for i, tm := range blk.times {
+			rows[i] = rowblock.Row{Time: tm, Cols: map[string]rowblock.Value{
+				"service": rowblock.StringValue([]string{"web", "ads"}[i%2]),
+				"latency": rowblock.Int64Value(int64(i)),
+			}}
+			if err := b.AddRow(rows[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rb, err := b.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range windows {
+			lo, hi, ok, err := rb.Range(w.from, w.to)
+			if err != nil || ok != blk.ascending {
+				t.Fatalf("%s: range ok %v (%v), want %v", blk.name, ok, err, blk.ascending)
+			}
+			times, err := rb.Times(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var in []int64
+			for _, tm := range times {
+				if tm >= w.from && tm <= w.to {
+					in = append(in, tm)
+				}
+			}
+			if ok && !slices.Equal(times[lo:hi], in) {
+				t.Errorf("%s, %s: rows [%d, %d), want the rows of %v", blk.name, w.name, lo, hi, in)
+			}
+			for _, bucket := range []int64{0, 2} {
+				q := &Query{
+					Table: "events", From: w.from, To: w.to, TimeBucketSeconds: bucket,
+					GroupBy:      []string{"service"},
+					Aggregations: []Aggregation{{Op: AggCount}, {Op: AggSum, Column: "latency"}},
+				}
+				got := &Result{}
+				if err := scanBlock(rb, q, got, nil); err != nil {
+					t.Fatal(err)
+				}
+				want, err := Reference(rows, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Rows(q), want.Rows(q)) {
+					t.Errorf("%s, %s, bucket %d: %+v, reference %+v", blk.name, w.name, bucket, got.Rows(q), want.Rows(q))
+				}
+			}
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scuba/internal/column"
-	"scuba/internal/rowblock"
 )
 
 // The block scan. A query is compiled once per execution into a plan (which
@@ -311,33 +310,34 @@ func (s *scanner) scanRows(blk Block) error {
 	sel := s.all[:n]
 	s.sel = grow(s.sel, n)
 
-	// The time predicate, unless the header answers it for every row: an
-	// unsealed tail whose times ascend holds [From, To] as one run of rows,
-	// any other block compares each row's time.
+	// The time predicate, unless the header answers it for every row: a
+	// block whose times ascend holds [From, To] as one run of rows, which it
+	// finds itself (the tail's builder keeps track, a sealed block finds out
+	// as it decodes the column, and keeps none of it); any other block
+	// decodes its times and compares each row's.
 	var times []int64
-	within := blk.Within(q.From, q.To)
-	if !within || q.TimeBucketSeconds > 0 {
+	if !blk.Within(q.From, q.To) {
 		start := time.Now()
-		s.times = grow(s.times, n)
-		var err error
-		times, err = blk.Times(s.times[:0])
+		lo, hi, ascending, err := blk.Range(q.From, q.To)
 		s.res.Phases.DecodeNanos += time.Since(start).Nanoseconds()
-		if err != nil {
+		switch {
+		case err != nil:
 			return err
-		}
-		if len(times) != n {
-			return fmt.Errorf("query: time column has %d rows, block has %d", len(times), n)
+		case ascending && (lo < 0 || lo > hi || hi > n):
+			return fmt.Errorf("query: time range [%d, %d) of a %d-row block", lo, hi, n)
+		case ascending:
+			sel = sel[lo:hi]
+		default:
+			if times, err = s.decodeTimes(blk, n); err != nil {
+				return err
+			}
+			sel = selectTimes(times, q.From, q.To, sel, s.sel)
 		}
 	}
-	if !within {
-		lo, hi, ascending := 0, 0, false
-		if v, ok := blk.(*rowblock.UnsealedView); ok {
-			lo, hi, ascending = v.Range(q.From, q.To)
-		}
-		if ascending {
-			sel = sel[lo:hi]
-		} else {
-			sel = selectTimes(times, q.From, q.To, sel, s.sel)
+	if q.TimeBucketSeconds > 0 && times == nil {
+		var err error
+		if times, err = s.decodeTimes(blk, n); err != nil {
+			return err
 		}
 	}
 
@@ -387,6 +387,19 @@ func (s *scanner) scanRows(blk Block) error {
 		}
 	}
 	return nil
+}
+
+// decodeTimes decodes the block's n times into the scanner's buffer, timed
+// as decode.
+func (s *scanner) decodeTimes(blk Block, n int) ([]int64, error) {
+	start := time.Now()
+	s.times = grow(s.times, n)
+	times, err := blk.Times(s.times[:0])
+	s.res.Phases.DecodeNanos += time.Since(start).Nanoseconds()
+	if err == nil && len(times) != n {
+		err = fmt.Errorf("query: time column has %d rows, block has %d", len(times), n)
+	}
+	return times, err
 }
 
 // grow returns s with length n, reallocating only when it has to; what the

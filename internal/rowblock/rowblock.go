@@ -254,6 +254,26 @@ func (b *RowBlock) DecodeColumn(name string) (column.Column, error) {
 // Times decodes the required time column into dst, which is reused when it
 // is large enough and may be nil. It is a first read (Verify).
 func (b *RowBlock) Times(dst []int64) ([]int64, error) {
+	rbc, err := b.timeColumn()
+	if err != nil {
+		return nil, err
+	}
+	return column.DecodeInt64(dst, rbc)
+}
+
+// Range returns, when the block's times ascend (ok), the rows [lo, hi) whose
+// times lie in [from, to], as UnsealedView.Range does: found as the time
+// column decodes, and without keeping it (column.SearchInt64). It is a first
+// read (Verify).
+func (b *RowBlock) Range(from, to int64) (lo, hi int, ok bool, err error) {
+	rbc, err := b.timeColumn()
+	if err != nil {
+		return 0, 0, false, err
+	}
+	return column.SearchInt64(rbc, from, to)
+}
+
+func (b *RowBlock) timeColumn() (*layout.RBC, error) {
 	if err := b.Verify(); err != nil {
 		return nil, err
 	}
@@ -261,7 +281,7 @@ func (b *RowBlock) Times(dst []int64) ([]int64, error) {
 	if rbc == nil {
 		return nil, errors.New("rowblock: missing time column")
 	}
-	return column.DecodeInt64(dst, rbc)
+	return rbc, nil
 }
 
 // Overlaps reports whether the block may contain rows in [from, to].

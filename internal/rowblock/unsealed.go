@@ -73,14 +73,14 @@ func (v *UnsealedView) Within(from, to int64) bool {
 // Range returns the rows [lo, hi) whose times lie in [from, to], found by
 // two binary searches, when the view's times are non-decreasing; ok is
 // false when they are not, and each row's time must be compared instead.
-func (v *UnsealedView) Range(from, to int64) (lo, hi int, ok bool) {
+func (v *UnsealedView) Range(from, to int64) (lo, hi int, ok bool, err error) {
 	if !v.sorted {
-		return 0, 0, false
+		return 0, 0, false, nil
 	}
 	times := v.vecs[0].Ints
 	lo = sort.Search(len(times), func(i int) bool { return times[i] >= from })
 	hi = lo + sort.Search(len(times)-lo, func(i int) bool { return times[lo+i] > to })
-	return lo, hi, true
+	return lo, hi, true, nil
 }
 
 // Schema returns the view's schema, typed as the sealed block's will be.

@@ -248,7 +248,7 @@ func TestRangeOverAscendingTimes(t *testing.T) {
 		{5, 5}, {6, 6}, {9, 9}, {5, 9}, {6, 9}, {5, 6}, {7, 8}, {0, 4}, {10, 20},
 		{math.MinInt64, math.MaxInt64}, {0, 5}, {9, math.MaxInt64}, {9, 5}, {7, 6},
 	} {
-		lo, hi, ok := v.Range(c.from, c.to)
+		lo, hi, ok, _ := v.Range(c.from, c.to)
 		times, _ := v.Times(nil)
 		var want []int64
 		for _, tm := range times {
@@ -262,14 +262,14 @@ func TestRangeOverAscendingTimes(t *testing.T) {
 	}
 
 	appendAll(t, b, timesBatch(0, 10, 8)) // a straggler in a later batch
-	if _, _, ok := b.Snapshot().Range(0, 9); ok {
+	if _, _, ok, _ := b.Snapshot().Range(0, 9); ok {
 		t.Error("a view past a straggler answers a range")
 	}
 	appendAll(t, b, timesBatch(0, 20, 21))
-	if _, _, ok := b.Snapshot().Range(0, 9); ok {
+	if _, _, ok, _ := b.Snapshot().Range(0, 9); ok {
 		t.Error("ascending rows after a straggler turned the range back on")
 	}
-	if lo, hi, ok := v.Range(6, 6); !ok || lo != 3 || hi != 6 {
+	if lo, hi, ok, _ := v.Range(6, 6); !ok || lo != 3 || hi != 6 {
 		t.Errorf("the view taken before the straggler: rows [%d, %d) ok %v, want [3, 6) true", lo, hi, ok)
 	}
 }
@@ -284,7 +284,7 @@ func TestRangeJudgesOnlyTheRowsTaken(t *testing.T) {
 	if n, err := b.AppendBatch(bt); err != nil || n != 3 || !b.Full() {
 		t.Fatalf("took %d rows (full %v): %v", n, b.Full(), err)
 	}
-	if lo, hi, ok := b.Snapshot().Range(2, 3); !ok || lo != 1 || hi != 3 {
+	if lo, hi, ok, _ := b.Snapshot().Range(2, 3); !ok || lo != 1 || hi != 3 {
 		t.Errorf("byte cap: rows [%d, %d) ok %v, want [1, 3) true", lo, hi, ok)
 	}
 
@@ -298,7 +298,7 @@ func TestRangeJudgesOnlyTheRowsTaken(t *testing.T) {
 	if n, err := b.AppendBatch(timesBatch(0, last, 0)); err != nil || n != 1 || !b.Full() {
 		t.Fatalf("took %d rows (full %v): %v", n, b.Full(), err)
 	}
-	if lo, hi, ok := b.Snapshot().Range(last, last); !ok || hi != MaxRows || lo != MaxRows-4 {
+	if lo, hi, ok, _ := b.Snapshot().Range(last, last); !ok || hi != MaxRows || lo != MaxRows-4 {
 		t.Errorf("row cap: rows [%d, %d) ok %v, want [%d, %d) true", lo, hi, ok, MaxRows-4, MaxRows)
 	}
 }
@@ -327,14 +327,14 @@ func TestRangeOfAnEarlierViewBesideAWriter(t *testing.T) {
 	}()
 	for i := 0; ; i++ {
 		from := int64(i % 260)
-		lo, hi, ok := v.Range(from, from+5)
+		lo, hi, ok, _ := v.Range(from, from+5)
 		want := min(4*(from+6), 1000) - min(4*from, 1000)
 		if !ok || lo != int(min(4*from, 1000)) || int64(hi-lo) != want {
 			t.Fatalf("[%d, %d]: rows [%d, %d) ok %v, want %d rows from %d", from, from+5, lo, hi, ok, want, min(4*from, 1000))
 		}
 		select {
 		case <-done:
-			if _, _, ok := b.Snapshot().Range(0, 1); ok {
+			if _, _, ok, _ := b.Snapshot().Range(0, 1); ok {
 				t.Error("the writer's stragglers left the builder ascending")
 			}
 			return

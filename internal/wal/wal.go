@@ -213,8 +213,7 @@ func (l *Log) tableLogFor(table string, cursor int64) (*tableLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	tl := &tableLog{dir: dir, next: max(cursor, 0)}
-	tl.cond = sync.NewCond(&tl.mu)
+	tl := newTableLog(dir, max(cursor, 0))
 	if _, err := os.Stat(filepath.Join(dir, quarantineMarker)); err == nil {
 		tl.quarantined = true
 	}
@@ -228,6 +227,14 @@ func (l *Log) tableLogFor(table string, cursor int64) (*tableLog, error) {
 	}
 	l.tables[table] = tl
 	return tl, nil
+}
+
+// newTableLog returns the state of an empty, unquarantined log in dir whose
+// next append starts at row next.
+func newTableLog(dir string, next int64) *tableLog {
+	tl := &tableLog{dir: dir, next: next}
+	tl.cond = sync.NewCond(&tl.mu)
+	return tl
 }
 
 // scanSegmentEnd walks a segment's records to find the row index after its
@@ -609,7 +616,9 @@ func (l *Log) Size(table string) int64 { return disk.DirSize(l.tableDir(table)) 
 // a start for a table it brought back without the log, which then no longer
 // matches memory. It closes the active segment and unlinks every segment and
 // the quarantine marker; the empty directory stays, a log that covers its
-// table trivially (Tables). An empty log unlinks nothing.
+// table trivially (Tables). An empty log unlinks nothing. What is left is a
+// state the reset knows without looking again (empty, sequence 0, not
+// quarantined), and it is installed as it is.
 func (l *Log) ResetTable(table string, next int64) error {
 	l.mu.Lock()
 	if tl, ok := l.tables[table]; ok {
@@ -619,7 +628,12 @@ func (l *Log) ResetTable(table string, next int64) error {
 	l.mu.Unlock()
 	dir := l.tableDir(table)
 	entries, err := os.ReadDir(dir)
-	if err != nil && !os.IsNotExist(err) {
+	switch {
+	case os.IsNotExist(err):
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("wal: table dir: %w", err)
+		}
+	case err != nil:
 		return err
 	}
 	for _, e := range entries {
@@ -627,7 +641,13 @@ func (l *Log) ResetTable(table string, next int64) error {
 			return err
 		}
 	}
-	return l.SetCursor(table, next)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	l.tables[table] = newTableLog(dir, next)
+	return nil
 }
 
 // closeFile waits out an in-flight leader, fsyncs what no fsync has covered

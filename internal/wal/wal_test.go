@@ -1066,6 +1066,56 @@ func TestWAL1SegmentIsRejected(t *testing.T) {
 	}
 }
 
+// TestAppendAfterReset: the log ResetTable leaves takes its next append at
+// the cursor it was given, in a segment a reopen replays exactly, whether the
+// table had a log with segments, a quarantine marker and an open segment, or
+// no directory at all.
+func TestAppendAfterReset(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "leaf0")
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.segmentBytes = 1
+	if err := appendRows(l, "old", testRows(0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRows(l, "old", testRows(10, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Quarantine("old"); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"old", "new"} {
+		if err := l.ResetTable(table, 40); err != nil {
+			t.Fatal(err)
+		}
+		if err := appendRows(l, table, testRows(40, 7)); err != nil {
+			t.Fatalf("%s: append after the reset: %v", table, err)
+		}
+		if got := l.Cursor(table); got != 47 {
+			t.Fatalf("%s: cursor %d after 7 rows from 40, want 47", table, got)
+		}
+	}
+	l.Close()
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	for _, table := range []string{"old", "new"} {
+		segs, err := listSegments(l2.tableDir(table))
+		if err != nil || len(segs) != 1 || segs[0].start != 40 {
+			t.Fatalf("%s: segments %+v, %v; want one starting at row 40", table, segs, err)
+		}
+		got, next := collectReplay(t, l2, table, 40)
+		if next != 47 || !reflect.DeepEqual(got, testRows(40, 7)) {
+			t.Fatalf("%s: replayed %d rows up to %d, want testRows(40, 7)", table, len(got), next)
+		}
+	}
+}
+
 // TestResetLeavesNoSegment: ResetTable unlinks every segment and the
 // quarantine marker and starts the log over at the cursor it is given, in the
 // directory that stays. A reopen replays nothing of the old log, only what
