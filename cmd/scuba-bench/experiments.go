@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,9 +17,7 @@ import (
 	"scuba/internal/fault"
 	"scuba/internal/layout"
 	"scuba/internal/rowblock"
-	"scuba/internal/shm"
 	"scuba/internal/sim"
-	"scuba/internal/tailer"
 	"scuba/internal/workload"
 )
 
@@ -508,156 +505,6 @@ func runE8() error {
 		rec.Round(time.Millisecond), rowDur.Seconds()/rec.Seconds())
 	fmt.Println("paper (§6): using the shared memory format as the disk format should speed up disk recovery significantly")
 	return nil
-}
-
-// ---- E9: crash-safety fault injection ----
-
-func runE9() error {
-	type faultCase struct {
-		name   string
-		inject func(m *shm.Manager, shmDir string) error
-	}
-	cases := []faultCase{
-		{"crash (valid bit never set)", func(m *shm.Manager, _ string) error {
-			// Simulated by skipping Shutdown entirely below.
-			return nil
-		}},
-		{"interrupted restore (valid cleared)", func(m *shm.Manager, _ string) error {
-			return m.Invalidate()
-		}},
-		{"layout version skew", func(m *shm.Manager, _ string) error {
-			md, err := m.ReadMetadata()
-			if err != nil {
-				return err
-			}
-			md.Version++
-			return m.WriteMetadata(md)
-		}},
-		{"corrupt segment payload", func(m *shm.Manager, dir string) error {
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				return err
-			}
-			for _, e := range entries {
-				if !e.IsDir() && len(e.Name()) > 0 && containsTbl(e.Name()) {
-					path := filepath.Join(dir, e.Name())
-					raw, err := os.ReadFile(path)
-					if err != nil {
-						return err
-					}
-					raw[len(raw)/2] ^= 0xff
-					return os.WriteFile(path, raw, 0o644)
-				}
-			}
-			return fmt.Errorf("no segment found")
-		}},
-	}
-	fmt.Printf("%-36s %-10s %-10s %8s\n", "fault", "recovery", "data", "verdict")
-	for i, fc := range cases {
-		b, cleanup := newBench()
-		l, err := b.newLeaf(0)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		if _, err := loadLeaf(l, 20000); err != nil {
-			cleanup()
-			return err
-		}
-		if _, err := l.SyncToDisk(); err != nil {
-			cleanup()
-			return err
-		}
-		if i != 0 { // case 0 is the crash: no clean shutdown at all
-			if _, err := l.Shutdown(); err != nil {
-				cleanup()
-				return err
-			}
-		}
-		m := shm.NewManager(0, shm.Options{Dir: filepath.Join(b.dir, "shm"), Namespace: "bench"})
-		if err := fc.inject(m, filepath.Join(b.dir, "shm")); err != nil {
-			cleanup()
-			return err
-		}
-		l2, err := b.newLeaf(0)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		count, err := countRows(l2, "service_logs")
-		if err != nil {
-			cleanup()
-			return err
-		}
-		verdict := "PASS"
-		if l2.Recovery().Path == scuba.RecoveryMemory || count != 20000 {
-			verdict = "FAIL"
-		}
-		fmt.Printf("%-36s %-10s %9.0f rows %8s\n", fc.name, l2.Recovery().Path, count, verdict)
-		cleanup()
-	}
-	fmt.Println("paper: shared memory is never used after a crash; the valid bit and checksums route every fault to disk recovery")
-	return nil
-}
-
-func containsTbl(name string) bool { return strings.Contains(name, "tbl-") }
-
-func countRows(l *scuba.Leaf, table string) (float64, error) {
-	q := &scuba.Query{Table: table, From: 0, To: 1 << 40,
-		Aggregations: []scuba.Aggregation{{Op: scuba.AggCount}}}
-	res, err := l.Query(q)
-	if err != nil {
-		return 0, err
-	}
-	rows := res.Rows(q)
-	if len(rows) == 0 {
-		return 0, nil
-	}
-	return rows[0].Values[0], nil
-}
-
-// ---- E10: tailer placement ----
-
-func runE10() error {
-	b, cleanup := newBench()
-	defer cleanup()
-	const nLeaves = 16
-	targets := make([]tailer.Target, nLeaves)
-	leaves := make([]*scuba.Leaf, nLeaves)
-	for i := range targets {
-		l, err := b.newLeaf(i)
-		if err != nil {
-			return err
-		}
-		leaves[i] = l
-		targets[i] = leafTarget{l}
-	}
-	placer := scuba.NewPlacer(targets, 99)
-	gen := scuba.ServiceLogs(3, 1700000000)
-	const batches = 2000
-	for i := 0; i < batches; i++ {
-		if _, err := placer.Place("service_logs", gen.NextBatch(50)); err != nil {
-			return err
-		}
-	}
-	st := placer.Stats()
-	minC, maxC := st.PerTarget[0], st.PerTarget[0]
-	for _, c := range st.PerTarget {
-		minC, maxC = min(minC, c), max(maxC, c)
-	}
-	fmt.Printf("%d batches over %d equal leaves: per-leaf min %d, max %d (imbalance %.2fx)\n",
-		batches, nLeaves, minC, maxC, float64(maxC)/float64(minC))
-	fmt.Printf("decisions: both-alive %d, one-alive %d, retried %d, sent-to-recovery %d\n",
-		st.BothAlive, st.OneAlive, st.RetriedPairs, st.SentToRecovery)
-	fmt.Println("paper: tailers pick two random leaves and send to the one with more free memory (§2)")
-	return nil
-}
-
-type leafTarget struct{ l *scuba.Leaf }
-
-func (t leafTarget) Stats() (scuba.LeafStats, error) { return t.l.Stats(), nil }
-func (t leafTarget) AddRows(table string, rows []scuba.Row) error {
-	return t.l.AddRows(table, rows)
 }
 
 // ---- E11: query latency ----

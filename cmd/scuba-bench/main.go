@@ -7,7 +7,9 @@
 // restart-phase breakdown, and E22, the instant-on availability gap, are
 // retired: `scuba-cli trace -restart` draws the former from the restart
 // ledger and bench/'s restart_shm workload measures the latter. E18, E20 and
-// E23 — tracing, sink and profiler overhead — are one experiment, "overhead".)
+// E23 — tracing, sink and profiler overhead — are one experiment, "overhead".
+// E9, fault injection into a restore, and E10, placement balance, are retired
+// too: tier-1 tests carry both claims, DESIGN.md §4 names them.)
 //
 // Usage:
 //
@@ -33,7 +35,7 @@ type experiment struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e14, e16, overhead) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (e1..e8, e11..e14, e16, overhead) or 'all'")
 	flag.Parse()
 
 	experiments := []experiment{
@@ -45,8 +47,6 @@ func main() {
 		{"e6", "restart parallelism: k leaves on 1 machine vs k machines", runE6},
 		{"e7", "column compression (~30x, >=2 methods per column)", runE7},
 		{"e8", "§6 future work: columnar disk format removes the translate cost", runE8},
-		{"e9", "crash safety: every corrupted restore falls back to disk", runE9},
-		{"e10", "tailer two-random-choice placement balance", runE10},
 		{"e11", "query latency (subsecond over the full dataset)", runE11},
 		{"e12", "flat memory footprint: one RBC at a time (§4.4)", runE12},
 		{"e13", "batch-fraction tradeoff: why restart 2% at a time", runE13},

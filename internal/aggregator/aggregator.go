@@ -429,7 +429,3 @@ func (a *Aggregator) leafLabel(i int) string {
 	}
 	return fmt.Sprintf("leaf%d", i)
 }
-
-// NumLeaves returns the configured target count (the fan-out width of an
-// unsharded query).
-func (a *Aggregator) NumLeaves() int { return len(a.leaves) }

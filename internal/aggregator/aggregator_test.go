@@ -203,9 +203,6 @@ func TestQueryMetrics(t *testing.T) {
 	if got := r.Counter("query.count").Value(); got != 4 {
 		t.Errorf("query.count = %d", got)
 	}
-	if a.NumLeaves() != 3 {
-		t.Errorf("NumLeaves = %d", a.NumLeaves())
-	}
 	if got := r.Counter("query.leaves_answered").Value(); got != 12 {
 		t.Errorf("query.leaves_answered = %d", got)
 	}

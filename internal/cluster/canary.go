@@ -79,12 +79,6 @@ func (can *Canary) restartAll(version int) ([]Restart, error) {
 	return restarts, nil
 }
 
-// Nodes returns the canaried node IDs.
-func (can *Canary) Nodes() []int { return can.cfg.Nodes }
-
-// Version returns the experimental version.
-func (can *Canary) Version() int { return can.cfg.Version }
-
 // Revert restarts the canaried leaves back onto the base version, again
 // through shared memory: no data is lost in either direction.
 func (can *Canary) Revert() ([]Restart, error) {
@@ -97,15 +91,4 @@ func (can *Canary) Revert() ([]Restart, error) {
 	}
 	can.reverted = true
 	return restarts, nil
-}
-
-// Promote rolls the experimental version out to the rest of the cluster
-// (the canary succeeded), using the normal batched rollover.
-func (can *Canary) Promote(cfg RolloverConfig) (*RolloverReport, error) {
-	if can.reverted {
-		return nil, errors.New("cluster: cannot promote a reverted canary")
-	}
-	cfg.TargetVersion = can.cfg.Version
-	cfg.UseShm = true
-	return can.cluster.Rollover(cfg)
 }

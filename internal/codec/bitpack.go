@@ -30,9 +30,6 @@ import (
 // corrupt stream can make the decoder allocate.
 const maxBitPackItems = 1 << 26
 
-// BitWidth returns the number of bits needed to represent v (0 for v == 0).
-func BitWidth(v uint64) int { return bits.Len64(v) }
-
 // EncodeBitPackU64 packs values at the minimal fixed width.
 func EncodeBitPackU64(dst []byte, values []uint64) []byte {
 	var all uint64 // the OR of the values is as wide as the widest of them
@@ -191,9 +188,6 @@ func unpackWordsWhole[T uint32 | uint64](dst []T, src []byte, w uint) {
 		}
 	}
 }
-
-// DecodeBitPackU64 decodes a stream produced by EncodeBitPackU64.
-func DecodeBitPackU64(src []byte) ([]uint64, error) { return decodeBitPack[uint64](src, 64) }
 
 // DecodeBitPackU32 decodes a stream of values that fit 32 bits — dictionary
 // IDs — straight into a []uint32. A wider stream is corrupt: the encoder

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -24,7 +25,7 @@ func TestBitPackRoundTrip(t *testing.T) {
 	}
 	for _, vals := range cases {
 		enc := EncodeBitPackU64(nil, vals)
-		got, err := DecodeBitPackU64(enc)
+		got, err := decodeBitPack[uint64](enc, 64)
 		if err != nil {
 			t.Fatalf("decode %v: %v", vals, err)
 		}
@@ -55,7 +56,7 @@ func TestBitPackZeroWidth(t *testing.T) {
 	if len(enc) > 8 {
 		t.Errorf("all-zero column should be ~empty, got %d bytes", len(enc))
 	}
-	got, err := DecodeBitPackU64(enc)
+	got, err := decodeBitPack[uint64](enc, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestBitPackZeroWidth(t *testing.T) {
 func TestBitPackProperty(t *testing.T) {
 	f := func(vals []uint64) bool {
 		enc := EncodeBitPackU64(nil, vals)
-		got, err := DecodeBitPackU64(enc)
+		got, err := decodeBitPack[uint64](enc, 64)
 		if err != nil {
 			return false
 		}
@@ -88,19 +89,19 @@ func TestBitPackProperty(t *testing.T) {
 
 func TestBitPackCorruption(t *testing.T) {
 	enc := EncodeBitPackU64(nil, []uint64{1, 2, 3, 4, 5})
-	if _, err := DecodeBitPackU64(enc[:len(enc)-2]); err == nil {
+	if _, err := decodeBitPack[uint64](enc[:len(enc)-2], 64); err == nil {
 		t.Error("truncated packed bytes decoded without error")
 	}
 	bad := append([]byte(nil), enc...)
 	bad[0] = byte(MethodRaw)
-	if _, err := DecodeBitPackU64(bad); err == nil {
+	if _, err := decodeBitPack[uint64](bad, 64); err == nil {
 		t.Error("wrong method byte decoded without error")
 	}
 	// Absurd bit width.
 	bad2 := append([]byte(nil), enc...)
 	// byte layout: [method][count varint(=5, 1 byte)][width]
 	bad2[2] = 65
-	if _, err := DecodeBitPackU64(bad2); err == nil {
+	if _, err := decodeBitPack[uint64](bad2, 64); err == nil {
 		t.Error("bit width 65 decoded without error")
 	}
 }
@@ -164,15 +165,6 @@ func TestDeltaBPProperty(t *testing.T) {
 	}
 }
 
-func TestBitWidth(t *testing.T) {
-	cases := map[uint64]int{0: 0, 1: 1, 2: 2, 3: 2, 4: 3, 255: 8, 256: 9, math.MaxUint64: 64}
-	for v, want := range cases {
-		if got := BitWidth(v); got != want {
-			t.Errorf("BitWidth(%d) = %d, want %d", v, got, want)
-		}
-	}
-}
-
 // The per-value kernels the word-at-a-time ones replaced, kept as the
 // reference they are checked against: the packer stores each value with at
 // most two 64-bit writes into a padded buffer, the unpacker loads each with at
@@ -182,7 +174,7 @@ func TestBitWidth(t *testing.T) {
 func refEncodeBitPackU64(dst []byte, values []uint64) []byte {
 	w := 0
 	for _, v := range values {
-		w = max(w, BitWidth(v))
+		w = max(w, bits.Len64(v))
 	}
 	dst = append(dst, byte(MethodBitPack))
 	dst = binary.AppendUvarint(dst, uint64(len(values)))
@@ -289,7 +281,7 @@ func FuzzBitPackKernels(f *testing.F) {
 		if !bytes.Equal(enc, ref) {
 			t.Fatalf("w=%d n=%d: packed % x, reference % x", w, n, enc, ref)
 		}
-		got, err := DecodeBitPackU64(ref)
+		got, err := decodeBitPack[uint64](ref, 64)
 		if err != nil {
 			t.Fatalf("w=%d n=%d: %v", w, n, err)
 		}
@@ -323,13 +315,13 @@ func FuzzBitPackKernels(f *testing.F) {
 			t.Fatalf("%d-bit ids decoded as uint32: %v", hw, err)
 		}
 		if len(packed) > 0 {
-			if _, err := DecodeBitPackU64(ref[:len(ref)-1]); !errors.Is(err, ErrCorrupt) {
+			if _, err := decodeBitPack[uint64](ref[:len(ref)-1], 64); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("w=%d n=%d: a stream one byte short: %v", w, n, err)
 			}
 		}
 		wide := slices.Clone(ref)
 		wide[len(binary.AppendUvarint(nil, uint64(n)))+1] = byte(65 + w)
-		if _, err := DecodeBitPackU64(wide); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeBitPack[uint64](wide, 64); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("width %d decoded: %v", 65+w, err)
 		}
 

@@ -108,19 +108,6 @@ func EncodeFloat64(values []float64) []byte {
 	return finish(layout.TypeFloat64, codec.MethodRaw, uint64(len(values)), 0, nil, data)
 }
 
-// EncodeString dictionary-encodes string values (Interner.EncodeStrings).
-func EncodeString(values []string) []byte {
-	blob, _ := new(Interner).EncodeStrings(values)
-	return blob
-}
-
-// EncodeStringSet encodes per-row string sets: each row's data is a varint
-// count followed by varint dictionary IDs (Interner.EncodeSets).
-func EncodeStringSet(values [][]string) []byte {
-	blob, _ := new(Interner).EncodeSets(values)
-	return blob
-}
-
 // Int64Column is a decoded integer (or time) column.
 type Int64Column struct {
 	vt     layout.ValueType

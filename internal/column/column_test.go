@@ -117,7 +117,7 @@ func TestStringRoundTrip(t *testing.T) {
 		{"web", "web", "ads", "web", "search", "ads"},
 	}
 	for _, vals := range cases {
-		blob := EncodeString(vals)
+		blob, _ := new(Interner).EncodeStrings(vals)
 		col, err := DecodeString(mustParse(t, blob))
 		if err != nil {
 			t.Fatalf("decode %v: %v", vals, err)
@@ -138,7 +138,7 @@ func TestStringDictDeduplication(t *testing.T) {
 	for i := range vals {
 		vals[i] = fmt.Sprintf("service-%d", i%4)
 	}
-	blob := EncodeString(vals)
+	blob, _ := new(Interner).EncodeStrings(vals)
 	// 10000 strings with 4 distinct values: dictionary ~60 bytes, IDs 2 bits
 	// each = 2.5 KB. Anything near raw size means dedup is broken.
 	if len(blob) > 4096 {
@@ -161,7 +161,7 @@ func TestStringSetRoundTrip(t *testing.T) {
 		{{"x", "y"}, {}, {"y"}, {"x", "y", "z"}},
 	}
 	for _, vals := range cases {
-		blob := EncodeStringSet(vals)
+		blob, _ := new(Interner).EncodeSets(vals)
 		col, err := DecodeStringSet(mustParse(t, blob))
 		if err != nil {
 			t.Fatalf("decode %v: %v", vals, err)
@@ -210,7 +210,8 @@ func TestStringSetSelectContains(t *testing.T) {
 			}
 		}
 	}
-	sealed, err := DecodeStringSet(mustParse(t, EncodeStringSet(vals)))
+	blob, _ := new(Interner).EncodeSets(vals)
+	sealed, err := DecodeStringSet(mustParse(t, blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,8 @@ func TestSetMasksBuild(t *testing.T) {
 	for i := range wide {
 		wide[i] = []string{fmt.Sprintf("t%d", i)}
 	}
-	if col, err = DecodeStringSet(mustParse(t, EncodeStringSet(wide))); err != nil {
+	blob, _ = new(Interner).EncodeSets(wide)
+	if col, err = DecodeStringSet(mustParse(t, blob)); err != nil {
 		t.Fatal(err)
 	}
 	if m, err := col.Masks(); m != nil || err != nil {
@@ -338,11 +340,13 @@ func TestSetMasksBuild(t *testing.T) {
 }
 
 func TestDecodeGeneric(t *testing.T) {
+	strs, _ := new(Interner).EncodeStrings([]string{"a", "b"})
+	sets, _ := new(Interner).EncodeSets([][]string{{"a"}})
 	blobs := map[layout.ValueType][]byte{
 		layout.TypeInt64:     EncodeInt64(layout.TypeInt64, []int64{1, 2}),
 		layout.TypeFloat64:   EncodeFloat64([]float64{1.5}),
-		layout.TypeString:    EncodeString([]string{"a", "b"}),
-		layout.TypeStringSet: EncodeStringSet([][]string{{"a"}}),
+		layout.TypeString:    strs,
+		layout.TypeStringSet: sets,
 	}
 	for vt, blob := range blobs {
 		col, err := Decode(mustParse(t, blob))
@@ -357,7 +361,8 @@ func TestDecodeGeneric(t *testing.T) {
 
 func TestDecodeTypeMismatch(t *testing.T) {
 	intBlob := mustParse(t, EncodeInt64(layout.TypeInt64, []int64{1}))
-	strBlob := mustParse(t, EncodeString([]string{"a"}))
+	str, _ := new(Interner).EncodeStrings([]string{"a"})
+	strBlob := mustParse(t, str)
 	if _, err := DecodeString(intBlob); err == nil {
 		t.Error("DecodeString on int column succeeded")
 	}
@@ -419,7 +424,7 @@ func TestAtLeastTwoMethodsPerColumn(t *testing.T) {
 	for i := range strs {
 		strs[i] = fmt.Sprintf("host-%d", i%100)
 	}
-	sblob := EncodeString(strs)
+	sblob, _ := new(Interner).EncodeStrings(strs)
 	sr := mustParse(t, sblob)
 	if sr.Code().Transform() != codec.MethodDict {
 		t.Errorf("string transform = %v", sr.Code().Transform())
@@ -449,7 +454,7 @@ func TestInt64Property(t *testing.T) {
 
 func TestStringProperty(t *testing.T) {
 	f := func(vals []string) bool {
-		blob := EncodeString(vals)
+		blob, _ := new(Interner).EncodeStrings(vals)
 		r, err := layout.Parse(blob)
 		if err != nil {
 			return false
@@ -502,7 +507,8 @@ func TestCompressionRatioLogTable(t *testing.T) {
 		hosts[i] = fmt.Sprintf("host-%03d.prn1", i%200)
 	}
 	rawSize := n*8 + n*len(hosts[0])
-	encSize := len(EncodeInt64(layout.TypeTime, times)) + len(EncodeString(hosts))
+	hostBlob, _ := new(Interner).EncodeStrings(hosts)
+	encSize := len(EncodeInt64(layout.TypeTime, times)) + len(hostBlob)
 	ratio := float64(rawSize) / float64(encSize)
 	if ratio < 10 {
 		t.Errorf("compression ratio %.1fx, want >=10x on log-like data", ratio)

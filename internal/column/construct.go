@@ -114,7 +114,8 @@ func (in *Interner) EncodeStrings(values []string) ([]byte, []string) {
 }
 
 // EncodeSets returns the RBC blob of the string-set column values, which
-// must hold every row interned so far, and its sorted dictionary.
+// must hold every row interned so far, and its sorted dictionary. Each row's
+// data is a varint count followed by varint dictionary IDs.
 func (in *Interner) EncodeSets(values [][]string) ([]byte, []string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()

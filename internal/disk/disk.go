@@ -330,7 +330,10 @@ func (s *Store) Load(table string, fn func(im Image, rb *rowblock.RowBlock, err 
 	return w, nil
 }
 
-// LoadImage reads one of the table's images (Images).
+// LoadImage reads one of the table's images (Images). The header's row
+// count and newest time must match the file name's: a window query prunes
+// and answers whole blocks by the header's time range, which no column CRC
+// covers.
 func (s *Store) LoadImage(table string, im Image) (*rowblock.RowBlock, error) {
 	data, err := os.ReadFile(filepath.Join(s.tableDir(table), im.Name))
 	if err != nil {
@@ -343,6 +346,9 @@ func (s *Store) LoadImage(table string, im Image) (*rowblock.RowBlock, error) {
 	}
 	if rb.Rows() != im.Rows {
 		return nil, fmt.Errorf("disk: %s image %s: %d rows, name says %d", table, im.Name, rb.Rows(), im.Rows)
+	}
+	if maxTime := rb.Header().MaxTime; maxTime != im.MaxTime {
+		return nil, fmt.Errorf("disk: %s image %s: max time %d, name says %d", table, im.Name, maxTime, im.MaxTime)
 	}
 	return rb, nil
 }

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -217,6 +218,18 @@ func TestLoadLosesOnlyTheDamagedBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 			raw[len(raw)/2] ^= 0x01
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		// The header's MaxTime (bytes 28-35) is under no CRC: the file
+		// name's copy is what catches a rewrite.
+		"rewritten max time": func(t *testing.T, path string) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint64(raw[28:], binary.LittleEndian.Uint64(raw[28:])+500)
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}

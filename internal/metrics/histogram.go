@@ -60,14 +60,6 @@ type HistogramStats struct {
 	Buckets       []HistogramBucket
 }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (s HistogramStats) Mean() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / s.Count
-}
-
 // Stats snapshots the histogram.
 func (h *Histogram) Stats() HistogramStats {
 	h.mu.Lock()

@@ -54,11 +54,11 @@ func (t *Timer) Time(fn func()) {
 // TimerStats is a timer snapshot: the histogram's, read as durations.
 // Buckets' Le bounds are in nanoseconds.
 type TimerStats struct {
-	Count          int64
-	Total          time.Duration
-	Min, Max, Mean time.Duration
-	P50, P95, P99  time.Duration
-	Buckets        []HistogramBucket
+	Count         int64
+	Total         time.Duration
+	Min, Max      time.Duration
+	P50, P95, P99 time.Duration
+	Buckets       []HistogramBucket
 }
 
 // Stats snapshots the timer.
@@ -66,7 +66,7 @@ func (t *Timer) Stats() TimerStats {
 	st := t.h.Stats()
 	return TimerStats{
 		Count: st.Count, Total: time.Duration(st.Sum),
-		Min: time.Duration(st.Min), Max: time.Duration(st.Max), Mean: time.Duration(st.Mean()),
+		Min: time.Duration(st.Min), Max: time.Duration(st.Max),
 		P50: time.Duration(st.P50), P95: time.Duration(st.P95), P99: time.Duration(st.P99),
 		Buckets: st.Buckets,
 	}

@@ -459,9 +459,6 @@ func SnapshotRows(snap metrics.Snapshot, source string, now int64) []rowblock.Ro
 		cols := base("timer", name)
 		cols["count"] = rowblock.Int64Value(st.Count)
 		cols["sum_us"] = rowblock.Int64Value(st.Total.Microseconds())
-		cols["min_us"] = rowblock.Int64Value(st.Min.Microseconds())
-		cols["max_us"] = rowblock.Int64Value(st.Max.Microseconds())
-		cols["mean_us"] = rowblock.Int64Value(st.Mean.Microseconds())
 		cols["p50_us"] = rowblock.Int64Value(st.P50.Microseconds())
 		cols["p95_us"] = rowblock.Int64Value(st.P95.Microseconds())
 		cols["p99_us"] = rowblock.Int64Value(st.P99.Microseconds())
@@ -471,9 +468,6 @@ func SnapshotRows(snap metrics.Snapshot, source string, now int64) []rowblock.Ro
 		cols := base("histogram", name)
 		cols["count"] = rowblock.Int64Value(st.Count)
 		cols["sum"] = rowblock.Int64Value(st.Sum)
-		cols["min"] = rowblock.Int64Value(st.Min)
-		cols["max"] = rowblock.Int64Value(st.Max)
-		cols["mean"] = rowblock.Int64Value(st.Mean())
 		cols["p50"] = rowblock.Int64Value(st.P50)
 		cols["p95"] = rowblock.Int64Value(st.P95)
 		cols["p99"] = rowblock.Int64Value(st.P99)

@@ -52,9 +52,6 @@ type Profile struct {
 	locFuncs map[uint64][]string
 }
 
-// NumSamples reports how many stack samples the profile holds.
-func (p *Profile) NumSamples() int { return len(p.samples) }
-
 // ValueIndex returns the value-vector column whose type matches typ, or -1.
 func (p *Profile) ValueIndex(typ string) int {
 	for i, st := range p.SampleTypes {

@@ -145,8 +145,8 @@ func TestDecodeGzipped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode(gzipped): %v", err)
 	}
-	if prof.NumSamples() != 2 {
-		t.Fatalf("NumSamples = %d, want 2", prof.NumSamples())
+	if len(prof.samples) != 2 {
+		t.Fatalf("%d samples, want 2", len(prof.samples))
 	}
 }
 
@@ -196,7 +196,7 @@ func TestDecodeRealProfiles(t *testing.T) {
 	if hp.ValueIndex("alloc_space") < 0 || hp.ValueIndex("inuse_space") < 0 {
 		t.Fatalf("heap profile columns = %+v", hp.SampleTypes)
 	}
-	if hp.NumSamples() == 0 {
+	if len(hp.samples) == 0 {
 		t.Fatal("heap profile has no samples in a running test binary")
 	}
 	vals, total := hp.Fold(hp.ValueIndex("alloc_space"))

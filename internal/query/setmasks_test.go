@@ -41,7 +41,8 @@ func TestSetMasksAgreeWithWalkAndReference(t *testing.T) {
 					"row": rowblock.Int64Value(int64(i)), "tags": rowblock.SetValue(set...),
 				}}
 			}
-			r, err := layout.Parse(column.EncodeStringSet(sets))
+			blob, _ := new(column.Interner).EncodeSets(sets)
+			r, err := layout.Parse(blob)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -163,13 +163,14 @@ func checkSealed(t *testing.T, rb *RowBlock, held []Row) {
 			blob, zone = column.EncodeInt64(layout.TypeInt64, ints), zoneOfInts(ints)
 		case layout.TypeString:
 			strs := cells(held, func(r Row) string { return r.Cols[f.Name].Str })
-			blob = column.EncodeString(strs)
+			blob, _ = new(column.Interner).EncodeStrings(strs)
 			for _, s := range strs {
 				zone.bloomAdd(s)
 			}
 		case layout.TypeStringSet:
 			sets := cells(held, func(r Row) []string { return r.Cols[f.Name].Set })
-			blob, zone.Kind = column.EncodeStringSet(sets), ZoneSetDict
+			blob, _ = new(column.Interner).EncodeSets(sets)
+			zone.Kind = ZoneSetDict
 			for _, set := range sets {
 				for _, s := range set {
 					zone.bloomAdd(s)

@@ -118,8 +118,7 @@ type RowBlock struct {
 	schema Schema
 	cols   []*layout.RBC // parallel to schema; nil after ReleaseColumn
 	// zones holds per-column zone maps parallel to schema: Seal computes
-	// them and an image carries them. Empty only for a block FromColumns
-	// assembled on its own, which is always scanned.
+	// them and an image carries them.
 	zones []ZoneMap
 	// src is non-nil while the RBC blobs alias foreign memory (a mapped shm
 	// segment). Readers must hold a Retain on it across any column access.
@@ -575,17 +574,9 @@ func (b *Builder) Seal() (*RowBlock, error) {
 	}, nil
 }
 
-// FromColumns assembles a sealed block directly from parsed RBCs. The first
+// checkColumns is an image decode's check of its parsed RBCs: the first
 // schema entry must be the time column, and hdr.Size/RowCount must match the
 // columns.
-func FromColumns(hdr Header, schema Schema, cols []*layout.RBC) (*RowBlock, error) {
-	if err := checkColumns(hdr, schema, cols); err != nil {
-		return nil, err
-	}
-	return &RowBlock{hdr: hdr, schema: schema, cols: cols}, nil
-}
-
-// checkColumns is FromColumns' check, which an image's decode also runs.
 func checkColumns(hdr Header, schema Schema, cols []*layout.RBC) error {
 	if len(schema) != len(cols) {
 		return fmt.Errorf("rowblock: %d schema fields, %d columns", len(schema), len(cols))
@@ -804,7 +795,7 @@ func decodePrefix(img []byte) (*RowBlock, [][]byte, int, error) {
 }
 
 // parseColumns builds the block's columns from their blobs and checks them
-// against its header and schema as FromColumns does.
+// against its header and schema (checkColumns).
 func (b *RowBlock) parseColumns(blobs [][]byte) error {
 	cols := make([]*layout.RBC, len(blobs))
 	for i, blob := range blobs {

@@ -378,7 +378,7 @@ func TestDecodeImageTrailingData(t *testing.T) {
 	}
 }
 
-func TestFromColumnsValidation(t *testing.T) {
+func TestCheckColumns(t *testing.T) {
 	rb := buildBlock(t, 10)
 	hdr := rb.Header()
 	schema := rb.Schema()
@@ -386,17 +386,20 @@ func TestFromColumnsValidation(t *testing.T) {
 	for i := range cols {
 		cols[i] = rb.Column(i)
 	}
-	if _, err := FromColumns(hdr, schema, cols[:len(cols)-1]); err == nil {
+	if err := checkColumns(hdr, schema, cols); err != nil {
+		t.Fatalf("a sealed block's own columns: %v", err)
+	}
+	if err := checkColumns(hdr, schema, cols[:len(cols)-1]); err == nil {
 		t.Error("mismatched column count accepted")
 	}
 	badHdr := hdr
 	badHdr.RowCount = 99
-	if _, err := FromColumns(badHdr, schema, cols); err == nil {
+	if err := checkColumns(badHdr, schema, cols); err == nil {
 		t.Error("mismatched row count accepted")
 	}
 	badSchema := append(Schema(nil), schema...)
 	badSchema[0].Name = "nottime"
-	if _, err := FromColumns(hdr, badSchema, cols); err == nil {
+	if err := checkColumns(hdr, badSchema, cols); err == nil {
 		t.Error("missing time column accepted")
 	}
 }

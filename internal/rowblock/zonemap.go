@@ -179,10 +179,6 @@ func (b *RowBlock) ColumnZone(name string) *ZoneMap {
 	return &b.zones[i]
 }
 
-// ZoneMaps returns the per-column zone maps parallel to the schema (nil when
-// the block carries none). Callers must not modify the slice.
-func (b *RowBlock) ZoneMaps() []ZoneMap { return b.zones }
-
 // sealZoneMap builds one column's summary; dict is a string or set column's.
 func (cb *BatchColumn) sealZoneMap(dict []string) ZoneMap {
 	switch cb.Type {

@@ -11,9 +11,10 @@ import (
 
 func TestSealStampsZoneMaps(t *testing.T) {
 	rb := buildBlock(t, 100)
-	zones := rb.ZoneMaps()
-	if len(zones) != len(rb.Schema()) {
-		t.Fatalf("zones = %d, schema = %d", len(zones), len(rb.Schema()))
+	for _, f := range rb.Schema() {
+		if rb.ColumnZone(f.Name) == nil {
+			t.Fatalf("column %q sealed no zone map", f.Name)
+		}
 	}
 
 	tz := rb.ColumnZone(TimeColumn)
@@ -123,13 +124,10 @@ func TestImageV2RoundTripZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := rb.ZoneMaps(), back.ZoneMaps()
-	if len(want) != len(got) {
-		t.Fatalf("zones: got %d want %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Errorf("zone %d: got %+v want %+v", i, got[i], want[i])
+	for _, f := range rb.Schema() {
+		want, got := rb.ColumnZone(f.Name), back.ColumnZone(f.Name)
+		if want == nil || got == nil || *want != *got {
+			t.Errorf("zone %q: got %+v want %+v", f.Name, got, want)
 		}
 	}
 }
@@ -166,9 +164,9 @@ func TestZoneKindsCoverAllTypes(t *testing.T) {
 		layout.TypeString:    ZoneDict,
 		layout.TypeStringSet: ZoneSetDict,
 	}
-	for i, f := range rb.Schema() {
-		if got := rb.ZoneMaps()[i].Kind; got != wantKinds[f.Type] {
-			t.Errorf("column %q (%v): zone kind %d, want %d", f.Name, f.Type, got, wantKinds[f.Type])
+	for _, f := range rb.Schema() {
+		if z := rb.ColumnZone(f.Name); z == nil || z.Kind != wantKinds[f.Type] {
+			t.Errorf("column %q (%v): zone %+v, want kind %d", f.Name, f.Type, z, wantKinds[f.Type])
 		}
 	}
 }

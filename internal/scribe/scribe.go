@@ -81,17 +81,6 @@ func (b *Bus) Append(categoryName string, payload []byte) int64 {
 	return off
 }
 
-// Categories lists category names with at least one message ever appended.
-func (b *Bus) Categories() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.categories))
-	for name := range b.categories {
-		out = append(out, name)
-	}
-	return out
-}
-
 // End returns the offset one past the newest message.
 func (b *Bus) End(categoryName string) int64 {
 	c := b.category(categoryName)

@@ -125,8 +125,8 @@ func TestCategoriesIsolated(t *testing.T) {
 	if err != nil || len(msgs) != 1 || string(msgs[0].Payload) != "1" {
 		t.Errorf("category a: %v", msgs)
 	}
-	if len(b.Categories()) != 2 {
-		t.Errorf("categories = %v", b.Categories())
+	if msgs, err := b.Read("b", 0, 10); err != nil || len(msgs) != 1 || string(msgs[0].Payload) != "2" {
+		t.Errorf("category b: %v", msgs)
 	}
 }
 

@@ -30,21 +30,6 @@ func (r *Router) Map() *Map {
 	return r.m
 }
 
-// SetMap swaps the whole map (membership change), resetting unknown leaves
-// to ACTIVE and carrying statuses over by leaf name.
-func (r *Router) SetMap(m *Map) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	status := make([]Status, len(m.Leaves))
-	for i, l := range m.Leaves {
-		if old := r.m.LeafIndex(l.Name); old >= 0 && old < len(r.status) {
-			status[i] = r.status[old]
-		}
-	}
-	r.m, r.status = m, status
-	r.version++
-}
-
 // SetStatus flips one leaf's status by index.
 func (r *Router) SetStatus(leaf int, s Status) error {
 	r.mu.Lock()

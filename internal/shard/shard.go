@@ -24,7 +24,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Status is a leaf's routability as seen by the shard map owner.
@@ -109,20 +108,6 @@ func NewMap(leaves []Leaf, replication, numShards int) *Map {
 // routes to it, never double-counting.
 func PhysicalTable(table string, s int) string {
 	return table + "@" + strconv.Itoa(s)
-}
-
-// ParsePhysicalTable splits a physical table name back into (table, shard).
-// ok is false for names that are not shard-qualified.
-func ParsePhysicalTable(name string) (table string, s int, ok bool) {
-	i := strings.LastIndexByte(name, '@')
-	if i < 0 {
-		return name, 0, false
-	}
-	n, err := strconv.Atoi(name[i+1:])
-	if err != nil || n < 0 {
-		return name, 0, false
-	}
-	return name[:i], n, true
 }
 
 // hrw scores one (table, shard, leaf) triple. FNV-64a over the full key:

@@ -281,16 +281,6 @@ func TestPhysicalTableRoundTrip(t *testing.T) {
 	if name != "service_logs@7" {
 		t.Fatalf("physical name = %q", name)
 	}
-	table, s, ok := ParsePhysicalTable(name)
-	if !ok || table != "service_logs" || s != 7 {
-		t.Fatalf("parse = (%q, %d, %v)", table, s, ok)
-	}
-	if _, _, ok := ParsePhysicalTable("plain"); ok {
-		t.Error("unsharded name parsed as sharded")
-	}
-	if _, _, ok := ParsePhysicalTable("t@-1"); ok {
-		t.Error("negative shard parsed")
-	}
 }
 
 func TestRouterStatusFlow(t *testing.T) {
@@ -320,23 +310,5 @@ func TestRouterStatusFlow(t *testing.T) {
 	}
 	if r.Version() == 0 {
 		t.Error("mutations did not bump version")
-	}
-}
-
-func TestRouterSetMapCarriesStatus(t *testing.T) {
-	old := NewMap(testLeaves(2, 2), 2, 8)
-	r := NewRouter(old)
-	if err := r.SetStatusByName("m0-l1", StatusDown); err != nil {
-		t.Fatal(err)
-	}
-	// New map drops m1-l1 and adds m2-l0; m0-l1 must stay down.
-	leaves := []Leaf{{Name: "m0-l0", Machine: 0}, {Name: "m0-l1", Machine: 0}, {Name: "m2-l0", Machine: 2}}
-	r.SetMap(NewMap(leaves, 2, 8))
-	st := r.Status()
-	if st[1] != StatusDown {
-		t.Errorf("status lost across SetMap: %v", st)
-	}
-	if st[0] != StatusActive || st[2] != StatusActive {
-		t.Errorf("unexpected statuses: %v", st)
 	}
 }

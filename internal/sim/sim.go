@@ -38,9 +38,6 @@ type Params struct {
 	// DataPerLeafGB is each leaf's resident data (10-15 GB in the paper).
 	DataPerLeafGB float64
 
-	// DiskReadMachineMBps is the raw sequential read rate of one machine's
-	// disk. The paper: reading 120 GB takes 20-25 minutes (~85-100 MB/s).
-	DiskReadMachineMBps float64
 	// DiskRecoverLeafMBps is the rate of one leaf reading AND translating
 	// the disk format when it restarts alone on its machine (the rollover
 	// case: ~20 MB/s, dominated by single-process translation CPU).
@@ -84,7 +81,6 @@ func DefaultParams() Params {
 		Machines:                  100,
 		LeavesPerMachine:          8,
 		DataPerLeafGB:             15,
-		DiskReadMachineMBps:       90, // 120 GB in ~22 min
 		DiskRecoverLeafMBps:       20, // one leaf alone: 15 GB in ~13 min
 		DiskContention:            1.7,
 		ShmLeafMBps:               800, // memcpy-speed restore
@@ -137,14 +133,6 @@ func (p Params) LeafRestartTime(useShm bool, concurrentOnMachine int) time.Durat
 // leaves restart at once (the paper's 2-3 minutes shm vs 2.5-3 hours disk).
 func (p Params) MachineRestartTime(useShm bool) time.Duration {
 	return p.LeafRestartTime(useShm, p.LeavesPerMachine)
-}
-
-// DiskReadTime returns the raw read time for one machine's data, without
-// translation (the paper's 20-25 minutes) — the E1 split of read vs
-// translate cost.
-func (p Params) DiskReadTime() time.Duration {
-	dataMB := p.DataPerLeafGB * float64(p.LeavesPerMachine) * GB / (1 << 20)
-	return time.Duration(dataMB / p.DiskReadMachineMBps * float64(time.Second))
 }
 
 // TimelinePoint samples the rollover dashboard (Figure 8).

@@ -10,12 +10,6 @@ import (
 func TestPaperHeadlineNumbers(t *testing.T) {
 	p := DefaultParams()
 
-	// "Reading about 120 GB of data from disk takes 20-25 minutes."
-	read := p.DiskReadTime()
-	if read < 18*time.Minute || read > 28*time.Minute {
-		t.Errorf("disk read = %v, paper says 20-25 min", read)
-	}
-
 	// "Reading that data ... and translating it ... takes 2.5-3 hours."
 	disk := p.MachineRestartTime(false)
 	if disk < 2*time.Hour+15*time.Minute || disk > 3*time.Hour+30*time.Minute {

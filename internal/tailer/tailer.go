@@ -61,19 +61,17 @@ type BatchPlacer interface {
 	Place(table string, rows []rowblock.Row) (int, error)
 }
 
-// PlacerStats counts placement decisions for the balance experiments (E10).
+// PlacerStats counts placements: batches, rows, and how each was decided.
 type PlacerStats struct {
 	Batches        int64
 	RowsPlaced     int64
 	BothAlive      int64 // decided by free memory between two alive leaves
-	OneAlive       int64 // only one of the pair was alive
-	RetriedPairs   int64 // extra pairs tried because neither was alive
 	SentToRecovery int64 // fell back to a restarting server
 	PerTarget      []int64
 }
 
 // Policy selects the placement strategy. The paper uses two-random-choice;
-// PolicyRandom exists as an ablation baseline (experiment E10).
+// PolicyRandom exists as an ablation baseline (BenchmarkAblationPlacement).
 type Policy uint8
 
 // Placement policies.
@@ -145,10 +143,8 @@ func (p *Placer) Place(table string, rows []rowblock.Row) (int, error) {
 			// ignoring free memory entirely.
 			si, erri := p.targets[i].Stats()
 			if isAlive(si, erri) {
-				p.stats.OneAlive++
 				return i, p.send(i, table, rows)
 			}
-			p.stats.RetriedPairs++
 			if recoveryCandidate < 0 && isAccepting(si, erri) {
 				recoveryCandidate = i
 			}
@@ -170,13 +166,10 @@ func (p *Placer) Place(table string, rows []rowblock.Row) (int, error) {
 			p.stats.BothAlive++
 			return pick, p.send(pick, table, rows)
 		case iAlive:
-			p.stats.OneAlive++
 			return i, p.send(i, table, rows)
 		case jAlive:
-			p.stats.OneAlive++
 			return j, p.send(j, table, rows)
 		default:
-			p.stats.RetriedPairs++
 			if recoveryCandidate < 0 {
 				if isAccepting(si, erri) {
 					recoveryCandidate = i

@@ -295,7 +295,6 @@ func (l *Log) Begin(table string, frame []byte, rows int) (*Commit, error) {
 		return nil, nil // quarantined: dropped, caller acks under degraded durability
 	}
 	addCount(l.counter("wal.append_rows"), int64(rows))
-	addCount(l.counter("wal.append_records"), 1)
 	return &Commit{log: l, tl: tl, seq: seq}, nil
 }
 
@@ -516,9 +515,6 @@ func (l *Log) Truncate(table string, w int64) (int, error) {
 			return removed, err
 		}
 		removed++
-	}
-	if removed > 0 {
-		addCount(l.counter("wal.truncated_segments"), int64(removed))
 	}
 	return removed, nil
 }

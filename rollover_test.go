@@ -174,8 +174,8 @@ func TestRolloverAvailability(t *testing.T) {
 	runRolloverAvailability(t, 4, 4, 0.25, 20000)
 }
 
-// TestRolloverAvailabilitySmoke is the 2x2 variant CI's rollover-smoke job
-// runs on every push.
+// TestRolloverAvailabilitySmoke is the 2x2 variant CI's test job runs on
+// every push.
 func TestRolloverAvailabilitySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping subprocess rollover smoke")

@@ -16,7 +16,7 @@
 //     Cluster.Rollover / ProcCluster.Rollover, RolloverConfig, RolloverReport.
 //   - The query model: Query, Filter, Aggregation, Result.
 //   - A discrete-event simulator calibrated to the paper's production
-//     numbers: SimParams / DefaultSimParams.
+//     numbers: DefaultSimParams.
 //
 // Quick start (see examples/quickstart for the runnable version):
 //
@@ -40,7 +40,6 @@
 package scuba
 
 import (
-	"scuba/internal/aggregator"
 	"scuba/internal/cluster"
 	"scuba/internal/fault"
 	"scuba/internal/leaf"
@@ -65,10 +64,6 @@ type (
 	Row = rowblock.Row
 	// Value is one cell of a row.
 	Value = rowblock.Value
-	// Schema describes one row block's columns.
-	Schema = rowblock.Schema
-	// Field is one schema entry.
-	Field = rowblock.Field
 )
 
 // Typed cell constructors.
@@ -76,7 +71,6 @@ var (
 	Int64   = rowblock.Int64Value
 	Float64 = rowblock.Float64Value
 	String  = rowblock.StringValue
-	Set     = rowblock.SetValue
 )
 
 // Leaf servers.
@@ -85,8 +79,6 @@ type (
 	Leaf = leaf.Leaf
 	// LeafConfig configures a leaf.
 	LeafConfig = leaf.Config
-	// LeafState is the Figure 5 state machine position.
-	LeafState = leaf.State
 	// LeafStats summarizes a leaf for placement and dashboards.
 	LeafStats = leaf.Stats
 	// RecoveryInfo reports how a leaf came up.
@@ -98,8 +90,6 @@ type (
 	// TableCopyStat is one table's share of a restart half: a roll-up of
 	// its restart spans.
 	TableCopyStat = leaf.TableCopyStat
-	// TableRecovery is one table's recovery path within a mixed restore.
-	TableRecovery = leaf.TableRecovery
 	// ShmOptions configures the shared memory directory and namespace.
 	ShmOptions = shm.Options
 	// TableOptions sets per-table retention.
@@ -134,8 +124,6 @@ type (
 	Filter = query.Filter
 	// Aggregation names one output: operator over column.
 	Aggregation = query.Aggregation
-	// Order overrides the default result ordering.
-	Order = query.Order
 	// Result is a (possibly partial) mergeable query result.
 	Result = query.Result
 	// ResultRow is one finalized output row.
@@ -172,12 +160,8 @@ var FormatResult = query.Format
 
 // Clusters.
 type (
-	// Cluster is machines x leaves with rollover orchestration.
-	Cluster = cluster.Cluster
 	// ClusterConfig describes a cluster.
 	ClusterConfig = cluster.Config
-	// ClusterNode is one leaf slot.
-	ClusterNode = cluster.Node
 	// RolloverConfig drives an upgrade of either kind of cluster, and a
 	// single leaf's restart.
 	RolloverConfig = cluster.RolloverConfig
@@ -188,62 +172,24 @@ type (
 	Restart = cluster.Restart
 	// ClusterSnapshot is one Figure 8 dashboard sample.
 	ClusterSnapshot = cluster.Snapshot
-	// Canary is an experimental deployment on a handful of leaves (§6),
-	// revertible through shared memory.
-	Canary = cluster.Canary
 	// CanaryConfig selects the canaried nodes and version.
 	CanaryConfig = cluster.CanaryConfig
 )
 
 // NewCluster creates and starts a cluster.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
+func NewCluster(cfg ClusterConfig) (*cluster.Cluster, error) { return cluster.New(cfg) }
 
 // ErrRolloverAborted is returned (wrapped) when a RolloverConfig guard stops
 // a rollover: too many restarted leaves fell back to disk (MaxDiskFallback),
 // or one took too long to serve again (MaxAvailabilityGap).
 var ErrRolloverAborted = cluster.ErrRolloverAborted
 
-// Sharding: a rendezvous-hashed shard map (R owners per shard, replicas on
-// distinct machines) routes queries to only the leaves owning a table's
-// shards, tailers dual-write each batch to every owner, and a rollover
-// flips draining leaves out of the map so their shards serve from replicas.
-type (
-	// ShardMap assigns each (table, shard) to R leaves.
-	ShardMap = shard.Map
-	// ShardLeaf is one routable leaf (name + machine) in a shard map.
-	ShardLeaf = shard.Leaf
-	// ShardRouter is a shard map plus live per-leaf statuses.
-	ShardRouter = shard.Router
-	// ShardStatus is a leaf's routing state (active/draining/down).
-	ShardStatus = shard.Status
-	// ShardedPlacer dual-writes each batch to every owner of its shard.
-	ShardedPlacer = tailer.ShardedPlacer
-	// ShardedPlacerStats counts batches, copies, and missed replicas.
-	ShardedPlacerStats = tailer.ShardedPlacerStats
-)
-
-// Shard routing statuses.
-const (
-	ShardActive   = shard.StatusActive
-	ShardDraining = shard.StatusDraining
-	ShardDown     = shard.StatusDown
-)
-
-var (
-	// NewShardMap builds a rendezvous-hashed map over the leaves.
-	NewShardMap = shard.NewMap
-	// NewShardRouter wraps a map with live statuses.
-	NewShardRouter = shard.NewRouter
-	// DecodeShardMap decodes a map fetched over the wire (Client.ShardMap).
-	DecodeShardMap = shard.Decode
-	// PhysicalTable names shard s of a logical table on a leaf ("T@s").
-	PhysicalTable = shard.PhysicalTable
-	// NewShardedPlacer builds a dual-writing placer over targets.
-	NewShardedPlacer = tailer.NewShardedPlacer
-	// ShardRouting turns on shard routing for an aggregator over its leaf
-	// addresses; see wire.ShardRouting.
-	ShardRouting = wire.ShardRouting
-)
+// ShardActive is a leaf's routing state while it serves its shards: a
+// rendezvous-hashed shard map (R owners per shard, replicas on distinct
+// machines) routes queries to only the leaves owning a table's shards, and a
+// rollover flips draining leaves out of the map so their shards serve from
+// replicas.
+const ShardActive = shard.StatusActive
 
 // Subprocess clusters: real scubad OS processes restarted the way the
 // production rollover script works — shutdown-to-shm RPC, process-exit
@@ -259,15 +205,8 @@ type (
 	// ProcLeaf is one subprocess leaf slot (the identity outlives the
 	// process).
 	ProcLeaf = cluster.ProcLeaf
-	// AvailabilityProbe measures live coverage and latency during a
-	// rollover.
-	AvailabilityProbe = cluster.AvailabilityProbe
 	// ProbeConfig sets the probe's query, cadence, and correctness check.
 	ProbeConfig = cluster.ProbeConfig
-	// AvailabilityReport is the probe's timeline plus summary statistics.
-	AvailabilityReport = cluster.AvailabilityReport
-	// AvailabilityPoint is one probe sample.
-	AvailabilityPoint = cluster.AvailabilityPoint
 )
 
 var (
@@ -292,52 +231,21 @@ var (
 	ArmFaults = fault.ArmSpec
 	// ResetFaults disarms every fault point.
 	ResetFaults = fault.Reset
-	// FaultSites lists the registered injection sites.
-	FaultSites = fault.Sites
 	// DescribeFaults renders the currently armed points.
 	DescribeFaults = fault.String
 )
 
 // Ingestion pipeline.
 type (
-	// Bus is the simulated Scribe message bus.
-	Bus = scribe.Bus
-	// Tailer pumps one Scribe category into the cluster.
-	Tailer = tailer.Tailer
 	// TailerConfig configures a tailer.
 	TailerConfig = tailer.Config
-	// Placer implements two-random-choice batch placement.
-	Placer = tailer.Placer
 	// PlacerTarget is a leaf as seen by a tailer.
 	PlacerTarget = tailer.Target
-	// Aggregator fans queries out to leaves and merges partial results.
-	Aggregator = aggregator.Aggregator
 )
 
 // NewBus creates a Scribe-like bus retaining up to retain messages per
 // category (0 = default).
-func NewBus(retain int) *Bus { return scribe.NewBus(retain) }
-
-// ScribeServer exposes a bus over TCP (run by cmd/scribed); ScribeClient
-// satisfies the same Source interface tailers consume in-process.
-type (
-	ScribeServer = scribe.Server
-	ScribeClient = scribe.Client
-)
-
-// NewScribeServer serves a bus on addr.
-func NewScribeServer(bus *Bus, addr string) (*ScribeServer, error) {
-	return scribe.NewServer(bus, addr)
-}
-
-// DialScribe connects to a remote scribed.
-func DialScribe(addr string) *ScribeClient { return scribe.Dial(addr) }
-
-// TailerCheckpoint persists a tailer's offset across tailer restarts.
-type TailerCheckpoint = tailer.Checkpoint
-
-// NewTailerCheckpoint names the checkpoint file.
-var NewTailerCheckpoint = tailer.NewCheckpoint
+func NewBus(retain int) *scribe.Bus { return scribe.NewBus(retain) }
 
 // NewPlacer creates a two-random-choice placer.
 var NewPlacer = tailer.NewPlacer
@@ -386,27 +294,8 @@ func NewAggServerOn(leafAddrs []string, addr string, reg *MetricsRegistry) (*Agg
 // DialLeaf connects to a remote leaf (or aggregator) server.
 func DialLeaf(addr string) *Client { return wire.Dial(addr) }
 
-// Background maintenance.
-type (
-	// Maintainer runs a leaf's background disk sync and expiration loop.
-	Maintainer = leaf.Maintainer
-	// MaintenanceConfig tunes the loop intervals.
-	MaintenanceConfig = leaf.MaintenanceConfig
-)
-
-// Placement policies (tailer ablation knob).
-const (
-	PolicyTwoChoice = tailer.PolicyTwoChoice
-	PolicyRandom    = tailer.PolicyRandom
-)
-
-// Simulation of production scale.
-type (
-	// SimParams parameterize the discrete-event cluster model.
-	SimParams = sim.Params
-	// SimReport summarizes one simulated rollover.
-	SimReport = sim.Report
-)
+// MaintenanceConfig tunes a leaf's background expiration loop.
+type MaintenanceConfig = leaf.MaintenanceConfig
 
 // DefaultSimParams returns the paper-calibrated cluster model (100 machines
 // x 8 leaves x 15 GB).
@@ -434,21 +323,12 @@ type (
 	Trace = obs.Trace
 	// MetricsRegistry is a named counter/gauge/timer/histogram registry.
 	MetricsRegistry = metrics.Registry
-	// MetricsSnapshot is a point-in-time copy of a whole registry.
-	MetricsSnapshot = metrics.Snapshot
-	// Observer is where a daemon's observability meets: registry, flight
-	// recorder, the finished-span hooks (telemetry sink, profiler).
-	Observer = obs.Observer
 	// FlightRecorder is the crash-surviving event ring in shared memory.
 	FlightRecorder = obs.Recorder
 	// FlightRecorderOptions configure the recorder segment location.
 	FlightRecorderOptions = obs.RecorderOptions
-	// FlightEvent is one recorded lifecycle event.
-	FlightEvent = obs.Event
 	// ObsHandlerConfig wires a daemon's sinks into the HTTP mux.
 	ObsHandlerConfig = obs.HandlerConfig
-	// ObsHTTPServer is one daemon's observability listener.
-	ObsHTTPServer = obs.HTTPServer
 )
 
 // Tracing: the aggregator stamps every query with a trace ID and per-leaf
@@ -470,18 +350,8 @@ type (
 // NewTraceSpanID mints a random nonzero trace or span ID.
 var NewTraceSpanID = obs.RandomID
 
-// WireProtocolVersion is the RPC protocol version this build speaks
-// (version 2 added trace context, 3 the batch frame, 4 the result frame; a
-// server answers an older requester in the shape it reads).
-const WireProtocolVersion = wire.ProtocolVersion
-
-// Flight-recorder event kinds.
-const (
-	FlightBegin = obs.EventBegin
-	FlightEnd   = obs.EventEnd
-	FlightFail  = obs.EventFail
-	FlightNote  = obs.EventNote
-)
+// FlightNote is the flight-recorder event kind of a free-form note.
+const FlightNote = obs.EventNote
 
 // Observability constructors.
 var (
@@ -518,8 +388,6 @@ type (
 var (
 	// NewTelemetrySink builds a sink (Emit is required; see SinkConfig).
 	NewTelemetrySink = obs.NewSink
-	// IsSystemTable reports whether a table name is reserved telemetry.
-	IsSystemTable = obs.IsSystemTable
 	// CanonicalMetricName is the snake_case spelling shared by the
 	// Prometheus exposition and the __system.metrics rows.
 	CanonicalMetricName = metrics.CanonicalName
@@ -529,7 +397,6 @@ var (
 
 // Reserved self-telemetry table names.
 const (
-	SystemTablePrefix   = obs.SystemTablePrefix
 	SystemMetricsTable  = obs.SystemMetricsTable
 	SystemTracesTable   = obs.SystemTracesTable
 	SystemRecorderTable = obs.SystemRecorderTable
@@ -541,22 +408,13 @@ const (
 // short CPU-profile windows and heap deltas into top-N per-function rows in
 // __system.profiles, with anomaly-triggered captures (slow query, restart
 // phase over budget, GC-pause spike) tagged with the trace that tripped
-// them.
-type (
-	// ContinuousProfiler is the per-daemon capture loop.
-	ContinuousProfiler = profile.Profiler
-	// ProfilerConfig configures cadence, the steady window and delivery.
-	ProfilerConfig = profile.Config
-	// PprofProfile is a decoded pprof protobuf (the in-repo decoder).
-	PprofProfile = profile.Profile
-)
+// them. ProfilerConfig configures its cadence, steady window and delivery.
+type ProfilerConfig = profile.Config
 
 // Continuous-profiling constructors and helpers.
 var (
 	// NewProfiler builds and starts a profiler (Sink is required).
 	NewProfiler = profile.New
-	// DecodePprof parses a (gzipped) pprof protobuf profile.
-	DecodePprof = profile.Decode
 	// EnableContentionProfiling turns on mutex/block profiling so
 	// /debug/pprof/mutex and /debug/pprof/block return real data.
 	EnableContentionProfiling = profile.EnableContention
@@ -567,18 +425,11 @@ var (
 const (
 	ProfileTriggerInterval  = profile.TriggerInterval
 	ProfileTriggerSlowQuery = profile.TriggerSlowQuery
-	ProfileTriggerRestart   = profile.TriggerRestart
-	ProfileTriggerGCPause   = profile.TriggerGCPause
 	ProfileTotalFunction    = profile.TotalFunction
 )
 
-// Workload generators.
-type (
-	// Workload generates synthetic rows for one table.
-	Workload = workload.Generator
-	// WorkloadQueries generates a realistic query mix.
-	WorkloadQueries = workload.Queries
-)
+// Workload generates synthetic rows for one table.
+type Workload = workload.Generator
 
 // Generators for the workloads the paper's introduction motivates.
 var (
