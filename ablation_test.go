@@ -40,6 +40,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 					l, err := scuba.NewLeaf(scuba.LeafConfig{
 						ID:           j,
 						Shm:          scuba.ShmOptions{Dir: e.dir, Namespace: "abl"},
+						DiskRoot:     b.TempDir(),
 						MemoryBudget: budget,
 					})
 					if err != nil {

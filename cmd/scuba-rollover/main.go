@@ -156,6 +156,7 @@ func runReal(cfg realConfig) {
 		which = "disk"
 	}
 	fmt.Printf("--- %s rollover, %d%% per batch ---\n", which, int(cfg.batch*100))
+	rollStart := time.Now()
 	rep, err := pc.Rollover(scuba.RolloverConfig{
 		BatchFraction:   cfg.batch,
 		UseShm:          cfg.useShm,
@@ -169,6 +170,15 @@ func runReal(cfg realConfig) {
 		fmt.Printf("rollover stopped: %v\n", err)
 	}
 	fmt.Printf("%s rollover: %s\n", which, rep)
+	// Both timelines become __system.rollover rows (DESIGN.md §12), which any
+	// aggregator query reads back.
+	for _, rows := range [][]scuba.Row{rep.Rows("scuba-rollover", rollStart), avail.Rows("scuba-rollover", rollStart)} {
+		if err := pc.Persist(rows); err != nil {
+			fmt.Printf("%d rows not persisted to %s: %v\n", len(rows), scuba.SystemRolloverTable, err)
+		} else {
+			fmt.Printf("persisted %d rows to %s\n", len(rows), scuba.SystemRolloverTable)
+		}
+	}
 
 	fmt.Printf("\navailability during rollover (%d queries, %d errors, %d wrong):\n",
 		avail.Queries, avail.Errors, avail.Wrong)

@@ -33,15 +33,15 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8001", "listen address")
 		shmDir     = flag.String("shm-dir", "/dev/shm", "shared memory directory (tmpfs)")
 		namespace  = flag.String("namespace", "scuba", "shared memory namespace")
-		diskRoot   = flag.String("disk-root", "./scuba-data", "block image store root ('' disables)")
+		diskRoot   = flag.String("disk-root", "./scuba-data", "block image store root (required)")
 		noShm      = flag.Bool("no-memory-recovery", false, "always recover from disk")
 		budget     = flag.Int64("memory-budget", 8<<30, "data budget in bytes, reported to tailers")
 		maxAge     = flag.Int64("max-age", 0, "expire rows older than this many seconds (0 = keep)")
 		maxBytes   = flag.Int64("max-bytes", 0, "per-table compressed byte cap (0 = no cap)")
 		instantOn  = flag.Bool("instant-on", false, "serve queries zero-copy from mmap'd shm on restart; copy-in happens in the background")
-		decCache   = flag.Int64("decode-cache-bytes", 64<<20, "per-table decoded-column cache budget in bytes (0 disables)")
+		decCache   = flag.Int64("decode-cache-bytes", 64<<20, "decoded-column cache budget in bytes, shared by the leaf's tables (0 disables)")
 		expireEach = flag.Duration("expire-interval", time.Minute, "expiration sweep interval")
-		walDir     = flag.String("wal-dir", "", "write-ahead log root for crash-path parity; needs -disk-root ('' disables the WAL)")
+		walDir     = flag.String("wal-dir", "", "write-ahead log root for crash-path parity ('' disables the WAL)")
 		httpAddr   = flag.String("http", "", "observability listen address serving /metrics, /debug/recovery and /debug/pprof ('' disables)")
 		telemetry  = flag.Duration("telemetry-interval", 0, "self-telemetry period: snapshot this leaf's metrics into __system tables (0 disables)")
 		profEvery  = flag.Duration("profile-interval", time.Minute, "continuous profiler steady cadence: capture a CPU window + heap delta into __system.profiles this often (0 disables the profiler)")

@@ -229,9 +229,9 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDaemonRejectsWALWithoutDiskRoot: a WAL with no image store to be
-// truncated behind cannot work, so scubad exits with the leaf's named error
-// instead of starting.
+// TestDaemonRejectsWALWithoutDiskRoot: every leaf keeps its sealed blocks,
+// and a WAL its truncation point, in a block store, so scubad with
+// an empty -disk-root exits with the leaf's named error instead of starting.
 func TestDaemonRejectsWALWithoutDiskRoot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping subprocess integration test")
@@ -246,7 +246,7 @@ func TestDaemonRejectsWALWithoutDiskRoot(t *testing.T) {
 	if err == nil {
 		t.Fatalf("scubad started with -wal-dir and no -disk-root:\n%s", out)
 	}
-	if !strings.Contains(string(out), "WALDir needs DiskRoot") {
+	if !strings.Contains(string(out), "DiskRoot is empty") {
 		t.Errorf("exit message does not name the config error:\n%s", out)
 	}
 }

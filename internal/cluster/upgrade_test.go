@@ -360,14 +360,14 @@ func wantRecovery(t *testing.T, leg string, l *ProcLeaf, want leaf.RecoveryPath,
 //
 //	leg  writer        reader        formats crossing                 recovery
 //	1    ref           —             —                                (fresh start)
-//	2    ref           head          shm LayoutVersion 2 vs 3         wal (skew)
+//	2    ref           head          shm LayoutVersion 2 vs 4         wal (skew)
 //	     ref / head    both aggds    protocol 4, mixed fleet          —
-//	3    head          head          shm LayoutVersion 3, instant-on  shm-view
-//	4    head          head+1        shm LayoutVersion 3 vs 4         wal (skew)
-//	5    head+1        head          shm LayoutVersion 4 vs 3         wal (skew)
+//	3    head          head          shm LayoutVersion 4, instant-on  shm-view
+//	4    head          head+1        shm LayoutVersion 4 vs 5         wal (skew)
+//	5    head+1        head          shm LayoutVersion 5 vs 4         wal (skew)
 //	6    head          ref           store images, WAL records        wal (kill -9)
 //	7    ref           ref           shm LayoutVersion 2              memory
-//	7    head          ref           shm LayoutVersion 3 vs 2         wal (skew)
+//	7    head          ref           shm LayoutVersion 4 vs 2         wal (skew)
 //
 // head+1 is this build with shm.LayoutVersion one higher. A skewed start
 // takes the store and the log, which hold everything the shm backup does

@@ -361,22 +361,21 @@ func (s *Store) DropBelow(table string, row int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	removed := 0
-	for _, im := range images {
-		if im.End() > row {
-			break
-		}
-		if err := os.Remove(filepath.Join(s.tableDir(table), im.Name)); err != nil {
-			return removed, err
-		}
-		removed++
+	n := 0
+	for n < len(images) && images[n].End() <= row {
+		n++
 	}
-	return removed, nil
+	return s.Drop(table, images[:n])
 }
 
-// DropTable deletes one table's images and watermark. A shm restore whose
-// blocks the images do not tile calls it, so the next persist rewrites
-// the table from row 0 of its new numbering.
-func (s *Store) DropTable(table string) error {
-	return os.RemoveAll(s.tableDir(table))
+// Drop deletes the given images of a table, as Images listed them, and
+// returns the number deleted. A shm restore drops every image that is not
+// one of its blocks' (Leaf.adoptImages).
+func (s *Store) Drop(table string, images []Image) (int, error) {
+	for i, im := range images {
+		if err := os.Remove(filepath.Join(s.tableDir(table), im.Name)); err != nil {
+			return i, err
+		}
+	}
+	return len(images), nil
 }

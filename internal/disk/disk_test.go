@@ -309,12 +309,6 @@ func TestDropBelow(t *testing.T) {
 	if got := load(t, s, "t"); len(got.blocks) != 0 || got.w != 30 || len(got.errs) != 0 {
 		t.Fatalf("all expired: %d blocks, watermark %d, errs %v", len(got.blocks), got.w, got.errs)
 	}
-	if err := s.DropTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	if got := load(t, s, "t"); got.w != 0 {
-		t.Fatalf("watermark %d survived DropTable", got.w)
-	}
 }
 
 var updateGolden = flag.Bool("update", false, "rewrite the store layout fixture under testdata/store-v1")

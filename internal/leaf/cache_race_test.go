@@ -121,3 +121,27 @@ func TestDecodeCacheRace(t *testing.T) {
 		t.Errorf("final query scanned nothing over a non-empty table")
 	}
 }
+
+// TestDecodeCacheIsTheLeafs: a leaf's tables share one decoded-column cache
+// under one budget, so the cache's byte gauge counts every table's columns:
+// two tables of the same shape, each queried once, read twice what one does.
+func TestDecodeCacheIsTheLeafs(t *testing.T) {
+	e := newEnv(t)
+	cfg := e.config(0)
+	cfg.Metrics = metrics.NewRegistry()
+	cfg.DecodeCacheBytes = 32 << 20
+	l := startLeaf(t, cfg)
+	for _, name := range []string{"a", "b"} {
+		ingest(t, l, name, 2000, 1000)
+	}
+	if err := l.SealAll(); err != nil {
+		t.Fatal(err)
+	}
+	gauge := cfg.Metrics.Gauge("query.decode_cache.bytes")
+	groupedResult(t, l, "a")
+	one := gauge.Value()
+	groupedResult(t, l, "b")
+	if one == 0 || gauge.Value() != 2*one {
+		t.Fatalf("decode cache gauge reads %d bytes after one table's query and %d after both, want twice the first", one, gauge.Value())
+	}
+}

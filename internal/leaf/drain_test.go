@@ -24,7 +24,7 @@ func segmentRegions(t *testing.T, raw []byte) map[string]int {
 		t.Fatalf("segment holds %d blocks, want a boundary between two", n)
 	}
 	first := int(binary.LittleEndian.Uint64(raw[footer:]))
-	second := int(binary.LittleEndian.Uint64(raw[footer+12:]))
+	second := int(binary.LittleEndian.Uint64(raw[footer+20:])) // entries are 20 bytes: offset, start row, prefix CRC
 	rb, size, err := rowblock.DecodeImage(raw[first:second])
 	if err != nil || first+size != second {
 		t.Fatalf("first image: %d bytes of %d, %v", size, second-first, err)
@@ -34,7 +34,7 @@ func segmentRegions(t *testing.T, raw []byte) map[string]int {
 		"image prefix (a zone map)": first + prefix - 8*rb.NumColumns() - 1, // just before the column offset table
 		"column blob":               first + prefix + rb.Column(0).Size() + rb.Column(1).Size()/2,
 		"image boundary":            second - 1,
-		"footer":                    footer + 12, // the second block's offset
+		"footer":                    footer + 20, // the second block's offset
 	}
 }
 

@@ -112,7 +112,6 @@ func (l *Leaf) startPromoter() {
 		})
 		sp.Blocks = int(l.promoted.Load())
 		sp.End(nil)
-		l.handOffUnpersisted()
 		close(p.done)
 	}()
 }

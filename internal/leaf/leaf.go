@@ -49,14 +49,13 @@ type Config struct {
 	// Shm configures the shared memory manager (directory, namespace).
 	Shm shm.Options
 	// DiskRoot is the root of the block image store, the one persistent
-	// home of sealed blocks; empty disables it (useful in unit tests of the
-	// pure shm path).
+	// home of sealed blocks. Required: a leaf without one would keep no row
+	// across a crash or a disk-bound shutdown.
 	DiskRoot string
 	// WALDir enables the per-table write-ahead log rooted there (a leaf<ID>
-	// subdirectory is created); it needs DiskRoot, where the images the log
-	// is truncated behind live. Empty disables the WAL: a crash loses the
-	// rows acked since their table's last persist, the paper's durability
-	// model.
+	// subdirectory is created); the log is truncated behind the images in
+	// DiskRoot. Empty disables the WAL: a crash loses the rows acked since
+	// their table's last persist, the paper's durability model.
 	WALDir string
 	// WALSyncInterval does nothing: a batch's fsync is led by the first
 	// waiter that finds none in flight (internal/wal), not run on a clock.
@@ -79,9 +78,9 @@ type Config struct {
 	// from the mappings the moment the metadata passes, and the loop runs in
 	// the background, largest table first.
 	InstantOn bool
-	// DecodeCacheBytes budgets the per-table LRU of decoded columns that
-	// lets repeated queries (dashboards) skip LZ4/dictionary decode. 0
-	// disables the cache.
+	// DecodeCacheBytes budgets the leaf's one LRU of decoded columns, shared
+	// by its tables, that lets repeated queries (dashboards) skip
+	// LZ4/dictionary decode. 0 disables the cache.
 	DecodeCacheBytes int64
 	// Metrics, when non-nil, receives the query-path, WAL and promotion
 	// metrics; without it they land in Obs's registry (nil for both: none).
@@ -205,8 +204,12 @@ var ErrNotAlive = errors.New("leaf: not accepting requests in current state")
 type Leaf struct {
 	cfg   Config
 	shm   *shm.Manager
-	store *disk.Store // nil when the image store is disabled
-	wal   *wal.Log    // nil when the WAL is disabled
+	store *disk.Store
+	wal   *wal.Log // nil when the WAL is disabled
+	// cache holds every table's decoded columns (nil when
+	// Config.DecodeCacheBytes is 0); each table's evict hook drops a block's
+	// entries as it expires or leaves during shutdown copy-out.
+	cache *query.DecodeCache
 	// walReady gates ingest-path WAL appends until Start has set every log's
 	// cursor to what recovery restored; appends before that would land at
 	// stale row indexes.
@@ -216,11 +219,6 @@ type Leaf struct {
 	state  State
 	tables map[string]*table.Table
 	locks  map[string]*tableLocks
-	// caches holds each table's decoded-column cache (nil entries/absent
-	// when Config.DecodeCacheBytes is 0). A table's cache is created when
-	// the table is installed and its evict hook invalidates cache entries
-	// as blocks expire or leave during shutdown copy-out.
-	caches map[string]*query.DecodeCache
 
 	recovery RecoveryInfo
 
@@ -234,41 +232,33 @@ type Leaf struct {
 	restart        *obs.Restart
 	firstAnswer    *obs.ActiveSpan
 	firstQueryOpen atomic.Bool
-	// stale names the tables restored from shm whose store images do not
-	// tile their blocks (adoptImages): the images stay, for a damaged block
-	// to be replaced from, until the table holds no shm-resident block, and
-	// the table's first persist from then on drops them (persistLocked).
-	stale map[string]bool
 }
 
-// ErrWALNeedsDiskRoot rejects a Config with WALDir set and DiskRoot empty:
-// the log is truncated behind the store's block images, and there is nowhere
-// to put them.
-var ErrWALNeedsDiskRoot = errors.New("leaf: WALDir needs DiskRoot: the write-ahead log is truncated behind the block images stored there")
+// ErrNoDiskRoot rejects a Config with DiskRoot empty: sealed blocks, and the
+// write-ahead log's truncation point, live in the store there.
+var ErrNoDiskRoot = errors.New("leaf: DiskRoot is empty: every leaf keeps its sealed blocks in a block store there")
 
 // New creates a leaf in INIT. Call Start to run recovery and go ALIVE.
 func New(cfg Config) (*Leaf, error) {
-	if cfg.WALDir != "" && cfg.DiskRoot == "" {
-		return nil, ErrWALNeedsDiskRoot
+	if cfg.DiskRoot == "" {
+		return nil, ErrNoDiskRoot
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return time.Now().Unix() }
 	}
+	store, err := disk.NewStore(cfg.DiskRoot, cfg.ID)
+	if err != nil {
+		return nil, err
+	}
 	l := &Leaf{
 		cfg:    cfg,
 		shm:    shm.NewManager(cfg.ID, cfg.Shm),
+		store:  store,
 		state:  StateInit,
 		tables: make(map[string]*table.Table),
 		locks:  make(map[string]*tableLocks),
-		caches: make(map[string]*query.DecodeCache),
 	}
-	if cfg.DiskRoot != "" {
-		store, err := disk.NewStore(cfg.DiskRoot, cfg.ID)
-		if err != nil {
-			return nil, err
-		}
-		l.store = store
-	}
+	l.cache = query.NewDecodeCache(cfg.DecodeCacheBytes, l.registry())
 	if cfg.WALDir != "" {
 		w, err := wal.Open(filepath.Join(cfg.WALDir, fmt.Sprintf("leaf%d", cfg.ID)), wal.Options{Metrics: l.registry()})
 		if err != nil {
@@ -332,24 +322,6 @@ func (l *Leaf) transitionLocked(to State) error {
 	}
 	l.state = to
 	return nil
-}
-
-// attachCache creates (or reuses) the table's decoded-column cache and wires
-// the table's evict hook to it, so blocks leaving the table (expiration,
-// shutdown copy-out) drop their cached columns. No-op when the cache is
-// disabled. Caller must not hold l.mu.
-func (l *Leaf) attachCache(name string, tbl *table.Table) {
-	if l.cfg.DecodeCacheBytes <= 0 {
-		return
-	}
-	l.mu.Lock()
-	c, ok := l.caches[name]
-	if !ok {
-		c = query.NewDecodeCache(l.cfg.DecodeCacheBytes, l.registry())
-		l.caches[name] = c
-	}
-	l.mu.Unlock()
-	tbl.SetEvictHook(c.InvalidateBlocks)
 }
 
 // ---- Backup path (Figure 6) ----
@@ -422,11 +394,9 @@ func (l *Leaf) shutdown(toShm bool) (info ShutdownInfo, err error) {
 		// no-op or error on tables already past PREPARE, which is fine — those
 		// synced before their copy began). And leave no shared memory behind,
 		// orphaned segments included.
-		if l.store != nil {
-			for _, tbl := range tables {
-				tbl.Prepare()       //nolint:errcheck
-				l.persistTable(tbl) //nolint:errcheck
-			}
+		for _, tbl := range tables {
+			tbl.Prepare()       //nolint:errcheck
+			l.persistTable(tbl) //nolint:errcheck
 		}
 		l.shm.RemoveAll() //nolint:errcheck // best effort
 		return info, err
@@ -440,7 +410,6 @@ func (l *Leaf) shutdown(toShm bool) (info ShutdownInfo, err error) {
 		l.mu.Lock()
 		l.tables = make(map[string]*table.Table)
 		l.locks = make(map[string]*tableLocks)
-		l.caches = make(map[string]*query.DecodeCache)
 		l.mu.Unlock()
 		// Tables still holding shm-resident blocks (a disk-bound shutdown
 		// before promotion drained) release their residency references here so
@@ -528,7 +497,7 @@ func (l *Leaf) addBatch(tableName string, b *rowblock.Batch, frame []byte) error
 	useWAL := l.wal != nil && l.walReady.Load()
 	l.mu.Unlock()
 	if !ok {
-		l.attachCache(tableName, tbl)
+		tbl.SetEvictHook(l.cache.InvalidateBlocks)
 	}
 	locks := l.locksFor(tableName)
 	if useWAL && frame == nil {
@@ -655,7 +624,6 @@ func (l *Leaf) queryTable(q *query.Query) (*query.Result, error) {
 		return nil, fmt.Errorf("%w: %v", ErrNotAlive, st)
 	}
 	tbl, ok := l.tables[q.Table]
-	dc := l.caches[q.Table]
 	l.mu.Unlock()
 	if !ok {
 		if err := q.Validate(); err != nil {
@@ -665,7 +633,7 @@ func (l *Leaf) queryTable(q *query.Query) (*query.Result, error) {
 		return &query.Result{}, nil
 	}
 	for {
-		res, err := query.Execute(tbl, q, query.ExecOptions{Cache: dc, Metrics: l.registry()})
+		res, err := query.Execute(tbl, q, query.ExecOptions{Cache: l.cache, Metrics: l.registry()})
 		if err != nil {
 			var dmg *rowblock.DamagedError
 			if errors.As(err, &dmg) && l.replaceDamaged(tbl, dmg.Block, dmg.Err, nil) {
@@ -764,9 +732,6 @@ func (l *Leaf) locksFor(name string) *tableLocks {
 // this call wrote, 0 when the persister had written them all. It does not
 // wait for promotion.
 func (l *Leaf) SyncToDisk() (int, error) {
-	if l.store == nil {
-		return 0, nil
-	}
 	total := 0
 	for _, tbl := range l.tablesSorted() {
 		n, err := l.persistTable(tbl)
@@ -790,7 +755,7 @@ func (l *Leaf) SnapshotPass() (int, error) { return l.SyncToDisk() }
 // or SyncToDisk writes them. A table still recovering is left to Start's
 // hand-off at ALIVE, one shutting down to its own persist.
 func (l *Leaf) persistBehind(tbl *table.Table) {
-	if l.store == nil || tbl.State() != table.StateAlive {
+	if tbl.State() != table.StateAlive {
 		return
 	}
 	go func() {
@@ -812,17 +777,6 @@ func (l *Leaf) persistTable(tbl *table.Table) (int, error) {
 }
 
 func (l *Leaf) persistLocked(tbl *table.Table) (int, error) {
-	if l.isStale(tbl.Name()) {
-		if tbl.State() == table.StateAlive && tbl.ForeignBlocks() > 0 {
-			return 0, nil // the promoter's hand-off, or the shutdown, writes it
-		}
-		if err := l.store.DropTable(tbl.Name()); err != nil {
-			return 0, err
-		}
-		l.mu.Lock()
-		delete(l.stale, tbl.Name())
-		l.mu.Unlock()
-	}
 	blocks, starts := tbl.UnpersistedBlocks()
 	for _, rb := range blocks {
 		if src := rb.Source(); src != nil {
@@ -866,19 +820,14 @@ func (l *Leaf) ExpireAll(now int64) (int, error) {
 			}
 			return dropped, err
 		}
-		if l.store != nil {
-			// Under the persist lock: a persist that listed a block expiry
-			// dropped writes its image first, and this deletes it. Stale
-			// images are not numbered as the table is, and go whole.
-			locks := l.locksFor(tbl.Name())
-			locks.persist.Lock()
-			if !l.isStale(tbl.Name()) {
-				_, err = l.store.DropBelow(tbl.Name(), tbl.FirstRow())
-			}
-			locks.persist.Unlock()
-			if err != nil {
-				return dropped, err
-			}
+		// Under the persist lock: a persist that listed a block expiry
+		// dropped writes its image first, and this deletes it.
+		locks := l.locksFor(tbl.Name())
+		locks.persist.Lock()
+		_, err = l.store.DropBelow(tbl.Name(), tbl.FirstRow())
+		locks.persist.Unlock()
+		if err != nil {
+			return dropped, err
 		}
 	}
 	return dropped, nil

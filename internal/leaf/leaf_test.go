@@ -605,37 +605,6 @@ func TestFailedDiskShutdownFlushesTheRest(t *testing.T) {
 	}
 }
 
-func TestShmOnlyNoDiskConfigured(t *testing.T) {
-	// A leaf with no disk root still does shm rollovers; a crash then
-	// loses everything (RecoveryNone), which the config explicitly allows.
-	shmDir := t.TempDir()
-	cfg := Config{ID: 0, Shm: shm.Options{Dir: shmDir, Namespace: "test"}}
-	l, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Start(); err != nil {
-		t.Fatal(err)
-	}
-	ingest(t, l, "events", 40, 1000)
-	if _, err := l.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	nu, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nu.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if nu.Recovery().Path != RecoveryMemory {
-		t.Fatalf("recovery = %v", nu.Recovery().Path)
-	}
-	if got := countRows(t, nu, "events"); got != 40 {
-		t.Errorf("count = %v", got)
-	}
-}
-
 func TestGraduallyIncreasingPartialResultsDuringDiskRecovery(t *testing.T) {
 	// §4.1: "While the new process starts answering queries as soon as it
 	// comes up, it only returns (gradually increasing) partial results to

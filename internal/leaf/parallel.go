@@ -140,28 +140,23 @@ func (l *Leaf) shutdownTable(ctx context.Context, r *obs.Restart, worker int, tb
 	if err != nil {
 		return err
 	}
-	p := &persisting{done: make(chan struct{})}
-	if l.store == nil {
-		close(p.done)
-	} else {
-		unpersisted, _ := tbl.UnpersistedBlocks()
-		p.clean = tbl.Stats().NumBlocks - len(unpersisted)
-		sp := r.Begin(obs.PhaseTablePersist, tbl.Name(), worker)
-		go func() {
-			locks := l.locksFor(tbl.Name())
-			locks.persist.Lock()
-			_, p.err = l.persistLocked(tbl)
-			if p.err == nil && l.wal != nil {
-				if err := l.wal.ResetTable(tbl.Name(), tbl.NextRow()); err != nil {
-					// The store holds every row; the next start resets the log.
-					l.cfg.Obs.Event(obs.EventFail, obs.PhaseTableLogReset+":"+tbl.Name(), err.Error())
-				}
+	unpersisted, _ := tbl.UnpersistedBlocks()
+	p := &persisting{clean: tbl.Stats().NumBlocks - len(unpersisted), done: make(chan struct{})}
+	sp = r.Begin(obs.PhaseTablePersist, tbl.Name(), worker)
+	go func() {
+		locks := l.locksFor(tbl.Name())
+		locks.persist.Lock()
+		_, p.err = l.persistLocked(tbl)
+		if p.err == nil && l.wal != nil {
+			if err := l.wal.ResetTable(tbl.Name(), tbl.NextRow()); err != nil {
+				// The store holds every row; the next start resets the log.
+				l.cfg.Obs.Event(obs.EventFail, obs.PhaseTableLogReset+":"+tbl.Name(), err.Error())
 			}
-			locks.persist.Unlock()
-			sp.End(p.err)
-			close(p.done)
-		}()
-	}
+		}
+		locks.persist.Unlock()
+		sp.End(p.err)
+		close(p.done)
+	}()
 	err = tbl.Transition(table.StateCopyToShm)
 	if err == nil && b != nil {
 		err = l.copyTableOut(ctx, r, worker, tbl, b, p)
@@ -220,14 +215,14 @@ func (l *Leaf) copyTableOut(ctx context.Context, r *obs.Restart, worker int, tbl
 				return err
 			}
 		}
-		blocks, err := tbl.DropBlocksForShutdown(1)
+		blocks, starts, err := tbl.DropBlocksForShutdown(1)
 		if err != nil {
 			return err
 		}
 		if len(blocks) == 0 {
 			break
 		}
-		werr := w.WriteBlock(blocks[0], true)
+		werr := w.WriteBlock(blocks[0], starts[0], true)
 		// An un-promoted shm-resident block just had its bytes copied into
 		// the new generation's segment (or failed); either way it leaves the
 		// table here, so its residency on the old mapping ends.

@@ -138,9 +138,7 @@ func (l *Leaf) Start() error {
 		if si, ok := segs[names[i]]; ok {
 			return l.shm.SegmentSize(si.Segment)
 		}
-		if l.store != nil {
-			n += l.store.Size(names[i])
-		}
+		n += l.store.Size(names[i])
 		if l.wal != nil {
 			n += l.wal.Size(names[i])
 		}
@@ -218,7 +216,14 @@ func (l *Leaf) Start() error {
 	l.mu.Unlock()
 	l.firstAnswer = r.Begin(obs.PhaseFirstAnswer, "", -1)
 	l.firstQueryOpen.Store(true)
-	l.handOffUnpersisted()
+	// Blocks no image covers reach the store as they seal, so nothing else
+	// would write these: a restored block whose image was lost, or a block
+	// replay sealed because a crash cut its persist off.
+	for _, t := range l.tablesSorted() {
+		if blocks, _ := t.UnpersistedBlocks(); len(blocks) > 0 {
+			l.persistBehind(t)
+		}
+	}
 	if served > 0 {
 		// Promotion starts only after the leaf is ALIVE: queries are already
 		// being answered from the views, and the copy the paper blocked
@@ -226,21 +231,6 @@ func (l *Leaf) Start() error {
 		l.startPromoter()
 	}
 	return nil
-}
-
-// handOffUnpersisted hands the persister every table holding sealed blocks
-// no image of its own covers; blocks reach the store as they seal, so
-// nothing else would. Start calls it at ALIVE — for a table restored from
-// shm whose images did not tile (until its persist ends, a crash recovers
-// the stale images), or one whose replay sealed because a crash cut its
-// persist off — and the promoter once it is done, for a stale table that
-// still served blocks from shm at ALIVE.
-func (l *Leaf) handOffUnpersisted() {
-	for _, t := range l.tablesSorted() {
-		if blocks, _ := t.UnpersistedBlocks(); len(blocks) > 0 {
-			l.persistBehind(t)
-		}
-	}
 }
 
 // claimShm is Figure 7's opening: if this start may take blocks from shared
@@ -294,14 +284,12 @@ func (l *Leaf) recoverableTables(segs map[string]shm.SegmentInfo) ([]string, map
 	for name := range segs {
 		known[name] = true
 	}
-	if l.store != nil {
-		stored, err := l.store.Tables()
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, name := range stored {
-			known[name] = true
-		}
+	stored, err := l.store.Tables()
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, name := range stored {
+		known[name] = true
 	}
 	logged := make(map[string]bool)
 	if l.wal != nil {
@@ -400,7 +388,7 @@ func (l *Leaf) install(name string, tbl *table.Table) {
 	l.mu.Lock()
 	l.tables[name] = tbl
 	l.mu.Unlock()
-	l.attachCache(name, tbl)
+	tbl.SetEvictHook(l.cache.InvalidateBlocks)
 }
 
 // sizeOf sums the blocks' sizes as their headers state them — the volume a
@@ -415,8 +403,10 @@ func sizeOf(blocks []*rowblock.RowBlock) (n int64) {
 // takeFromShm fills tbl with the sealed blocks in its shm segment, the same
 // way for both starts: the segment is opened as a mapped view (the table's
 // view span), which checks its metadata, and its blocks go into the table
-// as they are, aliasing the mapping; a segment that will not open or
-// validate sends the table to the store. An eager start then moves them to
+// as they are, aliasing the mapping, each at the start row the segment
+// records; a segment that will not open or validate, or whose starts
+// overlap, sends the table to the store. The store's images are then
+// adopted (adoptImages). An eager start then moves them to
 // the heap here, before ALIVE (copyIn); an instant-on start serves the view
 // and leaves the move to the promoter behind ALIVE. Either way a block's
 // columns are checked by their first reader, and one that fails is replaced
@@ -437,39 +427,31 @@ func (l *Leaf) takeFromShm(r *obs.Restart, worker int, tbl *table.Table, si shm.
 		sp.End(err)
 		return fmt.Errorf("open segment: %w", err)
 	}
-	blocks := v.Blocks()
+	blocks, starts := v.Blocks(), v.Starts()
 	o.path.Path = RecoveryMemory
 	if l.cfg.InstantOn && len(blocks) > 0 { // an empty segment leaves nothing to view: memory
 		o.path.Path, sp.Blocks, sp.Bytes = path, len(blocks), sizeOf(blocks)
 	}
 	sp.End(nil)
-	starts, through, stale := l.adoptImages(r, worker, si.Table, string(o.path.Path), blocks)
 	err = tbl.Transition(table.StateMemoryRecovery)
 	for i := 0; err == nil && i < len(blocks); i++ {
 		err = tbl.RestoreBlock(blocks[i], starts[i])
 	}
 	if err != nil {
-		// Unreachable (a fresh table takes any ascending starts); end the
-		// residencies so the view's mapping drains.
+		// The table takes no overlapping starts; end the residencies so the
+		// view's mapping drains.
 		rowblock.ReleaseSources(blocks)
 		return err
 	}
+	through, w := l.adoptImages(r, worker, si.Table, string(o.path.Path), blocks, starts)
 	if !l.cfg.InstantOn {
 		if err := l.copyIn(r, worker, tbl, o); err != nil {
 			rowblock.ReleaseSources(tbl.Blocks())
 			return err
 		}
 	}
-	tbl.AlignSealedEnd(through)
+	tbl.AlignSealedEnd(w)
 	tbl.MarkPersistedThrough(through)
-	if stale {
-		l.mu.Lock()
-		if l.stale == nil {
-			l.stale = make(map[string]bool)
-		}
-		l.stale[si.Table] = true
-		l.mu.Unlock()
-	}
 	o.view = v
 	return nil
 }
@@ -487,21 +469,16 @@ func (l *Leaf) copyIn(r *obs.Restart, worker int, tbl *table.Table, o *tableOutc
 	return err
 }
 
-// storeImage is the store's image of the rows a damaged block held — the
-// clean shutdown persisted every block before it set the valid bit — or nil
-// when the store has none with the block's header. It looks at start first;
-// a stale table's images are numbered otherwise.
+// storeImage is the store's image of the rows a damaged block held, the one
+// at the block's start — the clean shutdown persisted every block before it
+// set the valid bit — or nil when the store has none with the block's header.
 func (l *Leaf) storeImage(name string, start int64, bad *rowblock.RowBlock) *rowblock.RowBlock {
-	if l.store == nil {
-		return nil
-	}
 	images, _, err := l.store.Images(name)
 	if err != nil {
 		return nil
 	}
-	sort.SliceStable(images, func(i, j int) bool { return images[i].Start == start && images[j].Start != start })
 	for _, im := range images {
-		if im.Rows != bad.Rows() || im.MaxTime != bad.Header().MaxTime {
+		if im.Start != start || im.Rows != bad.Rows() || im.MaxTime != bad.Header().MaxTime {
 			continue
 		}
 		if rb, err := l.store.LoadImage(name, im); err == nil && rb.Header() == bad.Header() {
@@ -509,12 +486,6 @@ func (l *Leaf) storeImage(name string, start int64, bad *rowblock.RowBlock) *row
 		}
 	}
 	return nil
-}
-
-func (l *Leaf) isStale(name string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stale[name]
 }
 
 // replaceDamaged takes a block whose first read found it damaged — a scan's,
@@ -550,44 +521,39 @@ func (l *Leaf) replaceDamaged(tbl *table.Table, bad *rowblock.RowBlock, why erro
 	return true
 }
 
-// adoptImages gives blocks restored from shm their global row indexes and
-// says how far the store's images cover them. The segment carries no
-// indexes, but a clean shutdown persisted every block before copying it out,
-// so the store's images tile the blocks exactly and their names hold the
-// indexes: the images are adopted as they are and nothing is rewritten. When
-// they do not tile (an image lost, one left behind by a killed expiry) the
-// numbering restarts at 0 and the images are stale: they stay, for a damaged
-// block's rows (storeImage), until the table's first persist with all of its
-// blocks on the heap replaces them (Leaf.stale).
-func (l *Leaf) adoptImages(r *obs.Restart, worker int, name, source string, blocks []*rowblock.RowBlock) (starts []int64, through int64, stale bool) {
-	starts = make([]int64, len(blocks))
-	if l.store != nil {
-		sp := r.Begin(obs.PhaseTableAdopt, name, worker)
-		sp.Recovery = source
-		images, w, err := l.store.Images(name)
-		tile := err == nil && len(images) == len(blocks)
-		for i := 0; tile && i < len(images); i++ {
-			im, hdr := images[i], blocks[i].Header()
-			tile = im.Rows == blocks[i].Rows() && im.MaxTime == hdr.MaxTime &&
-				(i == 0 || im.Start == images[i-1].End())
-			starts[i] = im.Start
-		}
-		if n := len(images); tile && n > 0 {
-			tile = w <= images[n-1].End()
-			w = images[n-1].End()
-		}
-		sp.End(err)
-		if tile {
-			return starts, w, false
-		}
-		stale = true
-	}
-	var next int64
+// adoptImages makes the store hold exactly the images of blocks, restored at
+// starts, and returns the row through which they cover the table — the end
+// of the longest leading run of blocks that have their images — and the
+// store's watermark. An image is a block's when it matches it on start, rows
+// and max time; any other holds no row the table keeps (a killed expiry's
+// below the first block, a copy past the end) and goes. Nothing is
+// rewritten: the persister writes the blocks past the run at ALIVE. A store
+// that cannot be listed adopts nothing.
+func (l *Leaf) adoptImages(r *obs.Restart, worker int, name, source string, blocks []*rowblock.RowBlock, starts []int64) (through, w int64) {
+	sp := r.Begin(obs.PhaseTableAdopt, name, worker)
+	sp.Recovery = source
+	images, w, err := l.store.Images(name)
+	at := make(map[int64]*rowblock.RowBlock, len(blocks))
 	for i, rb := range blocks {
-		starts[i] = next
-		next += int64(rb.Rows())
+		at[starts[i]] = rb
 	}
-	return starts, 0, stale
+	imaged := make(map[int64]bool, len(images))
+	var strays []disk.Image
+	for _, im := range images {
+		if rb := at[im.Start]; rb != nil && im.Rows == rb.Rows() && im.MaxTime == rb.Header().MaxTime {
+			imaged[im.Start] = true
+		} else {
+			strays = append(strays, im)
+		}
+	}
+	if err == nil {
+		_, err = l.store.Drop(name, strays)
+	}
+	for i := 0; i < len(blocks) && imaged[starts[i]]; i++ {
+		through = starts[i] + int64(blocks[i].Rows())
+	}
+	sp.End(err)
+	return through, w
 }
 
 // loadFromStore fills tbl from the store's images (the load span) and, when
@@ -599,9 +565,6 @@ func (l *Leaf) adoptImages(r *obs.Restart, worker int, name, source string, bloc
 // Reason. An error means the table could not be read at all.
 func (l *Leaf) loadFromStore(r *obs.Restart, worker int, tbl *table.Table, logged bool, o *tableOutcome) error {
 	name := tbl.Name()
-	if l.store == nil {
-		return errors.New("leaf: no disk store configured")
-	}
 	if err := tbl.Transition(table.StateDiskRecovery); err != nil {
 		return err
 	}
@@ -636,9 +599,9 @@ func (l *Leaf) loadFromStore(r *obs.Restart, worker int, tbl *table.Table, logge
 	if err != nil {
 		return err
 	}
-	// With zero images (retention expired them all) the watermark alone
-	// carries the table's row base, so that replayed rows seal at their true
-	// global indexes.
+	// Past the last image (retention expired them all, or the newest is
+	// lost) the watermark alone carries the table's row base, so that
+	// replayed rows seal at their true global indexes.
 	tbl.AlignSealedEnd(w)
 	tbl.MarkPersistedThrough(w)
 	if !logged {

@@ -262,8 +262,9 @@ func TestRecoverySourceEquivalence(t *testing.T) {
 
 // TestCleanRestartAdoptsImages: after a clean shm restart the images already
 // in the store tile the restored blocks, so they are adopted — same files,
-// not one byte rewritten — and only the log starts over. When they do not
-// tile, the table's images are dropped and the next pass rewrites them.
+// not one byte rewritten — and only the log starts over. When one is lost,
+// the images before it are still adopted, and the persister writes only the
+// lost image and the ones after it.
 func TestCleanRestartAdoptsImages(t *testing.T) {
 	e := newWALEnv(t)
 	old := startLeaf(t, e.config(0))
@@ -287,6 +288,8 @@ func TestCleanRestartAdoptsImages(t *testing.T) {
 		}
 		return out
 	}
+	// A rewrite goes through a temp file and a rename: a new inode.
+	same := func(a, b os.FileInfo) bool { return os.SameFile(a, b) && a.ModTime().Equal(b.ModTime()) }
 	before := stat()
 
 	l := startLeaf(t, e.config(0))
@@ -301,8 +304,7 @@ func TestCleanRestartAdoptsImages(t *testing.T) {
 		t.Fatalf("store has %d files, had %d", len(after), len(before))
 	}
 	for name, fi := range before {
-		// A rewrite goes through a temp file and a rename: a new inode.
-		if !os.SameFile(fi, after[name]) || !fi.ModTime().Equal(after[name].ModTime()) {
+		if !same(fi, after[name]) {
 			t.Errorf("%s was rewritten by the restart", name)
 		}
 	}
@@ -316,29 +318,32 @@ func TestCleanRestartAdoptsImages(t *testing.T) {
 		t.Fatalf("crash after adoption: %+v", rec)
 	}
 
-	// Lose an image: the next clean restart cannot adopt and starts over.
+	// Lose the second image: the next clean restart adopts the first and
+	// writes the rest again.
 	if _, err := crashed.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	for name := range dirFiles(t, e.diskDir) {
-		if strings.Contains(name, "block-0000000000000500-") {
-			if err := os.Remove(filepath.Join(e.diskDir, name)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	removeImage(t, e, "block-0000000000000500-")
+	before = stat()
 	reset := startLeaf(t, e.config(0))
 	if p := reset.Recovery().Path; p != RecoveryMemory {
 		t.Fatalf("recovery path = %v", p)
 	}
-	// Start dropped the images and handed the table to the persister at
-	// ALIVE: after the barrier all four are written again, and nothing else.
 	storeTiles(t, reset, "events")
-	if n := len(dirFiles(t, e.diskDir)); n != 5 {
-		t.Fatalf("store holds %d files after the reset, want 4 images and the watermark", n)
+	after = stat()
+	if len(after) != 5 {
+		t.Fatalf("store holds %d files after the restart, want 4 images and the watermark", len(after))
+	}
+	for name, fi := range after {
+		switch kept := before[name] != nil && same(before[name], fi); {
+		case strings.Contains(name, "block-0000000000000000-") && !kept:
+			t.Errorf("%s, before the lost image, was rewritten", name)
+		case strings.Contains(name, "block-") && !strings.Contains(name, "block-0000000000000000-") && kept:
+			t.Errorf("%s, from the lost image on, was not written", name)
+		}
 	}
 	if got := countRows(t, startLeaf(t, e.config(0)), "events"); got != 1570 {
-		t.Fatalf("rows after reset and crash = %v, want 1570", got)
+		t.Fatalf("rows after the restart and a crash = %v, want 1570", got)
 	}
 }
 
@@ -497,13 +502,16 @@ func TestSizeRetentionReachesTheStore(t *testing.T) {
 	}
 }
 
-// TestWALWithoutDiskRootRejected: the log is truncated behind the store's
-// images, so a WAL with nowhere to put images cannot work and is refused.
-func TestWALWithoutDiskRootRejected(t *testing.T) {
+// TestNewRefusesEmptyDiskRoot: every leaf keeps its sealed blocks in a block
+// store, and a WAL is truncated behind its images, so a Config without a
+// DiskRoot is refused, with or without a WAL — a storeless leaf's disk-bound
+// shutdown would report success and keep no row.
+func TestNewRefusesEmptyDiskRoot(t *testing.T) {
 	e := newWALEnv(t)
-	cfg := e.config(0)
-	cfg.DiskRoot = ""
-	if _, err := New(cfg); !errors.Is(err, ErrWALNeedsDiskRoot) {
-		t.Fatalf("New = %v, want ErrWALNeedsDiskRoot", err)
+	for _, cfg := range []Config{e.env.config(0), e.config(0)} {
+		cfg.DiskRoot = ""
+		if _, err := New(cfg); !errors.Is(err, ErrNoDiskRoot) {
+			t.Fatalf("New with WALDir %q = %v, want ErrNoDiskRoot", cfg.WALDir, err)
+		}
 	}
 }

@@ -9,23 +9,25 @@ import (
 	"scuba/internal/rowblock"
 )
 
-// DecodeCache is a per-table, byte-bounded LRU of decoded columns keyed by
-// (sealed block, column name). Dashboards re-run the same handful of queries
-// over the same recent blocks; without the cache every run pays LZ4 +
-// dictionary decode for every referenced column of every block. Entries are
+// DecodeCache is a leaf's byte-bounded LRU of decoded columns, shared by its
+// tables, keyed by sealed block and then column name. Dashboards re-run the
+// same handful of queries over the same recent blocks; without the cache
+// every run pays LZ4 + dictionary decode for every referenced column of
+// every block. Entries are
 // immutable once inserted (decoded columns are read-only shared data), so a
 // hit is a pointer copy.
 //
 // Only sealed *rowblock.RowBlock values are cached: unsealed views are
 // rebuilt per query and their pointer would never hit again. The owning leaf
 // invalidates a block's entries when the block leaves the table (expiration,
-// shutdown copy-out) via InvalidateBlocks.
+// shutdown copy-out) via InvalidateBlocks, which visits that block's entries
+// alone.
 type DecodeCache struct {
 	mu      sync.Mutex
 	max     int64
 	bytes   int64
 	ll      *list.List // front = most recently used
-	entries map[decodeKey]*list.Element
+	entries map[Block]map[string]*list.Element
 
 	// Counters are resolved once at construction; nil when no registry.
 	hits      *metrics.Counter
@@ -56,7 +58,7 @@ func NewDecodeCache(maxBytes int64, reg *metrics.Registry) *DecodeCache {
 	c := &DecodeCache{
 		max:     maxBytes,
 		ll:      list.New(),
-		entries: make(map[decodeKey]*list.Element),
+		entries: make(map[Block]map[string]*list.Element),
 	}
 	if reg != nil {
 		c.hits = reg.Counter("query.decode_cache.hits")
@@ -86,7 +88,7 @@ func (c *DecodeCache) Get(rb Block, name string) (column.Column, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[decodeKey{rb, name}]
+	el, ok := c.entries[rb][name]
 	if !ok {
 		count(c.misses)
 		return nil, false
@@ -108,14 +110,16 @@ func (c *DecodeCache) Put(rb Block, name string, col column.Column) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := decodeKey{rb, name}
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[rb][name]; ok {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*decodeEntry)
 		c.bytes += size - e.size
 		e.col, e.size = col, size
 	} else {
-		c.entries[key] = c.ll.PushFront(&decodeEntry{key: key, col: col, size: size})
+		if c.entries[rb] == nil {
+			c.entries[rb] = make(map[string]*list.Element)
+		}
+		c.entries[rb][name] = c.ll.PushFront(&decodeEntry{key: decodeKey{rb, name}, col: col, size: size})
 		c.bytes += size
 	}
 	for c.bytes > c.max {
@@ -125,15 +129,19 @@ func (c *DecodeCache) Put(rb Block, name string, col column.Column) {
 }
 
 func (c *DecodeCache) evictOldestLocked() {
-	el := c.ll.Back()
-	if el == nil {
-		return
+	if el := c.ll.Back(); el != nil {
+		c.removeLocked(el)
+		count(c.evictions)
 	}
+}
+
+func (c *DecodeCache) removeLocked(el *list.Element) {
 	e := el.Value.(*decodeEntry)
 	c.ll.Remove(el)
-	delete(c.entries, e.key)
+	if delete(c.entries[e.key.blk], e.key.name); len(c.entries[e.key.blk]) == 0 {
+		delete(c.entries, e.key.blk)
+	}
 	c.bytes -= e.size
-	count(c.evictions)
 }
 
 // InvalidateBlocks drops every entry belonging to the given blocks. Called
@@ -143,21 +151,12 @@ func (c *DecodeCache) InvalidateBlocks(blocks []*rowblock.RowBlock) {
 	if c == nil || len(blocks) == 0 {
 		return
 	}
-	gone := make(map[Block]bool, len(blocks))
-	for _, rb := range blocks {
-		gone[rb] = true
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*decodeEntry)
-		if gone[e.key.blk] {
-			c.ll.Remove(el)
-			delete(c.entries, e.key)
-			c.bytes -= e.size
+	for _, rb := range blocks {
+		for _, el := range c.entries[rb] {
+			c.removeLocked(el)
 		}
-		el = next
 	}
 	c.setBytesGaugeLocked()
 }
@@ -169,7 +168,7 @@ func (c *DecodeCache) Stats() (entries int, bytes int64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries), c.bytes
+	return c.ll.Len(), c.bytes
 }
 
 func (c *DecodeCache) setBytesGaugeLocked() {

@@ -30,7 +30,7 @@ func TestConcurrentTableSegmentCreation(t *testing.T) {
 					return
 				}
 				for _, rb := range blocks {
-					if err := w.WriteBlock(rb, false); err != nil {
+					if err := w.WriteBlock(rb, 0, false); err != nil {
 						errs <- err
 						return
 					}
@@ -150,19 +150,19 @@ func TestWriterMisuse(t *testing.T) {
 			if err := w.Finish(); err != nil {
 				t.Fatal(err)
 			}
-			return w.WriteBlock(block, false)
+			return w.WriteBlock(block, 0, false)
 		}, ErrClosed},
 		{"write after abort", func(w *TableSegmentWriter) error {
 			if err := w.Abort(); err != nil {
 				t.Fatal(err)
 			}
-			return w.WriteBlock(block, false)
+			return w.WriteBlock(block, 0, false)
 		}, ErrClosed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newWriter(t)
-			if err := w.WriteBlock(block, false); err != nil {
+			if err := w.WriteBlock(block, 0, false); err != nil {
 				t.Fatal(err)
 			}
 			err := tc.run(w)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"slices"
 	"testing"
 
 	"scuba/internal/fault"
@@ -11,17 +12,18 @@ import (
 	"scuba/internal/rowblock"
 )
 
-// writeSegment backs blocks into a finished segment and returns where its
-// images start, then where its block index does and ends.
+// writeSegment backs blocks, numbered from row 1000 on, into a finished
+// segment and returns where its images start, then where its block index
+// does and ends.
 func writeSegment(t testing.TB, m *Manager, segName, tableName string, blocks []*rowblock.RowBlock) (offsets []int64, end int64) {
 	t.Helper()
 	w, err := CreateTableSegment(m, segName, tableName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rb := range blocks {
+	for i, rb := range blocks {
 		offsets = append(offsets, w.pos)
-		if err := w.WriteBlock(rb, false); err != nil {
+		if err := w.WriteBlock(rb, segStarts(blocks)[i], false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,6 +82,15 @@ func restoreBothWays(t testing.TB, m *Manager, seg, table string, raw []byte) (s
 		})
 	}
 	return served, drained, serveErr, drainErr
+}
+
+// segStarts is the start rows writeSegment gives blocks.
+func segStarts(blocks []*rowblock.RowBlock) []int64 {
+	starts, next := make([]int64, len(blocks)), int64(1000)
+	for i, rb := range blocks {
+		starts[i], next = next, next+int64(rb.Rows())
+	}
+	return starts
 }
 
 // lostBlocks is the blocks restored lost: nil, or the index of every block
@@ -151,21 +162,25 @@ func TestEveryFlippedByteIsCaught(t *testing.T) {
 }
 
 // FuzzSegmentCorruption checks that an arbitrary single-byte mutation
-// anywhere in the segment file never yields silently wrong block data, served
-// in place or drained: the open fails, or every block is identical to the
-// original but at most one, which its first read reported damaged.
+// anywhere in the segment file never yields silently wrong block data or
+// start rows, served in place or drained: the open fails, or every block is
+// identical to the original, at its start, but at most one, which its first
+// read reported damaged. The seeds are offsets into a layout-4 segment of two
+// 50-row blocks, whose block index runs from byte 986 to 1026.
 func FuzzSegmentCorruption(f *testing.F) {
 	f.Add(uint32(0), byte(0xff))    // magic
 	f.Add(uint32(4), byte(0x01))    // version
 	f.Add(uint32(28), byte(0x80))   // index CRC field
 	f.Add(uint32(40), byte(0xa5))   // first image prefix
-	f.Add(uint32(999), byte(0x01))  // the block index: second image's offset
+	f.Add(uint32(1007), byte(0x01)) // the block index: second image's offset
 	f.Add(uint32(50), byte(0x00))   // no-op mutation must keep working
 	f.Add(uint32(45), byte(0x7f))   // first image's size field
 	f.Add(uint32(1510), byte(0x01)) // the first image's last column blob
 	f.Add(uint32(24), byte(0x01))   // block count
-	f.Add(uint32(994), byte(0x04))  // the block index: first image's prefix CRC
-	f.Add(uint32(1006), byte(0x80)) // the block index: second image's prefix CRC
+	f.Add(uint32(994), byte(0x01))  // the block index: first block's start row
+	f.Add(uint32(1015), byte(0x02)) // the block index: second block's start row
+	f.Add(uint32(1002), byte(0x04)) // the block index: first image's prefix CRC
+	f.Add(uint32(1022), byte(0x80)) // the block index: second image's prefix CRC
 	f.Add(uint32(700), byte(0x20))  // the second image's columns: costs that block
 	f.Fuzz(func(t *testing.T, off uint32, x byte) {
 		m := newTestManager(t, 1, false)
@@ -177,6 +192,15 @@ func FuzzSegmentCorruption(f *testing.F) {
 		}
 		pos := int(off) % len(raw)
 		raw[pos] ^= x
+		if err := os.WriteFile(m.segmentPath("tbl-fz"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := OpenTableSegmentView(m, SegmentInfo{Table: "fz", Segment: "tbl-fz"}); err == nil {
+			if !slices.Equal(v.Starts(), segStarts(blocks)) {
+				t.Fatalf("mutation (%d, %#x) moved the blocks to rows %v", pos, x, v.Starts())
+			}
+			rowblock.ReleaseSources(v.Blocks())
+		}
 
 		served, drained, serveErr, drainErr := restoreBothWays(t, m, "tbl-fz", "fz", raw)
 		for _, way := range []struct {
@@ -209,7 +233,7 @@ func TestFailedFinishLeavesWriterAborted(t *testing.T) {
 	}
 	fault.Arm(fault.Point{Site: fault.SiteShmCopyOut, Action: fault.ActError, After: len(blocks)})
 	for _, rb := range blocks {
-		if err := w.WriteBlock(rb, false); err != nil {
+		if err := w.WriteBlock(rb, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +250,7 @@ func TestFailedFinishLeavesWriterAborted(t *testing.T) {
 	if err := w.Finish(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Finish after a failed Finish = %v, want ErrClosed", err)
 	}
-	if err := w.WriteBlock(blocks[0], false); !errors.Is(err, ErrClosed) {
+	if err := w.WriteBlock(blocks[0], 0, false); !errors.Is(err, ErrClosed) {
 		t.Errorf("WriteBlock after a failed Finish = %v, want ErrClosed", err)
 	}
 	if err := m.RemoveSegment("tbl-ff"); err != nil || m.SegmentExists("tbl-ff") {
@@ -245,7 +269,7 @@ func TestFaultSiteCopyOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBlock(blocks[0], false); !errors.Is(err, fault.ErrInjected) {
+	if err := w.WriteBlock(blocks[0], 0, false); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("WriteBlock = %v, want ErrInjected", err)
 	}
 	if err := w.Abort(); err != nil {

@@ -14,10 +14,11 @@ import (
 	"scuba/internal/rowblock"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/segment-v3.golden")
+var update = flag.Bool("update", false, "rewrite testdata/segment-v4.golden")
 
 // goldenRows is the source of the testdata/segment-v*.golden fixtures: block
 // b of 3, 40 rows each, one column of every type beside the time column.
+// From layout 4 on, block b starts at global row goldenStart(b).
 func goldenRows(b int) []rowblock.Row {
 	rows := make([]rowblock.Row, 40)
 	for i := range rows {
@@ -35,14 +36,14 @@ func goldenRows(b int) []rowblock.Row {
 	return rows
 }
 
-// TestGoldenSegmentV1: the fixture was written by CreateTableSegment /
-// WriteBlock / Finish at layout version 2, with a payload CRC (segment
-// "tbl-golden" of table "golden", blocks created at 1700000100+b), and must
-// never be regenerated. This binary refuses it as version skew and leaves it
-// in place — the metadata's version check sends such a start to the store
-// before any segment is opened (DESIGN.md §13).
-func TestGoldenSegmentV1(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "segment-v1.golden"))
+func goldenStart(b int) int64 { return 5000 + 40*int64(b) }
+
+// refuseGolden puts an older layout's fixture in place as segment
+// "tbl-golden" of table "golden": this binary refuses it as version skew and
+// leaves it in place — the metadata's version check sends such a start to
+// the store before any segment is opened (DESIGN.md §13).
+func refuseGolden(t *testing.T, fixture string) {
+	raw, err := os.ReadFile(filepath.Join("testdata", fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestGoldenSegmentV1(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "golden", Segment: "tbl-golden"}); !errors.Is(err, ErrVersionSkew) {
-			t.Fatalf("open of a layout-2 segment = %v, want %v", err, ErrVersionSkew)
+			t.Fatalf("open of %s = %v, want %v", fixture, err, ErrVersionSkew)
 		}
 		if !m.SegmentExists("tbl-golden") {
 			t.Fatal("the refused segment was removed")
@@ -60,12 +61,22 @@ func TestGoldenSegmentV1(t *testing.T) {
 	})
 }
 
-// TestGoldenSegmentV3 pins the table segment layout of LayoutVersion 3: a
-// block index with a prefix CRC per block under an index CRC. The fixture
-// is the one TestWriterReproducesGoldenSegmentV3 checks the writer against;
-// regenerate it (-update) only with a LayoutVersion bump.
-func TestGoldenSegmentV3(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "segment-v3.golden"))
+// TestGoldenSegmentV1: the fixture was written by CreateTableSegment /
+// WriteBlock / Finish at layout version 2, with a payload CRC (blocks created
+// at 1700000100+b), and must never be regenerated.
+func TestGoldenSegmentV1(t *testing.T) { refuseGolden(t, "segment-v1.golden") }
+
+// TestGoldenSegmentV3: the fixture was written at layout version 3, a block
+// index of image offsets and prefix CRCs with no start rows, and must never
+// be regenerated.
+func TestGoldenSegmentV3(t *testing.T) { refuseGolden(t, "segment-v3.golden") }
+
+// TestGoldenSegmentV4 pins the table segment layout of LayoutVersion 4: a
+// block index with each block's start row and prefix CRC under an index CRC.
+// The fixture is the one TestWriterReproducesGoldenSegmentV4 checks the
+// writer against; regenerate it (-update) only with a LayoutVersion bump.
+func TestGoldenSegmentV4(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "segment-v4.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +85,11 @@ func TestGoldenSegmentV3(t *testing.T) {
 		if err := os.WriteFile(m.segmentPath("tbl-golden"), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := drainView(openView(t, m, "tbl-golden", "golden"))
+		v := openView(t, m, "tbl-golden", "golden")
+		if got, want := v.Starts(), []int64{goldenStart(0), goldenStart(1), goldenStart(2)}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("starts = %v, want %v", got, want)
+		}
+		restored, err := drainView(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,11 +134,11 @@ func TestGoldenSegmentV3(t *testing.T) {
 	})
 }
 
-// TestWriterReproducesGoldenSegmentV3: the writer lays down, byte for byte,
-// the layout-3 fixture — the format did not move, so a segment crosses a
-// binary upgrade between two layout-3 releases in either direction.
-func TestWriterReproducesGoldenSegmentV3(t *testing.T) {
-	path := filepath.Join("testdata", "segment-v3.golden")
+// TestWriterReproducesGoldenSegmentV4: the writer lays down, byte for byte,
+// the layout-4 fixture — the format did not move, so a segment crosses a
+// binary upgrade between two layout-4 releases in either direction.
+func TestWriterReproducesGoldenSegmentV4(t *testing.T) {
+	path := filepath.Join("testdata", "segment-v4.golden")
 	m := newTestManager(t, 1, false)
 	w, err := CreateTableSegment(m, "tbl-golden", "golden")
 	if err != nil {
@@ -140,7 +155,7 @@ func TestWriterReproducesGoldenSegmentV3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WriteBlock(rb, true); err != nil {
+		if err := w.WriteBlock(rb, goldenStart(b), true); err != nil {
 			t.Fatal(err)
 		}
 	}

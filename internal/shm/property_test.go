@@ -49,7 +49,7 @@ func TestTableSegmentProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rb := range blocks {
-				if err := w.WriteBlock(rb, false); err != nil {
+				if err := w.WriteBlock(rb, 0, false); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -39,7 +39,10 @@ import (
 //	3 — the payload CRC became an index CRC, and each block index entry
 //	    gained its image prefix's CRC: a block is checked at first read
 //	    (see tableseg.go)
-const LayoutVersion uint32 = 3
+//	4 — each block index entry gained the block's global start row, so a
+//	    restore numbers its blocks as the segment says, not as the store's
+//	    images do
+const LayoutVersion uint32 = 4
 
 // DefaultDir is the default segment directory. /dev/shm is a tmpfs on
 // Linux, so segments live in physical memory, never on disk.

@@ -25,13 +25,19 @@ import (
 //	u16  table name length
 //	...  table name bytes
 //	...  row block images, contiguous (see rowblock.AppendImage)
-//	footer, the block index: per block a u64 image offset and the u32
-//	     CRC-32C of the image's prefix (rowblock.PrefixCRC)
+//	footer, the block index: per block a u64 image offset, the u64
+//	     global row index of the block's first row (as the store's image
+//	     names and the log's records carry it), and the u32 CRC-32C of the
+//	     image's prefix (rowblock.PrefixCRC)
 //
 // The footer's offsets let a restore hand the segment back to tmpfs from
 // the end: as blocks move to the heap newest first, the view truncates the
 // file behind them (MappedView.Evict), keeping the total footprint flat
 // (§4.4, Figure 7).
+//
+// The row index travels with the block: a restore puts each block back at
+// the start its entry records, so the block, its store image and the log
+// agree on its rows whatever the store holds (DESIGN.md §13).
 //
 // Every byte a reader uses is under one checksum, checked when it is read:
 // the index CRC covers the header's offsets and counts and the index, the
@@ -50,8 +56,9 @@ const segHeaderFixed = 4 + 4 + 8 + 8 + 4 + 4 + 2
 // segIndexed is the header bytes the index CRC covers, and where it sits.
 const segIndexed = 28
 
-// segIndexEntry is one block's footer entry: image offset and prefix CRC.
-const segIndexEntry = 8 + 4
+// segIndexEntry is one block's footer entry: image offset, start row and
+// prefix CRC.
+const segIndexEntry = 8 + 8 + 4
 
 // ErrSegCorrupt is returned for structurally invalid table segments.
 var ErrSegCorrupt = fmt.Errorf("shm: corrupt table segment")
@@ -120,12 +127,13 @@ func (w *TableSegmentWriter) put(p []byte) error {
 	return nil
 }
 
-// WriteBlock copies one row block into the segment column by column. When
+// WriteBlock copies one row block, whose first row has global index start,
+// into the segment column by column. When
 // release is true each heap column is dropped right after its copy, so the
 // block's memory is reclaimed incrementally (Figure 6 pseudocode). A block
 // still served from a previous segment's mapping goes in one piece, as it
 // came: bytes no reader has checked travel with the checksums that will.
-func (w *TableSegmentWriter) WriteBlock(rb *rowblock.RowBlock, release bool) error {
+func (w *TableSegmentWriter) WriteBlock(rb *rowblock.RowBlock, start int64, release bool) error {
 	if w.state != "" {
 		return fmt.Errorf("%w: WriteBlock on %s segment writer", ErrClosed, w.state)
 	}
@@ -157,6 +165,7 @@ func (w *TableSegmentWriter) WriteBlock(rb *rowblock.RowBlock, release bool) err
 		}
 	}
 	w.index = binary.LittleEndian.AppendUint64(w.index, uint64(off))
+	w.index = binary.LittleEndian.AppendUint64(w.index, uint64(start))
 	w.index = binary.LittleEndian.AppendUint32(w.index, rowblock.PrefixCRC(prefix))
 	return nil
 }
@@ -231,16 +240,17 @@ func indexCRC(header, footer []byte) uint32 {
 // parseTableSegment validates a table segment's header and block index —
 // its CRC, and that the images tile the payload in order — and returns the
 // table name, the block image offsets followed by the footer's (so image i
-// is b[offsets[i]:offsets[i+1]]), and each image's prefix CRC.
-func parseTableSegment(b []byte) (string, []int64, []uint32, error) {
+// is b[offsets[i]:offsets[i+1]]), each block's start row and each image's
+// prefix CRC.
+func parseTableSegment(b []byte) (name string, offsets, starts []int64, crcs []uint32, err error) {
 	if len(b) < segHeaderFixed {
-		return "", nil, nil, fmt.Errorf("%w: %d bytes", ErrSegCorrupt, len(b))
+		return "", nil, nil, nil, fmt.Errorf("%w: %d bytes", ErrSegCorrupt, len(b))
 	}
 	if m := binary.LittleEndian.Uint32(b[0:]); m != SegMagic {
-		return "", nil, nil, fmt.Errorf("%w: magic %08x", ErrSegCorrupt, m)
+		return "", nil, nil, nil, fmt.Errorf("%w: magic %08x", ErrSegCorrupt, m)
 	}
 	if v := binary.LittleEndian.Uint32(b[4:]); v != LayoutVersion {
-		return "", nil, nil, fmt.Errorf("%w: segment version %d, code version %d", ErrVersionSkew, v, LayoutVersion)
+		return "", nil, nil, nil, fmt.Errorf("%w: segment version %d, code version %d", ErrVersionSkew, v, LayoutVersion)
 	}
 	payloadStart := int64(binary.LittleEndian.Uint64(b[8:]))
 	footerOff := int64(binary.LittleEndian.Uint64(b[16:]))
@@ -249,23 +259,23 @@ func parseTableSegment(b []byte) (string, []int64, []uint32, error) {
 	if payloadStart != int64(segHeaderFixed+nameLen) ||
 		footerOff < payloadStart || footerOff > int64(len(b)) ||
 		segIndexEntry*nblocks > int64(len(b))-footerOff {
-		return "", nil, nil, fmt.Errorf("%w: payload=%d footer=%d blocks=%d len=%d",
+		return "", nil, nil, nil, fmt.Errorf("%w: payload=%d footer=%d blocks=%d len=%d",
 			ErrSegCorrupt, payloadStart, footerOff, nblocks, len(b))
 	}
 	index := b[footerOff : footerOff+segIndexEntry*nblocks]
 	if sum, want := indexCRC(b, index), binary.LittleEndian.Uint32(b[segIndexed:]); sum != want {
-		return "", nil, nil, fmt.Errorf("%w: index checksum %08x, header says %08x", ErrSegCorrupt, sum, want)
+		return "", nil, nil, nil, fmt.Errorf("%w: index checksum %08x, header says %08x", ErrSegCorrupt, sum, want)
 	}
-	offsets, crcs := make([]int64, nblocks+1), make([]uint32, nblocks)
+	offsets, starts, crcs = make([]int64, nblocks+1), make([]int64, nblocks), make([]uint32, nblocks)
 	prev := payloadStart
 	for i := range crcs {
 		e := index[segIndexEntry*i:]
 		off := int64(binary.LittleEndian.Uint64(e))
 		if off < prev || off >= footerOff {
-			return "", nil, nil, fmt.Errorf("%w: block %d offset %d", ErrSegCorrupt, i, off)
+			return "", nil, nil, nil, fmt.Errorf("%w: block %d offset %d", ErrSegCorrupt, i, off)
 		}
-		offsets[i], crcs[i], prev = off, binary.LittleEndian.Uint32(e[8:]), off
+		offsets[i], starts[i], crcs[i], prev = off, int64(binary.LittleEndian.Uint64(e[8:])), binary.LittleEndian.Uint32(e[16:]), off
 	}
 	offsets[nblocks] = footerOff
-	return string(b[segHeaderFixed : segHeaderFixed+nameLen]), offsets, crcs, nil
+	return string(b[segHeaderFixed : segHeaderFixed+nameLen]), offsets, starts, crcs, nil
 }

@@ -81,7 +81,7 @@ func TestTableSegmentRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rb := range blocks {
-			if err := w.WriteBlock(rb, false); err != nil {
+			if err := w.WriteBlock(rb, 0, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -124,7 +124,7 @@ func TestWriteBlockReleasesHeapColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBlock(blocks[0], true); err != nil {
+	if err := w.WriteBlock(blocks[0], 0, true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < blocks[0].NumColumns(); i++ {
@@ -153,7 +153,7 @@ func TestOpenTableSegmentRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rb := range blocks {
-		if err := w.WriteBlock(rb, false); err != nil {
+		if err := w.WriteBlock(rb, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestAbortLeavesRemovableSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBlock(blocks[0], false); err != nil {
+	if err := w.WriteBlock(blocks[0], 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Abort(); err != nil {
@@ -240,7 +240,7 @@ func TestBytesCopiedAccounting(t *testing.T) {
 		for i := 0; i < rb.NumColumns(); i++ {
 			want += int64(rb.Column(i).Size())
 		}
-		if err := w.WriteBlock(rb, false); err != nil {
+		if err := w.WriteBlock(rb, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}

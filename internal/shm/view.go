@@ -55,6 +55,7 @@ type MappedView struct {
 	seg     *Segment
 	offsets []int64 // of each block image in the segment, then of the footer
 	blocks  []*rowblock.RowBlock
+	starts  []int64 // each block's global start row, as the segment records it
 	refs    atomic.Int64
 
 	mu       sync.Mutex
@@ -104,7 +105,7 @@ func OpenTableSegmentView(m *Manager, si SegmentInfo) (*MappedView, error) {
 // read, are what must catch it.
 func (v *MappedView) decode(table string) error {
 	b := v.seg.Bytes()
-	name, offsets, crcs, err := parseTableSegment(b)
+	name, offsets, starts, crcs, err := parseTableSegment(b)
 	if err != nil {
 		return err
 	}
@@ -125,7 +126,7 @@ func (v *MappedView) decode(table string) error {
 		rb.SetSource(v)
 		v.blocks = append(v.blocks, rb)
 	}
-	v.offsets = offsets
+	v.offsets, v.starts = offsets, starts
 	return nil
 }
 
@@ -135,6 +136,9 @@ func (v *MappedView) SegmentName() string { return v.seg.Name() }
 // Blocks returns the decoded zero-copy blocks in segment (arrival) order.
 // Each aliases the mapping and carries the view as its Source.
 func (v *MappedView) Blocks() []*rowblock.RowBlock { return v.blocks }
+
+// Starts returns each block's global start row, as Blocks orders them.
+func (v *MappedView) Starts() []int64 { return v.starts }
 
 // Refs returns the current reference count (tests and telemetry).
 func (v *MappedView) Refs() int64 { return v.refs.Load() }

@@ -544,19 +544,15 @@ func (t *Table) RestoreBlock(rb *rowblock.RowBlock, start int64) error {
 	return nil
 }
 
-// AlignSealedEnd advances an empty recovering table's global row base to
-// start. When retention expired every image below the watermark, log replay
-// begins at the watermark with no block to carry the index — without this,
-// replayed rows would seal starting at 0 and the table's row numbering would
-// disagree with its log and watermark forever. No-op once any block is
-// restored (the block carries the index) or if start is not ahead of the
-// current end.
+// AlignSealedEnd raises a recovering table's sealed end to start, the
+// store's watermark, whatever blocks it holds: every row below the watermark
+// is in an image, expired or lost with one, so the first row numbered after
+// a restore — replayed or new — is numbered at or past it, as the log and
+// the store number it. No-op if start is not ahead of the current end.
 func (t *Table) AlignSealedEnd(start int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.blocks) == 0 && start > t.sealedEnd {
-		t.sealedEnd = start
-	}
+	t.sealedEnd = max(t.sealedEnd, start)
 }
 
 // Stats describes a table's current contents.
@@ -607,25 +603,22 @@ func (t *Table) Rows() int64 {
 	return t.rowsTotal
 }
 
-// DropBlocksForShutdown pops up to n leading blocks so the shutdown path can
-// release them after copying to shared memory (Figure 6 deletes each row
-// block from the heap as it is copied). Only legal in COPY_TO_SHM. Safe
-// under concurrent callers (the parallel shutdown runs one worker per table,
-// but nothing here assumes that): each call atomically claims a disjoint
-// prefix.
-func (t *Table) DropBlocksForShutdown(n int) ([]*rowblock.RowBlock, error) {
+// DropBlocksForShutdown pops up to n leading blocks, with their global row
+// indexes, so the shutdown path can release them after copying to shared
+// memory (Figure 6 deletes each row block from the heap as it is copied).
+// Only legal in COPY_TO_SHM. Safe under concurrent callers (the parallel
+// shutdown runs one worker per table, but nothing here assumes that): each
+// call atomically claims a disjoint prefix.
+func (t *Table) DropBlocksForShutdown(n int) ([]*rowblock.RowBlock, []int64, error) {
 	t.mu.Lock()
 	if t.state != StateCopyToShm {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("%w: DropBlocksForShutdown in %v", ErrNotAccepting, t.state)
+		return nil, nil, fmt.Errorf("%w: DropBlocksForShutdown in %v", ErrNotAccepting, t.state)
 	}
-	if n > len(t.blocks) {
-		n = len(t.blocks)
-	}
-	out := t.blocks[:n]
-	t.blocks = t.blocks[n:]
-	t.starts = t.starts[n:]
+	n = min(n, len(t.blocks))
+	out, starts := t.blocks[:n], t.starts[:n]
+	t.blocks, t.starts = t.blocks[n:], t.starts[n:]
 	t.mu.Unlock()
 	t.notifyEvict(out)
-	return out, nil
+	return out, starts, nil
 }

@@ -3,6 +3,7 @@ package table
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -343,7 +344,7 @@ func TestDropBlocksForShutdown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tbl.DropBlocksForShutdown(1); !errors.Is(err, ErrNotAccepting) {
+	if _, _, err := tbl.DropBlocksForShutdown(1); !errors.Is(err, ErrNotAccepting) {
 		t.Errorf("drop in ALIVE: %v", err)
 	}
 	if err := tbl.Prepare(); err != nil {
@@ -352,13 +353,13 @@ func TestDropBlocksForShutdown(t *testing.T) {
 	if err := tbl.Transition(StateCopyToShm); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tbl.DropBlocksForShutdown(2)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("drop: %d, %v", len(got), err)
+	got, starts, err := tbl.DropBlocksForShutdown(2)
+	if err != nil || len(got) != 2 || !slices.Equal(starts, []int64{0, 5}) {
+		t.Fatalf("drop: %d at %v, %v", len(got), starts, err)
 	}
-	got, err = tbl.DropBlocksForShutdown(5)
-	if err != nil || len(got) != 1 {
-		t.Fatalf("drain: %d, %v", len(got), err)
+	got, starts, err = tbl.DropBlocksForShutdown(5)
+	if err != nil || len(got) != 1 || !slices.Equal(starts, []int64{10}) {
+		t.Fatalf("drain: %d at %v, %v", len(got), starts, err)
 	}
 }
 
@@ -441,7 +442,7 @@ func TestDropBlocksForShutdownKeepsPersistedCursor(t *testing.T) {
 	if err := tbl.Transition(StateCopyToShm); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.DropBlocksForShutdown(3); err != nil {
+	if _, _, err := tbl.DropBlocksForShutdown(3); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := tbl.UnpersistedBlocks(); len(got) != 0 {
@@ -478,7 +479,7 @@ func TestConcurrentDropBlocksForShutdown(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				blocks, err := tbl.DropBlocksForShutdown(1)
+				blocks, _, err := tbl.DropBlocksForShutdown(1)
 				if err != nil {
 					t.Errorf("drop: %v", err)
 					return
