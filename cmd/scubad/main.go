@@ -58,8 +58,9 @@ func main() {
 	}
 
 	// One registry for everything this process observes (restart phases,
-	// query latency, RPC counters) and one flight recorder in its own shm
-	// segment, which survives crashes and the leaf's own segment sweep.
+	// query latency, RPC counters) and one flight recorder in its own file
+	// in the shm directory, which survives crashes and the leaf's own
+	// segment sweep.
 	reg := scuba.NewMetricsRegistry()
 	reg.EnableRuntimeMetrics()
 	reg.EnableProcessMetrics()

@@ -36,11 +36,15 @@ import (
 // moduleRoot is the repository root, two levels above this package.
 const moduleRoot = "../.."
 
+// layoutLine is the one line of internal/shm/shm.go that sets a tree's
+// shm.LayoutVersion.
+var layoutLine = regexp.MustCompile(`(?m)^const LayoutVersion uint32 = (\d+)$`)
+
 // buildReference extracts the commit ci/oldest-supported names with git
-// archive (no worktree, nothing written under .git) and builds its scubad
-// and scuba-aggd. It skips when git, a checkout or the commit is missing: a
-// shallow clone has no history to build from.
-func buildReference(t *testing.T) (scubad, aggd, ref string) {
+// archive (no worktree, nothing written under .git), builds its scubad and
+// scuba-aggd, and reads its shm.LayoutVersion. It skips when git, a checkout
+// or the commit is missing: a shallow clone has no history to build from.
+func buildReference(t *testing.T) (scubad, aggd, ref string, layout int) {
 	t.Helper()
 	git, err := exec.LookPath("git")
 	if err != nil {
@@ -78,7 +82,16 @@ func buildReference(t *testing.T) (scubad, aggd, ref string) {
 	if aggd, err = buildCmd(src, bin, "scuba-aggd", false); err != nil {
 		t.Fatal(err)
 	}
-	return scubad, aggd, ref
+	code, err := os.ReadFile(filepath.Join(src, "internal", "shm", "shm.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := layoutLine.FindAllSubmatch(code, -1)
+	if len(m) != 1 {
+		t.Fatalf("the reference %.12s's internal/shm/shm.go has no single LayoutVersion line", ref)
+	}
+	layout, _ = strconv.Atoi(string(m[0][1]))
+	return scubad, aggd, ref, layout
 }
 
 // buildBumped builds this tree's scubad from a copy of its Go sources whose
@@ -118,11 +131,10 @@ func buildBumped(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	line := regexp.MustCompile(`(?m)^const LayoutVersion uint32 = \d+$`)
-	if len(line.FindAll(code, -1)) != 1 {
+	if len(layoutLine.FindAll(code, -1)) != 1 {
 		t.Fatal("internal/shm/shm.go has no single LayoutVersion line to bump")
 	}
-	code = line.ReplaceAll(code, []byte("const LayoutVersion uint32 = "+strconv.Itoa(int(shm.LayoutVersion)+1)))
+	code = layoutLine.ReplaceAll(code, []byte("const LayoutVersion uint32 = "+strconv.Itoa(int(shm.LayoutVersion)+1)))
 	if err := os.WriteFile(path, code, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -360,21 +372,23 @@ func wantRecovery(t *testing.T, leg string, l *ProcLeaf, want leaf.RecoveryPath,
 //
 //	leg  writer        reader        formats crossing                 recovery
 //	1    ref           —             —                                (fresh start)
-//	2    ref           head          shm LayoutVersion 2 vs 4         wal (skew)
+//	2    ref           head          shm layout ref's vs head's       memory, or wal (skew)
 //	     ref / head    both aggds    protocol 4, mixed fleet          —
-//	3    head          head          shm LayoutVersion 4, instant-on  shm-view
-//	4    head          head+1        shm LayoutVersion 4 vs 5         wal (skew)
-//	5    head+1        head          shm LayoutVersion 5 vs 4         wal (skew)
+//	3    head          head          shm layout head's, instant-on    shm-view
+//	4    head          head+1        shm layout head's vs head+1's    wal (skew)
+//	5    head+1        head          shm layout head+1's vs head's    wal (skew)
 //	6    head          ref           store images, WAL records        wal (kill -9)
-//	7    ref           ref           shm LayoutVersion 2              memory
-//	7    head          ref           shm LayoutVersion 4 vs 2         wal (skew)
+//	7    ref           ref           shm layout ref's                 memory
+//	7    head          ref           shm layout head's vs ref's       memory, or wal (skew)
 //
-// head+1 is this build with shm.LayoutVersion one higher. A skewed start
-// takes the store and the log, which hold everything the shm backup does
-// because a clean shutdown leaves the log on disk, and never a view of the
-// foreign segments; this build's tables then each name the skew as their
-// reason (ref's predate that). Legs 3 to 5 start instant-on, so a view is
-// what a skewed start would serve if it trusted the wrong segments. After
+// head+1 is this build with shm.LayoutVersion one higher. Legs 2 and 7 expect
+// a skew only when the reference's LayoutVersion, read from its tree, differs
+// from this build's; when they agree each release restores the other's
+// segments. A skewed start takes the store and the log, which hold
+// everything the shm backup does because a clean shutdown leaves the log on
+// disk, and never a view of the foreign segments; each table then names the
+// skew as its reason. Legs 3 to 5 start instant-on, so a view is what a
+// skewed start would serve if it trusted the wrong segments. After
 // every leg both this build's aggregator and the reference's scuba-aggd
 // answer every golden query as query.Reference does over the batches the
 // fleet holds, and those hold every acked batch and no batch that was not
@@ -384,13 +398,14 @@ func TestUpgradeRollover(t *testing.T) {
 		t.Skip("short mode: skipping the subprocess upgrade drill")
 	}
 	start := time.Now()
-	ref, refAggd, refName := buildReference(t)
+	ref, refAggd, refName, refLayout := buildReference(t)
 	head, err := BuildScubad(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	bumped := buildBumped(t)
-	t.Logf("built the reference %.12s, this tree and its layout %d twin in %v", refName, shm.LayoutVersion+1, time.Since(start).Round(time.Millisecond))
+	t.Logf("built the reference %.12s (layout %d), this tree (layout %d) and its layout %d twin in %v",
+		refName, refLayout, shm.LayoutVersion, shm.LayoutVersion+1, time.Since(start).Round(time.Millisecond))
 
 	pc, err := StartProcCluster(ProcConfig{
 		BinPath:          ref,
@@ -447,6 +462,11 @@ func TestUpgradeRollover(t *testing.T) {
 		return func(int) (leaf.RecoveryPath, string) { return p, reason }
 	}
 	const skew = "layout version skew"
+	// crossRef is how a leaf comes back across the two releases' segments.
+	crossRef := all(leaf.RecoveryMemory, "")
+	if refLayout != int(shm.LayoutVersion) {
+		crossRef = all(leaf.RecoveryWAL, skew)
+	}
 	roll := func(leg, bin string, instantOn bool, want outcome, onMixed func(draining string)) {
 		t.Helper()
 		pc.cfg.BinPath = bin
@@ -477,10 +497,10 @@ func TestUpgradeRollover(t *testing.T) {
 	aggs = map[string]Querier{"this build's aggregator": pc.AggClient(), "the reference scuba-aggd": startRefAggd(t, refAggd, pc)}
 	ing.checkAnswers(t, "1 reference fleet", aggs)
 
-	// Leg 2: roll to this build, which cannot read the reference's segments.
-	// Halfway, one leaf of each release serves: with both ACTIVE for the
-	// check, either aggregator's plan spans both.
-	roll("2 reference → this build", head, false, all(leaf.RecoveryWAL, skew), func(draining string) {
+	// Leg 2: roll to this build, which reads the reference's segments if
+	// their layout is its own. Halfway, one leaf of each release serves: with
+	// both ACTIVE for the check, either aggregator's plan spans both.
+	roll("2 reference → this build", head, false, crossRef, func(draining string) {
 		id := pc.router.Map().LeafIndex(draining)
 		if err := pc.router.SetStatus(id, shard.StatusActive); err != nil {
 			t.Fatal(err)
@@ -524,13 +544,13 @@ func TestUpgradeRollover(t *testing.T) {
 	wantRecovery(t, "6 kill -9 → reference", victim, leaf.RecoveryWAL, "")
 	ing.checkAnswers(t, "6 kill -9 → reference", aggs)
 
-	// Leg 7: back to the reference, which reads its own segments and not
-	// this build's.
+	// Leg 7: back to the reference, which reads its own segments, and this
+	// build's if their layout is its own.
 	roll("7 back to the reference", ref, false, func(id int) (leaf.RecoveryPath, string) {
 		if id == victim.ID {
 			return leaf.RecoveryMemory, ""
 		}
-		return leaf.RecoveryWAL, ""
+		return crossRef(id)
 	}, nil)
 
 	avail := probe.Stop()

@@ -96,6 +96,11 @@ func TestDrainVerifiesBeforeInstall(t *testing.T) {
 				if got := countRows(t, nu, "errors") + countRows(t, nu, "ads"); got != 500 {
 					t.Errorf("intact tables count %v rows, want 500", got)
 				}
+				if instantOn {
+					// The promoter's clone may be the damaged column's first
+					// reader: its replacement counts once the drain is done.
+					waitPromoted(t, nu)
+				}
 				rec := nu.Recovery()
 				if !atOpen {
 					if rec.Path != fromShm || rec.Quarantined != 0 || rec.FellBack {

@@ -50,18 +50,24 @@ func queryFingerprint(t *testing.T, l *Leaf, tableName string) string {
 	return string(b)
 }
 
-// waitPromoted polls until every shm-resident block has been promoted to the
-// heap (ServedFromShm reaches zero).
+// waitPromoted waits for the promoter to finish — its counts
+// (PromotedBlocks, a replaced block's BlocksReplaced) are in once it has —
+// and requires every shm-resident block promoted to the heap.
 func waitPromoted(t *testing.T, l *Leaf) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if l.Recovery().ServedFromShm == 0 {
-			return
+	l.mu.Lock()
+	p := l.promo
+	l.mu.Unlock()
+	if p != nil {
+		select {
+		case <-p.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("promotion never drained: %+v", l.Recovery())
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("promotion never drained: %+v", l.Recovery())
+	if rec := l.Recovery(); rec.ServedFromShm != 0 {
+		t.Fatalf("promotion left blocks served from shm: %+v", rec)
+	}
 }
 
 // segmentFiles lists this namespace's segment files still on "tmpfs"

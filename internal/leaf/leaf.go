@@ -200,6 +200,10 @@ type ShutdownInfo struct {
 // exited.
 var ErrNotAlive = errors.New("leaf: not accepting requests in current state")
 
+// ErrTableName refuses a table name that the store, the log or a segment
+// file cannot carry.
+var ErrTableName = errors.New("leaf: unusable table name")
+
 // Leaf is one leaf server.
 type Leaf struct {
 	cfg   Config
@@ -479,6 +483,22 @@ func (l *Leaf) AddBatch(tableName string, frame []byte) (int, error) {
 	return b.Rows(), l.addBatch(tableName, b, frame)
 }
 
+// checkTableName refuses a new table whose name would not come back from a
+// restart: an empty one, one the store's and the log's directory names (and
+// the segment's) do not decode back to — invalid UTF-8, a rune above U+FFFF
+// — or one whose segment file name would pass a file name's 255 bytes.
+func (l *Leaf) checkTableName(name string) error {
+	switch {
+	case name == "":
+		return fmt.Errorf("%w: empty", ErrTableName)
+	case disk.DecodeTableName(disk.EncodeTableName(name)) != name:
+		return fmt.Errorf("%w: %q is not valid UTF-8 of runes up to U+FFFF", ErrTableName, name)
+	case !l.shm.TableFits(name):
+		return fmt.Errorf("%w: %q makes a segment file name longer than 255 bytes", ErrTableName, name)
+	}
+	return nil
+}
+
 // addBatch is the single ingest entry point: b is the decoded batch, frame
 // its encoding (nil when the caller held rows, not bytes; encoded here only
 // if the WAL needs it).
@@ -491,6 +511,10 @@ func (l *Leaf) addBatch(tableName string, b *rowblock.Batch, frame []byte) error
 	}
 	tbl, ok := l.tables[tableName]
 	if !ok {
+		if err := l.checkTableName(tableName); err != nil {
+			l.mu.Unlock()
+			return err
+		}
 		tbl = table.New(tableName, l.cfg.Table)
 		l.tables[tableName] = tbl
 	}

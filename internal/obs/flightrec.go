@@ -5,10 +5,11 @@
 // The paper's evaluation is a breakdown of where restart time goes (§4),
 // and its operational story depends on knowing *why* a leaf took the disk
 // path instead of shared memory. The flight recorder persists the most
-// recent restart-span and lifecycle events in a small shared memory segment
-// of its own, so after a crash or failed restore the *next* process can read
-// the previous run's last recorded phase and report, e.g., "fell back to
-// disk because copy-out of table X failed mid-block".
+// recent restart-span and lifecycle events in a small file of its own in the
+// shared memory directory, written slot by slot with pwrite, so after a
+// crash or failed restore the *next* process can read the previous run's
+// last recorded phase and report, e.g., "fell back to disk because copy-out
+// of table X failed mid-block".
 //
 // The recorder deliberately mirrors the paper's trust rule for data
 // segments — the next process treats the previous contents as evidence, not
@@ -21,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -28,23 +31,22 @@ import (
 	"scuba/internal/shm"
 )
 
-// RecorderVersion is stamped into the flight recorder segment header. It is
+// RecorderVersion is stamped into the flight recorder's header. It is
 // versioned independently of shm.LayoutVersion: the event slot layout can
 // change without invalidating table segments and vice versa. A reader that
 // finds a different version reports no previous events.
 const RecorderVersion uint32 = 1
 
-// recMagic identifies a flight recorder segment ("FLT1").
+// recMagic identifies a flight recorder file ("FLT1").
 const recMagic uint32 = 0x31544c46
 
-// recSegName is the recorder's segment name under its own namespace.
-const recSegName = "flightrec"
-
-// obsNamespaceSuffix isolates the recorder from the leaf's data segments:
-// leaf.Start removes every data segment (prefix "<ns>-leaf<id>-") when it
-// falls back to disk, and the flight recorder must survive exactly that
-// event to explain it.
-const obsNamespaceSuffix = "-obs"
+// recorderPath is the ring's file, "<ns>-obs-leaf<id>-flightrec" in the shm
+// directory. The "-obs" keeps it out of the leaf's own prefix
+// ("<ns>-leaf<id>-"), whose files leaf.Start removes when it falls back to
+// disk: the flight recorder must survive exactly that event to explain it.
+func recorderPath(dir, ns string, id int) string {
+	return filepath.Join(dir, fmt.Sprintf("%s-obs-leaf%d-flightrec", ns, id))
+}
 
 // Header layout, little endian:
 //
@@ -65,15 +67,15 @@ const obsNamespaceSuffix = "-obs"
 //	[64]  phase bytes
 //	[160] detail bytes
 //
-// An event write fills the slot body, then the CRC, then bumps the header's
-// next-seq. A crash can tear at most the slot being written; its CRC will
-// not match and the reader skips it.
+// An event write writes the whole slot, body and CRC, then the header's
+// next-seq, each with one pwrite. A crash can tear at most the slot being
+// written; its CRC will not match and the reader skips it.
 const (
 	recHeaderSize = 4 + 4 + 4 + 4 + 8
 	slotPhaseMax  = 64
 	slotDetailMax = 160
 	slotFixedSize = 4 + 1 + 1 + 2 + 8 + 8
-	recSlotSize   = slotFixedSize + slotPhaseMax + slotDetailMax // 256
+	recSlotSize   = slotFixedSize + slotPhaseMax + slotDetailMax // 248
 	recorderSlots = 1024                                         // a shutdown half of ~170 tables, six span events each
 )
 
@@ -122,15 +124,17 @@ type Event struct {
 // Time converts the event timestamp.
 func (e Event) Time() time.Time { return time.UnixMicro(e.UnixMicros) }
 
-// Recorder is a fixed-size ring of events persisted in its own shared
-// memory segment. One recorder belongs to one daemon identity (leaf ID);
-// opening it reads whatever the previous run left behind, then resets the
-// ring for this run while continuing the sequence numbering, so a dump of
-// both runs still orders globally.
+// Recorder is a fixed-size ring of events persisted in a file of its own.
+// One recorder belongs to one daemon identity (leaf ID); opening it reads
+// whatever the previous run left behind, then resets the ring for this run
+// while continuing the sequence numbering, so a dump of both runs still
+// orders globally. The file is written through on every event, so a crash
+// loses at most the event it interrupts; the ring is also kept in memory,
+// which Events reads.
 type Recorder struct {
 	mu       sync.Mutex
-	seg      *shm.Segment
-	m        *shm.Manager
+	f        *os.File
+	ring     []byte // this run's ring, as the file holds it
 	capacity int
 	nextSeq  uint64
 	previous []Event
@@ -143,7 +147,7 @@ type RecorderOptions struct {
 	// Dir is the shared memory directory (empty = shm.DefaultDir).
 	Dir string
 	// Namespace is the cluster namespace; the recorder appends "-obs" so
-	// its segment survives the data manager's RemoveAll sweeps.
+	// its file survives the data manager's RemoveAll sweeps.
 	Namespace string
 	// Clock supplies unix microseconds; nil means time.Now. Tests inject
 	// fixed clocks for deterministic dumps.
@@ -169,47 +173,50 @@ func openRecorder(id int, opts RecorderOptions, capacity int) (*Recorder, error)
 	if clock == nil {
 		clock = func() int64 { return time.Now().UnixMicro() }
 	}
-	m := shm.NewManager(id, shm.Options{Dir: opts.Dir, Namespace: ns + obsNamespaceSuffix})
-	r := &Recorder{m: m, capacity: capacity, clock: clock}
+	dir := opts.Dir
+	if dir == "" {
+		dir = shm.DefaultDir
+	}
+	path := recorderPath(dir, ns, id)
+	r := &Recorder{capacity: capacity, clock: clock}
 
 	// Read the previous run's ring, if one survives and is readable.
-	if prev, seq, err := readRing(m); err == nil {
+	if prev, seq, err := readRing(path); err == nil {
 		r.previous = prev
 		r.nextSeq = seq
 	}
 
-	// Create (truncate) this run's ring. The previous events live only in
+	// Write this run's empty ring over it. The previous events live only in
 	// r.previous now — matching the data-segment rule that shared memory
 	// contents are consumed exactly once.
-	size := int64(recHeaderSize + capacity*recSlotSize)
-	seg, err := m.CreateSegment(recSegName, size)
-	if err != nil {
-		return nil, fmt.Errorf("obs: create flight recorder: %w", err)
-	}
-	b := seg.Bytes()
+	b := make([]byte, recHeaderSize+capacity*recSlotSize)
 	binary.LittleEndian.PutUint32(b[0:], recMagic)
 	binary.LittleEndian.PutUint32(b[4:], RecorderVersion)
 	binary.LittleEndian.PutUint32(b[8:], uint32(capacity))
 	binary.LittleEndian.PutUint32(b[12:], recSlotSize)
 	binary.LittleEndian.PutUint64(b[16:], r.nextSeq)
-	r.seg = seg
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		if _, err = f.Write(b); err != nil {
+			f.Close()
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("obs: create flight recorder: %w", err)
+	}
+	r.f, r.ring = f, b
 	return r, nil
 }
 
 // errRecUnreadable covers every way a previous ring can be unusable.
-var errRecUnreadable = errors.New("obs: flight recorder segment unreadable")
+var errRecUnreadable = errors.New("obs: flight recorder file unreadable")
 
-// readRing decodes the events of an existing recorder segment, oldest
-// first, plus the next sequence number to continue from. Torn slots (bad
-// CRC) and slots from older laps of the ring are skipped.
-func readRing(m *shm.Manager) ([]Event, uint64, error) {
-	seg, err := m.OpenSegment(recSegName)
-	if err != nil {
-		return nil, 0, errRecUnreadable
-	}
-	defer seg.Close()
-	b := seg.Bytes()
-	if len(b) < recHeaderSize {
+// readRing decodes the events of an existing recorder file, oldest first,
+// plus the next sequence number to continue from. Torn slots (bad CRC) and
+// slots from older laps of the ring are skipped.
+func readRing(path string) ([]Event, uint64, error) {
+	b, err := os.ReadFile(path)
+	if err != nil || len(b) < recHeaderSize {
 		return nil, 0, errRecUnreadable
 	}
 	if binary.LittleEndian.Uint32(b[0:]) != recMagic {
@@ -226,7 +233,7 @@ func readRing(m *shm.Manager) ([]Event, uint64, error) {
 	if capacity <= 0 || slotSize != recSlotSize {
 		return nil, 0, errRecUnreadable
 	}
-	if recHeaderSize+int64(capacity)*recSlotSize > seg.Size() {
+	if recHeaderSize+int64(capacity)*recSlotSize > int64(len(b)) {
 		return nil, 0, errRecUnreadable
 	}
 	// A crash may have torn the newest slot (CRC skips it), and the header
@@ -273,7 +280,7 @@ func (r *Recorder) Record(kind EventKind, phase, detail string) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || r.seg == nil {
+	if r.closed {
 		return
 	}
 	if len(phase) > slotPhaseMax {
@@ -283,9 +290,8 @@ func (r *Recorder) Record(kind EventKind, phase, detail string) {
 		detail = detail[:slotDetailMax]
 	}
 	seq := r.nextSeq
-	b := r.seg.Bytes()
-	slot := b[recHeaderSize+int(seq%uint64(r.capacity))*recSlotSize:]
-	slot = slot[:recSlotSize]
+	off := recHeaderSize + int(seq%uint64(r.capacity))*recSlotSize
+	slot := r.ring[off : off+recSlotSize]
 	slot[4] = byte(kind)
 	slot[5] = byte(len(phase))
 	binary.LittleEndian.PutUint16(slot[6:], uint16(len(detail)))
@@ -300,11 +306,14 @@ func (r *Recorder) Record(kind EventKind, phase, detail string) {
 		slot[i] = 0
 	}
 	binary.LittleEndian.PutUint32(slot[0:], crc32.Checksum(slot[4:], recCRCTable))
-	// Bump the published sequence only after the slot is complete: a crash
-	// here leaves a valid slot one past the header, which readRing's
-	// one-past scan still finds.
+	// Bump the published sequence only after the slot is written: a crash
+	// between the two leaves a valid slot one past the header, which
+	// readRing's one-past scan still finds. A failed write loses its event
+	// from the file alone: the ring is evidence, never state.
+	r.f.WriteAt(slot, int64(off)) //nolint:errcheck
 	r.nextSeq = seq + 1
-	binary.LittleEndian.PutUint64(b[16:], r.nextSeq)
+	binary.LittleEndian.PutUint64(r.ring[16:], r.nextSeq)
+	r.f.WriteAt(r.ring[16:24], 16) //nolint:errcheck
 }
 
 // Previous returns the events recovered from the previous run (oldest
@@ -325,10 +334,7 @@ func (r *Recorder) Events() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.seg == nil {
-		return nil
-	}
-	return decodeWindow(r.seg.Bytes(), r.capacity, r.nextSeq, r.nextSeq)
+	return decodeWindow(r.ring, r.capacity, r.nextSeq, r.nextSeq)
 }
 
 // decodeWindow decodes the ring's live window — the last min(nextSeq,
@@ -349,8 +355,8 @@ func decodeWindow(b []byte, capacity int, nextSeq, end uint64) []Event {
 	return events
 }
 
-// Close flushes and unmaps the ring. The backing segment file survives for
-// the next process, which is the whole point.
+// Close closes the ring's file. The file survives for the next process,
+// which is the whole point.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
@@ -361,16 +367,5 @@ func (r *Recorder) Close() error {
 		return nil
 	}
 	r.closed = true
-	return r.seg.Close()
-}
-
-// Remove deletes the recorder's segment file (tests and decommissioning).
-func (r *Recorder) Remove() error {
-	if r == nil {
-		return nil
-	}
-	if err := r.Close(); err != nil {
-		return err
-	}
-	return r.m.RemoveSegment(recSegName)
+	return r.f.Close()
 }

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -38,7 +41,7 @@ func TestKillAndReread(t *testing.T) {
 	r1.Record(EventBegin, "restart.copy_out", "")
 	r1.Record(EventBegin, "copy-out:service_logs", "")
 	r1.Record(EventFail, "copy-out:service_logs", "block 3: injected fault")
-	// No Close: the "process" is killed here. The mmap'ed tmpfs file keeps
+	// No Close: the "process" is killed here. The tmpfs file keeps
 	// the bytes regardless.
 
 	r2, err := openRecorder(0, testOpts(t, dir), 8)
@@ -213,5 +216,89 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Error(err)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/flightrec-v1.golden")
+
+// goldenRecords are the events TestRingGoldenV1 records, in order: every
+// kind, a phase and a detail past their slot fields, and three more events
+// than the ring's eight slots, so the ring has wrapped.
+var goldenRecords = []struct {
+	kind          EventKind
+	phase, detail string
+}{
+	{EventNote, "process.start", "leaf 2"},
+	{EventBegin, "restart.copy_out", ""},
+	{EventBegin, "copy-out:" + strings.Repeat("service_logs.", 7), ""},
+	{EventEnd, "copy-out:" + strings.Repeat("service_logs.", 7), ""},
+	{EventBegin, "copy-out:events", ""},
+	{EventFail, "copy-out:events", "block 3: injected fault"},
+	{EventEnd, "restart.copy_out", ""},
+	{EventBegin, "restart.commit", ""},
+	{EventFail, "restart.commit", strings.Repeat("disk full; ", 20)},
+	{EventNote, "signal", "SIGTERM"},
+	{EventEnd, "restart.exit", ""},
+}
+
+// TestRingGoldenV1 pins the bytes of a RecorderVersion 1 ring: this writer
+// must lay down testdata/flightrec-v1.golden byte for byte, and the reader
+// must take that file back as the events recorded into it, so a release and
+// the one before it read each other's rings. Regenerate with -update ONLY
+// with a RecorderVersion bump.
+func TestRingGoldenV1(t *testing.T) {
+	golden := filepath.Join("testdata", "flightrec-v1.golden")
+	const base = int64(1700000000000000)
+	opts := func(dir string) RecorderOptions {
+		now := base
+		return RecorderOptions{Dir: dir, Namespace: "golden", Clock: func() int64 { now += 250; return now }}
+	}
+	dir := t.TempDir()
+	r, err := openRecorder(2, opts(dir), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range goldenRecords {
+		r.Record(e.kind, e.phase, e.detail)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ring := filepath.Join(dir, "golden-obs-leaf2-flightrec")
+	got, err := os.ReadFile(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("ring is %d bytes, golden %d, or they differ", len(got), len(want))
+	}
+
+	// The golden file, read as a previous run's ring: the newest eight events.
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "golden-obs-leaf2-flightrec"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err = openRecorder(2, opts(dir), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var wantEvents []Event
+	for i, e := range goldenRecords[len(goldenRecords)-8:] {
+		seq := uint64(len(goldenRecords) - 8 + i)
+		wantEvents = append(wantEvents, Event{Seq: seq, UnixMicros: base + 250*int64(seq+1), Kind: e.kind,
+			Phase: e.phase[:min(len(e.phase), slotPhaseMax)], Detail: e.detail[:min(len(e.detail), slotDetailMax)]})
+	}
+	if prev := r.Previous(); !reflect.DeepEqual(prev, wantEvents) {
+		t.Errorf("previous events:\ngot  %+v\nwant %+v", prev, wantEvents)
 	}
 }

@@ -3,35 +3,16 @@ package shm
 import (
 	"fmt"
 	"io"
+	"os"
 )
 
-// loadFallback reads the whole backing file into a heap buffer. Used when
-// mmap is disabled; cross-process semantics still hold because storeFallback
-// writes the buffer back to the shared file.
-func (s *Segment) loadFallback() error {
-	buf := make([]byte, s.size)
-	if _, err := s.f.ReadAt(buf, 0); err != nil && err != io.EOF {
-		return fmt.Errorf("shm: read segment %s: %w", s.name, err)
+// readSegment is the heap fallback of a mapping: the whole file read into a
+// buffer. A segment is only ever read, so the buffer is never written back;
+// dropping it is its unmapping.
+func readSegment(f *os.File, size int64) ([]byte, error) {
+	buf := make([]byte, size)
+	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+		return nil, fmt.Errorf("shm: read segment %s: %w", f.Name(), err)
 	}
-	s.data = buf
-	return nil
-}
-
-// storeFallback writes the heap buffer back to the file, on Close.
-func (s *Segment) storeFallback() error {
-	if s.data == nil {
-		return nil
-	}
-	if s.ro {
-		// Read-only views never dirty the buffer; skip the write-back (the
-		// fd was opened O_RDONLY and would reject it anyway).
-		s.data = nil
-		return nil
-	}
-	_, err := s.f.WriteAt(s.data[:min(int64(len(s.data)), s.size)], 0)
-	s.data = nil
-	if err != nil {
-		return fmt.Errorf("shm: write segment %s: %w", s.name, err)
-	}
-	return nil
+	return buf, nil
 }

@@ -2,9 +2,10 @@
 
 package shm
 
-// Non-Linux builds always use the heap-backed fallback; the shared file
-// still carries the data across processes.
+import "os"
 
-func (s *Segment) mapIn() error { return s.loadFallback() }
+// Non-Linux builds always take the heap fallback.
 
-func (s *Segment) mapOut() error { return s.storeFallback() }
+func mmap(f *os.File, size int64) ([]byte, error) { return readSegment(f, size) }
+
+func munmap([]byte) error { return nil }

@@ -4,11 +4,13 @@
 // segments, exits, and the second process maps and reads them.
 //
 // The paper uses the POSIX mmap API via Boost::Interprocess. Here a segment
-// is an mmap'ed file in a tmpfs directory (/dev/shm by default on Linux),
-// which has identical lifetime semantics: segments are named, survive
-// process exit, and are explicitly removed. A heap-backed fallback (the path
-// of non-Linux builds) keeps the package usable on systems without mmap; it
-// still round-trips through the same files.
+// is a file in a tmpfs directory (/dev/shm by default on Linux), which has
+// identical lifetime semantics: segments are named, survive process exit,
+// and are explicitly removed. A table segment is written with write(2)
+// (TableSegmentWriter) and read through one read-only mapping (MappedView).
+// A heap-backed fallback (the path of non-Linux builds) keeps the package
+// usable on systems without mmap: it reads the whole file into memory, and
+// changes nothing else.
 //
 // Per Figure 4, every leaf server has a unique hard-coded location for its
 // metadata: a valid bit, a layout version number, and the names of the
@@ -20,10 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"scuba/internal/disk"
 	"scuba/internal/fault"
 )
 
@@ -58,12 +62,12 @@ type Options struct {
 	Namespace string
 }
 
-// Manager creates, opens, and removes the segments of one leaf server.
+// Manager names, maps and removes the segments of one leaf server.
 type Manager struct {
 	dir       string
 	namespace string
 	leafID    int
-	// noMmap takes the heap fallback, as non-Linux builds do; tests set it.
+	// noMmap reads segments into the heap, as non-Linux builds do; tests set it.
 	noMmap bool
 }
 
@@ -94,8 +98,8 @@ func (m *Manager) segmentPath(name string) string {
 // SegmentNameForTableGen derives a per-generation segment name: the plain
 // table name plus a ".g<gen>" suffix. Instant-on restarts keep old-generation
 // segments mapped (live query views) while a new shutdown writes fresh ones;
-// a generation suffix keeps CreateSegment from O_TRUNC-ing a file a live view
-// still has mapped, which would SIGBUS every reader. Metadata records the
+// a generation suffix keeps CreateTableSegment from O_TRUNC-ing a file a live
+// view still has mapped, which would SIGBUS every reader. Metadata records the
 // full segment name, so restore never needs to reverse this.
 func SegmentNameForTableGen(table string, gen int64) string {
 	if gen <= 0 {
@@ -104,19 +108,14 @@ func SegmentNameForTableGen(table string, gen int64) string {
 	return fmt.Sprintf("%s.g%d", SegmentNameForTable(table), gen)
 }
 
-// SegmentNameForTable derives a filesystem-safe segment name for a table.
-func SegmentNameForTable(table string) string {
-	var b strings.Builder
-	b.WriteString("tbl-")
-	for _, r := range table {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			b.WriteRune(r)
-		default:
-			fmt.Fprintf(&b, "%%%04x", r)
-		}
-	}
-	return b.String()
+// SegmentNameForTable derives a filesystem-safe segment name for a table,
+// encoded as the store's and the log's table directories are.
+func SegmentNameForTable(table string) string { return "tbl-" + disk.EncodeTableName(table) }
+
+// TableFits reports whether every generation's segment file name of table
+// fits in a file name's 255 bytes.
+func (m *Manager) TableFits(table string) bool {
+	return len(filepath.Base(m.segmentPath(SegmentNameForTableGen(table, math.MaxInt64)))) <= 255
 }
 
 // Errors returned by the manager.
@@ -332,63 +331,41 @@ func (m *Manager) RemoveSegment(name string) error {
 	return err
 }
 
-// CreateSegment creates (or truncates) a read-write mapped segment of the
-// given, fixed size (the flight recorder's ring; a table segment is appended
-// to, not mapped, by TableSegmentWriter).
-func (m *Manager) CreateSegment(name string, size int64) (*Segment, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrSegmentSize, size)
-	}
-	path := m.segmentPath(name)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("shm: create segment %s: %w", name, err)
-	}
-	if err := f.Truncate(size); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("shm: size segment %s: %w", name, err)
-	}
-	s := &Segment{name: name, path: path, f: f, size: size, useMmap: !m.noMmap}
-	if err := s.mapIn(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// OpenSegment maps an existing segment read-write.
-func (m *Manager) OpenSegment(name string) (*Segment, error) { return m.open(name, false) }
-
-// open maps an existing segment. Read-only, writes through the mapping fault:
-// table segments are read through a view that a stray store can never damage.
-func (m *Manager) open(name string, ro bool) (*Segment, error) {
-	path := m.segmentPath(name)
-	flag := os.O_RDWR
-	if ro {
-		flag = os.O_RDONLY
-	}
-	f, err := os.OpenFile(path, flag, 0)
+// mapSegment maps the named segment's file read-only, whole: writes through
+// the mapping fault, so a stray store can never damage a table segment. The
+// file is closed once mapped; the mapping outlives it.
+func (m *Manager) mapSegment(name string) ([]byte, error) {
+	f, err := os.Open(m.segmentPath(name))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, ErrSegmentGone
 		}
 		return nil, fmt.Errorf("shm: open segment %s: %w", name, err)
 	}
+	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	if fi.Size() == 0 {
-		f.Close()
 		return nil, fmt.Errorf("%w: segment %s is empty", ErrSegmentSize, name)
 	}
-	s := &Segment{name: name, path: path, f: f, size: fi.Size(), useMmap: !m.noMmap, ro: ro}
-	if err := s.mapIn(); err != nil {
-		f.Close()
-		return nil, err
+	if m.noMmap {
+		return readSegment(f, fi.Size())
 	}
-	return s, nil
+	data, err := mmap(f, fi.Size())
+	if err != nil {
+		return nil, fmt.Errorf("shm: mmap %s (%d bytes): %w", name, fi.Size(), err)
+	}
+	return data, nil
+}
+
+// unmapSegment releases what mapSegment returned.
+func (m *Manager) unmapSegment(data []byte) error {
+	if m.noMmap {
+		return nil
+	}
+	return munmap(data)
 }
 
 // SegmentSize returns the named segment file's size, 0 when there is none.
@@ -398,62 +375,4 @@ func (m *Manager) SegmentSize(name string) int64 {
 		return 0
 	}
 	return fi.Size()
-}
-
-// Segment is one mapped shared memory region.
-type Segment struct {
-	name    string
-	path    string
-	f       *os.File
-	size    int64
-	data    []byte
-	useMmap bool
-	ro      bool
-	closed  bool
-}
-
-// Name returns the segment name.
-func (s *Segment) Name() string { return s.name }
-
-// Size returns the current segment size.
-func (s *Segment) Size() int64 { return s.size }
-
-// Bytes returns the mapped contents. The slice is invalidated by Close, and
-// past the new size by Truncate.
-func (s *Segment) Bytes() []byte { return s.data }
-
-// Truncate shrinks the segment's file (Figure 7: "truncate the table shared
-// memory segment if needed", which releases physical pages back as the restore
-// drains the segment) and keeps its mapping — no munmap and mmap per drained
-// block — so the caller must not touch Bytes() past newSize again: under mmap
-// those pages are gone.
-func (s *Segment) Truncate(newSize int64) error {
-	if s.closed {
-		return ErrClosed
-	}
-	if newSize >= s.size {
-		return nil
-	}
-	if newSize <= 0 {
-		newSize = 1 // keep the mapping valid; Remove deletes the file
-	}
-	if err := os.Truncate(s.path, newSize); err != nil {
-		return fmt.Errorf("shm: truncate %s: %w", s.name, err)
-	}
-	s.size = newSize
-	return nil
-}
-
-// Close unmaps and closes the segment, flushing contents to the backing
-// file. The file (and therefore the data) survives for the next process.
-func (s *Segment) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if err := s.mapOut(); err != nil {
-		s.f.Close()
-		return err
-	}
-	return s.f.Close()
 }

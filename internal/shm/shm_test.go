@@ -25,99 +25,78 @@ func runBothModes(t *testing.T, fn func(t *testing.T, disableMmap bool)) {
 	t.Run("fallback", func(t *testing.T) { fn(t, true) })
 }
 
+// TestSegmentCreateWriteReopen: a segment one manager's process wrote is
+// mapped whole, read-only, by a fresh manager over the same directory.
 func TestSegmentCreateWriteReopen(t *testing.T) {
 	runBothModes(t, func(t *testing.T, noMmap bool) {
 		dir := t.TempDir()
+		want := make([]byte, 4096)
+		copy(want, "hello shared memory")
 		m := NewManager(3, Options{Dir: dir, Namespace: "test"})
-		m.noMmap = noMmap
-		seg, err := m.CreateSegment("s1", 4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		copy(seg.Bytes(), "hello shared memory")
-		if err := seg.Close(); err != nil {
+		if err := os.WriteFile(m.segmentPath("s1"), want, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		// A "new process": fresh manager over the same directory.
 		m2 := NewManager(3, Options{Dir: dir, Namespace: "test"})
 		m2.noMmap = noMmap
-		seg2, err := m2.OpenSegment("s1")
+		data, err := m2.mapSegment("s1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer seg2.Close()
-		if !bytes.HasPrefix(seg2.Bytes(), []byte("hello shared memory")) {
-			t.Error("data did not survive close/reopen")
+		if !bytes.Equal(data, want) {
+			t.Errorf("mapped %d bytes, or not the written ones", len(data))
 		}
-		if seg2.Size() != 4096 {
-			t.Errorf("size = %d", seg2.Size())
+		if err := m2.unmapSegment(data); err != nil {
+			t.Error(err)
 		}
 	})
 }
 
+// TestSegmentTruncate: cutting a mapped segment's file back keeps the
+// mapping and the bytes below the cut, which a view's tail cut relies on
+// (no munmap and mmap per block; MappedView.Evict).
 func TestSegmentTruncate(t *testing.T) {
 	runBothModes(t, func(t *testing.T, noMmap bool) {
 		m := newTestManager(t, 1, noMmap)
-		seg, err := m.CreateSegment("tr", 8192)
+		b := make([]byte, 8192)
+		copy(b, "keep this part")
+		if err := os.WriteFile(m.segmentPath("tr"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		data, err := m.mapSegment("tr")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer seg.Close()
-		copy(seg.Bytes(), "keep this part")
-		if err := seg.Truncate(4096); err != nil {
+		defer m.unmapSegment(data) //nolint:errcheck
+		if err := os.Truncate(m.segmentPath("tr"), 4096); err != nil {
 			t.Fatal(err)
 		}
-		if seg.Size() != 4096 {
-			t.Errorf("size = %d", seg.Size())
+		if got := m.SegmentSize("tr"); got != 4096 {
+			t.Errorf("size = %d", got)
 		}
-		if !bytes.HasPrefix(seg.Bytes(), []byte("keep this part")) {
+		if !bytes.HasPrefix(data, []byte("keep this part")) {
 			t.Error("truncate lost retained data")
-		}
-		// Truncate to zero keeps a 1-byte mapping alive.
-		if err := seg.Truncate(0); err != nil {
-			t.Fatal(err)
-		}
-		if seg.Size() != 1 {
-			t.Errorf("size after truncate-to-zero = %d", seg.Size())
 		}
 	})
 }
 
-func TestSegmentClosedOperations(t *testing.T) {
-	m := newTestManager(t, 1, false)
-	seg, err := m.CreateSegment("c", 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Close(); err != nil {
-		t.Errorf("double close: %v", err)
-	}
-	if err := seg.Truncate(512); !errors.Is(err, ErrClosed) {
-		t.Errorf("truncate after close: %v", err)
-	}
-}
-
-func TestCreateSegmentBadSize(t *testing.T) {
-	m := newTestManager(t, 1, false)
-	if _, err := m.CreateSegment("bad", 0); !errors.Is(err, ErrSegmentSize) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := m.CreateSegment("bad", -5); !errors.Is(err, ErrSegmentSize) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestOpenMissingSegment(t *testing.T) {
-	m := newTestManager(t, 1, false)
-	if _, err := m.OpenSegment("nope"); !errors.Is(err, ErrSegmentGone) {
-		t.Errorf("err = %v", err)
-	}
-	if m.SegmentExists("nope") {
-		t.Error("SegmentExists(nope) = true")
-	}
+	runBothModes(t, func(t *testing.T, noMmap bool) {
+		m := newTestManager(t, 1, noMmap)
+		if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "nope", Segment: "nope"}); !errors.Is(err, ErrSegmentGone) {
+			t.Errorf("err = %v", err)
+		}
+		if m.SegmentExists("nope") {
+			t.Error("SegmentExists(nope) = true")
+		}
+		// An empty file is no segment either.
+		if err := os.WriteFile(m.segmentPath("empty"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenTableSegmentView(m, SegmentInfo{Table: "empty", Segment: "empty"}); !errors.Is(err, ErrSegmentSize) {
+			t.Errorf("empty segment: err = %v", err)
+		}
+	})
 }
 
 func TestMetadataRoundTrip(t *testing.T) {
@@ -210,28 +189,21 @@ func TestInvalidateClearsValidBit(t *testing.T) {
 func TestRemoveAll(t *testing.T) {
 	dir := t.TempDir()
 	m := NewManager(5, Options{Dir: dir, Namespace: "test"})
-	seg, err := m.CreateSegment("tbl-a", 1024)
-	if err != nil {
-		t.Fatal(err)
+	other := NewManager(6, Options{Dir: dir, Namespace: "test"})
+	// An orphan segment not in metadata must also be cleaned up, and another
+	// leaf's files must survive.
+	for _, f := range []struct {
+		m    *Manager
+		name string
+	}{{m, "tbl-a"}, {m, "tbl-orphan"}, {other, "tbl-b"}} {
+		if err := os.WriteFile(f.m.segmentPath(f.name), make([]byte, 1024), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	seg.Close()
 	if err := m.WriteMetadata(&Metadata{Valid: true, Version: LayoutVersion,
 		Segments: []SegmentInfo{{Table: "a", Segment: "tbl-a"}}}); err != nil {
 		t.Fatal(err)
 	}
-	// An orphan segment not in metadata must also be cleaned up.
-	orphan, err := m.CreateSegment("tbl-orphan", 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orphan.Close()
-	// Another leaf's files must survive.
-	other := NewManager(6, Options{Dir: dir, Namespace: "test"})
-	oseg, err := other.CreateSegment("tbl-b", 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oseg.Close()
 
 	if err := m.RemoveAll(); err != nil {
 		t.Fatal(err)

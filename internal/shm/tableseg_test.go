@@ -3,6 +3,7 @@ package shm
 import (
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -163,12 +164,14 @@ func TestOpenTableSegmentRejectsCorruption(t *testing.T) {
 
 	col := openView(t, m, "tbl-c", "c").offsets[1] - 20
 	corrupt := func(mut func([]byte)) error {
-		seg, err := m.OpenSegment("tbl-c")
+		raw, err := os.ReadFile(m.segmentPath("tbl-c"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		mut(seg.Bytes())
-		seg.Close()
+		mut(raw)
+		if err := os.WriteFile(m.segmentPath("tbl-c"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		v, err := OpenTableSegmentView(m, SegmentInfo{Table: "c", Segment: "tbl-c"})
 		if err != nil {
 			return err

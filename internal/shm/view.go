@@ -2,6 +2,7 @@ package shm
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -52,7 +53,8 @@ import (
 // the unlinked file.
 type MappedView struct {
 	m       *Manager
-	seg     *Segment
+	name    string  // the segment's
+	data    []byte  // the read-only mapping of its file, whole
 	offsets []int64 // of each block image in the segment, then of the footer
 	blocks  []*rowblock.RowBlock
 	starts  []int64 // each block's global start row, as the segment records it
@@ -79,17 +81,17 @@ func OpenTableSegmentView(m *Manager, si SegmentInfo) (*MappedView, error) {
 	if err := fault.Inject(fault.SiteShmMap); err != nil {
 		return nil, fmt.Errorf("shm: map segment %s: %w", si.Segment, err)
 	}
-	seg, err := m.open(si.Segment, true)
+	data, err := m.mapSegment(si.Segment)
 	if err != nil {
 		return nil, err
 	}
-	v := &MappedView{m: m, seg: seg}
+	v := &MappedView{m: m, name: si.Segment, data: data}
 	if err := v.decode(si.Table); err != nil {
-		seg.Close()
+		m.unmapSegment(data) //nolint:errcheck
 		return nil, err
 	}
 	if len(v.blocks) == 0 {
-		seg.Close()                 //nolint:errcheck
+		m.unmapSegment(data)        //nolint:errcheck
 		m.RemoveSegment(si.Segment) //nolint:errcheck // the restore's final sweep takes what this leaves
 	}
 	v.refs.Store(int64(len(v.blocks)))
@@ -104,7 +106,7 @@ func OpenTableSegmentView(m *Manager, si SegmentInfo) (*MappedView, error) {
 // shm.copy_out with corrupt — the CRC checks, here or at a block's first
 // read, are what must catch it.
 func (v *MappedView) decode(table string) error {
-	b := v.seg.Bytes()
+	b := v.data
 	name, offsets, starts, crcs, err := parseTableSegment(b)
 	if err != nil {
 		return err
@@ -131,7 +133,7 @@ func (v *MappedView) decode(table string) error {
 }
 
 // SegmentName returns the mapped segment's name.
-func (v *MappedView) SegmentName() string { return v.seg.Name() }
+func (v *MappedView) SegmentName() string { return v.name }
 
 // Blocks returns the decoded zero-copy blocks in segment (arrival) order.
 // Each aliases the mapping and carries the view as its Source.
@@ -170,14 +172,16 @@ func (v *MappedView) Evict(rb *rowblock.RowBlock) {
 	defer v.mu.Unlock()
 	v.left[rb] = true
 	if v.resident--; v.resident == 0 {
-		v.m.RemoveSegment(v.seg.Name()) //nolint:errcheck
+		v.m.RemoveSegment(v.name) //nolint:errcheck
 		return
 	}
 	tail := v.tail
 	for tail > 0 && v.left[v.blocks[tail-1]] {
 		tail--
 	}
-	if tail < v.tail && v.refs.Load() == int64(v.resident)+1 && v.seg.Truncate(v.offsets[tail]) == nil {
+	// The mapping keeps its length: nothing reads past the cut again, and
+	// no munmap and mmap per block.
+	if tail < v.tail && v.refs.Load() == int64(v.resident)+1 && os.Truncate(v.m.segmentPath(v.name), v.offsets[tail]) == nil {
 		v.tail = tail
 	}
 }
@@ -186,8 +190,8 @@ func (v *MappedView) Evict(rb *rowblock.RowBlock) {
 // unmaps the segment; its file went with the last residency.
 func (v *MappedView) Release() {
 	if n := v.refs.Add(-1); n == 0 {
-		v.seg.Close() //nolint:errcheck
+		v.m.unmapSegment(v.data) //nolint:errcheck
 	} else if n < 0 {
-		panic(fmt.Sprintf("shm: view %s over-released (refs=%d)", v.seg.Name(), n))
+		panic(fmt.Sprintf("shm: view %s over-released (refs=%d)", v.name, n))
 	}
 }

@@ -120,10 +120,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create root: %w", err)
 	}
-	// Logs a crashed older build set aside; the store holds their rows.
-	if err := os.RemoveAll(dir + ".reset"); err != nil {
-		return nil, fmt.Errorf("wal: delete set-aside logs: %w", err)
-	}
 	return &Log{dir: dir, opts: opts, segmentBytes: segmentBytes, tables: make(map[string]*tableLog)}, nil
 }
 

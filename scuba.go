@@ -308,8 +308,8 @@ var WeeklyFullAvailability = sim.WeeklyFullAvailability
 // Observability: one span record (a query's root and per-leaf spans, a
 // restart's phase per table and worker) feeding the phase timers on /metrics,
 // the flight recorder and __system.traces, plus a crash-surviving flight
-// recorder in shared memory (its own segment, namespace "<ns>-obs", so the
-// leaf's segment sweep never deletes it). Every daemon takes an -http flag and
+// recorder in the shm directory (a file of its own, "<ns>-obs-leaf<id>-flightrec",
+// so the leaf's segment sweep never deletes it). Every daemon takes an -http flag and
 // serves /metrics (Prometheus text), /debug/recovery (the live recovery state)
 // and /debug/pprof through ObsHandler; a nil Observer or FlightRecorder is a
 // valid no-op.
@@ -325,7 +325,7 @@ type (
 	MetricsRegistry = metrics.Registry
 	// FlightRecorder is the crash-surviving event ring in shared memory.
 	FlightRecorder = obs.Recorder
-	// FlightRecorderOptions configure the recorder segment location.
+	// FlightRecorderOptions configure the recorder file's location.
 	FlightRecorderOptions = obs.RecorderOptions
 	// ObsHandlerConfig wires a daemon's sinks into the HTTP mux.
 	ObsHandlerConfig = obs.HandlerConfig
