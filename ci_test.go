@@ -223,7 +223,8 @@ func TestWorkflowPatternsMatchSomething(t *testing.T) {
 // test ("Mutant:", "Package:", "Test:" lines ahead of the diff). A mutant
 // that no longer applies checks nothing, so every patch must still apply to
 // this tree, and the test it names must still be declared in its package;
-// code that moves takes its mutants along.
+// code that moves takes its mutants along. ci/mutants/README.md lists each
+// patch with its package and test, as the header says.
 func TestMutantsStillApply(t *testing.T) {
 	git, err := exec.LookPath("git")
 	if err != nil {
@@ -232,6 +233,10 @@ func TestMutantsStillApply(t *testing.T) {
 	patches, err := filepath.Glob("ci/mutants/*.patch")
 	if err != nil || len(patches) == 0 {
 		t.Fatalf("no mutants under ci/mutants (%v)", err)
+	}
+	readme, err := os.ReadFile("ci/mutants/README.md")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, p := range patches {
 		data, err := os.ReadFile(p)
@@ -264,6 +269,9 @@ func TestMutantsStillApply(t *testing.T) {
 		}
 		if !declared {
 			t.Errorf("%s: %s declares no %s", p, pkg, test)
+		}
+		if row := "| `" + filepath.Base(p) + "` | `" + pkg + "` | `" + test + "` |"; !strings.Contains(string(readme), row) {
+			t.Errorf("ci/mutants/README.md has no row %s", row)
 		}
 		if out, err := exec.Command(git, "apply", "--check", p).CombinedOutput(); err != nil {
 			t.Errorf("%s no longer applies: %v\n%s", p, err, out)

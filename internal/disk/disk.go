@@ -330,26 +330,35 @@ func (s *Store) Load(table string, fn func(im Image, rb *rowblock.RowBlock, err 
 	return w, nil
 }
 
-// LoadImage reads one of the table's images (Images). The header's row
-// count and newest time must match the file name's: a window query prunes
-// and answers whole blocks by the header's time range, which no column CRC
-// covers.
+// LoadImage maps one of the table's images (Images) read-only and decodes
+// it in place: the block's columns alias the mapping, which is the block's
+// Source — its residency holds the one reference, and the mapping goes with
+// the last Release. Every column's checksum is checked here, before the
+// caller installs the block, and the header's row count and newest time must
+// match the file name's: a window query prunes and answers whole blocks by
+// the header's time range, which no column CRC covers. An image that fails
+// is unmapped. Fires disk.image once an image.
 func (s *Store) LoadImage(table string, im Image) (*rowblock.RowBlock, error) {
-	data, err := os.ReadFile(filepath.Join(s.tableDir(table), im.Name))
+	if err := fault.Inject(fault.SiteDiskImage); err != nil {
+		return nil, fmt.Errorf("disk: %s image %s: %w", table, im.Name, err)
+	}
+	m, err := Map(filepath.Join(s.tableDir(table), im.Name), false)
 	if err != nil {
 		return nil, fmt.Errorf("disk: %s: %w", table, err)
 	}
-	// A fresh ReadFile slice is never reused: the block may alias it.
-	rb, _, err := rowblock.DecodeImage(data)
+	rb, _, err := rowblock.DecodeImage(m.Bytes())
+	switch {
+	case err != nil:
+	case rb.Rows() != im.Rows:
+		err = fmt.Errorf("%d rows, name says %d", rb.Rows(), im.Rows)
+	case rb.Header().MaxTime != im.MaxTime:
+		err = fmt.Errorf("max time %d, name says %d", rb.Header().MaxTime, im.MaxTime)
+	}
 	if err != nil {
+		m.Release()
 		return nil, fmt.Errorf("disk: %s image %s: %w", table, im.Name, err)
 	}
-	if rb.Rows() != im.Rows {
-		return nil, fmt.Errorf("disk: %s image %s: %d rows, name says %d", table, im.Name, rb.Rows(), im.Rows)
-	}
-	if maxTime := rb.Header().MaxTime; maxTime != im.MaxTime {
-		return nil, fmt.Errorf("disk: %s image %s: max time %d, name says %d", table, im.Name, maxTime, im.MaxTime)
-	}
+	rb.SetSource(m)
 	return rb, nil
 }
 

@@ -83,6 +83,9 @@ const (
 	SiteShmCopyIn = "shm.copy_in"
 	// SiteDiskRead is the block store's per-table image load.
 	SiteDiskRead = "disk.read"
+	// SiteDiskImage is each image of that load, and each store image a
+	// damaged shm block is replaced with: an error costs that one block.
+	SiteDiskImage = "disk.image"
 	// SiteWireDial is the client-side TCP dial to a leaf or aggregator.
 	SiteWireDial = "wire.dial"
 	// SiteWireWrite is the client-side request encode.
@@ -113,7 +116,7 @@ const (
 func Sites() []string {
 	s := []string{
 		SiteShmMap, SiteShmCommit, SiteShmCopyOut, SiteShmCopyIn,
-		SiteDiskRead, SiteWireDial, SiteWireWrite, SiteWireRead,
+		SiteDiskRead, SiteDiskImage, SiteWireDial, SiteWireWrite, SiteWireRead,
 		SiteLeafQuery,
 		SiteWALAppend, SiteWALSync, SiteWALTruncate, SiteWALReplay,
 		SiteSnapWrite,

@@ -18,7 +18,8 @@ import (
 //
 // GOMAXPROCS is pinned to 1 (one pool worker) so hit ordering is deterministic: tables copy
 // largest first (t2, t1, t0), and Shutdown's metadata writes are
-// initial(1) + one registration per table (2-4) + commit(5).
+// initial(1) + one registration per table (2-4) + commit(5). Each table
+// holds two sealed blocks of equal rows, so its store holds two images.
 func TestFaultMatrix(t *testing.T) {
 	const tables = 3
 	counts := [tables]int{120, 140, 160}
@@ -38,6 +39,9 @@ func TestFaultMatrix(t *testing.T) {
 		wantFellBack bool
 		// lostTables expect zero rows (quarantine reload also failed).
 		lostTables map[string]bool
+		// halfLost tables lost their first image on the reload: its rows
+		// are counted dropped, and the second block's half is served.
+		halfLost map[string]bool
 	}{
 		{
 			name: "copy_out error fails shutdown, disk recovers all",
@@ -96,6 +100,12 @@ func TestFaultMatrix(t *testing.T) {
 			lostTables: map[string]bool{"t2": true}, // the pool takes the largest table first
 		},
 		{
+			name: "quarantine reload hits an image error: that block dropped, the rest served",
+			spec: "shm.copy_in=error;count=1, disk.image=error;count=1", stage: "restore",
+			wantPath: RecoveryMixed, wantQuarantined: 1,
+			halfLost: map[string]bool{"t2": true},
+		},
+		{
 			name: "every table quarantined: per-table disk path, no fallback",
 			spec: "shm.copy_in=error;count=3", stage: "restore",
 			wantPath: RecoveryDisk, wantQuarantined: 3,
@@ -106,15 +116,23 @@ func TestFaultMatrix(t *testing.T) {
 	// shutdown/restore cycle. Every faulted run must reproduce these
 	// exactly (minus tables deliberately lost).
 	setProcs(t, 1)
+	fill := func(t *testing.T, l *Leaf) {
+		for half := 0; half < 2; half++ {
+			for i := 0; i < tables; i++ {
+				ingest(t, l, fmt.Sprintf("t%d", i), counts[i]/2, int64(1000*i+half*counts[i]/2))
+			}
+			if err := l.SealAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	baseCount := make(map[string]float64)
 	baseSum := make(map[string]float64)
 	{
 		e := newEnv(t)
 		cfg := e.config(0)
 		l := startLeaf(t, cfg)
-		for i := 0; i < tables; i++ {
-			ingest(t, l, fmt.Sprintf("t%d", i), counts[i], int64(1000*i))
-		}
+		fill(t, l)
 		if _, err := l.Shutdown(); err != nil {
 			t.Fatal(err)
 		}
@@ -135,9 +153,7 @@ func TestFaultMatrix(t *testing.T) {
 			e := newEnv(t)
 			cfg := e.config(0)
 			l := startLeaf(t, cfg)
-			for i := 0; i < tables; i++ {
-				ingest(t, l, fmt.Sprintf("t%d", i), counts[i], int64(1000*i))
-			}
+			fill(t, l)
 
 			if tc.stage == "shutdown" {
 				if err := fault.ArmSpec(tc.spec); err != nil {
@@ -179,8 +195,10 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("quarantined = %d, want %d (%+v)", rec.Quarantined, tc.wantQuarantined, rec.PerTablePath)
 			}
 			replaced := 0
+			dropped := make(map[string]int64)
 			for _, tr := range rec.PerTablePath {
 				replaced += tr.BlocksReplaced
+				dropped[tr.Table] = tr.RowsDropped
 			}
 			if replaced != tc.wantReplaced {
 				t.Fatalf("blocks replaced = %d, want %d (%+v)", replaced, tc.wantReplaced, rec.PerTablePath)
@@ -195,6 +213,12 @@ func TestFaultMatrix(t *testing.T) {
 				wantCount, wantSum := baseCount[name], baseSum[name]
 				if tc.lostTables[name] {
 					wantCount, wantSum = 0, 0
+				}
+				if tc.halfLost[name] { // the two halves hold the same latencies
+					wantCount, wantSum = wantCount/2, wantSum/2
+				}
+				if want := int64(baseCount[name] - wantCount); !tc.lostTables[name] && dropped[name] != want {
+					t.Errorf("%s: %d rows dropped, want %d", name, dropped[name], want)
 				}
 				if gotCount != wantCount || gotSum != wantSum {
 					t.Errorf("%s: count/sum = %v/%v, want %v/%v",

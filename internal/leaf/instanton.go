@@ -26,9 +26,10 @@ import (
 	"scuba/internal/table"
 )
 
-// moveBlocks is the loop: tbl's shm-resident blocks, newest first, each
-// pinned through the table, cloned to the heap and swapped in for the view
-// block, whose residency ends (the view cuts its tail behind it). A block
+// moveBlocks is the loop: tbl's shm-resident blocks (those ForeignBlocks
+// counts), newest first, each pinned through the table, cloned to the heap
+// and swapped in for the view block, whose residency ends (the view cuts its
+// tail behind it). A mapped store image's block stays as it is. A block
 // whose copy fails its check is replaced by the store's image of its rows or
 // dropped (replaceDamaged, counted on tr: the table's record before ALIVE,
 // nil behind it). A block that left the table meanwhile is passed. Any other
@@ -43,7 +44,7 @@ func (l *Leaf) moveBlocks(ctx context.Context, tbl *table.Table, tr *TableRecove
 	blocks := tbl.Blocks()
 	for i := len(blocks) - 1; i >= 0 && ctx.Err() == nil; i-- {
 		rb := blocks[i]
-		if rb.Source() == nil {
+		if rb.MappedImage() == nil { // a heap block, or a mapped store image's
 			continue
 		}
 		var clone *rowblock.RowBlock

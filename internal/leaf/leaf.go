@@ -804,13 +804,13 @@ func (l *Leaf) persistLocked(tbl *table.Table) (int, error) {
 	blocks, starts := tbl.UnpersistedBlocks()
 	for _, rb := range blocks {
 		if src := rb.Source(); src != nil {
-			// The table's shm view, pinned while images of its blocks are
+			// The block's mapping — the table's shm view, or a store image
+			// that replaced a damaged block of it — pinned while its image is
 			// written. One already gone holds no block of the table any more.
 			if !src.Retain() {
 				return l.persistLocked(tbl)
 			}
 			defer src.Release()
-			break
 		}
 	}
 	n, err := l.store.Persist(tbl.Name(), blocks, starts)

@@ -358,10 +358,12 @@ func (l *Leaf) recoverTable(r *obs.Restart, worker int, name string, seg shm.Seg
 	if err != nil {
 		// Best effort: the table is lost, but the leaf still serves every
 		// other table, and an absent table answers queries with empty partial
-		// results, the same as a leaf that never held it (§1).
+		// results, the same as a leaf that never held it (§1). Its images
+		// loaded so far are unmapped.
 		l.mu.Lock()
 		delete(l.tables, name)
 		l.mu.Unlock()
+		rowblock.ReleaseSources(tbl.Blocks())
 		o.path.Path = RecoveryNone
 		o.path.addReason("disk reload failed: " + err.Error())
 	}
@@ -481,8 +483,11 @@ func (l *Leaf) storeImage(name string, start int64, bad *rowblock.RowBlock) *row
 		if im.Start != start || im.Rows != bad.Rows() || im.MaxTime != bad.Header().MaxTime {
 			continue
 		}
-		if rb, err := l.store.LoadImage(name, im); err == nil && rb.Header() == bad.Header() {
-			return rb
+		if rb, err := l.store.LoadImage(name, im); err == nil {
+			if rb.Header() == bad.Header() {
+				return rb
+			}
+			rowblock.ReleaseSources([]*rowblock.RowBlock{rb})
 		}
 	}
 	return nil
@@ -501,6 +506,7 @@ func (l *Leaf) replaceDamaged(tbl *table.Table, bad *rowblock.RowBlock, why erro
 	}
 	rb := l.storeImage(tbl.Name(), start, bad)
 	if !tbl.SwapBlock(bad, rb) {
+		rowblock.ReleaseSources([]*rowblock.RowBlock{rb})
 		_, held := tbl.StartOf(bad)
 		return !held
 	}
@@ -586,7 +592,11 @@ func (l *Leaf) loadFromStore(r *obs.Restart, worker int, tbl *table.Table, logge
 		delete(unread, im.Start)
 		sp.Blocks++
 		sp.Bytes += rb.Header().Size
-		return tbl.RestoreBlock(rb, im.Start)
+		if err := tbl.RestoreBlock(rb, im.Start); err != nil {
+			rowblock.ReleaseSources([]*rowblock.RowBlock{rb})
+			return err
+		}
+		return nil
 	})
 	sp.End(err)
 	for _, rows := range unread {

@@ -85,14 +85,15 @@ type Header struct {
 }
 
 // Source is the foreign memory a zero-copy block's RBC blobs alias — after a
-// shm restart, a refcounted mmap'd segment view. Retain pins the memory for a
+// shm restart, a refcounted mmap'd segment view; after a crash start, a store
+// image's own refcounted mapping (disk.Mapping). Retain pins the memory for a
 // reader and reports false when the source is already gone (the last
 // reference dropped); Release undoes one Retain. Evict ends block b's
 // residency — no table holds it any more — and keeps the reference that
-// residency held, which the caller then Releases like a reader's: the backing
-// file shrinks as its blocks leave and goes with the last residency, the
-// mapping with the last reference. A block with a nil source owns its memory
-// outright.
+// residency held, which the caller then Releases like a reader's: a view's
+// file shrinks as its blocks leave and goes with the last residency (a store
+// image's file is the store's to remove), the mapping with the last
+// reference. A block with a nil source owns its memory outright.
 type Source interface {
 	Retain() bool
 	Release()
@@ -121,7 +122,8 @@ type RowBlock struct {
 	// them and an image carries them.
 	zones []ZoneMap
 	// src is non-nil while the RBC blobs alias foreign memory (a mapped shm
-	// segment). Readers must hold a Retain on it across any column access.
+	// segment or store image). Readers must hold a Retain on it across any
+	// column access.
 	src Source
 	// check is set on a block whose columns nothing has parsed or checked
 	// yet (OpenImage): its first reader parses blobs into cols and checks
@@ -678,7 +680,7 @@ func (b *RowBlock) AppendImage(dst []byte) []byte {
 }
 
 // DecodeImage parses a block image zero-copy — the RBCs alias img — and
-// verifies every column's checksum: images come from shm or disk.
+// verifies every column's checksum: a store image (disk.Store.LoadImage).
 func DecodeImage(img []byte) (*RowBlock, int, error) {
 	rb, blobs, size, err := decodePrefix(img)
 	if err == nil {
@@ -714,7 +716,9 @@ func PrefixCRC(prefix []byte) uint32 { return crc32.Checksum(prefix, castagnoli)
 
 // MappedImage is the image an OpenImage block was decoded from, the bytes a
 // copy of it writes as they are — unchecked ones included: their checksums
-// travel with them — and nil for a block built or copied in this process.
+// travel with them — and nil for a block built or copied in this process or
+// decoded whole (DecodeImage). So it is non-nil exactly for a block served
+// from a shm segment view.
 func (b *RowBlock) MappedImage() []byte { return b.image }
 
 // decodePrefix parses an image's prefix into a block without columns, and

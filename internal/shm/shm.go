@@ -331,41 +331,20 @@ func (m *Manager) RemoveSegment(name string) error {
 	return err
 }
 
-// mapSegment maps the named segment's file read-only, whole: writes through
-// the mapping fault, so a stray store can never damage a table segment. The
-// file is closed once mapped; the mapping outlives it.
-func (m *Manager) mapSegment(name string) ([]byte, error) {
-	f, err := os.Open(m.segmentPath(name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ErrSegmentGone
-		}
-		return nil, fmt.Errorf("shm: open segment %s: %w", name, err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size() == 0 {
+// mapSegment maps the named segment's file read-only, whole (disk.Map):
+// writes through the mapping fault, so a stray store can never damage a
+// table segment.
+func (m *Manager) mapSegment(name string) (*disk.Mapping, error) {
+	mp, err := disk.Map(m.segmentPath(name), m.noMmap)
+	switch {
+	case os.IsNotExist(err):
+		return nil, ErrSegmentGone
+	case errors.Is(err, disk.ErrEmptyFile):
 		return nil, fmt.Errorf("%w: segment %s is empty", ErrSegmentSize, name)
+	case err != nil:
+		return nil, fmt.Errorf("shm: map segment %s: %w", name, err)
 	}
-	if m.noMmap {
-		return readSegment(f, fi.Size())
-	}
-	data, err := mmap(f, fi.Size())
-	if err != nil {
-		return nil, fmt.Errorf("shm: mmap %s (%d bytes): %w", name, fi.Size(), err)
-	}
-	return data, nil
-}
-
-// unmapSegment releases what mapSegment returned.
-func (m *Manager) unmapSegment(data []byte) error {
-	if m.noMmap {
-		return nil
-	}
-	return munmap(data)
+	return mp, nil
 }
 
 // SegmentSize returns the named segment file's size, 0 when there is none.

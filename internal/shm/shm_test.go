@@ -39,15 +39,13 @@ func TestSegmentCreateWriteReopen(t *testing.T) {
 		// A "new process": fresh manager over the same directory.
 		m2 := NewManager(3, Options{Dir: dir, Namespace: "test"})
 		m2.noMmap = noMmap
-		data, err := m2.mapSegment("s1")
+		mp, err := m2.mapSegment("s1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(data, want) {
+		defer mp.Release()
+		if data := mp.Bytes(); !bytes.Equal(data, want) {
 			t.Errorf("mapped %d bytes, or not the written ones", len(data))
-		}
-		if err := m2.unmapSegment(data); err != nil {
-			t.Error(err)
 		}
 	})
 }
@@ -63,18 +61,18 @@ func TestSegmentTruncate(t *testing.T) {
 		if err := os.WriteFile(m.segmentPath("tr"), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		data, err := m.mapSegment("tr")
+		mp, err := m.mapSegment("tr")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer m.unmapSegment(data) //nolint:errcheck
+		defer mp.Release()
 		if err := os.Truncate(m.segmentPath("tr"), 4096); err != nil {
 			t.Fatal(err)
 		}
 		if got := m.SegmentSize("tr"); got != 4096 {
 			t.Errorf("size = %d", got)
 		}
-		if !bytes.HasPrefix(data, []byte("keep this part")) {
+		if !bytes.HasPrefix(mp.Bytes(), []byte("keep this part")) {
 			t.Error("truncate lost retained data")
 		}
 	})

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 
+	"scuba/internal/disk"
 	"scuba/internal/fault"
 	"scuba/internal/rowblock"
 )
@@ -25,14 +25,14 @@ import (
 // costs that block alone: its reader gets a *rowblock.DamagedError, and the
 // leaf replaces the block from the store.
 //
-// References: the view opens holding one reference per decoded block (the
-// table's residency), and every reader that pins a view block takes one more
-// via Retain. Whoever removes a block from circulation — promotion, expiry,
-// a damaged block's replacement, shutdown copy-out, table teardown — ends the
-// block's residency (Evict) and releases its reference; a reader releases its
-// own when it is done. When the count hits zero the segment is unmapped, and
-// Retain can never resurrect it (CAS from nonzero only), so a reader either
-// pins live memory or is told the view is gone.
+// References are the mapping's (disk.Mapping): the view opens holding one
+// reference per decoded block (the table's residency), and every reader that
+// pins a view block takes one more via Retain. Whoever removes a block from
+// circulation — promotion, expiry, a damaged block's replacement, shutdown
+// copy-out, table teardown — ends the block's residency (Evict) and releases
+// its reference; a reader releases its own when it is done. When the count
+// hits zero the segment is unmapped, and Retain can never resurrect it, so a
+// reader either pins live memory or is told the view is gone.
 //
 // The tail (§4.4, Figure 7: "truncate the table shared memory segment if
 // needed"): when a residency ends and every block from some image on has
@@ -52,13 +52,12 @@ import (
 // instead: a reader still holding a pin keeps the mapping, which outlives
 // the unlinked file.
 type MappedView struct {
-	m       *Manager
-	name    string  // the segment's
-	data    []byte  // the read-only mapping of its file, whole
-	offsets []int64 // of each block image in the segment, then of the footer
-	blocks  []*rowblock.RowBlock
-	starts  []int64 // each block's global start row, as the segment records it
-	refs    atomic.Int64
+	*disk.Mapping // the segment's file, whole; its references are the view's
+	m             *Manager
+	name          string  // the segment's
+	offsets       []int64 // of each block image in the segment, then of the footer
+	blocks        []*rowblock.RowBlock
+	starts        []int64 // each block's global start row, as the segment records it
 
 	mu       sync.Mutex
 	resident int                         // blocks a table still holds
@@ -81,20 +80,24 @@ func OpenTableSegmentView(m *Manager, si SegmentInfo) (*MappedView, error) {
 	if err := fault.Inject(fault.SiteShmMap); err != nil {
 		return nil, fmt.Errorf("shm: map segment %s: %w", si.Segment, err)
 	}
-	data, err := m.mapSegment(si.Segment)
+	mp, err := m.mapSegment(si.Segment)
 	if err != nil {
 		return nil, err
 	}
-	v := &MappedView{m: m, name: si.Segment, data: data}
+	v := &MappedView{Mapping: mp, m: m, name: si.Segment}
 	if err := v.decode(si.Table); err != nil {
-		m.unmapSegment(data) //nolint:errcheck
+		mp.Release() // the opener's reference: the unmap
 		return nil, err
 	}
+	// A reference per block, then the opener's goes: a view of no block is
+	// unmapped here.
+	for range v.blocks {
+		mp.Retain()
+	}
+	mp.Release()
 	if len(v.blocks) == 0 {
-		m.unmapSegment(data)        //nolint:errcheck
 		m.RemoveSegment(si.Segment) //nolint:errcheck // the restore's final sweep takes what this leaves
 	}
-	v.refs.Store(int64(len(v.blocks)))
 	v.resident, v.tail = len(v.blocks), len(v.blocks)
 	v.left = make(map[*rowblock.RowBlock]bool, len(v.blocks))
 	return v, nil
@@ -106,7 +109,7 @@ func OpenTableSegmentView(m *Manager, si SegmentInfo) (*MappedView, error) {
 // shm.copy_out with corrupt — the CRC checks, here or at a block's first
 // read, are what must catch it.
 func (v *MappedView) decode(table string) error {
-	b := v.data
+	b := v.Bytes()
 	name, offsets, starts, crcs, err := parseTableSegment(b)
 	if err != nil {
 		return err
@@ -142,24 +145,6 @@ func (v *MappedView) Blocks() []*rowblock.RowBlock { return v.blocks }
 // Starts returns each block's global start row, as Blocks orders them.
 func (v *MappedView) Starts() []int64 { return v.starts }
 
-// Refs returns the current reference count (tests and telemetry).
-func (v *MappedView) Refs() int64 { return v.refs.Load() }
-
-// Retain pins the mapping for a reader. It reports false when the view has
-// already drained to zero — the memory is unmapped or about to be — in which
-// case the caller must not touch any view block's columns.
-func (v *MappedView) Retain() bool {
-	for {
-		n := v.refs.Load()
-		if n <= 0 {
-			return false
-		}
-		if v.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
 // Evict ends rb's residency: no table holds it any more, and the caller
 // releases the reference it held after this returns. The last residency
 // deletes the segment's file; before it, a tail every block of which has left
@@ -181,17 +166,7 @@ func (v *MappedView) Evict(rb *rowblock.RowBlock) {
 	}
 	// The mapping keeps its length: nothing reads past the cut again, and
 	// no munmap and mmap per block.
-	if tail < v.tail && v.refs.Load() == int64(v.resident)+1 && os.Truncate(v.m.segmentPath(v.name), v.offsets[tail]) == nil {
+	if tail < v.tail && v.Refs() == int64(v.resident)+1 && os.Truncate(v.m.segmentPath(v.name), v.offsets[tail]) == nil {
 		v.tail = tail
-	}
-}
-
-// Release drops one reference. The releaser that takes the count to zero
-// unmaps the segment; its file went with the last residency.
-func (v *MappedView) Release() {
-	if n := v.refs.Add(-1); n == 0 {
-		v.m.unmapSegment(v.data) //nolint:errcheck
-	} else if n < 0 {
-		panic(fmt.Sprintf("shm: view %s over-released (refs=%d)", v.name, n))
 	}
 }

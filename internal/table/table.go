@@ -266,12 +266,13 @@ func (t *Table) ScanView(from, to int64, fn func(View) error) error {
 	}
 	t.inflightQry++
 	view := View{Blocks: make([]*rowblock.RowBlock, 0, len(t.blocks)), NumBlocks: len(t.blocks)}
-	// pinned collects the foreign-memory sources (mmap'd shm views) of
-	// snapshotted blocks, each retained here UNDER the table lock. A remover
-	// (expiry, promotion, shutdown) can only release a block's residency
-	// reference after popping it from t.blocks under this same lock, so any
-	// block the snapshot sees still holds its reference and the Retain cannot
-	// fail; the pin then keeps the mapping alive until fn drains.
+	// pinned collects the foreign-memory sources (mapped shm views and store
+	// images) of snapshotted blocks, each retained here UNDER the table lock.
+	// A remover (expiry, promotion, shutdown) can only release a block's
+	// residency reference after popping it from t.blocks under this same
+	// lock, so any block the snapshot sees still holds its reference and the
+	// Retain cannot fail; the pin then keeps the mapping alive until fn
+	// drains.
 	var pinned []rowblock.Source
 	for _, rb := range t.blocks {
 		if !rb.Overlaps(from, to) {
@@ -377,14 +378,17 @@ func (t *Table) StartOf(rb *rowblock.RowBlock) (int64, bool) {
 	return 0, false
 }
 
-// ForeignBlocks counts sealed blocks whose columns still alias foreign
-// memory (shm views awaiting promotion). Zero once promotion has drained.
+// ForeignBlocks counts sealed blocks served from a shm segment view, which
+// the move loop has yet to take to the heap: the blocks opened in place
+// (rowblock.OpenImage), which keep their mapped image. Zero once promotion
+// has drained. A block decoded from a mapped store image is not one: it is
+// served from its mapping for as long as the table holds it.
 func (t *Table) ForeignBlocks() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
 	for _, rb := range t.blocks {
-		if rb.Source() != nil {
+		if rb.MappedImage() != nil {
 			n++
 		}
 	}
