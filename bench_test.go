@@ -659,23 +659,60 @@ func BenchmarkAddRowsWAL(b *testing.B) {
 }
 
 // BenchmarkSealBlock measures one full service_logs block from AppendBatch
-// through Seal. The seal dictionary-encodes the string and set columns under
-// the table lock, so its cost is what ingest waits for at a block boundary.
+// through Seal, under the table lock: its cost is what ingest waits for at a
+// block boundary, and the largest table's seal is the largest step of a
+// planned shutdown. "rows" appends one 65,536-row batch built from rows;
+// "frames" fills the builder as ingest and replay do, from 66 decoded
+// 1,000-row frames through one reused batch. seal-ns/op is Seal alone.
 func BenchmarkSealBlock(b *testing.B) {
-	bt, err := rowblock.FromRows(scuba.ServiceLogs(42, 1700000000).NextBatch(rowblock.MaxRows))
+	gen := scuba.ServiceLogs(42, 1700000000)
+	whole, err := rowblock.FromRows(gen.NextBatch(rowblock.MaxRows))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bl := rowblock.NewBuilder(1)
-		if n, err := bl.AppendBatch(bt); err != nil || n != rowblock.MaxRows {
-			b.Fatalf("appended %d of %d rows: %v", n, rowblock.MaxRows, err)
-		}
-		if _, err := bl.Seal(); err != nil {
+	var frames [][]byte
+	for range 66 {
+		bt, err := rowblock.FromRows(gen.NextBatch(1000))
+		if err != nil {
 			b.Fatal(err)
 		}
+		frames = append(frames, bt.AppendFrame(nil))
+	}
+	var reused rowblock.Batch
+	fill := map[string]func(*rowblock.Builder) error{
+		"rows": func(bl *rowblock.Builder) error {
+			_, err := bl.AppendBatch(whole)
+			return err
+		},
+		"frames": func(bl *rowblock.Builder) error {
+			for _, f := range frames {
+				if err := reused.Decode(f); err != nil {
+					return err
+				}
+				if _, err := bl.AppendBatch(&reused); err != nil || bl.Full() {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	for _, name := range []string{"rows", "frames"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var seal time.Duration
+			for i := 0; i < b.N; i++ {
+				bl := rowblock.NewBuilder(1)
+				if err := fill[name](bl); err != nil || bl.Rows() != rowblock.MaxRows {
+					b.Fatalf("appended %d of %d rows: %v", bl.Rows(), rowblock.MaxRows, err)
+				}
+				start := time.Now()
+				if _, err := bl.Seal(); err != nil {
+					b.Fatal(err)
+				}
+				seal += time.Since(start)
+			}
+			b.ReportMetric(float64(seal.Nanoseconds())/float64(b.N), "seal-ns/op")
+		})
 	}
 }
 

@@ -117,7 +117,7 @@ func TestStringRoundTrip(t *testing.T) {
 		{"web", "web", "ads", "web", "search", "ads"},
 	}
 	for _, vals := range cases {
-		blob, _ := new(Interner).EncodeStrings(vals)
+		blob, _ := stringsOf(vals).EncodeStrings()
 		col, err := DecodeString(mustParse(t, blob))
 		if err != nil {
 			t.Fatalf("decode %v: %v", vals, err)
@@ -138,7 +138,7 @@ func TestStringDictDeduplication(t *testing.T) {
 	for i := range vals {
 		vals[i] = fmt.Sprintf("service-%d", i%4)
 	}
-	blob, _ := new(Interner).EncodeStrings(vals)
+	blob, _ := stringsOf(vals).EncodeStrings()
 	// 10000 strings with 4 distinct values: dictionary ~60 bytes, IDs 2 bits
 	// each = 2.5 KB. Anything near raw size means dedup is broken.
 	if len(blob) > 4096 {
@@ -161,7 +161,7 @@ func TestStringSetRoundTrip(t *testing.T) {
 		{{"x", "y"}, {}, {"y"}, {"x", "y", "z"}},
 	}
 	for _, vals := range cases {
-		blob, _ := new(Interner).EncodeSets(vals)
+		blob, _ := setsOf(vals).EncodeSets()
 		col, err := DecodeStringSet(mustParse(t, blob))
 		if err != nil {
 			t.Fatalf("decode %v: %v", vals, err)
@@ -210,7 +210,7 @@ func TestStringSetSelectContains(t *testing.T) {
 			}
 		}
 	}
-	blob, _ := new(Interner).EncodeSets(vals)
+	blob, _ := setsOf(vals).EncodeSets()
 	sealed, err := DecodeStringSet(mustParse(t, blob))
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestStringSetSelectContains(t *testing.T) {
 	if !sealed.packed {
 		t.Fatal("fixture did not compress: the sealed column never un-LZ4s")
 	}
-	for name, col := range map[string]*StringSetColumn{"sealed": sealed, "unsealed": new(Interner).Sets(vals)} {
+	for name, col := range map[string]*StringSetColumn{"sealed": sealed, "unsealed": setsOf(vals).Sets(len(vals))} {
 		for _, member := range []string{"all", "t0", "t299", "t150", "absent"} {
 			for _, step := range []int{1, 3} {
 				var sel, want []uint32
@@ -330,7 +330,7 @@ func TestSetMasksBuild(t *testing.T) {
 	for i := range wide {
 		wide[i] = []string{fmt.Sprintf("t%d", i)}
 	}
-	blob, _ = new(Interner).EncodeSets(wide)
+	blob, _ = setsOf(wide).EncodeSets()
 	if col, err = DecodeStringSet(mustParse(t, blob)); err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +340,8 @@ func TestSetMasksBuild(t *testing.T) {
 }
 
 func TestDecodeGeneric(t *testing.T) {
-	strs, _ := new(Interner).EncodeStrings([]string{"a", "b"})
-	sets, _ := new(Interner).EncodeSets([][]string{{"a"}})
+	strs, _ := stringsOf([]string{"a", "b"}).EncodeStrings()
+	sets, _ := setsOf([][]string{{"a"}}).EncodeSets()
 	blobs := map[layout.ValueType][]byte{
 		layout.TypeInt64:     EncodeInt64(layout.TypeInt64, []int64{1, 2}),
 		layout.TypeFloat64:   EncodeFloat64([]float64{1.5}),
@@ -361,7 +361,7 @@ func TestDecodeGeneric(t *testing.T) {
 
 func TestDecodeTypeMismatch(t *testing.T) {
 	intBlob := mustParse(t, EncodeInt64(layout.TypeInt64, []int64{1}))
-	str, _ := new(Interner).EncodeStrings([]string{"a"})
+	str, _ := stringsOf([]string{"a"}).EncodeStrings()
 	strBlob := mustParse(t, str)
 	if _, err := DecodeString(intBlob); err == nil {
 		t.Error("DecodeString on int column succeeded")
@@ -424,7 +424,7 @@ func TestAtLeastTwoMethodsPerColumn(t *testing.T) {
 	for i := range strs {
 		strs[i] = fmt.Sprintf("host-%d", i%100)
 	}
-	sblob, _ := new(Interner).EncodeStrings(strs)
+	sblob, _ := stringsOf(strs).EncodeStrings()
 	sr := mustParse(t, sblob)
 	if sr.Code().Transform() != codec.MethodDict {
 		t.Errorf("string transform = %v", sr.Code().Transform())
@@ -454,7 +454,7 @@ func TestInt64Property(t *testing.T) {
 
 func TestStringProperty(t *testing.T) {
 	f := func(vals []string) bool {
-		blob, _ := new(Interner).EncodeStrings(vals)
+		blob, _ := stringsOf(vals).EncodeStrings()
 		r, err := layout.Parse(blob)
 		if err != nil {
 			return false
@@ -507,7 +507,7 @@ func TestCompressionRatioLogTable(t *testing.T) {
 		hosts[i] = fmt.Sprintf("host-%03d.prn1", i%200)
 	}
 	rawSize := n*8 + n*len(hosts[0])
-	hostBlob, _ := new(Interner).EncodeStrings(hosts)
+	hostBlob, _ := stringsOf(hosts).EncodeStrings()
 	encSize := len(EncodeInt64(layout.TypeTime, times)) + len(hostBlob)
 	ratio := float64(rawSize) / float64(encSize)
 	if ratio < 10 {

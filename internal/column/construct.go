@@ -21,10 +21,10 @@ func NewInt64(vt layout.ValueType, values []int64) *Int64Column {
 }
 
 // Interner dictionary-encodes a string or string-set column as its rows are
-// read. Each call passes the column's values so far and interns only the rows
-// no earlier call did, giving each new string the next ID, so IDs never
-// change. The columns it returns alias its vectors cut to length; it only
-// appends past them and encodes from a sorted copy. It is safe for concurrent use.
+// appended: each new string gets the next ID, so IDs never change. The
+// columns it returns alias its vectors cut to length; it only appends past
+// them and encodes from a sorted copy. It is safe for concurrent use: a
+// writer appends while readers take columns.
 type Interner struct {
 	mu    sync.Mutex
 	index map[string]uint32
@@ -32,6 +32,7 @@ type Interner struct {
 	ids   []uint32 // a string column's rows
 	sets  []byte   // a set column's rows: uvarint count, then uvarint IDs
 	ends  []int    // where each set row ends in sets
+	batch []byte   // AppendSets' scratch: one call's rows, encoded
 }
 
 func (in *Interner) id(s string) uint32 {
@@ -48,38 +49,72 @@ func (in *Interner) id(s string) uint32 {
 	return id
 }
 
-func (in *Interner) internStrings(values []string) {
-	for _, s := range values[min(len(in.ids), len(values)):] {
-		in.ids = append(in.ids, in.id(s))
+// Cap returns how many rows the column holds before its row vector moves.
+// Only appends change it, so the writer reads it without the mutex.
+func (in *Interner) Cap() int { return max(cap(in.ids), cap(in.ends)) }
+
+// reserve returns s, moved to an array of exactly n cells when it has less.
+func reserve[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(make([]T, 0, n), s...)
 	}
+	return s
 }
 
-func (in *Interner) internSets(values [][]string) {
-	for _, set := range values[min(len(in.ends), len(values)):] {
-		in.sets = binary.AppendUvarint(in.sets, uint64(len(set)))
-		for _, s := range set {
-			in.sets = binary.AppendUvarint(in.sets, uint64(in.id(s)))
-		}
-		in.ends = append(in.ends, len(in.sets))
-	}
-}
-
-// Strings returns the string column of values, its dictionary first seen first.
-func (in *Interner) Strings(values []string) *StringColumn {
+// AppendStrings interns values as the string column's next rows, then pads
+// it with "" to rows rows, in a row vector with room for at least room rows.
+// "" enters the dictionary only when a row takes it.
+func (in *Interner) AppendStrings(values []string, rows, room int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.internStrings(values)
-	n, d := len(values), len(in.dict)
+	in.ids = reserve(in.ids, max(room, rows, len(in.ids)+len(values)))
+	for _, s := range values {
+		in.ids = append(in.ids, in.id(s))
+	}
+	for len(in.ids) < rows {
+		in.ids = append(in.ids, in.id(""))
+	}
+}
+
+// AppendSets is AppendStrings for a set column. A varint buffer that must
+// move gets room for as many rows, at its bytes per row once these are in.
+func (in *Interner) AppendSets(values [][]string, rows, room int) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.ends = reserve(in.ends, max(room, rows, len(in.ends)+len(values)))
+	buf, base := in.batch[:0], len(in.sets)
+	for _, set := range values {
+		buf = binary.AppendUvarint(buf, uint64(len(set)))
+		for _, s := range set {
+			buf = binary.AppendUvarint(buf, uint64(in.id(s)))
+		}
+		in.ends = append(in.ends, base+len(buf))
+	}
+	for len(in.ends) < rows {
+		buf = append(buf, 0) // an empty set is a zero count
+		in.ends = append(in.ends, base+len(buf))
+	}
+	if need := base + len(buf); need > cap(in.sets) {
+		in.sets = reserve(in.sets, max(need, cap(in.ends)*need/len(in.ends)))
+	}
+	in.sets, in.batch = append(in.sets, buf...), buf
+}
+
+// Strings returns the string column's first n rows, its dictionary first
+// seen first.
+func (in *Interner) Strings(n int) *StringColumn {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	d := len(in.dict)
 	return &StringColumn{Dict: in.dict[:d:d], IDs: in.ids[:n:n]}
 }
 
-// Sets returns the string-set column of values, its rows encoded as a sealed
-// block's data section encodes them and its dictionary in first-seen order.
-func (in *Interner) Sets(values [][]string) *StringSetColumn {
+// Sets returns the set column's first n rows, encoded as a sealed block's
+// data section encodes them, its dictionary first seen first.
+func (in *Interner) Sets(n int) *StringSetColumn {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.internSets(values)
-	n, d, end := len(values), len(in.dict), 0
+	d, end := len(in.dict), 0
 	if n > 0 {
 		end = in.ends[n-1]
 	}
@@ -98,12 +133,11 @@ func (in *Interner) canonical() (dict []string, remap []uint32) {
 	return dict, remap
 }
 
-// EncodeStrings returns the RBC blob of the string column values, which must
-// hold every row interned so far, and its sorted dictionary.
-func (in *Interner) EncodeStrings(values []string) ([]byte, []string) {
+// EncodeStrings returns the RBC blob of the string column's rows and its
+// sorted dictionary.
+func (in *Interner) EncodeStrings() ([]byte, []string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.internStrings(values)
 	dict, remap := in.canonical()
 	packed := make([]uint64, len(in.ids))
 	for i, id := range in.ids {
@@ -113,13 +147,12 @@ func (in *Interner) EncodeStrings(values []string) ([]byte, []string) {
 		codec.EncodeDict(nil, dict), codec.EncodeBitPackU64(nil, packed)), dict
 }
 
-// EncodeSets returns the RBC blob of the string-set column values, which
-// must hold every row interned so far, and its sorted dictionary. Each row's
-// data is a varint count followed by varint dictionary IDs.
-func (in *Interner) EncodeSets(values [][]string) ([]byte, []string) {
+// EncodeSets returns the RBC blob of the string-set column's rows and its
+// sorted dictionary. Each row's data is a varint count followed by varint
+// dictionary IDs.
+func (in *Interner) EncodeSets() ([]byte, []string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.internSets(values)
 	dict, remap := in.canonical()
 	data := make([]byte, 0, len(in.sets))
 	for rows := in.sets; len(rows) > 0; {

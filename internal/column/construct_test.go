@@ -26,27 +26,43 @@ func TestNewInt64(t *testing.T) {
 	NewInt64(layout.TypeString, nil)
 }
 
+// stringsOf and setsOf return an interner that appended values.
+func stringsOf(values []string) *Interner {
+	in := new(Interner)
+	in.AppendStrings(values, 0, 0)
+	return in
+}
+
+func setsOf(values [][]string) *Interner {
+	in := new(Interner)
+	in.AppendSets(values, 0, 0)
+	return in
+}
+
 // TestInternerStrings: a column holds the rows asked for, its dictionary in
-// first-seen order, and stays as it was while later calls intern more rows
-// and the encode sorts the dictionary.
+// first-seen order, and stays as it was while later appends intern more rows
+// and the encode sorts the dictionary. Padding interns "" only when a row
+// takes it.
 func TestInternerStrings(t *testing.T) {
 	var in Interner
 	values := []string{"b", "a", "b", "", "c"}
-	first := in.Strings(values[:3])
-	if first.Len() != 3 || first.Type() != layout.TypeString {
-		t.Fatalf("len/type = %d/%v", first.Len(), first.Type())
+	in.AppendStrings(values[:3], 0, 8)
+	first := in.Strings(3)
+	if first.Len() != 3 || first.Type() != layout.TypeString || len(first.Dict) != 2 || in.Cap() != 8 {
+		t.Fatalf("len/type/dict/cap = %d/%v/%q/%d", first.Len(), first.Type(), first.Dict, in.Cap())
 	}
 	if !reflect.DeepEqual(first.Dict, []string{"b", "a"}) || !reflect.DeepEqual(first.IDs, []uint32{0, 1, 0}) {
 		t.Errorf("first column = %q %v", first.Dict, first.IDs)
 	}
-	all := in.Strings(values)
-	if !reflect.DeepEqual(all.Dict, []string{"b", "a", "", "c"}) || !reflect.DeepEqual(all.IDs, []uint32{0, 1, 0, 2, 3}) {
+	in.AppendStrings(values[3:], 7, 0)
+	all := in.Strings(7)
+	if !reflect.DeepEqual(all.Dict, []string{"b", "a", "", "c"}) || !reflect.DeepEqual(all.IDs, []uint32{0, 1, 0, 2, 3, 2, 2}) {
 		t.Errorf("whole column = %q %v", all.Dict, all.IDs)
 	}
-	if _, dict := in.EncodeStrings(values); !reflect.DeepEqual(dict, []string{"", "a", "b", "c"}) {
+	if _, dict := in.EncodeStrings(); !reflect.DeepEqual(dict, []string{"", "a", "b", "c"}) {
 		t.Errorf("sealed dictionary = %q", dict)
 	}
-	for i, want := range values {
+	for i, want := range append(values, "", "") {
 		if all.Value(i) != want {
 			t.Errorf("row %d reads %q after the encode, want %q", i, all.Value(i), want)
 		}
@@ -59,15 +75,18 @@ func TestInternerStrings(t *testing.T) {
 func TestInternerSets(t *testing.T) {
 	var in Interner
 	values := [][]string{{"x", "y"}, nil, {"y"}, {"z", "z", ""}}
-	first := in.Sets(values[:3])
+	in.AppendSets(values[:3], 0, 0)
+	first := in.Sets(3)
 	if first.Len() != 3 || first.Type() != layout.TypeStringSet {
 		t.Fatalf("len/type = %d/%v", first.Len(), first.Type())
 	}
 	if got, err := first.SelectContains("y", []uint32{0, 1, 2}, nil); err != nil || !reflect.DeepEqual(got, []uint32{0, 2}) {
 		t.Errorf("rows containing y = %v, %v", got, err)
 	}
-	all := in.Sets(values)
-	if _, dict := in.EncodeSets(values); !reflect.DeepEqual(dict, []string{"", "x", "y", "z"}) {
+	in.AppendSets(values[3:], 6, 0)
+	values = append(values, nil, nil)
+	all := in.Sets(6)
+	if _, dict := in.EncodeSets(); !reflect.DeepEqual(dict, []string{"", "x", "y", "z"}) {
 		t.Errorf("sealed dictionary = %q", dict)
 	}
 	for _, c := range []*StringSetColumn{first, all} {
@@ -161,10 +180,10 @@ func refEncodeStringSet(values [][]string) []byte {
 }
 
 // TestInternerEncodesAsTheDictEncoders interns random columns a piece at a
-// time, as views read them, and checks the encoders against the reference
-// byte for byte: empty strings, repeated and empty set members, and a few
-// hundred distinct values, so a set's IDs change varint width when the
-// dictionary is sorted.
+// time, as batches append them, reading a column between pieces as views
+// do, and checks the encoders against the reference byte for byte: empty
+// strings, repeated and empty set members, and a few hundred distinct
+// values, so a set's IDs change varint width when the dictionary is sorted.
 func TestInternerEncodesAsTheDictEncoders(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	word := func() string {
@@ -187,12 +206,15 @@ func TestInternerEncodesAsTheDictEncoders(t *testing.T) {
 			sets = append(sets, set)
 		}
 		var si, ti Interner
-		for k := 0; k < len(strs); k += 1 + rng.Intn(100) {
-			si.Strings(strs[:k])
-			ti.Sets(sets[:k])
+		for k, next := 0, 0; k < len(strs); k = next {
+			next = min(k+1+rng.Intn(100), len(strs))
+			si.AppendStrings(strs[k:next], 0, 0)
+			ti.AppendSets(sets[k:next], 0, rng.Intn(2*next))
+			si.Strings(next)
+			ti.Sets(next)
 		}
-		sblob, _ := si.EncodeStrings(strs)
-		tblob, _ := ti.EncodeSets(sets)
+		sblob, _ := si.EncodeStrings()
+		tblob, _ := ti.EncodeSets()
 		if !bytes.Equal(sblob, refEncodeString(strs)) {
 			t.Fatalf("round %d: %d strings encode differently from the reference", round, len(strs))
 		}

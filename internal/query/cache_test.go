@@ -210,7 +210,9 @@ func TestDecodeCacheBytesIsSumOfEntries(t *testing.T) {
 		t.Errorf("empty cache reports %d entries, %d bytes", entries, bytes)
 	}
 
-	set, err := new(column.Interner).Sets([][]string{{"prod", "tier1"}, {"prod"}, nil}).Masks()
+	var in column.Interner
+	in.AppendSets([][]string{{"prod", "tier1"}, {"prod"}, nil}, 0, 0)
+	set, err := in.Sets(3).Masks()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -357,7 +357,7 @@ func decodeResultFrame(frame []byte) (*Result, error) {
 			}
 		}
 		if shape&shapeDistinct != 0 {
-			sets, err := r.Sets(nil, n)
+			sets, _, err := r.Sets(nil, nil, n)
 			if err != nil {
 				return nil, fmt.Errorf("accumulator %d: %w", ai, err)
 			}

@@ -41,7 +41,9 @@ func TestSetMasksAgreeWithWalkAndReference(t *testing.T) {
 					"row": rowblock.Int64Value(int64(i)), "tags": rowblock.SetValue(set...),
 				}}
 			}
-			blob, _ := new(column.Interner).EncodeSets(sets)
+			var in column.Interner
+			in.AppendSets(sets, 0, 0)
+			blob, _ := in.EncodeSets()
 			r, err := layout.Parse(blob)
 			if err != nil {
 				t.Fatal(err)

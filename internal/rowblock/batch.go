@@ -58,6 +58,7 @@ type BatchColumn struct {
 	Floats []float64
 	Strs   []string
 	Sets   [][]string
+	elems  []string // Decode's set element array, reused like the vectors
 }
 
 // Rows returns the number of rows in the batch.
@@ -174,9 +175,9 @@ func DecodeFrame(frame []byte) (*Batch, error) {
 }
 
 // Decode parses one whole frame into b as DecodeFrame does, reusing b's
-// vectors and length scratch: what b held before is gone, and on an error b
-// holds nothing usable. The string text and set element arrays are new on
-// every call, so strings and sets kept from an earlier decode stay valid.
+// vectors, set element arrays and length scratch: what b held before is
+// gone, and on an error b holds nothing usable. Only the string text is new
+// on every call (a builder keeps no string or set: it interns them).
 func (b *Batch) Decode(frame []byte) error {
 	r, err := OpenFrame(frame, frameMagic, frameVersion)
 	if err != nil {
@@ -222,7 +223,7 @@ func (b *Batch) Decode(frame []byte) error {
 		case layout.TypeString:
 			c.Strs, err = r.Strs(c.Strs, nrows)
 		case layout.TypeStringSet:
-			c.Sets, err = r.Sets(c.Sets, nrows)
+			c.Sets, c.elems, err = r.Sets(c.Sets, c.elems, nrows)
 		}
 		if err != nil {
 			return fmt.Errorf("column %q: %w", c.Name, err)

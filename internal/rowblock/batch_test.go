@@ -262,21 +262,31 @@ func TestDecodeFrameRejects(t *testing.T) {
 // heldBytes is the accounting rule spelled out cell by cell: 8 per time and
 // number, length+1 per string, 1 plus length+1 per element for a set, over
 // every cell the builder holds — backfilled and absent cells included.
-func heldBytes(b *Builder) int64 {
-	sz := 8 * int64(len(b.times))
+// A string or set column's cells are read back from its interner.
+func heldBytes(t *testing.T, b *Builder) int64 {
+	t.Helper()
+	n := len(b.times)
+	sz := 8 * int64(n)
 	for _, cb := range b.builders {
-		for i := range b.times {
-			switch cb.Type {
-			case layout.TypeString:
-				sz += int64(len(cb.Strs[i])) + 1
-			case layout.TypeStringSet:
+		switch cb.Type {
+		case layout.TypeString:
+			col := cb.dict.Strings(n)
+			for i := range n {
+				sz += int64(len(col.Value(i))) + 1
+			}
+		case layout.TypeStringSet:
+			sets, err := cb.dict.Sets(n).Values()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, set := range sets {
 				sz++
-				for _, s := range cb.Sets[i] {
+				for _, s := range set {
 					sz += int64(len(s)) + 1
 				}
-			default:
-				sz += 8
 			}
+		default:
+			sz += 8 * int64(n)
 		}
 	}
 	return sz
@@ -351,8 +361,8 @@ func TestAppendBatchMatchesAddRow(t *testing.T) {
 				if err := ref.AddRow(r); err != nil {
 					t.Fatal(err)
 				}
-				if ref.RawBytes() != heldBytes(ref) {
-					t.Fatalf("round %d: AddRow accounts %d bytes, holds %d", round, ref.RawBytes(), heldBytes(ref))
+				if ref.RawBytes() != heldBytes(t, ref) {
+					t.Fatalf("round %d: AddRow accounts %d bytes, holds %d", round, ref.RawBytes(), heldBytes(t, ref))
 				}
 				if ref.Full() {
 					seal(&ref, &want)
@@ -363,8 +373,8 @@ func TestAppendBatchMatchesAddRow(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if b.RawBytes() != heldBytes(b) {
-					t.Fatalf("round %d: AppendBatch accounts %d bytes, holds %d", round, b.RawBytes(), heldBytes(b))
+				if b.RawBytes() != heldBytes(t, b) {
+					t.Fatalf("round %d: AppendBatch accounts %d bytes, holds %d", round, b.RawBytes(), heldBytes(t, b))
 				}
 				bt = bt.Slice(took, bt.Rows())
 				if b.Full() {
@@ -400,6 +410,7 @@ func TestAppendBatchMatchesAddRow(t *testing.T) {
 // with 1,000-row batches, each vector is allocated at most 8 times (append's
 // ~1.25× steps take ~14), and a full builder holds no cell past MaxRows. The
 // "sparse" column is absent from every other batch, so backfill grows it too.
+// A set column's rows are two vectors: its row ends and its varint buffer.
 func TestBuilderVectorsGrowByDoubling(t *testing.T) {
 	batches := thousandRowBatches(t, MaxRows)
 	fill := func(batches []*Batch) *Builder {
@@ -416,6 +427,11 @@ func TestBuilderVectorsGrowByDoubling(t *testing.T) {
 		t.Fatalf("builder holds %d rows, want %d", full.Rows(), MaxRows)
 	}
 	vectors := 1 + len(full.builders)
+	for _, cb := range full.builders {
+		if cb.Type == layout.TypeStringSet {
+			vectors++
+		}
+	}
 	// The first batch creates the builder, its columns and one allocation per
 	// vector; every allocation after it is a vector moving.
 	first := testing.AllocsPerRun(2, func() { fill(batches[:1]) })
@@ -456,21 +472,24 @@ func thousandRowBatches(t *testing.T, rows int) []*Batch {
 	return batches
 }
 
-// builderCaps returns the capacity of each of the builder's vectors, by
-// column name.
+// builderCaps returns the capacity in rows of each of the builder's
+// vectors, by column name: a string or set column's is its interner's.
 func builderCaps(b *Builder) map[string]int {
 	caps := map[string]int{TimeColumn: cap(b.times)}
 	for name, cb := range b.builders {
-		caps[name] = max(cap(cb.Ints), cap(cb.Floats), cap(cb.Strs), cap(cb.Sets))
+		caps[name] = max(cap(cb.Ints), cap(cb.Floats), cb.dict.Cap())
 	}
 	return caps
 }
 
 // TestReplayedTailAllocatesOnce pins what Reserve buys crash replay: a
 // builder reserved for the rows it is about to take and filled 1,000 rows at
-// a time allocates each vector once, at the reservation: the first batch
-// allocates no more than it does in a builder that is not reserved, nothing
-// is allocated after it, and every vector's capacity is the reservation. A
+// a time allocates each per-row vector once, at the reservation — a string
+// column's ID vector and a set column's row ends included, and a set
+// column's varint buffer at the first batch's bytes per row. The first batch
+// allocates no more than it does in a builder that is not reserved; after
+// it only a new dictionary entry could allocate, and these batches bring
+// none, so nothing does. Every vector's capacity is the reservation, and a
 // reservation past MaxRows sizes no vector past it.
 func TestReplayedTailAllocatesOnce(t *testing.T) {
 	for _, rows := range []int{30500, MaxRows} {
@@ -518,21 +537,31 @@ func TestReplayedTailAllocatesOnce(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoReusedBatch decodes frames of drifting schemas one after
-// another into one batch, as replay's ring does, and appends each to a
-// builder before decoding the next; only the vector matching a column's type
-// may hold cells. The builder keeps the batch's strings
-// and sets, which point into the frame's text and set element arrays, so it
-// must end up holding what a builder fed the frames' source batches holds:
-// only the vectors are reused. Once warm, a decode allocates only strings
-// and element arrays: each column's name, the text of each string column,
-// and the text and element array of each set column.
+// TestDecodeIntoReusedBatch decodes frames of drifting schemas, two set
+// columns among them, one after another into one batch, as replay's ring
+// does, and appends each to a builder before decoding the next; only the
+// vector matching a column's type may hold cells. The builder must end up
+// holding what a builder fed the frames' source batches holds. It keeps
+// nothing of a batch — it interns each cell as it appends it — so a frame
+// decoded over a batch already appended leaves the builder's rows as they
+// were, and each set column's element array is reused across decodes like
+// the vectors. Once warm, a decode allocates only strings: each column's
+// name and the text of each string and set column.
 func TestDecodeIntoReusedBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	frameRows := func(n int) []Row {
+		rows := randomRows(rng, n)
+		for i, r := range rows {
+			if i%3 != 1 {
+				r.Cols["labels"] = SetValue(fmt.Sprintf("l%d", rng.Intn(4)), "l")
+			}
+		}
+		return rows
+	}
 	var reused Batch
 	got, want := NewBuilder(1), NewBuilder(1)
 	for range 200 {
-		bt, err := FromRows(randomRows(rng, 1+rng.Intn(12)))
+		bt, err := FromRows(frameRows(1 + rng.Intn(12)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,17 +592,39 @@ func TestDecodeIntoReusedBatch(t *testing.T) {
 		t.Fatal("a builder fed one reused batch holds other rows than one fed the source batches")
 	}
 
-	b, err := FromRows(goldenRows()) // four columns, one of them strings and one sets
+	a, err := FromRows(frameRows(40))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := b.AppendFrame(nil)
+	b, err := FromRows(frameRows(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := NewBuilder(1)
+	if err := reused.Decode(a.AppendFrame(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := held.AppendBatch(&reused); err != nil {
+		t.Fatal(err)
+	}
+	if err := reused.Decode(b.AppendFrame(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if sealed, err := held.Seal(); err != nil || !reflect.DeepEqual(blockRows(t, sealed), batchRows(a)) {
+		t.Fatalf("a builder that appended frame A, sealed after frame B was decoded over its batch, holds other rows than A's: %v", err)
+	}
+
+	gold, err := FromRows(goldenRows()) // four columns, one of them strings and one sets
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := gold.AppendFrame(nil)
 	if allocs := testing.AllocsPerRun(10, func() {
 		if err := reused.Decode(frame); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 4+1+2 {
-		t.Errorf("a warm decode allocates %v times, want 7", allocs)
+	}); allocs != 4+1+1 {
+		t.Errorf("a warm decode allocates %v times, want 6", allocs)
 	}
 }
 

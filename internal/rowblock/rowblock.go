@@ -317,8 +317,8 @@ type Builder struct {
 	reserve  int   // cells each vector is made with (Reserve); 0 doubles from the first batch
 }
 
-// builderColumn is a builder's column: its cells and, for strings and sets,
-// their IDs, interned by whoever reads a row first — a view or the seal.
+// builderColumn is a builder's column: a number column's cells, or a string
+// or set column's interner of its rows (Strs and Sets stay nil).
 type builderColumn struct {
 	BatchColumn
 	dict column.Interner
@@ -372,6 +372,22 @@ func (b *Builder) AddRow(r Row) error {
 	return err
 }
 
+// extend appends src's cells of the column's type, then pads the column with
+// absent cells — zero numbers, "" or empty sets — to rows rows, in vectors
+// with room for at least room rows.
+func (cb *builderColumn) extend(src BatchColumn, rows, room int) {
+	switch r := growth(cb.dict.Cap(), max(rows, room)); cb.Type {
+	case layout.TypeString:
+		cb.dict.AppendStrings(src.Strs, rows, r)
+	case layout.TypeStringSet:
+		cb.dict.AppendSets(src.Sets, rows, r)
+	default:
+		cb.Ints = append(grow(cb.Ints, len(src.Ints)), src.Ints...)
+		cb.Floats = append(grow(cb.Floats, len(src.Floats)), src.Floats...)
+		cb.backfill(rows, room)
+	}
+}
+
 // backfill pads the column with zero values up to rows cells, in a vector
 // with room for at least room.
 func (cb *BatchColumn) backfill(rows, room int) {
@@ -395,13 +411,21 @@ func pad[T any](s []T, n, room int) []T {
 	return s
 }
 
-// grow returns s with room for n more cells, doubling it, capped at MaxRows:
-// half the moves of append's ~1.25× steps, and never a cell past MaxRows.
+// grow returns s with room for n more cells (growth).
 func grow[T any](s []T, n int) []T {
 	if need := len(s) + n; need > cap(s) {
-		s = append(make([]T, 0, min(max(2*cap(s), need), max(MaxRows, need))), s...)
+		s = append(make([]T, 0, growth(cap(s), need)), s...)
 	}
 	return s
+}
+
+// growth is the capacity a vector of capacity c takes to hold need cells:
+// doubled, capped at MaxRows — half the moves of append's ~1.25× steps.
+func growth(c, need int) int {
+	if need <= c {
+		return c
+	}
+	return min(max(2*c, need), max(MaxRows, need))
 }
 
 // sealedType is the column's type in a block's schema: only the time column
@@ -506,19 +530,14 @@ func (b *Builder) AppendBatch(bt *Batch) (int, error) {
 		cb, ok := b.builders[c.Name]
 		if !ok {
 			cb = &builderColumn{BatchColumn: BatchColumn{Name: c.Name, Type: c.Type}}
-			cb.backfill(prev, b.reserve)
+			cb.extend(BatchColumn{}, prev, b.reserve)
 			b.builders[c.Name] = cb
 			b.names = append(b.names, c.Name)
 		}
-		// Only the vector matching the type is non-empty.
-		src := c.slice(0, n)
-		cb.Ints = append(grow(cb.Ints, len(src.Ints)), src.Ints...)
-		cb.Floats = append(grow(cb.Floats, len(src.Floats)), src.Floats...)
-		cb.Strs = append(grow(cb.Strs, len(src.Strs)), src.Strs...)
-		cb.Sets = append(grow(cb.Sets, len(src.Sets)), src.Sets...)
+		cb.extend(c.slice(0, n), len(b.times), 0)
 	}
 	for _, cb := range b.builders {
-		cb.backfill(len(b.times), b.reserve)
+		cb.extend(BatchColumn{}, len(b.times), b.reserve)
 	}
 	return n, nil
 }
@@ -544,9 +563,9 @@ func (b *Builder) Seal() (*RowBlock, error) {
 		case layout.TypeFloat64:
 			blob = column.EncodeFloat64(cb.Floats)
 		case layout.TypeString:
-			blob, dict = cb.dict.EncodeStrings(cb.Strs)
+			blob, dict = cb.dict.EncodeStrings()
 		case layout.TypeStringSet:
-			blob, dict = cb.dict.EncodeSets(cb.Sets)
+			blob, dict = cb.dict.EncodeSets()
 		}
 		schema = append(schema, Field{Name: name, Type: cb.sealedType()})
 		blobs = append(blobs, blob)

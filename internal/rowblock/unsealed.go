@@ -11,9 +11,9 @@ import (
 // so queries see data the moment it is ingested, before the block seals and
 // compresses. It aliases the builder's vectors instead of copying them: a
 // builder only appends, so the first Rows() cells of every vector stay as
-// they are under the view. A string or set column is read through its
-// builder column's interner, outside the table lock: whoever reads a row
-// first — a view or the seal — interns it, and no later reader does again.
+// they are under the view. A string or set column is its builder column's
+// interner cut at the view's row count: AppendBatch interned every row as
+// it appended it, so a read interns nothing.
 type UnsealedView struct {
 	minTime int64
 	maxTime int64
@@ -47,7 +47,11 @@ func (b *Builder) Snapshot() *UnsealedView {
 	for _, name := range b.names {
 		cb := b.builders[name]
 		v.schema = append(v.schema, Field{Name: name, Type: cb.sealedType()})
-		v.vecs = append(v.vecs, cb.slice(0, n))
+		vec := BatchColumn{Name: name, Type: cb.Type} // a string or set column reads its interner
+		if cb.Type != layout.TypeString && cb.Type != layout.TypeStringSet {
+			vec = cb.slice(0, n)
+		}
+		v.vecs = append(v.vecs, vec)
 		v.dicts = append(v.dicts, &cb.dict)
 	}
 	return v
@@ -90,7 +94,7 @@ func (v *UnsealedView) Schema() Schema { return v.schema }
 func (v *UnsealedView) HasColumn(name string) bool { return v.schema.Index(name) >= 0 }
 
 // DecodeColumn returns the named column, nil when the view lacks it. A
-// string or set column first interns those of the view's rows no reader has.
+// string or set column takes its interner's mutex, never the table lock.
 func (v *UnsealedView) DecodeColumn(name string) (column.Column, error) {
 	i := v.schema.Index(name)
 	if i < 0 {
@@ -98,9 +102,9 @@ func (v *UnsealedView) DecodeColumn(name string) (column.Column, error) {
 	}
 	switch c := &v.vecs[i]; c.Type {
 	case layout.TypeString:
-		return v.dicts[i].Strings(c.Strs), nil
+		return v.dicts[i].Strings(v.Rows()), nil
 	case layout.TypeStringSet:
-		return v.dicts[i].Sets(c.Sets), nil
+		return v.dicts[i].Sets(v.Rows()), nil
 	case layout.TypeFloat64:
 		return &column.Float64Column{Values: c.Floats}, nil
 	default:

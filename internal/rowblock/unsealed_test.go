@@ -183,16 +183,19 @@ func wideBuilder(t *testing.T, n int) *Builder {
 }
 
 // TestSnapshotAllocsDoNotGrowWithRows pins what a query does under the table
-// lock: taking a view of 60k rows allocates exactly what taking one of 1k
-// does — no per-row copy, no dictionary.
+// lock: taking a view of 65,536 rows allocates exactly what taking one of 1k
+// does — no per-row copy, no dictionary. Outside the lock, reading a string
+// or set column of the 65,536-row view allocates what reading one of the 1k
+// view does and adds no dictionary entry: AppendBatch interned every row.
 func TestSnapshotAllocsDoNotGrowWithRows(t *testing.T) {
-	small, large := wideBuilder(t, 1000), wideBuilder(t, 60000)
+	small, large := wideBuilder(t, 1000), wideBuilder(t, MaxRows)
 	a := testing.AllocsPerRun(50, func() { small.Snapshot() })
 	b := testing.AllocsPerRun(50, func() { large.Snapshot() })
 	if a != b {
-		t.Errorf("Snapshot allocates %v times at 1k rows, %v at 60k", a, b)
+		t.Errorf("Snapshot allocates %v times at 1k rows, %v at 65,536", a, b)
 	}
-	// No copy at all: every vector of the view is the builder's own.
+	// No copy at all: every vector of the view is the builder's own, and a
+	// string or set column is its interner's.
 	v := large.Snapshot()
 	if &v.vecs[0].Ints[0] != &large.times[0] {
 		t.Error("the view's times are a copy")
@@ -204,13 +207,28 @@ func TestSnapshotAllocsDoNotGrowWithRows(t *testing.T) {
 			shared = &c.Ints[0] == &cb.Ints[0]
 		case layout.TypeFloat64:
 			shared = &c.Floats[0] == &cb.Floats[0]
-		case layout.TypeString:
-			shared = &c.Strs[0] == &cb.Strs[0]
-		case layout.TypeStringSet:
-			shared = &c.Sets[0] == &cb.Sets[0]
+		case layout.TypeString, layout.TypeStringSet:
+			shared = c.Strs == nil && c.Sets == nil
 		}
 		if !shared {
 			t.Errorf("the view's column %q is a copy", c.Name)
+		}
+	}
+	for _, name := range []string{"s", "set"} {
+		dict := func() int { return len(large.builders[name].dict.Strings(0).Dict) }
+		entries := dict()
+		read := func(v *UnsealedView) func() {
+			return func() {
+				if col, err := v.DecodeColumn(name); err != nil || col.Len() != v.Rows() {
+					t.Fatalf("column %q of a %d-row view: %v", name, v.Rows(), err)
+				}
+			}
+		}
+		if a, b := testing.AllocsPerRun(50, read(small.Snapshot())), testing.AllocsPerRun(50, read(v)); a != b {
+			t.Errorf("reading column %q allocates %v times at 1k rows, %v at 65,536", name, a, b)
+		}
+		if dict() != entries {
+			t.Errorf("reading column %q of a view added %d dictionary entries", name, dict()-entries)
 		}
 	}
 }

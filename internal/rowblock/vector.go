@@ -276,21 +276,21 @@ func (r *Reader) Strs(dst []string, n int) ([]string, error) {
 	return r.cut(dst, lens, total)
 }
 
-// Sets reads a vector of n string sets into dst, resized. The element array
-// and its text are new on every call: whoever keeps a set keeps a slice of
-// them.
-func (r *Reader) Sets(dst [][]string, n int) ([][]string, error) {
-	lens, elems, err := r.lengths(r.lens[:0], n)
+// Sets reads a vector of n string sets into dst and their elements into
+// elems, both resized, and returns both. The text is new on every call; a
+// set is a slice of elems, so whoever reuses elems must keep no set of it.
+func (r *Reader) Sets(dst [][]string, elems []string, n int) ([][]string, []string, error) {
+	lens, count, err := r.lengths(r.lens[:0], n)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	lens, total, err := r.lengths(lens, elems)
+	lens, total, err := r.lengths(lens, count)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	all, err := r.cut(nil, lens[n:], total)
+	all, err := r.cut(elems, lens[n:], total)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dst = resize(dst, n)
 	off := 0
@@ -300,7 +300,7 @@ func (r *Reader) Sets(dst [][]string, n int) ([][]string, error) {
 		dst[i] = all[off : off+c : off+c]
 		off += c
 	}
-	return dst, nil
+	return dst, all, nil
 }
 
 // resize returns s with n cells, in its own array when that has room; the

@@ -165,11 +165,13 @@ func (d *drift) check(blk viewBlock, from int64) (int64, error) {
 // reader takes a view and, while the writer appends, backfills and seals
 // beside it, checks every column of every row the view holds — the sealed
 // blocks once each, the unsealed tail every time, whose string and set
-// columns the readers intern racing each other and the seal — and that the
-// view holds at least the rows appended before it was taken. A view taken
-// before the seal is read only after it, and a view of rows earlier readers
-// interned interns nothing again. Run it under -race: the tail aliases the
-// builder's vectors and its interners.
+// columns the readers take from the interners the writer is appending to —
+// and that the view holds at least the rows appended before it was taken. A
+// view taken before the seal is read only after it, and a read interns
+// nothing. Run it under -race: the tail aliases the builder's vectors and
+// its interners. The lock order is the table lock, then an interner's
+// mutex: AddBatch interns under both, a view's read takes the interner's
+// mutex only.
 func TestViewsAgreeWithAppendedPrefix(t *testing.T) {
 	d := newDrift(rowblock.MaxRows + 25000)
 	if b := d.batchOf(rowblock.MaxRows); d.starts[b] == rowblock.MaxRows {
@@ -252,11 +254,9 @@ func TestViewsAgreeWithAppendedPrefix(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
-	// A first read interns the tail's string and set rows; after the last
-	// batch lands, reading those columns of a fresh view costs their two
-	// column headers (AllocsPerRun's warm-up run interns the new rows), at
-	// 25,000 rows as at one: nothing below an earlier reader's row count is
-	// interned again.
+	// AddBatch interned the tail's string and set rows: reading those
+	// columns of a fresh view costs their two column headers, at 25,000
+	// rows as at one.
 	readTail := func(cols ...string) func() {
 		return func() {
 			err := tbl.ScanView(0, 1<<62, func(v View) error {
@@ -272,7 +272,6 @@ func TestViewsAgreeWithAppendedPrefix(t *testing.T) {
 			}
 		}
 	}
-	readTail("s", "set")()
 	bt := d.batch(last)
 	handed.Add(int64(bt.Rows()))
 	if err := tbl.AddBatch(bt, 1); err != nil {
