@@ -294,6 +294,85 @@ func benchmarkRestartFromWAL(b *testing.B, batch, tail int) {
 	b.ReportMetric(float64(replay.Nanoseconds())/float64(b.N), "replay-ns/op")
 }
 
+// BenchmarkCrashStartAfterSync is a crash start behind a sync: three tables
+// hold 20,000 unsealed rows each, a SyncToDisk checkpoints every tail as an
+// image, and then past=1k/10k/100k more rows, spread over the tables, reach
+// only the log before the crash. Each iteration abandons the leaf and times
+// the next Start, which adopts the checkpoints as short blocks and replays
+// the past rows alone. ns/row is ns/op over them, cpu-ns/op the process CPU
+// over the start (RecoveryInfo.CPU), and replay-ns/op the
+// restart.table.replay spans; the three sizes fit as a + b·rows.
+func BenchmarkCrashStartAfterSync(b *testing.B) {
+	for _, past := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("past=%d", past), func(b *testing.B) { benchmarkCrashStartAfterSync(b, past) })
+	}
+}
+
+func benchmarkCrashStartAfterSync(b *testing.B, past int) {
+	const synced, batch = 20000, 1000
+	e := newBenchEnv(b)
+	cfg := e.config(0)
+	cfg.WALDir = filepath.Join(e.dir, "wal")
+	l, err := scuba.NewLeaf(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := l.Start(); err != nil {
+		b.Fatal(err)
+	}
+	gens := map[string]*scuba.Workload{
+		"service_logs": scuba.ServiceLogs(42, 1700000000),
+		"error_events": scuba.ErrorEvents(43, 1700000000),
+		"ads_revenue":  scuba.AdsRevenue(44, 1700000000),
+	}
+	ingest := func(rows int) {
+		for name, gen := range gens {
+			for sent := 0; sent < rows; sent += batch {
+				if err := l.AddRows(name, gen.NextBatch(min(batch, rows-sent))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	ingest(synced)
+	if _, err := l.SyncToDisk(); err != nil {
+		b.Fatal(err)
+	}
+	ingest(past / len(gens))
+	replayed := int64(past / len(gens) * len(gens))
+	var replay, cpu time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l.WAL().Close() //nolint:errcheck // the crash: the leaf is abandoned
+		runtime.GC()
+		debug.FreeOSMemory()
+		if l, err = scuba.NewLeaf(cfg); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := l.Start(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		rec := l.Recovery()
+		if rec.Path != scuba.RecoveryWAL || rec.WALRowsReplayed != replayed {
+			b.Fatalf("recovery = %v replaying %d rows, want wal replaying %d", rec.Path, rec.WALRowsReplayed, replayed)
+		}
+		cpu += rec.CPU
+		for _, sp := range l.RestartTrace() {
+			if sp.Phase == "restart.table.replay" {
+				replay += sp.Duration
+			}
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*replayed), "ns/row")
+	b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N), "cpu-ns/op")
+	b.ReportMetric(float64(replay.Nanoseconds())/float64(b.N), "replay-ns/op")
+}
+
 // ---- E3/E4: rollover ----
 
 // BenchmarkRolloverShm upgrades a live 16-leaf mini-cluster through shared

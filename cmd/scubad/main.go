@@ -146,8 +146,8 @@ func main() {
 		log.Fatal(err)
 	}
 	rec := l.Recovery()
-	log.Printf("scubad leaf %d up in %v (recovery: %s, %d blocks, %.1f MB, %d pool workers)",
-		*id, time.Since(start).Round(time.Millisecond), rec.Path, rec.Blocks,
+	log.Printf("scubad leaf %d up in %v, %v CPU (recovery: %s, %d blocks, %.1f MB, %d pool workers)",
+		*id, time.Since(start).Round(time.Millisecond), rec.CPU.Round(time.Millisecond), rec.Path, rec.Blocks,
 		float64(rec.BytesRestored)/(1<<20), rec.Workers)
 	logPerTable("restored", rec.PerTable)
 	// This leaf's facts ride its registry, sampled by every snapshot: its
@@ -230,9 +230,9 @@ func main() {
 // logShutdown prints a ShutdownInfo symmetrically to the recovery log line
 // at startup: totals, workers, and the per-table breakdown.
 func logShutdown(how string, info scuba.ShutdownInfo) {
-	log.Printf("%s: %d tables, %d blocks, %.1f MB in %v (shm=%v, %d pool workers); exiting",
+	log.Printf("%s: %d tables, %d blocks, %.1f MB in %v, %v CPU (shm=%v, %d pool workers); exiting",
 		how, info.Tables, info.Blocks, float64(info.BytesCopied)/(1<<20),
-		info.Duration.Round(time.Millisecond), info.ToShm, info.Workers)
+		info.Duration.Round(time.Millisecond), info.CPU.Round(time.Millisecond), info.ToShm, info.Workers)
 	logPerTable("copied", info.PerTable)
 }
 

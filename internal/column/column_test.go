@@ -117,7 +117,7 @@ func TestStringRoundTrip(t *testing.T) {
 		{"web", "web", "ads", "web", "search", "ads"},
 	}
 	for _, vals := range cases {
-		blob, _ := stringsOf(vals).EncodeStrings()
+		blob, _ := stringsOf(vals).EncodeStrings(len(vals))
 		col, err := DecodeString(mustParse(t, blob))
 		if err != nil {
 			t.Fatalf("decode %v: %v", vals, err)
@@ -138,7 +138,7 @@ func TestStringDictDeduplication(t *testing.T) {
 	for i := range vals {
 		vals[i] = fmt.Sprintf("service-%d", i%4)
 	}
-	blob, _ := stringsOf(vals).EncodeStrings()
+	blob, _ := stringsOf(vals).EncodeStrings(len(vals))
 	// 10000 strings with 4 distinct values: dictionary ~60 bytes, IDs 2 bits
 	// each = 2.5 KB. Anything near raw size means dedup is broken.
 	if len(blob) > 4096 {
@@ -161,7 +161,7 @@ func TestStringSetRoundTrip(t *testing.T) {
 		{{"x", "y"}, {}, {"y"}, {"x", "y", "z"}},
 	}
 	for _, vals := range cases {
-		blob, _ := setsOf(vals).EncodeSets()
+		blob, _ := setsOf(vals).EncodeSets(len(vals))
 		col, err := DecodeStringSet(mustParse(t, blob))
 		if err != nil {
 			t.Fatalf("decode %v: %v", vals, err)
@@ -210,7 +210,7 @@ func TestStringSetSelectContains(t *testing.T) {
 			}
 		}
 	}
-	blob, _ := setsOf(vals).EncodeSets()
+	blob, _ := setsOf(vals).EncodeSets(len(vals))
 	sealed, err := DecodeStringSet(mustParse(t, blob))
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func TestSetMasksBuild(t *testing.T) {
 	for i := range wide {
 		wide[i] = []string{fmt.Sprintf("t%d", i)}
 	}
-	blob, _ = setsOf(wide).EncodeSets()
+	blob, _ = setsOf(wide).EncodeSets(len(wide))
 	if col, err = DecodeStringSet(mustParse(t, blob)); err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +340,8 @@ func TestSetMasksBuild(t *testing.T) {
 }
 
 func TestDecodeGeneric(t *testing.T) {
-	strs, _ := stringsOf([]string{"a", "b"}).EncodeStrings()
-	sets, _ := setsOf([][]string{{"a"}}).EncodeSets()
+	strs, _ := stringsOf([]string{"a", "b"}).EncodeStrings(2)
+	sets, _ := setsOf([][]string{{"a"}}).EncodeSets(1)
 	blobs := map[layout.ValueType][]byte{
 		layout.TypeInt64:     EncodeInt64(layout.TypeInt64, []int64{1, 2}),
 		layout.TypeFloat64:   EncodeFloat64([]float64{1.5}),
@@ -361,7 +361,7 @@ func TestDecodeGeneric(t *testing.T) {
 
 func TestDecodeTypeMismatch(t *testing.T) {
 	intBlob := mustParse(t, EncodeInt64(layout.TypeInt64, []int64{1}))
-	str, _ := stringsOf([]string{"a"}).EncodeStrings()
+	str, _ := stringsOf([]string{"a"}).EncodeStrings(1)
 	strBlob := mustParse(t, str)
 	if _, err := DecodeString(intBlob); err == nil {
 		t.Error("DecodeString on int column succeeded")
@@ -424,7 +424,7 @@ func TestAtLeastTwoMethodsPerColumn(t *testing.T) {
 	for i := range strs {
 		strs[i] = fmt.Sprintf("host-%d", i%100)
 	}
-	sblob, _ := stringsOf(strs).EncodeStrings()
+	sblob, _ := stringsOf(strs).EncodeStrings(len(strs))
 	sr := mustParse(t, sblob)
 	if sr.Code().Transform() != codec.MethodDict {
 		t.Errorf("string transform = %v", sr.Code().Transform())
@@ -454,7 +454,7 @@ func TestInt64Property(t *testing.T) {
 
 func TestStringProperty(t *testing.T) {
 	f := func(vals []string) bool {
-		blob, _ := stringsOf(vals).EncodeStrings()
+		blob, _ := stringsOf(vals).EncodeStrings(len(vals))
 		r, err := layout.Parse(blob)
 		if err != nil {
 			return false
@@ -507,7 +507,7 @@ func TestCompressionRatioLogTable(t *testing.T) {
 		hosts[i] = fmt.Sprintf("host-%03d.prn1", i%200)
 	}
 	rawSize := n*8 + n*len(hosts[0])
-	hostBlob, _ := stringsOf(hosts).EncodeStrings()
+	hostBlob, _ := stringsOf(hosts).EncodeStrings(len(hosts))
 	encSize := len(EncodeInt64(layout.TypeTime, times)) + len(hostBlob)
 	ratio := float64(rawSize) / float64(encSize)
 	if ratio < 10 {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -29,6 +30,7 @@ type Interner struct {
 	mu    sync.Mutex
 	index map[string]uint32
 	dict  []string // by ID: first seen first
+	seen  []int    // by ID: the row that first took it
 	ids   []uint32 // a string column's rows
 	sets  []byte   // a set column's rows: uvarint count, then uvarint IDs
 	ends  []int    // where each set row ends in sets
@@ -45,6 +47,8 @@ func (in *Interner) id(s string) uint32 {
 		s, id = strings.Clone(s), uint32(len(in.dict))
 		in.index[s] = id
 		in.dict = append(in.dict, s)
+		in.seen = append(in.seen, len(in.ids)+len(in.ends)) // the row being appended
+
 	}
 	return id
 }
@@ -121,10 +125,11 @@ func (in *Interner) Sets(n int) *StringSetColumn {
 	return &StringSetColumn{Dict: in.dict[:d:d], n: n, data: in.sets[:end:end], raw: end}
 }
 
-// canonical returns a sorted copy of the dictionary, as a sealed column
-// stores it, and each ID's place in it.
-func (in *Interner) canonical() (dict []string, remap []uint32) {
-	dict = slices.Clone(in.dict)
+// canonical returns a sorted copy of the dictionary the first n rows use, as
+// a sealed column stores it, and each ID's place in it. IDs go first seen
+// first, so those rows use a prefix of the dictionary.
+func (in *Interner) canonical(n int) (dict []string, remap []uint32) {
+	dict = slices.Clone(in.dict[:sort.SearchInts(in.seen, n)])
 	slices.Sort(dict)
 	remap = make([]uint32, len(dict))
 	for i, s := range dict {
@@ -133,29 +138,28 @@ func (in *Interner) canonical() (dict []string, remap []uint32) {
 	return dict, remap
 }
 
-// EncodeStrings returns the RBC blob of the string column's rows and its
-// sorted dictionary.
-func (in *Interner) EncodeStrings() ([]byte, []string) {
+// EncodeStrings returns the RBC blob of the string column's first n rows and
+// their sorted dictionary: rows appended since do not reach it.
+func (in *Interner) EncodeStrings(n int) ([]byte, []string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	dict, remap := in.canonical()
-	packed := make([]uint64, len(in.ids))
-	for i, id := range in.ids {
+	dict, remap := in.canonical(n)
+	packed := make([]uint64, n)
+	for i, id := range in.ids[:n] {
 		packed[i] = uint64(remap[id])
 	}
 	return finish(layout.TypeString, codec.MethodDict, uint64(len(packed)), uint64(len(dict)),
 		codec.EncodeDict(nil, dict), codec.EncodeBitPackU64(nil, packed)), dict
 }
 
-// EncodeSets returns the RBC blob of the string-set column's rows and its
-// sorted dictionary. Each row's data is a varint count followed by varint
-// dictionary IDs.
-func (in *Interner) EncodeSets() ([]byte, []string) {
+// EncodeSets is EncodeStrings for the string-set column. Each row's data is
+// a varint count followed by varint dictionary IDs.
+func (in *Interner) EncodeSets(n int) ([]byte, []string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	dict, remap := in.canonical()
+	dict, remap := in.canonical(n)
 	data := make([]byte, 0, len(in.sets))
-	for rows := in.sets; len(rows) > 0; {
+	for rows, row := in.sets, 0; row < n; row++ {
 		count, used := binary.Uvarint(rows)
 		data = binary.AppendUvarint(data, count)
 		for rows = rows[used:]; count > 0; count-- {
@@ -164,6 +168,6 @@ func (in *Interner) EncodeSets() ([]byte, []string) {
 			rows = rows[used:]
 		}
 	}
-	return finish(layout.TypeStringSet, codec.MethodDict, uint64(len(in.ends)), uint64(len(dict)),
+	return finish(layout.TypeStringSet, codec.MethodDict, uint64(n), uint64(len(dict)),
 		codec.EncodeDict(nil, dict), data), dict
 }

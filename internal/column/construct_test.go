@@ -59,7 +59,7 @@ func TestInternerStrings(t *testing.T) {
 	if !reflect.DeepEqual(all.Dict, []string{"b", "a", "", "c"}) || !reflect.DeepEqual(all.IDs, []uint32{0, 1, 0, 2, 3, 2, 2}) {
 		t.Errorf("whole column = %q %v", all.Dict, all.IDs)
 	}
-	if _, dict := in.EncodeStrings(); !reflect.DeepEqual(dict, []string{"", "a", "b", "c"}) {
+	if _, dict := in.EncodeStrings(7); !reflect.DeepEqual(dict, []string{"", "a", "b", "c"}) {
 		t.Errorf("sealed dictionary = %q", dict)
 	}
 	for i, want := range append(values, "", "") {
@@ -86,7 +86,7 @@ func TestInternerSets(t *testing.T) {
 	in.AppendSets(values[3:], 6, 0)
 	values = append(values, nil, nil)
 	all := in.Sets(6)
-	if _, dict := in.EncodeSets(); !reflect.DeepEqual(dict, []string{"", "x", "y", "z"}) {
+	if _, dict := in.EncodeSets(6); !reflect.DeepEqual(dict, []string{"", "x", "y", "z"}) {
 		t.Errorf("sealed dictionary = %q", dict)
 	}
 	for _, c := range []*StringSetColumn{first, all} {
@@ -184,6 +184,8 @@ func refEncodeStringSet(values [][]string) []byte {
 // do, and checks the encoders against the reference byte for byte: empty
 // strings, repeated and empty set members, and a few hundred distinct
 // values, so a set's IDs change varint width when the dictionary is sorted.
+// A prefix encodes with the dictionary its rows use, as a tail checkpoint
+// seals it.
 func TestInternerEncodesAsTheDictEncoders(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	word := func() string {
@@ -213,13 +215,17 @@ func TestInternerEncodesAsTheDictEncoders(t *testing.T) {
 			si.Strings(next)
 			ti.Sets(next)
 		}
-		sblob, _ := si.EncodeStrings()
-		tblob, _ := ti.EncodeSets()
-		if !bytes.Equal(sblob, refEncodeString(strs)) {
-			t.Fatalf("round %d: %d strings encode differently from the reference", round, len(strs))
-		}
-		if !bytes.Equal(tblob, refEncodeStringSet(sets)) {
-			t.Fatalf("round %d: %d sets encode differently from the reference", round, len(sets))
+		// Every prefix a checkpoint could seal, the whole column included,
+		// encodes as those rows alone would.
+		for _, n := range []int{rng.Intn(len(strs) + 1), len(strs)} {
+			sblob, _ := si.EncodeStrings(n)
+			tblob, _ := ti.EncodeSets(n)
+			if !bytes.Equal(sblob, refEncodeString(strs[:n])) {
+				t.Fatalf("round %d: %d of %d strings encode differently from the reference", round, n, len(strs))
+			}
+			if !bytes.Equal(tblob, refEncodeStringSet(sets[:n])) {
+				t.Fatalf("round %d: %d of %d sets encode differently from the reference", round, n, len(sets))
+			}
 		}
 	}
 }

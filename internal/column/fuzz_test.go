@@ -40,8 +40,8 @@ func FuzzColumnDecode(f *testing.F) {
 		}
 		return out
 	}
-	encodeSets := func(v [][]string) []byte { blob, _ := setsOf(v).EncodeSets(); return blob }
-	encodeStrings := func(v []string) []byte { blob, _ := stringsOf(v).EncodeStrings(); return blob }
+	encodeSets := func(v [][]string) []byte { blob, _ := setsOf(v).EncodeSets(len(v)); return blob }
+	encodeStrings := func(v []string) []byte { blob, _ := stringsOf(v).EncodeStrings(len(v)); return blob }
 	valid := [][]byte{
 		encodeSets(wideSets(8)),
 		encodeSets(wideSets(32)),

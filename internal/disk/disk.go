@@ -18,11 +18,13 @@
 package disk
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -171,8 +173,16 @@ func (s *Store) Images(table string) ([]Image, int64, error) {
 			out = append(out, im)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out, w, nil
+	slices.SortFunc(out, func(a, b Image) int { return cmp.Or(cmp.Compare(a.Start, b.Start), b.Rows-a.Rows) })
+	// A longer image supersedes a shorter one at its start: a checkpoint of a
+	// tail that has grown since, which a crash kept Persist from dropping. It
+	// goes once a directory sync has made the longer one's rename durable.
+	for i := 1; i < len(out); i++ {
+		if out[i].Start == out[i-1].Start && SyncDir(dir) == nil {
+			os.Remove(filepath.Join(dir, out[i].Name)) //nolint:errcheck // a stray either way
+		}
+	}
+	return slices.CompactFunc(out, func(a, b Image) bool { return a.Start == b.Start }), w, nil
 }
 
 // writeAtomic writes data to dir/name through an fsynced temp file and a
@@ -217,7 +227,8 @@ func SyncDir(dir string) error {
 // last one; it returns the number of images written. The watermark's
 // directory sync is what makes the image renames durable, so the watermark
 // never covers an image a crash could lose, and a crash before it leaves
-// complete images above the old watermark, which Load still finds.
+// complete images above the old watermark, which Load still finds. A first
+// image below the old watermark supersedes a checkpoint, which then goes.
 func (s *Store) Persist(table string, blocks []*rowblock.RowBlock, starts []int64) (int, error) {
 	if len(blocks) == 0 {
 		return 0, nil
@@ -240,7 +251,12 @@ func (s *Store) Persist(table string, blocks []*rowblock.RowBlock, starts []int6
 		}
 	}
 	last := len(blocks) - 1
-	return len(blocks), saveWatermark(dir, starts[last]+int64(blocks[last].Rows()))
+	prev, _ := loadWatermark(dir) //nolint:errcheck // saveWatermark reports it
+	err := saveWatermark(dir, starts[last]+int64(blocks[last].Rows()))
+	if err == nil && starts[0] < prev {
+		_, _, err = s.Images(table)
+	}
+	return len(blocks), err
 }
 
 const watermarkFile = "watermark"

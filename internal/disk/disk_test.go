@@ -292,6 +292,41 @@ func TestWatermarkAndImagesDisagree(t *testing.T) {
 	}
 }
 
+// TestLongerImageSupersedesShorter: a tail checkpoint is a short image a
+// longer one at the same start later supersedes. Persist drops the shorter
+// once the watermark has moved past the longer; a shorter one a crash kept
+// it from dropping is a stray, which a load skips and deletes, not a hole or
+// an overlap.
+func TestLongerImageSupersedesShorter(t *testing.T) {
+	s := newStore(t)
+	persist(t, s, "t", 0, buildBlock(t, 40, 0))
+	short, long := buildBlock(t, 10, 100), buildBlock(t, 30, 100)
+	persist(t, s, "t", 40, short)
+	shortFile := imageFiles(t, s, "t")[1]
+	kept, err := os.ReadFile(shortFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	persist(t, s, "t", 40, long)
+	if files := imageFiles(t, s, "t"); len(files) != 2 || files[1] == shortFile {
+		t.Fatalf("after the longer image: %v, want the 40-row and the 30-row image", files)
+	}
+	// The crash between the longer image's watermark and the drop.
+	if err := os.WriteFile(shortFile, kept, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := load(t, s, "t")
+	if len(got.errs) != 0 || !reflect.DeepEqual(got.starts, []int64{0, 40}) || got.w != 70 {
+		t.Fatalf("load: starts %v watermark %d errs %v, want [0 40] 70 and none", got.starts, got.w, got.errs)
+	}
+	if got.blocks[1].Rows() != 30 {
+		t.Fatalf("loaded the %d-row image at row 40, want the 30-row one", got.blocks[1].Rows())
+	}
+	if _, err := os.Stat(shortFile); !os.IsNotExist(err) {
+		t.Errorf("the superseded image is still there: %v", err)
+	}
+}
+
 // TestDropBelow is the one retention rule: images wholly below the first
 // retained row go, and the watermark keeps the row base when none are left.
 func TestDropBelow(t *testing.T) {

@@ -99,10 +99,10 @@ func TestAddRowsAddBatchEquivalence(t *testing.T) {
 		}
 	}
 
-	// Crash byRows once the persists behind its seals have ended: recovery
-	// loads blocks 0-2 from their images and replays from row 196608, in the
-	// middle of the 140000-row record.
-	storeTiles(t, byRows, "events")
+	// Crash byRows once the persists behind its seals have ended, with no
+	// sync since: recovery loads blocks 0-2 from their images and replays
+	// from row 196608, in the middle of the 140000-row record.
+	sealedTiles(t, byRows, "events")
 	recovered := startLeaf(t, ca)
 	if info := recovered.Recovery(); info.Path != RecoveryWAL || info.SnapshotBlocks != 3 || info.WALRowsReplayed != at-3*65536 {
 		t.Fatalf("recovery = %+v", info)

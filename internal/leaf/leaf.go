@@ -147,8 +147,10 @@ type RecoveryInfo struct {
 	Tables        int
 	Blocks        int
 	BytesRestored int64
-	// Duration runs from Start's first instruction to ALIVE.
+	// Duration runs from Start's first instruction to ALIVE; CPU is the whole
+	// process's CPU time over it (metrics.ProcessCPU).
 	Duration time.Duration
+	CPU      time.Duration
 	// FellBack is set when memory recovery was attempted but the metadata
 	// could not be read, sending every table to the store (Figure 5b).
 	FellBack bool
@@ -187,6 +189,7 @@ type ShutdownInfo struct {
 	Blocks      int
 	BytesCopied int64
 	Duration    time.Duration
+	CPU         time.Duration // the whole process's, as RecoveryInfo's
 	// ToShm is false when the leaf shut down without shared memory
 	// (disk-only path).
 	ToShm bool
@@ -348,7 +351,10 @@ func (l *Leaf) ShutdownToDisk() (ShutdownInfo, error) { return l.shutdown(false)
 func (l *Leaf) shutdown(toShm bool) (info ShutdownInfo, err error) {
 	r := l.cfg.Obs.Restart(obs.HalfShutdown)
 	info.ToShm = toShm
-	defer func() { info.fromSpans(r.Spans()) }()
+	defer func(cpu time.Duration) {
+		info.fromSpans(r.Spans())
+		info.CPU = metrics.ProcessCPU() - cpu
+	}(metrics.ProcessCPU())
 	// Stop background promotion before touching any table — a promotion
 	// mid-copy must not race the copy-out's block drain — and stop accepting
 	// requests.
@@ -751,20 +757,43 @@ func (l *Leaf) locksFor(name string) *tableLocks {
 	return tl
 }
 
-// SyncToDisk is the persist barrier: for every table it waits out a persist
-// in flight, then persists what is left. It returns the number of images
-// this call wrote, 0 when the persister had written them all. It does not
-// wait for promotion.
+// SyncToDisk is the persist barrier and §4.1's disk sync: for every table it
+// waits out a persist in flight, then persists what is left and a checkpoint
+// of the unsealed tail, so that a crash start replays only the log written
+// since. It returns the number of images it wrote; it does not wait for
+// promotion.
 func (l *Leaf) SyncToDisk() (int, error) {
 	total := 0
 	for _, tbl := range l.tablesSorted() {
-		n, err := l.persistTable(tbl)
+		n, err := l.checkpoint(tbl)
 		total += n
 		if err != nil {
 			return total, err
 		}
 	}
 	return total, nil
+}
+
+// checkpoint is one table's sync. Under the ingest lock it rotates the log at
+// the tail's end and takes a view of the tail, whose rows it seals outside
+// it, leaving the builder as it is: a short image a longer one supersedes.
+func (l *Leaf) checkpoint(tbl *table.Table) (int, error) {
+	locks := l.locksFor(tbl.Name())
+	locks.persist.Lock()
+	defer locks.persist.Unlock()
+	locks.ingest.Lock()
+	start, tail := tbl.UnpersistedTail()
+	var rb *rowblock.RowBlock
+	var err error
+	if tail != nil && l.wal != nil {
+		err = l.wal.Rotate(tbl.Name())
+	}
+	locks.ingest.Unlock()
+	if tail != nil && err == nil {
+		rb, err = tail.Seal()
+	}
+	n, perr := l.persistLocked(tbl, rb, start) // the sealed blocks whatever became of the tail
+	return n, errors.Join(err, perr)
 }
 
 // SnapshotPass is SyncToDisk under the name it had when images and the disk
@@ -797,18 +826,23 @@ func (l *Leaf) persistTable(tbl *table.Table) (int, error) {
 	locks := l.locksFor(tbl.Name())
 	locks.persist.Lock()
 	defer locks.persist.Unlock()
-	return l.persistLocked(tbl)
+	return l.persistLocked(tbl, nil, 0)
 }
 
-func (l *Leaf) persistLocked(tbl *table.Table) (int, error) {
+// persistLocked is persistTable's pass. A tail, the checkpoint of the rows
+// from start, goes last unless a block sealed since holds them.
+func (l *Leaf) persistLocked(tbl *table.Table, tail *rowblock.RowBlock, start int64) (int, error) {
 	blocks, starts := tbl.UnpersistedBlocks()
+	if tail != nil && (len(blocks) == 0 || starts[len(starts)-1] < start) {
+		blocks, starts = append(blocks, tail), append(starts, start)
+	}
 	for _, rb := range blocks {
 		if src := rb.Source(); src != nil {
 			// The block's mapping — the table's shm view, or a store image
 			// that replaced a damaged block of it — pinned while its image is
 			// written. One already gone holds no block of the table any more.
 			if !src.Retain() {
-				return l.persistLocked(tbl)
+				return l.persistLocked(tbl, tail, start)
 			}
 			defer src.Release()
 		}

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -103,7 +104,7 @@ func TestRestartTraceAccountsForTheGap(t *testing.T) {
 			pool := top[1]
 			var blocks int
 			var bytes int64
-			var steps time.Duration
+			var steps obs.Trace
 			for _, sp := range up {
 				if sp.Table == "" {
 					continue
@@ -114,7 +115,7 @@ func TestRestartTraceAccountsForTheGap(t *testing.T) {
 				if sp.Start.Before(pool.Start) || sp.End().After(pool.End()) {
 					t.Errorf("%s of %q lies outside %s", sp.Phase, sp.Table, pool.Phase)
 				}
-				steps += sp.Duration
+				steps = append(steps, sp)
 				if st := reg.Timer(sp.Phase).Stats(); st.Count != 1 || st.Total != sp.Duration {
 					t.Errorf("timer %s = %d observations, %v total; the one table's span took %v", sp.Phase, st.Count, st.Total, sp.Duration)
 				}
@@ -130,8 +131,13 @@ func TestRestartTraceAccountsForTheGap(t *testing.T) {
 			if want := top[2].End().Sub(top[0].Start); rec.Duration != want {
 				t.Errorf("RecoveryInfo.Duration = %v, map begin to ALIVE is %v", rec.Duration, want)
 			}
+			if rec.CPU <= 0 && runtime.GOOS == "linux" {
+				t.Errorf("RecoveryInfo.CPU = %v: the start used no CPU", rec.CPU)
+			}
+			// The table's share is its wall time, from its first step's start
+			// to its last step's end.
 			want := obs.Trace{{TraceID: up[0].TraceID, Kind: obs.KindRestart, Half: obs.HalfStart, Table: "events",
-				Worker: rec.PerTable[0].Worker, Blocks: blocks, Bytes: bytes, Start: rec.PerTable[0].Start, Duration: steps}}
+				Worker: rec.PerTable[0].Worker, Blocks: blocks, Bytes: bytes, Start: steps[0].Start, Duration: steps.Elapsed()}}
 			if !reflect.DeepEqual(rec.PerTable, want) {
 				t.Errorf("PerTable = %+v, the spans say %+v", rec.PerTable, want)
 			}
@@ -179,8 +185,8 @@ func TestInfoIsAViewOfTheSpans(t *testing.T) {
 	}
 	var down ShutdownInfo
 	down.fromSpans(trace)
-	// A table's roll-up is a span too: from its first step's start, the sum
-	// of its steps.
+	// A table's roll-up is a span too: from its first step's start to its
+	// last step's end.
 	share := func(half, table string, worker, startMs, durMs, blocks int) TableCopyStat {
 		return span(half, "", table, worker, startMs, durMs, blocks)
 	}

@@ -21,8 +21,8 @@ import (
 )
 
 // TableCopyStat is one table's share of a shutdown copy-out or a restore:
-// which worker carried it, how much moved, and the time of all its steps — the
-// roll-up span obs.Trace.Tables makes of the table's restart spans.
+// which worker carried it, how much moved, and the wall time of its steps —
+// the roll-up span obs.Trace.Tables makes of the table's restart spans.
 // ShutdownInfo and RecoveryInfo report one per table, sorted by table name.
 type TableCopyStat = obs.Span
 
@@ -146,7 +146,7 @@ func (l *Leaf) shutdownTable(ctx context.Context, r *obs.Restart, worker int, tb
 	go func() {
 		locks := l.locksFor(tbl.Name())
 		locks.persist.Lock()
-		_, p.err = l.persistLocked(tbl)
+		_, p.err = l.persistLocked(tbl, nil, 0)
 		if p.err == nil && l.wal != nil {
 			if err := l.wal.ResetTable(tbl.Name(), tbl.NextRow()); err != nil {
 				// The store holds every row; the next start resets the log.

@@ -138,8 +138,8 @@ func logStarts(t *testing.T, e walEnv, name string) []int64 {
 
 // TestPersistAtSealTruncatesTheLog: the log rotates before the batch that
 // seals a block, so once the persist behind the seal ends the log holds only
-// that straddling batch and the tail, and a crash replays less than a block
-// per table.
+// that straddling batch and the tail, and a crash with no sync since replays
+// less than a block per table.
 func TestPersistAtSealTruncatesTheLog(t *testing.T) {
 	e := newWALEnv(t)
 	old := startLeaf(t, e.config(0))
@@ -149,7 +149,7 @@ func TestPersistAtSealTruncatesTheLog(t *testing.T) {
 		ingestBatches(t, old, name, batches, batch, 1000)
 	}
 	for _, name := range tables {
-		storeTiles(t, old, name)
+		sealedTiles(t, old, name)
 		for _, start := range logStarts(t, e, name) {
 			if start < 131072-batch {
 				t.Errorf("%s: log segment from row %d is left behind the seal at 131072", name, start)

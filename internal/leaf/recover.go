@@ -30,6 +30,7 @@ import (
 	"sort"
 
 	"scuba/internal/disk"
+	"scuba/internal/metrics"
 	"scuba/internal/obs"
 	"scuba/internal/rowblock"
 	"scuba/internal/shm"
@@ -99,6 +100,7 @@ func (info *RecoveryInfo) fromSpans(trace obs.Trace) {
 // one another from its first instruction to the first answered query: the
 // availability gap is their sum.
 func (l *Leaf) Start() error {
+	cpu := metrics.ProcessCPU()
 	r := l.cfg.Obs.Restart(obs.HalfStart)
 	l.mu.Lock()
 	l.restart = r
@@ -212,6 +214,7 @@ func (l *Leaf) Start() error {
 	}
 	l.mu.Lock()
 	l.recovery.fromSpans(r.Spans())
+	l.recovery.CPU = metrics.ProcessCPU() - cpu
 	served := l.recovery.ServedFromShm
 	l.mu.Unlock()
 	l.firstAnswer = r.Begin(obs.PhaseFirstAnswer, "", -1)

@@ -109,18 +109,40 @@ func sourceHistory(t *testing.T, cfg Config) *Leaf {
 
 // storeTiles runs the SyncToDisk barrier and asserts that the store's images
 // then tile the table's sealed blocks, one image per block, row range for
-// row range — whichever persist wrote them.
+// row range — whichever persist wrote them — and then its unsealed tail,
+// whose checkpoint is one image of every tail row.
 func storeTiles(t *testing.T, l *Leaf, name string) {
 	t.Helper()
 	if _, err := l.SyncToDisk(); err != nil {
 		t.Fatal(err)
 	}
-	images, _, err := l.store.Images(name)
+	checkTiles(t, l, name, true)
+}
+
+// sealedTiles is storeTiles for the persist at seal alone: it waits out the
+// persists behind seals, persists what they left, and checkpoints no tail.
+func sealedTiles(t *testing.T, l *Leaf, name string) {
+	t.Helper()
+	if _, err := l.persistTable(l.Table(name)); err != nil {
+		t.Fatal(err)
+	}
+	checkTiles(t, l, name, false)
+}
+
+func checkTiles(t *testing.T, l *Leaf, name string, tail bool) {
+	t.Helper()
+	images, w, err := l.store.Images(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl := l.Table(name)
 	blocks := tbl.Blocks()
+	if unsealed := tbl.Stats().Unsealed; tail && unsealed > 0 {
+		if len(images) == 0 || images[len(images)-1].Rows != unsealed || w != tbl.NextRow() {
+			t.Fatalf("%s: no checkpoint of the %d-row tail up to row %d: watermark %d, images %v", name, unsealed, tbl.NextRow(), w, images)
+		}
+		images = images[:len(images)-1]
+	}
 	if len(images) != len(blocks) {
 		t.Fatalf("%s: %d images for %d sealed blocks", name, len(images), len(blocks))
 	}
@@ -166,6 +188,14 @@ var recoverySources = []struct {
 			cfg.InstantOn = true
 		}},
 	{name: "images + log tail", wal: true, wantPath: RecoveryWAL},
+	{name: "images + checkpoint", wal: true, wantPath: RecoveryWAL, adopted: true,
+		handOver: func(t *testing.T, old *Leaf, cfg *Config) {
+			// A crash right after a sync: the tail is a checkpoint image,
+			// adopted as the short block a clean shutdown would have sealed.
+			if _, err := old.SyncToDisk(); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	{name: "images only", wantPath: RecoveryDisk, adopted: true,
 		handOver: func(t *testing.T, old *Leaf, cfg *Config) {
 			// No log: what a crash keeps is what the last pass persisted.

@@ -434,17 +434,20 @@ func TestWALConcurrentIngestCrashRecovery(t *testing.T) {
 		}(g)
 	}
 	// Snapshot passes race the ingest, moving the watermark through the
-	// middle of the concurrent batches.
+	// middle of the concurrent batches. Every other pass finds an unsealed
+	// tail the writers are appending to, and checkpoints it.
 	snapDone := make(chan struct{})
 	go func() {
 		defer close(snapDone)
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-snapDone:
 				return
 			default:
 			}
-			old.SealAll()      //nolint:errcheck
+			if i%2 == 0 {
+				old.SealAll() //nolint:errcheck
+			}
 			old.SnapshotPass() //nolint:errcheck
 		}
 	}()

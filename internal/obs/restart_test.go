@@ -303,6 +303,42 @@ func TestSpansReachTheSinkOnceAlive(t *testing.T) {
 	}
 }
 
+// TestTableSharesFitInTheWall: a shutdown worker seals a table, then runs
+// its persist and its copy-out side by side. A table's share is its wall
+// time, so no share exceeds the half's, and Slowest ranks by it: "a" spent
+// more in its steps summed, "b" bounds the pool.
+func TestTableSharesFitInTheWall(t *testing.T) {
+	t0 := time.Unix(1_700_000_000, 0)
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	span := func(phase, table string, worker, startMs, endMs, blocks int) Span {
+		return Span{TraceID: 1, Kind: KindRestart, Half: HalfShutdown, Phase: phase, Table: table, Worker: worker,
+			Blocks: blocks, Start: t0.Add(ms(startMs)), Duration: ms(endMs - startMs)}
+	}
+	half := Trace{
+		span(PhaseQuiesce, "", -1, 0, 1, 0),
+		span(PhaseCopyOut, "", -1, 1, 25, 0),
+		span(PhaseTableSeal, "a", 0, 1, 5, 0),
+		span(PhaseTablePersist, "a", 0, 5, 19, 0),
+		span(PhaseTableCopyOut, "a", 0, 5, 20, 30),
+		span(PhaseTableSeal, "b", 1, 1, 3, 0),
+		span(PhaseTablePersist, "b", 1, 3, 24, 0),
+		span(PhaseTableCopyOut, "b", 1, 3, 4, 2),
+		span(PhaseCommit, "", -1, 25, 26, 0),
+	}
+	shares := half.Tables()
+	if len(shares) != 2 || shares[0].Duration != ms(19) || shares[1].Duration != ms(23) {
+		t.Fatalf("shares = %+v, want a 19 ms and b 23 ms", shares)
+	}
+	for _, sh := range shares {
+		if sh.Duration > half.Elapsed() || sh.Start.Before(t0.Add(ms(1))) {
+			t.Errorf("%s's share runs %v from %v, past the half's %v", sh.Table, sh.Duration, sh.Start, half.Elapsed())
+		}
+	}
+	if got := shares.Slowest(); got.Table != "b" {
+		t.Errorf("slowest = %q, want b", got.Table)
+	}
+}
+
 // The views every consumer reads the ledger through, over a hand-made trace:
 // nothing here ran a restart.
 func TestTraceViews(t *testing.T) {

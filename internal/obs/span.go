@@ -160,9 +160,11 @@ func (t Trace) Moved() (blocks int, bytes int64) {
 
 // Tables rolls a restart's per-table spans up into one span per table, sorted
 // by name: its worker, its first step's start, the blocks and bytes of its
-// block-moving steps that succeeded, and as Duration the sum of every step,
-// failed ones too — the time was spent. A table is listed when a block-moving
-// step succeeded for it: one lost, or whose only source failed, is not.
+// block-moving steps that succeeded, and as Duration the wall time to its
+// last step's end, failed steps too — the time was spent. Steps that ran side
+// by side (a shutdown's persist and copy-out) count once, so no share exceeds
+// its half's Elapsed. A table is listed when a block-moving step succeeded
+// for it: one lost, or whose only source failed, is not.
 func (t Trace) Tables() Trace {
 	shares := make(map[string]*Span)
 	carried := make(map[string]bool)
@@ -176,7 +178,9 @@ func (t Trace) Tables() Trace {
 			shares[sp.Table] = st
 		}
 		st.Worker = sp.Worker
-		st.Duration += sp.Duration
+		if end := sp.End(); end.After(st.End()) { // steps come in start order
+			st.Duration = end.Sub(st.Start)
+		}
 		if sp.moved() {
 			carried[sp.Table] = true
 			st.Blocks += sp.Blocks

@@ -43,7 +43,7 @@ func TestSetMasksAgreeWithWalkAndReference(t *testing.T) {
 			}
 			var in column.Interner
 			in.AppendSets(sets, 0, 0)
-			blob, _ := in.EncodeSets()
+			blob, _ := in.EncodeSets(len(sets))
 			r, err := layout.Parse(blob)
 			if err != nil {
 				t.Fatal(err)

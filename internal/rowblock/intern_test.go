@@ -167,7 +167,7 @@ func checkSealed(t *testing.T, rb *RowBlock, held []Row) {
 			strs := cells(held, func(r Row) string { return r.Cols[f.Name].Str })
 			var in column.Interner
 			in.AppendStrings(strs, 0, 0)
-			blob, _ = in.EncodeStrings()
+			blob, _ = in.EncodeStrings(len(strs))
 			for _, s := range strs {
 				zone.bloomAdd(s)
 			}
@@ -175,7 +175,7 @@ func checkSealed(t *testing.T, rb *RowBlock, held []Row) {
 			sets := cells(held, func(r Row) []string { return r.Cols[f.Name].Set })
 			var in column.Interner
 			in.AppendSets(sets, 0, 0)
-			blob, _ = in.EncodeSets()
+			blob, _ = in.EncodeSets(len(sets))
 			zone.Kind = ZoneSetDict
 			for _, set := range sets {
 				for _, s := range set {

@@ -542,58 +542,10 @@ func (b *Builder) AppendBatch(bt *Batch) (int, error) {
 	return n, nil
 }
 
-// Seal compresses all columns and returns the immutable block. The builder
-// must not be reused afterwards.
-func (b *Builder) Seal() (*RowBlock, error) {
-	if len(b.times) == 0 {
-		return nil, errors.New("rowblock: sealing empty block")
-	}
-	schema := Schema{{Name: TimeColumn, Type: layout.TypeTime}}
-	blobs := [][]byte{column.EncodeInt64(layout.TypeTime, b.times)}
-	// Zone maps are stamped from the raw values (strings from their
-	// dictionary), so the query path can disprove predicates undecoded.
-	zones := []ZoneMap{{Kind: ZoneInt, MinI: b.minTime, MaxI: b.maxTime}}
-	for _, name := range b.names {
-		cb := b.builders[name]
-		var blob []byte
-		var dict []string
-		switch cb.Type {
-		case layout.TypeInt64, layout.TypeTime:
-			blob = column.EncodeInt64(layout.TypeInt64, cb.Ints)
-		case layout.TypeFloat64:
-			blob = column.EncodeFloat64(cb.Floats)
-		case layout.TypeString:
-			blob, dict = cb.dict.EncodeStrings()
-		case layout.TypeStringSet:
-			blob, dict = cb.dict.EncodeSets()
-		}
-		schema = append(schema, Field{Name: name, Type: cb.sealedType()})
-		blobs = append(blobs, blob)
-		zones = append(zones, cb.sealZoneMap(dict))
-	}
-	var size int64
-	cols := make([]*layout.RBC, len(blobs))
-	for i, blob := range blobs {
-		rbc, err := layout.ParseTrusted(blob)
-		if err != nil {
-			return nil, fmt.Errorf("rowblock: sealing column %q: %w", schema[i].Name, err)
-		}
-		cols[i] = rbc
-		size += int64(len(blob))
-	}
-	return &RowBlock{
-		hdr: Header{
-			Size:     size,
-			RowCount: len(b.times),
-			MinTime:  b.minTime,
-			MaxTime:  b.maxTime,
-			Created:  b.created,
-		},
-		schema: schema,
-		cols:   cols,
-		zones:  zones,
-	}, nil
-}
+// Seal compresses all columns and returns the immutable block: the seal of
+// a view of every row (UnsealedView.Seal). The builder must not be reused
+// afterwards.
+func (b *Builder) Seal() (*RowBlock, error) { return b.Snapshot().Seal() }
 
 // checkColumns is an image decode's check of its parsed RBCs: the first
 // schema entry must be the time column, and hdr.Size/RowCount must match the

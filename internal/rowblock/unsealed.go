@@ -1,6 +1,8 @@
 package rowblock
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"scuba/internal/column"
@@ -15,6 +17,7 @@ import (
 // interner cut at the view's row count: AppendBatch interned every row as
 // it appended it, so a read interns nothing.
 type UnsealedView struct {
+	created int64
 	minTime int64
 	maxTime int64
 	sorted  bool // the builder's at Snapshot: appends never touch these rows
@@ -35,6 +38,7 @@ func (b *Builder) Snapshot() *UnsealedView {
 		return nil
 	}
 	v := &UnsealedView{
+		created: b.created,
 		minTime: b.minTime,
 		maxTime: b.maxTime,
 		sorted:  b.sorted,
@@ -55,6 +59,39 @@ func (b *Builder) Snapshot() *UnsealedView {
 		v.dicts = append(v.dicts, &cb.dict)
 	}
 	return v
+}
+
+// Seal compresses the view's rows into an immutable block: the one encoder of
+// a builder's rows, which reads only what the view aliases, so ingest goes on
+// appending meanwhile. Zone maps are stamped from the raw values (strings
+// from their dictionary), so the query path can disprove predicates undecoded.
+func (v *UnsealedView) Seal() (*RowBlock, error) {
+	if v == nil {
+		return nil, errors.New("rowblock: sealing empty block")
+	}
+	rb := &RowBlock{hdr: Header{RowCount: v.Rows(), MinTime: v.minTime, MaxTime: v.maxTime, Created: v.created},
+		schema: v.schema, cols: make([]*layout.RBC, len(v.schema)), zones: make([]ZoneMap, len(v.schema))}
+	for i, c := range v.vecs {
+		var blob []byte
+		var dict []string
+		switch c.Type {
+		case layout.TypeInt64, layout.TypeTime:
+			blob = column.EncodeInt64(v.schema[i].Type, c.Ints)
+		case layout.TypeFloat64:
+			blob = column.EncodeFloat64(c.Floats)
+		case layout.TypeString:
+			blob, dict = v.dicts[i].EncodeStrings(v.Rows())
+		case layout.TypeStringSet:
+			blob, dict = v.dicts[i].EncodeSets(v.Rows())
+		}
+		var err error
+		if rb.cols[i], err = layout.ParseTrusted(blob); err != nil {
+			return nil, fmt.Errorf("rowblock: sealing column %q: %w", c.Name, err)
+		}
+		rb.zones[i] = c.sealZoneMap(dict)
+		rb.hdr.Size += int64(len(blob))
+	}
+	return rb, nil
 }
 
 // Rows returns the number of rows in the view.

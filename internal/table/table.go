@@ -55,11 +55,12 @@ type Table struct {
 	// across restarts.
 	starts    []int64
 	sealedEnd int64
-	// persisted is the global row index below which sealed rows are in the
-	// store's block images (or expired by retention); only blocks sealed
-	// since the last synchronization point are written again (§4.1). Tracked
-	// as an index, not a block count, so concurrent expiry of leading blocks
-	// can never shift coverage onto a block that was never imaged.
+	// persisted is the global row index below which rows are in the store's
+	// block images (or expired by retention) — a sync's checkpoint may put it
+	// inside the unsealed tail; only rows added since the last synchronization
+	// point are written again (§4.1). Tracked as an index, not a block count,
+	// so concurrent expiry of leading blocks can never shift coverage onto a
+	// block that was never imaged.
 	persisted int64
 
 	rowsTotal  int64
@@ -490,9 +491,22 @@ func (t *Table) UnpersistedBlocks() ([]*rowblock.RowBlock, []int64) {
 	return blocks, starts
 }
 
-// MarkPersistedThrough records that every sealed row below end is in an
-// image. Monotone, like the store's watermark: an older in-flight pass can
-// never roll coverage back.
+// UnpersistedTail returns a view of the unsealed tail and its first row's
+// global index; nil when no tail row is past the persisted cursor, or when
+// the table is not ALIVE (its log has no cursor yet, or shutdown owns it).
+func (t *Table) UnpersistedTail() (int64, *rowblock.UnsealedView) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state != StateAlive || t.active == nil || t.sealedEnd+int64(t.active.Rows()) <= t.persisted {
+		return 0, nil
+	}
+	return t.sealedEnd, t.active.Snapshot()
+}
+
+// MarkPersistedThrough records that every row below end is in an image: a
+// sealed block's, or a checkpoint's of part of the unsealed tail. Monotone,
+// like the store's watermark: an older in-flight pass can never roll
+// coverage back.
 func (t *Table) MarkPersistedThrough(end int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
